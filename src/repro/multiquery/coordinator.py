@@ -2,8 +2,9 @@
 
 :class:`QueryContext` exposes the exact control-plane API of
 :class:`repro.server.server.Server` (``probe``, ``probe_all``,
-``deploy``, ``broadcast``, ``stream_ids``, ``n_streams``, ``now``), so
-the single-query protocols run against it *unmodified*.  The
+``deploy``, ``deploy_many``, ``broadcast``, ``stream_ids``,
+``n_streams``, ``now``), so the single-query protocols run against it
+*unmodified*.  The
 :class:`MultiQueryCoordinator` owns the shared sources and the ledger:
 
 * a physical uplink update is charged **once** however many queries it
@@ -24,6 +25,7 @@ from repro.network.messages import MessageKind
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
 from repro.state.table import StreamStateTable
+from repro.streams.control import constraint_columns, deploy_each
 
 if TYPE_CHECKING:
     from repro.multiquery.source import MultiQuerySource
@@ -78,17 +80,22 @@ class QueryContext:
             self.query_id, stream_id, lower, upper, assumed_inside
         )
 
+    def deploy_many(
+        self, stream_ids, lower, upper, assumed_inside=None
+    ) -> None:
+        """Server-compatible batch deploy; slotted sources have no
+        columnar form, so this is the ordered :meth:`deploy` loop."""
+        deploy_each(
+            self, *constraint_columns(stream_ids, lower, upper, assumed_inside)
+        )
+
     def broadcast(
         self,
         lower: float,
         upper: float,
         assumed_inside: dict[int, bool] | None = None,
     ) -> None:
-        for stream_id in self.stream_ids:
-            belief = None
-            if assumed_inside is not None:
-                belief = assumed_inside.get(stream_id)
-            self.deploy(stream_id, lower, upper, assumed_inside=belief)
+        self.deploy_many(self.stream_ids, lower, upper, assumed_inside)
 
 
 class MultiQueryCoordinator(DeferredDeliveryMixin):

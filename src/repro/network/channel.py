@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.network.accounting import MessageLedger
-from repro.network.messages import Message
+from repro.network.messages import Message, MessageKind
 
 
 class Channel:
@@ -36,6 +36,7 @@ class Channel:
         self.ledger = ledger
         self._server_handler: Callable[[Message], None] | None = None
         self._source_handlers: dict[int, Callable[[Message], None]] = {}
+        self._source_ids: list[int] | None = None
         self._taps: list[Callable[[Message], None]] = []
 
     def bind_server(self, handler: Callable[[Message], None]) -> None:
@@ -45,6 +46,7 @@ class Channel:
     def bind_source(self, stream_id: int, handler: Callable[[Message], None]) -> None:
         """Register the handler of source *stream_id*."""
         self._source_handlers[stream_id] = handler
+        self._source_ids = None
 
     def add_tap(self, tap: Callable[[Message], None]) -> None:
         """Observe every message without affecting delivery or accounting.
@@ -54,6 +56,11 @@ class Channel:
         is caused by some message crossing the channel.  Taps fire at
         *delivery* time — identical to send time on this channel, later
         on a latency-modeled one.
+
+        A tap that also has a ``bulk(stream_ids)`` method is told of a
+        columnar server-to-source delivery (:meth:`charge_bulk`) in one
+        call; a tap without one keeps every delivery on this channel
+        per-message.
         """
         self._taps.append(tap)
 
@@ -87,6 +94,39 @@ class Channel:
         self._deliver_to_source(message)
 
     # ------------------------------------------------------------------
+    # Columnar delivery (the bulk control plane, DESIGN.md §12)
+    # ------------------------------------------------------------------
+    def bulk_sources(self, stream_ids: list[int]) -> list | None:
+        """The objects whose bound methods handle *stream_ids*, in order
+        — or ``None`` when this batch must travel message by message (a
+        handler that is no bound method, or a tap with no ``bulk`` form).
+
+        An unbound id raises the same ``RuntimeError`` as
+        :meth:`send_to_source`, before anything is charged.
+        """
+        handlers = self._source_handlers
+        try:
+            targets = [handlers[stream_id].__self__ for stream_id in stream_ids]
+        except KeyError as missing:
+            raise RuntimeError(
+                f"no source {missing.args[0]} bound to channel"
+            ) from None
+        except AttributeError:
+            return None
+        if not all(hasattr(tap, "bulk") for tap in self._taps):
+            return None
+        return targets
+
+    def charge_bulk(self, stream_ids, *kinds: MessageKind) -> None:
+        """Account for one message of each of *kinds* per stream id,
+        delivered columnar rather than through :meth:`send_to_source`:
+        one ledger charge per kind, one ``bulk`` call per tap."""
+        for kind in kinds:
+            self.ledger.record_kind(kind, len(stream_ids))
+        for tap in self._taps:
+            tap.bulk(stream_ids)
+
+    # ------------------------------------------------------------------
     # Delivery (shared by every discipline; taps fire here)
     # ------------------------------------------------------------------
     def _deliver_to_server(self, message: Message) -> None:
@@ -103,8 +143,10 @@ class Channel:
 
     @property
     def source_ids(self) -> list[int]:
-        """Identifiers of all bound sources."""
-        return sorted(self._source_handlers)
+        """Identifiers of all bound sources, ascending."""
+        if self._source_ids is None:
+            self._source_ids = sorted(self._source_handlers)
+        return list(self._source_ids)
 
 
 #: The default delivery discipline under its explicit name: today's

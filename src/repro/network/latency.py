@@ -326,6 +326,11 @@ class LatencyChannel(Channel):
         self.ledger.record(message)
         self._route(message, is_uplink=False)
 
+    def bulk_sources(self, stream_ids) -> None:
+        """Never columnar: every message draws its own delay and joins
+        its own flow's FIFO, so a batch is exactly its messages."""
+        return None
+
     def _route(self, message: Message, is_uplink: bool) -> None:
         self._route_count += 1
         if message.kind.is_probe:

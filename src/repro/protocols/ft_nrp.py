@@ -49,7 +49,6 @@ Server-side state — answer mask and silencer flags — lives in the shared
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -134,15 +133,8 @@ class FractionToleranceRangeProtocol(FilterProtocol):
         fn_ids = self.selection.select(outside, n_minus, lower, upper)
         self._pools.reset(fp_ids, fn_ids)
 
-        fp_set = set(fp_ids)
-        fn_set = set(fn_ids)
-        for stream_id in values:
-            if stream_id in fp_set:
-                server.deploy(stream_id, -math.inf, math.inf)
-            elif stream_id in fn_set:
-                server.deploy(stream_id, math.inf, math.inf)
-            else:
-                server.deploy(stream_id, lower, upper)
+        ids = list(values)
+        server.deploy_many(ids, *self._pools.bounds_for(ids, lower, upper))
         self._enforce_budgets(server)
 
     # ------------------------------------------------------------------

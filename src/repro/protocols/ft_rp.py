@@ -147,15 +147,8 @@ class FractionToleranceKnnProtocol(FilterProtocol):
         fn_ids = self.selection.select(outside, n_fn, lower, upper)
         self._pools.reset(fp_ids, fn_ids)
 
-        fp_set = set(fp_ids)
-        fn_set = set(fn_ids)
-        for stream_id in server.stream_ids:
-            if stream_id in fp_set:
-                server.deploy(stream_id, -math.inf, math.inf)
-            elif stream_id in fn_set:
-                server.deploy(stream_id, math.inf, math.inf)
-            else:
-                server.deploy(stream_id, lower, upper)
+        ids = server.stream_ids
+        server.deploy_many(ids, *self._pools.bounds_for(ids, lower, upper))
 
     # ------------------------------------------------------------------
     # Live answer-size triggers (see module docstring)

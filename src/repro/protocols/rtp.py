@@ -34,10 +34,13 @@ in rank order by an incremental :class:`~repro.state.rank.RankView`
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from repro.protocols.base import FilterProtocol
 from repro.queries.base import RankBasedQuery
+from repro.runtime.membership import BELIEF_NONE
 from repro.state.rank import RankView
 from repro.tolerance.rank_tolerance import RankTolerance
 
@@ -125,22 +128,26 @@ class RankToleranceProtocol(FilterProtocol):
         order = self._ranked_known()
         self._state.answer_replace(order[: self.query.k])
         self._state.tracked_replace(order[: self.eps])
-        self._deploy_bound(server, fresh_ids=set(server.stream_ids))
+        self._deploy_bound(server, fresh_ids=None)
 
-    def _deploy_bound(self, server: "Server", fresh_ids: set[int]) -> None:
+    def _deploy_bound(
+        self, server: "Server", fresh_ids: Iterable[int] | None
+    ) -> None:
         """Deploy_bound(t): position R halfway past the eps-th object.
 
         The halfway point is computed over the server's *known* values —
-        exact for streams in ``fresh_ids`` (probed this resolution), the
-        last report otherwise.  Deployments to non-fresh streams carry the
-        believed membership so stale sources self-correct.
+        exact for streams in ``fresh_ids`` (probed this resolution;
+        ``None``: all of them), the last report otherwise.  Deployments
+        to non-fresh streams carry the believed membership so stale
+        sources self-correct.
         """
         assert self._state is not None
-        order = self._ranked_known()
+        order = np.asarray(self._ranked_known(), dtype=np.int64)
         tracked = self._state.tracked_mask
-        inside = [i for i in order if tracked[i]]
-        outside = [i for i in order if not tracked[i]]
-        if not inside or not outside:  # pragma: no cover - guarded at init
+        in_region = tracked[order]
+        inside = order[in_region]
+        outside = order[~in_region]
+        if not (inside.size and outside.size):  # pragma: no cover - init guard
             raise RuntimeError("R must separate a non-empty in/out split")
         d_inside = self._distance(self._known_value(inside[-1]))
         d_outside = self._distance(self._known_value(outside[0]))
@@ -160,21 +167,16 @@ class RankToleranceProtocol(FilterProtocol):
         # inside — and since its membership never flips again, no report
         # ever corrects the divergence.  Widening to the tracked values
         # closes the hole; in the non-degenerate case it moves nothing.
-        for member in inside:
-            value = self._known_value(member)
-            lower = min(lower, value)
-            upper = max(upper, value)
+        member_values = self._state.values[inside]
+        lower = min(lower, float(member_values.min()))
+        upper = max(upper, float(member_values.max()))
         self._region = (lower, upper)
-        for stream_id in server.stream_ids:
-            if stream_id in fresh_ids:
-                server.deploy(stream_id, lower, upper)
-            else:
-                server.deploy(
-                    stream_id,
-                    lower,
-                    upper,
-                    assumed_inside=bool(tracked[stream_id]),
-                )
+        ids = np.asarray(server.stream_ids, dtype=np.int64)
+        belief = None
+        if fresh_ids is not None:
+            belief = tracked[ids].astype(np.int8)
+            belief[np.isin(ids, list(fresh_ids))] = BELIEF_NONE
+        server.deploy_many(ids, lower, upper, belief)
 
     # ------------------------------------------------------------------
     # Maintenance (Figure 5, middle)
@@ -251,7 +253,7 @@ class RankToleranceProtocol(FilterProtocol):
                 self._state.tracked_replace(
                     set(self._state.answer_snapshot()) | set(keep)
                 )
-                self._deploy_bound(server, fresh_ids=set(probed))
+                self._deploy_bound(server, fresh_ids=probed)
                 return True
         return False
 

@@ -50,9 +50,10 @@ class ZeroToleranceRangeProtocol(FilterProtocol):
             for stream_id, value in values.items()
             if self.query.matches(value)
         )
-        for stream_id in server.stream_ids:
-            # Knowledge is fresh (we just probed), so no belief is attached.
-            server.deploy(stream_id, self.query.lower, self.query.upper)
+        # Knowledge is fresh (we just probed), so no belief is attached.
+        server.deploy_many(
+            server.stream_ids, self.query.lower, self.query.upper
+        )
 
     def on_update(
         self, server: "Server", stream_id: int, value: float, time: float

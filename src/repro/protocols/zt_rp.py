@@ -66,8 +66,7 @@ class ZeroToleranceKnnProtocol(FilterProtocol):
         threshold = (d_in + d_out) / 2.0
         self._region = self.query.region(threshold)
         lower, upper = self._region
-        for stream_id in server.stream_ids:
-            server.deploy(stream_id, lower, upper)
+        server.deploy_many(server.stream_ids, lower, upper)
 
     def on_update(
         self, server: "Server", stream_id: int, value: float, time: float

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 
 class _Report:
     """Sentinel: report with no slot tags (single-filter stacks)."""
@@ -91,6 +93,32 @@ def deployment_outcome(
         and bool(assumed_inside) != actual
     )
     return actual, must_report
+
+
+#: int8 codes of the ``assumed_inside`` belief in a deployment column:
+#: no belief attached (fresh knowledge), believed outside, believed inside.
+BELIEF_NONE, BELIEF_OUTSIDE, BELIEF_INSIDE = -1, 0, 1
+
+
+def deployment_outcome_columns(
+    values: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    belief: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`deployment_outcome` over whole columns of scalar intervals.
+
+    Row ``i`` deploys ``[lower[i], upper[i]]`` at a source holding
+    ``values[i]`` under the belief code ``belief[i]``; returns the
+    ``(believed_inside, must_report)`` columns.  The scalar function
+    stays the oracle: the property suite holds the two equal row by row,
+    silencers and on-the-bound values included.
+    """
+    actual = (lower <= values) & (values <= upper)
+    # FilterConstraint.is_silencing: [-inf, +-inf] or [+inf, +inf].
+    silencing = np.isinf(lower) & ((lower > 0) | np.isinf(upper))
+    stale = (belief != BELIEF_NONE) & ((belief == BELIEF_INSIDE) != actual)
+    return actual, stale & ~silencing
 
 
 class MembershipStrategy(ABC):

@@ -1168,16 +1168,24 @@ class _DeferredAssignments:
         self._values = np.empty(shape, dtype=np.float64)
         self._touched = np.zeros(len(sources), dtype=bool)
         for channel in self._channels:
-            channel.add_tap(self._tap)
+            channel.add_tap(self)
 
     def close(self) -> None:
         self.flush_all()
         for channel in self._channels:
-            channel.remove_tap(self._tap)
+            channel.remove_tap(self)
 
-    def _tap(self, message) -> None:
+    def __call__(self, message) -> None:
+        """The channel tap: a server-to-source message is about to read
+        its target."""
         if not message.kind.is_uplink:
             self.flush_one(message.stream_id)
+
+    def bulk(self, stream_ids: np.ndarray) -> None:
+        """The tap's columnar form: a bulk server-to-source delivery is
+        about to read these sources."""
+        for stream_id in stream_ids[self._touched[stream_ids]].tolist():
+            self.flush_one(stream_id)
 
     def stage(self, ids_chunk, vals_chunk) -> None:
         """Record a run of quiescent writes (later records win)."""

@@ -2,8 +2,12 @@
 
 Protocols never talk to the channel directly; they receive
 ``on_update(server, ...)`` callbacks and use the server's control-plane
-methods (:meth:`Server.probe`, :meth:`Server.deploy`,
+methods (:meth:`Server.probe`, :meth:`Server.probe_all`,
+:meth:`Server.deploy`, :meth:`Server.deploy_many`,
 :meth:`Server.broadcast`), which keeps message accounting in one place.
+Whole-population batches travel through the columnar kernels of
+:mod:`repro.streams.control` when they qualify, and message by message
+otherwise — with one outcome (DESIGN.md §12).
 
 Re-entrancy: deploying a constraint whose ``assumed_inside`` belief turns
 out stale makes the source report *immediately*, i.e. while the protocol
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.network.channel import Channel
 from repro.network.messages import (
     ConstraintMessage,
@@ -30,6 +36,11 @@ from repro.network.messages import (
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
 from repro.state.table import StreamStateTable
+from repro.streams.control import (
+    constraint_columns,
+    deploy_columns,
+    probe_columns,
+)
 
 if TYPE_CHECKING:
     from repro.state.rank import RankView
@@ -131,9 +142,15 @@ class Server(DeferredDeliveryMixin):
         return reply.value
 
     def probe_all(self, stream_ids: list[int] | None = None) -> dict[int, float]:
-        """Probe several (default: all) sources; returns id -> value."""
+        """Probe several (default: all) sources; returns id -> value.
+
+        Costs ``2n`` messages however it travels: as one columnar
+        operation when the batch qualifies (DESIGN.md §12), else as the
+        ordered :meth:`probe` loop.
+        """
         targets = self.channel.source_ids if stream_ids is None else stream_ids
-        return {stream_id: self.probe(stream_id) for stream_id in targets}
+        ids = np.asarray(targets, dtype=np.int64)
+        return probe_columns(self, self.channel, self.state, ids, self.state)
 
     def deploy(
         self,
@@ -159,6 +176,24 @@ class Server(DeferredDeliveryMixin):
             )
         )
 
+    def deploy_many(
+        self, stream_ids, lower, upper, assumed_inside=None
+    ) -> None:
+        """Install one constraint per stream id, in order (``n`` messages).
+
+        *lower*/*upper* are scalars or per-stream columns;
+        *assumed_inside* is ``None`` (fresh knowledge everywhere), a
+        column of belief codes (:data:`~repro.runtime.membership.
+        BELIEF_NONE` / ``BELIEF_OUTSIDE`` / ``BELIEF_INSIDE``) or
+        :meth:`broadcast`'s id -> belief map.  The
+        outcome is that of the ordered :meth:`deploy` loop; inside a
+        protocol step — where self-corrections queue rather than
+        re-enter — a qualifying batch is installed as one columnar
+        operation (DESIGN.md §12).
+        """
+        columns = constraint_columns(stream_ids, lower, upper, assumed_inside)
+        deploy_columns(self, self.channel, self.state, self._busy, columns)
+
     def broadcast(
         self,
         lower: float,
@@ -170,11 +205,7 @@ class Server(DeferredDeliveryMixin):
         *assumed_inside* maps stream id to the server's belief; ids absent
         from the map are deployed with fresh-knowledge semantics.
         """
-        for stream_id in self.channel.source_ids:
-            belief = None
-            if assumed_inside is not None:
-                belief = assumed_inside.get(stream_id)
-            self.deploy(stream_id, lower, upper, assumed_inside=belief)
+        self.deploy_many(self.stream_ids, lower, upper, assumed_inside)
 
     # ------------------------------------------------------------------
     # Message handling

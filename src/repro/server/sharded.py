@@ -3,9 +3,9 @@
 A :class:`ShardedServer` hosts one protocol over a population
 partitioned into contiguous shards.  It exposes the *exact* control
 plane of :class:`repro.server.server.Server` (``probe``, ``probe_all``,
-``deploy``, ``broadcast``, ``state``, ``rank_view``, ``stream_ids``,
-``n_streams``, ``now``), so single-server protocols run on it
-unmodified; each per-stream operation is routed to the
+``deploy``, ``deploy_many``, ``broadcast``, ``state``, ``rank_view``,
+``stream_ids``, ``n_streams``, ``now``), so single-server protocols run
+on it unmodified; each per-stream operation is routed to the
 :class:`ShardServer` owning that stream.
 
 Why the message ledger is byte-identical to a single server:
@@ -22,7 +22,10 @@ Why the message ledger is byte-identical to a single server:
   messages; routing them through per-shard channels that share one
   :class:`~repro.network.accounting.MessageLedger` charges the same
   kinds in the same phases.  ``broadcast``/``probe_all`` iterate global
-  ids ascending, matching the single server's iteration order.
+  ids ascending, matching the single server's iteration order; a batch
+  (``deploy_many``, ``probe_all``) is cut into consecutive same-shard
+  runs handled in order, each columnar on its shard's channel when it
+  qualifies (DESIGN.md §12).
 * **Delivery order.**  The deferred-delivery re-entrancy discipline
   lives at the *coordinator*: a stale-belief self-correction arriving at
   any shard while the protocol is mid-step is queued in one global FIFO
@@ -84,9 +87,15 @@ from repro.spatial.messages import (
 from repro.state.sharding import (
     ShardedRankView,
     StateShardView,
+    owner_runs,
     validate_shard_alignment,
 )
 from repro.state.table import StreamStateTable
+from repro.streams.control import (
+    constraint_columns,
+    deploy_columns,
+    probe_columns,
+)
 
 
 class ShardServer:
@@ -260,9 +269,24 @@ class ShardedServer(DeferredDeliveryMixin):
     def probe_all(
         self, stream_ids: list[int] | None = None
     ) -> dict[int, float]:
-        """Probe several (default: all) sources; returns id -> value."""
+        """Probe several (default: all) sources; returns id -> value.
+
+        Each consecutive same-shard run of ids is one columnar operation
+        on its shard's channel when it qualifies (DESIGN.md §12), else
+        the ordered :meth:`probe` loop.
+        """
         targets = self.stream_ids if stream_ids is None else stream_ids
-        return {stream_id: self.probe(stream_id) for stream_id in targets}
+        ids = np.asarray(targets, dtype=np.int64)
+        results: dict[int, float] = {}
+        for index, a, b in owner_runs(self._shard_of, ids):
+            shard = self.shards[index]
+            results.update(
+                probe_columns(
+                    self, shard.channel, self._state, ids[a:b],
+                    shard.state, shard.lo,
+                )
+            )
+        return results
 
     def deploy(
         self,
@@ -276,6 +300,20 @@ class ShardedServer(DeferredDeliveryMixin):
             stream_id, lower, upper, assumed_inside, self._now
         )
 
+    def deploy_many(
+        self, stream_ids, lower, upper, assumed_inside=None
+    ) -> None:
+        """Install one constraint per stream id, in order (see
+        :meth:`repro.server.server.Server.deploy_many`): each consecutive
+        same-shard run of ids is one columnar operation on its shard's
+        channel, or its ordered :meth:`deploy` loop."""
+        columns = constraint_columns(stream_ids, lower, upper, assumed_inside)
+        for index, a, b in owner_runs(self._shard_of, columns[0]):
+            deploy_columns(
+                self, self.shards[index].channel, self._state, self._busy,
+                [column[a:b] for column in columns],
+            )
+
     def broadcast(
         self,
         lower: float,
@@ -283,11 +321,7 @@ class ShardedServer(DeferredDeliveryMixin):
         assumed_inside: dict[int, bool] | None = None,
     ) -> None:
         """Install ``[lower, upper]`` everywhere, ascending id order."""
-        for stream_id in self.stream_ids:
-            belief = None
-            if assumed_inside is not None:
-                belief = assumed_inside.get(stream_id)
-            self.deploy(stream_id, lower, upper, assumed_inside=belief)
+        self.deploy_many(self.stream_ids, lower, upper, assumed_inside)
 
     # ------------------------------------------------------------------
     # Update delivery (single global FIFO)

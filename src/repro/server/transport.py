@@ -115,6 +115,7 @@ from repro.network.messages import (
 from repro.network.latency import LatencyChannel, as_latency_model
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
+from repro.runtime.membership import BELIEF_NONE
 from repro.sim.engine import SimulationEngine
 from repro.spatial.messages import (
     PointProbeReplyMessage,
@@ -130,12 +131,18 @@ from repro.spatial.messages import (
 from repro.state.sharding import (
     ShardedRankView,
     StateShardView,
+    owner_runs,
     scatter_point_reports,
     scatter_region_deploys,
     shard_ranges,
     validate_shard_alignment,
 )
 from repro.state.table import StreamStateTable
+from repro.streams.control import (
+    constraint_columns,
+    install_constraints,
+    probe_sources,
+)
 
 
 class TransportError(RuntimeError):
@@ -392,9 +399,10 @@ class ShardWorker:
             # proven window: untouched streams' columns are unchanged,
             # so their quiescence proofs stand (the crossing mask of a
             # record depends only on its own stream's columns).
-            rows = np.unique(np.asarray(changed, dtype=np.int64))
+            touched = np.zeros(self.table.n_streams, dtype=bool)
+            touched[changed] = True
             window_ids = self.local_ids[self.pos : self.scan_from]
-            affected = np.nonzero(np.isin(window_ids, rows))[0]
+            affected = np.nonzero(touched[window_ids])[0]
             if affected.size:
                 self.stats["suffix_rescans"] += 1
                 sub = self.pos + affected
@@ -537,16 +545,20 @@ class ShardWorker:
     def probe_batch(
         self, local_ids, time: float, clock: float | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Probe several local sources; replies as parallel arrays."""
+        """Probe several local sources; replies as parallel arrays.
+
+        One columnar operation when the batch qualifies (DESIGN.md §12);
+        a latency-modeled channel keeps the per-message round-trips.
+        """
         self._advance_clock(clock)
-        count = len(local_ids)
-        values = np.empty(count, dtype=np.float64)
-        times = np.empty(count, dtype=np.float64)
-        for i, local_id in enumerate(
-            local_ids.tolist() if isinstance(local_ids, np.ndarray)
-            else local_ids
-        ):
-            values[i], times[i] = self.probe(local_id, time)
+        local_ids = np.asarray(local_ids, dtype=np.int64)
+        times = np.full(len(local_ids), float(time))
+        values = probe_sources(self.channel, self.table, local_ids)
+        if values is None:
+            values = np.array(
+                [self.probe(local_id, time)[0] for local_id in local_ids.tolist()],
+                dtype=np.float64,
+            )
         return values, times
 
     def deploy_batch(
@@ -560,23 +572,30 @@ class ShardWorker:
         """
         self._advance_clock(clock)
         self.outbox.clear()
-        send = self.channel.send_to_source
-        for local_id, lower, upper, belief, time in zip(
-            local_ids.tolist(),
-            lowers.tolist(),
-            uppers.tolist(),
-            assumed.tolist(),
-            times.tolist(),
+        if not install_constraints(
+            self.channel, self.table, local_ids, lowers, uppers, assumed, times
         ):
-            send(
-                ConstraintMessage(
-                    stream_id=local_id,
-                    time=time,
-                    lower=lower,
-                    upper=upper,
-                    assumed_inside=None if belief < 0 else bool(belief),
+            # Per-message: a latency-modeled channel (every install draws
+            # its own delay) or a batch naming a stream twice.
+            send = self.channel.send_to_source
+            for local_id, lower, upper, belief, time in zip(
+                local_ids.tolist(),
+                lowers.tolist(),
+                uppers.tolist(),
+                assumed.tolist(),
+                times.tolist(),
+            ):
+                send(
+                    ConstraintMessage(
+                        stream_id=local_id,
+                        time=time,
+                        lower=lower,
+                        upper=upper,
+                        assumed_inside=(
+                            None if belief == BELIEF_NONE else bool(belief)
+                        ),
+                    )
                 )
-            )
         return list(self.outbox)
 
     def settle(self, horizon: float | None) -> None:
@@ -1122,8 +1141,9 @@ class TransportShardedServer(DeferredDeliveryMixin):
     """Coordinator for coupled protocols over worker processes.
 
     Exposes the Server control plane (``probe``, ``probe_all``,
-    ``deploy``, ``broadcast``, ``state``, ``rank_view``, ``stream_ids``,
-    ``n_streams``, ``now``) so the scalar protocols run unmodified.
+    ``deploy``, ``deploy_many``, ``broadcast``, ``state``, ``rank_view``,
+    ``stream_ids``, ``n_streams``, ``now``) so the scalar protocols run
+    unmodified.
 
     Why the ledger is byte-identical to sequential sharded serving:
 
@@ -1190,9 +1210,11 @@ class TransportShardedServer(DeferredDeliveryMixin):
         for index, (lo, hi) in enumerate(self.ranges):
             self._shard_of[lo:hi] = index
         self.ledger = MessageLedger()
-        self._deploy_buffer: list[
-            tuple[int, float, float, bool | None, float]
-        ] = []
+        #: Buffered single deploys since the last flush or column chunk,
+        #: and the buffered ``(ids, lower, upper, belief, times)`` column
+        #: chunks before them — together, the deploys in call order.
+        self._deploy_buffer: list = []
+        self._deploy_chunks: list[tuple[np.ndarray, ...]] = []
         self._dirty: set[int] = set(range(len(self.ranges)))
         #: Whether the model can defer deliveries across epochs; drives
         #: the in-flight-plane stepping and the settle/drain end phase.
@@ -1447,19 +1469,6 @@ class TransportShardedServer(DeferredDeliveryMixin):
         self._dirty.add(index)
         return float(value)
 
-    def _owner_runs(
-        self, stream_ids: Sequence[int]
-    ) -> list[tuple[int, list[int]]]:
-        """Split *stream_ids* into consecutive same-worker runs, in order."""
-        runs: list[tuple[int, list[int]]] = []
-        for stream_id in stream_ids:
-            index = int(self._shard_of[int(stream_id)])
-            if runs and runs[-1][0] == index:
-                runs[-1][1].append(int(stream_id))
-            else:
-                runs.append((index, [int(stream_id)]))
-        return runs
-
     def probe_all(
         self, stream_ids: list[int] | None = None
     ) -> dict[int, float]:
@@ -1470,35 +1479,20 @@ class TransportShardedServer(DeferredDeliveryMixin):
         one; only the wire framing is batched.
         """
         self._flush_deploys()
-        targets = self.stream_ids if stream_ids is None else list(stream_ids)
+        targets = self.stream_ids if stream_ids is None else stream_ids
+        ids = np.asarray(targets, dtype=np.int64)
         results: dict[int, float] = {}
-        for index, gids in self._owner_runs(targets):
+        for index, a, b in owner_runs(self._shard_of, ids):
             view = self.shard_views[index]
-            count = len(gids)
-            self.ledger.record_kind(MessageKind.PROBE_REQUEST, count)
-            rows = np.fromiter(
-                (gid - view.lo for gid in gids), np.int64, count
-            )
+            rows = ids[a:b] - view.lo
+            self.ledger.record_kind(MessageKind.PROBE_REQUEST, b - a)
             values, times = self._rpc(
                 index, ("probe_batch", rows, self._now, self._clock)
             )
-            self.ledger.record_kind(MessageKind.PROBE_REPLY, count)
+            self.ledger.record_kind(MessageKind.PROBE_REPLY, b - a)
             self._dirty.add(index)
-            # Vectorized record_report over the run: scatter the value
-            # plane, then invalidate this shard's rank listeners
-            # wholesale — a bulk collection dirties (nearly) every key
-            # anyway, and invalidation affects only later recompute
-            # cost, never rank results.
-            view.values[rows] = values
-            view.report_time[rows] = times
-            fresh = int(np.count_nonzero(~view.known[rows]))
-            if fresh:
-                view.known[rows] = True
-                view._known_count += fresh
-            for listener in view._listeners:
-                listener.invalidate()
-            for gid, value in zip(gids, values.tolist()):
-                results[gid] = value
+            view.record_report_rows(rows, values, times)
+            results.update(zip(ids[a:b].tolist(), values.tolist()))
         return results
 
     def deploy(
@@ -1522,8 +1516,25 @@ class TransportShardedServer(DeferredDeliveryMixin):
         lets a 10k-stream bound broadcast cost one RPC per shard.
         """
         self._deploy_buffer.append(
-            (int(stream_id), float(lower), float(upper), assumed_inside,
-             self._now)
+            (
+                int(stream_id),
+                float(lower),
+                float(upper),
+                BELIEF_NONE if assumed_inside is None else int(assumed_inside),
+                self._now,
+            )
+        )
+
+    def deploy_many(
+        self, stream_ids, lower, upper, assumed_inside=None
+    ) -> None:
+        """Buffer one constraint per stream id, in order, as columns (see
+        :meth:`repro.server.server.Server.deploy_many`); the workers
+        install each flushed run as one columnar operation."""
+        columns = constraint_columns(stream_ids, lower, upper, assumed_inside)
+        self._seal_deploy_rows()
+        self._deploy_chunks.append(
+            (*columns, np.full(len(columns[0]), self._now))
         )
 
     def broadcast(
@@ -1532,11 +1543,22 @@ class TransportShardedServer(DeferredDeliveryMixin):
         upper: float,
         assumed_inside: dict[int, bool] | None = None,
     ) -> None:
-        for stream_id in self.stream_ids:
-            belief = None
-            if assumed_inside is not None:
-                belief = assumed_inside.get(stream_id)
-            self.deploy(stream_id, lower, upper, assumed_inside=belief)
+        self.deploy_many(self.stream_ids, lower, upper, assumed_inside)
+
+    def _seal_deploy_rows(self) -> None:
+        """Move the buffered single deploys into a column chunk."""
+        if self._deploy_buffer:
+            columns = zip(*self._deploy_buffer)
+            self._deploy_buffer = []
+            self._deploy_chunks.append(
+                tuple(
+                    np.array(column, dtype=dtype)
+                    for column, dtype in zip(
+                        columns,
+                        (np.int64, np.float64, np.float64, np.int8, np.float64),
+                    )
+                )
+            )
 
     def _flush_deploys(self) -> None:
         """Transmit buffered constraints; queue their self-corrections.
@@ -1549,20 +1571,14 @@ class TransportShardedServer(DeferredDeliveryMixin):
         FIFO, exactly where the sequential coordinator would queue the
         mid-step update; the caller's drain point dispatches it.
         """
-        if not self._deploy_buffer:
+        self._seal_deploy_rows()
+        if not self._deploy_chunks:
             return
-        buffered, self._deploy_buffer = self._deploy_buffer, []
-        n = len(buffered)
-        self.ledger.record_kind(MessageKind.CONSTRAINT, n)
-        gids = np.fromiter((item[0] for item in buffered), np.int64, n)
-        lowers = np.fromiter((item[1] for item in buffered), np.float64, n)
-        uppers = np.fromiter((item[2] for item in buffered), np.float64, n)
-        assumed = np.fromiter(
-            (-1 if item[3] is None else int(item[3]) for item in buffered),
-            np.int8,
-            n,
+        chunks, self._deploy_chunks = self._deploy_chunks, []
+        gids, lowers, uppers, assumed, times = (
+            np.concatenate(column) for column in zip(*chunks)
         )
-        times = np.fromiter((item[4] for item in buffered), np.float64, n)
+        self.ledger.record_kind(MessageKind.CONSTRAINT, len(gids))
         # Mirror the deploy records in one scatter (duplicates: numpy
         # fancy assignment keeps the last write, which is exactly the
         # in-order record_deploy outcome; shard views alias these
@@ -1571,11 +1587,7 @@ class TransportShardedServer(DeferredDeliveryMixin):
         state.lower[gids] = lowers
         state.upper[gids] = uppers
         state.scannable[gids] = True
-        owners = self._shard_of[gids]
-        cuts = np.nonzero(np.diff(owners))[0] + 1
-        bounds = [0, *cuts.tolist(), n]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            index = int(owners[a])
+        for index, a, b in owner_runs(self._shard_of, gids):
             lo = self.ranges[index][0]
             corrections = self._rpc(
                 index,
@@ -1925,8 +1937,8 @@ class SpatialTransportShardedServer(TransportShardedServer):
       deferred-delivery FIFO as
       :class:`~repro.spatial.messages.PointUpdateMessage`\\ s.
 
-    ``broadcast`` is deliberately absent: it is a scalar-interval
-    operation no spatial protocol speaks.
+    ``broadcast`` and ``deploy_many`` are deliberately absent: they are
+    scalar-interval operations no spatial protocol speaks.
     """
 
     _worker_stack = "spatial"
@@ -1967,23 +1979,20 @@ class SpatialTransportShardedServer(TransportShardedServer):
     ) -> dict[int, np.ndarray]:
         """Probe several (default: all) sources; one RPC per worker run."""
         self._flush_deploys()
-        targets = self.stream_ids if stream_ids is None else list(stream_ids)
+        targets = self.stream_ids if stream_ids is None else stream_ids
+        ids = np.asarray(targets, dtype=np.int64)
         results: dict[int, np.ndarray] = {}
-        for index, gids in self._owner_runs(targets):
+        for index, a, b in owner_runs(self._shard_of, ids):
             view = self.shard_views[index]
-            count = len(gids)
-            self.ledger.record_kind(MessageKind.PROBE_REQUEST, count)
-            rows = np.fromiter(
-                (gid - view.lo for gid in gids), np.int64, count
-            )
+            rows = ids[a:b] - view.lo
+            self.ledger.record_kind(MessageKind.PROBE_REQUEST, b - a)
             points, times = self._rpc(
                 index, ("probe_batch", rows, self._now, self._clock)
             )
-            self.ledger.record_kind(MessageKind.PROBE_REPLY, count)
+            self.ledger.record_kind(MessageKind.PROBE_REPLY, b - a)
             self._dirty.add(index)
             scatter_point_reports(view, rows, points, times)
-            for i, gid in enumerate(gids):
-                results[gid] = points[i]
+            results.update(zip(ids[a:b].tolist(), points))
         return results
 
     def deploy(
@@ -1999,9 +2008,11 @@ class SpatialTransportShardedServer(TransportShardedServer):
 
     def broadcast(self, *args, **kwargs) -> None:
         raise TypeError(
-            "broadcast deploys one scalar interval to every stream; "
+            "broadcast and deploy_many install scalar intervals; "
             "spatial protocols deploy per-stream regions instead"
         )
+
+    deploy_many = broadcast
 
     def _flush_deploys(self) -> None:
         """Transmit buffered regions; queue their self-corrections.
@@ -2026,11 +2037,7 @@ class SpatialTransportShardedServer(TransportShardedServer):
         )
         times = np.fromiter((item[3] for item in buffered), np.float64, n)
         scatter_region_deploys(self._state, gids, regions, self._dimension)
-        owners = self._shard_of[gids]
-        cuts = np.nonzero(np.diff(owners))[0] + 1
-        bounds = [0, *cuts.tolist(), n]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            index = int(owners[a])
+        for index, a, b in owner_runs(self._shard_of, gids):
             lo = self.ranges[index][0]
             corrections = self._rpc(
                 index,

@@ -125,13 +125,12 @@ class RankView:
         ids, keys = self._partial_selection(count)
         return [(float(k), int(i)) for k, i in zip(keys, ids)]
 
-    def order_pairs(self) -> list[tuple[float, int]]:
-        """All known ``(key, id)`` pairs, best-first."""
+    def order_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whole order as ``(ids, keys)`` columns, best-first (the
+        sharded coordinator's full-order merge sorts them columnar)."""
         self._repair()
         assert self._ids is not None and self._keys is not None
-        return [
-            (float(k), int(i)) for k, i in zip(self._keys, self._ids)
-        ]
+        return self._ids, self._keys
 
     def key_of(self, stream_id: int) -> float:
         """The current ranking key of one stream (recomputed, not cached)."""

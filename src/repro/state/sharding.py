@@ -62,6 +62,23 @@ def shard_ranges(n_streams: int, n_shards: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def owner_runs(
+    shard_of: np.ndarray, stream_ids: np.ndarray
+) -> list[tuple[int, int, int]]:
+    """Split an id column into consecutive same-shard runs, in order:
+    ``(shard index, start, stop)`` slices of *stream_ids*.  Per-run
+    processing in list order preserves the column's per-stream order,
+    which is all a sharded control-plane batch has to keep."""
+    if len(stream_ids) == 0:
+        return []
+    owners = shard_of[stream_ids]
+    cuts = np.nonzero(np.diff(owners))[0] + 1
+    bounds = [0, *cuts.tolist(), len(owners)]
+    return [
+        (int(owners[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+
+
 class StateShardView(StreamStateTable):
     """A shard's dense state table, aliasing ``parent[lo:hi]``.
 
@@ -299,9 +316,9 @@ def merge_pair_lists(
     """K-way heap merge of best-first ``(key, id)`` lists; ids only.
 
     Each input list must be sorted ascending by ``(key, id)`` (the
-    output contract of :meth:`RankView.leader_pairs` /
-    :meth:`RankView.order_pairs`).  Tuple comparison breaks key ties by
-    id, so the merged prefix equals the unsharded order's prefix.
+    output contract of :meth:`RankView.leader_pairs`).  Tuple comparison
+    breaks key ties by id, so the merged prefix equals the unsharded
+    order's prefix.
     """
     merged = heapq.merge(*pair_lists)
     if count is not None:
@@ -341,13 +358,18 @@ class ShardedRankView:
         return [(key, offset + stream_id) for key, stream_id in pairs]
 
     def order(self) -> list[int]:
-        """All known stream ids, best-first under ``(distance, id)``."""
-        return merge_pair_lists(
-            [
-                self._shifted(i, view.order_pairs())
-                for i, view in enumerate(self._views)
-            ]
+        """All known stream ids, best-first under ``(distance, id)``.
+
+        The full order is one columnar ``(key, id)`` sort over the
+        shards' concatenated orders — the total order the pair merge of
+        :meth:`leaders` yields, without a Python tuple per stream.
+        """
+        parts = [view.order_arrays() for view in self._views]
+        ids = np.concatenate(
+            [part[0] + offset for part, offset in zip(parts, self._offsets)]
         )
+        keys = np.concatenate([part[1] for part in parts])
+        return ids[np.lexsort((ids, keys))].tolist()
 
     def leaders(self, count: int) -> list[int]:
         """The *count* globally best ids via per-shard partial selection."""

@@ -245,6 +245,20 @@ class StreamStateTable:
         for listener in self._listeners:
             listener.invalidate()
 
+    def record_report_rows(self, rows: np.ndarray, values, time) -> None:
+        """Vectorized :meth:`record_report` over distinct scalar *rows*
+        (a bulk probe's replies).  Rank views are invalidated wholesale:
+        that moves only their next recompute's cost, never its result.
+        """
+        self.values[rows] = values
+        self.report_time[rows] = time
+        fresh = int(np.count_nonzero(~self.known[rows]))
+        if fresh:
+            self.known[rows] = True
+            self._known_count += fresh
+        for listener in self._listeners:
+            listener.invalidate()
+
     def _ensure_points(self, dimension: int) -> np.ndarray:
         if self.points is None:
             self.points = self._alloc(
@@ -300,6 +314,11 @@ class StreamStateTable:
         watch = self._constraint_watch
         if watch is not None:
             watch.append(int(row))
+
+    def _note_constraint_rows(self, rows: np.ndarray) -> None:
+        watch = self._constraint_watch
+        if watch is not None:
+            watch.extend(rows.tolist())
 
     def record_deploy(self, stream_id: int, lower: float, upper: float) -> None:
         """Record the scalar bounds of a deployed filter constraint."""
@@ -445,10 +464,26 @@ class StreamStateTable:
         self.scannable[stream_id] = True
         self._note_constraint(stream_id)
 
+    def set_filter_rows(
+        self, rows: np.ndarray, lower, upper, inside
+    ) -> None:
+        """Vectorized :meth:`set_filter`: one scatter per column and one
+        watch extension for a whole batch of installed constraints."""
+        self.lower[rows] = lower
+        self.upper[rows] = upper
+        self.inside[rows] = inside
+        self.scannable[rows] = True
+        self._note_constraint_rows(rows)
+
     def set_inside(self, stream_id: int, inside: bool) -> None:
         stream_id = int(stream_id)
         self.inside[stream_id] = inside
         self._note_constraint(stream_id)
+
+    def set_inside_rows(self, rows: np.ndarray, inside) -> None:
+        """Vectorized :meth:`set_inside` (a bulk probe's resync)."""
+        self.inside[rows] = inside
+        self._note_constraint_rows(rows)
 
     def clear_filter(self, stream_id: int) -> None:
         stream_id = int(stream_id)

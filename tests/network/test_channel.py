@@ -1,5 +1,8 @@
 """Unit tests for the synchronous channel."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.network.accounting import MessageLedger
@@ -9,6 +12,14 @@ from repro.network.messages import (
     ProbeRequestMessage,
     UpdateMessage,
 )
+from repro.runtime.membership import BELIEF_INSIDE, BELIEF_NONE
+from repro.state.table import StreamStateTable
+from repro.streams.control import (
+    constraint_columns,
+    install_constraints,
+    probe_sources,
+)
+from repro.streams.filters import FilterConstraint
 
 
 def test_update_reaches_server_and_is_recorded(wired_channel):
@@ -70,3 +81,139 @@ def test_remove_tap_is_idempotent(wired_channel):
     channel.remove_tap(lambda message: None)  # never attached: no-op
     # The channel still works after the redundant detaches.
     channel.send_to_server(UpdateMessage(stream_id=0, time=1.0, value=1.0))
+
+
+def test_source_ids_cache_follows_bind_source(wired_channel):
+    """The sorted id list is cached; a later bind must invalidate it, and
+    callers get a copy they can mutate freely."""
+    channel, *_ = wired_channel
+    first = channel.source_ids
+    first.append(99)
+    assert channel.source_ids == [0, 1, 2]
+    channel.bind_source(-1, lambda message: None)
+    assert channel.source_ids == [-1, 0, 1, 2]
+
+
+# ----------------------------------------------------------------------
+# The columnar control plane's channel half (DESIGN.md §12)
+# ----------------------------------------------------------------------
+def _bound_table(sources):
+    table = StreamStateTable(len(sources))
+    for source in sources:
+        source.membership.bind_state(table, source.stream_id)
+    return table
+
+
+def _fingerprint(ledger, table, sources):
+    return (
+        ledger.snapshot(),
+        table.lower.tolist(),
+        table.upper.tolist(),
+        table.inside.tolist(),
+        table.scannable.tolist(),
+        [(s.constraint, s.reported_inside, s.value) for s in sources],
+    )
+
+
+def test_bulk_install_matches_per_message_sends(wired_channel):
+    channel, ledger, sources, received = wired_channel
+    table = _bound_table(sources)
+    beliefs = [BELIEF_INSIDE, BELIEF_NONE, BELIEF_INSIDE]
+    assert install_constraints(
+        channel, table, *constraint_columns([2, 0, 1], 5.0, 15.0, beliefs), 7.0
+    )
+    assert ledger.count(MessageKind.CONSTRAINT) == 3
+    # Values are 0, 10, 20: source 2 is believed inside but is not (one
+    # self-correction, at the batch's time); source 1 is inside; source
+    # 0 carries no belief.
+    assert [(m.stream_id, m.time, m.value) for m in received] == [(2, 7.0, 20.0)]
+    assert ledger.count(MessageKind.UPDATE) == 1
+    assert [s.reported_inside for s in sources] == [False, True, False]
+    assert sources[0].constraint is sources[2].constraint
+    assert table.inside.tolist() == [False, True, False]
+    assert table.scannable.all()
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [([1.0, math.nan, 1.0], 5.0), ([1.0, 9.0, 1.0], [5.0, 3.0, 5.0])],
+    ids=["nan", "inverted"],
+)
+def test_bulk_install_rejects_bad_bounds_before_charging(
+    wired_channel, lower, upper
+):
+    """Same ``ValueError`` as ``FilterConstraint``; nothing touched."""
+    channel, ledger, sources, received = wired_channel
+    table = _bound_table(sources)
+    before = _fingerprint(ledger, table, sources)
+    with pytest.raises(ValueError) as bulk:
+        install_constraints(
+            channel, table, *constraint_columns([0, 1, 2], lower, upper), 1.0
+        )
+    bad = constraint_columns([0, 1, 2], lower, upper)
+    with pytest.raises(ValueError) as scalar:
+        FilterConstraint(float(bad[1][1]), float(bad[2][1]))
+    assert str(bulk.value) == str(scalar.value)
+    assert _fingerprint(ledger, table, sources) == before
+    assert received == []
+
+
+def test_bulk_install_rejects_unbound_id_before_charging(wired_channel):
+    """Same ``RuntimeError`` as ``send_to_source``; nothing touched."""
+    channel, ledger, sources, received = wired_channel
+    table = _bound_table(sources)
+    before = _fingerprint(ledger, table, sources)
+    with pytest.raises(RuntimeError) as bulk:
+        install_constraints(
+            channel, table, *constraint_columns([0, 99, 2], 1.0, 5.0), 1.0
+        )
+    with pytest.raises(RuntimeError) as scalar:
+        channel.send_to_source(ProbeRequestMessage(stream_id=99, time=0.0))
+    assert str(bulk.value) == str(scalar.value)
+    with pytest.raises(RuntimeError):
+        probe_sources(channel, table, np.array([0, 99]))
+    assert _fingerprint(ledger, table, sources) == before
+    assert received == []
+
+
+def test_bulk_operations_decline_what_they_cannot_batch(wired_channel):
+    """A tap without a ``bulk`` form, a duplicated id, a source bound to
+    another table, a handler that is no source's method: the kernels
+    return their "send it per-message" value with nothing charged."""
+    channel, ledger, sources, _ = wired_channel
+    table = _bound_table(sources)
+    ids = np.array([0, 1, 2])
+
+    def declined(on_channel, on_table, stream_ids):
+        columns = constraint_columns(stream_ids, 1.0, 5.0)
+        return (
+            install_constraints(on_channel, on_table, *columns, 0.0) is False
+            and probe_sources(on_channel, on_table, columns[0]) is None
+        )
+
+    tap = lambda message: None  # noqa: E731
+    channel.add_tap(tap)
+    assert declined(channel, table, ids)
+    channel.remove_tap(tap)
+    assert declined(channel, table, [0, 1, 0])
+    assert declined(channel, StreamStateTable(3), ids)
+    for handler in (lambda message: None, [].append):
+        channel.bind_source(1, handler)
+        assert declined(channel, table, ids)
+    assert ledger.total == 0
+    # ... and with a bulk-capable tap the batch goes through, the tap
+    # seeing the id column once instead of one message per stream.
+    channel.bind_source(1, sources[1]._handle_message)
+
+    class Tap(list):
+        __call__ = list.append
+
+        def bulk(self, stream_ids):
+            self.append(stream_ids.tolist())
+
+    tap = Tap()
+    channel.add_tap(tap)
+    assert probe_sources(channel, table, ids).tolist() == [0.0, 10.0, 20.0]
+    assert tap == [[0, 1, 2]]
+    assert ledger.count(MessageKind.PROBE_REQUEST) == 3
+    assert ledger.count(MessageKind.PROBE_REPLY) == 3

@@ -2,13 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.membership import (
+    BELIEF_INSIDE,
+    BELIEF_NONE,
+    BELIEF_OUTSIDE,
     REPORT,
     IntervalMembership,
     RecenteringWindowMembership,
     SlottedMembership,
+    deployment_outcome,
+    deployment_outcome_columns,
 )
 from repro.streams.filters import (
     FALSE_NEGATIVE_FILTER,
@@ -153,3 +161,52 @@ def test_interval_rows_infinite_bounds_stay_quiescent():
     m2.install(FALSE_NEGATIVE_FILTER, None, 5.0)
     ((lower, upper, inside),) = m2.quiescence_rows()
     assert lower == math.inf and inside is False
+
+
+# ----------------------------------------------------------------------
+# The columnar deployment rule (DESIGN.md §12) against its scalar oracle
+# ----------------------------------------------------------------------
+#: A small pool so lower == upper, value == bound and the +-inf
+#: silencers all turn up often.
+_EDGES = st.sampled_from([-math.inf, -3.0, -1.0, 0.0, 0.5, 1.0, 3.0, math.inf])
+_FLOATS = st.one_of(_EDGES, st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@st.composite
+def _deployment_rows(draw):
+    """Rows of ``(value, lower, upper, belief code)`` with valid bounds."""
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        lower, upper = sorted((draw(_FLOATS), draw(_FLOATS)))
+        belief = draw(
+            st.sampled_from([BELIEF_NONE, BELIEF_OUTSIDE, BELIEF_INSIDE])
+        )
+        rows.append((draw(_FLOATS), lower, upper, belief))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_deployment_rows())
+def test_columnar_deployment_rule_matches_scalar_oracle(rows):
+    """``deployment_outcome_columns`` equals ``deployment_outcome`` row
+    by row: +-inf silencers, degenerate ``lower == upper``, values
+    exactly on a bound, and every belief in {none, outside, inside}."""
+    values, lower, upper, belief = (
+        np.array(column, dtype=dtype)
+        for column, dtype in zip(
+            zip(*rows) if rows else ((), (), (), ()),
+            (np.float64, np.float64, np.float64, np.int8),
+        )
+    )
+    inside, must_report = deployment_outcome_columns(
+        values, lower, upper, belief
+    )
+    expected = [
+        deployment_outcome(
+            FilterConstraint(low, high),
+            None if code == BELIEF_NONE else bool(code),
+            value,
+        )
+        for value, low, high, code in rows
+    ]
+    assert list(zip(inside.tolist(), must_report.tolist())) == expected

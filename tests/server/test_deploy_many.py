@@ -1,0 +1,345 @@
+"""``deploy_many`` against the ordered ``deploy`` loop (DESIGN.md §12).
+
+The columnar control plane must be unobservable: a batch installed as
+one columnar operation leaves the ledger, the constraint columns, every
+source's filter state and the self-correction delivery order exactly as
+the per-message loop leaves them.  The grid below runs one scripted
+protocol both ways over {single, sharded(2), sharded(2, parallel)} x
+{fresh, all-stale, mixed beliefs} x {idle, mid-batched-replay}; the
+single-server per-message run is the reference for all of them.  The
+cases the bulk path declines — a latency-modeled channel, a batch
+naming a stream twice, a host outside a guarded step — must stay
+per-message, down to the delay-RNG draw sequence.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.network.latency import UniformLatency
+from repro.protocols.base import FilterProtocol
+from repro.runtime.membership import (
+    BELIEF_INSIDE,
+    BELIEF_NONE,
+    BELIEF_OUTSIDE,
+)
+from repro.runtime.session import ExecutionSession
+from repro.server.server import Server
+from repro.server.sharded import ShardedServer
+from repro.server.transport import TransportShardedServer
+from repro.streams.trace import StreamTrace
+
+N = 12
+FIRST = (35.0, 75.0)
+SECOND = (25.0, 65.0)
+#: Quiescent under FIRST (staged, not applied, by the batched replay),
+#: then stream 4 leaves FIRST — the update that triggers the redeploy.
+QUIET = [(1.0, 0, 5.0), (2.0, 5, 60.0), (3.0, 6, 72.0), (4.0, 9, 80.0)]
+TRIGGER = (6.0, 4, 30.0)
+TAIL = [(7.0, 10, 101.0)]
+
+
+def _trace() -> StreamTrace:
+    records = QUIET + [TRIGGER] + TAIL
+    return StreamTrace(
+        initial_values=10.0 * np.arange(N),
+        times=np.array([r[0] for r in records]),
+        stream_ids=np.array([r[1] for r in records]),
+        values=np.array([r[2] for r in records]),
+        horizon=10.0,
+        metadata={"workload": "deploy-many"},
+    )
+
+
+def _second_columns(actual: np.ndarray, beliefs: str):
+    """The redeployment under test: SECOND everywhere but two silencers,
+    with beliefs chosen against the sources' *actual* values."""
+    lower = np.full(N, SECOND[0])
+    upper = np.full(N, SECOND[1])
+    lower[1], upper[1] = -math.inf, math.inf
+    lower[2], upper[2] = math.inf, math.inf
+    inside = (lower <= actual) & (actual <= upper)
+    stale = np.where(inside, BELIEF_OUTSIDE, BELIEF_INSIDE).astype(np.int8)
+    right = np.where(inside, BELIEF_INSIDE, BELIEF_OUTSIDE).astype(np.int8)
+    if beliefs == "fresh":
+        belief = None
+    elif beliefs == "all-stale":
+        belief = stale
+    else:
+        belief = np.full(N, BELIEF_NONE, dtype=np.int8)
+        belief[1::3] = stale[1::3]
+        belief[2::3] = right[2::3]
+    # Descending ids: batch order, not id order, must drive delivery.
+    return np.arange(N)[::-1], lower[::-1], upper[::-1], (
+        None if belief is None else belief[::-1]
+    )
+
+
+class Scripted(FilterProtocol):
+    """Probe, deploy FIRST, then deploy SECOND once — at the end of
+    initialization (*idle*) or on the trigger update (mid-replay) —
+    through ``deploy_many`` or the ordered ``deploy`` loop."""
+
+    name = "scripted"
+
+    def __init__(self, many: bool, idle: bool, second, before_second=None):
+        self.many = many
+        self.idle = idle
+        self.second = second
+        self.before_second = before_second
+        self.fired = False
+        self.deliveries: list[tuple] = []
+
+    def _deploy(self, server, ids, lower, upper, belief) -> None:
+        if self.many:
+            server.deploy_many(ids, lower, upper, belief)
+            return
+        lower = np.broadcast_to(lower, np.shape(ids)).tolist()
+        upper = np.broadcast_to(upper, np.shape(ids)).tolist()
+        codes = [BELIEF_NONE] * len(ids) if belief is None else belief.tolist()
+        for stream_id, low, high, code in zip(list(ids), lower, upper, codes):
+            server.deploy(
+                int(stream_id),
+                low,
+                high,
+                None if code == BELIEF_NONE else bool(code),
+            )
+
+    def _fire(self, server) -> None:
+        self.fired = True
+        if self.before_second is not None:
+            self.before_second(server)
+        self._deploy(server, *self.second)
+
+    def initialize(self, server) -> None:
+        server.probe_all()
+        self._deploy(server, server.stream_ids, *FIRST, None)
+        if self.idle:
+            self._fire(server)
+
+    def on_update(self, server, stream_id, value, time) -> None:
+        self.deliveries.append((stream_id, value, time))
+        if not self.fired and stream_id == TRIGGER[1]:
+            self._fire(server)
+
+    @property
+    def answer(self) -> frozenset:
+        return frozenset()
+
+
+@pytest.fixture
+def deploy_calls(monkeypatch):
+    """Counts per-message ``deploy`` calls on the in-process hosts."""
+    calls = []
+    for host in (Server, ShardedServer):
+        original = host.deploy
+
+        def counted(self, *args, _original=original, **kwargs):
+            calls.append(args[0])
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(host, "deploy", counted)
+    return calls
+
+
+def _run(topology: str, many: bool, idle: bool, beliefs: str) -> dict:
+    trace = _trace()
+    actual = trace.initial_values.copy()
+    if not idle:
+        for _, stream_id, value in QUIET + [TRIGGER]:
+            actual[stream_id] = value
+    checks = []
+    protocol = Scripted(many, idle, _second_columns(actual, beliefs))
+    if topology == "parallel":
+        server = TransportShardedServer(trace, protocol, 2, replay_mode="batch")
+        with server:
+            server.initialize(0.0)
+            server.replay(horizon=trace.horizon)
+        state = server.state
+        return {
+            "ledger": server.snapshot(),
+            "deliveries": protocol.deliveries,
+            "bounds": (state.lower.tolist(), state.upper.tolist()),
+            "scannable": state.scannable.tolist(),
+        }
+    if topology == "single":
+        session = ExecutionSession.for_streams(trace, protocol)
+    else:
+        session = ExecutionSession.for_streams_sharded(trace, protocol, 2)
+    state = session.host.state
+    if not idle:
+        # The redeploy must land on staged, unflushed replay values and
+        # an active constraint watch — the state the bulk path's tap
+        # batch and watch extension exist for.
+        protocol.before_second = lambda server: checks.append(
+            (session.sources[5].value, state._constraint_watch is not None)
+        )
+    session.initialize(0.0)
+    session.replay_trace(trace, mode="batch")
+    assert checks == ([] if idle else [(50.0, True)])
+    return {
+        "ledger": session.snapshot(),
+        "deliveries": protocol.deliveries,
+        "bounds": (state.lower.tolist(), state.upper.tolist()),
+        "scannable": state.scannable.tolist(),
+        "inside": state.inside.tolist(),
+        "sources": [
+            (s.constraint, s.reported_inside, s.value) for s in session.sources
+        ],
+        "replay": session.last_replay_stats,
+    }
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """Single server, per-message loop: computed once per scenario."""
+    cache: dict = {}
+
+    def get(idle: bool, beliefs: str) -> dict:
+        key = (idle, beliefs)
+        if key not in cache:
+            cache[key] = _run("single", False, idle, beliefs)
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("idle", [True, False], ids=["idle", "mid-replay"])
+@pytest.mark.parametrize("beliefs", ["fresh", "all-stale", "mixed"])
+@pytest.mark.parametrize("topology", ["single", "sharded", "parallel"])
+def test_deploy_many_equals_the_ordered_deploy_loop(
+    topology, beliefs, idle, reference, deploy_calls
+):
+    expected = reference(idle, beliefs)
+    del deploy_calls[:]
+    bulk = _run(topology, True, idle, beliefs)
+    # The in-process hosts took the columnar path: not one deploy call.
+    assert deploy_calls == []
+    loop = _run(topology, False, idle, beliefs)
+    assert bulk == loop
+    for key, value in bulk.items():
+        if key != "replay":  # per-worker stats differ across topologies
+            assert value == expected[key], key
+    if beliefs != "fresh":
+        # Self-corrections carry the redeploy's time and arrive in batch
+        # (descending id) order, right behind the update that fired it.
+        fired_at = 0.0 if idle else TRIGGER[0]
+        at_fire = [d[0] for d in bulk["deliveries"] if d[2] == fired_at]
+        corrected = at_fire if idle else at_fire[1:]
+        assert corrected == sorted(corrected, reverse=True) and corrected
+
+
+# ----------------------------------------------------------------------
+# What the bulk path declines stays per-message
+# ----------------------------------------------------------------------
+def _latency_run(many: bool) -> dict:
+    trace = _trace()
+    protocol = Scripted(many, False, _second_columns(trace.initial_values, "mixed"))
+    session = ExecutionSession.for_streams(
+        trace, protocol, latency=UniformLatency(0.1, 3.0, seed=5)
+    )
+    log = []
+    session.channel.add_tap(
+        lambda m: log.append((m.kind, m.stream_id, session.engine.now))
+    )
+    session.initialize(0.0)
+    session.replay_trace(trace, mode="event")
+    return {
+        "ledger": session.snapshot(),
+        "deliveries": protocol.deliveries,
+        "log": log,
+        "routes": session.channel._route_count,
+        "delivered": session.channel.deferred_delivered_count,
+    }
+
+
+def test_latency_channel_keeps_per_message_sends_and_delay_draws(deploy_calls):
+    bulk = _latency_run(True)
+    # FIRST and SECOND, one deploy call per stream each.
+    assert len(deploy_calls) == 2 * N
+    assert bulk == _latency_run(False)
+    assert bulk["delivered"] > 0
+
+
+def _guarded_deploy(server, many: bool, ids, lower, upper, belief) -> None:
+    protocol = Scripted(many, False, None)
+    server._guarded_call(protocol._deploy, server, ids, lower, upper, belief)
+
+
+@pytest.mark.parametrize("many", [True, False], ids=["many", "loop"])
+def test_duplicate_ids_stay_per_message(many, deploy_calls):
+    trace = _trace()
+    session = ExecutionSession.for_streams(trace, Scripted(many, False, None))
+    server, state = session.host, session.host.state
+    ids = np.array([3, 5, 3])
+    lower, upper = np.array([0.0, 0.0, 40.0]), np.array([35.0, 35.0, 90.0])
+    belief = np.array([BELIEF_OUTSIDE, BELIEF_INSIDE, BELIEF_INSIDE], np.int8)
+    _guarded_deploy(server, many, ids, lower, upper, belief)
+    assert deploy_calls == [3, 5, 3]
+    # Values 30 and 50: all three beliefs are stale; the last install wins.
+    assert [d[0] for d in server.protocol.deliveries] == [3, 5, 3]
+    assert session.sources[3].constraint.lower == 40.0
+    assert (state.lower[3], state.upper[3], state.inside[3]) == (40.0, 90.0, False)
+    assert session.snapshot().initialization_total == 6
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+def test_unguarded_host_keeps_inline_self_corrections(sharded, deploy_calls):
+    """Outside a protocol step a self-correction is delivered *between*
+    two deploys; the handler must keep seeing that intermediate state."""
+
+    class Observer(Scripted):
+        def on_update(self, server, stream_id, value, time) -> None:
+            self.deliveries.append(
+                (stream_id, tuple(server.state.upper.tolist()))
+            )
+
+    def run(many: bool) -> list:
+        trace = _trace()
+        protocol = Observer(many, False, None)
+        if sharded:
+            session = ExecutionSession.for_streams_sharded(trace, protocol, 2)
+        else:
+            session = ExecutionSession.for_streams(trace, protocol)
+        stale = np.full(N, BELIEF_INSIDE, dtype=np.int8)
+        protocol._deploy(session.host, np.arange(N), 200.0, 300.0, stale)
+        return protocol.deliveries
+
+    bulk = run(True)
+    assert len(deploy_calls) == N
+    assert bulk == run(False)
+    # Stream 0's correction saw stream 1 still at its default bound.
+    assert bulk[0] == (0, (300.0,) + (math.inf,) * (N - 1))
+
+
+def test_interleaved_worker_runs_are_served_one_rpc_at_a_time():
+    """A batch alternating between the two workers is thousands of
+    same-worker runs.  Each is its own request/reply round-trip: posting
+    them all before collecting any reply blocks coordinator and worker
+    on each other's full pipe (~64 KiB per direction)."""
+    n = 3000
+    ids = np.empty(n, dtype=np.int64)
+    ids[0::2] = np.arange(n // 2)
+    ids[1::2] = np.arange(n // 2, n)
+
+    class Interleaved(Scripted):
+        def initialize(self, server) -> None:
+            self.probed = server.probe_all(ids.tolist())
+            server.deploy_many(ids, *FIRST)
+
+    trace = StreamTrace(
+        initial_values=np.arange(n, dtype=np.float64),
+        times=np.array([1.0]),
+        stream_ids=np.array([0]),
+        values=np.array([0.5]),
+        horizon=2.0,
+        metadata={"workload": "deploy-many-interleaved"},
+    )
+    protocol = Interleaved(True, False, None)
+    server = TransportShardedServer(trace, protocol, 2, replay_mode="batch")
+    with server:
+        server.initialize(0.0)
+        assert list(protocol.probed) == ids.tolist()
+        assert server.state.lower.tolist() == [FIRST[0]] * n
+        assert server.snapshot().initialization_total == 3 * n
