@@ -4,27 +4,32 @@
 into an executable plan and runs it.  Compilation is a pair of small
 decisions:
 
-1. **Assembly** — which :class:`~repro.runtime.session.ExecutionSession`
-   builder matches the spec's stack and the deployment's topology
-   (``for_streams`` vs ``for_streams_sharded``, etc.).
+1. **Assembly** — the spec's stack names the payload vocabulary
+   (DESIGN.md §13) and the deployment's topology the host: the
+   :class:`~repro.runtime.session.ExecutionSession` assembler in-process
+   (``for_<stack>`` / ``for_<stack>_sharded``), or
+   :class:`repro.server.transport.TransportShardedServer` bound to the
+   same vocabulary across worker processes.
 2. **Schedule** — whether the plan runs in-process or across
    processes: a sharded deployment with ``parallel=True`` replays the
-   shards of a *decomposable* protocol (no server feedback during
-   maintenance, e.g. ZT-NRP) on independent pool workers and merges
-   the per-shard ledgers; a *coupled* protocol runs on the shard
-   transport — scalar vocabularies (RTP, ZT-RP, FT-RP, FT-NRP) on
-   :class:`repro.server.transport.TransportShardedServer`, spatial
-   vocabularies (the ``-2d`` protocols) on
-   :class:`repro.server.transport.SpatialTransportShardedServer` —
-   worker processes replay their shards under an epoch-stepped
-   coordinator whose ledgers are byte-identical to sequential sharded
-   serving, checking runs (``check_every > 0``) included; everything
-   else runs the sequential coordinator in-process.
+   shards of a *decomposable* scalar protocol (no server feedback
+   during maintenance, e.g. ZT-NRP) on independent pool workers and
+   merges the per-shard ledgers; a *coupled* protocol — scalar (RTP,
+   ZT-RP, FT-RP, FT-NRP) or spatial (the ``-2d`` protocols) — runs on
+   the shard transport, worker processes replaying their shards under
+   an epoch-stepped coordinator whose ledgers are byte-identical to
+   sequential sharded serving, checking runs (``check_every > 0``)
+   included; everything else runs the sequential coordinator
+   in-process.
 
-The module-level ``_execute_*`` functions are the former bodies of the
-stack-specific entrypoints (``run_protocol``, ``run_spatial_protocol``,
-``run_multi_query``); those old names survive as thin deprecation shims
-delegating here, so results are ledger-identical across the rename.
+:func:`_execute_hosted` is the one executor of a hosted protocol — host
+assembly, oracle + checker, initialize, replay, result — for both
+vocabularies and all three topologies; ``_execute_streams`` and
+``_execute_spatial`` only route around it (durability, fan-out).  The
+pre-``repro.api`` entrypoints (``run_protocol``,
+``run_spatial_protocol``, ``run_multi_query``) survive as thin
+deprecation shims delegating here, so results are ledger-identical
+across the rename.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import copy
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Mapping
 
 from repro.api.report import RunReport
@@ -44,11 +50,11 @@ from repro.api.spec import (
     Workload,
 )
 from repro.correctness.checker import ToleranceChecker
-from repro.correctness.oracle import Oracle
 from repro.correctness.staleness import StalenessWindow, tag_reason
 from repro.harness.results import RunResult
 from repro.network.accounting import LedgerSnapshot
 from repro.runtime.session import ExecutionSession
+from repro.runtime.vocabulary import vocabulary_of
 
 
 def _as_workload(workload) -> Workload:
@@ -102,38 +108,77 @@ def _execute_streams(
         and getattr(protocol, "decomposable_maintenance", False)
     ):
         return _execute_streams_fanout(trace, protocol, deployment, label)
-    if deployment.topology == "sharded" and deployment.parallel:
-        # Coupled maintenance: worker processes under the epoch-stepped
-        # transport coordinator.  Checking runs ride along — the
-        # coordinator holds the full trace, so it applies the oracle
-        # itself and checks at epoch boundaries (transport.py replay).
-        return _execute_streams_transport(
-            trace, protocol, query, tolerance, deployment, label
-        )
+    return _execute_hosted(
+        STACK_STREAMS, trace, protocol, query, tolerance, deployment, label
+    )
 
-    if deployment.topology == "sharded":
-        session = ExecutionSession.for_streams_sharded(
-            trace, protocol, deployment.n_shards, latency=deployment.latency
+
+# ----------------------------------------------------------------------
+# The hosted executor (both vocabularies, all three topologies)
+# ----------------------------------------------------------------------
+def _execute_hosted(
+    stack: str,
+    trace,
+    protocol,
+    query=None,
+    tolerance=None,
+    deployment: Deployment | None = None,
+    label: str = "",
+) -> RunResult:
+    """Run one hosted *protocol* over *trace*: any vocabulary, any topology.
+
+    ``Deployment.single()`` and ``Deployment.sharded(n)`` assemble an
+    :class:`ExecutionSession` (ledgers byte-identical across the two);
+    ``parallel=True`` moves the shards onto worker processes under the
+    epoch-stepped transport coordinator (``repro/server/transport.py``,
+    DESIGN.md §10), byte-identical to sequential sharded serving under
+    any latency model.  A checking run (``check_every > 0``) applies the
+    vocabulary's oracle before each record and its checker after — per
+    event in-process, at epoch boundaries on the transport, whose
+    coordinator holds the full trace; checks charge nothing, so ledger
+    and violation sequence agree across topologies.
+    """
+    deployment = deployment or Deployment.single()
+    vocabulary = vocabulary_of(stack)
+    sharded = deployment.topology == "sharded"
+    transport = session = None
+    if sharded and deployment.parallel:
+        from repro.server.transport import TransportShardedServer
+
+        transport = TransportShardedServer.speaking(stack)(
+            trace,
+            protocol,
+            deployment.n_shards,
+            latency=deployment.latency,
+            replay_mode=deployment.replay_mode,
+            batch_size=deployment.batch_size,
+            min_chunk=deployment.min_chunk,
         )
+        # The merged in-flight plane models exactly the quantities the
+        # sequential run reads off its per-shard channels (messages in
+        # flight, late deliveries, lagging streams).
+        evidence = [transport.in_flight_plane]
     else:
-        session = ExecutionSession.for_streams(
-            trace, protocol, latency=deployment.latency
+        # Through the per-stack builder names: they are the assembler's
+        # public (and traced) entry points.
+        builder = f"for_{stack}_sharded" if sharded else f"for_{stack}"
+        shards = (deployment.n_shards,) if sharded else ()
+        session = getattr(ExecutionSession, builder)(
+            trace, protocol, *shards, latency=deployment.latency
         )
+        evidence = session.latency_channels
 
-    checker: ToleranceChecker | None = None
-    oracle: Oracle | None = None
+    oracle = checker = None
     if deployment.check_every > 0:
         if query is None:
             query = getattr(protocol, "query", None)
         if query is None:
             raise ValueError("checking requires a query")
-        oracle = Oracle(trace.initial_values)
+        oracle = vocabulary.oracle(getattr(trace, vocabulary.initial_column))
         oracle.register_query(query)
-        staleness = None
-        if deployment.latency is not None:
-            # Latency-modeled run: classify each violation as inherent
-            # to the modeled staleness vs a genuine protocol bug.
-            staleness = StalenessWindow(session.latency_channels)
+        evaluate = vocabulary.evaluate
+        if evaluate is not None:
+            evaluate = partial(evaluate, protocol, oracle, query, tolerance)
         checker = ToleranceChecker(
             oracle=oracle,
             query=query,
@@ -141,28 +186,51 @@ def _execute_streams(
             answer_of=lambda: protocol.answer,
             every=deployment.check_every,
             strict=deployment.strict,
-            staleness=staleness,
+            # Latency-modeled run: classify each violation as inherent
+            # to the modeled staleness vs a genuine protocol bug.
+            staleness=(
+                StalenessWindow(evidence)
+                if deployment.latency is not None
+                else None
+            ),
+            evaluate=evaluate,
+            error_cls=vocabulary.violation_error,
+            check_offset=vocabulary.check_offset % deployment.check_every,
         )
+    callbacks = {
+        "oracle_apply": oracle.apply if oracle is not None else None,
+        "after_apply": checker.check if checker is not None else None,
+    }
 
-    session.initialize(time=0.0)
-    if checker is not None:
-        checker.check_now(0.0)
-
-    session.replay_trace(
-        trace,
-        oracle_apply=oracle.apply if oracle is not None else None,
-        after_apply=checker.check if checker is not None else None,
-        mode=deployment.replay_mode,
-        batch_size=deployment.batch_size,
-        min_chunk=deployment.min_chunk,
-    )
+    if transport is not None:
+        with transport:
+            transport.initialize(0.0)
+            if checker is not None:
+                checker.check_now(0.0)
+            replay = _merge_replay_stats(
+                transport.replay(horizon=trace.horizon, **callbacks)
+            )
+            replay["transport"] = transport.transport_stats()
+        ledger = transport.snapshot()
+    else:
+        session.initialize(time=0.0)
+        if checker is not None:
+            checker.check_now(0.0)
+        session.replay_trace(
+            trace,
+            **callbacks,
+            mode=deployment.replay_mode,
+            batch_size=deployment.batch_size,
+            min_chunk=deployment.min_chunk,
+        )
+        replay = dict(session.last_replay_stats)
+        ledger = session.snapshot()
 
     extras = _collect_extras(protocol)
-    if session.last_replay_stats is not None:
-        extras["replay"] = dict(session.last_replay_stats)
+    extras["replay"] = replay
     return RunResult(
         protocol=protocol.name,
-        ledger=session.snapshot(),
+        ledger=ledger,
         checker=checker.report if checker is not None else None,
         n_streams=trace.n_streams,
         n_records=trace.n_records,
@@ -172,6 +240,9 @@ def _execute_streams(
     )
 
 
+# ----------------------------------------------------------------------
+# Fan-out: independent shard replays of a decomposable scalar protocol
+# ----------------------------------------------------------------------
 def _restrict_to_shard(trace, lo: int, hi: int):
     """The shard's sub-trace, re-indexed to local stream ids."""
     from repro.streams.trace import StreamTrace
@@ -308,83 +379,6 @@ def _execute_streams_fanout(
     )
 
 
-def _execute_streams_transport(
-    trace, protocol, query, tolerance, deployment: Deployment, label: str
-) -> RunResult:
-    """Sharded + parallel replay of a *coupled* protocol.
-
-    Worker processes own the shard traces and source populations; the
-    protocol runs once, at the epoch-stepped coordinator, whose message
-    ledger is byte-identical to sequential sharded serving (see
-    ``repro/server/transport.py`` and DESIGN.md §10).  A checking run
-    (``check_every > 0``) applies the oracle at the coordinator and
-    checks at epoch boundaries — checks charge nothing, so the ledger
-    and violation sequence match the sequential checking run while the
-    workers keep their batched pre-scan.
-    """
-    from repro.server.transport import TransportShardedServer
-
-    server = TransportShardedServer(
-        trace,
-        protocol,
-        deployment.n_shards,
-        latency=deployment.latency,
-        replay_mode=deployment.replay_mode,
-        batch_size=deployment.batch_size,
-        min_chunk=deployment.min_chunk,
-    )
-    checker: ToleranceChecker | None = None
-    oracle: Oracle | None = None
-    if deployment.check_every > 0:
-        if query is None:
-            query = getattr(protocol, "query", None)
-        if query is None:
-            raise ValueError("checking requires a query")
-        oracle = Oracle(trace.initial_values)
-        oracle.register_query(query)
-        staleness = None
-        if deployment.latency is not None:
-            # The coordinator's merged in-flight plane models exactly
-            # the quantities the sequential run reads off its per-shard
-            # channels (messages in flight, late deliveries, lagging
-            # streams), so it serves as the staleness window's channel.
-            staleness = StalenessWindow([server.in_flight_plane])
-        checker = ToleranceChecker(
-            oracle=oracle,
-            query=query,
-            tolerance=tolerance,
-            answer_of=lambda: protocol.answer,
-            every=deployment.check_every,
-            strict=deployment.strict,
-            staleness=staleness,
-        )
-    with server:
-        server.initialize(0.0)
-        if checker is not None:
-            checker.check_now(0.0)
-        worker_stats = server.replay(
-            horizon=trace.horizon,
-            oracle_apply=oracle.apply if oracle is not None else None,
-            after_apply=checker.check if checker is not None else None,
-        )
-        transport_stats = server.transport_stats()
-
-    extras = _collect_extras(protocol)
-    replay = _merge_replay_stats(worker_stats)
-    replay["transport"] = transport_stats
-    extras["replay"] = replay
-    return RunResult(
-        protocol=protocol.name,
-        ledger=server.snapshot(),
-        checker=checker.report if checker is not None else None,
-        n_streams=trace.n_streams,
-        n_records=trace.n_records,
-        final_answer=protocol.answer,
-        label=label,
-        extras=extras,
-    )
-
-
 # ----------------------------------------------------------------------
 # Spatial stack
 # ----------------------------------------------------------------------
@@ -394,22 +388,10 @@ def _execute_spatial(
     query=None,
     tolerance=None,
     deployment: Deployment | None = None,
-):
-    """Replay a spatial *trace* under any topology.
-
-    ``Deployment.sharded(n)`` runs the sharded spatial coordinator
-    (ledger byte-identical to single-server; see
-    ``repro.server.sharded.ShardedSpatialServer``); adding
-    ``parallel=True`` moves the shards onto worker processes under the
-    spatial shard transport
-    (:class:`repro.server.transport.SpatialTransportShardedServer`),
-    checking runs included.  Latency models compose with the transport:
-    nonzero models run with externally-stepped worker channels whose
-    pending deliveries cross the process boundary on the coordinator's
-    in-flight plane, byte-identical to sequential sharded serving.
-    """
-    from repro.spatial.runner import execute_spatial
-
+    label: str = "",
+) -> RunResult:
+    """Replay a spatial *trace* against a spatial *protocol* under
+    *deployment* — :func:`_execute_hosted` on the spatial vocabulary."""
     deployment = deployment or Deployment.single()
     if deployment.durable is not None:
         raise ValueError(
@@ -419,114 +401,16 @@ def _execute_spatial(
             "have no journal record type yet; use the scalar stacks for "
             "durable runs"
         )
-    if deployment.topology == "sharded" and deployment.parallel:
-        return _execute_spatial_transport(
-            trace, protocol, query, tolerance, deployment
-        )
-    return execute_spatial(
-        trace,
-        protocol,
-        query=query,
-        tolerance=tolerance,
-        config=deployment.run_config(),
-        n_shards=deployment.n_shards,
-        latency=deployment.latency,
+    return _execute_hosted(
+        STACK_SPATIAL, trace, protocol, query, tolerance, deployment, label
     )
 
 
-def _execute_spatial_transport(
-    trace, protocol, query, tolerance, deployment: Deployment
-):
-    """Sharded + parallel replay of a coupled *spatial* protocol.
-
-    The spatial mirror of :func:`_execute_streams_transport`: worker
-    processes own the shard point populations and AABB pre-scans, the
-    protocol runs once at the epoch-stepped coordinator, and a checking
-    run evaluates the spatial tolerance at epoch boundaries against a
-    coordinator-side :class:`~repro.spatial.oracle.SpatialOracle`.
-    Returns the same :class:`~repro.spatial.runner.SpatialRunResult`
-    shape as the sequential executor, with the transport's coordination
-    counters attached to ``replay_stats``.
-    """
-    from repro.server.transport import SpatialTransportShardedServer
-    from repro.spatial.oracle import SpatialOracle
-    from repro.spatial.runner import (
-        SpatialRunResult,
-        SpatialToleranceViolationError,
-        _evaluate,
-    )
-
-    oracle: SpatialOracle | None = None
-    staleness: StalenessWindow | None = None
-    if deployment.check_every > 0:
-        if query is None:
-            query = getattr(protocol, "query", None)
-        if query is None:
-            raise ValueError("checking requires a query")
-        oracle = SpatialOracle(trace.initial_points)
-
-    server = SpatialTransportShardedServer(
-        trace,
-        protocol,
-        deployment.n_shards,
-        latency=deployment.latency,
-        replay_mode=deployment.replay_mode,
-        batch_size=deployment.batch_size,
-        min_chunk=deployment.min_chunk,
-    )
-    if oracle is not None and deployment.latency is not None:
-        # The merged in-flight plane models the same evidence the
-        # sequential run reads off its per-shard channels.
-        staleness = StalenessWindow([server.in_flight_plane])
-
-    checker: ToleranceChecker | None = None
-    with server:
-        server.initialize(0.0)
-        if oracle is not None:
-            bound_oracle, bound_query = oracle, query
-            checker = ToleranceChecker(
-                oracle=None,
-                query=None,
-                tolerance=tolerance,
-                answer_of=None,
-                every=deployment.check_every,
-                strict=deployment.strict,
-                staleness=staleness,
-                evaluate=lambda: _evaluate(
-                    protocol, bound_oracle, bound_query, tolerance
-                ),
-                error_cls=SpatialToleranceViolationError,
-                check_offset=deployment.check_every - 1,
-            )
-            checker.check_now(0.0)
-        worker_stats = server.replay(
-            horizon=trace.horizon,
-            oracle_apply=oracle.apply if oracle is not None else None,
-            after_apply=checker.check if checker is not None else None,
-        )
-        transport_stats = server.transport_stats()
-
-    replay_stats = _merge_replay_stats(worker_stats)
-    replay_stats["transport"] = transport_stats
-    result = SpatialRunResult(
-        protocol=protocol.name,
-        ledger=server.snapshot(),
-        n_streams=trace.n_streams,
-        n_records=trace.n_records,
-        final_answer=protocol.answer,
-        classified=staleness is not None,
-        replay_stats=replay_stats,
-    )
-    if checker is not None:
-        report = checker.report
-        result.checks = report.checks
-        result.violations = [
-            f"t={v.time}: {tag_reason(v.reason, v.classification)}"
-            for v in report.violations
-        ]
-        result.violations_inherent_latency = report.inherent_count
-        result.violations_protocol_bug = report.protocol_bug_count
-    return result
+#: Stack -> router around :func:`_execute_hosted`.
+_HOSTED_EXECUTORS = {
+    STACK_STREAMS: _execute_streams,
+    STACK_SPATIAL: _execute_spatial,
+}
 
 
 # ----------------------------------------------------------------------
@@ -627,8 +511,8 @@ class Engine:
         trace = workload.materialize()
         started = _time.perf_counter()
 
-        if spec.stack == STACK_STREAMS:
-            result = _execute_streams(
+        if spec.stack != STACK_VALUEBASED:
+            result = _HOSTED_EXECUTORS[spec.stack](
                 trace,
                 spec.build(),
                 query=spec.query,
@@ -637,40 +521,7 @@ class Engine:
                 label=label,
             )
             return self._report_from_run_result(
-                result, STACK_STREAMS, deployment, started, label
-            )
-        if spec.stack == STACK_SPATIAL:
-            result = _execute_spatial(
-                trace,
-                spec.build(),
-                query=spec.query,
-                tolerance=spec.tolerance,
-                deployment=deployment,
-            )
-            extras: dict = {}
-            if result.classified:
-                extras["violations_inherent_latency"] = (
-                    result.violations_inherent_latency
-                )
-                extras["violations_protocol_bug"] = (
-                    result.violations_protocol_bug
-                )
-            if result.replay_stats is not None:
-                extras["replay"] = result.replay_stats
-            return RunReport(
-                protocol=result.protocol,
-                stack=STACK_SPATIAL,
-                topology=deployment.describe(),
-                ledger=result.ledger,
-                n_streams=result.n_streams,
-                n_records=result.n_records,
-                wall_seconds=_time.perf_counter() - started,
-                final_answer=result.final_answer,
-                checks=result.checks,
-                violations=tuple(result.violations),
-                label=label,
-                extras=extras,
-                raw=result,
+                result, spec.stack, deployment, started, label
             )
         assert spec.stack == STACK_VALUEBASED
         result = _execute_value_window(

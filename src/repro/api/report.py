@@ -53,8 +53,9 @@ def _json_safe(value: Any, path: str) -> Any:
 class RunReport:
     """Outcome of one :meth:`Engine.run` — ledger, violations, timing.
 
-    Every stack-specific result (``RunResult``, ``SpatialRunResult``,
-    ``MultiQueryResult``, ``ValueToleranceResult``) projects onto this
+    Every stack-specific result (``RunResult`` for the hosted scalar
+    and spatial stacks, ``MultiQueryResult``, ``ValueToleranceResult``)
+    projects onto this
     shape, so comparisons across stacks and topologies read the same
     fields.  ``raw`` keeps the stack-specific result for callers that
     need its extra detail.

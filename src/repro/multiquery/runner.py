@@ -135,8 +135,11 @@ def execute_multi_query(
             if tick % config.check_every == 0:
                 check(time)
 
-    session.replay_trace(
-        trace,
+    session.replay(
+        trace.times,
+        trace.stream_ids,
+        trace.values,
+        horizon=trace.horizon,
         oracle_apply=oracle_apply,
         after_apply=after_apply,
         mode=config.replay_mode,

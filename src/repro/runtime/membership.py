@@ -100,6 +100,15 @@ def deployment_outcome(
 BELIEF_NONE, BELIEF_OUTSIDE, BELIEF_INSIDE = -1, 0, 1
 
 
+def belief_codes(beliefs, count: int) -> np.ndarray:
+    """The int8 code column of *count* ``assumed_inside`` beliefs."""
+    return np.fromiter(
+        (BELIEF_NONE if belief is None else int(belief) for belief in beliefs),
+        np.int8,
+        count,
+    )
+
+
 def deployment_outcome_columns(
     values: np.ndarray,
     lower: np.ndarray,

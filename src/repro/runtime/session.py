@@ -1,11 +1,18 @@
 """The execution session: one assembly + one replay loop for all stacks.
 
 An :class:`ExecutionSession` owns the Figure-3 system of one run — the
-discrete-event engine, the message ledger, the channel, the sources and
-the host (server or coordinator) — and provides the single
+discrete-event engine, the message ledger, the channel(s), the sources
+and the host (server or coordinator) — and provides the single
 :meth:`~ExecutionSession.replay` loop every runner uses.
 
-``replay`` has three modes:
+Assembly is written once, in :meth:`ExecutionSession.assemble`: the
+payload :class:`~repro.runtime.vocabulary.Vocabulary` of the stack names
+the source class and the trace's initial-payload column, the topology is
+one shard range or several, and the host is ``Server`` / ``ShardedServer``
+bound to that vocabulary (or none, for the value-window stack).  The
+``for_*`` classmethods are one-line bindings of it.
+
+``replay`` has two paths:
 
 * **event** — the faithful per-record path: each trace record fires as a
   simulation event, the source evaluates its filter, messages flow.
@@ -19,13 +26,10 @@ the host (server or coordinator) — and provides the single
   bulk windows; only actual crossings go through the per-event
   machinery, and the state table's constraint-plane watch tells the
   kernel exactly which runs a dispatch invalidated.
-* **batch-chunk** — the pre-kernel fast path: first-hit chunk scanning
-  with whole-chunk rescans after every dispatch.  Kept selectable so
-  the dispatch benchmark can race the two fast paths.
 
 Because quiescent records produce no messages by definition and every
 crossing dispatches at its own virtual time through the same source
-code path, the resulting :class:`MessageLedger` snapshot of either fast
+code path, the resulting :class:`MessageLedger` snapshot of the batched
 path is byte-identical to the per-event path's.
 
 The pre-scan reads the deployed bounds and believed memberships directly
@@ -51,6 +55,7 @@ installed).
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,9 +78,8 @@ DEFAULT_BATCH_SIZE = 4096
 DEFAULT_MIN_CHUNK = 32
 
 #: ``"batch"`` is the run-based columnar dispatch kernel (DESIGN.md §9);
-#: ``"batch-chunk"`` keeps the previous first-hit chunk loop selectable
-#: so the dispatch benchmark can race the two fast paths.
-REPLAY_MODES = ("auto", "event", "batch", "batch-chunk")
+#: ``"auto"`` picks it exactly when it is both sound and useful.
+REPLAY_MODES = ("auto", "event", "batch")
 
 
 def in_flight_barrier(channels):
@@ -114,7 +118,7 @@ class ExecutionSession:
     sources:
         The source population, indexed by stream id.
     host:
-        The server-side owner (``Server``, ``SpatialServer``,
+        The server-side owner (``Server``, ``ShardedServer``,
         ``MultiQueryCoordinator`` or ``None`` for bare assemblies).
     initialize:
         Callable running the initialization phase at a given time;
@@ -150,6 +154,8 @@ class ExecutionSession:
         ]
         self.sources = sources
         self.host = host
+        #: The payload vocabulary; set by :meth:`assemble`.
+        self.vocabulary = None
         if initialize is None and host is not None:
             initialize = getattr(host, "initialize", None)
         self._initialize = initialize
@@ -192,7 +198,7 @@ class ExecutionSession:
         return [self.state] if self.state is not None else []
 
     # ------------------------------------------------------------------
-    # Builders: one per stack
+    # Assembly
     # ------------------------------------------------------------------
     @staticmethod
     def _make_channel(
@@ -214,68 +220,91 @@ class ExecutionSession:
         return LatencyChannel(ledger, engine, model, channel_index=channel_index)
 
     @classmethod
-    def for_streams(
-        cls, trace, protocol, latency=None, *, ledger=None, state_factory=None
-    ) -> "ExecutionSession":
-        """Scalar stack: ``StreamSource`` population + ``Server``.
-
-        ``ledger`` substitutes the session's accounting object (the
-        durability tier passes a journaling subclass); ``state_factory``
-        substitutes the server's state-table constructor (memmap-backed
-        planes).  Both default to the plain RAM objects.
-        """
-        from repro.server.server import Server
-        from repro.streams.source import StreamSource
-
-        engine = SimulationEngine()
-        ledger = ledger if ledger is not None else MessageLedger()
-        channel = cls._make_channel(ledger, engine, latency)
-        sources = [
-            StreamSource(stream_id, value, channel)
-            for stream_id, value in enumerate(trace.initial_values)
-        ]
-        server = Server(channel, protocol, state_factory=state_factory)
-        return cls(
-            sources=sources,
-            ledger=ledger,
-            engine=engine,
-            channel=channel,
-            host=server,
-        )
-
-    @classmethod
-    def _sharded_parts(
+    def assemble(
         cls,
+        stack: str,
         trace,
-        n_shards: int,
-        make_source,
-        initials=None,
+        protocol=None,
+        n_shards: int | None = None,
         latency=None,
+        *,
         ledger=None,
-    ):
-        """Shared sharded assembly: ranges, engine, per-shard channels
-        (one ledger, each compiled to the deployment's delivery
-        discipline), and sources built by ``make_source(stream_id,
-        initial, channel)`` in global id order.  ``initials`` defaults
-        to the trace's ``initial_values`` (scalar stacks); spatial
-        builders pass ``initial_points``."""
+        state_factory=None,
+        source=None,
+    ) -> "ExecutionSession":
+        """The one assembler: engine, ledger, channel(s), sources, host.
+
+        *stack* names the payload vocabulary (DESIGN.md §13).
+        ``n_shards=None`` is the single topology — one channel, hosted
+        by ``Server``; an integer partitions the population into
+        contiguous id ranges (:func:`~repro.state.sharding.shard_ranges`),
+        one channel per range, every channel charging the *same* ledger
+        and compiled to the deployment's delivery discipline, hosted by
+        a ``ShardedServer`` whose ledgers are byte-identical to the
+        single topology's (see ``repro.server.sharded``).
+
+        ``protocol=None`` builds a host-less assembly (the value-window
+        stack binds its own handler on ``.channels``) and *source*
+        substitutes the vocabulary's source class, called ``(stream_id,
+        initial payload, channel)`` in global id order.  *ledger*
+        substitutes the accounting object (the durability tier passes a
+        journaling subclass) and *state_factory* the host's state-table
+        constructor (memmap-backed planes).
+        """
+        from repro.runtime.vocabulary import vocabulary_of
+        from repro.server.server import Server
+        from repro.server.sharded import ShardedServer
         from repro.state.sharding import shard_ranges
 
-        if initials is None:
-            initials = trace.initial_values
-        ranges = shard_ranges(trace.n_streams, n_shards)
+        vocabulary = vocabulary_of(stack)
         engine = SimulationEngine()
         ledger = ledger if ledger is not None else MessageLedger()
+        ranges = (
+            [(0, trace.n_streams)]
+            if n_shards is None
+            else shard_ranges(trace.n_streams, n_shards)
+        )
         channels = [
             cls._make_channel(ledger, engine, latency, channel_index=index)
             for index in range(len(ranges))
         ]
+        make_source = source or vocabulary.source
+        initials = getattr(trace, vocabulary.initial_column)
         sources = [
             make_source(stream_id, initials[stream_id], channel)
             for channel, (lo, hi) in zip(channels, ranges)
             for stream_id in range(lo, hi)
         ]
-        return ranges, engine, ledger, channels, sources
+        if protocol is None:
+            host = None
+        elif n_shards is None:
+            host = Server.speaking(stack)(
+                channels[0], protocol, state_factory=state_factory
+            )
+        else:
+            host = ShardedServer.speaking(stack)(
+                channels, protocol, ranges, state_factory=state_factory
+            )
+        session = cls(
+            sources=sources,
+            ledger=ledger,
+            engine=engine,
+            channel=channels[0] if n_shards is None else None,
+            channels=channels,
+            host=host,
+        )
+        session.vocabulary = vocabulary
+        return session
+
+    @classmethod
+    def for_streams(
+        cls, trace, protocol, latency=None, *, ledger=None, state_factory=None
+    ) -> "ExecutionSession":
+        """Scalar stack, single topology."""
+        return cls.assemble(
+            "streams", trace, protocol, None, latency,
+            ledger=ledger, state_factory=state_factory,
+        )
 
     @classmethod
     def for_streams_sharded(
@@ -288,141 +317,45 @@ class ExecutionSession:
         ledger=None,
         state_factory=None,
     ) -> "ExecutionSession":
-        """Scalar stack over a sharded topology.
-
-        The population is partitioned into contiguous id ranges, one
-        ``Channel`` + :class:`~repro.server.sharded.ShardServer` per
-        shard (every channel charging the *same* ledger), coordinated by
-        a :class:`~repro.server.sharded.ShardedServer` hosting the
-        protocol.  Message ledgers are byte-identical to
-        :meth:`for_streams` — see ``repro.server.sharded``.
-        """
-        from repro.server.sharded import ShardedServer
-        from repro.streams.source import StreamSource
-
-        ranges, engine, ledger, channels, sources = cls._sharded_parts(
-            trace, n_shards, StreamSource, latency=latency, ledger=ledger
-        )
-        coordinator = ShardedServer(
-            channels, protocol, ranges, state_factory=state_factory
-        )
-        return cls(
-            sources=sources,
-            ledger=ledger,
-            engine=engine,
-            channel=None,
-            channels=channels,
-            host=coordinator,
+        """Scalar stack, sharded topology."""
+        return cls.assemble(
+            "streams", trace, protocol, n_shards, latency,
+            ledger=ledger, state_factory=state_factory,
         )
 
     @classmethod
     def for_spatial(cls, trace, protocol, latency=None) -> "ExecutionSession":
-        """Spatial stack: ``SpatialStreamSource`` + ``SpatialServer``."""
-        from repro.spatial.server import SpatialServer
-        from repro.spatial.source import SpatialStreamSource
-
-        engine = SimulationEngine()
-        ledger = MessageLedger()
-        channel = cls._make_channel(ledger, engine, latency)
-        sources = [
-            SpatialStreamSource(
-                stream_id, trace.initial_points[stream_id], channel
-            )
-            for stream_id in range(trace.n_streams)
-        ]
-        server = SpatialServer(channel, protocol)
-        return cls(
-            sources=sources,
-            ledger=ledger,
-            engine=engine,
-            channel=channel,
-            host=server,
-        )
+        """Spatial stack, single topology."""
+        return cls.assemble("spatial", trace, protocol, None, latency)
 
     @classmethod
     def for_spatial_sharded(
         cls, trace, protocol, n_shards: int, latency=None
     ) -> "ExecutionSession":
-        """Spatial stack over a sharded topology.
-
-        The point population is partitioned exactly as
-        :meth:`for_streams_sharded` partitions scalar streams: one
-        ``Channel`` + :class:`~repro.server.sharded.SpatialShardServer`
-        per contiguous id range (every channel charging the *same*
-        ledger), coordinated by a :class:`~repro.server.sharded.
-        ShardedSpatialServer` hosting the protocol.  Message ledgers are
-        byte-identical to :meth:`for_spatial` — the geometric plane of
-        the coordinator's table is aliased by every shard view, so the
-        batched AABB pre-scan works unchanged.
-        """
-        from repro.server.sharded import ShardedSpatialServer
-        from repro.spatial.source import SpatialStreamSource
-
-        ranges, engine, ledger, channels, sources = cls._sharded_parts(
-            trace,
-            n_shards,
-            SpatialStreamSource,
-            initials=trace.initial_points,
-            latency=latency,
-        )
-        coordinator = ShardedSpatialServer(channels, protocol, ranges)
-        return cls(
-            sources=sources,
-            ledger=ledger,
-            engine=engine,
-            channel=None,
-            channels=channels,
-            host=coordinator,
-        )
+        """Spatial stack, sharded topology."""
+        return cls.assemble("spatial", trace, protocol, n_shards, latency)
 
     @classmethod
     def for_windows(cls, trace, width: float, latency=None) -> "ExecutionSession":
-        """Value-window stack: ``WindowFilterSource`` population.
-
-        The caller binds its own server-side handler on ``.channel`` and
-        runs initialization via ``initialize(run=...)``.
-        """
-        from repro.valuebased.source import WindowFilterSource
-
-        engine = SimulationEngine()
-        ledger = MessageLedger()
-        channel = cls._make_channel(ledger, engine, latency)
-        sources = [
-            WindowFilterSource(stream_id, value, channel, width=width)
-            for stream_id, value in enumerate(trace.initial_values)
-        ]
-        return cls(
-            sources=sources, ledger=ledger, engine=engine, channel=channel
-        )
+        """Value-window stack: a host-less ``WindowFilterSource``
+        population.  The caller binds its own server-side handler on
+        every channel in ``.channels`` and runs initialization via
+        ``initialize(run=...)``."""
+        return cls.for_windows_sharded(trace, width, None, latency)
 
     @classmethod
     def for_windows_sharded(
-        cls, trace, width: float, n_shards: int, latency=None
+        cls, trace, width: float, n_shards: int | None, latency=None
     ) -> "ExecutionSession":
         """Value-window stack over per-shard channels (shared ledger).
-
-        The window scheme has no server-to-source maintenance traffic,
-        so sharding it is pure channel partitioning; the caller binds
-        its handler on every channel in ``.channels``.  Ledgers are
-        byte-identical to :meth:`for_windows` because each source's
-        report decisions are purely local.
-        """
+        The scheme has no server-to-source maintenance traffic and each
+        source's report decisions are purely local, so sharding it is
+        pure channel partitioning and cannot move the ledger."""
         from repro.valuebased.source import WindowFilterSource
 
-        _, engine, ledger, channels, sources = cls._sharded_parts(
-            trace,
-            n_shards,
-            lambda stream_id, value, channel: WindowFilterSource(
-                stream_id, value, channel, width=width
-            ),
-            latency=latency,
-        )
-        return cls(
-            sources=sources,
-            ledger=ledger,
-            engine=engine,
-            channel=None,
-            channels=channels,
+        return cls.assemble(
+            "streams", trace, None, n_shards, latency,
+            source=partial(WindowFilterSource, width=width),
         )
 
     @classmethod
@@ -494,7 +427,7 @@ class ExecutionSession:
             Correctness hook, called with the record time *after* each
             record is applied.  Forces per-event replay.
         mode:
-            ``"auto"`` | ``"event"`` | ``"batch"`` | ``"batch-chunk"``.
+            ``"auto"`` | ``"event"`` | ``"batch"``.
         batch_size:
             Chunk size of the batched quiescence pre-scan.
         min_chunk:
@@ -521,11 +454,6 @@ class ExecutionSession:
                 times, stream_ids, payloads, horizon, batch_size, min_chunk,
                 stats,
             )
-        elif mode == "batch-chunk":
-            self._replay_chunked(
-                times, stream_ids, payloads, horizon, batch_size, min_chunk,
-                stats,
-            )
         else:
             stats["dispatches"] = int(len(times))
             self._replay_events(
@@ -538,14 +466,12 @@ class ExecutionSession:
             channel.drain_in_flight()
 
     def replay_trace(self, trace, **kwargs) -> None:
-        """Replay a ``StreamTrace`` or ``SpatialTrace`` object."""
-        payloads = getattr(trace, "values", None)
-        if payloads is None:
-            payloads = trace.points
+        """Replay a trace object (its record payloads are the column the
+        session's vocabulary names)."""
         self.replay(
             trace.times,
             trace.stream_ids,
-            payloads,
+            getattr(trace, self.vocabulary.record_column),
             horizon=trace.horizon,
             **kwargs,
         )
@@ -616,11 +542,8 @@ class ExecutionSession:
     # ------------------------------------------------------------------
     # Bail out to per-event replay when, after a fair sample, more than
     # this fraction of records dispatched: the workload is too lively for
-    # pre-scanning to pay off.  The run kernel tolerates a much higher
-    # rate than the chunk loop because a dispatch costs it one heap pop
-    # and a suffix check instead of a whole-chunk rescan.
-    _BAILOUT_RATE = 0.25
-    _BAILOUT_MIN_DISPATCHES = 64
+    # pre-scanning to pay off (a dispatch costs the kernel one heap pop
+    # and a suffix check).
     _RUN_BAILOUT_RATE = 0.6
     _RUN_BAILOUT_MIN_DISPATCHES = 512
     # A dispatch whose protocol reaction rewrites more than this many
@@ -640,114 +563,6 @@ class ExecutionSession:
             self.engine.run(until=time)
         deferred.flush_for_dispatch(stream_id)
         self.sources[stream_id].apply(payloads[j], time)
-
-    def _replay_chunked(
-        self, times, stream_ids, payloads, horizon, batch_size, min_chunk,
-        stats,
-    ) -> None:
-        """The first-hit chunk loop (the pre-kernel batched fast path).
-
-        Scans each chunk for its *first* potential violation, stages the
-        quiescent prefix, dispatches the hit per-event and rescans from
-        the next record.  Kept selectable as ``mode="batch-chunk"`` so
-        the dispatch benchmark can race it against the run kernel; the
-        ledger is byte-identical to both other paths.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if min_chunk < 1:
-            raise ValueError("min_chunk must be >= 1")
-        stats["kernel"] = "chunk"
-        n = len(times)
-        prescan = _StatePrescan(self._state_tables())
-        deferred = _DeferredAssignments(self.sources, self.channels, payloads)
-        dispatches = 0
-        # Adaptive chunk: track the typical quiescent run length so a
-        # lively stretch rescans small windows, a calm one big ones.
-        avg_run = float(batch_size)
-        try:
-            i = 0
-            while i < n:
-                chunk = int(min(batch_size, max(min_chunk, 4 * avg_run)))
-                end = min(i + chunk, n)
-                forced_hit = None
-                lagging: set[int] = set()
-                if self.latency_channels:
-                    t_barrier, lagging = self._in_flight_barrier()
-                    if t_barrier is not None:
-                        # Claim nothing at or past the pending delivery.
-                        cap = i + int(
-                            np.searchsorted(
-                                times[i:end], t_barrier, side="left"
-                            )
-                        )
-                        if cap == i:
-                            # Next record needs the delivery first:
-                            # dispatching it per-event runs the engine up
-                            # to its time, draining what is due.
-                            forced_hit = 0
-                        else:
-                            end = cap
-                ids_chunk = stream_ids[i:end]
-                vals_chunk = payloads[i:end]
-                if forced_hit is not None:
-                    hit = forced_hit
-                else:
-                    stats["chunk_scans"] += 1
-                    hit = prescan.first_potential(ids_chunk, vals_chunk)
-                    if lagging:
-                        # In-flight streams are never provably quiescent.
-                        lag_hits = np.nonzero(
-                            np.isin(
-                                ids_chunk,
-                                np.fromiter(
-                                    lagging, dtype=np.int64, count=len(lagging)
-                                ),
-                            )
-                        )[0]
-                        if lag_hits.size:
-                            first_lag = int(lag_hits[0])
-                            hit = (
-                                first_lag
-                                if hit is None
-                                else min(hit, first_lag)
-                            )
-                if hit is None:
-                    deferred.stage(ids_chunk, vals_chunk)
-                    stats["staged"] += len(ids_chunk)
-                    avg_run = min(float(batch_size), 2.0 * max(avg_run, 1.0))
-                    i = end
-                    continue
-                if hit > 0:
-                    deferred.stage(ids_chunk[:hit], vals_chunk[:hit])
-                    stats["staged"] += hit
-                avg_run = 0.75 * avg_run + 0.25 * hit
-                j = i + hit
-                self._dispatch_record(deferred, stream_ids, payloads, times, j)
-                i = j + 1
-                dispatches += 1
-                # The state-table columns are live views, so re-reading
-                # bounds after a broadcast costs nothing; the only
-                # overhead left is chunk re-scans, which the dispatch-rate
-                # bailout below keeps bounded.
-                if (
-                    dispatches >= self._BAILOUT_MIN_DISPATCHES
-                    and dispatches > self._BAILOUT_RATE * i
-                ):
-                    break
-        finally:
-            deferred.close()
-        stats["dispatches"] += dispatches
-        if i < n:
-            # Too lively: finish faithfully on the per-event path.
-            stats["dispatch_bailout_at"] = int(i)
-            stats["dispatches"] += n - i
-            self._replay_events(
-                times[i:], stream_ids[i:], payloads[i:], horizon, None, None
-            )
-            return
-        if horizon is None or horizon > self.engine.now:
-            self.engine.run(until=horizon)
 
     def _replay_run_kernel(
         self, times, stream_ids, payloads, horizon, batch_size, min_chunk,
@@ -1272,10 +1087,3 @@ class _StatePrescan:
         # Filterless streams report every change.
         potential |= ~guarded
         return potential
-
-    def first_potential(self, ids_chunk, vals_chunk) -> int | None:
-        """Index of the first record that might flip a filter, if any."""
-        hits = np.nonzero(self.crossing_mask(ids_chunk, vals_chunk))[0]
-        if hits.size == 0:
-            return None
-        return int(hits[0])

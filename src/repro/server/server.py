@@ -15,7 +15,13 @@ is still inside a maintenance step.  Such updates are queued and drained
 after the protocol finishes the current step, so a protocol's handler is
 never re-entered.  The queueing discipline is the runtime kernel's
 :class:`repro.runtime.dispatch.DeferredDeliveryMixin`, shared with the
-spatial server and the multi-query coordinator.
+sharded coordinators and the multi-query coordinator.
+
+What a stream value *is* — the message classes, the payload they carry,
+the table's deploy recorder, whether constraints are interval columns —
+is read from the server's :class:`~repro.runtime.vocabulary.Vocabulary`
+(DESIGN.md §13); :class:`repro.spatial.server.SpatialServer` is this
+class bound to the spatial one.
 """
 
 from __future__ import annotations
@@ -25,29 +31,22 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.network.channel import Channel
-from repro.network.messages import (
-    ConstraintMessage,
-    Message,
-    MessageKind,
-    ProbeReplyMessage,
-    ProbeRequestMessage,
-    UpdateMessage,
-)
+from repro.network.messages import Message, MessageKind
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
+from repro.runtime.vocabulary import VocabularyBound, vocabulary_of
 from repro.state.table import StreamStateTable
-from repro.streams.control import (
-    constraint_columns,
-    deploy_columns,
-    probe_columns,
-)
+from repro.streams.control import deploy_columns, probe_columns
+from repro.streams.vocabulary import SCALAR
 
 if TYPE_CHECKING:
     from repro.state.rank import RankView
 
 
-class Server(DeferredDeliveryMixin):
+class Server(VocabularyBound, DeferredDeliveryMixin):
     """Query-processing + constraint-assignment units of Figure 3."""
+
+    stack = SCALAR.stack
 
     def __init__(
         self,
@@ -55,6 +54,7 @@ class Server(DeferredDeliveryMixin):
         protocol: FilterProtocol,
         state_factory=None,
     ) -> None:
+        self.vocabulary = vocabulary_of(self.stack)
         self.channel = channel
         self.protocol = protocol
         self._now = 0.0
@@ -63,7 +63,7 @@ class Server(DeferredDeliveryMixin):
         #: planes); ``None`` builds a plain RAM table.
         self._state_factory = state_factory
         self._state: StreamStateTable | None = None
-        self._probe_reply: ProbeReplyMessage | None = None
+        self._probe_reply: Message | None = None
         self._awaiting_probe = False
         self._init_delivery()
         channel.bind_server(self._handle_message)
@@ -90,11 +90,14 @@ class Server(DeferredDeliveryMixin):
         """The columnar stream-state table (created on first access).
 
         The server is the table's value-plane writer: probe replies and
-        update deliveries refresh the last-known value and report time,
-        and :meth:`deploy` records the bounds of every installed
-        constraint.  Protocols keep their answer / tracked / silencer
-        state in the same table, so there is exactly one copy of the
-        server-side picture of the stream population.
+        update deliveries refresh the last-known payload (value column
+        or point matrix) and report time, and :meth:`deploy` records
+        every installed constraint (scalar bounds, or the region in the
+        container column — its quiescence boxes reach the geometric
+        plane through the sources' membership write-through).  Protocols
+        keep their answer / tracked / silencer state in the same table,
+        so there is exactly one copy of the server-side picture of the
+        stream population.
         """
         if self._state is None:
             factory = self._state_factory or StreamStateTable
@@ -122,8 +125,8 @@ class Server(DeferredDeliveryMixin):
     # ------------------------------------------------------------------
     # Control-plane API used by protocols
     # ------------------------------------------------------------------
-    def probe(self, stream_id: int) -> float:
-        """Request and return the current value of one source.
+    def probe(self, stream_id: int):
+        """Request and return the current payload of one source.
 
         Costs one ``PROBE_REQUEST`` plus one ``PROBE_REPLY`` message; the
         reply also refreshes the source's report-state, so the server's
@@ -132,17 +135,18 @@ class Server(DeferredDeliveryMixin):
         self._awaiting_probe = True
         self._probe_reply = None
         self.channel.send_to_source(
-            ProbeRequestMessage(stream_id=stream_id, time=self._now)
+            self.vocabulary.probe_request(stream_id, self._now)
         )
         self._awaiting_probe = False
         if self._probe_reply is None:  # pragma: no cover - defensive
             raise RuntimeError(f"source {stream_id} did not reply to probe")
         reply = self._probe_reply
-        self.state.record_report(reply.stream_id, reply.value, reply.time)
-        return reply.value
+        payload = self.vocabulary.payload_of(reply)
+        self.state.record_report(reply.stream_id, payload, reply.time)
+        return payload
 
-    def probe_all(self, stream_ids: list[int] | None = None) -> dict[int, float]:
-        """Probe several (default: all) sources; returns id -> value.
+    def probe_all(self, stream_ids: list[int] | None = None) -> dict:
+        """Probe several (default: all) sources; returns id -> payload.
 
         Costs ``2n`` messages however it travels: as one columnar
         operation when the batch qualifies (DESIGN.md §12), else as the
@@ -152,29 +156,20 @@ class Server(DeferredDeliveryMixin):
         ids = np.asarray(targets, dtype=np.int64)
         return probe_columns(self, self.channel, self.state, ids, self.state)
 
-    def deploy(
-        self,
-        stream_id: int,
-        lower: float,
-        upper: float,
-        assumed_inside: bool | None = None,
-    ) -> None:
-        """Install ``[lower, upper]`` at one source (one message).
+    def deploy(self, stream_id: int, *constraint, **belief) -> None:
+        """Install *constraint* — ``lower, upper`` or one region — at one
+        source (one message).
 
-        ``assumed_inside=None`` asserts the server's knowledge of the
-        source's value is fresh; otherwise the source self-corrects with
-        an immediate update if the belief is stale.
+        The belief ``assumed_inside`` follows the constraint, by
+        position or by name: ``None`` (the default) asserts the server's
+        knowledge of the source's value is fresh; otherwise the source
+        self-corrects with an immediate update if the belief is stale.
         """
-        self.state.record_deploy(stream_id, lower, upper)
-        self.channel.send_to_source(
-            ConstraintMessage(
-                stream_id=stream_id,
-                time=self._now,
-                lower=lower,
-                upper=upper,
-                assumed_inside=assumed_inside,
-            )
+        message = self.vocabulary.constraint(
+            stream_id, self._now, *constraint, **belief
         )
+        self.vocabulary.record_deploy(self.state, stream_id, message)
+        self.channel.send_to_source(message)
 
     def deploy_many(
         self, stream_ids, lower, upper, assumed_inside=None
@@ -191,7 +186,9 @@ class Server(DeferredDeliveryMixin):
         re-enter — a qualifying batch is installed as one columnar
         operation (DESIGN.md §12).
         """
-        columns = constraint_columns(stream_ids, lower, upper, assumed_inside)
+        columns = self.vocabulary.constraint_columns(
+            stream_ids, lower, upper, assumed_inside
+        )
         deploy_columns(self, self.channel, self.state, self._busy, columns)
 
     def broadcast(
@@ -214,11 +211,11 @@ class Server(DeferredDeliveryMixin):
         if message.kind is MessageKind.PROBE_REPLY:
             if not self._awaiting_probe:  # pragma: no cover - defensive
                 raise RuntimeError("unsolicited probe reply")
-            assert isinstance(message, ProbeReplyMessage)
+            assert isinstance(message, self.vocabulary.probe_reply)
             self._probe_reply = message
             return
         if message.kind is MessageKind.UPDATE:
-            assert isinstance(message, UpdateMessage)
+            assert isinstance(message, self.vocabulary.update)
             self._now = max(self._now, message.time)
             self._deliver(message)
             return
@@ -226,13 +223,12 @@ class Server(DeferredDeliveryMixin):
             f"server received unexpected {message.kind}"
         )
 
-    def _handle_delivery(self, message: UpdateMessage) -> None:
+    def _handle_delivery(self, message: Message) -> None:
         # Refresh the value plane at *delivery* time (not receive time):
         # a queued delivery must not let a later-arriving value be
         # visible to an earlier update's protocol handler.
-        self.state.record_report(
-            message.stream_id, message.value, message.time
-        )
+        payload = self.vocabulary.payload_of(message)
+        self.state.record_report(message.stream_id, payload, message.time)
         self.protocol.on_update(
-            self, message.stream_id, message.value, message.time
+            self, message.stream_id, payload, message.time
         )

@@ -33,7 +33,7 @@ Why the message ledger is byte-identical to a single server:
   each shard queued independently, an update on shard B could re-enter
   the protocol while shard A's delivery is still on the stack.)
 
-Both coordinators accept a latency-modeled bus: the per-shard channels
+The coordinator accepts a latency-modeled bus: the per-shard channels
 may be :class:`~repro.network.latency.LatencyChannel`s (compiled by the
 session builders from ``Deployment(latency=...)``), in which case update
 deliveries reach :meth:`ShardedServer._receive_update` at *delivery*
@@ -42,23 +42,15 @@ global delivery FIFO needs no change — a late-arriving self-correction
 is just one more deferred delivery — and with ``latency=0`` delivery is
 inline, so the byte-identity argument above is untouched.
 
-The spatial stack shards by the same four invariants:
-:class:`SpatialShardServer` / :class:`ShardedSpatialServer` mirror the
-scalar pair with the point/region message vocabulary and the exact
-control plane of :class:`repro.spatial.server.SpatialServer` (``probe``,
-``probe_all``, ``deploy(stream_id, region)``, ``state``, ``rank_view``).
-Shard views alias the coordinator table's point matrix, container
-column, and geometric bbox planes (all lazily allocated on the parent),
-so spatial protocols — and the batched AABB quiescence pre-scan — read
-the same memory they would on one server.
-
-Both coordinators also have a process-parallel sibling in
-``repro/server/transport.py`` (``Deployment.sharded(n,
-parallel=True)``): :class:`~repro.server.transport.
-TransportShardedServer` for the scalar vocabulary and
-:class:`~repro.server.transport.SpatialTransportShardedServer` for the
-spatial one, each holding the same control plane and ledger semantics
-with the shard populations owned by worker processes (DESIGN.md §10).
+Payloads are the coordinator's :class:`~repro.runtime.vocabulary.
+Vocabulary` (DESIGN.md §13): scalar by default, spatial through the
+:class:`ShardedSpatialServer` binding — shard views alias the point
+matrix, container column and geometric bbox planes too (all lazily
+allocated on the parent), so spatial protocols and the batched AABB
+quiescence pre-scan read the same memory they would on one server.  The
+process-parallel sibling of this coordinator is
+:class:`repro.server.transport.TransportShardedServer`
+(``Deployment.sharded(n, parallel=True)``, DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -68,22 +60,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.network.channel import Channel
-from repro.network.messages import (
-    ConstraintMessage,
-    Message,
-    MessageKind,
-    ProbeReplyMessage,
-    ProbeRequestMessage,
-    UpdateMessage,
-)
+from repro.network.messages import Message, MessageKind
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
-from repro.spatial.messages import (
-    PointProbeReplyMessage,
-    PointProbeRequestMessage,
-    PointUpdateMessage,
-    RegionConstraintMessage,
-)
+from repro.runtime.vocabulary import VocabularyBound, vocabulary_of
 from repro.state.sharding import (
     ShardedRankView,
     StateShardView,
@@ -91,11 +71,8 @@ from repro.state.sharding import (
     validate_shard_alignment,
 )
 from repro.state.table import StreamStateTable
-from repro.streams.control import (
-    constraint_columns,
-    deploy_columns,
-    probe_columns,
-)
+from repro.streams.control import deploy_columns, probe_columns
+from repro.streams.vocabulary import SCALAR
 
 
 class ShardServer:
@@ -115,59 +92,46 @@ class ShardServer:
         state: StateShardView,
     ) -> None:
         self._coordinator = coordinator
+        self.vocabulary = coordinator.vocabulary
         self.channel = channel
         self.state = state
         self.lo = state.lo
         self.hi = state.hi
-        self._probe_reply: ProbeReplyMessage | None = None
+        self._probe_reply: Message | None = None
         self._awaiting_probe = False
         channel.bind_server(self._handle_message)
 
-    def probe(self, stream_id: int, time: float) -> float:
+    def probe(self, stream_id: int, time: float):
         """One probe round-trip to a source this shard owns."""
         self._awaiting_probe = True
         self._probe_reply = None
         self.channel.send_to_source(
-            ProbeRequestMessage(stream_id=stream_id, time=time)
+            self.vocabulary.probe_request(stream_id, time)
         )
         self._awaiting_probe = False
         if self._probe_reply is None:  # pragma: no cover - defensive
             raise RuntimeError(f"source {stream_id} did not reply to probe")
         reply = self._probe_reply
-        self.state.record_report(
-            reply.stream_id - self.lo, reply.value, reply.time
-        )
-        return reply.value
+        payload = self.vocabulary.payload_of(reply)
+        self.state.record_report(reply.stream_id - self.lo, payload, reply.time)
+        return payload
 
-    def deploy(
-        self,
-        stream_id: int,
-        lower: float,
-        upper: float,
-        assumed_inside: bool | None,
-        time: float,
-    ) -> None:
-        """Install a constraint at a source this shard owns."""
-        self.state.record_deploy(stream_id - self.lo, lower, upper)
-        self.channel.send_to_source(
-            ConstraintMessage(
-                stream_id=stream_id,
-                time=time,
-                lower=lower,
-                upper=upper,
-                assumed_inside=assumed_inside,
-            )
+    def deploy(self, message: Message) -> None:
+        """Install a constraint message at a source this shard owns."""
+        self.vocabulary.record_deploy(
+            self.state, message.stream_id - self.lo, message
         )
+        self.channel.send_to_source(message)
 
     def _handle_message(self, message: Message) -> None:
         if message.kind is MessageKind.PROBE_REPLY:
             if not self._awaiting_probe:  # pragma: no cover - defensive
                 raise RuntimeError("unsolicited probe reply")
-            assert isinstance(message, ProbeReplyMessage)
+            assert isinstance(message, self.vocabulary.probe_reply)
             self._probe_reply = message
             return
         if message.kind is MessageKind.UPDATE:
-            assert isinstance(message, UpdateMessage)
+            assert isinstance(message, self.vocabulary.update)
             self._coordinator._receive_update(message)
             return
         raise RuntimeError(  # pragma: no cover - defensive
@@ -175,7 +139,7 @@ class ShardServer:
         )
 
 
-class ShardedServer(DeferredDeliveryMixin):
+class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
     """Coordinator over N shard servers; Server-compatible control plane.
 
     Parameters
@@ -192,6 +156,8 @@ class ShardedServer(DeferredDeliveryMixin):
         :func:`repro.state.sharding.shard_ranges`).
     """
 
+    stack = SCALAR.stack
+
     def __init__(
         self,
         channels: Sequence[Channel],
@@ -203,6 +169,7 @@ class ShardedServer(DeferredDeliveryMixin):
             raise ValueError("need exactly one channel per shard range")
         if not ranges:
             raise ValueError("need at least one shard")
+        self.vocabulary = vocabulary_of(self.stack)
         self.protocol = protocol
         self._now = 0.0
         n = ranges[-1][1]
@@ -262,14 +229,12 @@ class ShardedServer(DeferredDeliveryMixin):
     def _shard_for(self, stream_id: int) -> ShardServer:
         return self.shards[int(self._shard_of[int(stream_id)])]
 
-    def probe(self, stream_id: int) -> float:
+    def probe(self, stream_id: int):
         """Probe one source via its owning shard (2 messages)."""
         return self._shard_for(stream_id).probe(stream_id, self._now)
 
-    def probe_all(
-        self, stream_ids: list[int] | None = None
-    ) -> dict[int, float]:
-        """Probe several (default: all) sources; returns id -> value.
+    def probe_all(self, stream_ids: list[int] | None = None) -> dict:
+        """Probe several (default: all) sources; returns id -> payload.
 
         Each consecutive same-shard run of ids is one columnar operation
         on its shard's channel when it qualifies (DESIGN.md §12), else
@@ -277,7 +242,7 @@ class ShardedServer(DeferredDeliveryMixin):
         """
         targets = self.stream_ids if stream_ids is None else stream_ids
         ids = np.asarray(targets, dtype=np.int64)
-        results: dict[int, float] = {}
+        results: dict = {}
         for index, a, b in owner_runs(self._shard_of, ids):
             shard = self.shards[index]
             results.update(
@@ -288,16 +253,14 @@ class ShardedServer(DeferredDeliveryMixin):
             )
         return results
 
-    def deploy(
-        self,
-        stream_id: int,
-        lower: float,
-        upper: float,
-        assumed_inside: bool | None = None,
-    ) -> None:
-        """Install ``[lower, upper]`` at one source (one message)."""
+    def deploy(self, stream_id: int, *constraint, **belief) -> None:
+        """Install *constraint* — ``lower, upper`` or one region, then
+        the optional ``assumed_inside`` belief — at one source (one
+        message)."""
         self._shard_for(stream_id).deploy(
-            stream_id, lower, upper, assumed_inside, self._now
+            self.vocabulary.constraint(
+                stream_id, self._now, *constraint, **belief
+            )
         )
 
     def deploy_many(
@@ -307,7 +270,9 @@ class ShardedServer(DeferredDeliveryMixin):
         :meth:`repro.server.server.Server.deploy_many`): each consecutive
         same-shard run of ids is one columnar operation on its shard's
         channel, or its ordered :meth:`deploy` loop."""
-        columns = constraint_columns(stream_ids, lower, upper, assumed_inside)
+        columns = self.vocabulary.constraint_columns(
+            stream_ids, lower, upper, assumed_inside
+        )
         for index, a, b in owner_runs(self._shard_of, columns[0]):
             deploy_columns(
                 self, self.shards[index].channel, self._state, self._busy,
@@ -326,215 +291,28 @@ class ShardedServer(DeferredDeliveryMixin):
     # ------------------------------------------------------------------
     # Update delivery (single global FIFO)
     # ------------------------------------------------------------------
-    def _receive_update(self, message: UpdateMessage) -> None:
+    def _receive_update(self, message: Message) -> None:
         self._now = max(self._now, message.time)
         self._deliver(message)
 
-    def _handle_delivery(self, message: UpdateMessage) -> None:
+    def _handle_delivery(self, message: Message) -> None:
         # Value plane refreshed at *delivery* time through the owning
         # shard view (dirtying only that shard's rank listeners), then
         # the protocol sees the update exactly as on one server.
         shard = self._shard_for(message.stream_id)
+        payload = self.vocabulary.payload_of(message)
         shard.state.record_report(
-            message.stream_id - shard.lo, message.value, message.time
+            message.stream_id - shard.lo, payload, message.time
         )
         self.protocol.on_update(
-            self, message.stream_id, message.value, message.time
+            self, message.stream_id, payload, message.time
         )
 
 
-# ----------------------------------------------------------------------
-# The spatial stack's sharded topology
-# ----------------------------------------------------------------------
-class SpatialShardServer:
-    """One spatial shard's message endpoint: the vector-payload mirror
-    of :class:`ShardServer`.
+class ShardedSpatialServer(ShardedServer):
+    """:class:`ShardedServer` bound to the spatial vocabulary (DESIGN.md
+    §13): shard views alias the coordinator table's point matrix,
+    container column and geometric bbox planes exactly as they alias the
+    scalar columns, so the four invariants above hold unchanged."""
 
-    Handles the probe round-trip and region-constraint transmission for
-    its id range ``[lo, hi)``, recording points through the shard view
-    (local rows — per-shard rank maintenance stays incremental) and
-    forwarding update deliveries to the coordinator, which owns ordering
-    and the protocol.
-    """
-
-    def __init__(
-        self,
-        coordinator: "ShardedSpatialServer",
-        channel: Channel,
-        state: StateShardView,
-    ) -> None:
-        self._coordinator = coordinator
-        self.channel = channel
-        self.state = state
-        self.lo = state.lo
-        self.hi = state.hi
-        self._probe_reply: PointProbeReplyMessage | None = None
-        self._awaiting_probe = False
-        channel.bind_server(self._handle_message)
-
-    def probe(self, stream_id: int, time: float) -> np.ndarray:
-        """One probe round-trip to a source this shard owns."""
-        self._awaiting_probe = True
-        self._probe_reply = None
-        self.channel.send_to_source(
-            PointProbeRequestMessage(stream_id=stream_id, time=time)
-        )
-        self._awaiting_probe = False
-        if self._probe_reply is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"source {stream_id} did not reply to probe")
-        reply = self._probe_reply
-        self.state.record_report(
-            reply.stream_id - self.lo, reply.point, reply.time
-        )
-        return reply.point
-
-    def deploy(
-        self,
-        stream_id: int,
-        region,
-        assumed_inside: bool | None,
-        time: float,
-    ) -> None:
-        """Install *region* at a source this shard owns (one message)."""
-        self.state.record_container_deploy(stream_id - self.lo, region)
-        self.channel.send_to_source(
-            RegionConstraintMessage(
-                stream_id=stream_id,
-                time=time,
-                region=region,
-                assumed_inside=assumed_inside,
-            )
-        )
-
-    def _handle_message(self, message: Message) -> None:
-        if message.kind is MessageKind.PROBE_REPLY:
-            if not self._awaiting_probe:  # pragma: no cover - defensive
-                raise RuntimeError("unsolicited probe reply")
-            assert isinstance(message, PointProbeReplyMessage)
-            self._probe_reply = message
-            return
-        if message.kind is MessageKind.UPDATE:
-            assert isinstance(message, PointUpdateMessage)
-            self._coordinator._receive_update(message)
-            return
-        raise RuntimeError(  # pragma: no cover - defensive
-            f"spatial shard server received unexpected {message.kind}"
-        )
-
-
-class ShardedSpatialServer(DeferredDeliveryMixin):
-    """Coordinator over N spatial shards; SpatialServer-compatible.
-
-    The ledger-identity argument is the scalar :class:`ShardedServer`'s,
-    unchanged: shard views alias one coordinator table (now including
-    the point matrix, container column, and geometric bbox planes),
-    ``rank_view`` serves the merged per-shard order, per-stream messages
-    route through per-shard channels charging one ledger in ascending-id
-    iteration order, and update delivery runs through one global
-    coordinator FIFO.
-    """
-
-    def __init__(
-        self,
-        channels: Sequence[Channel],
-        protocol,
-        ranges: Sequence[tuple[int, int]],
-    ) -> None:
-        if len(channels) != len(ranges):
-            raise ValueError("need exactly one channel per shard range")
-        if not ranges:
-            raise ValueError("need at least one shard")
-        self.protocol = protocol
-        self._now = 0.0
-        n = ranges[-1][1]
-        self._state = StreamStateTable(n)
-        self.shards = [
-            SpatialShardServer(
-                self, channel, StateShardView(self._state, lo, hi)
-            )
-            for channel, (lo, hi) in zip(channels, ranges)
-        ]
-        validate_shard_alignment(
-            self._state, [shard.state for shard in self.shards]
-        )
-        self._shard_of = np.empty(n, dtype=np.int64)
-        for index, (lo, hi) in enumerate(ranges):
-            self._shard_of[lo:hi] = index
-        self._init_delivery()
-
-    # ------------------------------------------------------------------
-    # Lifecycle (SpatialServer-compatible surface)
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def n_streams(self) -> int:
-        return self._state.n_streams
-
-    @property
-    def stream_ids(self) -> list[int]:
-        return list(range(self._state.n_streams))
-
-    @property
-    def state(self) -> StreamStateTable:
-        """The *global* columnar table every shard view aliases into."""
-        return self._state
-
-    def rank_view(self, distance_array: Callable) -> ShardedRankView:
-        """A merged rank order: per-shard views + k-way heap merge."""
-        return ShardedRankView(
-            [shard.state for shard in self.shards], distance_array
-        )
-
-    def initialize(self, time: float = 0.0) -> None:
-        self._now = time
-        self._guarded_call(self.protocol.initialize, self)
-
-    # ------------------------------------------------------------------
-    # Control-plane API used by spatial protocols
-    # ------------------------------------------------------------------
-    def _shard_for(self, stream_id: int) -> SpatialShardServer:
-        return self.shards[int(self._shard_of[int(stream_id)])]
-
-    def probe(self, stream_id: int) -> np.ndarray:
-        """Probe one source via its owning shard (2 messages)."""
-        return self._shard_for(stream_id).probe(stream_id, self._now)
-
-    def probe_all(
-        self, stream_ids: list[int] | None = None
-    ) -> dict[int, np.ndarray]:
-        targets = self.stream_ids if stream_ids is None else stream_ids
-        return {stream_id: self.probe(stream_id) for stream_id in targets}
-
-    def deploy(
-        self,
-        stream_id: int,
-        region,
-        assumed_inside: bool | None = None,
-    ) -> None:
-        """Install *region* at one source (one message)."""
-        self._shard_for(stream_id).deploy(
-            stream_id, region, assumed_inside, self._now
-        )
-
-    # ------------------------------------------------------------------
-    # Update delivery (single global FIFO)
-    # ------------------------------------------------------------------
-    def _receive_update(self, message: PointUpdateMessage) -> None:
-        self._now = max(self._now, message.time)
-        self._deliver(message)
-
-    def _handle_delivery(self, message: PointUpdateMessage) -> None:
-        shard = self._shard_for(message.stream_id)
-        shard.state.record_report(
-            message.stream_id - shard.lo, message.point, message.time
-        )
-        self.protocol.on_update(
-            self, message.stream_id, message.point, message.time
-        )
+    stack = "spatial"

@@ -13,8 +13,8 @@ Three pieces:
 
 * :class:`ShardWorker` — the per-process shard runtime.  It owns its
   shard's trace slice and a *local* :class:`~repro.state.table.
-  StreamStateTable` + :class:`~repro.streams.source.StreamSource`
-  population (local ids throughout; the coordinator translates at the
+  StreamStateTable` + source population (local ids throughout; the
+  coordinator translates at the
   RPC boundary), and answers a small request vocabulary: ``scan`` (the
   batched quiescence pre-scan, returning the shard's first-crossing
   candidate as a *global trace position*), ``advance`` (bulk-stage a
@@ -50,13 +50,15 @@ Three pieces:
   the protocol's reaction through buffered, batched constraint
   deployments that preserve the sequential self-correction FIFO.
 
-The same epoch protocol serves both payload vocabularies:
-:class:`SpatialShardWorker` / :class:`SpatialTransportShardedServer`
-swap the scalar probe/constraint-interval messages for point updates
-and region constraints, framed as contiguous little-endian columns
-(:mod:`repro.spatial.messages`) so a deploy batch is one region frame
-per owner run and a worker epoch stays one recv + one vectorized
-scatter.  Checking runs ride the transport too: the coordinator holds
+Worker and coordinator are written once against the payload
+:class:`~repro.runtime.vocabulary.Vocabulary` (DESIGN.md §13): message
+classes, source class, trace columns and in-flight frame codec are
+fields they read, and the one part of the wire that is a different
+algorithm per vocabulary — how a deploy flush is framed (raw interval
+columns vs region frames) and installed — is a pair of functions the
+vocabulary points to.  :class:`SpatialTransportShardedServer` is the
+coordinator bound to the spatial vocabulary.  Checking runs ride the
+transport too: the coordinator holds
 the full trace, so it applies the oracle itself and evaluates the
 tolerance checker at epoch boundaries (``replay(oracle_apply=...,
 after_apply=...)``) — the protocol answer only changes at dispatches,
@@ -68,8 +70,8 @@ coordinator's **in-flight plane** (:class:`InFlightPlane`).  Each
 worker channel is *externally stepped* — it never self-delivers from
 its own engine — and every reply carries an aux envelope exporting the
 channel's pending heap: uplinks extracted wholesale into columnar
-frames (:mod:`repro.network.frames`, with a point-batch variant in
-:mod:`repro.spatial.messages`), pending constraint installs as
+frames (:mod:`repro.network.frames`, or the vocabulary's point-batch
+variant), pending constraint installs as
 delivery-key metadata (the install stays authoritative in the worker's
 local heap).  The coordinator merges everything into one global heap
 keyed by the channel's own ``(delivery time, send seq)`` discipline
@@ -99,50 +101,23 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.network.accounting import MessageLedger, Phase
-from repro.network.frames import (
-    pack_in_flight,
-    pack_pending,
-    unpack_in_flight,
-)
-from repro.network.messages import (
-    ConstraintMessage,
-    Message,
-    MessageKind,
-    ProbeReplyMessage,
-    ProbeRequestMessage,
-    UpdateMessage,
-)
+from repro.network.frames import pack_pending, unpack_in_flight
+from repro.network.messages import Message, MessageKind
 from repro.network.latency import LatencyChannel, as_latency_model
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
-from repro.runtime.membership import BELIEF_NONE
+from repro.runtime.vocabulary import Vocabulary, VocabularyBound, vocabulary_of
 from repro.sim.engine import SimulationEngine
-from repro.spatial.messages import (
-    PointProbeReplyMessage,
-    PointProbeRequestMessage,
-    PointUpdateMessage,
-    RegionConstraintMessage,
-    pack_point_in_flight,
-    pack_points,
-    pack_regions,
-    unpack_point_in_flight,
-    unpack_regions,
-)
 from repro.state.sharding import (
     ShardedRankView,
     StateShardView,
     owner_runs,
-    scatter_point_reports,
-    scatter_region_deploys,
     shard_ranges,
     validate_shard_alignment,
 )
 from repro.state.table import StreamStateTable
-from repro.streams.control import (
-    constraint_columns,
-    install_constraints,
-    probe_sources,
-)
+from repro.streams.control import probe_sources
+from repro.streams.vocabulary import SCALAR
 
 
 class TransportError(RuntimeError):
@@ -176,6 +151,7 @@ class ShardWorker:
 
     def __init__(
         self,
+        vocabulary: Vocabulary,
         index: int,
         initial_values: np.ndarray,
         times: np.ndarray,
@@ -196,9 +172,11 @@ class ShardWorker:
             in_flight_barrier,
         )
 
+        self.vocabulary = vocabulary
         self.index = int(index)
         self.times = np.asarray(times, dtype=np.float64)
         self.local_ids = np.asarray(local_ids, dtype=np.int64)
+        #: Record payloads: ``(m,)`` scalars or an ``(m, d)`` matrix.
         self.values = np.asarray(values, dtype=np.float64)
         self.gpos = np.asarray(gpos, dtype=np.int64)
         n_local = len(initial_values)
@@ -218,7 +196,10 @@ class ShardWorker:
         #: Highest send seq whose pending (downlink) entry has been
         #: exported to the coordinator's plane.
         self._exported_seq = -1
-        self.sources = self._make_sources(initial_values)
+        self.sources = [
+            vocabulary.source(stream_id, payload, self.channel)
+            for stream_id, payload in enumerate(initial_values)
+        ]
         self.channel.bind_server(self._handle_uplink)
         self.table = StreamStateTable(n_local)
         for source in self.sources:
@@ -237,8 +218,9 @@ class ShardWorker:
         #: Proof frontier: ``[pos, scan_from)`` is proven quiescent
         #: against the *current* constraint columns.
         self.scan_from = 0
-        self.outbox: list[tuple[int, float, float]] = []
-        self._probe_reply: ProbeReplyMessage | None = None
+        #: Captured uplinks: ``(local id, payload, time)``.
+        self.outbox: list[tuple] = []
+        self._probe_reply: Message | None = None
         self.busy_seconds = 0.0
         self.stats = {
             "records": int(len(self.times)),
@@ -252,30 +234,18 @@ class ShardWorker:
             "dispatch_bailout_at": None,
         }
 
-    # -- payload-vocabulary hooks (overridden by the spatial stack) ----
-    def _make_sources(self, initial_payloads) -> list:
-        """Build the shard's source population (scalar streams here)."""
-        from repro.streams.source import StreamSource
-
-        return [
-            StreamSource(stream_id, float(value), self.channel)
-            for stream_id, value in enumerate(initial_payloads)
-        ]
-
-    def _any_scannable(self) -> bool:
-        """Whether some local stream carries a batchable filter."""
-        return bool(self.table.scannable.any())
-
     # -- channel plumbing ----------------------------------------------
     def _handle_uplink(self, message: Message) -> None:
         if message.kind is MessageKind.PROBE_REPLY:
-            assert isinstance(message, ProbeReplyMessage)
             self._probe_reply = message
             return
         if message.kind is MessageKind.UPDATE:
-            assert isinstance(message, UpdateMessage)
             self.outbox.append(
-                (int(message.stream_id), float(message.value), float(message.time))
+                (
+                    int(message.stream_id),
+                    self.vocabulary.payload_of(message),
+                    float(message.time),
+                )
             )
             return
         raise RuntimeError(  # pragma: no cover - defensive
@@ -283,10 +253,6 @@ class ShardWorker:
         )
 
     # -- the in-flight plane's worker half ------------------------------
-    def _pack_uplinks(self, entries):
-        """Frame extracted uplink entries (scalar payloads here)."""
-        return pack_in_flight(entries)
-
     def _collect_aux(self):
         """Export the channel's pending heap after an operation.
 
@@ -306,7 +272,9 @@ class ShardWorker:
         if not uplinks and not pending:
             return None
         return {
-            "uplinks": self._pack_uplinks(uplinks) if uplinks else None,
+            "uplinks": (
+                self.vocabulary.pack_in_flight(uplinks) if uplinks else None
+            ),
             "pending": pack_pending(pending) if pending else None,
         }
 
@@ -350,14 +318,18 @@ class ShardWorker:
         """Mirror the session's mode resolution, per worker.
 
         ``auto`` picks the batched pre-scan exactly when some local
-        stream carries a scannable filter (after initialization the
+        stream carries a filter the pre-scan can test — scalar bounds,
+        or a region's AABB quiescence boxes (after initialization the
         coupled protocols have deployed one everywhere); the watch is
         started here so later scans can re-validate their proven window
         against only the streams a protocol reaction actually touched.
         """
         if self.replay_mode == "event":
             mode = "event"
-        elif self.replay_mode == "auto" and not self._any_scannable():
+        elif (
+            self.replay_mode == "auto"
+            and not getattr(self.table, self.vocabulary.scannable_column).any()
+        ):
             mode = "event"
         else:
             mode = "batch"
@@ -487,12 +459,12 @@ class ShardWorker:
         self.stats["staged"] += k - self.pos
         self.pos = k
 
-    def dispatch(self, g: int) -> list[tuple[int, float, float]]:
+    def dispatch(self, g: int) -> list[tuple]:
         """Apply the record at global position *g* per-event.
 
         Returns the captured uplink messages (at most one: the update
         the crossing produced, or none when the conservative mask
-        over-claimed), as ``(local id, value, time)`` tuples.
+        over-claimed), as ``(local id, payload, time)`` tuples.
         """
         self.advance(g)
         k = self.pos
@@ -526,77 +498,56 @@ class ShardWorker:
         if clock is not None and float(clock) > self.engine.now:
             self.engine.run(until=float(clock))
 
-    def probe(
-        self, local_id: int, time: float, clock: float | None = None
-    ) -> tuple[float, float]:
-        """One probe round-trip against the local source."""
+    def probe(self, local_id: int, time: float, clock: float | None = None):
+        """One probe round-trip against the local source: ``(payload,
+        reply time)``."""
         self._advance_clock(clock)
         self._probe_reply = None
         self.channel.send_to_source(
-            ProbeRequestMessage(stream_id=int(local_id), time=float(time))
+            self.vocabulary.probe_request(int(local_id), float(time))
         )
         reply = self._probe_reply
         if reply is None:  # pragma: no cover - defensive
             raise TransportError(
                 f"worker {self.index}: source {local_id} did not reply"
             )
-        return float(reply.value), float(reply.time)
+        return self.vocabulary.payload_of(reply), float(reply.time)
 
     def probe_batch(
         self, local_ids, time: float, clock: float | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Probe several local sources; replies as parallel arrays.
+        """Probe several local sources; replies as parallel arrays (the
+        payloads an ``(m,)`` column or an ``(m, d)`` matrix).
 
         One columnar operation when the batch qualifies (DESIGN.md §12);
-        a latency-modeled channel keeps the per-message round-trips.
+        region filters and latency-modeled channels keep the per-message
+        round-trips.
         """
         self._advance_clock(clock)
         local_ids = np.asarray(local_ids, dtype=np.int64)
         times = np.full(len(local_ids), float(time))
-        values = probe_sources(self.channel, self.table, local_ids)
-        if values is None:
-            values = np.array(
+        payloads = probe_sources(self.channel, self.table, local_ids)
+        if payloads is None:
+            payloads = np.array(
                 [self.probe(local_id, time)[0] for local_id in local_ids.tolist()],
                 dtype=np.float64,
             )
-        return values, times
+        return payloads, times
 
-    def deploy_batch(
-        self, local_ids, lowers, uppers, assumed, times, clock=None
-    ) -> list[tuple[int, float, float]]:
-        """Install constraints in order; return self-corrections in order.
+    def deploy_batch(self, local_ids, *wire_and_clock):
+        """Install one shipped constraint batch in order; return the
+        self-corrections in order.
 
-        Columns arrive as parallel numpy arrays (binary-framed pickles,
-        the serialization cost model's cheap path); ``assumed`` encodes
-        the optional belief as int8 (-1 none, 0 outside, 1 inside).
+        The batch arrives in the vocabulary's wire shape (parallel
+        numpy interval columns, or a region frame) followed by the
+        belief codes (int8: :data:`BELIEF_NONE`, 0 outside, 1 inside),
+        the send times and the coordinator clock; installing it is the
+        vocabulary's ``install_batch``.
         """
+        *wire, clock = wire_and_clock
         self._advance_clock(clock)
         self.outbox.clear()
-        if not install_constraints(
-            self.channel, self.table, local_ids, lowers, uppers, assumed, times
-        ):
-            # Per-message: a latency-modeled channel (every install draws
-            # its own delay) or a batch naming a stream twice.
-            send = self.channel.send_to_source
-            for local_id, lower, upper, belief, time in zip(
-                local_ids.tolist(),
-                lowers.tolist(),
-                uppers.tolist(),
-                assumed.tolist(),
-                times.tolist(),
-            ):
-                send(
-                    ConstraintMessage(
-                        stream_id=local_id,
-                        time=time,
-                        lower=lower,
-                        upper=upper,
-                        assumed_inside=(
-                            None if belief == BELIEF_NONE else bool(belief)
-                        ),
-                    )
-                )
-        return list(self.outbox)
+        return self.vocabulary.install_batch(self, local_ids, *wire)
 
     def settle(self, horizon: float | None) -> None:
         """Commit the proven-quiescent tail and settle the clock.
@@ -663,141 +614,12 @@ class ShardWorker:
         if op == "probe_batch":
             return self.probe_batch(request[1], request[2], request[3])
         if op == "deploy_batch":
-            return self.deploy_batch(*request[1:7])
+            return self.deploy_batch(*request[1:])
         if op == "settle":
             return self.settle(request[1])
         if op == "finish":
             return self.finish(request[1])
         raise TransportError(f"worker {self.index}: unknown request {op!r}")
-
-
-class SpatialShardWorker(ShardWorker):
-    """A shard runtime speaking the spatial vocabulary (DESIGN.md §10).
-
-    Same epoch protocol, vector payloads: sources are
-    :class:`~repro.spatial.source.SpatialStreamSource`\\ s, the record
-    payload matrix is ``(m, d)``, the quiescence pre-scan keys on the
-    table's *geometric* plane (the region write-through installs AABB
-    quiescence boxes instead of scalar bounds), and the control plane
-    trades probe/constraint intervals for point probes and region
-    frames.  The prescan and bulk-stage primitives handle vector
-    payloads natively, so ``scan``/``advance``/``dispatch``/``finish``
-    are inherited verbatim.
-    """
-
-    def _make_sources(self, initial_payloads) -> list:
-        from repro.spatial.source import SpatialStreamSource
-
-        points = np.asarray(initial_payloads, dtype=np.float64)
-        return [
-            SpatialStreamSource(stream_id, points[stream_id], self.channel)
-            for stream_id in range(len(points))
-        ]
-
-    def _any_scannable(self) -> bool:
-        return bool(self.table.geo_scannable.any())
-
-    @property
-    def _dimension(self) -> int:
-        return int(self.values.shape[1])
-
-    def _handle_uplink(self, message: Message) -> None:
-        if message.kind is MessageKind.PROBE_REPLY:
-            assert isinstance(message, PointProbeReplyMessage)
-            self._probe_reply = message
-            return
-        if message.kind is MessageKind.UPDATE:
-            assert isinstance(message, PointUpdateMessage)
-            self.outbox.append(
-                (int(message.stream_id), message.point, float(message.time))
-            )
-            return
-        raise RuntimeError(  # pragma: no cover - defensive
-            f"worker received unexpected uplink {message.kind}"
-        )
-
-    def _pack_uplinks(self, entries):
-        return pack_point_in_flight(entries, self._dimension)
-
-    def probe(
-        self, local_id: int, time: float, clock: float | None = None
-    ) -> tuple[np.ndarray, float]:
-        """One point-probe round-trip against the local source."""
-        self._advance_clock(clock)
-        self._probe_reply = None
-        self.channel.send_to_source(
-            PointProbeRequestMessage(stream_id=int(local_id), time=float(time))
-        )
-        reply = self._probe_reply
-        if reply is None:  # pragma: no cover - defensive
-            raise TransportError(
-                f"worker {self.index}: source {local_id} did not reply"
-            )
-        return reply.point, float(reply.time)
-
-    def probe_batch(
-        self, local_ids, time: float, clock: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Probe several local sources; replies as an ``(m, d)`` frame."""
-        self._advance_clock(clock)
-        rows = (
-            local_ids.tolist()
-            if isinstance(local_ids, np.ndarray)
-            else list(local_ids)
-        )
-        points = np.empty((len(rows), self._dimension), dtype=np.float64)
-        times = np.empty(len(rows), dtype=np.float64)
-        for i, local_id in enumerate(rows):
-            point, reply_time = self.probe(local_id, time)
-            points[i] = point
-            times[i] = reply_time
-        return points, times
-
-    def _packed_outbox(self):
-        """The captured self-corrections as a point-batch frame."""
-        d = self._dimension
-        if not self.outbox:
-            return pack_points(
-                np.empty(0, dtype=np.int64), np.empty((0, d)), np.empty(0), d
-            )
-        rows = [entry[0] for entry in self.outbox]
-        points = np.asarray([entry[1] for entry in self.outbox], np.float64)
-        times = [entry[2] for entry in self.outbox]
-        return pack_points(rows, points, times, d)
-
-    def deploy_regions(self, local_ids, frame, assumed, times, clock=None):
-        """Install a region frame in order; corrections back as a frame.
-
-        The frame decodes once (shared instances per distinct encoding,
-        mirroring the sequential coordinator's shared region objects)
-        and installs through the sources, whose membership write-through
-        scatters the quiescence boxes into the worker's geometric plane.
-        """
-        self._advance_clock(clock)
-        regions = unpack_regions(frame)
-        self.outbox.clear()
-        send = self.channel.send_to_source
-        for local_id, region, belief, time in zip(
-            local_ids.tolist(), regions, assumed.tolist(), times.tolist()
-        ):
-            send(
-                RegionConstraintMessage(
-                    stream_id=local_id,
-                    time=time,
-                    region=region,
-                    assumed_inside=None if belief < 0 else bool(belief),
-                )
-            )
-        return self._packed_outbox()
-
-    def _handle_op(self, op: str, request: tuple):
-        if op == "deploy_regions":
-            return self.deploy_regions(*request[1:6])
-        return super()._handle_op(op, request)
-
-
-#: Worker stack selector used by :func:`_worker_main` (spec ``stack`` key).
-_WORKER_STACKS = {"streams": ShardWorker, "spatial": SpatialShardWorker}
 
 
 def _worker_main(conn, spec: dict) -> None:
@@ -810,8 +632,7 @@ def _worker_main(conn, spec: dict) -> None:
     (deserialize + handle + serialize) feeds the capacity model.
     """
     try:
-        worker_cls = _WORKER_STACKS[spec.pop("stack", "streams")]
-        worker = worker_cls(**spec)
+        worker = ShardWorker(**spec)
     except Exception:  # pragma: no cover - construction is deterministic
         try:
             conn.send_bytes(pickle.dumps(("err", traceback.format_exc())))
@@ -1137,13 +958,12 @@ class InFlightPlane:
         }
 
 
-class TransportShardedServer(DeferredDeliveryMixin):
+class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
     """Coordinator for coupled protocols over worker processes.
 
     Exposes the Server control plane (``probe``, ``probe_all``,
     ``deploy``, ``deploy_many``, ``broadcast``, ``state``, ``rank_view``,
-    ``stream_ids``, ``n_streams``, ``now``) so the scalar protocols run
-    unmodified.
+    ``stream_ids``, ``n_streams``, ``now``) so protocols run unmodified.
 
     Why the ledger is byte-identical to sequential sharded serving:
 
@@ -1179,6 +999,8 @@ class TransportShardedServer(DeferredDeliveryMixin):
       arrival order replaces the engine's insertion order).
     """
 
+    stack = SCALAR.stack
+
     def __init__(
         self,
         trace,
@@ -1192,9 +1014,10 @@ class TransportShardedServer(DeferredDeliveryMixin):
         from repro.runtime.session import DEFAULT_BATCH_SIZE, DEFAULT_MIN_CHUNK
 
         model = as_latency_model(latency)
+        self.vocabulary = vocabulary_of(self.stack)
         self.protocol = protocol
         self._now = 0.0
-        self._trace = trace
+        self.trace = trace
         self._latency_model = model
         self._replay_mode = replay_mode
         self._batch_size = int(batch_size or DEFAULT_BATCH_SIZE)
@@ -1210,11 +1033,12 @@ class TransportShardedServer(DeferredDeliveryMixin):
         for index, (lo, hi) in enumerate(self.ranges):
             self._shard_of[lo:hi] = index
         self.ledger = MessageLedger()
-        #: Buffered single deploys since the last flush or column chunk,
-        #: and the buffered ``(ids, lower, upper, belief, times)`` column
-        #: chunks before them — together, the deploys in call order.
-        self._deploy_buffer: list = []
-        self._deploy_chunks: list[tuple[np.ndarray, ...]] = []
+        #: Buffered single deploys since the last flush or column chunk
+        #: (constraint messages), and the batches before them — sealed
+        #: message lists and ``deploy_many`` column tuples — together,
+        #: the deploys in call order.
+        self._deploy_buffer: list[Message] = []
+        self._deploy_batches: list = []
         self._dirty: set[int] = set(range(len(self.ranges)))
         #: Whether the model can defer deliveries across epochs; drives
         #: the in-flight-plane stepping and the settle/drain end phase.
@@ -1236,24 +1060,14 @@ class TransportShardedServer(DeferredDeliveryMixin):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    #: Worker stack this coordinator launches (``_WORKER_STACKS`` key).
-    _worker_stack = "streams"
-
-    def _initial_payloads(self, lo: int, hi: int) -> np.ndarray:
-        """A shard's initial payloads (copied: the spec crosses a fork)."""
-        return np.asarray(
-            self._trace.initial_values[lo:hi], dtype=np.float64
-        ).copy()
-
-    def _record_payloads(self, keep: np.ndarray) -> np.ndarray:
-        """A shard's record payload column/matrix."""
-        return self._trace.values[keep]
-
     def launch(self) -> "TransportShardedServer":
         """Spawn one worker process per shard and open the bus."""
         if self.bus is not None:
             return self
-        trace = self._trace
+        trace = self.trace
+        vocabulary = self.vocabulary
+        initials = getattr(trace, vocabulary.initial_column)
+        payloads = getattr(trace, vocabulary.record_column)
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
@@ -1270,14 +1084,15 @@ class TransportShardedServer(DeferredDeliveryMixin):
             for index, (lo, hi) in enumerate(self.ranges):
                 keep = (trace.stream_ids >= lo) & (trace.stream_ids < hi)
                 spec = {
-                    "stack": self._worker_stack,
+                    "vocabulary": vocabulary,
                     "index": index,
-                    "initial_values": self._initial_payloads(lo, hi),
+                    # Copied: the spec crosses a fork.
+                    "initial_values": np.array(initials[lo:hi], np.float64),
                     "times": trace.times[keep],
                     "local_ids": (trace.stream_ids[keep] - lo).astype(
                         np.int64
                     ),
-                    "values": self._record_payloads(keep),
+                    "values": payloads[keep],
                     "gpos": np.nonzero(keep)[0].astype(np.int64),
                     "latency_model": self._latency_model,
                     "replay_mode": self._replay_mode,
@@ -1347,12 +1162,12 @@ class TransportShardedServer(DeferredDeliveryMixin):
     def state(self) -> StreamStateTable:
         """The coordinator's mirror table (value + protocol planes).
 
-        The workers own the *filter* plane (bounds + believed
-        membership written through by their sources); the coordinator
-        mirrors every write a sequential coordinator's table would see
-        from its own half — probe replies, update deliveries, deploy
-        records, protocol answer/tracked/silencer planes — which is
-        all the scalar protocols ever read.
+        The workers own the *filter* plane (bounds or quiescence boxes
+        + believed membership written through by their sources); the
+        coordinator mirrors every write a sequential coordinator's table
+        would see from its own half — probe replies, update deliveries,
+        deploy records, protocol answer/tracked/silencer planes — which
+        is all the protocols ever read.
         """
         return self._state
 
@@ -1405,7 +1220,7 @@ class TransportShardedServer(DeferredDeliveryMixin):
             uplinks = aux.get("uplinks")
             if uplinks is not None:
                 for delivery, lseq, lstream, send, value in (
-                    self._unpack_uplinks(uplinks)
+                    self.vocabulary.unpack_in_flight(uplinks)
                 ):
                     # Charged here — export time is send time, the same
                     # MAINTENANCE/INITIALIZATION slot the sequential
@@ -1444,10 +1259,6 @@ class TransportShardedServer(DeferredDeliveryMixin):
                     )
         return payload
 
-    def _unpack_uplinks(self, frame):
-        """Decode an uplink export frame (scalar payloads here)."""
-        return unpack_in_flight(frame)
-
     def _collect_one(self, index: int):
         ((_, reply),) = self._require_bus().collect([index])
         return self._absorb(index, reply)
@@ -1456,22 +1267,20 @@ class TransportShardedServer(DeferredDeliveryMixin):
         self._post(index, request)
         return self._collect_one(index)
 
-    def probe(self, stream_id: int) -> float:
+    def probe(self, stream_id: int):
         """Probe one source at its worker (2 messages, charged here)."""
         self._flush_deploys()
         index, view = self._view_for(stream_id)
         self.ledger.record_kind(MessageKind.PROBE_REQUEST)
-        value, time = self._rpc(
+        payload, time = self._rpc(
             index, ("probe", int(stream_id) - view.lo, self._now, self._clock)
         )
         self.ledger.record_kind(MessageKind.PROBE_REPLY)
-        view.record_report(int(stream_id) - view.lo, float(value), float(time))
+        view.record_report(int(stream_id) - view.lo, payload, time)
         self._dirty.add(index)
-        return float(value)
+        return payload
 
-    def probe_all(
-        self, stream_ids: list[int] | None = None
-    ) -> dict[int, float]:
+    def probe_all(self, stream_ids: list[int] | None = None) -> dict:
         """Probe several (default: all) sources; one RPC per worker run.
 
         The ledger charge (one request + one reply per stream) and the
@@ -1481,28 +1290,24 @@ class TransportShardedServer(DeferredDeliveryMixin):
         self._flush_deploys()
         targets = self.stream_ids if stream_ids is None else stream_ids
         ids = np.asarray(targets, dtype=np.int64)
-        results: dict[int, float] = {}
+        results: dict = {}
         for index, a, b in owner_runs(self._shard_of, ids):
             view = self.shard_views[index]
             rows = ids[a:b] - view.lo
             self.ledger.record_kind(MessageKind.PROBE_REQUEST, b - a)
-            values, times = self._rpc(
+            payloads, times = self._rpc(
                 index, ("probe_batch", rows, self._now, self._clock)
             )
             self.ledger.record_kind(MessageKind.PROBE_REPLY, b - a)
             self._dirty.add(index)
-            view.record_report_rows(rows, values, times)
-            results.update(zip(ids[a:b].tolist(), values.tolist()))
+            view.record_report_rows(rows, payloads, times)
+            results.update(
+                zip(ids[a:b].tolist(), self.vocabulary.payload_items(payloads))
+            )
         return results
 
-    def deploy(
-        self,
-        stream_id: int,
-        lower: float,
-        upper: float,
-        assumed_inside: bool | None = None,
-    ) -> None:
-        """Buffer a constraint; everything lands at the next flush.
+    def deploy(self, stream_id: int, *constraint, **belief) -> None:
+        """Buffer a constraint message; everything lands at the next flush.
 
         Deferral is invisible: the ledger charge moves within one phase
         (the flush points all precede the next phase flip, and the
@@ -1516,12 +1321,8 @@ class TransportShardedServer(DeferredDeliveryMixin):
         lets a 10k-stream bound broadcast cost one RPC per shard.
         """
         self._deploy_buffer.append(
-            (
-                int(stream_id),
-                float(lower),
-                float(upper),
-                BELIEF_NONE if assumed_inside is None else int(assumed_inside),
-                self._now,
+            self.vocabulary.constraint(
+                int(stream_id), self._now, *constraint, **belief
             )
         )
 
@@ -1531,9 +1332,11 @@ class TransportShardedServer(DeferredDeliveryMixin):
         """Buffer one constraint per stream id, in order, as columns (see
         :meth:`repro.server.server.Server.deploy_many`); the workers
         install each flushed run as one columnar operation."""
-        columns = constraint_columns(stream_ids, lower, upper, assumed_inside)
+        columns = self.vocabulary.constraint_columns(
+            stream_ids, lower, upper, assumed_inside
+        )
         self._seal_deploy_rows()
-        self._deploy_chunks.append(
+        self._deploy_batches.append(
             (*columns, np.full(len(columns[0]), self._now))
         )
 
@@ -1546,47 +1349,42 @@ class TransportShardedServer(DeferredDeliveryMixin):
         self.deploy_many(self.stream_ids, lower, upper, assumed_inside)
 
     def _seal_deploy_rows(self) -> None:
-        """Move the buffered single deploys into a column chunk."""
+        """Move the buffered single deploys into a batch of their own."""
         if self._deploy_buffer:
-            columns = zip(*self._deploy_buffer)
+            self._deploy_batches.append(self._deploy_buffer)
             self._deploy_buffer = []
-            self._deploy_chunks.append(
-                tuple(
-                    np.array(column, dtype=dtype)
-                    for column, dtype in zip(
-                        columns,
-                        (np.int64, np.float64, np.float64, np.int8, np.float64),
-                    )
-                )
-            )
+
+    def take_deploys(self) -> list:
+        """Hand over the buffered deploys (at least one), in call order:
+        each batch a list of constraint messages or a ``deploy_many``
+        tuple of ``(ids, lower, upper, belief, times)`` columns."""
+        self._seal_deploy_rows()
+        batches, self._deploy_batches = self._deploy_batches, []
+        return batches
 
     def _flush_deploys(self) -> None:
         """Transmit buffered constraints; queue their self-corrections.
 
-        Batches are consecutive same-worker runs of the buffer, so the
-        per-source install order is the sequential deploy order.  A
+        How the buffer is framed and mirrored is the vocabulary's
+        ``flush_deploys`` (interval columns or region frames); it ends
+        in :meth:`ship_deploys`.
+        """
+        if self._deploy_buffer or self._deploy_batches:
+            self.vocabulary.flush_deploys(self)
+
+    def ship_deploys(self, gids, assumed, times, wire) -> None:
+        """Charge and transmit one framed deploy flush.
+
+        Batches are consecutive same-worker runs ``[a, b)`` of the
+        flush, each one ``deploy_batch`` RPC carrying ``wire(a, b)``, so
+        the per-source install order is the sequential deploy order.  A
         stale-belief self-correction is charged as the update message
         the source sent (at the constraint's time — ``_now`` is
         constant within a step) and appended to the deferred-delivery
         FIFO, exactly where the sequential coordinator would queue the
         mid-step update; the caller's drain point dispatches it.
         """
-        self._seal_deploy_rows()
-        if not self._deploy_chunks:
-            return
-        chunks, self._deploy_chunks = self._deploy_chunks, []
-        gids, lowers, uppers, assumed, times = (
-            np.concatenate(column) for column in zip(*chunks)
-        )
         self.ledger.record_kind(MessageKind.CONSTRAINT, len(gids))
-        # Mirror the deploy records in one scatter (duplicates: numpy
-        # fancy assignment keeps the last write, which is exactly the
-        # in-order record_deploy outcome; shard views alias these
-        # columns, so per-view recording would write the same memory).
-        state = self._state
-        state.lower[gids] = lowers
-        state.upper[gids] = uppers
-        state.scannable[gids] = True
         for index, a, b in owner_runs(self._shard_of, gids):
             lo = self.ranges[index][0]
             corrections = self._rpc(
@@ -1594,26 +1392,19 @@ class TransportShardedServer(DeferredDeliveryMixin):
                 (
                     "deploy_batch",
                     gids[a:b] - lo,
-                    lowers[a:b],
-                    uppers[a:b],
+                    *wire(a, b),
                     assumed[a:b],
                     times[a:b],
                     self._clock,
                 ),
             )
             self._dirty.add(index)
-            for local_id, value, time in corrections:
+            for item in corrections:
                 self.ledger.record_kind(MessageKind.UPDATE)
-                time = float(time)
-                if time > self._now:
-                    self._now = time
-                self._pending.append(
-                    UpdateMessage(
-                        stream_id=int(local_id) + lo,
-                        time=time,
-                        value=float(value),
-                    )
-                )
+                message = self._uplink_message(lo, item)
+                if message.time > self._now:
+                    self._now = message.time
+                self._pending.append(message)
 
     # ------------------------------------------------------------------
     # Deferred delivery (the sequential re-entrancy discipline, plus
@@ -1636,18 +1427,17 @@ class TransportShardedServer(DeferredDeliveryMixin):
             self._busy = False
         self._flush_deploys()
 
-    def _receive_update(self, message: UpdateMessage) -> None:
+    def _receive_update(self, message: Message) -> None:
         if message.time > self._now:
             self._now = message.time
         self._deliver(message)
 
-    def _handle_delivery(self, message: UpdateMessage) -> None:
+    def _handle_delivery(self, message: Message) -> None:
         index, view = self._view_for(message.stream_id)
-        view.record_report(
-            message.stream_id - view.lo, message.value, message.time
-        )
+        payload = self.vocabulary.payload_of(message)
+        view.record_report(message.stream_id - view.lo, payload, message.time)
         self.protocol.on_update(
-            self, message.stream_id, message.value, message.time
+            self, message.stream_id, payload, message.time
         )
 
     # ------------------------------------------------------------------
@@ -1655,16 +1445,8 @@ class TransportShardedServer(DeferredDeliveryMixin):
     # ------------------------------------------------------------------
     def _uplink_message(self, lo: int, item) -> Message:
         """Reconstitute one captured worker uplink as a global message."""
-        local_id, value, time = item
-        return UpdateMessage(
-            stream_id=int(local_id) + lo,
-            time=float(time),
-            value=float(value),
-        )
-
-    def _trace_payloads(self) -> np.ndarray:
-        """The trace's record payload column (checking-run oracle feed)."""
-        return self._trace.values
+        local_id, payload, time = item
+        return self.vocabulary.update(int(local_id) + lo, float(time), payload)
 
     def replay(
         self,
@@ -1692,8 +1474,8 @@ class TransportShardedServer(DeferredDeliveryMixin):
         n_workers = len(self.ranges)
         candidates: dict[int, tuple[int | None, bool]] = {}
         checking = oracle_apply is not None or after_apply is not None
-        trace = self._trace
-        payloads = self._trace_payloads() if checking else None
+        trace = self.trace
+        payloads = getattr(trace, self.vocabulary.record_column)
         n_records = len(trace.times)
         cursor = 0
         plane = self._plane
@@ -1916,171 +1698,9 @@ class TransportShardedServer(DeferredDeliveryMixin):
 
 
 class SpatialTransportShardedServer(TransportShardedServer):
-    """Coordinator for coupled *spatial* protocols over worker processes.
+    """:class:`TransportShardedServer` bound to the spatial vocabulary
+    (DESIGN.md §13): probes move ``(m, d)`` coordinate frames, a deploy
+    flush packs each owner run's regions into one region frame, and
+    self-corrections return as point-batch frames."""
 
-    Exposes the :class:`~repro.server.sharded.ShardedSpatialServer`
-    control plane — ``probe`` returns a point, ``probe_all`` a point
-    dict, ``deploy`` takes a region and belief — over the same epoch
-    protocol and ledger-identity argument as the scalar transport.  The
-    wire vocabulary changes shape, not discipline:
-
-    * probes move ``(m, d)`` coordinate frames instead of value arrays;
-    * a deploy flush packs each owner run's regions into one
-      :class:`~repro.spatial.messages.RegionBatchFrame` (constraint-rect
-      columns with identity-deduped encoding) and scatters the mirror's
-      containers column *and geometric plane* in bulk
-      (:func:`~repro.state.sharding.scatter_region_deploys`), so the
-      coordinator's table shows everything a sequential sharded spatial
-      coordinator's would — while the workers' own write-through
-      installs the same boxes for their AABB pre-scans;
-    * self-corrections return as point-batch frames and join the
-      deferred-delivery FIFO as
-      :class:`~repro.spatial.messages.PointUpdateMessage`\\ s.
-
-    ``broadcast`` and ``deploy_many`` are deliberately absent: they are
-    scalar-interval operations no spatial protocol speaks.
-    """
-
-    _worker_stack = "spatial"
-
-    def __init__(self, trace, protocol, n_shards: int, **kwargs) -> None:
-        super().__init__(trace, protocol, n_shards, **kwargs)
-        self._dimension = int(trace.dimension)
-
-    # -- launch hooks ---------------------------------------------------
-    def _initial_payloads(self, lo: int, hi: int) -> np.ndarray:
-        return np.ascontiguousarray(
-            self._trace.initial_points[lo:hi], dtype=np.float64
-        )
-
-    def _record_payloads(self, keep: np.ndarray) -> np.ndarray:
-        return self._trace.points[keep]
-
-    def _trace_payloads(self) -> np.ndarray:
-        return self._trace.points
-
-    # -- control plane --------------------------------------------------
-    def probe(self, stream_id: int) -> np.ndarray:
-        """Probe one source at its worker (2 messages, charged here)."""
-        self._flush_deploys()
-        index, view = self._view_for(stream_id)
-        self.ledger.record_kind(MessageKind.PROBE_REQUEST)
-        point, time = self._rpc(
-            index, ("probe", int(stream_id) - view.lo, self._now, self._clock)
-        )
-        self.ledger.record_kind(MessageKind.PROBE_REPLY)
-        point = np.asarray(point, dtype=np.float64)
-        view.record_report(int(stream_id) - view.lo, point, float(time))
-        self._dirty.add(index)
-        return point
-
-    def probe_all(
-        self, stream_ids: list[int] | None = None
-    ) -> dict[int, np.ndarray]:
-        """Probe several (default: all) sources; one RPC per worker run."""
-        self._flush_deploys()
-        targets = self.stream_ids if stream_ids is None else stream_ids
-        ids = np.asarray(targets, dtype=np.int64)
-        results: dict[int, np.ndarray] = {}
-        for index, a, b in owner_runs(self._shard_of, ids):
-            view = self.shard_views[index]
-            rows = ids[a:b] - view.lo
-            self.ledger.record_kind(MessageKind.PROBE_REQUEST, b - a)
-            points, times = self._rpc(
-                index, ("probe_batch", rows, self._now, self._clock)
-            )
-            self.ledger.record_kind(MessageKind.PROBE_REPLY, b - a)
-            self._dirty.add(index)
-            scatter_point_reports(view, rows, points, times)
-            results.update(zip(ids[a:b].tolist(), points))
-        return results
-
-    def deploy(
-        self,
-        stream_id: int,
-        region,
-        assumed_inside: bool | None = None,
-    ) -> None:
-        """Buffer a region constraint; everything lands at the next flush."""
-        self._deploy_buffer.append(
-            (int(stream_id), region, assumed_inside, self._now)
-        )
-
-    def broadcast(self, *args, **kwargs) -> None:
-        raise TypeError(
-            "broadcast and deploy_many install scalar intervals; "
-            "spatial protocols deploy per-stream regions instead"
-        )
-
-    deploy_many = broadcast
-
-    def _flush_deploys(self) -> None:
-        """Transmit buffered regions; queue their self-corrections.
-
-        One :class:`RegionBatchFrame` per consecutive same-worker run of
-        the buffer, so the per-source install order is the sequential
-        deploy order; the coordinator mirror's containers column and
-        geometric plane are scattered in bulk before any RPC reply can
-        be observed.
-        """
-        if not self._deploy_buffer:
-            return
-        buffered, self._deploy_buffer = self._deploy_buffer, []
-        n = len(buffered)
-        self.ledger.record_kind(MessageKind.CONSTRAINT, n)
-        gids = np.fromiter((item[0] for item in buffered), np.int64, n)
-        regions = [item[1] for item in buffered]
-        assumed = np.fromiter(
-            (-1 if item[2] is None else int(item[2]) for item in buffered),
-            np.int8,
-            n,
-        )
-        times = np.fromiter((item[3] for item in buffered), np.float64, n)
-        scatter_region_deploys(self._state, gids, regions, self._dimension)
-        for index, a, b in owner_runs(self._shard_of, gids):
-            lo = self.ranges[index][0]
-            corrections = self._rpc(
-                index,
-                (
-                    "deploy_regions",
-                    gids[a:b] - lo,
-                    pack_regions(regions[a:b], self._dimension),
-                    assumed[a:b],
-                    times[a:b],
-                    self._clock,
-                ),
-            )
-            self._dirty.add(index)
-            for i in range(len(corrections)):
-                self.ledger.record_kind(MessageKind.UPDATE)
-                time = float(corrections.times[i])
-                if time > self._now:
-                    self._now = time
-                self._pending.append(
-                    PointUpdateMessage(
-                        stream_id=int(corrections.rows[i]) + lo,
-                        time=time,
-                        point=corrections.points[i].copy(),
-                    )
-                )
-
-    # -- delivery -------------------------------------------------------
-    def _unpack_uplinks(self, frame):
-        return unpack_point_in_flight(frame)
-
-    def _uplink_message(self, lo: int, item) -> Message:
-        local_id, point, time = item
-        return PointUpdateMessage(
-            stream_id=int(local_id) + lo,
-            time=float(time),
-            point=np.asarray(point, dtype=np.float64),
-        )
-
-    def _handle_delivery(self, message) -> None:
-        index, view = self._view_for(message.stream_id)
-        view.record_report(
-            message.stream_id - view.lo, message.point, message.time
-        )
-        self.protocol.on_update(
-            self, message.stream_id, message.point, message.time
-        )
+    stack = "spatial"

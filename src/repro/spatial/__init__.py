@@ -16,11 +16,13 @@ This subpackage provides that extension end to end:
   moving-object workloads;
 * :mod:`repro.spatial.protocols` — spatial counterparts of ZT-NRP,
   FT-NRP, RTP, ZT-RP and FT-RP;
-* :mod:`repro.spatial.runner` — the execution mechanism,
-  :func:`~repro.spatial.runner.execute_spatial`, which the
-  :class:`repro.api.Engine` compiles ``-2d`` specs onto (the deprecated
+* :mod:`repro.spatial.vocabulary` — the spatial payload vocabulary
+  (DESIGN.md §13): what the shared servers, session assembler and
+  engine executor read to host ``-2d`` specs, bound by name through
+  :class:`~repro.spatial.server.SpatialServer` and the ``Spatial*``
+  coordinators in ``repro.server`` (the deprecated
   :func:`~repro.spatial.runner.run_spatial_protocol` shim delegates to
-  it).
+  the engine).
 
 The 1-D implementation in the parent package follows the paper line by
 line; this package re-derives the same logic over regions so the 1-D
@@ -44,8 +46,10 @@ from repro.spatial.protocols import (
     SpatialZeroKnnProtocol,
     SpatialZeroRangeProtocol,
 )
-from repro.spatial.runner import execute_spatial, run_spatial_protocol
+from repro.spatial.runner import run_spatial_protocol
+from repro.spatial.server import SpatialServer
 from repro.spatial.trace import SpatialTrace
+from repro.spatial.vocabulary import SPATIAL
 from repro.spatial.workloads import (
     MovingObjectsConfig,
     generate_moving_objects_trace,
@@ -58,17 +62,18 @@ __all__ = [
     "EMPTY_REGION",
     "MovingObjectsConfig",
     "Region",
+    "SPATIAL",
     "SpatialFractionKnnProtocol",
     "SpatialFractionRangeProtocol",
     "SpatialKnnQuery",
     "SpatialNoFilterProtocol",
     "SpatialRangeQuery",
     "SpatialRankToleranceProtocol",
+    "SpatialServer",
     "SpatialTrace",
     "SpatialZeroKnnProtocol",
     "SpatialZeroRangeProtocol",
     "UnionRegion",
-    "execute_spatial",
     "generate_moving_objects_trace",
     "run_spatial_protocol",
 ]

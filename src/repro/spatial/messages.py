@@ -121,6 +121,11 @@ class PointBatchFrame:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def __iter__(self):
+        """``(row, point, time)`` per entry — the shape of a captured
+        uplink, so a frame reads like the scalar stack's tuple list."""
+        return zip(self.rows.tolist(), self.points, self.times.tolist())
+
 
 def pack_points(rows, points, times, dimension: int) -> PointBatchFrame:
     """Frame a point batch as contiguous little-endian columns.
@@ -281,15 +286,20 @@ class PointInFlightFrame:
         return len(self.seqs)
 
 
-def pack_point_in_flight(entries, dimension: int) -> PointInFlightFrame:
+def pack_point_in_flight(
+    entries, dimension: int | None = None
+) -> PointInFlightFrame:
     """Frame extracted uplink entries ``[(delivery, seq, message)]``.
 
     Messages carry point payloads (:class:`PointUpdateMessage`);
     entries are framed in the order given, which the channel guarantees
-    is ``(delivery, seq)`` heap order.
+    is ``(delivery, seq)`` heap order.  *dimension* defaults to that of
+    the first entry's point (an empty batch must declare it).
     """
     seqs = _le_column([seq for _, seq, _ in entries], _POINT_I8)
     m = len(seqs)
+    if dimension is None:
+        dimension = len(entries[0][2].point)
     return PointInFlightFrame(
         delivery=_le_column(
             [time for time, _, _ in entries], _POINT_F8, shape=(m,)

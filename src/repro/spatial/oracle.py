@@ -21,6 +21,14 @@ class SpatialOracle:
         view.flags.writeable = False
         return view
 
+    def register_query(
+        self, query: SpatialRangeQuery | SpatialKnnQuery
+    ) -> None:
+        """Validate *query* before the first check instead of at it
+        (truth is computed on demand; nothing is tracked per query)."""
+        if not callable(getattr(query, "true_answer", None)):
+            raise TypeError(f"unsupported query type {type(query)!r}")
+
     def apply(self, stream_id: int, point: np.ndarray) -> None:
         self._points[stream_id] = point
 

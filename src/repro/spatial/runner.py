@@ -1,65 +1,24 @@
-"""The spatial run loop: trace in, message counts and a check report out.
+"""Deprecated entry point: the spatial run loop moved to ``repro.api``.
 
-Assembly and replay are the runtime kernel's
-:class:`~repro.runtime.session.ExecutionSession`; this module only keeps
-the spatial-specific correctness evaluation.  :func:`execute_spatial` is
-the mechanism the :class:`repro.api.Engine` compiles spatial specs onto;
-the old :func:`run_spatial_protocol` name survives as a deprecation
-shim returning identical results.
+``run_spatial_protocol`` predates the declarative facade; spatial runs
+are now the engine's one hosted executor on the spatial vocabulary
+(:func:`repro.api.engine._execute_hosted`, DESIGN.md §13).  The shim
+keeps the signature and returns the same
+:class:`~repro.harness.results.RunResult` the scalar shim does — only a
+:class:`DeprecationWarning` is new.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
-from repro.correctness.checker import ToleranceChecker
-from repro.correctness.staleness import StalenessWindow, tag_reason
 from repro.harness.config import RunConfig
-from repro.network.accounting import LedgerSnapshot
-from repro.runtime.session import ExecutionSession
-from repro.spatial.oracle import SpatialOracle
+from repro.harness.results import RunResult
 from repro.spatial.protocols import SpatialProtocol
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
 from repro.spatial.trace import SpatialTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
-
-
-class SpatialToleranceViolationError(AssertionError):
-    """Raised in strict mode when a spatial protocol breaks tolerance."""
-
-
-@dataclass
-class SpatialRunResult:
-    """Outcome of one spatial protocol over one trace.
-
-    Under a latency-modeled deployment with checking, ``classified`` is
-    set and every violation is split inherent-latency vs protocol-bug
-    exactly as the scalar checker does (DESIGN.md §8.3).
-    """
-
-    protocol: str
-    ledger: LedgerSnapshot
-    n_streams: int
-    n_records: int
-    final_answer: frozenset[int]
-    checks: int = 0
-    violations: list[str] = field(default_factory=list)
-    classified: bool = False
-    violations_inherent_latency: int = 0
-    violations_protocol_bug: int = 0
-    #: The session's replay diagnostics (kernel chosen, dispatch and
-    #: bailout counters) — see ``ExecutionSession.last_replay_stats``.
-    replay_stats: dict | None = None
-
-    @property
-    def maintenance_messages(self) -> int:
-        return self.ledger.maintenance_total
-
-    @property
-    def tolerance_ok(self) -> bool:
-        return not self.violations
 
 
 def run_spatial_protocol(
@@ -68,7 +27,7 @@ def run_spatial_protocol(
     query: SpatialRangeQuery | SpatialKnnQuery | None = None,
     tolerance: RankTolerance | FractionTolerance | None = None,
     config: RunConfig | None = None,
-) -> SpatialRunResult:
+) -> RunResult:
     """Deprecated: use :class:`repro.api.Engine` with a ``-2d`` spec."""
     warnings.warn(
         "repro.spatial.runner.run_spatial_protocol is deprecated; use "
@@ -77,134 +36,15 @@ def run_spatial_protocol(
         DeprecationWarning,
         stacklevel=2,
     )
-    return execute_spatial(
-        trace, protocol, query=query, tolerance=tolerance, config=config
-    )
+    from repro.api.engine import _execute_spatial
+    from repro.api.spec import Deployment
 
-
-def execute_spatial(
-    trace: SpatialTrace,
-    protocol: SpatialProtocol,
-    query: SpatialRangeQuery | SpatialKnnQuery | None = None,
-    tolerance: RankTolerance | FractionTolerance | None = None,
-    config: RunConfig | None = None,
-    n_shards: int = 1,
-    latency=None,
-) -> SpatialRunResult:
-    """Replay *trace* against a spatial *protocol*; spatial mirror of
-    the engine's scalar streams executor.
-
-    ``n_shards > 1`` assembles the sharded spatial topology
-    (:meth:`ExecutionSession.for_spatial_sharded`) — per-shard channels
-    and servers behind a merging coordinator, ledger byte-identical to
-    the single-server assembly.  ``latency`` selects the channel
-    delivery discipline exactly as :class:`repro.api.Deployment` does.
-    """
     config = config or RunConfig()
-    if int(n_shards) > 1:
-        session = ExecutionSession.for_spatial_sharded(
-            trace, protocol, int(n_shards), latency=latency
-        )
-    else:
-        session = ExecutionSession.for_spatial(trace, protocol, latency=latency)
-
-    oracle: SpatialOracle | None = None
-    staleness: StalenessWindow | None = None
-    if config.check_every > 0:
-        if query is None:
-            query = getattr(protocol, "query", None)
-        if query is None:
-            raise ValueError("checking requires a query")
-        oracle = SpatialOracle(trace.initial_points)
-        if latency is not None:
-            staleness = StalenessWindow(session.latency_channels)
-
-    session.initialize(time=0.0)
-
-    result = SpatialRunResult(
-        protocol=protocol.name,
-        ledger=session.snapshot(),  # replaced at the end
-        n_streams=trace.n_streams,
-        n_records=trace.n_records,
-        final_answer=frozenset(),
-        classified=staleness is not None,
-    )
-
-    checker: ToleranceChecker | None = None
-    oracle_apply = None
-    after_apply = None
-    if oracle is not None:
-        # The shared checker with the spatial evaluation plugged in;
-        # check_offset keeps this runner's historical sampling phase
-        # (ticks every, 2*every, ... rather than the scalar engine's
-        # 1, 1+every, ...).
-        bound_oracle, bound_query = oracle, query
-        checker = ToleranceChecker(
-            oracle=None,
-            query=None,
-            tolerance=tolerance,
-            answer_of=None,
-            every=config.check_every,
-            strict=config.strict,
-            staleness=staleness,
-            evaluate=lambda: _evaluate(
-                protocol, bound_oracle, bound_query, tolerance
-            ),
-            error_cls=SpatialToleranceViolationError,
-            check_offset=config.check_every - 1,
-        )
-        checker.check_now(0.0)
-        oracle_apply = oracle.apply
-        after_apply = checker.check
-
-    session.replay_trace(
+    return _execute_spatial(
         trace,
-        oracle_apply=oracle_apply,
-        after_apply=after_apply,
-        mode=config.replay_mode,
-        batch_size=config.batch_size,
-        min_chunk=config.min_chunk,
+        protocol,
+        query=query,
+        tolerance=tolerance,
+        deployment=Deployment.from_run_config(config),
+        label=config.label,
     )
-
-    if checker is not None:
-        report = checker.report
-        result.checks = report.checks
-        result.violations = [
-            f"t={v.time}: {tag_reason(v.reason, v.classification)}"
-            for v in report.violations
-        ]
-        result.violations_inherent_latency = report.inherent_count
-        result.violations_protocol_bug = report.protocol_bug_count
-    if session.last_replay_stats is not None:
-        result.replay_stats = dict(session.last_replay_stats)
-    result.ledger = session.snapshot()
-    result.final_answer = protocol.answer
-    return result
-
-
-def _evaluate(
-    protocol: SpatialProtocol,
-    oracle: SpatialOracle,
-    query: SpatialRangeQuery | SpatialKnnQuery,
-    tolerance: RankTolerance | FractionTolerance | None,
-) -> str | None:
-    answer = set(protocol.answer)
-    if isinstance(tolerance, RankTolerance):
-        assert isinstance(query, SpatialKnnQuery)
-        if len(answer) != tolerance.k:
-            return f"|A| = {len(answer)}, expected exactly k = {tolerance.k}"
-        order = query.ranked_ids(oracle.points)
-        admissible = set(int(i) for i in order[: tolerance.eps])
-        stragglers = answer - admissible
-        if stragglers:
-            return f"stream {min(stragglers)} ranks worse than {tolerance.eps}"
-        return None
-    true_set = oracle.true_answer(query)
-    if isinstance(tolerance, FractionTolerance):
-        return tolerance.violation(answer, true_set)
-    if answer != true_set:
-        return (
-            f"exact answer required: {len(answer - true_set)} spurious, "
-            f"{len(true_set - answer)} missing"
-        )
-    return None

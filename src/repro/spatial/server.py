@@ -1,156 +1,13 @@
-"""The spatial server: region deployments and point probes.
-
-Mirrors :class:`repro.server.server.Server` with vector payloads; the
-same deferred-update discipline — inherited from the runtime kernel's
-:class:`repro.runtime.dispatch.DeferredDeliveryMixin` — guarantees
-protocol handlers are never re-entered by self-correction reports.
-
-This control plane (``probe``, ``probe_all``, ``deploy``) is what the
-sharded and process-parallel spatial coordinators reproduce:
-:class:`repro.server.sharded.ShardedSpatialServer` in-process, and
-:class:`repro.server.transport.SpatialTransportShardedServer` across
-worker processes, where the same vocabulary travels as columnar
-point/region frames (:mod:`repro.spatial.messages`).
-"""
+"""The spatial server: region deployments and point probes."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-from repro.network.channel import Channel
-from repro.network.messages import Message, MessageKind
-from repro.runtime.dispatch import DeferredDeliveryMixin
-from repro.spatial.geometry import Region
-from repro.spatial.messages import (
-    PointProbeReplyMessage,
-    PointProbeRequestMessage,
-    PointUpdateMessage,
-    RegionConstraintMessage,
-)
-from repro.state.table import StreamStateTable
-
-if TYPE_CHECKING:
-    from repro.spatial.protocols import SpatialProtocol
+from repro.server.server import Server
 
 
-class SpatialServer(DeferredDeliveryMixin):
-    """Central processor for vector-valued streams."""
+class SpatialServer(Server):
+    """:class:`~repro.server.server.Server` bound to the spatial
+    vocabulary (DESIGN.md §13): ``probe`` returns a point,
+    ``deploy(stream_id, region)`` installs a region."""
 
-    def __init__(self, channel: Channel, protocol: "SpatialProtocol") -> None:
-        self.channel = channel
-        self.protocol = protocol
-        self._now = 0.0
-        self._state: StreamStateTable | None = None
-        self._probe_reply: PointProbeReplyMessage | None = None
-        self._awaiting_probe = False
-        self._init_delivery()
-        channel.bind_server(self._handle_message)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def stream_ids(self) -> list[int]:
-        return self.channel.source_ids
-
-    @property
-    def n_streams(self) -> int:
-        return len(self.channel.source_ids)
-
-    @property
-    def state(self) -> StreamStateTable:
-        """The columnar stream-state table (vector payloads).
-
-        Mirrors :attr:`repro.server.server.Server.state`: probe replies
-        and update deliveries refresh the point column; deployed regions
-        land in the object container column, and their axis-aligned
-        quiescence boxes land in the *geometric plane* — written through
-        by the sources' bound :class:`~repro.runtime.membership.
-        RegionMembership` at install time — so the batched replay
-        pre-scan decides quiescence columnar-side with one vectorized
-        AABB test (see :meth:`StreamStateTable.geometric_quiescence_mask`).
-        """
-        if self._state is None:
-            self._state = StreamStateTable(len(self.channel.source_ids))
-        return self._state
-
-    def rank_view(self, distance_array):
-        """An incremental rank order over :attr:`state` (see
-        :meth:`repro.server.server.Server.rank_view`)."""
-        from repro.state.rank import RankView
-
-        return RankView(self.state, distance_array)
-
-    def initialize(self, time: float = 0.0) -> None:
-        self._now = time
-        self._guarded_call(self.protocol.initialize, self)
-
-    # ------------------------------------------------------------------
-    # Control plane
-    # ------------------------------------------------------------------
-    def probe(self, stream_id: int) -> np.ndarray:
-        """Fetch one source's current point (2 messages)."""
-        self._awaiting_probe = True
-        self._probe_reply = None
-        self.channel.send_to_source(
-            PointProbeRequestMessage(stream_id=stream_id, time=self._now)
-        )
-        self._awaiting_probe = False
-        if self._probe_reply is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"source {stream_id} did not reply")
-        reply = self._probe_reply
-        self.state.record_report(reply.stream_id, reply.point, reply.time)
-        return reply.point
-
-    def probe_all(
-        self, stream_ids: list[int] | None = None
-    ) -> dict[int, np.ndarray]:
-        targets = self.channel.source_ids if stream_ids is None else stream_ids
-        return {stream_id: self.probe(stream_id) for stream_id in targets}
-
-    def deploy(
-        self,
-        stream_id: int,
-        region: Region,
-        assumed_inside: bool | None = None,
-    ) -> None:
-        """Install *region* at one source (one message)."""
-        self.state.record_container_deploy(stream_id, region)
-        self.channel.send_to_source(
-            RegionConstraintMessage(
-                stream_id=stream_id,
-                time=self._now,
-                region=region,
-                assumed_inside=assumed_inside,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _handle_message(self, message: Message) -> None:
-        if message.kind is MessageKind.PROBE_REPLY:
-            if not self._awaiting_probe:  # pragma: no cover - defensive
-                raise RuntimeError("unsolicited probe reply")
-            assert isinstance(message, PointProbeReplyMessage)
-            self._probe_reply = message
-            return
-        if message.kind is MessageKind.UPDATE:
-            assert isinstance(message, PointUpdateMessage)
-            self._now = max(self._now, message.time)
-            self._deliver(message)
-            return
-        raise RuntimeError(  # pragma: no cover - defensive
-            f"server received unexpected {message.kind}"
-        )
-
-    def _handle_delivery(self, message: PointUpdateMessage) -> None:
-        self.state.record_report(
-            message.stream_id, message.point, message.time
-        )
-        self.protocol.on_update(
-            self, message.stream_id, message.point, message.time
-        )
+    stack = "spatial"

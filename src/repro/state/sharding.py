@@ -219,36 +219,6 @@ class StateShardView(StreamStateTable):
         )
 
 
-def scatter_point_reports(
-    table: StreamStateTable,
-    rows: np.ndarray,
-    points: np.ndarray,
-    times: np.ndarray,
-) -> None:
-    """Vectorized :meth:`StreamStateTable.record_report` over a point
-    batch — one fancy-indexed scatter per plane instead of a per-stream
-    loop.
-
-    The shard-transport coordinator mirrors every worker probe batch
-    into its global table through this (DESIGN.md §10); rank listeners
-    are invalidated wholesale, which a batch of fresh reports dirties
-    anyway.  *rows* may be local (through a :class:`StateShardView`) or
-    global (through the parent) — the planes alias either way.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) == 0:
-        return
-    points = np.asarray(points, dtype=np.float64)
-    plane = table._ensure_points(points.shape[1])
-    plane[rows] = points
-    table.report_time[rows] = times
-    if table._known_count != table.n_streams:
-        table.known[rows] = True
-        table._known_count = int(np.count_nonzero(table.known))
-    for listener in table._listeners:
-        listener.invalidate()
-
-
 def scatter_region_deploys(
     table: StreamStateTable,
     rows: np.ndarray,

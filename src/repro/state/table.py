@@ -245,12 +245,16 @@ class StreamStateTable:
         for listener in self._listeners:
             listener.invalidate()
 
-    def record_report_rows(self, rows: np.ndarray, values, time) -> None:
-        """Vectorized :meth:`record_report` over distinct scalar *rows*
-        (a bulk probe's replies).  Rank views are invalidated wholesale:
-        that moves only their next recompute's cost, never its result.
+    def record_report_rows(self, rows: np.ndarray, payloads, time) -> None:
+        """Vectorized :meth:`record_report` over distinct *rows* (a bulk
+        probe's replies): a value column, or an ``(m, d)`` point matrix.
+        Rank views are invalidated wholesale: that moves only their next
+        recompute's cost, never its result.
         """
-        self.values[rows] = values
+        if np.ndim(payloads) == 2:
+            self._ensure_points(np.shape(payloads)[1])[rows] = payloads
+        else:
+            self.values[rows] = payloads
         self.report_time[rows] = time
         fresh = int(np.count_nonzero(~self.known[rows]))
         if fresh:

@@ -64,7 +64,10 @@ def deploy_each(host, ids, lower, upper, belief) -> None:
         ids.tolist(), lower.tolist(), upper.tolist(), belief.tolist()
     ):
         host.deploy(
-            stream_id, low, high, None if code == BELIEF_NONE else bool(code)
+            stream_id,
+            low,
+            high,
+            assumed_inside=None if code == BELIEF_NONE else bool(code),
         )
 
 

@@ -167,10 +167,11 @@ def test_spatial_checking_requires_a_query():
     trace = WORKLOAD.materialize()
     protocol = spec.build()
     protocol.query = None
-    from repro.api.engine import _execute_spatial_transport
+    from repro.api.engine import _execute_hosted
 
     with pytest.raises(ValueError, match="checking requires a query"):
-        _execute_spatial_transport(
+        _execute_hosted(
+            "spatial",
             trace,
             protocol,
             None,
