@@ -37,7 +37,6 @@ from __future__ import annotations
 import copy
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from typing import Mapping
 
 from repro.api.report import RunReport
@@ -79,6 +78,16 @@ def _collect_extras(protocol) -> dict:
         if isinstance(value, (int, float)):
             extras[attr] = value
     return extras
+
+
+def _with_truncation_note(
+    lines: tuple[str, ...], violation_count: int
+) -> tuple[str, ...]:
+    """*lines* plus, when the checker retained fewer records than it
+    counted, the ``... and N more`` line."""
+    if violation_count > len(lines):
+        lines += (f"... and {violation_count - len(lines)} more",)
+    return lines
 
 
 # ----------------------------------------------------------------------
@@ -176,14 +185,11 @@ def _execute_hosted(
             raise ValueError("checking requires a query")
         oracle = vocabulary.oracle(getattr(trace, vocabulary.initial_column))
         oracle.register_query(query)
-        evaluate = vocabulary.evaluate
-        if evaluate is not None:
-            evaluate = partial(evaluate, protocol, oracle, query, tolerance)
         checker = ToleranceChecker(
             oracle=oracle,
             query=query,
             tolerance=tolerance,
-            answer_of=lambda: protocol.answer,
+            answer_of=lambda: protocol.answer_mask,
             every=deployment.check_every,
             strict=deployment.strict,
             # Latency-modeled run: classify each violation as inherent
@@ -193,7 +199,6 @@ def _execute_hosted(
                 if deployment.latency is not None
                 else None
             ),
-            evaluate=evaluate,
             error_cls=vocabulary.violation_error,
             check_offset=vocabulary.check_offset % deployment.check_every,
         )
@@ -577,7 +582,9 @@ class Engine:
             wall_seconds=_time.perf_counter() - started,
             final_answer=frozenset(),
             checks=result.checks,
-            violations=tuple(result.violations),
+            violations=_with_truncation_note(
+                tuple(result.violations), result.violation_count
+            ),
             label=label,
             extras={
                 "shared_updates": result.shared_updates,
@@ -634,15 +641,14 @@ class Engine:
         extras = dict(result.extras)
         if checker is not None:
             checks = checker.checks
-            violations = tuple(
-                f"t={violation.time}: "
-                + tag_reason(violation.reason, violation.classification)
-                for violation in checker.violations
+            violations = _with_truncation_note(
+                tuple(
+                    f"t={violation.time}: "
+                    + tag_reason(violation.reason, violation.classification)
+                    for violation in checker.violations
+                ),
+                checker.violation_count,
             )
-            if checker.violation_count > len(checker.violations):
-                violations += (
-                    f"... and {checker.violation_count - len(checker.violations)} more",
-                )
             if checker.classified:
                 # Staleness-window mode: surface the violation split.
                 extras["violations_inherent_latency"] = checker.inherent_count

@@ -21,12 +21,19 @@ truth legitimately diverge) or ``protocol-bug`` (the network was quiet,
 the state is indistinguishable from a zero-latency quiescent instant, and
 the protocol's own guarantee should have held).  See
 ``repro.correctness.staleness`` for why the split is network-level.
+
+Truth and answer are compared as **columns** (DESIGN.md §14): the
+oracle's boolean truth column against the protocol's boolean answer
+column, by :func:`violation_reason` — the one evaluator every stack
+(scalar, spatial, multi-query) is checked by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
+
+import numpy as np
 
 from repro.correctness.oracle import Oracle
 from repro.correctness.staleness import (
@@ -35,8 +42,9 @@ from repro.correctness.staleness import (
     StalenessWindow,
     strict_should_raise,
 )
-from repro.queries.base import EntityQuery, RankBasedQuery
-from repro.tolerance.fraction_tolerance import FractionTolerance
+from repro.queries.rank import top_mask
+from repro.state.table import membership_mask
+from repro.tolerance.fraction_tolerance import FractionReport, FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 
 
@@ -89,6 +97,47 @@ class CheckerReport:
         return self.violation_count / self.checks
 
 
+def violation_reason(
+    answer: np.ndarray,
+    oracle: Oracle,
+    query,
+    tolerance: RankTolerance | FractionTolerance | None,
+) -> str | None:
+    """Why the boolean *answer* column breaks *tolerance* now, if it does.
+
+    Definition 1 for a :class:`RankTolerance` (``|A| = k`` and no member
+    outside the true top ``k + r``, the lowest straggler id named),
+    Definitions 2-3 for a :class:`FractionTolerance`, exact match for
+    ``None`` — each from ``count_nonzero`` reductions over *answer* and
+    the oracle's truth column, for scalar and point payloads alike.
+    The reason strings are those of the set-based
+    ``RankTolerance.violation`` / ``FractionTolerance.violation``.
+    """
+    answer_size = int(np.count_nonzero(answer))
+    if isinstance(tolerance, RankTolerance):
+        reason = tolerance.size_violation(answer_size)
+        if reason is not None:
+            return reason
+        admissible = top_mask(
+            query.distance_array(oracle.values), tolerance.eps
+        )
+        stragglers = answer & ~admissible
+        if stragglers.any():
+            return tolerance.straggler_violation(int(stragglers.argmax()))
+        return None
+    truth = oracle.truth_mask(query)
+    true_size = int(np.count_nonzero(truth))
+    hits = int(np.count_nonzero(answer & truth))
+    e_plus, e_minus = answer_size - hits, true_size - hits
+    if isinstance(tolerance, FractionTolerance):
+        return tolerance.report_violation(
+            FractionReport(answer_size, true_size, e_plus, e_minus)
+        )
+    if e_plus or e_minus:
+        return f"exact answer required: {e_plus} spurious, {e_minus} missing"
+    return None
+
+
 class ToleranceChecker:
     """Validates a protocol's answer set against ground truth.
 
@@ -102,10 +151,16 @@ class ToleranceChecker:
         Either a :class:`RankTolerance` or a :class:`FractionTolerance`;
         ``None`` demands the exact answer (zero tolerance).
     answer_of:
-        Callable returning the protocol's current answer set.
+        Callable returning the protocol's current answer: its boolean
+        answer column (``FilterProtocol.answer_mask`` — what the engine
+        passes), or any iterable of stream ids, which is scattered into
+        a column first.  Either way :func:`violation_reason` judges it.
     every:
-        Check every *every*-th invocation (1 = every event); lets large
-        benchmark runs sample instead of paying O(n) per event.
+        Check every *every*-th invocation (1 = every event).  One check
+        is a handful of O(n) boolean reductions (plus one O(n)
+        partition for a rank tolerance) — no sort, no Python set — so
+        checking every event is affordable well past n = 1000;
+        sampling is for populations where even that dominates.
     strict:
         Raise :class:`ToleranceViolationError` on the first breach instead
         of accumulating it — the mode unit tests use.  In
@@ -120,12 +175,11 @@ class ToleranceChecker:
         the only sound choice under the synchronous channel) records
         violations unclassified.
     evaluate:
-        Override of the built-in scalar evaluation: a callable returning
-        a violation reason string or ``None``.  The spatial stack plugs
-        its geometric evaluation in here, so classification, sampling,
-        truncation, and strict handling live in one place.  With an
-        override, ``oracle``/``query``/``tolerance``/``answer_of`` are
-        unused and may be ``None``.
+        Test seam: a callable returning a violation reason string or
+        ``None``, run in place of :func:`violation_reason` (the
+        differential suite plugs the set-based reference in here).
+        With an override, ``oracle``/``query``/``tolerance``/
+        ``answer_of`` are unused and may be ``None``.
     error_cls:
         The exception type strict mode raises — stacks keep their own
         (e.g. ``SpatialToleranceViolationError``).
@@ -142,9 +196,9 @@ class ToleranceChecker:
     def __init__(
         self,
         oracle: Oracle | None,
-        query: EntityQuery | None,
+        query,
         tolerance: RankTolerance | FractionTolerance | None,
-        answer_of: Callable[[], Iterable[int]] | None,
+        answer_of: Callable[[], np.ndarray | Iterable[int]] | None,
         every: int = 1,
         strict: bool = False,
         max_violations: int = 100,
@@ -163,8 +217,8 @@ class ToleranceChecker:
                     "oracle, query and answer_of are required without an "
                     "evaluate override"
                 )
-            if isinstance(tolerance, RankTolerance) and not isinstance(
-                query, RankBasedQuery
+            if isinstance(tolerance, RankTolerance) and not getattr(
+                query, "is_rank_based", False
             ):
                 raise TypeError("rank tolerance requires a rank-based query")
         self.oracle = oracle
@@ -215,21 +269,9 @@ class ToleranceChecker:
 
     def _evaluate(self) -> str | None:
         assert self.answer_of is not None and self.oracle is not None
-        answer = set(int(i) for i in self.answer_of())
-        if isinstance(self.tolerance, RankTolerance):
-            assert isinstance(self.query, RankBasedQuery)
-            return self.tolerance.violation(
-                answer, self.query, self.oracle.values
-            )
-        true_set = self.oracle.true_answer(self.query)
-        if isinstance(self.tolerance, FractionTolerance):
-            return self.tolerance.violation(answer, true_set)
-        # Zero tolerance: answers must match exactly.
-        if answer != true_set:
-            extra = answer - true_set
-            missing = true_set - answer
-            return (
-                f"exact answer required: {len(extra)} spurious, "
-                f"{len(missing)} missing"
-            )
-        return None
+        answer = self.answer_of()
+        if not (isinstance(answer, np.ndarray) and answer.dtype == bool):
+            answer = membership_mask(answer, self.oracle.n_streams)
+        return violation_reason(
+            answer, self.oracle, self.query, self.tolerance
+        )

@@ -1,36 +1,47 @@
 """The ground-truth oracle.
 
-Holds the true current value of every stream, updated as the harness
-applies trace records, and answers "what is the exact answer set right
-now?" for any entity-based query.  Range-query truth is maintained
-incrementally (O(1) per update); rank-based truth is computed on demand
-(O(n) argpartition), which the checker amortizes via sampling when runs
-are large.
+Holds the true current payload of every stream — a scalar, or a point
+for the spatial stack — updated as the harness applies trace records,
+and answers "what is the exact answer set right now?" for any
+entity-based query, as a boolean **truth column** over stream ids
+(DESIGN.md §14).  A registered membership query's column is maintained
+incrementally (one scalar write per update); rank truth — for the
+oracle and the checker alike — is an O(n) partition on demand.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.queries.base import EntityQuery, NonRankBasedQuery, RankBasedQuery
-from repro.queries.range_query import RangeQuery
+from repro.queries.rank import top_mask
+
+
+def _is_rank_based(query) -> bool:
+    kind = getattr(query, "is_rank_based", None)
+    if not isinstance(kind, bool):
+        raise TypeError(f"unsupported query type {type(query)!r}")
+    return kind
 
 
 class Oracle:
     """Ground-truth view of all stream values."""
 
+    #: Dimensionality of the payload array: ``(n,)`` scalars.
+    payload_ndim = 1
+
     def __init__(self, initial_values: np.ndarray) -> None:
         self._values = np.asarray(initial_values, dtype=np.float64).copy()
-        if self._values.ndim != 1:
-            raise ValueError("initial_values must be one-dimensional")
-        # Incrementally maintained membership sets, one per registered
-        # range query (identified by object id).
-        self._range_queries: dict[int, RangeQuery] = {}
-        self._range_members: dict[int, set[int]] = {}
-        # Other registered queries (rank-based and non-rank-based): their
-        # truth is computed on demand, but registering them up front
-        # validates support before the first check instead of at it.
-        self._on_demand_queries: dict[int, EntityQuery] = {}
+        if self._values.ndim != self.payload_ndim:
+            raise ValueError(
+                f"initial payloads must be {self.payload_ndim}-dimensional"
+            )
+        # Keyed by the query *value*: equal frozen queries share one
+        # entry, and the key keeps an identity-hashed query alive, so a
+        # recycled ``id`` can never alias a dead one.  A membership
+        # query maps to its truth column, a rank query to ``None``
+        # (registered up front only to validate support before the
+        # first check instead of at it).
+        self._registered: dict[object, np.ndarray | None] = {}
 
     @property
     def n_streams(self) -> int:
@@ -38,7 +49,7 @@ class Oracle:
 
     @property
     def values(self) -> np.ndarray:
-        """Read-only view of the true value vector."""
+        """Read-only view of the true payload array."""
         view = self._values.view()
         view.flags.writeable = False
         return view
@@ -46,56 +57,50 @@ class Oracle:
     def value_of(self, stream_id: int) -> float:
         return float(self._values[stream_id])
 
-    def register_query(self, query: EntityQuery) -> None:
+    def register_query(self, query) -> None:
         """Register any supported query for truth maintenance.
 
-        Range queries get O(1)-per-update incremental membership; rank
-        and other non-rank queries are validated and tracked, with truth
+        Membership (non-rank) queries get a truth column written once
+        per update; rank queries are validated and tracked, with truth
         computed on demand at check time.  Unsupported types raise
         immediately instead of failing at the first check.
         """
-        if isinstance(query, RangeQuery):
-            self.register_range_query(query)
+        if query in self._registered:
             return
-        if isinstance(query, (RankBasedQuery, NonRankBasedQuery)):
-            self._on_demand_queries.setdefault(id(query), query)
-            return
-        raise TypeError(f"unsupported query type {type(query)!r}")
+        self._registered[query] = (
+            None
+            if _is_rank_based(query)
+            else np.array(query.matches_array(self._values), dtype=bool)
+        )
 
-    def register_range_query(self, query: RangeQuery) -> None:
-        """Enable O(1)-per-update truth maintenance for *query*."""
-        key = id(query)
-        if key in self._range_queries:
-            return
-        self._range_queries[key] = query
-        members = np.nonzero(query.matches_array(self._values))[0]
-        self._range_members[key] = set(int(i) for i in members)
+    #: The pre-``register_query`` name, kept for its callers.
+    register_range_query = register_query
 
     @property
-    def registered_queries(self) -> list[EntityQuery]:
-        """Every query registered with this oracle, range or not."""
-        return [
-            *self._range_queries.values(),
-            *self._on_demand_queries.values(),
-        ]
+    def registered_queries(self) -> list:
+        """Every query registered with this oracle."""
+        return list(self._registered)
 
-    def apply(self, stream_id: int, value: float) -> None:
+    def apply(self, stream_id: int, value) -> None:
         """Record that *stream_id* now holds *value*."""
         self._values[stream_id] = value
-        for key, query in self._range_queries.items():
-            members = self._range_members[key]
-            if query.matches(value):
-                members.add(stream_id)
-            else:
-                members.discard(stream_id)
+        for query, column in self._registered.items():
+            if column is not None:
+                column[stream_id] = query.matches(value)
 
-    def true_answer(self, query: EntityQuery) -> frozenset[int]:
+    def truth_mask(self, query) -> np.ndarray:
+        """``T(t)`` of *query* as a boolean column over stream ids.
+
+        Read it, never write it: a registered membership query's column
+        is the live one.
+        """
+        column = self._registered.get(query)
+        if column is not None:
+            return column
+        if _is_rank_based(query):
+            return top_mask(query.distance_array(self._values), query.k)
+        return query.matches_array(self._values)
+
+    def true_answer(self, query) -> frozenset[int]:
         """The exact answer set of *query* for the current values."""
-        if isinstance(query, RangeQuery):
-            key = id(query)
-            if key in self._range_members:
-                return frozenset(self._range_members[key])
-            return query.true_answer(self._values)
-        if isinstance(query, (RankBasedQuery, NonRankBasedQuery)):
-            return query.true_answer(self._values)
-        raise TypeError(f"unsupported query type {type(query)!r}")
+        return frozenset(np.flatnonzero(self.truth_mask(query)).tolist())

@@ -139,7 +139,7 @@ class StalenessWindow:
         for channel in self.channels:
             if channel.in_flight_count:
                 return False
-            if self.window > 0.0 and channel.recently_delivered_streams(
+            if self.window > 0.0 and channel.any_recently_delivered(
                 time, self.window
             ):
                 return False

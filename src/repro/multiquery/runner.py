@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
+from repro.correctness.checker import ToleranceChecker
 from repro.correctness.oracle import Oracle
 from repro.harness.config import RunConfig
 from repro.network.accounting import LedgerSnapshot
 from repro.protocols.base import FilterProtocol
-from repro.queries.base import EntityQuery, RankBasedQuery
+from repro.queries.base import EntityQuery
 from repro.runtime.session import ExecutionSession
 from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
@@ -36,8 +39,13 @@ class MultiQueryResult:
     shared_updates: int
     logical_deliveries: int
     answers: dict[str, frozenset[int]]
+    #: Ticks checked (every query is checked on each of them).
     checks: int = 0
+    #: ``t=... [query_id]: reason`` lines of the retained breaches, at
+    #: most ``max_violations`` per query; :attr:`violation_count` counts
+    #: every breach regardless.
     violations: list[str] = field(default_factory=list)
+    violation_count: int = 0
 
     @property
     def maintenance_messages(self) -> int:
@@ -96,82 +104,68 @@ def execute_multi_query(
         coordinator.register(query_id, protocol)
 
     oracle: Oracle | None = None
+    checkers: dict[str, ToleranceChecker] = {}
     if config.check_every > 0:
         oracle = Oracle(trace.initial_values)
-        for _, (_, query, _) in queries.items():
+        for query_id, (protocol, query, tolerance) in queries.items():
             oracle.register_query(query)
+            checkers[query_id] = ToleranceChecker(
+                oracle=oracle,
+                query=query,
+                tolerance=tolerance,
+                answer_of=partial(getattr, protocol, "answer_mask"),
+                every=config.check_every,
+                # Ticks every, 2*every, ... (recorded results pin it).
+                check_offset=-1 % config.check_every,
+            )
 
     session.initialize(time=0.0)
 
-    result = MultiQueryResult(
-        ledger=session.snapshot(),
-        shared_updates=0,
-        logical_deliveries=0,
-        answers={},
-    )
+    def check(time: float, now: bool = False) -> None:
+        for query_id, checker in checkers.items():
+            violation = (
+                checker.check_now(time) if now else checker.check(time)
+            )
+            if violation is not None and config.strict:
+                raise AssertionError(
+                    f"t={time} [{query_id}]: {violation.reason}"
+                )
 
-    def check(time: float) -> None:
-        assert oracle is not None
-        result.checks += 1
-        for query_id, (protocol, query, tolerance) in queries.items():
-            reason = _evaluate(protocol, oracle, query, tolerance)
-            if reason is not None:
-                note = f"t={time} [{query_id}]: {reason}"
-                if len(result.violations) < 100:
-                    result.violations.append(note)
-                if config.strict:
-                    raise AssertionError(note)
-
-    oracle_apply = None
-    after_apply = None
-    if oracle is not None:
-        check(0.0)
-        oracle_apply = oracle.apply
-        tick = 0
-
-        def after_apply(time: float) -> None:
-            nonlocal tick
-            tick += 1
-            if tick % config.check_every == 0:
-                check(time)
+    if checkers:
+        check(0.0, now=True)
 
     session.replay(
         trace.times,
         trace.stream_ids,
         trace.values,
         horizon=trace.horizon,
-        oracle_apply=oracle_apply,
-        after_apply=after_apply,
+        oracle_apply=oracle.apply if oracle is not None else None,
+        after_apply=check if checkers else None,
         mode=config.replay_mode,
         batch_size=config.batch_size,
         min_chunk=config.min_chunk,
     )
 
-    result.ledger = session.snapshot()
-    result.shared_updates = coordinator.shared_updates
-    result.logical_deliveries = coordinator.logical_deliveries
-    result.answers = {
-        query_id: coordinator.answer(query_id) for query_id in queries
-    }
-    return result
-
-
-def _evaluate(
-    protocol: FilterProtocol,
-    oracle: Oracle,
-    query: EntityQuery,
-    tolerance: Tolerance,
-) -> str | None:
-    answer = set(protocol.answer)
-    if isinstance(tolerance, RankTolerance):
-        assert isinstance(query, RankBasedQuery)
-        return tolerance.violation(answer, query, oracle.values)
-    true_set = oracle.true_answer(query)
-    if isinstance(tolerance, FractionTolerance):
-        return tolerance.violation(answer, true_set)
-    if answer != true_set:
-        return (
-            f"exact answer required: {len(answer - true_set)} spurious, "
-            f"{len(true_set - answer)} missing"
-        )
-    return None
+    # Retained records of all queries in time order (query order within
+    # one instant); each query keeps its checker's ``max_violations``.
+    retained = sorted(
+        (
+            (violation.time, f"t={violation.time} [{query_id}]: {violation.reason}")
+            for query_id, checker in checkers.items()
+            for violation in checker.report.violations
+        ),
+        key=itemgetter(0),
+    )
+    reports = [checker.report for checker in checkers.values()]
+    return MultiQueryResult(
+        ledger=session.snapshot(),
+        shared_updates=coordinator.shared_updates,
+        logical_deliveries=coordinator.logical_deliveries,
+        answers={
+            query_id: coordinator.answer(query_id) for query_id in queries
+        },
+        # Every checker fires on the same ticks: ticks, not ticks x queries.
+        checks=max((report.checks for report in reports), default=0),
+        violations=[line for _, line in retained],
+        violation_count=sum(report.violation_count for report in reports),
+    )

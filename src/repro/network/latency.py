@@ -311,6 +311,13 @@ class LatencyChannel(Channel):
             if time - delivered <= window
         }
 
+    def any_recently_delivered(self, time: float, window: float) -> bool:
+        """Whether :meth:`recently_delivered_streams` is non-empty."""
+        return any(
+            time - delivered <= window
+            for delivered in self._last_delivery.values()
+        )
+
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------

@@ -14,8 +14,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from repro.state.table import membership_mask
+
 if TYPE_CHECKING:  # avoid a circular import; Server imports this module
     from repro.server.server import Server
+    from repro.state.table import StreamStateTable
 
 
 class FilterProtocol(ABC):
@@ -35,6 +40,9 @@ class FilterProtocol(ABC):
     #: anything that probes, silences, or ranks does not.
     decomposable_maintenance: bool = False
 
+    #: The serving host's state table, bound by :meth:`initialize`.
+    _state: "StreamStateTable | None" = None
+
     @abstractmethod
     def initialize(self, server: "Server") -> None:
         """Initialization phase: collect values, deploy constraints."""
@@ -46,9 +54,34 @@ class FilterProtocol(ABC):
         """Maintenance phase: react to one update message."""
 
     @property
-    @abstractmethod
     def answer(self) -> frozenset[int]:
-        """The answer set ``A(t)`` currently reported to the user."""
+        """The answer set ``A(t)`` currently reported to the user.
+
+        Here: the state table's answer column, where every filtering
+        protocol keeps ``A(t)`` (empty until :meth:`initialize` binds
+        the table).  A protocol that derives its answer from something
+        else overrides this, and :attr:`answer_mask` follows.
+        """
+        if self._state is None:
+            return frozenset()
+        return self._state.answer_snapshot()
+
+    @property
+    def answer_mask(self) -> np.ndarray:
+        """:attr:`answer` as a read-only boolean column over stream ids.
+
+        What the tolerance checker compares against the oracle's truth
+        column (DESIGN.md §14): the table's answer column itself while
+        :attr:`answer` is the table's — a subclass that overrides
+        :attr:`answer` gets its override, scattered into a column.
+        Defined only once :meth:`initialize` has bound the table.
+        """
+        assert self._state is not None, "initialize() must run first"
+        if type(self).answer is not FilterProtocol.answer:
+            return membership_mask(self.answer, self._state.n_streams)
+        column = self._state.answer_mask.view()
+        column.flags.writeable = False
+        return column
 
     def describe(self) -> str:
         """One-line human-readable description for results tables."""

@@ -232,12 +232,6 @@ class FractionToleranceRangeProtocol(FilterProtocol):
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def answer(self) -> frozenset[int]:
-        if self._state is None:
-            return frozenset()
-        return self._state.answer_snapshot()
-
-    @property
     def count(self) -> int:
         """The maintenance slack variable (Figure 7)."""
         return self._count

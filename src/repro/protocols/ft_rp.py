@@ -232,12 +232,6 @@ class FractionToleranceKnnProtocol(FilterProtocol):
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def answer(self) -> frozenset[int]:
-        if self._state is None:
-            return frozenset()
-        return self._state.answer_snapshot()
-
-    @property
     def region(self) -> tuple[float, float] | None:
         """The current k-NN bound estimate ``R``."""
         return self._region

@@ -283,12 +283,6 @@ class RankToleranceProtocol(FilterProtocol):
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def answer(self) -> frozenset[int]:
-        if self._state is None:
-            return frozenset()
-        return self._state.answer_snapshot()
-
-    @property
     def tracked(self) -> frozenset[int]:
         """The server's ``X(t)`` — objects believed inside ``R``."""
         if self._state is None:

@@ -63,9 +63,3 @@ class ZeroToleranceRangeProtocol(FilterProtocol):
             self._state.answer_add(stream_id)
         else:
             self._state.answer_discard(stream_id)
-
-    @property
-    def answer(self) -> frozenset[int]:
-        if self._state is None:
-            return frozenset()
-        return self._state.answer_snapshot()

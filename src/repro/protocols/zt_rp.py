@@ -79,11 +79,5 @@ class ZeroToleranceKnnProtocol(FilterProtocol):
         self._resolve(server)
 
     @property
-    def answer(self) -> frozenset[int]:
-        if self._state is None:
-            return frozenset()
-        return self._state.answer_snapshot()
-
-    @property
     def region(self) -> tuple[float, float] | None:
         return self._region

@@ -43,24 +43,27 @@ def rank_of(query: RankBasedQuery, stream_id: int, values: np.ndarray) -> int:
     return closer + tied_before + 1
 
 
+def top_mask(distances: np.ndarray, count: int) -> np.ndarray:
+    """Boolean column of the *count* best streams (deterministic ties).
+
+    Exactly the first *count* ids of the stable argsort of *distances*,
+    in O(n): every stream strictly inside the ``count``-th smallest
+    distance, then the lowest ids tied at it until the column holds
+    *count* members (``flatnonzero`` is ascending, i.e. the id order).
+    """
+    if count >= len(distances):
+        return np.ones(len(distances), dtype=bool)
+    threshold = np.partition(distances, count - 1)[count - 1]
+    mask = distances < threshold
+    tied = np.flatnonzero(distances == threshold)
+    mask[tied[: count - np.count_nonzero(mask)]] = True
+    return mask
+
+
 def true_knn_answer(query: RankBasedQuery, values: np.ndarray) -> frozenset[int]:
     """The exact k-best answer set under *query* (deterministic ties)."""
-    values = np.asarray(values, dtype=np.float64)
-    k = query.k
-    if k >= len(values):
-        return frozenset(range(len(values)))
-    distances = query.distance_array(values)
-    # argpartition gets the k smallest in O(n); resolve ties by id among
-    # candidates sharing the threshold distance.
-    candidate_idx = np.argpartition(distances, k - 1)[:k]
-    threshold = distances[candidate_idx].max()
-    strictly_better = np.nonzero(distances < threshold)[0]
-    tied = np.nonzero(distances == threshold)[0]
-    need = k - len(strictly_better)
-    chosen_ties = np.sort(tied)[:need]
-    return frozenset(int(i) for i in strictly_better) | frozenset(
-        int(i) for i in chosen_ties
-    )
+    distances = query.distance_array(np.asarray(values, dtype=np.float64))
+    return frozenset(np.flatnonzero(top_mask(distances, query.k)).tolist())
 
 
 def top_ranked(

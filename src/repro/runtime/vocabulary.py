@@ -63,9 +63,6 @@ class Vocabulary:
     constraint_columns: Callable
     # -- checking ------------------------------------------------------
     oracle: type
-    #: ``(protocol, oracle, query, tolerance) -> reason | None``, or
-    #: ``None`` for the checker's built-in scalar evaluation.
-    evaluate: Callable | None
     violation_error: type
     #: Which tick of each ``check_every`` window fires, modulo the
     #: window: ``0`` checks ticks 1, 1+every, ...; ``-1`` checks ticks

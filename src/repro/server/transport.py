@@ -839,7 +839,8 @@ class InFlightPlane:
     The plane doubles as the latency *evidence* provider: it implements
     the :class:`~repro.correctness.staleness.StalenessWindow` channel
     API (``in_flight_count``, ``deferred_delivered_count``,
-    ``in_flight_stream_ids``, ``recently_delivered_streams``) for
+    ``in_flight_stream_ids``, ``recently_delivered_streams``,
+    ``any_recently_delivered``) for
     messages whose flight crosses the process boundary.
     """
 
@@ -956,6 +957,13 @@ class InFlightPlane:
             for stream, delivered in self._last_delivery.items()
             if cutoff <= delivered <= time
         }
+
+    def any_recently_delivered(self, time: float, window: float) -> bool:
+        cutoff = time - window
+        return any(
+            cutoff <= delivered <= time
+            for delivered in self._last_delivery.values()
+        )
 
 
 class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):

@@ -4,35 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
+from repro.correctness.oracle import Oracle
 
 
-class SpatialOracle:
-    """Tracks the true point of every stream."""
+class SpatialOracle(Oracle):
+    """Tracks the true point of every stream: the scalar oracle over an
+    ``(n, d)`` payload matrix (a query's ``matches`` takes a point, its
+    ``matches_array`` / ``distance_array`` the matrix)."""
 
-    def __init__(self, initial_points: np.ndarray) -> None:
-        self._points = np.asarray(initial_points, dtype=np.float64).copy()
-        if self._points.ndim != 2:
-            raise ValueError("initial_points must be an (n, d) matrix")
+    payload_ndim = 2
 
     @property
     def points(self) -> np.ndarray:
-        view = self._points.view()
-        view.flags.writeable = False
-        return view
-
-    def register_query(
-        self, query: SpatialRangeQuery | SpatialKnnQuery
-    ) -> None:
-        """Validate *query* before the first check instead of at it
-        (truth is computed on demand; nothing is tracked per query)."""
-        if not callable(getattr(query, "true_answer", None)):
-            raise TypeError(f"unsupported query type {type(query)!r}")
-
-    def apply(self, stream_id: int, point: np.ndarray) -> None:
-        self._points[stream_id] = point
-
-    def true_answer(
-        self, query: SpatialRangeQuery | SpatialKnnQuery
-    ) -> frozenset[int]:
-        return query.true_answer(self._points)
+        return self.values

@@ -36,12 +36,12 @@ topology.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.protocols.base import FilterProtocol
 from repro.spatial.geometry import ALL_SPACE, EMPTY_REGION, Region
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
 from repro.state.pools import SilencerPools
@@ -74,25 +74,9 @@ def _elementwise_distance_keys(query):
     return keys
 
 
-class SpatialProtocol(ABC):
-    """Interface of all spatial protocols."""
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def initialize(self, server: "SpatialServer") -> None:
-        """Initialization phase."""
-
-    @abstractmethod
-    def on_update(
-        self, server: "SpatialServer", stream_id: int, point: np.ndarray, time: float
-    ) -> None:
-        """Maintenance phase."""
-
-    @property
-    @abstractmethod
-    def answer(self) -> frozenset[int]:
-        """The current answer set ``A(t)``."""
+class SpatialProtocol(FilterProtocol):
+    """Interface of all spatial protocols: a :class:`FilterProtocol`
+    whose update payload is a point instead of a scalar."""
 
 
 class SpatialNoFilterProtocol(SpatialProtocol):
@@ -145,12 +129,6 @@ class SpatialZeroRangeProtocol(SpatialProtocol):
             self._state.answer_add(stream_id)
         else:
             self._state.answer_discard(stream_id)
-
-    @property
-    def answer(self) -> frozenset[int]:
-        if self._state is None:
-            return frozenset()
-        return self._state.answer_snapshot()
 
 
 class SpatialFractionRangeProtocol(SpatialProtocol):
@@ -272,12 +250,6 @@ class SpatialFractionRangeProtocol(SpatialProtocol):
             if self.query.matches(point):
                 self._state.answer_add(candidate)
             server.deploy(candidate, self.query.box)
-
-    @property
-    def answer(self) -> frozenset[int]:
-        if self._state is None:
-            return frozenset()
-        return self._state.answer_snapshot()
 
     @property
     def n_plus(self) -> int:
@@ -442,12 +414,6 @@ class SpatialRankToleranceProtocol(SpatialProtocol):
         self._deploy_bound(server, fresh_ids=fresh_ids)
 
     @property
-    def answer(self) -> frozenset[int]:
-        if self._state is None:
-            return frozenset()
-        return self._state.answer_snapshot()
-
-    @property
     def tracked(self) -> frozenset[int]:
         if self._state is None:
             return frozenset()
@@ -499,12 +465,6 @@ class SpatialZeroKnnProtocol(SpatialProtocol):
         others = [i for i in server.stream_ids if i != stream_id]
         server.probe_all(others)
         self._resolve(server)
-
-    @property
-    def answer(self) -> frozenset[int]:
-        if self._state is None:
-            return frozenset()
-        return self._state.answer_snapshot()
 
     @property
     def region(self) -> Region | None:
@@ -647,12 +607,6 @@ class SpatialFractionKnnProtocol(SpatialProtocol):
             if self._region.contains(point):
                 self._state.answer_add(candidate)
             server.deploy(candidate, self._region)
-
-    @property
-    def answer(self) -> frozenset[int]:
-        if self._state is None:
-            return frozenset()
-        return self._state.answer_snapshot()
 
     @property
     def region(self) -> Region | None:

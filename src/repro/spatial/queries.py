@@ -20,10 +20,13 @@ class SpatialRangeQuery:
     def matches(self, point: np.ndarray) -> bool:
         return self.box.contains(point)
 
+    def matches_array(self, points: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`matches` over an ``(n, d)`` matrix."""
+        return self.box.contains_many(points)
+
     def true_answer(self, points: np.ndarray) -> frozenset[int]:
         """Exact answer given the ``(n, d)`` matrix of true points."""
-        members = np.nonzero(self.box.contains_many(points))[0]
-        return frozenset(int(i) for i in members)
+        return frozenset(np.flatnonzero(self.matches_array(points)).tolist())
 
     def boundary_distance(self, point: np.ndarray) -> float:
         return self.box.boundary_distance(point)

@@ -28,44 +28,12 @@ from repro.spatial.messages import (
     unpack_regions,
 )
 from repro.spatial.oracle import SpatialOracle
-from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
 from repro.spatial.source import SpatialStreamSource
 from repro.state.sharding import scatter_region_deploys
-from repro.tolerance.fraction_tolerance import FractionTolerance
-from repro.tolerance.rank_tolerance import RankTolerance
 
 
 class SpatialToleranceViolationError(AssertionError):
     """Raised in strict mode when a spatial protocol breaks tolerance."""
-
-
-def evaluate_spatial(
-    protocol,
-    oracle: SpatialOracle,
-    query: SpatialRangeQuery | SpatialKnnQuery,
-    tolerance: RankTolerance | FractionTolerance | None,
-) -> str | None:
-    """The violation reason of *protocol*'s answer right now, if any."""
-    answer = set(protocol.answer)
-    if isinstance(tolerance, RankTolerance):
-        assert isinstance(query, SpatialKnnQuery)
-        if len(answer) != tolerance.k:
-            return f"|A| = {len(answer)}, expected exactly k = {tolerance.k}"
-        order = query.ranked_ids(oracle.points)
-        admissible = set(int(i) for i in order[: tolerance.eps])
-        stragglers = answer - admissible
-        if stragglers:
-            return f"stream {min(stragglers)} ranks worse than {tolerance.eps}"
-        return None
-    true_set = oracle.true_answer(query)
-    if isinstance(tolerance, FractionTolerance):
-        return tolerance.violation(answer, true_set)
-    if answer != true_set:
-        return (
-            f"exact answer required: {len(answer - true_set)} spurious, "
-            f"{len(true_set - answer)} missing"
-        )
-    return None
 
 
 def record_region_deploy(
@@ -147,7 +115,6 @@ SPATIAL = Vocabulary(
     scannable_column="geo_scannable",
     constraint_columns=no_interval_bulk,
     oracle=SpatialOracle,
-    evaluate=evaluate_spatial,
     violation_error=SpatialToleranceViolationError,
     check_offset=-1,
     pack_in_flight=pack_point_in_flight,

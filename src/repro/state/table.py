@@ -68,6 +68,13 @@ SILENCER_FN = 2  # silenced with [+inf, +inf]; believed outside
 STORAGE_BACKINGS = ("ram", "mmap")
 
 
+def membership_mask(stream_ids: Iterable[int], n_streams: int) -> np.ndarray:
+    """The id set *stream_ids* as a boolean column over *n_streams* rows."""
+    mask = np.zeros(n_streams, dtype=bool)
+    mask[list(stream_ids)] = True
+    return mask
+
+
 class StreamStateTable:
     """Columnar server-side state for one standing query.
 
@@ -552,7 +559,7 @@ class StreamStateTable:
         return np.nonzero(self.answer_mask)[0]
 
     def answer_snapshot(self) -> frozenset[int]:
-        return frozenset(int(i) for i in np.nonzero(self.answer_mask)[0])
+        return frozenset(np.flatnonzero(self.answer_mask).tolist())
 
     # ------------------------------------------------------------------
     # Tracked membership (RTP's X(t))
@@ -586,7 +593,7 @@ class StreamStateTable:
         return np.nonzero(self.tracked_mask)[0]
 
     def tracked_snapshot(self) -> frozenset[int]:
-        return frozenset(int(i) for i in np.nonzero(self.tracked_mask)[0])
+        return frozenset(np.flatnonzero(self.tracked_mask).tolist())
 
     def tracked_not_in_answer(self) -> np.ndarray:
         """Ids in ``X(t) - A(t)`` — RTP Case 2's replacement candidates."""

@@ -115,7 +115,6 @@ SCALAR = Vocabulary(
     scannable_column="scannable",
     constraint_columns=constraint_columns,
     oracle=Oracle,
-    evaluate=None,
     violation_error=ToleranceViolationError,
     check_offset=0,
     pack_in_flight=pack_in_flight,

@@ -121,7 +121,10 @@ class FractionTolerance:
         self, answer: Iterable[int], true_set: AbstractSet[int]
     ) -> str | None:
         """``None`` if Definition 3 holds, else a human-readable reason."""
-        report = self.report(answer, true_set)
+        return self.report_violation(self.report(answer, true_set))
+
+    def report_violation(self, report: FractionReport) -> str | None:
+        """Definition 3's verdict on an already-counted *report*."""
         # Tolerate float round-off at the boundary: a report with exactly
         # Emax+ errors must pass.
         slack = 1e-12

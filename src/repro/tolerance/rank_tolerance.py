@@ -63,15 +63,26 @@ class RankTolerance:
             raise ValueError(
                 f"tolerance k={self.k} does not match query k={query.k}"
             )
-        if len(answer_set) != self.k:
-            return f"|A| = {len(answer_set)}, expected exactly k = {self.k}"
+        reason = self.size_violation(len(answer_set))
+        if reason is not None:
+            return reason
         order = ranked_ids(query, values)
         admissible = set(int(i) for i in order[: self.eps])
         stragglers = answer_set - admissible
         if stragglers:
-            worst = min(stragglers)  # deterministic pick for the message
-            return (
-                f"stream {worst} ranks worse than eps = {self.eps} "
-                f"(admissible top-{self.eps} set excludes it)"
-            )
+            # Deterministic pick for the message.
+            return self.straggler_violation(min(stragglers))
         return None
+
+    def size_violation(self, answer_size: int) -> str | None:
+        """Definition 1's first clause: ``|A(t)| = k``."""
+        if answer_size != self.k:
+            return f"|A| = {answer_size}, expected exactly k = {self.k}"
+        return None
+
+    def straggler_violation(self, stream_id: int) -> str:
+        """The reason naming *stream_id* as ranked worse than ``eps``."""
+        return (
+            f"stream {stream_id} ranks worse than eps = {self.eps} "
+            f"(admissible top-{self.eps} set excludes it)"
+        )

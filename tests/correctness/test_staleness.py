@@ -137,6 +137,30 @@ class TestStalenessWindow:
         assert staleness.stale_regime
         assert staleness.classify(2.0) == INHERENT_LATENCY
 
+    def test_positive_window_keeps_quiet_false_until_it_expires(self):
+        """``quiet`` agrees with ``recently_delivered_streams`` being
+        empty, on the channel and on the transport's in-flight plane."""
+        from repro.server.transport import InFlightPlane
+
+        engine, channel, *_ = make_rig()
+        staleness = StalenessWindow([channel], window=1.0)
+        assert staleness.quiet(0.0)
+        channel.send_to_server(UpdateMessage(stream_id=2, time=0.0, value=1.0))
+        engine.run(until=2.0)  # delivered at t=2, nothing in flight
+        for time in (2.0, 2.5, 3.0, 3.5):
+            assert staleness.quiet(time) == (
+                not channel.recently_delivered_streams(time, 1.0)
+            )
+        assert not staleness.quiet(3.0)
+        assert staleness.quiet(3.5)
+
+        plane = InFlightPlane()
+        plane._last_delivery[4] = 2.0  # noqa: SLF001 - a late delivery at t=2
+        for time in (1.5, 2.0, 3.0, 3.5):
+            assert plane.any_recently_delivered(time, 1.0) == bool(
+                plane.recently_delivered_streams(time, 1.0)
+            )
+
     def test_synchronous_channels_are_ignored(self):
         from repro.network.channel import Channel
 

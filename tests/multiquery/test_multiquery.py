@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Deployment, Engine, QuerySpec, Workload
 from repro.harness.config import RunConfig
 from repro.harness.runner import run_protocol
 from repro.multiquery.coordinator import MultiQueryCoordinator
@@ -89,6 +90,69 @@ class TestCorrectness:
         shared = run_multi_query(trace, make_queries([0.2]))
         assert shared.answers["user0"] == solo.final_answer
         assert shared.maintenance_messages == solo.maintenance_messages
+
+
+class TestViolationReporting:
+    """Each query is checked by its own ``ToleranceChecker``: breaches
+    past the 100-record detail cap are counted, not silently dropped."""
+
+    def breached(self):
+        # FT-NRP built for 40 % error but checked for the exact answer,
+        # next to a ZT-NRP that holds it.
+        query = RangeQuery(400.0, 600.0)
+        loose = FractionToleranceRangeProtocol(query, FractionTolerance(0.4, 0.4))
+        return {
+            "loose": (loose, query, None),
+            "exact": (ZeroToleranceRangeProtocol(query), query, None),
+        }
+
+    def test_breaches_past_the_detail_cap_are_counted(self, trace):
+        result = run_multi_query(
+            trace, self.breached(), config=RunConfig(check_every=1)
+        )
+        assert result.violation_count > 100
+        assert len(result.violations) == 100
+        assert all(
+            " [loose]: exact answer required" in line
+            for line in result.violations
+        )
+        times = [float(line[2:].split(" ")[0]) for line in result.violations]
+        assert times == sorted(times)
+        assert not result.tolerance_ok
+        # Ticks checked, not ticks x queries.
+        assert result.checks == trace.n_records + 1
+
+    def test_run_queries_reports_how_many_more(self, trace):
+        """ZT-RP answers with k=5 streams; a rank tolerance demanding
+        exactly 3 is breached at every check (the parent reported 100
+        lines and no count)."""
+        spec = QuerySpec("zt-rp", KnnQuery(500.0, 5), RankTolerance(k=3, r=0))
+        report = Engine().run_queries(
+            {"q": spec},
+            Workload.from_trace(trace),
+            Deployment.single(check_every=1),
+        )
+        assert report.checks == trace.n_records + 1
+        assert report.raw.violation_count == report.checks
+        assert len(report.violations) == 101
+        assert report.violations[0] == (
+            "t=0.0 [q]: |A| = 5, expected exactly k = 3"
+        )
+        assert report.violations[-1] == f"... and {report.checks - 100} more"
+
+    def test_sampled_checks_fire_on_every_nth_tick(self, trace):
+        result = run_multi_query(
+            trace, self.breached(), config=RunConfig(check_every=7)
+        )
+        assert result.checks == 1 + trace.n_records // 7
+
+    def test_strict_names_the_query(self, trace):
+        with pytest.raises(AssertionError, match=r"^t=\S+ \[loose\]: exact"):
+            run_multi_query(
+                trace,
+                self.breached(),
+                config=RunConfig(check_every=1, strict=True),
+            )
 
 
 class TestSharing:
