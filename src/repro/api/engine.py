@@ -52,6 +52,7 @@ from repro.correctness.checker import ToleranceChecker
 from repro.correctness.staleness import StalenessWindow, tag_reason
 from repro.harness.results import RunResult
 from repro.network.accounting import LedgerSnapshot
+from repro.runtime.replay import REPLAY_COUNTERS
 from repro.runtime.session import ExecutionSession
 from repro.runtime.vocabulary import vocabulary_of
 
@@ -160,8 +161,6 @@ def _execute_hosted(
             deployment.n_shards,
             latency=deployment.latency,
             replay_mode=deployment.replay_mode,
-            batch_size=deployment.batch_size,
-            min_chunk=deployment.min_chunk,
         )
         # The merged in-flight plane models exactly the quantities the
         # sequential run reads off its per-shard channels (messages in
@@ -221,13 +220,7 @@ def _execute_hosted(
         session.initialize(time=0.0)
         if checker is not None:
             checker.check_now(0.0)
-        session.replay_trace(
-            trace,
-            **callbacks,
-            mode=deployment.replay_mode,
-            batch_size=deployment.batch_size,
-            min_chunk=deployment.min_chunk,
-        )
+        session.replay_trace(trace, **callbacks, mode=deployment.replay_mode)
         replay = dict(session.last_replay_stats)
         ledger = session.snapshot()
 
@@ -274,19 +267,13 @@ def _shard_replay_worker(job):
     decomposable sources decide reports locally at record time, delivery
     timing never changes which messages are sent.
     """
-    shard_trace, protocol, replay_mode, batch_size, min_chunk, lo, latency = (
-        job
-    )
+    shard_trace, protocol, replay_mode, lo, latency = job
     session = ExecutionSession.for_streams(shard_trace, protocol, latency=latency)
     session.initialize(time=0.0)
-    session.replay_trace(
-        shard_trace, mode=replay_mode, batch_size=batch_size,
-        min_chunk=min_chunk,
-    )
+    session.replay_trace(shard_trace, mode=replay_mode)
     answer = frozenset(int(i) + lo for i in protocol.answer)
     extras = _collect_extras(protocol)
-    if session.last_replay_stats is not None:
-        extras["replay"] = dict(session.last_replay_stats)
+    extras["replay"] = dict(session.last_replay_stats)
     return session.snapshot(), answer, extras
 
 
@@ -295,21 +282,12 @@ def _merge_replay_stats(parts: list[dict]) -> dict:
 
     Counters sum; the mode/kernel labels collapse to ``"mixed"`` when
     the shards disagree (e.g. one shard bailed to per-event while the
-    rest stayed on the run kernel); a bailout position is the earliest
+    rest kept proving quiescence); a bailout position is the earliest
     any shard bailed, ``None`` when none did.
     """
     merged = {
         key: sum(int(part.get(key, 0)) for part in parts)
-        for key in (
-            "records",
-            "dispatches",
-            "staged",
-            "columnar_reports",
-            "chunk_scans",
-            "suffix_rescans",
-            "broadcast_truncations",
-            "inflight_truncations",
-        )
+        for key in REPLAY_COUNTERS
     }
     for label in ("mode", "kernel"):
         seen = {part.get(label) for part in parts}
@@ -349,8 +327,6 @@ def _execute_streams_fanout(
             _restrict_to_shard(trace, lo, hi),
             copy.deepcopy(protocol),
             deployment.replay_mode,
-            deployment.batch_size,
-            deployment.min_chunk,
             lo,
             deployment.latency,
         )
@@ -370,8 +346,7 @@ def _execute_streams_fanout(
                 replay_parts.append(value)
                 continue
             extras[key] = extras.get(key, 0) + value
-    if replay_parts:
-        extras["replay"] = _merge_replay_stats(replay_parts)
+    extras["replay"] = _merge_replay_stats(replay_parts)
     return RunResult(
         protocol=protocol.name,
         ledger=_merge_snapshots([snapshot for snapshot, _, _ in parts]),

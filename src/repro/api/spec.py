@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
 from repro.network.latency import as_latency_model
-from repro.runtime.session import DEFAULT_BATCH_SIZE, DEFAULT_MIN_CHUNK
 
 #: Stack identifiers (which execution assembly a protocol runs on).
 STACK_STREAMS = "streams"
@@ -287,7 +286,7 @@ class Deployment:
         quiescence planes — the spatial ``-2d`` protocols.
     n_shards:
         Shard count (``>= 1``; must be ``>= 2`` for ``sharded``).
-    replay_mode, batch_size, min_chunk:
+    replay_mode:
         As :class:`repro.harness.config.RunConfig`.
     check_every, strict:
         Continuous tolerance checking cadence (``0`` disables; checking
@@ -351,8 +350,6 @@ class Deployment:
     topology: str = "single"
     n_shards: int = 1
     replay_mode: str = "auto"
-    batch_size: int = DEFAULT_BATCH_SIZE
-    min_chunk: int = DEFAULT_MIN_CHUNK
     check_every: int = 0
     strict: bool = False
     parallel: bool = False
@@ -427,8 +424,6 @@ class Deployment:
         """Lift a legacy :class:`RunConfig` onto a single-server deployment."""
         return cls.single(
             replay_mode=config.replay_mode,
-            batch_size=config.batch_size,
-            min_chunk=config.min_chunk,
             check_every=config.check_every,
             strict=config.strict,
         )
@@ -442,8 +437,6 @@ class Deployment:
             strict=self.strict,
             label=label,
             replay_mode=self.replay_mode,
-            batch_size=self.batch_size,
-            min_chunk=self.min_chunk,
         )
 
     def with_checking(self, check_every: int, strict: bool = False):

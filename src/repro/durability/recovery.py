@@ -170,8 +170,6 @@ def recover_run(run_dir: str) -> RecoveredRun:
             contents.values[position:],
             horizon=None,
             mode=manifest["replay_mode"],
-            batch_size=manifest["batch_size"],
-            min_chunk=manifest["min_chunk"],
         )
     scan_reason = contents.scan.reason if contents.scan is not None else "clean"
     return RecoveredRun(

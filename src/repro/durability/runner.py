@@ -119,11 +119,8 @@ def _replay_segments(
                 values[position:end],
                 horizon=None,
                 mode=manifest["replay_mode"],
-                batch_size=manifest["batch_size"],
-                min_chunk=manifest["min_chunk"],
             )
-            if session.last_replay_stats is not None:
-                stats_parts.append(dict(session.last_replay_stats))
+            stats_parts.append(dict(session.last_replay_stats))
             position = end
             segments += 1
             if (
@@ -237,8 +234,6 @@ def execute_durable_streams(
         "topology": deployment.topology,
         "n_shards": deployment.n_shards,
         "replay_mode": deployment.replay_mode,
-        "batch_size": deployment.batch_size,
-        "min_chunk": deployment.min_chunk,
         "policy": policy,
         "protocol": copy.deepcopy(protocol),
         "initial_values": trace.initial_values.copy(),

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.runtime.session import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_MIN_CHUNK,
-    REPLAY_MODES,
-)
+from repro.runtime.replay import REPLAY_MODES
 
 
 @dataclass(frozen=True)
@@ -35,21 +31,12 @@ class RunConfig:
         so forcing it can never change results, only speed.  Both paths
         produce identical message ledgers: batching only skips records
         that provably cannot flip any filter.
-    batch_size:
-        Chunk size of the batched quiescence pre-scan.
-    min_chunk:
-        Floor of the batched replay's adaptive chunk heuristic: lively
-        stretches shrink the scan window, but never below this many
-        records per pre-scan.  ``batch_size`` still caps every scan, so
-        a floor above the cap simply pins the window to ``batch_size``.
     """
 
     check_every: int = 0
     strict: bool = False
     label: str = ""
     replay_mode: str = "auto"
-    batch_size: int = DEFAULT_BATCH_SIZE
-    min_chunk: int = DEFAULT_MIN_CHUNK
 
     def __post_init__(self) -> None:
         # Reject wrong shapes eagerly and loudly: a malformed knob that
@@ -76,26 +63,4 @@ class RunConfig:
             raise ValueError(
                 f"replay_mode must be one of {REPLAY_MODES}, "
                 f"got {self.replay_mode!r}"
-            )
-        if isinstance(self.batch_size, bool) or not isinstance(
-            self.batch_size, int
-        ):
-            raise TypeError(
-                f"batch_size must be an int, got "
-                f"{type(self.batch_size).__name__}"
-            )
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if isinstance(self.min_chunk, bool) or not isinstance(
-            self.min_chunk, int
-        ):
-            raise TypeError(
-                f"min_chunk must be an int, got "
-                f"{type(self.min_chunk).__name__}"
-            )
-        if self.min_chunk < 1:
-            raise ValueError(
-                f"min_chunk must be >= 1, got {self.min_chunk}"
             )

@@ -142,8 +142,6 @@ def execute_multi_query(
         oracle_apply=oracle.apply if oracle is not None else None,
         after_apply=check if checkers else None,
         mode=config.replay_mode,
-        batch_size=config.batch_size,
-        min_chunk=config.min_chunk,
     )
 
     # Retained records of all queries in time order (query order within

@@ -41,7 +41,7 @@ from typing import Callable
 
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
-from repro.network.messages import Message
+from repro.network.messages import Message, MessageKind
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
 
@@ -299,6 +299,13 @@ class LatencyChannel(Channel):
         """Streams with at least one message currently in flight."""
         return {message.stream_id for _, _, message in self._in_flight}
 
+    def constraint_in_flight(self) -> bool:
+        """Whether a constraint install is pending delivery."""
+        return any(
+            message.kind is MessageKind.CONSTRAINT
+            for _, _, message in self._in_flight
+        )
+
     def last_delivery_time(self, stream_id: int) -> float | None:
         """When *stream_id* last had a *deferred* delivery, if ever."""
         return self._last_delivery.get(int(stream_id))
@@ -542,3 +549,21 @@ class LatencyChannel(Channel):
             if stop_after_send and self._route_count != routed_before:
                 return delivered, True
         return delivered, False
+
+
+def make_channel(
+    ledger: MessageLedger,
+    engine: SimulationEngine,
+    latency,
+    channel_index: int = 0,
+) -> Channel:
+    """A deployment's delivery discipline: ``latency=None`` is the
+    synchronous channel; anything else (including ``0``) compiles to a
+    :class:`LatencyChannel` draining through *engine* — ``latency=0``
+    keeps a distinct code path on purpose, so the differential suite can
+    prove it byte-identical.  ``channel_index`` salts the model's RNG
+    streams so per-shard channels draw independent delay sequences."""
+    model = as_latency_model(latency)
+    if model is None:
+        return Channel(ledger)
+    return LatencyChannel(ledger, engine, model, channel_index=channel_index)

@@ -17,18 +17,12 @@ from repro.runtime.membership import (
     RegionMembership,
     SlottedMembership,
 )
-from repro.runtime.session import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_MIN_CHUNK,
-    REPLAY_MODES,
-    ExecutionSession,
-)
+from repro.runtime.replay import REPLAY_MODES
+from repro.runtime.session import ExecutionSession
 from repro.runtime.source import ChannelFilteredSource, FilteredSource
 
 __all__ = [
     "REPORT",
-    "DEFAULT_BATCH_SIZE",
-    "DEFAULT_MIN_CHUNK",
     "REPLAY_MODES",
     "ChannelFilteredSource",
     "ContainmentMembership",

@@ -55,8 +55,6 @@ class Vocabulary:
     #: ``(table, row, constraint message)``: record a deployed
     #: constraint's payload in the table.
     record_deploy: Callable
-    #: Table column flagging rows whose filter the pre-scan can test.
-    scannable_column: str
     # -- interval bulk operations --------------------------------------
     #: ``deploy_many`` / ``broadcast`` argument coercion to columns, or
     #: :func:`no_interval_bulk` where constraints are not intervals.

@@ -14,15 +14,15 @@ Three pieces:
 * :class:`ShardWorker` — the per-process shard runtime.  It owns its
   shard's trace slice and a *local* :class:`~repro.state.table.
   StreamStateTable` + source population (local ids throughout; the
-  coordinator translates at the
-  RPC boundary), and answers a small request vocabulary: ``scan`` (the
-  batched quiescence pre-scan, returning the shard's first-crossing
-  candidate as a *global trace position*), ``advance`` (bulk-stage a
-  proven-quiescent prefix), ``dispatch`` (apply one crossing record
-  per-event and return the captured uplink messages), ``probe`` /
+  coordinator translates at the RPC boundary), drives the replay
+  cursor of DESIGN.md §9 over them, and answers a small request
+  vocabulary: ``scan`` (the cursor's candidate as a *global trace
+  position*), ``advance`` / ``advance_time`` (bulk-stage a
+  proven-quiescent prefix), ``dispatch`` (apply one record per-event
+  and return the captured uplink messages), ``probe`` /
   ``probe_batch`` / ``deploy_batch`` (the control plane, forwarding to
   the sources through a real channel so membership semantics are
-  exactly the sequential ones), and ``finish``.
+  exactly the sequential ones), ``deliver``, ``settle`` and ``finish``.
 
 * :class:`CoordinatorBus` — pipes + pickle framing to the workers,
   with reply collection through the same deterministic ``(delivery
@@ -96,6 +96,7 @@ import pickle
 import time as _time
 import traceback
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,9 +104,14 @@ import numpy as np
 from repro.network.accounting import MessageLedger, Phase
 from repro.network.frames import pack_pending, unpack_in_flight
 from repro.network.messages import Message, MessageKind
-from repro.network.latency import LatencyChannel, as_latency_model
+from repro.network.latency import (
+    LatencyChannel,
+    as_latency_model,
+    make_channel,
+)
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
+from repro.runtime.replay import ReplayCursor
 from repro.runtime.vocabulary import Vocabulary, VocabularyBound, vocabulary_of
 from repro.sim.engine import SimulationEngine
 from repro.state.sharding import (
@@ -145,8 +151,9 @@ class ShardWorker:
     dispatch order is decided on them.  The worker's channel, engine,
     table and ledger are private — the ledger is a throwaway (all
     charging happens at the coordinator); the table exists so the
-    membership write-through gives the quiescence pre-scan live
-    constraint columns, exactly as in ``runtime/session.py``.
+    membership write-through gives the replay cursor (DESIGN.md §9)
+    live constraint columns; the replay ops only translate between the
+    coordinator's global positions and times and cursor indices.
     """
 
     def __init__(
@@ -160,18 +167,7 @@ class ShardWorker:
         gpos: np.ndarray,
         latency_model,
         replay_mode: str,
-        batch_size: int,
-        min_chunk: int,
     ) -> None:
-        # Deferred import: the session module is the one other home of
-        # the prescan/deferred-assignment primitives this worker reuses.
-        from repro.runtime.session import (
-            ExecutionSession,
-            _DeferredAssignments,
-            _StatePrescan,
-            in_flight_barrier,
-        )
-
         self.vocabulary = vocabulary
         self.index = int(index)
         self.times = np.asarray(times, dtype=np.float64)
@@ -179,10 +175,9 @@ class ShardWorker:
         #: Record payloads: ``(m,)`` scalars or an ``(m, d)`` matrix.
         self.values = np.asarray(values, dtype=np.float64)
         self.gpos = np.asarray(gpos, dtype=np.int64)
-        n_local = len(initial_values)
         self.engine = SimulationEngine()
         self.ledger = MessageLedger()  # throwaway; coordinator charges
-        self.channel = ExecutionSession._make_channel(
+        self.channel = make_channel(
             self.ledger, self.engine, latency_model, channel_index=index
         )
         self._latent = isinstance(self.channel, LatencyChannel)
@@ -192,7 +187,6 @@ class ShardWorker:
             # delivery through explicit ``deliver`` ops so global
             # delivery order is decided on the merged in-flight plane.
             self.channel.external_delivery = True
-        self._barrier = in_flight_barrier
         #: Highest send seq whose pending (downlink) entry has been
         #: exported to the coordinator's plane.
         self._exported_seq = -1
@@ -201,38 +195,29 @@ class ShardWorker:
             for stream_id, payload in enumerate(initial_values)
         ]
         self.channel.bind_server(self._handle_uplink)
-        self.table = StreamStateTable(n_local)
+        self.table = StreamStateTable(len(self.sources))
         for source in self.sources:
             source.membership.bind_state(self.table, source.stream_id)
-        self.prescan = _StatePrescan([self.table])
-        self.deferred = _DeferredAssignments(
-            self.sources, [self.channel], self.values
-        )
         self.replay_mode = replay_mode
-        self.batch_size = int(batch_size)
-        self.min_chunk = int(min_chunk)
-        self.mode: str | None = None
-        #: Trace cursor: records before ``pos`` are committed (staged
-        #: quiescent or dispatched).
-        self.pos = 0
-        #: Proof frontier: ``[pos, scan_from)`` is proven quiescent
-        #: against the *current* constraint columns.
-        self.scan_from = 0
         #: Captured uplinks: ``(local id, payload, time)``.
         self.outbox: list[tuple] = []
         self._probe_reply: Message | None = None
         self.busy_seconds = 0.0
-        self.stats = {
-            "records": int(len(self.times)),
-            "dispatches": 0,
-            "staged": 0,
-            "columnar_reports": 0,
-            "chunk_scans": 0,
-            "suffix_rescans": 0,
-            "broadcast_truncations": 0,
-            "inflight_truncations": 0,
-            "dispatch_bailout_at": None,
-        }
+
+    @cached_property
+    def cursor(self) -> ReplayCursor:
+        """The shard's replay cursor, built at the first replay op —
+        ``auto`` must judge the filter state initialization left."""
+        return ReplayCursor(
+            self.times,
+            self.local_ids,
+            self.values,
+            sources=self.sources,
+            tables=[self.table],
+            channels=[self.channel],
+            engine=self.engine,
+            mode=self.replay_mode,
+        )
 
     # -- channel plumbing ----------------------------------------------
     def _handle_uplink(self, message: Message) -> None:
@@ -313,105 +298,21 @@ class ShardWorker:
             if stopped:
                 return list(self.outbox), delivered, True
 
-    # -- scanning -------------------------------------------------------
-    def _resolve_mode(self) -> str:
-        """Mirror the session's mode resolution, per worker.
-
-        ``auto`` picks the batched pre-scan exactly when some local
-        stream carries a filter the pre-scan can test — scalar bounds,
-        or a region's AABB quiescence boxes (after initialization the
-        coupled protocols have deployed one everywhere); the watch is
-        started here so later scans can re-validate their proven window
-        against only the streams a protocol reaction actually touched.
-        """
-        if self.replay_mode == "event":
-            mode = "event"
-        elif (
-            self.replay_mode == "auto"
-            and not getattr(self.table, self.vocabulary.scannable_column).any()
-        ):
-            mode = "event"
-        else:
-            mode = "batch"
-        if mode == "batch":
-            self.table.watch_constraints()
-        self.mode = mode
-        return mode
-
+    # -- replay: global positions and times <-> cursor indices ----------
     def scan(self) -> tuple[int | None, bool]:
-        """The shard's first-crossing candidate (global trace position).
+        """The shard's candidate as a *global trace position*, and
+        whether records remain behind the in-flight barrier with no
+        candidate to show (the coordinator must then deliver from the
+        plane before this shard can make progress)."""
+        k, blocked = self.cursor.candidate()
+        return (None if k is None else int(self.gpos[k])), blocked
 
-        Returns ``(candidate, blocked)``.  Invariant on return:
-        ``[pos, scan_from)`` is proven quiescent against the current
-        columns, and the candidate — when not ``None`` — is the record
-        at ``scan_from``.  In ``event`` mode nothing is proven: every
-        record is its own candidate, which collapses the epoch protocol
-        to exact global per-event order.
+    def _advance_to(self, k: int, op: str) -> None:
+        try:
+            self.cursor.advance(k)
+        except ValueError as exc:
+            raise TransportError(f"worker {self.index}: {op} {exc}") from exc
 
-        Under a nonzero latency model quiescence proofs are only valid
-        below the channel's in-flight barrier (a pending constraint
-        install may turn any later record into a crossing), so the
-        chunked scan caps its claims there; ``blocked`` reports that
-        records remain beyond the cap with no candidate to show — the
-        coordinator must deliver from the plane before this shard can
-        make progress.
-        """
-        mode = self.mode or self._resolve_mode()
-        n = len(self.times)
-        if mode == "event":
-            self.scan_from = self.pos
-            if self.pos < n:
-                return int(self.gpos[self.pos]), False
-            return None, False
-        if self.scan_from < self.pos:
-            self.scan_from = self.pos
-        changed = self.table.drain_constraint_watch()
-        if changed and self.scan_from > self.pos:
-            # Re-validate only the touched streams' records inside the
-            # proven window: untouched streams' columns are unchanged,
-            # so their quiescence proofs stand (the crossing mask of a
-            # record depends only on its own stream's columns).
-            touched = np.zeros(self.table.n_streams, dtype=bool)
-            touched[changed] = True
-            window_ids = self.local_ids[self.pos : self.scan_from]
-            affected = np.nonzero(touched[window_ids])[0]
-            if affected.size:
-                self.stats["suffix_rescans"] += 1
-                sub = self.pos + affected
-                mask = self.prescan.crossing_mask(
-                    self.local_ids[sub], self.values[sub]
-                )
-                hits = np.nonzero(mask)[0]
-                if hits.size:
-                    self.scan_from = int(sub[hits[0]])
-                    return int(self.gpos[self.scan_from]), False
-        n_eff = n
-        if self._latent:
-            t_bar, _ = self._barrier([self.channel])
-            if t_bar is not None:
-                n_eff = int(
-                    np.searchsorted(self.times, t_bar, side="left")
-                )
-                if n_eff < self.scan_from:
-                    n_eff = self.scan_from
-        i = self.scan_from
-        while i < n_eff:
-            end = min(i + self.batch_size, n_eff)
-            self.stats["chunk_scans"] += 1
-            mask = self.prescan.crossing_mask(
-                self.local_ids[i:end], self.values[i:end]
-            )
-            hits = np.nonzero(mask)[0]
-            if hits.size:
-                self.scan_from = i + int(hits[0])
-                return int(self.gpos[self.scan_from]), False
-            i = end
-        self.scan_from = n_eff
-        if n_eff < n:
-            self.stats["inflight_truncations"] += 1
-        return None, n_eff < n
-
-    # -- replay ---------------------------------------------------------
     def advance(self, g: int) -> None:
         """Bulk-stage every local record with global position < *g*.
 
@@ -419,20 +320,9 @@ class ShardWorker:
         the per-shard candidates: every local record before it lies in
         this worker's proven-quiescent window.
         """
-        below = int(np.searchsorted(self.gpos[self.pos :], int(g), side="left"))
-        k = self.pos + below
-        if k <= self.pos:
-            return
-        if k > max(self.scan_from, self.pos):
-            raise TransportError(
-                f"worker {self.index}: advance past the proven frontier "
-                f"(to {k}, proven {self.scan_from})"
-            )
-        self.deferred.stage(
-            self.local_ids[self.pos : k], self.values[self.pos : k]
+        self._advance_to(
+            int(np.searchsorted(self.gpos, int(g), side="left")), "advance"
         )
-        self.stats["staged"] += k - self.pos
-        self.pos = k
 
     def advance_time(self, t: float) -> None:
         """Bulk-stage the proven-quiescent records with time below *t*.
@@ -445,19 +335,10 @@ class ShardWorker:
         proven window — the plane head is a lower bound on all
         candidates and on every worker's in-flight barrier.
         """
-        k = int(np.searchsorted(self.times, float(t), side="left"))
-        if k <= self.pos:
-            return
-        if k > max(self.scan_from, self.pos):
-            raise TransportError(
-                f"worker {self.index}: advance_time past the proven "
-                f"frontier (to {k}, proven {self.scan_from})"
-            )
-        self.deferred.stage(
-            self.local_ids[self.pos : k], self.values[self.pos : k]
+        self._advance_to(
+            int(np.searchsorted(self.times, float(t), side="left")),
+            "advance_time",
         )
-        self.stats["staged"] += k - self.pos
-        self.pos = k
 
     def dispatch(self, g: int) -> list[tuple]:
         """Apply the record at global position *g* per-event.
@@ -467,24 +348,15 @@ class ShardWorker:
         over-claimed), as ``(local id, payload, time)`` tuples.
         """
         self.advance(g)
-        k = self.pos
+        k = self.cursor.pos
         if k >= len(self.times) or int(self.gpos[k]) != int(g):
             raise TransportError(
                 f"worker {self.index}: asked to dispatch position {g}, "
                 f"next unconsumed is "
                 f"{int(self.gpos[k]) if k < len(self.times) else None}"
             )
-        local = int(self.local_ids[k])
-        time = float(self.times[k])
-        if time > self.engine.now:
-            self.engine.run(until=time)
-        self.deferred.flush_for_dispatch(local)
         self.outbox.clear()
-        self.sources[local].apply(self.values[k], time)
-        self.pos = k + 1
-        if self.scan_from < self.pos:
-            self.scan_from = self.pos
-        self.stats["dispatches"] += 1
+        self.cursor.dispatch()
         return list(self.outbox)
 
     # -- control plane --------------------------------------------------
@@ -558,27 +430,15 @@ class ShardWorker:
         externally stepped — but freezes ``engine.now`` where the
         forced drain of the remaining plane entries expects it).
         """
-        n = len(self.times)
-        if self.pos < n:
-            if max(self.scan_from, self.pos) < n:
-                raise TransportError(
-                    f"worker {self.index}: settle with unproven records "
-                    f"[{self.scan_from}, {n})"
-                )
-            self.deferred.stage(
-                self.local_ids[self.pos :], self.values[self.pos :]
-            )
-            self.stats["staged"] += n - self.pos
-            self.pos = n
-        self.deferred.flush_all()
+        self._advance_to(len(self.times), "settle")
+        self.cursor.close()
         if horizon is not None and horizon > self.engine.now:
             self.engine.run(until=horizon)
 
     def finish(self, horizon: float | None) -> dict:
         """Settle (idempotent after an explicit ``settle``) + stats."""
         self.settle(horizon)
-        stats = dict(self.stats)
-        stats["mode"] = self.mode or self._resolve_mode()
+        stats = dict(self.cursor.stats)
         stats["kernel"] = "transport"
         stats["busy_seconds"] = self.busy_seconds
         return stats
@@ -1016,11 +876,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         n_shards: int,
         latency=None,
         replay_mode: str = "auto",
-        batch_size: int | None = None,
-        min_chunk: int | None = None,
     ) -> None:
-        from repro.runtime.session import DEFAULT_BATCH_SIZE, DEFAULT_MIN_CHUNK
-
         model = as_latency_model(latency)
         self.vocabulary = vocabulary_of(self.stack)
         self.protocol = protocol
@@ -1028,8 +884,6 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         self.trace = trace
         self._latency_model = model
         self._replay_mode = replay_mode
-        self._batch_size = int(batch_size or DEFAULT_BATCH_SIZE)
-        self._min_chunk = int(min_chunk or DEFAULT_MIN_CHUNK)
         n = trace.n_streams
         self.ranges = shard_ranges(n, n_shards)
         self._state = StreamStateTable(n)
@@ -1104,8 +958,6 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
                     "gpos": np.nonzero(keep)[0].astype(np.int64),
                     "latency_model": self._latency_model,
                     "replay_mode": self._replay_mode,
-                    "batch_size": self._batch_size,
-                    "min_chunk": self._min_chunk,
                 }
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(

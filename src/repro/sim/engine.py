@@ -49,6 +49,11 @@ class SimulationEngine:
         """Number of live events still scheduled."""
         return len(self._queue)
 
+    @property
+    def next_event_time(self) -> float | None:
+        """Firing time of the earliest live event, ``None`` when idle."""
+        return self._queue.peek_time()
+
     def schedule_at(
         self, time: float, action: Callable[[], None], label: str = ""
     ) -> Event:

@@ -112,7 +112,6 @@ SPATIAL = Vocabulary(
     initial_column="initial_points",
     record_column="points",
     record_deploy=record_region_deploy,
-    scannable_column="geo_scannable",
     constraint_columns=no_interval_bulk,
     oracle=SpatialOracle,
     violation_error=SpatialToleranceViolationError,

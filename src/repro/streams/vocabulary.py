@@ -112,7 +112,6 @@ SCALAR = Vocabulary(
     initial_column="initial_values",
     record_column="values",
     record_deploy=record_interval_deploy,
-    scannable_column="scannable",
     constraint_columns=constraint_columns,
     oracle=Oracle,
     violation_error=ToleranceViolationError,

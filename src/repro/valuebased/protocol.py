@@ -18,11 +18,7 @@ from repro.correctness.oracle import Oracle
 from repro.network.accounting import LedgerSnapshot
 from repro.queries.base import RankBasedQuery
 from repro.queries.rank import ranked_ids
-from repro.runtime.session import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_MIN_CHUNK,
-    ExecutionSession,
-)
+from repro.runtime.session import ExecutionSession
 from repro.sim.stats import Tally
 from repro.streams.trace import StreamTrace
 
@@ -84,8 +80,6 @@ def run_value_tolerance(
     eps: float,
     check_every: int = 1,
     replay_mode: str = "auto",
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    min_chunk: int = DEFAULT_MIN_CHUNK,
     n_shards: int = 1,
     latency=None,
 ) -> ValueToleranceResult:
@@ -155,8 +149,6 @@ def run_value_tolerance(
         oracle_apply=oracle_apply,
         after_apply=after_apply,
         mode=replay_mode,
-        batch_size=batch_size,
-        min_chunk=min_chunk,
     )
 
     return ValueToleranceResult(

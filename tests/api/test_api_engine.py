@@ -5,6 +5,7 @@ import pytest
 from repro.api import Deployment, Engine, QuerySpec, Workload, run
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
+from repro.runtime.replay import REPLAY_COUNTERS
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 
@@ -161,17 +162,10 @@ def test_report_extras_carry_replay_diagnostics():
     report = Engine().run(RANGE_SPEC, WORKLOAD, Deployment.single())
     stats = report.extras["replay"]
     assert stats["mode"] == "batch"
-    assert stats["kernel"] in ("columnar", "run", "chunk")
+    assert stats["kernel"] in ("columnar", "run")
     assert stats["records"] == report.n_records
     # The bailout counters the dispatch benchmark reads.
-    for key in (
-        "dispatches",
-        "staged",
-        "chunk_scans",
-        "suffix_rescans",
-        "broadcast_truncations",
-        "inflight_truncations",
-    ):
+    for key in REPLAY_COUNTERS:
         assert stats[key] >= 0
     assert "dispatch_bailout_at" in stats
     event = Engine().run(
@@ -187,7 +181,7 @@ def test_fanout_merges_replay_diagnostics():
     )
     stats = fanned.extras["replay"]
     assert stats["records"] == fanned.n_records
-    assert stats["kernel"] in ("columnar", "run", "chunk", "mixed")
+    assert stats["kernel"] in ("columnar", "run", "mixed")
 
 
 def test_fanout_matches_sequential_for_decomposable_protocol():

@@ -133,18 +133,16 @@ def test_deployment_rejects_inconsistent_shapes():
 def test_deployment_validates_run_config_knobs_eagerly():
     with pytest.raises(ValueError, match="replay_mode"):
         Deployment.single(replay_mode="fast")
-    with pytest.raises(ValueError, match="batch_size"):
-        Deployment.single(batch_size=0)
     with pytest.raises(ValueError, match="check_every"):
         Deployment.single(check_every=-1)
 
 
 def test_deployment_run_config_round_trip():
     deployment = Deployment.single(
-        replay_mode="event", batch_size=128, check_every=3, strict=True
+        replay_mode="event", check_every=3, strict=True
     )
     config = deployment.run_config(label="x")
-    assert (config.replay_mode, config.batch_size) == ("event", 128)
+    assert config.replay_mode == "event"
     assert (config.check_every, config.strict, config.label) == (3, True, "x")
     lifted = Deployment.from_run_config(config)
     assert lifted == deployment

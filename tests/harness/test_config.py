@@ -3,18 +3,12 @@
 import pytest
 
 from repro.harness.config import RunConfig
-from repro.runtime.session import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_MIN_CHUNK,
-    REPLAY_MODES,
-)
+from repro.runtime.replay import REPLAY_MODES
 
 
 def test_defaults_are_valid_and_frozen():
     config = RunConfig()
     assert config.replay_mode == "auto"
-    assert config.batch_size == DEFAULT_BATCH_SIZE
-    assert config.min_chunk == DEFAULT_MIN_CHUNK
     assert config.check_every == 0
     with pytest.raises(AttributeError):
         config.check_every = 3
@@ -36,36 +30,6 @@ def test_non_string_replay_mode_is_a_type_error():
         RunConfig(replay_mode=3)
 
 
-@pytest.mark.parametrize("batch_size", [0, -1, -4096])
-def test_non_positive_batch_sizes_are_rejected(batch_size):
-    with pytest.raises(ValueError, match="batch_size must be >= 1"):
-        RunConfig(batch_size=batch_size)
-
-
-@pytest.mark.parametrize("batch_size", [2.5, "64", None, True])
-def test_non_int_batch_sizes_are_type_errors(batch_size):
-    with pytest.raises(TypeError, match="batch_size must be an int"):
-        RunConfig(batch_size=batch_size)
-
-
-@pytest.mark.parametrize("min_chunk", [0, -1, -32])
-def test_non_positive_min_chunks_are_rejected(min_chunk):
-    with pytest.raises(ValueError, match="min_chunk must be >= 1"):
-        RunConfig(min_chunk=min_chunk)
-
-
-@pytest.mark.parametrize("min_chunk", [2.5, "32", None, True])
-def test_non_int_min_chunks_are_type_errors(min_chunk):
-    with pytest.raises(TypeError, match="min_chunk must be an int"):
-        RunConfig(min_chunk=min_chunk)
-
-
-def test_min_chunk_above_batch_size_is_allowed():
-    """batch_size caps every scan, so an oversized floor is harmless."""
-    config = RunConfig(batch_size=4, min_chunk=64)
-    assert config.min_chunk == 64
-
-
 def test_negative_check_every_is_rejected():
     with pytest.raises(ValueError, match="check_every must be >= 0"):
         RunConfig(check_every=-1)
@@ -81,20 +45,7 @@ def test_deployment_inherits_the_validation():
     """Deployment reuses RunConfig's checks for the shared knobs."""
     from repro.api import Deployment
 
-    with pytest.raises(TypeError, match="batch_size"):
-        Deployment.single(batch_size="big")
+    with pytest.raises(TypeError, match="check_every"):
+        Deployment.single(check_every="often")
     with pytest.raises(ValueError, match="replay_mode"):
         Deployment.sharded(2, replay_mode="warp")
-    with pytest.raises(ValueError, match="min_chunk"):
-        Deployment.single(min_chunk=0)
-
-
-def test_min_chunk_round_trips_through_deployment():
-    """Deployment carries the knob into its RunConfig projection."""
-    from repro.api import Deployment
-
-    deployment = Deployment.single(batch_size=512, min_chunk=8)
-    config = deployment.run_config()
-    assert config.batch_size == 512
-    assert config.min_chunk == 8
-    assert Deployment.from_run_config(config).min_chunk == 8

@@ -71,18 +71,33 @@ def test_batched_replay_ledger_identical(trace, name, factory):
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 64, 4096])
-def test_batch_size_does_not_change_results(trace, batch_size):
+@pytest.mark.parametrize("name", ["zt-nrp", "ft-nrp", "rtp"])
+def test_batch_size_does_not_change_results(trace, name, batch_size):
+    """Chunk boundaries are invisible — on the columnar strategy
+    (zt-nrp) and on the cursor (ft-nrp, rtp) alike.  The bounds are
+    arguments of ``ExecutionSession.replay`` only; no config sets them."""
+    factory = dict(_protocol_zoo())[name]
     reference = run_protocol(
-        trace,
-        ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0)),
-        config=RunConfig(replay_mode="event"),
+        trace, factory(), config=RunConfig(replay_mode="event")
     )
-    batched = run_protocol(
-        trace,
-        ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0)),
-        config=RunConfig(replay_mode="batch", batch_size=batch_size),
+    protocol = factory()
+    session = ExecutionSession.for_streams(trace, protocol)
+    session.initialize()
+    session.replay_trace(
+        trace, mode="batch", batch_size=batch_size, min_chunk=min(batch_size, 32)
     )
-    assert reference.ledger == batched.ledger
+    assert session.snapshot() == reference.ledger
+    assert protocol.answer == reference.final_answer
+
+
+@pytest.mark.parametrize("name", ["zt-nrp", "ft-nrp"])
+def test_a_non_positive_chunk_bound_is_rejected(trace, name):
+    """On the columnar strategy and on the cursor alike — a zero chunk
+    would never advance."""
+    session = ExecutionSession.for_streams(trace, dict(_protocol_zoo())[name]())
+    session.initialize()
+    with pytest.raises(ValueError, match="batch_size"):
+        session.replay_trace(trace, mode="batch", batch_size=0)
 
 
 @pytest.mark.parametrize("eps", [5.0, 60.0, 500.0])

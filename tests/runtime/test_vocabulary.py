@@ -9,7 +9,8 @@ import pytest
 import repro
 from repro.api import Deployment, Engine, QuerySpec, Workload
 from repro.api.spec import PROTOCOLS
-from repro.runtime.session import REPLAY_MODES, ExecutionSession
+from repro.runtime.replay import REPLAY_MODES
+from repro.runtime.session import ExecutionSession
 from repro.runtime.vocabulary import Vocabulary, vocabulary_of
 from repro.server.server import Server
 from repro.server.sharded import ShardedServer, ShardedSpatialServer

@@ -118,15 +118,16 @@ def test_merge_replay_stats_counts_workers():
     from repro.api.engine import _merge_replay_stats
 
     parts = [
-        {"mode": "batch", "kernel": "chunk", "records": 10, "staged": 4},
-        {"mode": "batch", "kernel": "chunk", "records": 7, "staged": 1},
-        {"mode": "batch", "kernel": "chunk", "records": 3, "staged": 0},
+        {"mode": "batch", "kernel": "transport", "records": 10, "staged": 4},
+        {"mode": "batch", "kernel": "transport", "records": 7, "staged": 1},
+        {"mode": "batch", "kernel": "transport", "records": 3, "staged": 0},
     ]
     merged = _merge_replay_stats(parts)
     assert merged["workers"] == 3
     assert merged["records"] == 20
     assert merged["staged"] == 5
     assert merged["mode"] == "batch"
+    assert merged["kernel"] == "transport"
 
 
 def test_transport_report_merges_worker_diagnostics():
