@@ -41,9 +41,11 @@ Asserts >= 1.5x per-shard-server capacity at 4 shards (measured ~4x:
 splitting a 10k-stream session also shrinks per-shard assembly and
 pre-scan state, so capacity scales slightly super-linearly), >= 1.5x
 (local; >= 1.3x under ``BENCH_SMOKE``) transport-parallel replay
-throughput at 4 shards for RTP and ZT-RP on the scalar vocabulary and
-for ZT-RP-2d and FT-RP-2d on the spatial one, and ledger byte-equality
-for every variant.  Also reports the sequential sharded
+throughput at 4 shards for ZT-RP-2d and FT-RP-2d on the spatial
+vocabulary, and ledger byte-equality for every variant.  The scalar
+transport curve (RTP, ZT-RP) is printed and recorded without a floor:
+the one it had measured the per-message constraint loop the columnar
+control plane removed from both sides (PR 12).  Also reports the sequential sharded
 *coordinator* overhead on the rank-heavy RTP path (per-shard RankViews
 + k-way merge vs one global RankView) — tracked in the artifact, not
 asserted.
@@ -99,7 +101,9 @@ def _spec() -> QuerySpec:
 
 
 def _best_of(fn):
-    return best_of(fn, REPEATS)
+    # Best-of-2 even in smoke mode: one sample of a ~13 ms shard replay
+    # is a gen-2 GC pause away from any floor.
+    return best_of(fn, max(REPEATS, 2))
 
 
 def test_bench_sharded_replay_throughput():
@@ -150,8 +154,6 @@ def test_bench_sharded_replay_throughput():
                 _restrict_to_shard(trace, lo, hi),
                 spec.build(),
                 "auto",
-                4096,
-                32,
                 lo,
                 None,
             )
@@ -364,7 +366,6 @@ def test_bench_transport_coupled_throughput():
         "protocol": "rtp",
         "horizon": RTP_HORIZON,
         "n_records": trace.n_records,
-        "min_speedup_at_4": MIN_TRANSPORT_SPEEDUP_AT_4,
         "shards": {},
     }
     for n_shards in SHARD_COUNTS:
@@ -395,17 +396,12 @@ def test_bench_transport_coupled_throughput():
         f"{ztrp_point['speedup_vs_sequential']:.2f}x, ledgers equal"
     )
 
-    rtp_speedup = _RESULTS["transport"]["shards"]["4"][
-        "speedup_vs_sequential"
-    ]
-    floor = MIN_TRANSPORT_SPEEDUP_AT_4
-    assert rtp_speedup >= floor, (
-        f"transport RTP speedup at 4 shards {rtp_speedup:.2f}x < {floor}x"
-    )
-    assert ztrp_point["speedup_vs_sequential"] >= floor, (
-        f"transport ZT-RP speedup at 4 shards "
-        f"{ztrp_point['speedup_vs_sequential']:.2f}x < {floor}x"
-    )
+    # No speedup floor on the scalar vocabulary: the curve is printed
+    # and recorded, the contract asserted here is ledger equality.  The
+    # floor this test used to assert measured the per-message constraint
+    # loop spread over workers; the columnar control plane (PR 12) took
+    # that loop out of the sequential coordinator too, and the modeled
+    # transport wall has read 0.8-1.1x sequential at 4 shards since.
     write_artifact("sharded", _RESULTS)
 
 

@@ -26,10 +26,9 @@ decisions:
 assembly, oracle + checker, initialize, replay, result — for both
 vocabularies and all three topologies; ``_execute_streams`` and
 ``_execute_spatial`` only route around it (durability, fan-out).  The
-pre-``repro.api`` entrypoints (``run_protocol``,
-``run_spatial_protocol``, ``run_multi_query``) survive as thin
-deprecation shims delegating here, so results are ledger-identical
-across the rename.
+pre-``repro.api`` entrypoints (``run_protocol``, ``run_multi_query``)
+survive as thin deprecation shims delegating here, so results are
+ledger-identical across the rename.
 """
 
 from __future__ import annotations

@@ -27,6 +27,14 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
 from repro.network.latency import as_latency_model
+from repro.protocols import (
+    FractionToleranceKnnProtocol,
+    FractionToleranceRangeProtocol,
+    NoFilterProtocol,
+    RankToleranceProtocol,
+    ZeroToleranceKnnProtocol,
+    ZeroToleranceRangeProtocol,
+)
 
 #: Stack identifiers (which execution assembly a protocol runs on).
 STACK_STREAMS = "streams"
@@ -36,92 +44,42 @@ STACK_VALUEBASED = "valuebased"
 TOPOLOGIES = ("single", "sharded")
 
 
-def _build_streams(name: str) -> Callable:
+#: The protocol family: paper name -> (class, whether the constructor
+#: takes the tolerance and the spec's options).  One class per algorithm,
+#: whatever the dimension (DESIGN.md §15).
+_FAMILY: dict[str, tuple[type, bool]] = {
+    "no-filter": (NoFilterProtocol, False),
+    "zt-nrp": (ZeroToleranceRangeProtocol, False),
+    "ft-nrp": (FractionToleranceRangeProtocol, True),
+    "rtp": (RankToleranceProtocol, True),
+    "zt-rp": (ZeroToleranceKnnProtocol, False),
+    "ft-rp": (FractionToleranceKnnProtocol, True),
+}
+
+
+def _builder(cls: type, tolerant: bool, display: str) -> Callable:
     def build(spec: "QuerySpec"):
-        from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
-        from repro.protocols.ft_rp import FractionToleranceKnnProtocol
-        from repro.protocols.no_filter import NoFilterProtocol
-        from repro.protocols.rtp import RankToleranceProtocol
-        from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
-        from repro.protocols.zt_rp import ZeroToleranceKnnProtocol
-
-        options = dict(spec.options)
-        if name == "no-filter":
-            return NoFilterProtocol(spec.query)
-        if name == "zt-nrp":
-            return ZeroToleranceRangeProtocol(spec.query)
-        if name == "zt-rp":
-            return ZeroToleranceKnnProtocol(spec.query)
-        if name == "rtp":
-            return RankToleranceProtocol(
-                spec.query, spec.require_tolerance(), **options
+        if tolerant:
+            protocol = cls(
+                spec.query, spec.require_tolerance(), **spec.options
             )
-        if name == "ft-nrp":
-            return FractionToleranceRangeProtocol(
-                spec.query, spec.require_tolerance(), **options
-            )
-        assert name == "ft-rp"
-        return FractionToleranceKnnProtocol(
-            spec.query, spec.require_tolerance(), **options
-        )
-
-    return build
-
-
-def _build_spatial(name: str) -> Callable:
-    def build(spec: "QuerySpec"):
-        from repro.spatial.protocols import (
-            SpatialFractionKnnProtocol,
-            SpatialFractionRangeProtocol,
-            SpatialNoFilterProtocol,
-            SpatialRankToleranceProtocol,
-            SpatialZeroKnnProtocol,
-            SpatialZeroRangeProtocol,
-        )
-
-        options = dict(spec.options)
-        if name == "no-filter-2d":
-            return SpatialNoFilterProtocol(spec.query)
-        if name == "zt-nrp-2d":
-            return SpatialZeroRangeProtocol(spec.query)
-        if name == "zt-rp-2d":
-            return SpatialZeroKnnProtocol(spec.query)
-        if name == "rtp-2d":
-            return SpatialRankToleranceProtocol(
-                spec.query, spec.require_tolerance(), **options
-            )
-        if name == "ft-nrp-2d":
-            return SpatialFractionRangeProtocol(
-                spec.query, spec.require_tolerance(), **options
-            )
-        assert name == "ft-rp-2d"
-        return SpatialFractionKnnProtocol(
-            spec.query, spec.require_tolerance(), **options
-        )
+        else:
+            protocol = cls(spec.query)
+        protocol.name = display
+        return protocol
 
     return build
 
 
 #: Protocol name -> (stack, builder).  Names are the paper's, lowercased;
-#: ``-2d`` marks the spatial generalizations and ``value-eps`` the
-#: Olston-style value-window scheme Figure 1 compares against.
+#: ``-2d`` hosts the same class on the spatial stack (reports print the
+#: suffix) and ``value-eps`` is the Olston-style value-window scheme
+#: Figure 1 compares against.
 PROTOCOLS: dict[str, tuple[str, Callable | None]] = {
-    name: (STACK_STREAMS, _build_streams(name))
-    for name in ("no-filter", "zt-nrp", "ft-nrp", "rtp", "zt-rp", "ft-rp")
+    name + suffix: (stack, _builder(cls, tolerant, cls.name + suffix))
+    for name, (cls, tolerant) in _FAMILY.items()
+    for stack, suffix in ((STACK_STREAMS, ""), (STACK_SPATIAL, "-2d"))
 }
-PROTOCOLS.update(
-    {
-        name: (STACK_SPATIAL, _build_spatial(name))
-        for name in (
-            "no-filter-2d",
-            "zt-nrp-2d",
-            "ft-nrp-2d",
-            "rtp-2d",
-            "zt-rp-2d",
-            "ft-rp-2d",
-        )
-    }
-)
 PROTOCOLS["value-eps"] = (STACK_VALUEBASED, None)
 
 

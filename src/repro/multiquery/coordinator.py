@@ -81,21 +81,17 @@ class QueryContext:
         )
 
     def deploy_many(
-        self, stream_ids, lower, upper, assumed_inside=None
+        self, stream_ids, bound, assumed_inside=None, silenced=None
     ) -> None:
         """Server-compatible batch deploy; slotted sources have no
         columnar form, so this is the ordered :meth:`deploy` loop."""
         deploy_each(
-            self, *constraint_columns(stream_ids, lower, upper, assumed_inside)
+            self,
+            *constraint_columns(stream_ids, bound, assumed_inside, silenced),
         )
 
-    def broadcast(
-        self,
-        lower: float,
-        upper: float,
-        assumed_inside: dict[int, bool] | None = None,
-    ) -> None:
-        self.deploy_many(self.stream_ids, lower, upper, assumed_inside)
+    def broadcast(self, bound, assumed_inside=None) -> None:
+        self.deploy_many(self.stream_ids, bound, assumed_inside)
 
 
 class MultiQueryCoordinator(DeferredDeliveryMixin):

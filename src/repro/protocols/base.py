@@ -7,6 +7,19 @@ and the filter constraints installed at the sources.  The server calls
 :meth:`FilterProtocol.on_update` for every update message (including
 self-correction reports triggered by stale-belief deployments — the
 server serializes those, so handlers are never re-entered).
+
+Protocols are written against a *bound value*, not an interval (DESIGN.md
+§15): a constraint is whatever the query hands out — a
+:class:`~repro.streams.filters.FilterConstraint` on the scalar stack, a
+:class:`~repro.spatial.geometry.Region` on the spatial one — of which a
+protocol uses only ``contains`` and ``boundary_distance``; the query
+supplies ``matches`` and its own ``bound``, or ``distance``,
+``region(threshold)`` and ``rank_keys``; the last-known payload of a
+stream is ``state.value_of(i)``; and ``server.deploy_many(ids, bound,
+belief, silenced)`` turns "this bound everywhere, silencers for the pool
+members" into the hosting stack's messages.  So one class serves every
+dimension: ``rtp`` and ``rtp-2d`` are the same algorithm on a different
+host.
 """
 
 from __future__ import annotations
@@ -49,9 +62,10 @@ class FilterProtocol(ABC):
 
     @abstractmethod
     def on_update(
-        self, server: "Server", stream_id: int, value: float, time: float
+        self, server: "Server", stream_id: int, value, time: float
     ) -> None:
-        """Maintenance phase: react to one update message."""
+        """Maintenance phase: react to one update message carrying the
+        stream's payload *value* (a float, or a point)."""
 
     @property
     def answer(self) -> frozenset[int]:

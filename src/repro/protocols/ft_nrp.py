@@ -2,11 +2,12 @@
 
 Initialization probes every stream, then hands out silencing filters:
 
-* of the ``|A(t0)|`` streams inside ``[l, u]``, ``n+ = Emax+`` get the
-  false-positive filter ``[-inf, +inf]`` and go silent;
+* of the ``|A(t0)|`` streams inside the query's bound (``[l, u]``, or
+  the query box), ``n+ = Emax+`` get the false-positive filter
+  (``[-inf, +inf]`` / all of space) and go silent;
 * of the streams outside, ``n- = Emax-`` get the false-negative filter
-  ``[+inf, +inf]`` and likewise go silent;
-* everyone else gets ``[l, u]`` itself (ZT-NRP behaviour).
+  (``[+inf, +inf]`` / the empty region) and likewise go silent;
+* everyone else gets the bound itself (ZT-NRP behaviour).
 
 Maintenance tracks the slack variable ``count`` — the surplus of
 entering-range reports over leaving-range reports since the last deficit.
@@ -54,7 +55,6 @@ from typing import TYPE_CHECKING
 
 from repro.protocols.base import FilterProtocol
 from repro.protocols.selection import BoundaryNearestSelection, SelectionHeuristic
-from repro.queries.range_query import RangeQuery
 from repro.state.pools import SilencerPools
 from repro.tolerance.fraction_tolerance import FractionTolerance
 
@@ -69,7 +69,7 @@ class FractionToleranceRangeProtocol(FilterProtocol):
     Parameters
     ----------
     query:
-        The standing range query.
+        The standing range query (scalar or spatial).
     tolerance:
         Maximum false-positive / false-negative fractions (< 0.5 each).
     selection:
@@ -86,12 +86,13 @@ class FractionToleranceRangeProtocol(FilterProtocol):
 
     def __init__(
         self,
-        query: RangeQuery,
+        query,
         tolerance: FractionTolerance,
         selection: SelectionHeuristic | None = None,
         reinitialize_when_exhausted: bool = False,
     ) -> None:
         self.query = query
+        self._bound = query.bound
         self.tolerance = tolerance
         self.selection = selection or BoundaryNearestSelection()
         self.reinitialize_when_exhausted = reinitialize_when_exhausted
@@ -110,7 +111,7 @@ class FractionToleranceRangeProtocol(FilterProtocol):
         values = server.probe_all()
         self._install(server, values)
 
-    def _install(self, server: "Server", values: dict[int, float]) -> None:
+    def _install(self, server: "Server", values: dict) -> None:
         """Compute A, choose silencers, and deploy all filters."""
         assert self._state is not None
         inside = {
@@ -128,20 +129,18 @@ class FractionToleranceRangeProtocol(FilterProtocol):
 
         n_plus = min(self.tolerance.emax_plus(len(inside)), len(inside))
         n_minus = min(self.tolerance.emax_minus(len(inside)), len(outside))
-        lower, upper = self.query.lower, self.query.upper
-        fp_ids = self.selection.select(inside, n_plus, lower, upper)
-        fn_ids = self.selection.select(outside, n_minus, lower, upper)
+        fp_ids = self.selection.select(inside, n_plus, self._bound)
+        fn_ids = self.selection.select(outside, n_minus, self._bound)
         self._pools.reset(fp_ids, fn_ids)
 
-        ids = list(values)
-        server.deploy_many(ids, *self._pools.bounds_for(ids, lower, upper))
+        server.deploy_many(list(values), self._bound, silenced=self._pools)
         self._enforce_budgets(server)
 
     # ------------------------------------------------------------------
     # Maintenance phase (Figure 7, middle)
     # ------------------------------------------------------------------
     def on_update(
-        self, server: "Server", stream_id: int, value: float, time: float
+        self, server: "Server", stream_id: int, value, time: float
     ) -> None:
         assert self._state is not None, "initialize() must run first"
         if self.query.matches(value):
@@ -178,7 +177,7 @@ class FractionToleranceRangeProtocol(FilterProtocol):
             if self.query.matches(value):
                 # True positive after all: pin it with the real range
                 # filter; budgets strictly improve (Section 5.1.1 case 1).
-                server.deploy(candidate, self.query.lower, self.query.upper)
+                server.deploy_many([candidate], self._bound)
                 return
             # True negative: drop it from the answer.  It is now silenced
             # and believed outside — i.e. a false-negative filter — so it
@@ -190,7 +189,7 @@ class FractionToleranceRangeProtocol(FilterProtocol):
             value = server.probe(candidate)
             if self.query.matches(value):
                 self._state.answer_add(candidate)
-            server.deploy(candidate, self.query.lower, self.query.upper)
+            server.deploy_many([candidate], self._bound)
 
     # ------------------------------------------------------------------
     # Budget enforcement (see module docstring, second deviation)
@@ -218,7 +217,7 @@ class FractionToleranceRangeProtocol(FilterProtocol):
             value = server.probe(candidate)
             if self.query.matches(value):
                 self._state.answer_add(candidate)
-            server.deploy(candidate, self.query.lower, self.query.upper)
+            server.deploy_many([candidate], self._bound)
 
     def _reclaim_fp(self, server: "Server") -> None:
         assert self._state is not None
@@ -226,7 +225,7 @@ class FractionToleranceRangeProtocol(FilterProtocol):
         value = server.probe(candidate)
         if not self.query.matches(value):
             self._state.answer_discard(candidate)
-        server.deploy(candidate, self.query.lower, self.query.upper)
+        server.deploy_many([candidate], self._bound)
 
     # ------------------------------------------------------------------
     # Introspection

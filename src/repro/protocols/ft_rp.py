@@ -55,7 +55,6 @@ import numpy as np
 
 from repro.protocols.base import FilterProtocol
 from repro.protocols.selection import BoundaryNearestSelection, SelectionHeuristic
-from repro.queries.base import RankBasedQuery
 from repro.state.pools import SilencerPools
 from repro.state.rank import RankView
 from repro.tolerance.fraction_tolerance import FractionTolerance
@@ -72,7 +71,7 @@ class FractionToleranceKnnProtocol(FilterProtocol):
     Parameters
     ----------
     query:
-        A rank-based query (k-NN, top-k, or k-min).
+        A rank-based query (k-NN, top-k, k-min, or spatial k-NN).
     tolerance:
         The user's ``eps+/eps-`` fractions.
     policy:
@@ -86,7 +85,7 @@ class FractionToleranceKnnProtocol(FilterProtocol):
 
     def __init__(
         self,
-        query: RankBasedQuery,
+        query,
         tolerance: FractionTolerance,
         policy: RhoPolicy = RhoPolicy.BALANCED,
         selection: SelectionHeuristic | None = None,
@@ -103,7 +102,7 @@ class FractionToleranceKnnProtocol(FilterProtocol):
         self._rank: RankView | None = None
         self._pools = SilencerPools()
         self._count = 0
-        self._region: tuple[float, float] | None = None
+        self._region = None
         self.recomputations = 0
 
     # ------------------------------------------------------------------
@@ -116,7 +115,7 @@ class FractionToleranceKnnProtocol(FilterProtocol):
             )
         if self._state is not server.state:
             self._state = server.state
-            self._rank = server.rank_view(self.query.distance_array)
+            self._rank = server.rank_view(self.query.rank_keys)
             self._pools.bind(self._state)
         server.probe_all()
         self._resolve(server)
@@ -129,26 +128,24 @@ class FractionToleranceKnnProtocol(FilterProtocol):
         top = leaders[:k]
         state.answer_replace(top)
         self._count = 0
-        values = state.values
-        d_in = self.query.distance(float(values[leaders[k - 1]]))
-        d_out = self.query.distance(float(values[leaders[k]]))
+        payloads = state.payload_array()
+        d_in = self.query.distance(payloads[leaders[k - 1]])
+        d_out = self.query.distance(payloads[leaders[k]])
         self._region = self.query.region((d_in + d_out) / 2.0)
-        lower, upper = self._region
 
-        inside = {i: float(values[i]) for i in top}
+        inside = {i: payloads[i] for i in top}
         outside_mask = state.known.copy()
         outside_mask[top] = False
-        outside = {
-            int(i): float(values[i]) for i in np.nonzero(outside_mask)[0]
-        }
+        outside = {int(i): payloads[i] for i in np.nonzero(outside_mask)[0]}
         n_fp = min(math.floor(k * self.rho_plus + 1e-9), len(inside))
         n_fn = min(math.floor(k * self.rho_minus + 1e-9), len(outside))
-        fp_ids = self.selection.select(inside, n_fp, lower, upper)
-        fn_ids = self.selection.select(outside, n_fn, lower, upper)
+        fp_ids = self.selection.select(inside, n_fp, self._region)
+        fn_ids = self.selection.select(outside, n_fn, self._region)
         self._pools.reset(fp_ids, fn_ids)
 
-        ids = server.stream_ids
-        server.deploy_many(ids, *self._pools.bounds_for(ids, lower, upper))
+        server.deploy_many(
+            server.stream_ids, self._region, silenced=self._pools
+        )
 
     # ------------------------------------------------------------------
     # Live answer-size triggers (see module docstring)
@@ -176,12 +173,11 @@ class FractionToleranceKnnProtocol(FilterProtocol):
     # Maintenance
     # ------------------------------------------------------------------
     def on_update(
-        self, server: "Server", stream_id: int, value: float, time: float
+        self, server: "Server", stream_id: int, value, time: float
     ) -> None:
         assert self._region is not None, "initialize() must run first"
         assert self._state is not None
-        lower, upper = self._region
-        if lower <= value <= upper:
+        if self._region.contains(value):
             # An object entered R.
             self._state.answer_add(stream_id)
             if self._bounds_violated():
@@ -212,28 +208,25 @@ class FractionToleranceKnnProtocol(FilterProtocol):
     def _fix_error(self, server: "Server") -> None:
         """FT-NRP's Fix_Error over the R view (see ft_nrp.py)."""
         assert self._region is not None and self._state is not None
-        lower, upper = self._region
         if self._pools.fp:
             candidate = self._pools.pop_fp()
-            value = server.probe(candidate)
-            if lower <= value <= upper:
-                server.deploy(candidate, lower, upper)
+            if self._region.contains(server.probe(candidate)):
+                server.deploy_many([candidate], self._region)
                 return
             self._state.answer_discard(candidate)
             self._pools.push_fn(candidate)
         if self._pools.fn:
             candidate = self._pools.pop_fn()
-            value = server.probe(candidate)
-            if lower <= value <= upper:
+            if self._region.contains(server.probe(candidate)):
                 self._state.answer_add(candidate)
-            server.deploy(candidate, lower, upper)
+            server.deploy_many([candidate], self._region)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def region(self) -> tuple[float, float] | None:
-        """The current k-NN bound estimate ``R``."""
+    def region(self):
+        """The current k-NN bound estimate ``R`` (a bound value)."""
         return self._region
 
     @property

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.protocols.base import FilterProtocol
-from repro.queries.base import EntityQuery, NonRankBasedQuery
 
 if TYPE_CHECKING:
     from repro.server.server import Server
@@ -22,20 +21,20 @@ if TYPE_CHECKING:
 class NoFilterProtocol(FilterProtocol):
     """Exact answering with zero filtering.
 
-    The value vector is the shared state table's value column (the
+    The payload vector is the shared state table's payload column (the
     server refreshes it on every update, and with no filters every
     update arrives).  Range-query membership is maintained incrementally
     in the table's answer mask; rank-based answers are evaluated from
-    the value column only when :attr:`answer` is read (the checker or
+    the payload column only when :attr:`answer` is read (the checker or
     user asks; the hot update path stays O(1)).
     """
 
     name = "no-filter"
 
-    def __init__(self, query: EntityQuery) -> None:
+    def __init__(self, query) -> None:
         self.query = query
         self._state: "StreamStateTable | None" = None
-        self._is_range = isinstance(query, NonRankBasedQuery)
+        self._is_range = not query.is_rank_based
         # Range answering is a per-stream membership flip, so shards
         # replay independently; a rank-based answer reads the *global*
         # value order and must stay on one coordinator.
@@ -48,17 +47,16 @@ class NoFilterProtocol(FilterProtocol):
         self._state = server.state
         server.probe_all()
         if self._is_range:
-            assert isinstance(self.query, NonRankBasedQuery)
-            matches = self.query.matches_array(self._state.values)
-            self._state.answer_set_mask(matches)
+            self._state.answer_set_mask(
+                self.query.matches_array(self._state.payload_array())
+            )
         self._rank_cache = None
 
     def on_update(
-        self, server: "Server", stream_id: int, value: float, time: float
+        self, server: "Server", stream_id: int, value, time: float
     ) -> None:
         assert self._state is not None, "initialize() must run first"
         if self._is_range:
-            assert isinstance(self.query, NonRankBasedQuery)
             if self.query.matches(value):
                 self._state.answer_add(stream_id)
             else:
@@ -73,5 +71,7 @@ class NoFilterProtocol(FilterProtocol):
         if self._is_range:
             return self._state.answer_snapshot()
         if self._rank_cache is None:
-            self._rank_cache = self.query.true_answer(self._state.values)
+            self._rank_cache = self.query.true_answer(
+                self._state.payload_array()
+            )
         return self._rank_cache

@@ -1,8 +1,9 @@
 """RTP: the rank-based tolerance protocol (Section 4, Figure 5).
 
-The server maintains a closed region ``R`` — an interval centred on the
-query point — positioned halfway between the ``(k+r)``-th and
-``(k+r+1)``-st closest objects.  Every stream's filter *is* ``R``, so the
+The server maintains a closed region ``R`` around the query point — an
+interval on the line, a ball in d dimensions: whatever the query's
+``region(threshold)`` builds — positioned halfway between the
+``(k+r)``-th and ``(k+r+1)``-st closest objects.  Every stream's filter *is* ``R``, so the
 server learns exactly when an object enters or leaves ``R``.  Server-side
 state:
 
@@ -27,9 +28,12 @@ normal Case 1-3 routing.  See ``repro.streams.source``.
 
 Server-side state lives in the shared :class:`~repro.state.table.
 StreamStateTable` — ``A(t)`` and ``X(t)`` are its membership masks, and
-the "old ranking scores kept by the server" are its value column, kept
+the "old ranking scores kept by the server" are its payload column, kept
 in rank order by an incremental :class:`~repro.state.rank.RankView`
 (dirty-region repair) instead of a full ``sorted()`` per resolution.
+The view is keyed by the query's ``rank_keys`` — per row bitwise the
+``distance`` the case analysis compares, so the (distance, id) order is
+one order everywhere.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from repro.protocols.base import FilterProtocol
-from repro.queries.base import RankBasedQuery
 from repro.runtime.membership import BELIEF_NONE
 from repro.state.rank import RankView
 from repro.tolerance.rank_tolerance import RankTolerance
@@ -55,7 +58,7 @@ class RankToleranceProtocol(FilterProtocol):
     Parameters
     ----------
     query:
-        A rank-based query (k-NN, top-k, or k-min).
+        A rank-based query (k-NN, top-k, k-min, or spatial k-NN).
     tolerance:
         The rank slack ``r``; ``tolerance.k`` must equal ``query.k``.
     expand_search:
@@ -69,7 +72,7 @@ class RankToleranceProtocol(FilterProtocol):
 
     def __init__(
         self,
-        query: RankBasedQuery,
+        query,
         tolerance: RankTolerance,
         expand_search: bool = True,
     ) -> None:
@@ -82,7 +85,7 @@ class RankToleranceProtocol(FilterProtocol):
         self.expand_search = expand_search
         self._state: "StreamStateTable | None" = None
         self._rank: RankView | None = None
-        self._region: tuple[float, float] | None = None
+        self._region = None
         self.reinitializations = 0
         self.expansions = 0
 
@@ -94,22 +97,15 @@ class RankToleranceProtocol(FilterProtocol):
         """``eps_k^r = k + r``, the worst admissible rank."""
         return self.tolerance.eps
 
-    def _distance(self, value: float) -> float:
-        return self.query.distance(value)
-
-    def _known_value(self, stream_id: int) -> float:
+    def _known_distance(self, stream_id: int) -> float:
+        """Distance of the stream's last-known payload."""
         assert self._state is not None
-        return float(self._state.values[stream_id])
+        return self.query.distance(self._state.value_of(stream_id))
 
     def _ranked_known(self) -> list[int]:
         """Stream ids sorted by (distance of last-known value, id)."""
         assert self._rank is not None
         return self._rank.order()
-
-    def _in_region(self, value: float) -> bool:
-        assert self._region is not None
-        lower, upper = self._region
-        return lower <= value <= upper
 
     # ------------------------------------------------------------------
     # Initialization (Figure 5, top)
@@ -123,7 +119,7 @@ class RankToleranceProtocol(FilterProtocol):
             )
         if self._state is not server.state:
             self._state = server.state
-            self._rank = server.rank_view(self.query.distance_array)
+            self._rank = server.rank_view(self.query.rank_keys)
         server.probe_all()
         order = self._ranked_known()
         self._state.answer_replace(order[: self.query.k])
@@ -149,48 +145,42 @@ class RankToleranceProtocol(FilterProtocol):
         outside = order[~in_region]
         if not (inside.size and outside.size):  # pragma: no cover - init guard
             raise RuntimeError("R must separate a non-empty in/out split")
-        d_inside = self._distance(self._known_value(inside[-1]))
-        d_outside = self._distance(self._known_value(outside[0]))
+        d_inside = self._known_distance(inside[-1])
+        d_outside = self._known_distance(outside[0])
         # A stale outside value can appear closer than a fresh X member;
         # R must nevertheless enclose all of X.  Clamping degenerates the
         # halfway gap to zero in that rare case, and the stale stream
         # self-corrects via its believed-membership flag if it truly sits
         # inside the deployed bound.
         threshold = (d_inside + max(d_outside, d_inside)) / 2.0
-        lower, upper = self.query.region(threshold)
-        # R must enclose every tracked member's known value *exactly*.
-        # ``region`` round-trips the threshold through ``q ± threshold``,
-        # whose rounding can exclude inside[-1] by an ulp when the clamp
-        # above degenerates the gap to zero (observed: value 42.6416434
-        # against a computed lower bound 42.64164340000002).  The source
-        # then knows it is outside a region the server believes it is
-        # inside — and since its membership never flips again, no report
-        # ever corrects the divergence.  Widening to the tracked values
-        # closes the hole; in the non-degenerate case it moves nothing.
-        member_values = self._state.values[inside]
-        lower = min(lower, float(member_values.min()))
-        upper = max(upper, float(member_values.max()))
-        self._region = (lower, upper)
+        # R must contain every tracked member's known payload *exactly*:
+        # a member the source knows outside a region the server believes
+        # it inside never flips membership again, so no report would ever
+        # correct the divergence.  Constructing R so is the query's job
+        # (an interval must widen past its own rounding, a ball need
+        # not); it is checked here, once, for every stack.
+        members = self._state.payload_array()[inside]
+        self._region = self.query.region(threshold, members)
+        assert all(map(self._region.contains, members))
         ids = np.asarray(server.stream_ids, dtype=np.int64)
         belief = None
         if fresh_ids is not None:
             belief = tracked[ids].astype(np.int8)
             belief[np.isin(ids, list(fresh_ids))] = BELIEF_NONE
-        server.deploy_many(ids, lower, upper, belief)
+        server.deploy_many(ids, self._region, belief)
 
     # ------------------------------------------------------------------
     # Maintenance (Figure 5, middle)
     # ------------------------------------------------------------------
     def on_update(
-        self, server: "Server", stream_id: int, value: float, time: float
+        self, server: "Server", stream_id: int, value, time: float
     ) -> None:
-        # The server already refreshed the value column (and dirtied the
-        # rank view) before invoking this handler.
+        # The server already refreshed the payload column (and dirtied
+        # the rank view) before invoking this handler.
         if self._region is None:  # pragma: no cover - defensive
             raise RuntimeError("initialize() must run before updates")
         assert self._state is not None
-        entering = self._in_region(value)
-        if not entering:
+        if not self._region.contains(value):
             if self._state.answer_contains(stream_id):
                 self._case_leaves_answer(server, stream_id)
             else:
@@ -212,7 +202,7 @@ class RankToleranceProtocol(FilterProtocol):
             # Step 3: promote the highest-ranked tracked non-answer object.
             best = min(
                 (int(i) for i in replacements),
-                key=lambda i: (self._distance(self._known_value(i)), i),
+                key=lambda i: (self._known_distance(i), i),
             )
             self._state.answer_add(best)
             return
@@ -233,20 +223,17 @@ class RankToleranceProtocol(FilterProtocol):
             for i in self._ranked_known()
             if not self._state.answer_contains(i)
         ]
-        probed: dict[int, float] = {}
+        distance = self.query.distance
+        probed: dict = {}
         for candidate in candidates:
             probed[candidate] = server.probe(candidate)
             # R' is bounded by the candidate's (now fresh) distance; U is
             # every probed stream currently within R'.
-            radius = self._distance(probed[candidate])
-            u_set = {
-                i
-                for i, v in probed.items()
-                if self._distance(v) <= radius
-            }
+            radius = distance(probed[candidate])
+            u_set = {i for i, v in probed.items() if distance(v) <= radius}
             if len(u_set) >= 2:
                 ranked_u = sorted(
-                    u_set, key=lambda i: (self._distance(probed[i]), i)
+                    u_set, key=lambda i: (distance(probed[i]), i)
                 )
                 self._state.answer_add(ranked_u[0])
                 keep = ranked_u[: self.tolerance.r + 1]
@@ -272,9 +259,7 @@ class RankToleranceProtocol(FilterProtocol):
             server.probe(member)
             fresh_ids.add(member)
         pool = members + [stream_id]
-        ranked = sorted(
-            pool, key=lambda i: (self._distance(self._known_value(i)), i)
-        )
+        ranked = sorted(pool, key=lambda i: (self._known_distance(i), i))
         self._state.answer_replace(ranked[: self.query.k])
         self._state.tracked_replace(ranked[: self.eps])
         self._deploy_bound(server, fresh_ids=fresh_ids)
@@ -290,6 +275,6 @@ class RankToleranceProtocol(FilterProtocol):
         return self._state.tracked_snapshot()
 
     @property
-    def region(self) -> tuple[float, float] | None:
-        """The currently deployed bound ``R`` (value-space interval)."""
+    def region(self):
+        """The currently deployed bound ``R`` (a bound value)."""
         return self._region

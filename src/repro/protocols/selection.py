@@ -4,8 +4,9 @@ Section 6.2 (Figure 14) compares two placements of the silencing filters
 FT-NRP hands out during initialization:
 
 * **random** — candidates drawn uniformly;
-* **boundary-nearest** — candidates whose values lie closest to the query
-  range's boundary, i.e. the streams most likely to cross it soon.
+* **boundary-nearest** — candidates whose values lie closest to the
+  boundary of the bound the filters guard (its ``boundary_distance``),
+  i.e. the streams most likely to cross it soon.
   Silencing exactly those streams absorbs the most would-be updates,
   which is why the paper finds it dominates random selection.
 
@@ -21,15 +22,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 
-def boundary_distance(value: float, lower: float, upper: float) -> float:
-    """Distance from *value* to the nearest endpoint of ``[lower, upper]``."""
-    if lower <= value <= upper:
-        return min(value - lower, upper - value)
-    if value < lower:
-        return lower - value
-    return value - upper
-
-
 class SelectionHeuristic(ABC):
     """Orders silencing-filter candidates by preference."""
 
@@ -37,33 +29,23 @@ class SelectionHeuristic(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def order(
-        self,
-        candidates: dict[int, float],
-        lower: float,
-        upper: float,
-    ) -> list[int]:
+    def order(self, candidates: dict, bound) -> list[int]:
         """Return candidate ids, most-preferred first.
 
         Parameters
         ----------
         candidates:
-            Mapping of stream id to its current value.
-        lower, upper:
-            The query range (or the k-NN bound ``R``) the filters guard.
+            Mapping of stream id to its current value (or point).
+        bound:
+            The bound value the filters guard: the query range, or the
+            k-NN bound ``R`` (a filter constraint or a region).
         """
 
-    def select(
-        self,
-        candidates: dict[int, float],
-        count: int,
-        lower: float,
-        upper: float,
-    ) -> list[int]:
+    def select(self, candidates: dict, count: int, bound) -> list[int]:
         """The *count* most-preferred candidates."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        return self.order(candidates, lower, upper)[:count]
+        return self.order(candidates, bound)[:count]
 
 
 class RandomSelection(SelectionHeuristic):
@@ -74,12 +56,7 @@ class RandomSelection(SelectionHeuristic):
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
 
-    def order(
-        self,
-        candidates: dict[int, float],
-        lower: float,
-        upper: float,
-    ) -> list[int]:
+    def order(self, candidates: dict, bound) -> list[int]:
         ids = sorted(candidates)
         self._rng.shuffle(ids)
         return [int(i) for i in ids]
@@ -90,13 +67,8 @@ class BoundaryNearestSelection(SelectionHeuristic):
 
     name = "boundary-nearest"
 
-    def order(
-        self,
-        candidates: dict[int, float],
-        lower: float,
-        upper: float,
-    ) -> list[int]:
+    def order(self, candidates: dict, bound) -> list[int]:
         return sorted(
             candidates,
-            key=lambda i: (boundary_distance(candidates[i], lower, upper), i),
+            key=lambda i: (bound.boundary_distance(candidates[i]), i),
         )

@@ -1,8 +1,8 @@
 """ZT-NRP: the zero-tolerance protocol for range queries (Section 5.1).
 
-Every stream's filter *is* the query range ``[l, u]``, so each filter
-evaluates the range predicate locally and reports exactly the membership
-flips.  The answer is always exact, and — unlike the no-filter baseline —
+Every stream's filter *is* the query's bound — the range ``[l, u]``, or
+the query box in d dimensions — so each filter evaluates the range
+predicate locally and reports exactly the membership flips.  The answer is always exact, and — unlike the no-filter baseline —
 value changes that do not cross the range boundary cost nothing.
 
 Server-side state lives in the shared :class:`~repro.state.table.
@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.protocols.base import FilterProtocol
-from repro.queries.range_query import RangeQuery
 
 if TYPE_CHECKING:
     from repro.server.server import Server
@@ -23,7 +22,7 @@ if TYPE_CHECKING:
 
 
 class ZeroToleranceRangeProtocol(FilterProtocol):
-    """Deploy ``[l, u]`` everywhere; track membership flips."""
+    """Deploy the query's bound everywhere; track membership flips."""
 
     name = "ZT-NRP"
     # Maintenance is a pure per-stream membership flip: no probes, no
@@ -35,10 +34,13 @@ class ZeroToleranceRangeProtocol(FilterProtocol):
     # listeners, no per-stream state outside the table.  That is the
     # contract the dispatch kernel's fully-columnar path needs to apply
     # crossings (not just quiescent prefixes) as window operations
-    # (DESIGN.md §9).
+    # (DESIGN.md §9).  Both flags describe the algorithm, on any host:
+    # whether a host can use them is the consumer's check (the fan-out
+    # router serves the scalar stack, the columnar replay scalar
+    # payloads behind interval sources).
     columnar_maintenance = True
 
-    def __init__(self, query: RangeQuery) -> None:
+    def __init__(self, query) -> None:
         self.query = query
         self._state: "StreamStateTable | None" = None
 
@@ -51,12 +53,10 @@ class ZeroToleranceRangeProtocol(FilterProtocol):
             if self.query.matches(value)
         )
         # Knowledge is fresh (we just probed), so no belief is attached.
-        server.deploy_many(
-            server.stream_ids, self.query.lower, self.query.upper
-        )
+        server.deploy_many(server.stream_ids, self.query.bound)
 
     def on_update(
-        self, server: "Server", stream_id: int, value: float, time: float
+        self, server: "Server", stream_id: int, value, time: float
     ) -> None:
         assert self._state is not None, "initialize() must run first"
         if self.query.matches(value):

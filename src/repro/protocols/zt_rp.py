@@ -1,7 +1,8 @@
 """ZT-RP: zero-tolerance k-NN via the range view (Section 5.2.1).
 
 A k-NN query is viewed as a range query over the bound ``R`` that encloses
-the k-th nearest neighbour: while no object crosses ``R``, the k objects
+the k-th nearest neighbour (an interval on the line, a ball in d
+dimensions — the query's ``region(threshold)``): while no object crosses ``R``, the k objects
 inside it remain the exact answer.  The protocol's weakness — and the
 reason FT-RP exists — is that *any* crossing invalidates ``R``: the server
 must re-collect every value, recompute ``R``, and announce it to every
@@ -20,7 +21,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.protocols.base import FilterProtocol
-from repro.queries.base import RankBasedQuery
 from repro.state.rank import RankView
 
 if TYPE_CHECKING:
@@ -33,17 +33,17 @@ class ZeroToleranceKnnProtocol(FilterProtocol):
 
     name = "ZT-RP"
 
-    def __init__(self, query: RankBasedQuery) -> None:
+    def __init__(self, query) -> None:
         self.query = query
         self._state: "StreamStateTable | None" = None
         self._rank: RankView | None = None
-        self._region: tuple[float, float] | None = None
+        self._region = None
         self.recomputations = 0
 
     def _bind(self, server: "Server") -> None:
         if self._state is not server.state:
             self._state = server.state
-            self._rank = server.rank_view(self.query.distance_array)
+            self._rank = server.rank_view(self.query.rank_keys)
 
     def initialize(self, server: "Server") -> None:
         if server.n_streams <= self.query.k:
@@ -60,16 +60,13 @@ class ZeroToleranceKnnProtocol(FilterProtocol):
         k = self.query.k
         leaders = self._rank.leaders(k + 1)
         self._state.answer_replace(leaders[:k])
-        values = self._state.values
-        d_in = self.query.distance(float(values[leaders[k - 1]]))
-        d_out = self.query.distance(float(values[leaders[k]]))
-        threshold = (d_in + d_out) / 2.0
-        self._region = self.query.region(threshold)
-        lower, upper = self._region
-        server.deploy_many(server.stream_ids, lower, upper)
+        d_in = self.query.distance(self._state.value_of(leaders[k - 1]))
+        d_out = self.query.distance(self._state.value_of(leaders[k]))
+        self._region = self.query.region((d_in + d_out) / 2.0)
+        server.deploy_many(server.stream_ids, self._region)
 
     def on_update(
-        self, server: "Server", stream_id: int, value: float, time: float
+        self, server: "Server", stream_id: int, value, time: float
     ) -> None:
         # Any crossing invalidates R: re-collect everything and start over.
         # (The server already recorded the updater's value in the table.)
@@ -79,5 +76,6 @@ class ZeroToleranceKnnProtocol(FilterProtocol):
         self._resolve(server)
 
     @property
-    def region(self) -> tuple[float, float] | None:
+    def region(self):
+        """The currently deployed bound ``R`` (a bound value)."""
         return self._region

@@ -12,6 +12,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.streams.filters import FilterConstraint
+
 
 class EntityQuery(ABC):
     """A standing query whose answer is a set of stream identifiers."""
@@ -72,13 +74,32 @@ class RankBasedQuery(EntityQuery):
         """The ranking key of a stream holding *value* (smaller is better)."""
 
     @abstractmethod
-    def region(self, threshold: float) -> tuple[float, float]:
-        """The value-space interval ``{v : distance(v) <= threshold}``.
+    def interval(self, threshold: float) -> tuple[float, float]:
+        """The value-space interval ``{v : distance(v) <= threshold}``:
+        ``[q - d, q + d]`` for a k-NN query, a half-line for the k-min /
+        k-max transforms."""
 
-        This is the bound ``R`` the rank-based protocols deploy as a filter
-        constraint: ``[q - d, q + d]`` for a k-NN query, a half-line for
-        the k-min / k-max transforms.
+    def region(self, threshold: float, enclosing=()) -> FilterConstraint:
+        """The bound ``R`` the rank-based protocols deploy: :meth:`interval`
+        as a filter constraint, widened to contain the *enclosing* values.
+
+        Every value within *threshold* is inside by definition, but
+        ``interval`` round-trips the threshold through ``q ± threshold``,
+        whose rounding can exclude a value at distance *exactly*
+        threshold by an ulp (observed: value 42.6416434 against a
+        computed lower bound 42.64164340000002).  A protocol that
+        believes such a stream inside ``R`` while its source knows
+        itself outside never hears of it again — membership never
+        flips, so no report corrects the divergence.  Passing the values
+        that must be members closes the hole; when the rounding is kind
+        the widening moves nothing.
         """
+        lower, upper = self.interval(threshold)
+        values = np.asarray(enclosing, dtype=np.float64)
+        if values.size:
+            lower = min(lower, values.min())
+            upper = max(upper, values.max())
+        return FilterConstraint(float(lower), float(upper))
 
     def distance_array(self, values: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`distance`; subclasses may override for speed."""
@@ -87,6 +108,11 @@ class RankBasedQuery(EntityQuery):
             dtype=np.float64,
             count=len(values),
         )
+
+    def rank_keys(self, values: np.ndarray) -> np.ndarray:
+        """The key column a protocol's rank view orders by: per row
+        bitwise :meth:`distance`, which :meth:`distance_array` is."""
+        return self.distance_array(values)
 
     def true_answer(self, values: np.ndarray) -> frozenset[int]:
         from repro.queries.rank import true_knn_answer

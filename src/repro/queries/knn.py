@@ -38,7 +38,7 @@ class KnnQuery(RankBasedQuery):
     def distance_array(self, values: np.ndarray) -> np.ndarray:
         return np.abs(values - self.q)
 
-    def region(self, threshold: float) -> tuple[float, float]:
+    def interval(self, threshold: float) -> tuple[float, float]:
         return (self.q - threshold, self.q + threshold)
 
     def __repr__(self) -> str:
@@ -54,7 +54,7 @@ class TopKQuery(RankBasedQuery):
     def distance_array(self, values: np.ndarray) -> np.ndarray:
         return -values
 
-    def region(self, threshold: float) -> tuple[float, float]:
+    def interval(self, threshold: float) -> tuple[float, float]:
         # distance(v) = -v <= t  <=>  v >= -t
         return (-threshold, math.inf)
 
@@ -71,7 +71,7 @@ class KMinQuery(RankBasedQuery):
     def distance_array(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=np.float64)
 
-    def region(self, threshold: float) -> tuple[float, float]:
+    def interval(self, threshold: float) -> tuple[float, float]:
         # distance(v) = v <= t  <=>  v <= t
         return (-math.inf, threshold)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.queries.base import NonRankBasedQuery
+from repro.streams.filters import FilterConstraint
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,7 @@ class RangeQuery(NonRankBasedQuery):
     def width(self) -> float:
         return self.upper - self.lower
 
-    def boundary_distance(self, value: float) -> float:
-        """Distance from *value* to the nearest endpoint of the range.
-
-        Mirrors :meth:`repro.streams.filters.FilterConstraint.boundary_distance`;
-        used by the boundary-nearest FP/FN selection heuristic (Fig. 14).
-        """
-        if self.matches(value):
-            return min(value - self.lower, self.upper - value)
-        if value < self.lower:
-            return self.lower - value
-        return value - self.upper
+    @property
+    def bound(self) -> FilterConstraint:
+        """The range as the filter constraint the protocols deploy."""
+        return FilterConstraint(self.lower, self.upper)

@@ -109,6 +109,18 @@ def belief_codes(beliefs, count: int) -> np.ndarray:
     )
 
 
+def belief_column(assumed_inside, shape) -> np.ndarray:
+    """``deploy_many``'s belief argument as an int8 code column of
+    *shape*: ``None`` (fresh knowledge everywhere) or a code column."""
+    return np.broadcast_to(
+        np.asarray(
+            BELIEF_NONE if assumed_inside is None else assumed_inside,
+            dtype=np.int8,
+        ),
+        shape,
+    )
+
+
 def deployment_outcome_columns(
     values: np.ndarray,
     lower: np.ndarray,

@@ -32,7 +32,9 @@ class Vocabulary:
     The four message classes take ``(stream_id, time, *payload)``
     positionally; a constraint's payload is what ``deploy`` received —
     ``lower, upper`` or ``region``, then the optional belief — so every
-    host's ``deploy`` builds the message first and works from it.
+    host's ``deploy`` builds the message first and works from it, and
+    ``deploy_many`` is ``deploy`` over the rows :attr:`constraint_columns`
+    lowers a bound value to.
     """
 
     #: Registry key; equals ``QuerySpec.stack`` of the protocols served.
@@ -55,9 +57,11 @@ class Vocabulary:
     #: ``(table, row, constraint message)``: record a deployed
     #: constraint's payload in the table.
     record_deploy: Callable
-    # -- interval bulk operations --------------------------------------
-    #: ``deploy_many`` / ``broadcast`` argument coercion to columns, or
-    #: :func:`no_interval_bulk` where constraints are not intervals.
+    # -- bound lowering ------------------------------------------------
+    #: ``deploy_many``'s lowering of a bound value to message payload
+    #: columns: ``(stream_ids, bound, assumed_inside, silenced) -> (ids,
+    #: constraint columns, belief codes)``, one constraint column per
+    #: positional payload field of :attr:`constraint` (DESIGN.md §15).
     constraint_columns: Callable
     # -- checking ------------------------------------------------------
     oracle: type
@@ -95,15 +99,6 @@ def vocabulary_of(stack: str) -> Vocabulary:
             f"no payload vocabulary is registered for stack {stack!r}; "
             f"import the package that defines it (repro.{stack}) first"
         ) from None
-
-
-def no_interval_bulk(*_args, **_kwargs):
-    """The one rejection of ``deploy_many`` / ``broadcast`` on a
-    vocabulary whose constraints are not scalar intervals."""
-    raise TypeError(
-        "broadcast and deploy_many install scalar intervals; "
-        "spatial protocols deploy per-stream regions instead"
-    )
 
 
 class VocabularyBound:

@@ -172,37 +172,31 @@ class Server(VocabularyBound, DeferredDeliveryMixin):
         self.channel.send_to_source(message)
 
     def deploy_many(
-        self, stream_ids, lower, upper, assumed_inside=None
+        self, stream_ids, bound, assumed_inside=None, silenced=None
     ) -> None:
-        """Install one constraint per stream id, in order (``n`` messages).
+        """Install *bound* at each stream id, in order (``n`` messages).
 
-        *lower*/*upper* are scalars or per-stream columns;
-        *assumed_inside* is ``None`` (fresh knowledge everywhere), a
+        *bound* is a bound value of this server's vocabulary (a
+        :class:`~repro.streams.filters.FilterConstraint` or a region);
+        members of the *silenced* :class:`~repro.state.pools.
+        SilencerPools` get their pool's silencer instead.
+        *assumed_inside* is ``None`` (fresh knowledge everywhere) or a
         column of belief codes (:data:`~repro.runtime.membership.
-        BELIEF_NONE` / ``BELIEF_OUTSIDE`` / ``BELIEF_INSIDE``) or
-        :meth:`broadcast`'s id -> belief map.  The
-        outcome is that of the ordered :meth:`deploy` loop; inside a
+        BELIEF_NONE` / ``BELIEF_OUTSIDE`` / ``BELIEF_INSIDE``).  The
+        outcome is that of the ordered :meth:`deploy` loop over the rows
+        the vocabulary lowers the call to (DESIGN.md §15); inside a
         protocol step — where self-corrections queue rather than
         re-enter — a qualifying batch is installed as one columnar
         operation (DESIGN.md §12).
         """
         columns = self.vocabulary.constraint_columns(
-            stream_ids, lower, upper, assumed_inside
+            stream_ids, bound, assumed_inside, silenced
         )
         deploy_columns(self, self.channel, self.state, self._busy, columns)
 
-    def broadcast(
-        self,
-        lower: float,
-        upper: float,
-        assumed_inside: dict[int, bool] | None = None,
-    ) -> None:
-        """Install ``[lower, upper]`` at every source (``n`` messages).
-
-        *assumed_inside* maps stream id to the server's belief; ids absent
-        from the map are deployed with fresh-knowledge semantics.
-        """
-        self.deploy_many(self.stream_ids, lower, upper, assumed_inside)
+    def broadcast(self, bound, assumed_inside=None) -> None:
+        """Install *bound* at every source (``n`` messages)."""
+        self.deploy_many(self.stream_ids, bound, assumed_inside)
 
     # ------------------------------------------------------------------
     # Message handling

@@ -264,29 +264,24 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         )
 
     def deploy_many(
-        self, stream_ids, lower, upper, assumed_inside=None
+        self, stream_ids, bound, assumed_inside=None, silenced=None
     ) -> None:
-        """Install one constraint per stream id, in order (see
+        """Install *bound* at each stream id, in order (see
         :meth:`repro.server.server.Server.deploy_many`): each consecutive
         same-shard run of ids is one columnar operation on its shard's
         channel, or its ordered :meth:`deploy` loop."""
-        columns = self.vocabulary.constraint_columns(
-            stream_ids, lower, upper, assumed_inside
+        ids, constraint, belief = self.vocabulary.constraint_columns(
+            stream_ids, bound, assumed_inside, silenced
         )
-        for index, a, b in owner_runs(self._shard_of, columns[0]):
+        for index, a, b in owner_runs(self._shard_of, ids):
+            run = (ids[a:b], [c[a:b] for c in constraint], belief[a:b])
             deploy_columns(
-                self, self.shards[index].channel, self._state, self._busy,
-                [column[a:b] for column in columns],
+                self, self.shards[index].channel, self._state, self._busy, run
             )
 
-    def broadcast(
-        self,
-        lower: float,
-        upper: float,
-        assumed_inside: dict[int, bool] | None = None,
-    ) -> None:
-        """Install ``[lower, upper]`` everywhere, ascending id order."""
-        self.deploy_many(self.stream_ids, lower, upper, assumed_inside)
+    def broadcast(self, bound, assumed_inside=None) -> None:
+        """Install *bound* everywhere, ascending id order."""
+        self.deploy_many(self.stream_ids, bound, assumed_inside)
 
     # ------------------------------------------------------------------
     # Update delivery (single global FIFO)

@@ -744,50 +744,46 @@ class InFlightPlane:
                 return worker, time
         return None
 
-    def peek_worker(
-        self, worker: int, limit: float
-    ) -> _PlaneEntry | None:
-        """The worker's earliest entry due at or before *limit*."""
-        queue = self._queues.get(worker)
-        if queue and queue[0][0] <= limit:
-            return queue[0][2]
-        return None
+    def take_run(self, worker: int, limit: float) -> list[_PlaneEntry]:
+        """Remove and return what one delivery step of *worker* covers —
+        nothing when it has no entry due at or before *limit*, else the
+        uplink at the head of its queue, or its leading consecutive
+        downlinks due by *limit* (the run one ``deliver`` op may
+        consume).  A run stops at the first uplink because that
+        delivery (and its reaction) belongs to the coordinator and must
+        interleave at its exact heap position.
 
-    def downlink_run(
-        self, worker: int, limit: float
-    ) -> tuple[float, int, int]:
-        """The worker's leading consecutive downlink entries ≤ *limit*.
-
-        Returns ``(time, lseq, count)`` of the run's last entry — the
-        key limit for one ``deliver`` op.  The run stops at the first
-        uplink because that delivery (and its reaction) belongs to the
-        coordinator and must interleave at its exact heap position.
+        The run leaves the queue *before* the RPC: the reply's aux can
+        push entries that sort ahead of it (a self-correction sent
+        under a frozen clock is due at ``horizon + delay``), so what
+        was delivered cannot be found afterwards by position.
         """
         queue = self._queues.get(worker) or []
-        last = None
-        count = 0
-        for time, lseq, entry in sorted(queue):
-            if time > limit or entry.uplink:
-                break
-            last = (time, lseq)
-            count += 1
-        if last is None:  # pragma: no cover - callers peek first
-            raise ValueError("no leading downlink run")
-        return last[0], last[1], count
+        run: list[_PlaneEntry] = []
+        while (
+            queue
+            and queue[0][0] <= limit
+            and not (run and (run[0].uplink or queue[0][2].uplink))
+        ):
+            run.append(heapq.heappop(queue)[2])
+        return run
 
-    def pop_worker(self, worker: int, count: int = 1) -> list[_PlaneEntry]:
-        """Book delivery of the worker's *count* earliest entries."""
-        queue = self._queues[worker]
-        out = []
-        for _ in range(count):
-            time, _, entry = heapq.heappop(queue)
+    def settle_run(
+        self, worker: int, run: list[_PlaneEntry], delivered: int
+    ) -> None:
+        """Book the first *delivered* entries of a taken *run* as
+        delivered and return the rest to the worker's queue (their
+        heads are still on the head heap)."""
+        for entry in run[:delivered]:
             self._count -= 1
             self._delivered += 1
             previous = self._last_delivery.get(entry.stream)
-            if previous is None or time > previous:
-                self._last_delivery[entry.stream] = time
-            out.append(entry)
-        return out
+            if previous is None or entry.time > previous:
+                self._last_delivery[entry.stream] = entry.time
+        for entry in run[delivered:]:
+            heapq.heappush(
+                self._queues[worker], (entry.time, entry.lseq, entry)
+            )
 
     def worker_pending(self, worker: int) -> bool:
         return bool(self._queues.get(worker))
@@ -1187,26 +1183,21 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         )
 
     def deploy_many(
-        self, stream_ids, lower, upper, assumed_inside=None
+        self, stream_ids, bound, assumed_inside=None, silenced=None
     ) -> None:
-        """Buffer one constraint per stream id, in order, as columns (see
-        :meth:`repro.server.server.Server.deploy_many`); the workers
-        install each flushed run as one columnar operation."""
-        columns = self.vocabulary.constraint_columns(
-            stream_ids, lower, upper, assumed_inside
+        """Buffer *bound* for each stream id, in order, as the columns
+        the vocabulary lowers the call to (see :meth:`repro.server.
+        server.Server.deploy_many`); the flush frames them per worker."""
+        ids, constraint, belief = self.vocabulary.constraint_columns(
+            stream_ids, bound, assumed_inside, silenced
         )
         self._seal_deploy_rows()
         self._deploy_batches.append(
-            (*columns, np.full(len(columns[0]), self._now))
+            (ids, *constraint, belief, np.full(len(ids), self._now))
         )
 
-    def broadcast(
-        self,
-        lower: float,
-        upper: float,
-        assumed_inside: dict[int, bool] | None = None,
-    ) -> None:
-        self.deploy_many(self.stream_ids, lower, upper, assumed_inside)
+    def broadcast(self, bound, assumed_inside=None) -> None:
+        self.deploy_many(self.stream_ids, bound, assumed_inside)
 
     def _seal_deploy_rows(self) -> None:
         """Move the buffered single deploys into a batch of their own."""
@@ -1214,13 +1205,18 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
             self._deploy_batches.append(self._deploy_buffer)
             self._deploy_buffer = []
 
-    def take_deploys(self) -> list:
-        """Hand over the buffered deploys (at least one), in call order:
-        each batch a list of constraint messages or a ``deploy_many``
-        tuple of ``(ids, lower, upper, belief, times)`` columns."""
+    def take_deploys(self, columns_of: Callable) -> tuple:
+        """Hand over the buffered deploys (at least one), in call order,
+        as one tuple of concatenated columns ``(ids, *constraint, belief,
+        times)``: ``deploy_many`` chunks as buffered, runs of single
+        deploys (constraint messages) through *columns_of*."""
         self._seal_deploy_rows()
         batches, self._deploy_batches = self._deploy_batches, []
-        return batches
+        chunks = [
+            batch if isinstance(batch, tuple) else columns_of(batch)
+            for batch in batches
+        ]
+        return tuple(np.concatenate(column) for column in zip(*chunks))
 
     def _flush_deploys(self) -> None:
         """Transmit buffered constraints; queue their self-corrections.
@@ -1488,11 +1484,12 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         plane = self._plane
         lo = self.ranges[worker][0]
         while True:
-            entry = plane.peek_worker(worker, t0)
-            if entry is None:
+            run = plane.take_run(worker, t0)
+            if not run:
                 return
+            entry = run[0]
             if entry.uplink:
-                plane.pop_worker(worker)
+                plane.settle_run(worker, run, 1)
                 if advance and entry.time > self._clock:
                     self._clock = entry.time
                 self._acks[worker].append((entry.time, entry.lstream))
@@ -1502,18 +1499,17 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
                     )
                 )
                 continue
-            time_limit, seq_limit, _ = plane.downlink_run(worker, t0)
             outbox, delivered, _ = self._rpc(
-                worker, ("deliver", time_limit, seq_limit, advance)
+                worker, ("deliver", run[-1].time, run[-1].lseq, advance)
             )
+            plane.settle_run(worker, run, delivered)
             if delivered < 1:  # pragma: no cover - defensive
                 raise TransportError(
                     f"worker {worker}: deliver op consumed nothing at "
-                    f"({time_limit}, {seq_limit})"
+                    f"({run[-1].time}, {run[-1].lseq})"
                 )
-            done = plane.pop_worker(worker, delivered)
-            if advance and done[-1].time > self._clock:
-                self._clock = done[-1].time
+            if advance and run[delivered - 1].time > self._clock:
+                self._clock = run[delivered - 1].time
             self._dirty.add(worker)
             for item in outbox:
                 # Inline self-corrections the installs provoked,

@@ -14,19 +14,17 @@ This subpackage provides that extension end to end:
 * :mod:`repro.spatial.source` / :mod:`repro.spatial.trace` /
   :mod:`repro.spatial.workloads` — vector-valued sources and
   moving-object workloads;
-* :mod:`repro.spatial.protocols` — spatial counterparts of ZT-NRP,
-  FT-NRP, RTP, ZT-RP and FT-RP;
 * :mod:`repro.spatial.vocabulary` — the spatial payload vocabulary
   (DESIGN.md §13): what the shared servers, session assembler and
   engine executor read to host ``-2d`` specs, bound by name through
   :class:`~repro.spatial.server.SpatialServer` and the ``Spatial*``
-  coordinators in ``repro.server`` (the deprecated
-  :func:`~repro.spatial.runner.run_spatial_protocol` shim delegates to
-  the engine).
+  coordinators in ``repro.server``.
 
-The 1-D implementation in the parent package follows the paper line by
-line; this package re-derives the same logic over regions so the 1-D
-code stays textually faithful.
+There are no spatial protocols: the six algorithms in
+:mod:`repro.protocols` are written against a bound value — of which
+``[l, u]`` and a region are two instances — so a ``-2d`` spec runs the
+very class its scalar namesake runs, hosted on this package's
+vocabulary (DESIGN.md §15).
 """
 
 from repro.spatial.geometry import (
@@ -38,15 +36,6 @@ from repro.spatial.geometry import (
     UnionRegion,
 )
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
-from repro.spatial.protocols import (
-    SpatialFractionKnnProtocol,
-    SpatialFractionRangeProtocol,
-    SpatialNoFilterProtocol,
-    SpatialRankToleranceProtocol,
-    SpatialZeroKnnProtocol,
-    SpatialZeroRangeProtocol,
-)
-from repro.spatial.runner import run_spatial_protocol
 from repro.spatial.server import SpatialServer
 from repro.spatial.trace import SpatialTrace
 from repro.spatial.vocabulary import SPATIAL
@@ -63,17 +52,10 @@ __all__ = [
     "MovingObjectsConfig",
     "Region",
     "SPATIAL",
-    "SpatialFractionKnnProtocol",
-    "SpatialFractionRangeProtocol",
     "SpatialKnnQuery",
-    "SpatialNoFilterProtocol",
     "SpatialRangeQuery",
-    "SpatialRankToleranceProtocol",
     "SpatialServer",
     "SpatialTrace",
-    "SpatialZeroKnnProtocol",
-    "SpatialZeroRangeProtocol",
     "UnionRegion",
     "generate_moving_objects_trace",
-    "run_spatial_protocol",
 ]

@@ -11,7 +11,8 @@ class SpatialRangeQuery:
     """A box range query: streams whose points fall in *box* qualify."""
 
     def __init__(self, box: BoxRegion) -> None:
-        self.box = box
+        #: The box — under the name the protocols read the bound by.
+        self.box = self.bound = box
 
     @property
     def dimension(self) -> int:
@@ -27,9 +28,6 @@ class SpatialRangeQuery:
     def true_answer(self, points: np.ndarray) -> frozenset[int]:
         """Exact answer given the ``(n, d)`` matrix of true points."""
         return frozenset(np.flatnonzero(self.matches_array(points)).tolist())
-
-    def boundary_distance(self, point: np.ndarray) -> float:
-        return self.box.boundary_distance(point)
 
     @property
     def is_rank_based(self) -> bool:
@@ -59,8 +57,20 @@ class SpatialKnnQuery:
         points = np.asarray(points, dtype=np.float64)
         return np.linalg.norm(points - self.q, axis=1)
 
-    def region(self, threshold: float) -> BallRegion:
-        """The ball ``{p : |p - q| <= threshold}`` — the bound ``R``."""
+    def rank_keys(self, points: np.ndarray) -> np.ndarray:
+        """The key column a protocol's rank view orders by: per row
+        bitwise :meth:`distance`.  :meth:`distance_array` is not — its
+        axis-wise norm may differ from the per-point norm by an ulp
+        (BLAS dot vs. pairwise reduce), which would reorder near-ties
+        against the ``distance`` values the protocols compare."""
+        return np.fromiter(
+            map(self.distance, points), dtype=np.float64, count=len(points)
+        )
+
+    def region(self, threshold: float, enclosing=()) -> BallRegion:
+        """The ball ``{p : |p - q| <= threshold}`` — the bound ``R``.
+        Membership *is* ``distance(p) <= threshold``, so every point
+        within the threshold is inside with nothing to widen."""
         return BallRegion(self.q, threshold)
 
     def ranked_ids(self, points: np.ndarray) -> np.ndarray:

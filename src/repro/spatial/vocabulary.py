@@ -1,11 +1,12 @@
 """The spatial payload vocabulary (DESIGN.md §13).
 
 A stream value is a d-dimensional point, a constraint a
-:class:`~repro.spatial.geometry.Region` object.  Regions are not
-columns, so this vocabulary has no interval bulk operations, and its
-transport deploy path — the one genuinely different algorithm — frames
-each worker run as a :class:`~repro.spatial.messages.RegionBatchFrame`
-and takes the self-corrections back as a point-batch frame.
+:class:`~repro.spatial.geometry.Region` object.  Regions are not float
+columns: a ``deploy_many`` lowers its bound to one object column
+(``region_columns``) that the in-process hosts send per stream, and the
+transport deploy path frames each worker run as a
+:class:`~repro.spatial.messages.RegionBatchFrame` and takes the
+self-corrections back as a point-batch frame.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.runtime.membership import BELIEF_NONE, belief_codes
-from repro.runtime.vocabulary import Vocabulary, no_interval_bulk
+from repro.runtime.membership import BELIEF_NONE, belief_codes, belief_column
+from repro.runtime.vocabulary import Vocabulary
+from repro.spatial.geometry import ALL_SPACE, EMPTY_REGION
 from repro.spatial.messages import (
     PointProbeReplyMessage,
     PointProbeRequestMessage,
@@ -42,6 +44,36 @@ def record_region_deploy(
     table.record_container_deploy(row, message.region)
 
 
+def region_columns(stream_ids, bound, assumed_inside=None, silenced=None):
+    """Lower a ``deploy_many`` call to ``(ids, (regions,), belief)``
+    columns: int64 ids, an object column holding *bound* — ``ALL_SPACE``
+    for the false-positive and ``EMPTY_REGION`` for the false-negative
+    members of the *silenced* pools — and int8 belief codes.  Regions
+    have no columnar install, so the in-process hosts send the column
+    as their ordered per-stream ``deploy`` loop."""
+    ids = np.asarray(stream_ids, dtype=np.int64)
+    regions = np.empty(ids.shape, dtype=object)
+    regions.fill(bound)
+    if silenced is not None:
+        regions[np.isin(ids, list(silenced.fp))] = ALL_SPACE
+        regions[np.isin(ids, list(silenced.fn))] = EMPTY_REGION
+    return ids, (regions,), belief_column(assumed_inside, ids.shape)
+
+
+def _region_columns(messages) -> tuple[np.ndarray, ...]:
+    """Buffered constraint messages as ``(ids, regions, belief, times)``
+    columns — the shape of a ``deploy_many`` chunk."""
+    n = len(messages)
+    regions = np.empty(n, dtype=object)
+    regions[:] = [m.region for m in messages]
+    return (
+        np.fromiter((m.stream_id for m in messages), np.int64, n),
+        regions,
+        belief_codes((m.assumed_inside for m in messages), n),
+        np.fromiter((m.time for m in messages), np.float64, n),
+    )
+
+
 def flush_region_deploys(coordinator) -> None:
     """Ship the transport coordinator's buffered region deploys.
 
@@ -50,16 +82,13 @@ def flush_region_deploys(coordinator) -> None:
     mirror's containers column and geometric plane are scattered in
     bulk before any RPC reply can be observed.
     """
-    messages = [m for batch in coordinator.take_deploys() for m in batch]
-    n = len(messages)
-    gids = np.fromiter((m.stream_id for m in messages), np.int64, n)
-    regions = [m.region for m in messages]
-    times = np.fromiter((m.time for m in messages), np.float64, n)
+    gids, regions, assumed, times = coordinator.take_deploys(_region_columns)
+    regions = regions.tolist()
     dimension = coordinator.trace.dimension
     scatter_region_deploys(coordinator.state, gids, regions, dimension)
     coordinator.ship_deploys(
         gids,
-        belief_codes((m.assumed_inside for m in messages), n),
+        assumed,
         times,
         lambda a, b: (pack_regions(regions[a:b], dimension),),
     )
@@ -112,7 +141,7 @@ SPATIAL = Vocabulary(
     initial_column="initial_points",
     record_column="points",
     record_deploy=record_region_deploy,
-    constraint_columns=no_interval_bulk,
+    constraint_columns=region_columns,
     oracle=SpatialOracle,
     violation_error=SpatialToleranceViolationError,
     check_offset=-1,

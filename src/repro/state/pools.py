@@ -13,11 +13,8 @@ outside a server context; binding is idempotent and re-syncs the flags.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Iterable
-
-import numpy as np
 
 from repro.state.table import (
     SILENCER_FN,
@@ -81,22 +78,6 @@ class SilencerPools:
         self.fn.append(stream_id)
         if self._table is not None:
             self._table.set_silencer(stream_id, SILENCER_FN)
-
-    def bounds_for(
-        self, stream_ids, lower: float, upper: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-stream deployment bounds: ``[-inf, +inf]`` for the
-        false-positive pool, ``[+inf, +inf]`` for the false-negative
-        pool, ``[lower, upper]`` for everyone else."""
-        ids = np.asarray(stream_ids, dtype=np.int64)
-        lowers = np.full(len(ids), lower, dtype=np.float64)
-        uppers = np.full(len(ids), upper, dtype=np.float64)
-        in_fn = np.isin(ids, list(self.fn))
-        in_fp = np.isin(ids, list(self.fp))
-        lowers[in_fn] = math.inf
-        lowers[in_fp] = -math.inf
-        uppers[in_fn | in_fp] = math.inf
-        return lowers, uppers
 
     # ------------------------------------------------------------------
     # Introspection

@@ -15,11 +15,15 @@ one by one): the channel must be synchronous with every tap bulk-capable
 (:meth:`~repro.network.channel.Channel.bulk_sources`), the ids distinct,
 and every target a plain :class:`IntervalMembership` bound to *table* at
 its own id — so the table's constraint columns are those sources'
-filter state, and a scatter is a write-through.
+filter state, and a scatter is a write-through.  That is also how the
+hosts' shared ``deploy_columns`` / ``probe_columns`` serve the spatial
+stack with no branch: region-filtered sources never qualify, so their
+batches are the ordered per-message loop (DESIGN.md §15).
 """
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 
 import numpy as np
@@ -30,43 +34,41 @@ from repro.runtime.membership import (
     BELIEF_NONE,
     REPORT,
     IntervalMembership,
+    belief_column,
     deployment_outcome_columns,
 )
 from repro.state.table import StreamStateTable
 from repro.streams.filters import FilterConstraint
 
 
-def constraint_columns(stream_ids, lower, upper, assumed_inside=None):
-    """Coerce a ``deploy_many`` call to ``(ids, lower, upper, belief)``
-    columns: int64 ids, float64 bounds (scalars broadcast), int8 belief
-    codes — from a code column, from ``broadcast``'s id -> belief map
-    (absent ids carry no belief), or ``None``: no belief anywhere."""
+def constraint_columns(stream_ids, bound, assumed_inside=None, silenced=None):
+    """Lower a ``deploy_many`` call to ``(ids, (lower, upper), belief)``
+    columns: int64 ids, *bound*'s endpoints as float64 columns — with
+    ``[-inf, +inf]`` for the false-positive and ``[+inf, +inf]`` for the
+    false-negative members of the *silenced* pools — and int8 belief
+    codes (``None``: no belief anywhere)."""
     ids = np.asarray(stream_ids, dtype=np.int64)
-    shape = ids.shape
-    if assumed_inside is None:
-        assumed_inside = BELIEF_NONE
-    elif isinstance(assumed_inside, dict):
-        assumed_inside = [
-            BELIEF_NONE if belief is None else int(belief)
-            for belief in map(assumed_inside.get, ids.tolist())
-        ]
-    return (
-        ids,
-        np.broadcast_to(np.asarray(lower, dtype=np.float64), shape),
-        np.broadcast_to(np.asarray(upper, dtype=np.float64), shape),
-        np.broadcast_to(np.asarray(assumed_inside, dtype=np.int8), shape),
-    )
+    lower = np.full(ids.shape, bound.lower, dtype=np.float64)
+    upper = np.full(ids.shape, bound.upper, dtype=np.float64)
+    if silenced is not None:
+        in_fp = np.isin(ids, list(silenced.fp))
+        in_fn = np.isin(ids, list(silenced.fn))
+        lower[in_fn] = math.inf
+        lower[in_fp] = -math.inf
+        upper[in_fn | in_fp] = math.inf
+    return ids, (lower, upper), belief_column(assumed_inside, ids.shape)
 
 
-def deploy_each(host, ids, lower, upper, belief) -> None:
-    """The per-message form of ``deploy_many``: ordered ``host.deploy``."""
-    for stream_id, low, high, code in zip(
-        ids.tolist(), lower.tolist(), upper.tolist(), belief.tolist()
+def deploy_each(host, ids, constraint, belief) -> None:
+    """The per-message form of ``deploy_many``: ordered ``host.deploy``
+    of each row of the *constraint* payload columns."""
+    columns = [column.tolist() for column in constraint]
+    for stream_id, code, *payload in zip(
+        ids.tolist(), belief.tolist(), *columns
     ):
         host.deploy(
             stream_id,
-            low,
-            high,
+            *payload,
             assumed_inside=None if code == BELIEF_NONE else bool(code),
         )
 
@@ -146,14 +148,15 @@ def install_constraints(
     channel: Channel,
     table: StreamStateTable,
     ids: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
+    constraint: tuple,
     belief: np.ndarray,
     time,
 ) -> bool:
-    """Install ``[lower[i], upper[i]]`` at source ``ids[i]`` as one
-    columnar operation; ``False`` (nothing touched) when the batch must
-    travel per-message.
+    """Install ``[lower[i], upper[i]]`` — *constraint* is the ``(lower,
+    upper)`` column pair — at source ``ids[i]`` as one columnar
+    operation; ``False`` (nothing touched) when the batch must travel
+    per-message, which includes every batch whose targets do not hold
+    intervals (*constraint* is then not looked at).
 
     Validation comes first — an unbound id or an invalid bound raises
     with the ledger, the table and every source untouched.  Then the
@@ -171,6 +174,7 @@ def install_constraints(
     if targets is None:
         return False
     sources, memberships = targets
+    lower, upper = constraint
     constraints = _shared_constraints(lower, upper)
     channel.charge_bulk(ids, MessageKind.CONSTRAINT)
     values = _current_values(sources)

@@ -1,9 +1,10 @@
 """The scalar payload vocabulary (DESIGN.md §13).
 
 A stream value is a float, a constraint a closed interval ``[lower,
-upper]``.  Interval constraints are columns — two float arrays — so this
-is the vocabulary with bulk operations (``deploy_many`` / ``broadcast``)
-and whose transport deploy path ships raw ``lower`` / ``upper`` columns.
+upper]``.  Interval constraints are columns — two float arrays — so a
+``deploy_many`` lowers its bound to them (``constraint_columns``), a
+qualifying batch installs as one columnar operation, and the transport
+deploy path ships raw ``lower`` / ``upper`` columns.
 """
 
 from __future__ import annotations
@@ -53,12 +54,8 @@ def flush_interval_deploys(coordinator) -> None:
     last write, which is exactly the in-order ``record_deploy`` outcome)
     and each worker run travels as raw ``lower`` / ``upper`` columns.
     """
-    chunks = [
-        batch if isinstance(batch, tuple) else _interval_columns(batch)
-        for batch in coordinator.take_deploys()
-    ]
-    gids, lowers, uppers, assumed, times = (
-        np.concatenate(column) for column in zip(*chunks)
+    gids, lowers, uppers, assumed, times = coordinator.take_deploys(
+        _interval_columns
     )
     state = coordinator.state
     state.lower[gids] = lowers
@@ -79,7 +76,7 @@ def install_interval_batch(
     install draws its own delay) or for a batch naming a stream twice.
     """
     if not install_constraints(
-        worker.channel, worker.table, local_ids, lowers, uppers, assumed, times
+        worker.channel, worker.table, local_ids, (lowers, uppers), assumed, times
     ):
         send = worker.channel.send_to_source
         for local_id, lower, upper, belief, time in zip(

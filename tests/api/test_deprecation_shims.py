@@ -6,7 +6,6 @@ from repro.api import Deployment, Engine, QuerySpec, Workload
 from repro.harness.config import RunConfig
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
-from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 
 WORKLOAD = Workload.synthetic(n_streams=60, horizon=80.0, seed=9)
@@ -54,32 +53,6 @@ def test_run_multi_query_shim_warns_and_matches_engine():
     )
     assert legacy.ledger == report.ledger
     assert legacy.answers == report.answers
-
-
-def test_run_spatial_protocol_shim_warns_and_matches_engine():
-    from repro.spatial.protocols import SpatialFractionRangeProtocol
-    from repro.spatial.queries import SpatialRangeQuery
-    from repro.spatial.geometry import BoxRegion
-    from repro.spatial.runner import run_spatial_protocol
-
-    workload = Workload.moving_objects(n_objects=25, horizon=40.0, seed=4)
-    trace = workload.materialize()
-    box = SpatialRangeQuery(BoxRegion((200.0, 200.0), (800.0, 800.0)))
-    tolerance = FractionTolerance(0.25, 0.25)
-    with pytest.warns(
-        DeprecationWarning, match="run_spatial_protocol is deprecated"
-    ):
-        legacy = run_spatial_protocol(
-            trace,
-            SpatialFractionRangeProtocol(box, tolerance),
-            tolerance=tolerance,
-        )
-    report = Engine().run(
-        QuerySpec(protocol="ft-nrp-2d", query=box, tolerance=tolerance),
-        workload,
-    )
-    assert legacy.ledger == report.ledger
-    assert legacy.final_answer == report.final_answer
 
 
 def test_sweep_shims_warn_and_match():

@@ -12,7 +12,7 @@ from repro.network.messages import (
     ProbeRequestMessage,
     UpdateMessage,
 )
-from repro.runtime.membership import BELIEF_INSIDE, BELIEF_NONE
+from repro.runtime.membership import BELIEF_INSIDE, BELIEF_NONE, belief_column
 from repro.state.table import StreamStateTable
 from repro.streams.control import (
     constraint_columns,
@@ -20,6 +20,17 @@ from repro.streams.control import (
     probe_sources,
 )
 from repro.streams.filters import FilterConstraint
+
+
+def raw_columns(stream_ids, lower, upper):
+    """``(ids, (lower, upper), belief)`` from per-row endpoints — bounds
+    ``constraint_columns`` cannot produce from a (validated) bound."""
+    ids = np.asarray(stream_ids, dtype=np.int64)
+    bounds = tuple(
+        np.broadcast_to(np.asarray(column, dtype=np.float64), ids.shape)
+        for column in (lower, upper)
+    )
+    return ids, bounds, belief_column(None, ids.shape)
 
 
 def test_update_reaches_server_and_is_recorded(wired_channel):
@@ -120,7 +131,7 @@ def test_bulk_install_matches_per_message_sends(wired_channel):
     table = _bound_table(sources)
     beliefs = [BELIEF_INSIDE, BELIEF_NONE, BELIEF_INSIDE]
     assert install_constraints(
-        channel, table, *constraint_columns([2, 0, 1], 5.0, 15.0, beliefs), 7.0
+        channel, table, *constraint_columns([2, 0, 1], FilterConstraint(5.0, 15.0), beliefs), 7.0
     )
     assert ledger.count(MessageKind.CONSTRAINT) == 3
     # Values are 0, 10, 20: source 2 is believed inside but is not (one
@@ -148,11 +159,11 @@ def test_bulk_install_rejects_bad_bounds_before_charging(
     before = _fingerprint(ledger, table, sources)
     with pytest.raises(ValueError) as bulk:
         install_constraints(
-            channel, table, *constraint_columns([0, 1, 2], lower, upper), 1.0
+            channel, table, *raw_columns([0, 1, 2], lower, upper), 1.0
         )
-    bad = constraint_columns([0, 1, 2], lower, upper)
+    _, (bad_lower, bad_upper), _ = raw_columns([0, 1, 2], lower, upper)
     with pytest.raises(ValueError) as scalar:
-        FilterConstraint(float(bad[1][1]), float(bad[2][1]))
+        FilterConstraint(float(bad_lower[1]), float(bad_upper[1]))
     assert str(bulk.value) == str(scalar.value)
     assert _fingerprint(ledger, table, sources) == before
     assert received == []
@@ -165,7 +176,7 @@ def test_bulk_install_rejects_unbound_id_before_charging(wired_channel):
     before = _fingerprint(ledger, table, sources)
     with pytest.raises(RuntimeError) as bulk:
         install_constraints(
-            channel, table, *constraint_columns([0, 99, 2], 1.0, 5.0), 1.0
+            channel, table, *constraint_columns([0, 99, 2], FilterConstraint(1.0, 5.0)), 1.0
         )
     with pytest.raises(RuntimeError) as scalar:
         channel.send_to_source(ProbeRequestMessage(stream_id=99, time=0.0))
@@ -185,7 +196,7 @@ def test_bulk_operations_decline_what_they_cannot_batch(wired_channel):
     ids = np.array([0, 1, 2])
 
     def declined(on_channel, on_table, stream_ids):
-        columns = constraint_columns(stream_ids, 1.0, 5.0)
+        columns = constraint_columns(stream_ids, FilterConstraint(1.0, 5.0))
         return (
             install_constraints(on_channel, on_table, *columns, 0.0) is False
             and probe_sources(on_channel, on_table, columns[0]) is None

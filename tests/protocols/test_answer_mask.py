@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.api import QuerySpec
 from repro.harness.runner import run_protocol
 from repro.protocols.no_filter import NoFilterProtocol
 from repro.protocols.rtp import RankToleranceProtocol
 from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
-from repro.spatial.protocols import SpatialNoFilterProtocol
+from repro.runtime.session import ExecutionSession
 from repro.spatial.queries import SpatialKnnQuery
-from repro.spatial.runner import run_spatial_protocol
 from repro.spatial.workloads import generate_moving_objects_trace
 from repro.tolerance.rank_tolerance import RankTolerance
 
@@ -39,11 +39,13 @@ def test_an_answer_kept_in_no_column_is_scattered(small_trace):
     assert len(protocol.answer) == 5
     assert members(protocol.answer_mask) == protocol.answer
 
-    spatial = SpatialNoFilterProtocol(SpatialKnnQuery(q=[500.0, 500.0], k=4))
-    run_spatial_protocol(
-        generate_moving_objects_trace(n_objects=30, horizon=40.0, seed=1),
-        spatial,
-    )
+    spatial = QuerySpec(
+        "no-filter-2d", SpatialKnnQuery(q=[500.0, 500.0], k=4)
+    ).build()
+    trace = generate_moving_objects_trace(n_objects=30, horizon=40.0, seed=1)
+    session = ExecutionSession.for_spatial(trace, spatial)
+    session.initialize(time=0.0)
+    session.replay_trace(trace)
     assert len(spatial.answer) == 4
     assert members(spatial.answer_mask) == spatial.answer
 

@@ -148,7 +148,7 @@ def test_exact_ties_defeat_bound_separation():
     # Ranks by |v - 500|: s2 (5), s1 (10), then s0 and s3 tied at 60.
     # eps = 2, so R should separate rank 2 (s1) from rank 3 (s0) — that
     # works here; but re-deploying with the tie *at* the boundary cannot:
-    lower, upper = protocol.region
+    lower, upper = protocol.region.lower, protocol.region.upper
     assert lower <= 490.0 <= upper          # rank 2 inside
     assert not (lower <= 440.0 <= upper)    # rank 3 excluded (no tie yet)
 
@@ -157,7 +157,7 @@ def test_exact_ties_defeat_bound_separation():
     tolerance = RankTolerance(k=2, r=1)
     protocol = RankToleranceProtocol(KnnQuery(500.0, 2), tolerance)
     run_protocol(trace, protocol, tolerance=tolerance)
-    lower, upper = protocol.region
+    lower, upper = protocol.region.lower, protocol.region.upper
     inside = [v for v in initial if lower <= v <= upper]
     # The closed bound cannot exclude the tied 4th object: both tied
     # streams are inside, so eps + 1 = 4 objects sit within R.

@@ -82,7 +82,7 @@ class TestInvariants:
     def test_region_covers_tracked_values(self, small_trace):
         _, protocol = run_rtp(small_trace, KnnQuery(500.0, 5), r=3)
         assert protocol.region is not None
-        lower, upper = protocol.region
+        lower, upper = protocol.region.lower, protocol.region.upper
         assert lower < upper
 
     def test_eps_property(self):
@@ -267,7 +267,7 @@ class TestBoundEnclosesTracked:
         _, protocol = run_rtp(
             self.trace(), KnnQuery(500.0, 3), r=3, strict=False
         )
-        lower, upper = protocol.region
+        lower, upper = protocol.region.lower, protocol.region.upper
         values = protocol._state.values  # noqa: SLF001
         for stream_id in protocol.tracked:
             assert lower <= values[stream_id] <= upper

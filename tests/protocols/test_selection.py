@@ -5,8 +5,13 @@ import pytest
 from repro.protocols.selection import (
     BoundaryNearestSelection,
     RandomSelection,
-    boundary_distance,
 )
+from repro.streams.filters import FilterConstraint
+
+
+def boundary_distance(value, lower, upper):
+    """What boundary-nearest selection orders by: the bound's own."""
+    return FilterConstraint(lower, upper).boundary_distance(value)
 
 
 class TestBoundaryDistance:
@@ -28,41 +33,41 @@ class TestBoundaryNearest:
     def test_orders_by_proximity(self):
         heuristic = BoundaryNearestSelection()
         candidates = {0: 15.0, 1: 11.0, 2: 19.5, 3: 14.0}
-        assert heuristic.order(candidates, 10.0, 20.0) == [2, 1, 3, 0]
+        assert heuristic.order(candidates, FilterConstraint(10.0, 20.0)) == [2, 1, 3, 0]
 
     def test_select_takes_prefix(self):
         heuristic = BoundaryNearestSelection()
         candidates = {0: 15.0, 1: 11.0, 2: 19.5}
-        assert heuristic.select(candidates, 2, 10.0, 20.0) == [2, 1]
+        assert heuristic.select(candidates, 2, FilterConstraint(10.0, 20.0)) == [2, 1]
 
     def test_select_count_exceeding_pool(self):
         heuristic = BoundaryNearestSelection()
-        assert heuristic.select({0: 1.0}, 10, 0.0, 2.0) == [0]
+        assert heuristic.select({0: 1.0}, 10, FilterConstraint(0.0, 2.0)) == [0]
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            BoundaryNearestSelection().select({}, -1, 0.0, 1.0)
+            BoundaryNearestSelection().select({}, -1, FilterConstraint(0.0, 1.0))
 
     def test_ties_break_by_id(self):
         heuristic = BoundaryNearestSelection()
         candidates = {3: 12.0, 1: 18.0}  # both distance 2
-        assert heuristic.order(candidates, 10.0, 20.0) == [1, 3]
+        assert heuristic.order(candidates, FilterConstraint(10.0, 20.0)) == [1, 3]
 
 
 class TestEmptyPools:
     def test_boundary_nearest_empty_candidates(self):
         heuristic = BoundaryNearestSelection()
-        assert heuristic.order({}, 0.0, 10.0) == []
-        assert heuristic.select({}, 3, 0.0, 10.0) == []
+        assert heuristic.order({}, FilterConstraint(0.0, 10.0)) == []
+        assert heuristic.select({}, 3, FilterConstraint(0.0, 10.0)) == []
 
     def test_random_empty_candidates(self):
         heuristic = RandomSelection(seed=0)
-        assert heuristic.order({}, 0.0, 10.0) == []
-        assert heuristic.select({}, 5, 0.0, 10.0) == []
+        assert heuristic.order({}, FilterConstraint(0.0, 10.0)) == []
+        assert heuristic.select({}, 5, FilterConstraint(0.0, 10.0)) == []
 
     def test_select_zero_count(self):
         heuristic = BoundaryNearestSelection()
-        assert heuristic.select({0: 1.0, 1: 2.0}, 0, 0.0, 10.0) == []
+        assert heuristic.select({0: 1.0, 1: 2.0}, 0, FilterConstraint(0.0, 10.0)) == []
 
 
 class TestTieBreakDeterminism:
@@ -73,29 +78,29 @@ class TestTieBreakDeterminism:
         forward = {0: 12.0, 1: 12.0, 2: 12.0, 3: 15.0}
         backward = dict(reversed(list(forward.items())))
         expected = [0, 1, 2, 3]  # three ties at distance 2, then 3
-        assert heuristic.order(forward, 10.0, 20.0) == expected
-        assert heuristic.order(backward, 10.0, 20.0) == expected
+        assert heuristic.order(forward, FilterConstraint(10.0, 20.0)) == expected
+        assert heuristic.order(backward, FilterConstraint(10.0, 20.0)) == expected
 
     def test_boundary_nearest_symmetric_duplicates(self):
         """Equal distances from *opposite* endpoints also tie by id."""
         heuristic = BoundaryNearestSelection()
         candidates = {5: 11.0, 2: 19.0, 8: 11.0}  # all at distance 1
-        assert heuristic.order(candidates, 10.0, 20.0) == [2, 5, 8]
-        assert heuristic.select(candidates, 2, 10.0, 20.0) == [2, 5]
+        assert heuristic.order(candidates, FilterConstraint(10.0, 20.0)) == [2, 5, 8]
+        assert heuristic.select(candidates, 2, FilterConstraint(10.0, 20.0)) == [2, 5]
 
     def test_random_order_independent_of_dict_order(self):
         """Seeded random selection sorts ids before shuffling, so the
         candidate dict's insertion order must never leak through."""
         forward = {i: float(i) for i in range(12)}
         backward = dict(reversed(list(forward.items())))
-        a = RandomSelection(seed=9).order(forward, 0.0, 5.0)
-        b = RandomSelection(seed=9).order(backward, 0.0, 5.0)
+        a = RandomSelection(seed=9).order(forward, FilterConstraint(0.0, 5.0))
+        b = RandomSelection(seed=9).order(backward, FilterConstraint(0.0, 5.0))
         assert a == b
 
     def test_repeated_order_calls_are_reproducible_per_instance(self):
         candidates = {i: float(i) for i in range(8)}
-        first = RandomSelection(seed=4).order(candidates, 0.0, 5.0)
-        second = RandomSelection(seed=4).order(candidates, 0.0, 5.0)
+        first = RandomSelection(seed=4).order(candidates, FilterConstraint(0.0, 5.0))
+        second = RandomSelection(seed=4).order(candidates, FilterConstraint(0.0, 5.0))
         assert first == second
 
 
@@ -103,18 +108,18 @@ class TestRandomSelection:
     def test_returns_all_candidates(self):
         heuristic = RandomSelection(seed=0)
         candidates = {i: float(i) for i in range(10)}
-        assert sorted(heuristic.order(candidates, 0.0, 5.0)) == list(range(10))
+        assert sorted(heuristic.order(candidates, FilterConstraint(0.0, 5.0))) == list(range(10))
 
     def test_seeded_reproducibility(self):
         candidates = {i: float(i) for i in range(20)}
-        a = RandomSelection(seed=5).order(candidates, 0.0, 5.0)
-        b = RandomSelection(seed=5).order(candidates, 0.0, 5.0)
+        a = RandomSelection(seed=5).order(candidates, FilterConstraint(0.0, 5.0))
+        b = RandomSelection(seed=5).order(candidates, FilterConstraint(0.0, 5.0))
         assert a == b
 
     def test_different_seeds_usually_differ(self):
         candidates = {i: float(i) for i in range(20)}
-        a = RandomSelection(seed=1).order(candidates, 0.0, 5.0)
-        b = RandomSelection(seed=2).order(candidates, 0.0, 5.0)
+        a = RandomSelection(seed=1).order(candidates, FilterConstraint(0.0, 5.0))
+        b = RandomSelection(seed=2).order(candidates, FilterConstraint(0.0, 5.0))
         assert a != b
 
     def test_names(self):

@@ -83,7 +83,7 @@ def test_region_separates_k_from_k_plus_1():
     )
     protocol = ZeroToleranceKnnProtocol(KnnQuery(500.0, 2))
     run_protocol(trace, protocol)
-    lower, upper = protocol.region
+    lower, upper = protocol.region.lower, protocol.region.upper
     # Answer {0, 1} (distances 0, 5); 3rd closest is 480 (distance 20).
     assert protocol.answer == frozenset({0, 1})
     assert lower <= 505.0 <= upper

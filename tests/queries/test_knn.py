@@ -28,7 +28,7 @@ class TestKnnQuery:
 
     def test_region_is_symmetric_interval(self):
         query = KnnQuery(q=50.0, k=1)
-        assert query.region(10.0) == (40.0, 60.0)
+        assert query.interval(10.0) == (40.0, 60.0)
 
     def test_infinite_q_rejected(self):
         with pytest.raises(ValueError):
@@ -53,14 +53,14 @@ class TestTopKQuery:
         assert query.true_answer(values) == frozenset({1, 3})
 
     def test_region_is_upper_half_line(self):
-        lower, upper = TopKQuery(k=1).region(-42.0)
+        lower, upper = TopKQuery(k=1).interval(-42.0)
         assert lower == 42.0
         assert upper == math.inf
 
     def test_region_membership_matches_distance(self):
         query = TopKQuery(k=1)
         threshold = query.distance(42.0)
-        lower, upper = query.region(threshold)
+        lower, upper = query.interval(threshold)
         assert lower <= 50.0 <= upper       # higher value: inside
         assert not (lower <= 30.0 <= upper)  # lower value: outside
 
@@ -72,14 +72,14 @@ class TestKMinQuery:
         assert query.true_answer(values) == frozenset({0, 2})
 
     def test_region_is_lower_half_line(self):
-        lower, upper = KMinQuery(k=1).region(7.0)
+        lower, upper = KMinQuery(k=1).interval(7.0)
         assert lower == -math.inf
         assert upper == 7.0
 
     def test_region_membership_matches_distance(self):
         query = KMinQuery(k=1)
         threshold = query.distance(42.0)
-        lower, upper = query.region(threshold)
+        lower, upper = query.interval(threshold)
         assert lower <= 30.0 <= upper
         assert not (lower <= 50.0 <= upper)
 

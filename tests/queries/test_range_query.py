@@ -47,10 +47,10 @@ def test_width():
 
 def test_boundary_distance():
     query = RangeQuery(10.0, 20.0)
-    assert query.boundary_distance(12.0) == 2.0
-    assert query.boundary_distance(19.0) == 1.0
-    assert query.boundary_distance(5.0) == 5.0
-    assert query.boundary_distance(23.0) == 3.0
+    assert query.bound.boundary_distance(12.0) == 2.0
+    assert query.bound.boundary_distance(19.0) == 1.0
+    assert query.bound.boundary_distance(5.0) == 5.0
+    assert query.bound.boundary_distance(23.0) == 3.0
 
 
 def test_half_line_ranges_allowed():

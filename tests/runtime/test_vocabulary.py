@@ -4,11 +4,19 @@ bindings that survive it, and the behaviours it makes uniform."""
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.api import Deployment, Engine, QuerySpec, Workload
 from repro.api.spec import PROTOCOLS
+from repro.network.messages import MessageKind
+from repro.protocols.base import FilterProtocol
+from repro.runtime.membership import (
+    BELIEF_INSIDE,
+    BELIEF_NONE,
+    BELIEF_OUTSIDE,
+)
 from repro.runtime.replay import REPLAY_MODES
 from repro.runtime.session import ExecutionSession
 from repro.runtime.vocabulary import Vocabulary, vocabulary_of
@@ -18,9 +26,11 @@ from repro.server.transport import (
     SpatialTransportShardedServer,
     TransportShardedServer,
 )
+from repro.spatial.geometry import ALL_SPACE, EMPTY_REGION, BoxRegion
 from repro.spatial.queries import SpatialKnnQuery
 from repro.spatial.server import SpatialServer
 from repro.spatial.vocabulary import SPATIAL
+from repro.state.pools import SilencerPools
 from repro.streams.vocabulary import SCALAR
 from repro.tolerance.rank_tolerance import RankTolerance
 
@@ -104,33 +114,74 @@ def test_session_builders_bind_the_one_assembler():
 
 
 # ----------------------------------------------------------------------
-# One uniform rejection of interval bulk ops on a non-interval vocabulary
+# deploy_many lowers a bound on every vocabulary (DESIGN.md §15)
 # ----------------------------------------------------------------------
-def _spatial_hosts():
+class _BoxEverywhere(FilterProtocol):
+    """Probe, then deploy one box with two silencers and stale/right/no
+    beliefs — through ``deploy_many`` or as the ordered ``deploy`` loop
+    the spatial lowering stands for."""
+
+    name = "box-everywhere"
+    BOX = BoxRegion([300.0, 300.0], [700.0, 700.0])
+
+    def __init__(self, many: bool) -> None:
+        self.many = many
+        self.deliveries: list = []
+
+    def initialize(self, server) -> None:
+        points = server.probe_all()
+        ids = server.stream_ids[::-1]  # batch order, not id order
+        silenced = SilencerPools()
+        silenced.reset([1], [2])
+        belief = np.array(
+            [
+                (BELIEF_NONE, BELIEF_INSIDE, BELIEF_OUTSIDE)[i % 3]
+                for i in ids
+            ],
+            dtype=np.int8,
+        )
+        if self.many:
+            server.deploy_many(ids, self.BOX, belief, silenced)
+            return
+        regions = {1: ALL_SPACE, 2: EMPTY_REGION}
+        for stream_id, code in zip(ids, belief.tolist()):
+            server.deploy(
+                stream_id,
+                regions.get(stream_id, self.BOX),
+                assumed_inside=None if code == BELIEF_NONE else bool(code),
+            )
+        assert len(points) == server.n_streams
+
+    def on_update(self, server, stream_id, point, time) -> None:
+        self.deliveries.append((stream_id, tuple(point), time))
+
+
+def _box_everywhere(topology: str, many: bool) -> tuple:
     trace = MOVING.materialize()
-    build = QuerySpec("rtp-2d", KNN, RankTolerance(k=5, r=2)).build
-    return {
-        "single()": ExecutionSession.for_spatial(trace, build()).host,
-        "sharded(2)": ExecutionSession.for_spatial_sharded(
-            trace, build(), 2
-        ).host,
-        "sharded(2, parallel=True)": SpatialTransportShardedServer(
-            trace, build(), 2
-        ),
-    }
+    protocol = _BoxEverywhere(many)
+    if topology == "parallel":
+        with SpatialTransportShardedServer(trace, protocol, 2) as host:
+            host.initialize(0.0)
+            ledger, state = host.snapshot(), host.state
+    else:
+        shards = (2,) if topology == "sharded" else ()
+        builder = "for_spatial_sharded" if shards else "for_spatial"
+        session = getattr(ExecutionSession, builder)(trace, protocol, *shards)
+        session.initialize(0.0)
+        ledger, state = session.snapshot(), session.host.state
+    return ledger, protocol.deliveries, state.containers.tolist()
 
 
-def test_interval_bulk_ops_raise_one_type_error_on_every_spatial_topology():
-    messages = set()
-    for host in _spatial_hosts().values():
-        for call in (
-            lambda: host.broadcast(0.0, 1.0),
-            lambda: host.deploy_many([0, 1], 0.0, 1.0),
-        ):
-            with pytest.raises(TypeError, match="per-stream regions") as info:
-                call()
-            messages.add(str(info.value))
-    assert len(messages) == 1
+@pytest.mark.parametrize("topology", ["single", "sharded", "parallel"])
+def test_spatial_deploy_many_is_the_ordered_region_deploy_loop(topology):
+    reference = _box_everywhere("single", many=False)
+    ledger, deliveries, containers = _box_everywhere(topology, many=True)
+    assert (ledger, deliveries, containers) == reference
+    assert ledger.initialization[MessageKind.CONSTRAINT] == len(containers)
+    assert containers[1] is ALL_SPACE and containers[2] is EMPTY_REGION
+    # Stale beliefs self-corrected, in batch (descending id) order.
+    corrected = [stream_id for stream_id, _, _ in deliveries]
+    assert corrected and corrected == sorted(corrected, reverse=True)
 
 
 # ----------------------------------------------------------------------

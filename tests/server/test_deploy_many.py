@@ -28,11 +28,14 @@ from repro.runtime.session import ExecutionSession
 from repro.server.server import Server
 from repro.server.sharded import ShardedServer
 from repro.server.transport import TransportShardedServer
+from repro.state.pools import SilencerPools
+from repro.streams.control import deploy_columns
+from repro.streams.filters import FilterConstraint
 from repro.streams.trace import StreamTrace
 
 N = 12
-FIRST = (35.0, 75.0)
-SECOND = (25.0, 65.0)
+FIRST = FilterConstraint(35.0, 75.0)
+SECOND = FilterConstraint(25.0, 65.0)
 #: Quiescent under FIRST (staged, not applied, by the batched replay),
 #: then stream 4 leaves FIRST — the update that triggers the redeploy.
 QUIET = [(1.0, 0, 5.0), (2.0, 5, 60.0), (3.0, 6, 72.0), (4.0, 9, 80.0)]
@@ -52,11 +55,14 @@ def _trace() -> StreamTrace:
     )
 
 
-def _second_columns(actual: np.ndarray, beliefs: str):
+def _second_deploy(actual: np.ndarray, beliefs: str):
     """The redeployment under test: SECOND everywhere but two silencers,
-    with beliefs chosen against the sources' *actual* values."""
-    lower = np.full(N, SECOND[0])
-    upper = np.full(N, SECOND[1])
+    with beliefs chosen against the sources' *actual* values — as
+    ``deploy_many`` arguments ``(ids, bound, belief, silenced)``."""
+    silenced = SilencerPools()
+    silenced.reset([1], [2])
+    lower = np.full(N, SECOND.lower)
+    upper = np.full(N, SECOND.upper)
     lower[1], upper[1] = -math.inf, math.inf
     lower[2], upper[2] = math.inf, math.inf
     inside = (lower <= actual) & (actual <= upper)
@@ -71,9 +77,9 @@ def _second_columns(actual: np.ndarray, beliefs: str):
         belief[1::3] = stale[1::3]
         belief[2::3] = right[2::3]
     # Descending ids: batch order, not id order, must drive delivery.
-    return np.arange(N)[::-1], lower[::-1], upper[::-1], (
+    return np.arange(N)[::-1], SECOND, (
         None if belief is None else belief[::-1]
-    )
+    ), silenced
 
 
 class Scripted(FilterProtocol):
@@ -91,18 +97,24 @@ class Scripted(FilterProtocol):
         self.fired = False
         self.deliveries: list[tuple] = []
 
-    def _deploy(self, server, ids, lower, upper, belief) -> None:
+    def _deploy(self, server, ids, bound, belief, silenced=None) -> None:
         if self.many:
-            server.deploy_many(ids, lower, upper, belief)
+            server.deploy_many(ids, bound, belief, silenced)
             return
-        lower = np.broadcast_to(lower, np.shape(ids)).tolist()
-        upper = np.broadcast_to(upper, np.shape(ids)).tolist()
+        # The reference: the lowering written out per message.
+        fp = set(silenced.fp) if silenced else ()
+        fn = set(silenced.fn) if silenced else ()
         codes = [BELIEF_NONE] * len(ids) if belief is None else belief.tolist()
-        for stream_id, low, high, code in zip(list(ids), lower, upper, codes):
+        for stream_id, code in zip(map(int, ids), codes):
+            lower, upper = bound.lower, bound.upper
+            if stream_id in fp:
+                lower, upper = -math.inf, math.inf
+            elif stream_id in fn:
+                lower, upper = math.inf, math.inf
             server.deploy(
-                int(stream_id),
-                low,
-                high,
+                stream_id,
+                lower,
+                upper,
                 None if code == BELIEF_NONE else bool(code),
             )
 
@@ -114,7 +126,7 @@ class Scripted(FilterProtocol):
 
     def initialize(self, server) -> None:
         server.probe_all()
-        self._deploy(server, server.stream_ids, *FIRST, None)
+        self._deploy(server, server.stream_ids, FIRST, None)
         if self.idle:
             self._fire(server)
 
@@ -150,7 +162,7 @@ def _run(topology: str, many: bool, idle: bool, beliefs: str) -> dict:
         for _, stream_id, value in QUIET + [TRIGGER]:
             actual[stream_id] = value
     checks = []
-    protocol = Scripted(many, idle, _second_columns(actual, beliefs))
+    protocol = Scripted(many, idle, _second_deploy(actual, beliefs))
     if topology == "parallel":
         server = TransportShardedServer(trace, protocol, 2, replay_mode="batch")
         with server:
@@ -235,7 +247,7 @@ def test_deploy_many_equals_the_ordered_deploy_loop(
 # ----------------------------------------------------------------------
 def _latency_run(many: bool) -> dict:
     trace = _trace()
-    protocol = Scripted(many, False, _second_columns(trace.initial_values, "mixed"))
+    protocol = Scripted(many, False, _second_deploy(trace.initial_values, "mixed"))
     session = ExecutionSession.for_streams(
         trace, protocol, latency=UniformLatency(0.1, 3.0, seed=5)
     )
@@ -262,9 +274,21 @@ def test_latency_channel_keeps_per_message_sends_and_delay_draws(deploy_calls):
     assert bulk["delivered"] > 0
 
 
-def _guarded_deploy(server, many: bool, ids, lower, upper, belief) -> None:
-    protocol = Scripted(many, False, None)
-    server._guarded_call(protocol._deploy, server, ids, lower, upper, belief)
+def _guarded_columns(server, many: bool, ids, lower, upper, belief) -> None:
+    """Deploy raw per-row columns inside a guarded step: through the
+    hosts' ``deploy_columns`` layer, or as the ordered ``deploy`` loop."""
+    if many:
+        server._guarded_call(
+            deploy_columns, server, server.channel, server.state, True,
+            (ids, (lower, upper), belief),
+        )
+        return
+
+    def loop():
+        for row in zip(ids.tolist(), lower.tolist(), upper.tolist(), belief.tolist()):
+            server.deploy(*row[:3], bool(row[3]))
+
+    server._guarded_call(loop)
 
 
 @pytest.mark.parametrize("many", [True, False], ids=["many", "loop"])
@@ -275,7 +299,7 @@ def test_duplicate_ids_stay_per_message(many, deploy_calls):
     ids = np.array([3, 5, 3])
     lower, upper = np.array([0.0, 0.0, 40.0]), np.array([35.0, 35.0, 90.0])
     belief = np.array([BELIEF_OUTSIDE, BELIEF_INSIDE, BELIEF_INSIDE], np.int8)
-    _guarded_deploy(server, many, ids, lower, upper, belief)
+    _guarded_columns(server, many, ids, lower, upper, belief)
     assert deploy_calls == [3, 5, 3]
     # Values 30 and 50: all three beliefs are stale; the last install wins.
     assert [d[0] for d in server.protocol.deliveries] == [3, 5, 3]
@@ -303,7 +327,9 @@ def test_unguarded_host_keeps_inline_self_corrections(sharded, deploy_calls):
         else:
             session = ExecutionSession.for_streams(trace, protocol)
         stale = np.full(N, BELIEF_INSIDE, dtype=np.int8)
-        protocol._deploy(session.host, np.arange(N), 200.0, 300.0, stale)
+        protocol._deploy(
+            session.host, np.arange(N), FilterConstraint(200.0, 300.0), stale
+        )
         return protocol.deliveries
 
     bulk = run(True)
@@ -326,7 +352,7 @@ def test_interleaved_worker_runs_are_served_one_rpc_at_a_time():
     class Interleaved(Scripted):
         def initialize(self, server) -> None:
             self.probed = server.probe_all(ids.tolist())
-            server.deploy_many(ids, *FIRST)
+            server.deploy_many(ids, FIRST)
 
     trace = StreamTrace(
         initial_values=np.arange(n, dtype=np.float64),
@@ -341,5 +367,5 @@ def test_interleaved_worker_runs_are_served_one_rpc_at_a_time():
     with server:
         server.initialize(0.0)
         assert list(protocol.probed) == ids.tolist()
-        assert server.state.lower.tolist() == [FIRST[0]] * n
+        assert server.state.lower.tolist() == [FIRST.lower] * n
         assert server.snapshot().initialization_total == 3 * n

@@ -1,12 +1,11 @@
 """Unit tests for the server's control plane and message dispatch."""
 
-import math
-
 from repro.network.accounting import MessageLedger, Phase
 from repro.network.channel import Channel
 from repro.network.messages import MessageKind
 from repro.protocols.base import FilterProtocol
 from repro.server.server import Server
+from repro.streams.filters import FALSE_POSITIVE_FILTER
 from repro.streams.source import StreamSource
 
 
@@ -83,7 +82,7 @@ def test_deploy_installs_constraint():
 
 def test_broadcast_costs_n_messages():
     server, _, _, ledger = make_system(n_sources=5)
-    server.broadcast(-math.inf, math.inf)
+    server.broadcast(FALSE_POSITIVE_FILTER)
     assert ledger.count(MessageKind.CONSTRAINT) == 5
 
 

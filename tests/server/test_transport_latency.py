@@ -87,6 +87,47 @@ def test_nonzero_latency_ledger_identical_to_sequential(
     assert parallel.final_answer == sequential.final_answer
 
 
+#: The lively regime (ROADMAP "Truth-up (a)"): at sigma=150 with delays
+#: of several time units, installs are still in flight at the horizon
+#: and the forced drain provokes self-corrections under a frozen clock
+#: — due at ``horizon + delay``, ahead of installs the drain has yet to
+#: deliver.  Only RTP attaches beliefs to deploys, so only RTP sees it.
+LIVELY = {"sigma": 150.0, "mean_interarrival": 8.0, "horizon": 60.0}
+LIVELY_SPECS = {
+    "rtp": SPECS["rtp"],
+    "rtp-2d": QuerySpec(
+        protocol="rtp-2d",
+        query=SpatialKnnQuery((500.0, 500.0), 5),
+        tolerance=RankTolerance(k=5, r=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("protocol", sorted(LIVELY_SPECS))
+def test_lively_drain_ledger_identical_to_sequential(protocol, seed):
+    if protocol.endswith("-2d"):
+        workload = Workload.moving_objects(n_objects=60, seed=seed, **LIVELY)
+    else:
+        workload = Workload.synthetic(n_streams=60, seed=seed, **LIVELY)
+    engine = Engine()
+    spec = LIVELY_SPECS[protocol]
+    sequential = engine.run(
+        spec,
+        workload,
+        Deployment.sharded(2, latency=UniformLatency(1, 8, seed=1)),
+    )
+    parallel = engine.run(
+        spec,
+        workload,
+        Deployment.sharded(
+            2, parallel=True, latency=UniformLatency(1, 8, seed=1)
+        ),
+    )
+    assert parallel.ledger == sequential.ledger
+    assert parallel.final_answer == sequential.final_answer
+
+
 def test_transport_accounts_in_flight_deliveries():
     engine = Engine()
     report = engine.run(

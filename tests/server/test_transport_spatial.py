@@ -183,14 +183,17 @@ def test_spatial_checking_requires_a_query():
 # ----------------------------------------------------------------------
 # Vocabulary scope
 # ----------------------------------------------------------------------
-def test_spatial_transport_has_no_scalar_broadcast():
+def test_spatial_transport_broadcasts_a_region():
     from repro.server.transport import SpatialTransportShardedServer
+    from repro.spatial.geometry import BallRegion
 
     trace = WORKLOAD.materialize()
     protocol = SPATIAL_SPECS["rtp-2d"].build()
-    server = SpatialTransportShardedServer(trace, protocol, 2)
-    with pytest.raises(TypeError, match="per-stream regions"):
-        server.broadcast(0.0, 1.0)
+    ball = BallRegion((500.0, 500.0), 100.0)
+    with SpatialTransportShardedServer(trace, protocol, 2) as server:
+        server._guarded_call(server.broadcast, ball)
+        assert server.state.containers.tolist() == [ball] * trace.n_streams
+        assert server.snapshot().initialization_total == trace.n_streams
 
 
 # ----------------------------------------------------------------------

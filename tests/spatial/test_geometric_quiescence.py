@@ -198,24 +198,19 @@ def test_region_membership_writes_through_to_the_table():
 
 def test_quiescent_records_batch_identically_to_per_event():
     """End to end: the AABB pre-scan's ledger equals per-event replay."""
-    from repro.spatial.protocols import SpatialZeroRangeProtocol
+    from repro.api import Deployment, Engine, QuerySpec, Workload
     from repro.spatial.queries import SpatialRangeQuery
-    from repro.runtime.session import ExecutionSession
-    from repro.spatial.workloads import (
-        MovingObjectsConfig,
-        generate_moving_objects_trace,
-    )
 
-    trace = generate_moving_objects_trace(
-        MovingObjectsConfig(n_objects=60, horizon=150.0, sigma=6.0, seed=9)
+    workload = Workload.moving_objects(
+        n_objects=60, horizon=150.0, sigma=6.0, seed=9
     )
-    query = SpatialRangeQuery(BoxRegion([300.0, 300.0], [700.0, 700.0]))
-    snapshots = {}
-    for mode in ("event", "batch"):
-        session = ExecutionSession.for_spatial(
-            trace, SpatialZeroRangeProtocol(query)
-        )
-        session.initialize(time=0.0)
-        session.replay_trace(trace, mode=mode)
-        snapshots[mode] = session.snapshot()
-    assert snapshots["batch"] == snapshots["event"]
+    spec = QuerySpec(
+        "zt-nrp-2d",
+        SpatialRangeQuery(BoxRegion([300.0, 300.0], [700.0, 700.0])),
+    )
+    reports = {
+        mode: Engine().run(spec, workload, Deployment.single(replay_mode=mode))
+        for mode in ("event", "batch")
+    }
+    assert reports["batch"].extras["replay"]["staged"] > 0
+    assert reports["batch"].ledger == reports["event"].ledger

@@ -1,20 +1,12 @@
-"""Randomized correctness + shape tests for the spatial protocols."""
+"""Randomized correctness + shape tests for the ``-2d`` specs: the six
+protocols of :mod:`repro.protocols` hosted on the spatial stack."""
 
 import numpy as np
 import pytest
 
-from repro.harness.config import RunConfig
+from repro.api import Deployment, Engine, QuerySpec, Workload
 from repro.spatial.geometry import BoxRegion
-from repro.spatial.protocols import (
-    SpatialFractionKnnProtocol,
-    SpatialFractionRangeProtocol,
-    SpatialNoFilterProtocol,
-    SpatialRankToleranceProtocol,
-    SpatialZeroKnnProtocol,
-    SpatialZeroRangeProtocol,
-)
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
-from repro.spatial.runner import run_spatial_protocol
 from repro.spatial.trace import SpatialTrace
 from repro.spatial.workloads import (
     MovingObjectsConfig,
@@ -24,9 +16,18 @@ from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.knn_fraction import RhoPolicy
 from repro.tolerance.rank_tolerance import RankTolerance
 
-CHECKED = RunConfig(check_every=1, strict=True)
+CHECKED = Deployment.single(check_every=1, strict=True)
 BOX = BoxRegion([350.0, 350.0], [650.0, 650.0])
 CENTER = [500.0, 500.0]
+
+
+def run_2d(trace, name, query, tolerance=None, deployment=None, **options):
+    """One ``name-2d`` spec over *trace* through the engine."""
+    return Engine().run(
+        QuerySpec(name + "-2d", query, tolerance, options),
+        Workload.from_trace(trace),
+        deployment,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -38,23 +39,17 @@ def trace():
 
 class TestExactProtocols:
     def test_no_filter_exact(self, trace):
-        result = run_spatial_protocol(
-            trace, SpatialNoFilterProtocol(SpatialRangeQuery(BOX)), config=CHECKED
-        )
+        result = run_2d(trace, "no-filter", SpatialRangeQuery(BOX), deployment=CHECKED)
         assert result.tolerance_ok
         assert result.maintenance_messages == trace.n_records
 
     def test_zt_range_exact_and_cheaper(self, trace):
-        result = run_spatial_protocol(
-            trace, SpatialZeroRangeProtocol(SpatialRangeQuery(BOX)), config=CHECKED
-        )
+        result = run_2d(trace, "zt-nrp", SpatialRangeQuery(BOX), deployment=CHECKED)
         assert result.tolerance_ok
         assert result.maintenance_messages < trace.n_records
 
     def test_zt_knn_exact(self, trace):
-        result = run_spatial_protocol(
-            trace, SpatialZeroKnnProtocol(SpatialKnnQuery(CENTER, 5)), config=CHECKED
-        )
+        result = run_2d(trace, "zt-rp", SpatialKnnQuery(CENTER, 5), deployment=CHECKED)
         assert result.tolerance_ok
 
 
@@ -62,24 +57,18 @@ class TestSpatialFtNrp:
     @pytest.mark.parametrize("eps", [0.0, 0.2, 0.45])
     def test_tolerance_held(self, trace, eps):
         tolerance = FractionTolerance(eps, eps)
-        result = run_spatial_protocol(
-            trace,
-            SpatialFractionRangeProtocol(SpatialRangeQuery(BOX), tolerance),
-            tolerance=tolerance,
-            config=CHECKED,
+        result = run_2d(
+            trace, "ft-nrp", SpatialRangeQuery(BOX), tolerance, CHECKED
         )
         assert result.tolerance_ok
 
     def test_silencers_allocated(self, trace):
         tolerance = FractionTolerance(0.4, 0.4)
-        protocol = SpatialFractionRangeProtocol(
-            SpatialRangeQuery(BOX), tolerance
-        )
-        run_spatial_protocol(
-            trace.truncate(0.0), protocol, tolerance=tolerance
+        result = run_2d(
+            trace.truncate(0.0), "ft-nrp", SpatialRangeQuery(BOX), tolerance
         )
         box_members = int(BOX.contains_many(trace.initial_points).sum())
-        assert protocol.n_plus == min(
+        assert result.extras["n_plus"] == min(
             tolerance.emax_plus(box_members), box_members
         )
 
@@ -88,32 +77,23 @@ class TestSpatialRtp:
     @pytest.mark.parametrize("k,r", [(3, 0), (5, 2), (8, 5)])
     def test_tolerance_held(self, trace, k, r):
         tolerance = RankTolerance(k=k, r=r)
-        result = run_spatial_protocol(
-            trace,
-            SpatialRankToleranceProtocol(SpatialKnnQuery(CENTER, k), tolerance),
-            tolerance=tolerance,
-            config=CHECKED,
+        result = run_2d(
+            trace, "rtp", SpatialKnnQuery(CENTER, k), tolerance, CHECKED
         )
         assert result.tolerance_ok
         assert len(result.final_answer) == k
 
     def test_k_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            SpatialRankToleranceProtocol(
-                SpatialKnnQuery(CENTER, 3), RankTolerance(k=5, r=0)
-            )
+            QuerySpec(
+                "rtp-2d", SpatialKnnQuery(CENTER, 3), RankTolerance(k=5, r=0)
+            ).build()
 
     def test_rank_slack_reduces_cost(self, trace):
         costs = {}
         for r in (0, 6):
             tolerance = RankTolerance(k=5, r=r)
-            result = run_spatial_protocol(
-                trace,
-                SpatialRankToleranceProtocol(
-                    SpatialKnnQuery(CENTER, 5), tolerance
-                ),
-                tolerance=tolerance,
-            )
+            result = run_2d(trace, "rtp", SpatialKnnQuery(CENTER, 5), tolerance)
             costs[r] = result.maintenance_messages
         assert costs[6] < costs[0]
 
@@ -123,26 +103,20 @@ class TestSpatialFtRp:
     @pytest.mark.parametrize("policy", list(RhoPolicy))
     def test_tolerance_held(self, trace, eps, policy):
         tolerance = FractionTolerance(eps, eps)
-        result = run_spatial_protocol(
+        result = run_2d(
             trace,
-            SpatialFractionKnnProtocol(
-                SpatialKnnQuery(CENTER, 8), tolerance, policy=policy
-            ),
-            tolerance=tolerance,
-            config=CHECKED,
+            "ft-rp",
+            SpatialKnnQuery(CENTER, 8),
+            tolerance,
+            CHECKED,
+            policy=policy,
         )
         assert result.tolerance_ok
 
     def test_tolerance_slashes_cost_vs_zt(self, trace):
-        zt = run_spatial_protocol(
-            trace, SpatialZeroKnnProtocol(SpatialKnnQuery(CENTER, 10))
-        )
+        zt = run_2d(trace, "zt-rp", SpatialKnnQuery(CENTER, 10))
         tolerance = FractionTolerance(0.3, 0.3)
-        ft = run_spatial_protocol(
-            trace,
-            SpatialFractionKnnProtocol(SpatialKnnQuery(CENTER, 10), tolerance),
-            tolerance=tolerance,
-        )
+        ft = run_2d(trace, "ft-rp", SpatialKnnQuery(CENTER, 10), tolerance)
         assert ft.maintenance_messages < zt.maintenance_messages / 5
 
 
@@ -155,15 +129,13 @@ class TestManySeeds:
         rank_tol = RankTolerance(k=4, r=3)
         frac_tol = FractionTolerance(0.25, 0.25)
         runs = [
-            (SpatialRankToleranceProtocol(SpatialKnnQuery(CENTER, 4), rank_tol), rank_tol),
-            (SpatialFractionKnnProtocol(SpatialKnnQuery(CENTER, 6), frac_tol), frac_tol),
-            (SpatialFractionRangeProtocol(SpatialRangeQuery(BOX), frac_tol), frac_tol),
+            ("rtp", SpatialKnnQuery(CENTER, 4), rank_tol),
+            ("ft-rp", SpatialKnnQuery(CENTER, 6), frac_tol),
+            ("ft-nrp", SpatialRangeQuery(BOX), frac_tol),
         ]
-        for protocol, tolerance in runs:
-            result = run_spatial_protocol(
-                trace, protocol, tolerance=tolerance, config=CHECKED
-            )
-            assert result.tolerance_ok, protocol.name
+        for name, query, tolerance in runs:
+            result = run_2d(trace, name, query, tolerance, CHECKED)
+            assert result.tolerance_ok, name
 
 
 class TestDegenerateTraces:
@@ -178,10 +150,7 @@ class TestDegenerateTraces:
             horizon=10.0,
         )
         tolerance = FractionTolerance(0.2, 0.2)
-        result = run_spatial_protocol(
-            trace,
-            SpatialFractionRangeProtocol(SpatialRangeQuery(BOX), tolerance),
-            tolerance=tolerance,
-            config=CHECKED,
+        result = run_2d(
+            trace, "ft-nrp", SpatialRangeQuery(BOX), tolerance, CHECKED
         )
         assert result.maintenance_messages == 0

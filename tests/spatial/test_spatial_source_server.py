@@ -6,12 +6,12 @@ import pytest
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
 from repro.network.messages import MessageKind
+from repro.protocols.base import FilterProtocol
 from repro.spatial.geometry import ALL_SPACE, EMPTY_REGION, BoxRegion
 from repro.spatial.messages import (
     PointProbeRequestMessage,
     RegionConstraintMessage,
 )
-from repro.spatial.protocols import SpatialProtocol
 from repro.spatial.server import SpatialServer
 from repro.spatial.source import SpatialStreamSource
 
@@ -84,7 +84,7 @@ class TestSpatialSource:
         np.testing.assert_array_equal(received[0].point, [0.0, 0.0])
 
 
-class RecordingSpatialProtocol(SpatialProtocol):
+class RecordingSpatialProtocol(FilterProtocol):
     name = "recording-2d"
 
     def __init__(self):
