@@ -23,12 +23,13 @@ decisions:
    in-process.
 
 :func:`_execute_hosted` is the one executor of a hosted protocol — host
-assembly, oracle + checker, initialize, replay, result — for both
-vocabularies and all three topologies; ``_execute_streams`` and
-``_execute_spatial`` only route around it (durability, fan-out).  The
-pre-``repro.api`` entrypoints (``run_protocol``, ``run_multi_query``)
-survive as thin deprecation shims delegating here, so results are
-ledger-identical across the rename.
+assembly, oracle + checker, initialize, replay, report — for both
+vocabularies and all three topologies; :func:`_execute` only routes
+around it (durability, fan-out).  Every executor builds its
+:class:`~repro.api.report.RunReport` once, at its return site, and every
+``(stack, workload, deployment)`` cell the engine cannot run is refused
+in one place, :func:`_refuse_unsupported`, before anything is built.
+:class:`Engine` is the only way in (DESIGN.md §16).
 """
 
 from __future__ import annotations
@@ -38,8 +39,13 @@ import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Mapping
 
+# Registers the scalar vocabulary ``_execute_hosted`` resolves by name;
+# the spatial one arrives with the ``repro.spatial`` query or trace a
+# ``-2d`` run is handed.
+import repro.streams.vocabulary  # noqa: F401
 from repro.api.report import RunReport
 from repro.api.spec import (
+    STACK_MULTIQUERY,
     STACK_SPATIAL,
     STACK_STREAMS,
     STACK_VALUEBASED,
@@ -49,7 +55,6 @@ from repro.api.spec import (
 )
 from repro.correctness.checker import ToleranceChecker
 from repro.correctness.staleness import StalenessWindow, tag_reason
-from repro.harness.results import RunResult
 from repro.network.accounting import LedgerSnapshot
 from repro.runtime.replay import REPLAY_COUNTERS
 from repro.runtime.session import ExecutionSession
@@ -91,34 +96,111 @@ def _with_truncation_note(
 
 
 # ----------------------------------------------------------------------
-# Scalar streams stack
+# What the engine refuses, and the router around the hosted executor
 # ----------------------------------------------------------------------
-def _execute_streams(
+#: Stack -> why it cannot run under a durability policy (the scalar
+#: streams stack, single or sharded, is the one that can).
+_NOT_DURABLE = {
+    STACK_SPATIAL: (
+        "durable deployments are not yet supported for spatial "
+        "protocols: the spatial stack's object-dtype containers "
+        "column cannot live in a memmap plane and its point traces "
+        "have no journal record type yet; use the scalar stacks for "
+        "durable runs"
+    ),
+    STACK_MULTIQUERY: (
+        "durable deployments are not supported for the multi-query "
+        "stack: its coordinator delivers shared updates to protocol "
+        "slots directly, bypassing the channel and ledger charge "
+        "points the journal mirrors; run each query durably on its "
+        "own single-query deployment instead"
+    ),
+    STACK_VALUEBASED: (
+        "durable deployments are not yet supported for the "
+        "value-window stack: its runner owns its own session "
+        "assembly and does not thread a journaling ledger; use the "
+        "scalar stacks for durable runs"
+    ),
+}
+
+
+def _refuse_unsupported(
+    stack: str,
+    subject: str,
+    workload: Workload,
+    deployment: Deployment,
+    specs: Mapping[str, QuerySpec] | None = None,
+) -> None:
+    """Raise for a ``(stack, workload, deployment)`` cell no executor runs.
+
+    The one rejection site of the engine: called once the trace is
+    materialized and before any protocol, session or process is built.
+    *subject* names what was asked for (a protocol, ``run_queries``);
+    *specs* are the per-query specs of a multi-query run.
+    """
+    trace = workload.materialize()
+    if stack == STACK_MULTIQUERY:
+        for query_id, spec in specs.items():
+            if spec.stack != STACK_STREAMS:
+                raise ValueError(
+                    f"query {query_id!r}: protocol {spec.protocol!r} runs "
+                    f"on the {spec.stack!r} stack, but the multi-query "
+                    "stack shares one scalar population and hosts only "
+                    f"{STACK_STREAMS!r} protocols; run it on its own "
+                    "through Engine.run"
+                )
+    if hasattr(trace, "initial_points") != (stack == STACK_SPATIAL):
+        needs = "point" if stack == STACK_SPATIAL else "scalar"
+        raise ValueError(
+            f"{subject} runs on the {stack!r} stack, which replays "
+            f"{needs} traces, but the {workload.kind!r} workload is a "
+            f"{type(trace).__name__}; pair scalar protocols with scalar "
+            "workloads and '-2d' protocols with Workload.moving_objects"
+        )
+    if deployment.durable is not None and stack in _NOT_DURABLE:
+        raise ValueError(_NOT_DURABLE[stack])
+    if stack == STACK_MULTIQUERY:
+        if deployment.topology != "single":
+            raise ValueError(
+                "the multi-query stack supports only Deployment.single()"
+            )
+        if deployment.latency is not None:
+            raise ValueError(
+                "latency-modeled delivery is not supported for the multi-query "
+                "stack: its coordinator delivers shared updates to protocol "
+                "slots directly, bypassing the channel, so there is no wire "
+                "on which messages could fly; use the single-query stacks for "
+                "staleness studies"
+            )
+
+
+def _execute(
+    stack: str,
     trace,
     protocol,
-    query=None,
-    tolerance=None,
-    deployment: Deployment | None = None,
-    label: str = "",
-) -> RunResult:
-    """Replay *trace* against a scalar *protocol* under *deployment*."""
-    deployment = deployment or Deployment.single()
+    query,
+    tolerance,
+    deployment: Deployment,
+    label: str,
+) -> RunReport:
+    """Route one hosted *protocol* to the executor *deployment* selects."""
     if deployment.durable is not None:
-        # Deployment validation already rejected the incompatible knobs
-        # (parallel, latency, check_every); both scalar topologies run
-        # through the durable WAL loop.
+        # _refuse_unsupported and Deployment validation already rejected
+        # the incompatible cells (spatial; parallel, latency,
+        # check_every); both scalar topologies run the durable WAL loop.
         from repro.durability.runner import execute_durable_streams
 
         return execute_durable_streams(trace, protocol, deployment, label)
     if (
-        deployment.topology == "sharded"
+        stack == STACK_STREAMS
+        and deployment.topology == "sharded"
         and deployment.parallel
         and deployment.check_every == 0
         and getattr(protocol, "decomposable_maintenance", False)
     ):
         return _execute_streams_fanout(trace, protocol, deployment, label)
     return _execute_hosted(
-        STACK_STREAMS, trace, protocol, query, tolerance, deployment, label
+        stack, trace, protocol, query, tolerance, deployment, label
     )
 
 
@@ -133,7 +215,7 @@ def _execute_hosted(
     tolerance=None,
     deployment: Deployment | None = None,
     label: str = "",
-) -> RunResult:
+) -> RunReport:
     """Run one hosted *protocol* over *trace*: any vocabulary, any topology.
 
     ``Deployment.single()`` and ``Deployment.sharded(n)`` assemble an
@@ -147,6 +229,7 @@ def _execute_hosted(
     coordinator holds the full trace; checks charge nothing, so ledger
     and violation sequence agree across topologies.
     """
+    started = _time.perf_counter()
     deployment = deployment or Deployment.single()
     vocabulary = vocabulary_of(stack)
     sharded = deployment.topology == "sharded"
@@ -225,15 +308,37 @@ def _execute_hosted(
 
     extras = _collect_extras(protocol)
     extras["replay"] = replay
-    return RunResult(
+    checked = checker.report if checker is not None else None
+    checks = 0
+    violations: tuple[str, ...] = ()
+    if checked is not None:
+        checks = checked.checks
+        violations = _with_truncation_note(
+            tuple(
+                f"t={violation.time}: "
+                + tag_reason(violation.reason, violation.classification)
+                for violation in checked.violations
+            ),
+            checked.violation_count,
+        )
+        if checked.classified:
+            # Staleness-window mode: surface the violation split.
+            extras["violations_inherent_latency"] = checked.inherent_count
+            extras["violations_protocol_bug"] = checked.protocol_bug_count
+    return RunReport(
         protocol=protocol.name,
+        stack=stack,
+        topology=deployment.describe(),
         ledger=ledger,
-        checker=checker.report if checker is not None else None,
         n_streams=trace.n_streams,
         n_records=trace.n_records,
+        wall_seconds=_time.perf_counter() - started,
         final_answer=protocol.answer,
+        checks=checks,
+        violations=violations,
         label=label,
         extras=extras,
+        checker=checked,
     )
 
 
@@ -316,10 +421,11 @@ def _merge_snapshots(parts: list[LedgerSnapshot]) -> LedgerSnapshot:
 
 def _execute_streams_fanout(
     trace, protocol, deployment: Deployment, label: str
-) -> RunResult:
+) -> RunReport:
     """Sharded + parallel replay of a decomposable protocol."""
     from repro.state.sharding import shard_ranges
 
+    started = _time.perf_counter()
     ranges = shard_ranges(trace.n_streams, deployment.n_shards)
     jobs = [
         (
@@ -331,8 +437,7 @@ def _execute_streams_fanout(
         )
         for lo, hi in ranges
     ]
-    max_workers = deployment.max_workers or len(ranges)
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         parts = list(pool.map(_shard_replay_worker, jobs))
 
     answer: frozenset[int] = frozenset()
@@ -346,107 +451,17 @@ def _execute_streams_fanout(
                 continue
             extras[key] = extras.get(key, 0) + value
     extras["replay"] = _merge_replay_stats(replay_parts)
-    return RunResult(
+    return RunReport(
         protocol=protocol.name,
+        stack=STACK_STREAMS,
+        topology=deployment.describe(),
         ledger=_merge_snapshots([snapshot for snapshot, _, _ in parts]),
-        checker=None,
         n_streams=trace.n_streams,
         n_records=trace.n_records,
+        wall_seconds=_time.perf_counter() - started,
         final_answer=answer,
         label=label,
         extras=extras,
-    )
-
-
-# ----------------------------------------------------------------------
-# Spatial stack
-# ----------------------------------------------------------------------
-def _execute_spatial(
-    trace,
-    protocol,
-    query=None,
-    tolerance=None,
-    deployment: Deployment | None = None,
-    label: str = "",
-) -> RunResult:
-    """Replay a spatial *trace* against a spatial *protocol* under
-    *deployment* — :func:`_execute_hosted` on the spatial vocabulary."""
-    deployment = deployment or Deployment.single()
-    if deployment.durable is not None:
-        raise ValueError(
-            "durable deployments are not yet supported for spatial "
-            "protocols: the spatial stack's object-dtype containers "
-            "column cannot live in a memmap plane and its point traces "
-            "have no journal record type yet; use the scalar stacks for "
-            "durable runs"
-        )
-    return _execute_hosted(
-        STACK_SPATIAL, trace, protocol, query, tolerance, deployment, label
-    )
-
-
-#: Stack -> router around :func:`_execute_hosted`.
-_HOSTED_EXECUTORS = {
-    STACK_STREAMS: _execute_streams,
-    STACK_SPATIAL: _execute_spatial,
-}
-
-
-# ----------------------------------------------------------------------
-# Multi-query stack
-# ----------------------------------------------------------------------
-def _execute_multiquery(trace, queries, deployment: Deployment | None = None):
-    """Run several protocols over one shared population; single only."""
-    from repro.multiquery.runner import execute_multi_query
-
-    deployment = deployment or Deployment.single()
-    if deployment.durable is not None:
-        raise ValueError(
-            "durable deployments are not supported for the multi-query "
-            "stack: its coordinator delivers shared updates to protocol "
-            "slots directly, bypassing the channel and ledger charge "
-            "points the journal mirrors; run each query durably on its "
-            "own single-query deployment instead"
-        )
-    if deployment.topology != "single":
-        raise ValueError(
-            "the multi-query stack supports only Deployment.single()"
-        )
-    if deployment.latency is not None:
-        raise ValueError(
-            "latency-modeled delivery is not supported for the multi-query "
-            "stack: its coordinator delivers shared updates to protocol "
-            "slots directly, bypassing the channel, so there is no wire "
-            "on which messages could fly; use the single-query stacks for "
-            "staleness studies"
-        )
-    return execute_multi_query(trace, queries, config=deployment.run_config())
-
-
-# ----------------------------------------------------------------------
-# Value-window stack
-# ----------------------------------------------------------------------
-def _execute_value_window(
-    trace, query, eps: float, deployment: Deployment | None = None
-):
-    from repro.valuebased.protocol import run_value_tolerance
-
-    deployment = deployment or Deployment.single()
-    if deployment.durable is not None:
-        raise ValueError(
-            "durable deployments are not yet supported for the "
-            "value-window stack: its runner owns its own session "
-            "assembly and does not thread a journaling ledger; use the "
-            "scalar stacks for durable runs"
-        )
-    return run_value_tolerance(
-        trace,
-        query,
-        eps,
-        check_every=deployment.check_every,
-        replay_mode=deployment.replay_mode,
-        n_shards=deployment.n_shards,
-        latency=deployment.latency,
     )
 
 
@@ -488,23 +503,30 @@ class Engine:
         deployment = deployment or self.deployment
         workload = _as_workload(workload)
         trace = workload.materialize()
-        started = _time.perf_counter()
-
+        _refuse_unsupported(
+            spec.stack, f"protocol {spec.protocol!r}", workload, deployment
+        )
         if spec.stack != STACK_VALUEBASED:
-            result = _HOSTED_EXECUTORS[spec.stack](
+            return _execute(
+                spec.stack,
                 trace,
                 spec.build(),
-                query=spec.query,
-                tolerance=spec.tolerance,
-                deployment=deployment,
-                label=label,
+                spec.query,
+                spec.tolerance,
+                deployment,
+                label,
             )
-            return self._report_from_run_result(
-                result, spec.stack, deployment, started, label
-            )
-        assert spec.stack == STACK_VALUEBASED
-        result = _execute_value_window(
-            trace, spec.query, float(spec.options["eps"]), deployment
+        from repro.valuebased.protocol import run_value_tolerance
+
+        started = _time.perf_counter()
+        result = run_value_tolerance(
+            trace,
+            spec.query,
+            float(spec.options["eps"]),
+            check_every=deployment.check_every,
+            replay_mode=deployment.replay_mode,
+            n_shards=deployment.n_shards,
+            latency=deployment.latency,
         )
         return RunReport(
             protocol="value-eps",
@@ -537,18 +559,29 @@ class Engine:
         label: str = "",
     ) -> RunReport:
         """Run several specs as one shared multi-query deployment."""
+        from repro.multiquery.runner import execute_multi_query
+
         deployment = deployment or self.deployment
         workload = _as_workload(workload)
         trace = workload.materialize()
+        _refuse_unsupported(
+            STACK_MULTIQUERY, "Engine.run_queries", workload, deployment, specs
+        )
         queries = {
             query_id: (spec.build(), spec.query, spec.tolerance)
             for query_id, spec in specs.items()
         }
         started = _time.perf_counter()
-        result = _execute_multiquery(trace, queries, deployment)
+        result = execute_multi_query(
+            trace,
+            queries,
+            check_every=deployment.check_every,
+            strict=deployment.strict,
+            replay_mode=deployment.replay_mode,
+        )
         return RunReport(
             protocol="multi-query",
-            stack="multiquery",
+            stack=STACK_MULTIQUERY,
             topology=deployment.describe(),
             ledger=result.ledger,
             n_streams=trace.n_streams,
@@ -588,59 +621,14 @@ class Engine:
         :class:`QuerySpec`.
         """
         deployment = deployment or self.deployment
-        started = _time.perf_counter()
-        result = _execute_streams(
-            trace,
-            protocol,
-            query=query,
-            tolerance=tolerance,
-            deployment=deployment,
-            label=label,
+        _refuse_unsupported(
+            STACK_STREAMS,
+            f"protocol {protocol.name!r}",
+            _as_workload(trace),
+            deployment,
         )
-        return self._report_from_run_result(
-            result, STACK_STREAMS, deployment, started, label
-        )
-
-    def _report_from_run_result(
-        self,
-        result: RunResult,
-        stack: str,
-        deployment: Deployment,
-        started: float,
-        label: str,
-    ) -> RunReport:
-        checker = result.checker
-        violations: tuple[str, ...] = ()
-        checks = 0
-        extras = dict(result.extras)
-        if checker is not None:
-            checks = checker.checks
-            violations = _with_truncation_note(
-                tuple(
-                    f"t={violation.time}: "
-                    + tag_reason(violation.reason, violation.classification)
-                    for violation in checker.violations
-                ),
-                checker.violation_count,
-            )
-            if checker.classified:
-                # Staleness-window mode: surface the violation split.
-                extras["violations_inherent_latency"] = checker.inherent_count
-                extras["violations_protocol_bug"] = checker.protocol_bug_count
-        return RunReport(
-            protocol=result.protocol,
-            stack=stack,
-            topology=deployment.describe(),
-            ledger=result.ledger,
-            n_streams=result.n_streams,
-            n_records=result.n_records,
-            wall_seconds=_time.perf_counter() - started,
-            final_answer=result.final_answer,
-            checks=checks,
-            violations=violations,
-            label=label,
-            extras=extras,
-            raw=result,
+        return _execute(
+            STACK_STREAMS, trace, protocol, query, tolerance, deployment, label
         )
 
 

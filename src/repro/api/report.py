@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import PurePath
 from typing import Any, Mapping
 
+from repro.correctness.checker import CheckerReport
 from repro.network.accounting import LedgerSnapshot
 from repro.network.messages import MessageKind
 
@@ -53,12 +54,11 @@ def _json_safe(value: Any, path: str) -> Any:
 class RunReport:
     """Outcome of one :meth:`Engine.run` — ledger, violations, timing.
 
-    Every stack-specific result (``RunResult`` for the hosted scalar
-    and spatial stacks, ``MultiQueryResult``, ``ValueToleranceResult``)
-    projects onto this
-    shape, so comparisons across stacks and topologies read the same
-    fields.  ``raw`` keeps the stack-specific result for callers that
-    need its extra detail.
+    A hosted run (the scalar and spatial stacks, every topology, durable
+    or not) builds this shape directly; the two stack runners with a
+    typed result of their own (``MultiQueryResult``,
+    ``ValueToleranceResult``) project onto it and ride along in ``raw``,
+    so comparisons across stacks and topologies read the same fields.
     """
 
     protocol: str
@@ -75,8 +75,14 @@ class RunReport:
     extras: Mapping[str, Any] = field(default_factory=dict)
     #: Per-query answers (multi-query runs only).
     answers: Mapping[str, frozenset[int]] | None = None
-    #: The stack-specific result object this report was built from.
+    #: The multi-query / value-window runner's typed result; ``None``
+    #: on a hosted run, whose whole outcome is this report.
     raw: Any = None
+    #: The structured checker outcome of a checked hosted run (retained
+    #: :class:`~repro.correctness.checker.Violation` records, the
+    #: inherent-latency / protocol-bug tallies); ``checks`` and
+    #: ``violations`` are its stack-independent summary.
+    checker: CheckerReport | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(

@@ -35,11 +35,15 @@ from repro.protocols import (
     ZeroToleranceKnnProtocol,
     ZeroToleranceRangeProtocol,
 )
+from repro.runtime.replay import REPLAY_MODES
 
 #: Stack identifiers (which execution assembly a protocol runs on).
 STACK_STREAMS = "streams"
 STACK_SPATIAL = "spatial"
 STACK_VALUEBASED = "valuebased"
+#: Several ``streams`` protocols over one shared population
+#: (:meth:`repro.api.Engine.run_queries`); no protocol names it.
+STACK_MULTIQUERY = "multiquery"
 
 TOPOLOGIES = ("single", "sharded")
 
@@ -245,11 +249,22 @@ class Deployment:
     n_shards:
         Shard count (``>= 1``; must be ``>= 2`` for ``sharded``).
     replay_mode:
-        As :class:`repro.harness.config.RunConfig`.
+        ``"auto"`` uses the vectorized batched fast path whenever no
+        correctness checking is active and falls back to faithful
+        per-event replay otherwise; ``"event"`` forces the per-event
+        path.  ``"batch"`` requests the fast path unconditionally but
+        still downgrades (silently) to per-event replay where batching
+        is unsound — checking callbacks active or non-scalar payloads —
+        so forcing it can never change results, only speed.  Both paths
+        produce identical message ledgers: batching only skips records
+        that provably cannot flip any filter.
     check_every, strict:
-        Continuous tolerance checking cadence (``0`` disables; checking
-        forces per-event replay).
-    parallel, max_workers:
+        Validate tolerance every N-th applied record; ``0`` disables
+        checking entirely (benchmark mode — checking a rank query costs
+        O(n) per check), ``1`` checks after every record (test mode).
+        Checking forces per-event replay.  ``strict`` raises on the
+        first violation instead of recording it.
+    parallel:
         Process parallelism.  Under ``sharded``, protocols whose
         maintenance needs no server feedback (``decomposable_maintenance``)
         replay their shards concurrently on a process pool; coupled
@@ -262,8 +277,7 @@ class Deployment:
         frames and region-constraint frames scattered into the
         geometric plane), and checking runs (``check_every > 0``)
         route through it with coordinator-side oracle probes at epoch
-        boundaries.  Sweeps fan combinations out regardless of
-        topology.  Latency models compose with ``parallel=True``:
+        boundaries.  Latency models compose with ``parallel=True``:
         messages whose modeled delivery falls between transport epochs
         ride the coordinator's in-flight plane (``repro/server/
         transport.py``), which merges every worker's pending heap under
@@ -311,7 +325,6 @@ class Deployment:
     check_every: int = 0
     strict: bool = False
     parallel: bool = False
-    max_workers: int | None = None
     latency: Any = None
     durable: Any = None
 
@@ -330,6 +343,31 @@ class Deployment:
             raise ValueError(
                 "sharded topology needs n_shards >= 2 "
                 "(use Deployment.single() for one server)"
+            )
+        # Reject wrong shapes eagerly and loudly: a malformed knob that
+        # slips through here surfaces far downstream as a silently wrong
+        # replay path or an opaque numpy error mid-replay.
+        if isinstance(self.check_every, bool) or not isinstance(
+            self.check_every, int
+        ):
+            raise TypeError(
+                f"check_every must be an int, got "
+                f"{type(self.check_every).__name__}"
+            )
+        if self.check_every < 0:
+            raise ValueError(
+                f"check_every must be >= 0 (0 disables checking), "
+                f"got {self.check_every}"
+            )
+        if not isinstance(self.replay_mode, str):
+            raise TypeError(
+                f"replay_mode must be a str, got "
+                f"{type(self.replay_mode).__name__}"
+            )
+        if self.replay_mode not in REPLAY_MODES:
+            raise ValueError(
+                f"replay_mode must be one of {REPLAY_MODES}, "
+                f"got {self.replay_mode!r}"
             )
         # Normalize the latency knob to a model (or None) up front, so
         # invalid values fail at construction and equal deployments
@@ -364,8 +402,6 @@ class Deployment:
                     "could not reproduce the checker's observations; "
                     "check the same spec in a separate non-durable run"
                 )
-        # Reuse RunConfig's validation for the shared knobs.
-        self.run_config()
 
     @classmethod
     def single(cls, **knobs) -> "Deployment":
@@ -376,26 +412,6 @@ class Deployment:
     def sharded(cls, n_shards: int, **knobs) -> "Deployment":
         """``n_shards`` shard servers behind a merging coordinator."""
         return cls(topology="sharded", n_shards=n_shards, **knobs)
-
-    @classmethod
-    def from_run_config(cls, config) -> "Deployment":
-        """Lift a legacy :class:`RunConfig` onto a single-server deployment."""
-        return cls.single(
-            replay_mode=config.replay_mode,
-            check_every=config.check_every,
-            strict=config.strict,
-        )
-
-    def run_config(self, label: str = ""):
-        """The legacy :class:`RunConfig` projection of this deployment."""
-        from repro.harness.config import RunConfig
-
-        return RunConfig(
-            check_every=self.check_every,
-            strict=self.strict,
-            label=label,
-            replay_mode=self.replay_mode,
-        )
 
     def with_checking(self, check_every: int, strict: bool = False):
         """A copy with a different checking cadence."""

@@ -5,9 +5,6 @@ Both helpers optionally fan combinations out over a process pool
 requires *run_one* and its results to be picklable — module-level
 functions qualify, lambdas and closures do not — and preserves the
 serial iteration order of the results.
-
-(Moved from ``repro.harness.sweep``, which now re-exports these with a
-deprecation warning.)
 """
 
 from __future__ import annotations

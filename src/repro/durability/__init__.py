@@ -12,9 +12,10 @@ Three cooperating parts (DESIGN.md §11):
   journal replay through the existing batched-replay machinery
   reconstruct a crashed run with a byte-identical message ledger.
 
-Nothing here imports :mod:`repro.api`; the api layer compiles
-``Deployment(durable=DurabilityPolicy(...))`` down to
-:func:`execute_durable_streams` / :func:`resume_run`.
+The api layer compiles ``Deployment(durable=DurabilityPolicy(...))``
+down to :func:`execute_durable_streams`; it and :func:`resume_run`
+return the same :class:`~repro.api.report.RunReport` every other run
+does.
 """
 
 from repro.durability.journal import (

@@ -38,7 +38,9 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
+import time as _time
 
+from repro.api.report import RunReport
 from repro.durability.journal import (
     Journal,
     JournalContents,
@@ -47,13 +49,10 @@ from repro.durability.journal import (
 )
 from repro.durability.policy import DurabilityPolicy
 from repro.durability.runner import (
-    _build_result,
-    _durability_extras,
-    _merge_segment_stats,
+    _build_report,
     _replay_segments,
     build_durable_session,
 )
-from repro.harness.results import RunResult
 from repro.runtime.session import ExecutionSession
 from repro.sim.engine import SimulationEngine
 
@@ -182,7 +181,7 @@ def recover_run(run_dir: str) -> RecoveredRun:
     )
 
 
-def resume_run(run_dir: str, trace, progress=None) -> RunResult:
+def resume_run(run_dir: str, trace, progress=None) -> RunReport:
     """Recover the run under *run_dir* and finish it against *trace*.
 
     *trace* must be the original run's trace (the journal holds the
@@ -192,6 +191,7 @@ def resume_run(run_dir: str, trace, progress=None) -> RunResult:
     an uninterrupted run, so the final ledger, answer, and journal are
     those of a run that never crashed.
     """
+    started = _time.perf_counter()
     rec = recover_run(run_dir)
     policy = rec.policy
     manifest = rec.manifest
@@ -224,15 +224,16 @@ def resume_run(run_dir: str, trace, progress=None) -> RunResult:
     journal.close()
     ledger.detach_journal()
 
-    durability = _durability_extras(policy, journal, loop, True)
-    durability["recovery"] = {
-        "position": rec.position,
-        "snapshot_file": rec.snapshot_file,
-        "scan_reason": rec.scan_reason,
-    }
-    extras = {"durability": durability}
-    if loop["replay_parts"]:
-        extras["replay"] = _merge_segment_stats(loop["replay_parts"])
-    return _build_result(
-        rec.session, trace, manifest.get("label", ""), extras
+    return _build_report(
+        rec.session,
+        trace,
+        manifest,
+        journal,
+        loop,
+        started,
+        recovery={
+            "position": rec.position,
+            "snapshot_file": rec.snapshot_file,
+            "scan_reason": rec.scan_reason,
+        },
     )

@@ -24,10 +24,13 @@ from __future__ import annotations
 
 import os
 import pickle
+import time as _time
 
+from repro.api.engine import _merge_replay_stats
+from repro.api.report import RunReport
+from repro.api.spec import STACK_STREAMS, Deployment
 from repro.durability.journal import Journal, JournaledLedger
 from repro.durability.policy import DurabilityPolicy
-from repro.harness.results import RunResult
 from repro.runtime.session import ExecutionSession
 from repro.state.table import StateTableFactory
 
@@ -38,15 +41,6 @@ from repro.state.table import StateTableFactory
 #: breaks the strict ``shard.values.base is parent.values`` invariant
 #: ``validate_shard_alignment`` guards.
 _PICKLE_PROTOCOL = 4
-
-
-def _merge_segment_stats(parts: list[dict]) -> dict:
-    """Fold per-segment replay stats into one run-level dict."""
-    from repro.api.engine import _merge_replay_stats
-
-    merged = _merge_replay_stats(parts)
-    merged.pop("workers", None)
-    return merged
 
 
 def _write_snapshot(
@@ -147,10 +141,18 @@ def _replay_segments(
     }
 
 
-def _durability_extras(
-    policy: DurabilityPolicy, journal: Journal, loop: dict, recovered: bool
-) -> dict:
-    return {
+def _build_report(
+    session: ExecutionSession,
+    trace,
+    manifest: dict,
+    journal: Journal,
+    loop: dict,
+    started: float,
+    recovery: dict | None = None,
+) -> RunReport:
+    """The finished durable run's report; *recovery* marks a resumed one."""
+    policy: DurabilityPolicy = manifest["policy"]
+    durability = {
         "fsync": policy.fsync,
         "fsync_interval": policy.fsync_interval,
         "storage": policy.storage,
@@ -160,22 +162,30 @@ def _durability_extras(
         "journal": dict(journal.stats),
         "snapshots": dict(loop["snapshots"]),
         "segments": loop["segments"],
-        "recovered": recovered,
+        "recovered": recovery is not None,
     }
-
-
-def _build_result(
-    session: ExecutionSession, trace, label: str, extras: dict
-) -> RunResult:
+    if recovery is not None:
+        durability["recovery"] = recovery
+    extras = {"durability": durability}
+    if loop["replay_parts"]:
+        merged = _merge_replay_stats(loop["replay_parts"])
+        merged.pop("workers", None)
+        extras["replay"] = merged
     protocol = session.host.protocol
-    return RunResult(
+    return RunReport(
         protocol=protocol.name,
+        stack=STACK_STREAMS,
+        topology=Deployment(
+            topology=manifest["topology"],
+            n_shards=manifest["n_shards"],
+            durable=policy,
+        ).describe(),
         ledger=session.snapshot(),
-        checker=None,
         n_streams=trace.n_streams,
         n_records=trace.n_records,
+        wall_seconds=_time.perf_counter() - started,
         final_answer=protocol.answer,
-        label=label,
+        label=manifest.get("label", ""),
         extras=extras,
     )
 
@@ -205,7 +215,7 @@ def build_durable_session(
 
 def execute_durable_streams(
     trace, protocol, deployment, label: str = "", progress=None
-) -> RunResult:
+) -> RunReport:
     """Run *trace* against *protocol* with a write-ahead journal.
 
     *deployment* must carry a :class:`DurabilityPolicy` (validated at
@@ -213,6 +223,7 @@ def execute_durable_streams(
     the record position after every segment — the kill-and-recover
     suite injects its crash there.
     """
+    started = _time.perf_counter()
     policy: DurabilityPolicy = deployment.durable
     if policy is None:
         raise ValueError("deployment has no durability policy")
@@ -278,9 +289,4 @@ def execute_durable_streams(
     journal.close()
     ledger.detach_journal()
 
-    extras = {
-        "durability": _durability_extras(policy, journal, loop, False)
-    }
-    if loop["replay_parts"]:
-        extras["replay"] = _merge_segment_stats(loop["replay_parts"])
-    return _build_result(session, trace, label, extras)
+    return _build_report(session, trace, manifest, journal, loop, started)

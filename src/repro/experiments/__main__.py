@@ -52,18 +52,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    deployment = None
     if args.shards > 1:
         deployment = Deployment.sharded(
             args.shards, replay_mode=args.replay_mode
         )
+    else:
+        deployment = Deployment.single(replay_mode=args.replay_mode)
 
     if args.experiment == "all":
         started = time.perf_counter()
         results = run_all(
             profile=args.profile,
             seed=args.seed,
-            replay_mode=args.replay_mode,
             parallel=args.parallel,
             deployment=deployment,
         )
@@ -75,11 +75,9 @@ def main(argv: list[str] | None = None) -> int:
 
     runner, _ = REGISTRY[args.experiment]
     started = time.perf_counter()
-    kwargs = {"profile": args.profile, "seed": args.seed,
-              "replay_mode": args.replay_mode}
-    if deployment is not None:
-        kwargs["deployment"] = deployment
-    result = runner(**kwargs)
+    result = runner(
+        profile=args.profile, seed=args.seed, deployment=deployment
+    )
     print(result.format())
     print(f"(ran in {time.perf_counter() - started:.1f}s)")
     return 0

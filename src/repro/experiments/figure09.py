@@ -51,13 +51,12 @@ _PROFILES = {
 def run(
     profile: Profile | str = Profile.DEFAULT,
     seed: int = 0,
-    replay_mode: str = "auto",
     deployment: Deployment | None = None,
 ) -> FigureResult:
     """Reproduce Figure 9; returns one curve per k plus the baseline."""
     profile = Profile.coerce(profile)
     params = _PROFILES[profile]
-    deployment = deployment or Deployment.single(replay_mode=replay_mode)
+    deployment = deployment or Deployment.single()
     engine = Engine(deployment)
     workload = Workload.tcp(
         n_subnets=params["n_subnets"],

@@ -50,13 +50,12 @@ _PROFILES = {
 def run(
     profile: Profile | str = Profile.DEFAULT,
     seed: int = 0,
-    replay_mode: str = "auto",
     deployment: Deployment | None = None,
 ) -> FigureResult:
     """Reproduce Figure 11: message cost versus number of streams."""
     profile = Profile.coerce(profile)
     params = _PROFILES[profile]
-    deployment = deployment or Deployment.single(replay_mode=replay_mode)
+    deployment = deployment or Deployment.single()
     engine = Engine(deployment)
     counts = list(params["stream_counts"])
     n_max = max(counts)

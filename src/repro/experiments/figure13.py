@@ -47,13 +47,12 @@ _PROFILES = {
 def run(
     profile: Profile | str = Profile.DEFAULT,
     seed: int = 0,
-    replay_mode: str = "auto",
     deployment: Deployment | None = None,
 ) -> FigureResult:
     """Reproduce Figure 13: message cost versus data fluctuation."""
     profile = Profile.coerce(profile)
     params = _PROFILES[profile]
-    deployment = deployment or Deployment.single(replay_mode=replay_mode)
+    deployment = deployment or Deployment.single()
     engine = Engine(deployment)
     query = RangeQuery(*SYNTHETIC_RANGE)
     eps_values = list(params["eps_values"])

@@ -45,13 +45,12 @@ _PROFILES = {
 def run(
     profile: Profile | str = Profile.DEFAULT,
     seed: int = 0,
-    replay_mode: str = "auto",
     deployment: Deployment | None = None,
 ) -> FigureResult:
     """Reproduce Figure 14: random vs boundary-nearest selection."""
     profile = Profile.coerce(profile)
     params = _PROFILES[profile]
-    deployment = deployment or Deployment.single(replay_mode=replay_mode)
+    deployment = deployment or Deployment.single()
     engine = Engine(deployment)
     workload = Workload.synthetic(
         n_streams=params["n_streams"],

@@ -52,13 +52,12 @@ _PROFILES = {
 def run(
     profile: Profile | str = Profile.DEFAULT,
     seed: int = 0,
-    replay_mode: str = "auto",
     deployment: Deployment | None = None,
 ) -> FigureResult:
     """Reproduce Figure 15: ZT-RP (eps=0) and FT-RP over the eps sweep."""
     profile = Profile.coerce(profile)
     params = _PROFILES[profile]
-    deployment = deployment or Deployment.single(replay_mode=replay_mode)
+    deployment = deployment or Deployment.single()
     engine = Engine(deployment)
     workload = Workload.synthetic(
         n_streams=params["n_streams"],

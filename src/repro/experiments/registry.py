@@ -1,9 +1,10 @@
 """Registry of the reproducible figures.
 
-Every runner is a pure function of ``(profile, seed, replay_mode,
-deployment)``; passing ``deployment=Deployment.sharded(n)`` re-runs a
-figure on the sharded topology (ledgers byte-identical to single-server
-— the sharded coordinator's contract).
+Every runner is a pure function of ``(profile, seed, deployment)``;
+the one :class:`~repro.api.Deployment` carries the replay mode and the
+topology, so ``deployment=Deployment.sharded(n)`` re-runs a figure on
+the sharded topology (ledgers byte-identical to single-server — the
+sharded coordinator's contract).
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ def get_experiment(name: str) -> Callable[..., FigureResult]:
 def run_all(
     profile: Profile | str = Profile.DEFAULT,
     seed: int = 0,
-    replay_mode: str = "auto",
     parallel: bool = False,
     max_workers: int | None = None,
     deployment: Deployment | None = None,
@@ -64,12 +64,10 @@ def run_all(
 
     With ``parallel=True`` the figures run concurrently on a process
     pool (each experiment is already a deterministic, self-contained
-    function), in registry order.  *deployment* overrides
-    ``replay_mode`` and selects the topology for every figure.
+    function), in registry order.  *deployment* selects the replay mode
+    and the topology for every figure.
     """
-    kwargs = {"profile": profile, "seed": seed, "replay_mode": replay_mode}
-    if deployment is not None:
-        kwargs["deployment"] = deployment
+    kwargs = {"profile": profile, "seed": seed, "deployment": deployment}
     if not parallel:
         return {
             name: runner(**kwargs) for name, (runner, _) in REGISTRY.items()

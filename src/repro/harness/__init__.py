@@ -1,27 +1,15 @@
-"""Experiment harness: run config, results, reporting — and legacy shims.
+"""Text renderers for experiment output.
 
-Execution entry moved to the declarative facade :mod:`repro.api`
-(``Engine.run(QuerySpec, Workload, Deployment)``); this package keeps
-the run configuration (:class:`~repro.harness.config.RunConfig`), the
-scalar result shape (:class:`~repro.harness.results.RunResult`), the
-table/series renderers the figures use, and thin deprecation shims for
-the old entrypoints (:func:`~repro.harness.runner.run_protocol`,
-:mod:`~repro.harness.sweep`) that delegate to the engine with
-ledger-identical results.
+:func:`~repro.harness.reporting.format_table` and
+:func:`~repro.harness.reporting.format_series` turn result rows and
+figure series into the aligned tables the experiments CLI, the examples
+and the benchmarks print.  Running anything is :mod:`repro.api`'s job
+(``Engine.run(QuerySpec, Workload, Deployment)`` — DESIGN.md §16).
 """
 
-from repro.harness.config import RunConfig
-from repro.harness.results import RunResult
-from repro.harness.runner import run_protocol
-from repro.harness.sweep import run_grid, sweep_values
 from repro.harness.reporting import format_series, format_table
 
 __all__ = [
-    "RunConfig",
-    "RunResult",
     "format_series",
     "format_table",
-    "run_grid",
-    "run_protocol",
-    "sweep_values",
 ]

@@ -17,18 +17,13 @@ per-query.
 Run shared deployments through the facade —
 :meth:`repro.api.Engine.run_queries` with one :class:`~repro.api.
 QuerySpec` per standing query — or, with pre-built protocol instances,
-:func:`~repro.multiquery.runner.execute_multi_query` (the deprecated
-:func:`~repro.multiquery.runner.run_multi_query` shim delegates to it);
+:func:`~repro.multiquery.runner.execute_multi_query`;
 ``benchmarks/bench_extension_multiquery.py`` quantifies the sharing
 gain against independent deployments.
 """
 
 from repro.multiquery.coordinator import MultiQueryCoordinator, QueryContext
-from repro.multiquery.runner import (
-    MultiQueryResult,
-    execute_multi_query,
-    run_multi_query,
-)
+from repro.multiquery.runner import MultiQueryResult, execute_multi_query
 from repro.multiquery.source import MultiQuerySource
 
 __all__ = [
@@ -37,5 +32,4 @@ __all__ = [
     "MultiQuerySource",
     "QueryContext",
     "execute_multi_query",
-    "run_multi_query",
 ]

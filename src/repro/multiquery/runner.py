@@ -4,22 +4,19 @@ Assembly and replay are the runtime kernel's
 :class:`~repro.runtime.session.ExecutionSession` (the multi-query
 coordinator is the session host); with checking disabled the batched
 fast path pre-scans records against every query's slot bounds at once.
-:func:`execute_multi_query` is the mechanism
-:meth:`repro.api.Engine.run_queries` compiles onto; the old
-:func:`run_multi_query` name survives as a deprecation shim returning
-identical results.
+:func:`execute_multi_query` is the stack runner
+:meth:`repro.api.Engine.run_queries` compiles onto, and the direct entry
+for pre-built protocol instances.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 
 from repro.correctness.checker import ToleranceChecker
 from repro.correctness.oracle import Oracle
-from repro.harness.config import RunConfig
 from repro.network.accounting import LedgerSnapshot
 from repro.protocols.base import FilterProtocol
 from repro.queries.base import EntityQuery
@@ -63,26 +60,12 @@ class MultiQueryResult:
         return self.logical_deliveries / self.shared_updates
 
 
-def run_multi_query(
-    trace: StreamTrace,
-    queries: dict[str, tuple[FilterProtocol, EntityQuery, Tolerance]],
-    config: RunConfig | None = None,
-) -> MultiQueryResult:
-    """Deprecated: use :meth:`repro.api.Engine.run_queries`."""
-    warnings.warn(
-        "repro.multiquery.runner.run_multi_query is deprecated; use "
-        "repro.api.Engine().run_queries({'q1': QuerySpec(...), ...}, "
-        "Workload.from_trace(trace))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_multi_query(trace, queries, config=config)
-
-
 def execute_multi_query(
     trace: StreamTrace,
     queries: dict[str, tuple[FilterProtocol, EntityQuery, Tolerance]],
-    config: RunConfig | None = None,
+    check_every: int = 0,
+    strict: bool = False,
+    replay_mode: str = "auto",
 ) -> MultiQueryResult:
     """Run every registered query's protocol over one shared population.
 
@@ -94,10 +77,9 @@ def execute_multi_query(
         ``query_id -> (protocol, query, tolerance)``.  The protocol is a
         normal single-query protocol instance; the query/tolerance pair
         is used for the optional correctness checking.
-    config:
-        ``check_every`` / ``strict`` as in the single-query runner.
+    check_every, strict, replay_mode:
+        As the :class:`repro.api.Deployment` fields of the same names.
     """
-    config = config or RunConfig()
     session = ExecutionSession.for_multiquery(trace.initial_values)
     coordinator = session.host
     for query_id, (protocol, _, _) in queries.items():
@@ -105,7 +87,7 @@ def execute_multi_query(
 
     oracle: Oracle | None = None
     checkers: dict[str, ToleranceChecker] = {}
-    if config.check_every > 0:
+    if check_every > 0:
         oracle = Oracle(trace.initial_values)
         for query_id, (protocol, query, tolerance) in queries.items():
             oracle.register_query(query)
@@ -114,9 +96,9 @@ def execute_multi_query(
                 query=query,
                 tolerance=tolerance,
                 answer_of=partial(getattr, protocol, "answer_mask"),
-                every=config.check_every,
+                every=check_every,
                 # Ticks every, 2*every, ... (recorded results pin it).
-                check_offset=-1 % config.check_every,
+                check_offset=-1 % check_every,
             )
 
     session.initialize(time=0.0)
@@ -126,7 +108,7 @@ def execute_multi_query(
             violation = (
                 checker.check_now(time) if now else checker.check(time)
             )
-            if violation is not None and config.strict:
+            if violation is not None and strict:
                 raise AssertionError(
                     f"t={time} [{query_id}]: {violation.reason}"
                 )
@@ -141,7 +123,7 @@ def execute_multi_query(
         horizon=trace.horizon,
         oracle_apply=oracle.apply if oracle is not None else None,
         after_apply=check if checkers else None,
-        mode=config.replay_mode,
+        mode=replay_mode,
     )
 
     # Retained records of all queries in time order (query order within

@@ -7,7 +7,7 @@ from repro.analysis.crossings import (
     range_crossing_profile,
     rank_churn_profile,
 )
-from repro.harness.runner import run_protocol
+from repro.api import Engine
 from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
@@ -61,7 +61,7 @@ class TestRangeCrossings:
         )
         query = RangeQuery(400.0, 600.0)
         profile = range_crossing_profile(trace, query)
-        result = run_protocol(trace, ZeroToleranceRangeProtocol(query))
+        result = Engine().run_protocol(trace, ZeroToleranceRangeProtocol(query))
         assert profile.crossings == result.maintenance_messages
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.api import Deployment, QuerySpec, Workload
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
+from repro.runtime.replay import REPLAY_MODES
 from repro.tolerance.rank_tolerance import RankTolerance
 
 
@@ -137,15 +138,39 @@ def test_deployment_validates_run_config_knobs_eagerly():
         Deployment.single(check_every=-1)
 
 
-def test_deployment_run_config_round_trip():
-    deployment = Deployment.single(
-        replay_mode="event", check_every=3, strict=True
-    )
-    config = deployment.run_config(label="x")
-    assert config.replay_mode == "event"
-    assert (config.check_every, config.strict, config.label) == (3, True, "x")
-    lifted = Deployment.from_run_config(config)
-    assert lifted == deployment
+def test_deployment_defaults_are_valid_and_frozen():
+    deployment = Deployment()
+    assert deployment.replay_mode == "auto"
+    assert deployment.check_every == 0
+    with pytest.raises(AttributeError):
+        deployment.check_every = 3
+
+
+@pytest.mark.parametrize("mode", REPLAY_MODES)
+def test_every_documented_replay_mode_is_accepted(mode):
+    assert Deployment(replay_mode=mode).replay_mode == mode
+
+
+@pytest.mark.parametrize("mode", ["fast", "", "AUTO", "batched"])
+def test_unknown_replay_modes_are_rejected_with_the_choices(mode):
+    with pytest.raises(ValueError, match=r"auto.*event.*batch"):
+        Deployment(replay_mode=mode)
+
+
+def test_non_string_replay_mode_is_a_type_error():
+    with pytest.raises(TypeError, match="replay_mode must be a str"):
+        Deployment(replay_mode=3)
+
+
+def test_negative_check_every_is_rejected():
+    with pytest.raises(ValueError, match="check_every must be >= 0"):
+        Deployment(check_every=-1)
+
+
+@pytest.mark.parametrize("check_every", [1.5, "2", True])
+def test_non_int_check_every_is_a_type_error(check_every):
+    with pytest.raises(TypeError, match="check_every must be an int"):
+        Deployment(check_every=check_every)
 
 
 def test_with_checking_returns_updated_copy():

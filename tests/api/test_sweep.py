@@ -1,6 +1,6 @@
 """Unit tests for sweep helpers."""
 
-from repro.harness.sweep import run_grid, sweep_values
+from repro.api import run_grid, sweep_values
 
 
 def test_sweep_values_passes_parameter():

@@ -117,10 +117,10 @@ def test_checker_report_and_ledger_match_the_set_based_run(
 
     columnar = run(monkeypatch, spec, workload, deployment(), reference=False)
     expected = run(monkeypatch, spec, workload, deployment(), reference=True)
-    assert columnar.raw.checker == expected.raw.checker
+    assert columnar.checker == expected.checker
     assert columnar.violations == expected.violations
     assert columnar.ledger == expected.ledger
-    report = columnar.raw.checker
+    report = columnar.checker
     assert report.checks > 0
     assert report.classified == delayed
     if delayed and check_every == 1:
@@ -143,8 +143,8 @@ def test_the_grid_compares_a_truncated_violation_list(monkeypatch):
         Deployment.single(check_every=1, latency=latency()),
         reference=False,
     )
-    assert report.raw.checker.violation_count > 100
-    assert len(report.raw.checker.violations) == 100
+    assert report.checker.violation_count > 100
+    assert len(report.checker.violations) == 100
     assert report.violations[-1].startswith("... and ")
 
 

@@ -218,8 +218,8 @@ class TestEngineIntegration:
         bugs = report.extras["violations_protocol_bug"]
         assert inherent > 0  # staleness visibly degrades requirement 2
         assert bugs == 0
-        assert inherent + bugs == len(report.raw.checker.violations) or (
-            report.raw.checker.violation_count == inherent + bugs
+        assert inherent + bugs == len(report.checker.violations) or (
+            report.checker.violation_count == inherent + bugs
         )
         # The violation strings carry the classification tag.
         assert any("[inherent-latency]" in v for v in report.violations)

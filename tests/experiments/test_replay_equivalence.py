@@ -16,9 +16,8 @@ sources, and the answer the protocol reports.
 
 import pytest
 
+from repro.api import Deployment, Engine
 from repro.experiments.registry import REGISTRY
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.ft_rp import FractionToleranceKnnProtocol
 from repro.protocols.rtp import RankToleranceProtocol
@@ -35,8 +34,12 @@ from repro.tolerance.rank_tolerance import RankTolerance
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_figure_series_identical_across_replay_modes(name):
     runner, _ = REGISTRY[name]
-    event = runner(profile="smoke", seed=0, replay_mode="event")
-    batch = runner(profile="smoke", seed=0, replay_mode="batch")
+    event = runner(
+        profile="smoke", seed=0, deployment=Deployment.single(replay_mode="event")
+    )
+    batch = runner(
+        profile="smoke", seed=0, deployment=Deployment.single(replay_mode="batch")
+    )
     assert event.x_values == batch.x_values
     assert event.series == batch.series
 
@@ -105,8 +108,8 @@ def test_state_engine_final_state_identical_across_modes(
     tables = {}
     for mode in ("event", "batch"):
         protocol = factory()
-        result = run_protocol(
-            state_trace, protocol, config=RunConfig(replay_mode=mode)
+        result = Engine().run_protocol(
+            state_trace, protocol, deployment=Deployment.single(replay_mode=mode)
         )
         tables[mode] = (result, protocol._state)
     event_result, event_table = tables["event"]

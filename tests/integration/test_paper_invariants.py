@@ -7,8 +7,7 @@ validation on.
 
 import pytest
 
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
+from repro.api import Deployment, Engine
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.ft_rp import FractionToleranceKnnProtocol
 from repro.protocols.no_filter import NoFilterProtocol
@@ -22,7 +21,7 @@ from repro.streams.tcp import TcpTraceConfig, generate_tcp_trace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 
-CHECKED = RunConfig(check_every=1, strict=True)
+CHECKED = Deployment.single(check_every=1, strict=True)
 
 
 @pytest.fixture(scope="module")
@@ -43,21 +42,21 @@ class TestRangeQueryFamily:
     def test_filters_beat_no_filter(self, trace):
         """Any filtering dominates reporting everything (Section 5.1)."""
         query = RangeQuery(400.0, 600.0)
-        none = run_protocol(trace, NoFilterProtocol(query), config=CHECKED)
-        zt = run_protocol(
-            trace, ZeroToleranceRangeProtocol(query), config=CHECKED
+        none = Engine().run_protocol(trace, NoFilterProtocol(query), deployment=CHECKED)
+        zt = Engine().run_protocol(
+            trace, ZeroToleranceRangeProtocol(query), deployment=CHECKED
         )
         assert zt.maintenance_messages < none.maintenance_messages
 
     def test_ft_nrp_exploits_tolerance(self, trace):
         query = RangeQuery(400.0, 600.0)
-        zt = run_protocol(trace, ZeroToleranceRangeProtocol(query))
+        zt = Engine().run_protocol(trace, ZeroToleranceRangeProtocol(query))
         tolerance = FractionTolerance(0.4, 0.4)
-        ft = run_protocol(
+        ft = Engine().run_protocol(
             trace,
             FractionToleranceRangeProtocol(query, tolerance),
             tolerance=tolerance,
-            config=CHECKED,
+            deployment=CHECKED,
         )
         # Tolerance must not cost more than a small Fix_Error overhead.
         assert ft.maintenance_messages <= zt.maintenance_messages * 1.1
@@ -67,15 +66,15 @@ class TestRangeQueryFamily:
         query = RangeQuery(400.0, 600.0)
         tolerance = FractionTolerance(0.3, 0.3)
         results = [
-            run_protocol(tcp, NoFilterProtocol(query), config=CHECKED),
-            run_protocol(
-                tcp, ZeroToleranceRangeProtocol(query), config=CHECKED
+            Engine().run_protocol(tcp, NoFilterProtocol(query), deployment=CHECKED),
+            Engine().run_protocol(
+                tcp, ZeroToleranceRangeProtocol(query), deployment=CHECKED
             ),
-            run_protocol(
+            Engine().run_protocol(
                 tcp,
                 FractionToleranceRangeProtocol(query, tolerance),
                 tolerance=tolerance,
-                config=CHECKED,
+                deployment=CHECKED,
             ),
         ]
         assert all(r.tolerance_ok for r in results)
@@ -86,47 +85,47 @@ class TestRankQueryFamily:
         """Tracking X with rank slack dwarfs recompute-on-every-cross."""
         query = KnnQuery(500.0, 5)
         tolerance = RankTolerance(k=5, r=5)
-        rtp = run_protocol(
+        rtp = Engine().run_protocol(
             trace,
             RankToleranceProtocol(query, tolerance),
             tolerance=tolerance,
-            config=CHECKED,
+            deployment=CHECKED,
         )
-        zt = run_protocol(
-            trace, ZeroToleranceKnnProtocol(KnnQuery(500.0, 5)), config=CHECKED
+        zt = Engine().run_protocol(
+            trace, ZeroToleranceKnnProtocol(KnnQuery(500.0, 5)), deployment=CHECKED
         )
         assert rtp.maintenance_messages < zt.maintenance_messages / 5
 
     def test_ft_rp_beats_zt_rp_at_positive_tolerance(self, trace):
         query_factory = lambda: KnnQuery(500.0, 10)
-        zt = run_protocol(
-            trace, ZeroToleranceKnnProtocol(query_factory()), config=CHECKED
+        zt = Engine().run_protocol(
+            trace, ZeroToleranceKnnProtocol(query_factory()), deployment=CHECKED
         )
         tolerance = FractionTolerance(0.3, 0.3)
-        ft = run_protocol(
+        ft = Engine().run_protocol(
             trace,
             FractionToleranceKnnProtocol(query_factory(), tolerance),
             tolerance=tolerance,
-            config=CHECKED,
+            deployment=CHECKED,
         )
         assert ft.maintenance_messages < zt.maintenance_messages / 5
 
     def test_topk_on_tcp_all_protocols_sound(self, tcp):
         k = 8
         tolerance = RankTolerance(k=k, r=4)
-        rtp = run_protocol(
+        rtp = Engine().run_protocol(
             tcp,
             RankToleranceProtocol(TopKQuery(k=k), tolerance),
             tolerance=tolerance,
-            config=CHECKED,
+            deployment=CHECKED,
         )
         assert rtp.tolerance_ok
         ft_tol = FractionTolerance(0.25, 0.25)
-        ftrp = run_protocol(
+        ftrp = Engine().run_protocol(
             tcp,
             FractionToleranceKnnProtocol(TopKQuery(k=k), ft_tol),
             tolerance=ft_tol,
-            config=CHECKED,
+            deployment=CHECKED,
         )
         assert ftrp.tolerance_ok
 
@@ -138,7 +137,7 @@ class TestDeterminism:
                 SyntheticConfig(n_streams=60, horizon=200.0, seed=9)
             )
             tolerance = FractionTolerance(0.2, 0.2)
-            result = run_protocol(
+            result = Engine().run_protocol(
                 trace,
                 FractionToleranceRangeProtocol(
                     RangeQuery(400.0, 600.0), tolerance

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.api import Deployment, Engine, QuerySpec, Workload
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
 from repro.multiquery.coordinator import MultiQueryCoordinator
-from repro.multiquery.runner import run_multi_query
+from repro.multiquery.runner import execute_multi_query
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.rtp import RankToleranceProtocol
 from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
@@ -18,7 +16,7 @@ from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 
-CHECKED = RunConfig(check_every=1, strict=True)
+CHECKED = {"check_every": 1, "strict": True}
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +45,8 @@ def make_queries(tolerances):
 
 class TestCorrectness:
     def test_every_query_within_tolerance(self, trace):
-        result = run_multi_query(
-            trace, make_queries([0.0, 0.2, 0.4]), config=CHECKED
+        result = execute_multi_query(
+            trace, make_queries([0.0, 0.2, 0.4]), **CHECKED
         )
         assert result.tolerance_ok
         assert set(result.answers) == {"user0", "user1", "user2"}
@@ -58,7 +56,7 @@ class TestCorrectness:
         range_tol = FractionTolerance(0.25, 0.25)
         knn_query = KnnQuery(500.0, 6)
         knn_tol = RankTolerance(k=6, r=4)
-        result = run_multi_query(
+        result = execute_multi_query(
             trace,
             {
                 "zone": (
@@ -72,7 +70,7 @@ class TestCorrectness:
                     knn_tol,
                 ),
             },
-            config=CHECKED,
+            **CHECKED,
         )
         assert result.tolerance_ok
         assert len(result.answers["nearest"]) == 6
@@ -82,12 +80,12 @@ class TestCorrectness:
         solo run on the same trace."""
         query = RangeQuery(400.0, 600.0)
         tolerance = FractionTolerance(0.2, 0.2)
-        solo = run_protocol(
+        solo = Engine().run_protocol(
             trace,
             FractionToleranceRangeProtocol(query, tolerance),
             tolerance=tolerance,
         )
-        shared = run_multi_query(trace, make_queries([0.2]))
+        shared = execute_multi_query(trace, make_queries([0.2]))
         assert shared.answers["user0"] == solo.final_answer
         assert shared.maintenance_messages == solo.maintenance_messages
 
@@ -107,9 +105,7 @@ class TestViolationReporting:
         }
 
     def test_breaches_past_the_detail_cap_are_counted(self, trace):
-        result = run_multi_query(
-            trace, self.breached(), config=RunConfig(check_every=1)
-        )
+        result = execute_multi_query(trace, self.breached(), check_every=1)
         assert result.violation_count > 100
         assert len(result.violations) == 100
         assert all(
@@ -141,24 +137,23 @@ class TestViolationReporting:
         assert report.violations[-1] == f"... and {report.checks - 100} more"
 
     def test_sampled_checks_fire_on_every_nth_tick(self, trace):
-        result = run_multi_query(
-            trace, self.breached(), config=RunConfig(check_every=7)
-        )
+        result = execute_multi_query(trace, self.breached(), check_every=7)
         assert result.checks == 1 + trace.n_records // 7
 
     def test_strict_names_the_query(self, trace):
         with pytest.raises(AssertionError, match=r"^t=\S+ \[loose\]: exact"):
-            run_multi_query(
+            execute_multi_query(
                 trace,
                 self.breached(),
-                config=RunConfig(check_every=1, strict=True),
+                check_every=1,
+                strict=True,
             )
 
 
 class TestSharing:
     def test_identical_queries_share_updates(self, trace):
-        shared = run_multi_query(trace, make_queries([0.0, 0.0, 0.0]))
-        solo = run_protocol(
+        shared = execute_multi_query(trace, make_queries([0.0, 0.0, 0.0]))
+        solo = Engine().run_protocol(
             trace, ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0))
         )
         # Identical filters flip together: one physical update serves all
@@ -168,10 +163,10 @@ class TestSharing:
 
     def test_shared_beats_independent_deployments(self, trace):
         tolerances = [0.0, 0.1, 0.2, 0.4]
-        shared = run_multi_query(trace, make_queries(tolerances))
+        shared = execute_multi_query(trace, make_queries(tolerances))
         independent = 0
         for _, (protocol, query, tolerance) in make_queries(tolerances).items():
-            independent += run_protocol(
+            independent += Engine().run_protocol(
                 trace, protocol, tolerance=tolerance
             ).maintenance_messages
         assert shared.maintenance_messages < independent
@@ -184,7 +179,7 @@ class TestSharing:
         for i, (low, high) in enumerate([(100, 250), (450, 550), (800, 950)]):
             query = RangeQuery(float(low), float(high))
             queries[f"q{i}"] = (ZeroToleranceRangeProtocol(query), query, None)
-        result = run_multi_query(trace, queries, config=CHECKED)
+        result = execute_multi_query(trace, queries, **CHECKED)
         assert result.tolerance_ok
         assert result.sharing_factor < 1.2
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import QuerySpec
-from repro.harness.runner import run_protocol
+from repro.api import Engine, QuerySpec
 from repro.protocols.no_filter import NoFilterProtocol
 from repro.protocols.rtp import RankToleranceProtocol
 from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
@@ -25,7 +24,7 @@ def test_table_backed_protocols_expose_the_table_column_read_only(small_trace):
         ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0)),
         RankToleranceProtocol(TopKQuery(k=5), RankTolerance(k=5, r=3)),
     ):
-        run_protocol(small_trace, protocol)
+        Engine().run_protocol(small_trace, protocol)
         mask = protocol.answer_mask
         assert protocol.answer and members(mask) == protocol.answer
         assert np.shares_memory(mask, protocol._state.answer_mask)
@@ -35,7 +34,7 @@ def test_table_backed_protocols_expose_the_table_column_read_only(small_trace):
 
 def test_an_answer_kept_in_no_column_is_scattered(small_trace):
     protocol = NoFilterProtocol(TopKQuery(k=5))
-    run_protocol(small_trace, protocol)
+    Engine().run_protocol(small_trace, protocol)
     assert len(protocol.answer) == 5
     assert members(protocol.answer_mask) == protocol.answer
 
@@ -60,6 +59,6 @@ def test_overriding_answer_moves_the_column_with_it(small_trace):
             return frozenset(range(small_trace.n_streams)) - super().answer
 
     protocol = Complement(RangeQuery(400.0, 600.0))
-    run_protocol(small_trace, protocol)
+    Engine().run_protocol(small_trace, protocol)
     assert members(protocol.answer_mask) == protocol.answer
     assert members(protocol._state.answer_mask).isdisjoint(protocol.answer)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
+from repro.api import Deployment, Engine
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.selection import BoundaryNearestSelection, RandomSelection
 from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
@@ -19,11 +18,11 @@ QUERY = RangeQuery(400.0, 600.0)
 def run_ft(trace, eps_plus, eps_minus, **kwargs):
     tolerance = FractionTolerance(eps_plus, eps_minus)
     protocol = FractionToleranceRangeProtocol(QUERY, tolerance, **kwargs)
-    result = run_protocol(
+    result = Engine().run_protocol(
         trace,
         protocol,
         tolerance=tolerance,
-        config=RunConfig(check_every=1, strict=True),
+        deployment=Deployment.single(check_every=1, strict=True),
     )
     return result, protocol
 
@@ -66,7 +65,7 @@ class TestCorrectness:
 class TestStructure:
     def test_zero_tolerance_behaves_like_zt_nrp(self, small_trace):
         ft_result, protocol = run_ft(small_trace, 0.0, 0.0)
-        zt_result = run_protocol(
+        zt_result = Engine().run_protocol(
             small_trace, ZeroToleranceRangeProtocol(QUERY)
         )
         assert protocol.n_plus == 0
@@ -79,7 +78,7 @@ class TestStructure:
         protocol = FractionToleranceRangeProtocol(QUERY, tolerance)
         # Inspect state right after initialization on a truncated trace.
         empty = small_trace.truncate(0.0)
-        run_protocol(empty, protocol, tolerance=tolerance)
+        Engine().run_protocol(empty, protocol, tolerance=tolerance)
         in_range = int(
             np.sum(
                 (small_trace.initial_values >= 400.0)
@@ -107,7 +106,7 @@ class TestStructure:
         tolerance = FractionTolerance(0.4, 0.4)
         protocol = FractionToleranceRangeProtocol(QUERY, tolerance)
         before = None
-        result = run_protocol(trace, protocol, tolerance=tolerance)
+        result = Engine().run_protocol(trace, protocol, tolerance=tolerance)
         assert protocol.count == 0
         assert result.probe_messages == 0  # Fix_Error never ran
         assert result.maintenance_messages == 2
@@ -128,7 +127,7 @@ class TestStructure:
         tolerance = FractionTolerance(0.45, 0.45)
         protocol = FractionToleranceRangeProtocol(QUERY, tolerance)
         n_plus_initial = tolerance.emax_plus(10)
-        result = run_protocol(trace, protocol, tolerance=tolerance)
+        result = Engine().run_protocol(trace, protocol, tolerance=tolerance)
         assert result.probe_messages >= 2  # at least one probe round-trip
         spent = (n_plus_initial - protocol.n_plus) >= 1 or protocol.n_minus < min(
             tolerance.emax_minus(10), 10
@@ -146,12 +145,12 @@ class TestCostShape:
                 SyntheticConfig(n_streams=150, horizon=300.0, seed=seed)
             )
             tolerance = FractionTolerance(0.4, 0.4)
-            ft = run_protocol(
+            ft = Engine().run_protocol(
                 trace,
                 FractionToleranceRangeProtocol(QUERY, tolerance),
                 tolerance=tolerance,
             )
-            zt = run_protocol(trace, ZeroToleranceRangeProtocol(QUERY))
+            zt = Engine().run_protocol(trace, ZeroToleranceRangeProtocol(QUERY))
             ft_total += ft.maintenance_messages
             zt_total += zt.maintenance_messages
         assert ft_total < zt_total
@@ -164,14 +163,14 @@ class TestCostShape:
                 SyntheticConfig(n_streams=200, horizon=300.0, seed=seed)
             )
             tolerance = FractionTolerance(0.4, 0.4)
-            bn = run_protocol(
+            bn = Engine().run_protocol(
                 trace,
                 FractionToleranceRangeProtocol(
                     QUERY, tolerance, selection=BoundaryNearestSelection()
                 ),
                 tolerance=tolerance,
             )
-            rnd = run_protocol(
+            rnd = Engine().run_protocol(
                 trace,
                 FractionToleranceRangeProtocol(
                     QUERY, tolerance, selection=RandomSelection(seed=seed)

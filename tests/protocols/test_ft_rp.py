@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
+from repro.api import Deployment, Engine
 from repro.protocols.ft_rp import FractionToleranceKnnProtocol
 from repro.protocols.zt_rp import ZeroToleranceKnnProtocol
 from repro.queries.knn import KnnQuery, TopKQuery
@@ -15,11 +14,11 @@ from repro.tolerance.knn_fraction import RhoPolicy
 def run_ftrp(trace, query, eps, policy=RhoPolicy.BALANCED, strict=True):
     tolerance = FractionTolerance(eps, eps)
     protocol = FractionToleranceKnnProtocol(query, tolerance, policy=policy)
-    result = run_protocol(
+    result = Engine().run_protocol(
         trace,
         protocol,
         tolerance=tolerance,
-        config=RunConfig(check_every=1, strict=strict),
+        deployment=Deployment.single(check_every=1, strict=strict),
     )
     return result, protocol
 
@@ -68,7 +67,7 @@ class TestStructure:
     def test_zero_tolerance_matches_zt_rp_cost(self, small_trace):
         query = KnnQuery(500.0, 5)
         ft_result, _ = run_ftrp(small_trace, query, 0.0)
-        zt_result = run_protocol(
+        zt_result = Engine().run_protocol(
             small_trace, ZeroToleranceKnnProtocol(KnnQuery(500.0, 5))
         )
         # Both recompute on every crossing; FT-RP probes all n (it cannot

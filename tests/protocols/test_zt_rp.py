@@ -3,27 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
+from repro.api import Deployment, Engine
 from repro.protocols.zt_rp import ZeroToleranceKnnProtocol
 from repro.queries.knn import KnnQuery, TopKQuery
 from repro.streams.trace import StreamTrace
 
 
 def test_answers_always_exact(small_trace):
-    result = run_protocol(
+    result = Engine().run_protocol(
         small_trace,
         ZeroToleranceKnnProtocol(KnnQuery(500.0, 5)),
-        config=RunConfig(check_every=1, strict=True),
+        deployment=Deployment.single(check_every=1, strict=True),
     )
     assert result.tolerance_ok
 
 
 def test_topk_answers_always_exact(small_trace):
-    result = run_protocol(
+    result = Engine().run_protocol(
         small_trace,
         ZeroToleranceKnnProtocol(TopKQuery(k=6)),
-        config=RunConfig(check_every=1, strict=True),
+        deployment=Deployment.single(check_every=1, strict=True),
     )
     assert result.tolerance_ok
 
@@ -37,7 +36,7 @@ def test_too_few_streams_rejected():
         horizon=1.0,
     )
     with pytest.raises(ValueError):
-        run_protocol(trace, ZeroToleranceKnnProtocol(KnnQuery(0.0, 2)))
+        Engine().run_protocol(trace, ZeroToleranceKnnProtocol(KnnQuery(0.0, 2)))
 
 
 def test_non_crossing_updates_are_free():
@@ -49,7 +48,7 @@ def test_non_crossing_updates_are_free():
         values=np.array([850.0, 950.0]),  # stay far outside R
         horizon=3.0,
     )
-    result = run_protocol(
+    result = Engine().run_protocol(
         trace, ZeroToleranceKnnProtocol(KnnQuery(500.0, 2))
     )
     assert result.maintenance_messages == 0
@@ -66,7 +65,7 @@ def test_each_crossing_costs_about_3n():
         horizon=2.0,
     )
     protocol = ZeroToleranceKnnProtocol(KnnQuery(500.0, 2))
-    result = run_protocol(trace, protocol)
+    result = Engine().run_protocol(trace, protocol)
     assert protocol.recomputations == 1
     # 1 update + 2(n-1) probe messages + n deployments.
     assert result.maintenance_messages == 1 + 2 * (n - 1) + n
@@ -82,7 +81,7 @@ def test_region_separates_k_from_k_plus_1():
         horizon=1.0,
     )
     protocol = ZeroToleranceKnnProtocol(KnnQuery(500.0, 2))
-    run_protocol(trace, protocol)
+    Engine().run_protocol(trace, protocol)
     lower, upper = protocol.region.lower, protocol.region.upper
     # Answer {0, 1} (distances 0, 5); 3rd closest is 480 (distance 20).
     assert protocol.answer == frozenset({0, 1})

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.harness.config import RunConfig
-from repro.harness.runner import run_protocol
-from repro.multiquery.runner import run_multi_query
+from repro.api import Deployment, Engine
+from repro.multiquery.runner import execute_multi_query
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.ft_rp import FractionToleranceKnnProtocol
 from repro.protocols.no_filter import NoFilterProtocol
@@ -60,11 +59,11 @@ def _protocol_zoo():
 )
 def test_batched_replay_ledger_identical(trace, name, factory):
     """Acceptance: batch mode == event mode, snapshot for snapshot."""
-    event = run_protocol(
-        trace, factory(), config=RunConfig(replay_mode="event")
+    event = Engine().run_protocol(
+        trace, factory(), deployment=Deployment.single(replay_mode="event")
     )
-    batch = run_protocol(
-        trace, factory(), config=RunConfig(replay_mode="batch")
+    batch = Engine().run_protocol(
+        trace, factory(), deployment=Deployment.single(replay_mode="batch")
     )
     assert event.ledger == batch.ledger
     assert event.final_answer == batch.final_answer
@@ -77,8 +76,8 @@ def test_batch_size_does_not_change_results(trace, name, batch_size):
     (zt-nrp) and on the cursor (ft-nrp, rtp) alike.  The bounds are
     arguments of ``ExecutionSession.replay`` only; no config sets them."""
     factory = dict(_protocol_zoo())[name]
-    reference = run_protocol(
-        trace, factory(), config=RunConfig(replay_mode="event")
+    reference = Engine().run_protocol(
+        trace, factory(), deployment=Deployment.single(replay_mode="event")
     )
     protocol = factory()
     session = ExecutionSession.for_streams(trace, protocol)
@@ -126,12 +125,8 @@ def test_multiquery_batched_identical(trace):
             ),
         }
 
-    event = run_multi_query(
-        trace, queries(), config=RunConfig(replay_mode="event")
-    )
-    batch = run_multi_query(
-        trace, queries(), config=RunConfig(replay_mode="batch")
-    )
+    event = execute_multi_query(trace, queries(), replay_mode="event")
+    batch = execute_multi_query(trace, queries(), replay_mode="batch")
     assert event.ledger == batch.ledger
     assert event.shared_updates == batch.shared_updates
     assert event.logical_deliveries == batch.logical_deliveries
@@ -141,10 +136,12 @@ def test_multiquery_batched_identical(trace):
 def test_checked_runs_identical_across_requested_modes(trace):
     """Checking forces the event path, so modes must agree trivially."""
     results = [
-        run_protocol(
+        Engine().run_protocol(
             trace,
             ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0)),
-            config=RunConfig(check_every=1, strict=True, replay_mode=mode),
+            deployment=Deployment.single(
+                check_every=1, strict=True, replay_mode=mode
+            ),
         )
         for mode in ("auto", "event", "batch")
     ]
@@ -153,7 +150,7 @@ def test_checked_runs_identical_across_requested_modes(trace):
 
 def test_invalid_mode_rejected(trace):
     with pytest.raises(ValueError):
-        RunConfig(replay_mode="vectorized")
+        Deployment.single(replay_mode="vectorized")
     session = ExecutionSession.for_streams(
         trace, NoFilterProtocol(RangeQuery(0.0, 1.0))
     )
@@ -215,10 +212,10 @@ def test_session_initialize_phases(trace):
 
 def test_empty_trace_batched(trace):
     empty = trace.truncate(0.0)
-    result = run_protocol(
+    result = Engine().run_protocol(
         empty,
         ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0)),
-        config=RunConfig(replay_mode="batch"),
+        deployment=Deployment.single(replay_mode="batch"),
     )
     assert result.maintenance_messages == 0
 

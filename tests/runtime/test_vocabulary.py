@@ -195,7 +195,7 @@ def test_spatial_report_marks_violations_beyond_the_detail_cap():
     workload = Workload.moving_objects(n_objects=30, horizon=200.0, seed=5)
     report = Engine().run(spec, workload, Deployment.single(check_every=1))
     assert report.checks > 250
-    assert report.raw.checker.violation_count == report.checks
+    assert report.checker.violation_count == report.checks
     assert len(report.violations) == 101
     assert report.violations[-1] == f"... and {report.checks - 100} more"
     assert not report.tolerance_ok

@@ -9,7 +9,7 @@ def test_all_names_resolve():
 
 
 def test_version():
-    assert repro.__version__ == "1.3.0"
+    assert repro.__version__ == "2.0.0"
 
 
 def test_quickstart_docstring_flow():
