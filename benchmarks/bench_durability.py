@@ -1,6 +1,6 @@
 """Durability-tier overhead: journal and fsync cost vs the plain run.
 
-Two measurements:
+Three measurements:
 
 * **Overhead grid** — one lively ZT-NRP profile run plain (the
   baseline) and then under every interesting durability configuration:
@@ -10,6 +10,15 @@ Two measurements:
   observationally invisible); the artifact tracks the wall-clock
   multiplier of each rung so the cost of durability is a measured
   curve, not folklore.
+
+* **Segment-size row** — ZT-NRP at n = 10,000 under ``never+ram`` with
+  ``segment_records`` in {256, 1024, 4096}, plus one n = 100,000 point
+  at 1024: each durable wall over its plain sibling's, ledgers equal.
+  A WAL segment is a frontier inside one replay (DESIGN.md §11), so the
+  ratio should be flat in the segment size and in the population; when
+  every segment was its own ``replay()`` call it read ~4x at 1024 and
+  grew with n.  One deliberately loose floor: durable <= 3x plain at
+  ``segment_records=1024``, n = 10,000.
 
 * **Large-population mmap row** — n = 1,000,000 streams (200k under
   ``BENCH_SMOKE``) with disk-backed planes and a journal at
@@ -46,6 +55,16 @@ LARGE_HORIZON = 1.0
 REPEATS = 1 if SMOKE else 3
 SEGMENT_RECORDS = 4096
 
+#: The segment-size row: (n_streams, horizon, segment_records) — both
+#: populations replay ~150k records (sigma = 150).
+SEGMENT_ROW = (
+    (10_000, 300.0, 256),
+    (10_000, 300.0, 1024),
+    (10_000, 300.0, 4096),
+    (100_000, 30.0, 1024),
+)
+SEGMENT_FLOOR_X = 3.0
+
 #: label -> (fsync policy, plane storage).  ``None`` is the plain
 #: baseline (no journal, no policy at all).
 GRID: dict[str, tuple[str, str] | None] = {
@@ -65,6 +84,7 @@ _RESULTS: dict = {
         "segment_records": SEGMENT_RECORDS,
     },
     "grid": {},
+    "segments": [],
     "large": {},
 }
 
@@ -73,14 +93,16 @@ def _spec() -> QuerySpec:
     return QuerySpec(protocol="zt-nrp", query=RangeQuery(400.0, 600.0))
 
 
-def _durable_run(engine, spec, workload, fsync, storage):
+def _durable_run(
+    engine, spec, workload, fsync, storage, segment_records=SEGMENT_RECORDS
+):
     """One durable run in a throwaway directory; returns the report."""
     with tempfile.TemporaryDirectory(prefix="bench_durability_") as tmp:
         policy = DurabilityPolicy(
             run_dir=tmp + "/run",
             fsync=fsync,
             storage=storage,
-            segment_records=SEGMENT_RECORDS,
+            segment_records=segment_records,
         )
         return engine.run(spec, workload, Deployment.single(durable=policy))
 
@@ -145,6 +167,63 @@ def test_bench_durability_overhead():
     # Per-event fsync is the expensive rung; the cheap rungs must not
     # cost more than it (loose: media and page cache vary by machine).
     assert walls["every+ram"] >= walls["never+ram"] * 0.8
+
+
+def test_bench_durability_segment_size():
+    """Durable / plain wall by segment size and population."""
+    engine = Engine()
+    spec = _spec()
+    # Best of >= 2 even under BENCH_SMOKE: the floor is a ratio of two
+    # sub-second walls.
+    repeats = max(REPEATS, 2)
+    print()
+    print("segment size: ZT-NRP [400, 600], sigma=150, fsync=never, ram planes")
+    print(
+        f"{'n':>8} {'records':>8} {'segment':>8} {'segments':>9} "
+        f"{'plain':>8} {'durable':>8} {'ratio':>6}"
+    )
+    plain: dict = {}
+    for n_streams, horizon, segment_records in SEGMENT_ROW:
+        if n_streams not in plain:
+            workload = Workload.synthetic(
+                n_streams=n_streams, horizon=horizon, sigma=SIGMA, seed=0
+            )
+            workload.materialize()
+            plain[n_streams] = workload, *best_of(
+                lambda w=workload: engine.run(spec, w, Deployment.single()),
+                repeats,
+            )
+        workload, baseline, t_plain = plain[n_streams]
+        report, wall = best_of(
+            lambda w=workload, s=segment_records: _durable_run(
+                engine, spec, w, "never", "ram", s
+            ),
+            repeats,
+        )
+        assert report.ledger == baseline.ledger
+        assert report.final_answer == baseline.final_answer
+        segments = report.extras["durability"]["segments"]
+        ratio = wall / t_plain
+        print(
+            f"{n_streams:>8} {report.n_records:>8} {segment_records:>8} "
+            f"{segments:>9} {t_plain:>7.3f}s {wall:>7.3f}s {ratio:>5.2f}x"
+        )
+        _RESULTS["segments"].append(
+            {
+                "n_streams": n_streams,
+                "n_records": report.n_records,
+                "segment_records": segment_records,
+                "segments": segments,
+                "plain_wall_seconds": t_plain,
+                "wall_seconds": wall,
+                "vs_plain_x": ratio,
+            }
+        )
+        if (n_streams, segment_records) == (10_000, 1024):
+            assert ratio <= SEGMENT_FLOOR_X, (
+                f"durable run is {ratio:.2f}x its plain sibling at "
+                f"segment_records=1024 (floor {SEGMENT_FLOOR_X}x)"
+            )
 
 
 def test_bench_durability_large_population_mmap():

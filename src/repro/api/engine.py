@@ -56,7 +56,7 @@ from repro.api.spec import (
 from repro.correctness.checker import ToleranceChecker
 from repro.correctness.staleness import StalenessWindow, tag_reason
 from repro.network.accounting import LedgerSnapshot
-from repro.runtime.replay import REPLAY_COUNTERS
+from repro.runtime.replay import merge_replay_stats
 from repro.runtime.session import ExecutionSession
 from repro.runtime.vocabulary import vocabulary_of
 
@@ -293,7 +293,7 @@ def _execute_hosted(
             transport.initialize(0.0)
             if checker is not None:
                 checker.check_now(0.0)
-            replay = _merge_replay_stats(
+            replay = merge_replay_stats(
                 transport.replay(horizon=trace.horizon, **callbacks)
             )
             replay["transport"] = transport.transport_stats()
@@ -381,31 +381,6 @@ def _shard_replay_worker(job):
     return session.snapshot(), answer, extras
 
 
-def _merge_replay_stats(parts: list[dict]) -> dict:
-    """Fold per-shard replay stats into one fleet-level stats dict.
-
-    Counters sum; the mode/kernel labels collapse to ``"mixed"`` when
-    the shards disagree (e.g. one shard bailed to per-event while the
-    rest kept proving quiescence); a bailout position is the earliest
-    any shard bailed, ``None`` when none did.
-    """
-    merged = {
-        key: sum(int(part.get(key, 0)) for part in parts)
-        for key in REPLAY_COUNTERS
-    }
-    for label in ("mode", "kernel"):
-        seen = {part.get(label) for part in parts}
-        merged[label] = seen.pop() if len(seen) == 1 else "mixed"
-    bailouts = [
-        part["dispatch_bailout_at"]
-        for part in parts
-        if part.get("dispatch_bailout_at") is not None
-    ]
-    merged["dispatch_bailout_at"] = min(bailouts) if bailouts else None
-    merged["workers"] = len(parts)
-    return merged
-
-
 def _merge_snapshots(parts: list[LedgerSnapshot]) -> LedgerSnapshot:
     initialization: dict = {}
     maintenance: dict = {}
@@ -450,7 +425,7 @@ def _execute_streams_fanout(
                 replay_parts.append(value)
                 continue
             extras[key] = extras.get(key, 0) + value
-    extras["replay"] = _merge_replay_stats(replay_parts)
+    extras["replay"] = merge_replay_stats(replay_parts)
     return RunReport(
         protocol=protocol.name,
         stack=STACK_STREAMS,

@@ -99,15 +99,23 @@ class JournalContents:
     scan: JournalScan | None = None
 
 
-def scan_journal(path: str) -> JournalScan:
-    """The longest valid frame prefix of the file at *path*."""
+def frame_header(rtype: int, body: bytes) -> bytes:
+    """What precedes *body* in its CRC frame — length, checksum, type
+    byte — so a large body is never copied to be framed."""
+    tag = bytes((rtype,))
+    return _HEADER.pack(len(body) + 1, zlib.crc32(body, zlib.crc32(tag))) + tag
+
+
+def scan_journal(path: str, magic: bytes = MAGIC) -> JournalScan:
+    """The longest valid frame prefix of the file at *path*, past its
+    *magic* (a snapshot file is one frame under a magic of its own)."""
     with open(path, "rb") as handle:
         blob = handle.read()
     total = len(blob)
-    if total < len(MAGIC) or blob[: len(MAGIC)] != MAGIC:
+    if total < len(magic) or blob[: len(magic)] != magic:
         return JournalScan([], 0, total, "magic")
     records: list[tuple[int, bytes]] = []
-    offset = len(MAGIC)
+    offset = len(magic)
     reason = "clean"
     while offset < total:
         if offset + _HEADER.size > total:
@@ -326,11 +334,11 @@ class Journal:
     def _append(self, rtype: int, body: bytes) -> None:
         if self._fd is None:
             raise ValueError("journal is closed")
-        payload = bytes((rtype,)) + body
-        frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        self._buffer += frame
+        header = frame_header(rtype, body)
+        self._buffer += header
+        self._buffer += body
         self.stats["appends"] += 1
-        self.stats["bytes"] += len(frame)
+        self.stats["bytes"] += len(header) + len(body)
         if self._fsync == "every":
             self.sync()
         elif self._fsync == "interval":

@@ -35,13 +35,15 @@ class DurabilityPolicy:
     fsync_interval:
         Append count between fsyncs under ``fsync="interval"``.
     snapshot_every:
-        Snapshot the full object graph every this-many trace records.
-        ``0`` disables snapshots: recovery then rebuilds from the
-        manifest and replays the whole journal.
+        Snapshot the quiescent cut at the first segment boundary
+        this-many trace records past the previous one.  ``0`` disables
+        snapshots: recovery then rebuilds from the manifest and replays
+        the whole journal.
     segment_records:
-        Trace records journaled (then replayed) per segment.  Smaller
-        segments bound the byte window a crash can lose under
-        ``fsync="never"``; larger ones amortize framing overhead.
+        Trace records journaled (then released to replay) per segment.
+        Smaller segments bound the byte window a crash can lose under
+        ``fsync="never"``; larger ones amortize framing only — a segment
+        is a frontier inside one replay, not a replay of its own.
     storage:
         ``"ram"`` | ``"mmap"`` backing for the server's state planes.
     """

@@ -5,9 +5,10 @@ directory alone, in two steps:
 
 1. **Restore a consistent cut.**  Prefer the latest snapshot the
    journal *marks* (a mark is only appended after the snapshot file is
-   durably on disk, so a marked snapshot always loads); fall back mark
-   by mark; with no usable snapshot, rebuild from the manifest — a
-   pristine pre-init protocol clone plus the initial values — and rerun
+   durably on disk); one that fails to verify, decode or rebuild, for
+   whatever reason, is *unusable* — never fatal, never half-trusted:
+   fall back mark by mark, then rebuild from the manifest — a pristine
+   pre-init protocol clone plus the initial values — and rerun
    initialization, which is deterministic and therefore re-charges the
    exact initialization ledger.
 2. **Replay the journaled suffix.**  Every event at or past the cut is
@@ -20,8 +21,9 @@ directory alone, in two steps:
 Why the recovered ledger is byte-identical to the uninterrupted run's:
 replay is deterministic (same sources, same protocol state, same event
 order), batched replay is ledger-identical to per-event replay
-(DESIGN.md §9), and segmentation cannot change a ledger (each segment's
-event path drains the engine queue completely before the next begins).
+(DESIGN.md §9), and segmentation cannot change a ledger: a segment is
+a *frontier* inside one replay (DESIGN.md §11), which decides when the
+journal hears of a record, never what applying it does.
 The journal's own message frames double as an audit stream of what the
 crashed process had charged, but the proof never leans on them.
 
@@ -40,21 +42,28 @@ import os
 import pickle
 import time as _time
 
+import numpy as np
+
 from repro.api.report import RunReport
 from repro.durability.journal import (
     Journal,
     JournalContents,
     JournaledLedger,
     load_journal,
+    scan_journal,
 )
 from repro.durability.policy import DurabilityPolicy
 from repro.durability.runner import (
+    SNAPSHOT_COLUMNS,
+    SNAPSHOT_MAGIC,
     _build_report,
     _replay_segments,
     build_durable_session,
 )
-from repro.runtime.session import ExecutionSession
+from repro.runtime.session import ExecutionSession, wire_sources
 from repro.sim.engine import SimulationEngine
+from repro.state.sharding import shard_ranges
+from repro.streams.filters import FilterConstraint
 
 
 @dataclasses.dataclass
@@ -92,8 +101,6 @@ def _stub_trace(manifest: dict):
     run did — same builders, same initial values — then replays the
     journaled events instead of trace arrays.
     """
-    import numpy as np
-
     from repro.streams.trace import StreamTrace
 
     return StreamTrace(
@@ -105,27 +112,54 @@ def _stub_trace(manifest: dict):
     )
 
 
-def _restore_from_snapshot(
-    policy: DurabilityPolicy, mark: dict
-) -> tuple[ExecutionSession, int] | None:
-    path = os.path.join(policy.snapshot_dir, mark["file"])
-    try:
-        with open(path, "rb") as handle:
-            blob = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError):
-        return None
+def _restore_from_snapshot(path: str) -> tuple[ExecutionSession, int]:
+    """The session and position of the cut at *path* — the one snapshot
+    reader.  Raises on any failure to verify, decode or rebuild (the
+    caller falls back): the file must be one intact frame of the current
+    format, its pickle must still load, and the population columns must
+    equal the restored table's — write-through keeps them equal at every
+    quiescent cut of a synchronous run.  Filters are installed *before*
+    the session binds the memberships: a fresh ``bind_state`` writes "no
+    filter" through and would clobber the restored planes.
+    """
+    scan = scan_journal(path, SNAPSHOT_MAGIC)
+    tags = [rtype for rtype, _ in scan.records]
+    if scan.reason != "clean" or tags != [SNAPSHOT_COLUMNS]:
+        raise ValueError(f"{path}: {scan.reason} scan, frame tags {tags}")
+    blob = pickle.loads(scan.records[0][1])
+    host, channels = blob["host"], blob["channels"]
+    columns = blob["population"]
+    n = len(columns["value"])
+    side = {  # keyed by the table column each one mirrors
+        "scannable": np.unpackbits(columns["has_filter"], count=n).view(bool),
+        "inside": np.unpackbits(columns["inside"], count=n).view(bool),
+        "lower": columns["lower"],
+        "upper": columns["upper"],
+    }
+    ranges = shard_ranges(n, len(channels))
+    sources = wire_sources(host.vocabulary.source, columns["value"], channels, ranges)
+    for source, filtered, inside, lower, upper in zip(
+        sources, *(column.tolist() for column in side.values())
+    ):
+        if filtered:
+            source.membership.container = FilterConstraint(lower, upper)
+        source.membership.reported_inside = inside
+    for name, column in side.items():
+        if not np.array_equal(getattr(host.state, name), column):
+            raise ValueError(
+                f"{path}: source-side {name!r} disagrees with the restored table"
+            )
     engine = SimulationEngine()
     if blob["engine_now"] > 0.0:
         # Empty queue: run() just advances the clock to the cut's time.
         engine.run(until=blob["engine_now"])
-    channels = blob["channels"]
     session = ExecutionSession(
-        sources=blob["sources"],
+        sources=sources,
         ledger=blob["ledger"],
         engine=engine,
         channel=channels[0] if len(channels) == 1 else None,
         channels=channels,
-        host=blob["host"],
+        host=host,
     )
     return session, int(blob["position"])
 
@@ -140,11 +174,13 @@ def recover_run(run_dir: str) -> RecoveredRun:
     position = 0
     snapshot_file: str | None = None
     for mark in reversed(contents.snapshots):
-        restored = _restore_from_snapshot(policy, mark)
-        if restored is not None:
-            session, position = restored
-            snapshot_file = mark["file"]
-            break
+        path = os.path.join(policy.snapshot_dir, mark["file"])
+        try:
+            session, position = _restore_from_snapshot(path)
+        except Exception:  # unusable, whatever the reason: try the previous
+            continue
+        snapshot_file = mark["file"]
+        break
     if session is None:
         # Manifest path: deterministic re-initialization re-charges the
         # initialization ledger exactly; RAM planes always (see module

@@ -2,35 +2,39 @@
 
 :func:`execute_durable_streams` is what the api engine compiles
 ``Deployment(durable=DurabilityPolicy(...))`` down to for the scalar
-single and sharded stacks.  The loop is the write-ahead discipline in
-miniature:
+single and sharded stacks.  The write-ahead discipline in miniature
+(DESIGN.md §11):
 
-1. append the next trace segment to the journal (``REC_EVENTS``),
-2. replay it through the ordinary :class:`ExecutionSession` machinery —
-   every ledger charge is mirrored into the journal by the
-   :class:`~repro.durability.journal.JournaledLedger`,
-3. every ``snapshot_every`` records, pickle the quiescent object graph
-   (host, sources, ledger, channels, engine clock) and mark it in the
-   journal only once the snapshot file is durably on disk.
-
-Between ``replay()`` calls the system is *quiescent* — the engine's
-event queue is drained (``horizon=None`` event replay runs the queue
-dry), the deferred-write taps are detached, and the batched kernels'
-staging buffers are flushed — which is exactly what makes the pickled
-graph a consistent cut and the journal position an exact resume point.
+1. the trace goes through the ordinary :class:`ExecutionSession`
+   machinery, one ``replay()`` per snapshot interval, every ledger
+   charge mirrored into the journal by the
+   :class:`~repro.durability.journal.JournaledLedger`;
+2. a WAL segment is a *frontier* of that replay: its records are
+   appended to the journal (``REC_EVENTS``) before replay may apply the
+   first of them (:func:`_replay_segments`);
+3. every ``snapshot_every`` records, between two ``replay()`` calls —
+   where the system is *quiescent*: event queue drained, deferred-write
+   taps detached, staging buffers flushed — the cut (host, ledger,
+   channels, engine clock, the source population as columns) is written
+   as one CRC frame and marked in the journal only once it is durably
+   on disk.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import os
 import pickle
 import time as _time
 
-from repro.api.engine import _merge_replay_stats
+import numpy as np
+
 from repro.api.report import RunReport
 from repro.api.spec import STACK_STREAMS, Deployment
-from repro.durability.journal import Journal, JournaledLedger
+from repro.durability.journal import Journal, JournaledLedger, frame_header
 from repro.durability.policy import DurabilityPolicy
+from repro.runtime.replay import merge_replay_stats
 from repro.runtime.session import ExecutionSession
 from repro.state.table import StateTableFactory
 
@@ -42,31 +46,53 @@ from repro.state.table import StateTableFactory
 #: ``validate_shard_alignment`` guards.
 _PICKLE_PROTOCOL = 4
 
+#: A snapshot file is this magic plus ONE frame in the journal's idiom;
+#: the frame's type byte is the format tag of its pickled body.
+SNAPSHOT_MAGIC = b"REPROSN1"
+SNAPSHOT_COLUMNS = 1
+
 
 def _write_snapshot(
     session: ExecutionSession, position: int, policy: DurabilityPolicy
 ) -> tuple[str, int]:
-    """Pickle the quiescent object graph; returns ``(file name, bytes)``.
+    """Write the quiescent cut; returns ``(file name, bytes)``.
 
-    The engine itself is excluded (its queue is empty between segments
-    and its closures do not pickle); only the clock value rides along.
+    Host, ledger and channels are pickled as a graph (channels drop
+    their source bindings, so it stops short of the sources); the
+    population rides along as columns read from the sources, booleans
+    bit-packed.  The engine is excluded (its queue is empty between
+    replays and its closures do not pickle); only the clock rides along.
     Written atomically — tmp file, flush, fsync, rename — so a crash
     mid-snapshot leaves no partially-written ``.pkl`` behind.
     """
     os.makedirs(policy.snapshot_dir, exist_ok=True)
     name = f"snapshot_{position:012d}.pkl"
     path = os.path.join(policy.snapshot_dir, name)
+    sources, n = session.sources, len(session.sources)
+    filters = [source.membership.container for source in sources]
+    has_filter = (f is not None for f in filters)
+    lower = (-math.inf if f is None else f.lower for f in filters)
+    upper = (math.inf if f is None else f.upper for f in filters)
+    inside = (source.membership.reported_inside for source in sources)
     blob = {
         "host": session.host,
-        "sources": session.sources,
         "ledger": session.ledger,
         "channels": session.channels,
+        "population": {
+            "value": np.fromiter((s.value for s in sources), np.float64, n),
+            "has_filter": np.packbits(np.fromiter(has_filter, bool, n)),
+            "lower": np.fromiter(lower, np.float64, n),
+            "upper": np.fromiter(upper, np.float64, n),
+            "inside": np.packbits(np.fromiter(inside, bool, n)),
+        },
         "engine_now": float(session.engine.now),
         "position": int(position),
     }
+    body = pickle.dumps(blob, protocol=_PICKLE_PROTOCOL)
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
-        pickle.dump(blob, handle, protocol=_PICKLE_PROTOCOL)
+        handle.write(SNAPSHOT_MAGIC + frame_header(SNAPSHOT_COLUMNS, body))
+        handle.write(body)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -82,61 +108,55 @@ def _replay_segments(
     manifest: dict,
     progress=None,
 ) -> dict:
-    """The WAL loop: journal a segment, replay it, maybe snapshot.
+    """The WAL loop: one replay per snapshot interval, one frontier per
+    journaled segment; returns the run-level durability counters.
 
-    Returns the run-level durability counters.  On any exception the
-    journal *simulates a crash* — buffered bytes are dropped, durable
-    bytes survive — so in-process kill tests model a real process death
-    faithfully before the exception propagates.
+    ``replay`` applies nothing at or past the frontier it last took, so
+    the generator it pulls them from is where write-ahead happens: a
+    segment is journaled *before* its end is yielded, and *progress*
+    hears of it only once replay asks for the next — with all of it
+    applied.  Snapshots fall between ``replay()`` calls, at the first
+    segment boundary ``snapshot_every`` records past the last cut.
     """
-    times, stream_ids, values = trace.times, trace.stream_ids, trace.values
-    n = len(times)
+    columns = trace.times, trace.stream_ids, trace.values
+    n = len(trace.times)
+    step = policy.segment_records
+    interval = -(-policy.snapshot_every // step) * step  # 0: never cut
     position = int(start)
-    last_snapshot = position
-    segments = 0
-    snapshot_count = 0
-    snapshot_bytes = 0
+    snapshots = {"count": 0, "bytes": 0}
     stats_parts: list[dict] = []
-    try:
-        while position < n:
-            end = min(position + policy.segment_records, n)
-            # Write-ahead: the segment is durable (to the policy's
-            # level) before any of it is applied.
-            journal.append_events(
-                times[position:end],
-                stream_ids[position:end],
-                values[position:end],
-            )
-            session.replay(
-                times[position:end],
-                stream_ids[position:end],
-                values[position:end],
-                horizon=None,
-                mode=manifest["replay_mode"],
-            )
-            stats_parts.append(dict(session.last_replay_stats))
-            position = end
-            segments += 1
-            if (
-                policy.snapshot_every
-                and position < n
-                and position - last_snapshot >= policy.snapshot_every
-            ):
-                name, size = _write_snapshot(session, position, policy)
-                journal.append_snapshot_mark(position, name)
-                last_snapshot = position
-                snapshot_count += 1
-                snapshot_bytes += size
-            if progress is not None:
-                progress(position)
-    except BaseException:
-        journal.simulate_crash()
-        raise
+
+    def journaled(base: int, cut: int):
+        for lo in range(base, cut, step):
+            hi = min(lo + step, cut)
+            journal.append_events(*(column[lo:hi] for column in columns))
+            yield hi - base
+            if hi < cut and progress is not None:
+                progress(hi)
+
+    while position < n:
+        cut = min(position + interval, n) if interval else n
+        session.replay(
+            *(column[position:cut] for column in columns),
+            horizon=None,
+            mode=manifest["replay_mode"],
+            frontiers=journaled(position, cut),
+        )
+        stats_parts.append(dict(session.last_replay_stats))
+        position = cut
+        if position < n:
+            name, size = _write_snapshot(session, position, policy)
+            journal.append_snapshot_mark(position, name)
+            snapshots["count"] += 1
+            snapshots["bytes"] += size
+        if progress is not None:
+            progress(position)
     if trace.horizon is not None and trace.horizon > session.engine.now:
         session.engine.run(until=trace.horizon)
     return {
-        "segments": segments,
-        "snapshots": {"count": snapshot_count, "bytes": snapshot_bytes},
+        # One events frame per segment, and this handle's alone.
+        "segments": journal.stats["events_frames"],
+        "snapshots": snapshots,
         "replay_parts": stats_parts,
     }
 
@@ -168,7 +188,7 @@ def _build_report(
         durability["recovery"] = recovery
     extras = {"durability": durability}
     if loop["replay_parts"]:
-        merged = _merge_replay_stats(loop["replay_parts"])
+        merged = merge_replay_stats(loop["replay_parts"])
         merged.pop("workers", None)
         extras["replay"] = merged
     protocol = session.host.protocol
@@ -239,8 +259,6 @@ def execute_durable_streams(
     # The manifest is the recovery bootstrap: a pristine (pre-init)
     # protocol clone plus everything needed to re-assemble the session.
     # Durable before the first event is applied.
-    import copy
-
     manifest = {
         "topology": deployment.topology,
         "n_shards": deployment.n_shards,
@@ -282,8 +300,9 @@ def execute_durable_streams(
             session, journal, policy, trace, 0, manifest, progress=progress
         )
     except BaseException:
-        # _replay_segments already crashed the journal; initialize()
-        # failures crash it here so nothing half-buffered lingers.
+        # Simulate a crash — buffered bytes are dropped, durable bytes
+        # survive — so an in-process kill models a real process death
+        # faithfully before the exception propagates.
         journal.simulate_crash()
         raise
     journal.close()

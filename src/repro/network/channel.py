@@ -39,6 +39,14 @@ class Channel:
         self._source_ids: list[int] | None = None
         self._taps: list[Callable[[Message], None]] = []
 
+    def __getstate__(self) -> dict:
+        """Pickle (or deepcopy) without source bindings and taps —
+        wiring, not state: a source binds itself at construction, and
+        the handlers would drag every source into a snapshot (DESIGN §11)."""
+        state = dict(self.__dict__)
+        state.update(_source_handlers={}, _source_ids=None, _taps=[])
+        return state
+
     def bind_server(self, handler: Callable[[Message], None]) -> None:
         """Register the server's message handler."""
         self._server_handler = handler

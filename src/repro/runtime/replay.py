@@ -86,6 +86,31 @@ def replay_stats(mode: str, kernel: str | None, records: int) -> dict:
     return stats
 
 
+def merge_replay_stats(parts: list[dict]) -> dict:
+    """Fold per-shard (or per-replay) stats into one stats dict.
+
+    Counters sum; the mode/kernel labels collapse to ``"mixed"`` when
+    the parts disagree (e.g. one shard bailed to per-event while the
+    rest kept proving quiescence); a bailout position is the earliest
+    any part bailed, ``None`` when none did.
+    """
+    merged = {
+        key: sum(int(part.get(key, 0)) for part in parts)
+        for key in REPLAY_COUNTERS
+    }
+    for label in ("mode", "kernel"):
+        seen = {part.get(label) for part in parts}
+        merged[label] = seen.pop() if len(seen) == 1 else "mixed"
+    bailouts = [
+        part["dispatch_bailout_at"]
+        for part in parts
+        if part.get("dispatch_bailout_at") is not None
+    ]
+    merged["dispatch_bailout_at"] = min(bailouts) if bailouts else None
+    merged["workers"] = len(parts)
+    return merged
+
+
 def in_flight_barrier(channels):
     """``(earliest delivery time, lagging stream ids)`` over latency
     channels, or ``(None, empty)`` when nothing flies.
@@ -526,7 +551,8 @@ def columnar_table(
 
 
 def replay_columnar(
-    times, stream_ids, payloads, table, sources, channels, ledger, batch_size
+    times, stream_ids, payloads, table, sources, channels, ledger, batch_size,
+    frontiers,
 ) -> dict:
     """Apply whole chunks — crossings included — columnarly.
 
@@ -538,55 +564,56 @@ def replay_columnar(
     membership.  The ledger is charged the exact report count, the
     value/constraint/answer planes take each run's final report, and
     sources are resynchronized once at close — byte-identical to
-    per-event replay, with no Python in the loop at all.  Returns the
-    replay stats.
+    per-event replay, with no Python in the loop at all.  No chunk
+    crosses the frontier last taken from *frontiers*, so no ledger
+    charge covers an unreleased record.  Returns the replay stats.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    n = len(times)
-    stats = replay_stats("batch", "columnar", n)
+    stats = replay_stats("batch", "columnar", len(times))
     deferred = _DeferredAssignments(sources, channels, payloads)
     dirty = np.zeros(len(sources), dtype=bool)
     try:
         i = 0
-        while i < n:
-            end = min(i + batch_size, n)
-            ids_chunk = stream_ids[i:end]
-            vals_chunk = payloads[i:end]
-            stats["chunk_scans"] += 1
-            order, starts, run_ids = segment_runs(ids_chunk)
-            contains = (table.lower[ids_chunk] <= vals_chunk) & (
-                vals_chunk <= table.upper[ids_chunk]
-            )
-            grouped = contains[order]
-            previous = np.empty_like(grouped)
-            previous[1:] = grouped[:-1]
-            previous[starts[:-1]] = table.inside[run_ids]
-            report_grouped = grouped != previous
-            report_idx = np.nonzero(report_grouped)[0]
-            if report_idx.size:
-                ledger.record_kind(MessageKind.UPDATE, int(report_idx.size))
-                stats["columnar_reports"] += int(report_idx.size)
-                # Each reporting run's *last* report is what the
-                # server remembers: value plane, believed side,
-                # answer membership.
-                last = (
-                    np.searchsorted(report_idx, starts[1:], side="left") - 1
+        for frontier in frontiers:
+            while i < frontier:
+                end = min(i + batch_size, frontier)
+                ids_chunk = stream_ids[i:end]
+                vals_chunk = payloads[i:end]
+                stats["chunk_scans"] += 1
+                order, starts, run_ids = segment_runs(ids_chunk)
+                contains = (table.lower[ids_chunk] <= vals_chunk) & (
+                    vals_chunk <= table.upper[ids_chunk]
                 )
-                first = np.searchsorted(report_idx, starts[:-1], side="left")
-                reported = last >= first
-                last_report = report_idx[last[reported]]
-                pos = order[last_report]
-                rows = ids_chunk[pos]
-                table.values[rows] = vals_chunk[pos]
-                table.report_time[rows] = times[i:end][pos]
-                final_inside = grouped[last_report]
-                table.inside[rows] = final_inside
-                table.answer_assign_rows(rows, final_inside)
-                dirty[rows] = True
-            deferred.stage(ids_chunk, vals_chunk)
-            stats["staged"] += end - i
-            i = end
+                grouped = contains[order]
+                previous = np.empty_like(grouped)
+                previous[1:] = grouped[:-1]
+                previous[starts[:-1]] = table.inside[run_ids]
+                report_grouped = grouped != previous
+                report_idx = np.nonzero(report_grouped)[0]
+                if report_idx.size:
+                    ledger.record_kind(MessageKind.UPDATE, int(report_idx.size))
+                    stats["columnar_reports"] += int(report_idx.size)
+                    # Each reporting run's *last* report is what the
+                    # server remembers: value plane, believed side,
+                    # answer membership.
+                    last = (
+                        np.searchsorted(report_idx, starts[1:], side="left") - 1
+                    )
+                    first = np.searchsorted(report_idx, starts[:-1], side="left")
+                    reported = last >= first
+                    last_report = report_idx[last[reported]]
+                    pos = order[last_report]
+                    rows = ids_chunk[pos]
+                    table.values[rows] = vals_chunk[pos]
+                    table.report_time[rows] = times[i:end][pos]
+                    final_inside = grouped[last_report]
+                    table.inside[rows] = final_inside
+                    table.answer_assign_rows(rows, final_inside)
+                    dirty[rows] = True
+                deferred.stage(ids_chunk, vals_chunk)
+                stats["staged"] += end - i
+                i = end
     finally:
         deferred.close()
         # One belief resync per reporting source replaces the

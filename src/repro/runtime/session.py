@@ -38,6 +38,17 @@ from repro.sim.engine import SimulationEngine
 from repro.state.table import StreamStateTable
 
 
+def wire_sources(make_source, payloads, channels, ranges) -> list:
+    """The population in id order, source ``i`` holding ``payloads[i]``
+    and bound to the channel of its id range — for assembly (a trace's
+    initial payloads) and snapshot restore (the cut's) alike."""
+    return [
+        make_source(stream_id, payloads[stream_id], channel)
+        for channel, (lo, hi) in zip(channels, ranges)
+        for stream_id in range(lo, hi)
+    ]
+
+
 class ExecutionSession:
     """Engine + ledger + channel + sources + host, assembled once.
 
@@ -177,13 +188,8 @@ class ExecutionSession:
             make_channel(ledger, engine, latency, channel_index=index)
             for index in range(len(ranges))
         ]
-        make_source = source or vocabulary.source
         initials = getattr(trace, vocabulary.initial_column)
-        sources = [
-            make_source(stream_id, initials[stream_id], channel)
-            for channel, (lo, hi) in zip(channels, ranges)
-            for stream_id in range(lo, hi)
-        ]
+        sources = wire_sources(source or vocabulary.source, initials, channels, ranges)
         if protocol is None:
             host = None
         elif n_shards is None:
@@ -319,6 +325,7 @@ class ExecutionSession:
         mode: str = "auto",
         batch_size: int = DEFAULT_BATCH_SIZE,
         min_chunk: int = DEFAULT_MIN_CHUNK,
+        frontiers=None,
     ) -> None:
         """Feed the record arrays through the assembled system.
 
@@ -341,10 +348,21 @@ class ExecutionSession:
         batch_size, min_chunk:
             Bounds of the cursor's adaptive scan chunk (differential
             tests sweep them; no deployment knob sets them).
+        frontiers:
+            Ascending record positions ending at ``len(times)``
+            (default: just that).  Replay *applies* — stages or
+            dispatches — no record at or past the frontier it last
+            took, and takes the next only once every record below it is
+            applied; scanning ahead only reads.  The durable runner's
+            iterator journals a WAL segment before yielding its end
+            (DESIGN.md §11); an exception it raises propagates after
+            the usual cleanup.
         """
         if horizon is not None:
             n = int(np.searchsorted(times, horizon, side="right"))
             times, stream_ids, payloads = times[:n], stream_ids[:n], payloads[:n]
+        if frontiers is None:
+            frontiers = (len(times),)
         tables = self._state_tables()
         hooked = oracle_apply is not None or after_apply is not None
         mode = resolve_mode(
@@ -362,7 +380,7 @@ class ExecutionSession:
         if table is not None:
             stats = replay_columnar(
                 times, stream_ids, payloads, table, self.sources,
-                self.channels, self.ledger, batch_size,
+                self.channels, self.ledger, batch_size, frontiers,
             )
         else:
             cursor = ReplayCursor(
@@ -379,24 +397,29 @@ class ExecutionSession:
             )
             stats = cursor.stats
             try:
-                while True:
-                    k, blocked = cursor.candidate()
-                    if k is None:
-                        if not blocked:
+                for frontier in frontiers:
+                    while True:
+                        k, blocked = cursor.candidate()
+                        if k is None:
+                            if not blocked:
+                                break
+                            # Behind the in-flight barrier: a per-event
+                            # dispatch runs the engine up to the record's
+                            # time, delivering what is due first.
+                            k = cursor.proven
+                        if k >= frontier:
                             break
-                        # Behind the in-flight barrier: dispatching the
-                        # next record per-event runs the engine up to
-                        # its time, delivering what is due first.
-                        k = cursor.proven
-                    cursor.advance(k)
-                    if oracle_apply is not None:
-                        oracle_apply(int(stream_ids[k]), payloads[k])
-                    cursor.dispatch()
-                    if after_apply is not None:
-                        after_apply(float(times[k]))
-                cursor.advance(len(times))
+                        cursor.advance(k)
+                        if oracle_apply is not None:
+                            oracle_apply(int(stream_ids[k]), payloads[k])
+                        cursor.dispatch()
+                        if after_apply is not None:
+                            after_apply(float(times[k]))
+                    cursor.advance(frontier)
             finally:
                 cursor.close()
+        if stats["staged"] + stats["dispatches"] != len(times):
+            raise ValueError("frontiers must ascend to exactly len(times)")
         self.last_replay_stats = stats
         self.engine.run(until=horizon)
         # A bounded run can leave messages scheduled past the horizon;

@@ -11,7 +11,6 @@ manifest rebuild), plus one real ``os._exit`` subprocess kill.
 """
 
 import os
-import pickle
 import subprocess
 import sys
 import textwrap
@@ -20,6 +19,7 @@ import pytest
 
 from repro.api import Deployment, Engine, QuerySpec, Workload
 from repro.durability import DurabilityPolicy, recover_run, resume_run
+from repro.durability.recovery import _restore_from_snapshot
 from repro.durability.runner import execute_durable_streams
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
@@ -241,9 +241,8 @@ def test_snapshot_pickles_reopen_consistently(tmp_path):
     contents = load_journal(policy.journal_path)
     assert contents.snapshots, "expected at least one snapshot mark"
     path = os.path.join(policy.snapshot_dir, contents.snapshots[-1]["file"])
-    with open(path, "rb") as handle:
-        blob = pickle.load(handle)
-    host = blob["host"]
+    session, _ = _restore_from_snapshot(path)
+    host = session.host
     from repro.state.sharding import validate_shard_alignment
 
     validate_shard_alignment(

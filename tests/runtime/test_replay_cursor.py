@@ -668,3 +668,179 @@ def test_resume_ignores_the_retired_manifest_keys(tmp_path):
     result = resume_run(policy.run_dir, trace)
     assert result.ledger == baseline.ledger
     assert result.final_answer == baseline.final_answer
+
+
+# ----------------------------------------------------------------------
+# Frontiers: replay applies nothing at or past the one it last took
+# ----------------------------------------------------------------------
+FRONTIER_SPECS = {
+    # zt-nrp declares columnar maintenance: mode="batch" takes
+    # ``replay_columnar``; the other two drive the cursor.
+    "zt-nrp": QuerySpec("zt-nrp", repro.RangeQuery(400.0, 600.0)),
+    "ft-nrp": QuerySpec(
+        "ft-nrp", repro.RangeQuery(400.0, 600.0), repro.FractionTolerance(0.2, 0.2)
+    ),
+    "rtp": QuerySpec("rtp", TopKQuery(10), RankTolerance(10, 5)),
+}
+FRONTIER_TRACE = Workload.synthetic(
+    n_streams=40, horizon=100.0, sigma=60.0, seed=23
+).materialize()
+FRONTIER_CELLS = [
+    (protocol, n_shards, mode)
+    for protocol in sorted(FRONTIER_SPECS)
+    for n_shards in (None, 2)
+    for mode in ("event", "batch")
+]
+
+
+def _frontier_session(protocol, n_shards, latency=None):
+    session = ExecutionSession.assemble(
+        "streams", FRONTIER_TRACE, FRONTIER_SPECS[protocol].build(), n_shards,
+        latency,
+    )
+    session.initialize()
+    return session
+
+
+def _frontier_outcome(session):
+    stats = session.last_replay_stats
+    return (
+        session.snapshot(),
+        session.host.protocol.answer,
+        [source.value for source in session.sources],
+        stats["staged"] + stats["dispatches"],
+    )
+
+
+_UNDIVIDED: dict = {}
+
+
+def _undivided(protocol, n_shards, mode, latency=None):
+    key = (protocol, n_shards, mode, latency)
+    if key not in _UNDIVIDED:
+        session = _frontier_session(protocol, n_shards, latency)
+        session.replay_trace(FRONTIER_TRACE, mode=mode)
+        _UNDIVIDED[key] = _frontier_outcome(session)
+    return _UNDIVIDED[key]
+
+
+ascending_cuts = st.lists(
+    st.integers(0, FRONTIER_TRACE.n_records), max_size=8
+).map(lambda cuts: sorted(cuts) + [FRONTIER_TRACE.n_records])
+
+
+@pytest.mark.parametrize("protocol, n_shards, mode", FRONTIER_CELLS)
+@given(cuts=ascending_cuts)
+@settings(max_examples=12, deadline=None)
+def test_frontiers_leave_the_undivided_outcome(protocol, n_shards, mode, cuts):
+    session = _frontier_session(protocol, n_shards)
+    session.replay_trace(FRONTIER_TRACE, mode=mode, frontiers=cuts)
+    assert _frontier_outcome(session) == _undivided(protocol, n_shards, mode)
+    kernel = session.last_replay_stats["kernel"]
+    if mode == "batch":
+        assert kernel == ("columnar" if protocol == "zt-nrp" else "run")
+
+
+@given(cuts=ascending_cuts)
+@settings(max_examples=12, deadline=None)
+def test_frontiers_compose_with_the_in_flight_barrier(cuts):
+    """Durable runs refuse latency, but the ``blocked`` branch of the
+    driver must still honour a frontier."""
+    latency = repro.UniformLatency(0.5, 4.0, seed=11)
+    session = _frontier_session("ft-nrp", None, latency)
+    session.replay_trace(FRONTIER_TRACE, mode="batch", frontiers=cuts)
+    assert session.last_replay_stats["inflight_truncations"] > 0
+    assert _frontier_outcome(session) == _undivided(
+        "ft-nrp", None, "batch", latency
+    )
+
+
+@pytest.mark.parametrize("protocol, n_shards, mode", FRONTIER_CELLS)
+def test_nothing_at_or_past_the_frontier_is_applied(
+    monkeypatch, protocol, n_shards, mode
+):
+    """Every payload a source takes names its record (the trace's values
+    are distinct), so a spy on ``apply`` / ``assign`` sees exactly which
+    records have reached a source; the ledger, read each time the
+    iterator is resumed, says whether everything below the frontier
+    had been applied by then."""
+    trace = FRONTIER_TRACE
+    n = trace.n_records
+    index_of = {float(value): k for k, value in enumerate(trace.values)}
+    assert len(index_of) == n
+    cuts = [0, n // 5, n // 2, n // 2, n - 1, n]
+    state = {"frontier": 0}
+    seen = []
+
+    def spy(method):
+        original = getattr(repro.runtime.source.FilteredSource, method)
+
+        def wrapper(self, payload, *args):
+            index = index_of[float(payload)]
+            assert index < state["frontier"], (method, index, state)
+            seen.append(index)
+            return original(self, payload, *args)
+
+        monkeypatch.setattr(repro.runtime.source.FilteredSource, method, wrapper)
+
+    spy("apply")
+    spy("assign")
+
+    session = _frontier_session(protocol, n_shards)
+    totals = []
+
+    def frontiers():
+        for cut in cuts:
+            state["frontier"] = cut
+            yield cut
+            totals.append(session.ledger.maintenance_total)
+
+    session.replay_trace(trace, mode=mode, frontiers=frontiers())
+    assert seen and len(totals) == len(cuts)
+
+    # What a replay of exactly the records below each frontier charges.
+    for cut, total in zip(cuts, totals):
+        prefix = _frontier_session(protocol, n_shards)
+        prefix.replay(
+            trace.times[:cut], trace.stream_ids[:cut], trace.values[:cut],
+            mode="event",
+        )
+        assert prefix.ledger.maintenance_total == total, cut
+
+
+class _IteratorDied(Exception):
+    pass
+
+
+@pytest.mark.parametrize("protocol, n_shards, mode", FRONTIER_CELLS)
+def test_a_raising_frontier_iterator_leaves_no_tap_behind(
+    protocol, n_shards, mode
+):
+    n = FRONTIER_TRACE.n_records
+
+    def frontiers():
+        yield n // 2
+        raise _IteratorDied
+
+    session = _frontier_session(protocol, n_shards)
+    with pytest.raises(_IteratorDied):
+        session.replay_trace(FRONTIER_TRACE, mode=mode, frontiers=frontiers())
+    assert all(not channel._taps for channel in session.channels)
+    assert session.host.state._constraint_watch is None
+    # Cleanup flushed what was staged: every source holds the value of
+    # its last record below the frontier.
+    expected = FRONTIER_TRACE.initial_values.copy()
+    expected[FRONTIER_TRACE.stream_ids[: n // 2]] = FRONTIER_TRACE.values[: n // 2]
+    assert [source.value for source in session.sources] == expected.tolist()
+
+
+@pytest.mark.parametrize("mode", ["event", "batch"])
+@pytest.mark.parametrize("protocol", ["ft-nrp", "zt-nrp"])
+@pytest.mark.parametrize("cuts", [[30], [20, 10**9]], ids=["short", "past"])
+def test_frontiers_that_miss_the_end_fail_loudly(protocol, mode, cuts):
+    """Never a partial ledger handed back as if it were the run."""
+    session = _frontier_session(protocol, None)
+    with pytest.raises(ValueError, match="frontier"):
+        session.replay_trace(FRONTIER_TRACE, mode=mode, frontiers=cuts)
+    assert session.last_replay_stats is None
+    assert all(not channel._taps for channel in session.channels)

@@ -115,14 +115,14 @@ def test_checking_runs_route_through_the_transport():
 # Replay diagnostics merge across workers
 # ----------------------------------------------------------------------
 def test_merge_replay_stats_counts_workers():
-    from repro.api.engine import _merge_replay_stats
+    from repro.runtime.replay import merge_replay_stats
 
     parts = [
         {"mode": "batch", "kernel": "transport", "records": 10, "staged": 4},
         {"mode": "batch", "kernel": "transport", "records": 7, "staged": 1},
         {"mode": "batch", "kernel": "transport", "records": 3, "staged": 0},
     ]
-    merged = _merge_replay_stats(parts)
+    merged = merge_replay_stats(parts)
     assert merged["workers"] == 3
     assert merged["records"] == 20
     assert merged["staged"] == 5
