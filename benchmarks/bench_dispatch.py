@@ -20,6 +20,14 @@ Ledger identity between every mode pair is asserted on every run; the
 dispatch-heavy profile must clear 5x (2x under ``BENCH_SMOKE``, whose
 shrunk horizon leaves less quiescence to amortize against).
 
+Both ``columnar_maintenance`` protocols run: ``zt-nrp`` absorbs every
+report, ``ft-nrp`` (``FractionTolerance(0.2, 0.2)``) all but the few
+that pop a silencer.  The ft-nrp row carries no wall-clock floor (the
+end-to-end ``range_filter`` row is the judge), one count floor: on
+``dispatch_heavy`` at most 5 % of its reports may dispatch per-event
+(measured 0.2 %; ``default``'s 400 streams buy pools of 16, and 8 of
+its 150 reports — 2 of 23 under smoke — pop one).
+
 Set ``BENCH_OUTPUT_DIR`` to also write a ``BENCH_dispatch.json``
 artifact (uploaded by the CI bench-smoke job); ``BENCH_SMOKE=1``
 shrinks the workloads for CI.
@@ -35,6 +43,7 @@ from repro.api.spec import PROTOCOLS, QuerySpec
 from repro.queries.range_query import RangeQuery
 from repro.runtime.session import ExecutionSession
 from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
+from repro.tolerance.fraction_tolerance import FractionTolerance
 
 MODES = ("event", "batch")
 REPEATS = 1 if SMOKE else 3
@@ -58,11 +67,20 @@ PROFILES = {
 _RESULTS: dict[str, dict] = {"profiles": {}}
 
 
-def _spec() -> QuerySpec:
-    return QuerySpec(protocol="zt-nrp", query=RangeQuery(400.0, 600.0))
+SPECS = {
+    "zt-nrp": QuerySpec(protocol="zt-nrp", query=RangeQuery(400.0, 600.0)),
+    "ft-nrp": QuerySpec(
+        protocol="ft-nrp",
+        query=RangeQuery(400.0, 600.0),
+        tolerance=FractionTolerance(0.2, 0.2),
+    ),
+}
+#: Largest share of ft-nrp's reports that may dispatch per-event on
+#: ``dispatch_heavy``.
+FT_DISPATCH_SHARE = 0.05
 
 
-def _best_replay(trace, mode: str):
+def _best_replay(trace, name: str, mode: str):
     """Best-of-N wall time of the replay phase alone.
 
     ``bench_artifacts.best_of`` times a whole closure; here each repeat
@@ -72,7 +90,7 @@ def _best_replay(trace, mode: str):
     best = float("inf")
     snapshot = stats = None
     for _ in range(REPEATS):
-        protocol = PROTOCOLS["zt-nrp"][1](_spec())
+        protocol = PROTOCOLS[name][1](SPECS[name])
         session = ExecutionSession.for_streams(trace, protocol)
         session.initialize(time=0.0)
         start = time.perf_counter()
@@ -88,35 +106,49 @@ def test_bench_dispatch_kernel():
     for name, config in PROFILES.items():
         trace = generate_synthetic_trace(config)
         print(f"{name}: {trace.n_streams} streams, {trace.n_records} records")
-        print(f"{'mode':>12} {'kernel':>9} {'replay':>9} {'speedup':>8}")
-        snapshots = {}
+        print(f"{'protocol':>9} {'mode':>6} {'kernel':>9} {'replay':>9} "
+              f"{'speedup':>8} {'dispatches':>11} {'columnar':>9}")
         row: dict[str, object] = {"records": trace.n_records}
-        t_event = None
-        for mode in MODES:
-            snapshot, stats, wall = _best_replay(trace, mode)
-            snapshots[mode] = snapshot
-            if mode == "event":
-                t_event = wall
-            speedup = t_event / wall
-            kernel = stats["kernel"] or "-"
-            print(f"{mode:>12} {kernel:>9} {wall * 1e3:>8.1f}ms "
-                  f"{speedup:>7.2f}x")
-            row[mode] = {
-                "ms": round(wall * 1e3, 3),
-                "kernel": stats["kernel"],
-                "dispatches": stats["dispatches"],
-                "columnar_reports": stats["columnar_reports"],
-                "speedup_vs_event": round(speedup, 2),
-            }
-            assert snapshot == snapshots["event"], (
-                f"{name}/{mode}: ledger diverged from per-event replay"
-            )
+        for protocol in SPECS:
+            snapshots = {}
+            # zt-nrp keeps its place at the top of the row (the perf
+            # trajectory reads it there); ft-nrp nests under its name.
+            cells = row if protocol == "zt-nrp" else row.setdefault(protocol, {})
+            t_event = None
+            for mode in MODES:
+                snapshot, stats, wall = _best_replay(trace, protocol, mode)
+                snapshots[mode] = snapshot
+                if mode == "event":
+                    t_event = wall
+                speedup = t_event / wall
+                kernel = stats["kernel"] or "-"
+                print(f"{protocol:>9} {mode:>6} {kernel:>9} {wall * 1e3:>7.1f}ms "
+                      f"{speedup:>7.2f}x {stats['dispatches']:>11} "
+                      f"{stats['columnar_reports']:>9}")
+                cells[mode] = {
+                    "ms": round(wall * 1e3, 3),
+                    "kernel": stats["kernel"],
+                    "dispatches": stats["dispatches"],
+                    "columnar_reports": stats["columnar_reports"],
+                    "speedup_vs_event": round(speedup, 2),
+                }
+                assert snapshot == snapshots["event"], (
+                    f"{name}/{protocol}/{mode}: ledger diverged from "
+                    "per-event replay"
+                )
+            assert stats["kernel"] == "columnar", stats["columnar_declined"]
         _RESULTS["profiles"][name] = row
     headline = _RESULTS["profiles"]["dispatch_heavy"]["batch"][
         "speedup_vs_event"
     ]
     _RESULTS["dispatch_heavy_speedup"] = headline
     write_artifact("dispatch", _RESULTS)
+    ft = _RESULTS["profiles"]["dispatch_heavy"]["ft-nrp"]["batch"]
+    reports = ft["dispatches"] + ft["columnar_reports"]
+    assert ft["dispatches"] <= FT_DISPATCH_SHARE * reports, (
+        f"ft-nrp dispatched {ft['dispatches']} of {reports} reports on the "
+        f"dispatch-heavy profile (ceiling {FT_DISPATCH_SHARE:.0%})"
+    )
     assert headline >= SPEEDUP_FLOOR, (
         f"run kernel only {headline:.2f}x on the dispatch-heavy profile "
         f"(floor {SPEEDUP_FLOOR}x)"

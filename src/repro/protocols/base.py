@@ -53,6 +53,13 @@ class FilterProtocol(ABC):
     #: anything that probes, silences, or ranks does not.
     decomposable_maintenance: bool = False
 
+    #: True when the protocol can say how far a batch of membership
+    #: reports runs before it reacts (:meth:`absorb_reports`) and, until
+    #: then, an update does nothing but "answer membership := the
+    #: reported side".  The replay kernel then applies whole chunks,
+    #: reports included, as column operations (DESIGN.md §9).
+    columnar_maintenance: bool = False
+
     #: The serving host's state table, bound by :meth:`initialize`.
     _state: "StreamStateTable | None" = None
 
@@ -66,6 +73,19 @@ class FilterProtocol(ABC):
     ) -> None:
         """Maintenance phase: react to one update message carrying the
         stream's payload *value* (a float, or a point)."""
+
+    def absorb_reports(self, entering: np.ndarray) -> int:
+        """Consume the quiet prefix of a batch of membership reports.
+
+        *entering* holds the reports of unsilenced streams in time order
+        (``True``: the stream entered the bound).  Returns the length of
+        the longest prefix whose :meth:`on_update` calls would send no
+        message and touch no constraint, after folding those reports
+        into the protocol's own bookkeeping — the caller writes the
+        answer plane.  It **mutates**: call it once per committed prefix.
+        Here: every report is quiet and there is nothing to fold.
+        """
+        return len(entering)
 
     @property
     def answer(self) -> frozenset[int]:

@@ -50,8 +50,11 @@ Server-side state — answer mask and silencer flags — lives in the shared
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.protocols.base import FilterProtocol
 from repro.protocols.selection import BoundaryNearestSelection, SelectionHeuristic
@@ -83,6 +86,9 @@ class FractionToleranceRangeProtocol(FilterProtocol):
     """
 
     name = "FT-NRP"
+    # Most reports only edit the answer: :meth:`absorb_reports` says
+    # where the first one that does more sits.
+    columnar_maintenance = True
 
     def __init__(
         self,
@@ -165,6 +171,38 @@ class FractionToleranceRangeProtocol(FilterProtocol):
             # The answer shrank: the silencer budgets may no longer fit.
             self._enforce_budgets(server)
 
+    def absorb_reports(self, entering: np.ndarray) -> int:
+        """The reports before the first that pops a silencer.
+
+        :meth:`on_update` reacts to a leave-report only: one that finds
+        ``count == 0`` with something to spend (a pool, or a
+        reinitialization), or one that leaves the answer too small for
+        the silencer budgets.  An unsilenced stream's answer membership
+        equals its believed side, so each report moves ``answer_size``
+        by exactly one in the direction of *entering*: sizes and slack
+        are one running sum.  Both budget tests are monotone in the
+        size, so the smallest fitting size is found by bisecting the
+        scalar tests themselves.  ``count`` takes the absorbed steps,
+        clamped at zero where ``Fix_Error`` has nothing left to spend.
+        """
+        assert self._state is not None, "initialize() must run first"
+        pools, size, n = self._pools, self._state.answer_size, len(entering)
+        steps = np.cumsum(np.where(entering, 1, -1))
+        fitting = bisect_left(
+            range(size + n + 1),
+            True,
+            key=lambda s: (not pools.fp or self._fp_budget_ok(s))
+            and (not pools.fn or self._fn_budget_ok(s)),
+        )
+        stop = ~entering & (size + steps < fitting)
+        if pools.fp or pools.fn or self.reinitialize_when_exhausted:
+            stop |= self._count + steps < 0
+        absorbed = int(stop.argmax()) if stop.any() else n
+        if absorbed:
+            slack = self._count + steps[:absorbed]
+            self._count = int(slack[-1]) - min(0, int(slack.min()))
+        return absorbed
+
     # ------------------------------------------------------------------
     # Fix_Error (Figure 7, bottom)
     # ------------------------------------------------------------------
@@ -194,25 +232,24 @@ class FractionToleranceRangeProtocol(FilterProtocol):
     # ------------------------------------------------------------------
     # Budget enforcement (see module docstring, second deviation)
     # ------------------------------------------------------------------
-    def _fp_budget_ok(self) -> bool:
-        assert self._state is not None
+    def _fp_budget_ok(self, answer_size: int) -> bool:
         return self._pools.n_plus <= (
-            self.tolerance.eps_plus * self._state.answer_size + 1e-9
+            self.tolerance.eps_plus * answer_size + 1e-9
         )
 
-    def _fn_budget_ok(self) -> bool:
-        assert self._state is not None
-        in_range_floor = self._state.answer_size - self._pools.n_plus
+    def _fn_budget_ok(self, answer_size: int) -> bool:
+        in_range_floor = answer_size - self._pools.n_plus
         return self._pools.n_minus * (1.0 - self.tolerance.eps_minus) <= (
             self.tolerance.eps_minus * in_range_floor + 1e-9
         )
 
     def _enforce_budgets(self, server: "Server") -> None:
         """Reclaim silencers while a worst-case fraction bound would fail."""
-        assert self._state is not None
-        while self._pools.fp and not self._fp_budget_ok():
+        state = self._state
+        assert state is not None
+        while self._pools.fp and not self._fp_budget_ok(state.answer_size):
             self._reclaim_fp(server)
-        while self._pools.fn and not self._fn_budget_ok():
+        while self._pools.fn and not self._fn_budget_ok(state.answer_size):
             candidate = self._pools.pop_fn()
             value = server.probe(candidate)
             if self.query.matches(value):

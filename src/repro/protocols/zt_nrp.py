@@ -28,16 +28,10 @@ class ZeroToleranceRangeProtocol(FilterProtocol):
     # Maintenance is a pure per-stream membership flip: no probes, no
     # redeployments, no cross-stream state — shards replay independently.
     decomposable_maintenance = True
-    # Stronger still: the whole maintenance reaction to an update is
-    # "answer membership := deployed-interval containment of the
-    # reported value" — no messages back, no constraint changes, no
-    # listeners, no per-stream state outside the table.  That is the
-    # contract the dispatch kernel's fully-columnar path needs to apply
-    # crossings (not just quiescent prefixes) as window operations
-    # (DESIGN.md §9).  Both flags describe the algorithm, on any host:
-    # whether a host can use them is the consumer's check (the fan-out
-    # router serves the scalar stack, the columnar replay scalar
-    # payloads behind interval sources).
+    # It never reacts at all: every report is quiet, so the inherited
+    # ``absorb_reports`` takes whole chunks.  Both flags describe the
+    # algorithm, on any host; whether a host can use them is the
+    # consumer's check (DESIGN.md §9, §15).
     columnar_maintenance = True
 
     def __init__(self, query) -> None:

@@ -22,9 +22,9 @@ is its own candidate; ``mode="event"``, per-record hooks and the
 dispatch-rate bailout all select it.
 
 For ``columnar_maintenance`` protocols :func:`replay_columnar` applies
-whole chunks, crossings included, with no candidates at all; it is the
-in-process driver's alternative to the cursor (gate:
-:func:`columnar_table`).
+whole chunks, reports included, and stops only at a report the protocol
+reacts to; it is the in-process driver's alternative to the cursor
+(gate: :func:`columnar_table`).
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ DEFAULT_MIN_CHUNK = 32
 #: when it is both sound and useful; ``"event"`` is the reference.
 REPLAY_MODES = ("auto", "event", "batch")
 
-#: The summable counters of a replay-stats dict; ``mode``, ``kernel``
-#: and ``dispatch_bailout_at`` are its labels.
+#: The summable counters of a replay-stats dict; ``mode``, ``kernel``,
+#: ``columnar_declined`` (the :func:`columnar_table` clause that sent a
+#: ``columnar_maintenance`` protocol to the cursor) and
+#: ``dispatch_bailout_at`` are its labels.
 REPLAY_COUNTERS = (
     "records",
     "dispatches",
@@ -79,7 +81,7 @@ _BROADCAST_CAP = 32
 
 def replay_stats(mode: str, kernel: str | None, records: int) -> dict:
     """A fresh stats dict in the one replay-stats schema."""
-    stats = {"mode": mode, "kernel": kernel}
+    stats = {"mode": mode, "kernel": kernel, "columnar_declined": None}
     stats.update(dict.fromkeys(REPLAY_COUNTERS, 0))
     stats["records"] = int(records)
     stats["dispatch_bailout_at"] = None
@@ -98,7 +100,7 @@ def merge_replay_stats(parts: list[dict]) -> dict:
         key: sum(int(part.get(key, 0)) for part in parts)
         for key in REPLAY_COUNTERS
     }
-    for label in ("mode", "kernel"):
+    for label in ("mode", "kernel", "columnar_declined"):
         seen = {part.get(label) for part in parts}
         merged[label] = seen.pop() if len(seen) == 1 else "mixed"
     bailouts = [
@@ -348,13 +350,13 @@ class ReplayCursor:
         time = float(self.times[j])
         head = engine.next_event_time if self._event else None
         if head is not None and head <= time:
-            engine.schedule_at(time, self._apply)
+            engine.schedule_at(time, self._fire)
             while self.pos == j:
                 engine.step()
         else:
             if time > engine.now:
                 engine.run(until=time)
-            self._apply()
+            self._fire()
 
     def close(self) -> None:
         """Flush every staged write; detach taps and watches."""
@@ -367,12 +369,12 @@ class ReplayCursor:
     # ------------------------------------------------------------------
     # Per-event machinery
     # ------------------------------------------------------------------
-    def _apply(self) -> None:
+    def _fire(self) -> None:
         j = self.pos
-        stream_id = int(self.ids[j])
-        if self._deferred is not None:
-            self._deferred.flush_for_dispatch(stream_id)
-        self.sources[stream_id].apply(self.payloads[j], float(self.times[j]))
+        _apply(
+            self.sources, self._deferred, int(self.ids[j]), self.payloads[j],
+            float(self.times[j]),
+        )
         self.pos = self.proven = j + 1
         self._own = j
         self.stats["dispatches"] += 1
@@ -505,68 +507,83 @@ class ReplayCursor:
             )
 
 
+def _apply(sources, deferred, stream_id: int, payload, time: float) -> None:
+    """The one per-event step of every strategy: make the source's value
+    readable, then hand it the record (it reports if a filter flips)."""
+    if deferred is not None:
+        if deferred._channels:
+            # Other sources' reads are flushed by the channel taps.
+            deferred.flush_one(stream_id)
+        else:
+            deferred.flush_all()
+    sources[stream_id].apply(payload, time)
+
+
 # ----------------------------------------------------------------------
 # The fully-columnar strategy (in-process only)
 # ----------------------------------------------------------------------
-def columnar_table(
-    payloads, tables, sources, channels, protocol
-) -> StreamStateTable | None:
-    """The one state table when crossings themselves are columnar.
+def columnar_table(payloads, tables, sources, channels, protocol):
+    """``(the one state table, None)`` when reports themselves are
+    columnar, else ``(None, the clause that declined)``.
 
     The fully-columnar strategy applies *every* record — quiescent or
-    crossing — as window operations, so it is sound only when a
-    dispatch's entire observable effect is derivable from the constraint
-    columns: the hosted protocol declares ``columnar_maintenance``
-    (reports mutate nothing but the answer mask), every source carries a
-    plain deployed interval, no silencers rewrite report decisions, no
-    listeners or channel taps observe per-message traffic, and no
-    latency model puts reports in flight.  Anything else returns
-    ``None`` and the cursor handles the replay.
+    reporting — as window operations, so it is sound only when a quiet
+    report's entire observable effect is derivable from the constraint
+    columns: the hosted protocol declares ``columnar_maintenance`` (the
+    label is ``None`` when it never asked), no latency model puts
+    reports in flight, there is one table whose every row is known and
+    filtered, no listeners or channel taps observe per-message traffic,
+    and every source carries a plain deployed interval over scalar
+    payloads.  Silencers are such intervals — constant containment, so
+    the diff finds no report.  Anything else goes to the cursor.
     """
-    if np.ndim(payloads) != 1 or any(
-        isinstance(channel, LatencyChannel) for channel in channels
-    ):
-        return None
     if not getattr(protocol, "columnar_maintenance", False):
-        return None
+        return None, None
+    if any(isinstance(channel, LatencyChannel) for channel in channels):
+        return None, "latency"
     if len(tables) != 1:
-        return None
-    table = tables[0]
-    if not (bool(table.known.all()) and bool(table.scannable.all())):
-        return None
-    if table.silencer.any() or table._listeners:
-        return None
-    if any(channel._taps for channel in channels):
-        return None
+        return None, "tables"
     from repro.runtime.membership import IntervalMembership
 
-    for source in sources:
-        membership = source.membership
-        if (
-            type(membership) is not IntervalMembership
-            or membership.container is None
-        ):
-            return None
-    return table
+    if np.ndim(payloads) != 1 or any(
+        type(source.membership) is not IntervalMembership
+        or source.membership.container is None
+        for source in sources
+    ):
+        return None, "membership"
+    table = tables[0]
+    if not (bool(table.known.all()) and bool(table.scannable.all())):
+        return None, "unknown rows"
+    if table._listeners:
+        return None, "listeners"
+    if any(channel._taps for channel in channels):
+        return None, "taps"
+    return table, None
 
 
 def replay_columnar(
-    times, stream_ids, payloads, table, sources, channels, ledger, batch_size,
-    frontiers,
+    times, stream_ids, payloads, table, sources, channels, ledger, host,
+    engine, batch_size, frontiers,
 ) -> dict:
-    """Apply whole chunks — crossings included — columnarly.
+    """Apply whole chunks — reports included — columnarly.
 
-    For a ``columnar_maintenance`` protocol a source's belief after
-    record ``k`` always equals record ``k``'s containment (a report
-    happens exactly when consecutive containments differ), so each
-    run's report positions are one vectorized ``diff`` over its
-    containment sequence seeded with the table's believed
-    membership.  The ledger is charged the exact report count, the
-    value/constraint/answer planes take each run's final report, and
-    sources are resynchronized once at close — byte-identical to
-    per-event replay, with no Python in the loop at all.  No chunk
-    crosses the frontier last taken from *frontiers*, so no ledger
-    charge covers an unreleased record.  Returns the replay stats.
+    A source's belief after record ``k`` always equals record ``k``'s
+    containment (a report happens exactly when consecutive containments
+    differ), so each run's report positions are one vectorized ``diff``
+    over its containment sequence seeded with the table's believed
+    membership.  The protocol judges them in time order — record index
+    order, not the diff's per-stream grouping — and
+    :meth:`~repro.protocols.base.FilterProtocol.absorb_reports` says how
+    many are quiet.  Those are charged to the ledger as one count, the
+    value/constraint/answer planes take each run's last quiet report,
+    the host clock its time, and sources are resynchronized at close —
+    byte-identical to per-event replay with no Python per report.  The
+    first report the protocol reacts to ends the chunk: that record
+    takes the cursor's per-event order (engine to its time, staged
+    value flushed, belief resynchronized, ``source.apply``) and the scan
+    resumes behind it against the live columns.  No chunk crosses the
+    frontier last taken from *frontiers*, so no ledger charge covers an
+    unreleased record.  Returns the replay stats.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -574,10 +591,10 @@ def replay_columnar(
     deferred = _DeferredAssignments(sources, channels, payloads)
     dirty = np.zeros(len(sources), dtype=bool)
     try:
-        i = 0
+        i, size = 0, batch_size
         for frontier in frontiers:
             while i < frontier:
-                end = min(i + batch_size, frontier)
+                end = min(i + size, frontier)
                 ids_chunk = stream_ids[i:end]
                 vals_chunk = payloads[i:end]
                 stats["chunk_scans"] += 1
@@ -589,11 +606,26 @@ def replay_columnar(
                 previous = np.empty_like(grouped)
                 previous[1:] = grouped[:-1]
                 previous[starts[:-1]] = table.inside[run_ids]
-                report_grouped = grouped != previous
-                report_idx = np.nonzero(report_grouped)[0]
+                report_idx = np.nonzero(grouped != previous)[0]
+                quiet, reacting = 0, False
+                size = min(batch_size, 2 * size)
                 if report_idx.size:
-                    ledger.record_kind(MessageKind.UPDATE, int(report_idx.size))
-                    stats["columnar_reports"] += int(report_idx.size)
+                    at = order[report_idx]
+                    in_time = np.sort(at)
+                    quiet = host.protocol.absorb_reports(contains[in_time])
+                    reacting = quiet < in_time.size
+                    if reacting:
+                        # End the chunk just before the reacting record;
+                        # scan as far again, not a whole chunk, behind it.
+                        cut = int(in_time[quiet])
+                        size = min(batch_size, max(DEFAULT_MIN_CHUNK, 2 * cut))
+                        report_idx = report_idx[at < cut]
+                        end = i + cut
+                        ids_chunk, vals_chunk = ids_chunk[:cut], vals_chunk[:cut]
+                if quiet:
+                    ledger.record_kind(MessageKind.UPDATE, quiet)
+                    stats["columnar_reports"] += quiet
+                    host.now = max(host.now, float(times[i + in_time[quiet - 1]]))
                     # Each reporting run's *last* report is what the
                     # server remembers: value plane, believed side,
                     # answer membership.
@@ -606,7 +638,7 @@ def replay_columnar(
                     pos = order[last_report]
                     rows = ids_chunk[pos]
                     table.values[rows] = vals_chunk[pos]
-                    table.report_time[rows] = times[i:end][pos]
+                    table.report_time[rows] = times[i + pos]
                     final_inside = grouped[last_report]
                     table.inside[rows] = final_inside
                     table.answer_assign_rows(rows, final_inside)
@@ -614,6 +646,16 @@ def replay_columnar(
                 deferred.stage(ids_chunk, vals_chunk)
                 stats["staged"] += end - i
                 i = end
+                if reacting:
+                    row, time = int(stream_ids[i]), float(times[i])
+                    if time > engine.now:
+                        engine.run(until=time)
+                    sources[row].membership.reported_inside = bool(
+                        table.inside[row]
+                    )
+                    _apply(sources, deferred, row, payloads[i], time)
+                    stats["dispatches"] += 1
+                    i += 1
     finally:
         deferred.close()
         # One belief resync per reporting source replaces the
@@ -693,14 +735,6 @@ class _DeferredAssignments:
         if self._touched[stream_id]:
             self._touched[stream_id] = False
             self._sources[stream_id].assign(self._staged_payload(stream_id))
-
-    def flush_for_dispatch(self, stream_id: int) -> None:
-        """Make values readable before a record dispatches per-event."""
-        if self._channels:
-            # Other sources' reads are flushed by the channel taps.
-            self.flush_one(stream_id)
-        else:
-            self.flush_all()
 
     def flush_all(self) -> None:
         for stream_id in np.nonzero(self._touched)[0].tolist():

@@ -368,9 +368,9 @@ class ExecutionSession:
         mode = resolve_mode(
             mode, payloads, tables, self.latency_channels, hooked
         )
-        table = None
+        table = declined = None
         if mode == "batch":
-            table = columnar_table(
+            table, declined = columnar_table(
                 payloads,
                 tables,
                 self.sources,
@@ -380,7 +380,8 @@ class ExecutionSession:
         if table is not None:
             stats = replay_columnar(
                 times, stream_ids, payloads, table, self.sources,
-                self.channels, self.ledger, batch_size, frontiers,
+                self.channels, self.ledger, self.host, self.engine,
+                batch_size, frontiers,
             )
         else:
             cursor = ReplayCursor(
@@ -396,6 +397,7 @@ class ExecutionSession:
                 min_chunk=min_chunk,
             )
             stats = cursor.stats
+            stats["columnar_declined"] = declined
             try:
                 for frontier in frontiers:
                     while True:

@@ -76,6 +76,10 @@ class Server(VocabularyBound, DeferredDeliveryMixin):
         """Virtual time of the most recent activity."""
         return self._now
 
+    @now.setter
+    def now(self, time: float) -> None:
+        self._now = time
+
     @property
     def stream_ids(self) -> list[int]:
         """All source identifiers known to the channel."""

@@ -194,6 +194,10 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         """Virtual time of the most recent activity."""
         return self._now
 
+    @now.setter
+    def now(self, time: float) -> None:
+        self._now = time
+
     @property
     def n_shards(self) -> int:
         return len(self.shards)

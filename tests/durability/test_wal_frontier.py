@@ -248,13 +248,17 @@ def test_segment_cost_does_not_grow_with_the_population(tmp_path, monkeypatch):
 #: ``fsync="interval", snapshot_every=400, segment_records=128``,
 #: computed at commit 70dd7c6 (the last one whose WAL loop replayed
 #: segment by segment).  Frame order, frame bytes and the appends at
-#: which an interval fsync falls are all inside the digest.
+#: which an interval fsync falls are all inside the digest.  The ft-nrp
+#: cell was re-pinned when FT-NRP's quiet reports went columnar (one
+#: ``UPDATE x q`` frame per absorbed prefix where the cursor wrote ``q``
+#: frames of 1; at 70dd7c6 it read 15359f7c...df089310); what did not
+#: move is held by ``test_absorbed_prefixes_journal_the_event_mode_totals``.
 GOLDEN_JOURNALS = {
     ("zt-nrp", "single", "batch"): (
         "d8bb5197962b7423e40e71b0ba8158991f864fb2936339d290f68f1a164d2a77"
     ),
     ("ft-nrp", "sharded", "auto"): (
-        "15359f7ccb30a9c6e78e41dbbedec7df691965a52b4679722b7ace32df089310"
+        "96dbf89f0d8f68080005989daf4fb69ae4601a8b47f513a313151b51c15952c1"
     ),
     ("rtp", "single", "event"): (
         "01556a01ade8152a662a6884601795201e38722c57cef0c85071ac37604bfaaa"
@@ -281,6 +285,86 @@ def test_journal_bytes_are_pinned(tmp_path, cell):
     with open(policy.journal_path, "rb") as handle:
         digest = hashlib.sha256(handle.read()).hexdigest()
     assert digest == GOLDEN_JOURNALS[cell]
+
+
+def _messages_between_event_frames(path):
+    """``(phase, kind) -> count`` folded over the message frames that
+    precede the first events frame, then over those between each pair
+    of consecutive events frames (and behind the last)."""
+    spans = [{}]
+    for rtype, body in load_journal(path).scan.records:
+        if rtype == REC_EVENTS:
+            spans.append({})
+        elif rtype == REC_MESSAGES:
+            key, count = (body[0], body[1]), int.from_bytes(body[2:6], "little")
+            spans[-1][key] = spans[-1].get(key, 0) + count
+    return spans
+
+
+def test_absorbed_prefixes_journal_the_event_mode_totals(tmp_path):
+    """What makes re-pinning the ft-nrp digest safe: between any two
+    events frames the columnar kernel journals the charges per-event
+    replay does — in fewer frames, never in another segment."""
+    spans, frames = {}, {}
+    for replay_mode in ("event", "auto"):
+        policy = DurabilityPolicy(
+            run_dir=str(tmp_path / replay_mode),
+            fsync="interval",
+            snapshot_every=400,
+            segment_records=128,
+        )
+        report = Engine().run(
+            SPECS["ft-nrp"], RECOVERY, _deployment("sharded", policy, replay_mode)
+        )
+        spans[replay_mode] = _messages_between_event_frames(policy.journal_path)
+        frames[replay_mode] = report.extras["durability"]["journal"]["message_frames"]
+    assert report.extras["replay"]["kernel"] == "columnar"
+    assert report.extras["replay"]["dispatches"] > 0
+    assert len(spans["auto"]) == -(-RECOVERY.materialize().n_records // 128) + 1
+    assert spans["auto"] == spans["event"]
+    assert frames["auto"] < frames["event"]
+
+
+def test_a_kill_between_an_absorbed_prefix_and_its_reaction_resumes(tmp_path):
+    """The slack a quiet report leaves in ``count`` must survive the
+    kill: with it lost (or counted twice) the report behind the kill
+    position reacts at another record, and the ledger moves."""
+    trace = SMALL.materialize()
+    plain = _plain("ft-nrp", SMALL)
+    charged = np.diff(_maintenance_after_each_record("ft-nrp"))
+    reports = np.nonzero(charged)[0]
+    kills = [
+        int(reacting)
+        for quiet, reacting in zip(reports, reports[1:])
+        if charged[quiet] == 1 and charged[reacting] > 1
+    ]
+    assert kills, "no reaction directly behind a quiet report"
+    for kill in kills:
+        for snapshot_every in (0, kill):  # recompute all / restore the cut
+            policy = DurabilityPolicy(
+                run_dir=str(tmp_path / f"run{kill}-{snapshot_every}"),
+                fsync="every",
+                snapshot_every=snapshot_every,
+                segment_records=kill,
+            )
+
+            def progress(position):
+                if position == kill:
+                    raise Kill
+
+            with pytest.raises(Kill):
+                execute_durable_streams(
+                    trace, SPECS["ft-nrp"].build(),
+                    _deployment("single", policy, "batch"), progress=progress,
+                )
+            assert len(load_journal(policy.journal_path).times) == kill
+            result = resume_run(policy.run_dir, trace)
+            assert result.ledger == plain.ledger, (kill, snapshot_every)
+            assert result.final_answer == plain.final_answer
+            assert result.extras["replay"]["kernel"] == "columnar"
+            recovery = result.extras["durability"]["recovery"]
+            assert recovery["position"] == kill
+            assert (recovery["snapshot_file"] is not None) == bool(snapshot_every)
 
 
 # ----------------------------------------------------------------------

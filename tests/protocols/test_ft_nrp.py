@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import Deployment, Engine
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.selection import BoundaryNearestSelection, RandomSelection
 from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
 from repro.queries.range_query import RangeQuery
+from repro.state.table import StreamStateTable
 from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
 from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
@@ -180,3 +183,131 @@ class TestCostShape:
             bn_total += bn.maintenance_messages
             rnd_total += rnd.maintenance_messages
         assert bn_total < rnd_total
+
+
+# ----------------------------------------------------------------------
+# absorb_reports: the scalar on_update loop is the oracle
+# ----------------------------------------------------------------------
+class RecordingServer:
+    """The control plane ``on_update`` talks to, recording every message
+    it would send; ``values`` are the sources' current values."""
+
+    def __init__(self, state, values):
+        self.state = state
+        self.values = values
+        self.messages = []
+
+    def probe(self, stream_id):
+        self.messages.append(("probe", stream_id))
+        return self.values[stream_id]
+
+    def probe_all(self):
+        self.messages.append(("probe_all",))
+        return dict(self.values)
+
+    def deploy_many(self, stream_ids, bound, assumed_inside=None, silenced=None):
+        self.messages.append(("deploy", tuple(stream_ids)))
+
+
+def _mid_run(tolerance, answer_size, n_plus, n_minus, count, reinitialize):
+    """A protocol mid-maintenance over this population, in id order:
+    ``n_plus`` FP-silenced answer members, the unsilenced rest of the
+    answer, ``n_minus`` FN-silenced streams, 201 unsilenced outsiders."""
+    outside = answer_size + n_minus
+    table = StreamStateTable(outside + 201)
+    values = {i: 500.0 if i < answer_size else 100.0 for i in range(outside + 201)}
+    protocol = FractionToleranceRangeProtocol(
+        QUERY, tolerance, reinitialize_when_exhausted=reinitialize
+    )
+    protocol._state = table
+    protocol._pools.bind(table)
+    table.answer_replace(range(answer_size))
+    protocol._pools.reset(range(n_plus), range(answer_size, outside))
+    protocol._count = count
+    free = {True: list(range(outside, outside + 201)), False: list(range(n_plus, answer_size))}
+    return protocol, RecordingServer(table, values), free
+
+
+def _report(server, free, entering):
+    """Flip one unsilenced stream to the *entering* side: its id and the
+    value it reports, or ``None`` when no such stream is left."""
+    if not free[entering]:
+        return None
+    stream_id = free[entering].pop()
+    free[not entering].append(stream_id)
+    server.values[stream_id] = 500.0 if entering else 100.0
+    return stream_id, server.values[stream_id]
+
+
+def _slack_state(protocol):
+    return (
+        protocol.count,
+        list(protocol._fp_pool),
+        list(protocol._fn_pool),
+        protocol._state.answer_size,
+        protocol.answer,
+    )
+
+
+EPS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45])
+
+
+@given(
+    eps_plus=EPS,
+    eps_minus=EPS,
+    answer_size=st.integers(0, 14),
+    n_plus=st.integers(0, 6),
+    n_minus=st.integers(0, 6),
+    count=st.integers(0, 4),
+    reinitialize=st.booleans(),
+    entering=st.lists(st.booleans(), max_size=200),
+)
+# eps = 0.45 at |A| <= 4: the module docstring's second deviation.
+@example(0.45, 0.45, 4, 1, 1, 0, False, [True, False, False, False, False])
+@example(0.45, 0.45, 2, 0, 1, 1, False, [False, False])
+# Empty pools: Fix_Error is a no-op and count clamps at zero ...
+@example(0.2, 0.2, 6, 0, 0, 1, False, [False] * 4 + [True, True, False] * 2)
+# ... unless exhaustion reinitializes.
+@example(0.2, 0.2, 6, 0, 0, 1, True, [False] * 4 + [True])
+# q == 0: the first report reacts; and nothing to absorb at all.
+@example(0.2, 0.2, 10, 2, 2, 0, False, [False, True])
+@example(0.2, 0.2, 10, 2, 2, 0, False, [])
+@settings(max_examples=300, deadline=None)
+def test_absorb_reports_is_the_prefix_of_the_on_update_loop(
+    eps_plus, eps_minus, answer_size, n_plus, n_minus, count, reinitialize,
+    entering,
+):
+    tolerance = FractionTolerance(eps_plus, eps_minus)
+    shape = (tolerance, answer_size, min(n_plus, answer_size), n_minus, count,
+             reinitialize)
+
+    # The oracle: loop on_update until one call sends a message.
+    oracle, server, free = _mid_run(*shape)
+    reports, quiet = [], None
+    for side in entering:
+        report = _report(server, free, side)
+        if report is None:
+            break
+        reports.append(report)
+        if quiet is None:
+            before = _slack_state(oracle)
+            oracle.on_update(server, *report, time=1.0)
+            if server.messages:
+                quiet, reaction = len(reports) - 1, list(server.messages)
+    sides = np.array(entering[: len(reports)], dtype=bool)
+    if quiet is None:
+        quiet, before, reaction = len(reports), _slack_state(oracle), []
+
+    subject, server, _ = _mid_run(*shape)
+    assert subject.absorb_reports(sides) == quiet
+    # The caller's half: the answer plane takes the absorbed reports.
+    for (stream_id, _), side in zip(reports[:quiet], sides):
+        edit = server.state.answer_add if side else server.state.answer_discard
+        edit(stream_id)
+    assert not server.messages
+    assert _slack_state(subject) == before
+    if quiet < len(reports):
+        # ... and the next report does react, exactly as the loop's did.
+        server.values.update(dict(reports[: quiet + 1]))
+        subject.on_update(server, *reports[quiet], time=1.0)
+        assert server.messages == reaction

@@ -27,10 +27,16 @@ from repro.network.messages import MessageKind
 from repro.protocols.base import FilterProtocol
 from repro.queries.knn import TopKQuery
 from repro.runtime.membership import BELIEF_NONE
-from repro.runtime.replay import DEFAULT_BATCH_SIZE, ReplayCursor
+from repro.runtime.replay import (
+    DEFAULT_BATCH_SIZE,
+    ReplayCursor,
+    columnar_table,
+    merge_replay_stats,
+)
 from repro.runtime.session import ExecutionSession
 from repro.server.transport import ShardWorker, TransportError
 from repro.spatial.geometry import BoxRegion
+from repro.spatial.queries import SpatialRangeQuery
 from repro.spatial.trace import SpatialTrace
 from repro.streams.trace import StreamTrace
 from repro.streams.vocabulary import SCALAR
@@ -674,8 +680,8 @@ def test_resume_ignores_the_retired_manifest_keys(tmp_path):
 # Frontiers: replay applies nothing at or past the one it last took
 # ----------------------------------------------------------------------
 FRONTIER_SPECS = {
-    # zt-nrp declares columnar maintenance: mode="batch" takes
-    # ``replay_columnar``; the other two drive the cursor.
+    # zt-nrp and ft-nrp declare columnar maintenance: mode="batch"
+    # takes ``replay_columnar``; rtp drives the cursor.
     "zt-nrp": QuerySpec("zt-nrp", repro.RangeQuery(400.0, 600.0)),
     "ft-nrp": QuerySpec(
         "ft-nrp", repro.RangeQuery(400.0, 600.0), repro.FractionTolerance(0.2, 0.2)
@@ -738,7 +744,7 @@ def test_frontiers_leave_the_undivided_outcome(protocol, n_shards, mode, cuts):
     assert _frontier_outcome(session) == _undivided(protocol, n_shards, mode)
     kernel = session.last_replay_stats["kernel"]
     if mode == "batch":
-        assert kernel == ("columnar" if protocol == "zt-nrp" else "run")
+        assert kernel == ("run" if protocol == "rtp" else "columnar")
 
 
 @given(cuts=ascending_cuts)
@@ -844,3 +850,92 @@ def test_frontiers_that_miss_the_end_fail_loudly(protocol, mode, cuts):
         session.replay_trace(FRONTIER_TRACE, mode=mode, frontiers=cuts)
     assert session.last_replay_stats is None
     assert all(not channel._taps for channel in session.channels)
+
+
+# ----------------------------------------------------------------------
+# The columnar gate names the clause that declined
+# ----------------------------------------------------------------------
+class _RankListener:
+    def note(self, stream_id):
+        pass
+
+    def invalidate(self):
+        pass
+
+
+def _forget_a_row(session):
+    session.host.state.known[3] = False
+
+
+#: clause -> what to do to an initialized zt-nrp session to trip it.
+DECLINING = {
+    "taps": lambda session: session.channels[-1].add_tap(lambda message: None),
+    "listeners": lambda session: session.host.state.add_listener(_RankListener()),
+    "unknown rows": _forget_a_row,
+}
+
+
+@pytest.mark.parametrize("n_shards", [None, 2])
+@pytest.mark.parametrize("clause", sorted(DECLINING))
+def test_the_gate_names_the_clause_that_declined(clause, n_shards):
+    baseline = _undivided("zt-nrp", n_shards, "batch")
+    session = _frontier_session("zt-nrp", n_shards)
+    DECLINING[clause](session)
+    session.replay_trace(FRONTIER_TRACE, mode="batch")
+    stats = session.last_replay_stats
+    assert (stats["kernel"], stats["columnar_declined"]) == ("run", clause)
+    assert _frontier_outcome(session) == baseline
+
+
+def test_the_gate_declines_latency():
+    session = _frontier_session("ft-nrp", 2, repro.FixedLatency(0.0))
+    session.replay_trace(FRONTIER_TRACE, mode="batch")
+    stats = session.last_replay_stats
+    assert (stats["kernel"], stats["columnar_declined"]) == ("run", "latency")
+
+
+def test_the_gate_declines_sources_that_hold_no_plain_interval():
+    """Point payloads behind region memberships: the ``-2d`` host of a
+    ``columnar_maintenance`` protocol."""
+    spec = QuerySpec(
+        "zt-nrp-2d",
+        SpatialRangeQuery(BoxRegion([300.0, 300.0], [700.0, 700.0])),
+    )
+    workload = Workload.moving_objects(n_objects=40, horizon=60.0, seed=7)
+    stats = Engine().run(
+        spec, workload, Deployment.sharded(2, replay_mode="batch")
+    ).extras["replay"]
+    assert (stats["kernel"], stats["columnar_declined"]) == ("run", "membership")
+
+
+def test_the_gate_declines_more_than_one_table():
+    session = _frontier_session("zt-nrp", None)
+    table = session.host.state
+    gate = (FRONTIER_TRACE.values, [table, table], session.sources,
+            session.channels, session.host.protocol)
+    assert columnar_table(*gate) == (None, "tables")
+
+
+@pytest.mark.parametrize(
+    "protocol, mode, kernel",
+    [
+        ("zt-nrp", "batch", "columnar"),  # the kernel ran
+        ("ft-nrp", "batch", "columnar"),
+        ("rtp", "batch", "run"),  # the protocol never asked
+        ("ft-nrp", "event", None),  # nobody asked the gate
+    ],
+)
+def test_no_label_when_nothing_was_declined(protocol, mode, kernel):
+    session = _frontier_session(protocol, None)
+    session.replay_trace(FRONTIER_TRACE, mode=mode)
+    stats = session.last_replay_stats
+    assert (stats["kernel"], stats["columnar_declined"]) == (kernel, None)
+
+
+def test_the_declined_label_merges_like_the_kernel_label():
+    taps = {"mode": "batch", "kernel": "run", "columnar_declined": "taps"}
+    ran = {"mode": "batch", "kernel": "columnar", "columnar_declined": None}
+    assert merge_replay_stats([taps, taps])["columnar_declined"] == "taps"
+    assert merge_replay_stats([ran, ran])["columnar_declined"] is None
+    merged = merge_replay_stats([taps, ran])
+    assert (merged["kernel"], merged["columnar_declined"]) == ("mixed", "mixed")

@@ -11,7 +11,11 @@ The fixed grid runs on a dispatch-heavy workload (large sigma — the
 regime the kernel was built for, where it takes the crossing paths
 constantly); a seeded hypothesis suite then drives adversarial traces
 with arbitrary jumps through the representative kernels (columnar,
-run-heap, bailout).
+columnar with reactions — FT-NRP's stop-and-resume path — run-heap,
+bailout).  For the two ``columnar_maintenance`` protocols the batch and
+event strategies are also compared below the ledger: host clock, every
+source's value and belief, the table's value / report-time / believed
+columns.
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ from repro.api import Deployment, Engine, QuerySpec, Workload
 from repro.queries.knn import KnnQuery, TopKQuery
 from repro.queries.range_query import RangeQuery
 from repro.spatial.geometry import BoxRegion
+from repro.runtime.session import ExecutionSession
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
 from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
@@ -102,7 +107,44 @@ def _deploy(n_shards, mode, latency) -> Deployment:
     return Deployment.sharded(n_shards, replay_mode=mode, latency=latency)
 
 
+def _session_outcome(spec, trace, n_shards, mode, **bounds):
+    """Everything a replay leaves behind, and its stats."""
+    session = ExecutionSession.assemble("streams", trace, spec.build(), n_shards)
+    session.initialize()
+    session.replay_trace(trace, mode=mode, **bounds)
+    table = session.host.state
+    outcome = {
+        "ledger": session.snapshot(),
+        "answer": session.host.protocol.answer,
+        "host.now": session.host.now,
+        "source values": [source.value for source in session.sources],
+        "source beliefs": [
+            source.membership.reported_inside for source in session.sources
+        ],
+        "table.values": table.values.tolist(),
+        "table.report_time": table.report_time.tolist(),
+        "table.inside": table.inside.tolist(),
+    }
+    return outcome, session.last_replay_stats
+
+
+def _assert_columnar_leaves_the_event_state(spec, trace, **bounds):
+    """Batch (the columnar kernel) vs event, single and sharded(2)."""
+    for n_shards in (None, 2):
+        event, _ = _session_outcome(spec, trace, n_shards, "event")
+        batch, stats = _session_outcome(spec, trace, n_shards, "batch", **bounds)
+        assert stats["kernel"] == "columnar", stats["columnar_declined"]
+        assert stats["staged"] + stats["dispatches"] == trace.n_records
+        for key in event:
+            assert batch[key] == event[key], f"shards={n_shards}: {key}"
+    return stats
+
+
 def _assert_grid_collapses(spec, workload):
+    if getattr(spec.build(), "columnar_maintenance", False) and (
+        spec.stack == "streams"
+    ):
+        _assert_columnar_leaves_the_event_state(spec, workload.materialize())
     engine = Engine()
     base = engine.run(spec, workload, _deploy(1, "event", None))
     for n_shards, mode, latency in GRID:
@@ -131,9 +173,9 @@ N_STREAMS = 12
 
 
 @st.composite
-def adversarial_traces(draw):
+def adversarial_traces(draw, max_records=50):
     """A small trace with arbitrary jumps and globally distinct values."""
-    n_records = draw(st.integers(0, 50))
+    n_records = draw(st.integers(0, max_records))
     pool = draw(
         st.lists(
             st.floats(0.0, 1000.0, allow_nan=False),
@@ -167,6 +209,55 @@ def test_columnar_kernel_identical_on_adversarial_traces(trace):
     _assert_grid_collapses(
         SCALAR_SPECS["zt-nrp"], Workload.from_trace(trace)
     )
+
+
+@st.composite
+def reacting_ft_nrp_cases(draw):
+    """A trace lively enough to drain FT-NRP's pools, a tolerance, and a
+    chunk bound: 4 096 keeps the whole trace — several reactions — in
+    one chunk; tiny bounds put reactions on a chunk's first and last
+    record (with 1, both at once)."""
+    trace = draw(adversarial_traces(max_records=150))
+    eps = st.sampled_from([0.0, 0.2, 0.3, 0.45])
+    tolerance = FractionTolerance(draw(eps), draw(eps))
+    options = {"reinitialize_when_exhausted": draw(st.booleans())}
+    batch_size = draw(st.sampled_from([1, 2, 3, 7, 4096]))
+    return trace, tolerance, options, batch_size
+
+
+@given(reacting_ft_nrp_cases())
+@settings(max_examples=80, deadline=None)
+def test_columnar_kernel_with_reactions_identical_on_adversarial_traces(case):
+    """ft-nrp: absorbed prefixes, the per-event reacting record and the
+    rescan behind it vs per-event replay, both topologies."""
+    trace, tolerance, options, batch_size = case
+    spec = QuerySpec(
+        "ft-nrp", RangeQuery(400.0, 600.0), tolerance, options=options
+    )
+    _assert_columnar_leaves_the_event_state(spec, trace, batch_size=batch_size)
+
+
+def test_reactions_really_fall_inside_and_on_the_edges_of_chunks():
+    """The hypothesis suite's premise, held on a fixed case: pools that
+    exhaust mid-chunk, several reactions inside one chunk, and — chunk
+    bound 1 — reactions that are a chunk's first and last record."""
+    trace = Workload.synthetic(
+        n_streams=12, horizon=300.0, sigma=150.0, seed=5
+    ).materialize()
+    for options in ({}, {"reinitialize_when_exhausted": True}):
+        spec = QuerySpec(
+            "ft-nrp", RangeQuery(400.0, 600.0), FractionTolerance(0.45, 0.45),
+            options=options,
+        )
+        whole = _assert_columnar_leaves_the_event_state(spec, trace)
+        assert whole["dispatches"] >= 2 and whole["columnar_reports"] > 0
+        # The first scan spans the whole trace; each reaction cuts a
+        # chunk short and the scan resumes behind it.
+        assert trace.n_records < 4096
+        assert whole["dispatches"] <= whole["chunk_scans"] < 12
+        each = _assert_columnar_leaves_the_event_state(spec, trace, batch_size=1)
+        assert each["dispatches"] == whole["dispatches"]
+        assert each["chunk_scans"] == trace.n_records
 
 
 @given(adversarial_traces())
