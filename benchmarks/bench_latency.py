@@ -194,105 +194,3 @@ def test_bench_latency_scale_profile():
     _assert_monotone("scale", curves)
     write_artifact("latency", _RESULTS)
 
-
-# ----------------------------------------------------------------------
-# Transport rows: nonzero latency across the process boundary
-# ----------------------------------------------------------------------
-TRANSPORT_MODEL_DELAY = 0.4  # symmetric fixed delay, virtual time
-
-
-def _sequential_latency_wall(trace, protocol, n_shards, model):
-    from repro.runtime.session import ExecutionSession
-
-    session = ExecutionSession.for_streams_sharded(
-        trace, protocol, n_shards, latency=model
-    )
-    session.initialize(time=0.0)
-    started = _time.perf_counter()
-    session.replay_trace(trace)
-    return _time.perf_counter() - started, session.snapshot()
-
-
-def _transport_latency_wall(trace, protocol, n_shards, model):
-    """Modeled wall, per bench_sharded's capacity model: (coordinator
-    wall - reply-wait) + the slowest worker's busy time."""
-    from repro.server.transport import TransportShardedServer
-
-    server = TransportShardedServer(trace, protocol, n_shards, latency=model)
-    with server:
-        server.initialize(0.0)
-        wait_before = server.bus.stats.recv_wait_seconds
-        started = _time.perf_counter()
-        server.replay(horizon=trace.horizon)
-        wall = _time.perf_counter() - started
-        wait = server.bus.stats.recv_wait_seconds - wait_before
-        stats = server.transport_stats()
-    modeled = (wall - wait) + max(stats["worker_busy_seconds"])
-    return modeled, server.snapshot(), {
-        "wall_seconds": wall,
-        "recv_wait_seconds": wait,
-        "epochs": stats["epochs"],
-        "in_flight_deliveries": stats["in_flight_deliveries"],
-        "in_flight_leaked": stats["in_flight_leaked"],
-    }
-
-
-def test_bench_latency_transport_throughput():
-    """Parallel vs sequential modeled throughput under a nonzero model.
-
-    The in-flight plane's cost row: RTP at 2 and 4 shards under a fixed
-    symmetric delay, sequential sharded serving vs the shard transport,
-    ledgers byte-identical at every point (the smoke contract — the
-    plane must actually step deferred deliveries, not drop them).
-    """
-    from repro.network.latency import FixedLatency
-
-    spec = SPECS["rtp"]
-    workload = Workload.synthetic(
-        n_streams=1_000 if SMOKE else 4_000,
-        horizon=20.0 if SMOKE else 40.0,
-        sigma=60.0,
-        seed=0,
-    )
-    trace = workload.materialize()
-    model = FixedLatency.symmetric(TRANSPORT_MODEL_DELAY)
-    print(
-        f"\n[transport] n={trace.n_streams}, {trace.n_records} records, "
-        f"fixed delay {TRANSPORT_MODEL_DELAY:g}"
-    )
-    print(
-        f"{'shards':>8} {'seq':>8} {'modeled':>8} {'speedup':>8} "
-        f"{'inflight':>9} {'leaked':>7}"
-    )
-    rows: dict = {}
-    for n_shards in (2, 4):
-        t_seq, seq_ledger = _sequential_latency_wall(
-            trace, spec.build(), n_shards, model
-        )
-        modeled, ledger, diag = _transport_latency_wall(
-            trace, spec.build(), n_shards, model
-        )
-        assert ledger == seq_ledger, (
-            f"transport({n_shards}) ledger diverged from sequential "
-            f"sharded serving under latency {TRANSPORT_MODEL_DELAY:g}"
-        )
-        assert diag["in_flight_deliveries"] > 0, (
-            f"transport({n_shards}) replay never stepped the in-flight "
-            f"plane — the latency model was not exercised"
-        )
-        rows[str(n_shards)] = {
-            "sequential_replay_wall_seconds": t_seq,
-            "modeled_parallel_wall_seconds": modeled,
-            "speedup_vs_sequential": t_seq / modeled,
-            **diag,
-        }
-        print(
-            f"{n_shards:>8} {t_seq:>7.3f}s {modeled:>7.3f}s "
-            f"{t_seq / modeled:>7.2f}x {diag['in_flight_deliveries']:>9} "
-            f"{diag['in_flight_leaked']:>7}"
-        )
-    _RESULTS["transport"] = {
-        "model": {"kind": "fixed", "delay": TRANSPORT_MODEL_DELAY},
-        "shards": rows,
-    }
-    write_artifact("latency", _RESULTS)

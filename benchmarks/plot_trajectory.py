@@ -123,14 +123,6 @@ HEADLINE_METRICS: dict[str, tuple[str, object]] = {
         "latency",
         _curve_tail("profiles", "default", "rtp", "message_overhead"),
     ),
-    "latency_transport_speedup_x2": (
-        "latency",
-        _path("transport", "shards", "2", "speedup_vs_sequential"),
-    ),
-    "latency_transport_speedup_x4": (
-        "latency",
-        _path("transport", "shards", "4", "speedup_vs_sequential"),
-    ),
     "durability_journal_overhead": (
         "durability",
         _path("grid", "never+ram", "overhead_x"),

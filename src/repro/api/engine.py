@@ -11,16 +11,21 @@ decisions:
    :class:`repro.server.transport.TransportShardedServer` bound to the
    same vocabulary across worker processes.
 2. **Schedule** — whether the plan runs in-process or across
-   processes: a sharded deployment with ``parallel=True`` replays the
-   shards of a *decomposable* scalar protocol (no server feedback
-   during maintenance, e.g. ZT-NRP) on independent pool workers and
-   merges the per-shard ledgers; a *coupled* protocol — scalar (RTP,
-   ZT-RP, FT-RP, FT-NRP) or spatial (the ``-2d`` protocols) — runs on
-   the shard transport, worker processes replaying their shards under
-   an epoch-stepped coordinator whose ledgers are byte-identical to
-   sequential sharded serving, checking runs (``check_every > 0``)
-   included; everything else runs the sequential coordinator
-   in-process.
+   processes.  ``parallel=True`` on a sharded deployment is
+   *permission* to use worker processes, taken only where a process
+   executor earns its keep: a *decomposable* scalar protocol (no server
+   feedback during maintenance, e.g. ZT-NRP) without checking replays
+   its shards on independent pool workers and merges the per-shard
+   ledgers (``+fanout``); a *coupled* protocol — scalar (RTP, ZT-RP,
+   FT-RP, FT-NRP) or spatial (the ``-2d`` protocols) — under
+   synchronous delivery and no checking runs on the shard transport,
+   worker processes replaying their shards under an epoch-stepped
+   coordinator (``+transport``).  Every other cell — a latency model,
+   ``check_every > 0`` — runs the sequential coordinator in-process,
+   the sibling every process executor is byte-identical to: deliveries
+   and checks are coordinator work either way, so workers could only
+   add a pipe round trip to each (DESIGN.md §17).
+   ``RunReport.topology`` names the executor that ran.
 
 :func:`_execute_hosted` is the one executor of a hosted protocol — host
 assembly, oracle + checker, initialize, replay, report — for both
@@ -219,35 +224,41 @@ def _execute_hosted(
     """Run one hosted *protocol* over *trace*: any vocabulary, any topology.
 
     ``Deployment.single()`` and ``Deployment.sharded(n)`` assemble an
-    :class:`ExecutionSession` (ledgers byte-identical across the two);
-    ``parallel=True`` moves the shards onto worker processes under the
+    :class:`ExecutionSession` (ledgers byte-identical across the two).
+    A sharded ``parallel=True`` run with synchronous delivery and no
+    checking moves the shards onto worker processes under the
     epoch-stepped transport coordinator (``repro/server/transport.py``,
-    DESIGN.md §10), byte-identical to sequential sharded serving under
-    any latency model.  A checking run (``check_every > 0``) applies the
-    vocabulary's oracle before each record and its checker after — per
-    event in-process, at epoch boundaries on the transport, whose
-    coordinator holds the full trace; checks charge nothing, so ledger
-    and violation sequence agree across topologies.
+    DESIGN.md §10), byte-identical to sequential sharded serving; with
+    a latency model or ``check_every > 0`` it is that sequential
+    session (DESIGN.md §17).  A checking run applies the vocabulary's
+    oracle before each record and its checker after, per event; checks
+    charge nothing, so ledger and violation sequence agree across
+    topologies.
     """
     started = _time.perf_counter()
     deployment = deployment or Deployment.single()
-    vocabulary = vocabulary_of(stack)
     sharded = deployment.topology == "sharded"
-    transport = session = None
-    if sharded and deployment.parallel:
+    topology = deployment.describe()
+    checker = None
+    if (
+        sharded
+        and deployment.parallel
+        and deployment.latency is None
+        and deployment.check_every == 0
+    ):
         from repro.server.transport import TransportShardedServer
 
-        transport = TransportShardedServer.speaking(stack)(
+        topology += "+transport"
+        with TransportShardedServer.speaking(stack)(
             trace,
             protocol,
             deployment.n_shards,
-            latency=deployment.latency,
             replay_mode=deployment.replay_mode,
-        )
-        # The merged in-flight plane models exactly the quantities the
-        # sequential run reads off its per-shard channels (messages in
-        # flight, late deliveries, lagging streams).
-        evidence = [transport.in_flight_plane]
+        ) as transport:
+            transport.initialize(0.0)
+            replay = merge_replay_stats(transport.replay(horizon=trace.horizon))
+            replay["transport"] = transport.transport_stats()
+        ledger = transport.snapshot()
     else:
         # Through the per-stack builder names: they are the assembler's
         # public (and traced) entry points.
@@ -256,53 +267,44 @@ def _execute_hosted(
         session = getattr(ExecutionSession, builder)(
             trace, protocol, *shards, latency=deployment.latency
         )
-        evidence = session.latency_channels
-
-    oracle = checker = None
-    if deployment.check_every > 0:
-        if query is None:
-            query = getattr(protocol, "query", None)
-        if query is None:
-            raise ValueError("checking requires a query")
-        oracle = vocabulary.oracle(getattr(trace, vocabulary.initial_column))
-        oracle.register_query(query)
-        checker = ToleranceChecker(
-            oracle=oracle,
-            query=query,
-            tolerance=tolerance,
-            answer_of=lambda: protocol.answer_mask,
-            every=deployment.check_every,
-            strict=deployment.strict,
-            # Latency-modeled run: classify each violation as inherent
-            # to the modeled staleness vs a genuine protocol bug.
-            staleness=(
-                StalenessWindow(evidence)
-                if deployment.latency is not None
-                else None
-            ),
-            error_cls=vocabulary.violation_error,
-            check_offset=vocabulary.check_offset % deployment.check_every,
-        )
-    callbacks = {
-        "oracle_apply": oracle.apply if oracle is not None else None,
-        "after_apply": checker.check if checker is not None else None,
-    }
-
-    if transport is not None:
-        with transport:
-            transport.initialize(0.0)
-            if checker is not None:
-                checker.check_now(0.0)
-            replay = merge_replay_stats(
-                transport.replay(horizon=trace.horizon, **callbacks)
+        oracle = None
+        if deployment.check_every > 0:
+            if query is None:
+                query = getattr(protocol, "query", None)
+            if query is None:
+                raise ValueError("checking requires a query")
+            vocabulary = vocabulary_of(stack)
+            oracle = vocabulary.oracle(
+                getattr(trace, vocabulary.initial_column)
             )
-            replay["transport"] = transport.transport_stats()
-        ledger = transport.snapshot()
-    else:
+            oracle.register_query(query)
+            checker = ToleranceChecker(
+                oracle=oracle,
+                query=query,
+                tolerance=tolerance,
+                answer_of=lambda: protocol.answer_mask,
+                every=deployment.check_every,
+                strict=deployment.strict,
+                # Latency-modeled run: classify each violation as
+                # inherent to the modeled staleness vs a genuine
+                # protocol bug.
+                staleness=(
+                    StalenessWindow(session.latency_channels)
+                    if deployment.latency is not None
+                    else None
+                ),
+                error_cls=vocabulary.violation_error,
+                check_offset=vocabulary.check_offset % deployment.check_every,
+            )
         session.initialize(time=0.0)
         if checker is not None:
             checker.check_now(0.0)
-        session.replay_trace(trace, **callbacks, mode=deployment.replay_mode)
+        session.replay_trace(
+            trace,
+            oracle_apply=oracle.apply if oracle is not None else None,
+            after_apply=checker.check if checker is not None else None,
+            mode=deployment.replay_mode,
+        )
         replay = dict(session.last_replay_stats)
         ledger = session.snapshot()
 
@@ -328,7 +330,7 @@ def _execute_hosted(
     return RunReport(
         protocol=protocol.name,
         stack=stack,
-        topology=deployment.describe(),
+        topology=topology,
         ledger=ledger,
         n_streams=trace.n_streams,
         n_records=trace.n_records,
@@ -429,7 +431,7 @@ def _execute_streams_fanout(
     return RunReport(
         protocol=protocol.name,
         stack=STACK_STREAMS,
-        topology=deployment.describe(),
+        topology=deployment.describe() + "+fanout",
         ledger=_merge_snapshots([snapshot for snapshot, _, _ in parts]),
         n_streams=trace.n_streams,
         n_records=trace.n_records,

@@ -63,6 +63,8 @@ class RunReport:
 
     protocol: str
     stack: str
+    #: ``Deployment.describe()``, plus ``+transport`` / ``+fanout`` when
+    #: the run took the worker processes ``parallel=True`` permits.
     topology: str
     ledger: LedgerSnapshot
     n_streams: int

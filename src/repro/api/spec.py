@@ -265,25 +265,22 @@ class Deployment:
         Checking forces per-event replay.  ``strict`` raises on the
         first violation instead of recording it.
     parallel:
-        Process parallelism.  Under ``sharded``, protocols whose
-        maintenance needs no server feedback (``decomposable_maintenance``)
-        replay their shards concurrently on a process pool; coupled
-        protocols run on the shard transport — worker processes behind
-        an epoch-stepped coordinator message bus
-        (``repro/server/transport.py``) with ledgers byte-identical to
-        sequential sharded serving.  The transport speaks both the
-        scalar vocabulary (RTP, ZT-RP, FT-RP, FT-NRP: probe/constraint
-        intervals) and the spatial one (the ``-2d`` protocols: point
-        frames and region-constraint frames scattered into the
-        geometric plane), and checking runs (``check_every > 0``)
-        route through it with coordinator-side oracle probes at epoch
-        boundaries.  Latency models compose with ``parallel=True``:
-        messages whose modeled delivery falls between transport epochs
-        ride the coordinator's in-flight plane (``repro/server/
-        transport.py``), which merges every worker's pending heap under
-        the channel's own ``(delivery time, send seq)`` discipline, so
-        the parallel ledger stays byte-identical to sequential sharded
-        serving under the same model.
+        *Permission* to use worker processes, which the engine takes
+        only where it has a process executor worth keeping, both under
+        ``sharded``: protocols whose maintenance needs no server
+        feedback (``decomposable_maintenance``) replay their shards
+        concurrently on a process pool when ``check_every == 0``; and
+        coupled protocols — scalar (RTP, ZT-RP, FT-RP, FT-NRP) or
+        spatial (the ``-2d`` protocols) — run on the shard transport
+        (worker processes behind an epoch-stepped coordinator,
+        ``repro/server/transport.py``) when ``latency is None`` and
+        ``check_every == 0``.  Every other cell runs the in-process
+        sharded session those executors are byte-identical to: a
+        latency model's deliveries and a checker's checks are
+        coordinator work either way, so workers could only add a pipe
+        round trip to each (DESIGN.md §17).  ``RunReport.topology``
+        names the executor that ran (``+fanout`` / ``+transport``, or
+        the bare topology for an in-process run).
     latency:
         The channel delivery discipline.  ``None`` (default) is the
         paper's synchronous channel; a non-negative number is a
@@ -296,14 +293,13 @@ class Deployment:
         synchronous channel.  With checking enabled, a latency-modeled
         run classifies each violation as inherent-to-latency vs a
         protocol bug (DESIGN.md §8) — on the scalar and spatial stacks
-        alike.  ``parallel=True`` composes on every sharded path:
-        decomposable protocols fan out (each worker drains its own
-        engine; decomposable sources decide reports locally, so
-        delivery timing never changes the message multiset), and
-        coupled protocols run the shard transport with in-flight
-        deliveries stepped on the coordinator's merged plane.
-        Unsupported only for the multi-query stack, whose coordinator
-        bypasses the channel.
+        alike.  A latency-modeled run is always in-process, with one
+        exception that needs no cross-process delivery: under
+        ``parallel=True`` decomposable protocols still fan out (each
+        worker drains its own engine; decomposable sources decide
+        reports locally, so delivery timing never changes the message
+        multiset).  Unsupported only for the multi-query stack, whose
+        coordinator bypasses the channel.
     durable:
         ``None`` (default) or a :class:`repro.durability.policy.
         DurabilityPolicy`: the run keeps a write-ahead journal (and,

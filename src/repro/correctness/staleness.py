@@ -80,15 +80,12 @@ class StalenessWindow:
     """
 
     def __init__(self, channels: Iterable, window: float = 0.0) -> None:
-        # Duck-typed: anything exposing the LatencyChannel evidence API
-        # qualifies — the shard transport passes its merged in-flight
-        # plane here, which models the same quantities for messages
-        # whose flight crosses the process boundary.
+        # Every latency-modeled run is in-process (DESIGN.md §17), so
+        # the evidence is always the session's own latency channels.
         self.channels: Sequence[LatencyChannel] = [
             channel
             for channel in channels
             if isinstance(channel, LatencyChannel)
-            or hasattr(channel, "deferred_delivered_count")
         ]
         if window < 0:
             raise ValueError(f"window must be non-negative, got {window}")

@@ -234,7 +234,3 @@ class MultiQueryCoordinator(DeferredDeliveryMixin):
     # ------------------------------------------------------------------
     def answer(self, query_id: str) -> frozenset[int]:
         return self._protocols[query_id].answer
-
-    @property
-    def query_ids(self) -> list[str]:
-        return list(self._protocols)

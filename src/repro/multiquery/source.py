@@ -82,14 +82,3 @@ class MultiQuerySource(FilteredSource):
     def slot(self, query_id: str) -> FilterConstraint | None:
         """The constraint currently installed for *query_id*."""
         return self.membership.slot(query_id)
-
-    # ------------------------------------------------------------------
-    # Legacy aliases (pre-kernel attribute names)
-    # ------------------------------------------------------------------
-    @property
-    def _constraints(self) -> dict[str, FilterConstraint]:
-        return self.membership.constraints
-
-    @property
-    def _reported_inside(self) -> dict[str, bool]:
-        return self.membership.reported_inside

@@ -11,7 +11,9 @@ time, send sequence)`` and drained through the simulation engine's event
 loop.  Probe round-trips stay synchronous — they are the protocols'
 resolution RPC, and requirement 2 keeps *resolution* atomic; what goes
 stale under latency is the server's belief between resolutions
-(DESIGN.md §8).
+(DESIGN.md §8).  This channel and the engine's event loop are the only
+latency engine: every latency-modeled run is in-process, and nothing
+steps a channel from outside (DESIGN.md §17).
 
 Determinism and ordering guarantees:
 
@@ -35,7 +37,6 @@ Determinism and ordering guarantees:
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,18 +73,6 @@ class LatencyModel:
     def make_sampler(self, channel: int = 0) -> Sampler:
         raise NotImplementedError
 
-    @property
-    def is_zero(self) -> bool:
-        """True when every delay this model can ever sample is ``0.0``.
-
-        Zero models keep the :class:`LatencyChannel` code path (the
-        differential-testing configuration) but are guaranteed to
-        deliver inline; the shard transport uses this to accept
-        ``latency=0`` while rejecting models with real in-flight time.
-        Unknown subclasses conservatively answer ``False``.
-        """
-        return False
-
 
 @dataclass(frozen=True)
 class FixedLatency(LatencyModel):
@@ -108,10 +97,6 @@ class FixedLatency(LatencyModel):
     def make_sampler(self, channel: int = 0) -> Sampler:
         uplink, downlink = float(self.uplink), float(self.downlink)
         return lambda is_uplink: uplink if is_uplink else downlink
-
-    @property
-    def is_zero(self) -> bool:
-        return self.uplink == 0.0 and self.downlink == 0.0
 
 
 @dataclass(frozen=True)
@@ -144,10 +129,6 @@ class UniformLatency(LatencyModel):
             (uplink if is_uplink else downlink).uniform(low, high)
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return self.high == 0.0
-
 
 @dataclass(frozen=True)
 class ExponentialLatency(LatencyModel):
@@ -179,10 +160,6 @@ class ExponentialLatency(LatencyModel):
             return float(generator.exponential(mean))
 
         return sample
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mean_uplink == 0.0 and self.mean_downlink == 0.0
 
 
 def as_latency_model(latency) -> LatencyModel | None:
@@ -245,12 +222,6 @@ class LatencyChannel(Channel):
         self._in_flight: list[tuple[float, int, Message]] = []
         self._seq = 0
         self._route_count = 0
-        #: When True the channel never self-schedules delivery events;
-        #: an external stepper (the shard transport's in-flight plane)
-        #: calls :meth:`deliver_due` / :meth:`extract_in_flight` /
-        #: :meth:`acknowledge_extracted` to drive deliveries in the
-        #: global order it alone can see.
-        self.external_delivery = False
         #: Per-(is_uplink, stream) FIFO floor: no later send of the same
         #: flow may be delivered before an earlier one.
         self._fifo_floor: dict[tuple[bool, int], float] = {}
@@ -305,10 +276,6 @@ class LatencyChannel(Channel):
             message.kind is MessageKind.CONSTRAINT
             for _, _, message in self._in_flight
         )
-
-    def last_delivery_time(self, stream_id: int) -> float | None:
-        """When *stream_id* last had a *deferred* delivery, if ever."""
-        return self._last_delivery.get(int(stream_id))
 
     def recently_delivered_streams(self, time: float, window: float) -> set[int]:
         """Streams with a deferred delivery within ``[time - window, time]``."""
@@ -376,10 +343,9 @@ class LatencyChannel(Channel):
         seq = self._seq
         self._seq += 1
         heapq.heappush(self._in_flight, (delivery_time, seq, message))
-        if not self.external_delivery:
-            self.engine.schedule_at(
-                delivery_time, self._deliver_due, label="latency-delivery"
-            )
+        self.engine.schedule_at(
+            delivery_time, self._deliver_due, label="latency-delivery"
+        )
 
     # ------------------------------------------------------------------
     # Delivery
@@ -444,111 +410,6 @@ class LatencyChannel(Channel):
             self._deliver(message, time, deferred=True)
             drained += 1
         return drained
-
-    # ------------------------------------------------------------------
-    # External stepping (the shard transport's in-flight plane)
-    # ------------------------------------------------------------------
-    @property
-    def send_seq(self) -> int:
-        """Watermark: the send seq the next queued message will get.
-
-        An external stepper snapshots this before an operation and asks
-        :meth:`pending_after` for the entries the operation queued.
-        """
-        return self._seq
-
-    @property
-    def route_count(self) -> int:
-        """Total messages routed (queued *or* delivered inline)."""
-        return self._route_count
-
-    @property
-    def next_delivery_key(self) -> tuple[float, int] | None:
-        """The ``(delivery time, send seq)`` key of the earliest entry."""
-        if not self._in_flight:
-            return None
-        time, seq, _ = self._in_flight[0]
-        return time, seq
-
-    def pending_after(self, seq: int) -> list[tuple[float, int, Message]]:
-        """In-flight entries with send seq > *seq*, in (time, seq) order."""
-        return sorted(
-            entry for entry in self._in_flight if entry[1] > seq
-        )
-
-    def extract_in_flight(
-        self, uplink: bool = True
-    ) -> list[tuple[float, int, Message]]:
-        """Remove and return every pending entry of one direction.
-
-        The caller assumes delivery responsibility for the extracted
-        entries (the transport coordinator delivers uplinks itself from
-        the merged plane).  Flow counts, FIFO floors, and delivery
-        counters are *not* touched here: the flow stays "in flight"
-        locally — which is what keeps zero-draw inline eligibility
-        byte-identical to the single-process channel — until the caller
-        books each delivery via :meth:`acknowledge_extracted`.
-        """
-        keep: list[tuple[float, int, Message]] = []
-        extracted: list[tuple[float, int, Message]] = []
-        for entry in self._in_flight:
-            target = extracted if entry[2].kind.is_uplink == uplink else keep
-            target.append(entry)
-        if extracted:
-            self._in_flight = keep
-            heapq.heapify(self._in_flight)
-            extracted.sort()
-        return extracted
-
-    def acknowledge_extracted(
-        self, stream_id: int, time: float, is_uplink: bool = True
-    ) -> None:
-        """Book a delivery performed elsewhere for an extracted entry.
-
-        Mirrors exactly the bookkeeping a local deferred delivery would
-        have done — counters, flow decrement (with pruning), FIFO-floor
-        retirement, last-delivery evidence — without touching any
-        handler.
-        """
-        self._delivered_count += 1
-        self._deferred_delivered_count += 1
-        self._settle_flow((bool(is_uplink), int(stream_id)), float(time))
-
-    def deliver_due(
-        self,
-        limit_time: float,
-        limit_seq: int | None = None,
-        stop_after_send: bool = False,
-    ) -> tuple[int, bool]:
-        """Deliver pending entries up to ``(limit_time, limit_seq)``.
-
-        The external stepper's delivery hook: pops heap entries whose
-        ``(delivery time, send seq)`` key is at or below the limit and
-        delivers each as a deferred delivery, exactly as the engine
-        event loop would have.  With ``stop_after_send`` the loop
-        returns early as soon as a delivery routed a new message —
-        giving the caller the chance to observe (and react to) that
-        send before later same-batch deliveries fire, which is how the
-        transport reproduces the engine's nested-reaction interleave.
-
-        Returns ``(delivered, stopped_early)``.
-        """
-        limit = (
-            float(limit_time),
-            math.inf if limit_seq is None else limit_seq,
-        )
-        delivered = 0
-        while self._in_flight:
-            time, seq, message = self._in_flight[0]
-            if (time, seq) > limit:
-                break
-            heapq.heappop(self._in_flight)
-            routed_before = self._route_count
-            self._deliver(message, time, deferred=True)
-            delivered += 1
-            if stop_after_send and self._route_count != routed_before:
-                return delivered, True
-        return delivered, False
 
 
 def make_channel(

@@ -143,9 +143,9 @@ def resolve_mode(mode, payloads, tables, latency_channels, hooked=False) -> str:
     additionally wants it *useful*: some stream carries a columnar
     filter — scalar intervals for 1-D payloads, the geometric plane's
     region bboxes for 2-D ones — or a constraint install is in flight
-    on one of *latency_channels* (a worker's table is written at
-    install, the session's at deploy: each holds one of the two at
-    replay start).
+    on one of *latency_channels* (the region planes are written at
+    install, the interval columns at deploy: under a latency model a
+    spatial table shows nothing at replay start, its channels do).
     """
     if mode not in REPLAY_MODES:
         raise ValueError(

@@ -71,8 +71,6 @@ class Vocabulary:
     #: every, 2*every, ... (recorded results pin both phases).
     check_offset: int
     # -- transport wire codec (DESIGN.md §10) --------------------------
-    pack_in_flight: Callable
-    unpack_in_flight: Callable
     #: A probe batch's payload array as per-stream result values.
     payload_items: Callable
     #: Coordinator half of a deploy flush: frame the buffered deploys,

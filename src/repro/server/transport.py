@@ -9,30 +9,34 @@ module runs those protocols across real worker *processes* while
 keeping the message ledger byte-identical to sequential sharded
 serving (DESIGN.md §10).
 
+It serves exactly one cell of the deployment space: synchronous
+delivery, no checking.  A latency model or a tolerance checker is
+in-process work either way — the reaction and every check run on the
+coordinator — so the engine compiles those ``parallel=True`` cells onto
+the sequential sharded session instead (DESIGN.md §17), and nothing
+here replays a delivery delay or an oracle across a pipe.
+
 Three pieces:
 
 * :class:`ShardWorker` — the per-process shard runtime.  It owns its
   shard's trace slice and a *local* :class:`~repro.state.table.
   StreamStateTable` + source population (local ids throughout; the
   coordinator translates at the RPC boundary), drives the replay
-  cursor of DESIGN.md §9 over them, and answers a small request
-  vocabulary: ``scan`` (the cursor's candidate as a *global trace
-  position*), ``advance`` / ``advance_time`` (bulk-stage a
+  cursor of DESIGN.md §9 over them, and answers the seven-op request
+  vocabulary of :attr:`ShardWorker.OPS`: ``scan`` (the cursor's
+  candidate as a *global trace position*), ``advance`` (bulk-stage a
   proven-quiescent prefix), ``dispatch`` (apply one record per-event
   and return the captured uplink messages), ``probe`` /
   ``probe_batch`` / ``deploy_batch`` (the control plane, forwarding to
   the sources through a real channel so membership semantics are
-  exactly the sequential ones), ``deliver``, ``settle`` and ``finish``.
+  exactly the sequential ones) and ``finish``.
 
-* :class:`CoordinatorBus` — pipes + pickle framing to the workers,
-  with reply collection through the same deterministic ``(delivery
-  time, send seq)`` heap discipline as :class:`~repro.network.latency.
-  LatencyChannel`: replies are gathered at a barrier, assigned modeled
-  delivery times, and released in heap order, so OS scheduling of the
-  worker processes is invisible and inter-shard coordination cost and
-  modeled network delay are the same quantity.  Byte counters feed the
-  serialization cost model; every receive polls with a liveness check
-  so a dead worker raises :class:`TransportError` instead of hanging.
+* :class:`CoordinatorBus` — pipes + pickle framing to the workers.
+  Replies are gathered at a barrier and handed back in posting order,
+  so OS scheduling of the worker processes is invisible to the
+  coordinator.  Byte counters feed the serialization cost model; every
+  receive polls with a liveness check so a dead worker raises
+  :class:`TransportError` instead of hanging.
 
 * :class:`TransportShardedServer` — the coordinator.  It exposes the
   exact control plane of :class:`~repro.server.server.Server` (so the
@@ -52,63 +56,30 @@ Three pieces:
 
 Worker and coordinator are written once against the payload
 :class:`~repro.runtime.vocabulary.Vocabulary` (DESIGN.md §13): message
-classes, source class, trace columns and in-flight frame codec are
-fields they read, and the one part of the wire that is a different
-algorithm per vocabulary — how a deploy flush is framed (raw interval
-columns vs region frames) and installed — is a pair of functions the
-vocabulary points to.  :class:`SpatialTransportShardedServer` is the
-coordinator bound to the spatial vocabulary.  Checking runs ride the
-transport too: the coordinator holds
-the full trace, so it applies the oracle itself and evaluates the
-tolerance checker at epoch boundaries (``replay(oracle_apply=...,
-after_apply=...)``) — the protocol answer only changes at dispatches,
-so boundary checks see exactly the answers sequential per-event
-checking sees, while the workers keep their batched pre-scan.
-
-Nonzero latency models ride the same epoch protocol through the
-coordinator's **in-flight plane** (:class:`InFlightPlane`).  Each
-worker channel is *externally stepped* — it never self-delivers from
-its own engine — and every reply carries an aux envelope exporting the
-channel's pending heap: uplinks extracted wholesale into columnar
-frames (:mod:`repro.network.frames`, or the vocabulary's point-batch
-variant), pending constraint installs as
-delivery-key metadata (the install stays authoritative in the worker's
-local heap).  The coordinator merges everything into one global heap
-keyed by the channel's own ``(delivery time, send seq)`` discipline
-and the epoch stepper advances to the earliest pending delivery
-instead of assuming quiescence: plane entries due at or before the
-next candidate record are delivered first — uplinks by the coordinator
-itself, installs by clock-carrying ``deliver`` ops that replicate the
-engine's batch-drain tie order and stop early on nested sends — so the
-dispatch interleaving, and hence the ledger, stays byte-identical to
-sequential sharded serving under the same model
-(tests/server/test_transport_latency.py).
+classes, source class and trace columns are fields they read, and the
+one part of the wire that is a different algorithm per vocabulary —
+how a deploy flush is framed (raw interval columns vs region frames)
+and installed — is a pair of functions the vocabulary points to.
+:class:`SpatialTransportShardedServer` is the coordinator bound to the
+spatial vocabulary.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
-import itertools
-import math
 import multiprocessing
 import pickle
 import time as _time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.network.accounting import MessageLedger, Phase
-from repro.network.frames import pack_pending, unpack_in_flight
+from repro.network.channel import Channel
 from repro.network.messages import Message, MessageKind
-from repro.network.latency import (
-    LatencyChannel,
-    as_latency_model,
-    make_channel,
-)
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
 from repro.runtime.replay import ReplayCursor
@@ -153,7 +124,7 @@ class ShardWorker:
     charging happens at the coordinator); the table exists so the
     membership write-through gives the replay cursor (DESIGN.md §9)
     live constraint columns; the replay ops only translate between the
-    coordinator's global positions and times and cursor indices.
+    coordinator's global positions and cursor indices.
     """
 
     def __init__(
@@ -165,7 +136,6 @@ class ShardWorker:
         local_ids: np.ndarray,
         values: np.ndarray,
         gpos: np.ndarray,
-        latency_model,
         replay_mode: str,
     ) -> None:
         self.vocabulary = vocabulary
@@ -177,19 +147,7 @@ class ShardWorker:
         self.gpos = np.asarray(gpos, dtype=np.int64)
         self.engine = SimulationEngine()
         self.ledger = MessageLedger()  # throwaway; coordinator charges
-        self.channel = make_channel(
-            self.ledger, self.engine, latency_model, channel_index=index
-        )
-        self._latent = isinstance(self.channel, LatencyChannel)
-        if self._latent:
-            # Externally stepped: the channel never self-schedules
-            # delivery events — the coordinator drives every deferred
-            # delivery through explicit ``deliver`` ops so global
-            # delivery order is decided on the merged in-flight plane.
-            self.channel.external_delivery = True
-        #: Highest send seq whose pending (downlink) entry has been
-        #: exported to the coordinator's plane.
-        self._exported_seq = -1
+        self.channel = Channel(self.ledger)
         self.sources = [
             vocabulary.source(stream_id, payload, self.channel)
             for stream_id, payload in enumerate(initial_values)
@@ -237,75 +195,11 @@ class ShardWorker:
             f"worker received unexpected uplink {message.kind}"
         )
 
-    # -- the in-flight plane's worker half ------------------------------
-    def _collect_aux(self):
-        """Export the channel's pending heap after an operation.
-
-        Uplinks are *extracted* — the coordinator delivers them itself
-        from the merged plane, so they leave the local heap (flow
-        counts and FIFO floors stay up until the coordinator's acks
-        arrive, preserving zero-draw inline eligibility).  Downlinks
-        stay authoritative in the local heap; only their delivery keys
-        cross, once each, tracked by ``_exported_seq``.
-        """
-        if not self._latent:
-            return None
-        uplinks = self.channel.extract_in_flight(uplink=True)
-        pending = self.channel.pending_after(self._exported_seq)
-        if pending:
-            self._exported_seq = max(seq for _, seq, _ in pending)
-        if not uplinks and not pending:
-            return None
-        return {
-            "uplinks": (
-                self.vocabulary.pack_in_flight(uplinks) if uplinks else None
-            ),
-            "pending": pack_pending(pending) if pending else None,
-        }
-
-    def _apply_acks(self, times, streams) -> None:
-        """Book plane-side uplink deliveries the coordinator performed."""
-        for time, stream in zip(times.tolist(), streams.tolist()):
-            self.channel.acknowledge_extracted(stream, time, is_uplink=True)
-
-    def deliver(
-        self, time: float, seq_limit: int, advance: bool
-    ) -> tuple[list, int, bool]:
-        """Deliver local heap entries up to ``(time, seq_limit)``.
-
-        Replicates the engine's own stepping: each entry is delivered
-        with the clock advanced to *its* delivery time (so cascade
-        sends sample their delay at the correct ``engine.now``), and
-        the loop stops early as soon as a delivery routes a new message
-        so the coordinator can run the nested reaction before later
-        same-batch installs fire.  With ``advance`` false the clock is
-        frozen — the end-of-replay forced drain, exactly like
-        :meth:`~repro.network.latency.LatencyChannel.drain_in_flight`.
-        """
-        self.outbox.clear()
-        limit = (float(time), int(seq_limit))
-        delivered = 0
-        while True:
-            head = self.channel.next_delivery_key
-            if head is None or head > limit:
-                return list(self.outbox), delivered, False
-            if advance and head[0] > self.engine.now:
-                self.engine.run(until=head[0])
-            count, stopped = self.channel.deliver_due(
-                head[0], head[1], stop_after_send=True
-            )
-            delivered += count
-            if stopped:
-                return list(self.outbox), delivered, True
-
-    # -- replay: global positions and times <-> cursor indices ----------
-    def scan(self) -> tuple[int | None, bool]:
-        """The shard's candidate as a *global trace position*, and
-        whether records remain behind the in-flight barrier with no
-        candidate to show (the coordinator must then deliver from the
-        plane before this shard can make progress)."""
-        k, blocked = self.cursor.candidate()
-        return (None if k is None else int(self.gpos[k])), blocked
+    # -- replay: global positions <-> cursor indices ---------------------
+    def scan(self) -> int | None:
+        """The shard's candidate as a *global trace position*."""
+        k, _ = self.cursor.candidate()
+        return None if k is None else int(self.gpos[k])
 
     def _advance_to(self, k: int, op: str) -> None:
         try:
@@ -322,22 +216,6 @@ class ShardWorker:
         """
         self._advance_to(
             int(np.searchsorted(self.gpos, int(g), side="left")), "advance"
-        )
-
-    def advance_time(self, t: float) -> None:
-        """Bulk-stage the proven-quiescent records with time below *t*.
-
-        Issued to every worker just before the coordinator fires a
-        plane delivery at *t*: the sequential engine consumes exactly
-        the records strictly below a delivery's time before the
-        delivery event fires, and the reaction's probes must read the
-        sources at that same frontier.  Every such record is inside the
-        proven window — the plane head is a lower bound on all
-        candidates and on every worker's in-flight barrier.
-        """
-        self._advance_to(
-            int(np.searchsorted(self.times, float(t), side="left")),
-            "advance_time",
         )
 
     def dispatch(self, g: int) -> list[tuple]:
@@ -360,20 +238,9 @@ class ShardWorker:
         return list(self.outbox)
 
     # -- control plane --------------------------------------------------
-    def _advance_clock(self, clock) -> None:
-        """Catch the local engine up to the coordinator's global clock.
-
-        Externally-stepped channels schedule no engine events, so this
-        moves time only — any delay sampling during the operation then
-        happens at the same ``engine.now`` as in the sequential run.
-        """
-        if clock is not None and float(clock) > self.engine.now:
-            self.engine.run(until=float(clock))
-
-    def probe(self, local_id: int, time: float, clock: float | None = None):
+    def probe(self, local_id: int, time: float):
         """One probe round-trip against the local source: ``(payload,
         reply time)``."""
-        self._advance_clock(clock)
         self._probe_reply = None
         self.channel.send_to_source(
             self.vocabulary.probe_request(int(local_id), float(time))
@@ -386,16 +253,14 @@ class ShardWorker:
         return self.vocabulary.payload_of(reply), float(reply.time)
 
     def probe_batch(
-        self, local_ids, time: float, clock: float | None = None
+        self, local_ids, time: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Probe several local sources; replies as parallel arrays (the
         payloads an ``(m,)`` column or an ``(m, d)`` matrix).
 
         One columnar operation when the batch qualifies (DESIGN.md §12);
-        region filters and latency-modeled channels keep the per-message
-        round-trips.
+        region filters keep the per-message round-trips.
         """
-        self._advance_clock(clock)
         local_ids = np.asarray(local_ids, dtype=np.int64)
         times = np.full(len(local_ids), float(time))
         payloads = probe_sources(self.channel, self.table, local_ids)
@@ -406,80 +271,53 @@ class ShardWorker:
             )
         return payloads, times
 
-    def deploy_batch(self, local_ids, *wire_and_clock):
+    def deploy_batch(self, local_ids, *wire):
         """Install one shipped constraint batch in order; return the
         self-corrections in order.
 
         The batch arrives in the vocabulary's wire shape (parallel
         numpy interval columns, or a region frame) followed by the
-        belief codes (int8: :data:`BELIEF_NONE`, 0 outside, 1 inside),
-        the send times and the coordinator clock; installing it is the
-        vocabulary's ``install_batch``.
+        belief codes (int8: :data:`BELIEF_NONE`, 0 outside, 1 inside)
+        and the send times; installing it is the vocabulary's
+        ``install_batch``.
         """
-        *wire, clock = wire_and_clock
-        self._advance_clock(clock)
         self.outbox.clear()
         return self.vocabulary.install_batch(self, local_ids, *wire)
 
-    def settle(self, horizon: float | None) -> None:
-        """Commit the proven-quiescent tail and settle the clock.
-
-        The worker half of the sequential end-of-replay sequence: stage
-        everything proven, flush the staged writes, and run the engine
-        out to the horizon (which fires nothing — deliveries are
-        externally stepped — but freezes ``engine.now`` where the
-        forced drain of the remaining plane entries expects it).
-        """
-        self._advance_to(len(self.times), "settle")
+    def finish(self, horizon: float | None) -> dict:
+        """Commit the proven-quiescent tail, settle the clock at the
+        horizon, and return the replay stats."""
+        self._advance_to(len(self.times), "finish")
         self.cursor.close()
         if horizon is not None and horizon > self.engine.now:
             self.engine.run(until=horizon)
-
-    def finish(self, horizon: float | None) -> dict:
-        """Settle (idempotent after an explicit ``settle``) + stats."""
-        self.settle(horizon)
         stats = dict(self.cursor.stats)
         stats["kernel"] = "transport"
         stats["busy_seconds"] = self.busy_seconds
         return stats
 
     # -- request demux ---------------------------------------------------
-    def handle(self, request: tuple):
-        """Demux one request; replied ops get an ``(payload, aux)``
-        envelope whose aux half exports the channel's pending heap."""
-        op = request[0]
-        if op == "ack":
-            self._apply_acks(request[1], request[2])
-            return _NO_REPLY
-        payload = self._handle_op(op, request)
-        if payload is _NO_REPLY:
-            return _NO_REPLY
-        return payload, self._collect_aux()
+    #: The RPC vocabulary: op -> handler.  Every op is answered except
+    #: ``advance``, which is fire-and-forget (``stop`` ends the serve
+    #: loop in :func:`_worker_main` and never reaches a worker).
+    OPS = {
+        "scan": scan,
+        "advance": advance,
+        "dispatch": dispatch,
+        "probe": probe,
+        "probe_batch": probe_batch,
+        "deploy_batch": deploy_batch,
+        "finish": finish,
+    }
 
-    def _handle_op(self, op: str, request: tuple):
-        if op == "scan":
-            return self.scan()
-        if op == "advance":
-            self.advance(request[1])
-            return _NO_REPLY
-        if op == "advance_time":
-            self.advance_time(request[1])
-            return _NO_REPLY
-        if op == "dispatch":
-            return self.dispatch(request[1])
-        if op == "deliver":
-            return self.deliver(request[1], request[2], request[3])
-        if op == "probe":
-            return self.probe(request[1], request[2], request[3])
-        if op == "probe_batch":
-            return self.probe_batch(request[1], request[2], request[3])
-        if op == "deploy_batch":
-            return self.deploy_batch(*request[1:])
-        if op == "settle":
-            return self.settle(request[1])
-        if op == "finish":
-            return self.finish(request[1])
-        raise TransportError(f"worker {self.index}: unknown request {op!r}")
+    def handle(self, request: tuple):
+        """Demux one ``(op, *arguments)`` request through :attr:`OPS`."""
+        op, *arguments = request
+        handler = self.OPS.get(op)
+        if handler is None:
+            raise TransportError(f"worker {self.index}: unknown request {op!r}")
+        reply = handler(self, *arguments)
+        return _NO_REPLY if op == "advance" else reply
 
 
 def _worker_main(conn, spec: dict) -> None:
@@ -541,17 +379,6 @@ class BusStats:
     bytes_out: int = 0
     bytes_in: int = 0
     recv_wait_seconds: float = 0.0
-    clock: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "posts": self.posts,
-            "replies": self.replies,
-            "bytes_out": self.bytes_out,
-            "bytes_in": self.bytes_in,
-            "recv_wait_seconds": self.recv_wait_seconds,
-            "coordination_clock": self.clock,
-        }
 
 
 class CoordinatorBus:
@@ -561,32 +388,16 @@ class CoordinatorBus:
     ``Connection.send_bytes``, counted for the serialization cost
     model).  :meth:`collect` is a barrier: it receives one reply per
     requested worker — polling with a liveness check so a crashed
-    worker raises :class:`TransportError` promptly — then assigns each
-    reply a modeled delivery time and releases them through the same
-    ``(delivery time, send seq)`` heap discipline as ``LatencyChannel``.
-    Because the barrier waits for *all* replies before releasing any,
-    the release order is a pure function of the modeled delays and the
-    posting order: OS scheduling of the worker processes cannot leak
-    into the coordinator's view, which is the transport's determinism
-    anchor.
+    worker raises :class:`TransportError` promptly — and hands them
+    back in the order they were asked for.  Because the barrier waits
+    for *all* replies before releasing any, OS scheduling of the worker
+    processes cannot leak into the coordinator's view, which is the
+    transport's determinism anchor.
     """
 
-    def __init__(self, handles: Sequence[_WorkerHandle], latency_model=None) -> None:
+    def __init__(self, handles: Sequence[_WorkerHandle]) -> None:
         self._handles = list(handles)
-        self._seq = itertools.count()
-        sampler = (
-            latency_model.make_sampler(channel=len(handles))
-            if latency_model is not None
-            else None
-        )
-        self._sample: Callable[[], float] = (
-            (lambda: sampler(True)) if sampler is not None else (lambda: 0.0)
-        )
         self.stats = BusStats()
-
-    @property
-    def n_workers(self) -> int:
-        return len(self._handles)
 
     def handle(self, index: int) -> _WorkerHandle:
         return self._handles[index]
@@ -636,20 +447,9 @@ class CoordinatorBus:
             )
         return payload
 
-    def collect(self, indices: Sequence[int]) -> list[tuple[int, object]]:
-        """Barrier-receive from *indices*; release in deterministic order."""
-        heap: list[tuple[float, int, int, object]] = []
-        for index in indices:
-            payload = self._recv(index)
-            delivery = self.stats.clock + float(self._sample())
-            heapq.heappush(heap, (delivery, next(self._seq), index, payload))
-        out: list[tuple[int, object]] = []
-        while heap:
-            delivery, _, index, payload = heapq.heappop(heap)
-            if delivery > self.stats.clock:
-                self.stats.clock = delivery
-            out.append((index, payload))
-        return out
+    def collect(self, indices: Sequence[int]) -> list:
+        """Barrier-receive one reply from each of *indices*, in order."""
+        return [self._recv(index) for index in indices]
 
     def close(self) -> None:
         for handle in self._handles:
@@ -666,160 +466,6 @@ class CoordinatorBus:
                 handle.conn.close()
             except OSError:  # pragma: no cover - already closed
                 pass
-
-
-@dataclass(frozen=True)
-class _PlaneEntry:
-    """One in-flight message on the coordinator's merged plane."""
-
-    time: float  #: modeled delivery time
-    lseq: int  #: send seq on the owning worker's channel (FIFO tiebreak)
-    worker: int
-    stream: int  #: global stream id
-    lstream: int  #: local stream row (ack + deliver vocabulary)
-    uplink: bool
-    send_time: float
-    payload: object = field(default=None, compare=False)
-
-
-class InFlightPlane:
-    """The coordinator's merged in-flight heap (DESIGN.md §10.4).
-
-    The cross-process generalization of one
-    :class:`~repro.network.latency.LatencyChannel` heap: every worker's
-    pending entries, merged under the same ``(delivery time, send seq)``
-    discipline.  Global order is tracked by a lazy head heap ``(time,
-    arrival seq, worker)`` — the transport analogue of the engine's
-    one-event-per-send schedule, where an event that finds its message
-    already delivered fires as a no-op — while each worker's entries
-    live in a per-worker heap keyed ``(time, local send seq)``, because
-    that local key is the order the worker's own engine would have
-    delivered them in.
-
-    The plane doubles as the latency *evidence* provider: it implements
-    the :class:`~repro.correctness.staleness.StalenessWindow` channel
-    API (``in_flight_count``, ``deferred_delivered_count``,
-    ``in_flight_stream_ids``, ``recently_delivered_streams``,
-    ``any_recently_delivered``) for
-    messages whose flight crosses the process boundary.
-    """
-
-    def __init__(self) -> None:
-        self._arrival = itertools.count()
-        self._heads: list[tuple[float, int, int]] = []
-        self._queues: dict[int, list[tuple[float, int, _PlaneEntry]]] = {}
-        self._count = 0
-        self._delivered = 0
-        self._last_delivery: dict[int, float] = {}
-
-    def push(self, entry: _PlaneEntry) -> None:
-        heapq.heappush(
-            self._heads, (entry.time, next(self._arrival), entry.worker)
-        )
-        heapq.heappush(
-            self._queues.setdefault(entry.worker, []),
-            (entry.time, entry.lseq, entry),
-        )
-        self._count += 1
-
-    # -- stepping -------------------------------------------------------
-    @property
-    def next_delivery_time(self) -> float | None:
-        """Earliest pending delivery time across all workers (exact)."""
-        times = [queue[0][0] for queue in self._queues.values() if queue]
-        return min(times) if times else None
-
-    def next_group(self, limit: float) -> tuple[int, float] | None:
-        """Consume the earliest head due at or before *limit*.
-
-        Returns ``(worker, trigger time)`` for a head whose worker
-        still has an entry due at that time; stale heads (their entry
-        was delivered by an earlier group's drain) are discarded, the
-        engine's no-op-event semantics.
-        """
-        while self._heads and self._heads[0][0] <= limit:
-            time, _, worker = heapq.heappop(self._heads)
-            queue = self._queues.get(worker)
-            if queue and queue[0][0] <= time:
-                return worker, time
-        return None
-
-    def take_run(self, worker: int, limit: float) -> list[_PlaneEntry]:
-        """Remove and return what one delivery step of *worker* covers —
-        nothing when it has no entry due at or before *limit*, else the
-        uplink at the head of its queue, or its leading consecutive
-        downlinks due by *limit* (the run one ``deliver`` op may
-        consume).  A run stops at the first uplink because that
-        delivery (and its reaction) belongs to the coordinator and must
-        interleave at its exact heap position.
-
-        The run leaves the queue *before* the RPC: the reply's aux can
-        push entries that sort ahead of it (a self-correction sent
-        under a frozen clock is due at ``horizon + delay``), so what
-        was delivered cannot be found afterwards by position.
-        """
-        queue = self._queues.get(worker) or []
-        run: list[_PlaneEntry] = []
-        while (
-            queue
-            and queue[0][0] <= limit
-            and not (run and (run[0].uplink or queue[0][2].uplink))
-        ):
-            run.append(heapq.heappop(queue)[2])
-        return run
-
-    def settle_run(
-        self, worker: int, run: list[_PlaneEntry], delivered: int
-    ) -> None:
-        """Book the first *delivered* entries of a taken *run* as
-        delivered and return the rest to the worker's queue (their
-        heads are still on the head heap)."""
-        for entry in run[:delivered]:
-            self._count -= 1
-            self._delivered += 1
-            previous = self._last_delivery.get(entry.stream)
-            if previous is None or entry.time > previous:
-                self._last_delivery[entry.stream] = entry.time
-        for entry in run[delivered:]:
-            heapq.heappush(
-                self._queues[worker], (entry.time, entry.lseq, entry)
-            )
-
-    def worker_pending(self, worker: int) -> bool:
-        return bool(self._queues.get(worker))
-
-    # -- staleness evidence (the LatencyChannel channel API) ------------
-    @property
-    def in_flight_count(self) -> int:
-        return self._count
-
-    @property
-    def deferred_delivered_count(self) -> int:
-        return self._delivered
-
-    def in_flight_stream_ids(self) -> set[int]:
-        return {
-            entry.stream
-            for queue in self._queues.values()
-            for _, _, entry in queue
-        }
-
-    def recently_delivered_streams(
-        self, time: float, window: float
-    ) -> set[int]:
-        cutoff = time - window
-        return {
-            stream
-            for stream, delivered in self._last_delivery.items()
-            if cutoff <= delivered <= time
-        }
-
-    def any_recently_delivered(self, time: float, window: float) -> bool:
-        cutoff = time - window
-        return any(
-            cutoff <= delivered <= time
-            for delivered in self._last_delivery.values()
-        )
 
 
 class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
@@ -852,15 +498,6 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
       FIFO then guarantees each worker stages its quiescent prefix
       against the pre-reaction columns it was proven under, before any
       of the reaction's probes or deployments can touch them.
-    * **In-flight order.**  Under a nonzero model every deferred
-      message lives on the merged plane under its channel's own
-      ``(delivery time, send seq)`` key, worker channels never
-      self-deliver, and the stepper fires plane groups before any
-      record at or past their delivery times — so deliveries, nested
-      reactions, and dispatches interleave exactly as the sequential
-      engine's event loop would have fired them (measure-zero
-      cross-shard delivery-time ties excepted, where the global
-      arrival order replaces the engine's insertion order).
     """
 
     stack = SCALAR.stack
@@ -870,15 +507,12 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         trace,
         protocol: FilterProtocol,
         n_shards: int,
-        latency=None,
         replay_mode: str = "auto",
     ) -> None:
-        model = as_latency_model(latency)
         self.vocabulary = vocabulary_of(self.stack)
         self.protocol = protocol
         self._now = 0.0
         self.trace = trace
-        self._latency_model = model
         self._replay_mode = replay_mode
         n = trace.n_streams
         self.ranges = shard_ranges(n, n_shards)
@@ -898,18 +532,6 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         self._deploy_buffer: list[Message] = []
         self._deploy_batches: list = []
         self._dirty: set[int] = set(range(len(self.ranges)))
-        #: Whether the model can defer deliveries across epochs; drives
-        #: the in-flight-plane stepping and the settle/drain end phase.
-        self._coupled = model is not None and not model.is_zero
-        self._plane = InFlightPlane()
-        #: Global event-time mirror (≥ every processed delivery/record
-        #: time); distinct from ``_now``, which tracks message *send*
-        #: times exactly as the sequential coordinator's clock does.
-        self._clock = 0.0
-        #: Per-worker buffered delivery acks, posted before the next op.
-        self._acks: list[list[tuple[float, int]]] = [
-            [] for _ in self.ranges
-        ]
         self._epochs = 0
         self._worker_stats: list[dict] | None = None
         self.bus: CoordinatorBus | None = None
@@ -952,7 +574,6 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
                     ),
                     "values": payloads[keep],
                     "gpos": np.nonzero(keep)[0].astype(np.int64),
-                    "latency_model": self._latency_model,
                     "replay_mode": self._replay_mode,
                 }
                 parent_conn, child_conn = ctx.Pipe()
@@ -973,7 +594,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
             raise
         finally:
             gc.unfreeze()
-        self.bus = CoordinatorBus(handles, self._latency_model)
+        self.bus = CoordinatorBus(handles)
         return self
 
     def close(self) -> None:
@@ -1034,7 +655,6 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         self._require_bus()
         self.ledger.phase = Phase.INITIALIZATION
         self._now = time
-        self._clock = float(time)
         self._guarded_call(self.protocol.initialize, self)
         self.ledger.phase = Phase.MAINTENANCE
 
@@ -1048,80 +668,12 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         index = int(self._shard_of[int(stream_id)])
         return index, self.shard_views[index]
 
-    def _post(self, index: int, request: tuple) -> None:
-        """Post a request, preceded by any buffered delivery acks.
-
-        Acks retire the worker-local flow bookkeeping of uplinks the
-        coordinator delivered from the plane; batching them onto the
-        next real request keeps them off the hot path while pipe FIFO
-        guarantees they land before the operation that might send on
-        the same flow.
-        """
-        bus = self._require_bus()
-        acks = self._acks[index]
-        if acks:
-            self._acks[index] = []
-            n = len(acks)
-            times = np.fromiter((a[0] for a in acks), np.float64, n)
-            streams = np.fromiter((a[1] for a in acks), np.int64, n)
-            bus.post(index, ("ack", times, streams))
-        bus.post(index, request)
-
-    def _absorb(self, index: int, reply):
-        """Unwrap one ``(payload, aux)`` envelope, merging the aux's
-        exported heap entries into the plane."""
-        payload, aux = reply
-        if aux:
-            lo = self.ranges[index][0]
-            uplinks = aux.get("uplinks")
-            if uplinks is not None:
-                for delivery, lseq, lstream, send, value in (
-                    self.vocabulary.unpack_in_flight(uplinks)
-                ):
-                    # Charged here — export time is send time, the same
-                    # MAINTENANCE/INITIALIZATION slot the sequential
-                    # channel charges the send in.
-                    self.ledger.record_kind(MessageKind.UPDATE)
-                    self._plane.push(
-                        _PlaneEntry(
-                            time=delivery,
-                            lseq=lseq,
-                            worker=index,
-                            stream=lstream + lo,
-                            lstream=lstream,
-                            uplink=True,
-                            send_time=send,
-                            payload=value,
-                        )
-                    )
-            pending = aux.get("pending")
-            if pending is not None:
-                for delivery, lseq, lstream, send, _ in unpack_in_flight(
-                    pending
-                ):
-                    # Metadata only: the install was already charged at
-                    # deploy flush; the worker's heap stays
-                    # authoritative for its payload.
-                    self._plane.push(
-                        _PlaneEntry(
-                            time=delivery,
-                            lseq=lseq,
-                            worker=index,
-                            stream=lstream + lo,
-                            lstream=lstream,
-                            uplink=False,
-                            send_time=send,
-                        )
-                    )
-        return payload
-
-    def _collect_one(self, index: int):
-        ((_, reply),) = self._require_bus().collect([index])
-        return self._absorb(index, reply)
-
     def _rpc(self, index: int, request: tuple):
-        self._post(index, request)
-        return self._collect_one(index)
+        """Post one request to worker *index* and wait for its reply."""
+        bus = self._require_bus()
+        bus.post(index, request)
+        (reply,) = bus.collect([index])
+        return reply
 
     def probe(self, stream_id: int):
         """Probe one source at its worker (2 messages, charged here)."""
@@ -1129,7 +681,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         index, view = self._view_for(stream_id)
         self.ledger.record_kind(MessageKind.PROBE_REQUEST)
         payload, time = self._rpc(
-            index, ("probe", int(stream_id) - view.lo, self._now, self._clock)
+            index, ("probe", int(stream_id) - view.lo, self._now)
         )
         self.ledger.record_kind(MessageKind.PROBE_REPLY)
         view.record_report(int(stream_id) - view.lo, payload, time)
@@ -1152,7 +704,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
             rows = ids[a:b] - view.lo
             self.ledger.record_kind(MessageKind.PROBE_REQUEST, b - a)
             payloads, times = self._rpc(
-                index, ("probe_batch", rows, self._now, self._clock)
+                index, ("probe_batch", rows, self._now)
             )
             self.ledger.record_kind(MessageKind.PROBE_REPLY, b - a)
             self._dirty.add(index)
@@ -1251,7 +803,6 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
                     *wire(a, b),
                     assumed[a:b],
                     times[a:b],
-                    self._clock,
                 ),
             )
             self._dirty.add(index)
@@ -1304,50 +855,11 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         local_id, payload, time = item
         return self.vocabulary.update(int(local_id) + lo, float(time), payload)
 
-    def replay(
-        self,
-        horizon: float | None = None,
-        oracle_apply: Callable | None = None,
-        after_apply: Callable | None = None,
-    ) -> list[dict]:
-        """Drive the full trace; returns the per-worker replay stats.
-
-        With ``oracle_apply``/``after_apply`` callbacks this is a
-        *checking* run: the coordinator — which holds the full trace —
-        applies the oracle itself, record by record in global order, and
-        evaluates the checker at epoch boundaries.  Between two
-        dispatches every record is quiescent (its source emits no
-        message, so the protocol's answer cannot move), which makes the
-        boundary evaluation order-identical to sequential per-event
-        checking; for the dispatched record itself the oracle applies
-        before the dispatch and the check runs after the reaction
-        settles, exactly the sequential ``oracle_apply → apply →
-        after_apply`` sandwich.  Checks charge nothing, so the ledger is
-        untouched — and the workers keep their batched pre-scan, which
-        sequential checking (forced per-event) gives up.
-        """
+    def replay(self, horizon: float | None = None) -> list[dict]:
+        """Drive the full trace; returns the per-worker replay stats."""
         bus = self._require_bus()
-        n_workers = len(self.ranges)
-        candidates: dict[int, tuple[int | None, bool]] = {}
-        checking = oracle_apply is not None or after_apply is not None
-        trace = self.trace
-        payloads = getattr(trace, self.vocabulary.record_column)
-        n_records = len(trace.times)
-        cursor = 0
-        plane = self._plane
-
-        def settle(upto: int) -> None:
-            """Oracle-apply + check the quiescent records [cursor, upto)."""
-            nonlocal cursor
-            while cursor < upto:
-                if oracle_apply is not None:
-                    oracle_apply(
-                        int(trace.stream_ids[cursor]), payloads[cursor]
-                    )
-                if after_apply is not None:
-                    after_apply(float(trace.times[cursor]))
-                cursor += 1
-
+        workers = range(len(self.ranges))
+        candidates: dict[int, int] = {}
         while True:
             # Settle anything a previous epoch left queued (defensive;
             # step boundaries flush and drain already).
@@ -1356,195 +868,36 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
             dirty = sorted(self._dirty)
             self._dirty = set()
             for index in dirty:
-                self._post(index, ("scan",))
-            for index, reply in bus.collect(dirty):
-                candidates[index] = self._absorb(index, reply)
+                bus.post(index, ("scan",))
+            for index, candidate in zip(dirty, bus.collect(dirty)):
+                if candidate is None:
+                    candidates.pop(index, None)
+                else:
+                    candidates[index] = candidate
             self._epochs += 1
-            live = {
-                index: candidate
-                for index, (candidate, _) in candidates.items()
-                if candidate is not None
-            }
-            if live:
-                owner = min(live, key=live.get)
-                g = live[owner]
-                limit = float(trace.times[g])
-            else:
-                owner = g = None
-                limit = math.inf if horizon is None else float(horizon)
-                if any(b for _, b in candidates.values()):
-                    # Some worker's proofs are capped behind a pending
-                    # install; it cannot show a candidate until the
-                    # plane delivers, however late the delivery falls.
-                    head = plane.next_delivery_time
-                    if head is None:  # pragma: no cover - defensive
-                        raise TransportError(
-                            "workers blocked behind the in-flight "
-                            "barrier with an empty plane"
-                        )
-                    limit = max(limit, head)
-            head = plane.next_delivery_time
-            if head is not None and head <= limit:
-                # Advance to the earliest pending delivery instead of
-                # assuming quiescence: the plane group due first fires,
-                # then the loop restarts so the dirty workers rescan —
-                # one group at a time, because an install changes the
-                # constraint columns candidates were proven against,
-                # and the record it flips may precede the next head.
-                group = plane.next_group(limit)
-                if group is not None:
-                    if checking:
-                        # Keep the oracle sandwich exact: check the
-                        # quiescent records that precede this delivery
-                        # before its reaction can move the answer.
-                        bound = g if g is not None else n_records
-                        settle(
-                            int(
-                                np.searchsorted(
-                                    trace.times[:bound],
-                                    group[1],
-                                    side="left",
-                                )
-                            )
-                        )
-                    # Sequential replay consumes every record strictly
-                    # below a delivery's time before the delivery event
-                    # fires; the reaction's probes read the sources at
-                    # that frontier.  Catch every shard up first.
-                    for index in range(n_workers):
-                        self._post(index, ("advance_time", group[1]))
-                    self._deliver_plane_group(*group)
-                    continue
-            if owner is None:
+            if not candidates:
                 break
-            if checking:
-                settle(g)
-                if oracle_apply is not None:
-                    oracle_apply(int(trace.stream_ids[g]), payloads[g])
-            if limit > self._clock:
-                self._clock = limit
-            for index in range(n_workers):
+            owner = min(candidates, key=candidates.get)
+            g = candidates.pop(owner)
+            for index in workers:
                 if index != owner:
-                    self._post(index, ("advance", g))
-            self._post(owner, ("dispatch", g))
-            uplinks = self._collect_one(owner)
-            candidates[owner] = (None, False)
+                    bus.post(index, ("advance", g))
+            uplinks = self._rpc(owner, ("dispatch", g))
             self._dirty.add(owner)
             lo = self.ranges[owner][0]
             for item in uplinks:
                 self.ledger.record_kind(MessageKind.UPDATE)
                 self._receive_update(self._uplink_message(lo, item))
-            if checking:
-                # Settle the reaction (deploy flush + self-correction
-                # drain) before the boundary check, as inline delivery
-                # would have in the sequential coordinator.
-                self._flush_deploys()
-                self._drain_pending()
-                if after_apply is not None:
-                    after_apply(float(trace.times[g]))
-                cursor = g + 1
-        if checking:
-            settle(n_records)
-        if self._coupled:
-            # The sequential end-of-replay sequence, across the pipe:
-            # every worker stages its proven tail and runs its engine
-            # out to the horizon (firing nothing — deliveries are
-            # externally stepped), then the plane's leftovers are
-            # force-delivered in worker order, heap order within —
-            # channel-by-channel drain_in_flight(), exactly.
-            for index in range(n_workers):
-                self._post(index, ("settle", horizon))
-            for index, reply in bus.collect(range(n_workers)):
-                self._absorb(index, reply)
-            if horizon is not None and float(horizon) > self._clock:
-                self._clock = float(horizon)
-            self._drain_remaining()
-        for index in range(n_workers):
-            self._post(index, ("finish", horizon))
-        stats = [None] * n_workers
-        for index, reply in bus.collect(range(n_workers)):
-            stats[index] = self._absorb(index, reply)
-        self._worker_stats = stats
-        return list(stats)
-
-    def _deliver_plane_group(
-        self, worker: int, t0: float, advance: bool = True
-    ) -> None:
-        """Deliver one worker's plane entries due at or before *t0*.
-
-        Entries go in ``(time, local send seq)`` order — the order the
-        worker's own engine would have fired them.  Uplinks are
-        delivered by the coordinator itself (ack buffered, reaction run
-        through the deferred-delivery discipline); runs of consecutive
-        downlinks become one ``deliver`` op, re-issued after any
-        early stop so nested reactions interleave exactly as the
-        engine's.  With ``advance`` false the worker clocks stay frozen
-        (the end-of-replay forced drain).
-        """
-        plane = self._plane
-        lo = self.ranges[worker][0]
-        while True:
-            run = plane.take_run(worker, t0)
-            if not run:
-                return
-            entry = run[0]
-            if entry.uplink:
-                plane.settle_run(worker, run, 1)
-                if advance and entry.time > self._clock:
-                    self._clock = entry.time
-                self._acks[worker].append((entry.time, entry.lstream))
-                self._receive_update(
-                    self._uplink_message(
-                        lo, (entry.lstream, entry.payload, entry.send_time)
-                    )
-                )
-                continue
-            outbox, delivered, _ = self._rpc(
-                worker, ("deliver", run[-1].time, run[-1].lseq, advance)
-            )
-            plane.settle_run(worker, run, delivered)
-            if delivered < 1:  # pragma: no cover - defensive
-                raise TransportError(
-                    f"worker {worker}: deliver op consumed nothing at "
-                    f"({run[-1].time}, {run[-1].lseq})"
-                )
-            if advance and run[delivered - 1].time > self._clock:
-                self._clock = run[delivered - 1].time
-            self._dirty.add(worker)
-            for item in outbox:
-                # Inline self-corrections the installs provoked,
-                # charged at their send exactly as a deploy flush's.
-                self.ledger.record_kind(MessageKind.UPDATE)
-                self._receive_update(self._uplink_message(lo, item))
-
-    def _drain_remaining(self) -> None:
-        """Force-deliver every remaining plane entry, worker by worker.
-
-        Cascades that land on a not-yet-drained worker are picked up by
-        its turn; cascades onto an already-drained worker stay pending
-        — precisely the sequential coordinator's channel-order
-        ``drain_in_flight()`` semantics.
-        """
-        for worker in range(len(self.ranges)):
-            while self._plane.worker_pending(worker):
-                self._deliver_plane_group(worker, math.inf, advance=False)
-
-    @property
-    def in_flight_plane(self) -> InFlightPlane:
-        """The merged cross-process in-flight heap (latency evidence)."""
-        return self._plane
+        for index in workers:
+            bus.post(index, ("finish", horizon))
+        self._worker_stats = bus.collect(workers)
+        return list(self._worker_stats)
 
     def transport_stats(self) -> dict:
         """Coordination + serialization counters for the cost model."""
-        bus = self.bus
-        out = {
-            "epochs": self._epochs,
-            "workers": len(self.ranges),
-            "in_flight_deliveries": self._plane.deferred_delivered_count,
-            "in_flight_leaked": self._plane.in_flight_count,
-        }
-        if bus is not None:
-            out.update(bus.stats.as_dict())
+        out = {"epochs": self._epochs, "workers": len(self.ranges)}
+        if self.bus is not None:
+            out.update(asdict(self.bus.stats))
         if self._worker_stats is not None:
             out["worker_busy_seconds"] = [
                 float(part.get("busy_seconds", 0.0))

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.network.frames import le_column
 from repro.network.messages import Message, MessageKind
 from repro.spatial.geometry import (
     ALL_SPACE,
@@ -94,9 +93,14 @@ _POINT_I8 = np.dtype("<i8")
 _POINT_F8 = np.dtype("<f8")
 
 
-# One coercion helper serves every frame family (scalar in-flight
-# frames included): repro.network.frames owns it.
-_le_column = le_column
+def _le_column(values, dtype, shape=None) -> np.ndarray:
+    """Coerce to a C-contiguous little-endian column of *dtype*."""
+    column = np.ascontiguousarray(values, dtype=dtype)
+    if shape is not None and column.shape != shape:
+        raise ValueError(
+            f"frame column has shape {column.shape}, expected {shape}"
+        )
+    return column
 
 
 @dataclass(frozen=True)
@@ -264,70 +268,3 @@ def unpack_regions(frame: RegionBatchFrame) -> list[Region]:
             decoded[key] = region
         out.append(region)
     return out
-
-
-@dataclass(frozen=True)
-class PointInFlightFrame:
-    """In-flight uplink entries with vector payloads on the wire.
-
-    The spatial counterpart of a scalar
-    :class:`~repro.network.frames.InFlightFrame` update frame: the
-    ``delivery``/``seqs`` key columns ride alongside an embedded
-    :class:`PointBatchFrame` whose ``rows``/``points``/``times``
-    columns carry the stream row, point payload, and send-time stamp
-    of each extracted entry.
-    """
-
-    delivery: np.ndarray
-    seqs: np.ndarray
-    batch: PointBatchFrame
-
-    def __len__(self) -> int:
-        return len(self.seqs)
-
-
-def pack_point_in_flight(
-    entries, dimension: int | None = None
-) -> PointInFlightFrame:
-    """Frame extracted uplink entries ``[(delivery, seq, message)]``.
-
-    Messages carry point payloads (:class:`PointUpdateMessage`);
-    entries are framed in the order given, which the channel guarantees
-    is ``(delivery, seq)`` heap order.  *dimension* defaults to that of
-    the first entry's point (an empty batch must declare it).
-    """
-    seqs = _le_column([seq for _, seq, _ in entries], _POINT_I8)
-    m = len(seqs)
-    if dimension is None:
-        dimension = len(entries[0][2].point)
-    return PointInFlightFrame(
-        delivery=_le_column(
-            [time for time, _, _ in entries], _POINT_F8, shape=(m,)
-        ),
-        seqs=seqs,
-        batch=pack_points(
-            [message.stream_id for _, _, message in entries],
-            np.asarray(
-                [message.point for _, _, message in entries], dtype=float
-            ).reshape(m, int(dimension)),
-            [message.time for _, _, message in entries],
-            int(dimension),
-        ),
-    )
-
-
-def unpack_point_in_flight(
-    frame: PointInFlightFrame,
-) -> list[tuple[float, int, int, float, np.ndarray]]:
-    """Decode to ``(delivery, seq, stream, send_time, point)`` rows."""
-    batch = frame.batch
-    return [
-        (
-            float(frame.delivery[i]),
-            int(frame.seqs[i]),
-            int(batch.rows[i]),
-            float(batch.times[i]),
-            batch.points[i].copy(),
-        )
-        for i in range(len(frame))
-    ]

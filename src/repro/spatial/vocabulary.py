@@ -23,10 +23,8 @@ from repro.spatial.messages import (
     PointProbeRequestMessage,
     PointUpdateMessage,
     RegionConstraintMessage,
-    pack_point_in_flight,
     pack_points,
     pack_regions,
-    unpack_point_in_flight,
     unpack_regions,
 )
 from repro.spatial.oracle import SpatialOracle
@@ -145,8 +143,6 @@ SPATIAL = Vocabulary(
     oracle=SpatialOracle,
     violation_error=SpatialToleranceViolationError,
     check_offset=-1,
-    pack_in_flight=pack_point_in_flight,
-    unpack_in_flight=unpack_point_in_flight,
     payload_items=list,
     flush_deploys=flush_region_deploys,
     install_batch=install_region_batch,

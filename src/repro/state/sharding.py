@@ -201,17 +201,6 @@ class StateShardView(StreamStateTable):
         }
         return (type(self), (self.parent, self.lo, self.hi), state)
 
-    def to_global(self, local_id: int) -> int:
-        return self.lo + int(local_id)
-
-    def to_local(self, stream_id: int) -> int:
-        local = int(stream_id) - self.lo
-        if not 0 <= local < self.n_streams:
-            raise IndexError(
-                f"stream {stream_id} outside shard [{self.lo}, {self.hi})"
-            )
-        return local
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"StateShardView([{self.lo}, {self.hi}) of "

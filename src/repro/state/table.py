@@ -555,9 +555,6 @@ class StreamStateTable:
         self.answer_mask[:] = mask
         self._answer_count = int(np.count_nonzero(self.answer_mask))
 
-    def answer_ids(self) -> np.ndarray:
-        return np.nonzero(self.answer_mask)[0]
-
     def answer_snapshot(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.answer_mask).tolist())
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.correctness.checker import ToleranceViolationError
 from repro.correctness.oracle import Oracle
-from repro.network.frames import pack_in_flight, unpack_in_flight
 from repro.network.messages import (
     ConstraintMessage,
     ProbeReplyMessage,
@@ -72,8 +71,7 @@ def install_interval_batch(
     """Install one shipped interval batch at a shard worker's sources,
     in order; returns the self-corrections as ``(local id, value,
     time)`` tuples.  One columnar operation when the batch qualifies
-    (DESIGN.md §12); per-message on a latency-modeled channel (every
-    install draws its own delay) or for a batch naming a stream twice.
+    (DESIGN.md §12); per-message for a batch naming a stream twice.
     """
     if not install_constraints(
         worker.channel, worker.table, local_ids, (lowers, uppers), assumed, times
@@ -113,8 +111,6 @@ SCALAR = Vocabulary(
     oracle=Oracle,
     violation_error=ToleranceViolationError,
     check_offset=0,
-    pack_in_flight=pack_in_flight,
-    unpack_in_flight=unpack_in_flight,
     payload_items=np.ndarray.tolist,
     flush_deploys=flush_interval_deploys,
     install_batch=install_interval_batch,

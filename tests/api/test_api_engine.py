@@ -121,8 +121,8 @@ def test_spatial_parallel_runs_on_the_transport():
     assert parallel.ledger == sequential.ledger
     assert parallel.final_answer == sequential.final_answer
     assert "transport" in parallel.extras["replay"]
-    # Nonzero latency composes too: deferred deliveries cross the
-    # process boundary on the in-flight plane, ledger still identical.
+    # Under a latency model the same call is the sequential session
+    # (no process, no transport counters), ledger identical a fortiori.
     delayed_seq = Engine().run(
         spec, workload, Deployment.sharded(2, latency=0.5)
     )
@@ -131,6 +131,7 @@ def test_spatial_parallel_runs_on_the_transport():
     )
     assert delayed_par.ledger == delayed_seq.ledger
     assert delayed_par.final_answer == delayed_seq.final_answer
+    assert "transport" not in delayed_par.extras["replay"]
 
 
 def test_run_queries_shared_deployment():

@@ -66,11 +66,11 @@ class TestSlots:
         source.install("b", FilterConstraint(0.0, 10.0), None, 0.0)
         # Value drifts out; suppose a's protocol learned via probe.
         source.value = 12.0  # bypass apply to simulate missed state
-        source._reported_inside["a"] = True
-        source._reported_inside["b"] = True
+        source.membership.reported_inside["a"] = True
+        source.membership.reported_inside["b"] = True
         assert source.probe("a") == 12.0
-        assert source._reported_inside["a"] is False  # resynced
-        assert source._reported_inside["b"] is True   # untouched
+        assert source.membership.reported_inside["a"] is False  # resynced
+        assert source.membership.reported_inside["b"] is True   # untouched
 
     def test_stale_install_belief_self_corrects(self, system):
         coordinator, received = system

@@ -340,7 +340,6 @@ def _deploy_at_worker(worker, stream_ids, lower, upper) -> None:
         np.asarray(upper, dtype=np.float64),
         np.full(len(ids), BELIEF_NONE, dtype=np.int8),
         np.zeros(len(ids)),
-        None,
     )
 
 
@@ -353,7 +352,6 @@ def _one_shard_worker(trace, replay_mode="batch") -> ShardWorker:
         trace.stream_ids,
         trace.values,
         np.arange(trace.n_records),
-        None,
         replay_mode,
     )
 
@@ -385,8 +383,7 @@ def test_one_shard_worker_dispatches_what_the_session_dispatches(monkeypatch):
         trace.initial_values + WIDTH,
     )
     while True:
-        g, blocked = worker.scan()
-        assert not blocked
+        g = worker.scan()
         if g is None:
             break
         for local_id, value, _ in worker.dispatch(g):
@@ -447,10 +444,10 @@ def test_a_lively_shard_bails_out_to_the_event_strategy():
     worker = _one_shard_worker(trace)
     position = 0
     while True:
-        g, blocked = worker.scan()
+        g = worker.scan()
         if g is None:
             break
-        assert (g, blocked) == (position, False)
+        assert g == position
         worker.advance(g)
         (report,) = worker.dispatch(g)
         assert report[1:] == (trace.values[g], trace.times[g])
@@ -484,10 +481,10 @@ def test_a_bailout_claims_nothing_past_pos():
     worker = _one_shard_worker(trace)
     _deploy_at_worker(worker, [1], [0.0], [1000.0])
     for g in range(lively):
-        assert worker.scan() == (g, False)
+        assert worker.scan() == g
         worker.dispatch(g)
     # The chunk's quiet tail [3000, 4096) is scanned; the switch fires.
-    assert worker.scan() == (lively, False)
+    assert worker.scan() == lively
     cursor = worker.cursor
     assert cursor.stats["dispatch_bailout_at"] == lively
     assert (cursor.pos, cursor.proven) == (lively, lively)
@@ -496,7 +493,7 @@ def test_a_bailout_claims_nothing_past_pos():
 
     _deploy_at_worker(worker, [1], [400.0], [600.0])
     reports = []
-    while (g := worker.scan()[0]) is not None:
+    while (g := worker.scan()) is not None:
         reports += worker.dispatch(g)
     # Out of the narrowed filter, then back in with the next record.
     assert reports == [
@@ -527,7 +524,7 @@ def test_touch_on_a_multi_chunk_idle_window_surfaces_the_flip(flipped_chunk):
     )
     worker = _one_shard_worker(trace)
     _deploy_at_worker(worker, range(4), np.full(4, 0.0), np.full(4, 1000.0))
-    assert worker.scan() == (None, False)
+    assert worker.scan() is None
     assert worker.cursor.stats["chunk_scans"] == n_chunks
     assert (worker.cursor.pos, worker.cursor.proven) == (0, n)
 
@@ -535,7 +532,7 @@ def test_touch_on_a_multi_chunk_idle_window_surfaces_the_flip(flipped_chunk):
     worker.advance(100)
     stream = int(trace.stream_ids[target])
     _deploy_at_worker(worker, [stream], [400.0], [600.0])
-    assert worker.scan() == (target, False)
+    assert worker.scan() == target
     with pytest.raises(TransportError, match="past the proven frontier"):
         worker.advance(target + 2)
     assert worker.dispatch(target) == [(stream, 900.0, float(target + 1))]
@@ -616,25 +613,34 @@ def test_one_replay_core_structurally():
     } <= session_methods
 
 
-def test_auto_resolves_batch_on_a_worker_under_latency():
-    """The worker's table is written at install, so right after
-    initialization under a latency model it shows nothing scannable —
-    the pending installs are the evidence ``auto`` reads instead."""
+def test_auto_resolves_batch_on_region_planes_under_latency():
+    """The spatial stack writes its region planes at *install*, so right
+    after initialization under a latency model the table shows nothing
+    scannable — the pending installs are the evidence ``auto`` reads
+    instead (the scalar columns are written at deploy and never need
+    it)."""
     spec = QuerySpec(
-        "ft-nrp",
-        repro.RangeQuery(400.0, 600.0),
+        "ft-nrp-2d",
+        SpatialRangeQuery(BoxRegion([300.0, 300.0], [700.0, 700.0])),
         repro.FractionTolerance(0.2, 0.2),
     )
-    workload = Workload.synthetic(n_streams=300, horizon=20.0, seed=0)
+    workload = Workload.moving_objects(n_objects=60, horizon=40.0, seed=3)
+    trace = workload.materialize()
     latency = repro.UniformLatency(0.05, 0.6, seed=11)
-    sibling = Engine().run(spec, workload, Deployment.sharded(2, latency=latency))
-    parallel = Engine().run(
-        spec, workload, Deployment.sharded(2, parallel=True, latency=latency)
+    session = ExecutionSession.for_spatial_sharded(
+        trace, spec.build(), 2, latency=latency
     )
-    assert sibling.extras["replay"]["mode"] == "batch"
-    assert parallel.extras["replay"]["mode"] == "batch"
-    assert parallel.extras["replay"]["staged"] > 0
-    assert parallel.ledger == sibling.ledger
+    session.initialize(time=0.0)
+    assert not any(t.geo_scannable.any() for t in session._state_tables())
+    assert any(c.constraint_in_flight() for c in session.latency_channels)
+
+    auto = Engine().run(spec, workload, Deployment.sharded(2, latency=latency))
+    event = Engine().run(
+        spec, workload, Deployment.sharded(2, latency=latency, replay_mode="event")
+    )
+    assert auto.extras["replay"]["mode"] == "batch"
+    assert auto.extras["replay"]["staged"] > 0
+    assert auto.ledger == event.ledger
 
 
 # ----------------------------------------------------------------------

@@ -6,14 +6,13 @@ protocols onto worker processes behind the epoch-stepped coordinator
 coordinator's message ledger — and the final answer — must equal
 sequential sharded serving across the full grid of {sequential,
 parallel} x {2, 4} shards x {event, batch} replay x {synchronous,
-latency=0} channels, for every coupled scalar protocol.  (Nonzero
-latency models ride the in-flight plane and get their own grid in
-``test_transport_latency.py``.)
+latency=0} channels, for every coupled scalar protocol.  (Only the
+synchronous cells build processes: a latency model — ``latency=0``
+included — or a checker routes ``parallel=True`` onto the sequential
+session, which ``test_transport_latency.py`` pins.)
 
 Alongside the grid: worker-crash behaviour (a clean raised error, no
-hang, no partially-merged ledger), the merged replay diagnostics, and
-the ``is_zero`` latency classification the zero/nonzero routing rests
-on.
+hang, no partially-merged ledger) and the merged replay diagnostics.
 """
 
 import time
@@ -93,19 +92,19 @@ def test_transport_matches_single_server_too():
     assert parallel.final_answer == single.final_answer
 
 
-def test_checking_runs_route_through_the_transport():
-    # Regression for the PR-7 limitation: check_every > 0 used to fall
-    # back to the sequential coordinator.  It now runs coordinator-side
-    # oracle probes at epoch boundaries on the transport itself — the
-    # merged stats carry the transport counters (no fallback) and the
-    # checks, violations, and ledger all match the single server.
+def test_checking_runs_route_to_the_sequential_session():
+    # A checker runs on the coordinator either way, so a checking run
+    # takes no worker processes: it *is* the sequential sharded run —
+    # no transport counters, no ``+transport`` — and its checks,
+    # violations, and ledger all match the single server.
     engine = Engine()
     spec = COUPLED_SPECS["rtp"]
     single = engine.run(spec, WORKLOAD, Deployment.single(check_every=5))
     checked = engine.run(
         spec, WORKLOAD, Deployment.sharded(2, parallel=True, check_every=5)
     )
-    assert "transport" in checked.extras["replay"], "fallback is gone"
+    assert "transport" not in checked.extras["replay"]
+    assert checked.topology == "sharded(2)"
     assert checked.checks == single.checks > 0
     assert list(checked.violations) == list(single.violations)
     assert checked.ledger == single.ledger
@@ -146,40 +145,13 @@ def test_transport_report_merges_worker_diagnostics():
     assert len(transport["worker_busy_seconds"]) == 4
 
 
-# ----------------------------------------------------------------------
-# Latency classification (routes zero-delay past the in-flight plane)
-# ----------------------------------------------------------------------
-def test_latency_models_classify_zero_delay():
-    from repro.network.latency import (
-        ExponentialLatency,
-        FixedLatency,
-        UniformLatency,
-        as_latency_model,
-    )
-
-    assert FixedLatency(0.0).is_zero
-    assert as_latency_model(0).is_zero
-    assert not FixedLatency(0.5).is_zero
-    assert UniformLatency(0.0, 0.0).is_zero
-    assert not UniformLatency(0.0, 0.2).is_zero
-    assert ExponentialLatency(0.0, 0.0).is_zero
-    assert not ExponentialLatency(0.1, 0.0).is_zero
-
-
-def test_nonzero_latency_is_accepted_and_steps_the_plane():
-    # Regression: nonzero models used to be rejected up front with a
-    # "zero-delay channels" ValueError.  They now construct, replay,
-    # and account their deferred deliveries on the in-flight plane.
+def test_the_transport_takes_no_latency_model():
     from repro.server.transport import TransportShardedServer
 
     trace = WORKLOAD.materialize()
     protocol = COUPLED_SPECS["rtp"].build()
-    server = TransportShardedServer(trace, protocol, 2, latency=0.5)
-    with server:
-        server.initialize(0.0)
-        server.replay(horizon=trace.horizon)
-        stats = server.transport_stats()
-    assert stats["in_flight_deliveries"] > 0
+    with pytest.raises(TypeError):
+        TransportShardedServer(trace, protocol, 2, latency=0.5)
 
 
 # ----------------------------------------------------------------------

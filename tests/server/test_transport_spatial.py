@@ -6,8 +6,10 @@ vocabulary (point frames, region-constraint frames, mirror scatter into
 the geometric plane) behind the same epoch-stepped coordinator that
 serves the scalar protocols.  The contract is unchanged: byte-identical
 ledgers and answers versus sequential sharded serving across
-{2, 4} shards x {event, batch} replay, checking runs included, plus the
-scalar suite's crash-liveness guarantee on the spatial endpoint.
+{2, 4} shards x {event, batch} replay, plus the scalar suite's
+crash-liveness guarantee on the spatial endpoint.  Checking and
+latency-modeled ``parallel=True`` runs build no process: they are the
+sequential session (``test_transport_latency.py`` pins the routing).
 """
 
 import time
@@ -104,30 +106,13 @@ def test_spatial_transport_accepts_zero_delay_latency():
     assert parallel.final_answer == sequential.final_answer
 
 
-def test_nonzero_latency_is_accepted_and_steps_the_plane():
-    # Regression: nonzero models used to be rejected up front with a
-    # "zero-delay channels" ValueError.  They now construct, replay,
-    # and account their deferred deliveries on the in-flight plane.
-    from repro.server.transport import SpatialTransportShardedServer
-
-    trace = WORKLOAD.materialize()
-    protocol = SPATIAL_SPECS["rtp-2d"].build()
-    server = SpatialTransportShardedServer(trace, protocol, 2, latency=0.5)
-    with server:
-        server.initialize(0.0)
-        server.replay(horizon=trace.horizon)
-        stats = server.transport_stats()
-    assert stats["in_flight_deliveries"] > 0
-
-
 # ----------------------------------------------------------------------
-# Checking runs: coordinator-side oracle at epoch boundaries
+# Checking runs: the sequential session, never a worker process
 # ----------------------------------------------------------------------
-def test_spatial_checking_runs_route_through_the_transport():
-    # Regression: spatial parallel+checking used to be unreachable
-    # (parallel spatial raised outright).  Checks, violations, and the
-    # ledger must match the sequential checking run, and the merged
-    # stats must carry the transport counters (no sequential fallback).
+def test_spatial_checking_runs_route_to_the_sequential_session():
+    # Checks, violations, and the ledger must match the sequential
+    # checking run, because that is the run: no transport counters, no
+    # ``+transport`` in the report.
     engine = Engine()
     spec = SPATIAL_SPECS["rtp-2d"]
     sequential = engine.run(
@@ -138,7 +123,8 @@ def test_spatial_checking_runs_route_through_the_transport():
         WORKLOAD,
         Deployment.sharded(4, parallel=True, check_every=5),
     )
-    assert "transport" in checked.extras["replay"], "fallback is gone"
+    assert "transport" not in checked.extras["replay"]
+    assert checked.topology == sequential.topology == "sharded(4)"
     assert checked.checks == sequential.checks > 0
     assert list(checked.violations) == list(sequential.violations)
     assert checked.ledger == sequential.ledger
@@ -155,9 +141,16 @@ def test_spatial_checking_classifies_under_zero_latency():
         WORKLOAD,
         Deployment.sharded(2, parallel=True, check_every=5, latency=0),
     )
+    assert "transport" not in checked.extras["replay"]
+    assert checked.topology == sequential.topology == "sharded(2)+latency"
     assert checked.checks == sequential.checks > 0
     assert list(checked.violations) == list(sequential.violations)
     assert checked.ledger == sequential.ledger
+    # Zero delay never leaves the synchronous prefix: the split is the
+    # sibling's, and nothing in it is blamed on latency.
+    for key in ("violations_inherent_latency", "violations_protocol_bug"):
+        assert checked.extras[key] == sequential.extras[key]
+    assert checked.extras["violations_inherent_latency"] == 0
 
 
 def test_spatial_checking_requires_a_query():
