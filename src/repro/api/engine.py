@@ -307,6 +307,7 @@ def _execute_hosted(
         )
         replay = dict(session.last_replay_stats)
         ledger = session.snapshot()
+        session.close()
 
     extras = _collect_extras(protocol)
     extras["replay"] = replay

@@ -6,7 +6,8 @@ directory alone, in two steps:
 1. **Restore a consistent cut.**  Prefer the latest snapshot the
    journal *marks* (a mark is only appended after the snapshot file is
    durably on disk); one that fails to verify, decode or rebuild, for
-   whatever reason, is *unusable* — never fatal, never half-trusted:
+   whatever reason, is *unusable* — never fatal, never half-trusted,
+   and named with its reason in ``RecoveredRun.skipped_snapshots``:
    fall back mark by mark, then rebuild from the manifest — a pristine
    pre-init protocol clone plus the initial values — and rerun
    initialization, which is deterministic and therefore re-charges the
@@ -60,10 +61,9 @@ from repro.durability.runner import (
     _replay_segments,
     build_durable_session,
 )
-from repro.runtime.session import ExecutionSession, wire_sources
+from repro.runtime.session import ExecutionSession
 from repro.sim.engine import SimulationEngine
 from repro.state.sharding import shard_ranges
-from repro.streams.filters import FilterConstraint
 
 
 @dataclasses.dataclass
@@ -73,7 +73,9 @@ class RecoveredRun:
     ``position`` is the number of trace records already applied (and
     durably journaled); :func:`resume_run` continues the trace from
     there.  ``snapshot_file`` names the snapshot the restore used,
-    ``None`` when recovery rebuilt from the manifest.
+    ``None`` when recovery rebuilt from the manifest;
+    ``skipped_snapshots`` lists every newer marked snapshot it passed
+    over as ``(file, "ExceptionType: message")``, newest first.
     """
 
     session: ExecutionSession
@@ -82,6 +84,7 @@ class RecoveredRun:
     policy: DurabilityPolicy
     snapshot_file: str | None
     scan_reason: str
+    skipped_snapshots: list[tuple[str, str]]
 
 
 def _load_manifest(run_dir: str) -> dict:
@@ -116,11 +119,11 @@ def _restore_from_snapshot(path: str) -> tuple[ExecutionSession, int]:
     """The session and position of the cut at *path* — the one snapshot
     reader.  Raises on any failure to verify, decode or rebuild (the
     caller falls back): the file must be one intact frame of the current
-    format, its pickle must still load, and the population columns must
-    equal the restored table's — write-through keeps them equal at every
-    quiescent cut of a synchronous run.  Filters are installed *before*
-    the session binds the memberships: a fresh ``bind_state`` writes "no
-    filter" through and would clobber the restored planes.
+    format, its pickle must still load, and the population's filter
+    planes must equal the restored table's — write-through keeps them
+    equal at every quiescent cut of a synchronous run.  The planes are
+    restored *before* the session binds the population: ``bind_state``
+    writes them through, and fresh ones would clobber the table's.
     """
     scan = scan_journal(path, SNAPSHOT_MAGIC)
     tags = [rtype for rtype, _ in scan.records]
@@ -136,14 +139,11 @@ def _restore_from_snapshot(path: str) -> tuple[ExecutionSession, int]:
         "lower": columns["lower"],
         "upper": columns["upper"],
     }
-    ranges = shard_ranges(n, len(channels))
-    sources = wire_sources(host.vocabulary.source, columns["value"], channels, ranges)
-    for source, filtered, inside, lower, upper in zip(
-        sources, *(column.tolist() for column in side.values())
-    ):
-        if filtered:
-            source.membership.container = FilterConstraint(lower, upper)
-        source.membership.reported_inside = inside
+    population = host.vocabulary.population(
+        columns["value"], channels, shard_ranges(n, len(channels))
+    )
+    population.filtered, population.inside = side["scannable"], side["inside"]
+    population.lower, population.upper = side["lower"], side["upper"]
     for name, column in side.items():
         if not np.array_equal(getattr(host.state, name), column):
             raise ValueError(
@@ -154,7 +154,7 @@ def _restore_from_snapshot(path: str) -> tuple[ExecutionSession, int]:
         # Empty queue: run() just advances the clock to the cut's time.
         engine.run(until=blob["engine_now"])
     session = ExecutionSession(
-        sources=sources,
+        sources=population,
         ledger=blob["ledger"],
         engine=engine,
         channel=channels[0] if len(channels) == 1 else None,
@@ -173,11 +173,14 @@ def recover_run(run_dir: str) -> RecoveredRun:
     session: ExecutionSession | None = None
     position = 0
     snapshot_file: str | None = None
+    skipped: list[tuple[str, str]] = []
     for mark in reversed(contents.snapshots):
         path = os.path.join(policy.snapshot_dir, mark["file"])
         try:
             session, position = _restore_from_snapshot(path)
-        except Exception:  # unusable, whatever the reason: try the previous
+        except Exception as error:
+            # Unusable, whatever the reason: say why, try the previous.
+            skipped.append((mark["file"], f"{type(error).__name__}: {error}"))
             continue
         snapshot_file = mark["file"]
         break
@@ -214,6 +217,7 @@ def recover_run(run_dir: str) -> RecoveredRun:
         policy=policy,
         snapshot_file=snapshot_file,
         scan_reason=scan_reason,
+        skipped_snapshots=skipped,
     )
 
 
@@ -271,5 +275,6 @@ def resume_run(run_dir: str, trace, progress=None) -> RunReport:
             "position": rec.position,
             "snapshot_file": rec.snapshot_file,
             "scan_reason": rec.scan_reason,
+            "skipped_snapshots": rec.skipped_snapshots,
         },
     )

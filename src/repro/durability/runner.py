@@ -23,7 +23,6 @@ single and sharded stacks.  The write-ahead discipline in miniature
 from __future__ import annotations
 
 import copy
-import math
 import os
 import pickle
 import time as _time
@@ -58,32 +57,27 @@ def _write_snapshot(
     """Write the quiescent cut; returns ``(file name, bytes)``.
 
     Host, ledger and channels are pickled as a graph (channels drop
-    their source bindings, so it stops short of the sources); the
-    population rides along as columns read from the sources, booleans
-    bit-packed.  The engine is excluded (its queue is empty between
-    replays and its closures do not pickle); only the clock rides along.
+    their source bindings, so it stops short of the population), whose
+    five planes ride along as they are, booleans bit-packed.  The engine
+    is excluded (its queue is empty between replays and its closures do
+    not pickle); only the clock rides along.
     Written atomically — tmp file, flush, fsync, rename — so a crash
     mid-snapshot leaves no partially-written ``.pkl`` behind.
     """
     os.makedirs(policy.snapshot_dir, exist_ok=True)
     name = f"snapshot_{position:012d}.pkl"
     path = os.path.join(policy.snapshot_dir, name)
-    sources, n = session.sources, len(session.sources)
-    filters = [source.membership.container for source in sources]
-    has_filter = (f is not None for f in filters)
-    lower = (-math.inf if f is None else f.lower for f in filters)
-    upper = (math.inf if f is None else f.upper for f in filters)
-    inside = (source.membership.reported_inside for source in sources)
+    population = session.sources
     blob = {
         "host": session.host,
         "ledger": session.ledger,
         "channels": session.channels,
         "population": {
-            "value": np.fromiter((s.value for s in sources), np.float64, n),
-            "has_filter": np.packbits(np.fromiter(has_filter, bool, n)),
-            "lower": np.fromiter(lower, np.float64, n),
-            "upper": np.fromiter(upper, np.float64, n),
-            "inside": np.packbits(np.fromiter(inside, bool, n)),
+            "value": population.values,
+            "has_filter": np.packbits(population.filtered),
+            "lower": population.lower,
+            "upper": population.upper,
+            "inside": np.packbits(population.inside),
         },
         "engine_now": float(session.engine.now),
         "position": int(position),
@@ -192,6 +186,8 @@ def _build_report(
         merged.pop("workers", None)
         extras["replay"] = merged
     protocol = session.host.protocol
+    ledger = session.snapshot()
+    session.close()
     return RunReport(
         protocol=protocol.name,
         stack=STACK_STREAMS,
@@ -200,7 +196,7 @@ def _build_report(
             n_shards=manifest["n_shards"],
             durable=policy,
         ).describe(),
-        ledger=session.snapshot(),
+        ledger=ledger,
         n_streams=trace.n_streams,
         n_records=trace.n_records,
         wall_seconds=_time.perf_counter() - started,

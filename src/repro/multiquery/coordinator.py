@@ -85,13 +85,15 @@ class QueryContext:
     ) -> None:
         """Server-compatible batch deploy; slotted sources have no
         columnar form, so this is the ordered :meth:`deploy` loop."""
+        if stream_ids is None:
+            stream_ids = self.stream_ids
         deploy_each(
             self,
             *constraint_columns(stream_ids, bound, assumed_inside, silenced),
         )
 
     def broadcast(self, bound, assumed_inside=None) -> None:
-        self.deploy_many(self.stream_ids, bound, assumed_inside)
+        self.deploy_many(None, bound, assumed_inside)
 
 
 class MultiQueryCoordinator(DeferredDeliveryMixin):

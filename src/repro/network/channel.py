@@ -36,7 +36,9 @@ class Channel:
         self.ledger = ledger
         self._server_handler: Callable[[Message], None] | None = None
         self._source_handlers: dict[int, Callable[[Message], None]] = {}
-        self._source_ids: list[int] | None = None
+        #: ``(lo, hi, handler)``: one handler for every id in ``[lo, hi)``
+        #: (a columnar population binds its whole shard in one entry).
+        self._source_ranges: list[tuple[int, int, Callable]] = []
         self._taps: list[Callable[[Message], None]] = []
 
     def __getstate__(self) -> dict:
@@ -44,7 +46,7 @@ class Channel:
         wiring, not state: a source binds itself at construction, and
         the handlers would drag every source into a snapshot (DESIGN §11)."""
         state = dict(self.__dict__)
-        state.update(_source_handlers={}, _source_ids=None, _taps=[])
+        state.update(_source_handlers={}, _source_ranges=[], _taps=[])
         return state
 
     def bind_server(self, handler: Callable[[Message], None]) -> None:
@@ -54,7 +56,35 @@ class Channel:
     def bind_source(self, stream_id: int, handler: Callable[[Message], None]) -> None:
         """Register the handler of source *stream_id*."""
         self._source_handlers[stream_id] = handler
-        self._source_ids = None
+
+    def bind_sources(
+        self, lo: int, hi: int, handler: Callable[[Message], None]
+    ) -> None:
+        """Register one handler for every source id in ``[lo, hi)``: one
+        range entry for a population, :meth:`bind_source` for a single
+        id.  A per-id binding shadows a range it falls in."""
+        if hi - lo == 1:
+            self.bind_source(int(lo), handler)
+        else:
+            self._source_ranges.append((int(lo), int(hi), handler))
+
+    def unbind(self) -> None:
+        """Forget the server, every source and every tap — a finished
+        run's teardown (the handlers hold objects that hold this
+        channel)."""
+        self._server_handler = None
+        self._source_handlers = {}
+        self._source_ranges = []
+        self._taps = []
+
+    def _source_handler(self, stream_id: int) -> Callable[[Message], None]:
+        handler = self._source_handlers.get(stream_id)
+        if handler is not None:
+            return handler
+        for lo, hi, handler in self._source_ranges:
+            if lo <= stream_id < hi:
+                return handler
+        raise RuntimeError(f"no source {stream_id} bound to channel")
 
     def add_tap(self, tap: Callable[[Message], None]) -> None:
         """Observe every message without affecting delivery or accounting.
@@ -96,34 +126,41 @@ class Channel:
 
     def send_to_source(self, message: Message) -> None:
         """Deliver a server-to-source message (probe request or constraint)."""
-        if message.stream_id not in self._source_handlers:
-            raise RuntimeError(f"no source {message.stream_id} bound to channel")
+        handler = self._source_handler(message.stream_id)  # unbound: raises
         self.ledger.record(message)
-        self._deliver_to_source(message)
+        self._deliver_to_source(message, handler)
 
     # ------------------------------------------------------------------
     # Columnar delivery (the bulk control plane, DESIGN.md §12)
     # ------------------------------------------------------------------
-    def bulk_sources(self, stream_ids: list[int]) -> list | None:
-        """The objects whose bound methods handle *stream_ids*, in order
-        — or ``None`` when this batch must travel message by message (a
-        handler that is no bound method, or a tap with no ``bulk`` form).
+    def bulk_target(self, stream_ids):
+        """The object whose one range binding handles every id of the
+        *stream_ids* column — or ``None`` when this batch must travel
+        message by message (no single range covers it, a per-id binding
+        shadows an id in its span, the handler is no bound method, or a
+        tap has no ``bulk`` form).
 
         An unbound id raises the same ``RuntimeError`` as
         :meth:`send_to_source`, before anything is charged.
         """
-        handlers = self._source_handlers
-        try:
-            targets = [handlers[stream_id].__self__ for stream_id in stream_ids]
-        except KeyError as missing:
-            raise RuntimeError(
-                f"no source {missing.args[0]} bound to channel"
-            ) from None
-        except AttributeError:
+        if not len(stream_ids):
+            return None
+        first, last = int(stream_ids.min()), int(stream_ids.max())
+        for lo, hi, handler in self._source_ranges:
+            if lo <= first and last < hi:
+                break
+        else:
+            for stream_id in stream_ids.tolist():
+                self._source_handler(stream_id)
+            return None
+        if any(
+            first <= stream_id <= last and shadow != handler
+            for stream_id, shadow in self._source_handlers.items()
+        ):
             return None
         if not all(hasattr(tap, "bulk") for tap in self._taps):
             return None
-        return targets
+        return getattr(handler, "__self__", None)
 
     def charge_bulk(self, stream_ids, *kinds: MessageKind) -> None:
         """Account for one message of each of *kinds* per stream id,
@@ -143,18 +180,27 @@ class Channel:
                 tap(message)
         self._server_handler(message)
 
-    def _deliver_to_source(self, message: Message) -> None:
+    def _deliver_to_source(self, message: Message, handler=None) -> None:
         if self._taps:
             for tap in self._taps:
                 tap(message)
-        self._source_handlers[message.stream_id](message)
+        (handler or self._source_handler(message.stream_id))(message)
 
     @property
     def source_ids(self) -> list[int]:
-        """Identifiers of all bound sources, ascending."""
-        if self._source_ids is None:
-            self._source_ids = sorted(self._source_handlers)
-        return list(self._source_ids)
+        """Identifiers of all bound sources, ascending (a fresh list:
+        nothing on a hot path asks — :attr:`n_sources` counts)."""
+        ids = list(self._source_handlers)
+        for lo, hi, _ in self._source_ranges:
+            ids.extend(range(lo, hi))
+        return sorted(ids)
+
+    @property
+    def n_sources(self) -> int:
+        """How many sources are bound (no id list is built)."""
+        return len(self._source_handlers) + sum(
+            hi - lo for lo, hi, _ in self._source_ranges
+        )
 
 
 #: The default delivery discipline under its explicit name: today's

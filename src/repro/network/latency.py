@@ -302,12 +302,11 @@ class LatencyChannel(Channel):
         self._route(message, is_uplink=True)
 
     def send_to_source(self, message: Message) -> None:
-        if message.stream_id not in self._source_handlers:
-            raise RuntimeError(f"no source {message.stream_id} bound to channel")
+        self._source_handler(message.stream_id)  # unbound: raises
         self.ledger.record(message)
         self._route(message, is_uplink=False)
 
-    def bulk_sources(self, stream_ids) -> None:
+    def bulk_target(self, stream_ids) -> None:
         """Never columnar: every message draws its own delay and joins
         its own flow's FIFO, so a batch is exactly its messages."""
         return None

@@ -102,11 +102,6 @@ class RankToleranceProtocol(FilterProtocol):
         assert self._state is not None
         return self.query.distance(self._state.value_of(stream_id))
 
-    def _ranked_known(self) -> list[int]:
-        """Stream ids sorted by (distance of last-known value, id)."""
-        assert self._rank is not None
-        return self._rank.order()
-
     # ------------------------------------------------------------------
     # Initialization (Figure 5, top)
     # ------------------------------------------------------------------
@@ -121,7 +116,7 @@ class RankToleranceProtocol(FilterProtocol):
             self._state = server.state
             self._rank = server.rank_view(self.query.rank_keys)
         server.probe_all()
-        order = self._ranked_known()
+        order = self._rank.order()
         self._state.answer_replace(order[: self.query.k])
         self._state.tracked_replace(order[: self.eps])
         self._deploy_bound(server, fresh_ids=None)
@@ -137,8 +132,8 @@ class RankToleranceProtocol(FilterProtocol):
         to non-fresh streams carry the believed membership so stale
         sources self-correct.
         """
-        assert self._state is not None
-        order = np.asarray(self._ranked_known(), dtype=np.int64)
+        assert self._state is not None and self._rank is not None
+        order = self._rank.order_ids()
         tracked = self._state.tracked_mask
         in_region = tracked[order]
         inside = order[in_region]
@@ -162,12 +157,11 @@ class RankToleranceProtocol(FilterProtocol):
         members = self._state.payload_array()[inside]
         self._region = self.query.region(threshold, members)
         assert all(map(self._region.contains, members))
-        ids = np.asarray(server.stream_ids, dtype=np.int64)
         belief = None
         if fresh_ids is not None:
-            belief = tracked[ids].astype(np.int8)
-            belief[np.isin(ids, list(fresh_ids))] = BELIEF_NONE
-        server.deploy_many(ids, self._region, belief)
+            belief = tracked.astype(np.int8)
+            belief[list(fresh_ids)] = BELIEF_NONE
+        server.deploy_many(None, self._region, belief)
 
     # ------------------------------------------------------------------
     # Maintenance (Figure 5, middle)
@@ -220,7 +214,7 @@ class RankToleranceProtocol(FilterProtocol):
         self.expansions += 1
         candidates = [
             i
-            for i in self._ranked_known()
+            for i in self._rank.order()
             if not self._state.answer_contains(i)
         ]
         distance = self.query.distance

@@ -1,6 +1,7 @@
 """The shared runtime kernel behind all four stacks.
 
-One source core (:class:`FilteredSource` + a :class:`MembershipStrategy`),
+One source core (:class:`FilteredSource` + a :class:`MembershipStrategy`;
+the scalar stack's is columnar, ``repro.streams.source``),
 one assembly/replay core (:class:`ExecutionSession`), and one deferred
 delivery discipline (:class:`DeferredDeliveryMixin`) — the scalar,
 spatial, value-window and multi-query stacks are thin specializations of
@@ -10,8 +11,6 @@ these three pieces.
 from repro.runtime.dispatch import DeferredDeliveryMixin
 from repro.runtime.membership import (
     REPORT,
-    ContainmentMembership,
-    IntervalMembership,
     MembershipStrategy,
     RecenteringWindowMembership,
     RegionMembership,
@@ -25,11 +24,9 @@ __all__ = [
     "REPORT",
     "REPLAY_MODES",
     "ChannelFilteredSource",
-    "ContainmentMembership",
     "DeferredDeliveryMixin",
     "ExecutionSession",
     "FilteredSource",
-    "IntervalMembership",
     "MembershipStrategy",
     "RecenteringWindowMembership",
     "RegionMembership",

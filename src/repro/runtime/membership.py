@@ -4,8 +4,9 @@ Every stack in this repo implements the same Section-3.1 contract — a
 source reports iff its *membership* (as the server believes it) flips —
 but each stack flips membership against a different shape of state:
 
-* :class:`IntervalMembership` — one scalar :class:`FilterConstraint`
-  (the paper's adaptive filters, ``repro.streams``);
+* one scalar :class:`FilterConstraint` (the paper's adaptive filters,
+  ``repro.streams``) — held as columns, with no strategy object: the
+  rows of :class:`repro.streams.source.ScalarPopulation`;
 * :class:`RegionMembership` — one d-dimensional :class:`Region`
   (``repro.spatial``);
 * :class:`RecenteringWindowMembership` — an Olston-style value window
@@ -189,112 +190,27 @@ class MembershipStrategy(ABC):
         return None
 
 
-class ContainmentMembership(MembershipStrategy):
-    """Membership against a single installed container.
+class RegionMembership(MembershipStrategy):
+    """Membership against one installed d-dimensional region, batched
+    via quiescence boxes.
 
-    The container only needs ``contains(payload) -> bool`` and an
-    ``is_silencing`` property; :class:`repro.streams.filters.FilterConstraint`
-    and :class:`repro.spatial.geometry.Region` both qualify.  With no
-    container installed the source reports every change (the bare-stream
-    baseline).
+    The region only needs ``contains(payload) -> bool`` and an
+    ``is_silencing`` property; with none installed the source reports
+    every change (the bare-stream baseline).  When bound to a state
+    table the installed region's axis-aligned quiescence boxes
+    (:meth:`repro.spatial.geometry.Region.quiescence_bboxes`) and the
+    believed membership are written through to the table's *geometric
+    plane* on every mutation — the spatial mirror of the scalar
+    population's write-through.  The batched replay pre-scan then
+    decides quiescence columnar-side with one vectorized AABB test;
+    regions that cannot bound themselves with boxes
+    (``quiescence_bboxes`` returning ``None``) leave the row unscannable
+    and their sources dispatch per-event as before.
     """
 
     def __init__(self) -> None:
         self.container = None
         self.reported_inside = False
-
-    def evaluate(self, payload):
-        if self.container is None:
-            return REPORT
-        inside = self.container.contains(payload)
-        if inside != self.reported_inside:
-            self.reported_inside = inside
-            return REPORT
-        return None
-
-    def resync(self, payload) -> None:
-        if self.container is not None:
-            self.reported_inside = self.container.contains(payload)
-
-    def install(self, container, assumed_inside: bool | None, payload) -> bool:
-        self.container = container
-        self.reported_inside, must_report = deployment_outcome(
-            container, assumed_inside, payload
-        )
-        return must_report
-
-
-class IntervalMembership(ContainmentMembership):
-    """Scalar closed-interval membership (the paper's filters).
-
-    When bound to a state table the installed bounds and the believed
-    membership are written through on every mutation, so the batched
-    replay pre-scan can read them columnar without polling sources.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._table = None
-        self._row = -1
-
-    def bind_state(self, table, stream_id: int) -> None:
-        self._table = table
-        self._row = int(stream_id)
-        self._write_through()
-
-    def _write_through(self) -> None:
-        if self._table is None:
-            return
-        if self.container is None:
-            self._table.clear_filter(self._row)
-        else:
-            self._table.set_filter(
-                self._row,
-                self.container.lower,
-                self.container.upper,
-                self.reported_inside,
-            )
-
-    def evaluate(self, payload):
-        result = super().evaluate(payload)
-        if result is not None and self._table is not None:
-            self._table.set_inside(self._row, self.reported_inside)
-        return result
-
-    def resync(self, payload) -> None:
-        super().resync(payload)
-        if self._table is not None and self.container is not None:
-            self._table.set_inside(self._row, self.reported_inside)
-
-    def install(self, container, assumed_inside: bool | None, payload) -> bool:
-        must_report = super().install(container, assumed_inside, payload)
-        self._write_through()
-        return must_report
-
-    def quiescence_rows(self) -> list[QuiescenceRow] | None:
-        if self.container is None:
-            return None
-        return [
-            (self.container.lower, self.container.upper, self.reported_inside)
-        ]
-
-
-class RegionMembership(ContainmentMembership):
-    """d-dimensional region membership, batched via quiescence boxes.
-
-    When bound to a state table the installed region's axis-aligned
-    quiescence boxes (:meth:`repro.spatial.geometry.Region.
-    quiescence_bboxes`) and the believed membership are written through
-    to the table's *geometric plane* on every mutation — the spatial
-    mirror of :class:`IntervalMembership`'s scalar write-through.  The
-    batched replay pre-scan then decides quiescence columnar-side with
-    one vectorized AABB test; regions that cannot bound themselves with
-    boxes (``quiescence_bboxes`` returning ``None``) leave the row
-    unscannable and their sources dispatch per-event as before.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
         self._table = None
         self._row = -1
         self._dimension: int | None = None
@@ -318,18 +234,26 @@ class RegionMembership(ContainmentMembership):
         self._table.set_inside(self._row, self.reported_inside)
 
     def evaluate(self, payload):
-        result = super().evaluate(payload)
-        if result is not None and self._table is not None:
+        if self.container is not None:
+            inside = self.container.contains(payload)
+            if inside == self.reported_inside:
+                return None
+            self.reported_inside = inside
+        if self._table is not None:
             self._table.set_inside(self._row, self.reported_inside)
-        return result
+        return REPORT
 
     def resync(self, payload) -> None:
-        super().resync(payload)
-        if self._table is not None and self.container is not None:
-            self._table.set_inside(self._row, self.reported_inside)
+        if self.container is not None:
+            self.reported_inside = self.container.contains(payload)
+            if self._table is not None:
+                self._table.set_inside(self._row, self.reported_inside)
 
     def install(self, container, assumed_inside: bool | None, payload) -> bool:
-        must_report = super().install(container, assumed_inside, payload)
+        self.container = container
+        self.reported_inside, must_report = deployment_outcome(
+            container, assumed_inside, payload
+        )
         self._dimension = len(payload)
         self._write_through()
         return must_report

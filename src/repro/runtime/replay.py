@@ -11,10 +11,10 @@ where the coordinator picks the global minimum among the per-shard
 candidates.
 
 The proofs read the *live* constraint columns of the state tables —
-source membership strategies write through to them, so the columns are
-the filter state.  A record that may flip a filter is only ever
-dispatched (engine to its time, staged writes flushed,
-``source.apply``: one code path for every strategy and driver) and a
+the sources write their filter state through to them, so the columns
+are the filter state.  A record that may flip a filter is only ever
+dispatched (engine to its time, staged writes flushed, the source's
+``apply``: one code path for every strategy and driver) and a
 record is only ever staged while provably unable to flip anything, so
 the message ledger is byte-identical whichever way the cursor is
 driven.  In the **event strategy** nothing is proven and every record
@@ -187,12 +187,15 @@ class ReplayCursor:
     """Step-wise replay of ``(times, ids, payloads)`` into *sources*.
 
     The record arrays are parallel and time-sorted; *ids* index *sources*
-    and the rows of *tables* — every state table whose constraint
-    columns guard a filter.  *channels* carry the server-to-source
-    traffic (tapped to flush staged writes; their latency-modeled
-    members set the in-flight barrier).  State: records before ``pos``
-    are committed; ``[pos, proven)`` is proven quiescent against the
-    live columns; a window of scanned chunks backs the proof.  The whole
+    — a list of source objects, or a columnar population whose value
+    plane is its own staging vector (``stage`` / ``apply(row, ...)``,
+    DESIGN.md §18) — and the rows of *tables*, every state table whose
+    constraint columns guard a filter.  *channels* carry the
+    server-to-source traffic (tapped to flush a list's staged writes;
+    their latency-modeled members set the in-flight barrier).  State:
+    records before ``pos`` are committed; ``[pos, proven)`` is proven
+    quiescent against the live columns; a window of scanned chunks backs
+    the proof.  The whole
     surface is :meth:`candidate`, :meth:`advance`, :meth:`dispatch`,
     :meth:`close` and the read-only ``pos`` / ``proven`` / ``mode`` /
     ``stats``; ``batch_size`` / ``min_chunk`` bound the adaptive chunk.
@@ -239,9 +242,15 @@ class ReplayCursor:
         #: Streams with a message in flight at the last barrier read.
         self._lagging = np.empty(0, dtype=np.int64)
         self._prescan = _StatePrescan(self._tables)
-        self._deferred: _DeferredAssignments | None = None
+        #: Where quiescent writes are staged: a columnar population's
+        #: own value plane, or — batch strategy only — the deferred
+        #: assignments of a list of source objects.
+        self._staging = sources if hasattr(sources, "stage") else None
+        if self._staging is not None and sources.first_id:
+            raise ValueError("a replayed population's rows must be its ids")
         if not self._event:
-            self._deferred = _DeferredAssignments(sources, channels, payloads)
+            if self._staging is None:
+                self._staging = _DeferredAssignments(sources, channels, payloads)
             for table in self._tables:
                 table.watch_constraints()
 
@@ -328,7 +337,7 @@ class ReplayCursor:
             raise ValueError(
                 f"past the proven frontier (to {k}, proven {self.proven})"
             )
-        self._deferred.stage(self.ids[pos:k], self.payloads[pos:k])
+        self._staging.stage(self.ids[pos:k], self.payloads[pos:k])
         self.stats["staged"] += k - pos
         self.pos = k
 
@@ -360,9 +369,9 @@ class ReplayCursor:
 
     def close(self) -> None:
         """Flush every staged write; detach taps and watches."""
-        if self._deferred is not None:
-            self._deferred.close()
-            self._deferred = None
+        if isinstance(self._staging, _DeferredAssignments):
+            self._staging.close()
+            self._staging = None
         for table in self._tables:
             table.unwatch_constraints()
 
@@ -372,7 +381,7 @@ class ReplayCursor:
     def _fire(self) -> None:
         j = self.pos
         _apply(
-            self.sources, self._deferred, int(self.ids[j]), self.payloads[j],
+            self.sources, self._staging, int(self.ids[j]), self.payloads[j],
             float(self.times[j]),
         )
         self.pos = self.proven = j + 1
@@ -507,15 +516,19 @@ class ReplayCursor:
             )
 
 
-def _apply(sources, deferred, stream_id: int, payload, time: float) -> None:
+def _apply(sources, staging, stream_id: int, payload, time: float) -> None:
     """The one per-event step of every strategy: make the source's value
-    readable, then hand it the record (it reports if a filter flips)."""
-    if deferred is not None:
-        if deferred._channels:
+    readable, then hand it the record (it reports if a filter flips).
+    A columnar population is its own *staging* — nothing waits aside."""
+    if staging is sources:
+        sources.apply(stream_id, payload, time)
+        return
+    if staging is not None:
+        if staging._channels:
             # Other sources' reads are flushed by the channel taps.
-            deferred.flush_one(stream_id)
+            staging.flush_one(stream_id)
         else:
-            deferred.flush_all()
+            staging.flush_all()
     sources[stream_id].apply(payload, time)
 
 
@@ -533,9 +546,10 @@ def columnar_table(payloads, tables, sources, channels, protocol):
     label is ``None`` when it never asked), no latency model puts
     reports in flight, there is one table whose every row is known and
     filtered, no listeners or channel taps observe per-message traffic,
-    and every source carries a plain deployed interval over scalar
-    payloads.  Silencers are such intervals — constant containment, so
-    the diff finds no report.  Anything else goes to the cursor.
+    and the population is columnar with a deployed interval in every
+    row, over scalar payloads.  Silencers are such intervals — constant
+    containment, so the diff finds no report.  Anything else goes to
+    the cursor.
     """
     if not getattr(protocol, "columnar_maintenance", False):
         return None, None
@@ -543,12 +557,12 @@ def columnar_table(payloads, tables, sources, channels, protocol):
         return None, "latency"
     if len(tables) != 1:
         return None, "tables"
-    from repro.runtime.membership import IntervalMembership
-
-    if np.ndim(payloads) != 1 or any(
-        type(source.membership) is not IntervalMembership
-        or source.membership.container is None
-        for source in sources
+    filtered = getattr(sources, "filtered", None)
+    if (
+        np.ndim(payloads) != 1
+        or filtered is None
+        or sources.first_id
+        or not filtered.all()
     ):
         return None, "membership"
     table = tables[0]
@@ -562,8 +576,8 @@ def columnar_table(payloads, tables, sources, channels, protocol):
 
 
 def replay_columnar(
-    times, stream_ids, payloads, table, sources, channels, ledger, host,
-    engine, batch_size, frontiers,
+    times, stream_ids, payloads, table, sources, ledger, host, engine,
+    batch_size, frontiers,
 ) -> dict:
     """Apply whole chunks — reports included — columnarly.
 
@@ -575,99 +589,86 @@ def replay_columnar(
     order, not the diff's per-stream grouping — and
     :meth:`~repro.protocols.base.FilterProtocol.absorb_reports` says how
     many are quiet.  Those are charged to the ledger as one count, the
-    value/constraint/answer planes take each run's last quiet report,
-    the host clock its time, and sources are resynchronized at close —
+    value/constraint/answer planes and the population's believed side
+    take each run's last quiet report, the host clock its time —
     byte-identical to per-event replay with no Python per report.  The
     first report the protocol reacts to ends the chunk: that record
-    takes the cursor's per-event order (engine to its time, staged
-    value flushed, belief resynchronized, ``source.apply``) and the scan
-    resumes behind it against the live columns.  No chunk crosses the
-    frontier last taken from *frontiers*, so no ledger charge covers an
-    unreleased record.  Returns the replay stats.
+    takes the cursor's per-event order (engine to its time, the
+    population's ``apply``) and the scan resumes behind it against the
+    live columns.  No chunk crosses the frontier last taken from
+    *frontiers*, so no ledger charge covers an unreleased record.
+    *sources* is the columnar population :func:`columnar_table` passed.
+    Returns the replay stats.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     stats = replay_stats("batch", "columnar", len(times))
-    deferred = _DeferredAssignments(sources, channels, payloads)
-    dirty = np.zeros(len(sources), dtype=bool)
-    try:
-        i, size = 0, batch_size
-        for frontier in frontiers:
-            while i < frontier:
-                end = min(i + size, frontier)
-                ids_chunk = stream_ids[i:end]
-                vals_chunk = payloads[i:end]
-                stats["chunk_scans"] += 1
-                order, starts, run_ids = segment_runs(ids_chunk)
-                contains = (table.lower[ids_chunk] <= vals_chunk) & (
-                    vals_chunk <= table.upper[ids_chunk]
-                )
-                grouped = contains[order]
-                previous = np.empty_like(grouped)
-                previous[1:] = grouped[:-1]
-                previous[starts[:-1]] = table.inside[run_ids]
-                report_idx = np.nonzero(grouped != previous)[0]
-                quiet, reacting = 0, False
-                size = min(batch_size, 2 * size)
-                if report_idx.size:
-                    at = order[report_idx]
-                    in_time = np.sort(at)
-                    quiet = host.protocol.absorb_reports(contains[in_time])
-                    reacting = quiet < in_time.size
-                    if reacting:
-                        # End the chunk just before the reacting record;
-                        # scan as far again, not a whole chunk, behind it.
-                        cut = int(in_time[quiet])
-                        size = min(batch_size, max(DEFAULT_MIN_CHUNK, 2 * cut))
-                        report_idx = report_idx[at < cut]
-                        end = i + cut
-                        ids_chunk, vals_chunk = ids_chunk[:cut], vals_chunk[:cut]
-                if quiet:
-                    ledger.record_kind(MessageKind.UPDATE, quiet)
-                    stats["columnar_reports"] += quiet
-                    host.now = max(host.now, float(times[i + in_time[quiet - 1]]))
-                    # Each reporting run's *last* report is what the
-                    # server remembers: value plane, believed side,
-                    # answer membership.
-                    last = (
-                        np.searchsorted(report_idx, starts[1:], side="left") - 1
-                    )
-                    first = np.searchsorted(report_idx, starts[:-1], side="left")
-                    reported = last >= first
-                    last_report = report_idx[last[reported]]
-                    pos = order[last_report]
-                    rows = ids_chunk[pos]
-                    table.values[rows] = vals_chunk[pos]
-                    table.report_time[rows] = times[i + pos]
-                    final_inside = grouped[last_report]
-                    table.inside[rows] = final_inside
-                    table.answer_assign_rows(rows, final_inside)
-                    dirty[rows] = True
-                deferred.stage(ids_chunk, vals_chunk)
-                stats["staged"] += end - i
-                i = end
+    i, size = 0, batch_size
+    for frontier in frontiers:
+        while i < frontier:
+            end = min(i + size, frontier)
+            ids_chunk = stream_ids[i:end]
+            vals_chunk = payloads[i:end]
+            stats["chunk_scans"] += 1
+            order, starts, run_ids = segment_runs(ids_chunk)
+            contains = (table.lower[ids_chunk] <= vals_chunk) & (
+                vals_chunk <= table.upper[ids_chunk]
+            )
+            grouped = contains[order]
+            previous = np.empty_like(grouped)
+            previous[1:] = grouped[:-1]
+            previous[starts[:-1]] = table.inside[run_ids]
+            report_idx = np.nonzero(grouped != previous)[0]
+            quiet, reacting = 0, False
+            size = min(batch_size, 2 * size)
+            if report_idx.size:
+                at = order[report_idx]
+                in_time = np.sort(at)
+                quiet = host.protocol.absorb_reports(contains[in_time])
+                reacting = quiet < in_time.size
                 if reacting:
-                    row, time = int(stream_ids[i]), float(times[i])
-                    if time > engine.now:
-                        engine.run(until=time)
-                    sources[row].membership.reported_inside = bool(
-                        table.inside[row]
-                    )
-                    _apply(sources, deferred, row, payloads[i], time)
-                    stats["dispatches"] += 1
-                    i += 1
-    finally:
-        deferred.close()
-        # One belief resync per reporting source replaces the
-        # per-report write-through of the event path.
-        for row in np.nonzero(dirty)[0].tolist():
-            membership = sources[row].membership
-            membership.reported_inside = bool(table.inside[row])
+                    # End the chunk just before the reacting record;
+                    # scan as far again, not a whole chunk, behind it.
+                    cut = int(in_time[quiet])
+                    size = min(batch_size, max(DEFAULT_MIN_CHUNK, 2 * cut))
+                    report_idx = report_idx[at < cut]
+                    end = i + cut
+                    ids_chunk, vals_chunk = ids_chunk[:cut], vals_chunk[:cut]
+            if quiet:
+                ledger.record_kind(MessageKind.UPDATE, quiet)
+                stats["columnar_reports"] += quiet
+                host.now = max(host.now, float(times[i + in_time[quiet - 1]]))
+                # Each reporting run's *last* report is what the server
+                # remembers — value plane, believed side, answer
+                # membership — and the side the source believes reported.
+                last = np.searchsorted(report_idx, starts[1:], side="left") - 1
+                first = np.searchsorted(report_idx, starts[:-1], side="left")
+                reported = last >= first
+                last_report = report_idx[last[reported]]
+                pos = order[last_report]
+                rows = ids_chunk[pos]
+                table.values[rows] = vals_chunk[pos]
+                table.report_time[rows] = times[i + pos]
+                final_inside = grouped[last_report]
+                table.inside[rows] = final_inside
+                sources.inside[rows] = final_inside
+                table.answer_assign_rows(rows, final_inside)
+            sources.stage(ids_chunk, vals_chunk)
+            stats["staged"] += end - i
+            i = end
+            if reacting:
+                time = float(times[i])
+                if time > engine.now:
+                    engine.run(until=time)
+                _apply(sources, sources, int(stream_ids[i]), payloads[i], time)
+                stats["dispatches"] += 1
+                i += 1
     return stats
 
 
 class _DeferredAssignments:
-    """Lazily materialized quiescent writes.
+    """Lazily materialized quiescent writes, for a list of source
+    objects (a columnar population stages into its own value plane).
 
     A quiescent record only changes its source's stored value — nothing
     observable happens until somebody *reads* that value.  So staged
@@ -713,28 +714,19 @@ class _DeferredAssignments:
         if not message.kind.is_uplink:
             self.flush_one(message.stream_id)
 
-    def bulk(self, stream_ids: np.ndarray) -> None:
-        """The tap's columnar form: a bulk server-to-source delivery is
-        about to read these sources."""
-        for stream_id in stream_ids[self._touched[stream_ids]].tolist():
-            self.flush_one(stream_id)
-
     def stage(self, ids_chunk, vals_chunk) -> None:
         """Record a run of quiescent writes (later records win)."""
         self._values[ids_chunk] = vals_chunk
         self._touched[ids_chunk] = True
 
-    def _staged_payload(self, stream_id: int):
-        # Vector rows must be copied out: the staging matrix keeps being
-        # scattered into, and spatial sources adopt ndarray payloads
-        # without copying.
-        value = self._values[stream_id]
-        return value.copy() if self._vector else value
-
     def flush_one(self, stream_id: int) -> None:
         if self._touched[stream_id]:
             self._touched[stream_id] = False
-            self._sources[stream_id].assign(self._staged_payload(stream_id))
+            # Vector rows must be copied out: the staging matrix keeps
+            # being scattered into, and spatial sources adopt ndarray
+            # payloads without copying.
+            value = self._values[stream_id]
+            self._sources[stream_id].assign(value.copy() if self._vector else value)
 
     def flush_all(self) -> None:
         for stream_id in np.nonzero(self._touched)[0].tolist():

@@ -6,10 +6,11 @@ and the host (server or coordinator).
 
 Assembly is written once, in :meth:`ExecutionSession.assemble`: the
 payload :class:`~repro.runtime.vocabulary.Vocabulary` of the stack names
-the source class and the trace's initial-payload column, the topology is
-one shard range or several, and the host is ``Server`` / ``ShardedServer``
-bound to that vocabulary (or none, for the value-window stack).  The
-``for_*`` classmethods are one-line bindings of it.
+the population constructor and the trace's initial-payload column, the
+topology is one shard range or several, and the host is ``Server`` /
+``ShardedServer`` bound to that vocabulary (or none, for the
+value-window stack).  The ``for_*`` classmethods are one-line bindings
+of it.
 
 :meth:`ExecutionSession.replay` is the in-process driver of the replay
 core in :mod:`repro.runtime.replay` (DESIGN.md §9).
@@ -33,20 +34,9 @@ from repro.runtime.replay import (
     replay_columnar,
     resolve_mode,
 )
-from repro.runtime.source import FilteredSource
+from repro.runtime.source import bind_state, wire_sources
 from repro.sim.engine import SimulationEngine
 from repro.state.table import StreamStateTable
-
-
-def wire_sources(make_source, payloads, channels, ranges) -> list:
-    """The population in id order, source ``i`` holding ``payloads[i]``
-    and bound to the channel of its id range — for assembly (a trace's
-    initial payloads) and snapshot restore (the cut's) alike."""
-    return [
-        make_source(stream_id, payloads[stream_id], channel)
-        for channel, (lo, hi) in zip(channels, ranges)
-        for stream_id in range(lo, hi)
-    ]
 
 
 class ExecutionSession:
@@ -55,7 +45,8 @@ class ExecutionSession:
     Parameters
     ----------
     sources:
-        The source population, indexed by stream id.
+        The source population, indexed by stream id: a list of source
+        objects or a columnar population (``ScalarPopulation``).
     host:
         The server-side owner (``Server``, ``ShardedServer``,
         ``MultiQueryCoordinator`` or ``None`` for bare assemblies).
@@ -67,7 +58,7 @@ class ExecutionSession:
     def __init__(
         self,
         *,
-        sources: Sequence[FilteredSource],
+        sources: Sequence,
         ledger: MessageLedger | None = None,
         engine: SimulationEngine | None = None,
         channel: Channel | None = None,
@@ -108,7 +99,7 @@ class ExecutionSession:
         self._bind_state()
 
     def _bind_state(self) -> None:
-        """Bind every source's membership to a state-table row.
+        """Bind the population's filter state to a state table.
 
         Hosts with per-query tables (the multi-query coordinator) bind
         their own sources; otherwise the host's table — or a session-owned
@@ -122,8 +113,7 @@ class ExecutionSession:
             table = self.state = StreamStateTable(len(self.sources))
         if table is None:
             return
-        for source in self.sources:
-            source.membership.bind_state(table, source.stream_id)
+        bind_state(self.sources, table)
 
     def _state_tables(self) -> list[StreamStateTable]:
         """Every state table whose constraint columns guard a filter."""
@@ -150,7 +140,7 @@ class ExecutionSession:
         *,
         ledger=None,
         state_factory=None,
-        source=None,
+        population=None,
     ) -> "ExecutionSession":
         """The one assembler: engine, ledger, channel(s), sources, host.
 
@@ -164,9 +154,9 @@ class ExecutionSession:
         single topology's (see ``repro.server.sharded``).
 
         ``protocol=None`` builds a host-less assembly (the value-window
-        stack binds its own handler on ``.channels``) and *source*
-        substitutes the vocabulary's source class, called ``(stream_id,
-        initial payload, channel)`` in global id order.  *ledger*
+        stack binds its own handler on ``.channels``) and *population*
+        substitutes the vocabulary's population constructor, called
+        ``(initial payloads, channels, ranges)``.  *ledger*
         substitutes the accounting object (the durability tier passes a
         journaling subclass) and *state_factory* the host's state-table
         constructor (memmap-backed planes).
@@ -189,7 +179,7 @@ class ExecutionSession:
             for index in range(len(ranges))
         ]
         initials = getattr(trace, vocabulary.initial_column)
-        sources = wire_sources(source or vocabulary.source, initials, channels, ranges)
+        sources = (population or vocabulary.population)(initials, channels, ranges)
         if protocol is None:
             host = None
         elif n_shards is None:
@@ -270,7 +260,9 @@ class ExecutionSession:
 
         return cls.assemble(
             "streams", trace, None, n_shards, latency,
-            source=partial(WindowFilterSource, width=width),
+            population=partial(
+                wire_sources, partial(WindowFilterSource, width=width)
+            ),
         )
 
     @classmethod
@@ -309,6 +301,16 @@ class ExecutionSession:
     def snapshot(self):
         """Freeze the ledger for results reporting."""
         return self.ledger.snapshot()
+
+    def close(self) -> None:
+        """Unwire a finished run: the channels forget their handlers and
+        the state tables their rank listeners.  Those are the assembly's
+        reference cycles; without them its planes are freed the moment
+        the caller lets go, not at some later full collection."""
+        for channel in self.channels:
+            channel.unbind()
+        for table in self._state_tables():
+            table._listeners.clear()
 
     # ------------------------------------------------------------------
     # Replay
@@ -380,8 +382,7 @@ class ExecutionSession:
         if table is not None:
             stats = replay_columnar(
                 times, stream_ids, payloads, table, self.sources,
-                self.channels, self.ledger, self.host, self.engine,
-                batch_size, frontiers,
+                self.ledger, self.host, self.engine, batch_size, frontiers,
             )
         else:
             cursor = ReplayCursor(

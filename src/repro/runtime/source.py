@@ -7,10 +7,12 @@ membership strategy whether that flips a filter, and report if so.
 channel-backed stacks — probe requests resync-and-reply, constraint
 deployments run the self-correction rule.
 
-Stack-specific classes (``StreamSource``, ``SpatialStreamSource``,
-``WindowFilterSource``, ``MultiQuerySource``) are thin specializations:
-a payload codec (:meth:`FilteredSource._coerce`), a message vocabulary,
-and a membership strategy.
+Stack-specific classes (``SpatialStreamSource``, ``WindowFilterSource``,
+``MultiQuerySource``) are thin specializations: a payload codec
+(:meth:`FilteredSource._coerce`), a message vocabulary, and a membership
+strategy.  The scalar stack's population is columns instead
+(:class:`repro.streams.source.ScalarPopulation`, DESIGN.md §18); a
+*population* is either that or the list :func:`wire_sources` builds.
 """
 
 from __future__ import annotations
@@ -18,6 +20,29 @@ from __future__ import annotations
 from repro.network.channel import Channel
 from repro.network.messages import Message, MessageKind
 from repro.runtime.membership import REPORT, MembershipStrategy
+
+
+def wire_sources(make_source, payloads, channels, ranges) -> list:
+    """A population of source objects in id order, source ``i`` holding
+    ``payloads[i]`` and bound to the channel of its id range — for
+    assembly (a trace's initial payloads) and snapshot restore alike."""
+    return [
+        make_source(stream_id, payloads[stream_id], channel)
+        for channel, (lo, hi) in zip(channels, ranges)
+        for stream_id in range(lo, hi)
+    ]
+
+
+def bind_state(population, table) -> None:
+    """Make *table* the write-through target of *population*'s filter
+    state: one column copy for a columnar population, one
+    ``membership.bind_state`` per source of a list."""
+    bind = getattr(population, "bind_state", None)
+    if bind is not None:
+        bind(table)
+        return
+    for source in population:
+        source.membership.bind_state(table, source.stream_id)
 
 
 class FilteredSource:

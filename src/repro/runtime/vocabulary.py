@@ -47,7 +47,11 @@ class Vocabulary:
     #: Reads the payload off an update / probe-reply message.
     payload_of: Callable
     # -- population and trace ------------------------------------------
-    source: type
+    #: ``(initial payloads, channels, id ranges) -> population``: the
+    #: sources of ids ``ranges[0][0] .. ranges[-1][1]``, each range
+    #: bound to its channel — a list of source objects, or columns
+    #: (DESIGN.md §18).
+    population: Callable
     #: Trace attributes holding the initial payloads and the record
     #: payload column (``(n,)`` / ``(m,)`` scalars or ``(n, d)`` /
     #: ``(m, d)`` points).

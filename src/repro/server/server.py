@@ -87,7 +87,7 @@ class Server(VocabularyBound, DeferredDeliveryMixin):
 
     @property
     def n_streams(self) -> int:
-        return len(self.channel.source_ids)
+        return self.channel.n_sources
 
     @property
     def state(self) -> StreamStateTable:
@@ -105,7 +105,7 @@ class Server(VocabularyBound, DeferredDeliveryMixin):
         """
         if self._state is None:
             factory = self._state_factory or StreamStateTable
-            self._state = factory(len(self.channel.source_ids))
+            self._state = factory(self.channel.n_sources)
         return self._state
 
     def rank_view(self, distance_array) -> "RankView":
@@ -156,7 +156,7 @@ class Server(VocabularyBound, DeferredDeliveryMixin):
         operation when the batch qualifies (DESIGN.md §12), else as the
         ordered :meth:`probe` loop.
         """
-        targets = self.channel.source_ids if stream_ids is None else stream_ids
+        targets = np.arange(self.n_streams) if stream_ids is None else stream_ids
         ids = np.asarray(targets, dtype=np.int64)
         return probe_columns(self, self.channel, self.state, ids, self.state)
 
@@ -178,7 +178,8 @@ class Server(VocabularyBound, DeferredDeliveryMixin):
     def deploy_many(
         self, stream_ids, bound, assumed_inside=None, silenced=None
     ) -> None:
-        """Install *bound* at each stream id, in order (``n`` messages).
+        """Install *bound* at each stream id, in order (``n`` messages);
+        ``stream_ids=None`` names the whole population, ascending.
 
         *bound* is a bound value of this server's vocabulary (a
         :class:`~repro.streams.filters.FilterConstraint` or a region);
@@ -193,6 +194,8 @@ class Server(VocabularyBound, DeferredDeliveryMixin):
         re-enter — a qualifying batch is installed as one columnar
         operation (DESIGN.md §12).
         """
+        if stream_ids is None:
+            stream_ids = np.arange(self.n_streams)
         columns = self.vocabulary.constraint_columns(
             stream_ids, bound, assumed_inside, silenced
         )
@@ -200,7 +203,7 @@ class Server(VocabularyBound, DeferredDeliveryMixin):
 
     def broadcast(self, bound, assumed_inside=None) -> None:
         """Install *bound* at every source (``n`` messages)."""
-        self.deploy_many(self.stream_ids, bound, assumed_inside)
+        self.deploy_many(None, bound, assumed_inside)
 
     # ------------------------------------------------------------------
     # Message handling

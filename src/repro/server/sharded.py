@@ -244,7 +244,7 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         on its shard's channel when it qualifies (DESIGN.md §12), else
         the ordered :meth:`probe` loop.
         """
-        targets = self.stream_ids if stream_ids is None else stream_ids
+        targets = np.arange(self.n_streams) if stream_ids is None else stream_ids
         ids = np.asarray(targets, dtype=np.int64)
         results: dict = {}
         for index, a, b in owner_runs(self._shard_of, ids):
@@ -274,6 +274,8 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         :meth:`repro.server.server.Server.deploy_many`): each consecutive
         same-shard run of ids is one columnar operation on its shard's
         channel, or its ordered :meth:`deploy` loop."""
+        if stream_ids is None:
+            stream_ids = np.arange(self.n_streams)
         ids, constraint, belief = self.vocabulary.constraint_columns(
             stream_ids, bound, assumed_inside, silenced
         )
@@ -285,7 +287,7 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
 
     def broadcast(self, bound, assumed_inside=None) -> None:
         """Install *bound* everywhere, ascending id order."""
-        self.deploy_many(self.stream_ids, bound, assumed_inside)
+        self.deploy_many(None, bound, assumed_inside)
 
     # ------------------------------------------------------------------
     # Update delivery (single global FIFO)

@@ -56,7 +56,7 @@ Three pieces:
 
 Worker and coordinator are written once against the payload
 :class:`~repro.runtime.vocabulary.Vocabulary` (DESIGN.md §13): message
-classes, source class and trace columns are fields they read, and the
+classes, population constructor and trace columns are fields they read, and the
 one part of the wire that is a different algorithm per vocabulary —
 how a deploy flush is framed (raw interval columns vs region frames)
 and installed — is a pair of functions the vocabulary points to.
@@ -83,6 +83,7 @@ from repro.network.messages import Message, MessageKind
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
 from repro.runtime.replay import ReplayCursor
+from repro.runtime.source import bind_state
 from repro.runtime.vocabulary import Vocabulary, VocabularyBound, vocabulary_of
 from repro.sim.engine import SimulationEngine
 from repro.state.sharding import (
@@ -122,7 +123,7 @@ class ShardWorker:
     dispatch order is decided on them.  The worker's channel, engine,
     table and ledger are private — the ledger is a throwaway (all
     charging happens at the coordinator); the table exists so the
-    membership write-through gives the replay cursor (DESIGN.md §9)
+    population's write-through gives the replay cursor (DESIGN.md §9)
     live constraint columns; the replay ops only translate between the
     coordinator's global positions and cursor indices.
     """
@@ -148,14 +149,12 @@ class ShardWorker:
         self.engine = SimulationEngine()
         self.ledger = MessageLedger()  # throwaway; coordinator charges
         self.channel = Channel(self.ledger)
-        self.sources = [
-            vocabulary.source(stream_id, payload, self.channel)
-            for stream_id, payload in enumerate(initial_values)
-        ]
+        self.sources = vocabulary.population(
+            initial_values, [self.channel], [(0, len(initial_values))]
+        )
         self.channel.bind_server(self._handle_uplink)
         self.table = StreamStateTable(len(self.sources))
-        for source in self.sources:
-            source.membership.bind_state(self.table, source.stream_id)
+        bind_state(self.sources, self.table)
         self.replay_mode = replay_mode
         #: Captured uplinks: ``(local id, payload, time)``.
         self.outbox: list[tuple] = []
@@ -696,7 +695,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         one; only the wire framing is batched.
         """
         self._flush_deploys()
-        targets = self.stream_ids if stream_ids is None else stream_ids
+        targets = np.arange(self.n_streams) if stream_ids is None else stream_ids
         ids = np.asarray(targets, dtype=np.int64)
         results: dict = {}
         for index, a, b in owner_runs(self._shard_of, ids):
@@ -740,6 +739,8 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         """Buffer *bound* for each stream id, in order, as the columns
         the vocabulary lowers the call to (see :meth:`repro.server.
         server.Server.deploy_many`); the flush frames them per worker."""
+        if stream_ids is None:
+            stream_ids = np.arange(self.n_streams)
         ids, constraint, belief = self.vocabulary.constraint_columns(
             stream_ids, bound, assumed_inside, silenced
         )
@@ -749,7 +750,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         )
 
     def broadcast(self, bound, assumed_inside=None) -> None:
-        self.deploy_many(self.stream_ids, bound, assumed_inside)
+        self.deploy_many(None, bound, assumed_inside)
 
     def _seal_deploy_rows(self) -> None:
         """Move the buffered single deploys into a batch of their own."""

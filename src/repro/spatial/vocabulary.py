@@ -11,11 +11,13 @@ self-corrections back as a point-batch frame.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
 
 from repro.runtime.membership import BELIEF_NONE, belief_codes, belief_column
+from repro.runtime.source import wire_sources
 from repro.runtime.vocabulary import Vocabulary
 from repro.spatial.geometry import ALL_SPACE, EMPTY_REGION
 from repro.spatial.messages import (
@@ -135,7 +137,7 @@ SPATIAL = Vocabulary(
     update=PointUpdateMessage,
     constraint=RegionConstraintMessage,
     payload_of=attrgetter("point"),
-    source=SpatialStreamSource,
+    population=partial(wire_sources, SpatialStreamSource),
     initial_column="initial_points",
     record_column="points",
     record_deploy=record_region_deploy,

@@ -19,8 +19,8 @@ share:
   flag column.
 
 The table is also the single source of truth for deployed constraints:
-source-side membership strategies write their bounds through to it
-(:meth:`repro.runtime.membership.MembershipStrategy.bind_state`), and the
+the sources write their filter state through to it (``bind_state`` of a
+membership strategy, or of the columnar scalar population), and the
 batched replay fast path reads those columns directly
 (:mod:`repro.runtime.session`).
 """

@@ -79,11 +79,14 @@ class RankView:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
+    def order_ids(self) -> np.ndarray:
+        """All known stream ids as an int64 column, best-first under
+        ``(distance, id)`` (read-only: the maintained order itself)."""
+        return self.order_arrays()[0]
+
     def order(self) -> list[int]:
-        """All known stream ids, best-first under ``(distance, id)``."""
-        self._repair()
-        assert self._ids is not None
-        return [int(i) for i in self._ids]
+        """:meth:`order_ids` as a list of Python ints."""
+        return self.order_ids().tolist()
 
     def leaders(self, count: int) -> list[int]:
         """The *count* best stream ids, best-first (deterministic ties).

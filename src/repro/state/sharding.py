@@ -288,7 +288,7 @@ def merge_pair_lists(
 class ShardedRankView:
     """The coordinator's total order over per-shard :class:`RankView`\\ s.
 
-    Duck-types the :class:`RankView` read API (``order``, ``leaders``,
+    Duck-types the :class:`RankView` read API (``order``, ``order_ids``, ``leaders``,
     ``key_of``, ``invalidate``), so protocols built against
     ``server.rank_view(...)`` run unchanged on a sharded topology.  Each
     read asks every shard for its (incrementally maintained) local
@@ -316,8 +316,9 @@ class ShardedRankView:
             return pairs
         return [(key, offset + stream_id) for key, stream_id in pairs]
 
-    def order(self) -> list[int]:
-        """All known stream ids, best-first under ``(distance, id)``.
+    def order_ids(self) -> np.ndarray:
+        """All known stream ids as an int64 column, best-first under
+        ``(distance, id)``.
 
         The full order is one columnar ``(key, id)`` sort over the
         shards' concatenated orders — the total order the pair merge of
@@ -328,7 +329,11 @@ class ShardedRankView:
             [part[0] + offset for part, offset in zip(parts, self._offsets)]
         )
         keys = np.concatenate([part[1] for part in parts])
-        return ids[np.lexsort((ids, keys))].tolist()
+        return ids[np.lexsort((ids, keys))]
+
+    def order(self) -> list[int]:
+        """:meth:`order_ids` as a list of Python ints."""
+        return self.order_ids().tolist()
 
     def leaders(self, count: int) -> list[int]:
         """The *count* globally best ids via per-shard partial selection."""

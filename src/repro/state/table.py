@@ -23,11 +23,10 @@ column                     meaning
 Ownership convention: the *value plane* (``values``, ``report_time``,
 ``known``) is written by the server on probe replies and update
 deliveries; the *constraint plane* (``lower``/``upper``) by the server at
-deploy time and by bound membership strategies at install time (both
+deploy time and by the sources' write-through at install time (both
 write the same bounds — the deployment message carries them end to end);
-``inside`` by the source-side membership strategy, which is the only
-party that knows the post-deployment belief; the *membership planes* by
-the protocol.  Scalar payloads live in ``values``; vector payloads
+``inside`` by the source side alone, the only party that knows the
+post-deployment belief; the *membership planes* by the protocol.  Scalar payloads live in ``values``; vector payloads
 (the spatial stack) in the lazily-allocated ``points`` matrix.
 
 The *geometric plane* (``geo_*``) is the spatial stack's counterpart of
@@ -495,14 +494,6 @@ class StreamStateTable:
         """Vectorized :meth:`set_inside` (a bulk probe's resync)."""
         self.inside[rows] = inside
         self._note_constraint_rows(rows)
-
-    def clear_filter(self, stream_id: int) -> None:
-        stream_id = int(stream_id)
-        self.lower[stream_id] = -math.inf
-        self.upper[stream_id] = math.inf
-        self.inside[stream_id] = False
-        self.scannable[stream_id] = False
-        self._note_constraint(stream_id)
 
     def bounds_of(self, stream_id: int) -> tuple[float, float]:
         stream_id = int(stream_id)

@@ -12,19 +12,22 @@ self-corrections in the same order.
 Both kernels decide from what they observe whether a batch qualifies,
 and touch nothing when it does not (the caller then sends the messages
 one by one): the channel must be synchronous with every tap bulk-capable
-(:meth:`~repro.network.channel.Channel.bulk_sources`), the ids distinct,
-and every target a plain :class:`IntervalMembership` bound to *table* at
-its own id — so the table's constraint columns are those sources'
-filter state, and a scatter is a write-through.  That is also how the
-hosts' shared ``deploy_columns`` / ``probe_columns`` serve the spatial
-stack with no branch: region-filtered sources never qualify, so their
-batches are the ordered per-message loop (DESIGN.md §15).
+and hand the whole batch to one
+:class:`~repro.streams.source.ScalarPopulation`
+(:meth:`~repro.network.channel.Channel.bulk_target`) that writes through
+to *table*, and the ids must be distinct — an O(1) test plus one pass
+over the batch, never over the population.  The kernels are then column
+operations on the population's planes plus the same scatters into the
+table a per-message write-through makes.  That is also how the hosts'
+shared ``deploy_columns`` / ``probe_columns`` serve the spatial stack
+with no branch: a list of region-filtered source objects never
+qualifies, so its batches are the ordered per-message loop (DESIGN.md
+§15) — as are those of a hand-built list of one-row populations.
 """
 
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 
 import numpy as np
 
@@ -32,13 +35,12 @@ from repro.network.channel import Channel
 from repro.network.messages import MessageKind
 from repro.runtime.membership import (
     BELIEF_NONE,
-    REPORT,
-    IntervalMembership,
     belief_column,
     deployment_outcome_columns,
 )
 from repro.state.table import StreamStateTable
 from repro.streams.filters import FilterConstraint
+from repro.streams.source import ScalarPopulation
 
 
 def constraint_columns(stream_ids, bound, assumed_inside=None, silenced=None):
@@ -96,52 +98,17 @@ def probe_columns(host, channel, table, ids, reports, offset=0) -> dict:
     return dict(zip(ids.tolist(), values.tolist()))
 
 
-_MEMBERSHIP = attrgetter("membership")
-_TABLE = attrgetter("_table")
-_ROW = attrgetter("_row")
-_VALUE = attrgetter("value")
-
-
-def _interval_targets(channel: Channel, table: StreamStateTable, ids):
-    """``(sources, memberships)`` behind *ids* when the batch qualifies
-    for a columnar operation against *table*, else ``None``."""
-    id_list = ids.tolist()
-    sources = channel.bulk_sources(id_list)
-    if sources is None or len(set(id_list)) != len(id_list):
+def _bulk_population(channel: Channel, table: StreamStateTable, ids):
+    """The :class:`ScalarPopulation` whose rows *ids* name when the
+    batch qualifies for a columnar operation against *table*, else
+    ``None``: one population handles every id on *channel*, it writes
+    through to *table*, and the ids are distinct."""
+    population = channel.bulk_target(ids)
+    if type(population) is not ScalarPopulation or population.table is not table:
         return None
-    try:
-        memberships = list(map(_MEMBERSHIP, sources))
-    except AttributeError:  # a handler of something that is no source
+    if not (ids[1:] > ids[:-1]).all() and len(np.unique(ids)) != len(ids):
         return None
-    # Every target a plain IntervalMembership, bound to *table*, at the
-    # row of its own id (C-level passes: this runs per batch).
-    if (
-        set(map(type, memberships)) != {IntervalMembership}
-        or set(map(_TABLE, memberships)) != {table}
-        or list(map(_ROW, memberships)) != id_list
-    ):
-        return None
-    return sources, memberships
-
-
-def _current_values(sources) -> np.ndarray:
-    return np.fromiter(map(_VALUE, sources), np.float64, len(sources))
-
-
-def _shared_constraints(lower: np.ndarray, upper: np.ndarray) -> list:
-    """One frozen :class:`FilterConstraint` per distinct bound pair,
-    aligned with the columns.  Construction validates, so a NaN or
-    inverted pair raises ``FilterConstraint``'s own ``ValueError``."""
-    if len(lower) and (lower == lower[0]).all() and (upper == upper[0]).all():
-        return [FilterConstraint(float(lower[0]), float(upper[0]))] * len(lower)
-    shared: dict[tuple[float, float], FilterConstraint] = {}
-    constraints = []
-    for pair in zip(lower.tolist(), upper.tolist()):
-        constraint = shared.get(pair)
-        if constraint is None:
-            constraint = shared[pair] = FilterConstraint(*pair)
-        constraints.append(constraint)
-    return constraints
+    return population
 
 
 def install_constraints(
@@ -160,38 +127,43 @@ def install_constraints(
 
     Validation comes first — an unbound id or an invalid bound raises
     with the ledger, the table and every source untouched.  Then the
-    ``n`` constraint messages are charged at once, staged replay values
-    are flushed for the targeted rows (the taps' ``bulk`` form), the
-    deployment rule runs over the value/bound/belief columns, and the
-    outcome is written to the memberships and scattered into *table*.
-    Self-corrections are emitted last, in batch order, through the
-    sources' ordinary ``_emit``: *time* (a scalar or a column) and the
-    sources' values are fixed across the batch, so each report is the
-    one its own message would have sent — the caller must only ensure
-    that emitting cannot re-enter it (a guarded host step queues them).
+    ``n`` constraint messages are charged at once, the deployment rule
+    runs over the population's value plane and the bound/belief columns,
+    and the outcome is scattered into the population's filter planes and
+    written through to *table*.  Self-corrections are emitted last, in
+    batch order: *time* (a scalar or a column) and the sources' values
+    are fixed across the batch, so each report is the one its own
+    message would have sent — the caller must only ensure that emitting
+    cannot re-enter it (a guarded host step queues them).
     """
-    targets = _interval_targets(channel, table, ids)
-    if targets is None:
+    population = _bulk_population(channel, table, ids)
+    if population is None:
         return False
-    sources, memberships = targets
     lower, upper = constraint
-    constraints = _shared_constraints(lower, upper)
+    bad = np.isnan(lower) | np.isnan(upper) | (lower > upper)
+    if bad.any():  # FilterConstraint's own ValueError, first bad pair
+        first = int(np.argmax(bad))
+        FilterConstraint(float(lower[first]), float(upper[first]))
     channel.charge_bulk(ids, MessageKind.CONSTRAINT)
-    values = _current_values(sources)
+    rows = ids - population.first_id
+    values = population.values[rows]
     inside, must_report = deployment_outcome_columns(
         values, lower, upper, belief
     )
-    for membership, constraint, side in zip(
-        memberships, constraints, inside.tolist()
-    ):
-        membership.container = constraint
-        membership.reported_inside = side
+    population.lower[rows] = lower
+    population.upper[rows] = upper
+    population.filtered[rows] = True
+    population.inside[rows] = inside
     table.set_filter_rows(ids, lower, upper, inside)
     reporting = np.nonzero(must_report)[0]
     if reporting.size:
         times = np.broadcast_to(np.asarray(time, dtype=np.float64), ids.shape)
-        for position in reporting.tolist():
-            sources[position]._emit(float(times[position]), REPORT)
+        for row, value, at in zip(
+            rows[reporting].tolist(),
+            values[reporting].tolist(),
+            times[reporting].tolist(),
+        ):
+            population._report(row, value, at)
     return True
 
 
@@ -202,25 +174,24 @@ def probe_sources(
     current values, or ``None`` (nothing touched) when the batch must
     travel per-message.
 
-    Charges the ``2n`` request/reply messages, flushes staged replay
-    values for the probed rows, and resynchronizes every installed
-    filter's believed side with the value read — *table*'s bound columns
-    are the targets' containers, so the resync is one comparison and one
-    scatter.  Recording the replies is the caller's half, as in
+    Charges the ``2n`` request/reply messages and resynchronizes every
+    installed filter's believed side with the value read — one
+    comparison over the population's planes, one scatter into them and
+    one into *table*.  Recording the replies is the caller's half, as in
     ``probe``.
     """
-    targets = _interval_targets(channel, table, ids)
-    if targets is None:
+    population = _bulk_population(channel, table, ids)
+    if population is None:
         return None
-    sources, memberships = targets
     channel.charge_bulk(
         ids, MessageKind.PROBE_REQUEST, MessageKind.PROBE_REPLY
     )
-    values = _current_values(sources)
-    filtered = table.scannable[ids]
-    inside = (table.lower[ids] <= values) & (values <= table.upper[ids])
-    flipped = filtered & (inside != table.inside[ids])
-    for position in np.nonzero(flipped)[0].tolist():
-        memberships[position].reported_inside = bool(inside[position])
-    table.set_inside_rows(ids[filtered], inside[filtered])
+    rows = ids - population.first_id
+    values = population.values[rows]
+    filtered = population.filtered[rows]
+    inside = (
+        (population.lower[rows] <= values) & (values <= population.upper[rows])
+    )[filtered]
+    population.inside[rows[filtered]] = inside
+    table.set_inside_rows(ids[filtered], inside)
     return values

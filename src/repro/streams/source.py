@@ -1,9 +1,14 @@
-"""The stream source: agent software at the data producer (Figure 3).
+"""The stream sources: agent software at the data producers (Figure 3).
 
-Each source holds its current value, the filter constraint installed by
-the server (if any), and the membership state the server believes it has.
-It decides locally — per the violation rule in
-:mod:`repro.streams.filters` — whether a value change must be reported.
+The paper's source is four numbers — its current value, the filter
+``[l, u]`` the server installed (if any), and the side of it the server
+believes — and it reports iff that side flips (the violation rule of
+:mod:`repro.streams.filters`).  A population of ``n`` such sources is
+therefore five planes over ``n`` rows, and :class:`ScalarPopulation` is
+exactly that (DESIGN.md §18): there is no per-stream object.
+:class:`StreamSource` is a *view* of one row — what tests and listeners
+read — and a hand-built ``StreamSource(id, value, channel)`` is a
+population of one, so there is one implementation.
 
 One protocol detail the paper leaves implicit: when the server deploys a
 *new* constraint, its belief about which side of the bound the source is on
@@ -13,73 +18,198 @@ server's assumed membership; if the source's actual membership differs, it
 reports immediately, which the server handles through its normal
 maintenance path.  This keeps Correctness Requirement 2 intact without
 probing all ``n`` streams on every resolution.
-
-The report-iff-membership-flips mechanics live in the runtime kernel
-(:class:`repro.runtime.source.ChannelFilteredSource` +
-:class:`repro.runtime.membership.IntervalMembership`); this class only
-binds the scalar payload codec and the scalar message vocabulary.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from operator import index
+from typing import Sequence
+
+import numpy as np
+
 from repro.network.channel import Channel
 from repro.network.messages import (
-    ConstraintMessage,
     Message,
+    MessageKind,
     ProbeReplyMessage,
     UpdateMessage,
 )
-from repro.runtime.membership import IntervalMembership
-from repro.runtime.source import ChannelFilteredSource
+from repro.runtime.membership import deployment_outcome
 from repro.streams.filters import FilterConstraint
 
 
-class StreamSource(ChannelFilteredSource):
-    """A single distributed stream source with an adaptive filter.
+class ScalarPopulation:
+    """The scalar stack's sources, as columns (DESIGN.md §18).
 
-    Parameters
-    ----------
-    stream_id:
-        Dense integer identifier, also the index into trace arrays.
-    initial_value:
-        The stream's value at virtual time 0.
-    channel:
-        The communication channel to the server; the source binds itself.
+    Row ``i`` is the source of stream ``first_id + i``; one handler per
+    ``(channel, id range)`` serves them all.  The planes are the
+    *source-side* truth: ``values`` (the current value — and the batched
+    replay's staging vector), ``lower`` / ``upper`` / ``filtered`` (the
+    installed filter; ``[-inf, +inf]`` / ``False`` while there is none)
+    and ``inside`` (the side of it the server believes).  They are NOT
+    a bound state table's constraint plane: the server also writes that
+    at *deploy* time, which under a latency model precedes the source's
+    *install*.  They are written through to it wherever they change.
     """
 
     def __init__(
-        self, stream_id: int, initial_value: float, channel: Channel
+        self,
+        initial_values,
+        channels: Sequence[Channel],
+        ranges: Sequence[tuple[int, int]],
     ) -> None:
-        super().__init__(
-            stream_id, initial_value, IntervalMembership(), channel
-        )
+        self.values = np.array(initial_values, dtype=np.float64, ndmin=1)
+        n = len(self.values)
+        self.first_id = int(ranges[0][0])
+        if ranges[-1][1] - self.first_id != n:
+            raise ValueError("id ranges must cover exactly the initial values")
+        self.lower = np.full(n, -math.inf)
+        self.upper = np.full(n, math.inf)
+        self.filtered = np.zeros(n, dtype=bool)
+        self.inside = np.zeros(n, dtype=bool)
+        #: The state table the filter planes are written through to.
+        self.table = None
+        self._channels = list(channels)
+        #: Exclusive upper *row* of each channel's range.
+        self._ends = [hi - self.first_id for _, hi in ranges]
+        for channel, (lo, hi) in zip(self._channels, ranges):
+            channel.bind_sources(lo, hi, self.handle)
 
-    def _coerce(self, payload) -> float:
-        return float(payload)
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, row: int) -> "StreamSource":
+        row = index(row)
+        n = len(self.values)
+        if not -n <= row < n:
+            raise IndexError(f"row {row} of a population of {n}")
+        view = StreamSource.__new__(StreamSource)
+        view._population, view._row = self, row % n
+        return view
+
+    def bind_state(self, table) -> None:
+        """Make *table* (row = stream id) the write-through target of the
+        filter planes, and write them through once."""
+        self.table = table
+        ids = slice(self.first_id, self.first_id + len(self))
+        table.lower[ids] = self.lower
+        table.upper[ids] = self.upper
+        table.inside[ids] = self.inside
+        table.scannable[ids] = self.filtered
 
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-    def apply_value(self, value: float, time: float) -> None:
+    def apply(self, row: int, payload, time: float) -> None:
+        """Install a new value at *row*; report it if the filter demands."""
+        # ``.item`` reads Python scalars: half the cost of comparing
+        # numpy ones on this, the per-event path.
+        value = float(payload)
+        self.values[row] = value
+        if self.filtered.item(row):
+            inside = self.lower.item(row) <= value <= self.upper.item(row)
+            if inside == self.inside.item(row):
+                return
+            self.inside[row] = inside
+            if self.table is not None:
+                self.table.set_inside(self.first_id + row, inside)
+        self._report(row, value, time)
+
+    def stage(self, rows, values) -> None:
+        """Install values *without* filter evaluation (later rows win):
+        only valid for records already proven quiescent."""
+        self.values[rows] = values
+
+    def _report(self, row: int, value: float, time: float, message=UpdateMessage):
+        """Send *message* — an update, or a probe's reply — for *row* up
+        the channel of its id range."""
+        channels = self._channels
+        channel = channels[0]
+        if len(channels) > 1:
+            channel = channels[bisect_right(self._ends, row)]
+        channel.send_to_server(message(self.first_id + row, time, value))
+
+    # ------------------------------------------------------------------
+    # Control plane
+    # ------------------------------------------------------------------
+    def handle(self, message: Message) -> None:
+        """A probe request resynchronizes the believed side and replies
+        with the current value; a constraint installs the new filter and
+        self-corrects with one report when the server's belief was stale."""
+        row = message.stream_id - self.first_id
+        kind = message.kind
+        value = self.values.item(row)
+        if kind is MessageKind.PROBE_REQUEST:
+            if self.filtered.item(row):
+                inside = self.lower.item(row) <= value <= self.upper.item(row)
+                self.inside[row] = inside
+                if self.table is not None:
+                    self.table.set_inside(message.stream_id, inside)
+            self._report(row, value, message.time, ProbeReplyMessage)
+        elif kind is MessageKind.CONSTRAINT:
+            constraint = FilterConstraint(message.lower, message.upper)
+            inside, must_report = deployment_outcome(
+                constraint, message.assumed_inside, value
+            )
+            self.lower[row] = constraint.lower
+            self.upper[row] = constraint.upper
+            self.filtered[row] = True
+            self.inside[row] = inside
+            if self.table is not None:
+                self.table.set_filter(
+                    message.stream_id, constraint.lower, constraint.upper, inside
+                )
+            if must_report:
+                self._report(row, value, message.time)
+        else:  # pragma: no cover - defensive
+            raise RuntimeError(f"source received unexpected {kind}")
+
+
+class StreamSource:
+    """One stream's source: a view of a :class:`ScalarPopulation` row.
+
+    ``population[i]`` builds one on demand; ``StreamSource(stream_id,
+    initial_value, channel)`` makes — and binds to *channel* — a
+    population of one.
+    """
+
+    __slots__ = ("_population", "_row")
+
+    def __init__(
+        self, stream_id: int, initial_value: float, channel: Channel
+    ) -> None:
+        stream_id = int(stream_id)
+        self._population = ScalarPopulation(
+            [initial_value], [channel], [(stream_id, stream_id + 1)]
+        )
+        self._row = 0
+
+    @property
+    def stream_id(self) -> int:
+        return self._population.first_id + self._row
+
+    @property
+    def value(self) -> float:
+        return self._population.values.item(self._row)
+
+    @value.setter
+    def value(self, value: float) -> None:
+        self._population.values[self._row] = float(value)
+
+    # ------------------------------------------------------------------
+    # Data plane
+    # ------------------------------------------------------------------
+    def apply(self, payload, time: float) -> None:
         """Install a new current value; report it if the filter demands."""
-        self.apply(value, time)
+        self._population.apply(self._row, payload, time)
 
-    # ------------------------------------------------------------------
-    # Message vocabulary
-    # ------------------------------------------------------------------
-    def _update_message(self, time: float) -> Message:
-        return UpdateMessage(
-            stream_id=self.stream_id, time=time, value=self.value
-        )
+    apply_value = apply
 
-    def _reply_message(self, time: float) -> Message:
-        return ProbeReplyMessage(
-            stream_id=self.stream_id, time=time, value=self.value
-        )
-
-    def _constraint_of(self, message: Message) -> FilterConstraint:
-        assert isinstance(message, ConstraintMessage)
-        return FilterConstraint(message.lower, message.upper)
+    def assign(self, payload) -> None:
+        """Install a value *without* filter evaluation."""
+        self.value = payload
 
     # ------------------------------------------------------------------
     # Introspection
@@ -87,12 +217,25 @@ class StreamSource(ChannelFilteredSource):
     @property
     def constraint(self) -> FilterConstraint | None:
         """The filter constraint currently installed (if any)."""
-        return self.membership.container
+        population, row = self._population, self._row
+        if not population.filtered[row]:
+            return None
+        return FilterConstraint(
+            population.lower.item(row), population.upper.item(row)
+        )
+
+    container = constraint
 
     @property
     def reported_inside(self) -> bool:
         """The membership state the server currently believes."""
-        return self.membership.reported_inside
+        return bool(self._population.inside[self._row])
+
+    @property
+    def membership(self) -> "StreamSource":
+        """The view is its own membership: ``container`` and
+        ``reported_inside`` read the same row."""
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

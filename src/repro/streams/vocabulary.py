@@ -24,7 +24,7 @@ from repro.network.messages import (
 from repro.runtime.membership import BELIEF_NONE, belief_codes
 from repro.runtime.vocabulary import Vocabulary
 from repro.streams.control import constraint_columns, install_constraints
-from repro.streams.source import StreamSource
+from repro.streams.source import ScalarPopulation
 
 
 def record_interval_deploy(table, row: int, message: ConstraintMessage) -> None:
@@ -103,7 +103,7 @@ SCALAR = Vocabulary(
     update=UpdateMessage,
     constraint=ConstraintMessage,
     payload_of=attrgetter("value"),
-    source=StreamSource,
+    population=ScalarPopulation,
     initial_column="initial_values",
     record_column="values",
     record_deploy=record_interval_deploy,

@@ -425,6 +425,35 @@ DAMAGE = {
 }
 
 
+#: What ``recovery["skipped_snapshots"]`` must say of each damage mode:
+#: the exception type and the words that name the damage.
+REASON = {
+    "flip": ("ValueError", "crc scan"),
+    "garbage": ("ValueError", "magic scan"),
+    "wrong shape": ("ValueError", "magic scan"),
+    "wrong shape, framed": ("KeyError", "'host'"),
+    "stale class path": ("ModuleNotFoundError", "repro.server.servez"),
+    "truncation": ("ValueError", "torn scan"),
+    "empty": ("ValueError", "magic scan"),
+    "missing": ("FileNotFoundError", "No such file"),
+    "columns disagree with the table": (
+        "ValueError", "source-side 'lower' disagrees with the restored table",
+    ),
+}
+
+
+def _assert_skipped(recovery, paths, damage):
+    """One ``(file, reason)`` per damaged snapshot, newest first, each
+    reason naming the exception and the damage."""
+    skipped = recovery["skipped_snapshots"]
+    assert [file for file, _ in skipped] == [
+        os.path.basename(path) for path in reversed(paths)
+    ]
+    error, words = REASON[damage]
+    for _, reason in skipped:
+        assert reason.startswith(error + ": ") and words in reason, reason
+
+
 def _killed_at_half(tmp_path):
     trace = RECOVERY.materialize()
     policy = DurabilityPolicy(
@@ -472,6 +501,7 @@ def test_a_damaged_newest_snapshot_falls_back_to_the_previous_mark(
     assert result.final_answer == plain.final_answer
     recovery = result.extras["durability"]["recovery"]
     assert recovery["snapshot_file"] == os.path.basename(older)
+    _assert_skipped(recovery, [newest], damage)
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
@@ -483,12 +513,14 @@ def test_every_snapshot_damaged_falls_back_to_the_manifest(tmp_path, damage):
     plain = _plain("zt-nrp", RECOVERY)
     assert result.ledger == plain.ledger
     assert result.final_answer == plain.final_answer
-    assert result.extras["durability"]["recovery"]["snapshot_file"] is None
+    recovery = result.extras["durability"]["recovery"]
+    assert recovery["snapshot_file"] is None
+    _assert_skipped(recovery, paths, damage)
 
 
 def test_a_snapshot_holds_columns_not_sources(tmp_path):
-    """The pickled graph stops at the channels; the population is five
-    columns read from the sources, equal to the table's at the cut."""
+    """The pickled graph stops at the channels; the population is its
+    five planes, equal to the table's at the cut."""
     trace, policy, (_, newest) = _killed_at_half(tmp_path)
     with open(newest, "rb") as handle:
         raw = handle.read()

@@ -20,6 +20,7 @@ from repro.streams.control import (
     probe_sources,
 )
 from repro.streams.filters import FilterConstraint
+from repro.streams.source import ScalarPopulation
 
 
 def raw_columns(stream_ids, lower, upper):
@@ -108,11 +109,22 @@ def test_source_ids_cache_follows_bind_source(wired_channel):
 # ----------------------------------------------------------------------
 # The columnar control plane's channel half (DESIGN.md §12)
 # ----------------------------------------------------------------------
-def _bound_table(sources):
-    table = StreamStateTable(len(sources))
-    for source in sources:
-        source.membership.bind_state(table, source.stream_id)
-    return table
+@pytest.fixture
+def wired_population():
+    """``wired_channel``'s system with the three sources as ONE columnar
+    population bound to a table — what the bulk kernels qualify; a list
+    of hand-built ``StreamSource`` objects travels per-message.
+
+    Returns ``(channel, ledger, population, table, received)``.
+    """
+    ledger = MessageLedger()
+    channel = Channel(ledger)
+    received: list = []
+    channel.bind_server(received.append)
+    population = ScalarPopulation([0.0, 10.0, 20.0], [channel], [(0, 3)])
+    table = StreamStateTable(3)
+    population.bind_state(table)
+    return channel, ledger, population, table, received
 
 
 def _fingerprint(ledger, table, sources):
@@ -126,9 +138,20 @@ def _fingerprint(ledger, table, sources):
     )
 
 
-def test_bulk_install_matches_per_message_sends(wired_channel):
-    channel, ledger, sources, received = wired_channel
-    table = _bound_table(sources)
+def test_one_range_binding_serves_the_whole_population(wired_population):
+    channel, ledger, population, _, received = wired_population
+    assert channel._source_handlers == {} and len(channel._source_ranges) == 1
+    assert channel.source_ids == [0, 1, 2] and channel.n_sources == 3
+    channel.send_to_source(ProbeRequestMessage(stream_id=2, time=1.0))
+    assert [(m.stream_id, m.value) for m in received] == [(2, 20.0)]
+    assert type(received[0].value) is float
+    with pytest.raises(RuntimeError, match="no source 3 bound"):
+        channel.send_to_source(ProbeRequestMessage(stream_id=3, time=1.0))
+    assert ledger.total == 2
+
+
+def test_bulk_install_matches_per_message_sends(wired_population):
+    channel, ledger, sources, table, received = wired_population
     beliefs = [BELIEF_INSIDE, BELIEF_NONE, BELIEF_INSIDE]
     assert install_constraints(
         channel, table, *constraint_columns([2, 0, 1], FilterConstraint(5.0, 15.0), beliefs), 7.0
@@ -140,7 +163,7 @@ def test_bulk_install_matches_per_message_sends(wired_channel):
     assert [(m.stream_id, m.time, m.value) for m in received] == [(2, 7.0, 20.0)]
     assert ledger.count(MessageKind.UPDATE) == 1
     assert [s.reported_inside for s in sources] == [False, True, False]
-    assert sources[0].constraint is sources[2].constraint
+    assert sources[0].constraint == sources[2].constraint == FilterConstraint(5.0, 15.0)
     assert table.inside.tolist() == [False, True, False]
     assert table.scannable.all()
 
@@ -151,11 +174,10 @@ def test_bulk_install_matches_per_message_sends(wired_channel):
     ids=["nan", "inverted"],
 )
 def test_bulk_install_rejects_bad_bounds_before_charging(
-    wired_channel, lower, upper
+    wired_population, lower, upper
 ):
     """Same ``ValueError`` as ``FilterConstraint``; nothing touched."""
-    channel, ledger, sources, received = wired_channel
-    table = _bound_table(sources)
+    channel, ledger, sources, table, received = wired_population
     before = _fingerprint(ledger, table, sources)
     with pytest.raises(ValueError) as bulk:
         install_constraints(
@@ -169,10 +191,9 @@ def test_bulk_install_rejects_bad_bounds_before_charging(
     assert received == []
 
 
-def test_bulk_install_rejects_unbound_id_before_charging(wired_channel):
+def test_bulk_install_rejects_unbound_id_before_charging(wired_population):
     """Same ``RuntimeError`` as ``send_to_source``; nothing touched."""
-    channel, ledger, sources, received = wired_channel
-    table = _bound_table(sources)
+    channel, ledger, sources, table, received = wired_population
     before = _fingerprint(ledger, table, sources)
     with pytest.raises(RuntimeError) as bulk:
         install_constraints(
@@ -187,12 +208,15 @@ def test_bulk_install_rejects_unbound_id_before_charging(wired_channel):
     assert received == []
 
 
-def test_bulk_operations_decline_what_they_cannot_batch(wired_channel):
-    """A tap without a ``bulk`` form, a duplicated id, a source bound to
-    another table, a handler that is no source's method: the kernels
-    return their "send it per-message" value with nothing charged."""
-    channel, ledger, sources, _ = wired_channel
-    table = _bound_table(sources)
+def test_bulk_operations_decline_what_they_cannot_batch(
+    wired_population, wired_channel
+):
+    """A tap without a ``bulk`` form, a duplicated id, a population bound
+    to another table, a handler that is no source's method — shadowing
+    an id of the population or bound beside it —, a list of hand-built
+    sources: the kernels return their "send it per-message" value with
+    nothing charged."""
+    channel, ledger, sources, table, _ = wired_population
     ids = np.array([0, 1, 2])
 
     def declined(on_channel, on_table, stream_ids):
@@ -211,10 +235,18 @@ def test_bulk_operations_decline_what_they_cannot_batch(wired_channel):
     for handler in (lambda message: None, [].append):
         channel.bind_source(1, handler)
         assert declined(channel, table, ids)
+    channel.bind_source(1, sources.handle)
+    channel.bind_source(3, handler)
+    assert declined(channel, table, [0, 1, 2, 3])
     assert ledger.total == 0
+    # One-row populations, each bound to the table at its own row.
+    listed, listed_ledger, hand_built, _ = wired_channel
+    shared = StreamStateTable(3)
+    for source in hand_built:
+        source._population.bind_state(shared)
+    assert declined(listed, shared, ids) and listed_ledger.total == 0
     # ... and with a bulk-capable tap the batch goes through, the tap
     # seeing the id column once instead of one message per stream.
-    channel.bind_source(1, sources[1]._handle_message)
 
     class Tap(list):
         __call__ = list.append

@@ -12,27 +12,77 @@ from repro.runtime.membership import (
     BELIEF_NONE,
     BELIEF_OUTSIDE,
     REPORT,
-    IntervalMembership,
     RecenteringWindowMembership,
     SlottedMembership,
     deployment_outcome,
     deployment_outcome_columns,
 )
+from repro.network.accounting import MessageLedger
+from repro.network.channel import Channel
+from repro.network.messages import ConstraintMessage, ProbeRequestMessage
 from repro.streams.filters import (
     FALSE_NEGATIVE_FILTER,
     FALSE_POSITIVE_FILTER,
     FilterConstraint,
 )
+from repro.streams.source import ScalarPopulation
+
+
+class _Row:
+    """One row of a :class:`ScalarPopulation` driven the way the deleted
+    ``IntervalMembership`` strategy was: the interval cases below are
+    that class's, re-expressed against a population of one."""
+
+    def __init__(self, value=0.0):
+        self.channel = Channel(MessageLedger())
+        self.reports = []
+        self.channel.bind_server(self.reports.append)
+        self.population = ScalarPopulation([value], [self.channel], [(0, 1)])
+
+    def evaluate(self, value):
+        """``REPORT`` iff applying *value* sent a report."""
+        before = len(self.reports)
+        self.population.apply(0, value, 1.0)
+        return REPORT if len(self.reports) > before else None
+
+    def install(self, constraint, assumed_inside, value) -> bool:
+        """Deploy *constraint* at a source holding *value*; ``True`` iff
+        the source self-corrected."""
+        self.population.values[0] = value
+        before = len(self.reports)
+        self.channel.send_to_source(
+            ConstraintMessage(
+                0, 0.0, constraint.lower, constraint.upper, assumed_inside
+            )
+        )
+        return len(self.reports) > before
+
+    def resync(self, value) -> None:
+        self.population.values[0] = value
+        self.channel.send_to_source(ProbeRequestMessage(0, 0.0))
+
+    @property
+    def reported_inside(self) -> bool:
+        return self.population[0].reported_inside
+
+    def quiescence_rows(self):
+        source = self.population[0]
+        if source.constraint is None:
+            return None
+        return [
+            (source.constraint.lower, source.constraint.upper,
+             source.reported_inside)
+        ]
 
 
 class TestIntervalMembership:
     def test_no_constraint_reports_everything(self):
-        m = IntervalMembership()
+        m = _Row()
         assert m.evaluate(1.0) is REPORT
         assert m.evaluate(1.0) is REPORT  # even unchanged values
 
     def test_reports_only_on_flip(self):
-        m = IntervalMembership()
+        m = _Row()
         m.install(FilterConstraint(0.0, 10.0), None, 5.0)
         assert m.evaluate(7.0) is None       # inside -> inside
         assert m.evaluate(12.0) is REPORT    # crossed out
@@ -40,30 +90,30 @@ class TestIntervalMembership:
         assert m.evaluate(3.0) is REPORT     # crossed back in
 
     def test_stale_belief_demands_self_correction(self):
-        m = IntervalMembership()
+        m = _Row()
         assert m.install(FilterConstraint(0.0, 10.0), True, 15.0) is True
         assert m.reported_inside is False  # corrected
 
     def test_correct_belief_stays_silent(self):
-        m = IntervalMembership()
+        m = _Row()
         assert m.install(FilterConstraint(0.0, 10.0), False, 15.0) is False
 
     def test_silencing_filters_never_flip(self):
         for constraint in (FALSE_POSITIVE_FILTER, FALSE_NEGATIVE_FILTER):
-            m = IntervalMembership()
+            m = _Row()
             assert m.install(constraint, True, 5.0) is False
             for value in (0.0, 1e9, -1e9):
                 assert m.evaluate(value) is None
 
     def test_resync_aligns_belief(self):
-        m = IntervalMembership()
+        m = _Row()
         m.install(FilterConstraint(0.0, 10.0), None, 5.0)
-        m.reported_inside = False  # simulate stale state
+        m.population.inside[0] = False  # simulate stale state
         m.resync(5.0)
         assert m.reported_inside is True
 
     def test_quiescence_rows(self):
-        m = IntervalMembership()
+        m = _Row()
         assert m.quiescence_rows() is None  # bare stream: never quiescent
         m.install(FilterConstraint(2.0, 8.0), None, 5.0)
         assert m.quiescence_rows() == [(2.0, 8.0, True)]
@@ -153,11 +203,11 @@ class TestSlottedMembership:
 
 def test_interval_rows_infinite_bounds_stay_quiescent():
     """Silencing filters express naturally as bounds that never flip."""
-    m = IntervalMembership()
+    m = _Row()
     m.install(FALSE_POSITIVE_FILTER, None, 5.0)
     ((lower, upper, inside),) = m.quiescence_rows()
     assert lower == -math.inf and upper == math.inf and inside is True
-    m2 = IntervalMembership()
+    m2 = _Row()
     m2.install(FALSE_NEGATIVE_FILTER, None, 5.0)
     ((lower, upper, inside),) = m2.quiescence_rows()
     assert lower == math.inf and inside is False

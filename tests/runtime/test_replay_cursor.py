@@ -38,6 +38,7 @@ from repro.server.transport import ShardWorker, TransportError
 from repro.spatial.geometry import BoxRegion
 from repro.spatial.queries import SpatialRangeQuery
 from repro.spatial.trace import SpatialTrace
+from repro.streams.source import ScalarPopulation
 from repro.streams.trace import StreamTrace
 from repro.streams.vocabulary import SCALAR
 from repro.tolerance.rank_tolerance import RankTolerance
@@ -771,11 +772,12 @@ def test_frontiers_compose_with_the_in_flight_barrier(cuts):
 def test_nothing_at_or_past_the_frontier_is_applied(
     monkeypatch, protocol, n_shards, mode
 ):
-    """Every payload a source takes names its record (the trace's values
-    are distinct), so a spy on ``apply`` / ``assign`` sees exactly which
-    records have reached a source; the ledger, read each time the
-    iterator is resumed, says whether everything below the frontier
-    had been applied by then."""
+    """Every payload the population takes names its record (the trace's
+    values are distinct), so a spy on its two write paths — ``apply``
+    for one dispatched record, ``stage`` for a quiescent stretch — sees
+    exactly which records have reached a source; the ledger, read each
+    time the iterator is resumed, says whether everything below the
+    frontier had been applied by then."""
     trace = FRONTIER_TRACE
     n = trace.n_records
     index_of = {float(value): k for k, value in enumerate(trace.values)}
@@ -785,18 +787,20 @@ def test_nothing_at_or_past_the_frontier_is_applied(
     seen = []
 
     def spy(method):
-        original = getattr(repro.runtime.source.FilteredSource, method)
+        original = getattr(ScalarPopulation, method)
 
-        def wrapper(self, payload, *args):
-            index = index_of[float(payload)]
-            assert index < state["frontier"], (method, index, state)
-            seen.append(index)
-            return original(self, payload, *args)
+        def wrapper(self, *args):
+            # apply(row, payload, time) / stage(rows, payloads)
+            for payload in np.atleast_1d(args[1]).tolist():
+                index = index_of[payload]
+                assert index < state["frontier"], (method, index, state)
+                seen.append(index)
+            return original(self, *args)
 
-        monkeypatch.setattr(repro.runtime.source.FilteredSource, method, wrapper)
+        monkeypatch.setattr(ScalarPopulation, method, wrapper)
 
     spy("apply")
-    spy("assign")
+    spy("stage")
 
     session = _frontier_session(protocol, n_shards)
     totals = []

@@ -10,17 +10,24 @@ message that crosses the channel.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
+from repro.network.latency import UniformLatency, make_channel
 from repro.network.messages import (
     ConstraintMessage,
     MessageKind,
     ProbeRequestMessage,
     UpdateMessage,
 )
+from repro.runtime.membership import BELIEF_NONE
+from repro.sim.engine import SimulationEngine
 from repro.spatial.geometry import BallRegion, BoxRegion, as_point
 from repro.spatial.messages import (
     PointProbeRequestMessage,
@@ -28,8 +35,10 @@ from repro.spatial.messages import (
     RegionConstraintMessage,
 )
 from repro.spatial.source import SpatialStreamSource
+from repro.state.table import StreamStateTable
+from repro.streams.control import install_constraints, probe_sources
 from repro.streams.filters import FilterConstraint
-from repro.streams.source import StreamSource
+from repro.streams.source import ScalarPopulation, StreamSource
 from repro.valuebased.source import WindowFilterSource
 
 
@@ -247,6 +256,166 @@ def test_stream_source_matches_legacy(seed):
     legacy = drive(LegacyStreamSource)
     kernel = drive(StreamSource)
     assert legacy == kernel
+
+
+# ----------------------------------------------------------------------
+# The columnar population against n legacy objects (DESIGN.md §18)
+# ----------------------------------------------------------------------
+#: Values and endpoints from one small pool, so a value sits exactly on
+#: a bound — and a batch names the same id twice — often.
+_POOL = [380.0, 400.0, 450.0, 500.0, 550.0, 600.0, 620.0]
+_BOUNDS = st.one_of(
+    st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL)).map(sorted).map(tuple),
+    st.sampled_from([(-math.inf, math.inf), (math.inf, math.inf)]),
+)
+_BELIEFS = st.sampled_from([None, True, False])
+LATENCIES = {"sync": None, "zero": 0.0, "uniform": UniformLatency(0.3, 2.7, seed=5)}
+
+
+def _scripts(n):
+    rows = st.integers(0, n - 1)
+    constraint = st.tuples(rows, _BOUNDS, _BELIEFS)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("apply"), rows, st.sampled_from(_POOL)),
+            st.tuples(st.just("probe"), rows),
+            st.tuples(st.just("constraint"), constraint),
+            st.tuples(st.just("install"), st.lists(constraint, max_size=6)),
+            st.tuples(st.just("probes"), st.lists(rows, max_size=6)),
+        ),
+        max_size=40,
+    )
+
+
+class _System:
+    """Ledger, engine, channel of one delivery discipline, a sink server
+    logging every delivered uplink, and *n* sources built by *make*."""
+
+    def __init__(self, n, latency, make):
+        self.ledger = MessageLedger()
+        self.engine = SimulationEngine()
+        self.channel = make_channel(self.ledger, self.engine, LATENCIES[latency])
+        self.log: list = []
+        self.channel.bind_server(
+            lambda m: self.log.append((m.kind, m.stream_id, m.time, m.value))
+        )
+        self.sources = make(np.full(n, 500.0), self.channel)
+
+    # The per-message forms; the population side overrides the batches.
+    def constraint(self, time, row, bounds, assumed):
+        self.channel.send_to_source(ConstraintMessage(row, time, *bounds, assumed))
+
+    def probe(self, time, row):
+        self.channel.send_to_source(ProbeRequestMessage(row, time))
+
+    def install(self, time, batch):
+        for row, bounds, assumed in batch:
+            self.constraint(time, row, bounds, assumed)
+
+    def probes(self, time, rows):
+        for row in rows:
+            self.probe(time, row)
+
+    def run(self, script):
+        """Op ``k`` happens at virtual time ``k``, after every delivery
+        due by then; returns ``(uplink log, ledger)``."""
+        for time, (op, *args) in enumerate(script, start=1):
+            time = float(time)
+            self.engine.run(until=time)
+            if op == "apply":
+                self.sources[args[0]].apply_value(args[1], time)
+            elif op == "probe":
+                self.probe(time, args[0])
+            elif op == "constraint":
+                self.constraint(time, *args[0])
+            elif op == "install":
+                self.install(time, args[0])
+            else:
+                self.probes(time, args[0])
+        self.engine.run(until=float(len(script) + 10))
+        assert not getattr(self.channel, "in_flight_count", 0)
+        return self.log, self.ledger.snapshot()
+
+
+class _Columnar(_System):
+    """The population side: batches go through the bulk kernels, and
+    per-message only when those decline — what ``deploy_columns`` /
+    ``probe_columns`` do for a host."""
+
+    def __init__(self, n, latency):
+        super().__init__(
+            n, latency, lambda v, ch: ScalarPopulation(v, [ch], [(0, len(v))])
+        )
+        self.table = StreamStateTable(n)
+        self.sources.bind_state(self.table)
+        self.bulk_batches = 0
+
+    def install(self, time, batch):
+        ids = np.array([row for row, _, _ in batch], dtype=np.int64)
+        lower = np.array([bounds[0] for _, bounds, _ in batch], dtype=np.float64)
+        upper = np.array([bounds[1] for _, bounds, _ in batch], dtype=np.float64)
+        belief = np.array(
+            [BELIEF_NONE if a is None else int(a) for _, _, a in batch], np.int8
+        )
+        if install_constraints(
+            self.channel, self.table, ids, (lower, upper), belief, time
+        ):
+            self.bulk_batches += 1
+        else:
+            super().install(time, batch)
+
+    def probes(self, time, rows):
+        values = probe_sources(
+            self.channel, self.table, np.array(rows, dtype=np.int64)
+        )
+        if values is None:
+            super().probes(time, rows)
+            return
+        # The columnar probe hands the replies back instead of
+        # delivering them: log what the reply messages would have said.
+        self.bulk_batches += 1
+        self.log.extend(
+            (MessageKind.PROBE_REPLY, row, time, value)
+            for row, value in zip(rows, values.tolist())
+        )
+
+
+def _legacy_sources(values, channel):
+    return [LegacyStreamSource(i, v, channel) for i, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("latency", sorted(LATENCIES))
+@pytest.mark.parametrize("n", [1, 7, 64])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_scalar_population_matches_n_legacy_sources(n, latency, data):
+    """One ``ScalarPopulation`` of *n* rows == *n* pre-kernel objects:
+    the same interleaving of value changes, probes and constraints —
+    per message and through ``install_constraints`` / ``probe_sources``
+    — delivers the same messages at the same times with the same
+    ``float`` payloads, charges the same ledger and leaves the same
+    ``(value, constraint, believed side)`` in every row."""
+    script = data.draw(_scripts(n))
+    columnar = _Columnar(n, latency)
+    legacy = _System(n, latency, _legacy_sources)
+    log, ledger = columnar.run(script)
+    assert (log, ledger) == legacy.run(script)
+    assert all(type(payload) is float for *_, payload in log)
+    # A legacy source's believed side without a filter is never read.
+    assert [
+        (s.value, s.constraint, s.reported_inside) for s in columnar.sources
+    ] == [
+        (s.value, s.constraint, s.constraint is not None and s._reported_inside)
+        for s in legacy.sources
+    ]
+    # Write-through: the table's constraint plane is the population's.
+    population, table = columnar.sources, columnar.table
+    assert np.array_equal(table.lower, population.lower)
+    assert np.array_equal(table.upper, population.upper)
+    assert np.array_equal(table.inside, population.inside)
+    assert np.array_equal(table.scannable, population.filtered)
+    if latency != "sync":
+        assert columnar.bulk_batches == 0  # never columnar under a model
 
 
 @pytest.mark.parametrize("seed", SCALAR_SEEDS)

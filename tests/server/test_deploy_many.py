@@ -36,8 +36,9 @@ from repro.streams.trace import StreamTrace
 N = 12
 FIRST = FilterConstraint(35.0, 75.0)
 SECOND = FilterConstraint(25.0, 65.0)
-#: Quiescent under FIRST (staged, not applied, by the batched replay),
-#: then stream 4 leaves FIRST — the update that triggers the redeploy.
+#: Quiescent under FIRST (staged by the batched replay, never
+#: dispatched), then stream 4 leaves FIRST — the update that triggers
+#: the redeploy.
 QUIET = [(1.0, 0, 5.0), (2.0, 5, 60.0), (3.0, 6, 72.0), (4.0, 9, 80.0)]
 TRIGGER = (6.0, 4, 30.0)
 TAIL = [(7.0, 10, 101.0)]
@@ -181,15 +182,16 @@ def _run(topology: str, many: bool, idle: bool, beliefs: str) -> dict:
         session = ExecutionSession.for_streams_sharded(trace, protocol, 2)
     state = session.host.state
     if not idle:
-        # The redeploy must land on staged, unflushed replay values and
-        # an active constraint watch — the state the bulk path's tap
-        # batch and watch extension exist for.
+        # The redeploy must land on staged replay values — a columnar
+        # population's value plane is the staging vector, so the source
+        # already holds its record's 60.0 — and an active constraint
+        # watch, the state the bulk path's watch extension exists for.
         protocol.before_second = lambda server: checks.append(
             (session.sources[5].value, state._constraint_watch is not None)
         )
     session.initialize(0.0)
     session.replay_trace(trace, mode="batch")
-    assert checks == ([] if idle else [(50.0, True)])
+    assert checks == ([] if idle else [(60.0, True)])
     return {
         "ledger": session.snapshot(),
         "deliveries": protocol.deliveries,

@@ -1,6 +1,5 @@
 """Unit tests for the columnar stream-state table."""
 
-import math
 
 import numpy as np
 import pytest
@@ -60,9 +59,6 @@ class TestConstraintPlane:
         assert table.inside[0]
         table.set_inside(0, False)
         assert not table.inside[0]
-        table.clear_filter(0)
-        assert not table.scannable[0]
-        assert table.lower[0] == -math.inf and table.upper[0] == math.inf
 
 
 class TestMembershipPlanes:
