@@ -135,6 +135,7 @@ def _replay_segments(
             horizon=None,
             mode=manifest["replay_mode"],
             frontiers=journaled(position, cut),
+            previous=lambda: trace.previous_record[position:cut] - position,
         )
         stats_parts.append(dict(session.last_replay_stats))
         position = cut

@@ -38,7 +38,7 @@ import numpy as np
 from repro.network.channel import Channel
 from repro.network.latency import LatencyChannel
 from repro.network.messages import MessageKind
-from repro.state.runs import first_true_per_run, segment_runs
+from repro.state.runs import first_true_per_run, previous_in_stream, segment_runs
 from repro.state.table import StreamStateTable
 
 #: Largest chunk one pre-scan evaluates.
@@ -282,10 +282,10 @@ class ReplayCursor:
             self._avg = min(float(self._max_chunk), 2.0 * max(self._avg, 1.0))
         # Drained even when no window is left to re-validate: stale
         # entries must not survive into a fresh scan of the live columns.
-        touched = [
-            row
+        notes = [
+            note
             for table in self._tables
-            for row in table.drain_constraint_watch()
+            for note in table.drain_constraint_watch()
         ]
         own, self._own = self._own, None
         cap = n
@@ -298,8 +298,8 @@ class ReplayCursor:
                     # The dispatch left a message in flight: no earlier
                     # claim is safe at or past its delivery.
                     self._drop_window("inflight_truncations")
-        if window and (touched or own is not None):
-            self._revalidate(touched, own)
+        if window and (notes or own is not None):
+            self._revalidate(notes, own)
         k = None
         for chunk in window:
             k = self._first(chunk)
@@ -455,16 +455,23 @@ class ReplayCursor:
         self._window.clear()
         self.stats[counter] += 1
 
-    def _revalidate(self, touched: list[int], own: int | None) -> None:
-        """Re-prove the window after a reaction touched *touched* rows
-        and the record at *own* dispatched.
+    def _revalidate(self, notes: list, own: int | None) -> None:
+        """Re-prove the window after a reaction touched the rows in the
+        tables' *notes* and the record at *own* dispatched.
 
         The crossing mask of a record depends only on its own stream's
         columns, so untouched streams' proofs stand.  Every chunk of the
         window is visited — an idle shard's window spans several.
         """
         own_stream = None if own is None else int(self.ids[own])
-        others = set(touched)
+        others = {note for note in notes if type(note) is int}
+        bulk = [note for note in notes if type(note) is not int]
+        if bulk:
+            # Distinct by sort-and-compare, and no more Python ints than
+            # it takes to be a broadcast (one of them may be own_stream).
+            rows = np.sort(np.concatenate(bulk))
+            rows = rows[np.diff(rows, prepend=-1) > 0]
+            others.update(rows[: _BROADCAST_CAP + 2].tolist())
         others.discard(own_stream)
         if len(others) > _BROADCAST_CAP:
             self._drop_window("broadcast_truncations")
@@ -577,22 +584,24 @@ def columnar_table(payloads, tables, sources, channels, protocol):
 
 def replay_columnar(
     times, stream_ids, payloads, table, sources, ledger, host, engine,
-    batch_size, frontiers,
+    batch_size, frontiers, previous=None,
 ) -> dict:
     """Apply whole chunks — reports included — columnarly.
 
     A source's belief after record ``k`` always equals record ``k``'s
-    containment (a report happens exactly when consecutive containments
-    differ), so each run's report positions are one vectorized ``diff``
-    over its containment sequence seeded with the table's believed
-    membership.  The protocol judges them in time order — record index
-    order, not the diff's per-stream grouping — and
+    containment, so the side it believes *before* a record is the
+    containment of its stream's previous record — *previous* is the
+    arrays' :func:`~repro.state.runs.previous_in_stream` index, built
+    here when not supplied — or, where that record lies before the
+    chunk, the table's believed plane: everything below the chunk is
+    applied before it is judged.  The reports are the records whose
+    containment differs from that side, already in time order;
     :meth:`~repro.protocols.base.FilterProtocol.absorb_reports` says how
     many are quiet.  Those are charged to the ledger as one count, the
     value/constraint/answer planes and the population's believed side
-    take each run's last quiet report, the host clock its time —
-    byte-identical to per-event replay with no Python per report.  The
-    first report the protocol reacts to ends the chunk: that record
+    take each reporting stream's last quiet report, the host clock its
+    time — byte-identical to per-event replay with no Python per report.
+    The first report the protocol reacts to ends the chunk: that record
     takes the cursor's per-event order (engine to its time, the
     population's ``apply``) and the scan resumes behind it against the
     live columns.  No chunk crosses the frontier last taken from
@@ -602,6 +611,8 @@ def replay_columnar(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if previous is None:
+        previous = previous_in_stream(stream_ids)
     stats = replay_stats("batch", "columnar", len(times))
     i, size = 0, batch_size
     for frontier in frontiers:
@@ -610,46 +621,43 @@ def replay_columnar(
             ids_chunk = stream_ids[i:end]
             vals_chunk = payloads[i:end]
             stats["chunk_scans"] += 1
-            order, starts, run_ids = segment_runs(ids_chunk)
             contains = (table.lower[ids_chunk] <= vals_chunk) & (
                 vals_chunk <= table.upper[ids_chunk]
             )
-            grouped = contains[order]
-            previous = np.empty_like(grouped)
-            previous[1:] = grouped[:-1]
-            previous[starts[:-1]] = table.inside[run_ids]
-            report_idx = np.nonzero(grouped != previous)[0]
+            # A negative ``back`` (predecessor before the chunk) is
+            # clipped and masked out: as an index it would wrap around.
+            back = previous[i:end] - i
+            before = back < 0
+            believed = (table.inside[ids_chunk] & before) | (
+                contains.take(back, mode="clip") & ~before
+            )
+            at = np.nonzero(contains != believed)[0]
             quiet, reacting = 0, False
             size = min(batch_size, 2 * size)
-            if report_idx.size:
-                at = order[report_idx]
-                in_time = np.sort(at)
-                quiet = host.protocol.absorb_reports(contains[in_time])
-                reacting = quiet < in_time.size
+            if at.size:
+                quiet = host.protocol.absorb_reports(contains[at])
+                reacting = quiet < at.size
                 if reacting:
                     # End the chunk just before the reacting record;
                     # scan as far again, not a whole chunk, behind it.
-                    cut = int(in_time[quiet])
+                    cut = int(at[quiet])
                     size = min(batch_size, max(DEFAULT_MIN_CHUNK, 2 * cut))
-                    report_idx = report_idx[at < cut]
+                    at = at[:quiet]
                     end = i + cut
                     ids_chunk, vals_chunk = ids_chunk[:cut], vals_chunk[:cut]
             if quiet:
                 ledger.record_kind(MessageKind.UPDATE, quiet)
                 stats["columnar_reports"] += quiet
-                host.now = max(host.now, float(times[i + in_time[quiet - 1]]))
-                # Each reporting run's *last* report is what the server
-                # remembers — value plane, believed side, answer
-                # membership — and the side the source believes reported.
-                last = np.searchsorted(report_idx, starts[1:], side="left") - 1
-                first = np.searchsorted(report_idx, starts[:-1], side="left")
-                reported = last >= first
-                last_report = report_idx[last[reported]]
-                pos = order[last_report]
-                rows = ids_chunk[pos]
+                host.now = max(host.now, float(times[i + at[-1]]))
+                # Each reporting stream's *last* report — its first,
+                # read backwards — is what the server remembers (value
+                # plane, believed side, answer membership) and the side
+                # the source believes reported; rows ascend, distinct.
+                rows, nth = np.unique(ids_chunk[at][::-1], return_index=True)
+                pos = at[quiet - 1 - nth]
                 table.values[rows] = vals_chunk[pos]
                 table.report_time[rows] = times[i + pos]
-                final_inside = grouped[last_report]
+                final_inside = contains[pos]
                 table.inside[rows] = final_inside
                 sources.inside[rows] = final_inside
                 table.answer_assign_rows(rows, final_inside)

@@ -303,14 +303,17 @@ class ExecutionSession:
         return self.ledger.snapshot()
 
     def close(self) -> None:
-        """Unwire a finished run: the channels forget their handlers and
-        the state tables their rank listeners.  Those are the assembly's
-        reference cycles; without them its planes are freed the moment
-        the caller lets go, not at some later full collection."""
+        """Unwire a finished run: the channels forget their handlers,
+        the state tables their rank listeners, a sharded host its shards'
+        back references.  Those are the assembly's reference cycles;
+        without them its planes are freed the moment the caller lets
+        go, not at some later full collection."""
         for channel in self.channels:
             channel.unbind()
         for table in self._state_tables():
             table._listeners.clear()
+        if hasattr(self.host, "close"):
+            self.host.close()
 
     # ------------------------------------------------------------------
     # Replay
@@ -328,6 +331,7 @@ class ExecutionSession:
         batch_size: int = DEFAULT_BATCH_SIZE,
         min_chunk: int = DEFAULT_MIN_CHUNK,
         frontiers=None,
+        previous=None,
     ) -> None:
         """Feed the record arrays through the assembled system.
 
@@ -359,6 +363,10 @@ class ExecutionSession:
             iterator journals a WAL segment before yielding its end
             (DESIGN.md §11); an exception it raises propagates after
             the usual cleanup.
+        previous:
+            The arrays' :func:`~repro.state.runs.previous_in_stream`
+            index, or a callable returning it — called only if the
+            columnar kernel runs, which else builds one (DESIGN.md §9).
         """
         if horizon is not None:
             n = int(np.searchsorted(times, horizon, side="right"))
@@ -372,30 +380,23 @@ class ExecutionSession:
         )
         table = declined = None
         if mode == "batch":
+            protocol = getattr(self.host, "protocol", None)
             table, declined = columnar_table(
-                payloads,
-                tables,
-                self.sources,
-                self.channels,
-                getattr(self.host, "protocol", None),
+                payloads, tables, self.sources, self.channels, protocol
             )
         if table is not None:
+            if callable(previous):
+                previous = previous()
             stats = replay_columnar(
                 times, stream_ids, payloads, table, self.sources,
                 self.ledger, self.host, self.engine, batch_size, frontiers,
+                previous,
             )
         else:
             cursor = ReplayCursor(
-                times,
-                stream_ids,
-                payloads,
-                sources=self.sources,
-                tables=tables,
-                channels=self.channels,
-                engine=self.engine,
-                mode=mode,
-                batch_size=batch_size,
-                min_chunk=min_chunk,
+                times, stream_ids, payloads, sources=self.sources,
+                tables=tables, channels=self.channels, engine=self.engine,
+                mode=mode, batch_size=batch_size, min_chunk=min_chunk,
             )
             stats = cursor.stats
             stats["columnar_declined"] = declined
@@ -439,5 +440,6 @@ class ExecutionSession:
             trace.stream_ids,
             getattr(trace, self.vocabulary.record_column),
             horizon=trace.horizon,
+            previous=lambda: trace.previous_record,
             **kwargs,
         )

@@ -227,6 +227,13 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         self._now = time
         self._guarded_call(self.protocol.initialize, self)
 
+    def close(self) -> None:
+        """Unwire a finished run (``ExecutionSession.close``): the
+        shards forget the coordinator and their views' rank listeners."""
+        for shard in self.shards:
+            shard._coordinator = None
+            shard.state._listeners.clear()
+
     # ------------------------------------------------------------------
     # Control-plane API used by protocols
     # ------------------------------------------------------------------

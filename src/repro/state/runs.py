@@ -1,43 +1,56 @@
-"""Run segmentation and first-crossing primitives for the dispatch kernel.
+"""Per-stream geometry of a record array: grouping, predecessors, runs.
 
-The columnar dispatch kernel (DESIGN.md §9) recasts a trace chunk as a
-set of *per-stream runs*: the chunk positions of each stream, in time
-order.  Everything here is pure array geometry over one chunk — no
-simulation state, no tables — which is what makes the primitives easy to
-property-test against scalar oracles:
-
-* :func:`segment_runs` — stable ``argsort`` grouping of a chunk's stream
-  ids into contiguous runs.  Stability matters: within a run, positions
-  must stay ascending so "first crossing in the run" means "earliest in
-  time".
-* :func:`first_true_per_run` — the searchsorted trick: given a boolean
-  crossing mask (in run-grouped order) and the run boundaries, find each
-  run's first crossing with two vectorized calls instead of a Python
-  loop over runs.
-* :func:`segmented_cummin` / :func:`segmented_cummax` — running extrema
-  within each run.  For closed-interval filters these are the classical
-  formulation of "has the run crossed yet": a prefix of a run is
-  entirely inside ``[lo, hi]`` iff its running min stays ``>= lo`` and
-  its running max stays ``<= hi``, so the first crossing is the first
-  position where ``cummin < lo or cummax > hi``.  Because interval
-  containment is elementwise, that first position provably equals the
-  first elementwise violation — the equivalence the property suite
-  pins down — letting the hot kernel use the cheaper elementwise mask
-  while these reference primitives document (and test) why per-run
-  windows need no Python loop.
+A source reports iff its filter membership flips between two consecutive
+values of the *same stream* (DESIGN.md §9), so what replay needs from a
+record array is its per-stream shape.  Pure array functions — no
+simulation state, no tables — each property-tested against a scalar
+oracle (``tests/state/test_runs.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "segment_runs",
-    "first_true_per_run",
-    "segmented_cummin",
-    "segmented_cummax",
-    "first_interval_crossing",
-]
+
+def stable_id_order(stream_ids) -> np.ndarray:
+    """``np.argsort(stream_ids, kind="stable")``, by radix.
+
+    numpy radix-sorts 16-bit integers only (801 001 ids: 9 ms against
+    85 ms as int64), so non-negative ids take one ``uint16`` pass below
+    2**16, a low-half then high-half pass below 2**32 (LSD, each pass
+    stable), and the plain stable ``argsort`` beyond.
+    """
+    ids = np.asarray(stream_ids)
+    if ids.size and ids.dtype.kind in "iu" and ids.min() >= 0:
+        top = int(ids.max())
+        if top < 1 << 16:
+            return np.argsort(ids.astype(np.uint16), kind="stable")
+        if top < 1 << 32:
+            low = np.argsort((ids & 0xFFFF).astype(np.uint16), kind="stable")
+            high = (ids >> 16).astype(np.uint16)[low]
+            return low[np.argsort(high, kind="stable")]
+    return np.argsort(ids, kind="stable")
+
+
+def previous_in_stream(stream_ids) -> np.ndarray:
+    """``prev[j]``: the largest ``i < j`` with ``stream_ids[i] ==
+    stream_ids[j]``, else ``-1``.
+
+    One stable grouping plus one shifted scatter: in grouped order a
+    record's predecessor is its left neighbour, except at a run's first.
+    ``prev[:n]`` is the index of the first ``n`` records and ``prev[a:b]
+    - a`` that of the slice ``[a, b)``, predecessors below ``a`` coming
+    out negative.  32-bit below 2**31 records: it lives with its trace.
+    """
+    ids = np.asarray(stream_ids)
+    n = len(ids)
+    dtype = np.int32 if n < 1 << 31 else np.int64
+    order = stable_id_order(ids).astype(dtype, copy=False)
+    grouped = ids[order]
+    prev = np.full(n, -1, dtype=dtype)
+    prev[order[1:]] = order[:-1]
+    prev[order[1:][grouped[1:] != grouped[:-1]]] = -1
+    return prev
 
 
 def segment_runs(stream_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -52,19 +65,13 @@ def segment_runs(stream_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exactly one run.
     """
     ids = np.asarray(stream_ids)
-    order = np.argsort(ids, kind="stable")
+    order = stable_id_order(ids)
     n = len(order)
     if n == 0:
         return order, np.zeros(1, dtype=np.intp), ids[:0]
     sorted_ids = ids[order]
     boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
-    starts = np.concatenate(
-        (
-            np.zeros(1, dtype=np.intp),
-            boundaries.astype(np.intp, copy=False),
-            np.asarray([n], dtype=np.intp),
-        )
-    )
+    starts = np.concatenate(([0], boundaries, [n])).astype(np.intp, copy=False)
     return order, starts, sorted_ids[starts[:-1]]
 
 
@@ -91,47 +98,3 @@ def first_true_per_run(mask_grouped, starts) -> np.ndarray:
     inside_run = valid & (candidate < starts[1:])
     out[inside_run] = candidate[inside_run]
     return out
-
-
-def _segmented_accumulate(values, starts, ufunc) -> np.ndarray:
-    """Running ``ufunc`` (min/max) within each segment of ``values``."""
-    values = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(values)
-    starts = np.asarray(starts)
-    for r in range(len(starts) - 1):
-        lo, hi = int(starts[r]), int(starts[r + 1])
-        ufunc.accumulate(values[lo:hi], out=out[lo:hi])
-    return out
-
-
-def segmented_cummin(values, starts) -> np.ndarray:
-    """Running minimum within each run (reference primitive)."""
-    return _segmented_accumulate(values, starts, np.minimum)
-
-
-def segmented_cummax(values, starts) -> np.ndarray:
-    """Running maximum within each run (reference primitive)."""
-    return _segmented_accumulate(values, starts, np.maximum)
-
-
-def first_interval_crossing(values, starts, lower, upper) -> np.ndarray:
-    """First position per run whose running extrema escape ``[lo, up]``.
-
-    The cumulative-extrema formulation of the believed-inside crossing
-    test: run ``r`` (bounds ``lower[r]``, ``upper[r]``) first leaves its
-    interval at the first grouped position where
-    ``cummin < lower or cummax > upper``.  Returns ``-1`` for runs that
-    never leave.  Closed-interval containment is elementwise, so this
-    always agrees with ``first_true_per_run`` over the elementwise mask
-    — the equivalence the kernel relies on and the property suite
-    asserts.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    starts = np.asarray(starts)
-    counts = np.diff(starts)
-    lower_g = np.repeat(np.asarray(lower, dtype=np.float64), counts)
-    upper_g = np.repeat(np.asarray(upper, dtype=np.float64), counts)
-    crossed = (segmented_cummin(values, starts) < lower_g) | (
-        segmented_cummax(values, starts) > upper_g
-    )
-    return first_true_per_run(crossed, starts)

@@ -320,8 +320,10 @@ class ShardedRankView:
         """All known stream ids as an int64 column, best-first under
         ``(distance, id)``.
 
-        The full order is one columnar ``(key, id)`` sort over the
-        shards' concatenated orders — the total order the pair merge of
+        A merge, not a re-sort: each shard's order is sorted by ``(key,
+        id)`` and shard id ranges ascend, so a *stable* sort of the
+        concatenated keys (numpy's merges the sorted runs it finds)
+        breaks ties by ascending id — the total order the pair merge of
         :meth:`leaders` yields, without a Python tuple per stream.
         """
         parts = [view.order_arrays() for view in self._views]
@@ -329,7 +331,7 @@ class ShardedRankView:
             [part[0] + offset for part, offset in zip(parts, self._offsets)]
         )
         keys = np.concatenate([part[1] for part in parts])
-        return ids[np.lexsort((ids, keys))]
+        return ids[np.argsort(keys, kind="stable")]
 
     def order(self) -> list[int]:
         """:meth:`order_ids` as a list of Python ints."""

@@ -95,8 +95,9 @@ class StreamStateTable:
 
     #: Constraint-plane watch (class-level default so shard views — whose
     #: ``__init__`` aliases a parent instead of calling ``super().__init__``
-    #: — inherit the disabled state).  ``None`` = off; a list = rows whose
-    #: bounds or believed membership changed since the last drain.
+    #: — inherit the disabled state).  ``None`` = off; a list = notes of
+    #: the rows whose bounds or believed membership changed since the
+    #: last drain: one row (an ``int``) or one bulk write's row array.
     _constraint_watch: list | None = None
     #: Storage defaults at class level for the same shard-view reason:
     #: a view aliases its parent's arrays and never allocates planes.
@@ -300,16 +301,16 @@ class StreamStateTable:
         changes.
 
         While a watch is active, every mutation of a row's deployed
-        bounds or believed membership — scalar or geometric — appends the
-        row to the watch list.  The dispatch kernel (DESIGN.md §9) uses
-        this to learn exactly which streams a dispatched record's
-        protocol reaction touched, so it can re-validate only those
-        streams' remaining run suffixes instead of rescanning the chunk.
+        bounds or believed membership — scalar or geometric — notes the
+        row (a bulk write notes its row array, once).  The replay cursor
+        (DESIGN.md §9) learns from it which streams a dispatched
+        record's reaction touched, and re-validates only their pending
+        run suffixes instead of rescanning the chunk.
         """
         self._constraint_watch = []
 
-    def drain_constraint_watch(self) -> list[int]:
-        """Return and clear the rows noted since the last drain."""
+    def drain_constraint_watch(self) -> list:
+        """Return and clear the notes made since the last drain."""
         rows = self._constraint_watch
         if rows is None:
             return []
@@ -328,7 +329,8 @@ class StreamStateTable:
     def _note_constraint_rows(self, rows: np.ndarray) -> None:
         watch = self._constraint_watch
         if watch is not None:
-            watch.extend(rows.tolist())
+            # One note, not len(rows) ints: a broadcast's are only counted.
+            watch.append(rows.copy())
 
     def record_deploy(self, stream_id: int, lower: float, upper: float) -> None:
         """Record the scalar bounds of a deployed filter constraint."""

@@ -13,10 +13,13 @@ benchmark invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+
+from repro.state.runs import previous_in_stream
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,15 @@ class StreamTrace:
 
     def __len__(self) -> int:
         return self.n_records
+
+    @cached_property
+    def previous_record(self) -> np.ndarray:
+        """The records' :func:`~repro.state.runs.previous_in_stream`
+        index, which the columnar replay kernel reads.  Built on first
+        use and shared by every run over this trace; not a field —
+        never compared, saved, or carried into a derived trace — and
+        stale if the record arrays are rewritten afterwards."""
+        return previous_in_stream(self.stream_ids)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         for time, stream_id, value in zip(

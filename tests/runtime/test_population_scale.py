@@ -68,19 +68,26 @@ def test_one_ledger_at_population_scale(protocol):
         assert report.final_answer == reference.final_answer
 
 
+@pytest.mark.parametrize(
+    "deployment", [Deployment.single(), Deployment.sharded(2)],
+    ids=["single", "sharded(2)"],
+)
 @pytest.mark.parametrize("protocol", sorted(SPECS))
-def test_a_finished_run_leaves_its_planes_to_no_cycle_collector(protocol):
+def test_a_finished_run_leaves_its_planes_to_no_cycle_collector(
+    protocol, deployment
+):
     """A run is now a few dozen objects holding megabytes of planes, far
     too few to ever trip the (object-counting) collector: were they
     still in reference cycles — channel <-> population, channel <->
-    host, table <-> rank view — a loop of runs would pile them up.
-    ``ExecutionSession.close`` unwires them when the run ends."""
+    host, table <-> rank view, sharded host <-> its shards — a loop of
+    runs would pile them up.  ``ExecutionSession.close`` unwires them
+    when the run ends."""
     workload = Workload.synthetic(n_streams=2_000, horizon=20.0, seed=2)
     workload.materialize()
     gc.collect()
     gc.disable()
     try:
-        Engine().run(SPECS[protocol], workload)
+        Engine().run(SPECS[protocol], workload, deployment)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         left = {

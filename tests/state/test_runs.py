@@ -9,7 +9,9 @@ chunks:
 * ``first_true_per_run`` equals a Python loop over each run's mask;
 * the cumulative-extrema first-crossing equals both the elementwise
   mask formulation and the per-event ``run_flip_index`` oracle the
-  membership layer defines.
+  membership layer defines;
+* the radix grouping equals numpy's stable ``argsort`` and the
+  predecessor index a dict-walking loop, whatever width the ids need.
 """
 
 import numpy as np
@@ -18,14 +20,58 @@ from hypothesis import strategies as st
 
 from repro.runtime.membership import run_flip_index
 from repro.state.runs import (
-    first_interval_crossing,
     first_true_per_run,
+    previous_in_stream,
     segment_runs,
-    segmented_cummax,
-    segmented_cummin,
+    stable_id_order,
 )
 
 MAX_STREAM = 7
+
+
+# ----------------------------------------------------------------------
+# Oracles: the cumulative-extrema formulation of "has the run crossed
+# yet".  A prefix of a run is entirely inside ``[lo, hi]`` iff its
+# running min stays ``>= lo`` and its running max stays ``<= hi``, so
+# the first crossing is the first position where ``cummin < lo or
+# cummax > hi``.  Closed-interval containment is elementwise, so that
+# position equals the first elementwise violation — which is why the
+# kernels use the cheaper elementwise mask and these live here, not in
+# ``src/``.
+# ----------------------------------------------------------------------
+def _segmented_accumulate(values, starts, ufunc) -> np.ndarray:
+    """Running ``ufunc`` (min/max) within each segment of ``values``."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty_like(values)
+    starts = np.asarray(starts)
+    for r in range(len(starts) - 1):
+        lo, hi = int(starts[r]), int(starts[r + 1])
+        ufunc.accumulate(values[lo:hi], out=out[lo:hi])
+    return out
+
+
+def segmented_cummin(values, starts) -> np.ndarray:
+    """Running minimum within each run."""
+    return _segmented_accumulate(values, starts, np.minimum)
+
+
+def segmented_cummax(values, starts) -> np.ndarray:
+    """Running maximum within each run."""
+    return _segmented_accumulate(values, starts, np.maximum)
+
+
+def first_interval_crossing(values, starts, lower, upper) -> np.ndarray:
+    """First position per run whose running extrema escape ``[lo, up]``
+    (``-1`` for runs that never leave)."""
+    values = np.asarray(values, dtype=np.float64)
+    starts = np.asarray(starts)
+    counts = np.diff(starts)
+    lower_g = np.repeat(np.asarray(lower, dtype=np.float64), counts)
+    upper_g = np.repeat(np.asarray(upper, dtype=np.float64), counts)
+    crossed = (segmented_cummin(values, starts) < lower_g) | (
+        segmented_cummax(values, starts) > upper_g
+    )
+    return first_true_per_run(crossed, starts)
 
 
 @st.composite
@@ -161,6 +207,59 @@ def test_empty_chunk_degenerates_cleanly():
     assert len(order) == 0 and len(run_ids) == 0
     assert starts.tolist() == [0]
     assert len(first_true_per_run(np.asarray([], dtype=bool), starts)) == 0
+
+
+#: Id ranges that take each grouping path: one uint16 pass, the two
+#: passes below 2**32 (straddling 2**16, so both halves matter), the
+#: plain stable argsort beyond — a handful of records each, so no test
+#: allocates for the id space.
+ID_RANGES = [(0, 9), (0, (1 << 16) - 1), ((1 << 16) - 3, (1 << 16) + 3),
+             (0, (1 << 32) - 1), ((1 << 32) - 3, 1 << 33)]
+
+
+@st.composite
+def id_columns(draw):
+    low, high = draw(st.sampled_from(ID_RANGES))
+    # A small pool of ids, so streams repeat inside the column.
+    pool = draw(st.lists(st.integers(low, high), min_size=1, max_size=6))
+    ids = draw(st.lists(st.sampled_from(pool), max_size=50))
+    return np.asarray(ids, dtype=np.int64)
+
+
+@given(id_columns())
+@settings(max_examples=300, deadline=None)
+def test_radix_grouping_is_the_stable_argsort(ids):
+    expected = np.argsort(ids, kind="stable").tolist()
+    assert stable_id_order(ids).tolist() == expected
+    # The cursor's run structure is built on the same grouping.
+    assert segment_runs(ids)[0].tolist() == expected
+
+
+@given(id_columns())
+@settings(max_examples=300, deadline=None)
+def test_previous_in_stream_matches_a_dict_walk(ids):
+    last: dict[int, int] = {}
+    expected = []
+    for position, stream in enumerate(ids.tolist()):
+        expected.append(last.get(stream, -1))
+        last[stream] = position
+    previous = previous_in_stream(ids)
+    assert previous.tolist() == expected
+    assert previous.dtype == np.int32  # below 2**31 records
+    # A prefix is the prefix's index; an offset slice keeps every
+    # predecessor inside the slice and sends the rest negative.
+    cut = len(ids) // 2
+    assert previous[:cut].tolist() == previous_in_stream(ids[:cut]).tolist()
+    tail = previous[cut:] - cut
+    assert np.maximum(tail, -1).tolist() == previous_in_stream(ids[cut:]).tolist()
+
+
+def test_grouping_falls_back_on_ids_it_cannot_narrow():
+    for ids in (np.asarray([3, -1, 3, -70000]), np.asarray([2.5, 1.0, 2.5])):
+        expected = np.argsort(ids, kind="stable").tolist()
+        assert stable_id_order(ids).tolist() == expected
+    assert previous_in_stream([]).tolist() == []
+    assert previous_in_stream([4]).tolist() == [-1]
 
 
 def test_unbatchable_source_flips_immediately():

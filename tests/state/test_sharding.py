@@ -9,6 +9,8 @@ claim over random partitions, random data, and adversarial tie layouts.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.queries.knn import KMinQuery, KnnQuery, TopKQuery
 from repro.state.rank import RankView
@@ -206,6 +208,43 @@ def test_random_partition_topk_with_duplicate_distances(seed):
     _, _, sharded = build_sharded(query, values, random_ranges(rng, n))
     assert sharded.order() == single.order()
     assert sharded.leaders(6) == single.leaders(6)
+
+
+@given(
+    values=st.lists(st.integers(0, 4), min_size=2, max_size=40),
+    cut_seed=st.integers(0, 2**16),
+    rewrites=st.lists(
+        st.tuples(st.integers(0, 39), st.integers(0, 4)), max_size=6
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_order_ids_merge_equals_the_lexsort_it_replaced(
+    values, cut_seed, rewrites
+):
+    """``order_ids`` merges the shards' sorted orders with one stable
+    sort of the keys; the column must be the ``(key, id)`` lexsort of
+    the concatenation — keys from a five-value grid, so ties within and
+    across shards are the common case — also after point repairs."""
+    n = len(values)
+    values = np.asarray(values, dtype=np.float64)
+    ranges = random_ranges(np.random.default_rng(cut_seed), n)
+    query = KMinQuery(k=2)
+    _, shards, sharded = build_sharded(query, values, ranges)
+
+    def lexsorted():
+        parts = [view.order_arrays() for view in sharded._views]
+        ids = np.concatenate(
+            [part[0] + shard.lo for part, shard in zip(parts, shards)]
+        )
+        keys = np.concatenate([part[1] for part in parts])
+        return ids[np.lexsort((ids, keys))].tolist()
+
+    assert sharded.order_ids().tolist() == lexsorted()
+    for stream, value in rewrites:
+        stream %= n
+        shard = next(s for s in shards if s.lo <= stream < s.hi)
+        shard.record_report(stream - shard.lo, float(value), 1.0)
+        assert sharded.order_ids().tolist() == lexsorted()
 
 
 def test_all_streams_equidistant_ties():

@@ -1,5 +1,7 @@
 """Unit + property tests for trace containers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -111,6 +113,45 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.times, manual_trace.times)
         np.testing.assert_array_equal(loaded.values, manual_trace.values)
         assert loaded.horizon == manual_trace.horizon
+
+
+class TestPredecessorIndex:
+    """``previous_record`` is derived state kept on the instance: built
+    once, never a field, never in the way of the fields' semantics."""
+
+    def test_built_once_and_correct(self, manual_trace):
+        index = manual_trace.previous_record
+        assert index.tolist() == [-1, -1, -1, 0, -1]
+        assert manual_trace.previous_record is index
+
+    def test_not_a_field(self, manual_trace):
+        manual_trace.previous_record
+        assert manual_trace == manual_trace
+        names = {f.name for f in dataclasses.fields(manual_trace)}
+        assert "previous_record" not in names
+        assert dataclasses.asdict(manual_trace).keys() == names
+        assert "previous_record" not in vars(dataclasses.replace(manual_trace))
+
+    def test_save_load_neither_carries_nor_minds_it(self, manual_trace, tmp_path):
+        manual_trace.previous_record
+        manual_trace.save(tmp_path / "trace.npz")
+        with np.load(tmp_path / "trace.npz") as data:
+            assert sorted(data.files) == [
+                "horizon", "initial_values", "stream_ids", "times", "values",
+            ]
+        loaded = StreamTrace.load(tmp_path / "trace.npz")
+        assert "previous_record" not in vars(loaded)
+        assert loaded.previous_record.tolist() == [-1, -1, -1, 0, -1]
+
+    def test_transforms_build_their_own(self, manual_trace):
+        manual_trace.previous_record
+        restricted = manual_trace.restrict_streams(2)  # drops streams 2, 3
+        truncated = manual_trace.truncate(3.5)  # drops the last two records
+        for derived in (restricted, truncated):
+            assert "previous_record" not in vars(derived)
+        assert restricted.previous_record.tolist() == [-1, -1, 0]
+        assert truncated.previous_record.tolist() == [-1, -1, -1]
+        assert manual_trace.previous_record.tolist() == [-1, -1, -1, 0, -1]
 
 
 class TestMerge:
