@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.network.accounting import MessageLedger
 from repro.network.messages import MessageKind
 from repro.protocols.base import FilterProtocol
@@ -65,9 +67,9 @@ class QueryContext:
     def probe(self, stream_id: int) -> float:
         return self._coordinator.probe(self.query_id, stream_id)
 
-    def probe_all(self, stream_ids: list[int] | None = None) -> dict[int, float]:
+    def probe_all(self, stream_ids=None) -> np.ndarray:
         targets = self.stream_ids if stream_ids is None else stream_ids
-        return {stream_id: self.probe(stream_id) for stream_id in targets}
+        return np.array([self.probe(stream_id) for stream_id in targets])
 
     def deploy(
         self,

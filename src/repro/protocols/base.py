@@ -120,3 +120,50 @@ class FilterProtocol(ABC):
     def describe(self) -> str:
         """One-line human-readable description for results tables."""
         return self.name
+
+
+class SilencingProtocol(FilterProtocol):
+    """A protocol that hands out silencing filters (FT-NRP, FT-RP): its
+    FIFO ``_pools`` (:class:`~repro.state.pools.SilencerPools`) and
+    Figure 7's ``Fix_Error``, which spends them."""
+
+    def _fix_error(self, server: "Server", bound) -> None:
+        """Spend silenced streams to restore the F+/F- budgets of *bound*
+        (the query range, or FT-RP's ``R``)."""
+        assert self._state is not None
+        if self._pools.fp:
+            candidate = self._pools.pop_fp()
+            if bound.contains(server.probe(candidate)):
+                # True positive after all: pin it with the real filter;
+                # budgets strictly improve (Section 5.1.1 case 1).
+                server.deploy_many([candidate], bound)
+                return
+            # True negative: drop it from the answer.  It is now silenced
+            # and believed outside — i.e. a false-negative filter — so it
+            # joins that pool (see ft_nrp.py's module docstring).
+            self._state.answer_discard(candidate)
+            self._pools.push_fn(candidate)
+        if self._pools.fn:
+            candidate = self._pools.pop_fn()
+            if bound.contains(server.probe(candidate)):
+                self._state.answer_add(candidate)
+            server.deploy_many([candidate], bound)
+
+    @property
+    def n_plus(self) -> int:
+        """Remaining false-positive filters (paper's ``n+``)."""
+        return self._pools.n_plus
+
+    @property
+    def n_minus(self) -> int:
+        """Remaining false-negative filters (paper's ``n-``)."""
+        return self._pools.n_minus
+
+    @property
+    def _fp_pool(self):
+        """The FIFO false-positive pool (exposed for tests/ablations)."""
+        return self._pools.fp
+
+    @property
+    def _fn_pool(self):
+        return self._pools.fn

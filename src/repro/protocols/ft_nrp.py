@@ -51,12 +51,11 @@ Server-side state — answer mask and silencer flags — lives in the shared
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.protocols.base import FilterProtocol
+from repro.protocols.base import SilencingProtocol
 from repro.protocols.selection import BoundaryNearestSelection, SelectionHeuristic
 from repro.state.pools import SilencerPools
 from repro.tolerance.fraction_tolerance import FractionTolerance
@@ -66,7 +65,7 @@ if TYPE_CHECKING:
     from repro.state.table import StreamStateTable
 
 
-class FractionToleranceRangeProtocol(FilterProtocol):
+class FractionToleranceRangeProtocol(SilencingProtocol):
     """The FT-NRP algorithm of Figure 7.
 
     Parameters
@@ -105,6 +104,8 @@ class FractionToleranceRangeProtocol(FilterProtocol):
         self._state: "StreamStateTable | None" = None
         self._pools = SilencerPools()
         self._count = 0
+        #: ``((len(fp), len(fn)), smallest fitting answer size)``.
+        self._fitting: tuple = (None, 0)
         self.reinitializations = 0
 
     # ------------------------------------------------------------------
@@ -114,32 +115,29 @@ class FractionToleranceRangeProtocol(FilterProtocol):
         if self._state is not server.state:
             self._state = server.state
             self._pools.bind(self._state)
-        values = server.probe_all()
-        self._install(server, values)
+        self._install(server, server.probe_all())
 
-    def _install(self, server: "Server", values: dict) -> None:
-        """Compute A, choose silencers, and deploy all filters."""
+    def _install(self, server: "Server", payloads: np.ndarray) -> None:
+        """Compute A from every stream's fresh payload (a column over the
+        ids), choose silencers, and deploy all filters."""
         assert self._state is not None
-        inside = {
-            stream_id: value
-            for stream_id, value in values.items()
-            if self.query.matches(value)
-        }
-        outside = {
-            stream_id: value
-            for stream_id, value in values.items()
-            if stream_id not in inside
-        }
-        self._state.answer_replace(inside)
+        ids = np.arange(len(payloads))
+        inside = self.query.matches_array(payloads)
+        self._state.answer_set_mask(inside)
         self._count = 0
 
-        n_plus = min(self.tolerance.emax_plus(len(inside)), len(inside))
-        n_minus = min(self.tolerance.emax_minus(len(inside)), len(outside))
-        fp_ids = self.selection.select(inside, n_plus, self._bound)
-        fn_ids = self.selection.select(outside, n_minus, self._bound)
+        size = self._state.answer_size
+        n_plus = min(self.tolerance.emax_plus(size), size)
+        n_minus = min(self.tolerance.emax_minus(size), len(ids) - size)
+        fp_ids = self.selection.select(
+            ids[inside], payloads[inside], n_plus, self._bound
+        )
+        fn_ids = self.selection.select(
+            ids[~inside], payloads[~inside], n_minus, self._bound
+        )
         self._pools.reset(fp_ids, fn_ids)
 
-        server.deploy_many(list(values), self._bound, silenced=self._pools)
+        server.deploy_many(ids, self._bound, silenced=self._pools)
         self._enforce_budgets(server)
 
     # ------------------------------------------------------------------
@@ -159,7 +157,7 @@ class FractionToleranceRangeProtocol(FilterProtocol):
             if self._count > 0:
                 self._count -= 1
             else:
-                self._fix_error(server)
+                self._fix_error(server, self._bound)
                 if (
                     self.reinitialize_when_exhausted
                     and not self._pools.fp
@@ -182,19 +180,23 @@ class FractionToleranceRangeProtocol(FilterProtocol):
         by exactly one in the direction of *entering*: sizes and slack
         are one running sum.  Both budget tests are monotone in the
         size, so the smallest fitting size is found by bisecting the
-        scalar tests themselves.  ``count`` takes the absorbed steps,
-        clamped at zero where ``Fix_Error`` has nothing left to spend.
+        scalar tests themselves over ``[0, n_streams]`` (an answer is no
+        larger) — once per pair of pool sizes, all the tests depend on.
+        ``count`` takes the absorbed steps, clamped at zero where
+        ``Fix_Error`` has nothing left to spend.
         """
         assert self._state is not None, "initialize() must run first"
         pools, size, n = self._pools, self._state.answer_size, len(entering)
+        sizes = (len(pools.fp), len(pools.fn))
+        if self._fitting[0] != sizes:
+            self._fitting = sizes, bisect_left(
+                range(self._state.n_streams + 1),
+                True,
+                key=lambda s: (not pools.fp or self._fp_budget_ok(s))
+                and (not pools.fn or self._fn_budget_ok(s)),
+            )
         steps = np.cumsum(np.where(entering, 1, -1))
-        fitting = bisect_left(
-            range(size + n + 1),
-            True,
-            key=lambda s: (not pools.fp or self._fp_budget_ok(s))
-            and (not pools.fn or self._fn_budget_ok(s)),
-        )
-        stop = ~entering & (size + steps < fitting)
+        stop = ~entering & (size + steps < self._fitting[1])
         if pools.fp or pools.fn or self.reinitialize_when_exhausted:
             stop |= self._count + steps < 0
         absorbed = int(stop.argmax()) if stop.any() else n
@@ -202,32 +204,6 @@ class FractionToleranceRangeProtocol(FilterProtocol):
             slack = self._count + steps[:absorbed]
             self._count = int(slack[-1]) - min(0, int(slack.min()))
         return absorbed
-
-    # ------------------------------------------------------------------
-    # Fix_Error (Figure 7, bottom)
-    # ------------------------------------------------------------------
-    def _fix_error(self, server: "Server") -> None:
-        """Spend silenced streams to restore the F+/F- budgets."""
-        assert self._state is not None
-        if self._pools.fp:
-            candidate = self._pools.pop_fp()
-            value = server.probe(candidate)
-            if self.query.matches(value):
-                # True positive after all: pin it with the real range
-                # filter; budgets strictly improve (Section 5.1.1 case 1).
-                server.deploy_many([candidate], self._bound)
-                return
-            # True negative: drop it from the answer.  It is now silenced
-            # and believed outside — i.e. a false-negative filter — so it
-            # joins that pool (see module docstring).
-            self._state.answer_discard(candidate)
-            self._pools.push_fn(candidate)
-        if self._pools.fn:
-            candidate = self._pools.pop_fn()
-            value = server.probe(candidate)
-            if self.query.matches(value):
-                self._state.answer_add(candidate)
-            server.deploy_many([candidate], self._bound)
 
     # ------------------------------------------------------------------
     # Budget enforcement (see module docstring, second deviation)
@@ -248,21 +224,15 @@ class FractionToleranceRangeProtocol(FilterProtocol):
         state = self._state
         assert state is not None
         while self._pools.fp and not self._fp_budget_ok(state.answer_size):
-            self._reclaim_fp(server)
+            candidate = self._pools.pop_fp()
+            if not self.query.matches(server.probe(candidate)):
+                state.answer_discard(candidate)
+            server.deploy_many([candidate], self._bound)
         while self._pools.fn and not self._fn_budget_ok(state.answer_size):
             candidate = self._pools.pop_fn()
-            value = server.probe(candidate)
-            if self.query.matches(value):
-                self._state.answer_add(candidate)
+            if self.query.matches(server.probe(candidate)):
+                state.answer_add(candidate)
             server.deploy_many([candidate], self._bound)
-
-    def _reclaim_fp(self, server: "Server") -> None:
-        assert self._state is not None
-        candidate = self._pools.pop_fp()
-        value = server.probe(candidate)
-        if not self.query.matches(value):
-            self._state.answer_discard(candidate)
-        server.deploy_many([candidate], self._bound)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -271,22 +241,3 @@ class FractionToleranceRangeProtocol(FilterProtocol):
     def count(self) -> int:
         """The maintenance slack variable (Figure 7)."""
         return self._count
-
-    @property
-    def n_plus(self) -> int:
-        """Remaining false-positive filters (paper's ``n+``)."""
-        return self._pools.n_plus
-
-    @property
-    def n_minus(self) -> int:
-        """Remaining false-negative filters (paper's ``n-``)."""
-        return self._pools.n_minus
-
-    @property
-    def _fp_pool(self) -> deque[int]:
-        """The FIFO false-positive pool (exposed for tests/ablations)."""
-        return self._pools.fp
-
-    @property
-    def _fn_pool(self) -> deque[int]:
-        return self._pools.fn

@@ -48,15 +48,15 @@ silencer pools are mirrored into the table's flag column.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.protocols.base import FilterProtocol
+from repro.protocols.base import SilencingProtocol
 from repro.protocols.selection import BoundaryNearestSelection, SelectionHeuristic
 from repro.state.pools import SilencerPools
 from repro.state.rank import RankView
+from repro.state.table import membership_mask
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.knn_fraction import RhoPolicy, answer_size_bounds, derive_rho
 
@@ -65,7 +65,7 @@ if TYPE_CHECKING:
     from repro.state.table import StreamStateTable
 
 
-class FractionToleranceKnnProtocol(FilterProtocol):
+class FractionToleranceKnnProtocol(SilencingProtocol):
     """The FT-RP algorithm.
 
     Parameters
@@ -125,27 +125,27 @@ class FractionToleranceKnnProtocol(FilterProtocol):
         assert self._state is not None and self._rank is not None
         state, k = self._state, self.query.k
         leaders = self._rank.leaders(k + 1)
-        top = leaders[:k]
-        state.answer_replace(top)
+        top = membership_mask(leaders[:k], state.n_streams)
+        state.answer_set_mask(top)
         self._count = 0
         payloads = state.payload_array()
         d_in = self.query.distance(payloads[leaders[k - 1]])
         d_out = self.query.distance(payloads[leaders[k]])
         self._region = self.query.region((d_in + d_out) / 2.0)
 
-        inside = {i: payloads[i] for i in top}
-        outside_mask = state.known.copy()
-        outside_mask[top] = False
-        outside = {int(i): payloads[i] for i in np.nonzero(outside_mask)[0]}
+        inside = np.flatnonzero(top)
+        outside = np.flatnonzero(state.known & ~top)
         n_fp = min(math.floor(k * self.rho_plus + 1e-9), len(inside))
         n_fn = min(math.floor(k * self.rho_minus + 1e-9), len(outside))
-        fp_ids = self.selection.select(inside, n_fp, self._region)
-        fn_ids = self.selection.select(outside, n_fn, self._region)
+        fp_ids = self.selection.select(
+            inside, payloads[inside], n_fp, self._region
+        )
+        fn_ids = self.selection.select(
+            outside, payloads[outside], n_fn, self._region
+        )
         self._pools.reset(fp_ids, fn_ids)
 
-        server.deploy_many(
-            server.stream_ids, self._region, silenced=self._pools
-        )
+        server.deploy_many(None, self._region, silenced=self._pools)
 
     # ------------------------------------------------------------------
     # Live answer-size triggers (see module docstring)
@@ -195,7 +195,7 @@ class FractionToleranceKnnProtocol(FilterProtocol):
             if self._count > 0:
                 self._count -= 1
             else:
-                self._fix_error(server)
+                self._fix_error(server, self._region)
                 if self._bounds_violated():
                     self._recompute(server)
 
@@ -205,22 +205,6 @@ class FractionToleranceKnnProtocol(FilterProtocol):
         server.probe_all()
         self._resolve(server)
 
-    def _fix_error(self, server: "Server") -> None:
-        """FT-NRP's Fix_Error over the R view (see ft_nrp.py)."""
-        assert self._region is not None and self._state is not None
-        if self._pools.fp:
-            candidate = self._pools.pop_fp()
-            if self._region.contains(server.probe(candidate)):
-                server.deploy_many([candidate], self._region)
-                return
-            self._state.answer_discard(candidate)
-            self._pools.push_fn(candidate)
-        if self._pools.fn:
-            candidate = self._pools.pop_fn()
-            if self._region.contains(server.probe(candidate)):
-                self._state.answer_add(candidate)
-            server.deploy_many([candidate], self._region)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -228,20 +212,3 @@ class FractionToleranceKnnProtocol(FilterProtocol):
     def region(self):
         """The current k-NN bound estimate ``R`` (a bound value)."""
         return self._region
-
-    @property
-    def n_plus(self) -> int:
-        return self._pools.n_plus
-
-    @property
-    def n_minus(self) -> int:
-        return self._pools.n_minus
-
-    @property
-    def _fp_pool(self) -> deque[int]:
-        """The FIFO false-positive pool (exposed for tests/ablations)."""
-        return self._pools.fp
-
-    @property
-    def _fn_pool(self) -> deque[int]:
-        return self._pools.fn

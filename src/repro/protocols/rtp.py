@@ -116,7 +116,7 @@ class RankToleranceProtocol(FilterProtocol):
             self._state = server.state
             self._rank = server.rank_view(self.query.rank_keys)
         server.probe_all()
-        order = self._rank.order()
+        order = self._rank.order_ids()
         self._state.answer_replace(order[: self.query.k])
         self._state.tracked_replace(order[: self.eps])
         self._deploy_bound(server, fresh_ids=None)

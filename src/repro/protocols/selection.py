@@ -12,7 +12,8 @@ FT-NRP hands out during initialization:
 
 A heuristic returns candidates in *preference order*; protocols take the
 first ``count`` for silencing and also use the order when ``Fix_Error``
-needs "a stream with a false-positive filter".
+needs "a stream with a false-positive filter".  Candidates are columns:
+ascending ids and their payloads (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
+
+from repro.state.runs import stable_key_order
 
 
 class SelectionHeuristic(ABC):
@@ -29,23 +32,24 @@ class SelectionHeuristic(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def order(self, candidates: dict, bound) -> list[int]:
-        """Return candidate ids, most-preferred first.
+    def order(self, ids: np.ndarray, payloads, bound) -> np.ndarray:
+        """Return the candidate ids, most-preferred first.
 
         Parameters
         ----------
-        candidates:
-            Mapping of stream id to its current value (or point).
+        ids, payloads:
+            Candidate stream ids, ascending, and their current values
+            (or an ``(n, d)`` matrix of points).
         bound:
             The bound value the filters guard: the query range, or the
             k-NN bound ``R`` (a filter constraint or a region).
         """
 
-    def select(self, candidates: dict, count: int, bound) -> list[int]:
+    def select(self, ids: np.ndarray, payloads, count: int, bound) -> np.ndarray:
         """The *count* most-preferred candidates."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        return self.order(candidates, bound)[:count]
+        return self.order(ids, payloads, bound)[:count]
 
 
 class RandomSelection(SelectionHeuristic):
@@ -56,10 +60,12 @@ class RandomSelection(SelectionHeuristic):
     def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
 
-    def order(self, candidates: dict, bound) -> list[int]:
-        ids = sorted(candidates)
-        self._rng.shuffle(ids)
-        return [int(i) for i in ids]
+    def order(self, ids: np.ndarray, payloads, bound) -> np.ndarray:
+        # A shuffle of an array draws what the shuffle of the same ids as
+        # a list draws, and moves them the same way.
+        order = np.array(ids, dtype=np.int64)
+        self._rng.shuffle(order)
+        return order
 
 
 class BoundaryNearestSelection(SelectionHeuristic):
@@ -67,8 +73,7 @@ class BoundaryNearestSelection(SelectionHeuristic):
 
     name = "boundary-nearest"
 
-    def order(self, candidates: dict, bound) -> list[int]:
-        return sorted(
-            candidates,
-            key=lambda i: (bound.boundary_distance(candidates[i]), i),
-        )
+    def order(self, ids: np.ndarray, payloads, bound) -> np.ndarray:
+        # Stable on ascending ids: ties go to the smaller id, the
+        # library-wide ``(distance, id)`` rule.
+        return ids[stable_key_order(bound.boundary_distances(payloads))]

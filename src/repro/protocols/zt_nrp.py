@@ -39,15 +39,10 @@ class ZeroToleranceRangeProtocol(FilterProtocol):
         self._state: "StreamStateTable | None" = None
 
     def initialize(self, server: "Server") -> None:
-        state = self._state = server.state
-        values = server.probe_all()
-        state.answer_replace(
-            stream_id
-            for stream_id, value in values.items()
-            if self.query.matches(value)
-        )
+        self._state = server.state
+        self._state.answer_set_mask(self.query.matches_array(server.probe_all()))
         # Knowledge is fresh (we just probed), so no belief is attached.
-        server.deploy_many(server.stream_ids, self.query.bound)
+        server.deploy_many(None, self.query.bound)
 
     def on_update(
         self, server: "Server", stream_id: int, value, time: float

@@ -63,7 +63,7 @@ class ZeroToleranceKnnProtocol(FilterProtocol):
         d_in = self.query.distance(self._state.value_of(leaders[k - 1]))
         d_out = self.query.distance(self._state.value_of(leaders[k]))
         self._region = self.query.region((d_in + d_out) / 2.0)
-        server.deploy_many(server.stream_ids, self._region)
+        server.deploy_many(None, self._region)
 
     def on_update(
         self, server: "Server", stream_id: int, value, time: float

@@ -149,8 +149,9 @@ class Server(VocabularyBound, DeferredDeliveryMixin):
         self.state.record_report(reply.stream_id, payload, reply.time)
         return payload
 
-    def probe_all(self, stream_ids: list[int] | None = None) -> dict:
-        """Probe several (default: all) sources; returns id -> payload.
+    def probe_all(self, stream_ids=None) -> np.ndarray:
+        """Probe several (default: all) sources; returns their payloads
+        aligned with the ids (a column, or an ``(n, d)`` point matrix).
 
         Costs ``2n`` messages however it travels: as one columnar
         operation when the batch qualifies (DESIGN.md §12), else as the

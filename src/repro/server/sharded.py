@@ -244,8 +244,9 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         """Probe one source via its owning shard (2 messages)."""
         return self._shard_for(stream_id).probe(stream_id, self._now)
 
-    def probe_all(self, stream_ids: list[int] | None = None) -> dict:
-        """Probe several (default: all) sources; returns id -> payload.
+    def probe_all(self, stream_ids=None) -> np.ndarray:
+        """Probe several (default: all) sources; returns their payloads
+        aligned with the ids.
 
         Each consecutive same-shard run of ids is one columnar operation
         on its shard's channel when it qualifies (DESIGN.md §12), else
@@ -253,16 +254,16 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         """
         targets = np.arange(self.n_streams) if stream_ids is None else stream_ids
         ids = np.asarray(targets, dtype=np.int64)
-        results: dict = {}
+        runs = []
         for index, a, b in owner_runs(self._shard_of, ids):
             shard = self.shards[index]
-            results.update(
+            runs.append(
                 probe_columns(
                     self, shard.channel, self._state, ids[a:b],
                     shard.state, shard.lo,
                 )
             )
-        return results
+        return np.concatenate(runs) if runs else np.empty(0)
 
     def deploy(self, stream_id: int, *constraint, **belief) -> None:
         """Install *constraint* — ``lower, upper`` or one region, then

@@ -687,8 +687,9 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         self._dirty.add(index)
         return payload
 
-    def probe_all(self, stream_ids: list[int] | None = None) -> dict:
-        """Probe several (default: all) sources; one RPC per worker run.
+    def probe_all(self, stream_ids=None) -> np.ndarray:
+        """Probe several (default: all) sources' payloads, aligned with
+        the ids; one RPC per worker run.
 
         The ledger charge (one request + one reply per stream) and the
         per-stream report recording are identical to probing one by
@@ -697,7 +698,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         self._flush_deploys()
         targets = np.arange(self.n_streams) if stream_ids is None else stream_ids
         ids = np.asarray(targets, dtype=np.int64)
-        results: dict = {}
+        runs = []
         for index, a, b in owner_runs(self._shard_of, ids):
             view = self.shard_views[index]
             rows = ids[a:b] - view.lo
@@ -708,10 +709,8 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
             self.ledger.record_kind(MessageKind.PROBE_REPLY, b - a)
             self._dirty.add(index)
             view.record_report_rows(rows, payloads, times)
-            results.update(
-                zip(ids[a:b].tolist(), self.vocabulary.payload_items(payloads))
-            )
-        return results
+            runs.append(payloads)
+        return np.concatenate(runs) if runs else np.empty(0)
 
     def deploy(self, stream_id: int, *constraint, **belief) -> None:
         """Buffer a constraint message; everything lands at the next flush.

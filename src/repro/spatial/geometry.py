@@ -62,6 +62,11 @@ class Region(ABC):
         boundary-nearest silencer heuristic orders by.
         """
 
+    def boundary_distances(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`boundary_distance` of each row of an ``(n, d)`` matrix,
+        one row at a time (regions have no vectorized form yet)."""
+        return np.fromiter(map(self.boundary_distance, points), float, len(points))
+
     @property
     def is_silencing(self) -> bool:
         """Whether membership can never flip for finite data."""

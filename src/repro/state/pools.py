@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
+import numpy as np
+
 from repro.state.table import (
     SILENCER_FN,
     SILENCER_FP,
@@ -41,18 +43,16 @@ class SilencerPools:
         if self._table is None:
             return
         self._table.clear_silencers()
-        for stream_id in self.fp:
-            self._table.set_silencer(stream_id, SILENCER_FP)
-        for stream_id in self.fn:
-            self._table.set_silencer(stream_id, SILENCER_FN)
+        self._table.silencer[list(self.fp)] = SILENCER_FP
+        self._table.silencer[list(self.fn)] = SILENCER_FN
 
     # ------------------------------------------------------------------
     # Mutation (all paths keep the flag column consistent)
     # ------------------------------------------------------------------
     def reset(self, fp_ids: Iterable[int], fn_ids: Iterable[int]) -> None:
         """Swap in freshly selected pools (a (re)initialization)."""
-        self.fp = deque(int(i) for i in fp_ids)
-        self.fn = deque(int(i) for i in fn_ids)
+        self.fp = deque(np.asarray(fp_ids, dtype=np.int64).tolist())
+        self.fn = deque(np.asarray(fn_ids, dtype=np.int64).tolist())
         self._sync_flags()
 
     def pop_fp(self) -> int:

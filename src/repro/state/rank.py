@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.state.table import StreamStateTable
+from repro.state.runs import stable_key_order
+from repro.state.table import StreamStateTable, membership_mask
 
 #: Full rebuild once more than 1/_REBUILD_DIVISOR of the rows are dirty
 #: (point repair only beats a vectorized re-sort for small dirty batches).
@@ -161,7 +162,7 @@ class RankView:
         keys = self._keys_for(base)
         # A stable argsort on the key column breaks ties by position,
         # which is ascending stream id — the library-wide convention.
-        order = np.argsort(keys, kind="stable")
+        order = stable_key_order(keys)
         self._ids = order if base is None else base[order]
         self._keys = keys[order]
         self._dirty.clear()
@@ -181,7 +182,8 @@ class RankView:
         dirty = np.fromiter(
             sorted(self._dirty), dtype=np.int64, count=len(self._dirty)
         )
-        keep = ~np.isin(self._ids, dirty, assume_unique=True)
+        # Dirty rows are rows: a row mark, not a sort-based ``isin``.
+        keep = ~membership_mask(dirty, self.table.n_streams)[self._ids]
         kept_ids = self._ids[keep]
         kept_keys = self._keys[keep]
         dirty = dirty[self.table.known[dirty]]

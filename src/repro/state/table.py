@@ -68,9 +68,12 @@ STORAGE_BACKINGS = ("ram", "mmap")
 
 
 def membership_mask(stream_ids: Iterable[int], n_streams: int) -> np.ndarray:
-    """The id set *stream_ids* as a boolean column over *n_streams* rows."""
+    """The id set *stream_ids* (an id column or any iterable of ids) as a
+    boolean column over *n_streams* rows."""
     mask = np.zeros(n_streams, dtype=bool)
-    mask[list(stream_ids)] = True
+    if not isinstance(stream_ids, np.ndarray):
+        stream_ids = np.fromiter(stream_ids, np.int64)
+    mask[stream_ids] = True
     return mask
 
 
@@ -524,10 +527,7 @@ class StreamStateTable:
             self._answer_count -= 1
 
     def answer_replace(self, members: Iterable[int]) -> None:
-        self.answer_mask[:] = False
-        for stream_id in members:
-            self.answer_mask[int(stream_id)] = True
-        self._answer_count = int(np.count_nonzero(self.answer_mask))
+        self.answer_set_mask(membership_mask(members, self.n_streams))
 
     def answer_assign_rows(self, rows: np.ndarray, members: np.ndarray) -> None:
         """Vectorized answer update: ``answer_mask[rows] = members``.
@@ -574,9 +574,7 @@ class StreamStateTable:
             self._tracked_count -= 1
 
     def tracked_replace(self, members: Iterable[int]) -> None:
-        self.tracked_mask[:] = False
-        for stream_id in members:
-            self.tracked_mask[int(stream_id)] = True
+        self.tracked_mask[:] = membership_mask(members, self.n_streams)
         self._tracked_count = int(np.count_nonzero(self.tracked_mask))
 
     def tracked_ids(self) -> np.ndarray:

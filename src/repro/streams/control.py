@@ -86,16 +86,17 @@ def deploy_columns(host, channel, table, guarded: bool, columns) -> None:
         deploy_each(host, *columns)
 
 
-def probe_columns(host, channel, table, ids, reports, offset=0) -> dict:
-    """``host.probe_all`` over one channel: id -> value for *ids*, as one
-    columnar probe whose replies are recorded in *reports* (the table
-    the host records this channel's reports in, at row ``id - offset``)
-    when the batch qualifies, else as the ordered ``host.probe`` loop."""
+def probe_columns(host, channel, table, ids, reports, offset=0) -> np.ndarray:
+    """``host.probe_all`` over one channel: the payloads of *ids*, aligned
+    with them, as one columnar probe whose replies are recorded in
+    *reports* (the table the host records this channel's reports in, at
+    row ``id - offset``) when the batch qualifies, else as the ordered
+    ``host.probe`` loop."""
     values = probe_sources(channel, table, ids)
     if values is None:
-        return {stream_id: host.probe(stream_id) for stream_id in ids.tolist()}
+        return np.array([host.probe(stream_id) for stream_id in ids.tolist()])
     reports.record_report_rows(ids - offset, values, host.now)
-    return dict(zip(ids.tolist(), values.tolist()))
+    return values
 
 
 def _bulk_population(channel: Channel, table: StreamStateTable, ids):

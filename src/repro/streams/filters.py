@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class FilterConstraint:
@@ -88,6 +90,16 @@ class FilterConstraint:
         if self.contains(value):
             return min(value - self.lower, self.upper - value)
         return self.distance_to(value)
+
+    def boundary_distances(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`boundary_distance` of each value of a column, bitwise
+        (the same comparisons and subtractions, elementwise)."""
+        values = np.asarray(values, dtype=np.float64)
+        if self.is_silencing:
+            return np.full(values.shape, math.inf)
+        low, up = self.lower, self.upper
+        rest = np.where(values > up, values - up, np.minimum(values - low, up - values))
+        return np.where(values < low, low - values, rest)
 
 
 FALSE_POSITIVE_FILTER = FilterConstraint(-math.inf, math.inf)

@@ -32,6 +32,18 @@ class ValueProcess(ABC):
             out[i] = value
         return out
 
+    def walks(
+        self, initials: np.ndarray, counts: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Stream ``i``'s ``counts[i]`` :meth:`steps` from ``initials[i]``
+        for every stream, drawn and concatenated in stream order."""
+        parts = [
+            self.steps(float(initial), int(count), rng)
+            for initial, count in zip(initials, counts)
+            if count
+        ]
+        return np.concatenate(parts) if parts else np.empty(0)
+
 
 class RandomWalk(ValueProcess):
     """Unbounded Gaussian random walk: ``V_next = V + N(mu, sigma)``.
@@ -53,11 +65,21 @@ class RandomWalk(ValueProcess):
         self, initial: float, count: int, rng: np.random.Generator
     ) -> np.ndarray:
         # Vectorized: a walk is a cumulative sum of i.i.d. steps.
-        increments = rng.normal(self.mu, self.sigma, size=count)
-        return initial + np.cumsum(increments)
+        return self.walks(np.array([initial]), np.array([count]), rng)
+
+    def walks(
+        self, initials: np.ndarray, counts: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        # One draw takes the per-stream calls' variates; a zero-padded
+        # row-wise cumsum is each stream's own (DESIGN.md §19).
+        increments = rng.normal(self.mu, self.sigma, size=int(counts.sum()))
+        mask = np.arange(counts.max(initial=0)) < counts[:, None]
+        padded = np.zeros(mask.shape)
+        padded[mask] = increments
+        return (initials[:, None] + np.cumsum(padded, axis=1))[mask]
 
 
-class BoundedRandomWalk(ValueProcess):
+class BoundedRandomWalk(RandomWalk):
     """Gaussian random walk reflected into ``[low, high]``.
 
     Keeps long simulations inside a fixed data domain so range-query
@@ -69,11 +91,9 @@ class BoundedRandomWalk(ValueProcess):
     def __init__(
         self, sigma: float = 20.0, low: float = 0.0, high: float = 1000.0
     ) -> None:
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        super().__init__(sigma)
         if low >= high:
             raise ValueError("low must be < high")
-        self.sigma = float(sigma)
         self.low = float(low)
         self.high = float(high)
 
@@ -90,13 +110,12 @@ class BoundedRandomWalk(ValueProcess):
     def step(self, current: float, rng: np.random.Generator) -> float:
         return self._reflect(current + rng.normal(0.0, self.sigma))
 
-    def steps(
-        self, initial: float, count: int, rng: np.random.Generator
+    def walks(
+        self, initials: np.ndarray, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        increments = rng.normal(0.0, self.sigma, size=count)
-        raw = initial + np.cumsum(increments)
+        # The unbounded walk's values, each folded as :meth:`_reflect`.
         span = self.high - self.low
-        offset = np.mod(raw - self.low, 2 * span)
+        offset = np.mod(super().walks(initials, counts, rng) - self.low, 2 * span)
         offset = np.where(offset > span, 2 * span - offset, offset)
         return self.low + offset
 

@@ -19,8 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.rng import RandomStreams
+from repro.state.runs import stable_key_order
 from repro.streams.generators import RandomWalk, ValueProcess
 from repro.streams.trace import StreamTrace
+
+#: Streams generated per block: bounds the generator's temporaries (a
+#: ``(block, e)`` gap matrix, the padded walk) independently of n.
+BLOCK_STREAMS = 2048
 
 
 @dataclass(frozen=True)
@@ -103,38 +108,28 @@ def generate_synthetic_trace(
         config.value_low, config.value_high, size=config.n_streams
     )
 
-    all_times: list[np.ndarray] = []
-    all_ids: list[np.ndarray] = []
-    all_values: list[np.ndarray] = []
-    for stream_id in range(config.n_streams):
-        times = _exponential_arrivals(
-            arrival_rng, config.mean_interarrival, config.horizon
-        )
-        if len(times) == 0:
-            continue
-        values = walk.steps(
-            float(initial_values[stream_id]), len(times), step_rng
-        )
-        all_times.append(times)
-        all_ids.append(np.full(len(times), stream_id, dtype=np.int64))
-        all_values.append(values)
-
-    if all_times:
-        times = np.concatenate(all_times)
-        ids = np.concatenate(all_ids)
-        values = np.concatenate(all_values)
-        order = np.argsort(times, kind="stable")
-        times, ids, values = times[order], ids[order], values[order]
-    else:  # degenerate: horizon shorter than any inter-arrival draw
-        times = np.empty(0)
-        ids = np.empty(0, dtype=np.int64)
-        values = np.empty(0)
+    # Stream order, one block of streams at a time (DESIGN.md §19).
+    mean, horizon = config.mean_interarrival, config.horizon
+    width = max(8, int(horizon / mean * 1.3) + 8)
+    times, counts, values = [], [], []
+    for start in range(0, config.n_streams, BLOCK_STREAMS):
+        initials = initial_values[start : start + BLOCK_STREAMS]
+        block = _arrival_block(arrival_rng, mean, horizon, width, len(initials))
+        times.append(block[0])
+        counts.append(block[1])
+        values.append(walk.walks(initials, block[1], step_rng))
+    times, values = np.concatenate(times), np.concatenate(values)
+    ids = np.repeat(
+        np.arange(config.n_streams, dtype=np.int64), np.concatenate(counts)
+    )
+    # Equal times keep stream order.
+    order = stable_key_order(times)
 
     return StreamTrace(
         initial_values=initial_values,
-        times=times,
-        stream_ids=ids,
-        values=values,
+        times=times[order],
+        stream_ids=ids[order],
+        values=values[order],
         horizon=config.horizon,
         metadata={
             "workload": "synthetic",
@@ -147,19 +142,45 @@ def generate_synthetic_trace(
     )
 
 
-def _exponential_arrivals(
-    rng: np.random.Generator, mean: float, horizon: float
-) -> np.ndarray:
-    """Arrival instants of a Poisson process with the given mean gap.
+def _arrival_block(rng, mean: float, horizon: float, width: int, count: int):
+    """Poisson arrivals of *count* consecutive streams within ``[0,
+    horizon]``, concatenated in stream order, and how many each has.
 
-    Draws in blocks and extends until the horizon is passed, so the number
-    of variates consumed adapts to the horizon without a Python-level loop
-    per event.
+    The variates are one sequence of rows of *width* gaps.  A stream
+    takes the next row's ``cumsum`` and, while its last arrival is short
+    of the horizon, the row after as ``last + cumsum(row)``, shifting
+    every later stream down a row.  Rows are drawn once surely needed;
+    only the short ones are walked (DESIGN.md §19).
     """
-    expected = max(8, int(horizon / mean * 1.3) + 8)
-    gaps = rng.exponential(mean, size=expected)
-    times = np.cumsum(gaps)
-    while times[-1] < horizon:
-        more = rng.exponential(mean, size=expected)
-        times = np.concatenate([times, times[-1] + np.cumsum(more)])
-    return times[times <= horizon]
+    rows = np.empty((0, width))
+    short, tails = [], {}  # short rows; short stream -> arrivals past its row
+    extra = np.zeros(count, dtype=np.int64)  # rows past the first, by stream
+    spent = done = 0  # extra rows so far; rows spoken for
+    while short or count + spent > len(rows):
+        if not short:  # the streams so far have their rows: draw the rest
+            more = rng.exponential(mean, size=(count + spent - len(rows), width))
+            more = np.cumsum(more, axis=1)
+            short = (np.flatnonzero(more[:, -1] < horizon) + len(rows)).tolist()
+            rows = np.concatenate([rows, more])
+            continue
+        row = short.pop(0)
+        if row < done:  # already a continuation of an earlier stream
+            continue
+        stream, last, parts, done = row - spent, rows[row, -1], [], row + 1
+        while last < horizon:
+            if done == len(rows):
+                more = rng.exponential(mean, size=(1, width))
+                rows = np.concatenate([rows, np.cumsum(more, axis=1)])
+            parts.append(last + rows[done])
+            last, done = parts[-1][-1], done + 1
+        extra[stream] = len(parts)
+        spent += len(parts)
+        tails[stream] = np.concatenate(parts)
+    arrivals = rows[np.arange(count) + np.cumsum(extra) - extra]
+    if tails:  # widen the first rows, padded past any horizon
+        longest = max(len(tail) for tail in tails.values())
+        arrivals = np.hstack([arrivals, np.full((count, longest), np.inf)])
+        for stream, tail in tails.items():
+            arrivals[stream, width : width + len(tail)] = tail
+    inside = arrivals <= horizon
+    return arrivals[inside], np.count_nonzero(inside, axis=1)

@@ -201,7 +201,7 @@ class TestCoordinator:
         assert context.n_streams == 2
         assert context.stream_ids == [0, 1]
         assert context.probe(1) == 15.0
-        assert context.probe_all() == {0: 5.0, 1: 15.0}
+        assert context.probe_all().tolist() == [5.0, 15.0]
 
     def test_unfiltered_source_notifies_every_query(self):
         """Before any filter is installed, updates fan out to all."""

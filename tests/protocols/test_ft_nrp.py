@@ -203,7 +203,7 @@ class RecordingServer:
 
     def probe_all(self):
         self.messages.append(("probe_all",))
-        return dict(self.values)
+        return np.array([self.values[i] for i in range(len(self.values))])
 
     def deploy_many(self, stream_ids, bound, assumed_inside=None, silenced=None):
         self.messages.append(("deploy", tuple(stream_ids)))
@@ -311,3 +311,54 @@ def test_absorb_reports_is_the_prefix_of_the_on_update_loop(
         server.values.update(dict(reports[: quiet + 1]))
         subject.on_update(server, *reports[quiet], time=1.0)
         assert server.messages == reaction
+
+
+@given(
+    eps_plus=EPS,
+    eps_minus=EPS,
+    answer_size=st.integers(0, 14),
+    n_plus=st.integers(0, 6),
+    n_minus=st.integers(0, 6),
+    count=st.integers(0, 4),
+    entering=st.lists(st.booleans(), max_size=200),
+)
+@settings(max_examples=300, deadline=None)
+def test_absorbing_between_reactions_follows_the_loop_to_the_end(
+    eps_plus, eps_minus, answer_size, n_plus, n_minus, count, entering
+):
+    """Absorbed chunks alternate with the reactions that end them, as the
+    columnar replay drives the protocol: the budget threshold absorb
+    caches must follow every pool change a reaction makes, neither
+    absorbing a reaction nor stopping at a quiet report."""
+    tolerance = FractionTolerance(eps_plus, eps_minus)
+    shape = (tolerance, answer_size, min(n_plus, answer_size), n_minus, count,
+             False)
+    oracle, server, free = _mid_run(*shape)
+    reports = []
+    for side in entering:
+        report = _report(server, free, side)
+        if report is None:
+            break
+        reports.append(report)
+        oracle.on_update(server, *report, time=1.0)
+    sides = np.array(entering[: len(reports)], dtype=bool)
+
+    subject, subject_server, _ = _mid_run(*shape)
+    position = 0
+    while position < len(reports):
+        absorbed = subject.absorb_reports(sides[position:])
+        for stream_id, _ in reports[position : position + absorbed]:
+            if sides[position]:
+                subject_server.state.answer_add(stream_id)
+            else:
+                subject_server.state.answer_discard(stream_id)
+            position += 1
+        if position < len(reports):
+            # The report absorb stopped at reacts: nothing quiet was left.
+            sent = len(subject_server.messages)
+            subject_server.values.update(dict(reports[: position + 1]))
+            subject.on_update(subject_server, *reports[position], time=1.0)
+            assert len(subject_server.messages) > sent
+            position += 1
+    assert subject_server.messages == server.messages
+    assert _slack_state(subject) == _slack_state(oracle)

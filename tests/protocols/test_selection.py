@@ -1,5 +1,6 @@
 """Unit tests for the silencer-selection heuristics."""
 
+import numpy as np
 import pytest
 
 from repro.protocols.selection import (
@@ -7,6 +8,22 @@ from repro.protocols.selection import (
     RandomSelection,
 )
 from repro.streams.filters import FilterConstraint
+
+
+def columns(candidates):
+    """An id -> value mapping as the heuristics take it: ascending ids
+    and their values."""
+    ids = sorted(candidates)
+    values = [candidates[i] for i in ids]
+    return np.array(ids, dtype=np.int64), np.array(values, dtype=np.float64)
+
+
+def order(heuristic, candidates, bound):
+    return heuristic.order(*columns(candidates), bound).tolist()
+
+
+def select(heuristic, candidates, count, bound):
+    return heuristic.select(*columns(candidates), count, bound).tolist()
 
 
 def boundary_distance(value, lower, upper):
@@ -33,41 +50,41 @@ class TestBoundaryNearest:
     def test_orders_by_proximity(self):
         heuristic = BoundaryNearestSelection()
         candidates = {0: 15.0, 1: 11.0, 2: 19.5, 3: 14.0}
-        assert heuristic.order(candidates, FilterConstraint(10.0, 20.0)) == [2, 1, 3, 0]
+        assert order(heuristic, candidates, FilterConstraint(10.0, 20.0)) == [2, 1, 3, 0]
 
     def test_select_takes_prefix(self):
         heuristic = BoundaryNearestSelection()
         candidates = {0: 15.0, 1: 11.0, 2: 19.5}
-        assert heuristic.select(candidates, 2, FilterConstraint(10.0, 20.0)) == [2, 1]
+        assert select(heuristic, candidates, 2, FilterConstraint(10.0, 20.0)) == [2, 1]
 
     def test_select_count_exceeding_pool(self):
         heuristic = BoundaryNearestSelection()
-        assert heuristic.select({0: 1.0}, 10, FilterConstraint(0.0, 2.0)) == [0]
+        assert select(heuristic, {0: 1.0}, 10, FilterConstraint(0.0, 2.0)) == [0]
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            BoundaryNearestSelection().select({}, -1, FilterConstraint(0.0, 1.0))
+            select(BoundaryNearestSelection(), {}, -1, FilterConstraint(0.0, 1.0))
 
     def test_ties_break_by_id(self):
         heuristic = BoundaryNearestSelection()
         candidates = {3: 12.0, 1: 18.0}  # both distance 2
-        assert heuristic.order(candidates, FilterConstraint(10.0, 20.0)) == [1, 3]
+        assert order(heuristic, candidates, FilterConstraint(10.0, 20.0)) == [1, 3]
 
 
 class TestEmptyPools:
     def test_boundary_nearest_empty_candidates(self):
         heuristic = BoundaryNearestSelection()
-        assert heuristic.order({}, FilterConstraint(0.0, 10.0)) == []
-        assert heuristic.select({}, 3, FilterConstraint(0.0, 10.0)) == []
+        assert order(heuristic, {}, FilterConstraint(0.0, 10.0)) == []
+        assert select(heuristic, {}, 3, FilterConstraint(0.0, 10.0)) == []
 
     def test_random_empty_candidates(self):
         heuristic = RandomSelection(seed=0)
-        assert heuristic.order({}, FilterConstraint(0.0, 10.0)) == []
-        assert heuristic.select({}, 5, FilterConstraint(0.0, 10.0)) == []
+        assert order(heuristic, {}, FilterConstraint(0.0, 10.0)) == []
+        assert select(heuristic, {}, 5, FilterConstraint(0.0, 10.0)) == []
 
     def test_select_zero_count(self):
         heuristic = BoundaryNearestSelection()
-        assert heuristic.select({0: 1.0, 1: 2.0}, 0, FilterConstraint(0.0, 10.0)) == []
+        assert select(heuristic, {0: 1.0, 1: 2.0}, 0, FilterConstraint(0.0, 10.0)) == []
 
 
 class TestTieBreakDeterminism:
@@ -78,29 +95,29 @@ class TestTieBreakDeterminism:
         forward = {0: 12.0, 1: 12.0, 2: 12.0, 3: 15.0}
         backward = dict(reversed(list(forward.items())))
         expected = [0, 1, 2, 3]  # three ties at distance 2, then 3
-        assert heuristic.order(forward, FilterConstraint(10.0, 20.0)) == expected
-        assert heuristic.order(backward, FilterConstraint(10.0, 20.0)) == expected
+        assert order(heuristic, forward, FilterConstraint(10.0, 20.0)) == expected
+        assert order(heuristic, backward, FilterConstraint(10.0, 20.0)) == expected
 
     def test_boundary_nearest_symmetric_duplicates(self):
         """Equal distances from *opposite* endpoints also tie by id."""
         heuristic = BoundaryNearestSelection()
         candidates = {5: 11.0, 2: 19.0, 8: 11.0}  # all at distance 1
-        assert heuristic.order(candidates, FilterConstraint(10.0, 20.0)) == [2, 5, 8]
-        assert heuristic.select(candidates, 2, FilterConstraint(10.0, 20.0)) == [2, 5]
+        assert order(heuristic, candidates, FilterConstraint(10.0, 20.0)) == [2, 5, 8]
+        assert select(heuristic, candidates, 2, FilterConstraint(10.0, 20.0)) == [2, 5]
 
     def test_random_order_independent_of_dict_order(self):
         """Seeded random selection sorts ids before shuffling, so the
         candidate dict's insertion order must never leak through."""
         forward = {i: float(i) for i in range(12)}
         backward = dict(reversed(list(forward.items())))
-        a = RandomSelection(seed=9).order(forward, FilterConstraint(0.0, 5.0))
-        b = RandomSelection(seed=9).order(backward, FilterConstraint(0.0, 5.0))
+        a = order(RandomSelection(seed=9), forward, FilterConstraint(0.0, 5.0))
+        b = order(RandomSelection(seed=9), backward, FilterConstraint(0.0, 5.0))
         assert a == b
 
     def test_repeated_order_calls_are_reproducible_per_instance(self):
         candidates = {i: float(i) for i in range(8)}
-        first = RandomSelection(seed=4).order(candidates, FilterConstraint(0.0, 5.0))
-        second = RandomSelection(seed=4).order(candidates, FilterConstraint(0.0, 5.0))
+        first = order(RandomSelection(seed=4), candidates, FilterConstraint(0.0, 5.0))
+        second = order(RandomSelection(seed=4), candidates, FilterConstraint(0.0, 5.0))
         assert first == second
 
 
@@ -108,18 +125,18 @@ class TestRandomSelection:
     def test_returns_all_candidates(self):
         heuristic = RandomSelection(seed=0)
         candidates = {i: float(i) for i in range(10)}
-        assert sorted(heuristic.order(candidates, FilterConstraint(0.0, 5.0))) == list(range(10))
+        assert sorted(order(heuristic, candidates, FilterConstraint(0.0, 5.0))) == list(range(10))
 
     def test_seeded_reproducibility(self):
         candidates = {i: float(i) for i in range(20)}
-        a = RandomSelection(seed=5).order(candidates, FilterConstraint(0.0, 5.0))
-        b = RandomSelection(seed=5).order(candidates, FilterConstraint(0.0, 5.0))
+        a = order(RandomSelection(seed=5), candidates, FilterConstraint(0.0, 5.0))
+        b = order(RandomSelection(seed=5), candidates, FilterConstraint(0.0, 5.0))
         assert a == b
 
     def test_different_seeds_usually_differ(self):
         candidates = {i: float(i) for i in range(20)}
-        a = RandomSelection(seed=1).order(candidates, FilterConstraint(0.0, 5.0))
-        b = RandomSelection(seed=2).order(candidates, FilterConstraint(0.0, 5.0))
+        a = order(RandomSelection(seed=1), candidates, FilterConstraint(0.0, 5.0))
+        b = order(RandomSelection(seed=2), candidates, FilterConstraint(0.0, 5.0))
         assert a != b
 
     def test_names(self):

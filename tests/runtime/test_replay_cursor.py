@@ -76,7 +76,7 @@ class WindowProtocol(FilterProtocol):
         self.updates = 0
 
     def initialize(self, server) -> None:
-        self.known = dict(server.probe_all())
+        self.known = dict(enumerate(server.probe_all()))
         for stream_id, payload in self.known.items():
             if stream_id:
                 server.deploy(stream_id, *self.constraint(payload, WIDTH))
@@ -326,7 +326,7 @@ class Recenter(FilterProtocol):
     name = "recenter"
 
     def initialize(self, server) -> None:
-        for stream_id, value in server.probe_all().items():
+        for stream_id, value in enumerate(server.probe_all()):
             server.deploy(stream_id, *interval_around(value, WIDTH))
 
     def on_update(self, server, stream_id, value, time) -> None:

@@ -368,6 +368,6 @@ def test_interleaved_worker_runs_are_served_one_rpc_at_a_time():
     server = TransportShardedServer(trace, protocol, 2, replay_mode="batch")
     with server:
         server.initialize(0.0)
-        assert list(protocol.probed) == ids.tolist()
+        assert protocol.probed.tolist() == ids.astype(float).tolist()
         assert server.state.lower.tolist() == [FIRST.lower] * n
         assert server.snapshot().initialization_total == 3 * n

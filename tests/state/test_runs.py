@@ -24,6 +24,7 @@ from repro.state.runs import (
     previous_in_stream,
     segment_runs,
     stable_id_order,
+    stable_key_order,
 )
 
 MAX_STREAM = 7
@@ -260,6 +261,24 @@ def test_grouping_falls_back_on_ids_it_cannot_narrow():
         assert stable_id_order(ids).tolist() == expected
     assert previous_in_stream([]).tolist() == []
     assert previous_in_stream([4]).tolist() == [-1]
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.5, np.inf, -np.inf, np.nan]),
+            st.floats(-1e6, 1e6),
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_key_order_is_the_stable_argsort(keys):
+    """Distinct keys take the default sort, ties (``0.0 == -0.0``
+    included) and NaNs the stable one: one permutation either way."""
+    keys = np.asarray(keys, dtype=np.float64)
+    expected = np.argsort(keys, kind="stable").tolist()
+    assert stable_key_order(keys).tolist() == expected
 
 
 def test_unbatchable_source_flips_immediately():
