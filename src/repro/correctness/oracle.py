@@ -73,9 +73,6 @@ class Oracle:
             else np.array(query.matches_array(self._values), dtype=bool)
         )
 
-    #: The pre-``register_query`` name, kept for its callers.
-    register_range_query = register_query
-
     @property
     def registered_queries(self) -> list:
         """Every query registered with this oracle."""

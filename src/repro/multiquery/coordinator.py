@@ -51,7 +51,7 @@ class QueryContext:
 
     def rank_view(self, distance_array):
         """An incremental rank order over :attr:`state` (see
-        :meth:`repro.server.server.Server.rank_view`)."""
+        :meth:`repro.server.sharded.ShardedServer.rank_view`)."""
         from repro.state.rank import RankView
 
         return RankView(self.state, distance_array)

@@ -1,35 +1,37 @@
 """The sharded topology: per-shard servers behind one coordinator.
 
 A :class:`ShardedServer` hosts one protocol over a population
-partitioned into contiguous shards.  It exposes the *exact* control
-plane of :class:`repro.server.server.Server` (``probe``, ``probe_all``,
-``deploy``, ``deploy_many``, ``broadcast``, ``state``, ``rank_view``,
-``stream_ids``, ``n_streams``, ``now``), so single-server protocols run
-on it unmodified; each per-stream operation is routed to the
-:class:`ShardServer` owning that stream.
+partitioned into contiguous shards and is the only implementation of
+the control plane (``probe``, ``probe_all``, ``deploy``,
+``deploy_many``, ``broadcast``, ``state``, ``rank_view``,
+``stream_ids``, ``n_streams``, ``now``); each per-stream operation is
+routed to the :class:`ShardServer` owning that stream.  The single
+topology's :class:`repro.server.server.Server` is this class with one
+shard covering ``[0, n)``.
 
-Why the message ledger is byte-identical to a single server:
+Why the message ledger does not depend on the shard count:
 
 * **Storage.**  Every shard's :class:`~repro.state.sharding.
   StateShardView` aliases a slice of the coordinator's global
   :class:`~repro.state.table.StreamStateTable`, so the protocol reads
-  exactly the values/bounds/masks it would read on one server.
+  exactly the values/bounds/masks it would read on one shard.
 * **Rank order.**  ``rank_view`` returns a :class:`~repro.state.
   sharding.ShardedRankView` — per-shard incremental maintenance plus a
   k-way ``(key, id)`` heap merge — proven order-identical to the
-  unsharded ``RankView`` (tests/state/test_sharding.py).
+  unsharded ``RankView`` (tests/state/test_sharding.py); one shard
+  needs no merge and gets that ``RankView`` over its view.
 * **Message multiset.**  Probes, deployments and updates are per-stream
   messages; routing them through per-shard channels that share one
   :class:`~repro.network.accounting.MessageLedger` charges the same
   kinds in the same phases.  ``broadcast``/``probe_all`` iterate global
-  ids ascending, matching the single server's iteration order; a batch
+  ids ascending whatever the shard count; a batch
   (``deploy_many``, ``probe_all``) is cut into consecutive same-shard
   runs handled in order, each columnar on its shard's channel when it
   qualifies (DESIGN.md §12).
 * **Delivery order.**  The deferred-delivery re-entrancy discipline
   lives at the *coordinator*: a stale-belief self-correction arriving at
   any shard while the protocol is mid-step is queued in one global FIFO
-  and drained after the step, exactly as one server queues it.  (Had
+  and drained after the step, exactly as with one shard.  (Had
   each shard queued independently, an update on shard B could re-enter
   the protocol while shard A's delivery is still on the stack.)
 
@@ -47,7 +49,7 @@ Vocabulary` (DESIGN.md §13): scalar by default, spatial through the
 :class:`ShardedSpatialServer` binding — shard views alias the point
 matrix, container column and geometric bbox planes too (all lazily
 allocated on the parent), so spatial protocols and the batched AABB
-quiescence pre-scan read the same memory they would on one server.  The
+quiescence pre-scan read the same memory whatever the shard count.  The
 process-parallel sibling of this coordinator is
 :class:`repro.server.transport.TransportShardedServer`
 (``Deployment.sharded(n, parallel=True)``, DESIGN.md §10).
@@ -55,6 +57,7 @@ process-parallel sibling of this coordinator is
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,6 +67,7 @@ from repro.network.messages import Message, MessageKind
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
 from repro.runtime.vocabulary import VocabularyBound, vocabulary_of
+from repro.state.rank import RankView
 from repro.state.sharding import (
     ShardedRankView,
     StateShardView,
@@ -140,7 +144,7 @@ class ShardServer:
 
 
 class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
-    """Coordinator over N shard servers; Server-compatible control plane.
+    """Coordinator over N shard servers: the control plane of Figure 3.
 
     Parameters
     ----------
@@ -181,13 +185,13 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         validate_shard_alignment(
             self._state, [shard.state for shard in self.shards]
         )
-        self._shard_of = np.empty(n, dtype=np.int64)
-        for index, (lo, hi) in enumerate(ranges):
-            self._shard_of[lo:hi] = index
+        #: The shards' ``hi`` ids, ascending: stream ``i`` is owned by
+        #: ``shards[bisect_right(_bounds, i)]``.
+        self._bounds = [hi for _, hi in ranges]
         self._init_delivery()
 
     # ------------------------------------------------------------------
-    # Lifecycle (Server-compatible surface)
+    # Lifecycle
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
@@ -216,8 +220,12 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         """The *global* columnar table every shard view aliases into."""
         return self._state
 
-    def rank_view(self, distance_array: Callable) -> ShardedRankView:
-        """A merged rank order: per-shard views + k-way heap merge."""
+    def rank_view(self, distance_array: Callable) -> RankView | ShardedRankView:
+        """An incremental rank order over :attr:`state`: the shard's own
+        view on one shard, else per-shard views + k-way heap merge (one
+        read API, one order; protocols must obtain rank views here)."""
+        if len(self.shards) == 1:
+            return RankView(self.shards[0].state, distance_array)
         return ShardedRankView(
             [shard.state for shard in self.shards], distance_array
         )
@@ -237,12 +245,10 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
     # ------------------------------------------------------------------
     # Control-plane API used by protocols
     # ------------------------------------------------------------------
-    def _shard_for(self, stream_id: int) -> ShardServer:
-        return self.shards[int(self._shard_of[int(stream_id)])]
-
     def probe(self, stream_id: int):
         """Probe one source via its owning shard (2 messages)."""
-        return self._shard_for(stream_id).probe(stream_id, self._now)
+        shard = self.shards[bisect_right(self._bounds, stream_id)]
+        return shard.probe(stream_id, self._now)
 
     def probe_all(self, stream_ids=None) -> np.ndarray:
         """Probe several (default: all) sources; returns their payloads
@@ -255,7 +261,7 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         targets = np.arange(self.n_streams) if stream_ids is None else stream_ids
         ids = np.asarray(targets, dtype=np.int64)
         runs = []
-        for index, a, b in owner_runs(self._shard_of, ids):
+        for index, a, b in owner_runs(self._bounds, ids):
             shard = self.shards[index]
             runs.append(
                 probe_columns(
@@ -269,7 +275,7 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         """Install *constraint* — ``lower, upper`` or one region, then
         the optional ``assumed_inside`` belief — at one source (one
         message)."""
-        self._shard_for(stream_id).deploy(
+        self.shards[bisect_right(self._bounds, stream_id)].deploy(
             self.vocabulary.constraint(
                 stream_id, self._now, *constraint, **belief
             )
@@ -278,16 +284,19 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
     def deploy_many(
         self, stream_ids, bound, assumed_inside=None, silenced=None
     ) -> None:
-        """Install *bound* at each stream id, in order (see
-        :meth:`repro.server.server.Server.deploy_many`): each consecutive
-        same-shard run of ids is one columnar operation on its shard's
-        channel, or its ordered :meth:`deploy` loop."""
+        """Install *bound* — a bound value of this host's vocabulary —
+        at each stream id (default: all, ascending), or the *silenced*
+        pools' silencers at their members, with the *assumed_inside*
+        belief codes (``None``: fresh knowledge); ``n`` messages.  The
+        outcome is the ordered :meth:`deploy` loop's (DESIGN.md §15);
+        each consecutive same-shard run of ids is one columnar operation
+        on its shard's channel when it qualifies (DESIGN.md §12)."""
         if stream_ids is None:
             stream_ids = np.arange(self.n_streams)
         ids, constraint, belief = self.vocabulary.constraint_columns(
             stream_ids, bound, assumed_inside, silenced
         )
-        for index, a, b in owner_runs(self._shard_of, ids):
+        for index, a, b in owner_runs(self._bounds, ids):
             run = (ids[a:b], [c[a:b] for c in constraint], belief[a:b])
             deploy_columns(
                 self, self.shards[index].channel, self._state, self._busy, run
@@ -307,8 +316,8 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
     def _handle_delivery(self, message: Message) -> None:
         # Value plane refreshed at *delivery* time through the owning
         # shard view (dirtying only that shard's rank listeners), then
-        # the protocol sees the update exactly as on one server.
-        shard = self._shard_for(message.stream_id)
+        # the protocol sees the update exactly as on one shard.
+        shard = self.shards[bisect_right(self._bounds, message.stream_id)]
         payload = self.vocabulary.payload_of(message)
         shard.state.record_report(
             message.stream_id - shard.lo, payload, message.time

@@ -71,6 +71,7 @@ import multiprocessing
 import pickle
 import time as _time
 import traceback
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -520,9 +521,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
             StateShardView(self._state, lo, hi) for lo, hi in self.ranges
         ]
         validate_shard_alignment(self._state, self.shard_views)
-        self._shard_of = np.empty(n, dtype=np.int64)
-        for index, (lo, hi) in enumerate(self.ranges):
-            self._shard_of[lo:hi] = index
+        self._bounds = [hi for _, hi in self.ranges]
         self.ledger = MessageLedger()
         #: Buffered single deploys since the last flush or column chunk
         #: (constraint messages), and the batches before them — sealed
@@ -664,7 +663,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
     # Control plane (RPC-backed, coordinator-charged)
     # ------------------------------------------------------------------
     def _view_for(self, stream_id: int) -> tuple[int, StateShardView]:
-        index = int(self._shard_of[int(stream_id)])
+        index = bisect_right(self._bounds, stream_id)
         return index, self.shard_views[index]
 
     def _rpc(self, index: int, request: tuple):
@@ -699,7 +698,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         targets = np.arange(self.n_streams) if stream_ids is None else stream_ids
         ids = np.asarray(targets, dtype=np.int64)
         runs = []
-        for index, a, b in owner_runs(self._shard_of, ids):
+        for index, a, b in owner_runs(self._bounds, ids):
             view = self.shard_views[index]
             rows = ids[a:b] - view.lo
             self.ledger.record_kind(MessageKind.PROBE_REQUEST, b - a)
@@ -736,8 +735,8 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         self, stream_ids, bound, assumed_inside=None, silenced=None
     ) -> None:
         """Buffer *bound* for each stream id, in order, as the columns
-        the vocabulary lowers the call to (see :meth:`repro.server.
-        server.Server.deploy_many`); the flush frames them per worker."""
+        the vocabulary lowers the call to (see :meth:`~repro.server.
+        sharded.ShardedServer.deploy_many`); the flush frames them per worker."""
         if stream_ids is None:
             stream_ids = np.arange(self.n_streams)
         ids, constraint, belief = self.vocabulary.constraint_columns(
@@ -793,7 +792,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         mid-step update; the caller's drain point dispatches it.
         """
         self.ledger.record_kind(MessageKind.CONSTRAINT, len(gids))
-        for index, a, b in owner_runs(self._shard_of, gids):
+        for index, a, b in owner_runs(self._bounds, gids):
             lo = self.ranges[index][0]
             corrections = self._rpc(
                 index,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,20 +64,24 @@ def shard_ranges(n_streams: int, n_shards: int) -> list[tuple[int, int]]:
 
 
 def owner_runs(
-    shard_of: np.ndarray, stream_ids: np.ndarray
+    bounds: Sequence[int], stream_ids: np.ndarray
 ) -> list[tuple[int, int, int]]:
     """Split an id column into consecutive same-shard runs, in order:
-    ``(shard index, start, stop)`` slices of *stream_ids*.  Per-run
-    processing in list order preserves the column's per-stream order,
-    which is all a sharded control-plane batch has to keep."""
+    ``(shard index, start, stop)`` slices of *stream_ids*; *bounds* are
+    the contiguous shards' ascending ``hi`` ids, so an id's owner is
+    ``bisect_right(bounds, id)``.  Per-run processing in list order
+    preserves the column's per-stream order, which is all a sharded
+    control-plane batch has to keep.  A column whose extreme ids share
+    an owner is one run, found without locating every id."""
     if len(stream_ids) == 0:
         return []
-    owners = shard_of[stream_ids]
+    first = bisect_right(bounds, stream_ids.min())
+    if first == bisect_right(bounds, stream_ids.max()):
+        return [(first, 0, len(stream_ids))]
+    owners = np.searchsorted(bounds, stream_ids, side="right")
     cuts = np.nonzero(np.diff(owners))[0] + 1
-    bounds = [0, *cuts.tolist(), len(owners)]
-    return [
-        (int(owners[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    edges = [0, *cuts.tolist(), len(owners)]
+    return [(int(owners[a]), a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 class StateShardView(StreamStateTable):

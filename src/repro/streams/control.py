@@ -86,7 +86,7 @@ def deploy_columns(host, channel, table, guarded: bool, columns) -> None:
         deploy_each(host, *columns)
 
 
-def probe_columns(host, channel, table, ids, reports, offset=0) -> np.ndarray:
+def probe_columns(host, channel, table, ids, reports, offset) -> np.ndarray:
     """``host.probe_all`` over one channel: the payloads of *ids*, aligned
     with them, as one columnar probe whose replies are recorded in
     *reports* (the table the host records this channel's reports in, at

@@ -38,7 +38,7 @@ def test_range_truth_without_registration():
 def test_registered_range_truth_is_incremental():
     oracle = Oracle(np.array([5.0, 15.0, 25.0]))
     query = RangeQuery(10.0, 20.0)
-    oracle.register_range_query(query)
+    oracle.register_query(query)
     assert oracle.true_answer(query) == frozenset({1})
     oracle.apply(0, 12.0)
     oracle.apply(1, 100.0)
@@ -49,7 +49,7 @@ def test_registered_and_bruteforce_agree_over_random_updates():
     rng = np.random.default_rng(0)
     oracle = Oracle(rng.uniform(0, 100, size=50))
     query = RangeQuery(30.0, 60.0)
-    oracle.register_range_query(query)
+    oracle.register_query(query)
     for _ in range(300):
         oracle.apply(int(rng.integers(0, 50)), float(rng.uniform(0, 100)))
         assert oracle.true_answer(query) == query.true_answer(oracle.values)
@@ -58,8 +58,8 @@ def test_registered_and_bruteforce_agree_over_random_updates():
 def test_double_registration_is_idempotent():
     oracle = Oracle(np.array([15.0]))
     query = RangeQuery(10.0, 20.0)
-    oracle.register_range_query(query)
-    oracle.register_range_query(query)
+    oracle.register_query(query)
+    oracle.register_query(query)
     oracle.apply(0, 5.0)
     assert oracle.true_answer(query) == frozenset()
 

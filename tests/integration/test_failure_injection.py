@@ -52,7 +52,7 @@ def run_lossy_zt_nrp(trace, drop_every):
     protocol = ZeroToleranceRangeProtocol(query)
     server = Server(channel, protocol)
     oracle = Oracle(trace.initial_values)
-    oracle.register_range_query(query)
+    oracle.register_query(query)
     checker = ToleranceChecker(
         oracle=oracle,
         query=query,
