@@ -61,6 +61,7 @@ from repro.api.spec import (
 from repro.correctness.checker import ToleranceChecker
 from repro.correctness.staleness import StalenessWindow, tag_reason
 from repro.network.accounting import LedgerSnapshot
+from repro.protocols.base import FilterProtocol
 from repro.runtime.replay import merge_replay_stats
 from repro.runtime.session import ExecutionSession
 from repro.runtime.vocabulary import vocabulary_of
@@ -267,7 +268,6 @@ def _execute_hosted(
         session = getattr(ExecutionSession, builder)(
             trace, protocol, *shards, latency=deployment.latency
         )
-        oracle = None
         if deployment.check_every > 0:
             if query is None:
                 query = getattr(protocol, "query", None)
@@ -295,13 +295,17 @@ def _execute_hosted(
                 ),
                 error_cls=vocabulary.violation_error,
                 check_offset=vocabulary.check_offset % deployment.check_every,
+                # Unless the answer is derived elsewhere (no-filter).
+                answer_table=session.host.state
+                if type(protocol).answer is FilterProtocol.answer
+                else None,
             )
         session.initialize(time=0.0)
         if checker is not None:
             checker.check_now(0.0)
         session.replay_trace(
             trace,
-            oracle_apply=oracle.apply if oracle is not None else None,
+            oracle_apply=checker.apply if checker is not None else None,
             after_apply=checker.check if checker is not None else None,
             mode=deployment.replay_mode,
         )

@@ -43,7 +43,7 @@ from repro.correctness.staleness import (
     strict_should_raise,
 )
 from repro.queries.rank import top_mask
-from repro.state.table import membership_mask
+from repro.state.table import StreamStateTable, membership_mask
 from repro.tolerance.fraction_tolerance import FractionReport, FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 
@@ -128,6 +128,13 @@ def violation_reason(
     truth = oracle.truth_mask(query)
     true_size = int(np.count_nonzero(truth))
     hits = int(np.count_nonzero(answer & truth))
+    return membership_reason(answer_size, true_size, hits, tolerance)
+
+
+def membership_reason(answer_size, true_size, hits, tolerance) -> str | None:
+    """The membership verdict from ``|A|``, ``|T|`` and ``|A ∩ T|`` —
+    :func:`violation_reason`'s membership branch, and all of a
+    running-count check (:class:`ToleranceChecker`)."""
     e_plus, e_minus = answer_size - hits, true_size - hits
     if isinstance(tolerance, FractionTolerance):
         return tolerance.report_violation(
@@ -183,6 +190,12 @@ class ToleranceChecker:
     error_cls:
         The exception type strict mode raises — stacks keep their own
         (e.g. ``SpatialToleranceViolationError``).
+    answer_table:
+        The table whose answer column *answer_of* returns.  Given it, a
+        membership query registered with *oracle* is checked from
+        **running counts** (DESIGN.md §14), recounted only when the
+        table's ``answer_epoch`` moved; records must then reach the
+        oracle through :meth:`apply`.
     check_offset:
         Which of each ``every``-length window's ticks fires, in
         ``[0, every)``.  The scalar engine checks ticks ``1, 1+every,
@@ -206,6 +219,7 @@ class ToleranceChecker:
         evaluate: Callable[[], str | None] | None = None,
         error_cls: type[AssertionError] = ToleranceViolationError,
         check_offset: int = 0,
+        answer_table: StreamStateTable | None = None,
     ) -> None:
         if every < 1:
             raise ValueError("every must be >= 1")
@@ -235,6 +249,14 @@ class ToleranceChecker:
             self._evaluate = evaluate
         self.report = CheckerReport(classified=staleness is not None)
         self._tick = 0
+        #: Running counts: the table and live truth column (``None``:
+        #: every check recounts), ``[|A|, |T|, |A ∩ T|]``, the answer
+        #: epoch they were recounted at and the last ``(counts, reason)``.
+        self._table = self._truth = None
+        live = evaluate is None and query in oracle.registered_queries
+        if answer_table is not None and live and not query.is_rank_based:
+            self._table, self._truth = answer_table, oracle.truth_mask(query)
+            self._counts, self._epoch, self._memo = [0, 0, 0], -1, (None, None)
 
     def check(self, time: float) -> Violation | None:
         """Validate the current answer; honours the sampling interval."""
@@ -246,7 +268,7 @@ class ToleranceChecker:
     def check_now(self, time: float) -> Violation | None:
         """Validate immediately, ignoring the sampling interval."""
         self.report.checks += 1
-        reason = self._evaluate()
+        reason = self._evaluate() if self._table is None else self._counted()
         if reason is None:
             return None
         classification = ""
@@ -266,6 +288,31 @@ class ToleranceChecker:
         if self.strict and strict_should_raise(classification):
             raise self.error_cls(f"t={time}: {reason}")
         return violation
+
+    def apply(self, stream_id: int, value) -> None:
+        """Apply one trace record to the oracle — the run's
+        ``oracle_apply`` hook — and fold its truth flip, if any, into
+        the running counts."""
+        truth = self._truth
+        was = truth is not None and truth.item(stream_id)
+        self.oracle.apply(stream_id, value)
+        if truth is not None and truth.item(stream_id) != was:
+            step = -1 if was else 1
+            self._counts[1] += step
+            if self._table.answer_mask.item(stream_id):
+                self._counts[2] += step
+
+    def _counted(self) -> str | None:
+        table = self._table
+        if table.answer_epoch != self._epoch:  # the answer moved: recount
+            answer, truth = table.answer_mask, self._truth
+            columns = (answer, truth, answer & truth)
+            self._counts = [int(np.count_nonzero(c)) for c in columns]
+            self._epoch = table.answer_epoch
+        counts = tuple(self._counts)
+        if counts != self._memo[0]:
+            self._memo = (counts, membership_reason(*counts, self.tolerance))
+        return self._memo[1]
 
     def _evaluate(self) -> str | None:
         assert self.answer_of is not None and self.oracle is not None

@@ -133,12 +133,12 @@ class Channel:
     # ------------------------------------------------------------------
     # Columnar delivery (the bulk control plane, DESIGN.md §12)
     # ------------------------------------------------------------------
-    def bulk_target(self, stream_ids):
+    def bulk_target(self, stream_ids, probe: bool = False):
         """The object whose one range binding handles every id of the
         *stream_ids* column — or ``None`` when this batch must travel
         message by message (no single range covers it, a per-id binding
         shadows an id in its span, the handler is no bound method, or a
-        tap has no ``bulk`` form).
+        tap has no ``bulk`` form).  *probe* marks a batch of probes.
 
         An unbound id raises the same ``RuntimeError`` as
         :meth:`send_to_source`, before anything is charged.

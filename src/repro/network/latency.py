@@ -199,7 +199,8 @@ class LatencyChannel(Channel):
         The per-direction delay model.
 
     Probe requests/replies are always delivered inline (see the module
-    docstring); updates and constraints with a positive sampled delay
+    docstring), so a probe batch may go columnar (:meth:`bulk_target`);
+    updates and constraints with a positive sampled delay
     are held in the in-flight heap and delivered by an engine event at
     ``send time + delay``, clamped to per-``(direction, stream)`` FIFO.
     Taps fire at delivery, which is what keeps the batched replay's
@@ -270,13 +271,6 @@ class LatencyChannel(Channel):
         """Streams with at least one message currently in flight."""
         return {message.stream_id for _, _, message in self._in_flight}
 
-    def constraint_in_flight(self) -> bool:
-        """Whether a constraint install is pending delivery."""
-        return any(
-            message.kind is MessageKind.CONSTRAINT
-            for _, _, message in self._in_flight
-        )
-
     def recently_delivered_streams(self, time: float, window: float) -> set[int]:
         """Streams with a deferred delivery within ``[time - window, time]``."""
         return {
@@ -306,10 +300,17 @@ class LatencyChannel(Channel):
         self.ledger.record(message)
         self._route(message, is_uplink=False)
 
-    def bulk_target(self, stream_ids) -> None:
-        """Never columnar: every message draws its own delay and joins
-        its own flow's FIFO, so a batch is exactly its messages."""
-        return None
+    def bulk_target(self, stream_ids, probe: bool = False):
+        """Columnar for probe batches only: a probe never queues, but
+        each constraint draws its own delay and joins its flow's FIFO."""
+        return super().bulk_target(stream_ids) if probe else None
+
+    def charge_bulk(self, stream_ids, *kinds: MessageKind) -> None:
+        """Count a columnar probe batch as :meth:`_route` would: each
+        message routed and delivered inline."""
+        super().charge_bulk(stream_ids, *kinds)
+        self._route_count += len(stream_ids) * len(kinds)
+        self._delivered_count += len(stream_ids) * len(kinds)
 
     def _route(self, message: Message, is_uplink: bool) -> None:
         self._route_count += 1

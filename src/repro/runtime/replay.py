@@ -140,12 +140,11 @@ def resolve_mode(mode, payloads, tables, latency_channels, hooked=False) -> str:
 
     Batching is *sound* only without per-record hooks (they must
     observe every record) and for scalar or vector payloads; ``auto``
-    additionally wants it *useful*: some stream carries a columnar
+    additionally wants it *useful*: no channel is latency-modeled (under
+    a model the batch cursor lost to per-event replay in 27 of 28
+    measured cells, DESIGN.md §8.2) and some stream carries a columnar
     filter — scalar intervals for 1-D payloads, the geometric plane's
-    region bboxes for 2-D ones — or a constraint install is in flight
-    on one of *latency_channels* (the region planes are written at
-    install, the interval columns at deploy: under a latency model a
-    spatial table shows nothing at replay start, its channels do).
+    region bboxes for 2-D ones.
     """
     if mode not in REPLAY_MODES:
         raise ValueError(
@@ -156,8 +155,8 @@ def resolve_mode(mode, payloads, tables, latency_channels, hooked=False) -> str:
         return "event"
     if mode == "auto":
         column = "scannable" if ndim == 1 else "geo_scannable"
-        if not any(getattr(table, column).any() for table in tables) and not any(
-            channel.constraint_in_flight() for channel in latency_channels
+        if latency_channels or not any(
+            getattr(table, column).any() for table in tables
         ):
             return "event"
     return "batch"

@@ -52,25 +52,26 @@ class Event:
 class EventQueue:
     """A binary-heap priority queue of :class:`Event` objects.
 
-    Cancellation is lazy: :meth:`Event.cancel` flips a flag and the event is
-    discarded when popped, so cancellation is O(1) and pops remain
-    O(log n) amortized.
+    Entries are ``(time, seq, event)`` tuples, ordered in C (``seq`` is
+    unique, so events are never compared).  Cancellation is lazy:
+    :meth:`Event.cancel` flips a flag and the event is discarded when
+    popped, so cancellation is O(1) and pops remain O(log n) amortized.
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def __bool__(self) -> bool:
-        return any(not event.cancelled for event in self._heap)
+        return self.peek_time() is not None
 
     def push(self, time: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule *action* at virtual time *time* and return the event."""
         event = Event(time=time, seq=next(self._counter), action=action, label=label)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, event.seq, event))
         return event
 
     def pop(self) -> Event:
@@ -82,18 +83,18 @@ class EventQueue:
             If the queue holds no live events.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 return event
         raise SimulationError("pop from an empty event queue")
 
     def peek_time(self) -> float | None:
         """Return the firing time of the earliest live event, or ``None``."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def clear(self) -> None:
         """Drop every pending event."""

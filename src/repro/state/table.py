@@ -156,6 +156,8 @@ class StreamStateTable:
         self.tracked_mask = self._alloc("tracked_mask", (n,), bool)
         self.silencer = self._alloc("silencer", (n,), np.int8)
         self._answer_count = 0
+        #: Bumped by every answer write that may move ``answer_mask`` (§14).
+        self.answer_epoch = 0
         self._tracked_count = 0
         self._known_count = 0
         self._listeners: list = []
@@ -519,12 +521,14 @@ class StreamStateTable:
         if not self.answer_mask[stream_id]:
             self.answer_mask[stream_id] = True
             self._answer_count += 1
+            self.answer_epoch += 1
 
     def answer_discard(self, stream_id: int) -> None:
         stream_id = int(stream_id)
         if self.answer_mask[stream_id]:
             self.answer_mask[stream_id] = False
             self._answer_count -= 1
+            self.answer_epoch += 1
 
     def answer_replace(self, members: Iterable[int]) -> None:
         self.answer_set_mask(membership_mask(members, self.n_streams))
@@ -543,10 +547,12 @@ class StreamStateTable:
         before = int(np.count_nonzero(self.answer_mask[rows]))
         self.answer_mask[rows] = members
         self._answer_count += int(np.count_nonzero(members)) - before
+        self.answer_epoch += 1
 
     def answer_set_mask(self, mask: np.ndarray) -> None:
         self.answer_mask[:] = mask
         self._answer_count = int(np.count_nonzero(self.answer_mask))
+        self.answer_epoch += 1
 
     def answer_snapshot(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.answer_mask).tolist())

@@ -11,7 +11,8 @@ self-corrections in the same order.
 
 Both kernels decide from what they observe whether a batch qualifies,
 and touch nothing when it does not (the caller then sends the messages
-one by one): the channel must be synchronous with every tap bulk-capable
+one by one): the channel must be synchronous — or, for a probe batch,
+latency-modeled, since probes never queue — with every tap bulk-capable
 and hand the whole batch to one
 :class:`~repro.streams.source.ScalarPopulation`
 (:meth:`~repro.network.channel.Channel.bulk_target`) that writes through
@@ -99,12 +100,12 @@ def probe_columns(host, channel, table, ids, reports, offset) -> np.ndarray:
     return values
 
 
-def _bulk_population(channel: Channel, table: StreamStateTable, ids):
-    """The :class:`ScalarPopulation` whose rows *ids* name when the
-    batch qualifies for a columnar operation against *table*, else
-    ``None``: one population handles every id on *channel*, it writes
-    through to *table*, and the ids are distinct."""
-    population = channel.bulk_target(ids)
+def _bulk_population(channel: Channel, table: StreamStateTable, ids, probe):
+    """The :class:`ScalarPopulation` whose rows *ids* name when the batch
+    (of probes if *probe*) qualifies for a columnar operation against
+    *table*, else ``None``: one population handles every id on *channel*,
+    it writes through to *table*, and the ids are distinct."""
+    population = channel.bulk_target(ids, probe)
     if type(population) is not ScalarPopulation or population.table is not table:
         return None
     if not (ids[1:] > ids[:-1]).all() and len(np.unique(ids)) != len(ids):
@@ -137,7 +138,7 @@ def install_constraints(
     message would have sent — the caller must only ensure that emitting
     cannot re-enter it (a guarded host step queues them).
     """
-    population = _bulk_population(channel, table, ids)
+    population = _bulk_population(channel, table, ids, probe=False)
     if population is None:
         return False
     lower, upper = constraint
@@ -181,7 +182,7 @@ def probe_sources(
     one into *table*.  Recording the replies is the caller's half, as in
     ``probe``.
     """
-    population = _bulk_population(channel, table, ids)
+    population = _bulk_population(channel, table, ids, probe=True)
     if population is None:
         return None
     channel.charge_bulk(

@@ -614,34 +614,53 @@ def test_one_replay_core_structurally():
     } <= session_methods
 
 
-def test_auto_resolves_batch_on_region_planes_under_latency():
-    """The spatial stack writes its region planes at *install*, so right
-    after initialization under a latency model the table shows nothing
-    scannable — the pending installs are the evidence ``auto`` reads
-    instead (the scalar columns are written at deploy and never need
-    it)."""
-    spec = QuerySpec(
-        "ft-nrp-2d",
-        SpatialRangeQuery(BoxRegion([300.0, 300.0], [700.0, 700.0])),
-        repro.FractionTolerance(0.2, 0.2),
-    )
-    workload = Workload.moving_objects(n_objects=60, horizon=40.0, seed=3)
-    trace = workload.materialize()
+@pytest.mark.parametrize(
+    "spec, workload",
+    [
+        (
+            QuerySpec(
+                "ft-nrp",
+                repro.RangeQuery(400.0, 600.0),
+                repro.FractionTolerance(0.2, 0.2),
+            ),
+            Workload.synthetic(n_streams=200, horizon=40.0, seed=3),
+        ),
+        (
+            QuerySpec(
+                "ft-nrp-2d",
+                SpatialRangeQuery(BoxRegion([300.0, 300.0], [700.0, 700.0])),
+                repro.FractionTolerance(0.2, 0.2),
+            ),
+            Workload.moving_objects(n_objects=60, horizon=40.0, seed=3),
+        ),
+    ],
+    ids=["scalar", "spatial"],
+)
+@pytest.mark.parametrize("topology", ["single", "sharded"])
+def test_auto_resolves_event_under_any_latency_channel(spec, workload, topology):
+    """Under a latency model ``auto`` replays per event (DESIGN.md
+    §8.2: the batch cursor lost there in 27 of 28 measured cells), even
+    on scannable columns; an explicit ``batch`` still runs the batch
+    cursor, and both leave one ledger."""
     latency = repro.UniformLatency(0.05, 0.6, seed=11)
-    session = ExecutionSession.for_spatial_sharded(
-        trace, spec.build(), 2, latency=latency
-    )
-    session.initialize(time=0.0)
-    assert not any(t.geo_scannable.any() for t in session._state_tables())
-    assert any(c.constraint_in_flight() for c in session.latency_channels)
 
-    auto = Engine().run(spec, workload, Deployment.sharded(2, latency=latency))
-    event = Engine().run(
-        spec, workload, Deployment.sharded(2, latency=latency, replay_mode="event")
-    )
-    assert auto.extras["replay"]["mode"] == "batch"
-    assert auto.extras["replay"]["staged"] > 0
-    assert auto.ledger == event.ledger
+    def run(mode):
+        if topology == "single":
+            deployment = Deployment.single(latency=latency, replay_mode=mode)
+        else:
+            deployment = Deployment.sharded(2, latency=latency, replay_mode=mode)
+        return Engine().run(spec, workload, deployment)
+
+    auto, batch = run("auto"), run("batch")
+    assert auto.extras["replay"]["mode"] == "event"
+    assert auto.extras["replay"]["staged"] == 0
+    assert batch.extras["replay"]["mode"] == "batch"
+    assert batch.extras["replay"]["staged"] > 0
+    assert auto.ledger == batch.ledger
+    # Without a model the scalar columns still select the batch cursor.
+    if spec.protocol == "ft-nrp":
+        sync = Engine().run(spec, workload, Deployment.single())
+        assert sync.extras["replay"]["mode"] == "batch"
 
 
 # ----------------------------------------------------------------------

@@ -348,7 +348,7 @@ class _Columnar(_System):
         )
         self.table = StreamStateTable(n)
         self.sources.bind_state(self.table)
-        self.bulk_batches = 0
+        self.install_batches = self.probe_batches = 0
 
     def install(self, time, batch):
         ids = np.array([row for row, _, _ in batch], dtype=np.int64)
@@ -360,7 +360,7 @@ class _Columnar(_System):
         if install_constraints(
             self.channel, self.table, ids, (lower, upper), belief, time
         ):
-            self.bulk_batches += 1
+            self.install_batches += 1
         else:
             super().install(time, batch)
 
@@ -373,7 +373,7 @@ class _Columnar(_System):
             return
         # The columnar probe hands the replies back instead of
         # delivering them: log what the reply messages would have said.
-        self.bulk_batches += 1
+        self.probe_batches += 1
         self.log.extend(
             (MessageKind.PROBE_REPLY, row, time, value)
             for row, value in zip(rows, values.tolist())
@@ -415,7 +415,14 @@ def test_scalar_population_matches_n_legacy_sources(n, latency, data):
     assert np.array_equal(table.inside, population.inside)
     assert np.array_equal(table.scannable, population.filtered)
     if latency != "sync":
-        assert columnar.bulk_batches == 0  # never columnar under a model
+        # Each constraint draws its own delay: never columnar under a
+        # model.  A probe never queues: every batch of distinct ids is
+        # (a one-row population binds its id alone: no batch ever is).
+        assert columnar.install_batches == 0
+        assert columnar.probe_batches == sum(
+            op == "probes" and 0 < len(args[0]) == len(set(args[0]))
+            for op, *args in script
+        ) * (n > 1)
 
 
 @pytest.mark.parametrize("seed", SCALAR_SEEDS)
