@@ -249,15 +249,19 @@ class Deployment:
     n_shards:
         Shard count (``>= 1``; must be ``>= 2`` for ``sharded``).
     replay_mode:
-        ``"auto"`` uses the vectorized batched fast path whenever no
-        correctness checking is active and falls back to faithful
-        per-event replay otherwise; ``"event"`` forces the per-event
+        ``"auto"`` uses the vectorized batched fast path where it is
+        both sound and useful and replays per event otherwise: with
+        correctness checking active, under any latency model (where
+        the batch cursor lost to per-event replay, DESIGN.md §8.2), and
+        when no stream carries a columnar filter (scalar intervals, or
+        region boxes for points).  ``"event"`` forces the per-event
         path.  ``"batch"`` requests the fast path unconditionally but
         still downgrades (silently) to per-event replay where batching
-        is unsound — checking callbacks active or non-scalar payloads —
-        so forcing it can never change results, only speed.  Both paths
-        produce identical message ledgers: batching only skips records
-        that provably cannot flip any filter.
+        is unsound — checking callbacks active or payloads neither
+        scalars nor points — so forcing it can never change results,
+        only speed.  Both paths produce identical message ledgers:
+        batching only skips records that provably cannot flip any
+        filter.
     check_every, strict:
         Validate tolerance every N-th applied record; ``0`` disables
         checking entirely (benchmark mode — checking a rank query costs
@@ -355,6 +359,12 @@ class Deployment:
                 f"check_every must be >= 0 (0 disables checking), "
                 f"got {self.check_every}"
             )
+        for name in ("strict", "parallel"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(
+                    f"{name} must be a bool, got {type(value).__name__}"
+                )
         if not isinstance(self.replay_mode, str):
             raise TypeError(
                 f"replay_mode must be a str, got "

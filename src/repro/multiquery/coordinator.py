@@ -30,7 +30,7 @@ from repro.state.table import StreamStateTable
 from repro.streams.control import constraint_columns, deploy_each
 
 if TYPE_CHECKING:
-    from repro.multiquery.source import MultiQuerySource
+    from repro.multiquery.source import SlotPopulation
 
 
 class QueryContext:
@@ -103,12 +103,13 @@ class MultiQueryCoordinator(DeferredDeliveryMixin):
 
     def __init__(self, ledger: MessageLedger | None = None) -> None:
         self.ledger = ledger or MessageLedger()
-        self.sources: list["MultiQuerySource"] = []
+        #: The shared population (empty until :meth:`attach_sources`).
+        self.sources: "SlotPopulation | list" = []
         self._protocols: dict[str, FilterProtocol] = {}
         self._contexts: dict[str, QueryContext] = {}
         #: One columnar state table per standing query.  The dict object
-        #: is shared live with every source's slotted membership (slot
-        #: write-through) and with the replay pre-scan.
+        #: is shared live with the population (slot write-through) and
+        #: with the replay pre-scan.
         self.state_tables: dict[str, StreamStateTable] = {}
         self.now = 0.0
         self._init_delivery()
@@ -121,16 +122,9 @@ class MultiQueryCoordinator(DeferredDeliveryMixin):
     # Setup
     # ------------------------------------------------------------------
     def attach_sources(self, initial_values) -> None:
-        from repro.multiquery.source import MultiQuerySource
+        from repro.multiquery.source import SlotPopulation
 
-        self.sources = [
-            MultiQuerySource(stream_id, value, self)
-            for stream_id, value in enumerate(initial_values)
-        ]
-        for source in self.sources:
-            source.membership.bind_slot_states(
-                self.state_tables, source.stream_id
-            )
+        self.sources = SlotPopulation(initial_values, self, self.state_tables)
 
     def state_for(self, query_id: str) -> StreamStateTable:
         """The state table of one query (created on first access)."""
@@ -164,7 +158,7 @@ class MultiQueryCoordinator(DeferredDeliveryMixin):
     # ------------------------------------------------------------------
     def probe(self, query_id: str, stream_id: int) -> float:
         self.ledger.record_kind(MessageKind.PROBE_REQUEST)
-        value = self.sources[stream_id].probe(query_id)
+        value = self.sources.probe(stream_id, query_id)
         self.ledger.record_kind(MessageKind.PROBE_REPLY)
         self.state_for(query_id).record_report(stream_id, value, self.now)
         return value
@@ -181,7 +175,8 @@ class MultiQueryCoordinator(DeferredDeliveryMixin):
 
         self.ledger.record_kind(MessageKind.CONSTRAINT)
         self.state_for(query_id).record_deploy(stream_id, lower, upper)
-        self.sources[stream_id].install(
+        self.sources.install(
+            stream_id,
             query_id,
             FilterConstraint(lower, upper),
             assumed_inside,

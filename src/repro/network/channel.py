@@ -89,11 +89,12 @@ class Channel:
     def add_tap(self, tap: Callable[[Message], None]) -> None:
         """Observe every message without affecting delivery or accounting.
 
-        The batched-replay quiescence table uses a tap to learn which
-        sources' filter state may have changed: every membership mutation
-        is caused by some message crossing the channel.  Taps fire at
-        *delivery* time — identical to send time on this channel, later
-        on a latency-modeled one.
+        Nothing in the runtime taps a channel (the populations' planes
+        need no flushing, DESIGN.md §20): taps are how a test or a
+        harness watches the traffic, and a tapped channel keeps the
+        fully-columnar replay away (``columnar_table``'s ``"taps"``
+        clause).  Taps fire at *delivery* time — identical to send time
+        on this channel, later on a latency-modeled one.
 
         A tap that also has a ``bulk(stream_ids)`` method is told of a
         columnar server-to-source delivery (:meth:`charge_bulk`) in one

@@ -11,11 +11,12 @@ where the coordinator picks the global minimum among the per-shard
 candidates.
 
 The proofs read the *live* constraint columns of the state tables —
-the sources write their filter state through to them, so the columns
-are the filter state.  A record that may flip a filter is only ever
-dispatched (engine to its time, staged writes flushed, the source's
-``apply``: one code path for every strategy and driver) and a
-record is only ever staged while provably unable to flip anything, so
+every population writes its filter state through to them, so the
+columns are the filter state.  A record that may flip a filter is only
+ever dispatched (engine to its time, then the population's ``apply``:
+one code path for every stack and driver) and a record is only ever
+staged — scattered into the population's value plane — while provably
+unable to flip anything, so
 the message ledger is byte-identical whichever way the cursor is
 driven.  In the **event strategy** nothing is proven and every record
 is its own candidate; ``mode="event"``, per-record hooks and the
@@ -185,13 +186,13 @@ class _Chunk:
 class ReplayCursor:
     """Step-wise replay of ``(times, ids, payloads)`` into *sources*.
 
-    The record arrays are parallel and time-sorted; *ids* index *sources*
-    — a list of source objects, or a columnar population whose value
+    The record arrays are parallel and time-sorted; *ids* index the rows
+    of *sources* — a population (``repro.runtime.source``) whose value
     plane is its own staging vector (``stage`` / ``apply(row, ...)``,
-    DESIGN.md §18) — and the rows of *tables*, every state table whose
+    DESIGN.md §18, §20) — and of *tables*, every state table whose
     constraint columns guard a filter.  *channels* carry the
-    server-to-source traffic (tapped to flush a list's staged writes;
-    their latency-modeled members set the in-flight barrier).  State:
+    server-to-source traffic; their latency-modeled members set the
+    in-flight barrier.  State:
     records before ``pos`` are committed; ``[pos, proven)`` is proven
     quiescent against the live columns; a window of scanned chunks backs
     the proof.  The whole
@@ -241,15 +242,9 @@ class ReplayCursor:
         #: Streams with a message in flight at the last barrier read.
         self._lagging = np.empty(0, dtype=np.int64)
         self._prescan = _StatePrescan(self._tables)
-        #: Where quiescent writes are staged: a columnar population's
-        #: own value plane, or — batch strategy only — the deferred
-        #: assignments of a list of source objects.
-        self._staging = sources if hasattr(sources, "stage") else None
-        if self._staging is not None and sources.first_id:
+        if sources.first_id:
             raise ValueError("a replayed population's rows must be its ids")
         if not self._event:
-            if self._staging is None:
-                self._staging = _DeferredAssignments(sources, channels, payloads)
             for table in self._tables:
                 table.watch_constraints()
 
@@ -336,7 +331,7 @@ class ReplayCursor:
             raise ValueError(
                 f"past the proven frontier (to {k}, proven {self.proven})"
             )
-        self._staging.stage(self.ids[pos:k], self.payloads[pos:k])
+        self.sources.stage(self.ids[pos:k], self.payloads[pos:k])
         self.stats["staged"] += k - pos
         self.pos = k
 
@@ -367,10 +362,7 @@ class ReplayCursor:
             self._fire()
 
     def close(self) -> None:
-        """Flush every staged write; detach taps and watches."""
-        if isinstance(self._staging, _DeferredAssignments):
-            self._staging.close()
-            self._staging = None
+        """Detach the constraint watches."""
         for table in self._tables:
             table.unwatch_constraints()
 
@@ -379,10 +371,7 @@ class ReplayCursor:
     # ------------------------------------------------------------------
     def _fire(self) -> None:
         j = self.pos
-        _apply(
-            self.sources, self._staging, int(self.ids[j]), self.payloads[j],
-            float(self.times[j]),
-        )
+        _apply(self.sources, int(self.ids[j]), self.payloads[j], float(self.times[j]))
         self.pos = self.proven = j + 1
         self._own = j
         self.stats["dispatches"] += 1
@@ -522,20 +511,10 @@ class ReplayCursor:
             )
 
 
-def _apply(sources, staging, stream_id: int, payload, time: float) -> None:
-    """The one per-event step of every strategy: make the source's value
-    readable, then hand it the record (it reports if a filter flips).
-    A columnar population is its own *staging* — nothing waits aside."""
-    if staging is sources:
-        sources.apply(stream_id, payload, time)
-        return
-    if staging is not None:
-        if staging._channels:
-            # Other sources' reads are flushed by the channel taps.
-            staging.flush_one(stream_id)
-        else:
-            staging.flush_all()
-    sources[stream_id].apply(payload, time)
+def _apply(sources, stream_id: int, payload, time: float) -> None:
+    """The one per-event step of every strategy: hand the population the
+    record (it reports if a filter flips)."""
+    sources.apply(stream_id, payload, time)
 
 
 # ----------------------------------------------------------------------
@@ -667,77 +646,10 @@ def replay_columnar(
                 time = float(times[i])
                 if time > engine.now:
                     engine.run(until=time)
-                _apply(sources, sources, int(stream_ids[i]), payloads[i], time)
+                _apply(sources, int(stream_ids[i]), payloads[i], time)
                 stats["dispatches"] += 1
                 i += 1
     return stats
-
-
-class _DeferredAssignments:
-    """Lazily materialized quiescent writes, for a list of source
-    objects (a columnar population stages into its own value plane).
-
-    A quiescent record only changes its source's stored value — nothing
-    observable happens until somebody *reads* that value.  So staged
-    writes go into one numpy vector (two vectorized scatters per stretch,
-    last write per stream winning) and a source's value is flushed only
-    at its next read point:
-
-    * a server-to-source message (probe request or constraint) is about
-      to be handled — caught by a channel tap, which runs before the
-      source's handler;
-    * the source itself is about to dispatch a record per-event;
-    * the replay ends.
-
-    Sharded assemblies have one channel per shard; the tap is attached
-    to every one, so a server-to-source message on any shard flushes its
-    target.  Without channels (the multi-query coordinator talks to its
-    sources directly) every staged write is flushed before each
-    dispatch.
-    """
-
-    def __init__(self, sources, channels: Sequence[Channel], payloads) -> None:
-        self._sources = sources
-        self._channels = list(channels)
-        # Scalar stacks stage into a vector; spatial ones into an (n, d)
-        # matrix shaped like the trace's payload rows.
-        shape: tuple[int, ...] = (len(sources),)
-        self._vector = np.ndim(payloads) == 2
-        if self._vector:
-            shape = (len(sources), np.shape(payloads)[1])
-        self._values = np.empty(shape, dtype=np.float64)
-        self._touched = np.zeros(len(sources), dtype=bool)
-        for channel in self._channels:
-            channel.add_tap(self)
-
-    def close(self) -> None:
-        self.flush_all()
-        for channel in self._channels:
-            channel.remove_tap(self)
-
-    def __call__(self, message) -> None:
-        """The channel tap: a server-to-source message is about to read
-        its target."""
-        if not message.kind.is_uplink:
-            self.flush_one(message.stream_id)
-
-    def stage(self, ids_chunk, vals_chunk) -> None:
-        """Record a run of quiescent writes (later records win)."""
-        self._values[ids_chunk] = vals_chunk
-        self._touched[ids_chunk] = True
-
-    def flush_one(self, stream_id: int) -> None:
-        if self._touched[stream_id]:
-            self._touched[stream_id] = False
-            # Vector rows must be copied out: the staging matrix keeps
-            # being scattered into, and spatial sources adopt ndarray
-            # payloads without copying.
-            value = self._values[stream_id]
-            self._sources[stream_id].assign(value.copy() if self._vector else value)
-
-    def flush_all(self) -> None:
-        for stream_id in np.nonzero(self._touched)[0].tolist():
-            self.flush_one(stream_id)
 
 
 class _StatePrescan:
@@ -745,8 +657,8 @@ class _StatePrescan:
 
     Reads the deployed bounds and believed memberships straight from the
     live :class:`~repro.state.table.StreamStateTable` columns — one table
-    per standing query, written through by the source membership
-    strategies — so there is nothing to poll, tap, or rebuild: the
+    per standing query, written through by the source populations — so
+    there is nothing to poll, tap, or rebuild: the
     columns *are* the filter state at every instant.
 
     A record is quiescent iff, for every table, either the stream has no

@@ -34,7 +34,6 @@ from repro.runtime.replay import (
     replay_columnar,
     resolve_mode,
 )
-from repro.runtime.source import bind_state, wire_sources
 from repro.sim.engine import SimulationEngine
 from repro.state.table import StreamStateTable
 
@@ -45,8 +44,8 @@ class ExecutionSession:
     Parameters
     ----------
     sources:
-        The source population, indexed by stream id: a list of source
-        objects or a columnar population (``ScalarPopulation``).
+        The source population (``repro.runtime.source``), indexed by
+        stream id.
     host:
         The server-side owner (``Server``, ``ShardedServer``,
         ``MultiQueryCoordinator`` or ``None`` for bare assemblies).
@@ -70,8 +69,7 @@ class ExecutionSession:
         self.ledger = ledger or MessageLedger()
         self.channel = channel
         #: Every channel in the assembly: one for single-server
-        #: topologies, one per shard for sharded ones.  The batched
-        #: replay taps each of them for deferred-write flushing.
+        #: topologies, one per shard for sharded ones.
         if channels is not None:
             self.channels = list(channels)
         else:
@@ -104,7 +102,6 @@ class ExecutionSession:
         Hosts with per-query tables (the multi-query coordinator) bind
         their own sources; otherwise the host's table — or a session-owned
         one for bare assemblies — becomes the write-through target.
-        Strategies without scalar filter state ignore the binding.
         """
         if self.host is not None and hasattr(self.host, "state_tables"):
             return
@@ -113,7 +110,7 @@ class ExecutionSession:
             table = self.state = StreamStateTable(len(self.sources))
         if table is None:
             return
-        bind_state(self.sources, table)
+        self.sources.bind_state(table)
 
     def _state_tables(self) -> list[StreamStateTable]:
         """Every state table whose constraint columns guard a filter."""
@@ -242,10 +239,9 @@ class ExecutionSession:
 
     @classmethod
     def for_windows(cls, trace, width: float, latency=None) -> "ExecutionSession":
-        """Value-window stack: a host-less ``WindowFilterSource``
-        population.  The caller binds its own server-side handler on
-        every channel in ``.channels`` and runs initialization via
-        ``initialize(run=...)``."""
+        """Value-window stack: a host-less ``WindowPopulation``.  The
+        caller binds its own server-side handler on every channel in
+        ``.channels`` and runs initialization via ``initialize(run=...)``."""
         return cls.for_windows_sharded(trace, width, None, latency)
 
     @classmethod
@@ -256,18 +252,16 @@ class ExecutionSession:
         The scheme has no server-to-source maintenance traffic and each
         source's report decisions are purely local, so sharding it is
         pure channel partitioning and cannot move the ledger."""
-        from repro.valuebased.source import WindowFilterSource
+        from repro.valuebased.source import WindowPopulation
 
         return cls.assemble(
             "streams", trace, None, n_shards, latency,
-            population=partial(
-                wire_sources, partial(WindowFilterSource, width=width)
-            ),
+            population=partial(WindowPopulation, width=width),
         )
 
     @classmethod
     def for_multiquery(cls, initial_values) -> "ExecutionSession":
-        """Shared stack: ``MultiQuerySource`` + ``MultiQueryCoordinator``.
+        """Shared stack: ``SlotPopulation`` + ``MultiQueryCoordinator``.
 
         The coordinator is the session's ``host``; register standing
         queries on it before :meth:`initialize`.

@@ -1,158 +1,138 @@
-"""The generic filtered source: the mechanism half of the runtime kernel.
+"""Sources as columns: the population base and its one-row views.
 
-:class:`FilteredSource` implements, exactly once, the behaviour every
-stack's source used to duplicate: install the new payload, ask the
-membership strategy whether that flips a filter, and report if so.
-:class:`ChannelFilteredSource` adds the control plane shared by the
-channel-backed stacks — probe requests resync-and-reply, constraint
-deployments run the self-correction rule.
+Every stack's sources are a *population* (DESIGN.md §18, §20): planes
+over ``n`` rows — the value plane, the installed filter, the side of it
+the server believes — served by one handler per ``(channel, id range)``.
+:class:`Population` holds what they share (the value plane, which is
+also the batched replay's staging vector, the id range and the channel
+binding); each stack's population adds its filter planes and its
+per-event ``apply(row, payload, time)`` / ``handle(message)``:
+``repro.streams.source.ScalarPopulation`` (intervals),
+``repro.valuebased.source.WindowPopulation`` (recentering windows),
+``repro.spatial.source.PointPopulation`` (regions) and
+``repro.multiquery.source.SlotPopulation`` (one interval per query).
 
-Stack-specific classes (``SpatialStreamSource``, ``WindowFilterSource``,
-``MultiQuerySource``) are thin specializations: a payload codec
-(:meth:`FilteredSource._coerce`), a message vocabulary, and a membership
-strategy.  The scalar stack's population is columns instead
-(:class:`repro.streams.source.ScalarPopulation`, DESIGN.md §18); a
-*population* is either that or the list :func:`wire_sources` builds.
+:class:`FilteredSource` is a *view* of one row — ``population[i]``
+builds one on demand — and each stack's source class
+(``StreamSource``, ``WindowFilterSource``, ``SpatialStreamSource``,
+``MultiQuerySource``) is such a view whose constructor builds a
+population of one, so a hand-built source and an assembled one are the
+same implementation.  No hot path builds a view.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import index
+from typing import Sequence
+
+import numpy as np
+
 from repro.network.channel import Channel
-from repro.network.messages import Message, MessageKind
-from repro.runtime.membership import REPORT, MembershipStrategy
-
-
-def wire_sources(make_source, payloads, channels, ranges) -> list:
-    """A population of source objects in id order, source ``i`` holding
-    ``payloads[i]`` and bound to the channel of its id range — for
-    assembly (a trace's initial payloads) and snapshot restore alike."""
-    return [
-        make_source(stream_id, payloads[stream_id], channel)
-        for channel, (lo, hi) in zip(channels, ranges)
-        for stream_id in range(lo, hi)
-    ]
-
-
-def bind_state(population, table) -> None:
-    """Make *table* the write-through target of *population*'s filter
-    state: one column copy for a columnar population, one
-    ``membership.bind_state`` per source of a list."""
-    bind = getattr(population, "bind_state", None)
-    if bind is not None:
-        bind(table)
-        return
-    for source in population:
-        source.membership.bind_state(table, source.stream_id)
+from repro.network.messages import Message
 
 
 class FilteredSource:
-    """A source that reports iff its membership flips.
+    """One source: row ``_row`` of a population, viewed as an object."""
 
-    Parameters
-    ----------
-    stream_id:
-        Dense integer identifier, also the index into trace arrays.
-    initial_payload:
-        The source's payload (value or point) at virtual time 0.
-    membership:
-        The strategy deciding when a payload change must be reported.
-    """
+    __slots__ = ("_population", "_row")
 
-    def __init__(
-        self, stream_id: int, initial_payload, membership: MembershipStrategy
-    ) -> None:
-        self.stream_id = int(stream_id)
-        self.membership = membership
-        self.value = self._coerce(initial_payload)
+    @classmethod
+    def _of(cls, population: "Population", row: int) -> "FilteredSource":
+        view = cls.__new__(cls)
+        view._population, view._row = population, row
+        return view
 
-    # ------------------------------------------------------------------
-    # Data plane
-    # ------------------------------------------------------------------
+    @property
+    def stream_id(self) -> int:
+        return self._population.first_id + self._row
+
+    @property
+    def value(self):
+        """The current payload: a ``float``, or a copy of the point."""
+        value = self._population.values[self._row]
+        return value.copy() if value.ndim else value.item()
+
+    @value.setter
+    def value(self, value) -> None:
+        self._population.values[self._row] = value
+
+    @property
+    def membership(self) -> "FilteredSource":
+        """The view is its own membership: ``container`` and
+        ``reported_inside`` read the same row."""
+        return self
+
     def apply(self, payload, time: float) -> None:
         """Install a new payload; report if the filter demands it."""
-        self.value = self._coerce(payload)
-        tags = self.membership.evaluate(self.value)
-        if tags is not None:
-            self._emit(time, tags)
+        self._population.apply(self._row, payload, time)
+
+    apply_value = apply
 
     def assign(self, payload) -> None:
-        """Install a payload *without* filter evaluation.
-
-        Only valid for records already proven quiescent — the batched
-        replay fast path applies those in bulk, bypassing per-event
-        dispatch entirely.
-        """
-        self.value = self._coerce(payload)
-
-    # ------------------------------------------------------------------
-    # Specialization points
-    # ------------------------------------------------------------------
-    def _coerce(self, payload):
-        """Normalize an incoming payload (e.g. ``float``, ``as_point``)."""
-        return payload
-
-    def _emit(self, time: float, tags) -> None:
-        """Deliver one report; *tags* is :data:`REPORT` or a slot list."""
-        raise NotImplementedError
+        """Install a payload *without* filter evaluation."""
+        self.value = payload
 
 
 class ChannelFilteredSource(FilteredSource):
-    """A filtered source wired to a :class:`Channel`.
+    """A view of a channel-backed population's row."""
 
-    Handles the two server-to-source message kinds uniformly: a probe
-    request resynchronizes the membership and replies with the current
-    payload; a constraint deployment installs the new filter and sends
-    one self-correcting report when the server's belief was stale.
+    __slots__ = ()
+
+    def _handle_message(self, message: Message) -> None:
+        """Deliver a server-to-source message to this row."""
+        self._population.handle(message)
+
+
+class Population:
+    """Row ``i`` is the source of stream ``first_id + i``.
+
+    ``values`` is the value plane — ``(n,)`` scalars or ``(n, d)``
+    points — and the batched replay's staging vector; ``table`` is the
+    state table the filter planes are written through to (``None``
+    until bound).  Each ``(channel, id range)`` binds :meth:`handle`
+    once; an uplink leaves on the channel of its row's range.
     """
+
+    #: The :class:`FilteredSource` class ``population[i]`` returns.
+    view: type
 
     def __init__(
         self,
-        stream_id: int,
-        initial_payload,
-        membership: MembershipStrategy,
-        channel: Channel,
+        values: np.ndarray,
+        channels: Sequence[Channel],
+        ranges: Sequence[tuple[int, int]],
     ) -> None:
-        super().__init__(stream_id, initial_payload, membership)
-        self.channel = channel
-        channel.bind_source(self.stream_id, self._handle_message)
+        self.values = values
+        self.first_id = int(ranges[0][0])
+        if ranges[-1][1] - self.first_id != len(values):
+            raise ValueError("id ranges must cover exactly the initial values")
+        self.table = None
+        self._channels = list(channels)
+        #: Exclusive upper *row* of each channel's range.
+        self._ends = [hi - self.first_id for _, hi in ranges]
+        for channel, (lo, hi) in zip(self._channels, ranges):
+            channel.bind_sources(lo, hi, self.handle)
 
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def _emit(self, time: float, tags) -> None:
-        self.channel.send_to_server(self._update_message(time))
+    def __len__(self) -> int:
+        return len(self.values)
 
-    # ------------------------------------------------------------------
-    # Control plane
-    # ------------------------------------------------------------------
-    def _handle_message(self, message: Message) -> None:
-        if message.kind is MessageKind.PROBE_REQUEST:
-            # Replying synchronizes the server's knowledge with our value.
-            self.membership.resync(self.value)
-            self.channel.send_to_server(self._reply_message(message.time))
-            return
-        if message.kind is MessageKind.CONSTRAINT:
-            container = self._constraint_of(message)
-            if self.membership.install(
-                container, message.assumed_inside, self.value
-            ):
-                self._emit(message.time, REPORT)
-            return
-        raise RuntimeError(  # pragma: no cover - defensive
-            f"source received unexpected {message.kind}"
-        )
+    def __getitem__(self, row: int) -> FilteredSource:
+        row = index(row)
+        n = len(self.values)
+        if not -n <= row < n:
+            raise IndexError(f"row {row} of a population of {n}")
+        return self.view._of(self, row % n)
 
-    # ------------------------------------------------------------------
-    # Message vocabulary (stack-specific)
-    # ------------------------------------------------------------------
-    def _update_message(self, time: float) -> Message:
-        raise NotImplementedError
+    def stage(self, rows, values) -> None:
+        """Install values *without* filter evaluation (later rows win):
+        only valid for records already proven quiescent."""
+        self.values[rows] = values
 
-    def _reply_message(self, time: float) -> Message:
-        raise NotImplementedError
-
-    def _constraint_of(self, message: Message):
-        """Extract the container carried by a CONSTRAINT message."""
-        raise RuntimeError(
-            f"{type(self).__name__} received unexpected {message.kind}"
-        )
+    def _send(self, row: int, message: Message) -> None:
+        """Send *message* up the channel of *row*'s id range."""
+        channels = self._channels
+        channel = channels[0]
+        if len(channels) > 1:
+            channel = channels[bisect_right(self._ends, row)]
+        channel.send_to_server(message)

@@ -49,8 +49,8 @@ class Vocabulary:
     # -- population and trace ------------------------------------------
     #: ``(initial payloads, channels, id ranges) -> population``: the
     #: sources of ids ``ranges[0][0] .. ranges[-1][1]``, each range
-    #: bound to its channel — a list of source objects, or columns
-    #: (DESIGN.md §18).
+    #: bound to its channel, as one population of planes (DESIGN.md
+    #: §18, §20).
     population: Callable
     #: Trace attributes holding the initial payloads and the record
     #: payload column (``(n,)`` / ``(m,)`` scalars or ``(n, d)`` /

@@ -84,7 +84,6 @@ from repro.network.messages import Message, MessageKind
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
 from repro.runtime.replay import ReplayCursor
-from repro.runtime.source import bind_state
 from repro.runtime.vocabulary import Vocabulary, VocabularyBound, vocabulary_of
 from repro.sim.engine import SimulationEngine
 from repro.state.sharding import (
@@ -155,7 +154,7 @@ class ShardWorker:
         )
         self.channel.bind_server(self._handle_uplink)
         self.table = StreamStateTable(len(self.sources))
-        bind_state(self.sources, self.table)
+        self.sources.bind_state(self.table)
         self.replay_mode = replay_mode
         #: Captured uplinks: ``(local id, payload, time)``.
         self.outbox: list[tuple] = []

@@ -11,13 +11,11 @@ self-corrections back as a point-batch frame.
 
 from __future__ import annotations
 
-from functools import partial
 from operator import attrgetter
 
 import numpy as np
 
 from repro.runtime.membership import BELIEF_NONE, belief_codes, belief_column
-from repro.runtime.source import wire_sources
 from repro.runtime.vocabulary import Vocabulary
 from repro.spatial.geometry import ALL_SPACE, EMPTY_REGION
 from repro.spatial.messages import (
@@ -30,7 +28,7 @@ from repro.spatial.messages import (
     unpack_regions,
 )
 from repro.spatial.oracle import SpatialOracle
-from repro.spatial.source import SpatialStreamSource
+from repro.spatial.source import PointPopulation
 from repro.state.sharding import scatter_region_deploys
 
 
@@ -100,7 +98,7 @@ def install_region_batch(worker, local_ids, frame, assumed, times):
 
     The frame decodes once (shared instances per distinct encoding,
     mirroring the sequential coordinator's shared region objects) and
-    installs through the sources, whose membership write-through
+    installs through the point population, whose write-through
     scatters the quiescence boxes into the worker's geometric plane.
     """
     send = worker.channel.send_to_source
@@ -137,7 +135,7 @@ SPATIAL = Vocabulary(
     update=PointUpdateMessage,
     constraint=RegionConstraintMessage,
     payload_of=attrgetter("point"),
-    population=partial(wire_sources, SpatialStreamSource),
+    population=PointPopulation,
     initial_column="initial_points",
     record_column="points",
     record_deploy=record_region_deploy,

@@ -19,8 +19,8 @@ share:
   flag column.
 
 The table is also the single source of truth for deployed constraints:
-the sources write their filter state through to it (``bind_state`` of a
-membership strategy, or of the columnar scalar population), and the
+the sources write their filter state through to it (a population's
+``bind_state``, ``repro.runtime.source``), and the
 batched replay fast path reads those columns directly
 (:mod:`repro.runtime.session`).
 """

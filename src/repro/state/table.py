@@ -32,7 +32,7 @@ post-deployment belief; the *membership planes* by the protocol.  Scalar payload
 The *geometric plane* (``geo_*``) is the spatial stack's counterpart of
 the scalar constraint plane: per-dimension axis-aligned bounds of the
 deployed :class:`~repro.spatial.geometry.Region`.  Its single writer is
-the source-side :class:`~repro.runtime.membership.RegionMembership` at
+the source-side :class:`~repro.spatial.source.PointPopulation` at
 install time (the spatial servers record only the region object, in
 ``containers``) — so the plane engages exactly when sources are bound
 to the table via ``bind_state``, as every ``ExecutionSession`` assembly

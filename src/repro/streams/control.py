@@ -21,9 +21,10 @@ over the batch, never over the population.  The kernels are then column
 operations on the population's planes plus the same scatters into the
 table a per-message write-through makes.  That is also how the hosts'
 shared ``deploy_columns`` / ``probe_columns`` serve the spatial stack
-with no branch: a list of region-filtered source objects never
-qualifies, so its batches are the ordered per-message loop (DESIGN.md
-§15) — as are those of a hand-built list of one-row populations.
+with no branch: a point population never qualifies, so its batches are
+the ordered per-message loop (DESIGN.md §15) — as are those of a
+window population (its probes recenter) and of a hand-built list of
+one-row populations.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -37,10 +36,54 @@ from repro.network.messages import (
     UpdateMessage,
 )
 from repro.runtime.membership import deployment_outcome
+from repro.runtime.source import ChannelFilteredSource, Population
 from repro.streams.filters import FilterConstraint
 
 
-class ScalarPopulation:
+class StreamSource(ChannelFilteredSource):
+    """One stream's source: a view of a :class:`ScalarPopulation` row.
+
+    ``population[i]`` builds one on demand; ``StreamSource(stream_id,
+    initial_value, channel)`` makes — and binds to *channel* — a
+    population of one.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self, stream_id: int, initial_value: float, channel: Channel
+    ) -> None:
+        stream_id = int(stream_id)
+        self._population = ScalarPopulation(
+            [initial_value], [channel], [(stream_id, stream_id + 1)]
+        )
+        self._row = 0
+
+    @property
+    def constraint(self) -> FilterConstraint | None:
+        """The filter constraint currently installed (if any)."""
+        population, row = self._population, self._row
+        if not population.filtered[row]:
+            return None
+        return FilterConstraint(
+            population.lower.item(row), population.upper.item(row)
+        )
+
+    container = constraint
+
+    @property
+    def reported_inside(self) -> bool:
+        """The membership state the server currently believes."""
+        return bool(self._population.inside[self._row])
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return (
+            f"StreamSource(id={self.stream_id}, value={self.value:.3f}, "
+            f"constraint={self.constraint})"
+        )
+
+
+class ScalarPopulation(Population):
     """The scalar stack's sources, as columns (DESIGN.md §18).
 
     Row ``i`` is the source of stream ``first_id + i``; one handler per
@@ -54,40 +97,21 @@ class ScalarPopulation:
     *install*.  They are written through to it wherever they change.
     """
 
+    view = StreamSource
+
     def __init__(
         self,
         initial_values,
         channels: Sequence[Channel],
         ranges: Sequence[tuple[int, int]],
     ) -> None:
-        self.values = np.array(initial_values, dtype=np.float64, ndmin=1)
-        n = len(self.values)
-        self.first_id = int(ranges[0][0])
-        if ranges[-1][1] - self.first_id != n:
-            raise ValueError("id ranges must cover exactly the initial values")
+        values = np.array(initial_values, dtype=np.float64, ndmin=1)
+        super().__init__(values, channels, ranges)
+        n = len(values)
         self.lower = np.full(n, -math.inf)
         self.upper = np.full(n, math.inf)
         self.filtered = np.zeros(n, dtype=bool)
         self.inside = np.zeros(n, dtype=bool)
-        #: The state table the filter planes are written through to.
-        self.table = None
-        self._channels = list(channels)
-        #: Exclusive upper *row* of each channel's range.
-        self._ends = [hi - self.first_id for _, hi in ranges]
-        for channel, (lo, hi) in zip(self._channels, ranges):
-            channel.bind_sources(lo, hi, self.handle)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, row: int) -> "StreamSource":
-        row = index(row)
-        n = len(self.values)
-        if not -n <= row < n:
-            raise IndexError(f"row {row} of a population of {n}")
-        view = StreamSource.__new__(StreamSource)
-        view._population, view._row = self, row % n
-        return view
 
     def bind_state(self, table) -> None:
         """Make *table* (row = stream id) the write-through target of the
@@ -116,11 +140,6 @@ class ScalarPopulation:
             if self.table is not None:
                 self.table.set_inside(self.first_id + row, inside)
         self._report(row, value, time)
-
-    def stage(self, rows, values) -> None:
-        """Install values *without* filter evaluation (later rows win):
-        only valid for records already proven quiescent."""
-        self.values[rows] = values
 
     def _report(self, row: int, value: float, time: float, message=UpdateMessage):
         """Send *message* — an update, or a probe's reply — for *row* up
@@ -165,80 +184,3 @@ class ScalarPopulation:
                 self._report(row, value, message.time)
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"source received unexpected {kind}")
-
-
-class StreamSource:
-    """One stream's source: a view of a :class:`ScalarPopulation` row.
-
-    ``population[i]`` builds one on demand; ``StreamSource(stream_id,
-    initial_value, channel)`` makes — and binds to *channel* — a
-    population of one.
-    """
-
-    __slots__ = ("_population", "_row")
-
-    def __init__(
-        self, stream_id: int, initial_value: float, channel: Channel
-    ) -> None:
-        stream_id = int(stream_id)
-        self._population = ScalarPopulation(
-            [initial_value], [channel], [(stream_id, stream_id + 1)]
-        )
-        self._row = 0
-
-    @property
-    def stream_id(self) -> int:
-        return self._population.first_id + self._row
-
-    @property
-    def value(self) -> float:
-        return self._population.values.item(self._row)
-
-    @value.setter
-    def value(self, value: float) -> None:
-        self._population.values[self._row] = float(value)
-
-    # ------------------------------------------------------------------
-    # Data plane
-    # ------------------------------------------------------------------
-    def apply(self, payload, time: float) -> None:
-        """Install a new current value; report it if the filter demands."""
-        self._population.apply(self._row, payload, time)
-
-    apply_value = apply
-
-    def assign(self, payload) -> None:
-        """Install a value *without* filter evaluation."""
-        self.value = payload
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def constraint(self) -> FilterConstraint | None:
-        """The filter constraint currently installed (if any)."""
-        population, row = self._population, self._row
-        if not population.filtered[row]:
-            return None
-        return FilterConstraint(
-            population.lower.item(row), population.upper.item(row)
-        )
-
-    container = constraint
-
-    @property
-    def reported_inside(self) -> bool:
-        """The membership state the server currently believes."""
-        return bool(self._population.inside[self._row])
-
-    @property
-    def membership(self) -> "StreamSource":
-        """The view is its own membership: ``container`` and
-        ``reported_inside`` read the same row."""
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"StreamSource(id={self.stream_id}, value={self.value:.3f}, "
-            f"constraint={self.constraint})"
-        )

@@ -173,6 +173,21 @@ def test_non_int_check_every_is_a_type_error(check_every):
         Deployment(check_every=check_every)
 
 
+@pytest.mark.parametrize("knob", ["parallel", "strict"])
+@pytest.mark.parametrize("value", ["no", 1, 0, None, 1.0])
+def test_non_bool_parallel_or_strict_is_a_type_error(knob, value):
+    """A truthy string would otherwise launch worker processes."""
+    with pytest.raises(TypeError, match=f"{knob} must be a bool"):
+        Deployment(**{knob: value})
+    with pytest.raises(TypeError, match=f"{knob} must be a bool"):
+        Deployment.sharded(2, **{knob: value})
+
+
+def test_with_checking_rejects_a_non_bool_strict():
+    with pytest.raises(TypeError, match="strict must be a bool"):
+        Deployment().with_checking(1, strict="yes")
+
+
 def test_with_checking_returns_updated_copy():
     base = Deployment.sharded(2)
     checked = base.with_checking(5)

@@ -66,11 +66,12 @@ class TestSlots:
         source.install("b", FilterConstraint(0.0, 10.0), None, 0.0)
         # Value drifts out; suppose a's protocol learned via probe.
         source.value = 12.0  # bypass apply to simulate missed state
-        source.membership.reported_inside["a"] = True
-        source.membership.reported_inside["b"] = True
+        slots = coordinator.sources.slots
+        slots["a"].inside[0] = slots["b"].inside[0] = True
         assert source.probe("a") == 12.0
-        assert source.membership.reported_inside["a"] is False  # resynced
-        assert source.membership.reported_inside["b"] is True   # untouched
+        assert not slots["a"].inside[0]  # resynced
+        assert slots["b"].inside[0]      # untouched
+        assert source.probe("zzz") == 12.0  # no such slot: nothing to sync
 
     def test_stale_install_belief_self_corrects(self, system):
         coordinator, received = system

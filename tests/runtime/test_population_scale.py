@@ -1,9 +1,9 @@
-"""No per-stream Python objects, pinned by count (DESIGN.md §18).
+"""No per-stream Python objects, pinned by count (DESIGN.md §18, §20).
 
-The scalar population is five planes plus one range binding per
-channel, so assembling a session must cost a constant number of Python
-objects whatever the population — and a run at n = 100 000 must still
-be the run: one ledger across topologies, equal to per-event replay's.
+Every stack's population is planes plus one range binding per channel,
+so assembling a session must cost a constant number of Python objects
+whatever the population — and a run at n = 100 000 must still be the
+run: one ledger across topologies, equal to per-event replay's.
 """
 
 from __future__ import annotations
@@ -50,6 +50,59 @@ def test_assembly_allocates_no_per_stream_object(n_shards):
         assert channel._source_handlers == {}
         assert len(channel._source_ranges) == 1
     assert sum(channel.n_sources for channel in session.channels) == N
+    assert session.sources[N - 1].stream_id == N - 1
+
+
+#: The other three stacks' assemblies at the same n.
+MOVING = Workload.moving_objects(n_objects=N, horizon=0.5, seed=1)
+
+
+def _spatial(n_shards):
+    from repro.spatial.geometry import BoxRegion
+    from repro.spatial.queries import SpatialRangeQuery
+
+    spec = QuerySpec(
+        "zt-nrp-2d", SpatialRangeQuery(BoxRegion([300.0, 300.0], [700.0, 700.0]))
+    )
+    return ExecutionSession.assemble(
+        "spatial", MOVING.materialize(), spec.build(), n_shards
+    )
+
+
+def _windows(n_shards):
+    return ExecutionSession.for_windows_sharded(
+        WORKLOAD.materialize(), 25.0, n_shards
+    )
+
+
+def _multiquery(_):
+    session = ExecutionSession.for_multiquery(WORKLOAD.materialize().initial_values)
+    for query_id, spec in SPECS.items():
+        session.host.register(query_id, spec.build())
+    return session
+
+
+@pytest.mark.parametrize(
+    "assemble,n_shards",
+    [(_spatial, None), (_spatial, 2), (_windows, None), (_windows, 2),
+     (_multiquery, None)],
+    ids=["spatial", "spatial-sharded(2)", "value-window",
+         "value-window-sharded(2)", "multi-query"],
+)
+def test_every_stack_assembles_without_a_per_stream_object(assemble, n_shards):
+    """One source object plus one membership object per stream, and one
+    channel binding each, before these stacks were populations too."""
+    MOVING.materialize()
+    WORKLOAD.materialize()
+    # An earlier test's garbage, collected mid-assembly, would hide blocks.
+    gc.collect()
+    before = sys.getallocatedblocks()
+    session = assemble(n_shards)
+    assert sys.getallocatedblocks() - before < 20_000
+    assert len(session.sources) == N
+    for channel in session.channels:
+        assert channel._source_handlers == {}
+        assert len(channel._source_ranges) == 1
     assert session.sources[N - 1].stream_id == N - 1
 
 

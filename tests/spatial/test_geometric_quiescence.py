@@ -15,7 +15,8 @@ where floating-point round-off lives.
 import numpy as np
 import pytest
 
-from repro.runtime.membership import RegionMembership
+from repro.network.accounting import MessageLedger
+from repro.network.channel import Channel
 from repro.spatial.geometry import (
     ALL_SPACE,
     EMPTY_REGION,
@@ -23,6 +24,8 @@ from repro.spatial.geometry import (
     BoxRegion,
     UnionRegion,
 )
+from repro.spatial.messages import PointProbeRequestMessage, RegionConstraintMessage
+from repro.spatial.source import PointPopulation
 from repro.state.table import StreamStateTable
 
 
@@ -174,26 +177,46 @@ def test_conservative_shell_falls_back_to_per_event():
     assert table.geometric_quiescence_mask(np.array([[1.0, 1.0]]), [0])[0]
 
 
-def test_region_membership_writes_through_to_the_table():
+def test_point_population_writes_through_to_the_table():
+    channel = Channel(MessageLedger())
+    reports = []
+    channel.bind_server(reports.append)
+    population = PointPopulation([[5.0, 5.0]], [channel], [(0, 1)])
     table = StreamStateTable(1)
-    membership = RegionMembership()
-    membership.bind_state(table, 0)
+    population.bind_state(table)
     assert not table.geo_scannable[0]
 
     box = BoxRegion([0.0, 0.0], [10.0, 10.0])
-    point = np.array([5.0, 5.0])
-    membership.install(box, None, point)
+    channel.send_to_source(RegionConstraintMessage(0, 0.0, region=box))
     assert table.geo_scannable[0]
     assert table.inside[0]
     assert np.array_equal(table.geo_lower[0], [0.0, 0.0])
     assert np.array_equal(table.geo_outer_upper[0], [10.0, 10.0])
 
-    # A membership flip updates the believed side.
-    assert membership.evaluate(np.array([20.0, 5.0])) is not None
+    # A membership flip reports and updates the believed side.
+    population.apply(0, np.array([20.0, 5.0]), 1.0)
+    assert len(reports) == 1
     assert not table.inside[0]
     # Resync after a probe realigns the belief.
-    membership.resync(np.array([5.0, 5.0]))
+    population.values[0] = [5.0, 5.0]
+    channel.send_to_source(PointProbeRequestMessage(0, 2.0))
     assert table.inside[0]
+    # A region with no boxes clears the row: its records dispatch.
+    channel.send_to_source(
+        RegionConstraintMessage(0, 3.0, region=_NoBoxes(), assumed_inside=True)
+    )
+    assert not table.geo_scannable[0]
+    assert table.inside[0]
+
+
+class _NoBoxes(BoxRegion):
+    """A box that declines to bound itself with quiescence boxes."""
+
+    def __init__(self):
+        super().__init__([0.0, 0.0], [10.0, 10.0])
+
+    def quiescence_bboxes(self, dimension):
+        return None
 
 
 def test_quiescent_records_batch_identically_to_per_event():

@@ -8,8 +8,7 @@ chunks:
   exactly one run, ascending (time-ordered) within each run;
 * ``first_true_per_run`` equals a Python loop over each run's mask;
 * the cumulative-extrema first-crossing equals both the elementwise
-  mask formulation and the per-event ``run_flip_index`` oracle the
-  membership layer defines;
+  mask formulation and the per-event ``run_flip_index`` oracle below;
 * the radix grouping equals numpy's stable ``argsort`` and the
   predecessor index a dict-walking loop, whatever width the ids need.
 """
@@ -18,7 +17,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.membership import run_flip_index
 from repro.state.runs import (
     first_true_per_run,
     previous_in_stream,
@@ -28,6 +26,29 @@ from repro.state.runs import (
 )
 
 MAX_STREAM = 7
+
+
+def run_flip_index(rows, values) -> int | None:
+    """Scalar-loop oracle for a run's first filter-flipping record.
+
+    Given one stream's quiescence *rows* — ``(lower, upper,
+    believed_inside)`` triples: a value is quiescent for a row iff
+    ``(lower <= v <= upper)`` equals ``believed_inside`` — and the run
+    of scalar payloads *values* it is about to report (time-ascending),
+    return the index of the first payload whose containment disagrees
+    with a row's believed membership, or ``None`` when the whole run is
+    provably quiescent.  ``None`` rows (an unbatchable source) flip at
+    index 0.  Deliberately the naive per-event loop: the columnar
+    kernel's vectorized first-crossing must agree with it on every input.
+    """
+    if rows is None:
+        return 0 if len(values) else None
+    for index, value in enumerate(values):
+        value = float(value)
+        for lower, upper, believed_inside in rows:
+            if (lower <= value <= upper) != bool(believed_inside):
+                return index
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -177,8 +198,8 @@ def test_interval_crossing_equals_elementwise_and_flip_oracle(chunk, data):
     by_mask = first_true_per_run(outside, starts)
     assert (by_extrema == by_mask).all()
 
-    # Both agree with the membership layer's per-event oracle for a
-    # believed-inside stream (the quiescence-row contract).
+    # Both agree with the per-event oracle for a believed-inside
+    # stream (the quiescence-row contract).
     for r in range(len(run_ids)):
         lo, hi = int(starts[r]), int(starts[r + 1])
         flip = run_flip_index(
