@@ -4,17 +4,17 @@ The paper motivates k-NN queries with location monitoring of moving
 objects (Section 1, [21]).  This generator produces objects moving in a
 d-dimensional box as reflected Gaussian random walks with exponential
 report times — the natural multi-dimensional analogue of the Section 6.2
-synthetic model.
+synthetic model, drawn and sorted by the same ``walk_records``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.sim.rng import RandomStreams
 from repro.spatial.trace import SpatialTrace
+from repro.streams.generators import BoundedRandomWalk
+from repro.streams.synthetic import walk_records
 
 
 @dataclass(frozen=True)
@@ -79,38 +79,12 @@ def generate_moving_objects_trace(
         0.0, config.extent, size=(config.n_objects, config.dimension)
     )
 
-    all_times: list[np.ndarray] = []
-    all_ids: list[np.ndarray] = []
-    all_points: list[np.ndarray] = []
-    for object_id in range(config.n_objects):
-        times = _arrivals(arrival_rng, config.mean_interarrival, config.horizon)
-        if len(times) == 0:
-            continue
-        steps = step_rng.normal(
-            0.0, config.sigma, size=(len(times), config.dimension)
-        )
-        path = initial[object_id] + np.cumsum(steps, axis=0)
-        path = _reflect(path, 0.0, config.extent)
-        all_times.append(times)
-        all_ids.append(np.full(len(times), object_id, dtype=np.int64))
-        all_points.append(path)
-
-    if all_times:
-        times = np.concatenate(all_times)
-        ids = np.concatenate(all_ids)
-        points = np.concatenate(all_points, axis=0)
-        order = np.argsort(times, kind="stable")
-        times, ids, points = times[order], ids[order], points[order]
-    else:
-        times = np.empty(0)
-        ids = np.empty(0, dtype=np.int64)
-        points = np.empty((0, config.dimension))
-
+    times, points, ids = walk_records(
+        BoundedRandomWalk(config.sigma, low=0.0, high=config.extent),
+        initial, arrival_rng, step_rng, config.mean_interarrival, config.horizon,
+    )
     return SpatialTrace(
-        initial_points=initial,
-        times=times,
-        stream_ids=ids,
-        points=points,
+        initial, times, ids, points,
         horizon=config.horizon,
         metadata={
             "workload": "moving-objects",
@@ -120,23 +94,3 @@ def generate_moving_objects_trace(
             "seed": config.seed,
         },
     )
-
-
-def _arrivals(
-    rng: np.random.Generator, mean: float, horizon: float
-) -> np.ndarray:
-    expected = max(8, int(horizon / mean * 1.3) + 8)
-    gaps = rng.exponential(mean, size=expected)
-    times = np.cumsum(gaps)
-    while times[-1] < horizon:
-        more = rng.exponential(mean, size=expected)
-        times = np.concatenate([times, times[-1] + np.cumsum(more)])
-    return times[times <= horizon]
-
-
-def _reflect(path: np.ndarray, low: float, high: float) -> np.ndarray:
-    """Fold a free walk into [low, high] by mirror reflection."""
-    span = high - low
-    offset = np.mod(path - low, 2 * span)
-    offset = np.where(offset > span, 2 * span - offset, offset)
-    return low + offset

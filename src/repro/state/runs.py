@@ -36,12 +36,35 @@ def stable_key_order(keys) -> np.ndarray:
     """``np.argsort(keys, kind="stable")``: distinct keys have one order,
     which the default sort finds ~4.5x faster (1M float64); only equal
     keys or a NaN need the stable sort's position rule."""
-    keys = np.asarray(keys)
+    return sort_columns([np.asarray(keys)])
+
+
+def sort_columns(columns: list, counts=None) -> np.ndarray | None:
+    """Stable-sort the parallel record *columns* by the first, in the list.
+
+    The keys reuse the tie check's gather; the rest are permuted one at a
+    time, each source dropped before the next is gathered, so a caller
+    holding no other reference peaks at its columns plus the order, the
+    sorted keys and one column (DESIGN.md §19.1).  Returns the order or,
+    given *counts* (records listed by stream, ``counts[s]`` of stream
+    ``s``), appends their sorted ``int64`` stream ids instead.
+    """
+    keys = columns[0]
     order = np.argsort(keys)
     ordered = keys[order]
-    if (ordered[1:] > ordered[:-1]).all():
+    if not (ordered[1:] > ordered[:-1]).all():  # a tie or a NaN
+        del order, ordered
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+    columns[0] = ordered
+    del keys, ordered
+    for i in range(1, len(columns)):
+        columns[i] = columns[i][order]
+    if counts is None:
         return order
-    return np.argsort(keys, kind="stable")
+    ids = np.repeat(np.arange(len(counts), dtype=np.int32), counts)[order]
+    del order
+    columns.append(ids.astype(np.int64))
 
 
 def previous_in_stream(stream_ids) -> np.ndarray:
@@ -58,10 +81,16 @@ def previous_in_stream(stream_ids) -> np.ndarray:
     n = len(ids)
     dtype = np.int32 if n < 1 << 31 else np.int64
     order = stable_id_order(ids).astype(dtype, copy=False)
-    grouped = ids[order]
     prev = np.full(n, -1, dtype=dtype)
     prev[order[1:]] = order[:-1]
-    prev[order[1:][grouped[1:] != grouped[:-1]]] = -1
+    # A run starts at a prefix sum of the id counts, when that table is
+    # no longer than the records; other ids compare grouped neighbours.
+    if np.can_cast(ids.dtype, np.intp) and n and 0 <= ids.min() and ids.max() <= n:
+        firsts = order[np.cumsum(np.bincount(ids))[:-1]]
+    else:
+        grouped = ids[order]
+        firsts = order[1:][grouped[1:] != grouped[:-1]]
+    prev[firsts] = -1
     return prev
 
 

@@ -71,12 +71,17 @@ class RandomWalk(ValueProcess):
         self, initials: np.ndarray, counts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         # One draw takes the per-stream calls' variates; a zero-padded
-        # row-wise cumsum is each stream's own (DESIGN.md §19).
-        increments = rng.normal(self.mu, self.sigma, size=int(counts.sum()))
+        # row-wise cumsum is each stream's own (DESIGN.md §19).  Rows of
+        # *initials* may be points: a step then draws one per coordinate.
+        shape = initials.shape[1:]
+        increments = rng.normal(self.mu, self.sigma, (int(counts.sum()), *shape))
         mask = np.arange(counts.max(initial=0)) < counts[:, None]
-        padded = np.zeros(mask.shape)
+        padded = np.zeros(mask.shape + shape)
         padded[mask] = increments
-        return (initials[:, None] + np.cumsum(padded, axis=1))[mask]
+        del increments
+        np.cumsum(padded, axis=1, out=padded)
+        padded += initials[:, None]
+        return padded[mask]
 
 
 class BoundedRandomWalk(RandomWalk):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.rng import RandomStreams
-from repro.state.runs import stable_key_order
+from repro.state.runs import sort_columns
 from repro.streams.generators import RandomWalk, ValueProcess
 from repro.streams.trace import StreamTrace
 
@@ -108,28 +108,12 @@ def generate_synthetic_trace(
         config.value_low, config.value_high, size=config.n_streams
     )
 
-    # Stream order, one block of streams at a time (DESIGN.md §19).
-    mean, horizon = config.mean_interarrival, config.horizon
-    width = max(8, int(horizon / mean * 1.3) + 8)
-    times, counts, values = [], [], []
-    for start in range(0, config.n_streams, BLOCK_STREAMS):
-        initials = initial_values[start : start + BLOCK_STREAMS]
-        block = _arrival_block(arrival_rng, mean, horizon, width, len(initials))
-        times.append(block[0])
-        counts.append(block[1])
-        values.append(walk.walks(initials, block[1], step_rng))
-    times, values = np.concatenate(times), np.concatenate(values)
-    ids = np.repeat(
-        np.arange(config.n_streams, dtype=np.int64), np.concatenate(counts)
+    times, values, ids = walk_records(
+        walk, initial_values, arrival_rng, step_rng,
+        config.mean_interarrival, config.horizon,
     )
-    # Equal times keep stream order.
-    order = stable_key_order(times)
-
     return StreamTrace(
-        initial_values=initial_values,
-        times=times[order],
-        stream_ids=ids[order],
-        values=values[order],
+        initial_values, times, ids, values,
         horizon=config.horizon,
         metadata={
             "workload": "synthetic",
@@ -140,6 +124,36 @@ def generate_synthetic_trace(
             "seed": config.seed,
         },
     )
+
+
+def walk_records(walk, initials, arrival_rng, step_rng, mean, horizon) -> list:
+    """``[times, values, stream_ids]``, sorted by time, of streams that
+    start at *initials*, report after exponential gaps of mean *mean*
+    within ``[0, horizon]`` and move by *walk*'s steps.
+
+    Stream order first (DESIGN.md §19): every stream's arrivals, one
+    block of streams at a time, then each block's walk into one value
+    column; then one sort, equal times keeping stream order.
+    """
+    n, width = len(initials), max(8, int(horizon / mean * 1.3) + 8)
+    starts = range(0, n, BLOCK_STREAMS)
+    blocks = [
+        _arrival_block(arrival_rng, mean, horizon, width, min(BLOCK_STREAMS, n - at))
+        for at in starts
+    ]
+    times, counts = (np.concatenate(column) for column in zip(*blocks))
+    del blocks
+    values = np.empty((len(times), *initials.shape[1:]))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    for at in starts:
+        stop = min(at + BLOCK_STREAMS, n)
+        values[offsets[at] : offsets[stop]] = walk.walks(
+            initials[at:stop], counts[at:stop], step_rng
+        )
+    columns = [times, values]
+    del times, values
+    sort_columns(columns, counts)
+    return columns
 
 
 def _arrival_block(rng, mean: float, horizon: float, width: int, count: int):

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.state.runs import previous_in_stream
+from repro.state.runs import previous_in_stream, sort_columns
 
 
 @dataclass(frozen=True)
@@ -192,17 +192,14 @@ def merge_traces(traces: list[StreamTrace], horizon: float) -> StreamTrace:
         raise ValueError("need at least one trace")
     offsets = np.cumsum([0] + [t.n_streams for t in traces[:-1]])
     initial = np.concatenate([t.initial_values for t in traces])
-    times = np.concatenate([t.times for t in traces])
-    ids = np.concatenate(
-        [t.stream_ids + off for t, off in zip(traces, offsets)]
-    )
-    values = np.concatenate([t.values for t in traces])
-    order = np.argsort(times, kind="stable")
+    columns = [  # 32-bit ids until the sort is done; the trace widens them
+        np.concatenate([t.times for t in traces]),
+        np.concatenate(
+            [(t.stream_ids + o).astype(np.int32) for t, o in zip(traces, offsets)]
+        ),
+        np.concatenate([t.values for t in traces]),
+    ]
+    sort_columns(columns)
     return StreamTrace(
-        initial_values=initial,
-        times=times[order],
-        stream_ids=ids[order],
-        values=values[order],
-        horizon=horizon,
-        metadata={"merged_from": len(traces)},
+        initial, *columns, horizon=horizon, metadata={"merged_from": len(traces)}
     )

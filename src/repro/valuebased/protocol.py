@@ -133,9 +133,10 @@ def run_value_tolerance(
             if tick % check_every != 0:
                 return
             order = ranked_ids(query, oracle.values)
-            positions = {int(s): i + 1 for i, s in enumerate(order)}
+            positions = np.empty(len(order), dtype=np.int64)  # 1-based ranks
+            positions[order] = np.arange(1, len(order) + 1)
             for member in protocol.answer:
-                rank = positions[member]
+                rank = positions.item(member)
                 worst_rank = max(worst_rank, rank)
                 rank_error.record(max(0, rank - query.k))
             drift = np.max(
