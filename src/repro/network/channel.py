@@ -32,6 +32,10 @@ class Channel:
         Every message sent through the channel is charged to this ledger.
     """
 
+    #: Whether a constraint is delivered when it is sent — what a tap's
+    #: ``bulk`` form, told of a columnar batch at send, relies on.
+    constraints_inline = True
+
     def __init__(self, ledger: MessageLedger) -> None:
         self.ledger = ledger
         self._server_handler: Callable[[Message], None] | None = None
@@ -139,7 +143,9 @@ class Channel:
         *stream_ids* column — or ``None`` when this batch must travel
         message by message (no single range covers it, a per-id binding
         shadows an id in its span, the handler is no bound method, or a
-        tap has no ``bulk`` form).  *probe* marks a batch of probes.
+        tap has no ``bulk`` form — or may not use it: a constraint batch
+        on a channel whose constraints fly is tapped per message, at
+        delivery).  *probe* marks a batch of probes.
 
         An unbound id raises the same ``RuntimeError`` as
         :meth:`send_to_source`, before anything is charged.
@@ -159,7 +165,10 @@ class Channel:
             for stream_id, shadow in self._source_handlers.items()
         ):
             return None
-        if not all(hasattr(tap, "bulk") for tap in self._taps):
+        if self._taps and not (
+            (probe or self.constraints_inline)
+            and all(hasattr(tap, "bulk") for tap in self._taps)
+        ):
             return None
         return getattr(handler, "__self__", None)
 

@@ -26,7 +26,9 @@ Determinism and ordering guarantees:
   scheduled delivery for the same ``(direction, stream)`` is clamped to
   it (TCP-like ordering per flow).
 * **Exactly-once.**  Every sent message is delivered exactly once —
-  either by its engine event or by a forced
+  either by the channel's one live engine event, which sits where the
+  in-flight head's own event would (its ``(time, seq)``, the sequence
+  number reserved at send), or by a forced
   :meth:`LatencyChannel.drain_in_flight` at end of replay.
 * **Zero delay is synchronous.**  A message whose sampled delay is zero
   is delivered inline, byte-for-byte the synchronous discipline — which
@@ -37,17 +39,18 @@ Determinism and ordering guarantees:
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
+
+import numpy as np
 
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
-from repro.network.messages import Message, MessageKind
+from repro.network.messages import ConstraintMessage, Message, MessageKind
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
-
-#: Sampler signature: ``sample(is_uplink) -> non-negative delay``.
-Sampler = Callable[[bool], float]
 
 
 def _require_non_negative(name: str, value: float) -> float:
@@ -59,14 +62,51 @@ def _require_non_negative(name: str, value: float) -> float:
     return value
 
 
+def _constant(delay: float, size: int | None = None):
+    """A direction that draws nothing: *delay*, or a column of it."""
+    return delay if size is None else np.full(size, delay)
+
+
+class Sampler:
+    """A channel's delay draws, one RNG stream per direction.
+
+    ``sampler(is_uplink)`` is the next delay of a direction and
+    ``sampler.sample_many(is_uplink, m)`` the next ``m`` as a column —
+    the values, and the generator state after them, of ``m`` scalar
+    calls (tests/network/test_latency_batch.py pins this per model).
+    Each direction is a ``draw(size=None)`` function: a numpy
+    generator method bound to its parameters, or :func:`_constant`.
+    """
+
+    __slots__ = ("_uplink", "_downlink")
+
+    def __init__(self, uplink: Callable, downlink: Callable) -> None:
+        self._uplink = uplink
+        self._downlink = downlink
+
+    def __call__(self, is_uplink: bool) -> float:
+        return float((self._uplink if is_uplink else self._downlink)())
+
+    def sample_many(self, is_uplink: bool, m: int) -> np.ndarray:
+        return (self._uplink if is_uplink else self._downlink)(m)
+
+
+def _direction_streams(seed: int, channel: int):
+    streams = RandomStreams(seed=seed)
+    return (
+        streams.get(f"latency-uplink-{channel}"),
+        streams.get(f"latency-downlink-{channel}"),
+    )
+
+
 @dataclass(frozen=True)
 class LatencyModel:
     """Base class of delivery-delay models.
 
     Models are frozen values so a :class:`repro.api.Deployment` carrying
     one stays hashable and comparable; each channel materializes its own
-    sampler via :meth:`make_sampler`, passing its channel index so a
-    sharded assembly's shards draw from distinct (but per-run
+    :class:`Sampler` via :meth:`make_sampler`, passing its channel index
+    so a sharded assembly's shards draw from distinct (but per-run
     deterministic) RNG streams instead of replaying one sequence.
     """
 
@@ -95,8 +135,10 @@ class FixedLatency(LatencyModel):
         return cls(uplink=float(delay), downlink=float(delay))
 
     def make_sampler(self, channel: int = 0) -> Sampler:
-        uplink, downlink = float(self.uplink), float(self.downlink)
-        return lambda is_uplink: uplink if is_uplink else downlink
+        return Sampler(
+            partial(_constant, float(self.uplink)),
+            partial(_constant, float(self.downlink)),
+        )
 
 
 @dataclass(frozen=True)
@@ -121,12 +163,12 @@ class UniformLatency(LatencyModel):
             )
 
     def make_sampler(self, channel: int = 0) -> Sampler:
-        streams = RandomStreams(seed=self.seed)
-        uplink = streams.get(f"latency-uplink-{channel}")
-        downlink = streams.get(f"latency-downlink-{channel}")
         low, high = float(self.low), float(self.high)
-        return lambda is_uplink: float(
-            (uplink if is_uplink else downlink).uniform(low, high)
+        return Sampler(
+            *(
+                partial(generator.uniform, low, high)
+                for generator in _direction_streams(self.seed, channel)
+            )
         )
 
 
@@ -135,7 +177,7 @@ class ExponentialLatency(LatencyModel):
     """Per-message exponential delays with the given per-direction means.
 
     The memoryless model of queueing-style network delay; seeded exactly
-    like :class:`UniformLatency`.
+    like :class:`UniformLatency`.  A zero-mean direction draws nothing.
     """
 
     mean_uplink: float
@@ -147,41 +189,69 @@ class ExponentialLatency(LatencyModel):
         _require_non_negative("mean downlink latency", self.mean_downlink)
 
     def make_sampler(self, channel: int = 0) -> Sampler:
-        streams = RandomStreams(seed=self.seed)
-        uplink = streams.get(f"latency-uplink-{channel}")
-        downlink = streams.get(f"latency-downlink-{channel}")
-        means = {True: float(self.mean_uplink), False: float(self.mean_downlink)}
-
-        def sample(is_uplink: bool) -> float:
-            mean = means[is_uplink]
-            if mean == 0.0:
-                return 0.0
-            generator = uplink if is_uplink else downlink
-            return float(generator.exponential(mean))
-
-        return sample
+        means = (float(self.mean_uplink), float(self.mean_downlink))
+        return Sampler(
+            *(
+                partial(generator.exponential, mean)
+                if mean
+                else partial(_constant, 0.0)
+                for mean, generator in zip(
+                    means, _direction_streams(self.seed, channel)
+                )
+            )
+        )
 
 
 def as_latency_model(latency) -> LatencyModel | None:
     """Coerce a deployment's ``latency=`` value to a model.
 
-    ``None`` means the synchronous discipline; a bare number is a
-    symmetric fixed delay (``0.0`` still selects :class:`LatencyChannel`,
-    with inline delivery — the differential-testing configuration); a
-    :class:`LatencyModel` passes through.
+    ``None`` means the synchronous discipline; a bare real number —
+    Python's or numpy's, never a boolean — is a symmetric fixed delay
+    (``0.0`` still selects :class:`LatencyChannel`, with inline delivery
+    — the differential-testing configuration); a :class:`LatencyModel`
+    passes through.
     """
     if latency is None:
         return None
     if isinstance(latency, LatencyModel):
         return latency
-    if isinstance(latency, bool):
+    if isinstance(latency, (bool, np.bool_)):
         raise TypeError("latency must be a number or LatencyModel, not bool")
-    if isinstance(latency, (int, float)):
+    if isinstance(latency, numbers.Real):
         return FixedLatency.symmetric(_require_non_negative("latency", latency))
     raise TypeError(
         f"latency must be None, a non-negative number, or a LatencyModel, "
         f"got {latency!r}"
     )
+
+
+@dataclass(slots=True)
+class _ConstraintRow:
+    """A constraint of a columnar batch in flight: its message's fields
+    and the population whose row installs it."""
+
+    stream_id: int
+    time: float
+    lower: float
+    upper: float
+    assumed_inside: bool | None
+    population: object
+    kind = MessageKind.CONSTRAINT
+
+    def install(self) -> None:
+        population = self.population
+        population.install(
+            self.stream_id - population.first_id,
+            self.lower,
+            self.upper,
+            self.assumed_inside,
+            self.time,
+        )
+
+    def message(self) -> ConstraintMessage:
+        return ConstraintMessage(
+            self.stream_id, self.time, self.lower, self.upper, self.assumed_inside
+        )
 
 
 class LatencyChannel(Channel):
@@ -199,13 +269,19 @@ class LatencyChannel(Channel):
         The per-direction delay model.
 
     Probe requests/replies are always delivered inline (see the module
-    docstring), so a probe batch may go columnar (:meth:`bulk_target`);
-    updates and constraints with a positive sampled delay
-    are held in the in-flight heap and delivered by an engine event at
-    ``send time + delay``, clamped to per-``(direction, stream)`` FIFO.
-    Taps fire at delivery, which is what keeps the batched replay's
-    deferred-write flushing correct under latency.
+    docstring), so a probe batch may go columnar; updates and
+    constraints with a positive sampled delay are held in the in-flight
+    heap at ``send time + delay``, clamped to per-``(direction,
+    stream)`` FIFO, under an engine sequence number reserved at send.
+    One live engine event per channel, at the heap head's ``(time,
+    seq)``, delivers them — where each message's own event would have
+    fired first.  A constraint batch is routed row by row under the
+    same rule, without a message each (:meth:`send_constraint_rows`).
+    Taps fire at delivery, one message each, so a tapped constraint
+    batch stays per-message (:attr:`constraints_inline`).
     """
+
+    constraints_inline = False
 
     def __init__(
         self,
@@ -219,9 +295,11 @@ class LatencyChannel(Channel):
         self.model = model
         self.channel_index = int(channel_index)
         self._sample = model.make_sampler(self.channel_index)
-        #: The in-flight heap: ``(delivery time, send seq, message)``.
-        self._in_flight: list[tuple[float, int, Message]] = []
-        self._seq = 0
+        #: The in-flight heap: ``(delivery time, reserved engine seq,
+        #: message or _ConstraintRow)``.
+        self._in_flight: list[tuple[float, int, object]] = []
+        #: The engine event at the heap head's position, if any.
+        self._live = None
         self._route_count = 0
         #: Per-(is_uplink, stream) FIFO floor: no later send of the same
         #: flow may be delivered before an earlier one.
@@ -300,17 +378,38 @@ class LatencyChannel(Channel):
         self.ledger.record(message)
         self._route(message, is_uplink=False)
 
-    def bulk_target(self, stream_ids, probe: bool = False):
-        """Columnar for probe batches only: a probe never queues, but
-        each constraint draws its own delay and joins its flow's FIFO."""
-        return super().bulk_target(stream_ids) if probe else None
-
     def charge_bulk(self, stream_ids, *kinds: MessageKind) -> None:
-        """Count a columnar probe batch as :meth:`_route` would: each
-        message routed and delivered inline."""
+        """Count a columnar batch as :meth:`_route` would: each message
+        routed, and a probe delivered inline (a constraint counts as
+        delivered when it is)."""
         super().charge_bulk(stream_ids, *kinds)
         self._route_count += len(stream_ids) * len(kinds)
-        self._delivered_count += len(stream_ids) * len(kinds)
+        if kinds[0].is_probe:
+            self._delivered_count += len(stream_ids) * len(kinds)
+
+    def send_constraint_rows(
+        self, population, ids, lower, upper, assumed_inside, times
+    ) -> None:
+        """Route a charged constraint batch as :meth:`send_to_source`
+        would each of its messages, in batch order, without building
+        them: ``ids[i]`` gets ``[lower[i], upper[i]]`` under the belief
+        ``assumed_inside[i]`` (``None``: fresh), sent at ``times[i]``.
+
+        The downlink delays are one :meth:`Sampler.sample_many` column —
+        the draws the messages would have made.  A row whose draw and
+        flow let it through inline is installed at its own position
+        (:meth:`ScalarPopulation.install
+        <repro.streams.source.ScalarPopulation.install>`, whose
+        self-correction is sent there too); any other joins the heap.
+        """
+        delays = self._sample.sample_many(False, len(ids)).tolist()
+        for stream_id, lo, hi, belief, time, delay in zip(
+            ids, lower, upper, assumed_inside, times, delays
+        ):
+            row = _ConstraintRow(stream_id, time, lo, hi, belief, population)
+            if not self._hold((False, stream_id), delay, row):
+                self._delivered_count += 1
+                row.install()
 
     def _route(self, message: Message, is_uplink: bool) -> None:
         self._route_count += 1
@@ -322,35 +421,57 @@ class LatencyChannel(Channel):
         delay = self._sample(is_uplink)
         if delay < 0:  # pragma: no cover - models validate already
             raise ValueError(f"latency model produced negative delay {delay}")
-        key = (is_uplink, message.stream_id)
+        if not self._hold((is_uplink, message.stream_id), delay, message):
+            self._deliver(message, self.engine.now)
+
+    def _hold(self, key: tuple[bool, int], delay: float, item) -> bool:
+        """The one FIFO rule: ``False`` when *item* of flow *key*, drawn
+        *delay*, is delivered inline (zero draw, idle flow, no floor
+        ahead of the clock), else hold it in flight and ``True``.
+
+        A zero draw behind an in-flight flow-mate — or behind a
+        flow-mate force-delivered at a future heap time, whose FIFO
+        floor outlives it — joins the heap at the floor instead of
+        overtaking it inline.
+        """
+        now = self.engine.now
         floor = self._fifo_floor.get(key)
         if (
             delay == 0.0
             and not self._flow_in_flight.get(key)
-            and (floor is None or floor <= self.engine.now)
+            and (floor is None or floor <= now)
         ):
-            self._deliver(message, self.engine.now)
-            return
-        # A zero draw behind an in-flight flow-mate — or behind a
-        # flow-mate force-delivered at a future heap time, whose FIFO
-        # floor outlives it — joins the heap at the floor instead of
-        # overtaking it inline.
-        delivery_time = self.engine.now + delay
+            return False
+        delivery_time = now + delay
         if floor is not None and delivery_time < floor:
             delivery_time = floor
         self._fifo_floor[key] = delivery_time
         self._flow_in_flight[key] = self._flow_in_flight.get(key, 0) + 1
-        seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._in_flight, (delivery_time, seq, message))
-        self.engine.schedule_at(
-            delivery_time, self._deliver_due, label="latency-delivery"
-        )
+        seq = self.engine.reserve()
+        heapq.heappush(self._in_flight, (delivery_time, seq, item))
+        if self._in_flight[0][1] == seq:
+            self._arm()
+        return True
+
+    def _arm(self) -> None:
+        """Keep the one live engine event at the heap head's reserved
+        ``(time, seq)`` — the place the head's own event would hold."""
+        live = self._live
+        if live is not None:
+            if self._in_flight and live.seq == self._in_flight[0][1]:
+                return
+            live.cancel()
+            self._live = None
+        if self._in_flight:
+            time, seq, _ = self._in_flight[0]
+            self._live = self.engine.schedule_at(
+                time, self._deliver_due, label="latency-delivery", seq=seq
+            )
 
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def _deliver(self, message: Message, time: float, deferred: bool = False) -> None:
+    def _deliver(self, message, time: float, deferred: bool = False) -> None:
         self._delivered_count += 1
         if deferred:
             self._deferred_delivered_count += 1
@@ -359,8 +480,12 @@ class LatencyChannel(Channel):
             )
         if message.kind.is_uplink:
             self._deliver_to_server(message)
-        else:
+        elif type(message) is not _ConstraintRow:
             self._deliver_to_source(message)
+        elif self._taps:  # tapped after the batch was sent
+            self._deliver_to_source(message.message())
+        else:
+            message.install()
 
     def _settle_flow(self, key: tuple[bool, int], time: float) -> None:
         """Book one deferred delivery against the flow's bookkeeping.
@@ -385,16 +510,15 @@ class LatencyChannel(Channel):
             self._last_delivery[key[1]] = time
 
     def _deliver_due(self) -> None:
-        """Engine-event action: deliver everything whose time has come.
-
-        One event is scheduled per send; later events that find their
-        message already delivered (by an earlier event's loop or a
-        forced drain) fire as no-ops.
-        """
+        """The live event's action: deliver everything whose time has
+        come (sends it causes at this instant join the same loop), then
+        re-arm at the new head."""
+        self._live = None
         now = self.engine.now
         while self._in_flight and self._in_flight[0][0] <= now:
             time, _, message = heapq.heappop(self._in_flight)
             self._deliver(message, time, deferred=True)
+        self._arm()
 
     def drain_in_flight(self) -> int:
         """Force-deliver every in-flight message, in heap order.
@@ -409,6 +533,7 @@ class LatencyChannel(Channel):
             time, _, message = heapq.heappop(self._in_flight)
             self._deliver(message, time, deferred=True)
             drained += 1
+        self._arm()
         return drained
 
 

@@ -54,10 +54,20 @@ class SimulationEngine:
         """Firing time of the earliest live event, ``None`` when idle."""
         return self._queue.peek_time()
 
+    def reserve(self) -> int:
+        """Reserve the next event sequence number (see :meth:`schedule_at`)."""
+        return self._queue.reserve()
+
     def schedule_at(
-        self, time: float, action: Callable[[], None], label: str = ""
+        self,
+        time: float,
+        action: Callable[[], None],
+        label: str = "",
+        seq: int | None = None,
     ) -> Event:
-        """Schedule *action* at absolute virtual time *time*.
+        """Schedule *action* at absolute virtual time *time* — FIFO among
+        same-instant events at a *seq* :meth:`reserve` returned, else
+        after every number handed out so far.
 
         Raises
         ------
@@ -68,7 +78,7 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        return self._queue.push(time, action, label)
+        return self._queue.push(time, action, label, seq)
 
     def schedule_after(
         self, delay: float, action: Callable[[], None], label: str = ""

@@ -9,7 +9,6 @@ keeps simulations fully deterministic.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,7 +59,7 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Event]] = []
-        self._counter = itertools.count()
+        self._next_seq = 0
 
     def __len__(self) -> int:
         return sum(1 for _, _, event in self._heap if not event.cancelled)
@@ -68,10 +67,27 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self.peek_time() is not None
 
-    def push(self, time: float, action: Callable[[], None], label: str = "") -> Event:
-        """Schedule *action* at virtual time *time* and return the event."""
-        event = Event(time=time, seq=next(self._counter), action=action, label=label)
-        heapq.heappush(self._heap, (time, event.seq, event))
+    def reserve(self) -> int:
+        """Take the next sequence number without scheduling anything: a
+        later :meth:`push` with ``seq=`` gives its event that place among
+        same-instant events."""
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        return seq
+
+    def push(
+        self,
+        time: float,
+        action: Callable[[], None],
+        label: str = "",
+        seq: int | None = None,
+    ) -> Event:
+        """Schedule *action* at virtual time *time* and return the event
+        (at a *seq* :meth:`reserve` returned, else the next one)."""
+        if seq is None:
+            seq = self.reserve()
+        event = Event(time=time, seq=seq, action=action, label=label)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def pop(self) -> Event:

@@ -345,6 +345,13 @@ class StreamStateTable:
         self.scannable[stream_id] = True
         self._note_constraint(stream_id)
 
+    def record_deploy_rows(self, rows: np.ndarray, lower, upper) -> None:
+        """Vectorized :meth:`record_deploy` over distinct *rows*."""
+        self.lower[rows] = lower
+        self.upper[rows] = upper
+        self.scannable[rows] = True
+        self._note_constraint_rows(rows)
+
     def _ensure_containers(self) -> np.ndarray:
         if self.containers is None:
             if self._storage == "mmap":

@@ -11,9 +11,9 @@ self-corrections in the same order.
 
 Both kernels decide from what they observe whether a batch qualifies,
 and touch nothing when it does not (the caller then sends the messages
-one by one): the channel must be synchronous — or, for a probe batch,
-latency-modeled, since probes never queue — with every tap bulk-capable
-and hand the whole batch to one
+one by one): the channel's taps must be bulk-capable — and absent for
+a constraint batch on a latency-modeled channel, where taps fire at
+delivery — and it must hand the whole batch to one
 :class:`~repro.streams.source.ScalarPopulation`
 (:meth:`~repro.network.channel.Channel.bulk_target`) that writes through
 to *table*, and the ids must be distinct — an O(1) test plus one pass
@@ -79,11 +79,16 @@ def deploy_each(host, ids, constraint, belief) -> None:
 
 def deploy_columns(host, channel, table, guarded: bool, columns) -> None:
     """``host.deploy_many`` over one channel: *columns* as one columnar
-    install when *guarded* (the host is inside a protocol step, so
-    self-corrections queue rather than re-enter) and the batch
-    qualifies, else as the ordered ``host.deploy`` loop."""
+    install — a columnar send under a latency model — when *guarded*
+    (the host is inside a protocol step, so self-corrections queue
+    rather than re-enter) and the batch qualifies, else as the ordered
+    ``host.deploy`` loop."""
     if not (
-        guarded and install_constraints(channel, table, *columns, host.now)
+        guarded
+        and (
+            install_constraints(channel, table, *columns, host.now)
+            or send_constraints(channel, table, *columns, host.now)
+        )
     ):
         deploy_each(host, *columns)
 
@@ -114,6 +119,22 @@ def _bulk_population(channel: Channel, table: StreamStateTable, ids, probe):
     return population
 
 
+def _charged_population(channel: Channel, table: StreamStateTable, ids, constraint):
+    """The population a qualifying constraint batch installs at, once
+    its bounds are validated and its ``n`` messages charged — or
+    ``None`` (nothing touched)."""
+    population = _bulk_population(channel, table, ids, probe=False)
+    if population is None:
+        return None
+    lower, upper = constraint
+    valid = lower <= upper  # False for a NaN bound too
+    if not valid.all():  # FilterConstraint's own ValueError, first bad pair
+        first = int(np.argmin(valid))
+        FilterConstraint(float(lower[first]), float(upper[first]))
+    channel.charge_bulk(ids, MessageKind.CONSTRAINT)
+    return population
+
+
 def install_constraints(
     channel: Channel,
     table: StreamStateTable,
@@ -126,7 +147,8 @@ def install_constraints(
     upper)`` column pair — at source ``ids[i]`` as one columnar
     operation; ``False`` (nothing touched) when the batch must travel
     per-message, which includes every batch whose targets do not hold
-    intervals (*constraint* is then not looked at).
+    intervals (*constraint* is then not looked at) and every batch on a
+    channel whose constraints fly (:func:`send_constraints`).
 
     Validation comes first — an unbound id or an invalid bound raises
     with the ledger, the table and every source untouched.  Then the
@@ -139,15 +161,12 @@ def install_constraints(
     message would have sent — the caller must only ensure that emitting
     cannot re-enter it (a guarded host step queues them).
     """
-    population = _bulk_population(channel, table, ids, probe=False)
+    if not channel.constraints_inline:
+        return False
+    population = _charged_population(channel, table, ids, constraint)
     if population is None:
         return False
     lower, upper = constraint
-    bad = np.isnan(lower) | np.isnan(upper) | (lower > upper)
-    if bad.any():  # FilterConstraint's own ValueError, first bad pair
-        first = int(np.argmax(bad))
-        FilterConstraint(float(lower[first]), float(upper[first]))
-    channel.charge_bulk(ids, MessageKind.CONSTRAINT)
     rows = ids - population.first_id
     values = population.values[rows]
     inside, must_report = deployment_outcome_columns(
@@ -167,6 +186,39 @@ def install_constraints(
             times[reporting].tolist(),
         ):
             population._report(row, value, at)
+    return True
+
+
+def send_constraints(
+    channel: Channel,
+    table: StreamStateTable,
+    ids: np.ndarray,
+    constraint: tuple,
+    belief: np.ndarray,
+    time,
+) -> bool:
+    """:func:`install_constraints` on a latency-modeled channel: one
+    columnar *send*, validated and charged the same way, with the
+    server's half of every deploy (the bounds into *table*) recorded at
+    once and each row installed when :meth:`~repro.network.latency.
+    LatencyChannel.send_constraint_rows` delivers it.  ``False``
+    (nothing touched) on a synchronous channel or for a batch that must
+    travel per-message."""
+    if channel.constraints_inline:
+        return False
+    population = _charged_population(channel, table, ids, constraint)
+    if population is None:
+        return False
+    lower, upper = constraint
+    table.record_deploy_rows(ids, lower, upper)
+    channel.send_constraint_rows(
+        population,
+        ids.tolist(),
+        lower.tolist(),
+        upper.tolist(),
+        [None if code == BELIEF_NONE else bool(code) for code in belief.tolist()],
+        [float(time)] * len(ids) if np.ndim(time) == 0 else time.tolist(),
+    )
     return True
 
 

@@ -159,8 +159,8 @@ class ScalarPopulation(Population):
         self-corrects with one report when the server's belief was stale."""
         row = message.stream_id - self.first_id
         kind = message.kind
-        value = self.values.item(row)
         if kind is MessageKind.PROBE_REQUEST:
+            value = self.values.item(row)
             if self.filtered.item(row):
                 inside = self.lower.item(row) <= value <= self.upper.item(row)
                 self.inside[row] = inside
@@ -168,19 +168,36 @@ class ScalarPopulation(Population):
                     self.table.set_inside(message.stream_id, inside)
             self._report(row, value, message.time, ProbeReplyMessage)
         elif kind is MessageKind.CONSTRAINT:
-            constraint = FilterConstraint(message.lower, message.upper)
-            inside, must_report = deployment_outcome(
-                constraint, message.assumed_inside, value
+            self.install(
+                row,
+                message.lower,
+                message.upper,
+                message.assumed_inside,
+                message.time,
             )
-            self.lower[row] = constraint.lower
-            self.upper[row] = constraint.upper
-            self.filtered[row] = True
-            self.inside[row] = inside
-            if self.table is not None:
-                self.table.set_filter(
-                    message.stream_id, constraint.lower, constraint.upper, inside
-                )
-            if must_report:
-                self._report(row, value, message.time)
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"source received unexpected {kind}")
+
+    def install(
+        self, row: int, lower: float, upper: float, assumed_inside, time: float
+    ) -> None:
+        """Install the filter ``[lower, upper]`` at *row*: the one install
+        rule, whether a constraint arrives as a message (:meth:`handle`)
+        or as a row of a latency-modeled batch.  The believed side
+        becomes the actual one, and a stale *assumed_inside* belief
+        self-corrects with one report sent at *time*."""
+        constraint = FilterConstraint(lower, upper)
+        value = self.values.item(row)
+        inside, must_report = deployment_outcome(
+            constraint, assumed_inside, value
+        )
+        self.lower[row] = constraint.lower
+        self.upper[row] = constraint.upper
+        self.filtered[row] = True
+        self.inside[row] = inside
+        if self.table is not None:
+            self.table.set_filter(
+                self.first_id + row, constraint.lower, constraint.upper, inside
+            )
+        if must_report:
+            self._report(row, value, time)

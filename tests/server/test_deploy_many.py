@@ -6,19 +6,31 @@ source's filter state and the self-correction delivery order exactly as
 the per-message loop leaves them.  The grid below runs one scripted
 protocol both ways over {single, sharded(2), sharded(2, parallel)} x
 {fresh, all-stale, mixed beliefs} x {idle, mid-batched-replay}; the
-single-server per-message run is the reference for all of them.  The
-cases the bulk path declines — a latency-modeled channel, a batch
+single-server per-message run is the reference for all of them.  Under
+a latency model a tap-free batch is one columnar send too, and a second
+grid holds it to the per-message loop delivery for delivery.  The cases
+the bulk path declines — a tapped latency-modeled channel, a batch
 naming a stream twice, a host outside a guarded step — must stay
 per-message, down to the delay-RNG draw sequence.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.network.latency import UniformLatency
+from repro.api import Deployment, Engine
+from repro.network.latency import (
+    ExponentialLatency,
+    FixedLatency,
+    LatencyModel,
+    Sampler,
+    UniformLatency,
+)
+from repro.network.messages import MessageKind
 from repro.protocols.base import FilterProtocol
+from repro.queries.range_query import RangeQuery
 from repro.runtime.membership import (
     BELIEF_INSIDE,
     BELIEF_NONE,
@@ -274,6 +286,272 @@ def test_latency_channel_keeps_per_message_sends_and_delay_draws(deploy_calls):
     assert len(deploy_calls) == 2 * N
     assert bulk == _latency_run(False)
     assert bulk["delivered"] > 0
+
+
+# ----------------------------------------------------------------------
+# Under a latency model, a tap-free batch is one columnar send
+# ----------------------------------------------------------------------
+MODELS = {
+    "fixed-0": FixedLatency(0),
+    "fixed-0.5": FixedLatency(0.5),  # inline installs, late corrections
+    "fixed-both-0.5": FixedLatency.symmetric(0.5),  # one delivery instant
+    "uniform": UniformLatency(0.1, 3.0),
+    "exponential": ExponentialLatency(1.0, 0.0),
+}
+
+
+class Believed(Scripted):
+    """:class:`Scripted`, answering with the streams its host believes
+    inside — an answer that moves with every delivery — and noting the
+    virtual time of each delivery when given a *clock*."""
+
+    clock = None
+
+    def initialize(self, server) -> None:
+        self._state = server.state
+        super().initialize(server)
+
+    def on_update(self, server, stream_id, value, time) -> None:
+        if self.clock is not None:
+            self.deliveries.append(("at", self.clock()))
+        super().on_update(server, stream_id, value, time)
+
+    @property
+    def answer(self) -> frozenset:
+        state = self._state
+        return frozenset(np.nonzero(state.inside & state.scannable)[0].tolist())
+
+
+def _session(trace, protocol, topology: str, latency):
+    if topology == "single":
+        return ExecutionSession.for_streams(trace, protocol, latency=latency)
+    return ExecutionSession.for_streams_sharded(
+        trace, protocol, 2, latency=latency
+    )
+
+
+def _observed(session, protocol) -> dict:
+    """What a batch and its per-message loop must agree on."""
+    return {
+        "ledger": session.snapshot(),
+        "deliveries": list(protocol.deliveries),
+        "routes": [c._route_count for c in session.latency_channels],
+        "delivered": [c.delivered_count for c in session.latency_channels],
+        "deferred": [
+            c.deferred_delivered_count for c in session.latency_channels
+        ],
+        "sources": [
+            (s.constraint, s.reported_inside, s.value) for s in session.sources
+        ],
+        "bounds": (
+            session.host.state.lower.tolist(),
+            session.host.state.upper.tolist(),
+        ),
+        "inside": session.host.state.inside.tolist(),
+    }
+
+
+def _model_run(model, topology: str, beliefs: str, idle: bool, many: bool):
+    trace = _trace()
+    second = _second_deploy(trace.initial_values, beliefs)
+    protocol = Believed(many, idle, second)
+    session = _session(trace, protocol, topology, model)
+    protocol.clock = lambda: session.engine.now
+
+    def now() -> list:
+        # The server's half of every deploy lands at send, each source's
+        # (write-through) at delivery: both are read while rows fly.
+        state = session.host.state
+        return [
+            [sorted(c.in_flight_stream_ids()) for c in session.latency_channels],
+            state.lower.tolist(),
+            state.upper.tolist(),
+            state.inside.tolist(),
+        ]
+
+    at_record = []
+    session.initialize(0.0)
+    at_record.append(now())
+    session.replay_trace(
+        trace,
+        mode="event",
+        after_apply=lambda time: at_record.append((time, now())),
+    )
+    observed = _observed(session, protocol)
+    observed["at_record"] = at_record
+    deployment = (
+        Deployment.single(check_every=1, latency=model)
+        if topology == "single"
+        else Deployment.sharded(2, check_every=1, latency=model)
+    )
+    report = Engine().run_protocol(
+        trace,
+        Believed(many, idle, second),
+        RangeQuery(FIRST.lower, FIRST.upper),
+        None,
+        deployment,
+    )
+    observed["checked_ledger"] = report.ledger
+    observed["violations"] = [
+        (v.time, v.reason, v.classification) for v in report.checker.violations
+    ]
+    return observed
+
+
+@pytest.mark.parametrize("idle", [True, False], ids=["idle", "mid-replay"])
+@pytest.mark.parametrize("beliefs", ["fresh", "mixed"])
+@pytest.mark.parametrize("topology", ["single", "sharded"])
+@pytest.mark.parametrize("model", list(MODELS))
+def test_latency_batch_equals_the_per_message_loop(
+    model, topology, beliefs, idle, deploy_calls
+):
+    """Same ledger, deliveries, routing and delivery counts, in-flight
+    streams after every record and checker verdicts as the ordered
+    ``deploy`` loop.  ``idle`` sends SECOND right behind FIRST, so under
+    a positive downlink draw its rows clamp behind in-flight flow-mates."""
+    bulk = _model_run(MODELS[model], topology, beliefs, idle, True)
+    assert deploy_calls == []
+    loop = _model_run(MODELS[model], topology, beliefs, idle, False)
+    assert len(deploy_calls) == 2 * 2 * N  # FIRST and SECOND, both runs
+    assert bulk == loop
+    assert bulk["violations"]
+
+
+@dataclass(frozen=True)
+class ScriptedLatency(LatencyModel):
+    """Delays from one script per direction, then zeros — the tie and
+    floor cases no distribution hits on purpose."""
+
+    uplink: tuple = ()
+    downlink: tuple = ()
+
+    def make_sampler(self, channel: int = 0) -> Sampler:
+        def direction(script):
+            draws = iter(script)
+
+            def draw(size=None):
+                if size is None:
+                    return next(draws, 0.0)
+                return np.array([next(draws, 0.0) for _ in range(size)])
+
+            return draw
+
+        return Sampler(direction(self.uplink), direction(self.downlink))
+
+
+@pytest.mark.parametrize("drained", [True, False], ids=["drained", "in-flight"])
+def test_zero_draws_behind_flow_mates(drained, deploy_calls):
+    """FIRST flies for 2.0; SECOND draws zeros.  Behind in-flight
+    flow-mates, or behind their floors after a forced drain with the
+    clock at 0, no SECOND row may install inline: each joins the heap
+    at its flow's floor — in both forms."""
+
+    def run(many: bool) -> dict:
+        trace = _trace()
+        protocol = Scripted(many, False, None)
+        protocol.fired = True  # SECOND is sent by hand below
+        session = _session(
+            trace, protocol, "single", ScriptedLatency(downlink=(2.0,) * N)
+        )
+        session.initialize(0.0)
+        channel, host = session.channel, session.host
+        if drained:
+            assert channel.drain_in_flight() == N
+        ids, bound, belief, silenced = _second_deploy(
+            trace.initial_values, "mixed"
+        )
+        host._guarded_call(protocol._deploy, host, ids, bound, belief, silenced)
+        held = (sorted(channel.in_flight_stream_ids()), channel.next_delivery_time)
+        session.engine.run()
+        observed = _observed(session, protocol)
+        observed["held"] = held
+        return observed
+
+    result = run(True)
+    assert deploy_calls == []
+    assert result == run(False)
+    assert result["held"] == (list(range(N)), 2.0)
+    assert result["deferred"] == [2 * N]
+
+
+def test_an_inline_rows_correction_is_reserved_at_its_row():
+    """Row 0 installs inline and its self-correction flies 0.5; row 1
+    flies 0.5 too.  The correction was sent first, so it is delivered
+    first at t = 0.5 — before row 1's install, which its handler must
+    not yet see."""
+
+    class Observer(Scripted):
+        def on_update(self, server, stream_id, value, time) -> None:
+            self.deliveries.append((stream_id, server.state.inside.tolist()))
+
+    def run(many: bool) -> list:
+        trace = _trace()
+        protocol = Observer(many, False, None)
+        session = _session(
+            trace,
+            protocol,
+            "single",
+            ScriptedLatency(uplink=(0.5,), downlink=(0.0,) * N + (0.0, 0.5)),
+        )
+        session.initialize(0.0)
+        host = session.host
+        # Values 0 and 10: both inside [0, 15]; stream 0 is believed out.
+        belief = np.array([BELIEF_OUTSIDE, BELIEF_NONE], dtype=np.int8)
+        host._guarded_call(
+            protocol._deploy, host, np.arange(2), FilterConstraint(0.0, 15.0), belief
+        )
+        assert session.channel.in_flight_count == 2
+        session.engine.run()
+        return protocol.deliveries
+
+    deliveries = run(True)
+    assert deliveries == run(False)
+    assert [(stream_id, inside[:2]) for stream_id, inside in deliveries] == [
+        (0, [True, False])
+    ]
+
+
+def test_a_tap_added_while_rows_fly_sees_each_at_delivery():
+    trace = _trace()
+    session = _session(
+        trace, Scripted(True, False, None), "single", FixedLatency(0.0, 1.5)
+    )
+    session.initialize(0.0)  # FIRST flies as one columnar send
+    seen = []
+    session.channel.add_tap(
+        lambda m: seen.append((m.kind, m.stream_id, m.lower, session.engine.now))
+    )
+    session.engine.run(until=2.0)
+    assert seen == [
+        (MessageKind.CONSTRAINT, stream_id, FIRST.lower, 1.5)
+        for stream_id in range(N)
+    ]
+
+
+def test_inverted_bound_raises_before_anything_is_charged():
+    trace = _trace()
+    session = _session(
+        trace, Scripted(True, False, None), "single", UniformLatency(0.1, 3.0)
+    )
+    session.initialize(0.0)
+    host, channel = session.host, session.channel
+    before = (
+        _observed(session, host.protocol),
+        channel.in_flight_count,
+        session.engine.pending,
+    )
+    ids = np.arange(N)
+    lower, upper = np.full(N, 0.0), np.full(N, 50.0)
+    lower[7] = 60.0
+    belief = np.full(N, BELIEF_NONE, dtype=np.int8)
+    with pytest.raises(ValueError, match="invalid filter interval"):
+        _guarded_columns(host, True, ids, lower, upper, belief)
+    after = (
+        _observed(session, host.protocol),
+        channel.in_flight_count,
+        session.engine.pending,
+    )
+    assert after == before
 
 
 def _guarded_columns(server, many: bool, ids, lower, upper, belief) -> None:

@@ -26,6 +26,18 @@ def test_equal_times_fire_fifo():
     assert fired == list(range(10))
 
 
+def test_a_reserved_seq_keeps_its_place_among_same_instant_events():
+    queue = EventQueue()
+    fired = []
+    reserved = queue.reserve()
+    queue.push(5.0, lambda: fired.append("later"))
+    queue.push(5.0, lambda: fired.append("reserved"), seq=reserved)
+    while queue:
+        queue.pop().action()
+    assert fired == ["reserved", "later"]
+    assert queue.reserve() == reserved + 2
+
+
 def test_pop_empty_raises():
     queue = EventQueue()
     with pytest.raises(SimulationError):
