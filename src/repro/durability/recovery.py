@@ -120,10 +120,12 @@ def _restore_from_snapshot(path: str) -> tuple[ExecutionSession, int]:
     reader.  Raises on any failure to verify, decode or rebuild (the
     caller falls back): the file must be one intact frame of the current
     format, its pickle must still load, and the population's filter
-    planes must equal the restored table's — write-through keeps them
-    equal at every quiescent cut of a synchronous run.  The planes are
-    restored *before* the session binds the population: ``bind_state``
-    writes them through, and fresh ones would clobber the table's.
+    planes must equal the restored table's — in the run that wrote the
+    cut they were one array (a bound population's planes are views of
+    the table's columns, DESIGN.md §21), written out twice.  The planes
+    are restored *before* the session binds the population:
+    ``bind_state`` copies them into the table, and fresh ones would
+    clobber the table's.
     """
     scan = scan_journal(path, SNAPSHOT_MAGIC)
     tags = [rtype for rtype, _ in scan.records]

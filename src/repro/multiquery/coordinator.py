@@ -108,8 +108,8 @@ class MultiQueryCoordinator(DeferredDeliveryMixin):
         self._protocols: dict[str, FilterProtocol] = {}
         self._contexts: dict[str, QueryContext] = {}
         #: One columnar state table per standing query.  The dict object
-        #: is shared live with the population (slot write-through) and
-        #: with the replay pre-scan.
+        #: is shared live with the population (whose slot planes are
+        #: views of these tables' columns) and with the replay pre-scan.
         self.state_tables: dict[str, StreamStateTable] = {}
         self.now = 0.0
         self._init_delivery()
@@ -174,7 +174,6 @@ class MultiQueryCoordinator(DeferredDeliveryMixin):
         from repro.streams.filters import FilterConstraint
 
         self.ledger.record_kind(MessageKind.CONSTRAINT)
-        self.state_for(query_id).record_deploy(stream_id, lower, upper)
         self.sources.install(
             stream_id,
             query_id,

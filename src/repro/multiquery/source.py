@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.runtime.membership import deployment_outcome
-from repro.runtime.source import FilteredSource, Population
+from repro.runtime.source import FilteredSource, Population, alias_planes
 from repro.streams.filters import FilterConstraint
 
 if TYPE_CHECKING:
@@ -76,16 +76,25 @@ class MultiQuerySource(FilteredSource):
 class SlotPlane:
     """One query's slot at every row: its bounds, the believed side,
     ``armed`` (installed and not silencing: able to flip) and ``rank``,
-    the row's slot count when it first took this one (``-1``: never)."""
+    the row's slot count when it first took this one (``-1``: never).
 
-    __slots__ = ("lower", "upper", "inside", "armed", "rank")
+    With a *table* (the query's state table), the bounds and the
+    believed side are views of its ``lower`` / ``upper`` / ``inside``
+    columns from row *first_id* on (DESIGN.md §21)."""
 
-    def __init__(self, n: int) -> None:
+    __slots__ = ("lower", "upper", "inside", "armed", "rank", "table")
+
+    def __init__(self, n: int, table, first_id: int) -> None:
         self.lower = np.full(n, -math.inf)
         self.upper = np.full(n, math.inf)
         self.inside = np.zeros(n, dtype=bool)
         self.armed = np.zeros(n, dtype=bool)
         self.rank = np.full(n, -1, dtype=np.int64)
+        self.table = table
+        if table is not None:
+            alias_planes(
+                self, table, first_id, lower="lower", upper="upper", inside="inside"
+            )
 
 
 class SlotPopulation(Population):
@@ -94,9 +103,10 @@ class SlotPopulation(Population):
     and ``n_slots``, how many slots each row holds.
 
     *tables* — the coordinator's live ``query id -> state table`` dict,
-    or ``None`` — is the write-through target: a slot whose query has a
-    table there mirrors its bounds and believed side into that table's
-    row; other slots (ad-hoc ones in unit tests) are not mirrored.
+    or ``None`` — holds the slots' planes: a slot whose query has a
+    table there when the slot is created keeps its bounds and believed
+    side in that table's columns; other slots (ad-hoc ones in unit
+    tests) keep their own.
     """
 
     view = MultiQuerySource
@@ -116,14 +126,10 @@ class SlotPopulation(Population):
         self.slots: dict[str, SlotPlane] = {}
         self.n_slots = np.zeros(len(values), dtype=np.int64)
 
-    def _table(self, query_id: str):
-        return None if self.tables is None else self.tables.get(query_id)
-
-    def _set_inside(self, query_id: str, slot: SlotPlane, row: int, inside) -> None:
-        slot.inside[row] = inside
-        table = self._table(query_id)
-        if table is not None:
-            table.set_inside(self.first_id + row, inside)
+    def _note_slot(self, slot: SlotPlane, row: int) -> None:
+        """:meth:`Population._note` for a slot's table."""
+        if slot.table is not None:
+            slot.table._note_constraint(self.first_id + row)
 
     def _report(self, row: int, value: float, time: float, flipped) -> None:
         self.coordinator.receive_update(
@@ -147,7 +153,8 @@ class SlotPopulation(Population):
                 continue
             inside = slot.lower.item(row) <= value <= slot.upper.item(row)
             if inside != slot.inside.item(row):
-                self._set_inside(query_id, slot, row, inside)
+                slot.inside[row] = inside
+                self._note_slot(slot, row)
                 flipped.append((slot.rank.item(row), query_id))
         if flipped:
             flipped.sort()
@@ -169,7 +176,9 @@ class SlotPopulation(Population):
         like any other)."""
         slot = self.slots.get(query_id)
         if slot is None:
-            slot = self.slots[query_id] = SlotPlane(len(self))
+            table = None if self.tables is None else self.tables.get(query_id)
+            slot = SlotPlane(len(self), table, self.first_id)
+            self.slots[query_id] = slot
         if slot.rank.item(row) < 0:
             slot.rank[row] = self.n_slots[row]
             self.n_slots[row] += 1
@@ -179,11 +188,9 @@ class SlotPopulation(Population):
         slot.upper[row] = constraint.upper
         slot.armed[row] = not constraint.is_silencing
         slot.inside[row] = inside
-        table = self._table(query_id)
-        if table is not None:
-            table.set_filter(
-                self.first_id + row, constraint.lower, constraint.upper, inside
-            )
+        if slot.table is not None:
+            slot.table.scannable[self.first_id + row] = True
+        self._note_slot(slot, row)
         if must_report:
             self._report(row, value, time, [query_id])
 
@@ -192,6 +199,6 @@ class SlotPopulation(Population):
         value = self.values.item(row)
         slot = self.slots.get(query_id)
         if slot is not None and slot.rank.item(row) >= 0:
-            inside = slot.lower.item(row) <= value <= slot.upper.item(row)
-            self._set_inside(query_id, slot, row, inside)
+            slot.inside[row] = slot.lower.item(row) <= value <= slot.upper.item(row)
+            self._note_slot(slot, row)
         return value

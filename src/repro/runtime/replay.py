@@ -119,12 +119,11 @@ def in_flight_barrier(channels):
     channels, or ``(None, empty)`` when nothing flies.
 
     While a message is in flight a quiescence proof is unsafe in two
-    ways: an in-flight stream's table row can mix deployed-but-not-
-    installed bounds with the source's old filter state, and any
-    delivery can run a protocol step that rewrites *other* streams'
-    bounds.  The cursor therefore treats in-flight streams as always
-    potential and claims nothing at or past the earliest pending
-    delivery.
+    ways: an in-flight stream's table row holds the filter its source
+    has, which the message is about to replace, and any delivery can
+    run a protocol step that rewrites *other* streams' bounds.  The
+    cursor therefore treats in-flight streams as always potential and
+    claims nothing at or past the earliest pending delivery.
     """
     t_barrier = None
     lagging: set[int] = set()
@@ -637,8 +636,7 @@ def replay_columnar(
                 table.values[rows] = vals_chunk[pos]
                 table.report_time[rows] = times[i + pos]
                 final_inside = contains[pos]
-                table.inside[rows] = final_inside
-                sources.inside[rows] = final_inside
+                table.inside[rows] = final_inside  # the sources' plane too
                 table.answer_assign_rows(rows, final_inside)
             sources.stage(ids_chunk, vals_chunk)
             stats["staged"] += end - i
@@ -656,11 +654,11 @@ def replay_columnar(
 class _StatePrescan:
     """Vectorized "can this record flip any filter?" test.
 
-    Reads the deployed bounds and believed memberships straight from the
-    live :class:`~repro.state.table.StreamStateTable` columns — one table
-    per standing query, written through by the source populations — so
-    there is nothing to poll, tap, or rebuild: the
-    columns *are* the filter state at every instant.
+    Reads the installed bounds and believed memberships straight from
+    the live :class:`~repro.state.table.StreamStateTable` columns — one
+    table per standing query, whose columns the source populations'
+    filter planes are — so there is nothing to poll, tap, or rebuild:
+    the columns *are* the filter state at every instant.
 
     A record is quiescent iff, for every table, either the stream has no
     columnar filter in that table (that query cannot be proven to flip)

@@ -101,7 +101,7 @@ class ExecutionSession:
 
         Hosts with per-query tables (the multi-query coordinator) bind
         their own sources; otherwise the host's table — or a session-owned
-        one for bare assemblies — becomes the write-through target.
+        one for bare assemblies — takes the population's filter planes.
         """
         if self.host is not None and hasattr(self.host, "state_tables"):
             return

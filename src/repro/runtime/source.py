@@ -11,6 +11,8 @@ per-event ``apply(row, payload, time)`` / ``handle(message)``:
 ``repro.valuebased.source.WindowPopulation`` (recentering windows),
 ``repro.spatial.source.PointPopulation`` (regions) and
 ``repro.multiquery.source.SlotPopulation`` (one interval per query).
+Bound to a state table, the filter planes are views of its columns
+(:func:`alias_planes`, DESIGN.md §21): one array per fact.
 
 :class:`FilteredSource` is a *view* of one row — ``population[i]``
 builds one on demand — and each stack's source class
@@ -84,14 +86,27 @@ class ChannelFilteredSource(FilteredSource):
         self._population.handle(message)
 
 
+def alias_planes(holder, table, first_id: int, **planes: str) -> None:
+    """Make *holder*'s planes *table*'s: each ``name=column`` plane is
+    copied into rows ``first_id ..`` of that table column once, then
+    replaced by a view of them, so one array holds the fact and a write
+    to either is a write to both (DESIGN.md §21)."""
+    for name, column in planes.items():
+        plane = getattr(holder, name)
+        view = getattr(table, column)[first_id : first_id + len(plane)]
+        view[...] = plane
+        setattr(holder, name, view)
+
+
 class Population:
     """Row ``i`` is the source of stream ``first_id + i``.
 
     ``values`` is the value plane — ``(n,)`` scalars or ``(n, d)``
     points — and the batched replay's staging vector; ``table`` is the
-    state table the filter planes are written through to (``None``
-    until bound).  Each ``(channel, id range)`` binds :meth:`handle`
-    once; an uplink leaves on the channel of its row's range.
+    state table whose columns the filter planes are views of (``None``
+    until bound: they are then the population's own arrays).  Each
+    ``(channel, id range)`` binds :meth:`handle` once; an uplink leaves
+    on the channel of its row's range.
     """
 
     #: The :class:`FilteredSource` class ``population[i]`` returns.
@@ -128,6 +143,12 @@ class Population:
         """Install values *without* filter evaluation (later rows win):
         only valid for records already proven quiescent."""
         self.values[rows] = values
+
+    def _note(self, row: int) -> None:
+        """Tell the bound table's constraint watch that *row*'s filter
+        or believed side was just written."""
+        if self.table is not None:
+            self.table._note_constraint(self.first_id + row)
 
     def _send(self, row: int, message: Message) -> None:
         """Send *message* up the channel of *row*'s id range."""

@@ -57,10 +57,6 @@ class Vocabulary:
     #: ``(m, d)`` points).
     initial_column: str
     record_column: str
-    # -- state table ---------------------------------------------------
-    #: ``(table, row, constraint message)``: record a deployed
-    #: constraint's payload in the table.
-    record_deploy: Callable
     # -- bound lowering ------------------------------------------------
     #: ``deploy_many``'s lowering of a bound value to message payload
     #: columns: ``(stream_ids, bound, assumed_inside, silenced) -> (ids,

@@ -83,10 +83,10 @@ class ShardServer:
     """One shard's message endpoint: a channel plus a state-shard view.
 
     Handles the mechanical half of the server role for its id range
-    ``[lo, hi)`` — the probe round-trip and constraint transmission,
-    recording into the shard table (local rows, which keeps per-shard
-    rank views incremental) — and forwards protocol-facing update
-    deliveries to the coordinator, which owns ordering and the protocol.
+    ``[lo, hi)`` — the probe round-trip, recording into the shard table
+    (local rows, which keeps per-shard rank views incremental) — and
+    forwards protocol-facing update deliveries to the coordinator, which
+    owns ordering and the protocol.
     """
 
     def __init__(
@@ -119,13 +119,6 @@ class ShardServer:
         payload = self.vocabulary.payload_of(reply)
         self.state.record_report(reply.stream_id - self.lo, payload, reply.time)
         return payload
-
-    def deploy(self, message: Message) -> None:
-        """Install a constraint message at a source this shard owns."""
-        self.vocabulary.record_deploy(
-            self.state, message.stream_id - self.lo, message
-        )
-        self.channel.send_to_source(message)
 
     def _handle_message(self, message: Message) -> None:
         if message.kind is MessageKind.PROBE_REPLY:
@@ -275,10 +268,8 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         """Install *constraint* — ``lower, upper`` or one region, then
         the optional ``assumed_inside`` belief — at one source (one
         message)."""
-        self.shards[bisect_right(self._bounds, stream_id)].deploy(
-            self.vocabulary.constraint(
-                stream_id, self._now, *constraint, **belief
-            )
+        self.shards[bisect_right(self._bounds, stream_id)].channel.send_to_source(
+            self.vocabulary.constraint(stream_id, self._now, *constraint, **belief)
         )
 
     def deploy_many(

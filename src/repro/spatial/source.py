@@ -4,9 +4,10 @@ Identical semantics to :class:`repro.streams.source.ScalarPopulation` —
 report iff region membership flips, refresh on probe, self-correct on a
 stale deployment belief — over points and regions (DESIGN.md §20): an
 ``(n, d)`` value plane, the installed regions as an object column, and
-``filtered`` / ``inside`` planes.  A bound state table's geometric
-plane takes each installed region's quiescence boxes, and its
-``inside`` column the believed side, wherever they change.
+``filtered`` / ``inside`` planes.  Once bound to a state table, the
+region column and ``inside`` are views of its ``containers`` and
+``inside`` columns (DESIGN.md §21), and its geometric plane takes each
+installed region's quiescence boxes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from repro.network.channel import Channel
 from repro.network.messages import Message, MessageKind
 from repro.runtime.membership import deployment_outcome
-from repro.runtime.source import ChannelFilteredSource, Population
+from repro.runtime.source import ChannelFilteredSource, Population, alias_planes
 from repro.spatial.geometry import Region, as_point
 from repro.spatial.messages import PointProbeReplyMessage, PointUpdateMessage
 
@@ -79,31 +80,36 @@ class PointPopulation(Population):
         self.inside = np.zeros(n, dtype=bool)
 
     def bind_state(self, table) -> None:
-        """Make *table* (row = stream id) the write-through target: no
-        box for a row without a filter, every installed region's boxes
-        and every believed side."""
+        """Bind to *table* (row = stream id): no box for a row without a
+        filter and every installed region's boxes, then ``regions`` and
+        ``inside`` become views of its ``containers`` and ``inside``
+        columns.  ``inside`` is copied last: clearing a box-less region
+        resets the table's believed side."""
         self.table = table
         ids = slice(self.first_id, self.first_id + len(self))
         table.geo_scannable[ids] = False
-        table.inside[ids] = self.inside
         if table.geo_lower is not None:
             table.geo_lower[ids] = np.inf
             table.geo_upper[ids] = -np.inf
             table.geo_outer_lower[ids] = -np.inf
             table.geo_outer_upper[ids] = np.inf
         for row in np.flatnonzero(self.filtered).tolist():
-            self._write_through(row)
+            self._write_boxes(row)
+        table._ensure_containers()
+        alias_planes(
+            self, table, self.first_id, regions="containers", inside="inside"
+        )
 
-    def _write_through(self, row: int) -> None:
-        """The row's region boxes (none when it cannot bound itself with
-        boxes: its records then dispatch per event) and believed side."""
+    def _write_boxes(self, row: int) -> None:
+        """The row's region boxes in the bound table's geometric plane
+        (none when it cannot bound itself with boxes: its records then
+        dispatch per event, and the table's believed side is reset)."""
         stream_id = self.first_id + row
         boxes = self.regions[row].quiescence_bboxes(self.values.shape[1])
         if boxes is None:
             self.table.clear_region_filter(stream_id)
         else:
             self.table.record_region_deploy(stream_id, *boxes)
-        self.table.set_inside(stream_id, self.inside.item(row))
 
     # ------------------------------------------------------------------
     # Data plane
@@ -118,8 +124,7 @@ class PointPopulation(Population):
             if inside == self.inside.item(row):
                 return
             self.inside[row] = inside
-        if self.table is not None:
-            self.table.set_inside(self.first_id + row, self.inside.item(row))
+        self._note(row)
         self._send(row, PointUpdateMessage(self.first_id + row, time, point.copy()))
 
     # ------------------------------------------------------------------
@@ -135,8 +140,7 @@ class PointPopulation(Population):
             if self.filtered.item(row):
                 inside = self.regions[row].contains(point)
                 self.inside[row] = inside
-                if self.table is not None:
-                    self.table.set_inside(message.stream_id, inside)
+                self._note(row)
             self._send(
                 row,
                 PointProbeReplyMessage(message.stream_id, message.time, point.copy()),
@@ -148,9 +152,9 @@ class PointPopulation(Population):
             )
             self.regions[row] = region
             self.filtered[row] = True
-            self.inside[row] = inside
             if self.table is not None:
-                self._write_through(row)
+                self._write_boxes(row)
+            self.inside[row] = inside  # after the boxes, which may reset it
             if must_report:
                 self._send(
                     row,

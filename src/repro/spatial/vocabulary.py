@@ -36,12 +36,6 @@ class SpatialToleranceViolationError(AssertionError):
     """Raised in strict mode when a spatial protocol breaks tolerance."""
 
 
-def record_region_deploy(
-    table, row: int, message: RegionConstraintMessage
-) -> None:
-    table.record_container_deploy(row, message.region)
-
-
 def region_columns(stream_ids, bound, assumed_inside=None, silenced=None):
     """Lower a ``deploy_many`` call to ``(ids, (regions,), belief)``
     columns: int64 ids, an object column holding *bound* — ``ALL_SPACE``
@@ -98,8 +92,8 @@ def install_region_batch(worker, local_ids, frame, assumed, times):
 
     The frame decodes once (shared instances per distinct encoding,
     mirroring the sequential coordinator's shared region objects) and
-    installs through the point population, whose write-through
-    scatters the quiescence boxes into the worker's geometric plane.
+    installs through the point population, which scatters the
+    quiescence boxes into the worker's geometric plane.
     """
     send = worker.channel.send_to_source
     for local_id, region, belief, time in zip(
@@ -138,7 +132,6 @@ SPATIAL = Vocabulary(
     population=PointPopulation,
     initial_column="initial_points",
     record_column="points",
-    record_deploy=record_region_deploy,
     constraint_columns=region_columns,
     oracle=SpatialOracle,
     violation_error=SpatialToleranceViolationError,

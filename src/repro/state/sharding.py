@@ -222,8 +222,8 @@ def scatter_region_deploys(
     """Vectorized mirror of a region-constraint batch into *table*'s
     containers column and geometric plane.
 
-    Equivalent to per-stream :meth:`StreamStateTable.
-    record_container_deploy` plus :meth:`record_region_deploy` /
+    Equivalent to storing each region in ``containers`` plus a
+    per-stream :meth:`StreamStateTable.record_region_deploy` /
     :meth:`clear_region_filter`, but grouped by distinct region object
     so each region's quiescence boxes are computed once and scattered
     with one fancy-indexed assignment per plane.  Rows deployed twice

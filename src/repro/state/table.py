@@ -22,24 +22,28 @@ column                     meaning
 
 Ownership convention: the *value plane* (``values``, ``report_time``,
 ``known``) is written by the server on probe replies and update
-deliveries; the *constraint plane* (``lower``/``upper``) by the server at
-deploy time and by the sources' write-through at install time (both
-write the same bounds — the deployment message carries them end to end);
-``inside`` by the source side alone, the only party that knows the
-post-deployment belief; the *membership planes* by the protocol.  Scalar payloads live in ``values``; vector payloads
-(the spatial stack) in the lazily-allocated ``points`` matrix.
+deliveries; the *constraint plane* (``lower``/``upper``/``scannable``,
+``containers``) and ``inside`` by the source side alone — a bound
+population's filter planes are views of these columns (DESIGN.md §21),
+so install is their only writer and a row whose constraint is still in
+flight holds the filter its source has (the shard transport's
+coordinator mirror, bound to no population, takes the bounds when it
+ships them); the *membership planes* by the protocol.  Scalar payloads
+live in ``values``; vector payloads (the spatial stack) in the
+lazily-allocated ``points`` matrix.
 
 The *geometric plane* (``geo_*``) is the spatial stack's counterpart of
 the scalar constraint plane: per-dimension axis-aligned bounds of the
 deployed :class:`~repro.spatial.geometry.Region`.  Its single writer is
 the source-side :class:`~repro.spatial.source.PointPopulation` at
-install time (the spatial servers record only the region object, in
-``containers``) — so the plane engages exactly when sources are bound
-to the table via ``bind_state``, as every ``ExecutionSession`` assembly
-does.  Containment semantics are one-sided and conservative: a point inside the *inner* (inscribed) bbox is provably
-inside the region; a point outside the *outer* (circumscribed) bbox is
-provably outside; anything in the shell between them is undecidable from
-the boxes alone and must fall back to exact per-event geometry.
+install time (whose region column is a view of ``containers``) — so
+the plane engages exactly when sources are bound to the table via
+``bind_state``, as every ``ExecutionSession`` assembly does.
+Containment semantics are one-sided and conservative: a point inside
+the *inner* (inscribed) bbox is provably inside the region; a point
+outside the *outer* (circumscribed) bbox is provably outside; anything
+in the shell between them is undecidable from the boxes alone and must
+fall back to exact per-event geometry.
 :meth:`geometric_quiescence_mask` turns that into the vectorized AABB
 test the batched replay pre-scan uses.
 
@@ -136,7 +140,7 @@ class StreamStateTable:
         )
         self.known = self._alloc("known", (n,), bool)
         self.points: np.ndarray | None = None  # (n, d), spatial stacks only
-        # Constraint plane (deployed filters; single source of truth).
+        # Constraint plane (installed filters; a bound population's views).
         self.lower = self._alloc("lower", (n,), np.float64, fill=-math.inf)
         self.upper = self._alloc("upper", (n,), np.float64, fill=math.inf)
         self.inside = self._alloc("inside", (n,), bool)
@@ -345,13 +349,6 @@ class StreamStateTable:
         self.scannable[stream_id] = True
         self._note_constraint(stream_id)
 
-    def record_deploy_rows(self, rows: np.ndarray, lower, upper) -> None:
-        """Vectorized :meth:`record_deploy` over distinct *rows*."""
-        self.lower[rows] = lower
-        self.upper[rows] = upper
-        self.scannable[rows] = True
-        self._note_constraint_rows(rows)
-
     def _ensure_containers(self) -> np.ndarray:
         if self.containers is None:
             if self._storage == "mmap":
@@ -363,11 +360,6 @@ class StreamStateTable:
                 )
             self.containers = np.empty(self.n_streams, dtype=object)
         return self.containers
-
-    def record_container_deploy(self, stream_id: int, container) -> None:
-        """Record a non-scalar deployed constraint (spatial regions)."""
-        self._ensure_containers()[int(stream_id)] = container
-        self._note_constraint(stream_id)
 
     # ------------------------------------------------------------------
     # Geometric plane (regions' axis-aligned quiescence boxes)
@@ -476,38 +468,6 @@ class StreamStateTable:
         return self.geo_scannable[rows] & (
             (inner_ok & believed) | (outer_out & ~believed)
         )
-
-    def set_filter(
-        self, stream_id: int, lower: float, upper: float, inside: bool
-    ) -> None:
-        """Source-side write-through: bounds plus believed membership."""
-        stream_id = int(stream_id)
-        self.lower[stream_id] = lower
-        self.upper[stream_id] = upper
-        self.inside[stream_id] = inside
-        self.scannable[stream_id] = True
-        self._note_constraint(stream_id)
-
-    def set_filter_rows(
-        self, rows: np.ndarray, lower, upper, inside
-    ) -> None:
-        """Vectorized :meth:`set_filter`: one scatter per column and one
-        watch extension for a whole batch of installed constraints."""
-        self.lower[rows] = lower
-        self.upper[rows] = upper
-        self.inside[rows] = inside
-        self.scannable[rows] = True
-        self._note_constraint_rows(rows)
-
-    def set_inside(self, stream_id: int, inside: bool) -> None:
-        stream_id = int(stream_id)
-        self.inside[stream_id] = inside
-        self._note_constraint(stream_id)
-
-    def set_inside_rows(self, rows: np.ndarray, inside) -> None:
-        """Vectorized :meth:`set_inside` (a bulk probe's resync)."""
-        self.inside[rows] = inside
-        self._note_constraint_rows(rows)
 
     def bounds_of(self, stream_id: int) -> tuple[float, float]:
         stream_id = int(stream_id)

@@ -6,7 +6,7 @@ here deliver such a batch as column operations instead — one ledger
 charge, one vectorized :func:`~repro.runtime.membership.
 deployment_outcome_columns`, one scatter per constraint column — with
 the observable outcome of the ordered per-message loop: the same ledger,
-the same table columns and per-source filter state, the same
+the same table columns (the sources' filter planes), the same
 self-corrections in the same order.
 
 Both kernels decide from what they observe whether a batch qualifies,
@@ -15,16 +15,16 @@ one by one): the channel's taps must be bulk-capable — and absent for
 a constraint batch on a latency-modeled channel, where taps fire at
 delivery — and it must hand the whole batch to one
 :class:`~repro.streams.source.ScalarPopulation`
-(:meth:`~repro.network.channel.Channel.bulk_target`) that writes through
-to *table*, and the ids must be distinct — an O(1) test plus one pass
-over the batch, never over the population.  The kernels are then column
-operations on the population's planes plus the same scatters into the
-table a per-message write-through makes.  That is also how the hosts'
-shared ``deploy_columns`` / ``probe_columns`` serve the spatial stack
-with no branch: a point population never qualifies, so its batches are
-the ordered per-message loop (DESIGN.md §15) — as are those of a
-window population (its probes recenter) and of a hand-built list of
-one-row populations.
+(:meth:`~repro.network.channel.Channel.bulk_target`) bound to *table*,
+and the ids must be distinct — an O(1) test plus one pass over the
+batch, never over the population.  The kernels are then column
+operations on the population's planes, which are *table*'s columns
+(DESIGN.md §21), plus one constraint-watch note per batch.  That is
+also how the hosts' shared ``deploy_columns`` / ``probe_columns`` serve
+the spatial stack with no branch: a point population never qualifies,
+so its batches are the ordered per-message loop (DESIGN.md §15) — as
+are those of a window population (its probes recenter) and of a
+hand-built list of one-row populations.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _bulk_population(channel: Channel, table: StreamStateTable, ids, probe):
     """The :class:`ScalarPopulation` whose rows *ids* name when the batch
     (of probes if *probe*) qualifies for a columnar operation against
     *table*, else ``None``: one population handles every id on *channel*,
-    it writes through to *table*, and the ids are distinct."""
+    it is bound to *table*, and the ids are distinct."""
     population = channel.bulk_target(ids, probe)
     if type(population) is not ScalarPopulation or population.table is not table:
         return None
@@ -154,9 +154,9 @@ def install_constraints(
     with the ledger, the table and every source untouched.  Then the
     ``n`` constraint messages are charged at once, the deployment rule
     runs over the population's value plane and the bound/belief columns,
-    and the outcome is scattered into the population's filter planes and
-    written through to *table*.  Self-corrections are emitted last, in
-    batch order: *time* (a scalar or a column) and the sources' values
+    and the outcome is scattered into the population's filter planes —
+    *table*'s columns.  Self-corrections are emitted last, in batch
+    order: *time* (a scalar or a column) and the sources' values
     are fixed across the batch, so each report is the one its own
     message would have sent — the caller must only ensure that emitting
     cannot re-enter it (a guarded host step queues them).
@@ -176,7 +176,7 @@ def install_constraints(
     population.upper[rows] = upper
     population.filtered[rows] = True
     population.inside[rows] = inside
-    table.set_filter_rows(ids, lower, upper, inside)
+    table._note_constraint_rows(ids)
     reporting = np.nonzero(must_report)[0]
     if reporting.size:
         times = np.broadcast_to(np.asarray(time, dtype=np.float64), ids.shape)
@@ -198,19 +198,17 @@ def send_constraints(
     time,
 ) -> bool:
     """:func:`install_constraints` on a latency-modeled channel: one
-    columnar *send*, validated and charged the same way, with the
-    server's half of every deploy (the bounds into *table*) recorded at
-    once and each row installed when :meth:`~repro.network.latency.
-    LatencyChannel.send_constraint_rows` delivers it.  ``False``
-    (nothing touched) on a synchronous channel or for a batch that must
-    travel per-message."""
+    columnar *send*, validated and charged the same way, each row
+    installed — into the population's planes, which are *table*'s
+    columns — when :meth:`~repro.network.latency.LatencyChannel.
+    send_constraint_rows` delivers it.  ``False`` (nothing touched) on a
+    synchronous channel or for a batch that must travel per-message."""
     if channel.constraints_inline:
         return False
     population = _charged_population(channel, table, ids, constraint)
     if population is None:
         return False
     lower, upper = constraint
-    table.record_deploy_rows(ids, lower, upper)
     channel.send_constraint_rows(
         population,
         ids.tolist(),
@@ -231,8 +229,8 @@ def probe_sources(
 
     Charges the ``2n`` request/reply messages and resynchronizes every
     installed filter's believed side with the value read — one
-    comparison over the population's planes, one scatter into them and
-    one into *table*.  Recording the replies is the caller's half, as in
+    comparison over the population's planes and one scatter into them
+    (*table*'s columns).  Recording the replies is the caller's half, as in
     ``probe``.
     """
     population = _bulk_population(channel, table, ids, probe=True)
@@ -248,5 +246,5 @@ def probe_sources(
         (population.lower[rows] <= values) & (values <= population.upper[rows])
     )[filtered]
     population.inside[rows[filtered]] = inside
-    table.set_inside_rows(ids[filtered], inside)
+    table._note_constraint_rows(ids[filtered])
     return values

@@ -36,7 +36,7 @@ from repro.network.messages import (
     UpdateMessage,
 )
 from repro.runtime.membership import deployment_outcome
-from repro.runtime.source import ChannelFilteredSource, Population
+from repro.runtime.source import ChannelFilteredSource, Population, alias_planes
 from repro.streams.filters import FilterConstraint
 
 
@@ -87,14 +87,15 @@ class ScalarPopulation(Population):
     """The scalar stack's sources, as columns (DESIGN.md §18).
 
     Row ``i`` is the source of stream ``first_id + i``; one handler per
-    ``(channel, id range)`` serves them all.  The planes are the
-    *source-side* truth: ``values`` (the current value — and the batched
-    replay's staging vector), ``lower`` / ``upper`` / ``filtered`` (the
-    installed filter; ``[-inf, +inf]`` / ``False`` while there is none)
-    and ``inside`` (the side of it the server believes).  They are NOT
-    a bound state table's constraint plane: the server also writes that
-    at *deploy* time, which under a latency model precedes the source's
-    *install*.  They are written through to it wherever they change.
+    ``(channel, id range)`` serves them all.  The planes are ``values``
+    (the current value — and the batched replay's staging vector),
+    ``lower`` / ``upper`` / ``filtered`` (the installed filter;
+    ``[-inf, +inf]`` / ``False`` while there is none) and ``inside``
+    (the side of it the server believes).  Once bound, the four filter
+    planes *are* the table's ``lower`` / ``upper`` / ``scannable`` /
+    ``inside`` columns: install is their only writer, so under a latency
+    model a row with a constraint in flight holds the filter its source
+    installed, not the one on its way (DESIGN.md §21).
     """
 
     view = StreamSource
@@ -114,14 +115,13 @@ class ScalarPopulation(Population):
         self.inside = np.zeros(n, dtype=bool)
 
     def bind_state(self, table) -> None:
-        """Make *table* (row = stream id) the write-through target of the
-        filter planes, and write them through once."""
+        """Make the filter planes views of *table*'s constraint columns
+        (row = stream id), copying them in once."""
         self.table = table
-        ids = slice(self.first_id, self.first_id + len(self))
-        table.lower[ids] = self.lower
-        table.upper[ids] = self.upper
-        table.inside[ids] = self.inside
-        table.scannable[ids] = self.filtered
+        alias_planes(
+            self, table, self.first_id,
+            lower="lower", upper="upper", filtered="scannable", inside="inside",
+        )
 
     # ------------------------------------------------------------------
     # Data plane
@@ -137,8 +137,7 @@ class ScalarPopulation(Population):
             if inside == self.inside.item(row):
                 return
             self.inside[row] = inside
-            if self.table is not None:
-                self.table.set_inside(self.first_id + row, inside)
+            self._note(row)
         self._report(row, value, time)
 
     def _report(self, row: int, value: float, time: float, message=UpdateMessage):
@@ -164,8 +163,7 @@ class ScalarPopulation(Population):
             if self.filtered.item(row):
                 inside = self.lower.item(row) <= value <= self.upper.item(row)
                 self.inside[row] = inside
-                if self.table is not None:
-                    self.table.set_inside(message.stream_id, inside)
+                self._note(row)
             self._report(row, value, message.time, ProbeReplyMessage)
         elif kind is MessageKind.CONSTRAINT:
             self.install(
@@ -195,9 +193,6 @@ class ScalarPopulation(Population):
         self.upper[row] = constraint.upper
         self.filtered[row] = True
         self.inside[row] = inside
-        if self.table is not None:
-            self.table.set_filter(
-                self.first_id + row, constraint.lower, constraint.upper, inside
-            )
+        self._note(row)
         if must_report:
             self._report(row, value, time)

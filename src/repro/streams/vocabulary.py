@@ -27,10 +27,6 @@ from repro.streams.control import constraint_columns, install_constraints
 from repro.streams.source import ScalarPopulation
 
 
-def record_interval_deploy(table, row: int, message: ConstraintMessage) -> None:
-    table.record_deploy(row, message.lower, message.upper)
-
-
 def _interval_columns(messages) -> tuple[np.ndarray, ...]:
     """Buffered constraint messages as ``(ids, lower, upper, belief,
     times)`` columns — the shape of a ``deploy_many`` chunk."""
@@ -50,7 +46,7 @@ def flush_interval_deploys(coordinator) -> None:
     Single deploys are framed as typed columns and concatenated with
     the ``deploy_many`` chunks in call order; the mirror table takes the
     bounds in one scatter (duplicates: numpy fancy assignment keeps the
-    last write, which is exactly the in-order ``record_deploy`` outcome)
+    last write, which is exactly the in-order per-message outcome)
     and each worker run travels as raw ``lower`` / ``upper`` columns.
     """
     gids, lowers, uppers, assumed, times = coordinator.take_deploys(
@@ -106,7 +102,6 @@ SCALAR = Vocabulary(
     population=ScalarPopulation,
     initial_column="initial_values",
     record_column="values",
-    record_deploy=record_interval_deploy,
     constraint_columns=constraint_columns,
     oracle=Oracle,
     violation_error=ToleranceViolationError,

@@ -55,8 +55,8 @@ class WindowPopulation(ScalarPopulation):
     Row ``i``'s filter is ``[c - width/2, c + width/2]`` around the value
     ``c`` it last sent (``centers``), believed inside: the scalar row
     step reports exactly when the value escapes it, and every report or
-    probe reply recenters it — written through to the bound table
-    before the message leaves.
+    probe reply recenters it — in the bound table's columns, which the
+    planes are — before the message leaves.
     """
 
     view = WindowFilterSource
@@ -85,8 +85,7 @@ class WindowPopulation(ScalarPopulation):
         self.centers[row] = value
         self.lower[row], self.upper[row] = lower, upper
         self.inside[row] = True
-        if self.table is not None:
-            self.table.set_filter(self.first_id + row, lower, upper, True)
+        self._note(row)
         super()._report(row, value, time, message)
 
     def handle(self, message: Message) -> None:

@@ -359,8 +359,9 @@ def _model_run(model, topology: str, beliefs: str, idle: bool, many: bool):
     protocol.clock = lambda: session.engine.now
 
     def now() -> list:
-        # The server's half of every deploy lands at send, each source's
-        # (write-through) at delivery: both are read while rows fly.
+        # Each source's install lands at delivery, into the table columns
+        # its filter planes are: read while rows fly, they hold the
+        # filters installed so far.
         state = session.host.state
         return [
             [sorted(c.in_flight_stream_ids()) for c in session.latency_channels],

@@ -263,7 +263,7 @@ def test_the_surface_that_is_left():
     assert list(inspect.signature(TransportShardedServer.replay).parameters) == [
         "self", "horizon",
     ]
-    assert len(dataclasses.fields(Vocabulary)) == 17
+    assert len(dataclasses.fields(Vocabulary)) == 16
     assert [field.name for field in dataclasses.fields(Deployment)] == [
         "topology", "n_shards", "replay_mode", "check_every", "strict",
         "parallel", "latency", "durable",

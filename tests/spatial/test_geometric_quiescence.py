@@ -118,7 +118,7 @@ def test_quiescence_mask_never_contradicts_exact_geometry(kind):
             table.record_region_deploy(
                 i, *region.quiescence_bboxes(dimension)
             )
-            table.set_inside(i, believed)
+            table.inside[i] = believed
         moves = np.concatenate(
             [
                 _random_points(rng, regions[0], dimension, 20),
@@ -141,9 +141,9 @@ def test_quiescence_mask_never_contradicts_exact_geometry(kind):
 def test_silencer_regions_are_always_quiescent():
     table = StreamStateTable(2)
     table.record_region_deploy(0, *ALL_SPACE.quiescence_bboxes(2))
-    table.set_inside(0, True)  # deployment belief: contains everything
+    table.inside[0] = True  # deployment belief: contains everything
     table.record_region_deploy(1, *EMPTY_REGION.quiescence_bboxes(2))
-    table.set_inside(1, False)  # deployment belief: contains nothing
+    table.inside[1] = False  # deployment belief: contains nothing
     points = np.array([[1e6, -1e6], [0.0, 0.0]])
     assert table.geometric_quiescence_mask(
         points, np.array([0, 0])
@@ -156,7 +156,7 @@ def test_silencer_regions_are_always_quiescent():
 def test_unscannable_rows_are_never_claimed():
     table = StreamStateTable(3)
     table.record_region_deploy(1, [0.0, 0.0], [1.0, 1.0])
-    table.set_inside(1, True)
+    table.inside[1] = True
     mask = table.geometric_quiescence_mask(
         np.full((3, 2), 0.5), np.arange(3)
     )
@@ -168,7 +168,7 @@ def test_conservative_shell_falls_back_to_per_event():
     ball = BallRegion([0.0, 0.0], 10.0)
     table = StreamStateTable(1)
     table.record_region_deploy(0, *ball.quiescence_bboxes(2))
-    table.set_inside(0, True)
+    table.inside[0] = True
     # Inside the ball but outside the inscribed cube (corner shell).
     shell_point = np.array([[8.0, 5.0]])
     assert ball.contains(shell_point[0])

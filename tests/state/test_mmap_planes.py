@@ -82,7 +82,7 @@ def test_shard_views_alias_mmap_parent(tmp_path):
 def test_container_column_refused_under_mmap(tmp_path):
     table = _mmap_table(tmp_path)
     with pytest.raises(ValueError, match="mmap"):
-        table.record_container_deploy(0, object())
+        table._ensure_containers()
 
 
 def test_pickle_converts_planes_to_ram(tmp_path):

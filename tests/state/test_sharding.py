@@ -141,7 +141,7 @@ def test_shard_view_geometric_plane_aliases_parent():
     assert parent.geo_scannable[3] and right.geo_scannable[0]
     assert np.array_equal(parent.geo_lower[3], [1.0, 1.0])
     assert np.array_equal(left.geo_upper[2], [-np.inf, -np.inf])
-    parent.set_inside(3, True)
+    parent.inside[3] = True
     quiescent = parent.geometric_quiescence_mask(
         np.array([[1.5, 1.5]]), np.array([3])
     )
@@ -154,7 +154,7 @@ def test_shard_view_container_column_aliases_parent():
     parent = StreamStateTable(4)
     shard = StateShardView(parent, 2, 4)
     marker = object()
-    shard.record_container_deploy(1, marker)  # global stream 3
+    shard._ensure_containers()[1] = marker  # global stream 3
     assert parent.containers is not None
     assert parent.containers[3] is marker
     assert shard.containers[1] is marker

@@ -49,16 +49,12 @@ class TestValuePlane:
 
 
 class TestConstraintPlane:
-    def test_record_deploy_and_filter_writethrough(self):
+    def test_record_deploy_marks_scannable(self):
         table = StreamStateTable(2)
         assert not table.scannable[0]
         table.record_deploy(0, 1.0, 9.0)
         assert table.bounds_of(0) == (1.0, 9.0)
         assert table.scannable[0]
-        table.set_filter(0, 1.0, 9.0, True)
-        assert table.inside[0]
-        table.set_inside(0, False)
-        assert not table.inside[0]
 
 
 class TestMembershipPlanes:
@@ -147,7 +143,7 @@ class TestGeometricPlane:
         table.record_region_deploy(0, [0.0], [1.0])
         assert np.all(np.isneginf(table.geo_outer_lower[0]))
         assert np.all(np.isposinf(table.geo_outer_upper[0]))
-        table.set_inside(0, False)
+        table.inside[0] = False
         # Infinite outer box: no point is provably outside.
         mask = table.geometric_quiescence_mask(np.array([[99.0]]), [0])
         assert not mask[0]
@@ -163,7 +159,7 @@ class TestGeometricPlane:
     def test_clear_region_filter(self):
         table = StreamStateTable(2)
         table.record_region_deploy(0, [0.0, 0.0], [4.0, 4.0])
-        table.set_inside(0, True)
+        table.inside[0] = True
         assert table.geometric_quiescence_mask(
             np.array([[1.0, 1.0]]), [0]
         )[0]
@@ -190,8 +186,8 @@ class TestGeometricPlane:
             table.record_region_deploy(
                 row, [0.0, 0.0], [1.0, 1.0], [-1.0, -1.0], [2.0, 2.0]
             )
-        table.set_inside(0, True)
-        table.set_inside(1, False)
+        table.inside[0] = True
+        table.inside[1] = False
         inside_pt = np.array([[0.5, 0.5]])
         outside_pt = np.array([[5.0, 5.0]])
         shell_pt = np.array([[1.5, 1.5]])  # between inner and outer
