@@ -249,17 +249,16 @@ class Deployment:
     n_shards:
         Shard count (``>= 1``; must be ``>= 2`` for ``sharded``).
     replay_mode:
-        ``"auto"`` uses the vectorized batched fast path where it is
-        both sound and useful and replays per event otherwise: with
-        correctness checking active, under any latency model (where
-        the batch cursor lost to per-event replay, DESIGN.md §8.2), and
-        when no stream carries a columnar filter (scalar intervals, or
-        region boxes for points).  ``"event"`` forces the per-event
-        path.  ``"batch"`` requests the fast path unconditionally but
-        still downgrades (silently) to per-event replay where batching
-        is unsound — checking callbacks active or payloads neither
-        scalars nor points — so forcing it can never change results,
-        only speed.  Both paths produce identical message ledgers:
+        ``"auto"`` uses the vectorized batched fast path where some
+        stream carries a columnar filter (scalar intervals, or region
+        boxes for points) and replays per event otherwise.  ``"event"``
+        forces the per-event path.  ``"batch"`` requests the fast path.
+        Every mode replays per event with correctness checking active,
+        under any latency model (where the batch cursor lost to
+        per-event replay, DESIGN.md §8.2), or with payloads neither
+        scalars nor points; ``extras["replay"]["mode"]`` names the path
+        that ran.  Forcing a mode can never change results, only speed.
+        Both paths produce identical message ledgers:
         batching only skips records that provably cannot flip any
         filter.
     check_every, strict:

@@ -9,6 +9,7 @@ import time
 from repro.api import Deployment
 from repro.experiments.base import Profile
 from repro.experiments.registry import REGISTRY, run_all
+from repro.runtime.replay import REPLAY_MODES
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -33,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--replay",
         default="auto",
-        choices=["auto", "event", "batch"],
+        choices=REPLAY_MODES,
         dest="replay_mode",
         help="replay path: batched fast path, per-event, or auto",
     )
@@ -51,6 +52,8 @@ def main(argv: list[str] | None = None) -> int:
         "(ledgers are identical to the single server; default: 1)",
     )
     args = parser.parse_args(argv)
+    if args.shards < 1:
+        parser.error(f"--shards must be >= 1, got {args.shards}")
 
     if args.shards > 1:
         deployment = Deployment.sharded(

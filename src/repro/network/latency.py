@@ -317,7 +317,7 @@ class LatencyChannel(Channel):
         self._deferred_delivered_count = 0
 
     # ------------------------------------------------------------------
-    # Introspection (session drain barriers, staleness classification)
+    # Introspection (end-of-run drain, staleness classification)
     # ------------------------------------------------------------------
     @property
     def in_flight_count(self) -> int:

@@ -16,11 +16,12 @@ columns are the filter state.  A record that may flip a filter is only
 ever dispatched (engine to its time, then the population's ``apply``:
 one code path for every stack and driver) and a record is only ever
 staged — scattered into the population's value plane — while provably
-unable to flip anything, so
-the message ledger is byte-identical whichever way the cursor is
-driven.  In the **event strategy** nothing is proven and every record
-is its own candidate; ``mode="event"``, per-record hooks and the
-dispatch-rate bailout all select it.
+unable to flip anything, so the message ledger is byte-identical
+whichever way the cursor is driven.  In the **event strategy** nothing is proven and every record
+is its own candidate; ``mode="event"``, per-record hooks, any
+latency-modeled channel and the dispatch-rate bailout all select it.
+Both strategies dispatch in one order, the engine's (:meth:`ReplayCursor.
+dispatch`), so every mode leaves the reference ledger.
 
 For ``columnar_maintenance`` protocols :func:`replay_columnar` applies
 whole chunks, reports included, and stops only at a report the protocol
@@ -65,7 +66,6 @@ REPLAY_COUNTERS = (
     "chunk_scans",
     "suffix_rescans",
     "broadcast_truncations",
-    "inflight_truncations",
 )
 
 # Switch to the event strategy when, after a fair sample, more than this
@@ -114,51 +114,28 @@ def merge_replay_stats(parts: list[dict]) -> dict:
     return merged
 
 
-def in_flight_barrier(channels):
-    """``(earliest delivery time, lagging stream ids)`` over latency
-    channels, or ``(None, empty)`` when nothing flies.
-
-    While a message is in flight a quiescence proof is unsafe in two
-    ways: an in-flight stream's table row holds the filter its source
-    has, which the message is about to replace, and any delivery can
-    run a protocol step that rewrites *other* streams' bounds.  The
-    cursor therefore treats in-flight streams as always potential and
-    claims nothing at or past the earliest pending delivery.
-    """
-    t_barrier = None
-    lagging: set[int] = set()
-    for channel in channels:
-        t = channel.next_delivery_time
-        if t is not None:
-            t_barrier = t if t_barrier is None else min(t_barrier, t)
-            lagging |= channel.in_flight_stream_ids()
-    return t_barrier, lagging
-
-
 def resolve_mode(mode, payloads, tables, latency_channels, hooked=False) -> str:
     """``"batch"`` or ``"event"`` for a requested replay mode.
 
-    Batching is *sound* only without per-record hooks (they must
-    observe every record) and for scalar or vector payloads; ``auto``
-    additionally wants it *useful*: no channel is latency-modeled (under
-    a model per-event replay won 25 of 28 measured cells, by up to 3.3x;
-    batch won three ``rtp`` cells at 0.92-0.99, never by the 1.2x a
-    second path needs, DESIGN.md §8.2) and some stream carries a columnar
-    filter — scalar intervals for 1-D payloads, the geometric plane's
-    region bboxes for 2-D ones.
+    Every mode replays per event when a per-record hook must observe
+    every record, when the payloads are neither scalar nor vector, or
+    when any channel is latency-modeled: there per-event replay won 25
+    of 28 measured cells, by up to 3.3x, and batch won three ``rtp``
+    cells at 0.92-0.99, never by the 1.2x a second path needs
+    (DESIGN.md §8.2).  ``auto`` also wants batching *useful*: some
+    stream carries a columnar filter — scalar intervals for 1-D
+    payloads, the geometric plane's region bboxes for 2-D ones.
     """
     if mode not in REPLAY_MODES:
         raise ValueError(
             f"replay mode must be one of {REPLAY_MODES}, got {mode!r}"
         )
     ndim = np.ndim(payloads)
-    if mode == "event" or hooked or ndim not in (1, 2):
+    if mode == "event" or hooked or latency_channels or ndim not in (1, 2):
         return "event"
     if mode == "auto":
         column = "scannable" if ndim == 1 else "geo_scannable"
-        if latency_channels or not any(
-            getattr(table, column).any() for table in tables
-        ):
+        if not any(getattr(table, column).any() for table in tables):
             return "event"
     return "batch"
 
@@ -191,14 +168,13 @@ class ReplayCursor:
     plane is its own staging vector (``stage`` / ``apply(row, ...)``,
     DESIGN.md §18, §20) — and of *tables*, every state table whose
     constraint columns guard a filter.  *channels* carry the
-    server-to-source traffic; their latency-modeled members set the
-    in-flight barrier.  State:
-    records before ``pos`` are committed; ``[pos, proven)`` is proven
-    quiescent against the live columns; a window of scanned chunks backs
-    the proof.  The whole
-    surface is :meth:`candidate`, :meth:`advance`, :meth:`dispatch`,
-    :meth:`close` and the read-only ``pos`` / ``proven`` / ``mode`` /
-    ``stats``; ``batch_size`` / ``min_chunk`` bound the adaptive chunk.
+    server-to-source traffic; a latency-modeled one selects the event
+    strategy.  State: records before ``pos`` are committed;
+    ``[pos, proven)`` is proven quiescent against the live columns; a
+    window of scanned chunks backs the proof.  The whole surface is
+    :meth:`candidate`, :meth:`advance`, :meth:`dispatch`, :meth:`close`
+    and the read-only ``pos`` / ``proven`` / ``mode`` / ``stats``;
+    ``batch_size`` / ``min_chunk`` bound the adaptive chunk.
     """
 
     def __init__(
@@ -224,8 +200,8 @@ class ReplayCursor:
         self.engine = engine
         self._n = len(times)
         self._tables = list(tables)
-        self._latency = [c for c in channels if isinstance(c, LatencyChannel)]
-        self.mode = resolve_mode(mode, payloads, self._tables, self._latency)
+        latency = [c for c in channels if isinstance(c, LatencyChannel)]
+        self.mode = resolve_mode(mode, payloads, self._tables, latency)
         self._event = self.mode == "event"
         kernel = None if self._event else "run"
         self.stats = replay_stats(self.mode, kernel, self._n)
@@ -239,8 +215,6 @@ class ReplayCursor:
         self._avg = float(batch_size)
         #: Position of the last dispatch not yet re-validated against.
         self._own: int | None = None
-        #: Streams with a message in flight at the last barrier read.
-        self._lagging = np.empty(0, dtype=np.int64)
         self._prescan = _StatePrescan(self._tables)
         if sources.first_id:
             raise ValueError("a replayed population's rows must be its ids")
@@ -251,8 +225,9 @@ class ReplayCursor:
     # ------------------------------------------------------------------
     # The four operations
     # ------------------------------------------------------------------
-    def candidate(self) -> tuple[int | None, bool]:
-        """``(index of the next record that may flip a filter, blocked)``.
+    def candidate(self) -> int | None:
+        """The index of the next record that may flip a filter, or
+        ``None`` when none is left.
 
         Never stages: on return ``[pos, proven)`` is proven against the
         columns as they are *now* and a candidate is the record at
@@ -263,13 +238,11 @@ class ReplayCursor:
         Work done, in order: drain the constraint watch and re-validate
         only the touched streams' (and the last dispatched stream's)
         pending records inside the window; else scan forward chunk by
-        chunk, never past the in-flight barrier.  ``blocked`` means
-        records remain behind that barrier with no candidate to show:
-        the pending delivery must fire before they can be judged.
+        chunk.
         """
         n = self._n
         if self._event:
-            return (self.proven, False) if self.proven < n else (None, False)
+            return self.proven if self.proven < n else None
         window = self._window
         while window and window[0].end <= self.pos:
             window.popleft()
@@ -282,16 +255,6 @@ class ReplayCursor:
             for note in table.drain_constraint_watch()
         ]
         own, self._own = self._own, None
-        cap = n
-        if self._latency:
-            t_barrier, lagging = in_flight_barrier(self._latency)
-            self._lagging = np.fromiter(lagging, np.int64, len(lagging))
-            if t_barrier is not None:
-                cap = int(np.searchsorted(self.times, t_barrier, side="left"))
-                if own is not None and window:
-                    # The dispatch left a message in flight: no earlier
-                    # claim is safe at or past its delivery.
-                    self._drop_window("inflight_truncations")
         if window and (notes or own is not None):
             self._revalidate(notes, own)
         k = None
@@ -308,19 +271,17 @@ class ReplayCursor:
             ):
                 self._switch_to_event()
                 return self.candidate()
-            if start >= cap:
-                self.proven = start
-                if start < n:
-                    self.stats["inflight_truncations"] += 1
-                return None, start < n
+            if start >= n:
+                self.proven = n
+                return None
             size = int(
                 min(self._max_chunk, max(self._min_chunk, 4 * self._avg))
             )
-            chunk = self._scan(start, min(start + size, cap))
+            chunk = self._scan(start, min(start + size, n))
             window.append(chunk)
             k = self._first(chunk)
         self.proven = k
-        return k, False
+        return k
 
     def advance(self, k: int) -> None:
         """Bulk-stage the proven-quiescent ``[pos, k)``."""
@@ -338,11 +299,12 @@ class ReplayCursor:
     def dispatch(self) -> None:
         """Run the record at ``pos`` through the per-event machinery.
 
-        The batch strategy runs the engine up to the record's time —
-        draining every delivery due by then — and applies it.  The event
-        strategy is the reference order: wherever an event is due at or
-        before the record, the record fires *as* an engine event, FIFO
-        among same-instant events; else nothing can fire first.
+        One order for both strategies, the reference one: wherever an
+        engine event is due at or before the record, the record fires
+        *as* an engine event, FIFO among same-instant events; else
+        nothing can fire first, and the engine runs to the record's time
+        before it applies.  Only a latency-modeled channel schedules
+        engine events, and it always selects the event strategy.
         Afterwards nothing is claimed until the next :meth:`candidate`,
         which always re-validates the dispatched stream's own pending
         records: a stream that carries no filter keeps dispatching
@@ -351,7 +313,7 @@ class ReplayCursor:
         j = self.pos
         engine = self.engine
         time = float(self.times[j])
-        head = engine.next_event_time if self._event else None
+        head = engine.next_event_time
         if head is not None and head <= time:
             engine.schedule_at(time, self._fire)
             while self.pos == j:
@@ -391,12 +353,9 @@ class ReplayCursor:
     # ------------------------------------------------------------------
     def _potential(self, selection) -> np.ndarray:
         """Which of the selected records might flip a filter *now*."""
-        ids = self.ids[selection]
-        mask = self._prescan.crossing_mask(ids, self.payloads[selection])
-        if self._lagging.size:
-            # In-flight streams are never provably quiescent.
-            mask |= np.isin(ids, self._lagging)
-        return mask
+        return self._prescan.crossing_mask(
+            self.ids[selection], self.payloads[selection]
+        )
 
     def _scan(self, start: int, end: int) -> _Chunk:
         """Evaluate ``[start, end)`` in one shot; group it into per-stream
@@ -435,13 +394,13 @@ class ReplayCursor:
             heapq.heappop(heap)
         return None
 
-    def _drop_window(self, counter: str) -> None:
-        """Truncate: forget every claim past ``pos``; the next scan
-        starts there, against fresh columns and a fresh barrier."""
+    def _drop_window(self) -> None:
+        """Truncate after a broadcast: forget every claim past ``pos``;
+        the next scan starts there, against fresh columns."""
         consumed = max(self.pos - self._window[0].base, 0)
         self._avg = 0.75 * self._avg + 0.25 * consumed
         self._window.clear()
-        self.stats[counter] += 1
+        self.stats["broadcast_truncations"] += 1
 
     def _revalidate(self, notes: list, own: int | None) -> None:
         """Re-prove the window after a reaction touched the rows in the
@@ -462,7 +421,7 @@ class ReplayCursor:
             others.update(rows[: _BROADCAST_CAP + 2].tolist())
         others.discard(own_stream)
         if len(others) > _BROADCAST_CAP:
-            self._drop_window("broadcast_truncations")
+            self._drop_window()
             return
         window = self._window
         for index, chunk in enumerate(window):
@@ -528,18 +487,16 @@ def columnar_table(payloads, tables, sources, channels, protocol):
     reporting — as window operations, so it is sound only when a quiet
     report's entire observable effect is derivable from the constraint
     columns: the hosted protocol declares ``columnar_maintenance`` (the
-    label is ``None`` when it never asked), no latency model puts
-    reports in flight, there is one table whose every row is known and
-    filtered, no listeners or channel taps observe per-message traffic,
-    and the population is columnar with a deployed interval in every
-    row, over scalar payloads.  Silencers are such intervals — constant
-    containment, so the diff finds no report.  Anything else goes to
-    the cursor.
+    label is ``None`` when it never asked), there is one table whose
+    every row is known and filtered, no listeners or channel taps
+    observe per-message traffic, and the population is columnar with a
+    deployed interval in every row, over scalar payloads.  Silencers
+    are such intervals — constant containment, so the diff finds no
+    report.  Anything else goes to the cursor.  A latency model never
+    reaches this gate: it replays per event (:func:`resolve_mode`).
     """
     if not getattr(protocol, "columnar_maintenance", False):
         return None, None
-    if any(isinstance(channel, LatencyChannel) for channel in channels):
-        return None, "latency"
     if len(tables) != 1:
         return None, "tables"
     filtered = getattr(sources, "filtered", None)

@@ -74,9 +74,8 @@ class ExecutionSession:
             self.channels = list(channels)
         else:
             self.channels = [channel] if channel is not None else []
-        #: Channels with a latency-modeled delivery discipline: the
-        #: replay loops must respect their in-flight barriers and drain
-        #: them at end of run.
+        #: Channels with a latency-modeled delivery discipline: any of
+        #: them makes replay per-event, and they drain at end of run.
         self.latency_channels = [
             c for c in self.channels if isinstance(c, LatencyChannel)
         ]
@@ -344,7 +343,9 @@ class ExecutionSession:
             replay.
         mode:
             ``"auto"`` | ``"event"`` | ``"batch"``
-            (:func:`~repro.runtime.replay.resolve_mode`).
+            (:func:`~repro.runtime.replay.resolve_mode`).  Any
+            latency-modeled channel replays per event whatever was
+            asked; every mode leaves the same ledger.
         batch_size, min_chunk:
             Bounds of the cursor's adaptive scan chunk (differential
             tests sweep them; no deployment knob sets them).
@@ -397,15 +398,8 @@ class ExecutionSession:
             try:
                 for frontier in frontiers:
                     while True:
-                        k, blocked = cursor.candidate()
-                        if k is None:
-                            if not blocked:
-                                break
-                            # Behind the in-flight barrier: a per-event
-                            # dispatch runs the engine up to the record's
-                            # time, delivering what is due first.
-                            k = cursor.proven
-                        if k >= frontier:
+                        k = cursor.candidate()
+                        if k is None or k >= frontier:
                             break
                         cursor.advance(k)
                         if oracle_apply is not None:

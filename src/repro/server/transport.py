@@ -197,7 +197,7 @@ class ShardWorker:
     # -- replay: global positions <-> cursor indices ---------------------
     def scan(self) -> int | None:
         """The shard's candidate as a *global trace position*."""
-        k, _ = self.cursor.candidate()
+        k = self.cursor.candidate()
         return None if k is None else int(self.gpos[k])
 
     def _advance_to(self, k: int, op: str) -> None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import REGISTRY, get_experiment, list_experiments
+from repro.experiments.__main__ import main
 from repro.experiments.base import FigureResult, Profile
 from repro.experiments import (
     figure09,
@@ -13,6 +14,7 @@ from repro.experiments import (
     figure14,
     figure15,
 )
+from repro.runtime.replay import REPLAY_MODES
 
 
 class TestRegistry:
@@ -128,3 +130,18 @@ class TestProfiles:
         assert fig09.curve("no filter") == fig09.series["no filter"]
         with pytest.raises(KeyError):
             fig09.curve("nonexistent")
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("shards", ["0", "-3"])
+    def test_a_shard_count_below_one_is_a_usage_error(self, shards, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure01", "--profile", "smoke", "--shards", shards])
+        assert exit_info.value.code == 2
+        assert "--shards must be >= 1" in capsys.readouterr().err
+
+    def test_replay_choices_are_the_replay_modes(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure01", "--replay", "columnar"])
+        assert exit_info.value.code == 2
+        assert repr(REPLAY_MODES[0]) in capsys.readouterr().err

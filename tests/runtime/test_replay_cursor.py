@@ -29,6 +29,7 @@ from repro.queries.knn import TopKQuery
 from repro.runtime.membership import BELIEF_NONE
 from repro.runtime.replay import (
     DEFAULT_BATCH_SIZE,
+    REPLAY_MODES,
     ReplayCursor,
     columnar_table,
     merge_replay_stats,
@@ -191,8 +192,7 @@ def _observable(session):
     )
 
 
-#: Delays no sum of which lands on the integer record grid: replay
-#: strategies agree except on exact record/delivery ties (DESIGN.md §9).
+#: Delays no sum of which lands on the integer record grid.
 LATENCIES = {"sync": None, "zero": 0.0, "fixed": FixedLatency(1.3713, 2.5291)}
 
 
@@ -220,7 +220,9 @@ def test_stepwise_cursor_matches_event_replay(stack, latency, case):
     assert session.last_replay_stats["dispatches"] == len(ids)
     expected = _observable(session)
 
-    # The cursor, stepped by hand in its batch strategy with tiny chunks.
+    # The cursor, stepped by hand with tiny chunks: the batch strategy
+    # on a synchronous channel, the event strategy on a latency-modeled
+    # one whatever mode was asked for.
     session, trace, payloads, rewrite = _assemble(
         stack, initial, ids, points, model
     )
@@ -236,13 +238,14 @@ def test_stepwise_cursor_matches_event_replay(stack, latency, case):
         batch_size=5,
         min_chunk=2,
     )
+    assert cursor.mode == ("batch" if model is None else "event")
     n = len(ids)
     for index, *what in rewrites + [(n, None)]:
         # Commit every record before *index*, then rewrite.
         while cursor.pos < index:
-            k, blocked = cursor.candidate()
+            k = cursor.candidate()
             if k is None:
-                k = cursor.proven if blocked else n
+                k = n
             assert cursor.pos <= k <= n
             if k < n:
                 with pytest.raises(ValueError, match="proven frontier"):
@@ -275,14 +278,14 @@ class _Tie(FilterProtocol):
             server.deploy(1, 0.0, 200.0, assumed_inside=True)
 
 
-@pytest.mark.parametrize("mode, updates", [("event", 2), ("batch", 1)])
-def test_a_record_and_a_delivery_due_at_the_same_instant(mode, updates):
+@pytest.mark.parametrize("mode", ["event", "batch"])
+def test_a_record_and_a_delivery_due_at_the_same_instant(mode):
     """Stream 0's crossing at t=1 arrives at 1.5; the reaction's install
     for stream 1 lands at 2.0 — the instant of stream 1's own record.
-    The event strategy is the reference: engine FIFO, the record's slot
-    taken when its predecessor applied, so the record meets the *old*
-    filter and reports.  The batch strategy delivers everything due by
-    the record's time first (the measure-zero tie DESIGN.md §9 names)."""
+    The reference order is engine FIFO, the record's slot taken when its
+    predecessor applied, so the record meets the *old* filter and
+    reports.  A latency model replays every mode per event, so a forced
+    ``batch`` keeps that order too."""
     trace = StreamTrace(
         initial_values=np.array([50.0, 50.0]),
         times=np.array([1.0, 2.0]),
@@ -295,7 +298,8 @@ def test_a_record_and_a_delivery_due_at_the_same_instant(mode, updates):
     )
     session.initialize()
     session.replay_trace(trace, mode=mode)
-    assert session.snapshot().maintenance[MessageKind.UPDATE] == updates
+    assert session.last_replay_stats["mode"] == "event"
+    assert session.snapshot().maintenance[MessageKind.UPDATE] == 2
 
 
 @pytest.mark.parametrize("mode", ["event", "batch"])
@@ -396,8 +400,7 @@ def test_one_shard_worker_dispatches_what_the_session_dispatches(monkeypatch):
     assert [s.value for s in worker.sources] == [s.value for s in session.sources]
 
 
-@pytest.mark.parametrize("latency", [None, FixedLatency(1.3713, 2.5291)])
-def test_bailout_mid_replay_keeps_the_ledger(latency):
+def test_bailout_mid_replay_keeps_the_ledger():
     """In-process, small chunks: the switch lands mid-trace with proven
     records still unstaged, and the rest replays per-event."""
     n = 2000
@@ -414,7 +417,7 @@ def test_bailout_mid_replay_keeps_the_ledger(latency):
     )
     ledgers = {}
     for mode in ("event", "batch"):
-        session = ExecutionSession.for_streams(trace, Recenter(), latency=latency)
+        session = ExecutionSession.for_streams(trace, Recenter())
         session.initialize()
         session.replay_trace(trace, mode=mode, batch_size=64, min_chunk=8)
         ledgers[mode] = (
@@ -599,6 +602,11 @@ def test_one_replay_core_structurally():
     assert "repro.runtime.replay" in imported
 
     assert "_resolve_mode" not in _class(transport, "ShardWorker")
+    # A latency model selects the event strategy: the cursor reads no
+    # in-flight state.
+    replay = (SRC / "runtime/replay.py").read_text()
+    assert "in_flight_stream_ids" not in replay
+    assert "next_delivery_time" not in replay
     session_methods = _class(_tree("runtime/session.py"), "ExecutionSession")
     assert not session_methods & {
         "_replay_events",
@@ -638,10 +646,9 @@ def test_one_replay_core_structurally():
 )
 @pytest.mark.parametrize("topology", ["single", "sharded"])
 def test_auto_resolves_event_under_any_latency_channel(spec, workload, topology):
-    """Under a latency model ``auto`` replays per event (DESIGN.md
-    §8.2: the batch cursor lost there in 27 of 28 measured cells), even
-    on scannable columns; an explicit ``batch`` still runs the batch
-    cursor, and both leave one ledger."""
+    """Under a latency model every mode replays per event (DESIGN.md
+    §8.2: the batch cursor lost there in 25 of 28 measured cells), even
+    on scannable columns, and all of them leave one ledger."""
     latency = repro.UniformLatency(0.05, 0.6, seed=11)
 
     def run(mode):
@@ -651,12 +658,14 @@ def test_auto_resolves_event_under_any_latency_channel(spec, workload, topology)
             deployment = Deployment.sharded(2, latency=latency, replay_mode=mode)
         return Engine().run(spec, workload, deployment)
 
-    auto, batch = run("auto"), run("batch")
-    assert auto.extras["replay"]["mode"] == "event"
-    assert auto.extras["replay"]["staged"] == 0
-    assert batch.extras["replay"]["mode"] == "batch"
-    assert batch.extras["replay"]["staged"] > 0
-    assert auto.ledger == batch.ledger
+    reports = {mode: run(mode) for mode in REPLAY_MODES}
+    for report in reports.values():
+        stats = report.extras["replay"]
+        assert (stats["mode"], stats["staged"], stats["chunk_scans"]) == (
+            "event", 0, 0
+        )
+    ledgers = [report.ledger for report in reports.values()]
+    assert all(ledger == ledgers[0] for ledger in ledgers)
     # Without a model the scalar columns still select the batch cursor.
     if spec.protocol == "ft-nrp":
         sync = Engine().run(spec, workload, Deployment.single())
@@ -725,10 +734,10 @@ FRONTIER_CELLS = [
 ]
 
 
-def _frontier_session(protocol, n_shards, latency=None):
+def _frontier_session(protocol, n_shards):
     session = ExecutionSession.assemble(
         "streams", FRONTIER_TRACE, FRONTIER_SPECS[protocol].build(), n_shards,
-        latency,
+        None,
     )
     session.initialize()
     return session
@@ -747,10 +756,10 @@ def _frontier_outcome(session):
 _UNDIVIDED: dict = {}
 
 
-def _undivided(protocol, n_shards, mode, latency=None):
-    key = (protocol, n_shards, mode, latency)
+def _undivided(protocol, n_shards, mode):
+    key = (protocol, n_shards, mode)
     if key not in _UNDIVIDED:
-        session = _frontier_session(protocol, n_shards, latency)
+        session = _frontier_session(protocol, n_shards)
         session.replay_trace(FRONTIER_TRACE, mode=mode)
         _UNDIVIDED[key] = _frontier_outcome(session)
     return _UNDIVIDED[key]
@@ -771,20 +780,6 @@ def test_frontiers_leave_the_undivided_outcome(protocol, n_shards, mode, cuts):
     kernel = session.last_replay_stats["kernel"]
     if mode == "batch":
         assert kernel == ("run" if protocol == "rtp" else "columnar")
-
-
-@given(cuts=ascending_cuts)
-@settings(max_examples=12, deadline=None)
-def test_frontiers_compose_with_the_in_flight_barrier(cuts):
-    """Durable runs refuse latency, but the ``blocked`` branch of the
-    driver must still honour a frontier."""
-    latency = repro.UniformLatency(0.5, 4.0, seed=11)
-    session = _frontier_session("ft-nrp", None, latency)
-    session.replay_trace(FRONTIER_TRACE, mode="batch", frontiers=cuts)
-    assert session.last_replay_stats["inflight_truncations"] > 0
-    assert _frontier_outcome(session) == _undivided(
-        "ft-nrp", None, "batch", latency
-    )
 
 
 @pytest.mark.parametrize("protocol, n_shards, mode", FRONTIER_CELLS)
@@ -914,13 +909,6 @@ def test_the_gate_names_the_clause_that_declined(clause, n_shards):
     stats = session.last_replay_stats
     assert (stats["kernel"], stats["columnar_declined"]) == ("run", clause)
     assert _frontier_outcome(session) == baseline
-
-
-def test_the_gate_declines_latency():
-    session = _frontier_session("ft-nrp", 2, repro.FixedLatency(0.0))
-    session.replay_trace(FRONTIER_TRACE, mode="batch")
-    stats = session.last_replay_stats
-    assert (stats["kernel"], stats["columnar_declined"]) == ("run", "latency")
 
 
 def test_the_gate_declines_sources_that_hold_no_plain_interval():
