@@ -54,6 +54,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.shards < 1:
         parser.error(f"--shards must be >= 1, got {args.shards}")
+    if args.parallel and args.experiment != "all":
+        parser.error("--parallel runs the figures concurrently: use it with 'all'")
 
     if args.shards > 1:
         deployment = Deployment.sharded(

@@ -126,10 +126,11 @@ class SlotPopulation(Population):
         self.slots: dict[str, SlotPlane] = {}
         self.n_slots = np.zeros(len(values), dtype=np.int64)
 
-    def _note_slot(self, slot: SlotPlane, row: int) -> None:
+    @staticmethod
+    def _note_slot(slot: SlotPlane) -> None:
         """:meth:`Population._note` for a slot's table."""
         if slot.table is not None:
-            slot.table._note_constraint(self.first_id + row)
+            slot.table._note_constraint()
 
     def _report(self, row: int, value: float, time: float, flipped) -> None:
         self.coordinator.receive_update(
@@ -154,7 +155,7 @@ class SlotPopulation(Population):
             inside = slot.lower.item(row) <= value <= slot.upper.item(row)
             if inside != slot.inside.item(row):
                 slot.inside[row] = inside
-                self._note_slot(slot, row)
+                self._note_slot(slot)
                 flipped.append((slot.rank.item(row), query_id))
         if flipped:
             flipped.sort()
@@ -190,7 +191,7 @@ class SlotPopulation(Population):
         slot.inside[row] = inside
         if slot.table is not None:
             slot.table.scannable[self.first_id + row] = True
-        self._note_slot(slot, row)
+        self._note_slot(slot)
         if must_report:
             self._report(row, value, time, [query_id])
 
@@ -200,5 +201,5 @@ class SlotPopulation(Population):
         slot = self.slots.get(query_id)
         if slot is not None and slot.rank.item(row) >= 0:
             slot.inside[row] = slot.lower.item(row) <= value <= slot.upper.item(row)
-            self._note_slot(slot, row)
+            self._note_slot(slot)
         return value

@@ -12,12 +12,14 @@ candidates.
 
 The proofs read the *live* constraint columns of the state tables —
 every population writes its filter state through to them, so the
-columns are the filter state.  A record that may flip a filter is only
-ever dispatched (engine to its time, then the population's ``apply``:
-one code path for every stack and driver) and a record is only ever
-staged — scattered into the population's value plane — while provably
-unable to flip anything, so the message ledger is byte-identical
-whichever way the cursor is driven.  In the **event strategy** nothing is proven and every record
+columns are the filter state, and every write to them bumps the table's
+``constraint_epoch``: a proof stands while the epochs it was made at
+do.  A record that may flip a filter is only ever dispatched (engine to
+its time, then the population's ``apply``: one code path for every
+stack and driver) and a record is only ever staged — scattered into the
+population's value plane — while provably unable to flip anything, so
+the message ledger is byte-identical whichever way the cursor is
+driven.  In the **event strategy** nothing is proven and every record
 is its own candidate; ``mode="event"``, per-record hooks, any
 latency-modeled channel and the dispatch-rate bailout all select it.
 Both strategies dispatch in one order, the engine's (:meth:`ReplayCursor.
@@ -31,8 +33,7 @@ reacts to; it is the in-process driver's alternative to the cursor
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
+from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
@@ -40,14 +41,14 @@ import numpy as np
 from repro.network.channel import Channel
 from repro.network.latency import LatencyChannel
 from repro.network.messages import MessageKind
-from repro.state.runs import first_true_per_run, previous_in_stream, segment_runs
+from repro.state.runs import previous_in_stream
 from repro.state.table import StreamStateTable
 
 #: Largest chunk one pre-scan evaluates.
 DEFAULT_BATCH_SIZE = 4096
 
 #: Smallest chunk: below this, numpy call overhead beats the per-event
-#: loop anyway.  Truncations shrink the adaptive chunk, never below it.
+#: loop anyway.  A dropped claim shrinks the adaptive stretch, never below it.
 DEFAULT_MIN_CHUNK = 32
 
 #: ``"batch"`` proves quiescence columnarly; ``"auto"`` picks it exactly
@@ -64,8 +65,6 @@ REPLAY_COUNTERS = (
     "staged",
     "columnar_reports",
     "chunk_scans",
-    "suffix_rescans",
-    "broadcast_truncations",
 )
 
 # Switch to the event strategy when, after a fair sample, more than this
@@ -73,11 +72,6 @@ REPLAY_COUNTERS = (
 # pre-scanning to pay off.
 _BAILOUT_RATE = 0.6
 _BAILOUT_MIN_DISPATCHES = 512
-# A reaction that rewrites more than this many *other* streams'
-# constraint rows (a broadcast/reinitialization) is cheaper to handle by
-# dropping the window and rescanning than by re-validating suffixes one
-# stream at a time.
-_BROADCAST_CAP = 32
 
 
 def replay_stats(mode: str, kernel: str | None, records: int) -> dict:
@@ -140,26 +134,6 @@ def resolve_mode(mode, payloads, tables, latency_channels, hooked=False) -> str:
     return "batch"
 
 
-class _Chunk:
-    """One scanned stretch ``[base, end)`` of the proven window.
-
-    ``order`` lists its record indices grouped into per-stream runs;
-    ``heap`` holds ``(record index, run, run epoch, grouped index)`` —
-    each run's first potential crossing, an epoch bump killing stale
-    entries.  A chunk scanned without any crossing keeps no run
-    structure (``order is None``).
-    """
-
-    __slots__ = ("base", "end", "heap", "order", "starts", "run_ids", "epoch")
-
-    def __init__(self, base: int, end: int) -> None:
-        self.base = base
-        self.end = end
-        self.heap: list[tuple[int, int, int, int]] = []
-        self.order = None
-        self.epoch: list[int] = []
-
-
 class ReplayCursor:
     """Step-wise replay of ``(times, ids, payloads)`` into *sources*.
 
@@ -170,11 +144,13 @@ class ReplayCursor:
     constraint columns guard a filter.  *channels* carry the
     server-to-source traffic; a latency-modeled one selects the event
     strategy.  State: records before ``pos`` are committed;
-    ``[pos, proven)`` is proven quiescent against the live columns; a
-    window of scanned chunks backs the proof.  The whole surface is
-    :meth:`candidate`, :meth:`advance`, :meth:`dispatch`, :meth:`close`
-    and the read-only ``pos`` / ``proven`` / ``mode`` / ``stats``;
-    ``batch_size`` / ``min_chunk`` bound the adaptive chunk.
+    ``[pos, proven)`` is proven quiescent against the live columns; the
+    one fact behind the proof is the potential crossings of the last
+    scanned stretch, valid while no table's ``constraint_epoch`` has
+    moved since the scan.  The whole surface is :meth:`candidate`,
+    :meth:`advance`, :meth:`dispatch` and the read-only ``pos`` /
+    ``proven`` / ``mode`` / ``stats``; ``batch_size`` / ``min_chunk``
+    bound the adaptive stretch.
     """
 
     def __init__(
@@ -207,23 +183,21 @@ class ReplayCursor:
         self.stats = replay_stats(self.mode, kernel, self._n)
         self.pos = 0
         self.proven = 0
-        self._window: deque[_Chunk] = deque()
         self._max_chunk = int(batch_size)
         self._min_chunk = int(min_chunk)
-        # Consumption-driven chunk size: truncations shrink the scan
-        # window, fully consumed chunks grow it back.
-        self._avg = float(batch_size)
-        #: Position of the last dispatch not yet re-validated against.
-        self._own: int | None = None
+        #: The last scanned stretch ``[_base, _end)``, its potential
+        #: crossings (record indices, ascending) and the tables' summed
+        #: constraint epochs at the scan; ``_size`` is the next stretch's.
+        self._base = self._end = 0
+        self._hits: list[int] = []
+        self._seen = 0
+        self._size = self._max_chunk
         self._prescan = _StatePrescan(self._tables)
         if sources.first_id:
             raise ValueError("a replayed population's rows must be its ids")
-        if not self._event:
-            for table in self._tables:
-                table.watch_constraints()
 
     # ------------------------------------------------------------------
-    # The four operations
+    # The three operations
     # ------------------------------------------------------------------
     def candidate(self) -> int | None:
         """The index of the next record that may flip a filter, or
@@ -233,37 +207,27 @@ class ReplayCursor:
         columns as they are *now* and a candidate is the record at
         ``proven``.  Only the driver moves ``pos`` — under RPC the
         coordinator's global minimum may lie in another shard, so an
-        idle shard's proven window can span several scanned chunks.
+        idle shard's proof can reach back before its last stretch.
 
-        Work done, in order: drain the constraint watch and re-validate
-        only the touched streams' (and the last dispatched stream's)
-        pending records inside the window; else scan forward chunk by
-        chunk.
+        One rule: any constraint write since the scan drops the claim
+        past ``pos``, and the next stretch re-proves from there, twice
+        as long as the dropped one was consumed.  Else the first stored
+        crossing at or past ``pos`` is the candidate; with none left the
+        next stretch is scanned, each one twice as long as the last.
         """
         n = self._n
         if self._event:
             return self.proven if self.proven < n else None
-        window = self._window
-        while window and window[0].end <= self.pos:
-            window.popleft()
-            self._avg = min(float(self._max_chunk), 2.0 * max(self._avg, 1.0))
-        # Drained even when no window is left to re-validate: stale
-        # entries must not survive into a fresh scan of the live columns.
-        notes = [
-            note
-            for table in self._tables
-            for note in table.drain_constraint_watch()
-        ]
-        own, self._own = self._own, None
-        if window and (notes or own is not None):
-            self._revalidate(notes, own)
-        k = None
-        for chunk in window:
-            k = self._first(chunk)
-            if k is not None:
-                break
-        while k is None:
-            start = window[-1].end if window else self.pos
+        pos = self.pos
+        if self._end > pos and self._epoch() != self._seen:
+            self._size = min(
+                self._max_chunk, max(self._min_chunk, 2 * (pos - self._base))
+            )
+            self._end, self._hits = pos, []
+        hits = self._hits
+        at = bisect_left(hits, pos)
+        while at == len(hits):
+            start = max(self._end, pos)
             dispatches = self.stats["dispatches"]
             if (
                 dispatches >= _BAILOUT_MIN_DISPATCHES
@@ -274,13 +238,8 @@ class ReplayCursor:
             if start >= n:
                 self.proven = n
                 return None
-            size = int(
-                min(self._max_chunk, max(self._min_chunk, 4 * self._avg))
-            )
-            chunk = self._scan(start, min(start + size, n))
-            window.append(chunk)
-            k = self._first(chunk)
-        self.proven = k
+            hits, at = self._scan(start), 0
+        self.proven = k = hits[at]
         return k
 
     def advance(self, k: int) -> None:
@@ -304,11 +263,9 @@ class ReplayCursor:
         *as* an engine event, FIFO among same-instant events; else
         nothing can fire first, and the engine runs to the record's time
         before it applies.  Only a latency-modeled channel schedules
-        engine events, and it always selects the event strategy.
-        Afterwards nothing is claimed until the next :meth:`candidate`,
-        which always re-validates the dispatched stream's own pending
-        records: a stream that carries no filter keeps dispatching
-        though no constraint write names it.
+        engine events, and it always selects the event strategy.  A
+        record whose reaction writes no constraint leaves the stretch's
+        claim standing.
         """
         j = self.pos
         engine = self.engine
@@ -323,11 +280,6 @@ class ReplayCursor:
                 engine.run(until=time)
             self._fire()
 
-    def close(self) -> None:
-        """Detach the constraint watches."""
-        for table in self._tables:
-            table.unwatch_constraints()
-
     # ------------------------------------------------------------------
     # Per-event machinery
     # ------------------------------------------------------------------
@@ -335,139 +287,35 @@ class ReplayCursor:
         j = self.pos
         _apply(self.sources, int(self.ids[j]), self.payloads[j], float(self.times[j]))
         self.pos = self.proven = j + 1
-        self._own = j
         self.stats["dispatches"] += 1
 
     def _switch_to_event(self) -> None:
         """Too lively for pre-scanning: claim nothing from here on —
         every record from ``pos`` is its own candidate."""
         self._event = True
-        self._window.clear()
         self.proven = self.pos
         self.stats["dispatch_bailout_at"] = int(self.pos)
-        for table in self._tables:
-            table.unwatch_constraints()
 
     # ------------------------------------------------------------------
-    # The proven window
+    # The proof
     # ------------------------------------------------------------------
-    def _potential(self, selection) -> np.ndarray:
-        """Which of the selected records might flip a filter *now*."""
-        return self._prescan.crossing_mask(
-            self.ids[selection], self.payloads[selection]
-        )
+    def _epoch(self) -> int:
+        """The tables' summed constraint epochs: each only grows, so the
+        sum moves iff some table took a constraint write."""
+        return sum(table.constraint_epoch for table in self._tables)
 
-    def _scan(self, start: int, end: int) -> _Chunk:
-        """Evaluate ``[start, end)`` in one shot; group it into per-stream
-        runs (stable argsort) and seed the heap with each run's first
-        crossing — record index order is time order, so the heap pops
-        crossings exactly as per-event replay would reach them."""
+    def _scan(self, start: int) -> list[int]:
+        """Evaluate the next stretch from *start* in one shot against
+        the live columns; its potential crossings become the claim."""
+        end = min(start + self._size, self._n)
         self.stats["chunk_scans"] += 1
-        chunk = _Chunk(start, end)
-        mask = self._potential(slice(start, end))
-        if not mask.any():
-            return chunk
-        order, starts, run_ids = segment_runs(self.ids[start:end])
-        first = first_true_per_run(mask[order], starts)
-        order += start  # chunk positions -> record indices
-        chunk.order, chunk.starts, chunk.run_ids = order, starts, run_ids
-        chunk.epoch = [0] * len(run_ids)
-        runs = np.nonzero(first >= 0)[0]
-        grouped = first[runs]
-        chunk.heap = [
-            (position, run, 0, at)
-            for position, run, at in zip(
-                order[grouped].tolist(), runs.tolist(), grouped.tolist()
-            )
-        ]
-        heapq.heapify(chunk.heap)
-        return chunk
-
-    @staticmethod
-    def _first(chunk: _Chunk) -> int | None:
-        """The chunk's earliest live crossing (a record index)."""
-        heap, epoch = chunk.heap, chunk.epoch
-        while heap:
-            position, run, run_epoch, _ = heap[0]
-            if run_epoch == epoch[run]:
-                return position
-            heapq.heappop(heap)
-        return None
-
-    def _drop_window(self) -> None:
-        """Truncate after a broadcast: forget every claim past ``pos``;
-        the next scan starts there, against fresh columns."""
-        consumed = max(self.pos - self._window[0].base, 0)
-        self._avg = 0.75 * self._avg + 0.25 * consumed
-        self._window.clear()
-        self.stats["broadcast_truncations"] += 1
-
-    def _revalidate(self, notes: list, own: int | None) -> None:
-        """Re-prove the window after a reaction touched the rows in the
-        tables' *notes* and the record at *own* dispatched.
-
-        The crossing mask of a record depends only on its own stream's
-        columns, so untouched streams' proofs stand.  Every chunk of the
-        window is visited — an idle shard's window spans several.
-        """
-        own_stream = None if own is None else int(self.ids[own])
-        others = {note for note in notes if type(note) is int}
-        bulk = [note for note in notes if type(note) is not int]
-        if bulk:
-            # Distinct by sort-and-compare, and no more Python ints than
-            # it takes to be a broadcast (one of them may be own_stream).
-            rows = np.sort(np.concatenate(bulk))
-            rows = rows[np.diff(rows, prepend=-1) > 0]
-            others.update(rows[: _BROADCAST_CAP + 2].tolist())
-        others.discard(own_stream)
-        if len(others) > _BROADCAST_CAP:
-            self._drop_window()
-            return
-        window = self._window
-        for index, chunk in enumerate(window):
-            lo = max(self.pos, chunk.base)
-            if chunk.order is None:
-                window[index] = self._scan(lo, chunk.end)
-                continue
-            pending = others
-            if own is not None:
-                top = chunk.heap[0] if chunk.heap else None
-                if top is not None and top[0] == own:
-                    # The candidate itself dispatched (the usual case):
-                    # its heap entry, still on top, knows run and place.
-                    self._rescan(chunk, top[1], top[3] + 1)
-                else:
-                    pending = others | {own_stream}
-            for stream_id in pending:
-                run = int(np.searchsorted(chunk.run_ids, stream_id))
-                if run == len(chunk.epoch) or chunk.run_ids[run] != stream_id:
-                    continue
-                # Only positions the cursor has not yet claimed are
-                # still pending for this run.
-                span = chunk.order[chunk.starts[run] : chunk.starts[run + 1]]
-                self._rescan(
-                    chunk,
-                    run,
-                    int(chunk.starts[run])
-                    + int(np.searchsorted(span, lo)),
-                )
-
-    def _rescan(self, chunk: _Chunk, run: int, lo_grouped: int) -> None:
-        """Re-validate *run* from grouped index *lo_grouped* on against
-        the now-live columns; push its new first crossing."""
-        chunk.epoch[run] += 1
-        hi_grouped = int(chunk.starts[run + 1])
-        if lo_grouped >= hi_grouped:
-            return
-        self.stats["suffix_rescans"] += 1
-        suffix = chunk.order[lo_grouped:hi_grouped]
-        hits = np.nonzero(self._potential(suffix))[0]
-        if hits.size:
-            hit = int(hits[0])
-            heapq.heappush(
-                chunk.heap,
-                (int(suffix[hit]), run, chunk.epoch[run], lo_grouped + hit),
-            )
+        mask = self._prescan.crossing_mask(
+            self.ids[start:end], self.payloads[start:end]
+        )
+        self._hits = hits = (np.flatnonzero(mask) + start).tolist()
+        self._base, self._end, self._seen = start, end, self._epoch()
+        self._size = min(self._max_chunk, 2 * self._size)
+        return hits
 
 
 def _apply(sources, stream_id: int, payload, time: float) -> None:

@@ -347,7 +347,7 @@ class ExecutionSession:
             latency-modeled channel replays per event whatever was
             asked; every mode leaves the same ledger.
         batch_size, min_chunk:
-            Bounds of the cursor's adaptive scan chunk (differential
+            Bounds of the cursor's adaptive scan stretch (differential
             tests sweep them; no deployment knob sets them).
         frontiers:
             Ascending record positions ending at ``len(times)``
@@ -356,8 +356,7 @@ class ExecutionSession:
             took, and takes the next only once every record below it is
             applied; scanning ahead only reads.  The durable runner's
             iterator journals a WAL segment before yielding its end
-            (DESIGN.md §11); an exception it raises propagates after
-            the usual cleanup.
+            (DESIGN.md §11); an exception it raises propagates.
         previous:
             The arrays' :func:`~repro.state.runs.previous_in_stream`
             index, or a callable returning it — called only if the
@@ -395,21 +394,18 @@ class ExecutionSession:
             )
             stats = cursor.stats
             stats["columnar_declined"] = declined
-            try:
-                for frontier in frontiers:
-                    while True:
-                        k = cursor.candidate()
-                        if k is None or k >= frontier:
-                            break
-                        cursor.advance(k)
-                        if oracle_apply is not None:
-                            oracle_apply(int(stream_ids[k]), payloads[k])
-                        cursor.dispatch()
-                        if after_apply is not None:
-                            after_apply(float(times[k]))
-                    cursor.advance(frontier)
-            finally:
-                cursor.close()
+            for frontier in frontiers:
+                while True:
+                    k = cursor.candidate()
+                    if k is None or k >= frontier:
+                        break
+                    cursor.advance(k)
+                    if oracle_apply is not None:
+                        oracle_apply(int(stream_ids[k]), payloads[k])
+                    cursor.dispatch()
+                    if after_apply is not None:
+                        after_apply(float(times[k]))
+                cursor.advance(frontier)
         if stats["staged"] + stats["dispatches"] != len(times):
             raise ValueError("frontiers must ascend to exactly len(times)")
         self.last_replay_stats = stats

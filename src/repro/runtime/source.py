@@ -144,11 +144,11 @@ class Population:
         only valid for records already proven quiescent."""
         self.values[rows] = values
 
-    def _note(self, row: int) -> None:
-        """Tell the bound table's constraint watch that *row*'s filter
-        or believed side was just written."""
+    def _note(self) -> None:
+        """Tell the bound table that a row's filter or believed side was
+        just written."""
         if self.table is not None:
-            self.table._note_constraint(self.first_id + row)
+            self.table._note_constraint()
 
     def _send(self, row: int, message: Message) -> None:
         """Send *message* up the channel of *row*'s id range."""

@@ -287,7 +287,6 @@ class ShardWorker:
         """Commit the proven-quiescent tail, settle the clock at the
         horizon, and return the replay stats."""
         self._advance_to(len(self.times), "finish")
-        self.cursor.close()
         if horizon is not None and horizon > self.engine.now:
             self.engine.run(until=horizon)
         stats = dict(self.cursor.stats)

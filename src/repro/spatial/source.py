@@ -124,7 +124,7 @@ class PointPopulation(Population):
             if inside == self.inside.item(row):
                 return
             self.inside[row] = inside
-        self._note(row)
+            self._note()
         self._send(row, PointUpdateMessage(self.first_id + row, time, point.copy()))
 
     # ------------------------------------------------------------------
@@ -140,7 +140,7 @@ class PointPopulation(Population):
             if self.filtered.item(row):
                 inside = self.regions[row].contains(point)
                 self.inside[row] = inside
-                self._note(row)
+                self._note()
             self._send(
                 row,
                 PointProbeReplyMessage(message.stream_id, message.time, point.copy()),

@@ -1,4 +1,4 @@
-"""Per-stream geometry of a record array: grouping, predecessors, runs.
+"""Per-stream geometry of a record array: grouping and predecessors.
 
 A source reports iff its filter membership flips between two consecutive
 values of the *same stream* (DESIGN.md §9), so what replay needs from a
@@ -92,50 +92,3 @@ def previous_in_stream(stream_ids) -> np.ndarray:
         firsts = order[1:][grouped[1:] != grouped[:-1]]
     prev[firsts] = -1
     return prev
-
-
-def segment_runs(stream_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group a chunk's positions into per-stream runs.
-
-    Returns ``(order, starts, run_ids)`` where ``order`` is a stable
-    permutation of ``arange(len(stream_ids))`` grouping equal ids
-    together (ascending position within each group), run ``r`` occupies
-    ``order[starts[r]:starts[r + 1]]``, and ``run_ids[r]`` is its stream
-    id.  ``starts`` has ``n_runs + 1`` entries (``starts[-1] == len``),
-    so the runs partition the chunk exactly — every position appears in
-    exactly one run.
-    """
-    ids = np.asarray(stream_ids)
-    order = stable_id_order(ids)
-    n = len(order)
-    if n == 0:
-        return order, np.zeros(1, dtype=np.intp), ids[:0]
-    sorted_ids = ids[order]
-    boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
-    starts = np.concatenate(([0], boundaries, [n])).astype(np.intp, copy=False)
-    return order, starts, sorted_ids[starts[:-1]]
-
-
-def first_true_per_run(mask_grouped, starts) -> np.ndarray:
-    """First ``True`` per run of a run-grouped boolean mask.
-
-    ``mask_grouped`` must already be in run-grouped order (i.e.
-    ``mask[order]`` for the ``order`` of :func:`segment_runs`); ``starts``
-    are the matching run boundaries.  Returns one index *into the
-    grouped order* per run, or ``-1`` for runs with no ``True``.  Two
-    vectorized calls: ``nonzero`` lists every hit, ``searchsorted``
-    locates each run's first hit at or past its start.
-    """
-    mask_grouped = np.asarray(mask_grouped)
-    starts = np.asarray(starts)
-    n_runs = len(starts) - 1
-    hits = np.nonzero(mask_grouped)[0]
-    out = np.full(n_runs, -1, dtype=np.intp)
-    if hits.size == 0 or n_runs == 0:
-        return out
-    first_hit = np.searchsorted(hits, starts[:-1], side="left")
-    valid = first_hit < hits.size
-    candidate = hits[np.where(valid, first_hit, 0)]
-    inside_run = valid & (candidate < starts[1:])
-    out[inside_run] = candidate[inside_run]
-    return out

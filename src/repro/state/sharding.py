@@ -182,12 +182,10 @@ class StateShardView(StreamStateTable):
     def _ensure_geometry(self, dimension: int) -> None:
         self.parent._ensure_geometry(dimension)
 
-    def _note_constraint(self, row: int) -> None:
-        # Constraint-plane watches live on the coordinator's table: a
-        # shard-local write is a global-row change (the columns are the
-        # same memory), so the dispatch kernel — which watches the
-        # parent — must see it under its global id.
-        self.parent._note_constraint(self.lo + int(row))
+    def _note_constraint(self) -> None:
+        # The columns are the parent's memory, and the replay cursor
+        # reads the parent's epoch.
+        self.parent._note_constraint()
 
     def __reduce__(self):
         """Pickle by re-aliasing, never by value.
@@ -269,8 +267,7 @@ def scatter_region_deploys(
             table.geo_outer_lower[idx] = outer_lo
             table.geo_outer_upper[idx] = outer_hi
             table.geo_scannable[idx] = True
-        for row in idx.tolist():
-            table._note_constraint(row)
+    table._note_constraint()
 
 
 def merge_pair_lists(

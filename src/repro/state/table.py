@@ -100,14 +100,9 @@ class StreamStateTable:
         Directory holding the plane files (required for ``"mmap"``).
     """
 
-    #: Constraint-plane watch (class-level default so shard views — whose
-    #: ``__init__`` aliases a parent instead of calling ``super().__init__``
-    #: — inherit the disabled state).  ``None`` = off; a list = notes of
-    #: the rows whose bounds or believed membership changed since the
-    #: last drain: one row (an ``int``) or one bulk write's row array.
-    _constraint_watch: list | None = None
-    #: Storage defaults at class level for the same shard-view reason:
-    #: a view aliases its parent's arrays and never allocates planes.
+    #: Storage defaults at class level (shard views — whose ``__init__``
+    #: aliases a parent instead of calling ``super().__init__`` — inherit
+    #: them): a view aliases its parent's arrays and never allocates planes.
     _storage: str = "ram"
     _plane_dir: str | None = None
 
@@ -162,6 +157,8 @@ class StreamStateTable:
         self._answer_count = 0
         #: Bumped by every answer write that may move ``answer_mask`` (§14).
         self.answer_epoch = 0
+        #: Bumped by every write of a row's filter or believed side (§9).
+        self.constraint_epoch = 0
         self._tracked_count = 0
         self._known_count = 0
         self._listeners: list = []
@@ -305,41 +302,12 @@ class StreamStateTable:
     # ------------------------------------------------------------------
     # Constraint plane
     # ------------------------------------------------------------------
-    def watch_constraints(self) -> None:
-        """Start (or reset) recording which rows' constraint-plane state
-        changes.
-
-        While a watch is active, every mutation of a row's deployed
-        bounds or believed membership — scalar or geometric — notes the
-        row (a bulk write notes its row array, once).  The replay cursor
-        (DESIGN.md §9) learns from it which streams a dispatched
-        record's reaction touched, and re-validates only their pending
-        run suffixes instead of rescanning the chunk.
-        """
-        self._constraint_watch = []
-
-    def drain_constraint_watch(self) -> list:
-        """Return and clear the notes made since the last drain."""
-        rows = self._constraint_watch
-        if rows is None:
-            return []
-        self._constraint_watch = []
-        return rows
-
-    def unwatch_constraints(self) -> None:
-        """Stop recording constraint-plane changes."""
-        self._constraint_watch = None
-
-    def _note_constraint(self, row: int) -> None:
-        watch = self._constraint_watch
-        if watch is not None:
-            watch.append(int(row))
-
-    def _note_constraint_rows(self, rows: np.ndarray) -> None:
-        watch = self._constraint_watch
-        if watch is not None:
-            # One note, not len(rows) ints: a broadcast's are only counted.
-            watch.append(rows.copy())
+    def _note_constraint(self) -> None:
+        """Some row's deployed bounds or believed membership — scalar or
+        geometric — were just written (a bulk write notes once).  The
+        replay cursor (DESIGN.md §9) drops its claim past ``pos`` when
+        the epoch moved since its scan."""
+        self.constraint_epoch += 1
 
     def record_deploy(self, stream_id: int, lower: float, upper: float) -> None:
         """Record the scalar bounds of a deployed filter constraint."""
@@ -347,7 +315,7 @@ class StreamStateTable:
         self.lower[stream_id] = lower
         self.upper[stream_id] = upper
         self.scannable[stream_id] = True
-        self._note_constraint(stream_id)
+        self._note_constraint()
 
     def _ensure_containers(self) -> np.ndarray:
         if self.containers is None:
@@ -419,7 +387,7 @@ class StreamStateTable:
             math.inf if outer_hi is None else outer_hi
         )
         self.geo_scannable[row] = True
-        self._note_constraint(row)
+        self._note_constraint()
 
     def clear_region_filter(self, stream_id: int) -> None:
         """Drop a row's region filter from the geometric plane."""
@@ -431,7 +399,7 @@ class StreamStateTable:
             self.geo_upper[row] = -math.inf
             self.geo_outer_lower[row] = -math.inf
             self.geo_outer_upper[row] = math.inf
-        self._note_constraint(row)
+        self._note_constraint()
 
     def geometric_quiescence_mask(
         self, points: np.ndarray, stream_ids: np.ndarray | None = None

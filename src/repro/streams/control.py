@@ -19,7 +19,7 @@ delivery — and it must hand the whole batch to one
 and the ids must be distinct — an O(1) test plus one pass over the
 batch, never over the population.  The kernels are then column
 operations on the population's planes, which are *table*'s columns
-(DESIGN.md §21), plus one constraint-watch note per batch.  That is
+(DESIGN.md §21), plus one ``constraint_epoch`` bump per batch.  That is
 also how the hosts' shared ``deploy_columns`` / ``probe_columns`` serve
 the spatial stack with no branch: a point population never qualifies,
 so its batches are the ordered per-message loop (DESIGN.md §15) — as
@@ -176,7 +176,7 @@ def install_constraints(
     population.upper[rows] = upper
     population.filtered[rows] = True
     population.inside[rows] = inside
-    table._note_constraint_rows(ids)
+    table._note_constraint()
     reporting = np.nonzero(must_report)[0]
     if reporting.size:
         times = np.broadcast_to(np.asarray(time, dtype=np.float64), ids.shape)
@@ -246,5 +246,5 @@ def probe_sources(
         (population.lower[rows] <= values) & (values <= population.upper[rows])
     )[filtered]
     population.inside[rows[filtered]] = inside
-    table._note_constraint_rows(ids[filtered])
+    table._note_constraint()
     return values

@@ -137,7 +137,7 @@ class ScalarPopulation(Population):
             if inside == self.inside.item(row):
                 return
             self.inside[row] = inside
-            self._note(row)
+            self._note()
         self._report(row, value, time)
 
     def _report(self, row: int, value: float, time: float, message=UpdateMessage):
@@ -163,7 +163,7 @@ class ScalarPopulation(Population):
             if self.filtered.item(row):
                 inside = self.lower.item(row) <= value <= self.upper.item(row)
                 self.inside[row] = inside
-                self._note(row)
+                self._note()
             self._report(row, value, message.time, ProbeReplyMessage)
         elif kind is MessageKind.CONSTRAINT:
             self.install(
@@ -193,6 +193,6 @@ class ScalarPopulation(Population):
         self.upper[row] = constraint.upper
         self.filtered[row] = True
         self.inside[row] = inside
-        self._note(row)
+        self._note()
         if must_report:
             self._report(row, value, time)

@@ -85,7 +85,7 @@ class WindowPopulation(ScalarPopulation):
         self.centers[row] = value
         self.lower[row], self.upper[row] = lower, upper
         self.inside[row] = True
-        self._note(row)
+        self._note()
         super()._report(row, value, time, message)
 
     def handle(self, message: Message) -> None:

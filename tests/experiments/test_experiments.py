@@ -140,6 +140,14 @@ class TestCommandLine:
         assert exit_info.value.code == 2
         assert "--shards must be >= 1" in capsys.readouterr().err
 
+    def test_parallel_without_all_is_a_usage_error(self, capsys):
+        """One figure has nothing to run concurrently: ``--parallel``
+        must not be silently ignored."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure09", "--profile", "smoke", "--parallel"])
+        assert exit_info.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+
     def test_replay_choices_are_the_replay_modes(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["figure01", "--replay", "columnar"])

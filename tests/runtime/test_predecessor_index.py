@@ -140,14 +140,3 @@ def test_a_run_that_never_reaches_the_kernel_never_builds_it(index_builds):
     assert ranked.extras["replay"]["kernel"] == "run"
     assert index_builds == []
 
-
-def test_the_columnar_path_never_segments_runs(monkeypatch):
-    """The chunk sort must not creep back: the cursor alone groups runs."""
-    calls = []
-    monkeypatch.setattr(
-        replay_module, "segment_runs", lambda ids: calls.append(len(ids))
-    )
-    for spec in SPECS.values():
-        report = Engine().run(spec, _fresh_workload())
-        assert report.extras["replay"]["kernel"] == "columnar"
-    assert calls == []

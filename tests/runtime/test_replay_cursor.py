@@ -2,7 +2,7 @@
 
 ``ReplayCursor`` is the one replay core: ``ExecutionSession.replay``
 drives it in-process, ``ShardWorker`` under RPC.  These tests drive the
-four operations by hand — with constraint rewrites *between* steps,
+three operations by hand — with constraint rewrites *between* steps,
 which is what a coordinator reaction does to an idle shard — and pin
 the structural promises of the refactor (one caller of
 ``crossing_mask``, no session import in the transport, no mirror
@@ -25,19 +25,20 @@ from repro.durability.runner import execute_durable_streams
 from repro.network.latency import FixedLatency
 from repro.network.messages import MessageKind
 from repro.protocols.base import FilterProtocol
-from repro.queries.knn import TopKQuery
+from repro.queries.knn import KnnQuery, TopKQuery
 from repro.runtime.membership import BELIEF_NONE
 from repro.runtime.replay import (
     DEFAULT_BATCH_SIZE,
     REPLAY_MODES,
     ReplayCursor,
+    _StatePrescan,
     columnar_table,
     merge_replay_stats,
 )
 from repro.runtime.session import ExecutionSession
 from repro.server.transport import ShardWorker, TransportError
 from repro.spatial.geometry import BoxRegion
-from repro.spatial.queries import SpatialRangeQuery
+from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
 from repro.spatial.trace import SpatialTrace
 from repro.streams.source import ScalarPopulation
 from repro.streams.trace import StreamTrace
@@ -257,7 +258,6 @@ def test_stepwise_cursor_matches_event_replay(stack, latency, case):
             cursor.dispatch()
         if what[0] is not None:
             rewrite(index, *what)
-    cursor.close()
     assert cursor.stats["dispatches"] + cursor.stats["staged"] == n
     session.engine.run(until=trace.horizon)
     for channel in session.latency_channels:
@@ -545,6 +545,85 @@ def test_touch_on_a_multi_chunk_idle_window_surfaces_the_flip(flipped_chunk):
 
 
 # ----------------------------------------------------------------------
+# The one fact: every candidate is the first crossing of the live columns
+# ----------------------------------------------------------------------
+SCALAR_LIVELY = Workload.synthetic(n_streams=40, horizon=300.0, sigma=60.0, seed=5)
+MOVING_LIVELY = Workload.moving_objects(n_objects=40, horizon=300.0, seed=5)
+BOX = BoxRegion([300.0, 300.0], [700.0, 700.0])
+ORACLE_SPECS = {
+    "rtp": QuerySpec("rtp", TopKQuery(5), RankTolerance(5, 3)),
+    "zt-rp": QuerySpec("zt-rp", KnnQuery(q=500.0, k=5)),
+    "ft-rp": QuerySpec(
+        "ft-rp", KnnQuery(q=500.0, k=5), repro.FractionTolerance(0.2, 0.2)
+    ),
+    "no-filter-2d": QuerySpec("no-filter-2d", SpatialRangeQuery(BOX)),
+    "zt-nrp-2d": QuerySpec("zt-nrp-2d", SpatialRangeQuery(BOX)),
+    "ft-nrp-2d": QuerySpec(
+        "ft-nrp-2d", SpatialRangeQuery(BOX), repro.FractionTolerance(0.2, 0.2)
+    ),
+    "rtp-2d": QuerySpec(
+        "rtp-2d", SpatialKnnQuery((500.0, 500.0), 5), RankTolerance(5, 3)
+    ),
+    "zt-rp-2d": QuerySpec("zt-rp-2d", SpatialKnnQuery((500.0, 500.0), 5)),
+    "ft-rp-2d": QuerySpec(
+        "ft-rp-2d",
+        SpatialKnnQuery((500.0, 500.0), 5),
+        repro.FractionTolerance(0.2, 0.2),
+    ),
+}
+ORACLE_CELLS = [
+    (name, topology)
+    for name in sorted(ORACLE_SPECS)
+    for topology in ("single", "sharded")
+] + [("run_queries", "single")]
+
+
+@pytest.mark.parametrize("name, topology", ORACLE_CELLS)
+def test_candidate_is_the_first_live_crossing(monkeypatch, name, topology):
+    """Until a bailout, each candidate is ``pos`` plus the first potential
+    crossing of a fresh pre-scan of everything left, against the columns
+    as they are then — or ``None`` when there is none.  A constraint
+    write that bumps no epoch leaves a stale claim and fails here."""
+    original = ReplayCursor.candidate
+    checked = []
+
+    def candidate(cursor):
+        k = original(cursor)
+        if cursor.stats["dispatch_bailout_at"] is None:
+            pos = cursor.pos
+            mask = _StatePrescan(cursor._tables).crossing_mask(
+                cursor.ids[pos:], cursor.payloads[pos:]
+            )
+            hits = np.flatnonzero(mask)
+            assert k == (pos + int(hits[0]) if hits.size else None), pos
+            checked.append(k)
+        return k
+
+    monkeypatch.setattr(ReplayCursor, "candidate", candidate)
+    engine = Engine()
+    if name == "run_queries":
+        engine.run_queries(
+            {
+                "near": QuerySpec("zt-rp", KnnQuery(q=500.0, k=5)),
+                "top": ORACLE_SPECS["rtp"],
+            },
+            SCALAR_LIVELY,
+            Deployment.single(replay_mode="batch"),
+        )
+    else:
+        spec = ORACLE_SPECS[name]
+        deployment = (
+            Deployment.single(replay_mode="batch")
+            if topology == "single"
+            else Deployment.sharded(2, replay_mode="batch")
+        )
+        workload = MOVING_LIVELY if name.endswith("-2d") else SCALAR_LIVELY
+        report = engine.run(spec, workload, deployment)
+        assert report.extras["replay"]["kernel"] == "run"
+    assert len(checked) > 1
+
+
+# ----------------------------------------------------------------------
 # One core, structurally
 # ----------------------------------------------------------------------
 def _tree(relative):
@@ -580,8 +659,26 @@ def test_one_replay_core_structurally():
         for path in sorted(SRC.rglob("*.py"))
     }
     assert {k: v for k, v in callers.items() if v} == {
-        "runtime/replay.py": {"_potential"}
+        "runtime/replay.py": {"_scan"}
     }
+    # The cursor's one fact is a stretch and an epoch: no run heap, and
+    # no per-row constraint watch to drain.
+    replay_tree = _tree("runtime/replay.py")
+    imported_by_replay = {
+        alias.name
+        for node in ast.walk(replay_tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } | {
+        node.module
+        for node in ast.walk(replay_tree)
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert "heapq" not in imported_by_replay
+    assert "close" not in _class(replay_tree, "ReplayCursor")
+    assert "watch_constraints" not in _class(
+        _tree("state/table.py"), "StreamStateTable"
+    )
     # Exactly one replay routine applies a record to its source.
     assert _calls(_tree("runtime/replay.py"), "apply") == {"_apply"}
     for module in ("runtime/session.py", "server/transport.py"):
@@ -856,7 +953,6 @@ def test_a_raising_frontier_iterator_leaves_no_tap_behind(
     with pytest.raises(_IteratorDied):
         session.replay_trace(FRONTIER_TRACE, mode=mode, frontiers=frontiers())
     assert all(not channel._taps for channel in session.channels)
-    assert session.host.state._constraint_watch is None
     # Cleanup flushed what was staged: every source holds the value of
     # its last record below the frontier.
     expected = FRONTIER_TRACE.initial_values.copy()

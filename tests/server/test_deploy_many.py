@@ -196,14 +196,13 @@ def _run(topology: str, many: bool, idle: bool, beliefs: str) -> dict:
     if not idle:
         # The redeploy must land on staged replay values — a columnar
         # population's value plane is the staging vector, so the source
-        # already holds its record's 60.0 — and an active constraint
-        # watch, the state the bulk path's watch extension exists for.
+        # already holds its record's 60.0.
         protocol.before_second = lambda server: checks.append(
-            (session.sources[5].value, state._constraint_watch is not None)
+            session.sources[5].value
         )
     session.initialize(0.0)
     session.replay_trace(trace, mode="batch")
-    assert checks == ([] if idle else [(60.0, True)])
+    assert checks == ([] if idle else [60.0])
     return {
         "ledger": session.snapshot(),
         "deliveries": protocol.deliveries,
