@@ -21,6 +21,7 @@ the CI bench-smoke job); ``BENCH_SMOKE=1`` shrinks the grids for CI.
 from __future__ import annotations
 
 from bench_artifacts import SMOKE, best_of, write_artifact
+from replay_forcing import run_forced
 
 from repro.api import Deployment, Engine, QuerySpec, Workload
 from repro.harness.reporting import format_series
@@ -67,6 +68,12 @@ def _filtering_workload() -> Workload:
 
 def _best_of(fn):
     return best_of(fn, REPEATS)
+
+
+def _forced_best_of(mode, fn):
+    """:func:`_best_of` with replay forced to *mode* (the forcing patch
+    stays outside the timed calls)."""
+    return run_forced(mode, lambda: _best_of(fn))
 
 
 def test_extension_spatial_tolerance_curves():
@@ -142,11 +149,11 @@ def test_bench_spatial_batched_replay_speedup():
         f"{trace.n_records} records, sigma=4 (filtering regime), "
         "ZT-NRP-2d over the query box"
     )
-    event, t_event = _best_of(
-        lambda: engine.run(spec, workload, Deployment.single(replay_mode="event"))
+    event, t_event = _forced_best_of(
+        "event", lambda: engine.run(spec, workload, Deployment.single())
     )
-    batch, t_batch = _best_of(
-        lambda: engine.run(spec, workload, Deployment.single(replay_mode="batch"))
+    batch, t_batch = _forced_best_of(
+        "batch", lambda: engine.run(spec, workload, Deployment.single())
     )
     assert batch.ledger == event.ledger, "batched spatial ledger diverged"
     assert batch.final_answer == event.final_answer
@@ -179,8 +186,8 @@ def test_bench_sharded_spatial_ledger_grid():
         query=SpatialKnnQuery(CENTER, K),
         tolerance=FractionTolerance(0.2, 0.2),
     )
-    base, t_base = _best_of(
-        lambda: engine.run(spec, workload, Deployment.single(replay_mode="event"))
+    base, t_base = _forced_best_of(
+        "event", lambda: engine.run(spec, workload, Deployment.single())
     )
     print()
     print(f"{'deployment':>14} {'mode':>6} {'wall':>9} {'ledger':>8}")
@@ -190,12 +197,12 @@ def test_bench_sharded_spatial_ledger_grid():
             if n_shards == 1 and mode == "event":
                 continue
             deployment = (
-                Deployment.single(replay_mode=mode)
+                Deployment.single()
                 if n_shards == 1
-                else Deployment.sharded(n_shards, replay_mode=mode)
+                else Deployment.sharded(n_shards)
             )
-            report, wall = _best_of(
-                lambda d=deployment: engine.run(spec, workload, d)
+            report, wall = _forced_best_of(
+                mode, lambda d=deployment: engine.run(spec, workload, d)
             )
             assert report.ledger == base.ledger, (
                 f"{deployment.describe()} {mode} ledger diverged"

@@ -24,8 +24,9 @@ the sweep for CI.
 from __future__ import annotations
 
 from bench_artifacts import SMOKE, best_of, write_artifact
+from replay_forcing import run_forced
 
-from repro.api import Deployment, Engine
+from repro.api import Engine
 from repro.protocols.rtp import RankToleranceProtocol
 from repro.queries.knn import TopKQuery
 from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
@@ -52,8 +53,10 @@ def _trace():
     )
 
 
-def _best_of(fn):
-    return best_of(fn, REPEATS)
+def _best_of(mode, fn):
+    """Best wall of *fn* with replay forced to *mode* (the forcing patch
+    stays outside the timed calls)."""
+    return run_forced(mode, lambda: best_of(fn, REPEATS))
 
 
 def test_bench_value_window_replay():
@@ -65,14 +68,16 @@ def test_bench_value_window_replay():
     filtering_event = filtering_batch = 0.0
     for eps in EPS_VALUES:
         event, t_event = _best_of(
+            "event",
             lambda e=eps: run_value_tolerance(
-                trace, TopKQuery(k=K), e, check_every=0, replay_mode="event"
-            )
+                trace, TopKQuery(k=K), e, check_every=0
+            ),
         )
         batch, t_batch = _best_of(
+            "batch",
             lambda e=eps: run_value_tolerance(
-                trace, TopKQuery(k=K), e, check_every=0, replay_mode="batch"
-            )
+                trace, TopKQuery(k=K), e, check_every=0
+            ),
         )
         assert event.maintenance_messages == batch.maintenance_messages
         print(f"{eps:>8} {event.maintenance_messages:>9} "
@@ -107,16 +112,15 @@ def test_bench_rtp_replay_no_regression():
     trace = _trace()
     tolerance = RankTolerance(k=K, r=R)
 
-    def run(mode):
+    def run():
         return Engine().run_protocol(
             trace,
             RankToleranceProtocol(TopKQuery(k=K), tolerance),
             tolerance=tolerance,
-            deployment=Deployment.single(replay_mode=mode),
         )
 
-    event, t_event = _best_of(lambda: run("event"))
-    batch, t_batch = _best_of(lambda: run("batch"))
+    event, t_event = _best_of("event", run)
+    batch, t_batch = _best_of("batch", run)
     assert event.ledger == batch.ledger
     print()
     print(f"RTP(r={R}): event {t_event * 1e3:.1f}ms "

@@ -153,7 +153,6 @@ def test_bench_sharded_replay_throughput():
             job = (
                 _restrict_to_shard(trace, lo, hi),
                 spec.build(),
-                "auto",
                 lo,
                 None,
             )

@@ -9,9 +9,16 @@ not its wall-clock variance.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.base import FigureResult, Profile
+
+# The per-event vs batched gates force their arms through the helper
+# the differential tests share (tests/replay_forcing.py).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 @pytest.fixture(scope="session")

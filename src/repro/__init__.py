@@ -7,7 +7,7 @@ Tolerance", VLDB 2005.
 One front door (DESIGN.md §16): a run is a value —
 :class:`~repro.api.QuerySpec` (query + tolerance + protocol),
 :class:`~repro.api.Workload` (trace parameters) and
-:class:`~repro.api.Deployment` (topology, replay mode, checking, latency,
+:class:`~repro.api.Deployment` (topology, checking, latency,
 durability) — compiled by an :class:`~repro.api.Engine` and returned as
 one :class:`~repro.api.RunReport`, whichever of the four stacks serves
 it: the paper's scalar filters (``repro.streams``), the spatial

@@ -250,12 +250,8 @@ def _execute_hosted(
         from repro.server.transport import TransportShardedServer
 
         topology += "+transport"
-        with TransportShardedServer.speaking(stack)(
-            trace,
-            protocol,
-            deployment.n_shards,
-            replay_mode=deployment.replay_mode,
-        ) as transport:
+        transported = TransportShardedServer.speaking(stack)
+        with transported(trace, protocol, deployment.n_shards) as transport:
             transport.initialize(0.0)
             replay = merge_replay_stats(transport.replay(horizon=trace.horizon))
             replay["transport"] = transport.transport_stats()
@@ -307,7 +303,6 @@ def _execute_hosted(
             trace,
             oracle_apply=checker.apply if checker is not None else None,
             after_apply=checker.check if checker is not None else None,
-            mode=deployment.replay_mode,
         )
         replay = dict(session.last_replay_stats)
         ledger = session.snapshot()
@@ -378,10 +373,10 @@ def _shard_replay_worker(job):
     decomposable sources decide reports locally at record time, delivery
     timing never changes which messages are sent.
     """
-    shard_trace, protocol, replay_mode, lo, latency = job
+    shard_trace, protocol, lo, latency = job
     session = ExecutionSession.for_streams(shard_trace, protocol, latency=latency)
     session.initialize(time=0.0)
-    session.replay_trace(shard_trace, mode=replay_mode)
+    session.replay_trace(shard_trace)
     answer = frozenset(int(i) + lo for i in protocol.answer)
     extras = _collect_extras(protocol)
     extras["replay"] = dict(session.last_replay_stats)
@@ -413,7 +408,6 @@ def _execute_streams_fanout(
         (
             _restrict_to_shard(trace, lo, hi),
             copy.deepcopy(protocol),
-            deployment.replay_mode,
             lo,
             deployment.latency,
         )
@@ -506,7 +500,6 @@ class Engine:
             spec.query,
             float(spec.options["eps"]),
             check_every=deployment.check_every,
-            replay_mode=deployment.replay_mode,
             n_shards=deployment.n_shards,
             latency=deployment.latency,
         )
@@ -559,7 +552,6 @@ class Engine:
             queries,
             check_every=deployment.check_every,
             strict=deployment.strict,
-            replay_mode=deployment.replay_mode,
         )
         return RunReport(
             protocol="multi-query",

@@ -11,8 +11,8 @@ execution machinery exists:
   the identical record sequence — the paper's same-trace comparison
   discipline for free).
 * :class:`Deployment` — *where and how*: the physical topology
-  (``single()`` or ``sharded(n)``), the replay mode, correctness
-  checking, and process parallelism.
+  (``single()`` or ``sharded(n)``), correctness checking, process
+  parallelism, the channel's latency and durability.
 
 The :class:`~repro.api.engine.Engine` compiles a ``(spec, workload,
 deployment)`` triple into an executable plan; protocol and trace
@@ -35,7 +35,6 @@ from repro.protocols import (
     ZeroToleranceKnnProtocol,
     ZeroToleranceRangeProtocol,
 )
-from repro.runtime.replay import REPLAY_MODES
 
 #: Stack identifiers (which execution assembly a protocol runs on).
 STACK_STREAMS = "streams"
@@ -236,6 +235,11 @@ class Workload:
 class Deployment:
     """The physical shape of a run.
 
+    How a run replays is no knob: the engine picks per-event or
+    batched replay from what it observes
+    (:func:`repro.runtime.replay.resolve_mode`), both leave one ledger,
+    and ``RunReport.extras["replay"]`` names what ran.
+
     Attributes
     ----------
     topology:
@@ -248,19 +252,6 @@ class Deployment:
         quiescence planes — the spatial ``-2d`` protocols.
     n_shards:
         Shard count (``>= 1``; must be ``>= 2`` for ``sharded``).
-    replay_mode:
-        ``"auto"`` uses the vectorized batched fast path where some
-        stream carries a columnar filter (scalar intervals, or region
-        boxes for points) and replays per event otherwise.  ``"event"``
-        forces the per-event path.  ``"batch"`` requests the fast path.
-        Every mode replays per event with correctness checking active,
-        under any latency model (where the batch cursor lost to
-        per-event replay, DESIGN.md §8.2), or with payloads neither
-        scalars nor points; ``extras["replay"]["mode"]`` names the path
-        that ran.  Forcing a mode can never change results, only speed.
-        Both paths produce identical message ledgers:
-        batching only skips records that provably cannot flip any
-        filter.
     check_every, strict:
         Validate tolerance every N-th applied record; ``0`` disables
         checking entirely (benchmark mode — checking a rank query costs
@@ -320,7 +311,6 @@ class Deployment:
 
     topology: str = "single"
     n_shards: int = 1
-    replay_mode: str = "auto"
     check_every: int = 0
     strict: bool = False
     parallel: bool = False
@@ -364,16 +354,6 @@ class Deployment:
                 raise TypeError(
                     f"{name} must be a bool, got {type(value).__name__}"
                 )
-        if not isinstance(self.replay_mode, str):
-            raise TypeError(
-                f"replay_mode must be a str, got "
-                f"{type(self.replay_mode).__name__}"
-            )
-        if self.replay_mode not in REPLAY_MODES:
-            raise ValueError(
-                f"replay_mode must be one of {REPLAY_MODES}, "
-                f"got {self.replay_mode!r}"
-            )
         # Normalize the latency knob to a model (or None) up front, so
         # invalid values fail at construction and equal deployments
         # compare equal whether built from a number or a model.

@@ -209,7 +209,6 @@ def recover_run(run_dir: str) -> RecoveredRun:
             contents.stream_ids[position:],
             contents.values[position:],
             horizon=None,
-            mode=manifest["replay_mode"],
         )
     scan_reason = contents.scan.reason if contents.scan is not None else "clean"
     return RecoveredRun(
@@ -257,7 +256,6 @@ def resume_run(run_dir: str, trace, progress=None) -> RunReport:
             policy,
             trace,
             rec.position,
-            manifest,
             progress=progress,
         )
     except BaseException:

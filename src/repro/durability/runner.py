@@ -99,7 +99,6 @@ def _replay_segments(
     policy: DurabilityPolicy,
     trace,
     start: int,
-    manifest: dict,
     progress=None,
 ) -> dict:
     """The WAL loop: one replay per snapshot interval, one frontier per
@@ -133,7 +132,6 @@ def _replay_segments(
         session.replay(
             *(column[position:cut] for column in columns),
             horizon=None,
-            mode=manifest["replay_mode"],
             frontiers=journaled(position, cut),
             previous=lambda: trace.previous_record[position:cut] - position,
         )
@@ -259,7 +257,6 @@ def execute_durable_streams(
     manifest = {
         "topology": deployment.topology,
         "n_shards": deployment.n_shards,
-        "replay_mode": deployment.replay_mode,
         "policy": policy,
         "protocol": copy.deepcopy(protocol),
         "initial_values": trace.initial_values.copy(),
@@ -294,7 +291,7 @@ def execute_durable_streams(
     try:
         session.initialize(time=0.0)
         loop = _replay_segments(
-            session, journal, policy, trace, 0, manifest, progress=progress
+            session, journal, policy, trace, 0, progress=progress
         )
     except BaseException:
         # Simulate a crash — buffered bytes are dropped, durable bytes

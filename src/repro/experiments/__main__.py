@@ -9,7 +9,6 @@ import time
 from repro.api import Deployment
 from repro.experiments.base import Profile
 from repro.experiments.registry import REGISTRY, run_all
-from repro.runtime.replay import REPLAY_MODES
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -32,13 +31,6 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=0, help="master random seed"
     )
     parser.add_argument(
-        "--replay",
-        default="auto",
-        choices=REPLAY_MODES,
-        dest="replay_mode",
-        help="replay path: batched fast path, per-event, or auto",
-    )
-    parser.add_argument(
         "--parallel",
         action="store_true",
         help="with 'all': run the figures concurrently on all cores",
@@ -58,11 +50,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--parallel runs the figures concurrently: use it with 'all'")
 
     if args.shards > 1:
-        deployment = Deployment.sharded(
-            args.shards, replay_mode=args.replay_mode
-        )
+        deployment = Deployment.sharded(args.shards)
     else:
-        deployment = Deployment.single(replay_mode=args.replay_mode)
+        deployment = Deployment.single()
 
     if args.experiment == "all":
         started = time.perf_counter()

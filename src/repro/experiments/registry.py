@@ -1,10 +1,9 @@
 """Registry of the reproducible figures.
 
 Every runner is a pure function of ``(profile, seed, deployment)``;
-the one :class:`~repro.api.Deployment` carries the replay mode and the
-topology, so ``deployment=Deployment.sharded(n)`` re-runs a figure on
-the sharded topology (ledgers byte-identical to single-server — the
-sharded coordinator's contract).
+``deployment=Deployment.sharded(n)`` re-runs a figure on the sharded
+topology (ledgers byte-identical to single-server — the sharded
+coordinator's contract).
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ def run_all(
 
     With ``parallel=True`` the figures run concurrently on a process
     pool (each experiment is already a deterministic, self-contained
-    function), in registry order.  *deployment* selects the replay mode
-    and the topology for every figure.
+    function), in registry order.  *deployment* selects the topology
+    for every figure.
     """
     kwargs = {"profile": profile, "seed": seed, "deployment": deployment}
     if not parallel:

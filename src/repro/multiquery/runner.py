@@ -65,7 +65,6 @@ def execute_multi_query(
     queries: dict[str, tuple[FilterProtocol, EntityQuery, Tolerance]],
     check_every: int = 0,
     strict: bool = False,
-    replay_mode: str = "auto",
 ) -> MultiQueryResult:
     """Run every registered query's protocol over one shared population.
 
@@ -77,7 +76,7 @@ def execute_multi_query(
         ``query_id -> (protocol, query, tolerance)``.  The protocol is a
         normal single-query protocol instance; the query/tolerance pair
         is used for the optional correctness checking.
-    check_every, strict, replay_mode:
+    check_every, strict:
         As the :class:`repro.api.Deployment` fields of the same names.
     """
     session = ExecutionSession.for_multiquery(trace.initial_values)
@@ -123,7 +122,6 @@ def execute_multi_query(
         horizon=trace.horizon,
         oracle_apply=oracle.apply if oracle is not None else None,
         after_apply=check if checkers else None,
-        mode=replay_mode,
     )
 
     # Retained records of all queries in time order (query order within

@@ -345,7 +345,9 @@ class ExecutionSession:
             ``"auto"`` | ``"event"`` | ``"batch"``
             (:func:`~repro.runtime.replay.resolve_mode`).  Any
             latency-modeled channel replays per event whatever was
-            asked; every mode leaves the same ledger.
+            asked; every mode leaves the same ledger.  No deployment
+            knob sets it: every engine run asks for ``"auto"``, and
+            only session-level callers force a strategy.
         batch_size, min_chunk:
             Bounds of the cursor's adaptive scan stretch (differential
             tests sweep them; no deployment knob sets them).

@@ -137,7 +137,6 @@ class ShardWorker:
         local_ids: np.ndarray,
         values: np.ndarray,
         gpos: np.ndarray,
-        replay_mode: str,
     ) -> None:
         self.vocabulary = vocabulary
         self.index = int(index)
@@ -155,7 +154,6 @@ class ShardWorker:
         self.channel.bind_server(self._handle_uplink)
         self.table = StreamStateTable(len(self.sources))
         self.sources.bind_state(self.table)
-        self.replay_mode = replay_mode
         #: Captured uplinks: ``(local id, payload, time)``.
         self.outbox: list[tuple] = []
         self._probe_reply: Message | None = None
@@ -173,7 +171,6 @@ class ShardWorker:
             tables=[self.table],
             channels=[self.channel],
             engine=self.engine,
-            mode=self.replay_mode,
         )
 
     # -- channel plumbing ----------------------------------------------
@@ -505,13 +502,11 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         trace,
         protocol: FilterProtocol,
         n_shards: int,
-        replay_mode: str = "auto",
     ) -> None:
         self.vocabulary = vocabulary_of(self.stack)
         self.protocol = protocol
         self._now = 0.0
         self.trace = trace
-        self._replay_mode = replay_mode
         n = trace.n_streams
         self.ranges = shard_ranges(n, n_shards)
         self._state = StreamStateTable(n)
@@ -570,7 +565,6 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
                     ),
                     "values": payloads[keep],
                     "gpos": np.nonzero(keep)[0].astype(np.int64),
-                    "replay_mode": self._replay_mode,
                 }
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(

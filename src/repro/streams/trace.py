@@ -100,10 +100,6 @@ class StreamTrace:
         ):
             yield TraceRecord(float(time), int(stream_id), float(value))
 
-    def records(self) -> Iterator[TraceRecord]:
-        """Alias of iteration, for readability at call sites."""
-        return iter(self)
-
     def restrict_streams(self, n_streams: int) -> "StreamTrace":
         """Project the trace onto the first *n_streams* streams.
 

@@ -79,7 +79,6 @@ def run_value_tolerance(
     query: RankBasedQuery,
     eps: float,
     check_every: int = 1,
-    replay_mode: str = "auto",
     n_shards: int = 1,
     latency=None,
 ) -> ValueToleranceResult:
@@ -149,7 +148,6 @@ def run_value_tolerance(
         trace,
         oracle_apply=oracle_apply,
         after_apply=after_apply,
-        mode=replay_mode,
     )
 
     return ValueToleranceResult(

@@ -8,6 +8,7 @@ from repro.queries.range_query import RangeQuery
 from repro.runtime.replay import REPLAY_COUNTERS
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 WORKLOAD = Workload.synthetic(n_streams=80, horizon=120.0, seed=3)
 RANGE_SPEC = QuerySpec(protocol="zt-nrp", query=RangeQuery(400.0, 600.0))
@@ -169,9 +170,7 @@ def test_report_extras_carry_replay_diagnostics():
     for key in REPLAY_COUNTERS:
         assert stats[key] >= 0
     assert "dispatch_bailout_at" in stats
-    event = Engine().run(
-        RANGE_SPEC, WORKLOAD, Deployment.single(replay_mode="event")
-    )
+    event = run_forced("event", lambda: Engine().run(RANGE_SPEC, WORKLOAD))
     assert event.extras["replay"]["mode"] == "event"
     assert event.extras["replay"]["dispatches"] == event.n_records
 
@@ -192,6 +191,22 @@ def test_fanout_matches_sequential_for_decomposable_protocol():
     )
     assert fanned.ledger == sequential.ledger
     assert fanned.final_answer == sequential.final_answer
+
+
+@pytest.mark.parametrize("mode", ["event", "batch"])
+def test_fanout_workers_replay_the_forced_strategy(mode):
+    """The pool's workers fork inside the forcing patch: each replays
+    the forced strategy, and the merged ledger stays the sequential one."""
+    sequential = Engine().run(RANGE_SPEC, WORKLOAD)
+    fanned = run_forced(
+        mode,
+        lambda: Engine().run(
+            RANGE_SPEC, WORKLOAD, Deployment.sharded(3, parallel=True)
+        ),
+    )
+    assert fanned.topology == "sharded(3)+fanout"
+    assert fanned.extras["replay"]["workers"] == 3
+    assert fanned.ledger == sequential.ledger
 
 
 def test_fanout_not_used_for_coupled_protocols():

@@ -169,7 +169,6 @@ def test_deployment_is_the_only_knob_object():
     assert [field.name for field in dataclasses.fields(Deployment)] == [
         "topology",
         "n_shards",
-        "replay_mode",
         "check_every",
         "strict",
         "parallel",
@@ -178,6 +177,38 @@ def test_deployment_is_the_only_knob_object():
     ]
     with pytest.raises(TypeError, match="max_workers"):
         Deployment.sharded(2, parallel=True, max_workers=1)
+
+
+def test_the_engine_picks_the_replay_strategy(capsys):
+    """How a run replays is no knob: neither the deployment nor the
+    experiments CLI takes a replay mode."""
+    from repro.experiments.__main__ import main
+
+    with pytest.raises(TypeError, match="replay_mode"):
+        Deployment.single(replay_mode="event")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["figure09", "--replay", "batch"])
+    assert exit_info.value.code == 2
+    assert "--replay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "repro.api.spec:Deployment",
+        "repro.valuebased.protocol:run_value_tolerance",
+        "repro.multiquery.runner:execute_multi_query",
+        "repro.server.transport:TransportShardedServer",
+        "repro.server.transport:ShardWorker",
+    ],
+)
+def test_no_entry_point_takes_a_replay_mode(entry):
+    """Above ``ExecutionSession.replay`` nothing can force a strategy."""
+    import importlib
+
+    module, name = entry.split(":")
+    target = getattr(importlib.import_module(module), name)
+    assert "replay_mode" not in inspect.signature(target).parameters
 
 
 @pytest.mark.parametrize("name", list(REGISTRY))

@@ -28,6 +28,7 @@ from repro.queries.knn import KnnQuery, TopKQuery
 from repro.queries.range_query import RangeQuery
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 
 def _smoke(figure_module):
@@ -131,9 +132,11 @@ def test_equivalence_holds_in_both_replay_modes(mode):
     engine = Engine()
     spec = SCALAR_SPECS["ft-rp"]
     workload = WORKLOADS["figure15"]
-    single = engine.run(spec, workload, Deployment.single(replay_mode=mode))
-    sharded = engine.run(
-        spec, workload, Deployment.sharded(4, replay_mode=mode)
+    single = run_forced(
+        mode, lambda: engine.run(spec, workload, Deployment.single())
+    )
+    sharded = run_forced(
+        mode, lambda: engine.run(spec, workload, Deployment.sharded(4))
     )
     assert sharded.ledger == single.ledger
 

@@ -16,6 +16,7 @@ from repro.spatial.geometry import BoxRegion
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 QUERY_BOX = BoxRegion([300.0, 300.0], [700.0, 700.0])
 CENTER = (500.0, 500.0)
@@ -64,15 +65,19 @@ def test_spatial_grid_collapses_to_one_ledger(protocol, workload_name):
     engine = Engine()
     spec = SPATIAL_SPECS[protocol]
     workload = WORKLOADS[workload_name]
-    base = engine.run(spec, workload, Deployment.single(replay_mode="event"))
+    base = run_forced(
+        "event", lambda: engine.run(spec, workload, Deployment.single())
+    )
     for n_shards in (1, 2, 4):
         for mode in ("event", "batch"):
             deployment = (
-                Deployment.single(replay_mode=mode)
+                Deployment.single()
                 if n_shards == 1
-                else Deployment.sharded(n_shards, replay_mode=mode)
+                else Deployment.sharded(n_shards)
             )
-            report = engine.run(spec, workload, deployment)
+            report = run_forced(
+                mode, lambda: engine.run(spec, workload, deployment)
+            )
             assert report.ledger == base.ledger, (
                 f"{protocol} {deployment.describe()} {mode} diverged"
             )

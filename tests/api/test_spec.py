@@ -5,7 +5,6 @@ import pytest
 from repro.api import Deployment, QuerySpec, Workload
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
-from repro.runtime.replay import REPLAY_MODES
 from repro.tolerance.rank_tolerance import RankTolerance
 
 
@@ -132,7 +131,7 @@ def test_deployment_rejects_inconsistent_shapes():
 
 
 def test_deployment_validates_run_config_knobs_eagerly():
-    with pytest.raises(ValueError, match="replay_mode"):
+    with pytest.raises(TypeError, match="replay_mode"):
         Deployment.single(replay_mode="fast")
     with pytest.raises(ValueError, match="check_every"):
         Deployment.single(check_every=-1)
@@ -140,26 +139,9 @@ def test_deployment_validates_run_config_knobs_eagerly():
 
 def test_deployment_defaults_are_valid_and_frozen():
     deployment = Deployment()
-    assert deployment.replay_mode == "auto"
     assert deployment.check_every == 0
     with pytest.raises(AttributeError):
         deployment.check_every = 3
-
-
-@pytest.mark.parametrize("mode", REPLAY_MODES)
-def test_every_documented_replay_mode_is_accepted(mode):
-    assert Deployment(replay_mode=mode).replay_mode == mode
-
-
-@pytest.mark.parametrize("mode", ["fast", "", "AUTO", "batched"])
-def test_unknown_replay_modes_are_rejected_with_the_choices(mode):
-    with pytest.raises(ValueError, match=r"auto.*event.*batch"):
-        Deployment(replay_mode=mode)
-
-
-def test_non_string_replay_mode_is_a_type_error():
-    with pytest.raises(TypeError, match="replay_mode must be a str"):
-        Deployment(replay_mode=3)
 
 
 def test_negative_check_every_is_rejected():

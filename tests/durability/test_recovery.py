@@ -11,6 +11,7 @@ manifest rebuild), plus one real ``os._exit`` subprocess kill.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -24,6 +25,7 @@ from repro.durability.runner import execute_durable_streams
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 SPECS = {
     "zt-nrp": QuerySpec(protocol="zt-nrp", query=RangeQuery(400.0, 600.0)),
@@ -39,14 +41,12 @@ class SimulatedKill(BaseException):
     """Raised from the progress hook to model a mid-run process death."""
 
 
-def _crash_then_resume(spec, deployment_kind, replay_mode, policy, trace):
-    """Run durably, kill at half the trace, recover, finish."""
+def _crash(spec, deployment_kind, policy, trace):
+    """Run durably and kill the run at half the trace."""
     if deployment_kind == "single":
-        deployment = Deployment.single(replay_mode=replay_mode, durable=policy)
+        deployment = Deployment.single(durable=policy)
     else:
-        deployment = Deployment.sharded(
-            2, replay_mode=replay_mode, durable=policy
-        )
+        deployment = Deployment.sharded(2, durable=policy)
     kill_at = trace.n_records // 2
 
     def progress(position):
@@ -57,7 +57,16 @@ def _crash_then_resume(spec, deployment_kind, replay_mode, policy, trace):
         execute_durable_streams(
             trace, spec.build(), deployment, progress=progress
         )
-    return resume_run(policy.run_dir, trace)
+
+
+def _crash_then_resume(spec, deployment_kind, replay_mode, policy, trace):
+    """Crash, recover and finish, every replay forced to *replay_mode*."""
+
+    def crash_then_resume():
+        _crash(spec, deployment_kind, policy, trace)
+        return resume_run(policy.run_dir, trace)
+
+    return run_forced(replay_mode, crash_then_resume)
 
 
 @pytest.mark.parametrize("protocol", sorted(SPECS))
@@ -105,6 +114,36 @@ def test_journal_only_recovery_without_snapshots(tmp_path, protocol):
     assert result.ledger == baseline.ledger
     assert result.final_answer == baseline.final_answer
     assert result.extras["durability"]["recovery"]["snapshot_file"] is None
+
+
+@pytest.mark.parametrize("snapshot_every", [0, 400], ids=["rebuild", "snapshot"])
+@pytest.mark.parametrize("deployment_kind", ["single", "sharded"])
+def test_a_manifest_that_names_a_replay_mode_still_resumes(
+    tmp_path, deployment_kind, snapshot_every
+):
+    """Run directories written while the replay mode was a deployment
+    knob carry ``"replay_mode"`` in their manifest; recovery ignores it
+    and resumes to the same ledger."""
+    spec = SPECS["rtp"]
+    trace = WORKLOAD.materialize()
+    baseline = Engine().run(spec, WORKLOAD, Deployment.single())
+    policy = DurabilityPolicy(
+        run_dir=str(tmp_path / "run"),
+        snapshot_every=snapshot_every,
+        segment_records=128,
+    )
+    _crash(spec, deployment_kind, policy, trace)
+    with open(policy.manifest_path, "rb") as handle:
+        manifest = pickle.load(handle)
+    assert "replay_mode" not in manifest
+    manifest["replay_mode"] = "event"
+    with open(policy.manifest_path, "wb") as handle:
+        pickle.dump(manifest, handle)
+
+    result = resume_run(policy.run_dir, trace)
+    assert result.ledger == baseline.ledger
+    assert result.final_answer == baseline.final_answer
+    assert result.extras["durability"]["recovered"] is True
 
 
 def test_uninterrupted_durable_run_matches_plain(tmp_path):

@@ -39,6 +39,7 @@ from repro.runtime.session import ExecutionSession
 from repro.runtime.source import FilteredSource
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 SPECS = {
     "zt-nrp": QuerySpec("zt-nrp", RangeQuery(400.0, 600.0)),
@@ -56,10 +57,20 @@ class Kill(BaseException):
     """Raised from the progress hook: a process death at that position."""
 
 
-def _deployment(topology, policy, replay_mode="auto"):
+def _deployment(topology, policy):
     if topology == "single":
-        return Deployment.single(replay_mode=replay_mode, durable=policy)
-    return Deployment.sharded(2, replay_mode=replay_mode, durable=policy)
+        return Deployment.single(durable=policy)
+    return Deployment.sharded(2, durable=policy)
+
+
+def _run(protocol, workload, topology, policy, replay_mode):
+    """The durable run, replay forced to *replay_mode*."""
+    return run_forced(
+        replay_mode,
+        lambda: Engine().run(
+            SPECS[protocol], workload, _deployment(topology, policy)
+        ),
+    )
 
 
 _PLAIN: dict = {}
@@ -112,9 +123,7 @@ def test_segments_and_message_frames(
         snapshot_every=50,
         segment_records=segment_records,
     )
-    report = Engine().run(
-        SPECS[protocol], SMALL, _deployment(topology, policy, replay_mode)
-    )
+    report = _run(protocol, SMALL, topology, policy, replay_mode)
     plain = _plain(protocol, SMALL)
     assert report.ledger == plain.ledger
     assert report.final_answer == plain.final_answer
@@ -182,22 +191,26 @@ def test_a_kill_at_every_segment_boundary_resumes_identically(
             if position == boundary:
                 raise Kill
 
-        with pytest.raises(Kill):
-            execute_durable_streams(
-                trace,
-                SPECS[protocol].build(),
-                _deployment(topology, policy, replay_mode),
-                progress=progress,
-            )
-        # Progress hears of every boundary, in order, exactly once.
-        assert heard == boundaries[: len(heard)]
-        contents = load_journal(policy.journal_path)
-        assert len(contents.times) == boundary
-        assert [m["position"] for m in contents.snapshots] == [
-            cut for cut in range(48, trace.n_records, 48) if cut <= boundary
-        ]
+        def crash_then_resume():
+            with pytest.raises(Kill):
+                execute_durable_streams(
+                    trace,
+                    SPECS[protocol].build(),
+                    _deployment(topology, policy),
+                    progress=progress,
+                )
+            # Progress hears of every boundary, in order, exactly once.
+            assert heard == boundaries[: len(heard)]
+            contents = load_journal(policy.journal_path)
+            assert len(contents.times) == boundary
+            assert [m["position"] for m in contents.snapshots] == [
+                cut
+                for cut in range(48, trace.n_records, 48)
+                if cut <= boundary
+            ]
+            return resume_run(policy.run_dir, trace)
 
-        result = resume_run(policy.run_dir, trace)
+        result = run_forced(replay_mode, crash_then_resume)
         assert result.ledger == plain.ledger, boundary
         assert result.final_answer == plain.final_answer, boundary
         recovery = result.extras["durability"]["recovery"]
@@ -275,9 +288,7 @@ def test_journal_bytes_are_pinned(tmp_path, cell):
         snapshot_every=400,
         segment_records=128,
     )
-    report = Engine().run(
-        SPECS[protocol], RECOVERY, _deployment(topology, policy, replay_mode)
-    )
+    report = _run(protocol, RECOVERY, topology, policy, replay_mode)
     assert report.extras["durability"]["snapshots"]["count"] == 4
     assert sorted(os.listdir(policy.snapshot_dir)) == [
         f"snapshot_{cut:012d}.pkl" for cut in (512, 1024, 1536, 2048)
@@ -313,9 +324,7 @@ def test_absorbed_prefixes_journal_the_event_mode_totals(tmp_path):
             snapshot_every=400,
             segment_records=128,
         )
-        report = Engine().run(
-            SPECS["ft-nrp"], RECOVERY, _deployment("sharded", policy, replay_mode)
-        )
+        report = _run("ft-nrp", RECOVERY, "sharded", policy, replay_mode)
         spans[replay_mode] = _messages_between_event_frames(policy.journal_path)
         frames[replay_mode] = report.extras["durability"]["journal"]["message_frames"]
     assert report.extras["replay"]["kernel"] == "columnar"
@@ -352,13 +361,16 @@ def test_a_kill_between_an_absorbed_prefix_and_its_reaction_resumes(tmp_path):
                 if position == kill:
                     raise Kill
 
-            with pytest.raises(Kill):
-                execute_durable_streams(
-                    trace, SPECS["ft-nrp"].build(),
-                    _deployment("single", policy, "batch"), progress=progress,
-                )
-            assert len(load_journal(policy.journal_path).times) == kill
-            result = resume_run(policy.run_dir, trace)
+            def crash_then_resume():
+                with pytest.raises(Kill):
+                    execute_durable_streams(
+                        trace, SPECS["ft-nrp"].build(),
+                        _deployment("single", policy), progress=progress,
+                    )
+                assert len(load_journal(policy.journal_path).times) == kill
+                return resume_run(policy.run_dir, trace)
+
+            result = run_forced("batch", crash_then_resume)
             assert result.ledger == plain.ledger, (kill, snapshot_every)
             assert result.final_answer == plain.final_answer
             assert result.extras["replay"]["kernel"] == "columnar"

@@ -14,7 +14,6 @@ from repro.experiments import (
     figure14,
     figure15,
 )
-from repro.runtime.replay import REPLAY_MODES
 
 
 class TestRegistry:
@@ -147,9 +146,3 @@ class TestCommandLine:
             main(["figure09", "--profile", "smoke", "--parallel"])
         assert exit_info.value.code == 2
         assert "--parallel" in capsys.readouterr().err
-
-    def test_replay_choices_are_the_replay_modes(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["figure01", "--replay", "columnar"])
-        assert exit_info.value.code == 2
-        assert repr(REPLAY_MODES[0]) in capsys.readouterr().err

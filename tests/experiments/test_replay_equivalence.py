@@ -16,7 +16,7 @@ sources, and the answer the protocol reports.
 
 import pytest
 
-from repro.api import Deployment, Engine
+from repro.api import Engine
 from repro.experiments.registry import REGISTRY
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.ft_rp import FractionToleranceKnnProtocol
@@ -29,17 +29,14 @@ from repro.runtime.session import ExecutionSession
 from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_figure_series_identical_across_replay_modes(name):
     runner, _ = REGISTRY[name]
-    event = runner(
-        profile="smoke", seed=0, deployment=Deployment.single(replay_mode="event")
-    )
-    batch = runner(
-        profile="smoke", seed=0, deployment=Deployment.single(replay_mode="batch")
-    )
+    event = run_forced("event", lambda: runner(profile="smoke", seed=0))
+    batch = run_forced("batch", lambda: runner(profile="smoke", seed=0))
     assert event.x_values == batch.x_values
     assert event.series == batch.series
 
@@ -108,8 +105,8 @@ def test_state_engine_final_state_identical_across_modes(
     tables = {}
     for mode in ("event", "batch"):
         protocol = factory()
-        result = Engine().run_protocol(
-            state_trace, protocol, deployment=Deployment.single(replay_mode=mode)
+        result = run_forced(
+            mode, lambda: Engine().run_protocol(state_trace, protocol)
         )
         tables[mode] = (result, protocol._state)
     event_result, event_table = tables["event"]

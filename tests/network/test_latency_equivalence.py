@@ -42,6 +42,7 @@ from repro.spatial.geometry import BoxRegion
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 
 def _smoke(figure_module):
@@ -153,11 +154,14 @@ COMBOS = [
 ]
 
 
-def _deployment(topology: str, mode: str, latency) -> Deployment:
+def _run(spec, workload, topology: str, mode: str, latency):
+    """The run on *topology*, replay forced to *mode*."""
     if topology == "single":
-        return Deployment.single(replay_mode=mode, latency=latency)
-    assert topology == "sharded2"
-    return Deployment.sharded(2, replay_mode=mode, latency=latency)
+        deployment = Deployment.single(latency=latency)
+    else:
+        assert topology == "sharded2"
+        deployment = Deployment.sharded(2, latency=latency)
+    return run_forced(mode, lambda: Engine().run(spec, workload, deployment))
 
 
 _BASELINES: dict = {}
@@ -180,9 +184,7 @@ def test_latency_zero_scalar_ledgers_byte_identical(
     spec = SCALAR_SPECS[protocol]
     workload = WORKLOADS[figure]
     base = _baseline("scalar", (figure, protocol), spec, workload)
-    report = Engine().run(
-        spec, workload, _deployment(topology, mode, latency=0.0)
-    )
+    report = _run(spec, workload, topology, mode, latency=0.0)
     assert report.ledger == base.ledger, (
         f"{protocol} on {figure} under latency=0 {topology}/{mode} "
         f"diverged from the synchronous channel"
@@ -197,9 +199,7 @@ def test_latency_zero_spatial_ledgers_byte_identical(
 ):
     spec = SPATIAL_SPECS[protocol]
     base = _baseline("spatial", protocol, spec, SPATIAL_WORKLOAD)
-    report = Engine().run(
-        spec, SPATIAL_WORKLOAD, _deployment(topology, mode, latency=0.0)
-    )
+    report = _run(spec, SPATIAL_WORKLOAD, topology, mode, latency=0.0)
     assert report.ledger == base.ledger, (
         f"{protocol} under latency=0 {topology}/{mode} diverged"
     )
@@ -213,9 +213,7 @@ def test_latency_zero_value_window_ledger_byte_identical(topology):
     )
     workload = WORKLOADS["figure01"]
     base = _baseline("value", "figure01", spec, workload)
-    report = Engine().run(
-        spec, workload, _deployment(topology, "auto", latency=0.0)
-    )
+    report = _run(spec, workload, topology, "auto", latency=0.0)
     assert report.ledger == base.ledger
     assert report.extras["worst_rank"] == base.extras["worst_rank"]
 

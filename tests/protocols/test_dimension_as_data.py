@@ -20,6 +20,7 @@ from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
 from repro.spatial.trace import SpatialTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 RANGE = (
     RangeQuery(400.0, 600.0),
@@ -165,8 +166,8 @@ def test_2d_specs_keep_their_routing():
     protocol = spec.build()
     assert protocol.decomposable_maintenance and protocol.columnar_maintenance
     workload = Workload.moving_objects(n_objects=100, horizon=100.0, seed=1)
-    single = Engine().run(
-        spec, workload, Deployment.single(replay_mode="batch")
+    single = run_forced(
+        "batch", lambda: Engine().run(spec, workload, Deployment.single())
     )
     assert single.extras["replay"]["kernel"] == "run"
     parallel = Engine().run(

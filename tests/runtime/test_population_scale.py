@@ -22,6 +22,7 @@ from repro.runtime.replay import ReplayCursor
 from repro.runtime.session import ExecutionSession
 from repro.sim.engine import SimulationEngine
 from repro.streams.source import StreamSource
+from replay_forcing import run_forced
 
 N = 100_000
 #: A short horizon: ~10 000 records over the 100 000 streams.
@@ -109,7 +110,7 @@ def test_every_stack_assembles_without_a_per_stream_object(assemble, n_shards):
 @pytest.mark.parametrize("protocol", sorted(SPECS))
 def test_one_ledger_at_population_scale(protocol):
     spec = SPECS[protocol]
-    reference = Engine().run(spec, WORKLOAD, Deployment.single(replay_mode="event"))
+    reference = run_forced("event", lambda: Engine().run(spec, WORKLOAD))
     assert reference.extras["replay"]["dispatches"] == reference.n_records
     for deployment in (
         Deployment.single(),

@@ -44,6 +44,7 @@ from repro.streams.source import ScalarPopulation
 from repro.streams.trace import StreamTrace
 from repro.streams.vocabulary import SCALAR
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import forced_replay, run_forced
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 N_STREAMS = 6
@@ -348,8 +349,10 @@ def _deploy_at_worker(worker, stream_ids, lower, upper) -> None:
     )
 
 
-def _one_shard_worker(trace, replay_mode="batch") -> ShardWorker:
-    return ShardWorker(
+def _one_shard_worker(trace) -> ShardWorker:
+    """A shard worker whose cursor is built now, forced to batch: it
+    reads the live columns, so the filters deployed later still count."""
+    worker = ShardWorker(
         SCALAR,
         0,
         trace.initial_values,
@@ -357,8 +360,10 @@ def _one_shard_worker(trace, replay_mode="batch") -> ShardWorker:
         trace.stream_ids,
         trace.values,
         np.arange(trace.n_records),
-        replay_mode,
     )
+    with forced_replay("batch"):
+        assert worker.cursor.mode == "batch"
+    return worker
 
 
 def test_one_shard_worker_dispatches_what_the_session_dispatches(monkeypatch):
@@ -602,23 +607,26 @@ def test_candidate_is_the_first_live_crossing(monkeypatch, name, topology):
     monkeypatch.setattr(ReplayCursor, "candidate", candidate)
     engine = Engine()
     if name == "run_queries":
-        engine.run_queries(
-            {
-                "near": QuerySpec("zt-rp", KnnQuery(q=500.0, k=5)),
-                "top": ORACLE_SPECS["rtp"],
-            },
-            SCALAR_LIVELY,
-            Deployment.single(replay_mode="batch"),
+        run_forced(
+            "batch",
+            lambda: engine.run_queries(
+                {
+                    "near": QuerySpec("zt-rp", KnnQuery(q=500.0, k=5)),
+                    "top": ORACLE_SPECS["rtp"],
+                },
+                SCALAR_LIVELY,
+                Deployment.single(),
+            ),
         )
     else:
         spec = ORACLE_SPECS[name]
         deployment = (
-            Deployment.single(replay_mode="batch")
-            if topology == "single"
-            else Deployment.sharded(2, replay_mode="batch")
+            Deployment.single() if topology == "single" else Deployment.sharded(2)
         )
         workload = MOVING_LIVELY if name.endswith("-2d") else SCALAR_LIVELY
-        report = engine.run(spec, workload, deployment)
+        report = run_forced(
+            "batch", lambda: engine.run(spec, workload, deployment)
+        )
         assert report.extras["replay"]["kernel"] == "run"
     assert len(checked) > 1
 
@@ -750,10 +758,10 @@ def test_auto_resolves_event_under_any_latency_channel(spec, workload, topology)
 
     def run(mode):
         if topology == "single":
-            deployment = Deployment.single(latency=latency, replay_mode=mode)
+            deployment = Deployment.single(latency=latency)
         else:
-            deployment = Deployment.sharded(2, latency=latency, replay_mode=mode)
-        return Engine().run(spec, workload, deployment)
+            deployment = Deployment.sharded(2, latency=latency)
+        return run_forced(mode, lambda: Engine().run(spec, workload, deployment))
 
     reports = {mode: run(mode) for mode in REPLAY_MODES}
     for report in reports.values():
@@ -1015,8 +1023,8 @@ def test_the_gate_declines_sources_that_hold_no_plain_interval():
         SpatialRangeQuery(BoxRegion([300.0, 300.0], [700.0, 700.0])),
     )
     workload = Workload.moving_objects(n_objects=40, horizon=60.0, seed=7)
-    stats = Engine().run(
-        spec, workload, Deployment.sharded(2, replay_mode="batch")
+    stats = run_forced(
+        "batch", lambda: Engine().run(spec, workload, Deployment.sharded(2))
     ).extras["replay"]
     assert (stats["kernel"], stats["columnar_declined"]) == ("run", "membership")
 

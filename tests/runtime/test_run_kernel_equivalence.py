@@ -32,6 +32,7 @@ from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
 from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 #: The five scalar protocols, sized for a 40-stream population.
 SCALAR_SPECS = {
@@ -101,10 +102,13 @@ GRID = [
 ]
 
 
-def _deploy(n_shards, mode, latency) -> Deployment:
+def _run(spec, workload, n_shards, mode, latency):
+    """One grid cell: the run on that topology, replay forced to *mode*."""
     if n_shards == 1:
-        return Deployment.single(replay_mode=mode, latency=latency)
-    return Deployment.sharded(n_shards, replay_mode=mode, latency=latency)
+        deployment = Deployment.single(latency=latency)
+    else:
+        deployment = Deployment.sharded(n_shards, latency=latency)
+    return run_forced(mode, lambda: Engine().run(spec, workload, deployment))
 
 
 def _session_outcome(spec, trace, n_shards, mode, **bounds):
@@ -145,10 +149,9 @@ def _assert_grid_collapses(spec, workload):
         spec.stack == "streams"
     ):
         _assert_columnar_leaves_the_event_state(spec, workload.materialize())
-    engine = Engine()
-    base = engine.run(spec, workload, _deploy(1, "event", None))
+    base = _run(spec, workload, 1, "event", None)
     for n_shards, mode, latency in GRID:
-        report = engine.run(spec, workload, _deploy(n_shards, mode, latency))
+        report = _run(spec, workload, n_shards, mode, latency)
         tag = f"{spec.protocol} shards={n_shards} {mode} latency={latency}"
         assert report.ledger == base.ledger, f"{tag}: ledger diverged"
         assert report.final_answer == base.final_answer, (

@@ -19,6 +19,7 @@ from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 from repro.valuebased.protocol import run_value_tolerance
+from replay_forcing import run_forced
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +60,11 @@ def _protocol_zoo():
 )
 def test_batched_replay_ledger_identical(trace, name, factory):
     """Acceptance: batch mode == event mode, snapshot for snapshot."""
-    event = Engine().run_protocol(
-        trace, factory(), deployment=Deployment.single(replay_mode="event")
+    event = run_forced(
+        "event", lambda: Engine().run_protocol(trace, factory())
     )
-    batch = Engine().run_protocol(
-        trace, factory(), deployment=Deployment.single(replay_mode="batch")
+    batch = run_forced(
+        "batch", lambda: Engine().run_protocol(trace, factory())
     )
     assert event.ledger == batch.ledger
     assert event.final_answer == batch.final_answer
@@ -76,8 +77,8 @@ def test_batch_size_does_not_change_results(trace, name, batch_size):
     (zt-nrp) and on the cursor (ft-nrp, rtp) alike.  The bounds are
     arguments of ``ExecutionSession.replay`` only; no config sets them."""
     factory = dict(_protocol_zoo())[name]
-    reference = Engine().run_protocol(
-        trace, factory(), deployment=Deployment.single(replay_mode="event")
+    reference = run_forced(
+        "event", lambda: Engine().run_protocol(trace, factory())
     )
     protocol = factory()
     session = ExecutionSession.for_streams(trace, protocol)
@@ -101,11 +102,13 @@ def test_a_non_positive_chunk_bound_is_rejected(trace, name):
 
 @pytest.mark.parametrize("eps", [5.0, 60.0, 500.0])
 def test_value_window_batched_identical(trace, eps):
-    event = run_value_tolerance(
-        trace, TopKQuery(k=5), eps, check_every=0, replay_mode="event"
+    event = run_forced(
+        "event",
+        lambda: run_value_tolerance(trace, TopKQuery(k=5), eps, check_every=0),
     )
-    batch = run_value_tolerance(
-        trace, TopKQuery(k=5), eps, check_every=0, replay_mode="batch"
+    batch = run_forced(
+        "batch",
+        lambda: run_value_tolerance(trace, TopKQuery(k=5), eps, check_every=0),
     )
     assert event.maintenance_messages == batch.maintenance_messages
 
@@ -125,8 +128,8 @@ def test_multiquery_batched_identical(trace):
             ),
         }
 
-    event = execute_multi_query(trace, queries(), replay_mode="event")
-    batch = execute_multi_query(trace, queries(), replay_mode="batch")
+    event = run_forced("event", lambda: execute_multi_query(trace, queries()))
+    batch = run_forced("batch", lambda: execute_multi_query(trace, queries()))
     assert event.ledger == batch.ledger
     assert event.shared_updates == batch.shared_updates
     assert event.logical_deliveries == batch.logical_deliveries
@@ -136,11 +139,12 @@ def test_multiquery_batched_identical(trace):
 def test_checked_runs_identical_across_requested_modes(trace):
     """Checking forces the event path, so modes must agree trivially."""
     results = [
-        Engine().run_protocol(
-            trace,
-            ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0)),
-            deployment=Deployment.single(
-                check_every=1, strict=True, replay_mode=mode
+        run_forced(
+            mode,
+            lambda: Engine().run_protocol(
+                trace,
+                ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0)),
+                deployment=Deployment.single(check_every=1, strict=True),
             ),
         )
         for mode in ("auto", "event", "batch")
@@ -149,8 +153,6 @@ def test_checked_runs_identical_across_requested_modes(trace):
 
 
 def test_invalid_mode_rejected(trace):
-    with pytest.raises(ValueError):
-        Deployment.single(replay_mode="vectorized")
     session = ExecutionSession.for_streams(
         trace, NoFilterProtocol(RangeQuery(0.0, 1.0))
     )
@@ -212,10 +214,11 @@ def test_session_initialize_phases(trace):
 
 def test_empty_trace_batched(trace):
     empty = trace.truncate(0.0)
-    result = Engine().run_protocol(
-        empty,
-        ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0)),
-        deployment=Deployment.single(replay_mode="batch"),
+    result = run_forced(
+        "batch",
+        lambda: Engine().run_protocol(
+            empty, ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0))
+        ),
     )
     assert result.maintenance_messages == 0
 

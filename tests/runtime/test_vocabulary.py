@@ -17,7 +17,7 @@ from repro.runtime.membership import (
     BELIEF_NONE,
     BELIEF_OUTSIDE,
 )
-from repro.runtime.replay import REPLAY_MODES
+from repro.runtime.replay import REPLAY_MODES, resolve_mode
 from repro.runtime.session import ExecutionSession
 from repro.runtime.vocabulary import Vocabulary, vocabulary_of
 from repro.server.server import Server
@@ -206,5 +206,5 @@ def test_spatial_report_marks_violations_beyond_the_detail_cap():
 # ----------------------------------------------------------------------
 def test_the_chunk_loop_mode_is_gone():
     assert REPLAY_MODES == ("auto", "event", "batch")
-    with pytest.raises(ValueError, match="replay_mode must be one of"):
-        Deployment(replay_mode="batch-chunk")
+    with pytest.raises(ValueError, match="replay mode must be one of"):
+        resolve_mode("batch-chunk", np.zeros(1), [], [])

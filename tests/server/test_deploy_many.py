@@ -44,6 +44,7 @@ from repro.state.pools import SilencerPools
 from repro.streams.control import deploy_columns
 from repro.streams.filters import FilterConstraint
 from repro.streams.trace import StreamTrace
+from replay_forcing import run_forced
 
 N = 12
 FIRST = FilterConstraint(35.0, 75.0)
@@ -177,10 +178,15 @@ def _run(topology: str, many: bool, idle: bool, beliefs: str) -> dict:
     checks = []
     protocol = Scripted(many, idle, _second_deploy(actual, beliefs))
     if topology == "parallel":
-        server = TransportShardedServer(trace, protocol, 2, replay_mode="batch")
-        with server:
-            server.initialize(0.0)
-            server.replay(horizon=trace.horizon)
+
+        def transported():
+            server = TransportShardedServer(trace, protocol, 2)
+            with server:
+                server.initialize(0.0)
+                server.replay(horizon=trace.horizon)
+            return server
+
+        server = run_forced("batch", transported)
         state = server.state
         return {
             "ledger": server.snapshot(),
@@ -643,7 +649,7 @@ def test_interleaved_worker_runs_are_served_one_rpc_at_a_time():
         metadata={"workload": "deploy-many-interleaved"},
     )
     protocol = Interleaved(True, False, None)
-    server = TransportShardedServer(trace, protocol, 2, replay_mode="batch")
+    server = TransportShardedServer(trace, protocol, 2)
     with server:
         server.initialize(0.0)
         assert protocol.probed.tolist() == ids.astype(float).tolist()

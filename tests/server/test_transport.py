@@ -24,6 +24,7 @@ from repro.queries.knn import KnnQuery, TopKQuery
 from repro.queries.range_query import RangeQuery
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 WORKLOAD = Workload.synthetic(n_streams=100, horizon=30.0, seed=7)
 
@@ -61,16 +62,18 @@ def test_transport_ledger_identical_to_sequential(
 ):
     engine = Engine()
     spec = COUPLED_SPECS[protocol]
-    sequential = engine.run(
-        spec,
-        WORKLOAD,
-        Deployment.sharded(n_shards, replay_mode=mode, latency=latency),
+    sequential = run_forced(
+        mode,
+        lambda: engine.run(
+            spec, WORKLOAD, Deployment.sharded(n_shards, latency=latency)
+        ),
     )
-    parallel = engine.run(
-        spec,
-        WORKLOAD,
-        Deployment.sharded(
-            n_shards, parallel=True, replay_mode=mode, latency=latency
+    parallel = run_forced(
+        mode,
+        lambda: engine.run(
+            spec,
+            WORKLOAD,
+            Deployment.sharded(n_shards, parallel=True, latency=latency),
         ),
     )
     assert parallel.ledger == sequential.ledger

@@ -37,6 +37,7 @@ from repro.runtime.vocabulary import Vocabulary
 from repro.server.transport import ShardWorker, TransportShardedServer
 from repro.spatial.queries import SpatialKnnQuery
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 SCALAR_WORKLOAD = Workload.synthetic(n_streams=100, horizon=30.0, seed=7)
 SPATIAL_WORKLOAD = Workload.moving_objects(n_objects=60, horizon=40.0, seed=3)
@@ -115,12 +116,14 @@ def assert_routed_to_sibling(spec, workload, n_shards, **knobs):
 def test_latency_cells_run_the_sequential_sibling(
     no_processes, protocol, n_shards, mode
 ):
-    routed = assert_routed_to_sibling(
-        SPECS[protocol],
-        _workload(protocol),
-        n_shards,
-        replay_mode=mode,
-        latency=MODELS[protocol],
+    routed = run_forced(
+        mode,
+        lambda: assert_routed_to_sibling(
+            SPECS[protocol],
+            _workload(protocol),
+            n_shards,
+            latency=MODELS[protocol],
+        ),
     )
     assert routed.topology == f"sharded({n_shards})+latency"
 
@@ -258,15 +261,15 @@ def test_the_surface_that_is_left():
         "deploy_batch", "finish",
     }
     assert list(inspect.signature(TransportShardedServer.__init__).parameters) == [
-        "self", "trace", "protocol", "n_shards", "replay_mode",
+        "self", "trace", "protocol", "n_shards",
     ]
     assert list(inspect.signature(TransportShardedServer.replay).parameters) == [
         "self", "horizon",
     ]
     assert len(dataclasses.fields(Vocabulary)) == 16
     assert [field.name for field in dataclasses.fields(Deployment)] == [
-        "topology", "n_shards", "replay_mode", "check_every", "strict",
-        "parallel", "latency", "durable",
+        "topology", "n_shards", "check_every", "strict", "parallel",
+        "latency", "durable",
     ]
     import repro.network.latency as latency
 

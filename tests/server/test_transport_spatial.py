@@ -21,6 +21,7 @@ from repro.spatial.geometry import BoxRegion
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from replay_forcing import run_forced
 
 WORKLOAD = Workload.moving_objects(n_objects=60, horizon=40.0, seed=3)
 
@@ -69,13 +70,14 @@ def test_spatial_transport_ledger_identical_to_sequential(
 ):
     engine = Engine()
     spec = SPATIAL_SPECS[protocol]
-    sequential = engine.run(
-        spec, WORKLOAD, Deployment.sharded(n_shards, replay_mode=mode)
+    sequential = run_forced(
+        mode, lambda: engine.run(spec, WORKLOAD, Deployment.sharded(n_shards))
     )
-    parallel = engine.run(
-        spec,
-        WORKLOAD,
-        Deployment.sharded(n_shards, parallel=True, replay_mode=mode),
+    parallel = run_forced(
+        mode,
+        lambda: engine.run(
+            spec, WORKLOAD, Deployment.sharded(n_shards, parallel=True)
+        ),
     )
     assert parallel.ledger == sequential.ledger
     assert parallel.final_answer == sequential.final_answer

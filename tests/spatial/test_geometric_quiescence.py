@@ -221,8 +221,9 @@ class _NoBoxes(BoxRegion):
 
 def test_quiescent_records_batch_identically_to_per_event():
     """End to end: the AABB pre-scan's ledger equals per-event replay."""
-    from repro.api import Deployment, Engine, QuerySpec, Workload
+    from repro.api import Engine, QuerySpec, Workload
     from repro.spatial.queries import SpatialRangeQuery
+    from replay_forcing import run_forced
 
     workload = Workload.moving_objects(
         n_objects=60, horizon=150.0, sigma=6.0, seed=9
@@ -232,7 +233,7 @@ def test_quiescent_records_batch_identically_to_per_event():
         SpatialRangeQuery(BoxRegion([300.0, 300.0], [700.0, 700.0])),
     )
     reports = {
-        mode: Engine().run(spec, workload, Deployment.single(replay_mode=mode))
+        mode: run_forced(mode, lambda: Engine().run(spec, workload))
         for mode in ("event", "batch")
     }
     assert reports["batch"].extras["replay"]["staged"] > 0
