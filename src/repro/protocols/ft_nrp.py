@@ -50,7 +50,7 @@ Server-side state — answer mask and silencer flags — lives in the shared
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -174,27 +174,28 @@ class FractionToleranceRangeProtocol(SilencingProtocol):
 
         :meth:`on_update` reacts to a leave-report only: one that finds
         ``count == 0`` with something to spend (a pool, or a
-        reinitialization), or one that leaves the answer too small for
-        the silencer budgets.  An unsilenced stream's answer membership
-        equals its believed side, so each report moves ``answer_size``
-        by exactly one in the direction of *entering*: sizes and slack
-        are one running sum.  Both budget tests are monotone in the
-        size, so the smallest fitting size is found by bisecting the
-        scalar tests themselves over ``[0, n_streams]`` (an answer is no
-        larger) — once per pair of pool sizes, all the tests depend on.
-        ``count`` takes the absorbed steps, clamped at zero where
-        ``Fix_Error`` has nothing left to spend.
+        reinitialization), or one that leaves the answer smaller than the
+        smallest size at which both budgets fit
+        (:meth:`_smallest_fitting_size`, once per pair of pool sizes).
+        An unsilenced stream's answer membership equals its believed
+        side, so each report moves ``answer_size`` by exactly one in the
+        direction of *entering*: sizes and slack are one running sum,
+        and neither falls below its value with every leave first.  When
+        that floor fits and keeps the slack non-negative, nothing can
+        stop: every report is absorbed and ``count`` moves by the net
+        steps, with no running sum.  Else ``count`` takes the absorbed
+        steps, clamped at zero where ``Fix_Error`` has nothing left to
+        spend.
         """
         assert self._state is not None, "initialize() must run first"
         pools, size, n = self._pools, self._state.answer_size, len(entering)
         sizes = (len(pools.fp), len(pools.fn))
         if self._fitting[0] != sizes:
-            self._fitting = sizes, bisect_left(
-                range(self._state.n_streams + 1),
-                True,
-                key=lambda s: (not pools.fp or self._fp_budget_ok(s))
-                and (not pools.fn or self._fn_budget_ok(s)),
-            )
+            self._fitting = sizes, self._smallest_fitting_size()
+        leaves = n - int(np.count_nonzero(entering))
+        if size - leaves >= self._fitting[1] and self._count >= leaves:
+            self._count += n - 2 * leaves
+            return n
         steps = np.cumsum(np.where(entering, 1, -1))
         stop = ~entering & (size + steps < self._fitting[1])
         if pools.fp or pools.fn or self.reinitialize_when_exhausted:
@@ -218,6 +219,41 @@ class FractionToleranceRangeProtocol(SilencingProtocol):
         return self._pools.n_minus * (1.0 - self.tolerance.eps_minus) <= (
             self.tolerance.eps_minus * in_range_floor + 1e-9
         )
+
+    def _budgets_fit(self, answer_size: int) -> bool:
+        """Both budget tests, each vacuous while its pool is empty."""
+        pools = self._pools
+        return (not pools.fp or self._fp_budget_ok(answer_size)) and (
+            not pools.fn or self._fn_budget_ok(answer_size)
+        )
+
+    def _smallest_fitting_size(self) -> int:
+        """The smallest answer size at which :meth:`_budgets_fit`, or
+        ``n_streams + 1`` when none does (an answer is no larger).
+
+        Each inequality solved for the size gives a lower bound in
+        closed form; the scalar tests then settle the ``ceil`` at the
+        boundary, since their ``+ 1e-9`` and int-then-float order are
+        part of the ledger (DESIGN.md §9).  Both tests are monotone in
+        the size, so the settling steps are few.  A zero tolerance with
+        a pool to spend never fits.
+        """
+        pools, tolerance = self._pools, self.tolerance
+        top = self._state.n_streams + 1
+        bound = 0.0
+        if pools.fp:
+            eps = tolerance.eps_plus
+            bound = (pools.n_plus - 1e-9) / eps if eps else math.inf
+        if pools.fn:
+            eps = tolerance.eps_minus
+            need = pools.n_minus * (1.0 - eps) - 1e-9
+            bound = max(bound, pools.n_plus + need / eps if eps else math.inf)
+        size = math.ceil(min(max(bound, 0.0), top))
+        while size > 0 and self._budgets_fit(size - 1):
+            size -= 1
+        while size < top and not self._budgets_fit(size):
+            size += 1
+        return size
 
     def _enforce_budgets(self, server: "Server") -> None:
         """Reclaim silencers while a worst-case fraction bound would fail."""

@@ -380,10 +380,14 @@ def replay_columnar(
     applied before it is judged.  The reports are the records whose
     containment differs from that side, already in time order;
     :meth:`~repro.protocols.base.FilterProtocol.absorb_reports` says how
-    many are quiet.  Those are charged to the ledger as one count, the
-    value/constraint/answer planes and the population's believed side
-    take each reporting stream's last quiet report, the host clock its
-    time — byte-identical to per-event replay with no Python per report.
+    many are quiet.  Those are charged to the ledger as one count and
+    written with one scatter per plane in time order — value, report
+    time, believed side (the population's too) and answer — so each
+    reporting stream keeps its last quiet report (later rows win:
+    ``tests/state/test_scatter_order.py`` pins numpy's order), and
+    ``|A|`` moves by their net steps; the host clock takes the last
+    one's time — byte-identical to per-event replay with no Python per
+    report.
     The first report the protocol reacts to ends the chunk: that record
     takes the cursor's per-event order (engine to its time, the
     population's ``apply``) and the scan resumes behind it against the
@@ -409,6 +413,8 @@ def replay_columnar(
             )
             # A negative ``back`` (predecessor before the chunk) is
             # clipped and masked out: as an index it would wrap around.
+            # Four mask operations, not one ``np.where``: numpy's boolean
+            # ``where`` takes twice as long on a full chunk (DESIGN.md §9).
             back = previous[i:end] - i
             before = back < 0
             believed = (table.inside[ids_chunk] & before) | (
@@ -418,7 +424,8 @@ def replay_columnar(
             quiet, reacting = 0, False
             size = min(batch_size, 2 * size)
             if at.size:
-                quiet = host.protocol.absorb_reports(contains[at])
+                entering = contains[at]
+                quiet = host.protocol.absorb_reports(entering)
                 reacting = quiet < at.size
                 if reacting:
                     # End the chunk just before the reacting record;
@@ -432,17 +439,14 @@ def replay_columnar(
                 ledger.record_kind(MessageKind.UPDATE, quiet)
                 stats["columnar_reports"] += quiet
                 host.now = max(host.now, float(times[i + at[-1]]))
-                # Each reporting stream's *last* report — its first,
-                # read backwards — is what the server remembers (value
-                # plane, believed side, answer membership) and the side
-                # the source believes reported; rows ascend, distinct.
-                rows, nth = np.unique(ids_chunk[at][::-1], return_index=True)
-                pos = at[quiet - 1 - nth]
-                table.values[rows] = vals_chunk[pos]
-                table.report_time[rows] = times[i + pos]
-                final_inside = contains[pos]
-                table.inside[rows] = final_inside  # the sources' plane too
-                table.answer_assign_rows(rows, final_inside)
+                # Later rows win: what the server remembers of each
+                # reporting stream is its last report, and so is the side
+                # its source believes reported.
+                rows, entering = ids_chunk[at], entering[:quiet]
+                table.values[rows] = vals_chunk[at]
+                table.report_time[rows] = times[i:end][at]
+                table.inside[rows] = entering  # the sources' plane too
+                table.answer_take_reports(rows, entering)
             sources.stage(ids_chunk, vals_chunk)
             stats["staged"] += end - i
             i = end

@@ -140,8 +140,10 @@ class Population:
         return self.view._of(self, row % n)
 
     def stage(self, rows, values) -> None:
-        """Install values *without* filter evaluation (later rows win):
-        only valid for records already proven quiescent."""
+        """Install values *without* filter evaluation: only valid for
+        records already proven quiescent.  A repeated row keeps its last
+        value (numpy does not document that order;
+        ``tests/state/test_scatter_order.py`` pins it)."""
         self.values[rows] = values
 
     def _note(self) -> None:

@@ -75,7 +75,7 @@ from repro.state.sharding import (
     validate_shard_alignment,
 )
 from repro.state.table import StreamStateTable
-from repro.streams.control import deploy_columns, probe_columns
+from repro.streams.control import deploy_columns, deploy_each, probe_columns
 from repro.streams.vocabulary import SCALAR
 
 
@@ -281,12 +281,16 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         belief codes (``None``: fresh knowledge); ``n`` messages.  The
         outcome is the ordered :meth:`deploy` loop's (DESIGN.md §15);
         each consecutive same-shard run of ids is one columnar operation
-        on its shard's channel when it qualifies (DESIGN.md §12)."""
+        on its shard's channel when it qualifies (DESIGN.md §12); one
+        row is the one message it is, sent by :meth:`deploy`."""
         if stream_ids is None:
             stream_ids = np.arange(self.n_streams)
         ids, constraint, belief = self.vocabulary.constraint_columns(
             stream_ids, bound, assumed_inside, silenced
         )
+        if len(ids) == 1:
+            deploy_each(self, ids, constraint, belief)
+            return
         for index, a, b in owner_runs(self._bounds, ids):
             run = (ids[a:b], [c[a:b] for c in constraint], belief[a:b])
             deploy_columns(

@@ -472,16 +472,30 @@ class StreamStateTable:
         """Vectorized answer update: ``answer_mask[rows] = members``.
 
         One gather/scatter pair instead of per-stream
-        :meth:`answer_add`/:meth:`answer_discard` calls — the dispatch
-        kernel's columnar maintenance path flips whole runs' final
-        memberships at once.  ``rows`` must be distinct; the count stays
-        exact because the old mask values are read before the scatter.
+        :meth:`answer_add`/:meth:`answer_discard` calls, for any edit of
+        distinct rows: the count stays exact because the old mask values
+        are read before the scatter (the replay kernel's reports, which
+        repeat rows, take :meth:`answer_take_reports`).
         """
         rows = np.asarray(rows)
         members = np.asarray(members, dtype=bool)
         before = int(np.count_nonzero(self.answer_mask[rows]))
         self.answer_mask[rows] = members
         self._answer_count += int(np.count_nonzero(members)) - before
+        self.answer_epoch += 1
+
+    def answer_take_reports(self, rows: np.ndarray, entering: np.ndarray) -> None:
+        """Apply time-ordered membership reports: ``answer_mask[rows] =
+        entering``, later rows winning (one scatter; numpy's repeated-index
+        order is pinned by ``tests/state/test_scatter_order.py``).
+
+        Each report flips its row's membership — the replay kernel's
+        quiet reports of unsilenced streams, whose answer membership is
+        their believed side (DESIGN.md §9) — so ``|A|`` moves by the net
+        steps, one per report, with no read of the old values.
+        """
+        self.answer_mask[rows] = entering
+        self._answer_count += 2 * int(np.count_nonzero(entering)) - len(entering)
         self.answer_epoch += 1
 
     def answer_set_mask(self, mask: np.ndarray) -> None:

@@ -78,6 +78,20 @@ class TestMembershipPlanes:
         assert table.answer_snapshot() == frozenset({1, 3})
         assert table.answer_size == 2
 
+    def test_answer_take_reports_moves_the_count_by_net_steps(self):
+        """Time-ordered reports, each flipping its row: the mask takes
+        each row's last report, and |A| the net steps — a recount."""
+        table = StreamStateTable(5)
+        table.answer_replace([1, 3])
+        epoch = table.answer_epoch
+        # Row 0 enters, leaves, enters; row 3 leaves; rows 4, 2 enter.
+        rows = np.array([0, 3, 0, 4, 0, 2])
+        entering = np.array([True, False, False, True, True, True])
+        table.answer_take_reports(rows, entering)
+        assert table.answer_snapshot() == frozenset({0, 1, 2, 4})
+        assert table.answer_size == int(np.count_nonzero(table.answer_mask))
+        assert table.answer_epoch > epoch
+
     def test_tracked_ops_and_difference(self):
         table = StreamStateTable(5)
         table.tracked_replace([0, 1, 2])
