@@ -121,6 +121,24 @@ class RankToleranceProtocol(FilterProtocol):
         self._state.tracked_replace(order[: self.eps])
         self._deploy_bound(server, fresh_ids=None)
 
+    def _split(self) -> tuple[np.ndarray, float, float]:
+        """``X``'s known payloads, the largest known distance in ``X``
+        and the smallest outside it: O(|X|) reads of the tracked set
+        and of the rank order's first ``|X| + 1`` rows, which must hold
+        an untracked one."""
+        assert self._state is not None and self._rank is not None
+        inside = self._state.tracked_ids()
+        head = self._rank.order_ids()[: inside.size + 1]
+        outside = head[~self._state.tracked_mask[head]]
+        if not (inside.size and outside.size):  # pragma: no cover - init guard
+            raise RuntimeError("R must separate a non-empty in/out split")
+        members = self._state.payload_array()[inside]
+        # X's last row in (distance, id) order: the largest id among the
+        # farthest, its key bit for bit (a signed zero included).
+        keys = self.query.rank_keys(members)
+        d_inside = float(keys[keys.size - 1 - np.argmax(keys[::-1])])
+        return members, d_inside, self._known_distance(outside[0])
+
     def _deploy_bound(
         self, server: "Server", fresh_ids: Iterable[int] | None
     ) -> None:
@@ -132,16 +150,8 @@ class RankToleranceProtocol(FilterProtocol):
         to non-fresh streams carry the believed membership so stale
         sources self-correct.
         """
-        assert self._state is not None and self._rank is not None
-        order = self._rank.order_ids()
-        tracked = self._state.tracked_mask
-        in_region = tracked[order]
-        inside = order[in_region]
-        outside = order[~in_region]
-        if not (inside.size and outside.size):  # pragma: no cover - init guard
-            raise RuntimeError("R must separate a non-empty in/out split")
-        d_inside = self._known_distance(inside[-1])
-        d_outside = self._known_distance(outside[0])
+        assert self._state is not None
+        members, d_inside, d_outside = self._split()
         # A stale outside value can appear closer than a fresh X member;
         # R must nevertheless enclose all of X.  Clamping degenerates the
         # halfway gap to zero in that rare case, and the stale stream
@@ -154,12 +164,11 @@ class RankToleranceProtocol(FilterProtocol):
         # correct the divergence.  Constructing R so is the query's job
         # (an interval must widen past its own rounding, a ball need
         # not); it is checked here, once, for every stack.
-        members = self._state.payload_array()[inside]
         self._region = self.query.region(threshold, members)
         assert all(map(self._region.contains, members))
         belief = None
         if fresh_ids is not None:
-            belief = tracked.astype(np.int8)
+            belief = self._state.tracked_mask.astype(np.int8)
             belief[list(fresh_ids)] = BELIEF_NONE
         server.deploy_many(None, self._region, belief)
 
@@ -212,11 +221,8 @@ class RankToleranceProtocol(FilterProtocol):
         """Case 2 Step 4: probe outward by stale rank; True on success."""
         assert self._state is not None
         self.expansions += 1
-        candidates = [
-            i
-            for i in self._rank.order()
-            if not self._state.answer_contains(i)
-        ]
+        order = self._rank.order_ids()
+        candidates = order[~self._state.answer_mask[order]].tolist()
         distance = self.query.distance
         probed: dict = {}
         for candidate in candidates:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.protocols.base import FilterProtocol
 from repro.state.rank import RankView
 
@@ -71,7 +73,9 @@ class ZeroToleranceKnnProtocol(FilterProtocol):
         # Any crossing invalidates R: re-collect everything and start over.
         # (The server already recorded the updater's value in the table.)
         self.recomputations += 1
-        others = [i for i in server.stream_ids if i != stream_id]
+        # Every id but the updater's, ascending: arange minus one index.
+        others = np.arange(server.n_streams - 1, dtype=np.int64)
+        others[stream_id:] += 1
         server.probe_all(others)
         self._resolve(server)
 

@@ -194,20 +194,23 @@ class RankView:
         b_ids = dirty[batch_order]
         b_keys = batch_keys[batch_order]
         positions = np.searchsorted(kept_keys, b_keys, side="left")
-        # Within an equal-key run of the kept array, slide each insertion
-        # point past the kept ids that rank before it (ties are rare, so
-        # the per-element adjustment loop almost never iterates).
-        for index in range(len(b_ids)):
-            pos = int(positions[index])
-            while (
-                pos < len(kept_keys)
-                and kept_keys[pos] == b_keys[index]
-                and kept_ids[pos] < b_ids[index]
-            ):
-                pos += 1
-            positions[index] = pos
-        self._ids = np.insert(kept_ids, positions, b_ids)
-        self._keys = np.insert(kept_keys, positions, b_keys)
+        # A batch key equal to kept keys goes past the kept ids of that
+        # run that rank before it (the run is id-ascending).
+        run_ends = np.searchsorted(kept_keys, b_keys, side="right")
+        for index in np.nonzero(run_ends > positions)[0].tolist():
+            start, end = positions[index], run_ends[index]
+            positions[index] += np.searchsorted(kept_ids[start:end], b_ids[index])
+        # Batch row i lands before kept row positions[i], behind the i
+        # batch rows ahead of it; the kept rows fill the other slots.
+        slots = positions + np.arange(len(b_ids))
+        kept_slots = np.ones(len(kept_ids) + len(b_ids), dtype=bool)
+        kept_slots[slots] = False
+        self._ids = np.empty(len(kept_slots), dtype=np.int64)
+        self._ids[slots] = b_ids
+        self._ids[kept_slots] = kept_ids
+        self._keys = np.empty(len(kept_slots), dtype=np.float64)
+        self._keys[slots] = b_keys
+        self._keys[kept_slots] = kept_keys
         self._dirty.clear()
 
     def _partial_selection(

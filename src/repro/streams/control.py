@@ -50,11 +50,18 @@ def constraint_columns(stream_ids, bound, assumed_inside=None, silenced=None):
     columns: int64 ids, *bound*'s endpoints as float64 columns — with
     ``[-inf, +inf]`` for the false-positive and ``[+inf, +inf]`` for the
     false-negative members of the *silenced* pools — and int8 belief
-    codes (``None``: no belief anywhere)."""
+    codes (``None``: no belief anywhere).  Without pools every row holds
+    the one bound, so its columns are stride-0 views of it, which an
+    install compares as scalars."""
     ids = np.asarray(stream_ids, dtype=np.int64)
-    lower = np.full(ids.shape, bound.lower, dtype=np.float64)
-    upper = np.full(ids.shape, bound.upper, dtype=np.float64)
-    if silenced is not None:
+    if silenced is None:  # read-only stride-0 views of one 8-byte buffer
+        lower, upper = (
+            np.ndarray(ids.shape, np.float64, np.float64(end).tobytes(), strides=(0,))
+            for end in (bound.lower, bound.upper)
+        )
+    else:
+        lower = np.full(ids.shape, bound.lower, dtype=np.float64)
+        upper = np.full(ids.shape, bound.upper, dtype=np.float64)
         in_fp = np.isin(ids, list(silenced.fp))
         in_fn = np.isin(ids, list(silenced.fn))
         lower[in_fn] = math.inf
@@ -107,32 +114,40 @@ def probe_columns(host, channel, table, ids, reports, offset) -> np.ndarray:
 
 
 def _bulk_population(channel: Channel, table: StreamStateTable, ids, probe):
-    """The :class:`ScalarPopulation` whose rows *ids* name when the batch
-    (of probes if *probe*) qualifies for a columnar operation against
-    *table*, else ``None``: one population handles every id on *channel*,
-    it is bound to *table*, and the ids are distinct."""
+    """``(population, rows)`` when the batch (of probes if *probe*)
+    qualifies for a columnar operation against *table*, else ``None``:
+    one :class:`ScalarPopulation` handles every id on *channel*, it is
+    bound to *table*, and the ids are distinct.  *rows* are the
+    population rows the ids name — a basic slice when they ascend
+    without a gap (a broadcast, or one shard's run of it), so the
+    batch's reads and writes are plane slices, not gathers."""
     population = channel.bulk_target(ids, probe)
     if type(population) is not ScalarPopulation or population.table is not table:
         return None
-    if not (ids[1:] > ids[:-1]).all() and len(np.unique(ids)) != len(ids):
+    if (ids[1:] > ids[:-1]).all():
+        start = int(ids[0]) - population.first_id
+        if int(ids[-1]) - int(ids[0]) == len(ids) - 1:
+            return population, slice(start, start + len(ids))
+    elif len(np.unique(ids)) != len(ids):
         return None
-    return population
+    return population, ids - population.first_id
 
 
 def _charged_population(channel: Channel, table: StreamStateTable, ids, constraint):
-    """The population a qualifying constraint batch installs at, once
-    its bounds are validated and its ``n`` messages charged — or
-    ``None`` (nothing touched)."""
-    population = _bulk_population(channel, table, ids, probe=False)
-    if population is None:
+    """``(population, rows, (lower, upper))`` for a qualifying constraint
+    batch — the bound columns with a stride-0 one (one bound for every
+    row) as its scalar — once its bounds are validated and its ``n``
+    messages charged; or ``None`` (nothing touched)."""
+    found = _bulk_population(channel, table, ids, probe=False)
+    if found is None:
         return None
-    lower, upper = constraint
+    lower, upper = (c[0] if len(c) and not c.strides[0] else c for c in constraint)
     valid = lower <= upper  # False for a NaN bound too
-    if not valid.all():  # FilterConstraint's own ValueError, first bad pair
+    if not np.all(valid):  # FilterConstraint's own ValueError, first bad pair
         first = int(np.argmin(valid))
-        FilterConstraint(float(lower[first]), float(upper[first]))
+        FilterConstraint(float(constraint[0][first]), float(constraint[1][first]))
     channel.charge_bulk(ids, MessageKind.CONSTRAINT)
-    return population
+    return (*found, (lower, upper))
 
 
 def install_constraints(
@@ -163,11 +178,10 @@ def install_constraints(
     """
     if not channel.constraints_inline:
         return False
-    population = _charged_population(channel, table, ids, constraint)
-    if population is None:
+    found = _charged_population(channel, table, ids, constraint)
+    if found is None:
         return False
-    lower, upper = constraint
-    rows = ids - population.first_id
+    population, rows, (lower, upper) = found
     values = population.values[rows]
     inside, must_report = deployment_outcome_columns(
         values, lower, upper, belief
@@ -181,7 +195,7 @@ def install_constraints(
     if reporting.size:
         times = np.broadcast_to(np.asarray(time, dtype=np.float64), ids.shape)
         for row, value, at in zip(
-            rows[reporting].tolist(),
+            (ids[reporting] - population.first_id).tolist(),
             values[reporting].tolist(),
             times[reporting].tolist(),
         ):
@@ -205,12 +219,12 @@ def send_constraints(
     synchronous channel or for a batch that must travel per-message."""
     if channel.constraints_inline:
         return False
-    population = _charged_population(channel, table, ids, constraint)
-    if population is None:
+    found = _charged_population(channel, table, ids, constraint)
+    if found is None:
         return False
     lower, upper = constraint
     channel.send_constraint_rows(
-        population,
+        found[0],
         ids.tolist(),
         lower.tolist(),
         upper.tolist(),
@@ -233,12 +247,13 @@ def probe_sources(
     (*table*'s columns).  Recording the replies is the caller's half, as in
     ``probe``.
     """
-    population = _bulk_population(channel, table, ids, probe=True)
-    if population is None:
+    found = _bulk_population(channel, table, ids, probe=True)
+    if found is None:
         return None
     channel.charge_bulk(
         ids, MessageKind.PROBE_REQUEST, MessageKind.PROBE_REPLY
     )
+    population = found[0]
     rows = ids - population.first_id
     values = population.values[rows]
     filtered = population.filtered[rows]

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Deployment, Engine
 from repro.protocols.no_filter import NoFilterProtocol
 from repro.protocols.rtp import RankToleranceProtocol
 from repro.queries.knn import KMinQuery, KnnQuery, TopKQuery
+from repro.state.rank import RankView
+from repro.state.table import StreamStateTable
 from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
 from repro.streams.trace import StreamTrace
 from repro.tolerance.rank_tolerance import RankTolerance
@@ -270,3 +274,93 @@ class TestBoundEnclosesTracked:
         values = protocol._state.values  # noqa: SLF001
         for stream_id in protocol.tracked:
             assert lower <= values[stream_id] <= upper
+
+
+# ----------------------------------------------------------------------
+# Deploy_bound's split, from the tracked set vs the whole order
+# ----------------------------------------------------------------------
+def full_order_split(protocol):
+    """The split as a walk of the whole rank order: ``X``'s members in
+    rank order, the distance of its last one and that of the first
+    stream in the order that is not in ``X``."""
+    order = protocol._rank.order_ids()
+    in_region = protocol._state.tracked_mask[order]
+    inside, outside = order[in_region], order[~in_region]
+    distance = protocol.query.distance
+    values = protocol._state.values
+    return values[inside], distance(values[inside[-1]]), distance(values[outside[0]])
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+#: Coarse values, a signed zero among them, so equal distances — the
+#: tie rule — are common.
+SPLIT_VALUE = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.5, 7.0])
+SPLIT_QUERIES = [KnnQuery(1.0, 2), TopKQuery(k=2), KMinQuery(k=2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(3, 16),
+    query=st.sampled_from(SPLIT_QUERIES),
+)
+def test_tracked_set_split_equals_the_full_order_split(data, n, query):
+    """``_split`` reads ``(d_inside, d_outside)`` off ``X`` and the
+    order's first ``|X| + 1`` rows; the region it leads to is the one
+    the full-order walk leads to, bit for bit.  Values rewritten after
+    ``X`` is chosen make it stale: an outside stream may then sit closer
+    than a tracked one (the clamp case)."""
+    table = StreamStateTable(n)
+    values = data.draw(st.lists(SPLIT_VALUE, min_size=n, max_size=n))
+    for row, value in enumerate(values):
+        table.record_report(row, value, 0.0)
+    protocol = RankToleranceProtocol(query, RankTolerance(k=2, r=1))
+    protocol._state = table
+    protocol._rank = RankView(table, query.rank_keys)
+    protocol._rank.order_ids()  # a synced view: stale rows repair below
+    tracked = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True)
+    )
+    table.tracked_replace(tracked)
+    for row, value in data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), SPLIT_VALUE), max_size=4)
+    ):
+        table.record_report(row, value, 1.0)
+    members, d_inside, d_outside = protocol._split()
+    want_members, want_inside, want_outside = full_order_split(protocol)
+    assert sorted(members.tolist()) == sorted(want_members.tolist())
+    assert (_bits(d_inside), _bits(d_outside)) == (
+        _bits(want_inside),
+        _bits(want_outside),
+    )
+    threshold = (d_inside + max(d_outside, d_inside)) / 2.0
+    want = (want_inside + max(want_outside, want_inside)) / 2.0
+    region = query.region(threshold, members)
+    want_region = query.region(want, want_members)
+    assert (_bits(region.lower), _bits(region.upper)) == (
+        _bits(want_region.lower),
+        _bits(want_region.upper),
+    )
+
+
+def test_tracked_set_split_clamp_and_tie_cases():
+    """The two shapes the property draws, pinned: a stale outside value
+    closer than a tracked one, and a tracked and an outside stream at
+    equal distance (ids on both sides)."""
+    query = KnnQuery(0.0, 2)
+    table = StreamStateTable(6)
+    for row, value in enumerate([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]):
+        table.record_report(row, value, 0.0)
+    protocol = RankToleranceProtocol(query, RankTolerance(k=2, r=1))
+    protocol._state = table
+    protocol._rank = RankView(table, query.rank_keys)
+    table.tracked_replace([1, 2, 3])
+    # Clamp: untracked stream 0 (distance 1) is closer than tracked 3.
+    assert protocol._split()[1:] == full_order_split(protocol)[1:] == (4.0, 1.0)
+    # Ties: untracked 0 and 4 at tracked 3's distance, on both sides of it.
+    table.record_report(0, 4.0, 1.0)
+    table.record_report(4, -4.0, 1.0)
+    assert protocol._split()[1:] == full_order_split(protocol)[1:] == (4.0, 4.0)

@@ -116,6 +116,8 @@ class Scripted(FilterProtocol):
             server.deploy_many(ids, bound, belief, silenced)
             return
         # The reference: the lowering written out per message.
+        if ids is None:
+            ids = server.stream_ids
         fp = set(silenced.fp) if silenced else ()
         fn = set(silenced.fn) if silenced else ()
         codes = [BELIEF_NONE] * len(ids) if belief is None else belief.tolist()
@@ -169,14 +171,16 @@ def deploy_calls(monkeypatch):
     return calls
 
 
-def _run(topology: str, many: bool, idle: bool, beliefs: str) -> dict:
+def _run(
+    topology: str, many: bool, idle: bool, beliefs: str, second=_second_deploy
+) -> dict:
     trace = _trace()
     actual = trace.initial_values.copy()
     if not idle:
         for _, stream_id, value in QUIET + [TRIGGER]:
             actual[stream_id] = value
     checks = []
-    protocol = Scripted(many, idle, _second_deploy(actual, beliefs))
+    protocol = Scripted(many, idle, second(actual, beliefs))
     if topology == "parallel":
 
         def transported():
@@ -259,6 +263,78 @@ def test_deploy_many_equals_the_ordered_deploy_loop(
         at_fire = [d[0] for d in bulk["deliveries"] if d[2] == fired_at]
         corrected = at_fire if idle else at_fire[1:]
         assert corrected == sorted(corrected, reverse=True) and corrected
+
+
+#: Broadcast bounds: one with sources exactly on both ends (values 30
+#: and 70 at the start, stream 4's trigger value 30 mid-replay), and a
+#: silencer, which never self-corrects whatever the belief.
+BROADCASTS = {
+    "on-bound": FilterConstraint(30.0, 70.0),
+    "silencing": FilterConstraint(math.inf, math.inf),
+}
+
+
+def _broadcast(bound):
+    """The redeploy as a broadcast of *bound* — ``deploy_many(None,
+    ...)``, every stream ascending — with beliefs chosen against the
+    sources' actual values as in :func:`_second_deploy`."""
+
+    def second(actual: np.ndarray, beliefs: str):
+        inside = (bound.lower <= actual) & (actual <= bound.upper)
+        stale = np.where(inside, BELIEF_OUTSIDE, BELIEF_INSIDE).astype(np.int8)
+        right = np.where(inside, BELIEF_INSIDE, BELIEF_OUTSIDE).astype(np.int8)
+        belief = None
+        if beliefs == "all-stale":
+            belief = stale
+        elif beliefs == "mixed":
+            belief = np.full(N, BELIEF_NONE, dtype=np.int8)
+            belief[1::3] = stale[1::3]
+            belief[2::3] = right[2::3]
+        return None, bound, belief, None
+
+    return second
+
+
+@pytest.fixture(scope="module")
+def broadcast_reference():
+    """Single server, per-message loop, per broadcast scenario."""
+    cache: dict = {}
+
+    def get(idle: bool, beliefs: str, bound: str) -> dict:
+        key = (idle, beliefs, bound)
+        if key not in cache:
+            second = _broadcast(BROADCASTS[bound])
+            cache[key] = _run("single", False, idle, beliefs, second)
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("bound", list(BROADCASTS))
+@pytest.mark.parametrize("idle", [True, False], ids=["idle", "mid-replay"])
+@pytest.mark.parametrize("beliefs", ["fresh", "all-stale", "mixed"])
+@pytest.mark.parametrize("topology", ["single", "sharded", "parallel"])
+def test_a_broadcast_equals_the_ordered_deploy_loop(
+    topology, beliefs, idle, bound, broadcast_reference, deploy_calls
+):
+    """``stream_ids=None``: the whole population ascending, one bound —
+    written as plane slices with the bound compared as a scalar."""
+    expected = broadcast_reference(idle, beliefs, bound)
+    del deploy_calls[:]
+    second = _broadcast(BROADCASTS[bound])
+    bulk = _run(topology, True, idle, beliefs, second)
+    assert deploy_calls == []
+    assert bulk == _run(topology, False, idle, beliefs, second)
+    for key, value in bulk.items():
+        if key != "replay":
+            assert value == expected[key], key
+    fired_at = 0.0 if idle else TRIGGER[0]
+    at_fire = [d[0] for d in bulk["deliveries"] if d[2] == fired_at]
+    corrected = at_fire if idle else at_fire[1:]
+    # Self-corrections arrive in batch order, here ascending ids; a
+    # silencer and fresh knowledge send none.
+    assert corrected == sorted(corrected)
+    assert bool(corrected) == (beliefs != "fresh" and bound != "silencing")
 
 
 # ----------------------------------------------------------------------

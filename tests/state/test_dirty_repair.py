@@ -87,3 +87,35 @@ def test_mark_repair_equals_isin_repair(n, known, batches, shard):
         want_ids, want_keys = isin.order_arrays()
         assert ids.tolist() == want_ids.tolist()
         assert keys.tolist() == want_keys.tolist()
+
+
+def test_batch_keys_tying_kept_keys_slide_past_smaller_ids():
+    """Dirty rows whose new key equals the kept key at their insertion
+    point: each lands among the kept rows of that key by id — before,
+    between and after them — and one batch key past every kept key
+    lands at the end; the whole order equals the ``isin`` repair's and
+    a rebuild's."""
+    # Forty rows keep four dirty ones under the rebuild threshold.
+    table = StreamStateTable(40)
+    # Distances from q = 50: rows 2, 5 and 8 at 10, none other; rows
+    # 10-39 at 60-89.
+    values = [50.0, 45.0, 40.0, 48.0, 35.0, 60.0, 30.0, 20.0, 40.0, 55.0]
+    for row, value in enumerate(values + [110.0 + row for row in range(30)]):
+        table.record_report(row, value, 0.0)
+    mark = RankView(table, QUERY.distance_array)
+    isin = IsinRankView(table, QUERY.distance_array)
+    for view in (mark, isin):
+        view.order_arrays()
+    # Rows 0, 6 and 9 move onto distance 10 (ids before, between and
+    # after kept rows 2, 5, 8); row 3 moves past every kept key.
+    for row, value in ((0, 60.0), (6, 40.0), (9, 60.0), (3, 150.0)):
+        table.record_report(row, value, 1.0)
+    assert mark._dirty == {0, 3, 6, 9}  # a repair, not a rebuild
+    ids, keys = mark.order_arrays()
+    want_ids, want_keys = isin.order_arrays()
+    assert ids.tolist() == want_ids.tolist()
+    assert keys.tolist() == want_keys.tolist()
+    rebuilt = RankView(table, QUERY.distance_array)
+    assert ids.tolist() == rebuilt.order_ids().tolist()
+    assert ids.tolist()[:10] == [1, 0, 2, 5, 6, 8, 9, 4, 7, 10]
+    assert ids.tolist()[-1] == 3
