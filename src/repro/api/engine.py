@@ -232,7 +232,9 @@ def _execute_hosted(
     DESIGN.md §10), byte-identical to sequential sharded serving; with
     a latency model or ``check_every > 0`` it is that sequential
     session (DESIGN.md §17).  A checking run applies the vocabulary's
-    oracle before each record and its checker after, per event; checks
+    oracle before each record and its checker after, per event — with
+    running counts, every record's truth flip is bound before the run
+    and the oracle's values settle after it (DESIGN.md §14); checks
     charge nothing, so ledger and violation sequence agree across
     topologies.
     """
@@ -299,11 +301,17 @@ def _execute_hosted(
         session.initialize(time=0.0)
         if checker is not None:
             checker.check_now(0.0)
+            # A trace ends at or after its horizon: replay applies it all.
+            checker.bind_records(
+                trace.stream_ids, getattr(trace, vocabulary.record_column)
+            )
         session.replay_trace(
             trace,
             oracle_apply=checker.apply if checker is not None else None,
             after_apply=checker.check if checker is not None else None,
         )
+        if checker is not None:
+            checker.settle_records()
         replay = dict(session.last_replay_stats)
         ledger = session.snapshot()
         session.close()

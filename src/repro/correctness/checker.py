@@ -43,6 +43,7 @@ from repro.correctness.staleness import (
     strict_should_raise,
 )
 from repro.queries.rank import top_mask
+from repro.state.runs import previous_in_stream
 from repro.state.table import StreamStateTable, membership_mask
 from repro.tolerance.fraction_tolerance import FractionReport, FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
@@ -143,6 +144,20 @@ def membership_reason(answer_size, true_size, hits, tolerance) -> str | None:
     if e_plus or e_minus:
         return f"exact answer required: {e_plus} spurious, {e_minus} missing"
     return None
+
+
+def truth_flips(query, truth, stream_ids, payloads, previous) -> np.ndarray:
+    """Which of the time-ordered records ``(stream_ids, payloads)`` flip
+    the membership *query*'s truth: a record's truth is ``matches_array``
+    of its payload, the one before it its stream's *previous* record's
+    (:func:`~repro.state.runs.previous_in_stream`) or, for a stream's
+    first record, its row of the *truth* column the records start from
+    — no protocol state, so known before the run (DESIGN.md §14)."""
+    after = np.asarray(query.matches_array(payloads), dtype=bool)
+    before = truth[stream_ids]
+    seen = previous >= 0
+    before[seen] = after[previous[seen]]
+    return after != before
 
 
 class ToleranceChecker:
@@ -257,6 +272,8 @@ class ToleranceChecker:
         if answer_table is not None and live and not query.is_rank_based:
             self._table, self._truth = answer_table, oracle.truth_mask(query)
             self._counts, self._epoch, self._memo = [0, 0, 0], -1, (None, None)
+        #: :meth:`bind_records`' ``(stream id, flips)`` pairs and columns.
+        self._bound = self._records = None
 
     def check(self, time: float) -> Violation | None:
         """Validate the current answer; honours the sampling interval."""
@@ -289,10 +306,48 @@ class ToleranceChecker:
             raise self.error_cls(f"t={time}: {reason}")
         return violation
 
+    def bind_records(self, stream_ids, payloads) -> None:
+        """Learn, before the run, the :func:`truth_flips` of every record
+        it will hand :meth:`apply` in order: a record that flips nothing
+        then costs the hook O(1), and the oracle's values wait for
+        :meth:`settle_records`.  A no-op without running counts, where
+        every record must reach :meth:`Oracle.apply`."""
+        if self._table is None:
+            return
+        flips = truth_flips(
+            self.query, self._truth, stream_ids, payloads,
+            previous_in_stream(stream_ids),
+        )
+        self._bound = zip(stream_ids.tolist(), flips.tolist())
+        self._records = (stream_ids, payloads)
+
+    def settle_records(self) -> None:
+        """End of the bound run: every bound record must have reached
+        :meth:`apply`, and the oracle takes each stream's last payload
+        in one scatter (later rows win)."""
+        if self._records is None:
+            return
+        if next(self._bound, None) is not None:
+            raise ValueError("the oracle hook saw fewer records than were bound")
+        self.oracle.apply_many(*self._records)
+        self._bound = self._records = None
+
     def apply(self, stream_id: int, value) -> None:
         """Apply one trace record to the oracle — the run's
         ``oracle_apply`` hook — and fold its truth flip, if any, into
-        the running counts."""
+        the running counts.  With records bound (:meth:`bind_records`)
+        a record that flips nothing returns at once; one the hook sees
+        out of order, or past the last bound record, raises rather
+        than miscount."""
+        if self._bound is not None:
+            expected, flips = next(self._bound, (None, False))
+            if expected != stream_id:
+                raise ValueError(
+                    f"the oracle hook saw stream {stream_id} where the "
+                    f"bound records hold {expected}"
+                )
+            if not flips:
+                return
         truth = self._truth
         was = truth is not None and truth.item(stream_id)
         self.oracle.apply(stream_id, value)

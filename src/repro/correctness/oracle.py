@@ -85,6 +85,15 @@ class Oracle:
             if column is not None:
                 column[stream_id] = query.matches(value)
 
+    def apply_many(self, stream_ids, payloads) -> None:
+        """Record the time-ordered updates ``(stream_ids, payloads)`` at
+        once: each stream ends at its last payload (later rows win,
+        ``tests/state/test_scatter_order.py``)."""
+        self._values[stream_ids] = payloads
+        for query, column in self._registered.items():
+            if column is not None:
+                column[stream_ids] = query.matches_array(payloads)
+
     def truth_mask(self, query) -> np.ndarray:
         """``T(t)`` of *query* as a boolean column over stream ids.
 

@@ -21,6 +21,7 @@ from typing import Callable
 
 from repro.network.accounting import MessageLedger
 from repro.network.messages import Message, MessageKind
+from repro.state.sharding import id_column
 
 
 class Channel:
@@ -140,24 +141,28 @@ class Channel:
     # ------------------------------------------------------------------
     def bulk_target(self, stream_ids, probe: bool = False):
         """The object whose one range binding handles every id of the
-        *stream_ids* column — or ``None`` when this batch must travel
-        message by message (no single range covers it, a per-id binding
-        shadows an id in its span, the handler is no bound method, or a
-        tap has no ``bulk`` form — or may not use it: a constraint batch
-        on a channel whose constraints fly is tapped per message, at
-        delivery).  *probe* marks a batch of probes.
+        *stream_ids* column (or ascending ``range``) — or ``None`` when
+        this batch must travel message by message (no single range
+        covers it, a per-id binding shadows an id in its span, the
+        handler is no bound method, or a tap has no ``bulk`` form — or
+        may not use it: a constraint batch on a channel whose
+        constraints fly is tapped per message, at delivery).  *probe*
+        marks a batch of probes.
 
         An unbound id raises the same ``RuntimeError`` as
         :meth:`send_to_source`, before anything is charged.
         """
         if not len(stream_ids):
             return None
-        first, last = int(stream_ids.min()), int(stream_ids.max())
+        if isinstance(stream_ids, range):  # a broadcast's ascending ids
+            first, last = stream_ids[0], stream_ids[-1]
+        else:
+            first, last = int(stream_ids.min()), int(stream_ids.max())
         for lo, hi, handler in self._source_ranges:
             if lo <= first and last < hi:
                 break
         else:
-            for stream_id in stream_ids.tolist():
+            for stream_id in id_column(stream_ids).tolist():
                 self._source_handler(stream_id)
             return None
         if any(
@@ -178,8 +183,10 @@ class Channel:
         one ledger charge per kind, one ``bulk`` call per tap."""
         for kind in kinds:
             self.ledger.record_kind(kind, len(stream_ids))
-        for tap in self._taps:
-            tap.bulk(stream_ids)
+        if self._taps:
+            column = id_column(stream_ids)
+            for tap in self._taps:
+                tap.bulk(column)
 
     # ------------------------------------------------------------------
     # Delivery (shared by every discipline; taps fire here)

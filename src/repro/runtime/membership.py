@@ -54,14 +54,13 @@ def belief_codes(beliefs, count: int) -> np.ndarray:
 
 def belief_column(assumed_inside, shape) -> np.ndarray:
     """``deploy_many``'s belief argument as an int8 code column of
-    *shape*: ``None`` (fresh knowledge everywhere) or a code column."""
-    return np.broadcast_to(
-        np.asarray(
-            BELIEF_NONE if assumed_inside is None else assumed_inside,
-            dtype=np.int8,
-        ),
-        shape,
-    )
+    *shape*: ``None`` (fresh knowledge everywhere: a read-only stride-0
+    view of one ``BELIEF_NONE`` byte) or a code column."""
+    if assumed_inside is None:
+        return np.ndarray(
+            shape, np.int8, np.int8(BELIEF_NONE).tobytes(), strides=(0,) * len(shape)
+        )
+    return np.broadcast_to(np.asarray(assumed_inside, dtype=np.int8), shape)
 
 
 def deployment_outcome_columns(
@@ -79,6 +78,8 @@ def deployment_outcome_columns(
     silencers and on-the-bound values included.
     """
     actual = (lower <= values) & (values <= upper)
+    if belief.size and not any(belief.strides) and belief.item(0) == BELIEF_NONE:
+        return actual, np.zeros(actual.shape, dtype=bool)  # nothing stale
     # FilterConstraint.is_silencing: [-inf, +-inf] or [+inf, +inf].
     silencing = np.isinf(lower) & ((lower > 0) | np.isinf(upper))
     stale = (belief != BELIEF_NONE) & ((belief == BELIEF_INSIDE) != actual)

@@ -19,11 +19,16 @@ its time, then the population's ``apply``: one code path for every
 stack and driver) and a record is only ever staged — scattered into the
 population's value plane — while provably unable to flip anything, so
 the message ledger is byte-identical whichever way the cursor is
-driven.  In the **event strategy** nothing is proven and every record
-is its own candidate; ``mode="event"``, per-record hooks, any
-latency-modeled channel and the dispatch-rate bailout all select it.
-Both strategies dispatch in one order, the engine's (:meth:`ReplayCursor.
-dispatch`), so every mode leaves the reference ledger.
+driven.  In the **event strategy** nothing is proven: the session's
+replay hands the rest of each frontier to one per-event loop
+(:meth:`ReplayCursor.dispatch_to`, over plain lists of times, ids and
+1-D payloads) that moves the engine clock to each record and applies it
+directly unless an engine event is due first; ``mode="event"``,
+per-record hooks, any latency-modeled channel and the dispatch-rate
+bailout all select it.  Both strategies dispatch in one order, the
+engine's (:func:`_apply`, whose one-record case :meth:`ReplayCursor.
+dispatch` the batch strategy and the shard worker take), so every mode
+leaves the reference ledger.
 
 For ``columnar_maintenance`` protocols :func:`replay_columnar` applies
 whole chunks, reports included, and stops only at a report the protocol
@@ -148,9 +153,12 @@ class ReplayCursor:
     one fact behind the proof is the potential crossings of the last
     scanned stretch, valid while no table's ``constraint_epoch`` has
     moved since the scan.  The whole surface is :meth:`candidate`,
-    :meth:`advance`, :meth:`dispatch` and the read-only ``pos`` /
-    ``proven`` / ``mode`` / ``stats``; ``batch_size`` / ``min_chunk``
-    bound the adaptive stretch.
+    :meth:`advance`, :meth:`dispatch` (one record) / :meth:`dispatch_to`
+    (a run of them) and the read-only ``pos`` / ``proven`` / ``mode`` /
+    ``per_event`` / ``stats``; ``batch_size`` / ``min_chunk`` bound the
+    adaptive stretch.  ``per_event``: every record from ``pos`` is its
+    own candidate (the event strategy, from the start or since the
+    bailout).
     """
 
     def __init__(
@@ -178,8 +186,8 @@ class ReplayCursor:
         self._tables = list(tables)
         latency = [c for c in channels if isinstance(c, LatencyChannel)]
         self.mode = resolve_mode(mode, payloads, self._tables, latency)
-        self._event = self.mode == "event"
-        kernel = None if self._event else "run"
+        self.per_event = self.mode == "event"
+        kernel = None if self.per_event else "run"
         self.stats = replay_stats(self.mode, kernel, self._n)
         self.pos = 0
         self.proven = 0
@@ -197,7 +205,7 @@ class ReplayCursor:
             raise ValueError("a replayed population's rows must be its ids")
 
     # ------------------------------------------------------------------
-    # The three operations
+    # The operations
     # ------------------------------------------------------------------
     def candidate(self) -> int | None:
         """The index of the next record that may flip a filter, or
@@ -216,7 +224,7 @@ class ReplayCursor:
         next stretch is scanned, each one twice as long as the last.
         """
         n = self._n
-        if self._event:
+        if self.per_event:
             return self.proven if self.proven < n else None
         pos = self.pos
         if self._end > pos and self._epoch() != self._seen:
@@ -256,43 +264,33 @@ class ReplayCursor:
         self.pos = k
 
     def dispatch(self) -> None:
-        """Run the record at ``pos`` through the per-event machinery.
+        """Run the record at ``pos`` through the per-event machinery:
+        :meth:`dispatch_to` of one record, the batch strategy's step and
+        the shard worker's RPC."""
+        self.dispatch_to(self.pos + 1)
 
-        One order for both strategies, the reference one: wherever an
-        engine event is due at or before the record, the record fires
-        *as* an engine event, FIFO among same-instant events; else
-        nothing can fire first, and the engine runs to the record's time
-        before it applies.  Only a latency-modeled channel schedules
-        engine events, and it always selects the event strategy.  A
-        record whose reaction writes no constraint leaves the stretch's
-        claim standing.
-        """
-        j = self.pos
-        engine = self.engine
-        time = float(self.times[j])
-        head = engine.next_event_time
-        if head is not None and head <= time:
-            engine.schedule_at(time, self._fire)
-            while self.pos == j:
-                engine.step()
-        else:
-            if time > engine.now:
-                engine.run(until=time)
-            self._fire()
-
-    # ------------------------------------------------------------------
-    # Per-event machinery
-    # ------------------------------------------------------------------
-    def _fire(self) -> None:
-        j = self.pos
-        _apply(self.sources, int(self.ids[j]), self.payloads[j], float(self.times[j]))
-        self.pos = self.proven = j + 1
-        self.stats["dispatches"] += 1
+    def dispatch_to(self, stop: int, before=None, after=None) -> None:
+        """Run every record in ``[pos, stop)`` through the per-event
+        machinery, in one loop over plain lists (:func:`_apply`, in the
+        reference order); *before* and *after* are the per-record hooks.
+        A record whose reaction writes no constraint leaves the
+        stretch's claim standing."""
+        start, stop = self.pos, min(stop, self._n)
+        if stop <= start:
+            return
+        payloads = self.payloads[start:stop]
+        _apply(
+            self.sources, self.engine, self.times[start:stop].tolist(),
+            self.ids[start:stop].tolist(),
+            payloads.tolist() if payloads.ndim == 1 else payloads, before, after,
+        )
+        self.pos = self.proven = stop
+        self.stats["dispatches"] += stop - start
 
     def _switch_to_event(self) -> None:
         """Too lively for pre-scanning: claim nothing from here on —
         every record from ``pos`` is its own candidate."""
-        self._event = True
+        self.per_event = True
         self.proven = self.pos
         self.stats["dispatch_bailout_at"] = int(self.pos)
 
@@ -318,10 +316,33 @@ class ReplayCursor:
         return hits
 
 
-def _apply(sources, stream_id: int, payload, time: float) -> None:
-    """The one per-event step of every strategy: hand the population the
-    record (it reports if a filter flips)."""
-    sources.apply(stream_id, payload, time)
+def _apply(sources, engine, times, ids, payloads, before=None, after=None):
+    """The one per-event step of every strategy: hand each record of the
+    parallel *times* / *ids* / *payloads* to the population in turn (it
+    reports if a filter flips).
+
+    Wherever an engine event is due at or before a record, the record
+    takes its FIFO slot among same-instant events — an event of its own,
+    stepped to — and applies when that slot fires; else nothing can fire
+    first, and the clock moves to the record's time before it applies.
+    Only a latency-modeled channel schedules engine events.  *before*
+    sees ``(stream id, payload)`` before a record applies (and before
+    anything due fires), *after* the record's time once it has.
+    """
+    for time, row, payload in zip(times, ids, payloads):
+        if before is not None:
+            before(row, payload)
+        head = engine.next_event_time
+        if head is not None and head <= time:
+            slot = [row]
+            engine.schedule_at(time, slot.clear)
+            while slot:
+                engine.step()
+        else:
+            engine.advance(time)
+        sources.apply(row, payload, time)
+        if after is not None:
+            after(time)
 
 
 # ----------------------------------------------------------------------
@@ -451,10 +472,10 @@ def replay_columnar(
             stats["staged"] += end - i
             i = end
             if reacting:
-                time = float(times[i])
-                if time > engine.now:
-                    engine.run(until=time)
-                _apply(sources, int(stream_ids[i]), payloads[i], time)
+                _apply(
+                    sources, engine, [float(times[i])], [int(stream_ids[i])],
+                    [payloads[i]],
+                )
                 stats["dispatches"] += 1
                 i += 1
     return stats

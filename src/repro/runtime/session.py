@@ -402,11 +402,11 @@ class ExecutionSession:
                     if k is None or k >= frontier:
                         break
                     cursor.advance(k)
-                    if oracle_apply is not None:
-                        oracle_apply(int(stream_ids[k]), payloads[k])
-                    cursor.dispatch()
-                    if after_apply is not None:
-                        after_apply(float(times[k]))
+                    if not cursor.per_event:  # so no hook is set
+                        cursor.dispatch()
+                        continue
+                    # The rest of the frontier, as one per-event loop.
+                    cursor.dispatch_to(frontier, oracle_apply, after_apply)
                 cursor.advance(frontier)
         if stats["staged"] + stats["dispatches"] != len(times):
             raise ValueError("frontiers must ascend to exactly len(times)")

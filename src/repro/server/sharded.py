@@ -276,7 +276,8 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         self, stream_ids, bound, assumed_inside=None, silenced=None
     ) -> None:
         """Install *bound* — a bound value of this host's vocabulary —
-        at each stream id (default: all, ascending), or the *silenced*
+        at each stream id (default: all, ascending, carried as one
+        ``range`` the kernels write as plane slices), or the *silenced*
         pools' silencers at their members, with the *assumed_inside*
         belief codes (``None``: fresh knowledge); ``n`` messages.  The
         outcome is the ordered :meth:`deploy` loop's (DESIGN.md §15);
@@ -284,7 +285,7 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         on its shard's channel when it qualifies (DESIGN.md §12); one
         row is the one message it is, sent by :meth:`deploy`."""
         if stream_ids is None:
-            stream_ids = np.arange(self.n_streams)
+            stream_ids = range(self.n_streams)
         ids, constraint, belief = self.vocabulary.constraint_columns(
             stream_ids, bound, assumed_inside, silenced
         )

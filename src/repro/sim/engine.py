@@ -117,6 +117,12 @@ class SimulationEngine:
         finally:
             self._running = False
 
+    def advance(self, time: float) -> None:
+        """Move the clock forward to *time* — :meth:`run` ``(until=time)``
+        for a caller that knows no event is due by then."""
+        if time > self._now:
+            self._now = time
+
     def step(self) -> bool:
         """Fire a single event; return ``False`` if none was pending."""
         if not self._queue:

@@ -29,7 +29,7 @@ from repro.spatial.messages import (
 )
 from repro.spatial.oracle import SpatialOracle
 from repro.spatial.source import PointPopulation
-from repro.state.sharding import scatter_region_deploys
+from repro.state.sharding import id_column, scatter_region_deploys
 
 
 class SpatialToleranceViolationError(AssertionError):
@@ -43,7 +43,7 @@ def region_columns(stream_ids, bound, assumed_inside=None, silenced=None):
     members of the *silenced* pools — and int8 belief codes.  Regions
     have no columnar install, so the in-process hosts send the column
     as their ordered per-stream ``deploy`` loop."""
-    ids = np.asarray(stream_ids, dtype=np.int64)
+    ids = id_column(stream_ids)
     regions = np.empty(ids.shape, dtype=object)
     regions.fill(bound)
     if silenced is not None:

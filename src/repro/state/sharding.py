@@ -63,8 +63,18 @@ def shard_ranges(n_streams: int, n_shards: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def id_column(stream_ids) -> np.ndarray:
+    """*stream_ids* as an int64 column.  A ``range`` — how a broadcast
+    carries "every row", which the control-plane kernels index as the
+    basic slice it is — is materialized only here, for the consumers
+    that need each id."""
+    if isinstance(stream_ids, range):
+        return np.arange(stream_ids.start, stream_ids.stop, dtype=np.int64)
+    return np.asarray(stream_ids, dtype=np.int64)
+
+
 def owner_runs(
-    bounds: Sequence[int], stream_ids: np.ndarray
+    bounds: Sequence[int], stream_ids: np.ndarray | range
 ) -> list[tuple[int, int, int]]:
     """Split an id column into consecutive same-shard runs, in order:
     ``(shard index, start, stop)`` slices of *stream_ids*; *bounds* are
@@ -72,9 +82,16 @@ def owner_runs(
     ``bisect_right(bounds, id)``.  Per-run processing in list order
     preserves the column's per-stream order, which is all a sharded
     control-plane batch has to keep.  A column whose extreme ids share
-    an owner is one run, found without locating every id."""
+    an owner is one run, found without locating every id; an ascending
+    ``range`` is cut at the shard bounds it spans."""
     if len(stream_ids) == 0:
         return []
+    if isinstance(stream_ids, range):
+        start, n = stream_ids.start, len(stream_ids)
+        first = bisect_right(bounds, start)
+        last = bisect_right(bounds, stream_ids[-1])
+        edges = [0, *(hi - start for hi in bounds[first:last]), n]
+        return [(first + i, a, b) for i, (a, b) in enumerate(zip(edges, edges[1:]))]
     first = bisect_right(bounds, stream_ids.min())
     if first == bisect_right(bounds, stream_ids.max()):
         return [(first, 0, len(stream_ids))]

@@ -40,6 +40,7 @@ from repro.runtime.membership import (
     belief_column,
     deployment_outcome_columns,
 )
+from repro.state.sharding import id_column
 from repro.state.table import StreamStateTable
 from repro.streams.filters import FilterConstraint
 from repro.streams.source import ScalarPopulation
@@ -52,22 +53,25 @@ def constraint_columns(stream_ids, bound, assumed_inside=None, silenced=None):
     false-negative members of the *silenced* pools — and int8 belief
     codes (``None``: no belief anywhere).  Without pools every row holds
     the one bound, so its columns are stride-0 views of it, which an
-    install compares as scalars."""
-    ids = np.asarray(stream_ids, dtype=np.int64)
+    install compares as scalars.  A ``range`` of ids (a broadcast) stays
+    one: the kernels write it as a plane slice."""
+    ids = stream_ids if isinstance(stream_ids, range) else id_column(stream_ids)
+    shape = (len(ids),)
     if silenced is None:  # read-only stride-0 views of one 8-byte buffer
         lower, upper = (
-            np.ndarray(ids.shape, np.float64, np.float64(end).tobytes(), strides=(0,))
+            np.ndarray(shape, np.float64, np.float64(end).tobytes(), strides=(0,))
             for end in (bound.lower, bound.upper)
         )
     else:
-        lower = np.full(ids.shape, bound.lower, dtype=np.float64)
-        upper = np.full(ids.shape, bound.upper, dtype=np.float64)
-        in_fp = np.isin(ids, list(silenced.fp))
-        in_fn = np.isin(ids, list(silenced.fn))
+        lower = np.full(shape, bound.lower, dtype=np.float64)
+        upper = np.full(shape, bound.upper, dtype=np.float64)
+        column = id_column(ids)
+        in_fp = np.isin(column, list(silenced.fp))
+        in_fn = np.isin(column, list(silenced.fn))
         lower[in_fn] = math.inf
         lower[in_fp] = -math.inf
         upper[in_fn | in_fp] = math.inf
-    return ids, (lower, upper), belief_column(assumed_inside, ids.shape)
+    return ids, (lower, upper), belief_column(assumed_inside, shape)
 
 
 def deploy_each(host, ids, constraint, belief) -> None:
@@ -75,7 +79,7 @@ def deploy_each(host, ids, constraint, belief) -> None:
     of each row of the *constraint* payload columns."""
     columns = [column.tolist() for column in constraint]
     for stream_id, code, *payload in zip(
-        ids.tolist(), belief.tolist(), *columns
+        id_column(ids).tolist(), belief.tolist(), *columns
     ):
         host.deploy(
             stream_id,
@@ -119,11 +123,15 @@ def _bulk_population(channel: Channel, table: StreamStateTable, ids, probe):
     one :class:`ScalarPopulation` handles every id on *channel*, it is
     bound to *table*, and the ids are distinct.  *rows* are the
     population rows the ids name — a basic slice when they ascend
-    without a gap (a broadcast, or one shard's run of it), so the
-    batch's reads and writes are plane slices, not gathers."""
+    without a gap (a broadcast's ``range``, or one shard's run of it,
+    needs no pass to show it), so the batch's reads and writes are plane
+    slices, not gathers."""
     population = channel.bulk_target(ids, probe)
     if type(population) is not ScalarPopulation or population.table is not table:
         return None
+    if isinstance(ids, range):
+        start = ids.start - population.first_id
+        return population, slice(start, start + len(ids))
     if (ids[1:] > ids[:-1]).all():
         start = int(ids[0]) - population.first_id
         if int(ids[-1]) - int(ids[0]) == len(ids) - 1:
@@ -193,9 +201,9 @@ def install_constraints(
     table._note_constraint()
     reporting = np.nonzero(must_report)[0]
     if reporting.size:
-        times = np.broadcast_to(np.asarray(time, dtype=np.float64), ids.shape)
+        times = np.broadcast_to(np.asarray(time, dtype=np.float64), len(ids))
         for row, value, at in zip(
-            (ids[reporting] - population.first_id).tolist(),
+            (id_column(ids)[reporting] - population.first_id).tolist(),
             values[reporting].tolist(),
             times[reporting].tolist(),
         ):
@@ -225,7 +233,7 @@ def send_constraints(
     lower, upper = constraint
     channel.send_constraint_rows(
         found[0],
-        ids.tolist(),
+        id_column(ids).tolist(),
         lower.tolist(),
         upper.tolist(),
         [None if code == BELIEF_NONE else bool(code) for code in belief.tolist()],

@@ -1,13 +1,15 @@
 """Repeated-index assignment: the later row wins.
 
 numpy does not promise an order for ``plane[rows] = values`` when
-*rows* repeats an index, yet two writers rely on one:
-``Population.stage`` installs a chunk's values with one scatter, and
+*rows* repeats an index, yet three writers rely on one:
+``Population.stage`` installs a chunk's values with one scatter,
 ``replay_columnar`` writes a chunk's reports into the value /
 report-time / believed / answer planes the same way, time-ordered, so
-that each stream keeps its last record.  This pins that order for the
-shapes those writers use: 1-D ``float64`` and ``bool`` planes (whole
-arrays and basic-slice views, as aliased planes are), contiguous and
+that each stream keeps its last record, and ``Oracle.apply_many``
+settles a checked run's true values so (``(m, 2)`` point rows on the
+spatial stack).  This pins that order for the shapes those writers use:
+1-D ``float64`` and ``bool`` planes (whole arrays and basic-slice views,
+as aliased planes are), ``(n, 2)`` point matrices, contiguous and
 strided ``int64`` / ``int32`` row arrays, sizes on both sides of
 numpy's 8 192-element buffer.  The reference finds each row's last
 occurrence without any scatter order.
@@ -66,3 +68,16 @@ def test_later_rows_win_through_strided_rows(index_dtype, plane_dtype):
     position = last_occurrence(np.ascontiguousarray(rows), n)
     written = position >= 0
     assert (plane[written] == values[position[written]]).all()
+
+
+@pytest.mark.parametrize("index_dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("size", SIZES)
+def test_later_rows_win_for_point_rows(size, index_dtype):
+    """A ``(n, 2)`` matrix takes each repeated row's last ``(m, 2)`` row."""
+    n, rows, _ = _case(size, index_dtype, np.float64, seed=size)
+    points = np.random.default_rng(size).random((size, 2))
+    position = last_occurrence(rows, n)
+    written = position >= 0
+    plane = np.zeros((n, 2))
+    plane[rows] = points
+    assert (plane[written] == points[position[written]]).all()
