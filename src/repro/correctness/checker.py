@@ -266,12 +266,15 @@ class ToleranceChecker:
         self._tick = 0
         #: Running counts: the table and live truth column (``None``:
         #: every check recounts), ``[|A|, |T|, |A ∩ T|]``, the answer
-        #: epoch they were recounted at and the last ``(counts, reason)``.
+        #: epoch they were recounted at, how many truth flips :meth:`apply`
+        #: has folded in, and the last reason with the flip count it
+        #: was derived at (``-1``: derive it again).
         self._table = self._truth = None
         live = evaluate is None and query in oracle.registered_queries
         if answer_table is not None and live and not query.is_rank_based:
             self._table, self._truth = answer_table, oracle.truth_mask(query)
-            self._counts, self._epoch, self._memo = [0, 0, 0], -1, (None, None)
+            self._counts, self._epoch, self._flips = [0, 0, 0], -1, 0
+            self._reason, self._reason_at = None, -1
         #: :meth:`bind_records`' ``(stream id, flips)`` pairs and columns.
         self._bound = self._records = None
 
@@ -356,6 +359,7 @@ class ToleranceChecker:
             self._counts[1] += step
             if self._table.answer_mask.item(stream_id):
                 self._counts[2] += step
+            self._flips += 1
 
     def _counted(self) -> str | None:
         table = self._table
@@ -364,10 +368,11 @@ class ToleranceChecker:
             columns = (answer, truth, answer & truth)
             self._counts = [int(np.count_nonzero(c)) for c in columns]
             self._epoch = table.answer_epoch
-        counts = tuple(self._counts)
-        if counts != self._memo[0]:
-            self._memo = (counts, membership_reason(*counts, self.tolerance))
-        return self._memo[1]
+            self._reason_at = -1
+        if self._reason_at != self._flips:  # a flip or a recount since
+            self._reason = membership_reason(*self._counts, self.tolerance)
+            self._reason_at = self._flips
+        return self._reason
 
     def _evaluate(self) -> str | None:
         assert self.answer_of is not None and self.oracle is not None

@@ -71,9 +71,6 @@ class Vocabulary:
     #: every, 2*every, ... (recorded results pin both phases).
     check_offset: int
     # -- transport wire codec (DESIGN.md §10) --------------------------
-    #: A probe batch's payload array as per-stream result values (unread
-    #: since ``probe_all`` returns the array itself).
-    payload_items: Callable
     #: Coordinator half of a deploy flush: frame the buffered deploys,
     #: mirror them into the table, ship them (``(coordinator) -> None``).
     flush_deploys: Callable

@@ -136,7 +136,6 @@ SPATIAL = Vocabulary(
     oracle=SpatialOracle,
     violation_error=SpatialToleranceViolationError,
     check_offset=-1,
-    payload_items=list,
     flush_deploys=flush_region_deploys,
     install_batch=install_region_batch,
 )

@@ -106,7 +106,6 @@ SCALAR = Vocabulary(
     oracle=Oracle,
     violation_error=ToleranceViolationError,
     check_offset=0,
-    payload_items=np.ndarray.tolist,
     flush_deploys=flush_interval_deploys,
     install_batch=install_interval_batch,
 )

@@ -266,7 +266,7 @@ def test_the_surface_that_is_left():
     assert list(inspect.signature(TransportShardedServer.replay).parameters) == [
         "self", "horizon",
     ]
-    assert len(dataclasses.fields(Vocabulary)) == 16
+    assert len(dataclasses.fields(Vocabulary)) == 15
     assert [field.name for field in dataclasses.fields(Deployment)] == [
         "topology", "n_shards", "check_every", "strict", "parallel",
         "latency", "durable",
