@@ -1,23 +1,27 @@
-"""Where a columnar chunk's time goes: ``replay_columnar`` by section.
+"""Where a columnar replay's time goes: ``replay_columnar`` by section.
 
-Times the sections of the columnar kernel's chunk loop on the end-to-end
+Times the sections of the columnar kernel's span loop on the end-to-end
 ``range_filter`` workload (its own spec, trace and deployment, seed 0):
 
-* **scan** — containment, the believed side, the report positions;
+* **crossings** — the trace's crossings of the live interval, one
+  block at a time (on a kernel that scans each chunk instead, that
+  scan: containment, the believed side, the report positions);
+* **spans** — a span's bounds, its candidates and the rows that still
+  hold the interval;
 * **absorb** — the protocol's ``absorb_reports`` and the cut behind a
   reaction;
 * **reports** — the ledger charge and the plane writes of the quiet
   reports;
 * **stage** — the value plane;
 * **react** — a reacting record's per-event step (its protocol
-  reaction included).
+  reaction included) and the row check behind it.
 
 The kernel is instrumented from outside: its source is re-compiled with
 a clock read around each section — the top-level statements of the
-chunk loop, grouped by the branch that opens them — and patched in
-where the session calls it.  The clock reads (two per section per
-chunk) are inside every cell, so compare trees, not absolute numbers.
-``kernel`` is the whole call, loop overhead included.
+loop, grouped by the branch that opens them — and patched in where the
+session calls it.  The clock reads (two per section per span) are
+inside every cell, so compare trees, not absolute numbers.  ``kernel``
+is the whole call, loop overhead included.
 
 Run from the repository root, in each tree to compare::
 
@@ -42,22 +46,34 @@ from benchmarks.e2e.workloads import BY_NAME  # noqa: E402
 from repro.api import Engine  # noqa: E402
 from repro.runtime import replay, session  # noqa: E402
 
-SECTIONS = ("scan", "absorb", "reports", "stage", "react")
-#: The chunk loop's branches, by their test.
-BRANCHES = {"at.size": "absorb", "quiet": "reports", "reacting": "react"}
+SECTIONS = ("crossings", "spans", "absorb", "reports", "stage", "react")
+#: The branches that open a section, by their test (a per-chunk scan
+#: has none of its own: the statements before the first branch are that
+#: scan); any other branch stays in the section it is in.
+BRANCHES = {
+    "scanned <= i": "crossings",
+    "at.size": "absorb",
+    "quiet": "reports",
+    "reacting": "react",
+}
+#: The section of plain statements behind a branch's.
+FOLLOWS = {"crossings": "spans", "absorb": "stage", "reports": "stage"}
 
 
 def _sections(body: list[ast.stmt]) -> list[tuple[str, list[ast.stmt]]]:
     """The loop body as consecutive ``(section, statements)`` groups:
-    statements before the first branch scan, each branch is its own
-    section, and plain statements after one stage."""
+    statements before the first branch are crossings, each branch of
+    :data:`BRANCHES` is its own section, and other statements behind
+    one take the section that follows it."""
     groups: list[tuple[str, list[ast.stmt]]] = []
-    section = "scan"
+    section, branched = "crossings", False
     for statement in body:
         if isinstance(statement, ast.If):
-            section = BRANCHES[ast.unparse(statement.test)]
-        elif section != "scan":
-            section = "stage"
+            test = ast.unparse(statement.test)
+            section = BRANCHES.get(test, FOLLOWS.get(section, section))
+            branched = True
+        elif branched:
+            section = FOLLOWS.get(section, section)
         if groups and groups[-1][0] == section:
             groups[-1][1].append(statement)
         else:
@@ -129,7 +145,7 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     medians, quartiles, stats = measure(args.runs)
     print(
-        f"range_filter, seed 0: {stats['chunk_scans']} chunks, "
+        f"range_filter, seed 0: {stats['chunk_scans']} spans, "
         f"{stats['dispatches']} reactions, {stats['columnar_reports']} "
         f"absorbed reports; medians of {args.runs} runs"
     )

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.queries.base import RankBasedQuery
 from repro.queries.range_query import RangeQuery
+from repro.state.runs import flips_in_stream
 from repro.streams.trace import StreamTrace
 
 
@@ -56,24 +58,19 @@ class CrossingProfile:
 def range_crossing_profile(
     trace: StreamTrace, query: RangeQuery
 ) -> CrossingProfile:
-    """Replay *trace* against *query*'s boundary and tally crossings."""
-    inside = query.matches_array(trace.initial_values).copy()
-    initial_selectivity = float(inside.mean()) if len(inside) else 0.0
-    per_stream: Counter[int] = Counter()
-    crossings = 0
-    for i in range(trace.n_records):
-        stream_id = int(trace.stream_ids[i])
-        now_inside = query.matches(float(trace.values[i]))
-        if now_inside != inside[stream_id]:
-            inside[stream_id] = now_inside
-            per_stream[stream_id] += 1
-            crossings += 1
+    """Tally *trace*'s crossings of *query*'s boundary: its records'
+    :func:`~repro.state.runs.flips_in_stream` from the initial values."""
+    inside = np.asarray(query.matches_array(trace.initial_values), dtype=bool)
+    after = np.asarray(query.matches_array(trace.values), dtype=bool)
+    flips = flips_in_stream(after, inside, trace.stream_ids, trace.previous_record)
+    counts = np.bincount(trace.stream_ids[flips], minlength=len(inside))
+    crossing = np.flatnonzero(counts)
     return CrossingProfile(
         total_updates=trace.n_records,
-        crossings=crossings,
-        crossing_streams=len(per_stream),
-        per_stream=dict(per_stream),
-        initial_selectivity=initial_selectivity,
+        crossings=int(np.count_nonzero(flips)),
+        crossing_streams=len(crossing),
+        per_stream=dict(zip(crossing.tolist(), counts[crossing].tolist())),
+        initial_selectivity=float(inside.mean()) if len(inside) else 0.0,
     )
 
 

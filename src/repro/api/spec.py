@@ -35,6 +35,7 @@ from repro.protocols import (
     ZeroToleranceKnnProtocol,
     ZeroToleranceRangeProtocol,
 )
+from repro.tolerance import FractionTolerance, RankTolerance
 
 #: Stack identifiers (which execution assembly a protocol runs on).
 STACK_STREAMS = "streams"
@@ -47,20 +48,20 @@ STACK_MULTIQUERY = "multiquery"
 TOPOLOGIES = ("single", "sharded")
 
 
-#: The protocol family: paper name -> (class, whether the constructor
-#: takes the tolerance and the spec's options).  One class per algorithm,
-#: whatever the dimension (DESIGN.md §15).
-_FAMILY: dict[str, tuple[type, bool]] = {
-    "no-filter": (NoFilterProtocol, False),
-    "zt-nrp": (ZeroToleranceRangeProtocol, False),
-    "ft-nrp": (FractionToleranceRangeProtocol, True),
-    "rtp": (RankToleranceProtocol, True),
-    "zt-rp": (ZeroToleranceKnnProtocol, False),
-    "ft-rp": (FractionToleranceKnnProtocol, True),
+#: The protocol family: paper name -> (class, the tolerance class its
+#: constructor takes with the spec's options, or ``None``).  One class
+#: per algorithm, whatever the dimension (DESIGN.md §15).
+_FAMILY: dict[str, tuple[type, type | None]] = {
+    "no-filter": (NoFilterProtocol, None),
+    "zt-nrp": (ZeroToleranceRangeProtocol, None),
+    "ft-nrp": (FractionToleranceRangeProtocol, FractionTolerance),
+    "rtp": (RankToleranceProtocol, RankTolerance),
+    "zt-rp": (ZeroToleranceKnnProtocol, None),
+    "ft-rp": (FractionToleranceKnnProtocol, FractionTolerance),
 }
 
 
-def _builder(cls: type, tolerant: bool, display: str) -> Callable:
+def _builder(cls: type, tolerant: type | None, display: str) -> Callable:
     def build(spec: "QuerySpec"):
         if tolerant:
             protocol = cls(
@@ -126,6 +127,12 @@ class QuerySpec:
             raise ValueError("QuerySpec requires a query")
         if name == "value-eps" and "eps" not in self.options:
             raise ValueError("value-eps requires options={'eps': <width>}")
+        expected = _FAMILY.get(name.removesuffix("-2d"), (None, None))[1]
+        if expected and not isinstance(self.tolerance, (expected, type(None))):
+            raise TypeError(
+                f"protocol {name!r} takes a {expected.__name__}, "
+                f"not {type(self.tolerance).__name__}"
+            )
 
     @property
     def stack(self) -> str:

@@ -43,7 +43,7 @@ from repro.correctness.staleness import (
     strict_should_raise,
 )
 from repro.queries.rank import top_mask
-from repro.state.runs import previous_in_stream
+from repro.state.runs import flips_in_stream, previous_in_stream
 from repro.state.table import StreamStateTable, membership_mask
 from repro.tolerance.fraction_tolerance import FractionReport, FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
@@ -148,16 +148,12 @@ def membership_reason(answer_size, true_size, hits, tolerance) -> str | None:
 
 def truth_flips(query, truth, stream_ids, payloads, previous) -> np.ndarray:
     """Which of the time-ordered records ``(stream_ids, payloads)`` flip
-    the membership *query*'s truth: a record's truth is ``matches_array``
-    of its payload, the one before it its stream's *previous* record's
-    (:func:`~repro.state.runs.previous_in_stream`) or, for a stream's
-    first record, its row of the *truth* column the records start from
-    — no protocol state, so known before the run (DESIGN.md §14)."""
+    the membership *query*'s truth: :func:`~repro.state.runs.
+    flips_in_stream` of ``matches_array`` over the payloads, from the
+    *truth* column the records start from — no protocol state, so known
+    before the run (DESIGN.md §14)."""
     after = np.asarray(query.matches_array(payloads), dtype=bool)
-    before = truth[stream_ids]
-    seen = previous >= 0
-    before[seen] = after[previous[seen]]
-    return after != before
+    return flips_in_stream(after, truth, stream_ids, previous)
 
 
 class ToleranceChecker:

@@ -3,41 +3,26 @@
 A source reports iff a record flips one of its deployed filters, so
 replay has one job: find the next record that *can* flip a filter,
 bulk-apply everything before it, run it through the per-event
-machinery.  :class:`ReplayCursor` does that job once (DESIGN.md §9) for
-both of its drivers: :meth:`~repro.runtime.session.ExecutionSession.
-replay` in-process (``while candidate: advance; dispatch``) and the
-shard transport's workers under RPC (``repro/server/transport.py``),
-where the coordinator picks the global minimum among the per-shard
-candidates.
+machinery.  :class:`ReplayCursor` does that job once (DESIGN.md §9),
+driven in-process by :meth:`~repro.runtime.session.ExecutionSession.
+replay` and under RPC by the shard transport's workers.  Its proofs read
+the live constraint columns of the state tables, and stand while their
+``constraint_epoch`` does; a record is staged only while provably unable
+to flip anything, and every dispatch takes the engine's one order
+(:func:`_apply`), so every strategy leaves the reference ledger.  The
+**event strategy** proves nothing and hands each frontier's rest to one
+per-event loop (:meth:`ReplayCursor.dispatch_to`).
 
-The proofs read the *live* constraint columns of the state tables —
-every population writes its filter state through to them, so the
-columns are the filter state, and every write to them bumps the table's
-``constraint_epoch``: a proof stands while the epochs it was made at
-do.  A record that may flip a filter is only ever dispatched (engine to
-its time, then the population's ``apply``: one code path for every
-stack and driver) and a record is only ever staged — scattered into the
-population's value plane — while provably unable to flip anything, so
-the message ledger is byte-identical whichever way the cursor is
-driven.  In the **event strategy** nothing is proven: the session's
-replay hands the rest of each frontier to one per-event loop
-(:meth:`ReplayCursor.dispatch_to`, over plain lists of times, ids and
-1-D payloads) that moves the engine clock to each record and applies it
-directly unless an engine event is due first; ``mode="event"``,
-per-record hooks, any latency-modeled channel and the dispatch-rate
-bailout all select it.  Both strategies dispatch in one order, the
-engine's (:func:`_apply`, whose one-record case :meth:`ReplayCursor.
-dispatch` the batch strategy and the shard worker take), so every mode
-leaves the reference ledger.
-
-For ``columnar_maintenance`` protocols :func:`replay_columnar` applies
-whole chunks, reports included, and stops only at a report the protocol
-reacts to; it is the in-process driver's alternative to the cursor
-(gate: :func:`columnar_table`).
+For ``columnar_maintenance`` protocols :func:`replay_columnar` is the
+in-process alternative (gate: :func:`columnar_table`): it lists the
+trace's crossings of the one interval the reporting rows share, a block
+of records at a time, and applies whole spans between them, reports
+included, stopping only at a report the protocol reacts to.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Sequence
 
@@ -46,7 +31,7 @@ import numpy as np
 from repro.network.channel import Channel
 from repro.network.latency import LatencyChannel
 from repro.network.messages import MessageKind
-from repro.state.runs import previous_in_stream
+from repro.state.runs import flips_in_stream, previous_in_stream
 from repro.state.table import StreamStateTable
 
 #: Largest chunk one pre-scan evaluates.
@@ -55,6 +40,10 @@ DEFAULT_BATCH_SIZE = 4096
 #: Smallest chunk: below this, numpy call overhead beats the per-event
 #: loop anyway.  A dropped claim shrinks the adaptive stretch, never below it.
 DEFAULT_MIN_CHUNK = 32
+
+#: Most records one crossings pass of :func:`replay_columnar` reads: a
+#: whole-trace pass holds a few columns per record (DESIGN.md §9).
+CROSSINGS_BLOCK = 1 << 16
 
 #: ``"batch"`` proves quiescence columnarly; ``"auto"`` picks it exactly
 #: when it is both sound and useful; ``"event"`` is the reference.
@@ -143,22 +132,16 @@ class ReplayCursor:
     """Step-wise replay of ``(times, ids, payloads)`` into *sources*.
 
     The record arrays are parallel and time-sorted; *ids* index the rows
-    of *sources* — a population (``repro.runtime.source``) whose value
-    plane is its own staging vector (``stage`` / ``apply(row, ...)``,
-    DESIGN.md §18, §20) — and of *tables*, every state table whose
-    constraint columns guard a filter.  *channels* carry the
-    server-to-source traffic; a latency-modeled one selects the event
-    strategy.  State: records before ``pos`` are committed;
-    ``[pos, proven)`` is proven quiescent against the live columns; the
-    one fact behind the proof is the potential crossings of the last
-    scanned stretch, valid while no table's ``constraint_epoch`` has
-    moved since the scan.  The whole surface is :meth:`candidate`,
-    :meth:`advance`, :meth:`dispatch` (one record) / :meth:`dispatch_to`
-    (a run of them) and the read-only ``pos`` / ``proven`` / ``mode`` /
-    ``per_event`` / ``stats``; ``batch_size`` / ``min_chunk`` bound the
-    adaptive stretch.  ``per_event``: every record from ``pos`` is its
-    own candidate (the event strategy, from the start or since the
-    bailout).
+    of *sources* — a population whose value plane is its own staging
+    vector (DESIGN.md §18, §20) — and of *tables*, every state table
+    whose constraint columns guard a filter; a latency-modeled one of
+    *channels* selects the event strategy.  Records before ``pos`` are
+    committed and ``[pos, proven)`` is proven quiescent by the potential
+    crossings of the last scanned stretch, valid while no table's
+    ``constraint_epoch`` has moved.  The surface is :meth:`candidate`,
+    :meth:`advance`, :meth:`dispatch` / :meth:`dispatch_to` and the
+    read-only ``pos`` / ``proven`` / ``mode`` / ``per_event`` (every
+    record from ``pos`` is its own candidate) / ``stats``.
     """
 
     def __init__(
@@ -195,7 +178,8 @@ class ReplayCursor:
         self._min_chunk = int(min_chunk)
         #: The last scanned stretch ``[_base, _end)``, its potential
         #: crossings (record indices, ascending) and the tables' summed
-        #: constraint epochs at the scan; ``_size`` is the next stretch's.
+        #: constraint epochs at the scan (each only grows, so the sum
+        #: moves iff a table took a write); ``_size`` is the next stretch's.
         self._base = self._end = 0
         self._hits: list[int] = []
         self._seen = 0
@@ -211,23 +195,21 @@ class ReplayCursor:
         """The index of the next record that may flip a filter, or
         ``None`` when none is left.
 
-        Never stages: on return ``[pos, proven)`` is proven against the
-        columns as they are *now* and a candidate is the record at
-        ``proven``.  Only the driver moves ``pos`` — under RPC the
-        coordinator's global minimum may lie in another shard, so an
-        idle shard's proof can reach back before its last stretch.
-
-        One rule: any constraint write since the scan drops the claim
-        past ``pos``, and the next stretch re-proves from there, twice
-        as long as the dropped one was consumed.  Else the first stored
-        crossing at or past ``pos`` is the candidate; with none left the
-        next stretch is scanned, each one twice as long as the last.
+        Never stages: ``[pos, proven)`` is proven against the columns
+        as they are *now*, and only the driver moves ``pos`` (under RPC
+        an idle shard's proof can reach back before its last stretch).
+        Any constraint write since the scan drops the claim past
+        ``pos``, and the next stretch re-proves from there, twice as
+        long as the dropped one was consumed; else the first stored
+        crossing at or past ``pos`` is the candidate, and with none left
+        the next stretch is scanned, each twice as long as the last.
         """
         n = self._n
         if self.per_event:
             return self.proven if self.proven < n else None
         pos = self.pos
-        if self._end > pos and self._epoch() != self._seen:
+        epoch = sum(table.constraint_epoch for table in self._tables)
+        if self._end > pos and epoch != self._seen:
             self._size = min(
                 self._max_chunk, max(self._min_chunk, 2 * (pos - self._base))
             )
@@ -241,12 +223,15 @@ class ReplayCursor:
                 dispatches >= _BAILOUT_MIN_DISPATCHES
                 and dispatches > _BAILOUT_RATE * start
             ):
-                self._switch_to_event()
+                # Too lively for pre-scanning: claim nothing from here
+                # on — every record from ``pos`` is its own candidate.
+                self.per_event, self.proven = True, pos
+                self.stats["dispatch_bailout_at"] = int(pos)
                 return self.candidate()
             if start >= n:
                 self.proven = n
                 return None
-            hits, at = self._scan(start), 0
+            hits, at = self._scan(start, epoch), 0
         self.proven = k = hits[at]
         return k
 
@@ -287,31 +272,20 @@ class ReplayCursor:
         self.pos = self.proven = stop
         self.stats["dispatches"] += stop - start
 
-    def _switch_to_event(self) -> None:
-        """Too lively for pre-scanning: claim nothing from here on —
-        every record from ``pos`` is its own candidate."""
-        self.per_event = True
-        self.proven = self.pos
-        self.stats["dispatch_bailout_at"] = int(self.pos)
-
     # ------------------------------------------------------------------
     # The proof
     # ------------------------------------------------------------------
-    def _epoch(self) -> int:
-        """The tables' summed constraint epochs: each only grows, so the
-        sum moves iff some table took a constraint write."""
-        return sum(table.constraint_epoch for table in self._tables)
-
-    def _scan(self, start: int) -> list[int]:
+    def _scan(self, start: int, epoch: int) -> list[int]:
         """Evaluate the next stretch from *start* in one shot against
-        the live columns; its potential crossings become the claim."""
+        the live columns at *epoch*; its potential crossings become the
+        claim."""
         end = min(start + self._size, self._n)
         self.stats["chunk_scans"] += 1
         mask = self._prescan.crossing_mask(
             self.ids[start:end], self.payloads[start:end]
         )
         self._hits = hits = (np.flatnonzero(mask) + start).tolist()
-        self._base, self._end, self._seen = start, end, self._epoch()
+        self._base, self._end, self._seen = start, end, epoch
         self._size = min(self._max_chunk, 2 * self._size)
         return hits
 
@@ -352,17 +326,14 @@ def columnar_table(payloads, tables, sources, channels, protocol):
     """``(the one state table, None)`` when reports themselves are
     columnar, else ``(None, the clause that declined)``.
 
-    The fully-columnar strategy applies *every* record — quiescent or
-    reporting — as window operations, so it is sound only when a quiet
-    report's entire observable effect is derivable from the constraint
-    columns: the hosted protocol declares ``columnar_maintenance`` (the
-    label is ``None`` when it never asked), there is one table whose
-    every row is known and filtered, no listeners or channel taps
-    observe per-message traffic, and the population is columnar with a
-    deployed interval in every row, over scalar payloads.  Silencers
-    are such intervals — constant containment, so the diff finds no
-    report.  Anything else goes to the cursor.  A latency model never
-    reaches this gate: it replays per event (:func:`resolve_mode`).
+    Sound only when a quiet report's whole observable effect follows
+    from the constraint columns: the protocol declares
+    ``columnar_maintenance`` (the label is ``None`` when it never
+    asked), one table holds every row known and filtered, no listeners
+    or channel taps watch per-message traffic, the population is
+    columnar over scalar payloads, and the rows that can report share
+    one interval (:func:`live_interval`).  Anything else goes to the
+    cursor; a latency model never gets here (:func:`resolve_mode`).
     """
     if not getattr(protocol, "columnar_maintenance", False):
         return None, None
@@ -383,6 +354,8 @@ def columnar_table(payloads, tables, sources, channels, protocol):
         return None, "listeners"
     if any(channel._taps for channel in channels):
         return None, "taps"
+    if live_interval(table)[0] is None:
+        return None, "intervals"
     return table, None
 
 
@@ -390,128 +363,136 @@ def replay_columnar(
     times, stream_ids, payloads, table, sources, ledger, host, engine,
     batch_size, frontiers, previous=None,
 ) -> dict:
-    """Apply whole chunks — reports included — columnarly.
+    """Apply whole spans — reports included — columnarly.
 
-    A source's belief after record ``k`` always equals record ``k``'s
-    containment, so the side it believes *before* a record is the
-    containment of its stream's previous record — *previous* is the
-    arrays' :func:`~repro.state.runs.previous_in_stream` index, built
-    here when not supplied — or, where that record lies before the
-    chunk, the table's believed plane: everything below the chunk is
-    applied before it is judged.  The reports are the records whose
-    containment differs from that side, already in time order;
+    A source believes the side of its last record, so a row on the
+    :func:`live_interval` reports exactly at a *crossing*: a record
+    whose containment differs from its stream's previous record's.
+    Crossings are the trace's alone: one :func:`~repro.state.runs.
+    flips_in_stream` pass per block of :data:`CROSSINGS_BLOCK` records
+    over *previous* (built when not supplied), where a stream with no
+    earlier record in the block starts on its source's value — not the
+    believed plane, which a silenced row holds at its silencer's side.
+    A span keeps the crossings whose row still holds the interval;
     :meth:`~repro.protocols.base.FilterProtocol.absorb_reports` says how
-    many are quiet.  Those are charged to the ledger as one count and
-    written with one scatter per plane in time order — value, report
-    time, believed side (the population's too) and answer — so each
-    reporting stream keeps its last quiet report (later rows win:
-    ``tests/state/test_scatter_order.py`` pins numpy's order), and
-    ``|A|`` moves by their net steps; the host clock takes the last
-    one's time — byte-identical to per-event replay with no Python per
-    report.
-    The first report the protocol reacts to ends the chunk: that record
-    takes the cursor's per-event order (engine to its time, the
-    population's ``apply``) and the scan resumes behind it against the
-    live columns.  No chunk crosses the frontier last taken from
-    *frontiers*, so no ledger charge covers an unreleased record.
-    *sources* is the columnar population :func:`columnar_table` passed.
-    Returns the replay stats.
+    many are quiet, and those cost one ledger count and one time-ordered
+    scatter per plane (``tests/state/test_scatter_order.py``).  The
+    first reacting report ends the span and takes :func:`_apply`; if it
+    wrote a constraint, rows moved whole to one new interval have the
+    crossings listed again, rows split across two replay the rest of
+    the call per event (``dispatch_bailout_at``).  A span holds at most
+    :data:`DEFAULT_BATCH_SIZE` crossings (twice the absorbed prefix, at
+    least :data:`DEFAULT_MIN_CHUNK`, behind a reaction), *batch_size*
+    records when given, and nothing past the frontier last taken; a
+    frontier past the records raises.  ``chunk_scans`` counts spans.
     """
-    if batch_size < 1:
+    if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if previous is None:
         previous = previous_in_stream(stream_ids)
-    stats = replay_stats("batch", "columnar", len(times))
-    i, size = 0, batch_size
+    n, columns = len(times), (times, stream_ids, payloads)
+    stats = replay_stats("batch", "columnar", n)
+    lower, upper, held = live_interval(table)
+    epoch, scanned, i, take = table.constraint_epoch, 0, 0, DEFAULT_BATCH_SIZE
     for frontier in frontiers:
-        while i < frontier:
-            end = min(i + size, frontier)
-            ids_chunk = stream_ids[i:end]
-            vals_chunk = payloads[i:end]
-            stats["chunk_scans"] += 1
-            contains = (table.lower[ids_chunk] <= vals_chunk) & (
-                vals_chunk <= table.upper[ids_chunk]
-            )
-            # A negative ``back`` (predecessor before the chunk) is
-            # clipped and masked out: as an index it would wrap around.
-            # Four mask operations, not one ``np.where``: numpy's boolean
-            # ``where`` takes twice as long on a full chunk (DESIGN.md §9).
-            back = previous[i:end] - i
-            before = back < 0
-            believed = (table.inside[ids_chunk] & before) | (
-                contains.take(back, mode="clip") & ~before
-            )
-            at = np.nonzero(contains != believed)[0]
-            quiet, reacting = 0, False
-            size = min(batch_size, 2 * size)
+        if frontier > n:
+            raise ValueError("frontiers must ascend to exactly len(times)")
+        while i < frontier and lower is not None:
+            if scanned <= i:
+                scanned, values = min(i + CROSSINGS_BLOCK, n), sources.values
+                block = payloads[i:scanned]
+                hits = i + np.flatnonzero(flips_in_stream(
+                    (lower <= block) & (block <= upper),
+                    (lower <= values) & (values <= upper),
+                    stream_ids[i:scanned], previous[i:scanned] - i,
+                ))
+            end = min(frontier, scanned, i + (batch_size or n))
+            a, b = np.searchsorted(hits, (i, end))
+            if b - a > take:
+                b, end = a + take, int(hits[a + take])
+            at = hits[a:b]
+            rows = stream_ids[at]
+            if held is not None:
+                keep = held[rows]
+                at, rows = at[keep], rows[keep]
+            quiet, reacting, take = 0, False, min(DEFAULT_BATCH_SIZE, 2 * take)
             if at.size:
-                entering = contains[at]
+                reported = payloads[at]
+                entering = (lower <= reported) & (reported <= upper)
                 quiet = host.protocol.absorb_reports(entering)
                 reacting = quiet < at.size
                 if reacting:
-                    # End the chunk just before the reacting record;
-                    # scan as far again, not a whole chunk, behind it.
-                    cut = int(at[quiet])
-                    size = min(batch_size, max(DEFAULT_MIN_CHUNK, 2 * cut))
-                    at = at[:quiet]
-                    end = i + cut
-                    ids_chunk, vals_chunk = ids_chunk[:cut], vals_chunk[:cut]
+                    end = int(at[quiet])
+                    take = min(DEFAULT_BATCH_SIZE, max(DEFAULT_MIN_CHUNK, 2 * quiet))
+                    at, rows = at[:quiet], rows[:quiet]
+                    reported, entering = reported[:quiet], entering[:quiet]
             if quiet:
                 ledger.record_kind(MessageKind.UPDATE, quiet)
                 stats["columnar_reports"] += quiet
-                host.now = max(host.now, float(times[i + at[-1]]))
-                # Later rows win: what the server remembers of each
-                # reporting stream is its last report, and so is the side
-                # its source believes reported.
-                rows, entering = ids_chunk[at], entering[:quiet]
-                table.values[rows] = vals_chunk[at]
-                table.report_time[rows] = times[i:end][at]
+                host.now = max(host.now, float(times[at[-1]]))
+                table.values[rows] = reported
+                table.report_time[rows] = times[at]
                 table.inside[rows] = entering  # the sources' plane too
                 table.answer_take_reports(rows, entering)
-            sources.stage(ids_chunk, vals_chunk)
+            sources.stage(stream_ids[i:end], payloads[i:end])
             stats["staged"] += end - i
+            stats["chunk_scans"] += 1
             i = end
             if reacting:
-                _apply(
-                    sources, engine, [float(times[i])], [int(stream_ids[i])],
-                    [payloads[i]],
-                )
+                _apply(sources, engine, *(c[i:i + 1].tolist() for c in columns))
                 stats["dispatches"] += 1
                 i += 1
+                if table.constraint_epoch != epoch:
+                    epoch, interval = table.constraint_epoch, (lower, upper)
+                    lower, upper, held = live_interval(table, interval)
+                    if (lower, upper) != interval:
+                        scanned = i
+                        stats["dispatch_bailout_at"] = i if lower is None else None
+        if i < frontier:  # the rows hold two intervals: per event
+            _apply(sources, engine, *(c[i:frontier].tolist() for c in columns))
+            stats["dispatches"] += frontier - i
+            i = frontier
     return stats
 
 
+def live_interval(table, guess=(math.nan, math.nan)) -> tuple:
+    """``(lower, upper, held)``: the interval every row off a silencer
+    (``[-inf, +inf]``, ``[+inf, +inf]``) holds and the rows that hold it
+    (``None``: every row) — ``None`` bounds when such rows hold two, the
+    *guess* when there are none (``nan``: containing nothing).  A few
+    element-wise passes over the rows."""
+    lower, upper = table.lower, table.upper
+    held = (lower == guess[0]) & (upper == guess[1])
+    live = ~held & ((upper != math.inf) | ~np.isinf(lower))
+    if not live.any():
+        return (*guess, None if held.all() else held)
+    low, high = lower[live], upper[live]
+    if held.any() or (low != low[0]).any() or (high != high[0]).any():
+        return None, None, None
+    return float(low[0]), float(high[0]), None if live.all() else live
+
+
 class _StatePrescan:
-    """Vectorized "can this record flip any filter?" test.
+    """Vectorized "can this record flip any filter?" test, read straight
+    from the live table columns — the filter state at every instant.
 
-    Reads the installed bounds and believed memberships straight from
-    the live :class:`~repro.state.table.StreamStateTable` columns — one
-    table per standing query, whose columns the source populations'
-    filter planes are — so there is nothing to poll, tap, or rebuild:
-    the columns *are* the filter state at every instant.
-
-    A record is quiescent iff, for every table, either the stream has no
-    columnar filter in that table (that query cannot be proven to flip)
-    or the filter provably keeps its believed membership: for scalar
-    payloads an interval containment equal to the believed side, for
-    vector payloads the table's conservative AABB quiescence mask
-    (:meth:`~repro.state.table.StreamStateTable.
-    geometric_quiescence_mask`).  Streams with no columnar filter in
-    *any* table always dispatch — with no filters installed a source
-    reports every change, and an undecidable region record must run
-    exact geometry per-event.
+    A record is quiescent iff, for every table, the stream has no
+    columnar filter there or the filter provably keeps its believed
+    side: interval containment equal to it for scalar payloads, the
+    table's conservative AABB mask (:meth:`~repro.state.table.
+    StreamStateTable.geometric_quiescence_mask`) for vector ones.
+    Streams with no columnar filter in *any* table always dispatch: a
+    filterless source reports every change, and an undecidable region
+    record must run exact geometry per event.
     """
 
     def __init__(self, tables: Sequence[StreamStateTable]) -> None:
         self._tables = list(tables)
 
     def crossing_mask(self, ids_chunk, vals_chunk) -> np.ndarray:
-        """Which records might flip a filter, evaluated columnarly.
-
-        ``True`` marks a *potential* crossing — a record that must take
-        the per-event path; ``False`` is a proof of quiescence against
-        the live columns.  Without any table every record dispatches.
-        """
+        """Which records might flip a filter: ``False`` proves quiescence
+        against the live columns; without any table every record
+        dispatches."""
         geometric = vals_chunk.ndim == 2
         potential: np.ndarray | None = None
         guarded: np.ndarray | None = None

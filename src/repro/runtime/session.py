@@ -321,7 +321,7 @@ class ExecutionSession:
         oracle_apply: Callable[[int, float], None] | None = None,
         after_apply: Callable[[float], None] | None = None,
         mode: str = "auto",
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int | None = None,
         min_chunk: int = DEFAULT_MIN_CHUNK,
         frontiers=None,
         previous=None,
@@ -349,8 +349,10 @@ class ExecutionSession:
             knob sets it: every engine run asks for ``"auto"``, and
             only session-level callers force a strategy.
         batch_size, min_chunk:
-            Bounds of the cursor's adaptive scan stretch (differential
-            tests sweep them; no deployment knob sets them).
+            Bounds of the cursor's adaptive stretch (*batch_size*
+            ``None``: :data:`~repro.runtime.replay.DEFAULT_BATCH_SIZE`);
+            *batch_size* also caps a columnar span in records.  Only
+            tests set them.
         frontiers:
             Ascending record positions ending at ``len(times)``
             (default: just that).  Replay *applies* — stages or
@@ -392,7 +394,8 @@ class ExecutionSession:
             cursor = ReplayCursor(
                 times, stream_ids, payloads, sources=self.sources,
                 tables=tables, channels=self.channels, engine=self.engine,
-                mode=mode, batch_size=batch_size, min_chunk=min_chunk,
+                mode=mode, min_chunk=min_chunk,
+                batch_size=DEFAULT_BATCH_SIZE if batch_size is None else batch_size,
             )
             stats = cursor.stats
             stats["columnar_declined"] = declined

@@ -2,7 +2,9 @@
 
 A source reports iff its filter membership flips between two consecutive
 values of the *same stream* (DESIGN.md §9), so what replay needs from a
-record array is its per-stream shape.  Pure array functions — no
+record array is its per-stream shape, and which of its records flip a
+side (:func:`flips_in_stream`: the replay kernel's report candidates,
+the checker's truth flips).  Pure array functions — no
 simulation state, no tables — each property-tested against a scalar
 oracle (``tests/state/test_runs.py``).
 """
@@ -92,3 +94,16 @@ def previous_in_stream(stream_ids) -> np.ndarray:
         firsts = order[1:][grouped[1:] != grouped[:-1]]
     prev[firsts] = -1
     return prev
+
+
+def flips_in_stream(after, start, stream_ids, previous) -> np.ndarray:
+    """Which records flip their stream's side: ``after`` against the
+    side of the stream's previous record (``previous``, a
+    :func:`previous_in_stream` index) or, where that is negative — no
+    earlier record, or one before the slice — ``start[stream_id]``.  A
+    negative predecessor is clipped, then overwritten: as an index it
+    would wrap around to the slice's tail."""
+    before = after.take(previous, mode="clip")
+    first = np.flatnonzero(previous < 0)
+    before[first] = start[stream_ids[first]]
+    return after != before

@@ -5,6 +5,7 @@ import pytest
 from repro.api import Deployment, QuerySpec, Workload
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
+from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 
 
@@ -31,6 +32,34 @@ def test_query_spec_tolerance_required_for_tolerant_protocols():
     spec = QuerySpec(protocol="rtp", query=TopKQuery(k=3))
     with pytest.raises(ValueError, match="requires a tolerance"):
         spec.build()
+
+
+RANGE = RangeQuery(400.0, 600.0)
+
+
+@pytest.mark.parametrize(
+    "protocol, query, tolerance, expected",
+    [
+        ("ft-nrp", RANGE, 150.0, "FractionTolerance"),
+        ("ft-nrp-2d", RANGE, RankTolerance(3, 1), "FractionTolerance"),
+        ("ft-rp", TopKQuery(k=3), 0.2, "FractionTolerance"),
+        ("rtp", TopKQuery(k=3), FractionTolerance(0.2, 0.2), "RankTolerance"),
+    ],
+)
+def test_a_tolerance_of_the_wrong_class_is_a_type_error(
+    protocol, query, tolerance, expected
+):
+    """At spec time, naming the protocol and the class it takes — not an
+    ``AttributeError`` from deep in the protocol's first step."""
+    given = type(tolerance).__name__
+    message = f"'{protocol}' takes a {expected}, not {given}"
+    with pytest.raises(TypeError, match=message):
+        QuerySpec(protocol, query, tolerance)
+
+
+def test_an_exact_protocol_keeps_any_checking_tolerance():
+    QuerySpec("zt-nrp", RANGE, FractionTolerance(0.2, 0.2))
+    QuerySpec("zt-rp", TopKQuery(k=3), RankTolerance(3, 1))
 
 
 def test_query_spec_builds_fresh_instances():

@@ -4,14 +4,19 @@ Replay reads two array facts from ``repro.state.runs`` (DESIGN.md §9),
 each pinned here against a naive scalar oracle over hypothesis-generated
 columns: the radix grouping equals numpy's stable ``argsort`` and the
 predecessor index a dict-walking loop, whatever width the ids need; the
-key order equals the stable ``argsort`` on ties and NaNs too.
+key order equals the stable ``argsort`` on ties and NaNs too; the side
+flips — the columnar kernel's report candidates and the checker's truth
+flips — a per-record walk over each row's interval.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.state.runs import (
+    flips_in_stream,
     previous_in_stream,
     stable_id_order,
     stable_key_order,
@@ -85,3 +90,58 @@ def test_key_order_is_the_stable_argsort(keys):
     keys = np.asarray(keys, dtype=np.float64)
     expected = np.argsort(keys, kind="stable").tolist()
     assert stable_key_order(keys).tolist() == expected
+
+
+#: Row intervals: the live one, and the two silencers, whose containment
+#: is constant.  Values on the grid sit exactly on both closed bounds.
+LIVE = (3.0, 6.0)
+INTERVALS = [LIVE, (-math.inf, math.inf), (math.inf, math.inf)]
+GRID = [0.0, 3.0, 4.5, 6.0, 9.0]
+
+
+@st.composite
+def flip_cases(draw):
+    """``(ids, values, starting values, row intervals, cut)``."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 40))
+    ids = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    values = draw(st.lists(st.sampled_from(GRID), min_size=m, max_size=m))
+    start = draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n))
+    rows = draw(st.lists(st.sampled_from(INTERVALS), min_size=n, max_size=n))
+    cut = draw(st.integers(0, m))
+    return np.asarray(ids, dtype=np.int64), values, start, rows, cut
+
+
+@given(flip_cases())
+@settings(max_examples=300, deadline=None)
+def test_flips_in_stream_matches_a_per_record_walk(case):
+    """Each record's side is its row's containment; a flip is a change
+    from the side its stream last stood on.  The slice from *cut* starts
+    on the sides the records below it left, its predecessors offset the
+    way the durable runner passes them (negative below the slice)."""
+    ids, values, start, rows, cut = case
+
+    def side(row, value):
+        lower, upper = rows[row]
+        return lower <= value <= upper
+
+    sides = [side(row, value) for row, value in enumerate(start)]
+    expected, at_cut = [], None
+    for position, (row, value) in enumerate(zip(ids.tolist(), values)):
+        if position == cut:
+            at_cut = list(sides)
+        expected.append(side(row, value) != sides[row])
+        sides[row] = side(row, value)
+    at_cut = sides if at_cut is None else at_cut
+    after = np.array([side(r, v) for r, v in zip(ids.tolist(), values)], dtype=bool)
+    previous = previous_in_stream(ids)
+    start_sides = np.array([side(r, v) for r, v in enumerate(start)], dtype=bool)
+    flips = flips_in_stream(after, start_sides, ids, previous)
+    assert flips.tolist() == expected
+    tail = flips_in_stream(
+        after[cut:], np.array(at_cut, dtype=bool), ids[cut:], previous[cut:] - cut
+    )
+    assert tail.tolist() == expected[cut:]
+    # A silencer's row never flips.
+    silenced = [rows[row] != LIVE for row in ids.tolist()]
+    assert not (flips & np.array(silenced, dtype=bool)).any()
