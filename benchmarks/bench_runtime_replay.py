@@ -26,12 +26,11 @@ from __future__ import annotations
 from bench_artifacts import SMOKE, best_of, write_artifact
 from replay_forcing import run_forced
 
-from repro.api import Engine
+from repro.api import Engine, QuerySpec
 from repro.protocols.rtp import RankToleranceProtocol
 from repro.queries.knn import TopKQuery
 from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
 from repro.tolerance.rank_tolerance import RankTolerance
-from repro.valuebased.protocol import run_value_tolerance
 
 # figure01's DEFAULT profile workload and sweep.
 N_STREAMS = 400
@@ -43,6 +42,9 @@ EPS_VALUES = (
     [10.0, 150.0, 800.0] if SMOKE else [2.0, 10.0, 50.0, 150.0, 400.0, 800.0]
 )
 REPEATS = 1 if SMOKE else 3
+#: Each wall behind the asserted 2x is a best of at least five: one
+#: sample per side reads red or green by host load, not by the code.
+RATIO_REPEATS = max(REPEATS, 5)
 
 _RESULTS: dict[str, list | dict] = {"value_window": [], "rtp": {}}
 
@@ -53,10 +55,10 @@ def _trace():
     )
 
 
-def _best_of(mode, fn):
+def _best_of(mode, fn, repeats=REPEATS):
     """Best wall of *fn* with replay forced to *mode* (the forcing patch
     stays outside the timed calls)."""
-    return run_forced(mode, lambda: best_of(fn, REPEATS))
+    return run_forced(mode, lambda: best_of(fn, repeats))
 
 
 def test_bench_value_window_replay():
@@ -67,19 +69,14 @@ def test_bench_value_window_replay():
     print(f"{'eps':>8} {'messages':>9} {'event':>9} {'batch':>9} {'speedup':>8}")
     filtering_event = filtering_batch = 0.0
     for eps in EPS_VALUES:
+        spec = QuerySpec("value-eps", TopKQuery(k=K), options={"eps": eps})
         event, t_event = _best_of(
-            "event",
-            lambda e=eps: run_value_tolerance(
-                trace, TopKQuery(k=K), e, check_every=0
-            ),
+            "event", lambda: Engine().run(spec, trace), RATIO_REPEATS
         )
         batch, t_batch = _best_of(
-            "batch",
-            lambda e=eps: run_value_tolerance(
-                trace, TopKQuery(k=K), e, check_every=0
-            ),
+            "batch", lambda: Engine().run(spec, trace), RATIO_REPEATS
         )
-        assert event.maintenance_messages == batch.maintenance_messages
+        assert event.ledger == batch.ledger
         print(f"{eps:>8} {event.maintenance_messages:>9} "
               f"{t_event * 1e3:>8.1f}ms {t_batch * 1e3:>8.1f}ms "
               f"{t_event / t_batch:>7.2f}x")

@@ -4,12 +4,14 @@
 into an executable plan and runs it.  Compilation is a pair of small
 decisions:
 
-1. **Assembly** — the spec's stack names the payload vocabulary
-   (DESIGN.md §13) and the deployment's topology the host: the
-   :class:`~repro.runtime.session.ExecutionSession` assembler in-process
-   (``for_<stack>`` / ``for_<stack>_sharded``), or
-   :class:`repro.server.transport.TransportShardedServer` bound to the
-   same vocabulary across worker processes.
+1. **Assembly** — the spec's stack names the payload vocabulary its
+   host speaks (:data:`~repro.api.spec.HOST_VOCABULARY`, DESIGN.md §13;
+   the value-window stack speaks the scalar one) and the deployment's
+   topology the host: the :class:`~repro.runtime.session.
+   ExecutionSession` assembler in-process (``for_<vocabulary>`` /
+   ``for_<vocabulary>_sharded``), or :class:`repro.server.transport.
+   TransportShardedServer` bound to the same vocabulary across worker
+   processes.
 2. **Schedule** — whether the plan runs in-process or across
    processes.  ``parallel=True`` on a sharded deployment is
    *permission* to use worker processes, taken only where a process
@@ -21,16 +23,19 @@ decisions:
    synchronous delivery and no checking runs on the shard transport,
    worker processes replaying their shards under an epoch-stepped
    coordinator (``+transport``).  Every other cell — a latency model,
-   ``check_every > 0`` — runs the sequential coordinator in-process,
+   ``check_every > 0``, the value windows (a protocol on its own
+   population) — runs the sequential coordinator in-process,
    the sibling every process executor is byte-identical to: deliveries
    and checks are coordinator work either way, so workers could only
    add a pipe round trip to each (DESIGN.md §17).
    ``RunReport.topology`` names the executor that ran.
 
 :func:`_execute_hosted` is the one executor of a hosted protocol — host
-assembly, oracle + checker, initialize, replay, report — for both
-vocabularies and all three topologies; :func:`_execute` only routes
-around it (durability, fan-out).  Every executor builds its
+assembly, the protocol's checker kind, initialize, replay, report — for
+every protocol :meth:`Engine.run` is given, both vocabularies and all
+three topologies; :func:`_execute` only routes around it (durability,
+fan-out).  Multi-query runs keep their own runner
+(:meth:`Engine.run_queries`).  Every executor builds its
 :class:`~repro.api.report.RunReport` once, at its return site, and every
 ``(stack, workload, deployment)`` cell the engine cannot run is refused
 in one place, :func:`_refuse_unsupported`, before anything is built.
@@ -50,6 +55,7 @@ from typing import Mapping
 import repro.streams.vocabulary  # noqa: F401
 from repro.api.report import RunReport
 from repro.api.spec import (
+    HOST_VOCABULARY,
     STACK_MULTIQUERY,
     STACK_SPATIAL,
     STACK_STREAMS,
@@ -58,13 +64,10 @@ from repro.api.spec import (
     QuerySpec,
     Workload,
 )
-from repro.correctness.checker import ToleranceChecker
-from repro.correctness.staleness import StalenessWindow, tag_reason
+from repro.correctness.checker import ToleranceChecker, with_truncation_note
 from repro.network.accounting import LedgerSnapshot
-from repro.protocols.base import FilterProtocol
 from repro.runtime.replay import merge_replay_stats
 from repro.runtime.session import ExecutionSession
-from repro.runtime.vocabulary import vocabulary_of
 
 
 def _as_workload(workload) -> Workload:
@@ -91,16 +94,6 @@ def _collect_extras(protocol) -> dict:
     return extras
 
 
-def _with_truncation_note(
-    lines: tuple[str, ...], violation_count: int
-) -> tuple[str, ...]:
-    """*lines* plus, when the checker retained fewer records than it
-    counted, the ``... and N more`` line."""
-    if violation_count > len(lines):
-        lines += (f"... and {violation_count - len(lines)} more",)
-    return lines
-
-
 # ----------------------------------------------------------------------
 # What the engine refuses, and the router around the hosted executor
 # ----------------------------------------------------------------------
@@ -123,9 +116,10 @@ _NOT_DURABLE = {
     ),
     STACK_VALUEBASED: (
         "durable deployments are not yet supported for the "
-        "value-window stack: its runner owns its own session "
-        "assembly and does not thread a journaling ledger; use the "
-        "scalar stacks for durable runs"
+        "value-window stack: recovery rebuilds a snapshot's sources as "
+        "the vocabulary's plain scalar population, with no window "
+        "population to restore them into; use the scalar stacks for "
+        "durable runs"
     ),
 }
 
@@ -211,7 +205,7 @@ def _execute(
 
 
 # ----------------------------------------------------------------------
-# The hosted executor (both vocabularies, all three topologies)
+# The hosted executor (every stack Engine.run takes, all three topologies)
 # ----------------------------------------------------------------------
 def _execute_hosted(
     stack: str,
@@ -230,9 +224,12 @@ def _execute_hosted(
     checking moves the shards onto worker processes under the
     epoch-stepped transport coordinator (``repro/server/transport.py``,
     DESIGN.md §10), byte-identical to sequential sharded serving; with
-    a latency model or ``check_every > 0`` it is that sequential
-    session (DESIGN.md §17).  A checking run applies the vocabulary's
-    oracle before each record and its checker after, per event — with
+    a latency model, ``check_every > 0`` or a protocol that runs on its
+    own population (the value windows) it is that sequential session
+    (DESIGN.md §17).  *stack* names the report's stack; the host speaks
+    its :data:`~repro.api.spec.HOST_VOCABULARY`.  A checking run drives
+    the protocol's checker kind (:mod:`repro.correctness.checker`): its
+    ``apply`` before each record and ``check`` after, per event — with
     running counts, every record's truth flip is bound before the run
     and the oracle's values settle after it (DESIGN.md §14); checks
     charge nothing, so ledger and violation sequence agree across
@@ -240,19 +237,22 @@ def _execute_hosted(
     """
     started = _time.perf_counter()
     deployment = deployment or Deployment.single()
+    speaks = HOST_VOCABULARY[stack]
     sharded = deployment.topology == "sharded"
     topology = deployment.describe()
+    kind = protocol.checker_kind or ToleranceChecker
     checker = None
     if (
         sharded
         and deployment.parallel
         and deployment.latency is None
         and deployment.check_every == 0
+        and protocol.population is None
     ):
         from repro.server.transport import TransportShardedServer
 
         topology += "+transport"
-        transported = TransportShardedServer.speaking(stack)
+        transported = TransportShardedServer.speaking(speaks)
         with transported(trace, protocol, deployment.n_shards) as transport:
             transport.initialize(0.0)
             replay = merge_replay_stats(transport.replay(horizon=trace.horizon))
@@ -261,7 +261,7 @@ def _execute_hosted(
     else:
         # Through the per-stack builder names: they are the assembler's
         # public (and traced) entry points.
-        builder = f"for_{stack}_sharded" if sharded else f"for_{stack}"
+        builder = f"for_{speaks}_sharded" if sharded else f"for_{speaks}"
         shards = (deployment.n_shards,) if sharded else ()
         session = getattr(ExecutionSession, builder)(
             trace, protocol, *shards, latency=deployment.latency
@@ -271,39 +271,16 @@ def _execute_hosted(
                 query = getattr(protocol, "query", None)
             if query is None:
                 raise ValueError("checking requires a query")
-            vocabulary = vocabulary_of(stack)
-            oracle = vocabulary.oracle(
-                getattr(trace, vocabulary.initial_column)
-            )
-            oracle.register_query(query)
-            checker = ToleranceChecker(
-                oracle=oracle,
-                query=query,
-                tolerance=tolerance,
-                answer_of=lambda: protocol.answer_mask,
-                every=deployment.check_every,
-                strict=deployment.strict,
-                # Latency-modeled run: classify each violation as
-                # inherent to the modeled staleness vs a genuine
-                # protocol bug.
-                staleness=(
-                    StalenessWindow(session.latency_channels)
-                    if deployment.latency is not None
-                    else None
-                ),
-                error_cls=vocabulary.violation_error,
-                check_offset=vocabulary.check_offset % deployment.check_every,
-                # Unless the answer is derived elsewhere (no-filter).
-                answer_table=session.host.state
-                if type(protocol).answer is FilterProtocol.answer
-                else None,
+            checker = kind.for_run(
+                session, trace, protocol, query, tolerance, deployment
             )
         session.initialize(time=0.0)
         if checker is not None:
-            checker.check_now(0.0)
             # A trace ends at or after its horizon: replay applies it all.
-            checker.bind_records(
-                trace.stream_ids, getattr(trace, vocabulary.record_column)
+            checker.start(
+                0.0,
+                trace.stream_ids,
+                getattr(trace, session.vocabulary.record_column),
             )
         session.replay_trace(
             trace,
@@ -311,30 +288,19 @@ def _execute_hosted(
             after_apply=checker.check if checker is not None else None,
         )
         if checker is not None:
-            checker.settle_records()
+            checker.finish()
         replay = dict(session.last_replay_stats)
         ledger = session.snapshot()
         session.close()
 
+    fields = (
+        checker.report_fields()
+        if checker is not None
+        else kind.unchecked_fields(protocol)
+    )
     extras = _collect_extras(protocol)
     extras["replay"] = replay
-    checked = checker.report if checker is not None else None
-    checks = 0
-    violations: tuple[str, ...] = ()
-    if checked is not None:
-        checks = checked.checks
-        violations = _with_truncation_note(
-            tuple(
-                f"t={violation.time}: "
-                + tag_reason(violation.reason, violation.classification)
-                for violation in checked.violations
-            ),
-            checked.violation_count,
-        )
-        if checked.classified:
-            # Staleness-window mode: surface the violation split.
-            extras["violations_inherent_latency"] = checked.inherent_count
-            extras["violations_protocol_bug"] = checked.protocol_bug_count
+    extras.update(fields.pop("extras", {}))
     return RunReport(
         protocol=protocol.name,
         stack=stack,
@@ -344,11 +310,9 @@ def _execute_hosted(
         n_records=trace.n_records,
         wall_seconds=_time.perf_counter() - started,
         final_answer=protocol.answer,
-        checks=checks,
-        violations=violations,
         label=label,
         extras=extras,
-        checker=checked,
+        **fields,
     )
 
 
@@ -490,48 +454,14 @@ class Engine:
         _refuse_unsupported(
             spec.stack, f"protocol {spec.protocol!r}", workload, deployment
         )
-        if spec.stack != STACK_VALUEBASED:
-            return _execute(
-                spec.stack,
-                trace,
-                spec.build(),
-                spec.query,
-                spec.tolerance,
-                deployment,
-                label,
-            )
-        from repro.valuebased.protocol import run_value_tolerance
-
-        started = _time.perf_counter()
-        result = run_value_tolerance(
+        return _execute(
+            spec.stack,
             trace,
+            spec.build(),
             spec.query,
-            float(spec.options["eps"]),
-            check_every=deployment.check_every,
-            n_shards=deployment.n_shards,
-            latency=deployment.latency,
-        )
-        return RunReport(
-            protocol="value-eps",
-            stack=STACK_VALUEBASED,
-            topology=deployment.describe(),
-            ledger=result.ledger,
-            n_streams=trace.n_streams,
-            n_records=trace.n_records,
-            wall_seconds=_time.perf_counter() - started,
-            final_answer=frozenset(),
-            checks=result.rank_samples,
-            violations=()
-            if result.value_guarantee_held
-            else ("value guarantee violated",),
-            label=label,
-            extras={
-                "eps": result.eps,
-                "worst_rank": result.worst_rank,
-                "mean_rank_error": result.mean_rank_error,
-                "value_guarantee_held": result.value_guarantee_held,
-            },
-            raw=result,
+            spec.tolerance,
+            deployment,
+            label,
         )
 
     def run_queries(
@@ -571,7 +501,7 @@ class Engine:
             wall_seconds=_time.perf_counter() - started,
             final_answer=frozenset(),
             checks=result.checks,
-            violations=_with_truncation_note(
+            violations=with_truncation_note(
                 tuple(result.violations), result.violation_count
             ),
             label=label,

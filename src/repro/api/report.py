@@ -54,11 +54,12 @@ def _json_safe(value: Any, path: str) -> Any:
 class RunReport:
     """Outcome of one :meth:`Engine.run` — ledger, violations, timing.
 
-    A hosted run (the scalar and spatial stacks, every topology, durable
-    or not) builds this shape directly; the two stack runners with a
-    typed result of their own (``MultiQueryResult``,
-    ``ValueToleranceResult``) project onto it and ride along in ``raw``,
-    so comparisons across stacks and topologies read the same fields.
+    A hosted run (every :meth:`~repro.api.Engine.run` — the scalar,
+    spatial and value-window stacks, every topology, durable or not)
+    builds this shape directly; the multi-query runner, with a typed
+    result of its own (``MultiQueryResult``), projects onto it and rides
+    along in ``raw``, so comparisons across stacks and topologies read
+    the same fields.
     """
 
     protocol: str
@@ -77,13 +78,14 @@ class RunReport:
     extras: Mapping[str, Any] = field(default_factory=dict)
     #: Per-query answers (multi-query runs only).
     answers: Mapping[str, frozenset[int]] | None = None
-    #: The multi-query / value-window runner's typed result; ``None``
-    #: on a hosted run, whose whole outcome is this report.
+    #: The multi-query runner's typed result; ``None`` on a hosted run,
+    #: whose whole outcome is this report.
     raw: Any = None
-    #: The structured checker outcome of a checked hosted run (retained
-    #: :class:`~repro.correctness.checker.Violation` records, the
-    #: inherent-latency / protocol-bug tallies); ``checks`` and
-    #: ``violations`` are its stack-independent summary.
+    #: The structured checker outcome of a run the tolerance checker
+    #: judged (retained :class:`~repro.correctness.checker.Violation`
+    #: records, the inherent-latency / protocol-bug tallies); ``checks``
+    #: and ``violations`` are its stack-independent summary.  A
+    #: value-window run's rank quality is in ``extras`` instead.
     checker: CheckerReport | None = None
 
     def __post_init__(self) -> None:

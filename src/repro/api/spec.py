@@ -45,6 +45,14 @@ STACK_VALUEBASED = "valuebased"
 #: (:meth:`repro.api.Engine.run_queries`); no protocol names it.
 STACK_MULTIQUERY = "multiquery"
 
+#: The payload vocabulary (DESIGN.md §13) each hosted stack's host
+#: speaks: the value-window scheme is scalar streams on window sources.
+HOST_VOCABULARY = {
+    STACK_STREAMS: STACK_STREAMS,
+    STACK_SPATIAL: STACK_SPATIAL,
+    STACK_VALUEBASED: STACK_STREAMS,
+}
+
 TOPOLOGIES = ("single", "sharded")
 
 
@@ -75,16 +83,23 @@ def _builder(cls: type, tolerant: type | None, display: str) -> Callable:
     return build
 
 
+def _build_value_eps(spec: "QuerySpec"):
+    # Imported on first build, not with repro.api.
+    from repro.valuebased.protocol import ValueToleranceTopKProtocol
+
+    return ValueToleranceTopKProtocol(spec.query, float(spec.options["eps"]))
+
+
 #: Protocol name -> (stack, builder).  Names are the paper's, lowercased;
 #: ``-2d`` hosts the same class on the spatial stack (reports print the
 #: suffix) and ``value-eps`` is the Olston-style value-window scheme
 #: Figure 1 compares against.
-PROTOCOLS: dict[str, tuple[str, Callable | None]] = {
+PROTOCOLS: dict[str, tuple[str, Callable]] = {
     name + suffix: (stack, _builder(cls, tolerant, cls.name + suffix))
     for name, (cls, tolerant) in _FAMILY.items()
     for stack, suffix in ((STACK_STREAMS, ""), (STACK_SPATIAL, "-2d"))
 }
-PROTOCOLS["value-eps"] = (STACK_VALUEBASED, None)
+PROTOCOLS["value-eps"] = (STACK_VALUEBASED, _build_value_eps)
 
 
 @dataclass(frozen=True)
@@ -148,13 +163,7 @@ class QuerySpec:
 
     def build(self):
         """A fresh protocol instance (protocols are single-use)."""
-        builder = PROTOCOLS[self.protocol][1]
-        if builder is None:
-            raise TypeError(
-                f"{self.protocol!r} has no protocol object; the engine "
-                "runs it directly"
-            )
-        return builder(self)
+        return PROTOCOLS[self.protocol][1](self)
 
 
 @dataclass(frozen=True)

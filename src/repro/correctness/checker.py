@@ -26,6 +26,15 @@ Truth and answer are compared as **columns** (DESIGN.md §14): the
 oracle's boolean truth column against the protocol's boolean answer
 column, by :func:`violation_reason` — the one evaluator every stack
 (scalar, spatial, multi-query) is checked by.
+
+A hosted run is judged by the *checker kind* its protocol names
+(``checker_kind``): :class:`ToleranceChecker`, or the value-window
+scheme's :class:`RankQualityChecker`, which measures rank quality
+instead.  The engine drives both through one interface: ``for_run``
+builds the kind for an assembled session, ``start`` precedes the
+replay, ``apply`` and ``check`` are its per-record hooks, ``finish``
+follows it, and ``report_fields`` — ``unchecked_fields`` for a run
+nothing checked — is what the kind adds to the run's report.
 """
 
 from __future__ import annotations
@@ -41,8 +50,9 @@ from repro.correctness.staleness import (
     PROTOCOL_BUG,
     StalenessWindow,
     strict_should_raise,
+    tag_reason,
 )
-from repro.queries.rank import top_mask
+from repro.queries.rank import ranks_in, top_mask
 from repro.state.runs import flips_in_stream, previous_in_stream
 from repro.state.table import StreamStateTable, membership_mask
 from repro.tolerance.fraction_tolerance import FractionReport, FractionTolerance
@@ -96,6 +106,16 @@ class CheckerReport:
         if self.checks == 0:
             return 0.0
         return self.violation_count / self.checks
+
+
+def with_truncation_note(
+    lines: tuple[str, ...], violation_count: int
+) -> tuple[str, ...]:
+    """*lines* plus, when the checker retained fewer records than it
+    counted, the ``... and N more`` line."""
+    if violation_count > len(lines):
+        lines += (f"... and {violation_count - len(lines)} more",)
+    return lines
 
 
 def violation_reason(
@@ -274,6 +294,78 @@ class ToleranceChecker:
         #: :meth:`bind_records`' ``(stream id, flips)`` pairs and columns.
         self._bound = self._records = None
 
+    @classmethod
+    def for_run(
+        cls, session, trace, protocol, query, tolerance, deployment
+    ) -> "ToleranceChecker":
+        """The checker of *protocol* hosted by the assembled *session*:
+        the vocabulary's oracle over *trace*'s initial payloads, its
+        strict-mode error and check phase, and — under a latency model —
+        the staleness window over the session's channels."""
+        from repro.protocols.base import FilterProtocol
+
+        vocabulary = session.vocabulary
+        oracle = vocabulary.oracle(getattr(trace, vocabulary.initial_column))
+        oracle.register_query(query)
+        return cls(
+            oracle=oracle,
+            query=query,
+            tolerance=tolerance,
+            answer_of=lambda: protocol.answer_mask,
+            every=deployment.check_every,
+            strict=deployment.strict,
+            # Latency-modeled run: classify each violation as inherent
+            # to the modeled staleness vs a genuine protocol bug.
+            staleness=(
+                StalenessWindow(session.latency_channels)
+                if deployment.latency is not None
+                else None
+            ),
+            error_cls=vocabulary.violation_error,
+            check_offset=vocabulary.check_offset % deployment.check_every,
+            # Unless the answer is derived elsewhere (no-filter).
+            answer_table=session.host.state
+            if type(protocol).answer is FilterProtocol.answer
+            else None,
+        )
+
+    def start(self, time: float, stream_ids, payloads) -> None:
+        """Before a replay of the records ``(stream_ids, payloads)``:
+        check the initialized answer, then :meth:`bind_records`."""
+        self.check_now(time)
+        self.bind_records(stream_ids, payloads)
+
+    def finish(self) -> None:
+        """After the replay: :meth:`settle_records`."""
+        self.settle_records()
+
+    def report_fields(self) -> dict:
+        """What this checker adds to the run's report: the check count,
+        one line per retained violation, the staleness split, and the
+        structured :class:`CheckerReport`."""
+        report = self.report
+        lines = tuple(
+            f"t={violation.time}: "
+            + tag_reason(violation.reason, violation.classification)
+            for violation in report.violations
+        )
+        extras = {}
+        if report.classified:
+            # Staleness-window mode: surface the violation split.
+            extras["violations_inherent_latency"] = report.inherent_count
+            extras["violations_protocol_bug"] = report.protocol_bug_count
+        return {
+            "checks": report.checks,
+            "violations": with_truncation_note(lines, report.violation_count),
+            "extras": extras,
+            "checker": report,
+        }
+
+    @staticmethod
+    def unchecked_fields(protocol) -> dict:
+        """What a run this kind did not check reports: nothing."""
+        return {}
+
     def check(self, time: float) -> Violation | None:
         """Validate the current answer; honours the sampling interval."""
         self._tick += 1
@@ -378,3 +470,105 @@ class ToleranceChecker:
         return violation_reason(
             answer, self.oracle, self.query, self.tolerance
         )
+
+
+class RankQualityChecker:
+    """The value-window scheme's checker kind: how its answer ranks.
+
+    A value tolerance bounds values, not ranks (Figure 1), so this kind
+    judges no tolerance; it measures.  At every *every*-th record —
+    ticks ``every, 2*every, ...``, none at ``t = 0`` — each answer
+    member's true rank is sampled (:func:`~repro.queries.rank.ranks_in`
+    over the oracle's values), and the scheme's own contract is
+    verified: every *known* value within ``eps/2`` of the truth.
+    ``samples`` counts member samples; strict mode does not apply.
+    """
+
+    def __init__(
+        self,
+        oracle: Oracle,
+        query,
+        answer_of: Callable[[], np.ndarray],
+        known: np.ndarray,
+        eps: float,
+        every: int,
+    ) -> None:
+        if every < 1:
+            raise ValueError("every must be >= 1")
+        self.oracle = oracle
+        self.query = query
+        self.answer_of = answer_of
+        self.known = known
+        self.eps = eps
+        self.every = every
+        #: The replay's oracle hook: every record reaches the truth.
+        self.apply = oracle.apply
+        self._tick = 0
+        self.samples = 0
+        #: Sum of ``max(0, rank - k)`` over the samples (exact).
+        self.rank_error = 0
+        self.worst_rank = query.k
+        self.guarantee_held = True
+
+    @classmethod
+    def for_run(
+        cls, session, trace, protocol, query, tolerance, deployment
+    ) -> "RankQualityChecker":
+        """Sample *protocol*'s answer against *trace*'s truth; its known
+        values are the host table's value column."""
+        vocabulary = session.vocabulary
+        return cls(
+            vocabulary.oracle(getattr(trace, vocabulary.initial_column)),
+            query,
+            lambda: protocol.answer_mask,
+            session.host.state.values,
+            protocol.eps,
+            deployment.check_every,
+        )
+
+    def start(self, time: float, stream_ids, payloads) -> None:
+        """Nothing is sampled before the first record."""
+
+    def check(self, time: float) -> None:
+        """Sample the answer's true ranks and the value guarantee."""
+        self._tick += 1
+        if self._tick % self.every:
+            return
+        truth = self.oracle.values
+        members = np.flatnonzero(self.answer_of())
+        ranks = ranks_in(self.query.distance_array(truth), members)
+        k = self.query.k
+        self.samples += len(ranks)
+        self.rank_error += int(np.maximum(ranks - k, 0).sum())
+        self.worst_rank = max(self.worst_rank, int(ranks.max(initial=k)))
+        if np.max(np.abs(truth - self.known)) > self.eps / 2.0 + 1e-9:
+            self.guarantee_held = False
+
+    def finish(self) -> None:
+        """Nothing is pending after the replay."""
+
+    def report_fields(self) -> dict:
+        """The rank quality as report extras; a broken value guarantee is
+        the run's one violation line."""
+        mean = self.rank_error / self.samples if self.samples else 0.0
+        return self._fields(
+            self.eps, self.worst_rank, mean, self.guarantee_held, self.samples
+        )
+
+    @classmethod
+    def unchecked_fields(cls, protocol) -> dict:
+        """A run nothing sampled: the answer's best worst rank, ``k``."""
+        return cls._fields(protocol.eps, protocol.query.k, 0.0, True, 0)
+
+    @staticmethod
+    def _fields(eps, worst_rank, mean_rank_error, held, samples) -> dict:
+        return {
+            "checks": samples,
+            "violations": () if held else ("value guarantee violated",),
+            "extras": {
+                "eps": eps,
+                "worst_rank": worst_rank,
+                "mean_rank_error": mean_rank_error,
+                "value_guarantee_held": held,
+            },
+        }

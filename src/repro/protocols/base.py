@@ -60,6 +60,15 @@ class FilterProtocol(ABC):
     #: reports included, as column operations (DESIGN.md §9).
     columnar_maintenance: bool = False
 
+    #: The sources the protocol runs on, as ``(initial payloads,
+    #: channels, id ranges) -> population``; ``None``: the host
+    #: vocabulary's own.  Only the in-process hosts build another.
+    population = None
+
+    #: The checker kind a checked run of the protocol drives
+    #: (:mod:`repro.correctness.checker`); ``None``: the tolerance checker.
+    checker_kind: type | None = None
+
     #: The serving host's state table, bound by :meth:`initialize`.
     _state: "StreamStateTable | None" = None
 

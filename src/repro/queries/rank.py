@@ -36,11 +36,18 @@ def rank_of(query: RankBasedQuery, stream_id: int, values: np.ndarray) -> int:
     values = np.asarray(values, dtype=np.float64)
     if not 0 <= stream_id < len(values):
         raise IndexError(f"stream id {stream_id} out of range")
-    distances = query.distance_array(values)
-    mine = distances[stream_id]
-    closer = int(np.count_nonzero(distances < mine))
-    tied_before = int(np.count_nonzero(distances[:stream_id] == mine))
-    return closer + tied_before + 1
+    return int(ranks_in(query.distance_array(values), [stream_id])[0])
+
+
+def ranks_in(distances: np.ndarray, stream_ids) -> np.ndarray:
+    """The 1-based ranks of *stream_ids* in the ``(distance, id)`` order
+    of the *distances* column: :func:`rank_of`'s rule, counted for all
+    the ids at once — no sort."""
+    ids = np.asarray(stream_ids, dtype=np.int64)[:, None]
+    mine = distances[ids]
+    closer = np.count_nonzero(distances < mine, axis=1)
+    tied = (distances == mine) & (np.arange(len(distances)) < ids)
+    return closer + np.count_nonzero(tied, axis=1) + 1
 
 
 def top_mask(distances: np.ndarray, count: int) -> np.ndarray:

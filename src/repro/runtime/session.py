@@ -8,9 +8,9 @@ Assembly is written once, in :meth:`ExecutionSession.assemble`: the
 payload :class:`~repro.runtime.vocabulary.Vocabulary` of the stack names
 the population constructor and the trace's initial-payload column, the
 topology is one shard range or several, and the host is ``Server`` /
-``ShardedServer`` bound to that vocabulary (or none, for the
-value-window stack).  The ``for_*`` classmethods are one-line bindings
-of it.
+``ShardedServer`` bound to that vocabulary, serving the protocol over
+the population it declares (the value windows) or the vocabulary's.
+The ``for_*`` classmethods are one-line bindings of it.
 
 :meth:`ExecutionSession.replay` is the in-process driver of the replay
 core in :mod:`repro.runtime.replay` (DESIGN.md §9).
@@ -18,7 +18,6 @@ core in :mod:`repro.runtime.replay` (DESIGN.md §9).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ from repro.runtime.replay import (
     resolve_mode,
 )
 from repro.sim.engine import SimulationEngine
-from repro.state.table import StreamStateTable
 
 
 class ExecutionSession:
@@ -47,11 +45,11 @@ class ExecutionSession:
         The source population (``repro.runtime.source``), indexed by
         stream id.
     host:
-        The server-side owner (``Server``, ``ShardedServer``,
-        ``MultiQueryCoordinator`` or ``None`` for bare assemblies).
+        The server-side owner (``Server``, ``ShardedServer`` or
+        ``MultiQueryCoordinator``).
     initialize:
         Callable running the initialization phase at a given time;
-        defaults to ``host.initialize`` when the host has one.
+        defaults to ``host.initialize``.
     """
 
     def __init__(
@@ -62,7 +60,7 @@ class ExecutionSession:
         engine: SimulationEngine | None = None,
         channel: Channel | None = None,
         channels: Sequence[Channel] | None = None,
-        host=None,
+        host,
         initialize: Callable[[float], None] | None = None,
     ) -> None:
         self.engine = engine or SimulationEngine()
@@ -83,44 +81,22 @@ class ExecutionSession:
         self.host = host
         #: The payload vocabulary; set by :meth:`assemble`.
         self.vocabulary = None
-        if initialize is None and host is not None:
-            initialize = getattr(host, "initialize", None)
-        self._initialize = initialize
-        #: Session-owned state table (hostless assemblies only; hosted
-        #: sessions use the host's table(s)).
-        self.state: StreamStateTable | None = None
+        self._initialize = initialize or host.initialize
         #: Counters of the most recent :meth:`replay`, in the schema of
         #: :func:`~repro.runtime.replay.replay_stats`; surfaced through
         #: ``RunReport`` extras.
         self.last_replay_stats: dict | None = None
-        self._bind_state()
+        # Hosts with per-query tables (the multi-query coordinator) bind
+        # their own sources; a server's table takes the filter planes.
+        if not hasattr(host, "state_tables"):
+            sources.bind_state(host.state)
 
-    def _bind_state(self) -> None:
-        """Bind the population's filter state to a state table.
-
-        Hosts with per-query tables (the multi-query coordinator) bind
-        their own sources; otherwise the host's table — or a session-owned
-        one for bare assemblies — takes the population's filter planes.
-        """
-        if self.host is not None and hasattr(self.host, "state_tables"):
-            return
-        table = getattr(self.host, "state", None)
-        if table is None and self.sources:
-            table = self.state = StreamStateTable(len(self.sources))
-        if table is None:
-            return
-        self.sources.bind_state(table)
-
-    def _state_tables(self) -> list[StreamStateTable]:
+    def _state_tables(self) -> list:
         """Every state table whose constraint columns guard a filter."""
-        if self.host is not None:
-            tables = getattr(self.host, "state_tables", None)
-            if tables is not None:
-                return list(tables.values())
-            table = getattr(self.host, "state", None)
-            if table is not None:
-                return [table]
-        return [self.state] if self.state is not None else []
+        tables = getattr(self.host, "state_tables", None)
+        if tables is not None:
+            return list(tables.values())
+        return [self.host.state]
 
     # ------------------------------------------------------------------
     # Assembly
@@ -130,13 +106,12 @@ class ExecutionSession:
         cls,
         stack: str,
         trace,
-        protocol=None,
+        protocol,
         n_shards: int | None = None,
         latency=None,
         *,
         ledger=None,
         state_factory=None,
-        population=None,
     ) -> "ExecutionSession":
         """The one assembler: engine, ledger, channel(s), sources, host.
 
@@ -149,10 +124,9 @@ class ExecutionSession:
         a ``ShardedServer`` whose ledgers are byte-identical to the
         single topology's (see ``repro.server.sharded``).
 
-        ``protocol=None`` builds a host-less assembly (the value-window
-        stack binds its own handler on ``.channels``) and *population*
-        substitutes the vocabulary's population constructor, called
-        ``(initial payloads, channels, ranges)``.  *ledger*
+        The sources are the population *protocol* declares
+        (``FilterProtocol.population``, called ``(initial payloads,
+        channels, ranges)``), else the vocabulary's.  *ledger*
         substitutes the accounting object (the durability tier passes a
         journaling subclass) and *state_factory* the host's state-table
         constructor (memmap-backed planes).
@@ -175,10 +149,9 @@ class ExecutionSession:
             for index in range(len(ranges))
         ]
         initials = getattr(trace, vocabulary.initial_column)
-        sources = (population or vocabulary.population)(initials, channels, ranges)
-        if protocol is None:
-            host = None
-        elif n_shards is None:
+        population = protocol.population or vocabulary.population
+        sources = population(initials, channels, ranges)
+        if n_shards is None:
             host = Server.speaking(stack)(
                 channels[0], protocol, state_factory=state_factory
             )
@@ -237,28 +210,6 @@ class ExecutionSession:
         return cls.assemble("spatial", trace, protocol, n_shards, latency)
 
     @classmethod
-    def for_windows(cls, trace, width: float, latency=None) -> "ExecutionSession":
-        """Value-window stack: a host-less ``WindowPopulation``.  The
-        caller binds its own server-side handler on every channel in
-        ``.channels`` and runs initialization via ``initialize(run=...)``."""
-        return cls.for_windows_sharded(trace, width, None, latency)
-
-    @classmethod
-    def for_windows_sharded(
-        cls, trace, width: float, n_shards: int | None, latency=None
-    ) -> "ExecutionSession":
-        """Value-window stack over per-shard channels (shared ledger).
-        The scheme has no server-to-source maintenance traffic and each
-        source's report decisions are purely local, so sharding it is
-        pure channel partitioning and cannot move the ledger."""
-        from repro.valuebased.source import WindowPopulation
-
-        return cls.assemble(
-            "streams", trace, None, n_shards, latency,
-            population=partial(WindowPopulation, width=width),
-        )
-
-    @classmethod
     def for_multiquery(cls, initial_values) -> "ExecutionSession":
         """Shared stack: ``SlotPopulation`` + ``MultiQueryCoordinator``.
 
@@ -281,14 +232,10 @@ class ExecutionSession:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def initialize(
-        self, time: float = 0.0, run: Callable[[float], None] | None = None
-    ) -> None:
+    def initialize(self, time: float = 0.0) -> None:
         """Run the initialization phase; messages are charged to it."""
-        run = run or self._initialize
         self.ledger.phase = Phase.INITIALIZATION
-        if run is not None:
-            run(time)
+        self._initialize(time)
         self.ledger.phase = Phase.MAINTENANCE
 
     def snapshot(self):

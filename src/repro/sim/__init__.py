@@ -9,22 +9,16 @@ the paper used for its evaluation (Section 6).  It provides:
   — the scheduling primitives;
 * :mod:`repro.sim.rng` — named, independently-seeded random streams so that
   workload realizations are reproducible and protocols can be compared on
-  identical inputs;
-* :mod:`repro.sim.stats` — counters, tallies and time-weighted statistics
-  collected during a run.
+  identical inputs.
 """
 
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import Counter, Tally, TimeWeightedStat
 
 __all__ = [
     "SimulationEngine",
     "Event",
     "EventQueue",
     "RandomStreams",
-    "Counter",
-    "Tally",
-    "TimeWeightedStat",
 ]

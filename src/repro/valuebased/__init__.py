@@ -16,18 +16,17 @@ spread.  This package implements the value-based protocol so the
 argument can be *measured*: ``repro.experiments.figure01`` sweeps
 ``eps`` and reports messages and observed rank error side by side with
 RTP, whose rank guarantee is direct.
+
+The scheme is a hosted protocol like any other (``QuerySpec("value-eps",
+...)``): the scalar ``Server`` / ``ShardedServer`` serves
+:class:`ValueToleranceTopKProtocol` over the window population it
+declares, and a checked run drives its checker kind,
+:class:`~repro.correctness.checker.RankQualityChecker`, instead of the
+tolerance checker.  Its ``QuerySpec.stack`` is ``"valuebased"``, which
+``repro.api.spec.HOST_VOCABULARY`` maps to the scalar vocabulary.
 """
 
-from repro.valuebased.protocol import (
-    ValueToleranceResult,
-    ValueToleranceTopKProtocol,
-    run_value_tolerance,
-)
+from repro.valuebased.protocol import ValueToleranceTopKProtocol
 from repro.valuebased.source import WindowFilterSource
 
-__all__ = [
-    "ValueToleranceResult",
-    "ValueToleranceTopKProtocol",
-    "WindowFilterSource",
-    "run_value_tolerance",
-]
+__all__ = ["ValueToleranceTopKProtocol", "WindowFilterSource"]

@@ -79,6 +79,13 @@ class WindowPopulation(ScalarPopulation):
         self.filtered[:] = True
         self.inside[:] = True
 
+    def bind_state(self, table) -> None:
+        """Alias the filter planes, and seed *table*'s value column with
+        the centres: a window is installed around the value the server
+        knows, and that knowledge costs no message."""
+        super().bind_state(table)
+        table.record_report_bulk(self.centers, 0.0)
+
     def _report(self, row: int, value: float, time: float, message=UpdateMessage):
         half = self.width / 2.0
         lower, upper = value - half, value + half

@@ -196,7 +196,7 @@ def test_the_engine_picks_the_replay_strategy(capsys):
     "entry",
     [
         "repro.api.spec:Deployment",
-        "repro.valuebased.protocol:run_value_tolerance",
+        "repro.valuebased.protocol:ValueToleranceTopKProtocol",
         "repro.multiquery.runner:execute_multi_query",
         "repro.server.transport:TransportShardedServer",
         "repro.server.transport:ShardWorker",

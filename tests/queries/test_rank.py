@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.queries.knn import KnnQuery, TopKQuery
-from repro.queries.rank import rank_of, ranked_ids, top_ranked, true_knn_answer
+from repro.queries.rank import (
+    rank_of,
+    ranked_ids,
+    ranks_in,
+    top_ranked,
+    true_knn_answer,
+)
 
 values_strategy = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=30
@@ -90,3 +96,19 @@ def test_top_ranked_returns_best_first():
     query = TopKQuery(k=1)
     values = np.array([10.0, 30.0, 20.0])
     assert top_ranked(query, values, 2) == [1, 2]
+
+
+@given(
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=30),
+    st.data(),
+)
+def test_ranks_in_is_the_stable_sort_position(values, data):
+    """Counted ranks of any id subset — ties (few distinct values) broken
+    by id — are each id's 1-based position in the stable argsort."""
+    query = KnnQuery(q=0.5, k=1)
+    array = np.array(values)
+    ids = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=8))
+    positions = np.empty(len(values), dtype=np.int64)
+    positions[ranked_ids(query, array)] = np.arange(1, len(values) + 1)
+    ranks = ranks_in(query.distance_array(array), ids)
+    assert ranks.tolist() == positions[ids].tolist()

@@ -47,8 +47,9 @@ def _scalar():
 
 
 def _window():
-    session = ExecutionSession.for_windows(SMALL.materialize(), 25.0)
-    return session.sources, session.state
+    spec = QuerySpec("value-eps", repro.TopKQuery(5), options={"eps": 25.0})
+    session = ExecutionSession.assemble("streams", SMALL.materialize(), spec.build())
+    return session.sources, session.host.state
 
 
 SCALAR_PLANES = {

@@ -71,8 +71,9 @@ def _spatial(n_shards):
 
 
 def _windows(n_shards):
-    return ExecutionSession.for_windows_sharded(
-        WORKLOAD.materialize(), 25.0, n_shards
+    spec = QuerySpec("value-eps", repro.TopKQuery(10), options={"eps": 25.0})
+    return ExecutionSession.assemble(
+        "streams", WORKLOAD.materialize(), spec.build(), n_shards
     )
 
 

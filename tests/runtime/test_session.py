@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import Deployment, Engine
+from repro.api import Deployment, Engine, QuerySpec
 from repro.multiquery.runner import execute_multi_query
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.ft_rp import FractionToleranceKnnProtocol
@@ -18,7 +18,6 @@ from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
 from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
-from repro.valuebased.protocol import run_value_tolerance
 from replay_forcing import run_forced
 
 
@@ -102,15 +101,12 @@ def test_a_non_positive_chunk_bound_is_rejected(trace, name):
 
 @pytest.mark.parametrize("eps", [5.0, 60.0, 500.0])
 def test_value_window_batched_identical(trace, eps):
-    event = run_forced(
-        "event",
-        lambda: run_value_tolerance(trace, TopKQuery(k=5), eps, check_every=0),
-    )
-    batch = run_forced(
-        "batch",
-        lambda: run_value_tolerance(trace, TopKQuery(k=5), eps, check_every=0),
-    )
+    spec = QuerySpec("value-eps", TopKQuery(k=5), options={"eps": eps})
+    event = run_forced("event", lambda: Engine().run(spec, trace))
+    batch = run_forced("batch", lambda: Engine().run(spec, trace))
     assert event.maintenance_messages == batch.maintenance_messages
+    assert event.ledger == batch.ledger
+    assert event.final_answer == batch.final_answer
 
 
 def test_multiquery_batched_identical(trace):

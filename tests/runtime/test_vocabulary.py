@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.api import Deployment, Engine, QuerySpec, Workload
-from repro.api.spec import PROTOCOLS
+from repro.api.spec import HOST_VOCABULARY, PROTOCOLS
 from repro.network.messages import MessageKind
 from repro.protocols.base import FilterProtocol
 from repro.runtime.membership import (
@@ -74,7 +74,7 @@ def test_exactly_two_vocabularies_keyed_by_query_spec_stack():
     assert vocabulary_of("streams") is SCALAR
     assert vocabulary_of("spatial") is SPATIAL
     # Every hosted protocol's QuerySpec.stack names one of the two.
-    hosted = {stack for stack, builder in PROTOCOLS.values() if builder}
+    hosted = {HOST_VOCABULARY[stack] for stack, _ in PROTOCOLS.values()}
     assert hosted == {SCALAR.stack, SPATIAL.stack}
     assert isinstance(SCALAR, Vocabulary) and isinstance(SPATIAL, Vocabulary)
     with pytest.raises(LookupError, match="no payload vocabulary"):

@@ -3,16 +3,33 @@
 import numpy as np
 import pytest
 
+from repro.api import Deployment, Engine, QuerySpec
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
 from repro.queries.knn import TopKQuery
 from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
 from repro.streams.trace import StreamTrace
-from repro.valuebased.protocol import (
-    ValueToleranceTopKProtocol,
-    run_value_tolerance,
-)
+from repro.valuebased.protocol import ValueToleranceTopKProtocol
 from repro.valuebased.source import WindowFilterSource
+
+
+def run_value_tolerance(trace, query, eps, check_every=1):
+    """One value-eps run through the engine."""
+    spec = QuerySpec("value-eps", query, options={"eps": eps})
+    return Engine().run(spec, trace, Deployment.single(check_every=check_every))
+
+
+def three_streams(records=()):
+    """Streams 0..2 starting at 1, 5 and 3; *records* are ``(time, id,
+    value)``."""
+    times, ids, values = zip(*records) if records else ((), (), ())
+    return StreamTrace(
+        initial_values=np.array([1.0, 5.0, 3.0]),
+        times=np.array(times, dtype=np.float64),
+        stream_ids=np.array(ids, dtype=np.int64),
+        values=np.array(values, dtype=np.float64),
+        horizon=2.0,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +76,15 @@ class TestWindowFilterSource:
 
 class TestProtocol:
     def test_answer_from_known_values(self):
-        protocol = ValueToleranceTopKProtocol(TopKQuery(k=2), eps=10.0)
-        protocol.seed({0: 1.0, 1: 5.0, 2: 3.0})
-        assert protocol.answer == frozenset({1, 2})
-        protocol.on_update(0, 100.0)
-        assert protocol.answer == frozenset({0, 1})
+        query = TopKQuery(k=2)
+        seeded = run_value_tolerance(three_streams(), query, 10.0)
+        assert seeded.final_answer == frozenset({1, 2})
+        updated = run_value_tolerance(three_streams([(1.0, 0, 100.0)]), query, 10.0)
+        assert updated.final_answer == frozenset({0, 1})
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            ValueToleranceTopKProtocol(TopKQuery(k=1), eps=-1.0)
+            run_value_tolerance(three_streams(), TopKQuery(k=1), -1.0)
 
     def test_answer_before_seed_is_empty(self):
         assert ValueToleranceTopKProtocol(TopKQuery(k=1), 1.0).answer == frozenset()
@@ -77,7 +94,7 @@ class TestRun:
     def test_value_guarantee_always_held(self, trace):
         for eps in (5.0, 50.0, 500.0):
             result = run_value_tolerance(trace, TopKQuery(k=5), eps)
-            assert result.value_guarantee_held, eps
+            assert result.extras["value_guarantee_held"], eps
 
     def test_messages_decrease_with_eps(self, trace):
         small = run_value_tolerance(trace, TopKQuery(k=5), 5.0, check_every=0)
@@ -87,7 +104,7 @@ class TestRun:
     def test_rank_quality_degrades_with_eps(self, trace):
         tight = run_value_tolerance(trace, TopKQuery(k=5), 5.0)
         loose = run_value_tolerance(trace, TopKQuery(k=5), 800.0)
-        assert loose.worst_rank > tight.worst_rank
+        assert loose.extras["worst_rank"] > tight.extras["worst_rank"]
 
     def test_worst_rank_at_least_k(self):
         trace = StreamTrace(
@@ -98,4 +115,4 @@ class TestRun:
             horizon=2.0,
         )
         result = run_value_tolerance(trace, TopKQuery(k=2), 1000.0)
-        assert result.worst_rank >= 2
+        assert result.extras["worst_rank"] >= 2
