@@ -7,47 +7,38 @@ update per violating value change, fanned out server-side.
 """
 
 from repro.harness.reporting import format_table
-from repro.api import Engine
-from repro.multiquery import execute_multi_query as run_multi_query
-from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
-from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
+from repro.api import Engine, QuerySpec, Workload
 from repro.queries.range_query import RangeQuery
 from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 
-run_protocol = Engine().run_protocol
-
 TOLERANCES = [0.0, 0.1, 0.2, 0.4]
 
 
-def _make_queries():
-    queries = {}
+def _make_specs():
+    specs = {}
     for i, eps in enumerate(TOLERANCES):
         query = RangeQuery(400.0, 600.0)
         if eps == 0.0:
-            queries[f"user{i}"] = (
-                ZeroToleranceRangeProtocol(query),
-                query,
-                None,
-            )
+            specs[f"user{i}"] = QuerySpec("zt-nrp", query)
         else:
-            tolerance = FractionTolerance(eps, eps)
-            queries[f"user{i}"] = (
-                FractionToleranceRangeProtocol(query, tolerance),
-                query,
-                tolerance,
+            specs[f"user{i}"] = QuerySpec(
+                "ft-nrp", query, FractionTolerance(eps, eps)
             )
-    return queries
+    return specs
 
 
 def _run_comparison():
-    trace = generate_synthetic_trace(
-        SyntheticConfig(n_streams=400, horizon=400.0, seed=3)
+    workload = Workload.from_trace(
+        generate_synthetic_trace(
+            SyntheticConfig(n_streams=400, horizon=400.0, seed=3)
+        )
     )
-    shared = run_multi_query(trace, _make_queries())
+    engine = Engine()
+    shared = engine.run_queries(_make_specs(), workload)
     independent = sum(
-        run_protocol(trace, protocol, tolerance=tolerance).maintenance_messages
-        for protocol, _, tolerance in _make_queries().values()
+        engine.run(spec, workload).maintenance_messages
+        for spec in _make_specs().values()
     )
     return shared, independent
 
@@ -68,11 +59,11 @@ def test_extension_multiquery_sharing(benchmark):
                 {
                     "deployment": "shared (multi-query)",
                     "messages": shared.maintenance_messages,
-                    "sharing factor": round(shared.sharing_factor, 2),
+                    "sharing factor": round(shared.extras["sharing_factor"], 2),
                 },
             ],
             title="Extension — four users, one zone, shared sources",
         )
     )
     assert shared.maintenance_messages < independent
-    assert shared.sharing_factor > 1.5
+    assert shared.extras["sharing_factor"] > 1.5

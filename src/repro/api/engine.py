@@ -6,8 +6,8 @@ decisions:
 
 1. **Assembly** — the spec's stack names the payload vocabulary its
    host speaks (:data:`~repro.api.spec.HOST_VOCABULARY`, DESIGN.md §13;
-   the value-window stack speaks the scalar one) and the deployment's
-   topology the host: the :class:`~repro.runtime.session.
+   the value-window and multi-query stacks speak the scalar one) and
+   the deployment's topology the host: the :class:`~repro.runtime.session.
    ExecutionSession` assembler in-process (``for_<vocabulary>`` /
    ``for_<vocabulary>_sharded``), or :class:`repro.server.transport.
    TransportShardedServer` bound to the same vocabulary across worker
@@ -23,8 +23,8 @@ decisions:
    synchronous delivery and no checking runs on the shard transport,
    worker processes replaying their shards under an epoch-stepped
    coordinator (``+transport``).  Every other cell — a latency model,
-   ``check_every > 0``, the value windows (a protocol on its own
-   population) — runs the sequential coordinator in-process,
+   ``check_every > 0``, the value windows or a query group (a protocol
+   on its own population) — runs the sequential coordinator in-process,
    the sibling every process executor is byte-identical to: deliveries
    and checks are coordinator work either way, so workers could only
    add a pipe round trip to each (DESIGN.md §17).
@@ -32,10 +32,10 @@ decisions:
 
 :func:`_execute_hosted` is the one executor of a hosted protocol — host
 assembly, the protocol's checker kind, initialize, replay, report — for
-every protocol :meth:`Engine.run` is given, both vocabularies and all
-three topologies; :func:`_execute` only routes around it (durability,
-fan-out).  Multi-query runs keep their own runner
-(:meth:`Engine.run_queries`).  Every executor builds its
+every protocol :meth:`Engine.run` is given and for the query group
+:meth:`Engine.run_queries` compiles its specs into, both vocabularies
+and all three topologies; :func:`_execute` only routes around it
+(durability, fan-out).  Every executor builds its
 :class:`~repro.api.report.RunReport` once, at its return site, and every
 ``(stack, workload, deployment)`` cell the engine cannot run is refused
 in one place, :func:`_refuse_unsupported`, before anything is built.
@@ -64,7 +64,7 @@ from repro.api.spec import (
     QuerySpec,
     Workload,
 )
-from repro.correctness.checker import ToleranceChecker, with_truncation_note
+from repro.correctness.checker import ToleranceChecker
 from repro.network.accounting import LedgerSnapshot
 from repro.runtime.replay import merge_replay_stats
 from repro.runtime.session import ExecutionSession
@@ -109,10 +109,10 @@ _NOT_DURABLE = {
     ),
     STACK_MULTIQUERY: (
         "durable deployments are not supported for the multi-query "
-        "stack: its coordinator delivers shared updates to protocol "
-        "slots directly, bypassing the channel and ledger charge "
-        "points the journal mirrors; run each query durably on its "
-        "own single-query deployment instead"
+        "stack: a snapshot holds one state table and one scalar "
+        "population, and a query group keeps a table per query and a "
+        "slot plane per query at every source; run each query durably "
+        "on its own single-query deployment instead"
     ),
     STACK_VALUEBASED: (
         "durable deployments are not yet supported for the "
@@ -139,7 +139,7 @@ def _refuse_unsupported(
     *specs* are the per-query specs of a multi-query run.
     """
     trace = workload.materialize()
-    if stack == STACK_MULTIQUERY:
+    if specs is not None:
         for query_id, spec in specs.items():
             if spec.stack != STACK_STREAMS:
                 raise ValueError(
@@ -159,19 +159,11 @@ def _refuse_unsupported(
         )
     if deployment.durable is not None and stack in _NOT_DURABLE:
         raise ValueError(_NOT_DURABLE[stack])
-    if stack == STACK_MULTIQUERY:
-        if deployment.topology != "single":
-            raise ValueError(
-                "the multi-query stack supports only Deployment.single()"
-            )
-        if deployment.latency is not None:
-            raise ValueError(
-                "latency-modeled delivery is not supported for the multi-query "
-                "stack: its coordinator delivers shared updates to protocol "
-                "slots directly, bypassing the channel, so there is no wire "
-                "on which messages could fly; use the single-query stacks for "
-                "staleness studies"
-            )
+    if stack == STACK_MULTIQUERY and deployment.topology != "single":
+        raise ValueError(
+            "the multi-query stack supports only Deployment.single(): its "
+            "coordinator serves every query's table from one channel"
+        )
 
 
 def _execute(
@@ -225,9 +217,10 @@ def _execute_hosted(
     epoch-stepped transport coordinator (``repro/server/transport.py``,
     DESIGN.md §10), byte-identical to sequential sharded serving; with
     a latency model, ``check_every > 0`` or a protocol that runs on its
-    own population (the value windows) it is that sequential session
-    (DESIGN.md §17).  *stack* names the report's stack; the host speaks
-    its :data:`~repro.api.spec.HOST_VOCABULARY`.  A checking run drives
+    own population (the value windows, a query group) it is that
+    sequential session (DESIGN.md §17).  *stack* names the report's
+    stack; the host speaks its :data:`~repro.api.spec.HOST_VOCABULARY`.
+    A checking run drives
     the protocol's checker kind (:mod:`repro.correctness.checker`): its
     ``apply`` before each record and ``check`` after, per event — with
     running counts, every record's truth flip is bound before the run
@@ -267,10 +260,6 @@ def _execute_hosted(
             trace, protocol, *shards, latency=deployment.latency
         )
         if deployment.check_every > 0:
-            if query is None:
-                query = getattr(protocol, "query", None)
-            if query is None:
-                raise ValueError("checking requires a query")
             checker = kind.for_run(
                 session, trace, protocol, query, tolerance, deployment
             )
@@ -471,8 +460,11 @@ class Engine:
         deployment: Deployment | None = None,
         label: str = "",
     ) -> RunReport:
-        """Run several specs as one shared multi-query deployment."""
-        from repro.multiquery.runner import execute_multi_query
+        """Run several specs as one shared multi-query deployment: one
+        :class:`~repro.multiquery.group.QueryGroup`, hosted like any
+        protocol; ``report.answers`` holds each query's answer and
+        ``extras`` the sharing counters."""
+        from repro.multiquery.group import QueryGroup
 
         deployment = deployment or self.deployment
         workload = _as_workload(workload)
@@ -480,38 +472,14 @@ class Engine:
         _refuse_unsupported(
             STACK_MULTIQUERY, "Engine.run_queries", workload, deployment, specs
         )
-        queries = {
-            query_id: (spec.build(), spec.query, spec.tolerance)
-            for query_id, spec in specs.items()
-        }
-        started = _time.perf_counter()
-        result = execute_multi_query(
-            trace,
-            queries,
-            check_every=deployment.check_every,
-            strict=deployment.strict,
+        group = QueryGroup(
+            {
+                query_id: (spec.build(), spec.query, spec.tolerance)
+                for query_id, spec in specs.items()
+            }
         )
-        return RunReport(
-            protocol="multi-query",
-            stack=STACK_MULTIQUERY,
-            topology=deployment.describe(),
-            ledger=result.ledger,
-            n_streams=trace.n_streams,
-            n_records=trace.n_records,
-            wall_seconds=_time.perf_counter() - started,
-            final_answer=frozenset(),
-            checks=result.checks,
-            violations=with_truncation_note(
-                tuple(result.violations), result.violation_count
-            ),
-            label=label,
-            extras={
-                "shared_updates": result.shared_updates,
-                "logical_deliveries": result.logical_deliveries,
-                "sharing_factor": result.sharing_factor,
-            },
-            answers=dict(result.answers),
-            raw=result,
+        return _execute(
+            STACK_MULTIQUERY, trace, group, None, None, deployment, label
         )
 
     # ------------------------------------------------------------------
@@ -526,21 +494,24 @@ class Engine:
         deployment: Deployment | None = None,
         label: str = "",
     ) -> RunReport:
-        """Run an already-constructed scalar protocol instance.
+        """Run an already-constructed scalar protocol instance, or a
+        :class:`~repro.multiquery.group.QueryGroup` of them.
 
         For ablations and tests that tweak protocol internals before
         running; figure-style runs should prefer :meth:`run` with a
         :class:`QuerySpec`.
         """
+        from repro.multiquery.group import QueryGroup
+
         deployment = deployment or self.deployment
+        stack = (
+            STACK_MULTIQUERY if isinstance(protocol, QueryGroup) else STACK_STREAMS
+        )
         _refuse_unsupported(
-            STACK_STREAMS,
-            f"protocol {protocol.name!r}",
-            _as_workload(trace),
-            deployment,
+            stack, f"protocol {protocol.name!r}", _as_workload(trace), deployment
         )
         return _execute(
-            STACK_STREAMS, trace, protocol, query, tolerance, deployment, label
+            stack, trace, protocol, query, tolerance, deployment, label
         )
 
 

@@ -1,4 +1,5 @@
-"""The unified run report: one result shape across all four stacks."""
+"""The unified run report: one result shape across all four stacks,
+built once, by the executor that ran."""
 
 from __future__ import annotations
 
@@ -52,14 +53,13 @@ def _json_safe(value: Any, path: str) -> Any:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of one :meth:`Engine.run` — ledger, violations, timing.
+    """Outcome of one run — ledger, violations, timing.
 
-    A hosted run (every :meth:`~repro.api.Engine.run` — the scalar,
-    spatial and value-window stacks, every topology, durable or not)
-    builds this shape directly; the multi-query runner, with a typed
-    result of its own (``MultiQueryResult``), projects onto it and rides
-    along in ``raw``, so comparisons across stacks and topologies read
-    the same fields.
+    Every run — :meth:`~repro.api.Engine.run` on the scalar, spatial and
+    value-window stacks, :meth:`~repro.api.Engine.run_queries` on the
+    multi-query one, every topology, durable or not — is hosted and
+    builds this shape directly, so comparisons across stacks and
+    topologies read the same fields.
     """
 
     protocol: str
@@ -76,16 +76,15 @@ class RunReport:
     violations: tuple[str, ...] = ()
     label: str = ""
     extras: Mapping[str, Any] = field(default_factory=dict)
-    #: Per-query answers (multi-query runs only).
+    #: Per-query answers (multi-query runs only; ``extras`` holds their
+    #: sharing counters).
     answers: Mapping[str, frozenset[int]] | None = None
-    #: The multi-query runner's typed result; ``None`` on a hosted run,
-    #: whose whole outcome is this report.
-    raw: Any = None
     #: The structured checker outcome of a run the tolerance checker
     #: judged (retained :class:`~repro.correctness.checker.Violation`
-    #: records, the inherent-latency / protocol-bug tallies); ``checks``
-    #: and ``violations`` are its stack-independent summary.  A
-    #: value-window run's rank quality is in ``extras`` instead.
+    #: records, the inherent-latency / protocol-bug tallies; summed over
+    #: a multi-query run's queries); ``checks`` and ``violations`` are
+    #: its stack-independent summary.  A value-window run's rank
+    #: quality is in ``extras`` instead.
     checker: CheckerReport | None = None
 
     def __post_init__(self) -> None:

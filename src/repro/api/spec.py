@@ -41,16 +41,19 @@ from repro.tolerance import FractionTolerance, RankTolerance
 STACK_STREAMS = "streams"
 STACK_SPATIAL = "spatial"
 STACK_VALUEBASED = "valuebased"
-#: Several ``streams`` protocols over one shared population
-#: (:meth:`repro.api.Engine.run_queries`); no protocol names it.
+#: Several ``streams`` protocols over one shared population, hosted as
+#: one query group (:meth:`repro.api.Engine.run_queries`); no protocol
+#: names it.
 STACK_MULTIQUERY = "multiquery"
 
 #: The payload vocabulary (DESIGN.md §13) each hosted stack's host
-#: speaks: the value-window scheme is scalar streams on window sources.
+#: speaks: the value-window scheme is scalar streams on window sources,
+#: a query group scalar streams on slotted ones.
 HOST_VOCABULARY = {
     STACK_STREAMS: STACK_STREAMS,
     STACK_SPATIAL: STACK_SPATIAL,
     STACK_VALUEBASED: STACK_STREAMS,
+    STACK_MULTIQUERY: STACK_STREAMS,
 }
 
 TOPOLOGIES = ("single", "sharded")
@@ -302,14 +305,13 @@ class Deployment:
         differential-testing configuration proven byte-identical to the
         synchronous channel.  With checking enabled, a latency-modeled
         run classifies each violation as inherent-to-latency vs a
-        protocol bug (DESIGN.md §8) — on the scalar and spatial stacks
-        alike.  A latency-modeled run is always in-process, with one
+        protocol bug (DESIGN.md §8) — on every stack.  A
+        latency-modeled run is always in-process, with one
         exception that needs no cross-process delivery: under
         ``parallel=True`` decomposable protocols still fan out (each
         worker drains its own engine; decomposable sources decide
         reports locally, so delivery timing never changes the message
-        multiset).  Unsupported only for the multi-query stack, whose
-        coordinator bypasses the channel.
+        multiset).
     durable:
         ``None`` (default) or a :class:`repro.durability.policy.
         DurabilityPolicy`: the run keeps a write-ahead journal (and,

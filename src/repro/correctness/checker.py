@@ -218,9 +218,10 @@ class ToleranceChecker:
         differential suite plugs the set-based reference in here).
         With an override, ``oracle``/``query``/``tolerance``/
         ``answer_of`` are unused and may be ``None``.
-    error_cls:
+    error_cls, label:
         The exception type strict mode raises — stacks keep their own
-        (e.g. ``SpatialToleranceViolationError``).
+        (e.g. ``SpatialToleranceViolationError``) — and what its message
+        names after the time (a query group's `` [query id]``).
     answer_table:
         The table whose answer column *answer_of* returns.  Given it, a
         membership query registered with *oracle* is checked from
@@ -251,6 +252,7 @@ class ToleranceChecker:
         error_cls: type[AssertionError] = ToleranceViolationError,
         check_offset: int = 0,
         answer_table: StreamStateTable | None = None,
+        label: str = "",
     ) -> None:
         if every < 1:
             raise ValueError("every must be >= 1")
@@ -276,6 +278,7 @@ class ToleranceChecker:
         self.staleness = staleness
         self.error_cls = error_cls
         self.check_offset = check_offset
+        self.label = label
         if evaluate is not None:
             self._evaluate = evaluate
         self.report = CheckerReport(classified=staleness is not None)
@@ -296,15 +299,25 @@ class ToleranceChecker:
 
     @classmethod
     def for_run(
-        cls, session, trace, protocol, query, tolerance, deployment
+        cls, session, trace, protocol, query, tolerance, deployment,
+        table=None, check_offset=None, label="",
     ) -> "ToleranceChecker":
         """The checker of *protocol* hosted by the assembled *session*:
         the vocabulary's oracle over *trace*'s initial payloads, its
-        strict-mode error and check phase, and — under a latency model —
-        the staleness window over the session's channels."""
+        strict-mode error (tagged *label*) and check phase (or
+        *check_offset*), and — under a latency model — the staleness
+        window over the session's channels.  *query* defaults to the
+        protocol's; *table* is the state table it answers from
+        (default: the host's)."""
         from repro.protocols.base import FilterProtocol
 
+        if query is None:
+            query = getattr(protocol, "query", None)
+        if query is None:
+            raise ValueError("checking requires a query")
         vocabulary = session.vocabulary
+        if check_offset is None:
+            check_offset = vocabulary.check_offset
         oracle = vocabulary.oracle(getattr(trace, vocabulary.initial_column))
         oracle.register_query(query)
         return cls(
@@ -322,11 +335,12 @@ class ToleranceChecker:
                 else None
             ),
             error_cls=vocabulary.violation_error,
-            check_offset=vocabulary.check_offset % deployment.check_every,
+            check_offset=check_offset % deployment.check_every,
             # Unless the answer is derived elsewhere (no-filter).
-            answer_table=session.host.state
+            answer_table=(table if table is not None else session.host.state)
             if type(protocol).answer is FilterProtocol.answer
             else None,
+            label=label,
         )
 
     def start(self, time: float, stream_ids, payloads) -> None:
@@ -394,20 +408,23 @@ class ToleranceChecker:
         if len(self.report.violations) < self.max_violations:
             self.report.violations.append(violation)
         if self.strict and strict_should_raise(classification):
-            raise self.error_cls(f"t={time}: {reason}")
+            raise self.error_cls(f"t={time}{self.label}: {reason}")
         return violation
 
-    def bind_records(self, stream_ids, payloads) -> None:
+    def bind_records(self, stream_ids, payloads, previous=None) -> None:
         """Learn, before the run, the :func:`truth_flips` of every record
         it will hand :meth:`apply` in order: a record that flips nothing
         then costs the hook O(1), and the oracle's values wait for
         :meth:`settle_records`.  A no-op without running counts, where
-        every record must reach :meth:`Oracle.apply`."""
+        every record must reach :meth:`Oracle.apply`.  *previous* returns
+        the records' :func:`~repro.state.runs.previous_in_stream` index
+        when called (default: it is built here), so checkers that share
+        one run can share one index."""
         if self._table is None:
             return
         flips = truth_flips(
             self.query, self._truth, stream_ids, payloads,
-            previous_in_stream(stream_ids),
+            previous() if previous else previous_in_stream(stream_ids),
         )
         self._bound = zip(stream_ids.tolist(), flips.tolist())
         self._records = (stream_ids, payloads)
@@ -519,7 +536,7 @@ class RankQualityChecker:
         vocabulary = session.vocabulary
         return cls(
             vocabulary.oracle(getattr(trace, vocabulary.initial_column)),
-            query,
+            protocol.query,
             lambda: protocol.answer_mask,
             session.host.state.values,
             protocol.eps,

@@ -2,15 +2,19 @@
 
 :class:`QueryContext` exposes the exact control-plane API of
 :class:`repro.server.server.Server` (``probe``, ``probe_all``,
-``deploy``, ``deploy_many``, ``broadcast``, ``stream_ids``,
-``n_streams``, ``now``), so the single-query protocols run against it
-*unmodified*.  The
-:class:`MultiQueryCoordinator` owns the shared sources and the ledger:
+``deploy``, ``deploy_many``, ``broadcast``, ``state``, ``rank_view``,
+``stream_ids``, ``n_streams``), so the single-query protocols
+run against it *unmodified*; its probes and deployments go down the
+session's channel tagged with its query id.  The
+:class:`MultiQueryCoordinator` is the session's host for a
+:class:`~repro.multiquery.group.QueryGroup`: it owns one context (and
+state table) per query and the server end of the channel, which
+charges every message, as on every other stack:
 
 * a physical uplink update is charged **once** however many queries it
   serves;
 * probes and constraint deployments are charged per query (they are
-  genuinely per-query payloads);
+  genuinely per-query payloads, tagged with the query id);
 * updates are forwarded only to the protocols whose slot flipped, so
   each protocol sees its solo message sequence and its correctness
   argument is untouched.
@@ -22,32 +26,33 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.network.accounting import MessageLedger
-from repro.network.messages import MessageKind
-from repro.protocols.base import FilterProtocol
+from repro.multiquery.source import QueryConstraintMessage, QueryProbeMessage
+from repro.network.channel import Channel
+from repro.network.messages import Message, MessageKind
 from repro.runtime.dispatch import DeferredDeliveryMixin
+from repro.runtime.membership import BELIEF_NONE
+from repro.state.sharding import id_column
 from repro.state.table import StreamStateTable
 from repro.streams.control import constraint_columns, deploy_each
+from repro.streams.filters import FilterConstraint
 
 if TYPE_CHECKING:
-    from repro.multiquery.source import SlotPopulation
+    from repro.multiquery.group import QueryGroup
 
 
 class QueryContext:
-    """A Server look-alike scoped to one standing query."""
+    """A Server look-alike scoped to one standing query: its ``state``
+    table, and probes and deployments tagged with its id."""
 
-    def __init__(self, query_id: str, coordinator: "MultiQueryCoordinator") -> None:
+    def __init__(
+        self,
+        query_id: str,
+        coordinator: "MultiQueryCoordinator",
+        state: StreamStateTable,
+    ) -> None:
         self.query_id = query_id
         self._coordinator = coordinator
-
-    @property
-    def now(self) -> float:
-        return self._coordinator.now
-
-    @property
-    def state(self) -> StreamStateTable:
-        """This query's columnar state table (Server-compatible)."""
-        return self._coordinator.state_for(self.query_id)
+        self.state = state
 
     def rank_view(self, distance_array):
         """An incremental rank order over :attr:`state` (see
@@ -58,18 +63,37 @@ class QueryContext:
 
     @property
     def stream_ids(self) -> list[int]:
-        return list(range(len(self._coordinator.sources)))
+        return list(range(self.n_streams))
 
     @property
     def n_streams(self) -> int:
-        return len(self._coordinator.sources)
+        return self.state.n_streams
 
     def probe(self, stream_id: int) -> float:
-        return self._coordinator.probe(self.query_id, stream_id)
+        """One probe round trip (2 messages); the reply is recorded in
+        :attr:`state`."""
+        coordinator = self._coordinator
+        coordinator.channel.send_to_source(
+            QueryProbeMessage(stream_id, coordinator.now, query=self.query_id)
+        )
+        reply, coordinator.probe_reply = coordinator.probe_reply, None
+        self.state.record_report(stream_id, reply.value, reply.time)
+        return reply.value
 
     def probe_all(self, stream_ids=None) -> np.ndarray:
-        targets = self.stream_ids if stream_ids is None else stream_ids
-        return np.array([self.probe(stream_id) for stream_id in targets])
+        """Probe several (default: all) sources: one columnar probe, its
+        ``2n`` messages charged at once (DESIGN.md §12), when one
+        population holds every id and no id repeats, else the ordered
+        :meth:`probe` loop."""
+        ids = np.arange(self.n_streams) if stream_ids is None else id_column(stream_ids)
+        channel = self._coordinator.channel
+        population = channel.bulk_target(ids, probe=True)
+        if population is None or len(np.unique(ids)) < len(ids):
+            return np.array([self.probe(stream_id) for stream_id in ids.tolist()])
+        channel.charge_bulk(ids, MessageKind.PROBE_REQUEST, MessageKind.PROBE_REPLY)
+        values = population.resync(self.query_id, ids - population.first_id)
+        self.state.record_report_rows(ids, values, self._coordinator.now)
+        return values
 
     def deploy(
         self,
@@ -78,157 +102,96 @@ class QueryContext:
         upper: float,
         assumed_inside: bool | None = None,
     ) -> None:
-        self._coordinator.deploy(
-            self.query_id, stream_id, lower, upper, assumed_inside
+        """Install ``[lower, upper]`` in this query's slot (1 message)."""
+        coordinator = self._coordinator
+        coordinator.channel.send_to_source(
+            QueryConstraintMessage(
+                stream_id, coordinator.now, lower, upper, assumed_inside,
+                query=self.query_id,
+            )
         )
 
     def deploy_many(
         self, stream_ids, bound, assumed_inside=None, silenced=None
     ) -> None:
-        """Server-compatible batch deploy; slotted sources have no
-        columnar form, so this is the ordered :meth:`deploy` loop."""
+        """Server-compatible batch deploy with the ordered :meth:`deploy`
+        loop's outcome: where the channel delivers constraints inline to
+        one population holding every id, the ``n`` messages are charged
+        at once and the rows installed in order (a self-correction still
+        goes up as a message), else that loop."""
         if stream_ids is None:
-            stream_ids = self.stream_ids
-        deploy_each(
-            self,
-            *constraint_columns(stream_ids, bound, assumed_inside, silenced),
+            stream_ids = range(self.n_streams)
+        ids, (lower, upper), belief = constraint_columns(
+            stream_ids, bound, assumed_inside, silenced
         )
+        coordinator = self._coordinator
+        channel = coordinator.channel
+        population = channel.bulk_target(ids) if channel.constraints_inline else None
+        if population is None:
+            deploy_each(self, ids, (lower, upper), belief)
+            return
+        rows = [  # every bound validated before anything is charged
+            (stream_id - population.first_id, FilterConstraint(low, high), code)
+            for stream_id, low, high, code in zip(
+                id_column(ids).tolist(), lower.tolist(), upper.tolist(), belief.tolist()
+            )
+        ]
+        channel.charge_bulk(ids, MessageKind.CONSTRAINT)
+        for row, constraint, code in rows:
+            population.install(
+                row, self.query_id, constraint,
+                None if code == BELIEF_NONE else bool(code), coordinator.now,
+            )
 
     def broadcast(self, bound, assumed_inside=None) -> None:
         self.deploy_many(None, bound, assumed_inside)
 
 
 class MultiQueryCoordinator(DeferredDeliveryMixin):
-    """Hosts several protocols over one shared source population."""
+    """Hosts a :class:`~repro.multiquery.group.QueryGroup` — its
+    ``protocol`` — at the server end of *channel*, the way a ``Server``
+    hosts one protocol: ``initialize`` and every delivered update go to
+    the group, which forwards them to its queries' protocols through
+    ``contexts``, one :class:`QueryContext` per query id."""
 
-    def __init__(self, ledger: MessageLedger | None = None) -> None:
-        self.ledger = ledger or MessageLedger()
-        #: The shared population (empty until :meth:`attach_sources`).
-        self.sources: "SlotPopulation | list" = []
-        self._protocols: dict[str, FilterProtocol] = {}
-        self._contexts: dict[str, QueryContext] = {}
-        #: One columnar state table per standing query.  The dict object
-        #: is shared live with the population (whose slot planes are
-        #: views of these tables' columns) and with the replay pre-scan.
-        self.state_tables: dict[str, StreamStateTable] = {}
-        self.now = 0.0
-        self._init_delivery()
-        #: Physical uplink updates (each possibly serving several queries).
-        self.shared_updates = 0
-        #: Query deliveries those updates fanned out to.
-        self.logical_deliveries = 0
-
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-    def attach_sources(self, initial_values) -> None:
-        from repro.multiquery.source import SlotPopulation
-
-        self.sources = SlotPopulation(initial_values, self, self.state_tables)
-
-    def state_for(self, query_id: str) -> StreamStateTable:
-        """The state table of one query (created on first access)."""
-        table = self.state_tables.get(query_id)
-        if table is None:
-            table = StreamStateTable(len(self.sources))
-            self.state_tables[query_id] = table
-        return table
-
-    def register(self, query_id: str, protocol: FilterProtocol) -> QueryContext:
-        """Add a standing query; returns its server facade."""
-        if query_id in self._protocols:
-            raise ValueError(f"duplicate query id {query_id!r}")
-        self._protocols[query_id] = protocol
-        context = QueryContext(query_id, self)
-        self._contexts[query_id] = context
-        self.state_for(query_id)
-        return context
-
-    def initialize_all(self, time: float = 0.0) -> None:
-        """Run every protocol's initialization phase."""
-        self.now = time
-        self._guarded_call(self._initialize_protocols)
-
-    def _initialize_protocols(self) -> None:
-        for query_id, protocol in self._protocols.items():
-            protocol.initialize(self._contexts[query_id])
-
-    # ------------------------------------------------------------------
-    # Control plane (invoked via QueryContext)
-    # ------------------------------------------------------------------
-    def probe(self, query_id: str, stream_id: int) -> float:
-        self.ledger.record_kind(MessageKind.PROBE_REQUEST)
-        value = self.sources.probe(stream_id, query_id)
-        self.ledger.record_kind(MessageKind.PROBE_REPLY)
-        self.state_for(query_id).record_report(stream_id, value, self.now)
-        return value
-
-    def deploy(
-        self,
-        query_id: str,
-        stream_id: int,
-        lower: float,
-        upper: float,
-        assumed_inside: bool | None,
-    ) -> None:
-        from repro.streams.filters import FilterConstraint
-
-        self.ledger.record_kind(MessageKind.CONSTRAINT)
-        self.sources.install(
-            stream_id,
-            query_id,
-            FilterConstraint(lower, upper),
-            assumed_inside,
-            self.now,
-        )
-
-    # ------------------------------------------------------------------
-    # Data plane (invoked by sources)
-    # ------------------------------------------------------------------
-    def receive_update(
-        self,
-        stream_id: int,
-        value: float,
-        time: float,
-        flipped: list[str] | None,
-    ) -> None:
-        """One physical update; forward to the flipped queries only.
-
-        ``flipped=None`` means the source carries no filters at all, so
-        every query is notified (the no-filter baseline).
-        """
-        self.ledger.record_kind(MessageKind.UPDATE)
-        self.shared_updates += 1
-        self.now = max(self.now, time)
-        self._deliver((stream_id, value, time, flipped))
-
-    def _handle_delivery(
-        self, item: tuple[int, float, float, list[str] | None]
-    ) -> None:
-        self._dispatch(*item)
-
-    def _dispatch(
-        self,
-        stream_id: int,
-        value: float,
-        time: float,
-        flipped: list[str] | None,
-    ) -> None:
-        targets = list(self._protocols) if flipped is None else flipped
-        for query_id in targets:
-            protocol = self._protocols.get(query_id)
-            if protocol is None:  # pragma: no cover - defensive
-                continue
-            self.logical_deliveries += 1
-            # Refresh exactly the forwarded queries' value planes: each
-            # protocol's knowledge stays identical to its solo run.
-            self.state_for(query_id).record_report(stream_id, value, time)
-            protocol.on_update(
-                self._contexts[query_id], stream_id, value, time
+    def __init__(self, channel: Channel, group: "QueryGroup") -> None:
+        self.channel = channel
+        self.protocol = group
+        self.contexts = {
+            query_id: QueryContext(
+                query_id, self, StreamStateTable(channel.n_sources)
             )
+            for query_id in group.queries
+        }
+        #: One columnar state table per standing query, in query order:
+        #: the population's slot planes are views of their columns.
+        self.state_tables = tuple(
+            context.state for context in self.contexts.values()
+        )
+        self.now = 0.0
+        #: The probe reply in hand (a probe's round trip is inline).
+        self.probe_reply: Message | None = None
+        self._init_delivery()
+        channel.bind_server(self._handle_message)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def answer(self, query_id: str) -> frozenset[int]:
-        return self._protocols[query_id].answer
+    def initialize(self, time: float = 0.0) -> None:
+        """Run the group's initialization phase at virtual *time*."""
+        self.now = time
+        self._guarded_call(self.protocol.initialize, self)
+
+    def close(self) -> None:
+        """Unwire a finished run (``ExecutionSession.close``): the query
+        contexts hold the coordinator."""
+        self.contexts.clear()
+
+    def _handle_message(self, message: Message) -> None:
+        if message.kind is MessageKind.PROBE_REPLY:
+            self.probe_reply = message
+            return
+        self.now = max(self.now, message.time)
+        self._deliver(message)
+
+    def _handle_delivery(self, message: Message) -> None:
+        self.protocol.on_update(
+            self, message.stream_id, message.value, message.time, message.queries
+        )

@@ -6,125 +6,106 @@ each row, the side of it that query's protocol believes, and when the
 row first took it.  A value change produces at most one physical update
 — sent iff at least one non-silenced slot's membership flips — tagged
 with the flipped query ids in the row's own first-install order, so the
-coordinator can forward it precisely.  The coordinator is the
-transport: it calls :meth:`SlotPopulation.install` / ``probe`` and
-receives ``receive_update``.
+coordinator can forward it precisely.  Like every population it speaks
+through its channel: the update goes up as a :class:`SharedUpdateMessage`,
+and a :class:`QueryProbeMessage` or :class:`QueryConstraintMessage` tagged
+with its query comes down.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from repro.network.channel import Channel
+from repro.network.messages import (
+    ConstraintMessage,
+    Message,
+    MessageKind,
+    ProbeReplyMessage,
+    ProbeRequestMessage,
+    UpdateMessage,
+)
 from repro.runtime.membership import deployment_outcome
-from repro.runtime.source import FilteredSource, Population, alias_planes
+from repro.runtime.source import ChannelFilteredSource, Population, alias_planes
 from repro.streams.filters import FilterConstraint
 
-if TYPE_CHECKING:
-    from repro.multiquery.coordinator import MultiQueryCoordinator
+
+@dataclass(frozen=True)
+class SharedUpdateMessage(UpdateMessage):
+    """One physical update and the queries whose slots it flipped, in
+    the row's first-install order (``None``: the row has no slot, so
+    every query hears it)."""
+
+    queries: tuple[str, ...] | None = None
 
 
-class MultiQuerySource(FilteredSource):
-    """A stream source shared by several standing queries: a view of a
-    :class:`SlotPopulation` row.
+@dataclass(frozen=True)
+class QueryProbeMessage(ProbeRequestMessage):
+    """A probe on behalf of one query: it resyncs that query's slot."""
 
-    Each query owns a *slot*: the constraint it deployed plus the
-    membership the query's server-side protocol believes.  With no slots
-    installed at all the source behaves like a bare stream and every
-    query is notified.
-    """
+    query: str = ""
 
-    __slots__ = ()
 
-    def __init__(
-        self,
-        stream_id: int,
-        initial_value: float,
-        coordinator: "MultiQueryCoordinator",
-    ) -> None:
-        self._population = SlotPopulation([initial_value], coordinator, None, stream_id)
-        self._row = 0
+@dataclass(frozen=True)
+class QueryConstraintMessage(ConstraintMessage):
+    """A constraint for one query's slot."""
 
-    def install(
-        self,
-        query_id: str,
-        constraint: FilterConstraint,
-        assumed_inside: bool | None,
-        time: float,
-    ) -> None:
-        """Install *constraint* into this source's slot for *query_id*."""
-        self._population.install(
-            self._row, query_id, constraint, assumed_inside, time
-        )
-
-    def probe(self, query_id: str) -> float:
-        """Answer a probe for *query_id*; resync that query's slot."""
-        return self._population.probe(self._row, query_id)
-
-    def slot(self, query_id: str) -> FilterConstraint | None:
-        """The constraint currently installed for *query_id*."""
-        slot = self._population.slots.get(query_id)
-        if slot is None or slot.rank[self._row] < 0:
-            return None
-        return FilterConstraint(
-            slot.lower.item(self._row), slot.upper.item(self._row)
-        )
+    query: str = ""
 
 
 class SlotPlane:
     """One query's slot at every row: its bounds, the believed side,
     ``armed`` (installed and not silencing: able to flip) and ``rank``,
     the row's slot count when it first took this one (``-1``: never).
-
-    With a *table* (the query's state table), the bounds and the
-    believed side are views of its ``lower`` / ``upper`` / ``inside``
-    columns from row *first_id* on (DESIGN.md §21)."""
+    Once bound, the bounds and the believed side are views of the
+    query's state table (``table``) columns (DESIGN.md §21)."""
 
     __slots__ = ("lower", "upper", "inside", "armed", "rank", "table")
 
-    def __init__(self, n: int, table, first_id: int) -> None:
+    def __init__(self, n: int) -> None:
         self.lower = np.full(n, -math.inf)
         self.upper = np.full(n, math.inf)
         self.inside = np.zeros(n, dtype=bool)
         self.armed = np.zeros(n, dtype=bool)
         self.rank = np.full(n, -1, dtype=np.int64)
-        self.table = table
-        if table is not None:
-            alias_planes(
-                self, table, first_id, lower="lower", upper="upper", inside="inside"
-            )
+        self.table = None
 
 
 class SlotPopulation(Population):
     """The multi-query stack's sources: a value plane, one
-    :class:`SlotPlane` per query id (``slots``, in first-install order)
-    and ``n_slots``, how many slots each row holds.
+    :class:`SlotPlane` per query id of *queries* (``slots``) and
+    ``n_slots``, how many slots each row holds.
 
-    *tables* — the coordinator's live ``query id -> state table`` dict,
-    or ``None`` — holds the slots' planes: a slot whose query has a
-    table there when the slot is created keeps its bounds and believed
-    side in that table's columns; other slots (ad-hoc ones in unit
-    tests) keep their own.
-    """
+    :meth:`bind_state` takes the queries' state tables in the same
+    order; a slot whose query has none keeps its own planes."""
 
-    view = MultiQuerySource
+    #: A slotted row has nothing of its own to show: the plain view.
+    view = ChannelFilteredSource
 
     def __init__(
         self,
         initial_values,
-        coordinator: "MultiQueryCoordinator",
-        tables: dict | None = None,
-        first_id: int = 0,
+        channels: Sequence[Channel],
+        ranges: Sequence[tuple[int, int]],
+        queries: Sequence[str],
     ) -> None:
         values = np.array(initial_values, dtype=np.float64, ndmin=1)
-        first_id = int(first_id)
-        super().__init__(values, (), [(first_id, first_id + len(values))])
-        self.coordinator = coordinator
-        self.tables = tables
-        self.slots: dict[str, SlotPlane] = {}
+        super().__init__(values, channels, ranges)
+        self.slots = {query_id: SlotPlane(len(values)) for query_id in queries}
         self.n_slots = np.zeros(len(values), dtype=np.int64)
+
+    def bind_state(self, *tables) -> None:
+        """Make each query's slot planes views of its table's ``lower``
+        / ``upper`` / ``inside`` columns, tables in query order."""
+        for slot, table in zip(self.slots.values(), tables):
+            slot.table = table
+            alias_planes(
+                slot, table, self.first_id, lower="lower", upper="upper", inside="inside"
+            )
 
     @staticmethod
     def _note_slot(slot: SlotPlane) -> None:
@@ -132,9 +113,9 @@ class SlotPopulation(Population):
         if slot.table is not None:
             slot.table._note_constraint()
 
-    def _report(self, row: int, value: float, time: float, flipped) -> None:
-        self.coordinator.receive_update(
-            self.first_id + row, value, time, flipped=flipped
+    def _report(self, row: int, value: float, time: float, queries) -> None:
+        self._send(
+            row, SharedUpdateMessage(self.first_id + row, time, value, queries)
         )
 
     # ------------------------------------------------------------------
@@ -159,11 +140,41 @@ class SlotPopulation(Population):
                 flipped.append((slot.rank.item(row), query_id))
         if flipped:
             flipped.sort()
-            self._report(row, value, time, [query_id for _, query_id in flipped])
+            self._report(row, value, time, tuple(query_id for _, query_id in flipped))
 
     # ------------------------------------------------------------------
-    # Control plane (invoked by the coordinator)
+    # Control plane
     # ------------------------------------------------------------------
+    def handle(self, message: Message) -> None:
+        """A query's probe resyncs that query's slot only and replies
+        with the value; a query's constraint installs into its slot."""
+        row = message.stream_id - self.first_id
+        kind = message.kind
+        if kind is MessageKind.PROBE_REQUEST:
+            value = float(self.resync(message.query, row))
+            self._send(row, ProbeReplyMessage(message.stream_id, message.time, value))
+        elif kind is MessageKind.CONSTRAINT:
+            self.install(
+                row,
+                message.query,
+                FilterConstraint(message.lower, message.upper),
+                message.assumed_inside,
+                message.time,
+            )
+        else:  # pragma: no cover - defensive
+            raise RuntimeError(f"source received unexpected {kind}")
+
+    def resync(self, query_id: str, rows) -> np.ndarray:
+        """A probe for *query_id* at *rows* (one row, or a column of
+        them): where its slot is installed, the believed side becomes
+        the value's; returns the values."""
+        values = self.values[rows]
+        slot = self.slots[query_id]
+        inside = (slot.lower[rows] <= values) & (values <= slot.upper[rows])
+        slot.inside[rows] = np.where(slot.rank[rows] >= 0, inside, slot.inside[rows])
+        self._note_slot(slot)
+        return values
+
     def install(
         self,
         row: int,
@@ -175,11 +186,7 @@ class SlotPopulation(Population):
         """Deploy *constraint* into *row*'s slot for *query_id*; a stale
         belief triggers one update tagged *query_id* (physically shared
         like any other)."""
-        slot = self.slots.get(query_id)
-        if slot is None:
-            table = None if self.tables is None else self.tables.get(query_id)
-            slot = SlotPlane(len(self), table, self.first_id)
-            self.slots[query_id] = slot
+        slot = self.slots[query_id]
         if slot.rank.item(row) < 0:
             slot.rank[row] = self.n_slots[row]
             self.n_slots[row] += 1
@@ -193,13 +200,4 @@ class SlotPopulation(Population):
             slot.table.scannable[self.first_id + row] = True
         self._note_slot(slot)
         if must_report:
-            self._report(row, value, time, [query_id])
-
-    def probe(self, row: int, query_id: str) -> float:
-        """Answer a probe for *query_id*: resync that query's slot only."""
-        value = self.values.item(row)
-        slot = self.slots.get(query_id)
-        if slot is not None and slot.rank.item(row) >= 0:
-            slot.inside[row] = slot.lower.item(row) <= value <= slot.upper.item(row)
-            self._note_slot(slot)
-        return value
+            self._report(row, value, time, (query_id,))

@@ -65,6 +65,11 @@ class FilterProtocol(ABC):
     #: vocabulary's own.  Only the in-process hosts build another.
     population = None
 
+    #: The in-process host serving the protocol, as ``(channels, id
+    #: ranges) -> host``; ``None``: the vocabulary's ``Server`` /
+    #: ``ShardedServer``.
+    host = None
+
     #: The checker kind a checked run of the protocol drives
     #: (:mod:`repro.correctness.checker`); ``None``: the tolerance checker.
     checker_kind: type | None = None

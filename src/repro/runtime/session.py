@@ -7,10 +7,12 @@ and the host (server or coordinator).
 Assembly is written once, in :meth:`ExecutionSession.assemble`: the
 payload :class:`~repro.runtime.vocabulary.Vocabulary` of the stack names
 the population constructor and the trace's initial-payload column, the
-topology is one shard range or several, and the host is ``Server`` /
+topology is one shard range or several, and the host is the one the
+protocol declares (a query group's coordinator) or ``Server`` /
 ``ShardedServer`` bound to that vocabulary, serving the protocol over
-the population it declares (the value windows) or the vocabulary's.
-The ``for_*`` classmethods are one-line bindings of it.
+the population it declares (the value windows, a query group's slots)
+or the vocabulary's.  The ``for_*`` classmethods are one-line bindings
+of it.
 
 :meth:`ExecutionSession.replay` is the in-process driver of the replay
 core in :mod:`repro.runtime.replay` (DESIGN.md §9).
@@ -46,10 +48,8 @@ class ExecutionSession:
         stream id.
     host:
         The server-side owner (``Server``, ``ShardedServer`` or
-        ``MultiQueryCoordinator``).
-    initialize:
-        Callable running the initialization phase at a given time;
-        defaults to ``host.initialize``.
+        ``MultiQueryCoordinator``): its ``state_tables`` take the
+        sources' filter planes.
     """
 
     def __init__(
@@ -61,7 +61,6 @@ class ExecutionSession:
         channel: Channel | None = None,
         channels: Sequence[Channel] | None = None,
         host,
-        initialize: Callable[[float], None] | None = None,
     ) -> None:
         self.engine = engine or SimulationEngine()
         self.ledger = ledger or MessageLedger()
@@ -81,22 +80,11 @@ class ExecutionSession:
         self.host = host
         #: The payload vocabulary; set by :meth:`assemble`.
         self.vocabulary = None
-        self._initialize = initialize or host.initialize
         #: Counters of the most recent :meth:`replay`, in the schema of
         #: :func:`~repro.runtime.replay.replay_stats`; surfaced through
         #: ``RunReport`` extras.
         self.last_replay_stats: dict | None = None
-        # Hosts with per-query tables (the multi-query coordinator) bind
-        # their own sources; a server's table takes the filter planes.
-        if not hasattr(host, "state_tables"):
-            sources.bind_state(host.state)
-
-    def _state_tables(self) -> list:
-        """Every state table whose constraint columns guard a filter."""
-        tables = getattr(self.host, "state_tables", None)
-        if tables is not None:
-            return list(tables.values())
-        return [self.host.state]
+        sources.bind_state(*host.state_tables)
 
     # ------------------------------------------------------------------
     # Assembly
@@ -126,7 +114,9 @@ class ExecutionSession:
 
         The sources are the population *protocol* declares
         (``FilterProtocol.population``, called ``(initial payloads,
-        channels, ranges)``), else the vocabulary's.  *ledger*
+        channels, ranges)``), else the vocabulary's, and the host is
+        the one it declares (``FilterProtocol.host``, called
+        ``(channels, ranges)``), else the topology's.  *ledger*
         substitutes the accounting object (the durability tier passes a
         journaling subclass) and *state_factory* the host's state-table
         constructor (memmap-backed planes).
@@ -151,7 +141,9 @@ class ExecutionSession:
         initials = getattr(trace, vocabulary.initial_column)
         population = protocol.population or vocabulary.population
         sources = population(initials, channels, ranges)
-        if n_shards is None:
+        if protocol.host is not None:
+            host = protocol.host(channels, ranges)
+        elif n_shards is None:
             host = Server.speaking(stack)(
                 channels[0], protocol, state_factory=state_factory
             )
@@ -209,33 +201,13 @@ class ExecutionSession:
         """Spatial stack, sharded topology."""
         return cls.assemble("spatial", trace, protocol, n_shards, latency)
 
-    @classmethod
-    def for_multiquery(cls, initial_values) -> "ExecutionSession":
-        """Shared stack: ``SlotPopulation`` + ``MultiQueryCoordinator``.
-
-        The coordinator is the session's ``host``; register standing
-        queries on it before :meth:`initialize`.
-        """
-        from repro.multiquery.coordinator import MultiQueryCoordinator
-
-        ledger = MessageLedger()
-        coordinator = MultiQueryCoordinator(ledger)
-        coordinator.attach_sources(initial_values)
-        return cls(
-            sources=coordinator.sources,
-            ledger=ledger,
-            channel=None,
-            host=coordinator,
-            initialize=coordinator.initialize_all,
-        )
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def initialize(self, time: float = 0.0) -> None:
         """Run the initialization phase; messages are charged to it."""
         self.ledger.phase = Phase.INITIALIZATION
-        self._initialize(time)
+        self.host.initialize(time)
         self.ledger.phase = Phase.MAINTENANCE
 
     def snapshot(self):
@@ -250,10 +222,9 @@ class ExecutionSession:
         go, not at some later full collection."""
         for channel in self.channels:
             channel.unbind()
-        for table in self._state_tables():
+        for table in self.host.state_tables:
             table._listeners.clear()
-        if hasattr(self.host, "close"):
-            self.host.close()
+        self.host.close()
 
     # ------------------------------------------------------------------
     # Replay
@@ -318,16 +289,15 @@ class ExecutionSession:
             times, stream_ids, payloads = times[:n], stream_ids[:n], payloads[:n]
         if frontiers is None:
             frontiers = (len(times),)
-        tables = self._state_tables()
+        tables = self.host.state_tables
         hooked = oracle_apply is not None or after_apply is not None
         mode = resolve_mode(
             mode, payloads, tables, self.latency_channels, hooked
         )
         table = declined = None
         if mode == "batch":
-            protocol = getattr(self.host, "protocol", None)
             table, declined = columnar_table(
-                payloads, tables, self.sources, self.channels, protocol
+                payloads, tables, self.sources, self.channels, self.host.protocol
             )
         if table is not None:
             if callable(previous):

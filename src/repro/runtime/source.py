@@ -16,10 +16,11 @@ Bound to a state table, the filter planes are views of its columns
 
 :class:`FilteredSource` is a *view* of one row — ``population[i]``
 builds one on demand — and each stack's source class
-(``StreamSource``, ``WindowFilterSource``, ``SpatialStreamSource``,
-``MultiQuerySource``) is such a view whose constructor builds a
-population of one, so a hand-built source and an assembled one are the
-same implementation.  No hot path builds a view.
+(``StreamSource``, ``WindowFilterSource``, ``SpatialStreamSource``) is
+such a view whose constructor builds a population of one, so a
+hand-built source and an assembled one are the same implementation; a
+slotted row, with nothing of its own to show, is the plain
+:class:`ChannelFilteredSource`.  No hot path builds a view.
 """
 
 from __future__ import annotations

@@ -213,6 +213,12 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         """The *global* columnar table every shard view aliases into."""
         return self._state
 
+    @property
+    def state_tables(self) -> tuple[StreamStateTable]:
+        """Every state table whose constraint columns guard a filter:
+        the global one."""
+        return (self._state,)
+
     def rank_view(self, distance_array: Callable) -> RankView | ShardedRankView:
         """An incremental rank order over :attr:`state`: the shard's own
         view on one shard, else per-shard views + k-way heap merge (one

@@ -124,8 +124,9 @@ def test_every_entry_refuses_the_wrong_kind(nothing_is_built):
 
 
 def test_the_engine_has_one_rejection_site():
-    """Every ``raise`` in ``api/engine.py`` outside the hosted executor's
-    own argument check sits in ``_refuse_unsupported``."""
+    """Every ``raise`` in ``api/engine.py`` sits in
+    ``_refuse_unsupported`` (a checked run without a query is the
+    checker's to refuse)."""
     tree = ast.parse((SRC / "api" / "engine.py").read_text())
     raising = {
         node.name
@@ -133,7 +134,7 @@ def test_the_engine_has_one_rejection_site():
         if isinstance(node, ast.FunctionDef)
         and any(isinstance(inner, ast.Raise) for inner in ast.walk(node))
     }
-    assert raising == {"_refuse_unsupported", "_execute_hosted"}
+    assert raising == {"_refuse_unsupported"}
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +198,7 @@ def test_the_engine_picks_the_replay_strategy(capsys):
     [
         "repro.api.spec:Deployment",
         "repro.valuebased.protocol:ValueToleranceTopKProtocol",
-        "repro.multiquery.runner:execute_multi_query",
+        "repro.multiquery:QueryGroup",
         "repro.server.transport:TransportShardedServer",
         "repro.server.transport:ShardWorker",
     ],
@@ -223,8 +224,12 @@ def test_figure_runners_take_one_deployment(name):
 
 def test_hosted_runs_carry_the_checker_report_and_no_raw():
     report = Engine().run(RANGE, SCALAR, Deployment.single(check_every=4))
-    assert report.raw is None
+    assert "raw" not in {field.name for field in dataclasses.fields(report)}
     assert report.checker.checks == report.checks > 0
+    shared = Engine().run_queries(
+        {"a": RANGE, "b": RANGE}, SCALAR, Deployment.single(check_every=4)
+    )
+    assert shared.checker.checks == shared.checks == report.checks
     assert Engine().run(RANGE, SCALAR).checker is None
 
 

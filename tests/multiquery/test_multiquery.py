@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from repro.api import Deployment, Engine, QuerySpec, Workload
-from repro.multiquery.coordinator import MultiQueryCoordinator
-from repro.multiquery.runner import execute_multi_query
-from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
-from repro.protocols.rtp import RankToleranceProtocol
+from repro.multiquery import QueryGroup
 from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
 from repro.queries.knn import KnnQuery
 from repro.queries.range_query import RangeQuery
+from repro.runtime.session import ExecutionSession
 from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
 from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 
-CHECKED = {"check_every": 1, "strict": True}
+CHECKED = Deployment.single(check_every=1, strict=True)
 
 
 @pytest.fixture(scope="module")
@@ -26,66 +24,54 @@ def trace():
     )
 
 
-def make_queries(tolerances):
+def make_specs(tolerances):
     """One FT-NRP (or ZT-NRP) per tolerance, all over [400, 600]."""
-    queries = {}
+    specs = {}
     for i, eps in enumerate(tolerances):
         query = RangeQuery(400.0, 600.0)
         if eps == 0.0:
-            queries[f"user{i}"] = (ZeroToleranceRangeProtocol(query), query, None)
+            specs[f"user{i}"] = QuerySpec("zt-nrp", query)
         else:
-            tolerance = FractionTolerance(eps, eps)
-            queries[f"user{i}"] = (
-                FractionToleranceRangeProtocol(query, tolerance),
-                query,
-                tolerance,
+            specs[f"user{i}"] = QuerySpec(
+                "ft-nrp", query, FractionTolerance(eps, eps)
             )
-    return queries
+    return specs
+
+
+def run_queries(trace, specs, deployment=None):
+    return Engine().run_queries(specs, Workload.from_trace(trace), deployment)
 
 
 class TestCorrectness:
     def test_every_query_within_tolerance(self, trace):
-        result = execute_multi_query(
-            trace, make_queries([0.0, 0.2, 0.4]), **CHECKED
-        )
-        assert result.tolerance_ok
-        assert set(result.answers) == {"user0", "user1", "user2"}
+        report = run_queries(trace, make_specs([0.0, 0.2, 0.4]), CHECKED)
+        assert report.tolerance_ok
+        assert set(report.answers) == {"user0", "user1", "user2"}
 
     def test_mixed_query_classes(self, trace):
-        range_query = RangeQuery(400.0, 600.0)
-        range_tol = FractionTolerance(0.25, 0.25)
-        knn_query = KnnQuery(500.0, 6)
-        knn_tol = RankTolerance(k=6, r=4)
-        result = execute_multi_query(
+        report = run_queries(
             trace,
             {
-                "zone": (
-                    FractionToleranceRangeProtocol(range_query, range_tol),
-                    range_query,
-                    range_tol,
+                "zone": QuerySpec(
+                    "ft-nrp",
+                    RangeQuery(400.0, 600.0),
+                    FractionTolerance(0.25, 0.25),
                 ),
-                "nearest": (
-                    RankToleranceProtocol(knn_query, knn_tol),
-                    knn_query,
-                    knn_tol,
+                "nearest": QuerySpec(
+                    "rtp", KnnQuery(500.0, 6), RankTolerance(k=6, r=4)
                 ),
             },
-            **CHECKED,
+            CHECKED,
         )
-        assert result.tolerance_ok
-        assert len(result.answers["nearest"]) == 6
+        assert report.tolerance_ok
+        assert len(report.answers["nearest"]) == 6
 
     def test_solo_equivalence_of_answers(self, trace):
         """A protocol behind the facade ends with the same answer as a
         solo run on the same trace."""
-        query = RangeQuery(400.0, 600.0)
-        tolerance = FractionTolerance(0.2, 0.2)
-        solo = Engine().run_protocol(
-            trace,
-            FractionToleranceRangeProtocol(query, tolerance),
-            tolerance=tolerance,
-        )
-        shared = execute_multi_query(trace, make_queries([0.2]))
+        (spec,) = make_specs([0.2]).values()
+        solo = Engine().run(spec, Workload.from_trace(trace))
+        shared = run_queries(trace, make_specs([0.2]))
         assert shared.answers["user0"] == solo.final_answer
         assert shared.maintenance_messages == solo.maintenance_messages
 
@@ -94,29 +80,34 @@ class TestViolationReporting:
     """Each query is checked by its own ``ToleranceChecker``: breaches
     past the 100-record detail cap are counted, not silently dropped."""
 
-    def breached(self):
-        # FT-NRP built for 40 % error but checked for the exact answer,
-        # next to a ZT-NRP that holds it.
+    def breached(self, trace, **knobs):
+        """FT-NRP built for 40 % error but checked for the exact answer,
+        next to a ZT-NRP that holds it: a pre-built group, run through
+        the escape hatch for built protocols."""
         query = RangeQuery(400.0, 600.0)
-        loose = FractionToleranceRangeProtocol(query, FractionTolerance(0.4, 0.4))
-        return {
-            "loose": (loose, query, None),
-            "exact": (ZeroToleranceRangeProtocol(query), query, None),
-        }
+        loose = QuerySpec("ft-nrp", query, FractionTolerance(0.4, 0.4))
+        group = QueryGroup(
+            {
+                "loose": (loose.build(), query, None),
+                "exact": (ZeroToleranceRangeProtocol(query), query, None),
+            }
+        )
+        return Engine().run_protocol(
+            trace, group, deployment=Deployment.single(**knobs)
+        )
 
     def test_breaches_past_the_detail_cap_are_counted(self, trace):
-        result = execute_multi_query(trace, self.breached(), check_every=1)
-        assert result.violation_count > 100
-        assert len(result.violations) == 100
-        assert all(
-            " [loose]: exact answer required" in line
-            for line in result.violations
-        )
-        times = [float(line[2:].split(" ")[0]) for line in result.violations]
+        report = self.breached(trace, check_every=1)
+        assert (report.stack, report.protocol) == ("multiquery", "multi-query")
+        assert report.checker.violation_count > 100
+        assert len(report.violations) == 101
+        lines = report.violations[:-1]
+        assert all(" [loose]: exact answer required" in line for line in lines)
+        times = [float(line[2:].split(" ")[0]) for line in lines]
         assert times == sorted(times)
-        assert not result.tolerance_ok
+        assert not report.tolerance_ok
         # Ticks checked, not ticks x queries.
-        assert result.checks == trace.n_records + 1
+        assert report.checks == trace.n_records + 1
 
     def test_run_queries_reports_how_many_more(self, trace):
         """ZT-RP answers with k=5 streams; a rank tolerance demanding
@@ -129,7 +120,7 @@ class TestViolationReporting:
             Deployment.single(check_every=1),
         )
         assert report.checks == trace.n_records + 1
-        assert report.raw.violation_count == report.checks
+        assert report.checker.violation_count == report.checks
         assert len(report.violations) == 101
         assert report.violations[0] == (
             "t=0.0 [q]: |A| = 5, expected exactly k = 3"
@@ -137,71 +128,65 @@ class TestViolationReporting:
         assert report.violations[-1] == f"... and {report.checks - 100} more"
 
     def test_sampled_checks_fire_on_every_nth_tick(self, trace):
-        result = execute_multi_query(trace, self.breached(), check_every=7)
-        assert result.checks == 1 + trace.n_records // 7
+        report = self.breached(trace, check_every=7)
+        assert report.checks == 1 + trace.n_records // 7
 
     def test_strict_names_the_query(self, trace):
         with pytest.raises(AssertionError, match=r"^t=\S+ \[loose\]: exact"):
-            execute_multi_query(
-                trace,
-                self.breached(),
-                check_every=1,
-                strict=True,
-            )
+            self.breached(trace, check_every=1, strict=True)
 
 
 class TestSharing:
     def test_identical_queries_share_updates(self, trace):
-        shared = execute_multi_query(trace, make_queries([0.0, 0.0, 0.0]))
+        shared = run_queries(trace, make_specs([0.0, 0.0, 0.0]))
         solo = Engine().run_protocol(
             trace, ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0))
         )
         # Identical filters flip together: one physical update serves all
         # three queries, so total update cost equals one solo run's.
-        assert shared.shared_updates == solo.maintenance_messages
-        assert shared.sharing_factor == pytest.approx(3.0)
+        assert shared.extras["shared_updates"] == solo.maintenance_messages
+        assert shared.extras["sharing_factor"] == pytest.approx(3.0)
 
     def test_shared_beats_independent_deployments(self, trace):
         tolerances = [0.0, 0.1, 0.2, 0.4]
-        shared = execute_multi_query(trace, make_queries(tolerances))
-        independent = 0
-        for _, (protocol, query, tolerance) in make_queries(tolerances).items():
-            independent += Engine().run_protocol(
-                trace, protocol, tolerance=tolerance
-            ).maintenance_messages
+        shared = run_queries(trace, make_specs(tolerances))
+        independent = sum(
+            Engine().run(spec, Workload.from_trace(trace)).maintenance_messages
+            for spec in make_specs(tolerances).values()
+        )
         assert shared.maintenance_messages < independent
 
     def test_disjoint_ranges_share_little(self):
         trace = generate_synthetic_trace(
             SyntheticConfig(n_streams=100, horizon=200.0, seed=8)
         )
-        queries = {}
-        for i, (low, high) in enumerate([(100, 250), (450, 550), (800, 950)]):
-            query = RangeQuery(float(low), float(high))
-            queries[f"q{i}"] = (ZeroToleranceRangeProtocol(query), query, None)
-        result = execute_multi_query(trace, queries, **CHECKED)
-        assert result.tolerance_ok
-        assert result.sharing_factor < 1.2
+        specs = {
+            f"q{i}": QuerySpec("zt-nrp", RangeQuery(float(low), float(high)))
+            for i, (low, high) in enumerate([(100, 250), (450, 550), (800, 950)])
+        }
+        report = run_queries(trace, specs, CHECKED)
+        assert report.tolerance_ok
+        assert report.extras["sharing_factor"] < 1.2
 
 
 class TestCoordinator:
-    def test_duplicate_query_id_rejected(self):
-        coordinator = MultiQueryCoordinator()
-        coordinator.attach_sources(np.array([1.0]))
-        query = RangeQuery(0.0, 1.0)
-        coordinator.register("a", ZeroToleranceRangeProtocol(query))
-        with pytest.raises(ValueError):
-            coordinator.register("a", ZeroToleranceRangeProtocol(query))
-
     def test_context_mirrors_server_api(self):
-        coordinator = MultiQueryCoordinator()
-        coordinator.attach_sources(np.array([5.0, 15.0]))
+        trace = StreamTrace(
+            initial_values=np.array([5.0, 15.0]),
+            times=np.empty(0),
+            stream_ids=np.empty(0, dtype=np.int64),
+            values=np.empty(0),
+            horizon=1.0,
+        )
         query = RangeQuery(0.0, 10.0)
-        context = coordinator.register("a", ZeroToleranceRangeProtocol(query))
+        group = QueryGroup({"a": (ZeroToleranceRangeProtocol(query), query, None)})
+        session = ExecutionSession.assemble("streams", trace, group)
+        context = session.host.contexts["a"]
         assert context.n_streams == 2
         assert context.stream_ids == [0, 1]
         assert context.probe(1) == 15.0
         assert context.probe_all().tolist() == [5.0, 15.0]
+        assert context.state.values.tolist() == [5.0, 15.0]
 
     def test_unfiltered_source_notifies_every_query(self):
         """Before any filter is installed, updates fan out to all."""
@@ -212,8 +197,6 @@ class TestCoordinator:
             values=np.array([100.0]),
             horizon=2.0,
         )
-        coordinator = MultiQueryCoordinator()
-        coordinator.attach_sources(trace.initial_values)
         seen = []
 
         class Spy(ZeroToleranceRangeProtocol):
@@ -221,10 +204,14 @@ class TestCoordinator:
                 pass  # no filters installed
 
             def on_update(self, server, stream_id, value, time):
-                seen.append((self.name, stream_id))
+                seen.append((server.query_id, stream_id))
 
-        coordinator.register("a", Spy(RangeQuery(0, 1)))
-        coordinator.register("b", Spy(RangeQuery(0, 1)))
-        coordinator.initialize_all()
-        coordinator.sources[0].apply_value(100.0, 1.0)
-        assert len(seen) == 2
+        query = RangeQuery(0, 1)
+        group = QueryGroup(
+            {"a": (Spy(query), query, None), "b": (Spy(query), query, None)}
+        )
+        session = ExecutionSession.assemble("streams", trace, group)
+        session.initialize()
+        session.sources[0].apply_value(100.0, 1.0)
+        assert seen == [("a", 0), ("b", 0)]
+        assert session.snapshot().maintenance_total == 1

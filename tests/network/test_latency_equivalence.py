@@ -235,16 +235,37 @@ def test_latency_zero_runs_are_violation_free():
         assert report.extras["violations_protocol_bug"] == 0
 
 
-def test_multiquery_rejects_latency():
-    """The multi-query coordinator bypasses the channel entirely; the
-    engine must refuse rather than silently run synchronously."""
-    engine = Engine()
-    specs = {
-        "range": QuerySpec(protocol="zt-nrp", query=RangeQuery(400.0, 600.0))
-    }
-    with pytest.raises(ValueError, match="multi-query"):
-        engine.run_queries(
-            specs,
-            WORKLOADS["figure01"],
-            Deployment.single(latency=0.0),
+MULTIQUERY_SPECS = {
+    "zone": SCALAR_SPECS["zt-nrp"],
+    "loose": SCALAR_SPECS["ft-nrp"],
+    "hot": SCALAR_SPECS["rtp"],
+}
+
+
+@pytest.mark.parametrize("check_every", [0, 1])
+@pytest.mark.parametrize("mode", ["event", "batch"])
+@pytest.mark.parametrize("figure", ["figure01", "figure13"])
+def test_latency_zero_multiquery_byte_identical(figure, mode, check_every):
+    """A query group's every message crosses the session's channel, so
+    latency 0 must leave the synchronous run: ledger, each query's
+    answer, the checks and violations, and the sharing counters."""
+    workload = WORKLOADS[figure]
+    key = ("multiquery", (figure, check_every))
+    if key not in _BASELINES:
+        _BASELINES[key] = Engine().run_queries(
+            MULTIQUERY_SPECS, workload, Deployment.single(check_every=check_every)
         )
+    base = _BASELINES[key]
+    deployment = Deployment.single(check_every=check_every, latency=0.0)
+    report = run_forced(
+        mode, lambda: Engine().run_queries(MULTIQUERY_SPECS, workload, deployment)
+    )
+    assert report.ledger == base.ledger
+    assert report.answers == base.answers
+    assert report.checks == base.checks
+    assert report.violations == base.violations
+    for name in ("shared_updates", "logical_deliveries", "sharing_factor"):
+        assert report.extras[name] == base.extras[name], name
+    if check_every:
+        assert report.checks == workload.materialize().n_records + 1
+        assert report.extras["violations_protocol_bug"] == 0

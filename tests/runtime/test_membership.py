@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.multiquery.source import SlotPopulation
+from repro.multiquery.source import QueryProbeMessage, SlotPopulation
 from repro.runtime.membership import (
     BELIEF_INSIDE,
     BELIEF_NONE,
@@ -195,35 +195,36 @@ class TestRecenteringWindow:
             assert reported != quiescent_by_rows, v
 
 
-class _Sink:
-    """A coordinator that records what the population sends it."""
-
-    def __init__(self):
-        self.received = []
-
-    def receive_update(self, stream_id, value, time, flipped):
-        self.received.append((stream_id, value, flipped))
-
-
 class _Slots:
-    """A :class:`SlotPopulation` of *n* rows, slot ``"a"`` mirrored into
-    a state table and every other slot unmirrored."""
+    """A :class:`SlotPopulation` of *n* rows on a channel whose server
+    end records what it is sent; slot ``"a"`` is bound to a state table
+    and slot ``"b"`` keeps its own planes."""
 
     def __init__(self, values=(5.0,)):
-        self.sink = _Sink()
+        self.received = []
+        self.channel = channel = Channel(MessageLedger())
+        channel.bind_server(self.received.append)
         self.table = StreamStateTable(len(values))
-        self.population = SlotPopulation(values, self.sink, {"a": self.table})
+        self.population = SlotPopulation(
+            values, [channel], [(0, len(values))], ("a", "b")
+        )
+        self.population.bind_state(self.table)
 
     def install(self, query_id, constraint, assumed_inside=None, row=0):
         self.population.install(row, query_id, constraint, assumed_inside, 0.0)
 
+    def probe(self, query_id, row=0):
+        """Send *query_id*'s probe to *row*; returns the replied value."""
+        self.channel.send_to_source(QueryProbeMessage(row, 0.0, query=query_id))
+        return self.received[-1].value
+
     def evaluate(self, value, row=0):
-        before = len(self.sink.received)
+        before = len(self.received)
         self.population.apply(row, value, 1.0)
-        if len(self.sink.received) == before:
+        if len(self.received) == before:
             return None
-        flipped = self.sink.received[-1][2]
-        return REPORT if flipped is None else flipped
+        queries = self.received[-1].queries
+        return REPORT if queries is None else list(queries)
 
     def inside(self, query_id, row=0):
         return bool(self.population.slots[query_id].inside[row])
@@ -258,7 +259,7 @@ class TestSlotPopulation:
         # [+inf, +inf] holds +inf itself, yet never flips: it is skipped.
         m.install("b", FALSE_NEGATIVE_FILTER)
         m.population.values[0] = math.inf
-        m.population.probe(0, "b")
+        m.probe("b")
         assert m.inside("b")
         assert m.evaluate(5.0) is None
 
@@ -279,7 +280,8 @@ class TestSlotPopulation:
     def test_stale_slot_belief_self_corrects(self):
         m = _Slots()
         m.install("a", FilterConstraint(0.0, 10.0), assumed_inside=False)
-        assert m.sink.received == [(0, 5.0, ["a"])]
+        (message,) = m.received
+        assert (message.stream_id, message.value, message.queries) == (0, 5.0, ("a",))
         assert m.inside("a")
         assert m.table.inside[0]
 
@@ -289,7 +291,7 @@ class TestSlotPopulation:
         m.install("b", FilterConstraint(0.0, 10.0))
         m.population.slots["a"].inside[0] = False
         m.population.slots["b"].inside[0] = False
-        assert m.population.probe(0, "a") == 5.0
+        assert m.probe("a") == 5.0
         assert (m.inside("a"), m.inside("b")) == (True, False)
         assert m.table.inside[0]
 

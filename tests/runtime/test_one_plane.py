@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.api import QuerySpec, Workload
+from repro.multiquery import QueryGroup
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
 from repro.network.latency import FixedLatency
@@ -86,16 +87,19 @@ def test_point_planes_are_the_tables_columns():
 
 
 def test_slot_planes_are_their_querys_columns():
-    session = ExecutionSession.for_multiquery(SMALL.materialize().initial_values)
-    session.host.register("range", RANGE.build())
-    session.host.register(
-        "top", QuerySpec("rtp", repro.TopKQuery(5), repro.RankTolerance(5, 2)).build()
+    top = QuerySpec("rtp", repro.TopKQuery(5), repro.RankTolerance(5, 2))
+    group = QueryGroup(
+        {
+            query_id: (spec.build(), spec.query, spec.tolerance)
+            for query_id, spec in (("range", RANGE), ("top", top))
+        }
     )
+    session = ExecutionSession.assemble("streams", SMALL.materialize(), group)
     session.initialize(0.0)
     population = session.sources
     assert set(population.slots) == {"range", "top"}
     for query_id, slot in population.slots.items():
-        table = session.host.state_tables[query_id]
+        table = session.host.contexts[query_id].state
         assert slot.table is table
         for plane in ("lower", "upper", "inside"):
             assert _shares(getattr(slot, plane), getattr(table, plane)), plane

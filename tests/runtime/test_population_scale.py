@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro.api import Deployment, Engine, QuerySpec, Workload
+from repro.multiquery import QueryGroup
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
 from repro.runtime.replay import ReplayCursor
@@ -78,10 +79,13 @@ def _windows(n_shards):
 
 
 def _multiquery(_):
-    session = ExecutionSession.for_multiquery(WORKLOAD.materialize().initial_values)
-    for query_id, spec in SPECS.items():
-        session.host.register(query_id, spec.build())
-    return session
+    group = QueryGroup(
+        {
+            query_id: (spec.build(), spec.query, spec.tolerance)
+            for query_id, spec in SPECS.items()
+        }
+    )
+    return ExecutionSession.assemble("streams", WORKLOAD.materialize(), group)
 
 
 @pytest.mark.parametrize(

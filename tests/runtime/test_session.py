@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.api import Deployment, Engine, QuerySpec
-from repro.multiquery.runner import execute_multi_query
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.ft_rp import FractionToleranceKnnProtocol
 from repro.protocols.no_filter import NoFilterProtocol
@@ -110,25 +109,17 @@ def test_value_window_batched_identical(trace, eps):
 
 
 def test_multiquery_batched_identical(trace):
-    def queries():
-        return {
-            "range": (
-                ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0)),
-                RangeQuery(400.0, 600.0),
-                None,
-            ),
-            "knn": (
-                ZeroToleranceKnnProtocol(KnnQuery(q=500.0, k=5)),
-                KnnQuery(q=500.0, k=5),
-                None,
-            ),
-        }
-
-    event = run_forced("event", lambda: execute_multi_query(trace, queries()))
-    batch = run_forced("batch", lambda: execute_multi_query(trace, queries()))
+    specs = {
+        "range": QuerySpec("zt-nrp", RangeQuery(400.0, 600.0)),
+        "knn": QuerySpec("zt-rp", KnnQuery(q=500.0, k=5)),
+    }
+    event = run_forced("event", lambda: Engine().run_queries(specs, trace))
+    batch = run_forced("batch", lambda: Engine().run_queries(specs, trace))
     assert event.ledger == batch.ledger
-    assert event.shared_updates == batch.shared_updates
-    assert event.logical_deliveries == batch.logical_deliveries
+    assert event.extras["shared_updates"] == batch.extras["shared_updates"]
+    assert (
+        event.extras["logical_deliveries"] == batch.extras["logical_deliveries"]
+    )
     assert event.answers == batch.answers
 
 

@@ -23,6 +23,7 @@ from repro.network.latency import UniformLatency, make_channel
 from repro.network.messages import (
     ConstraintMessage,
     MessageKind,
+    ProbeReplyMessage,
     ProbeRequestMessage,
     UpdateMessage,
 )
@@ -503,22 +504,36 @@ def test_spatial_source_matches_legacy(seed):
 @pytest.mark.parametrize("seed", SCALAR_SEEDS)
 def test_multiquery_source_matches_legacy(seed):
     """The slotted port must reproduce the seed's shared-update stream."""
-    from repro.multiquery.source import MultiQuerySource
+    from repro.multiquery.source import (
+        QueryConstraintMessage,
+        QueryProbeMessage,
+        SharedUpdateMessage,
+        SlotPopulation,
+    )
+
+    def kernel(stream_id, initial_value, channel, queries):
+        """A population of one, viewed as its row."""
+        ids = [(stream_id, stream_id + 1)]
+        return SlotPopulation([initial_value], [channel], ids, queries)[0]
 
     class LegacyMultiQuerySource:
-        def __init__(self, stream_id, initial_value, coordinator):
+        def __init__(self, stream_id, initial_value, channel, queries):
             self.stream_id = stream_id
             self.value = float(initial_value)
-            self.coordinator = coordinator
+            self.channel = channel
             self._constraints = {}
             self._reported = {}
+            channel.bind_source(stream_id, self._handle)
+
+        def _update(self, time, flipped):
+            self.channel.send_to_server(
+                SharedUpdateMessage(self.stream_id, time, self.value, flipped)
+            )
 
         def apply_value(self, value, time):
             self.value = float(value)
             if not self._constraints:
-                self.coordinator.receive_update(
-                    self.stream_id, self.value, time, flipped=None
-                )
+                self._update(time, None)
                 return
             flipped = []
             for query_id, constraint in self._constraints.items():
@@ -529,38 +544,31 @@ def test_multiquery_source_matches_legacy(seed):
                     self._reported[query_id] = inside
                     flipped.append(query_id)
             if flipped:
-                self.coordinator.receive_update(
-                    self.stream_id, self.value, time, flipped=flipped
-                )
+                self._update(time, tuple(flipped))
 
-        def install(self, query_id, constraint, assumed_inside, time):
+        def _handle(self, message):
+            query_id = message.query
+            if message.kind is MessageKind.PROBE_REQUEST:
+                constraint = self._constraints.get(query_id)
+                if constraint is not None:
+                    self._reported[query_id] = constraint.contains(self.value)
+                self.channel.send_to_server(
+                    ProbeReplyMessage(self.stream_id, message.time, self.value)
+                )
+                return
+            constraint = FilterConstraint(message.lower, message.upper)
             self._constraints[query_id] = constraint
             if constraint.is_silencing:
                 self._reported[query_id] = constraint.contains(self.value)
                 return
             actual = constraint.contains(self.value)
-            if assumed_inside is None:
+            if message.assumed_inside is None:
                 self._reported[query_id] = actual
                 return
-            self._reported[query_id] = bool(assumed_inside)
+            self._reported[query_id] = bool(message.assumed_inside)
             if actual != self._reported[query_id]:
                 self._reported[query_id] = actual
-                self.coordinator.receive_update(
-                    self.stream_id, self.value, time, flipped=[query_id]
-                )
-
-        def probe(self, query_id):
-            constraint = self._constraints.get(query_id)
-            if constraint is not None:
-                self._reported[query_id] = constraint.contains(self.value)
-            return self.value
-
-    class SinkCoordinator:
-        def __init__(self):
-            self.received = []
-
-        def receive_update(self, stream_id, value, time, flipped):
-            self.received.append((stream_id, value, time, flipped))
+                self._update(message.time, (query_id,))
 
     rng = np.random.default_rng(seed)
     script = []
@@ -569,7 +577,7 @@ def test_multiquery_source_matches_legacy(seed):
         if roll < 0.6:
             script.append(("value", float(rng.normal(500.0, 120.0))))
         elif roll < 0.75:
-            script.append(("probe", rng.choice(["a", "b"])))
+            script.append(("probe", str(rng.choice(["a", "b"]))))
         else:
             lower = float(rng.uniform(300.0, 500.0))
             assumed = rng.choice([None, True, False])
@@ -580,20 +588,22 @@ def test_multiquery_source_matches_legacy(seed):
             )
 
     def drive(source_cls):
-        coordinator = SinkCoordinator()
-        source = source_cls(0, 500.0, coordinator)
+        channel, ledger, source, received = _sink_system(
+            lambda ch: source_cls(0, 500.0, ch, ("a", "b"))
+        )
         for t, action in enumerate(script, start=1):
             if action[0] == "value":
                 source.apply_value(action[1], float(t))
             elif action[0] == "probe":
-                source.probe(action[1])
+                channel.send_to_source(QueryProbeMessage(0, float(t), query=action[1]))
             else:
-                source.install(
-                    action[1],
-                    FilterConstraint(action[2], action[3]),
-                    action[4],
-                    float(t),
+                channel.send_to_source(
+                    QueryConstraintMessage(
+                        0, float(t), action[2], action[3], action[4],
+                        query=action[1],
+                    )
                 )
-        return coordinator.received
+        tags = [getattr(message, "queries", None) for message in received]
+        return ledger.snapshot(), _messages_digest(received), tags
 
-    assert drive(LegacyMultiQuerySource) == drive(MultiQuerySource)
+    assert drive(LegacyMultiQuerySource) == drive(kernel)
