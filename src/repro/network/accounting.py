@@ -18,10 +18,14 @@ from repro.network.messages import Message, MessageKind
 
 
 class Phase(enum.Enum):
-    """Protocol phase a message is charged to."""
+    """Protocol phase a message is charged to (hashed by identity, in
+    C, like :class:`~repro.network.messages.MessageKind`: every charge
+    keys by both)."""
 
     INITIALIZATION = "initialization"
     MAINTENANCE = "maintenance"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

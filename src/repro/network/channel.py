@@ -40,9 +40,10 @@ class Channel:
     def __init__(self, ledger: MessageLedger) -> None:
         self.ledger = ledger
         self._server_handler: Callable[[Message], None] | None = None
-        self._source_handlers: dict[int, Callable[[Message], None]] = {}
-        #: ``(lo, hi, handler)``: one handler for every id in ``[lo, hi)``
-        #: (a columnar population binds its whole shard in one entry).
+        #: ``(lo, hi, handler)``: one handler for every id in ``[lo, hi)``,
+        #: first match wins.  A columnar population binds its whole shard
+        #: in one entry; an id bound on its own (:meth:`bind_source`) is a
+        #: one-id entry in front, shadowing any range it falls in.
         self._source_ranges: list[tuple[int, int, Callable]] = []
         self._taps: list[Callable[[Message], None]] = []
 
@@ -51,7 +52,7 @@ class Channel:
         wiring, not state: a source binds itself at construction, and
         the handlers would drag every source into a snapshot (DESIGN §11)."""
         state = dict(self.__dict__)
-        state.update(_source_handlers={}, _source_ranges=[], _taps=[])
+        state.update(_source_ranges=[], _taps=[])
         return state
 
     def bind_server(self, handler: Callable[[Message], None]) -> None:
@@ -59,15 +60,19 @@ class Channel:
         self._server_handler = handler
 
     def bind_source(self, stream_id: int, handler: Callable[[Message], None]) -> None:
-        """Register the handler of source *stream_id*."""
-        self._source_handlers[stream_id] = handler
+        """Register the handler of source *stream_id* alone: it replaces
+        an earlier binding of that id and shadows a range it falls in."""
+        own = [(stream_id, stream_id + 1, handler)]
+        self._source_ranges = own + [
+            entry for entry in self._source_ranges if entry[:2] != own[0][:2]
+        ]
 
     def bind_sources(
         self, lo: int, hi: int, handler: Callable[[Message], None]
     ) -> None:
         """Register one handler for every source id in ``[lo, hi)``: one
         range entry for a population, :meth:`bind_source` for a single
-        id.  A per-id binding shadows a range it falls in."""
+        id."""
         if hi - lo == 1:
             self.bind_source(int(lo), handler)
         else:
@@ -78,14 +83,10 @@ class Channel:
         run's teardown (the handlers hold objects that hold this
         channel)."""
         self._server_handler = None
-        self._source_handlers = {}
         self._source_ranges = []
         self._taps = []
 
     def _source_handler(self, stream_id: int) -> Callable[[Message], None]:
-        handler = self._source_handlers.get(stream_id)
-        if handler is not None:
-            return handler
         for lo, hi, handler in self._source_ranges:
             if lo <= stream_id < hi:
                 return handler
@@ -143,7 +144,7 @@ class Channel:
         """The object whose one range binding handles every id of the
         *stream_ids* column (or ascending ``range``) — or ``None`` when
         this batch must travel message by message (no single range
-        covers it, a per-id binding shadows an id in its span, the
+        covers it, an id bound on its own shadows one in its span, the
         handler is no bound method, or a tap has no ``bulk`` form — or
         may not use it: a constraint batch on a channel whose
         constraints fly is tapped per message, at delivery).  *probe*
@@ -158,16 +159,17 @@ class Channel:
             first, last = stream_ids[0], stream_ids[-1]
         else:
             first, last = int(stream_ids.min()), int(stream_ids.max())
-        for lo, hi, handler in self._source_ranges:
-            if lo <= first and last < hi:
+        ranges = self._source_ranges
+        for lo, hi, handler in ranges:
+            if hi - lo > 1 and lo <= first and last < hi:
                 break
         else:
             for stream_id in id_column(stream_ids).tolist():
                 self._source_handler(stream_id)
             return None
         if any(
-            first <= stream_id <= last and shadow != handler
-            for stream_id, shadow in self._source_handlers.items()
+            hi - lo == 1 and first <= lo <= last and shadow != handler
+            for lo, hi, shadow in ranges
         ):
             return None
         if self._taps and not (
@@ -207,7 +209,7 @@ class Channel:
     def source_ids(self) -> list[int]:
         """Identifiers of all bound sources, ascending (a fresh list:
         nothing on a hot path asks — :attr:`n_sources` counts)."""
-        ids = list(self._source_handlers)
+        ids = []
         for lo, hi, _ in self._source_ranges:
             ids.extend(range(lo, hi))
         return sorted(ids)
@@ -215,9 +217,7 @@ class Channel:
     @property
     def n_sources(self) -> int:
         """How many sources are bound (no id list is built)."""
-        return len(self._source_handlers) + sum(
-            hi - lo for lo, hi, _ in self._source_ranges
-        )
+        return sum(hi - lo for lo, hi, _ in self._source_ranges)
 
 
 #: The default delivery discipline under its explicit name: today's

@@ -67,28 +67,51 @@ def _constant(delay: float, size: int | None = None):
     return delay if size is None else np.full(size, delay)
 
 
+#: Delays a :class:`Sampler` draws from a direction's generator at once.
+BLOCK = 256
+
+#: Before any delivery time (a stream's last deferred delivery, unset).
+_NEVER = -float("inf")
+
+
 class Sampler:
     """A channel's delay draws, one RNG stream per direction.
 
     ``sampler(is_uplink)`` is the next delay of a direction and
-    ``sampler.sample_many(is_uplink, m)`` the next ``m`` as a column —
-    the values, and the generator state after them, of ``m`` scalar
-    calls (tests/network/test_latency_batch.py pins this per model).
-    Each direction is a ``draw(size=None)`` function: a numpy
-    generator method bound to its parameters, or :func:`_constant`.
+    ``sampler.sample_many(is_uplink, m)`` the next ``m`` as a column.
+    Each direction is a ``draw(size=None)`` function — a numpy generator
+    method bound to its parameters, or :func:`_constant` — called for
+    :data:`BLOCK` values at a time: a scalar draw pops the next one off
+    the direction's buffer, and a column takes the buffer's rest first,
+    then draws what is missing directly.  Either way each direction
+    yields exactly the sequence its scalar calls would
+    (tests/network/test_latency_batch.py pins it per model), so the
+    buffer changes no run.  It is channel state, though: a durable
+    latency run's snapshot (ROADMAP 14(d)) has to carry the undrawn
+    buffers with the generators.
     """
 
-    __slots__ = ("_uplink", "_downlink")
+    __slots__ = ("_draw", "_buffer")
 
     def __init__(self, uplink: Callable, downlink: Callable) -> None:
-        self._uplink = uplink
-        self._downlink = downlink
+        #: Indexed by ``is_uplink``; a buffer holds its next value last.
+        self._draw = (downlink, uplink)
+        self._buffer = ([], [])
 
     def __call__(self, is_uplink: bool) -> float:
-        return float((self._uplink if is_uplink else self._downlink)())
+        buffer = self._buffer[is_uplink]
+        if not buffer:
+            buffer.extend(reversed(self._draw[is_uplink](BLOCK).tolist()))
+        return buffer.pop()
 
     def sample_many(self, is_uplink: bool, m: int) -> np.ndarray:
-        return (self._uplink if is_uplink else self._downlink)(m)
+        buffer = self._buffer[is_uplink]
+        cut = max(len(buffer) - m, 0)
+        head = buffer[cut:][::-1]
+        del buffer[cut:]
+        if len(head) == m:
+            return np.array(head, dtype=np.float64)
+        return np.concatenate((head, self._draw[is_uplink](m - len(head))))
 
 
 def _direction_streams(seed: int, channel: int):
@@ -236,7 +259,6 @@ class _ConstraintRow:
     upper: float
     assumed_inside: bool | None
     population: object
-    kind = MessageKind.CONSTRAINT
 
     def install(self) -> None:
         population = self.population
@@ -279,6 +301,12 @@ class LatencyChannel(Channel):
     same rule, without a message each (:meth:`send_constraint_rows`).
     Taps fire at delivery, one message each, so a tapped constraint
     batch stays per-message (:attr:`constraints_inline`).
+
+    What one held message costs (DESIGN.md §8.5): a buffered delay draw
+    (:class:`Sampler`), the FIFO floor and flow count under one int key
+    per flow, one push onto the in-flight heap — plus the live event's
+    move when it becomes the head — and, at delivery, one pop and one
+    hand-off to the handler its send looked up.
     """
 
     constraints_inline = False
@@ -296,18 +324,25 @@ class LatencyChannel(Channel):
         self.channel_index = int(channel_index)
         self._sample = model.make_sampler(self.channel_index)
         #: The in-flight heap: ``(delivery time, reserved engine seq,
-        #: message or _ConstraintRow)``.
-        self._in_flight: list[tuple[float, int, object]] = []
+        #: flow, message or _ConstraintRow, target)``.  A flow is one
+        #: ``(direction, stream)`` pair as the int ``2 * stream_id +
+        #: is_uplink``; the target is ``None`` for an uplink (the server
+        #: handler at delivery), else the source handler the send looked
+        #: up (a batch row's: its population).
+        self._in_flight: list[tuple] = []
         #: The engine event at the heap head's position, if any.
         self._live = None
+        #: True while the live event's action delivers: holds it causes
+        #: leave the re-arm to its end.
+        self._delivering = False
         self._route_count = 0
-        #: Per-(is_uplink, stream) FIFO floor: no later send of the same
-        #: flow may be delivered before an earlier one.
-        self._fifo_floor: dict[tuple[bool, int], float] = {}
+        #: Per-flow FIFO floor: no later send of the same flow may be
+        #: delivered before an earlier one.
+        self._fifo_floor: dict[int, float] = {}
         #: Per-flow count of messages currently in flight; a zero-delay
         #: draw may only deliver inline while its flow's count is zero
         #: (otherwise it would overtake an earlier in-flight message).
-        self._flow_in_flight: dict[tuple[bool, int], int] = {}
+        self._flow_in_flight: dict[int, int] = {}
         #: Virtual time each stream last had a message delivered *late*
         #: (deferred) — the staleness window's "recently corrected"
         #: evidence.  Inline deliveries are synchronous behavior and are
@@ -347,7 +382,7 @@ class LatencyChannel(Channel):
 
     def in_flight_stream_ids(self) -> set[int]:
         """Streams with at least one message currently in flight."""
-        return {message.stream_id for _, _, message in self._in_flight}
+        return {entry[2] >> 1 for entry in self._in_flight}
 
     def recently_delivered_streams(self, time: float, window: float) -> set[int]:
         """Streams with a deferred delivery within ``[time - window, time]``."""
@@ -371,17 +406,29 @@ class LatencyChannel(Channel):
         if self._server_handler is None:
             raise RuntimeError("no server bound to channel")
         self.ledger.record(message)
-        self._route(message, is_uplink=True)
+        self._route_count += 1
+        # A probe is the synchronous resolution RPC: it never queues,
+        # and never carries flow-ordering obligations.
+        if message.is_probe or not self._hold(
+            2 * message.stream_id + 1, self._sample(True), message, None
+        ):
+            self._delivered_count += 1
+            self._deliver_to_server(message)
 
     def send_to_source(self, message: Message) -> None:
-        self._source_handler(message.stream_id)  # unbound: raises
+        handler = self._source_handler(message.stream_id)  # unbound: raises
         self.ledger.record(message)
-        self._route(message, is_uplink=False)
+        self._route_count += 1
+        if message.is_probe or not self._hold(
+            2 * message.stream_id, self._sample(False), message, handler
+        ):
+            self._delivered_count += 1
+            self._deliver_to_source(message, handler)
 
     def charge_bulk(self, stream_ids, *kinds: MessageKind) -> None:
-        """Count a columnar batch as :meth:`_route` would: each message
-        routed, and a probe delivered inline (a constraint counts as
-        delivered when it is)."""
+        """Count a columnar batch as a message-by-message send would:
+        each message routed, and a probe delivered inline (a constraint
+        counts as delivered when it is)."""
         super().charge_bulk(stream_ids, *kinds)
         self._route_count += len(stream_ids) * len(kinds)
         if kinds[0].is_probe:
@@ -407,27 +454,15 @@ class LatencyChannel(Channel):
             ids, lower, upper, assumed_inside, times, delays
         ):
             row = _ConstraintRow(stream_id, time, lo, hi, belief, population)
-            if not self._hold((False, stream_id), delay, row):
+            if not self._hold(2 * stream_id, delay, row, population):
                 self._delivered_count += 1
                 row.install()
 
-    def _route(self, message: Message, is_uplink: bool) -> None:
-        self._route_count += 1
-        if message.kind.is_probe:
-            # The synchronous resolution RPC: a probe never queues, and
-            # never carries flow-ordering obligations.
-            self._deliver(message, self.engine.now)
-            return
-        delay = self._sample(is_uplink)
-        if delay < 0:  # pragma: no cover - models validate already
-            raise ValueError(f"latency model produced negative delay {delay}")
-        if not self._hold((is_uplink, message.stream_id), delay, message):
-            self._deliver(message, self.engine.now)
-
-    def _hold(self, key: tuple[bool, int], delay: float, item) -> bool:
-        """The one FIFO rule: ``False`` when *item* of flow *key*, drawn
+    def _hold(self, flow: int, delay: float, item, target) -> bool:
+        """The one FIFO rule: ``False`` when *item* of *flow*, drawn
         *delay*, is delivered inline (zero draw, idle flow, no floor
-        ahead of the clock), else hold it in flight and ``True``.
+        ahead of the clock), else hold it in flight for *target* and
+        ``True``.
 
         A zero draw behind an in-flight flow-mate — or behind a
         flow-mate force-delivered at a future heap time, whose FIFO
@@ -435,90 +470,98 @@ class LatencyChannel(Channel):
         overtaking it inline.
         """
         now = self.engine.now
-        floor = self._fifo_floor.get(key)
+        floors = self._fifo_floor
+        floor = floors.get(flow)
+        counts = self._flow_in_flight
         if (
             delay == 0.0
-            and not self._flow_in_flight.get(key)
             and (floor is None or floor <= now)
+            and not counts.get(flow)
         ):
             return False
         delivery_time = now + delay
         if floor is not None and delivery_time < floor:
             delivery_time = floor
-        self._fifo_floor[key] = delivery_time
-        self._flow_in_flight[key] = self._flow_in_flight.get(key, 0) + 1
+        floors[flow] = delivery_time
+        counts[flow] = counts.get(flow, 0) + 1
         seq = self.engine.reserve()
-        heapq.heappush(self._in_flight, (delivery_time, seq, item))
-        if self._in_flight[0][1] == seq:
+        heap = self._in_flight
+        heapq.heappush(heap, (delivery_time, seq, flow, item, target))
+        if heap[0][1] == seq and not self._delivering:
             self._arm()
         return True
 
-    def _arm(self) -> None:
+    def _arm(self, spare=None) -> None:
         """Keep the one live engine event at the heap head's reserved
-        ``(time, seq)`` — the place the head's own event would hold."""
+        ``(time, seq)`` — the place the head's own event would hold —
+        putting the *spare* event that just fired back there rather
+        than allocating one."""
         live = self._live
+        heap = self._in_flight
         if live is not None:
-            if self._in_flight and live.seq == self._in_flight[0][1]:
+            if heap and live.seq == heap[0][1]:
                 return
             live.cancel()
             self._live = None
-        if self._in_flight:
-            time, seq, _ = self._in_flight[0]
-            self._live = self.engine.schedule_at(
-                time, self._deliver_due, label="latency-delivery", seq=seq
-            )
+        if heap:
+            time, seq = heap[0][:2]
+            if spare is None:
+                self._live = self.engine.schedule_at(
+                    time, self._deliver_due, label="latency-delivery", seq=seq
+                )
+            else:
+                self._live = self.engine.reschedule(spare, time, seq)
 
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def _deliver(self, message, time: float, deferred: bool = False) -> None:
-        self._delivered_count += 1
-        if deferred:
-            self._deferred_delivered_count += 1
-            self._settle_flow(
-                (message.kind.is_uplink, message.stream_id), time
-            )
-        if message.kind.is_uplink:
-            self._deliver_to_server(message)
-        elif type(message) is not _ConstraintRow:
-            self._deliver_to_source(message)
-        elif self._taps:  # tapped after the batch was sent
-            self._deliver_to_source(message.message())
-        else:
-            message.install()
+    def _deliver_due(self, until: float | None = None) -> None:
+        """Deliver every held item due at or before *until*, in heap
+        order, then re-arm (:meth:`_arm`).  Holds the deliveries cause
+        join the loop; they leave arming to its end.  Without *until*
+        this is the live event's action: everything due by now, and
+        the event that just fired is the one re-armed.
 
-    def _settle_flow(self, key: tuple[bool, int], time: float) -> None:
-        """Book one deferred delivery against the flow's bookkeeping.
-
-        The flow count is pruned when it reaches zero, and the FIFO
-        floor with it — but only once the engine clock has caught up to
-        the floor.  A floor still in the future (a forced drain just
-        delivered at a future heap time) must survive so a subsequent
-        zero-delay send on the flow is clamped to it instead of
-        overtaking the drained flow-mate inline.
+        A delivery settles its flow: the count is pruned when it
+        reaches zero, and the FIFO floor with it — but only once the
+        engine clock has caught up to the floor.  A floor still in the
+        future (a forced drain just delivered at a future heap time)
+        must survive so a subsequent zero-delay send on the flow is
+        clamped to it instead of overtaking the drained flow-mate
+        inline.
         """
-        count = self._flow_in_flight.get(key, 0) - 1
-        if count > 0:
-            self._flow_in_flight[key] = count
-        else:
-            self._flow_in_flight.pop(key, None)
-            floor = self._fifo_floor.get(key)
-            if floor is not None and floor <= self.engine.now:
-                del self._fifo_floor[key]
-        previous = self._last_delivery.get(key[1])
-        if previous is None or time > previous:
-            self._last_delivery[key[1]] = time
-
-    def _deliver_due(self) -> None:
-        """The live event's action: deliver everything whose time has
-        come (sends it causes at this instant join the same loop), then
-        re-arm at the new head."""
-        self._live = None
         now = self.engine.now
-        while self._in_flight and self._in_flight[0][0] <= now:
-            time, _, message = heapq.heappop(self._in_flight)
-            self._deliver(message, time, deferred=True)
-        self._arm()
+        spare = None
+        if until is None:
+            until, spare, self._live = now, self._live, None
+        heap = self._in_flight
+        counts, floors = self._flow_in_flight, self._fifo_floor
+        last = self._last_delivery
+        self._delivering = True
+        try:
+            while heap and heap[0][0] <= until:
+                time, _, flow, item, target = heapq.heappop(heap)
+                self._delivered_count += 1
+                self._deferred_delivered_count += 1
+                count = counts.pop(flow) - 1
+                if count:
+                    counts[flow] = count
+                elif floors[flow] <= now:
+                    del floors[flow]
+                stream_id = flow >> 1
+                if last.get(stream_id, _NEVER) < time:
+                    last[stream_id] = time
+                if target is None:
+                    self._deliver_to_server(item)
+                elif type(item) is not _ConstraintRow:
+                    self._deliver_to_source(item, target)
+                elif self._taps:  # tapped after the batch was sent
+                    self._deliver_to_source(item.message())
+                else:
+                    item.install()
+        finally:
+            self._delivering = False
+        self._arm(spare)
 
     def drain_in_flight(self) -> int:
         """Force-deliver every in-flight message, in heap order.
@@ -528,13 +571,9 @@ class LatencyChannel(Channel):
         delayed messages; those join the heap and are drained by the
         same loop.  Returns the number of messages delivered.
         """
-        drained = 0
-        while self._in_flight:
-            time, _, message = heapq.heappop(self._in_flight)
-            self._deliver(message, time, deferred=True)
-            drained += 1
-        self._arm()
-        return drained
+        before = self._deferred_delivered_count
+        self._deliver_due(float("inf"))
+        return self._deferred_delivered_count - before
 
 
 def make_channel(

@@ -16,15 +16,24 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 
 class MessageKind(enum.Enum):
-    """Classification of a message for cost accounting."""
+    """Classification of a message for cost accounting.
+
+    Members hash by identity, in C: the ledger keys a counter by kind
+    on every charge, and ``Enum.__hash__`` (a Python call hashing the
+    name) was a measurable share of it.  Members are singletons, so
+    equality was identity already.
+    """
 
     UPDATE = "update"
     PROBE_REQUEST = "probe_request"
     PROBE_REPLY = "probe_reply"
     CONSTRAINT = "constraint"
+
+    __hash__ = object.__hash__
 
     @property
     def is_uplink(self) -> bool:
@@ -52,14 +61,23 @@ class Message:
         Identifier of the source this message is from/to.
     time:
         Virtual time at which the message was sent.
+    kind, is_uplink, is_probe:
+        Class attributes, not fields: each message class sets ``kind``
+        and inherits the other two from it (plain reads on the
+        channel's per-message path).
     """
 
     stream_id: int
     time: float
+    kind: ClassVar[MessageKind]
+    is_uplink: ClassVar[bool]
+    is_probe: ClassVar[bool]
 
-    @property
-    def kind(self) -> MessageKind:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        kind = cls.__dict__.get("kind")
+        if kind is not None:
+            cls.is_uplink, cls.is_probe = kind.is_uplink, kind.is_probe
 
 
 @dataclass(frozen=True)
@@ -68,18 +86,14 @@ class UpdateMessage(Message):
 
     value: float = 0.0
 
-    @property
-    def kind(self) -> MessageKind:
-        return MessageKind.UPDATE
+    kind = MessageKind.UPDATE
 
 
 @dataclass(frozen=True)
 class ProbeRequestMessage(Message):
     """Server-to-source request for the current value."""
 
-    @property
-    def kind(self) -> MessageKind:
-        return MessageKind.PROBE_REQUEST
+    kind = MessageKind.PROBE_REQUEST
 
 
 @dataclass(frozen=True)
@@ -88,9 +102,7 @@ class ProbeReplyMessage(Message):
 
     value: float = 0.0
 
-    @property
-    def kind(self) -> MessageKind:
-        return MessageKind.PROBE_REPLY
+    kind = MessageKind.PROBE_REPLY
 
 
 @dataclass(frozen=True)
@@ -110,6 +122,4 @@ class ConstraintMessage(Message):
     upper: float = float("inf")
     assumed_inside: bool | None = None
 
-    @property
-    def kind(self) -> MessageKind:
-        return MessageKind.CONSTRAINT
+    kind = MessageKind.CONSTRAINT

@@ -295,25 +295,19 @@ def _apply(sources, engine, times, ids, payloads, before=None, after=None):
     parallel *times* / *ids* / *payloads* to the population in turn (it
     reports if a filter flips).
 
-    Wherever an engine event is due at or before a record, the record
-    takes its FIFO slot among same-instant events — an event of its own,
-    stepped to — and applies when that slot fires; else nothing can fire
-    first, and the clock moves to the record's time before it applies.
-    Only a latency-modeled channel schedules engine events.  *before*
-    sees ``(stream id, payload)`` before a record applies (and before
-    anything due fires), *after* the record's time once it has.
+    Each record takes its FIFO slot among same-instant events
+    (:meth:`~repro.sim.engine.SimulationEngine.advance`): whatever is due
+    at or before it fires first, then the clock reads the record's time
+    and it applies.  Only a latency-modeled channel schedules engine
+    events.  *before* sees ``(stream id, payload)`` before a record
+    applies (and before anything due fires), *after* the record's time
+    once it has.
     """
+    advance = engine.advance
     for time, row, payload in zip(times, ids, payloads):
         if before is not None:
             before(row, payload)
-        head = engine.next_event_time
-        if head is not None and head <= time:
-            slot = [row]
-            engine.schedule_at(time, slot.clear)
-            while slot:
-                engine.step()
-        else:
-            engine.advance(time)
+        advance(time)
         sources.apply(row, payload, time)
         if after is not None:
             after(time)

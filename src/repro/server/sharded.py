@@ -38,7 +38,7 @@ Why the message ledger does not depend on the shard count:
 The coordinator accepts a latency-modeled bus: the per-shard channels
 may be :class:`~repro.network.latency.LatencyChannel`s (compiled by the
 session builders from ``Deployment(latency=...)``), in which case update
-deliveries reach :meth:`ShardedServer._receive_update` at *delivery*
+deliveries reach :meth:`ShardedServer._receive` at *delivery*
 time while probe round-trips stay synchronous (DESIGN.md §8).  The
 global delivery FIFO needs no change — a late-arriving self-correction
 is just one more deferred delivery — and with ``latency=0`` delivery is
@@ -58,12 +58,13 @@ process-parallel sibling of this coordinator is
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.network.channel import Channel
-from repro.network.messages import Message, MessageKind
+from repro.network.messages import Message
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
 from repro.runtime.vocabulary import VocabularyBound, vocabulary_of
@@ -84,9 +85,9 @@ class ShardServer:
 
     Handles the mechanical half of the server role for its id range
     ``[lo, hi)`` — the probe round-trip, recording into the shard table
-    (local rows, which keeps per-shard rank views incremental) — and
-    forwards protocol-facing update deliveries to the coordinator, which
-    owns ordering and the protocol.
+    (local rows, which keeps per-shard rank views incremental).  Its
+    channel's server end is the coordinator's :meth:`ShardedServer.
+    _receive` for this shard, which owns ordering and the protocol.
     """
 
     def __init__(
@@ -103,7 +104,7 @@ class ShardServer:
         self.hi = state.hi
         self._probe_reply: Message | None = None
         self._awaiting_probe = False
-        channel.bind_server(self._handle_message)
+        channel.bind_server(partial(coordinator._receive, self))
 
     def probe(self, stream_id: int, time: float):
         """One probe round-trip to a source this shard owns."""
@@ -120,20 +121,11 @@ class ShardServer:
         self.state.record_report(reply.stream_id - self.lo, payload, reply.time)
         return payload
 
-    def _handle_message(self, message: Message) -> None:
-        if message.kind is MessageKind.PROBE_REPLY:
-            if not self._awaiting_probe:  # pragma: no cover - defensive
-                raise RuntimeError("unsolicited probe reply")
-            assert isinstance(message, self.vocabulary.probe_reply)
-            self._probe_reply = message
-            return
-        if message.kind is MessageKind.UPDATE:
-            assert isinstance(message, self.vocabulary.update)
-            self._coordinator._receive_update(message)
-            return
-        raise RuntimeError(  # pragma: no cover - defensive
-            f"shard server received unexpected {message.kind}"
-        )
+    def _take_reply(self, message: Message) -> None:
+        if not self._awaiting_probe:  # pragma: no cover - defensive
+            raise RuntimeError("unsolicited probe reply")
+        assert isinstance(message, self.vocabulary.probe_reply)
+        self._probe_reply = message
 
 
 class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
@@ -311,22 +303,38 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
     # ------------------------------------------------------------------
     # Update delivery (single global FIFO)
     # ------------------------------------------------------------------
-    def _receive_update(self, message: Message) -> None:
-        self._now = max(self._now, message.time)
-        self._deliver(message)
+    def _receive(self, shard: ShardServer, message: Message) -> None:
+        """The server end of *shard*'s channel.  A probe reply is the
+        shard's round trip; an update reaches the protocol from here —
+        at once, or, while a handler runs, through the global FIFO
+        (:class:`~repro.runtime.dispatch.DeferredDeliveryMixin`'s
+        discipline, inlined: this is every delivered update's path)."""
+        if message.is_probe:
+            shard._take_reply(message)
+            return
+        assert isinstance(message, self.vocabulary.update)
+        if message.time > self._now:
+            self._now = message.time
+        if self._busy:
+            self._pending.append((shard, message))
+            return
+        self._busy = True
+        try:
+            self._handle_delivery((shard, message))
+        finally:
+            self._busy = False
+        if self._pending:
+            self._drain_pending()
 
-    def _handle_delivery(self, message: Message) -> None:
+    def _handle_delivery(self, item: tuple[ShardServer, Message]) -> None:
         # Value plane refreshed at *delivery* time through the owning
         # shard view (dirtying only that shard's rank listeners), then
         # the protocol sees the update exactly as on one shard.
-        shard = self.shards[bisect_right(self._bounds, message.stream_id)]
+        shard, message = item
+        stream_id, time = message.stream_id, message.time
         payload = self.vocabulary.payload_of(message)
-        shard.state.record_report(
-            message.stream_id - shard.lo, payload, message.time
-        )
-        self.protocol.on_update(
-            self, message.stream_id, payload, message.time
-        )
+        shard.state.record_report(stream_id - shard.lo, payload, time)
+        self.protocol.on_update(self, stream_id, payload, time)
 
 
 class ShardedSpatialServer(ShardedServer):

@@ -10,6 +10,7 @@ the same seed produce identical message counts.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable
 
 from repro.sim.events import Event, EventQueue, SimulationError
@@ -30,14 +31,11 @@ class SimulationEngine:
 
     def __init__(self) -> None:
         self._queue = EventQueue()
-        self._now = 0.0
+        #: Current virtual time: a plain attribute, read on every
+        #: message of a latency-modeled run; only the engine moves it.
+        self.now = 0.0
         self._running = False
         self._events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -49,14 +47,12 @@ class SimulationEngine:
         """Number of live events still scheduled."""
         return len(self._queue)
 
-    @property
-    def next_event_time(self) -> float | None:
-        """Firing time of the earliest live event, ``None`` when idle."""
-        return self._queue.peek_time()
-
     def reserve(self) -> int:
         """Reserve the next event sequence number (see :meth:`schedule_at`)."""
-        return self._queue.reserve()
+        queue = self._queue
+        seq = queue._next_seq
+        queue._next_seq = seq + 1
+        return seq
 
     def schedule_at(
         self,
@@ -74,11 +70,22 @@ class SimulationEngine:
         SimulationError
             If *time* lies in the virtual past.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time} before current time t={self.now}"
             )
         return self._queue.push(time, action, label, seq)
+
+    def reschedule(self, event: Event, time: float, seq: int) -> Event:
+        """Put *event*, which has fired, back at ``(time, seq)`` — what
+        :meth:`schedule_at` does, without allocating a new one."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before current time t={self.now}"
+            )
+        event.time, event.seq = time, seq
+        heappush(self._queue._heap, (time, seq, event))
+        return event
 
     def schedule_after(
         self, delay: float, action: Callable[[], None], label: str = ""
@@ -86,7 +93,7 @@ class SimulationEngine:
         """Schedule *action* after a non-negative *delay* from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self._queue.push(self._now + delay, action, label)
+        return self._queue.push(self.now + delay, action, label)
 
     def run(self, until: float | None = None) -> None:
         """Fire events in time order.
@@ -109,26 +116,42 @@ class SimulationEngine:
                 if until is not None and next_time > until:
                     break
                 event = self._queue.pop()
-                self._now = event.time
+                self.now = event.time
                 self._events_processed += 1
                 event.action()
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
 
     def advance(self, time: float) -> None:
-        """Move the clock forward to *time* — :meth:`run` ``(until=time)``
-        for a caller that knows no event is due by then."""
-        if time > self._now:
-            self._now = time
+        """Move the clock to *time* the way an event of its own, scheduled
+        now, would: every event already scheduled at or before *time*
+        fires first, in ``(time, seq)`` order, and one that those
+        schedule at *time* itself waits behind the caller.  A replayed
+        record's step: one comparison with the heap head when nothing
+        is due."""
+        heap = self._queue._heap
+        if heap and heap[0][0] <= time:
+            slot = self.reserve()  # the caller's place among them
+            while heap:
+                at, seq, event = heap[0]
+                if at > time or (at == time and seq > slot):
+                    break
+                heappop(heap)
+                if not event.cancelled:
+                    self.now = at
+                    self._events_processed += 1
+                    event.action()
+        if time > self.now:
+            self.now = time
 
     def step(self) -> bool:
         """Fire a single event; return ``False`` if none was pending."""
         if not self._queue:
             return False
         event = self._queue.pop()
-        self._now = event.time
+        self.now = event.time
         self._events_processed += 1
         event.action()
         return True
@@ -136,5 +159,5 @@ class SimulationEngine:
     def reset(self) -> None:
         """Clear all pending events and rewind the clock to zero."""
         self._queue.clear()
-        self._now = 0.0
+        self.now = 0.0
         self._events_processed = 0

@@ -17,9 +17,10 @@ class SimulationError(Exception):
     """Raised when the simulation kernel is used incorrectly."""
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
-    """A scheduled callback in virtual time.
+    """A scheduled callback in virtual time (slotted: a latency-modeled
+    channel allocates one per re-arm).
 
     Attributes
     ----------

@@ -37,18 +37,14 @@ class PointUpdateMessage(Message):
 
     point: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
-    @property
-    def kind(self) -> MessageKind:
-        return MessageKind.UPDATE
+    kind = MessageKind.UPDATE
 
 
 @dataclass(frozen=True)
 class PointProbeRequestMessage(Message):
     """Server-to-source request for the current point."""
 
-    @property
-    def kind(self) -> MessageKind:
-        return MessageKind.PROBE_REQUEST
+    kind = MessageKind.PROBE_REQUEST
 
 
 @dataclass(frozen=True)
@@ -57,9 +53,7 @@ class PointProbeReplyMessage(Message):
 
     point: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
-    @property
-    def kind(self) -> MessageKind:
-        return MessageKind.PROBE_REPLY
+    kind = MessageKind.PROBE_REPLY
 
 
 @dataclass(frozen=True)
@@ -73,9 +67,7 @@ class RegionConstraintMessage(Message):
     region: Region = None  # type: ignore[assignment]
     assumed_inside: bool | None = None
 
-    @property
-    def kind(self) -> MessageKind:
-        return MessageKind.CONSTRAINT
+    kind = MessageKind.CONSTRAINT
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from repro.network.messages import (
     ProbeReplyMessage,
     UpdateMessage,
 )
-from repro.runtime.membership import deployment_outcome
 from repro.runtime.source import ChannelFilteredSource, Population, alias_planes
 from repro.streams.filters import FilterConstraint
 
@@ -183,16 +182,23 @@ class ScalarPopulation(Population):
         rule, whether a constraint arrives as a message (:meth:`handle`)
         or as a row of a latency-modeled batch.  The believed side
         becomes the actual one, and a stale *assumed_inside* belief
-        self-corrects with one report sent at *time*."""
-        constraint = FilterConstraint(lower, upper)
+        self-corrects with one report sent at *time* —
+        :func:`~repro.runtime.membership.deployment_outcome` on plain
+        floats, with no :class:`FilterConstraint` built but for the
+        error of a NaN or inverted bound."""
+        if not lower <= upper:  # also NaN
+            FilterConstraint(lower, upper)  # raises its ValueError
         value = self.values.item(row)
-        inside, must_report = deployment_outcome(
-            constraint, assumed_inside, value
-        )
-        self.lower[row] = constraint.lower
-        self.upper[row] = constraint.upper
+        inside = lower <= value <= upper
+        self.lower[row] = lower
+        self.upper[row] = upper
         self.filtered[row] = True
         self.inside[row] = inside
         self._note()
-        if must_report:
+        if (
+            assumed_inside is not None
+            and bool(assumed_inside) != inside
+            # not FilterConstraint.is_silencing: [-inf, +-inf], [+inf, +inf]
+            and not (math.isinf(lower) and (lower > 0 or math.isinf(upper)))
+        ):
             self._report(row, value, time)

@@ -547,7 +547,7 @@ def test_a_snapshot_holds_columns_not_sources(tmp_path):
         "channels", "engine_now", "host", "ledger", "population", "position",
     ]
     for channel in blob["channels"]:
-        assert channel._source_handlers == {} and channel._taps == []
+        assert channel._source_ranges == [] and channel._taps == []
     population = blob["population"]
     assert sorted(population) == [
         "has_filter", "inside", "lower", "upper", "value",

@@ -140,7 +140,7 @@ def _fingerprint(ledger, table, sources):
 
 def test_one_range_binding_serves_the_whole_population(wired_population):
     channel, ledger, population, _, received = wired_population
-    assert channel._source_handlers == {} and len(channel._source_ranges) == 1
+    assert len(channel._source_ranges) == 1
     assert channel.source_ids == [0, 1, 2] and channel.n_sources == 3
     channel.send_to_source(ProbeRequestMessage(stream_id=2, time=1.0))
     assert [(m.stream_id, m.value) for m in received] == [(2, 20.0)]

@@ -13,10 +13,13 @@ have held among same-instant events.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Deployment
 from repro.network.accounting import MessageLedger
 from repro.network.latency import (
+    BLOCK,
     ExponentialLatency,
     FixedLatency,
     LatencyChannel,
@@ -135,3 +138,32 @@ def test_an_earlier_delivery_pulls_the_live_event_forward():
     )
     engine.run()
     assert log == [(2, 2.0), (1, 5.0)]
+
+
+@st.composite
+def _draw_calls(draw):
+    """An interleaving of scalar draws (``None``) and ``sample_many(m)``
+    calls — ``m`` zero, small, about a block, or several blocks — in
+    either direction."""
+    sizes = st.sampled_from([None, None, None, 0, 1, 5, BLOCK - 1, BLOCK,
+                             BLOCK + 1, 3 * BLOCK + 7])
+    return draw(st.lists(st.tuples(st.booleans(), sizes), max_size=30))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+@given(calls=_draw_calls(), channel=st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_buffered_draws_are_the_unbuffered_sequence(model, calls, channel):
+    """Whatever mix of scalar draws and columns a channel asks for, each
+    direction yields the values of one unbuffered scalar draw after
+    another — the buffer never reorders, skips or repeats a draw."""
+    sampler = model.make_sampler(channel)
+    reference = model.make_sampler(channel)._draw  # the raw draw functions
+    for uplink, m in calls:
+        if m is None:
+            got = [sampler(uplink)]
+        else:
+            column = sampler.sample_many(uplink, m)
+            assert column.shape == (m,) and column.dtype == np.float64
+            got = column.tolist()
+        assert got == [float(reference[uplink]()) for _ in got]

@@ -49,7 +49,6 @@ def test_assembly_allocates_no_per_stream_object(n_shards):
     assert len(session.sources) == N
     for channel in session.channels:
         # One handler for the channel's whole id range, not one per id.
-        assert channel._source_handlers == {}
         assert len(channel._source_ranges) == 1
     assert sum(channel.n_sources for channel in session.channels) == N
     assert session.sources[N - 1].stream_id == N - 1
@@ -107,7 +106,6 @@ def test_every_stack_assembles_without_a_per_stream_object(assemble, n_shards):
     assert sys.getallocatedblocks() - before < 20_000
     assert len(session.sources) == N
     for channel in session.channels:
-        assert channel._source_handlers == {}
         assert len(channel._source_ranges) == 1
     assert session.sources[N - 1].stream_id == N - 1
 
