@@ -382,10 +382,11 @@ class ToleranceChecker:
 
     def check(self, time: float) -> Violation | None:
         """Validate the current answer; honours the sampling interval."""
-        self._tick += 1
-        if (self._tick - 1) % self.every != self.check_offset:
-            return None
-        return self.check_now(time)
+        tick = self._tick
+        self._tick = tick + 1
+        if tick % self.every == self.check_offset:
+            return self.check_now(time)
+        return None
 
     def check_now(self, time: float) -> Violation | None:
         """Validate immediately, ignoring the sampling interval."""

@@ -248,34 +248,6 @@ def as_latency_model(latency) -> LatencyModel | None:
     )
 
 
-@dataclass(slots=True)
-class _ConstraintRow:
-    """A constraint of a columnar batch in flight: its message's fields
-    and the population whose row installs it."""
-
-    stream_id: int
-    time: float
-    lower: float
-    upper: float
-    assumed_inside: bool | None
-    population: object
-
-    def install(self) -> None:
-        population = self.population
-        population.install(
-            self.stream_id - population.first_id,
-            self.lower,
-            self.upper,
-            self.assumed_inside,
-            self.time,
-        )
-
-    def message(self) -> ConstraintMessage:
-        return ConstraintMessage(
-            self.stream_id, self.time, self.lower, self.upper, self.assumed_inside
-        )
-
-
 class LatencyChannel(Channel):
     """A channel whose data-plane messages spend modeled time in flight.
 
@@ -324,11 +296,12 @@ class LatencyChannel(Channel):
         self.channel_index = int(channel_index)
         self._sample = model.make_sampler(self.channel_index)
         #: The in-flight heap: ``(delivery time, reserved engine seq,
-        #: flow, message or _ConstraintRow, target)``.  A flow is one
-        #: ``(direction, stream)`` pair as the int ``2 * stream_id +
-        #: is_uplink``; the target is ``None`` for an uplink (the server
-        #: handler at delivery), else the source handler the send looked
-        #: up (a batch row's: its population).
+        #: flow, item, target)``.  A flow is one ``(direction, stream)``
+        #: pair as the int ``2 * stream_id + is_uplink``.  The item is a
+        #: message, or a constraint batch's row as the tuple of its
+        #: message's fields; the target is ``None`` for an uplink (the
+        #: server handler at delivery), else the source handler the send
+        #: looked up (a row's: its population).
         self._in_flight: list[tuple] = []
         #: The engine event at the heap head's position, if any.
         self._live = None
@@ -450,13 +423,13 @@ class LatencyChannel(Channel):
         self-correction is sent there too); any other joins the heap.
         """
         delays = self._sample.sample_many(False, len(ids)).tolist()
-        for stream_id, lo, hi, belief, time, delay in zip(
-            ids, lower, upper, assumed_inside, times, delays
-        ):
-            row = _ConstraintRow(stream_id, time, lo, hi, belief, population)
+        first = population.first_id
+        rows = zip(ids, times, lower, upper, assumed_inside)
+        for row, delay in zip(rows, delays):
+            stream_id, time, lo, hi, belief = row
             if not self._hold(2 * stream_id, delay, row, population):
                 self._delivered_count += 1
-                row.install()
+                population.install(stream_id - first, lo, hi, belief, time)
 
     def _hold(self, flow: int, delay: float, item, target) -> bool:
         """The one FIFO rule: ``False`` when *item* of *flow*, drawn
@@ -491,11 +464,9 @@ class LatencyChannel(Channel):
             self._arm()
         return True
 
-    def _arm(self, spare=None) -> None:
+    def _arm(self) -> None:
         """Keep the one live engine event at the heap head's reserved
-        ``(time, seq)`` — the place the head's own event would hold —
-        putting the *spare* event that just fired back there rather
-        than allocating one."""
+        ``(time, seq)`` — the place the head's own event would hold."""
         live = self._live
         heap = self._in_flight
         if live is not None:
@@ -505,12 +476,9 @@ class LatencyChannel(Channel):
             self._live = None
         if heap:
             time, seq = heap[0][:2]
-            if spare is None:
-                self._live = self.engine.schedule_at(
-                    time, self._deliver_due, label="latency-delivery", seq=seq
-                )
-            else:
-                self._live = self.engine.reschedule(spare, time, seq)
+            self._live = self.engine.schedule_at(
+                time, self._deliver_due, label="latency-delivery", seq=seq
+            )
 
     # ------------------------------------------------------------------
     # Delivery
@@ -553,15 +521,21 @@ class LatencyChannel(Channel):
                     last[stream_id] = time
                 if target is None:
                     self._deliver_to_server(item)
-                elif type(item) is not _ConstraintRow:
+                elif type(item) is not tuple:
                     self._deliver_to_source(item, target)
                 elif self._taps:  # tapped after the batch was sent
-                    self._deliver_to_source(item.message())
+                    self._deliver_to_source(ConstraintMessage(*item))
                 else:
-                    item.install()
+                    stream_id, sent, lo, hi, belief = item
+                    target.install(
+                        stream_id - target.first_id, lo, hi, belief, sent
+                    )
         finally:
             self._delivering = False
-        self._arm(spare)
+        if spare is None:
+            self._arm()
+        elif heap:  # nothing armed meanwhile: the fired event moves
+            self._live = self.engine.reschedule(spare, *heap[0][:2])
 
     def drain_in_flight(self) -> int:
         """Force-deliver every in-flight message, in heap order.

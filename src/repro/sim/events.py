@@ -20,7 +20,7 @@ class SimulationError(Exception):
 @dataclass(order=True, slots=True)
 class Event:
     """A scheduled callback in virtual time (slotted: a latency-modeled
-    channel allocates one per re-arm).
+    run schedules one whenever a channel's in-flight head moves ahead).
 
     Attributes
     ----------
