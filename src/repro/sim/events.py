@@ -45,8 +45,13 @@ class Event:
     cancelled: bool = field(default=False, compare=False)
 
     def cancel(self) -> None:
-        """Mark this event so it is skipped when it reaches the heap top."""
+        """Mark this event so it is skipped when it reaches the heap top,
+        and drop its action: a cancelled event left in the heap must not
+        keep its owner alive (a latency channel's last live event would
+        otherwise tie the channel and the engine into a cycle that only
+        the collector frees)."""
         self.cancelled = True
+        self.action = None
 
 
 class EventQueue:
