@@ -20,13 +20,9 @@ from typing import ClassVar
 
 
 class MessageKind(enum.Enum):
-    """Classification of a message for cost accounting.
-
-    Members hash by identity, in C: the ledger keys a counter by kind
-    on every charge, and ``Enum.__hash__`` (a Python call hashing the
-    name) was a measurable share of it.  Members are singletons, so
-    equality was identity already.
-    """
+    """Classification of a message for cost accounting.  Members hash
+    by identity, in C — the ledger keys a counter by kind on every
+    charge — as they already compare (they are singletons)."""
 
     UPDATE = "update"
     PROBE_REQUEST = "probe_request"

@@ -19,8 +19,7 @@ class SimulationError(Exception):
 
 @dataclass(order=True, slots=True)
 class Event:
-    """A scheduled callback in virtual time (slotted: a latency-modeled
-    run schedules one whenever a channel's in-flight head moves ahead).
+    """A scheduled callback in virtual time.
 
     Attributes
     ----------
@@ -46,10 +45,8 @@ class Event:
 
     def cancel(self) -> None:
         """Mark this event so it is skipped when it reaches the heap top,
-        and drop its action: a cancelled event left in the heap must not
-        keep its owner alive (a latency channel's last live event would
-        otherwise tie the channel and the engine into a cycle that only
-        the collector frees)."""
+        and drop its action: left in the heap, it keeps nothing alive (a
+        latency channel's last live event would hold the channel)."""
         self.cancelled = True
         self.action = None
 

@@ -125,3 +125,36 @@ def test_simultaneous_events_fifo():
         engine.schedule_at(7.0, (lambda j: lambda: fired.append(j))(i))
     engine.run()
     assert fired == [0, 1, 2, 3, 4]
+
+
+def test_advance_takes_the_callers_place_among_same_instant_events():
+    """``advance(t)`` fires what was scheduled at or before ``t`` ahead of
+    the caller — also what those events schedule before ``t`` — but an
+    event they schedule at ``t`` itself waits behind the caller, as if
+    the caller had been an event scheduled when ``advance`` was called."""
+    engine = SimulationEngine()
+    fired = []
+
+    def early():
+        fired.append(("early", engine.now))
+        engine.schedule_at(1.5, lambda: fired.append(("chained", engine.now)))
+        engine.schedule_at(2.0, lambda: fired.append(("late", engine.now)))
+
+    engine.schedule_at(1.0, early)
+    engine.schedule_at(2.0, lambda: fired.append(("due", engine.now)))
+    engine.schedule_at(3.0, lambda: fired.append(("future", engine.now)))
+    engine.advance(2.0)
+    assert fired == [("early", 1.0), ("chained", 1.5), ("due", 2.0)]
+    assert engine.now == 2.0
+    engine.run()
+    assert fired[3:] == [("late", 2.0), ("future", 3.0)]
+
+
+def test_advance_skips_a_cancelled_head_and_moves_the_clock():
+    engine = SimulationEngine()
+    fired = []
+    engine.schedule_at(1.0, lambda: fired.append("cancelled")).cancel()
+    engine.advance(2.0)
+    assert fired == [] and engine.now == 2.0 and engine.pending == 0
+    engine.advance(1.0)  # never backwards
+    assert engine.now == 2.0
