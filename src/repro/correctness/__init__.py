@@ -6,7 +6,7 @@ trace records are applied; the
 :class:`~repro.correctness.checker.ToleranceChecker` compares the
 protocol's answer set against it after every processed event, verifying
 the paper's Correctness Requirements 1 and 2 continuously.  Under a
-latency-modeled channel the checker's staleness-window mode
+latency-modeled channel the checker's staleness mode
 (:class:`~repro.correctness.staleness.StalenessWindow`) additionally
 classifies each violation as inherent-to-latency or a protocol bug.
 """

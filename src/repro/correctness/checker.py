@@ -13,14 +13,14 @@ record therefore validates both requirements at every instant the paper
 quantifies over.
 
 Under a latency-modeled channel requirement 2 is deliberately relaxed, so
-the checker gains a *staleness-window mode*: pass a
+the checker gains a *staleness mode*: pass a
 :class:`~repro.correctness.staleness.StalenessWindow` and every observed
-violation is classified as ``inherent-latency`` (the network was active —
-some data-plane message in flight or recently delivered, so belief and
-truth legitimately diverge) or ``protocol-bug`` (the network was quiet,
-the state is indistinguishable from a zero-latency quiescent instant, and
-the protocol's own guarantee should have held).  See
-``repro.correctness.staleness`` for why the split is network-level.
+violation is classified as ``inherent-latency`` (a data-plane message
+was in flight, or one had already arrived late, so belief and truth may
+legitimately diverge) or ``protocol-bug`` (the run so far is
+indistinguishable from a zero-latency one, and the protocol's own
+guarantee should have held).  See ``repro.correctness.staleness`` for
+why the split is network-level.
 
 Truth and answer are compared as **columns** (DESIGN.md §14): the
 oracle's boolean truth column against the protocol's boolean answer
@@ -67,7 +67,7 @@ class ToleranceViolationError(AssertionError):
 class Violation:
     """One observed tolerance breach.
 
-    ``classification`` is empty outside staleness-window mode; in it,
+    ``classification`` is empty outside staleness mode; in it,
     either ``"inherent-latency"`` or ``"protocol-bug"``.
     """
 
@@ -87,7 +87,7 @@ class CheckerReport:
     checks: int = 0
     violation_count: int = 0
     violations: list[Violation] = field(default_factory=list)
-    #: Staleness-window mode tallies; both stay zero outside it.
+    #: Staleness mode tallies; both stay zero outside it.
     classified: bool = False
     inherent_count: int = 0
     protocol_bug_count: int = 0
@@ -98,7 +98,7 @@ class CheckerReport:
 
     @property
     def latency_clean(self) -> bool:
-        """In staleness-window mode: no violation blamed on the protocol."""
+        """In staleness mode: no violation blamed on the protocol."""
         return self.protocol_bug_count == 0
 
     @property
@@ -202,7 +202,7 @@ class ToleranceChecker:
     strict:
         Raise :class:`ToleranceViolationError` on the first breach instead
         of accumulating it — the mode unit tests use.  In
-        staleness-window mode only ``protocol-bug`` violations raise;
+        staleness mode only ``protocol-bug`` violations raise;
         inherent-latency breaches are the phenomenon under study and are
         accumulated even when strict.
     max_violations:
@@ -306,7 +306,7 @@ class ToleranceChecker:
         the vocabulary's oracle over *trace*'s initial payloads, its
         strict-mode error (tagged *label*) and check phase (or
         *check_offset*), and — under a latency model — the staleness
-        window over the session's channels.  *query* defaults to the
+        classifier over the session's channels.  *query* defaults to the
         protocol's; *table* is the state table it answers from
         (default: the host's)."""
         from repro.protocols.base import FilterProtocol
@@ -365,7 +365,7 @@ class ToleranceChecker:
         )
         extras = {}
         if report.classified:
-            # Staleness-window mode: surface the violation split.
+            # Staleness mode: surface the violation split.
             extras["violations_inherent_latency"] = report.inherent_count
             extras["violations_protocol_bug"] = report.protocol_bug_count
         return {
@@ -396,7 +396,7 @@ class ToleranceChecker:
             return None
         classification = ""
         if self.staleness is not None:
-            classification = self.staleness.classify(time)
+            classification = self.staleness.classify()
             if classification == INHERENT_LATENCY:
                 self.report.inherent_count += 1
             else:

@@ -1,4 +1,4 @@
-"""Staleness-window classification of tolerance violations.
+"""Staleness classification of tolerance violations.
 
 Under the synchronous channel, correctness requirement 2 holds by
 construction and every checker violation is a protocol bug.  Under a
@@ -26,9 +26,8 @@ The split rests on one exact fact and one conservative regime rule:
    quiet (observed with FT-RP: a bound computed from in-flight-stale
    ranks keeps the answer out of tolerance through an otherwise silent
    stretch).  No check-time evidence can cheaply distinguish that from a
-   genuine bug, so every violation in the stale regime — in flight,
-   recently delivered within ``window``, or merely after the first late
-   delivery — is classified inherent.
+   genuine bug, so every violation with a message in flight or after
+   the first late delivery is classified inherent.
 
 A real protocol bug is therefore *never* mislabeled in the prefix, and a
 bug that only manifests after staleness begins is deliberately deferred
@@ -45,7 +44,7 @@ from typing import Iterable, Sequence
 from repro.network.latency import LatencyChannel
 
 #: Classification labels attached to :class:`repro.correctness.checker.
-#: Violation` records in staleness-window mode.
+#: Violation` records in staleness mode.
 INHERENT_LATENCY = "inherent-latency"
 PROTOCOL_BUG = "protocol-bug"
 
@@ -72,14 +71,9 @@ class StalenessWindow:
     channels:
         The session's channels; non-latency channels are ignored (they
         are never "active" — delivery is instantaneous).
-    window:
-        Look-back horizon in virtual time.  ``0`` (the default) counts
-        only messages literally in flight plus the stale-regime rule; a
-        positive window additionally counts streams whose last delivery
-        happened within ``[t - window, t]`` as lagging.
     """
 
-    def __init__(self, channels: Iterable, window: float = 0.0) -> None:
+    def __init__(self, channels: Iterable) -> None:
         # Every latency-modeled run is in-process (DESIGN.md §17), so
         # the evidence is always the session's own latency channels.
         self.channels: Sequence[LatencyChannel] = [
@@ -87,16 +81,6 @@ class StalenessWindow:
             for channel in channels
             if isinstance(channel, LatencyChannel)
         ]
-        if window < 0:
-            raise ValueError(f"window must be non-negative, got {window}")
-        self.window = float(window)
-
-    # ------------------------------------------------------------------
-    # Evidence
-    # ------------------------------------------------------------------
-    def in_flight_count(self) -> int:
-        """Messages currently held in flight across all channels."""
-        return sum(channel.in_flight_count for channel in self.channels)
 
     @property
     def stale_regime(self) -> bool:
@@ -111,42 +95,12 @@ class StalenessWindow:
             channel.deferred_delivered_count for channel in self.channels
         )
 
-    def lagging_streams(self, time: float) -> set[int]:
-        """Streams whose server-side belief may legitimately be stale.
-
-        The union of streams with a message in flight and — when the
-        window is positive — streams delivered within the window.
-        """
-        lagging: set[int] = set()
-        for channel in self.channels:
-            lagging |= channel.in_flight_stream_ids()
-            if self.window > 0.0:
-                lagging |= channel.recently_delivered_streams(
-                    time, self.window
-                )
-        return lagging
-
-    def quiet(self, time: float) -> bool:
-        """True when no latency evidence is live at virtual *time*.
-
-        Quiet does **not** imply trustworthy: in the stale regime a quiet
-        instant can still carry mis-sized constraints (see the module
-        docstring) — which is why :meth:`classify` consults both.
-        """
-        for channel in self.channels:
-            if channel.in_flight_count:
-                return False
-            if self.window > 0.0 and channel.any_recently_delivered(
-                time, self.window
-            ):
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Classification
-    # ------------------------------------------------------------------
-    def classify(self, time: float) -> str:
-        """Attribute a violation observed at virtual *time*."""
-        if self.quiet(time) and not self.stale_regime:
-            return PROTOCOL_BUG
-        return INHERENT_LATENCY
+    def classify(self) -> str:
+        """Attribute a violation observed now: inherent to latency while
+        a message is in flight or once the run left its synchronous
+        prefix (:attr:`stale_regime`), else a protocol bug."""
+        if self.stale_regime or any(
+            channel.in_flight_count for channel in self.channels
+        ):
+            return INHERENT_LATENCY
+        return PROTOCOL_BUG

@@ -13,8 +13,8 @@ single and sharded stacks.  The write-ahead discipline in miniature
    appended to the journal (``REC_EVENTS``) before replay may apply the
    first of them (:func:`_replay_segments`);
 3. every ``snapshot_every`` records, between two ``replay()`` calls —
-   where the system is *quiescent*: event queue drained, deferred-write
-   taps detached, staging buffers flushed — the cut (host, ledger,
+   where the system is *quiescent*: event queue drained, nothing in
+   flight — the cut (host, ledger,
    channels, engine clock, the source population as columns) is written
    as one CRC frame and marked in the journal only once it is durably
    on disk.

@@ -33,8 +33,7 @@ from repro.runtime.dispatch import DeferredDeliveryMixin
 from repro.runtime.membership import BELIEF_NONE
 from repro.state.sharding import id_column
 from repro.state.table import StreamStateTable
-from repro.streams.control import constraint_columns, deploy_each
-from repro.streams.filters import FilterConstraint
+from repro.streams.control import check_bounds, constraint_columns, deploy_each
 
 if TYPE_CHECKING:
     from repro.multiquery.group import QueryGroup
@@ -87,7 +86,7 @@ class QueryContext:
         :meth:`probe` loop."""
         ids = np.arange(self.n_streams) if stream_ids is None else id_column(stream_ids)
         channel = self._coordinator.channel
-        population = channel.bulk_target(ids, probe=True)
+        population = channel.bulk_target(ids)
         if population is None or len(np.unique(ids)) < len(ids):
             return np.array([self.probe(stream_id) for stream_id in ids.tolist()])
         channel.charge_bulk(ids, MessageKind.PROBE_REQUEST, MessageKind.PROBE_REPLY)
@@ -130,17 +129,15 @@ class QueryContext:
         if population is None:
             deploy_each(self, ids, (lower, upper), belief)
             return
-        rows = [  # every bound validated before anything is charged
-            (stream_id - population.first_id, FilterConstraint(low, high), code)
-            for stream_id, low, high, code in zip(
-                id_column(ids).tolist(), lower.tolist(), upper.tolist(), belief.tolist()
-            )
-        ]
+        check_bounds(lower, upper)  # before anything is charged
         channel.charge_bulk(ids, MessageKind.CONSTRAINT)
-        for row, constraint, code in rows:
+        first, now = population.first_id, coordinator.now
+        for stream_id, low, high, code in zip(
+            id_column(ids).tolist(), lower.tolist(), upper.tolist(), belief.tolist()
+        ):
             population.install(
-                row, self.query_id, constraint,
-                None if code == BELIEF_NONE else bool(code), coordinator.now,
+                stream_id - first, self.query_id, low, high,
+                None if code == BELIEF_NONE else bool(code), now,
             )
 
     def broadcast(self, bound, assumed_inside=None) -> None:

@@ -29,7 +29,6 @@ from repro.network.messages import (
     ProbeRequestMessage,
     UpdateMessage,
 )
-from repro.runtime.membership import deployment_outcome
 from repro.runtime.source import ChannelFilteredSource, Population, alias_planes
 from repro.streams.filters import FilterConstraint
 
@@ -157,7 +156,8 @@ class SlotPopulation(Population):
             self.install(
                 row,
                 message.query,
-                FilterConstraint(message.lower, message.upper),
+                message.lower,
+                message.upper,
                 message.assumed_inside,
                 message.time,
             )
@@ -179,25 +179,33 @@ class SlotPopulation(Population):
         self,
         row: int,
         query_id: str,
-        constraint: FilterConstraint,
+        lower: float,
+        upper: float,
         assumed_inside: bool | None,
         time: float,
     ) -> None:
-        """Deploy *constraint* into *row*'s slot for *query_id*; a stale
-        belief triggers one update tagged *query_id* (physically shared
-        like any other)."""
+        """Deploy the filter ``[lower, upper]`` into *row*'s slot for
+        *query_id*; a stale belief triggers one update tagged *query_id*
+        (physically shared like any other).  The deployment rule of
+        :meth:`ScalarPopulation.install
+        <repro.streams.source.ScalarPopulation.install>`, on plain
+        floats."""
+        if not lower <= upper:  # also NaN
+            FilterConstraint(lower, upper)  # raises its ValueError
         slot = self.slots[query_id]
         if slot.rank.item(row) < 0:
             slot.rank[row] = self.n_slots[row]
             self.n_slots[row] += 1
         value = self.values.item(row)
-        inside, must_report = deployment_outcome(constraint, assumed_inside, value)
-        slot.lower[row] = constraint.lower
-        slot.upper[row] = constraint.upper
-        slot.armed[row] = not constraint.is_silencing
+        inside = lower <= value <= upper
+        # not FilterConstraint.is_silencing: [-inf, +-inf], [+inf, +inf]
+        armed = not (math.isinf(lower) and (lower > 0 or math.isinf(upper)))
+        slot.lower[row] = lower
+        slot.upper[row] = upper
+        slot.armed[row] = armed
         slot.inside[row] = inside
         if slot.table is not None:
             slot.table.scannable[self.first_id + row] = True
         self._note_slot(slot)
-        if must_report:
+        if armed and assumed_inside is not None and bool(assumed_inside) != inside:
             self._report(row, value, time, (query_id,))

@@ -10,9 +10,7 @@ Delivery is pluggable: :class:`~repro.network.latency.LatencyChannel`
 subclasses the channel and defers data-plane messages (updates and
 constraint deployments) through the simulation engine's event loop to
 study how stale beliefs degrade the correctness requirement (DESIGN.md
-§8).  Both disciplines share the binding/tap surface defined here, and
-taps always observe a message at *delivery* time — for the synchronous
-channel the two instants coincide.
+§8).  Both disciplines share the binding surface defined here.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ class Channel:
         Every message sent through the channel is charged to this ledger.
     """
 
-    #: Whether a constraint is delivered when it is sent — what a tap's
-    #: ``bulk`` form, told of a columnar batch at send, relies on.
+    #: Whether a constraint is delivered when it is sent: the columnar
+    #: install applies a batch at once, a columnar send routes its rows.
     constraints_inline = True
 
     def __init__(self, ledger: MessageLedger) -> None:
@@ -45,14 +43,13 @@ class Channel:
         #: in one entry; an id bound on its own (:meth:`bind_source`) is a
         #: one-id entry in front, shadowing any range it falls in.
         self._source_ranges: list[tuple[int, int, Callable]] = []
-        self._taps: list[Callable[[Message], None]] = []
 
     def __getstate__(self) -> dict:
-        """Pickle (or deepcopy) without source bindings and taps —
-        wiring, not state: a source binds itself at construction, and
-        the handlers would drag every source into a snapshot (DESIGN §11)."""
+        """Pickle (or deepcopy) without source bindings — wiring, not
+        state: a source binds itself at construction, and the handlers
+        would drag every source into a snapshot (DESIGN §11)."""
         state = dict(self.__dict__)
-        state.update(_source_ranges=[], _taps=[])
+        state["_source_ranges"] = []
         return state
 
     def bind_server(self, handler: Callable[[Message], None]) -> None:
@@ -79,47 +76,16 @@ class Channel:
             self._source_ranges.append((int(lo), int(hi), handler))
 
     def unbind(self) -> None:
-        """Forget the server, every source and every tap — a finished
-        run's teardown (the handlers hold objects that hold this
-        channel)."""
+        """Forget the server and every source — a finished run's
+        teardown (the handlers hold objects that hold this channel)."""
         self._server_handler = None
         self._source_ranges = []
-        self._taps = []
 
     def _source_handler(self, stream_id: int) -> Callable[[Message], None]:
         for lo, hi, handler in self._source_ranges:
             if lo <= stream_id < hi:
                 return handler
         raise RuntimeError(f"no source {stream_id} bound to channel")
-
-    def add_tap(self, tap: Callable[[Message], None]) -> None:
-        """Observe every message without affecting delivery or accounting.
-
-        Nothing in the runtime taps a channel (the populations' planes
-        need no flushing, DESIGN.md §20): taps are how a test or a
-        harness watches the traffic, and a tapped channel keeps the
-        fully-columnar replay away (``columnar_table``'s ``"taps"``
-        clause).  Taps fire at *delivery* time — identical to send time
-        on this channel, later on a latency-modeled one.
-
-        A tap that also has a ``bulk(stream_ids)`` method is told of a
-        columnar server-to-source delivery (:meth:`charge_bulk`) in one
-        call; a tap without one keeps every delivery on this channel
-        per-message.
-        """
-        self._taps.append(tap)
-
-    def remove_tap(self, tap: Callable[[Message], None]) -> None:
-        """Detach a previously added tap.
-
-        Idempotent: detaching a tap that is not (or no longer) attached
-        is a no-op, so a mid-drain bailout can always clean up
-        unconditionally.
-        """
-        try:
-            self._taps.remove(tap)
-        except ValueError:
-            pass
 
     # ------------------------------------------------------------------
     # Sending (the delivery discipline; overridden by LatencyChannel)
@@ -129,26 +95,23 @@ class Channel:
         if self._server_handler is None:
             raise RuntimeError("no server bound to channel")
         self.ledger.record(message)
-        self._deliver_to_server(message)
+        self._server_handler(message)
 
     def send_to_source(self, message: Message) -> None:
         """Deliver a server-to-source message (probe request or constraint)."""
         handler = self._source_handler(message.stream_id)  # unbound: raises
         self.ledger.record(message)
-        self._deliver_to_source(message, handler)
+        handler(message)
 
     # ------------------------------------------------------------------
     # Columnar delivery (the bulk control plane, DESIGN.md §12)
     # ------------------------------------------------------------------
-    def bulk_target(self, stream_ids, probe: bool = False):
+    def bulk_target(self, stream_ids):
         """The object whose one range binding handles every id of the
         *stream_ids* column (or ascending ``range``) — or ``None`` when
         this batch must travel message by message (no single range
-        covers it, an id bound on its own shadows one in its span, the
-        handler is no bound method, or a tap has no ``bulk`` form — or
-        may not use it: a constraint batch on a channel whose
-        constraints fly is tapped per message, at delivery).  *probe*
-        marks a batch of probes.
+        covers it, an id bound on its own shadows one in its span, or
+        the handler is no bound method).
 
         An unbound id raises the same ``RuntimeError`` as
         :meth:`send_to_source`, before anything is charged.
@@ -172,38 +135,14 @@ class Channel:
             for lo, hi, shadow in ranges
         ):
             return None
-        if self._taps and not (
-            (probe or self.constraints_inline)
-            and all(hasattr(tap, "bulk") for tap in self._taps)
-        ):
-            return None
         return getattr(handler, "__self__", None)
 
     def charge_bulk(self, stream_ids, *kinds: MessageKind) -> None:
         """Account for one message of each of *kinds* per stream id,
         delivered columnar rather than through :meth:`send_to_source`:
-        one ledger charge per kind, one ``bulk`` call per tap."""
+        one ledger charge per kind."""
         for kind in kinds:
             self.ledger.record_kind(kind, len(stream_ids))
-        if self._taps:
-            column = id_column(stream_ids)
-            for tap in self._taps:
-                tap.bulk(column)
-
-    # ------------------------------------------------------------------
-    # Delivery (shared by every discipline; taps fire here)
-    # ------------------------------------------------------------------
-    def _deliver_to_server(self, message: Message) -> None:
-        if self._taps:
-            for tap in self._taps:
-                tap(message)
-        self._server_handler(message)
-
-    def _deliver_to_source(self, message: Message, handler=None) -> None:
-        if self._taps:
-            for tap in self._taps:
-                tap(message)
-        (handler or self._source_handler(message.stream_id))(message)
 
     @property
     def source_ids(self) -> list[int]:

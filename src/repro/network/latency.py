@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
-from repro.network.messages import ConstraintMessage, Message, MessageKind
+from repro.network.messages import Message
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
 
@@ -69,9 +69,6 @@ def _constant(delay: float, size: int | None = None):
 
 #: Delays a :class:`Sampler` draws from a direction's generator at once.
 BLOCK = 256
-
-#: Before any delivery time (a stream's last deferred delivery, unset).
-_NEVER = -float("inf")
 
 
 class Sampler:
@@ -271,8 +268,6 @@ class LatencyChannel(Channel):
     seq)``, delivers them — where each message's own event would have
     fired first.  A constraint batch is routed row by row under the
     same rule, without a message each (:meth:`send_constraint_rows`).
-    Taps fire at delivery, one message each, so a tapped constraint
-    batch stays per-message (:attr:`constraints_inline`).
 
     What one held message costs (DESIGN.md §8.5): a buffered delay draw
     (:class:`Sampler`), the FIFO floor and flow count under one int key
@@ -308,7 +303,6 @@ class LatencyChannel(Channel):
         #: True while the live event's action delivers: holds it causes
         #: leave the re-arm to its end.
         self._delivering = False
-        self._route_count = 0
         #: Per-flow FIFO floor: no later send of the same flow may be
         #: delivered before an earlier one.
         self._fifo_floor: dict[int, float] = {}
@@ -316,12 +310,8 @@ class LatencyChannel(Channel):
         #: draw may only deliver inline while its flow's count is zero
         #: (otherwise it would overtake an earlier in-flight message).
         self._flow_in_flight: dict[int, int] = {}
-        #: Virtual time each stream last had a message delivered *late*
-        #: (deferred) — the staleness window's "recently corrected"
-        #: evidence.  Inline deliveries are synchronous behavior and are
-        #: deliberately not evidence of staleness.
-        self._last_delivery: dict[int, float] = {}
-        self._delivered_count = 0
+        #: Deliveries that spent time in flight (inline ones are the
+        #: synchronous discipline's, no evidence of staleness).
         self._deferred_delivered_count = 0
 
     # ------------------------------------------------------------------
@@ -333,11 +323,6 @@ class LatencyChannel(Channel):
         return len(self._in_flight)
 
     @property
-    def delivered_count(self) -> int:
-        """Messages delivered so far (inline and deferred)."""
-        return self._delivered_count
-
-    @property
     def deferred_delivered_count(self) -> int:
         """Deliveries that actually spent time in flight.
 
@@ -346,32 +331,6 @@ class LatencyChannel(Channel):
         """
         return self._deferred_delivered_count
 
-    @property
-    def next_delivery_time(self) -> float | None:
-        """Earliest scheduled delivery, or ``None`` when nothing flies."""
-        if not self._in_flight:
-            return None
-        return self._in_flight[0][0]
-
-    def in_flight_stream_ids(self) -> set[int]:
-        """Streams with at least one message currently in flight."""
-        return {entry[2] >> 1 for entry in self._in_flight}
-
-    def recently_delivered_streams(self, time: float, window: float) -> set[int]:
-        """Streams with a deferred delivery within ``[time - window, time]``."""
-        return {
-            stream_id
-            for stream_id, delivered in self._last_delivery.items()
-            if time - delivered <= window
-        }
-
-    def any_recently_delivered(self, time: float, window: float) -> bool:
-        """Whether :meth:`recently_delivered_streams` is non-empty."""
-        return any(
-            time - delivered <= window
-            for delivered in self._last_delivery.values()
-        )
-
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
@@ -379,33 +338,20 @@ class LatencyChannel(Channel):
         if self._server_handler is None:
             raise RuntimeError("no server bound to channel")
         self.ledger.record(message)
-        self._route_count += 1
         # A probe is the synchronous resolution RPC: it never queues,
         # and never carries flow-ordering obligations.
         if message.is_probe or not self._hold(
             2 * message.stream_id + 1, self._sample(True), message, None
         ):
-            self._delivered_count += 1
-            self._deliver_to_server(message)
+            self._server_handler(message)
 
     def send_to_source(self, message: Message) -> None:
         handler = self._source_handler(message.stream_id)  # unbound: raises
         self.ledger.record(message)
-        self._route_count += 1
         if message.is_probe or not self._hold(
             2 * message.stream_id, self._sample(False), message, handler
         ):
-            self._delivered_count += 1
-            self._deliver_to_source(message, handler)
-
-    def charge_bulk(self, stream_ids, *kinds: MessageKind) -> None:
-        """Count a columnar batch as a message-by-message send would:
-        each message routed, and a probe delivered inline (a constraint
-        counts as delivered when it is)."""
-        super().charge_bulk(stream_ids, *kinds)
-        self._route_count += len(stream_ids) * len(kinds)
-        if kinds[0].is_probe:
-            self._delivered_count += len(stream_ids) * len(kinds)
+            handler(message)
 
     def send_constraint_rows(
         self, population, ids, lower, upper, assumed_inside, times
@@ -428,7 +374,6 @@ class LatencyChannel(Channel):
         for row, delay in zip(rows, delays):
             stream_id, time, lo, hi, belief = row
             if not self._hold(2 * stream_id, delay, row, population):
-                self._delivered_count += 1
                 population.install(stream_id - first, lo, hi, belief, time)
 
     def _hold(self, flow: int, delay: float, item, target) -> bool:
@@ -504,27 +449,20 @@ class LatencyChannel(Channel):
             until, spare, self._live = now, self._live, None
         heap = self._in_flight
         counts, floors = self._flow_in_flight, self._fifo_floor
-        last = self._last_delivery
         self._delivering = True
         try:
             while heap and heap[0][0] <= until:
-                time, _, flow, item, target = heapq.heappop(heap)
-                self._delivered_count += 1
+                _, _, flow, item, target = heapq.heappop(heap)
                 self._deferred_delivered_count += 1
                 count = counts.pop(flow) - 1
                 if count:
                     counts[flow] = count
                 elif floors[flow] <= now:
                     del floors[flow]
-                stream_id = flow >> 1
-                if last.get(stream_id, _NEVER) < time:
-                    last[stream_id] = time
                 if target is None:
-                    self._deliver_to_server(item)
+                    self._server_handler(item)
                 elif type(item) is not tuple:
-                    self._deliver_to_source(item, target)
-                elif self._taps:  # tapped after the batch was sent
-                    self._deliver_to_source(ConstraintMessage(*item))
+                    target(item)
                 else:
                     stream_id, sent, lo, hi, belief = item
                     target.install(

@@ -172,12 +172,3 @@ class SilencingProtocol(FilterProtocol):
     def n_minus(self) -> int:
         """Remaining false-negative filters (paper's ``n-``)."""
         return self._pools.n_minus
-
-    @property
-    def _fp_pool(self):
-        """The FIFO false-positive pool (exposed for tests/ablations)."""
-        return self._pools.fp
-
-    @property
-    def _fn_pool(self):
-        return self._pools.fn

@@ -316,7 +316,7 @@ def _apply(sources, engine, times, ids, payloads, before=None, after=None):
 # ----------------------------------------------------------------------
 # The fully-columnar strategy (in-process only)
 # ----------------------------------------------------------------------
-def columnar_table(payloads, tables, sources, channels, protocol):
+def columnar_table(payloads, tables, sources, protocol):
     """``(the one state table, None)`` when reports themselves are
     columnar, else ``(None, the clause that declined)``.
 
@@ -324,10 +324,10 @@ def columnar_table(payloads, tables, sources, channels, protocol):
     from the constraint columns: the protocol declares
     ``columnar_maintenance`` (the label is ``None`` when it never
     asked), one table holds every row known and filtered, no listeners
-    or channel taps watch per-message traffic, the population is
-    columnar over scalar payloads, and the rows that can report share
-    one interval (:func:`live_interval`).  Anything else goes to the
-    cursor; a latency model never gets here (:func:`resolve_mode`).
+    watch per-row writes, the population is columnar over scalar
+    payloads, and the rows that can report share one interval
+    (:func:`live_interval`).  Anything else goes to the cursor; a
+    latency model never gets here (:func:`resolve_mode`).
     """
     if not getattr(protocol, "columnar_maintenance", False):
         return None, None
@@ -346,8 +346,6 @@ def columnar_table(payloads, tables, sources, channels, protocol):
         return None, "unknown rows"
     if table._listeners:
         return None, "listeners"
-    if any(channel._taps for channel in channels):
-        return None, "taps"
     if live_interval(table)[0] is None:
         return None, "intervals"
     return table, None

@@ -297,7 +297,7 @@ class ExecutionSession:
         table = declined = None
         if mode == "batch":
             table, declined = columnar_table(
-                payloads, tables, self.sources, self.channels, self.host.protocol
+                payloads, tables, self.sources, self.host.protocol
             )
         if table is not None:
             if callable(previous):

@@ -72,10 +72,6 @@ class FilteredSource:
 
     apply_value = apply
 
-    def assign(self, payload) -> None:
-        """Install a payload *without* filter evaluation."""
-        self.value = payload
-
 
 class ChannelFilteredSource(FilteredSource):
     """A view of a channel-backed population's row."""

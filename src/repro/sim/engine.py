@@ -35,12 +35,6 @@ class SimulationEngine:
         #: message of a latency-modeled run; only the engine moves it.
         self.now = 0.0
         self._running = False
-        self._events_processed = 0
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events fired since construction (or :meth:`reset`)."""
-        return self._events_processed
 
     @property
     def pending(self) -> int:
@@ -87,14 +81,6 @@ class SimulationEngine:
         heappush(self._queue._heap, (time, seq, event))
         return event
 
-    def schedule_after(
-        self, delay: float, action: Callable[[], None], label: str = ""
-    ) -> Event:
-        """Schedule *action* after a non-negative *delay* from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self._queue.push(self.now + delay, action, label)
-
     def run(self, until: float | None = None) -> None:
         """Fire events in time order.
 
@@ -117,7 +103,6 @@ class SimulationEngine:
                     break
                 event = self._queue.pop()
                 self.now = event.time
-                self._events_processed += 1
                 event.action()
             if until is not None and until > self.now:
                 self.now = until
@@ -141,7 +126,6 @@ class SimulationEngine:
                 heappop(heap)
                 if not event.cancelled:
                     self.now = at
-                    self._events_processed += 1
                     event.action()
         if time > self.now:
             self.now = time
@@ -152,7 +136,6 @@ class SimulationEngine:
             return False
         event = self._queue.pop()
         self.now = event.time
-        self._events_processed += 1
         event.action()
         return True
 
@@ -160,4 +143,3 @@ class SimulationEngine:
         """Clear all pending events and rewind the clock to zero."""
         self._queue.clear()
         self.now = 0.0
-        self._events_processed = 0

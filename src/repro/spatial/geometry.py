@@ -72,10 +72,6 @@ class Region(ABC):
         """Whether membership can never flip for finite data."""
         return False
 
-    def violated_by(self, last_reported: np.ndarray, current: np.ndarray) -> bool:
-        """The Section 3.1 rule: membership of the two points differs."""
-        return self.contains(last_reported) != self.contains(current)
-
     def quiescence_bboxes(self, dimension: int) -> QuiescenceBoxes | None:
         """Axis-aligned quiescence boxes, or ``None`` when unavailable.
 

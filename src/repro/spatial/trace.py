@@ -74,16 +74,3 @@ class SpatialTrace:
         for i in range(self.n_records):
             yield float(self.times[i]), int(self.stream_ids[i]), self.points[i]
 
-    def truncate(self, horizon: float) -> "SpatialTrace":
-        """Keep records at or before *horizon*."""
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
-        keep = self.times <= horizon
-        return SpatialTrace(
-            initial_points=self.initial_points.copy(),
-            times=self.times[keep],
-            stream_ids=self.stream_ids[keep],
-            points=self.points[keep],
-            horizon=horizon,
-            metadata={**self.metadata, "truncated_to": horizon},
-        )

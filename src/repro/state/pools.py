@@ -67,12 +67,6 @@ class SilencerPools:
             self._table.set_silencer(stream_id, SILENCER_NONE)
         return stream_id
 
-    def push_fp(self, stream_id: int) -> None:
-        stream_id = int(stream_id)
-        self.fp.append(stream_id)
-        if self._table is not None:
-            self._table.set_silencer(stream_id, SILENCER_FP)
-
     def push_fn(self, stream_id: int) -> None:
         stream_id = int(stream_id)
         self.fn.append(stream_id)

@@ -437,10 +437,6 @@ class StreamStateTable:
             (inner_ok & believed) | (outer_out & ~believed)
         )
 
-    def bounds_of(self, stream_id: int) -> tuple[float, float]:
-        stream_id = int(stream_id)
-        return float(self.lower[stream_id]), float(self.upper[stream_id])
-
     # ------------------------------------------------------------------
     # Answer membership (A(t))
     # ------------------------------------------------------------------
@@ -548,9 +544,6 @@ class StreamStateTable:
     def set_silencer(self, stream_id: int, kind: int) -> None:
         self.silencer[int(stream_id)] = kind
 
-    def silencer_of(self, stream_id: int) -> int:
-        return int(self.silencer[int(stream_id)])
-
     def clear_silencers(self) -> None:
         self.silencer[:] = SILENCER_NONE
 
@@ -561,10 +554,6 @@ class StreamStateTable:
         """Register a rank view to be notified of value-plane writes."""
         if listener not in self._listeners:
             self._listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

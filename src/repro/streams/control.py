@@ -11,9 +11,7 @@ self-corrections in the same order.
 
 Both kernels decide from what they observe whether a batch qualifies,
 and touch nothing when it does not (the caller then sends the messages
-one by one): the channel's taps must be bulk-capable — and absent for
-a constraint batch on a latency-modeled channel, where taps fire at
-delivery — and it must hand the whole batch to one
+one by one): the channel must hand the whole batch to one
 :class:`~repro.streams.source.ScalarPopulation`
 (:meth:`~repro.network.channel.Channel.bulk_target`) bound to *table*,
 and the ids must be distinct — an O(1) test plus one pass over the
@@ -117,16 +115,16 @@ def probe_columns(host, channel, table, ids, reports, offset) -> np.ndarray:
     return values
 
 
-def _bulk_population(channel: Channel, table: StreamStateTable, ids, probe):
-    """``(population, rows)`` when the batch (of probes if *probe*)
-    qualifies for a columnar operation against *table*, else ``None``:
-    one :class:`ScalarPopulation` handles every id on *channel*, it is
-    bound to *table*, and the ids are distinct.  *rows* are the
+def _bulk_population(channel: Channel, table: StreamStateTable, ids):
+    """``(population, rows)`` when the batch qualifies for a columnar
+    operation against *table*, else ``None``: one
+    :class:`ScalarPopulation` handles every id on *channel*, it is bound
+    to *table*, and the ids are distinct.  *rows* are the
     population rows the ids name — a basic slice when they ascend
     without a gap (a broadcast's ``range``, or one shard's run of it,
     needs no pass to show it), so the batch's reads and writes are plane
     slices, not gathers."""
-    population = channel.bulk_target(ids, probe)
+    population = channel.bulk_target(ids)
     if type(population) is not ScalarPopulation or population.table is not table:
         return None
     if isinstance(ids, range):
@@ -141,19 +139,27 @@ def _bulk_population(channel: Channel, table: StreamStateTable, ids, probe):
     return population, ids - population.first_id
 
 
+def check_bounds(lower, upper) -> None:
+    """Raise :class:`FilterConstraint`'s ``ValueError`` for the first NaN
+    or inverted pair of the *lower* / *upper* bounds — columns, or a
+    scalar standing for a column of it — building no per-row object."""
+    valid = lower <= upper  # False for a NaN bound too
+    if not np.all(valid):
+        first = int(np.argmin(valid))
+        lower, upper = np.broadcast_arrays(lower, upper)
+        FilterConstraint(float(lower.flat[first]), float(upper.flat[first]))
+
+
 def _charged_population(channel: Channel, table: StreamStateTable, ids, constraint):
     """``(population, rows, (lower, upper))`` for a qualifying constraint
     batch — the bound columns with a stride-0 one (one bound for every
     row) as its scalar — once its bounds are validated and its ``n``
     messages charged; or ``None`` (nothing touched)."""
-    found = _bulk_population(channel, table, ids, probe=False)
+    found = _bulk_population(channel, table, ids)
     if found is None:
         return None
     lower, upper = (c[0] if len(c) and not c.strides[0] else c for c in constraint)
-    valid = lower <= upper  # False for a NaN bound too
-    if not np.all(valid):  # FilterConstraint's own ValueError, first bad pair
-        first = int(np.argmin(valid))
-        FilterConstraint(float(constraint[0][first]), float(constraint[1][first]))
+    check_bounds(lower, upper)
     channel.charge_bulk(ids, MessageKind.CONSTRAINT)
     return (*found, (lower, upper))
 
@@ -255,7 +261,7 @@ def probe_sources(
     (*table*'s columns).  Recording the replies is the caller's half, as in
     ``probe``.
     """
-    found = _bulk_population(channel, table, ids, probe=True)
+    found = _bulk_population(channel, table, ids)
     if found is None:
         return None
     channel.charge_bulk(

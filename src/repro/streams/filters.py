@@ -42,10 +42,6 @@ class FilterConstraint:
         """Closed-interval membership test."""
         return self.lower <= value <= self.upper
 
-    def violated_by(self, last_reported: float, current: float) -> bool:
-        """True iff moving from *last_reported* to *current* crosses the bound."""
-        return self.contains(last_reported) != self.contains(current)
-
     @property
     def is_false_positive_filter(self) -> bool:
         """True for the all-enclosing ``[-inf, +inf]`` shut-down filter."""

@@ -123,27 +123,3 @@ class BoundedRandomWalk(RandomWalk):
         offset = np.mod(super().walks(initials, counts, rng) - self.low, 2 * span)
         offset = np.where(offset > span, 2 * span - offset, offset)
         return self.low + offset
-
-
-class MeanRevertingWalk(ValueProcess):
-    """Ornstein–Uhlenbeck-style walk pulled toward a set point.
-
-    ``V_next = V + theta * (target - V) + N(0, sigma)``.  Models metrics
-    like CPU load or queue depth that fluctuate around an operating point;
-    used by the load-balancing example.
-    """
-
-    def __init__(
-        self, target: float, theta: float = 0.1, sigma: float = 20.0
-    ) -> None:
-        if not 0 <= theta <= 1:
-            raise ValueError("theta must be within [0, 1]")
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        self.target = float(target)
-        self.theta = float(theta)
-        self.sigma = float(sigma)
-
-    def step(self, current: float, rng: np.random.Generator) -> float:
-        pull = self.theta * (self.target - current)
-        return current + pull + rng.normal(0.0, self.sigma)

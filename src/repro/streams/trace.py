@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.state.runs import previous_in_stream, sort_columns
+from repro.state.runs import previous_in_stream
 
 
 @dataclass(frozen=True)
@@ -121,34 +121,6 @@ class StreamTrace:
             metadata={**self.metadata, "restricted_to": n_streams},
         )
 
-    def truncate(self, horizon: float) -> "StreamTrace":
-        """Keep only records at or before *horizon*."""
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
-        keep = self.times <= horizon
-        return StreamTrace(
-            initial_values=self.initial_values.copy(),
-            times=self.times[keep],
-            stream_ids=self.stream_ids[keep],
-            values=self.values[keep],
-            horizon=horizon,
-            metadata={**self.metadata, "truncated_to": horizon},
-        )
-
-    def value_at(self, stream_id: int, time: float) -> float:
-        """Ground-truth value of *stream_id* at *time* (linear scan).
-
-        Intended for tests and spot checks, not hot paths — the
-        correctness oracle tracks values incrementally instead.
-        """
-        value = float(self.initial_values[stream_id])
-        for i in range(self.n_records):
-            if self.times[i] > time:
-                break
-            if self.stream_ids[i] == stream_id:
-                value = float(self.values[i])
-        return value
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -176,26 +148,3 @@ class StreamTrace:
                 metadata={"loaded_from": str(path)},
             )
 
-
-def merge_traces(traces: list[StreamTrace], horizon: float) -> StreamTrace:
-    """Interleave several single-population traces over disjoint id ranges.
-
-    Stream ids of the *i*-th input are offset by the total stream count of
-    the inputs before it.  Useful for composing heterogeneous workloads in
-    examples.
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
-    offsets = np.cumsum([0] + [t.n_streams for t in traces[:-1]])
-    initial = np.concatenate([t.initial_values for t in traces])
-    columns = [  # 32-bit ids until the sort is done; the trace widens them
-        np.concatenate([t.times for t in traces]),
-        np.concatenate(
-            [(t.stream_ids + o).astype(np.int32) for t, o in zip(traces, offsets)]
-        ),
-        np.concatenate([t.values for t in traces]),
-    ]
-    sort_columns(columns)
-    return StreamTrace(
-        initial, *columns, horizon=horizon, metadata={"merged_from": len(traces)}
-    )

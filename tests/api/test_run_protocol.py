@@ -10,6 +10,7 @@ from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
 from repro.queries.range_query import RangeQuery
 from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
+from trace_cuts import head
 
 QUERY = RangeQuery(400.0, 600.0)
 
@@ -71,7 +72,7 @@ def test_row_contains_extras(small_trace):
 
 
 def test_empty_trace_runs(manual_trace):
-    empty = manual_trace.truncate(0.0)
+    empty = head(manual_trace, 0.0)
     result = Engine().run_protocol(empty, ZeroToleranceRangeProtocol(QUERY))
     assert result.maintenance_messages == 0
     assert result.n_records == 0

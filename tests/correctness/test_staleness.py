@@ -117,52 +117,25 @@ class TestExactSplit:
 
 
 class TestStalenessWindow:
-    def test_lagging_streams_tracks_in_flight_and_window(self):
+    def test_a_late_delivery_leaves_the_regime_stale(self):
         engine, channel, *_ = make_rig()
-        staleness = StalenessWindow([channel], window=1.0)
+        staleness = StalenessWindow([channel])
+        assert not staleness.stale_regime
+        assert staleness.classify() == PROTOCOL_BUG
         channel.send_to_server(UpdateMessage(stream_id=2, time=0.0, value=1.0))
-        assert staleness.lagging_streams(0.0) == {2}
-        engine.run(until=2.0)  # delivered at t=2
-        assert staleness.lagging_streams(2.5) == {2}  # within window
-        assert staleness.lagging_streams(3.5) == set()  # window expired
-
-    def test_zero_window_counts_only_in_flight(self):
-        engine, channel, *_ = make_rig()
-        staleness = StalenessWindow([channel], window=0.0)
-        channel.send_to_server(UpdateMessage(stream_id=2, time=0.0, value=1.0))
+        assert staleness.classify() == INHERENT_LATENCY  # in flight
         engine.run(until=2.0)
-        assert staleness.lagging_streams(2.0) == set()
-        assert staleness.quiet(2.0)
-        # ... but the regime is stale forever after the late delivery.
+        assert channel.in_flight_count == 0
+        # ... and the regime is stale forever after the late delivery.
         assert staleness.stale_regime
-        assert staleness.classify(2.0) == INHERENT_LATENCY
-
-    def test_positive_window_keeps_quiet_false_until_it_expires(self):
-        """``quiet`` agrees with ``recently_delivered_streams`` being
-        empty."""
-        engine, channel, *_ = make_rig()
-        staleness = StalenessWindow([channel], window=1.0)
-        assert staleness.quiet(0.0)
-        channel.send_to_server(UpdateMessage(stream_id=2, time=0.0, value=1.0))
-        engine.run(until=2.0)  # delivered at t=2, nothing in flight
-        for time in (2.0, 2.5, 3.0, 3.5):
-            assert staleness.quiet(time) == (
-                not channel.recently_delivered_streams(time, 1.0)
-            )
-        assert not staleness.quiet(3.0)
-        assert staleness.quiet(3.5)
+        assert staleness.classify() == INHERENT_LATENCY
 
     def test_synchronous_channels_are_ignored(self):
         from repro.network.channel import Channel
 
         staleness = StalenessWindow([Channel(MessageLedger())])
         assert staleness.channels == []
-        assert staleness.quiet(0.0)
-        assert staleness.classify(0.0) == PROTOCOL_BUG
-
-    def test_negative_window_rejected(self):
-        with pytest.raises(ValueError):
-            StalenessWindow([], window=-0.5)
+        assert staleness.classify() == PROTOCOL_BUG
 
 
 class TestStrictMode:

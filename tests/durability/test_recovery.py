@@ -26,6 +26,7 @@ from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
 from repro.tolerance.rank_tolerance import RankTolerance
 from replay_forcing import run_forced
+from trace_cuts import head
 
 SPECS = {
     "zt-nrp": QuerySpec(protocol="zt-nrp", query=RangeQuery(400.0, 600.0)),
@@ -207,7 +208,7 @@ def test_resume_rejects_a_foreign_trace(tmp_path):
             trace, spec.build(), Deployment.single(durable=policy),
             progress=progress,
         )
-    short = trace.restrict_streams(trace.n_streams).truncate(1.0)
+    short = head(trace.restrict_streams(trace.n_streams), 1.0)
     with pytest.raises(ValueError, match="wrong trace"):
         resume_run(policy.run_dir, short)
 

@@ -36,7 +36,6 @@ from repro.network.accounting import Phase
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
 from repro.runtime.session import ExecutionSession
-from repro.runtime.source import FilteredSource
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 from replay_forcing import run_forced
@@ -224,26 +223,20 @@ def test_a_kill_at_every_segment_boundary_resumes_identically(
 
 def test_segment_cost_does_not_grow_with_the_population(tmp_path, monkeypatch):
     """By count, not time: 312 segments over 200 streams.  One replay
-    flushes each stream's staged value at most once and consults the
-    columnar gate once; a replay *per segment* did both per segment."""
+    consults the columnar gate once; a replay *per segment* did so per
+    segment."""
     workload = Workload.synthetic(
         n_streams=200, horizon=500.0, sigma=60.0, seed=23
     )
     n = workload.materialize().n_records
     assert 4500 < n < 5500
-    calls = {"assign": 0, "gate": 0}
-    assign = FilteredSource.assign
+    calls = {"gate": 0}
     gate = session_module.columnar_table
-
-    def counted_assign(self, payload):
-        calls["assign"] += 1
-        assign(self, payload)
 
     def counted_gate(*args):
         calls["gate"] += 1
         return gate(*args)
 
-    monkeypatch.setattr(FilteredSource, "assign", counted_assign)
     monkeypatch.setattr(session_module, "columnar_table", counted_gate)
     policy = DurabilityPolicy(
         run_dir=str(tmp_path / "run"), snapshot_every=0, segment_records=16
@@ -254,7 +247,6 @@ def test_segment_cost_does_not_grow_with_the_population(tmp_path, monkeypatch):
     assert report.extras["durability"]["segments"] == -(-n // 16)
     assert report.extras["replay"]["kernel"] == "columnar"
     assert calls["gate"] == 1
-    assert calls["assign"] <= 200
 
 
 #: sha256 of ``journal.bin`` for three cells of RECOVERY under
@@ -547,7 +539,7 @@ def test_a_snapshot_holds_columns_not_sources(tmp_path):
         "channels", "engine_now", "host", "ledger", "population", "position",
     ]
     for channel in blob["channels"]:
-        assert channel._source_ranges == [] and channel._taps == []
+        assert channel._source_ranges == []
     population = blob["population"]
     assert sorted(population) == [
         "has_filter", "inside", "lower", "upper", "value",

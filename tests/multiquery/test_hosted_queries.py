@@ -22,6 +22,7 @@ from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
 from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from control_forcing import run_per_message
 
 #: The mixed cell: a range query and a k-NN query whose filters never
 #: flip on the same record (sharing factor 1.0 synchronously).
@@ -84,9 +85,10 @@ def test_fixed_latency_leaves_each_query_its_solo_run(delay):
 @pytest.mark.parametrize("cell", ["mixed", "shared"])
 def test_a_batch_charged_at_once_leaves_the_per_message_outcome(cell):
     """``QueryContext.probe_all`` probes the population as columns and
-    ``deploy_many`` charges its batch at once; a tap with no ``bulk``
-    form keeps every probe and constraint a message.  Both leave one
-    ledger, one answer per query and the same table columns."""
+    ``deploy_many`` charges its batch at once; declining the channel's
+    gate (``control_forcing``) keeps every probe and constraint a
+    message.  Both leave one ledger, one answer per query and the same
+    table columns."""
     specs = MIXED if cell == "mixed" else {
         f"user{i}": QuerySpec(
             "ft-nrp", RangeQuery(400.0, 600.0), FractionTolerance(eps, eps)
@@ -94,7 +96,7 @@ def test_a_batch_charged_at_once_leaves_the_per_message_outcome(cell):
         for i, eps in enumerate((0.1, 0.2, 0.4))
     }
 
-    def run(tapped):
+    def run():
         group = QueryGroup(
             {
                 query_id: (spec.build(), spec.query, spec.tolerance)
@@ -102,8 +104,6 @@ def test_a_batch_charged_at_once_leaves_the_per_message_outcome(cell):
             }
         )
         session = ExecutionSession.assemble("streams", TRACE, group)
-        if tapped:
-            session.channel.add_tap(lambda message: None)
         session.initialize()
         session.replay_trace(TRACE)
         columns = [
@@ -117,10 +117,34 @@ def test_a_batch_charged_at_once_leaves_the_per_message_outcome(cell):
         }
         return session.snapshot(), answers, columns
 
-    columnar, per_message = run(False), run(True)
+    columnar, per_message = run(), run_per_message(run)
     assert columnar[:2] == per_message[:2]
     for mine, theirs in zip(columnar[2], per_message[2]):
         assert np.array_equal(mine, theirs)
+
+
+def test_an_inverted_bound_raises_before_anything_is_charged():
+    """A query's charged batch checks every bound before its ``n``
+    messages are charged or a slot is written."""
+    group = QueryGroup(
+        {
+            query_id: (spec.build(), spec.query, spec.tolerance)
+            for query_id, spec in MIXED.items()
+        }
+    )
+    session = ExecutionSession.assemble("streams", TRACE, group)
+    session.initialize()
+    context = session.host.contexts["warn"]
+    before = session.snapshot(), context.state.lower.copy()
+
+    class Inverted:  # what a FilterConstraint would refuse to build
+        lower, upper = 1000.0, 600.0
+
+    bound = Inverted()
+    with pytest.raises(ValueError, match="invalid filter interval"):
+        context.deploy_many(np.arange(TRACE.n_streams), bound)
+    assert session.snapshot() == before[0]
+    assert np.array_equal(context.state.lower, before[1])
 
 
 def _one_stream_trace():

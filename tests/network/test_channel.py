@@ -70,31 +70,6 @@ def test_source_ids_sorted(wired_channel):
     assert channel.source_ids == [0, 1, 2]
 
 
-def test_taps_observe_messages(wired_channel):
-    channel, ledger, sources, received = wired_channel
-    seen = []
-    channel.add_tap(seen.append)
-    channel.send_to_server(UpdateMessage(stream_id=1, time=1.0, value=2.0))
-    assert [m.stream_id for m in seen] == [1]
-    channel.remove_tap(seen.append)
-    channel.send_to_server(UpdateMessage(stream_id=2, time=2.0, value=3.0))
-    assert len(seen) == 1
-
-
-def test_remove_tap_is_idempotent(wired_channel):
-    """Regression: a mid-drain bailout may detach a tap twice; the second
-    detach (and detaching a never-attached tap) must be a no-op, not a
-    ValueError."""
-    channel, *_ = wired_channel
-    tap = lambda message: None  # noqa: E731
-    channel.add_tap(tap)
-    channel.remove_tap(tap)
-    channel.remove_tap(tap)  # second detach: no-op
-    channel.remove_tap(lambda message: None)  # never attached: no-op
-    # The channel still works after the redundant detaches.
-    channel.send_to_server(UpdateMessage(stream_id=0, time=1.0, value=1.0))
-
-
 def test_source_ids_cache_follows_bind_source(wired_channel):
     """The sorted id list is cached; a later bind must invalidate it, and
     callers get a copy they can mutate freely."""
@@ -211,11 +186,10 @@ def test_bulk_install_rejects_unbound_id_before_charging(wired_population):
 def test_bulk_operations_decline_what_they_cannot_batch(
     wired_population, wired_channel
 ):
-    """A tap without a ``bulk`` form, a duplicated id, a population bound
-    to another table, a handler that is no source's method — shadowing
-    an id of the population or bound beside it —, a list of hand-built
-    sources: the kernels return their "send it per-message" value with
-    nothing charged."""
+    """A duplicated id, a population bound to another table, a handler
+    that is no source's method — shadowing an id of the population or
+    bound beside it —, a list of hand-built sources: the kernels return
+    their "send it per-message" value with nothing charged."""
     channel, ledger, sources, table, _ = wired_population
     ids = np.array([0, 1, 2])
 
@@ -226,10 +200,6 @@ def test_bulk_operations_decline_what_they_cannot_batch(
             and probe_sources(on_channel, on_table, columns[0]) is None
         )
 
-    tap = lambda message: None  # noqa: E731
-    channel.add_tap(tap)
-    assert declined(channel, table, ids)
-    channel.remove_tap(tap)
     assert declined(channel, table, [0, 1, 0])
     assert declined(channel, StreamStateTable(3), ids)
     for handler in (lambda message: None, [].append):
@@ -245,18 +215,7 @@ def test_bulk_operations_decline_what_they_cannot_batch(
     for source in hand_built:
         source._population.bind_state(shared)
     assert declined(listed, shared, ids) and listed_ledger.total == 0
-    # ... and with a bulk-capable tap the batch goes through, the tap
-    # seeing the id column once instead of one message per stream.
-
-    class Tap(list):
-        __call__ = list.append
-
-        def bulk(self, stream_ids):
-            self.append(stream_ids.tolist())
-
-    tap = Tap()
-    channel.add_tap(tap)
+    # ... and the population's own batch goes through, charged at once.
     assert probe_sources(channel, table, ids).tolist() == [0.0, 10.0, 20.0]
-    assert tap == [[0, 1, 2]]
     assert ledger.count(MessageKind.PROBE_REQUEST) == 3
     assert ledger.count(MessageKind.PROBE_REPLY) == 3

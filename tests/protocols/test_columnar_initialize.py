@@ -41,6 +41,7 @@ from repro.streams.filters import (
 )
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
+from control_forcing import run_per_message
 
 
 # ----------------------------------------------------------------------
@@ -232,11 +233,7 @@ def _session(name, protocol, host):
     trace = LIVELY.materialize()
     if host == "sharded":
         return trace, ExecutionSession.for_streams_sharded(trace, protocol, 2)
-    session = ExecutionSession.for_streams(trace, protocol)
-    if host == "per-message":
-        # A tap without a bulk form sends every batch message by message.
-        session.channel.add_tap(lambda message: None)
-    return trace, session
+    return trace, ExecutionSession.for_streams(trace, protocol)
 
 
 def _observe(session, protocol) -> dict:
@@ -257,10 +254,15 @@ def _observe(session, protocol) -> dict:
 def _run(name, selection, host, loop) -> tuple[dict, dict, object]:
     protocol = _protocol(name, selection, loop)
     trace, session = _session(name, protocol, host)
-    session.initialize(0.0)
-    initialized = _observe(session, protocol)
-    session.replay_trace(trace, mode="batch")
-    return initialized, _observe(session, protocol), protocol
+
+    def run():
+        session.initialize(0.0)
+        initialized = _observe(session, protocol)
+        session.replay_trace(trace, mode="batch")
+        return initialized, _observe(session, protocol), protocol
+
+    # The per-message host declines every batch at the channel's gate.
+    return run_per_message(run) if host == "per-message" else run()
 
 
 SCALAR_CASES = [

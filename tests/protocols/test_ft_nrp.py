@@ -14,6 +14,7 @@ from repro.state.table import StreamStateTable
 from repro.streams.synthetic import SyntheticConfig, generate_synthetic_trace
 from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
+from trace_cuts import head
 
 QUERY = RangeQuery(400.0, 600.0)
 
@@ -80,7 +81,7 @@ class TestStructure:
         tolerance = FractionTolerance(0.3, 0.2)
         protocol = FractionToleranceRangeProtocol(QUERY, tolerance)
         # Inspect state right after initialization on a truncated trace.
-        empty = small_trace.truncate(0.0)
+        empty = head(small_trace, 0.0)
         Engine().run_protocol(empty, protocol, tolerance=tolerance)
         in_range = int(
             np.sum(
@@ -242,8 +243,8 @@ def _report(server, free, entering):
 def _slack_state(protocol):
     return (
         protocol.count,
-        list(protocol._fp_pool),
-        list(protocol._fn_pool),
+        list(protocol._pools.fp),
+        list(protocol._pools.fn),
         protocol._state.answer_size,
         protocol.answer,
     )

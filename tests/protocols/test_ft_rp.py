@@ -92,12 +92,12 @@ class TestStructure:
     def test_effective_bounds_relax_as_pools_drain(self):
         tolerance = FractionTolerance(0.3, 0.3)
         protocol = FractionToleranceKnnProtocol(KnnQuery(0.0, 100), tolerance)
-        protocol._fp_pool.extend(range(5))
-        protocol._fn_pool.extend(range(100, 103))
+        protocol._pools.fp.extend(range(5))
+        protocol._pools.fn.extend(range(100, 103))
         tight_max = protocol.effective_size_max
         tight_min = protocol.effective_size_min
-        protocol._fn_pool.clear()
-        protocol._fp_pool.clear()
+        protocol._pools.fn.clear()
+        protocol._pools.fp.clear()
         assert protocol.effective_size_max > tight_max
         assert protocol.effective_size_min < tight_min
         # With no silencers the live bounds equal the paper's (Eqs. 7, 9).

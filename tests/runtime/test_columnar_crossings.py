@@ -71,7 +71,7 @@ def _pieces(trace, cut, mode):
     protocol = SPEC.build()
     session = ExecutionSession.assemble("streams", trace, protocol)
     session.initialize()
-    assert list(protocol._fn_pool) == [SILENCED]
+    assert list(protocol._pools.fn) == [SILENCED]
     previous = trace.previous_record
     columns = trace.times, trace.stream_ids, trace.values
     kernels = []
@@ -81,7 +81,7 @@ def _pieces(trace, cut, mode):
             previous=previous[a:b] - a,
         )
         kernels.append(session.last_replay_stats["kernel"])
-    assert SILENCED not in protocol._fn_pool  # the reaction re-pinned it
+    assert SILENCED not in protocol._pools.fn  # the reaction re-pinned it
     answer = protocol.answer
     return (
         session.snapshot(), answer, final_violation(answer, trace, SPEC.tolerance)

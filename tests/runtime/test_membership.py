@@ -211,7 +211,9 @@ class _Slots:
         self.population.bind_state(self.table)
 
     def install(self, query_id, constraint, assumed_inside=None, row=0):
-        self.population.install(row, query_id, constraint, assumed_inside, 0.0)
+        self.population.install(
+            row, query_id, constraint.lower, constraint.upper, assumed_inside, 0.0
+        )
 
     def probe(self, query_id, row=0):
         """Send *query_id*'s probe to *row*; returns the replied value."""

@@ -117,11 +117,11 @@ def test_a_row_in_flight_reads_its_installed_filter():
     session.initialize(0.0)
     (channel,) = session.latency_channels
     population, table = session.sources, session.host.state
-    assert channel.in_flight_stream_ids() == set(range(trace.n_streams))
+    assert channel.in_flight_count == trace.n_streams  # one constraint each
     assert not table.scannable.any() and not population.filtered.any()
     assert np.all(table.lower == -math.inf) and np.all(table.upper == math.inf)
     session.engine.run(until=2.0)
-    assert channel.in_flight_stream_ids() == set()
+    assert channel.in_flight_count == 0
     assert table.scannable.all()
     assert np.all(table.lower == 400.0) and np.all(table.upper == 600.0)
     assert _shares(population.lower, table.lower)

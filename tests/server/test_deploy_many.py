@@ -7,11 +7,12 @@ the per-message loop leaves them.  The grid below runs one scripted
 protocol both ways over {single, sharded(2), sharded(2, parallel)} x
 {fresh, all-stale, mixed beliefs} x {idle, mid-batched-replay}; the
 single-server per-message run is the reference for all of them.  Under
-a latency model a tap-free batch is one columnar send too, and a second
-grid holds it to the per-message loop delivery for delivery.  The cases
-the bulk path declines — a tapped latency-modeled channel, a batch
-naming a stream twice, a host outside a guarded step — must stay
-per-message, down to the delay-RNG draw sequence.
+a latency model a batch is one columnar send too, and a second grid
+holds it to the per-message loop delivery for delivery.  The cases the
+bulk path declines — a channel whose gate declines it
+(``control_forcing``), a batch naming a stream twice, a host outside a
+guarded step — must stay per-message, down to the delay-RNG draw
+sequence.
 """
 
 import math
@@ -28,7 +29,6 @@ from repro.network.latency import (
     Sampler,
     UniformLatency,
 )
-from repro.network.messages import MessageKind
 from repro.protocols.base import FilterProtocol
 from repro.queries.range_query import RangeQuery
 from repro.runtime.membership import (
@@ -45,6 +45,7 @@ from repro.streams.control import deploy_columns
 from repro.streams.filters import FilterConstraint
 from repro.streams.trace import StreamTrace
 from replay_forcing import run_forced
+from control_forcing import record_deliveries, run_per_message
 
 N = 12
 FIRST = FilterConstraint(35.0, 75.0)
@@ -347,8 +348,9 @@ def _latency_run(many: bool) -> dict:
         trace, protocol, latency=UniformLatency(0.1, 3.0, seed=5)
     )
     log = []
-    session.channel.add_tap(
-        lambda m: log.append((m.kind, m.stream_id, session.engine.now))
+    record_deliveries(
+        session.channel,
+        lambda m: log.append((m.kind, m.stream_id, session.engine.now)),
     )
     session.initialize(0.0)
     session.replay_trace(trace, mode="event")
@@ -356,13 +358,12 @@ def _latency_run(many: bool) -> dict:
         "ledger": session.snapshot(),
         "deliveries": protocol.deliveries,
         "log": log,
-        "routes": session.channel._route_count,
         "delivered": session.channel.deferred_delivered_count,
     }
 
 
 def test_latency_channel_keeps_per_message_sends_and_delay_draws(deploy_calls):
-    bulk = _latency_run(True)
+    bulk = run_per_message(lambda: _latency_run(True))
     # FIRST and SECOND, one deploy call per stream each.
     assert len(deploy_calls) == 2 * N
     assert bulk == _latency_run(False)
@@ -370,7 +371,7 @@ def test_latency_channel_keeps_per_message_sends_and_delay_draws(deploy_calls):
 
 
 # ----------------------------------------------------------------------
-# Under a latency model, a tap-free batch is one columnar send
+# Under a latency model, a batch is one columnar send
 # ----------------------------------------------------------------------
 MODELS = {
     "fixed-0": FixedLatency(0),
@@ -416,8 +417,6 @@ def _observed(session, protocol) -> dict:
     return {
         "ledger": session.snapshot(),
         "deliveries": list(protocol.deliveries),
-        "routes": [c._route_count for c in session.latency_channels],
-        "delivered": [c.delivered_count for c in session.latency_channels],
         "deferred": [
             c.deferred_delivered_count for c in session.latency_channels
         ],
@@ -430,6 +429,12 @@ def _observed(session, protocol) -> dict:
         ),
         "inside": session.host.state.inside.tolist(),
     }
+
+
+def _in_flight(channel) -> list:
+    """Streams with a message in flight, ascending: a held entry's flow
+    is ``2 * stream id + is_uplink``."""
+    return sorted({entry[2] >> 1 for entry in channel._in_flight})
 
 
 def _model_run(model, topology: str, beliefs: str, idle: bool, many: bool):
@@ -445,7 +450,7 @@ def _model_run(model, topology: str, beliefs: str, idle: bool, many: bool):
         # filters installed so far.
         state = session.host.state
         return [
-            [sorted(c.in_flight_stream_ids()) for c in session.latency_channels],
+            [_in_flight(c) for c in session.latency_channels],
             state.lower.tolist(),
             state.upper.tolist(),
             state.inside.tolist(),
@@ -487,7 +492,7 @@ def _model_run(model, topology: str, beliefs: str, idle: bool, many: bool):
 def test_latency_batch_equals_the_per_message_loop(
     model, topology, beliefs, idle, deploy_calls
 ):
-    """Same ledger, deliveries, routing and delivery counts, in-flight
+    """Same ledger, deliveries, deferred-delivery counts, in-flight
     streams after every record and checker verdicts as the ordered
     ``deploy`` loop.  ``idle`` sends SECOND right behind FIRST, so under
     a positive downlink draw its rows clamp behind in-flight flow-mates."""
@@ -543,7 +548,7 @@ def test_zero_draws_behind_flow_mates(drained, deploy_calls):
             trace.initial_values, "mixed"
         )
         host._guarded_call(protocol._deploy, host, ids, bound, belief, silenced)
-        held = (sorted(channel.in_flight_stream_ids()), channel.next_delivery_time)
+        held = (_in_flight(channel), channel._in_flight[0][0])
         session.engine.run()
         observed = _observed(session, protocol)
         observed["held"] = held
@@ -590,23 +595,6 @@ def test_an_inline_rows_correction_is_reserved_at_its_row():
     assert deliveries == run(False)
     assert [(stream_id, inside[:2]) for stream_id, inside in deliveries] == [
         (0, [True, False])
-    ]
-
-
-def test_a_tap_added_while_rows_fly_sees_each_at_delivery():
-    trace = _trace()
-    session = _session(
-        trace, Scripted(True, False, None), "single", FixedLatency(0.0, 1.5)
-    )
-    session.initialize(0.0)  # FIRST flies as one columnar send
-    seen = []
-    session.channel.add_tap(
-        lambda m: seen.append((m.kind, m.stream_id, m.lower, session.engine.now))
-    )
-    session.engine.run(until=2.0)
-    assert seen == [
-        (MessageKind.CONSTRAINT, stream_id, FIRST.lower, 1.5)
-        for stream_id in range(N)
     ]
 
 

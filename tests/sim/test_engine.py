@@ -16,12 +16,12 @@ def test_run_fires_in_time_order():
     assert engine.now == 2.0
 
 
-def test_schedule_after_uses_current_time():
+def test_an_event_schedules_from_its_own_time():
     engine = SimulationEngine()
     times = []
 
     def first():
-        engine.schedule_after(5.0, lambda: times.append(engine.now))
+        engine.schedule_at(engine.now + 5.0, lambda: times.append(engine.now))
 
     engine.schedule_at(10.0, first)
     engine.run()
@@ -54,12 +54,6 @@ def test_scheduling_in_the_past_raises():
         engine.schedule_at(1.0, lambda: None)
 
 
-def test_negative_delay_raises():
-    engine = SimulationEngine()
-    with pytest.raises(SimulationError):
-        engine.schedule_after(-1.0, lambda: None)
-
-
 def test_events_scheduled_during_run_fire():
     engine = SimulationEngine()
     fired = []
@@ -67,7 +61,7 @@ def test_events_scheduled_during_run_fire():
     def chain(depth: int):
         fired.append(depth)
         if depth < 3:
-            engine.schedule_after(1.0, lambda: chain(depth + 1))
+            engine.schedule_at(engine.now + 1.0, lambda: chain(depth + 1))
 
     engine.schedule_at(0.0, lambda: chain(0))
     engine.run()
@@ -93,7 +87,6 @@ def test_reset_rewinds_clock_and_queue():
     engine.reset()
     assert engine.now == 0.0
     assert engine.pending == 0
-    assert engine.events_processed == 0
     engine.schedule_at(0.5, lambda: None)  # past-of-old-clock is fine now
     engine.run()
     assert engine.now == 0.5
@@ -108,14 +101,6 @@ def test_reentrant_run_rejected():
     engine.schedule_at(1.0, recurse)
     with pytest.raises(SimulationError):
         engine.run()
-
-
-def test_events_processed_counter():
-    engine = SimulationEngine()
-    for t in (1.0, 2.0, 3.0):
-        engine.schedule_at(t, lambda: None)
-    engine.run()
-    assert engine.events_processed == 3
 
 
 def test_simultaneous_events_fifo():

@@ -15,6 +15,7 @@ from repro.spatial.workloads import (
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.knn_fraction import RhoPolicy
 from repro.tolerance.rank_tolerance import RankTolerance
+from trace_cuts import head
 
 CHECKED = Deployment.single(check_every=1, strict=True)
 BOX = BoxRegion([350.0, 350.0], [650.0, 650.0])
@@ -65,7 +66,7 @@ class TestSpatialFtNrp:
     def test_silencers_allocated(self, trace):
         tolerance = FractionTolerance(0.4, 0.4)
         result = run_2d(
-            trace.truncate(0.0), "ft-nrp", SpatialRangeQuery(BOX), tolerance
+            head(trace, 0.0), "ft-nrp", SpatialRangeQuery(BOX), tolerance
         )
         box_members = int(BOX.contains_many(trace.initial_points).sum())
         assert result.extras["n_plus"] == min(

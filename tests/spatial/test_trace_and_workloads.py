@@ -45,7 +45,7 @@ class TestSpatialTrace:
                 horizon=2.0,
             )
 
-    def test_iteration_and_truncate(self):
+    def test_iteration(self):
         trace = SpatialTrace(
             initial_points=np.zeros((2, 2)),
             times=np.array([1.0, 2.0]),
@@ -56,8 +56,6 @@ class TestSpatialTrace:
         records = list(trace)
         assert records[0][0] == 1.0
         assert records[0][1] == 0
-        truncated = trace.truncate(1.5)
-        assert truncated.n_records == 1
 
 
 class TestMovingObjects:

@@ -66,7 +66,7 @@ def test_mutation_api_matches_ram_backing(tmp_path):
         ram.answer_mask, np.asarray(disk.answer_mask)
     )
     assert ram.answer_size == disk.answer_size == 1
-    assert disk.bounds_of(2) == (1.0, 3.0)
+    assert (disk.lower[2], disk.upper[2]) == (1.0, 3.0)
 
 
 def test_shard_views_alias_mmap_parent(tmp_path):

@@ -14,7 +14,7 @@ def test_fifo_order_preserved():
     pools.reset([3, 1, 2], [7, 5])
     assert pools.pop_fp() == 3
     assert pools.pop_fp() == 1
-    pools.push_fp(9)
+    pools.fp.append(9)
     assert list(pools.fp) == [2, 9]
     assert pools.pop_fn() == 7
     assert pools.n_plus == 2 and pools.n_minus == 1
@@ -24,15 +24,15 @@ def test_flags_mirror_into_table():
     table = StreamStateTable(6)
     pools = SilencerPools(table)
     pools.reset([0, 1], [2])
-    assert table.silencer_of(0) == SILENCER_FP
-    assert table.silencer_of(2) == SILENCER_FN
-    assert table.silencer_of(3) == SILENCER_NONE
+    assert table.silencer[0] == SILENCER_FP
+    assert table.silencer[2] == SILENCER_FN
+    assert table.silencer[3] == SILENCER_NONE
     moved = pools.pop_fp()
     pools.push_fn(moved)  # the FT-NRP limbo move: FP pool -> FN pool
-    assert table.silencer_of(moved) == SILENCER_FN
+    assert table.silencer[moved] == SILENCER_FN
     pools.pop_fn()  # 2 leaves first (FIFO)
-    assert table.silencer_of(2) == SILENCER_NONE
-    assert table.silencer_of(moved) == SILENCER_FN
+    assert table.silencer[2] == SILENCER_NONE
+    assert table.silencer[moved] == SILENCER_FN
 
 
 def test_reset_clears_stale_flags():
@@ -40,9 +40,9 @@ def test_reset_clears_stale_flags():
     pools = SilencerPools(table)
     pools.reset([0], [1])
     pools.reset([2], [])
-    assert table.silencer_of(0) == SILENCER_NONE
-    assert table.silencer_of(1) == SILENCER_NONE
-    assert table.silencer_of(2) == SILENCER_FP
+    assert table.silencer[0] == SILENCER_NONE
+    assert table.silencer[1] == SILENCER_NONE
+    assert table.silencer[2] == SILENCER_FP
 
 
 def test_late_binding_syncs_flags():
@@ -50,5 +50,5 @@ def test_late_binding_syncs_flags():
     pools.reset([1], [3])
     table = StreamStateTable(5)
     pools.bind(table)
-    assert table.silencer_of(1) == SILENCER_FP
-    assert table.silencer_of(3) == SILENCER_FN
+    assert table.silencer[1] == SILENCER_FP
+    assert table.silencer[3] == SILENCER_FN

@@ -20,7 +20,6 @@ from repro.sim.rng import RandomStreams
 from repro.streams import synthetic
 from repro.streams.generators import (
     BoundedRandomWalk,
-    MeanRevertingWalk,
     RandomWalk,
     ValueProcess,
 )
@@ -234,7 +233,6 @@ class Doubling(ValueProcess):
     "process",
     [
         BoundedRandomWalk(sigma=150.0, low=0.0, high=1000.0),
-        MeanRevertingWalk(target=500.0, theta=0.3, sigma=25.0),
         Doubling(),
     ],
     ids=lambda p: type(p).__name__,
@@ -248,7 +246,6 @@ def test_value_processes(process, n_streams):
 
 def test_custom_process_takes_the_default_path():
     assert type(Doubling()).walks is ValueProcess.walks
-    assert type(MeanRevertingWalk(0.0)).walks is ValueProcess.walks
     assert RandomWalk.walks is not ValueProcess.walks
 
 

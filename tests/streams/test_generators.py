@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.streams.generators import (
     BoundedRandomWalk,
-    MeanRevertingWalk,
     RandomWalk,
 )
 
@@ -73,24 +72,3 @@ class TestBoundedRandomWalk:
         rng = np.random.default_rng(3)
         values = walk.steps(50.0, 200, rng)
         assert np.all((values >= 0.0) & (values <= 100.0))
-
-
-class TestMeanRevertingWalk:
-    def test_pulls_toward_target(self):
-        walk = MeanRevertingWalk(target=100.0, theta=0.5, sigma=0.0)
-        rng = np.random.default_rng(0)
-        value = 0.0
-        for _ in range(20):
-            value = walk.step(value, rng)
-        assert value == pytest.approx(100.0, abs=0.1)
-
-    def test_invalid_theta_rejected(self):
-        with pytest.raises(ValueError):
-            MeanRevertingWalk(target=0.0, theta=1.5)
-
-    def test_stationary_spread_is_bounded(self):
-        walk = MeanRevertingWalk(target=0.0, theta=0.2, sigma=10.0)
-        rng = np.random.default_rng(4)
-        values = walk.steps(0.0, 2000, rng)
-        # OU stationary sd = sigma / sqrt(theta * (2 - theta)) ~ 16.7
-        assert values.std() < 40.0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.streams.trace import StreamTrace, TraceRecord, merge_traces
+from repro.streams.trace import StreamTrace, TraceRecord
 
 
 def make_trace(times, ids, values, n_streams=5, horizon=None):
@@ -60,13 +60,6 @@ class TestAccessors:
         assert records[0] == TraceRecord(1.0, 0, 12.0)
         assert len(records) == manual_trace.n_records == 5
 
-    def test_value_at_follows_updates(self, manual_trace):
-        assert manual_trace.value_at(0, 0.5) == 5.0
-        assert manual_trace.value_at(0, 1.0) == 12.0
-        assert manual_trace.value_at(0, 4.5) == 4.0
-        assert manual_trace.value_at(1, 10.0) == 30.0
-        assert manual_trace.value_at(3, 4.9) == 12.0
-
     def test_len_matches_records(self, manual_trace):
         assert len(manual_trace) == 5
 
@@ -83,15 +76,6 @@ class TestTransforms:
             manual_trace.restrict_streams(0)
         with pytest.raises(ValueError):
             manual_trace.restrict_streams(99)
-
-    def test_truncate(self, manual_trace):
-        truncated = manual_trace.truncate(3.0)
-        assert truncated.n_records == 3
-        assert truncated.horizon == 3.0
-
-    def test_truncate_negative_rejected(self, manual_trace):
-        with pytest.raises(ValueError):
-            manual_trace.truncate(-1.0)
 
     @given(st.integers(1, 4))
     def test_restrict_preserves_relative_order(self, n):
@@ -146,23 +130,7 @@ class TestPredecessorIndex:
     def test_transforms_build_their_own(self, manual_trace):
         manual_trace.previous_record
         restricted = manual_trace.restrict_streams(2)  # drops streams 2, 3
-        truncated = manual_trace.truncate(3.5)  # drops the last two records
-        for derived in (restricted, truncated):
-            assert "previous_record" not in vars(derived)
+        assert "previous_record" not in vars(restricted)
         assert restricted.previous_record.tolist() == [-1, -1, 0]
-        assert truncated.previous_record.tolist() == [-1, -1, -1]
         assert manual_trace.previous_record.tolist() == [-1, -1, -1, 0, -1]
 
-
-class TestMerge:
-    def test_merge_offsets_ids_and_sorts(self):
-        a = make_trace([1.0, 3.0], [0, 1], [1.0, 2.0], n_streams=2)
-        b = make_trace([2.0], [0], [9.0], n_streams=1)
-        merged = merge_traces([a, b], horizon=5.0)
-        assert merged.n_streams == 3
-        assert [r.stream_id for r in merged] == [0, 2, 1]
-        assert np.all(np.diff(merged.times) >= 0)
-
-    def test_merge_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            merge_traces([], horizon=1.0)

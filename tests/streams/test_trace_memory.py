@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.spatial.workloads import generate_moving_objects_trace
-from repro.state.runs import previous_in_stream
+from repro.state.runs import previous_in_stream, sort_columns
 from repro.streams.synthetic import generate_synthetic_trace
-from repro.streams.trace import merge_traces
+from repro.streams.trace import StreamTrace
 
 #: Traced peak over the finished trace's array bytes.
 BOUND = 1.6
@@ -50,16 +51,31 @@ def test_synthetic_range_filter_trace():
 
 
 @pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "tied"])
-def test_merge_traces(repeat):
-    """Three populations interleaved; repeating one ties every one of
-    its times, which takes the stable sort's path."""
+def test_interleaved_populations(repeat):
+    """Three populations interleaved by one :func:`sort_columns` over
+    disjoint id ranges; repeating one ties every one of its times, which
+    takes the stable sort's path."""
     parts = [
         generate_synthetic_trace(n_streams=n, horizon=400.0, seed=seed)
         for n, seed in ((3000, 1), (1000, 2), (2000, 3))
     ]
     if repeat:
         parts.append(parts[0])
-    merged, peak = traced_peak(lambda: merge_traces(parts, 400.0))
+
+    def merge():
+        offsets = np.cumsum([0] + [part.n_streams for part in parts[:-1]])
+        columns = [  # 32-bit ids until the sort is done; the trace widens them
+            np.concatenate([part.times for part in parts]),
+            np.concatenate(
+                [(p.stream_ids + o).astype(np.int32) for p, o in zip(parts, offsets)]
+            ),
+            np.concatenate([part.values for part in parts]),
+        ]
+        sort_columns(columns)
+        initial = np.concatenate([part.initial_values for part in parts])
+        return StreamTrace(initial, *columns, horizon=400.0)
+
+    merged, peak = traced_peak(merge)
     assert merged.n_records == sum(part.n_records for part in parts)
     assert peak <= BOUND * array_bytes(merged)
 
