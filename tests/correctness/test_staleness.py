@@ -22,7 +22,11 @@ from repro.correctness import (
 )
 from repro.network.accounting import MessageLedger
 from repro.network.latency import FixedLatency, LatencyChannel
-from repro.network.messages import UpdateMessage
+from repro.network.messages import (
+    ConstraintMessage,
+    ProbeRequestMessage,
+    UpdateMessage,
+)
 from repro.queries.knn import KnnQuery
 from repro.queries.range_query import RangeQuery
 from repro.sim.engine import SimulationEngine
@@ -128,6 +132,46 @@ class TestStalenessWindow:
         assert channel.in_flight_count == 0
         # ... and the regime is stale forever after the late delivery.
         assert staleness.stale_regime
+        assert staleness.classify() == INHERENT_LATENCY
+
+    def test_an_inline_delivery_keeps_the_synchronous_prefix(self):
+        """A zero-delay message never spends time in flight, so it
+        leaves the run byte-identical to a synchronous one."""
+        engine, channel, *_ = make_rig(uplink=0.0)
+        staleness = StalenessWindow([channel])
+        channel.send_to_server(UpdateMessage(stream_id=2, time=0.0, value=1.0))
+        assert channel.in_flight_count == 0
+        assert channel.deferred_delivered_count == 0
+        assert not staleness.stale_regime
+        assert staleness.classify() == PROTOCOL_BUG
+
+    def test_a_probe_round_trip_keeps_the_synchronous_prefix(self):
+        engine, channel, *_ = make_rig()
+        staleness = StalenessWindow([channel])
+        channel.send_to_source(ProbeRequestMessage(stream_id=1, time=0.0))
+        assert not staleness.stale_regime
+        assert staleness.classify() == PROTOCOL_BUG
+
+    def test_a_constraint_in_flight_to_a_source_counts(self):
+        engine, channel, *_ = make_rig()
+        staleness = StalenessWindow([channel])
+        channel.send_to_source(ConstraintMessage(1, 0.0, 400.0, 600.0))
+        assert channel.in_flight_count == 1
+        assert not staleness.stale_regime
+        assert staleness.classify() == INHERENT_LATENCY
+        engine.run(until=2.0)  # delivered late: stale from here on
+        assert channel.in_flight_count == 0
+        assert staleness.classify() == INHERENT_LATENCY
+
+    def test_one_busy_channel_of_several_is_enough(self):
+        from repro.network.channel import Channel
+
+        engine, busy, *_ = make_rig()
+        _, quiet, *_ = make_rig()
+        staleness = StalenessWindow([Channel(MessageLedger()), quiet, busy])
+        assert staleness.channels == [quiet, busy]
+        assert staleness.classify() == PROTOCOL_BUG
+        busy.send_to_server(UpdateMessage(stream_id=3, time=0.0, value=1.0))
         assert staleness.classify() == INHERENT_LATENCY
 
     def test_synchronous_channels_are_ignored(self):

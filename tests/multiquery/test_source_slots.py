@@ -13,6 +13,7 @@ from repro.multiquery.source import (
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
 from repro.network.messages import MessageKind
+from repro.streams.filters import FilterConstraint
 
 
 @pytest.fixture
@@ -117,3 +118,34 @@ class TestSlots:
         assert slot.rank.tolist() == [0, -1]
         assert population.slots["b"].rank.tolist() == [-1, -1]
         assert np.array_equal(population.n_slots, [1, 0])
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(10.0, 0.0), (math.nan, 10.0), (0.0, math.nan)],
+    ids=["inverted", "nan-lower", "nan-upper"],
+)
+def test_a_bad_interval_raises_and_leaves_the_slot(system, lower, upper):
+    """The slot install validates its two floats as ``FilterConstraint``
+    does and writes nothing when they are refused."""
+    channel, population, received, _ = system
+    install(channel, 0, "a", 0.0, 10.0)
+    slot = population.slots["a"]
+    before = [plane.copy() for plane in (slot.lower, slot.upper, slot.rank)]
+    with pytest.raises(ValueError) as slotted:
+        install(channel, 0, "a", lower, upper, assumed=False)
+    with pytest.raises(ValueError) as scalar:
+        FilterConstraint(lower, upper)
+    assert str(slotted.value) == str(scalar.value)
+    for plane, old in zip((slot.lower, slot.upper, slot.rank), before):
+        assert np.array_equal(plane, old, equal_nan=True)
+    assert updates(received) == []
+
+
+def test_a_point_interval_is_a_valid_slot_filter(system):
+    channel, population, received, _ = system
+    install(channel, 0, "a", 5.0, 5.0)  # the value sits on the point
+    population[0].apply_value(5.0, 1.0)
+    assert updates(received) == []
+    population[0].apply_value(5.5, 2.0)
+    assert updates(received) == [(0, 5.5, ("a",))]

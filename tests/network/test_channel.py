@@ -1,6 +1,7 @@
 """Unit tests for the synchronous channel."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.network.messages import (
 from repro.runtime.membership import BELIEF_INSIDE, BELIEF_NONE, belief_column
 from repro.state.table import StreamStateTable
 from repro.streams.control import (
+    check_bounds,
     constraint_columns,
     install_constraints,
     probe_sources,
@@ -68,6 +70,33 @@ def test_send_to_unknown_source_raises(wired_channel):
 def test_source_ids_sorted(wired_channel):
     channel, *_ = wired_channel
     assert channel.source_ids == [0, 1, 2]
+
+
+def test_a_pickle_that_still_carries_a_tap_list_loads_and_works(
+    wired_population, monkeypatch
+):
+    """A run directory written before the tap list was retired pickled
+    its channel with a ``_taps`` key; that channel still loads,
+    delivers, charges and takes whole batches once rewired."""
+    channel, *_ = wired_population
+    current = Channel.__getstate__
+
+    def with_taps(self):
+        return {**current(self), "_taps": []}
+
+    monkeypatch.setattr(Channel, "__getstate__", with_taps)
+    blob = pickle.dumps(channel)
+    monkeypatch.undo()
+    restored = pickle.loads(blob)
+    assert restored._taps == []  # inert: nothing reads it
+    received: list = []
+    restored.bind_server(received.append)
+    population = ScalarPopulation([0.0, 10.0, 20.0], [restored], [(0, 3)])
+    before = restored.ledger.total
+    restored.send_to_source(ProbeRequestMessage(stream_id=2, time=1.0))
+    assert [(m.stream_id, m.value) for m in received] == [(2, 20.0)]
+    assert restored.ledger.total == before + 2
+    assert restored.bulk_target(np.array([0, 1, 2])) is population
 
 
 def test_source_ids_cache_follows_bind_source(wired_channel):
@@ -219,3 +248,29 @@ def test_bulk_operations_decline_what_they_cannot_batch(
     assert probe_sources(channel, table, ids).tolist() == [0.0, 10.0, 20.0]
     assert ledger.count(MessageKind.PROBE_REQUEST) == 3
     assert ledger.count(MessageKind.PROBE_REPLY) == 3
+
+
+@pytest.mark.parametrize(
+    "lower, upper, first_bad",
+    [
+        ([1.0, 9.0, 7.0], [5.0, 3.0, 2.0], (9.0, 3.0)),
+        (6.0, np.array([8.0, 5.0, 9.0]), (6.0, 5.0)),
+        (np.array([1.0, 1.0]), np.array([2.0, math.nan]), (1.0, math.nan)),
+    ],
+    ids=["first-of-two-inverted", "scalar-lower", "nan-upper"],
+)
+def test_check_bounds_raises_for_the_first_bad_pair(lower, upper, first_bad):
+    """The batch check raises what ``FilterConstraint`` raises for the
+    first NaN or inverted pair, a scalar standing for its column."""
+    with pytest.raises(ValueError) as batch:
+        check_bounds(np.asarray(lower), np.asarray(upper))
+    with pytest.raises(ValueError) as scalar:
+        FilterConstraint(*first_bad)
+    assert str(batch.value) == str(scalar.value)
+
+
+def test_check_bounds_passes_point_and_degenerate_intervals():
+    inf = math.inf
+    check_bounds(np.array([5.0, -inf, inf]), np.array([5.0, inf, inf]))
+    check_bounds(2.0, np.array([2.0, 3.0]))
+    check_bounds(np.empty(0), np.empty(0))

@@ -209,3 +209,17 @@ def test_empty_trace_batched(trace):
         ),
     )
     assert result.maintenance_messages == 0
+
+
+def test_a_replay_leaves_the_gate_open(trace):
+    """A batched replay leaves the channel's handlers as it found them:
+    the population still takes a whole batch at the gate afterwards."""
+    session = ExecutionSession.for_streams(
+        trace, ZeroToleranceRangeProtocol(RangeQuery(400.0, 600.0))
+    )
+    session.initialize()
+    ids = np.arange(trace.n_streams)
+    population = session.channel.bulk_target(ids)
+    assert population is not None
+    session.replay_trace(trace, mode="batch")
+    assert session.channel.bulk_target(ids) is population

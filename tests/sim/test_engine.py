@@ -54,6 +54,32 @@ def test_scheduling_in_the_past_raises():
         engine.schedule_at(1.0, lambda: None)
 
 
+def test_an_event_cannot_schedule_before_its_own_time():
+    engine = SimulationEngine()
+    raised = []
+
+    def first():
+        with pytest.raises(SimulationError):
+            engine.schedule_at(engine.now - 1.0, lambda: None)
+        raised.append(engine.now)
+
+    engine.schedule_at(10.0, first)
+    engine.run()
+    assert raised == [10.0]
+    assert engine.pending == 0
+
+
+def test_run_fires_each_event_once():
+    engine = SimulationEngine()
+    fired = []
+    for t in (1.0, 2.0, 2.0, 3.0):
+        engine.schedule_at(t, lambda t=t: fired.append(t))
+    engine.run()
+    engine.run()  # a drained queue fires nothing again
+    assert fired == [1.0, 2.0, 2.0, 3.0]
+    assert engine.pending == 0
+
+
 def test_events_scheduled_during_run_fire():
     engine = SimulationEngine()
     fired = []
