@@ -1,22 +1,31 @@
-"""The paper's figures at ``--profile default``, pinned byte for byte.
+"""The paper's figures, pinned byte for byte at three profiles.
 
-``golden_default.txt`` is ``python -m repro.experiments all --profile
-default`` without its wall-clock line.  Every table is a function of the
-seed only, so a trace generator, replay path or protocol change that
+``golden_<profile>.txt`` is ``python -m repro.experiments all --profile
+<profile>`` without its wall-clock line.  Every table is a function of
+the seed only, so a trace generator, replay path or protocol change that
 moves one message count shows here as a diff of that figure's table.
+``smoke`` and ``default`` run in tier-1; ``full`` (about two minutes on
+two cores) is marked ``slow`` and runs in CI's ``figures-full`` job::
+
+    PYTHONPATH=src python -m pytest -m slow tests/experiments
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.experiments.__main__ import main
 
-GOLDEN = Path(__file__).with_name("golden_default.txt")
+HERE = Path(__file__).parent
 
 
-def test_default_profile_reproduces_the_golden_tables(capsys):
-    assert main(["all", "--profile", "default"]) == 0
+@pytest.mark.parametrize(
+    "profile", ["smoke", "default", pytest.param("full", marks=pytest.mark.slow)]
+)
+def test_profile_reproduces_the_golden_tables(profile, capsys):
+    assert main(["all", "--profile", profile]) == 0
     out = capsys.readouterr().out.splitlines(keepends=True)
     tables = "".join(line for line in out if not line.startswith("(total "))
-    assert tables == GOLDEN.read_text()
+    assert tables == (HERE / f"golden_{profile}.txt").read_text()
