@@ -45,7 +45,7 @@ from replay_forcing import forced_replay  # noqa: E402
 from benchmarks.e2e.workloads import BY_NAME  # noqa: E402
 from repro.api import Engine  # noqa: E402
 from repro.experiments.base import Profile  # noqa: E402
-from repro.experiments.registry import REGISTRY  # noqa: E402
+from repro.experiments import FIGURES, evaluate  # noqa: E402
 
 MODES = ("auto", "event", "batch")
 #: The end-to-end workloads ``BENCHMARK.json`` judges.
@@ -88,11 +88,9 @@ def _workload_cell(name: str):
 
 
 def _figure_cell(name: str):
-    runner, _ = REGISTRY[name]
-
     def run(mode):
         result, resolved = _forced(
-            mode, lambda: runner(profile=Profile.DEFAULT, seed=0)
+            mode, lambda: evaluate(name, profile=Profile.DEFAULT, seed=0)
         )
         return (result.x_values, result.series), resolved
 
@@ -144,7 +142,7 @@ def main(argv=None) -> int:
     parser.add_argument("--only", nargs="*", default=None)
     args = parser.parse_args(argv)
     cells = [(name, _workload_cell) for name in JUDGED] + [
-        (name, _figure_cell) for name in REGISTRY
+        (name, _figure_cell) for name in FIGURES
     ]
     if args.only:
         cells = [cell for cell in cells if cell[0] in args.only]

@@ -52,7 +52,6 @@ from repro.api import (
     Workload,
     run,
     run_grid,
-    sweep_values,
 )
 from repro.harness import format_series, format_table
 from repro.network import ExponentialLatency, FixedLatency, UniformLatency
@@ -105,7 +104,6 @@ __all__ = [
     "run_grid",
     "RunReport",
     "StreamTrace",
-    "sweep_values",
     "SyntheticConfig",
     "TcpTraceConfig",
     "TopKQuery",

@@ -44,7 +44,7 @@ from repro.api.spec import (
     QuerySpec,
     Workload,
 )
-from repro.api.sweep import run_grid, sweep_values
+from repro.api.sweep import run_grid
 
 __all__ = [
     "Deployment",
@@ -55,5 +55,4 @@ __all__ = [
     "Workload",
     "run",
     "run_grid",
-    "sweep_values",
 ]

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import copy
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Mapping
 
 # Registers the scalar vocabulary ``_execute_hosted`` resolves by name;
@@ -361,6 +360,8 @@ def _execute_streams_fanout(
     trace, protocol, deployment: Deployment, label: str
 ) -> RunReport:
     """Sharded + parallel replay of a decomposable protocol."""
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.state.sharding import shard_ranges
 
     started = _time.perf_counter()

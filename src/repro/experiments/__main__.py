@@ -6,9 +6,9 @@ import argparse
 import sys
 import time
 
-from repro.api import Deployment
+from repro.api import Deployment, run_grid
 from repro.experiments.base import Profile
-from repro.experiments.registry import REGISTRY, run_all
+from repro.experiments.figures import FIGURES, evaluate
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -18,7 +18,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=[*REGISTRY, "all"],
+        choices=[*FIGURES, "all"],
         help="which figure to reproduce ('all' runs every one)",
     )
     parser.add_argument(
@@ -56,23 +56,20 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.experiment == "all":
         started = time.perf_counter()
-        results = run_all(
-            profile=args.profile,
-            seed=args.seed,
-            parallel=args.parallel,
-            deployment=deployment,
-        )
-        for name, result in results.items():
-            print(result.format())
+        grid = {
+            "name": list(FIGURES),
+            "profile": [args.profile],
+            "seed": [args.seed],
+            "deployment": [deployment],
+        }
+        for row in run_grid(evaluate, grid, parallel=args.parallel):
+            print(row["result"].format())
             print()
         print(f"(total {time.perf_counter() - started:.1f}s)")
         return 0
 
-    runner, _ = REGISTRY[args.experiment]
     started = time.perf_counter()
-    result = runner(
-        profile=args.profile, seed=args.seed, deployment=deployment
-    )
+    result = evaluate(args.experiment, args.profile, args.seed, deployment)
     print(result.format())
     print(f"(ran in {time.perf_counter() - started:.1f}s)")
     return 0

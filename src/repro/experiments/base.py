@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.harness.reporting import format_series
@@ -46,8 +46,6 @@ class FigureResult:
         Curve name -> y values (message counts), aligned with x_values.
     profile:
         The workload scale that produced the data.
-    meta:
-        Workload parameters for provenance (seed, stream counts, ...).
     """
 
     figure: str
@@ -56,7 +54,6 @@ class FigureResult:
     x_values: Sequence[Any]
     series: dict[str, list[Any]]
     profile: Profile
-    meta: dict = field(default_factory=dict)
 
     def format(self) -> str:
         """Render the figure as an aligned text table."""
@@ -64,7 +61,3 @@ class FigureResult:
         return format_series(
             self.x_name, self.x_values, self.series, title=header
         )
-
-    def curve(self, name: str) -> list[Any]:
-        """One named series, for assertions in tests/benches."""
-        return list(self.series[name])

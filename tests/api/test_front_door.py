@@ -5,6 +5,7 @@ up front, by name, before anything is built."""
 
 import ast
 import dataclasses
+import functools
 import inspect
 import os
 import pathlib
@@ -17,7 +18,7 @@ import pytest
 import repro
 import repro.api
 from repro.api import Deployment, Engine, QuerySpec, Workload
-from repro.experiments.registry import REGISTRY
+from repro.experiments import FIGURES, evaluate
 from repro.protocols.zt_nrp import ZeroToleranceRangeProtocol
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
@@ -212,9 +213,9 @@ def test_no_entry_point_takes_a_replay_mode(entry):
     assert "replay_mode" not in inspect.signature(target).parameters
 
 
-@pytest.mark.parametrize("name", list(REGISTRY))
+@pytest.mark.parametrize("name", list(FIGURES))
 def test_figure_runners_take_one_deployment(name):
-    runner, _ = REGISTRY[name]
+    runner = functools.partial(evaluate, name)
     assert list(inspect.signature(runner).parameters) == [
         "profile",
         "seed",

@@ -4,7 +4,7 @@
 ledgers byte-identical to ``Deployment.single()`` on the workloads of
 figures 01 and 09-15 (smoke profile) for all five scalar protocols.
 
-Workloads are rebuilt from each figure module's own smoke parameters,
+Workloads are rebuilt from each figure row's own smoke parameters,
 so the corpus tracks the figures; every scalar protocol runs on every
 workload under both topologies and the full ledger snapshots (phase ×
 message kind) must compare equal, along with the final answers.
@@ -13,16 +13,7 @@ message kind) must compare equal, along with the final answers.
 import pytest
 
 from repro.api import Deployment, Engine, QuerySpec, Workload
-from repro.experiments import (
-    figure01,
-    figure09,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-)
+from repro.experiments import FIGURES, evaluate
 from repro.experiments.base import Profile
 from repro.queries.knn import KnnQuery, TopKQuery
 from repro.queries.range_query import RangeQuery
@@ -31,41 +22,36 @@ from repro.tolerance.rank_tolerance import RankTolerance
 from replay_forcing import run_forced
 
 
-def _smoke(figure_module):
-    return figure_module._PROFILES[Profile.SMOKE]
+def _smoke(name):
+    return FIGURES[name].profiles[Profile.SMOKE]
 
 
 def _workloads() -> dict[str, Workload]:
     """One workload per figure, from the figures' own smoke parameters."""
     workloads = {}
-    for name, module in [
-        ("figure01", figure01),
-        ("figure12", figure12),
-        ("figure14", figure14),
-        ("figure15", figure15),
-    ]:
-        params = _smoke(module)
+    for name in ["figure01", "figure12", "figure14", "figure15"]:
+        params = _smoke(name)
         workloads[name] = Workload.synthetic(
             n_streams=params["n_streams"],
             horizon=params["horizon"],
             seed=0,
         )
-    params = _smoke(figure13)
+    params = _smoke("figure13")
     workloads["figure13"] = Workload.synthetic(
         n_streams=params["n_streams"],
         horizon=params["horizon"],
         sigma=params["sigma_values"][-1],
         seed=0,
     )
-    for name, module in [("figure09", figure09), ("figure10", figure10)]:
-        params = _smoke(module)
+    for name in ["figure09", "figure10"]:
+        params = _smoke(name)
         workloads[name] = Workload.tcp(
             n_subnets=params["n_subnets"],
             n_connections=params["n_connections"],
             days=params["days"],
             seed=0,
         )
-    params = _smoke(figure11)
+    params = _smoke("figure11")
     n_max = max(params["stream_counts"])
     workloads["figure11"] = Workload.tcp(
         n_subnets=n_max,
@@ -143,8 +129,9 @@ def test_equivalence_holds_in_both_replay_modes(mode):
 
 def test_full_figure_series_identical_under_sharding():
     """A whole figure, end to end: sharded series equal single-server."""
-    single = figure15.run(profile=Profile.SMOKE, seed=0)
-    sharded = figure15.run(
+    single = evaluate("figure15", profile=Profile.SMOKE, seed=0)
+    sharded = evaluate(
+        "figure15",
         profile=Profile.SMOKE,
         seed=0,
         deployment=Deployment.sharded(3),

@@ -1,11 +1,12 @@
-"""Unit tests for sweep helpers."""
+"""Unit tests for the parameter grid."""
 
-from repro.api import run_grid, sweep_values
+import os
+import pathlib
+import subprocess
+import sys
 
-
-def test_sweep_values_passes_parameter():
-    results = sweep_values(lambda x: x * 2, "x", [1, 2, 3])
-    assert results == [2, 4, 6]
+import repro
+from repro.api import run_grid
 
 
 def test_run_grid_cartesian_product():
@@ -27,18 +28,8 @@ def test_run_grid_empty_axis():
     assert run_grid(lambda k: k, {"k": []}) == []
 
 
-def _double(x):
-    return x * 2
-
-
 def _add(a, b):
     return a + b
-
-
-def test_sweep_values_parallel_matches_serial():
-    serial = sweep_values(_double, "x", [1, 2, 3, 4])
-    parallel = sweep_values(_double, "x", [1, 2, 3, 4], parallel=True)
-    assert parallel == serial == [2, 4, 6, 8]
 
 
 def test_run_grid_parallel_preserves_order():
@@ -58,3 +49,21 @@ def test_parallel_max_workers_accepted():
     rows = run_grid(_add, {"a": [1, 2, 3], "b": [5]}, parallel=True,
                     max_workers=2)
     assert [r["result"] for r in rows] == [6, 7, 8]
+
+
+def test_importing_the_facade_loads_no_process_pool():
+    """The pool is imported where a fan-out or a parallel grid starts,
+    so a run that never forks does not pay for the process-pool stack."""
+    probe = (
+        "import sys, repro.api; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1])),
+        timeout=120,
+    ).stdout
+    assert out.strip() == "False"

@@ -13,19 +13,34 @@ two cores) is marked ``slow`` and runs in CI's ``figures-full`` job::
 from __future__ import annotations
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from repro.experiments.__main__ import main
-
 HERE = Path(__file__).parent
+PROFILES = ["smoke", "default", pytest.param("full", marks=pytest.mark.slow)]
 
 
-@pytest.mark.parametrize(
-    "profile", ["smoke", "default", pytest.param("full", marks=pytest.mark.slow)]
-)
-def test_profile_reproduces_the_golden_tables(profile, capsys):
-    assert main(["all", "--profile", profile]) == 0
-    out = capsys.readouterr().out.splitlines(keepends=True)
-    tables = "".join(line for line in out if not line.startswith("(total "))
-    assert tables == (HERE / f"golden_{profile}.txt").read_text()
+def tables(out: str) -> str:
+    lines = out.splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("(total "))
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_profile_reproduces_the_golden_tables(profile, figure_run):
+    out, _ = figure_run(profile)
+    assert tables(out) == (HERE / f"golden_{profile}.txt").read_text()
+
+
+def test_parallel_prints_the_sequential_tables(figure_run):
+    """``all --parallel`` evaluates the figures on a process pool and
+    prints them in table order, byte for byte as the sequential run."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    with mock.patch(
+        "concurrent.futures.ProcessPoolExecutor", wraps=ProcessPoolExecutor
+    ) as pool:
+        parallel, _ = figure_run("smoke", "--parallel")
+    assert pool.called
+    sequential, _ = figure_run("smoke")
+    assert tables(parallel) == tables(sequential)

@@ -17,7 +17,7 @@ sources, and the answer the protocol reports.
 import pytest
 
 from repro.api import Engine
-from repro.experiments.registry import REGISTRY
+from repro.experiments import FIGURES, evaluate
 from repro.protocols.ft_nrp import FractionToleranceRangeProtocol
 from repro.protocols.ft_rp import FractionToleranceKnnProtocol
 from repro.protocols.rtp import RankToleranceProtocol
@@ -32,11 +32,10 @@ from repro.tolerance.rank_tolerance import RankTolerance
 from replay_forcing import run_forced
 
 
-@pytest.mark.parametrize("name", list(REGISTRY))
+@pytest.mark.parametrize("name", list(FIGURES))
 def test_figure_series_identical_across_replay_modes(name):
-    runner, _ = REGISTRY[name]
-    event = run_forced("event", lambda: runner(profile="smoke", seed=0))
-    batch = run_forced("batch", lambda: runner(profile="smoke", seed=0))
+    event = run_forced("event", lambda: evaluate(name, profile="smoke", seed=0))
+    batch = run_forced("batch", lambda: evaluate(name, profile="smoke", seed=0))
     assert event.x_values == batch.x_values
     assert event.series == batch.series
 

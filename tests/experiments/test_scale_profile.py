@@ -1,12 +1,14 @@
 """Profile.SCALE: every figure defines a larger-n sweep variant.
 
 The ROADMAP's "larger-n sweeps" item: figure variants at n in {10k,
-100k} reachable through the registry (``run_all(profile="scale")``) and
+100k} reachable through the figure table (``evaluate(name, "scale")``) and
 the CLI (``--profile scale``).  These runs are too big for CI, so the
 tests verify the wiring and the parameter floors, not the runs.
 """
 
-from repro.experiments import registry
+import functools
+
+from repro.experiments import FIGURES, evaluate
 from repro.experiments.base import Profile
 
 
@@ -23,19 +25,14 @@ def test_scale_profile_exists_and_coerces():
 
 
 def test_every_figure_defines_a_scale_profile_at_10k_or_more():
-    import importlib
-
-    for name in registry.list_experiments():
-        module = importlib.import_module(f"repro.experiments.{name}")
-        profiles = module._PROFILES
+    for name in FIGURES:
+        profiles = FIGURES[name].profiles
         assert Profile.SCALE in profiles, f"{name} lacks a SCALE profile"
         assert _scale_population(profiles[Profile.SCALE]) >= 10_000, name
 
 
 def test_figure11_scale_sweeps_10k_and_100k():
-    from repro.experiments import figure11
-
-    counts = figure11._PROFILES[Profile.SCALE]["stream_counts"]
+    counts = FIGURES["figure11"].profiles[Profile.SCALE]["stream_counts"]
     assert 10_000 in counts and 100_000 in counts
 
 
@@ -44,8 +41,8 @@ def test_registry_threads_scale_profile_to_runners():
     # rather than running (SCALE workloads are benchmark-sized).
     import inspect
 
-    for name in registry.list_experiments():
-        runner = registry.get_experiment(name)
+    for name in FIGURES:
+        runner = functools.partial(evaluate, name)
         signature = inspect.signature(runner)
         bound = signature.bind(profile=Profile.SCALE)
         assert bound.arguments["profile"] is Profile.SCALE

@@ -25,16 +25,7 @@ this suite's byte-identity at latency 0 is the discriminating oracle.
 import pytest
 
 from repro.api import Deployment, Engine, QuerySpec, Workload
-from repro.experiments import (
-    figure01,
-    figure09,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-)
+from repro.experiments import FIGURES
 from repro.experiments.base import Profile
 from repro.queries.knn import KnnQuery, TopKQuery
 from repro.queries.range_query import RangeQuery
@@ -45,42 +36,37 @@ from repro.tolerance.rank_tolerance import RankTolerance
 from replay_forcing import run_forced
 
 
-def _smoke(figure_module):
-    return figure_module._PROFILES[Profile.SMOKE]
+def _smoke(name):
+    return FIGURES[name].profiles[Profile.SMOKE]
 
 
 def _workloads() -> dict[str, Workload]:
     """One workload per figure, from the figures' own smoke parameters
     (the corpus of ``tests/api/test_sharded_equivalence.py``)."""
     workloads = {}
-    for name, module in [
-        ("figure01", figure01),
-        ("figure12", figure12),
-        ("figure14", figure14),
-        ("figure15", figure15),
-    ]:
-        params = _smoke(module)
+    for name in ["figure01", "figure12", "figure14", "figure15"]:
+        params = _smoke(name)
         workloads[name] = Workload.synthetic(
             n_streams=params["n_streams"],
             horizon=params["horizon"],
             seed=0,
         )
-    params = _smoke(figure13)
+    params = _smoke("figure13")
     workloads["figure13"] = Workload.synthetic(
         n_streams=params["n_streams"],
         horizon=params["horizon"],
         sigma=params["sigma_values"][-1],
         seed=0,
     )
-    for name, module in [("figure09", figure09), ("figure10", figure10)]:
-        params = _smoke(module)
+    for name in ["figure09", "figure10"]:
+        params = _smoke(name)
         workloads[name] = Workload.tcp(
             n_subnets=params["n_subnets"],
             n_connections=params["n_connections"],
             days=params["days"],
             seed=0,
         )
-    params = _smoke(figure11)
+    params = _smoke("figure11")
     n_max = max(params["stream_counts"])
     workloads["figure11"] = Workload.tcp(
         n_subnets=n_max,

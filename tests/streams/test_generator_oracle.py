@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import figure01, figure12, figure13, figure14, figure15
+from repro.experiments import FIGURES
 from repro.sim.rng import RandomStreams
 from repro.streams import synthetic
 from repro.streams.generators import (
@@ -98,8 +98,8 @@ def assert_same_trace(config, process=None) -> StreamTrace:
 # Every configuration a ledger in the repository depends on
 # ----------------------------------------------------------------------
 def _figure_configs():
-    for module in (figure01, figure12, figure13, figure14, figure15):
-        for profile, params in module._PROFILES.items():
+    for name in ("figure01", "figure12", "figure13", "figure14", "figure15"):
+        for profile, params in FIGURES[name].profiles.items():
             for sigma in params.get("sigma_values", [20.0]):
                 yield pytest.param(
                     dict(
@@ -107,7 +107,7 @@ def _figure_configs():
                         horizon=params["horizon"],
                         sigma=sigma,
                     ),
-                    id=f"{module.__name__.rsplit('.', 1)[1]}-{profile.value}"
+                    id=f"{name}-{profile.value}"
                     f"-sigma{sigma:g}",
                 )
 
