@@ -417,7 +417,9 @@ def evaluate(
     Consecutive runs whose workloads are equal (same kind, same
     parameters) share the first one's trace, so each trace is generated
     and materialized once: once per figure, once per sigma for
-    figure13, and figure11's master once, restricted per cell.
+    figure13, and figure11's master once, restricted per cell.  (Two
+    ``from_trace`` workloads compare equal whatever their traces, so
+    those are never shared.)
     """
     figure = FIGURES[name]
     profile = Profile.coerce(profile)
@@ -428,7 +430,7 @@ def evaluate(
 
     def run(spec, workload, check_every, streams=None):
         nonlocal shared
-        if workload != shared:  # equal parameters reuse the built trace
+        if workload != shared or workload.kind == "trace":
             shared = workload
         workload = shared
         if streams is not None:
@@ -452,13 +454,12 @@ def evaluate(
             for curve, measure in zip(columns.values(), figure.columns.values()):
                 curve.append(measure(report))
         curves.update(columns)
-    references = {
-        label: [value if isinstance(value, int) else _messages(run(*value))]
-        * len(x_values)
-        for label, value in (
-            figure.reference(params, seed) if figure.reference else {}
-        ).items()
-    }
+    references = {}
+    declared = figure.reference(params, seed) if figure.reference else {}
+    for label, value in declared.items():
+        if not isinstance(value, int):  # a run, not a constant
+            value = _messages(run(*value))
+        references[label] = [value] * len(x_values)
     return FigureResult(
         figure=name,
         title=figure.title,

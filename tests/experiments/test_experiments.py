@@ -1,5 +1,7 @@
 """The figure table, the profiles and the command line."""
 
+from unittest import mock
+
 import pytest
 
 from repro.experiments import FIGURES, evaluate
@@ -15,6 +17,24 @@ class TestTable:
     def test_an_unknown_figure_raises_key_error(self):
         with pytest.raises(KeyError):
             evaluate("figure99", profile="smoke")
+
+    @pytest.mark.parametrize("name", list(FIGURES))
+    def test_each_trace_is_generated_once(self, name):
+        """Cells that describe one workload share its trace: a figure
+        generates it once, figure13 once per sigma — never per cell."""
+        from repro.streams.synthetic import generate_synthetic_trace
+        from repro.streams.tcp import generate_tcp_trace
+
+        with mock.patch(
+            "repro.streams.synthetic.generate_synthetic_trace",
+            wraps=generate_synthetic_trace,
+        ) as synthetic, mock.patch(
+            "repro.streams.tcp.generate_tcp_trace", wraps=generate_tcp_trace
+        ) as tcp:
+            evaluate(name, profile="smoke")
+        params = FIGURES[name].profiles[Profile.SMOKE]
+        expected = len(params.get("sigma_values", [None]))
+        assert synthetic.call_count + tcp.call_count == expected
 
     def test_every_figure_defines_every_profile(self):
         for name, figure in FIGURES.items():
