@@ -3,8 +3,10 @@
 Times the sections of the columnar kernel's span loop on the end-to-end
 ``range_filter`` workload (its own spec, trace and deployment, seed 0):
 
-* **crossings** — the trace's crossings of the live interval, one
-  block at a time (on a kernel that scans each chunk instead, that
+* **crossings** — asking the provider for the live interval's
+  crossings: on a trace's memo a lookup, the listing itself only on the
+  trace's first run, which is the warm-up (on a kernel that lists them
+  a block at a time, those blocks; on one that scans each chunk, that
   scan: containment, the believed side, the report positions);
 * **spans** — a span's bounds, its candidates and the rows that still
   hold the interval;
@@ -51,7 +53,7 @@ SECTIONS = ("crossings", "spans", "absorb", "reports", "stage", "react")
 #: has none of its own: the statements before the first branch are that
 #: scan); any other branch stays in the section it is in.
 BRANCHES = {
-    "scanned <= i": "crossings",
+    "hits is None": "crossings",
     "at.size": "absorb",
     "quiet": "reports",
     "reacting": "react",

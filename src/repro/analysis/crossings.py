@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.queries.base import RankBasedQuery
 from repro.queries.range_query import RangeQuery
-from repro.state.runs import flips_in_stream
 from repro.streams.trace import StreamTrace
 
 
@@ -58,16 +57,15 @@ class CrossingProfile:
 def range_crossing_profile(
     trace: StreamTrace, query: RangeQuery
 ) -> CrossingProfile:
-    """Tally *trace*'s crossings of *query*'s boundary: its records'
-    :func:`~repro.state.runs.flips_in_stream` from the initial values."""
+    """Tally *trace*'s crossings of *query*'s boundary
+    (:meth:`~repro.streams.trace.StreamTrace.crossings`)."""
     inside = np.asarray(query.matches_array(trace.initial_values), dtype=bool)
-    after = np.asarray(query.matches_array(trace.values), dtype=bool)
-    flips = flips_in_stream(after, inside, trace.stream_ids, trace.previous_record)
+    flips = trace.crossings(query.lower, query.upper)
     counts = np.bincount(trace.stream_ids[flips], minlength=len(inside))
     crossing = np.flatnonzero(counts)
     return CrossingProfile(
         total_updates=trace.n_records,
-        crossings=int(np.count_nonzero(flips)),
+        crossings=len(flips),
         crossing_streams=len(crossing),
         per_stream=dict(zip(crossing.tolist(), counts[crossing].tolist())),
         initial_selectivity=float(inside.mean()) if len(inside) else 0.0,

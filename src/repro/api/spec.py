@@ -182,12 +182,18 @@ class Workload:
 
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
-    # The cached trace is derived state: it must not participate in
-    # equality (two equal-parameter workloads stay equal after one
-    # materializes — and ndarray comparison would raise in __eq__).
+    # The cached trace is derived state: equal-parameter workloads stay
+    # equal after one materializes (see :meth:`__eq__`).
     trace: Any = field(default=None, compare=False, repr=False)
 
     _KINDS = ("trace", "synthetic", "tcp", "moving_objects")
+
+    def __eq__(self, other) -> bool:
+        """Same kind and parameters; a ``"trace"`` one, the same trace."""
+        if not isinstance(other, Workload):
+            return NotImplemented
+        same = self.kind != "trace" or self.trace is other.trace
+        return same and (self.kind, self.params) == (other.kind, other.params)
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:

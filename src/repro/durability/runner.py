@@ -6,8 +6,8 @@ single and sharded stacks.  The write-ahead discipline in miniature
 (DESIGN.md §11):
 
 1. the trace goes through the ordinary :class:`ExecutionSession`
-   machinery, one ``replay()`` per snapshot interval, every ledger
-   charge mirrored into the journal by the
+   machinery, one ``replay()`` per snapshot interval over the trace's
+   crossings memo, every ledger charge mirrored into the journal by the
    :class:`~repro.durability.journal.JournaledLedger`;
 2. a WAL segment is a *frontier* of that replay: its records are
    appended to the journal (``REC_EVENTS``) before replay may apply the
@@ -133,7 +133,7 @@ def _replay_segments(
             *(column[position:cut] for column in columns),
             horizon=None,
             frontiers=journaled(position, cut),
-            previous=lambda: trace.previous_record[position:cut] - position,
+            crossings=lambda lower, upper: trace.crossings(lower, upper) - position,
         )
         stats_parts.append(dict(session.last_replay_stats))
         position = cut

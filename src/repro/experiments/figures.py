@@ -417,9 +417,7 @@ def evaluate(
     Consecutive runs whose workloads are equal (same kind, same
     parameters) share the first one's trace, so each trace is generated
     and materialized once: once per figure, once per sigma for
-    figure13, and figure11's master once, restricted per cell.  (Two
-    ``from_trace`` workloads compare equal whatever their traces, so
-    those are never shared.)
+    figure13, and figure11's master once, restricted per cell.
     """
     figure = FIGURES[name]
     profile = Profile.coerce(profile)
@@ -430,7 +428,7 @@ def evaluate(
 
     def run(spec, workload, check_every, streams=None):
         nonlocal shared
-        if workload != shared or workload.kind == "trace":
+        if workload != shared:
             shared = workload
         workload = shared
         if streams is not None:

@@ -14,10 +14,10 @@ to flip anything, and every dispatch takes the engine's one order
 per-event loop (:meth:`ReplayCursor.dispatch_to`).
 
 For ``columnar_maintenance`` protocols :func:`replay_columnar` is the
-in-process alternative (gate: :func:`columnar_table`): it lists the
-trace's crossings of the one interval the reporting rows share, a block
-of records at a time, and applies whole spans between them, reports
-included, stopping only at a report the protocol reacts to.
+in-process alternative (gate: :func:`columnar_table`): it reads the
+trace's crossings of the one interval the reporting rows share from a
+provider and applies whole spans between them, reports included,
+stopping only at a report the protocol reacts to.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ import numpy as np
 from repro.network.channel import Channel
 from repro.network.latency import LatencyChannel
 from repro.network.messages import MessageKind
-from repro.state.runs import flips_in_stream, previous_in_stream
+from repro.state.runs import previous_in_stream
 from repro.state.table import StreamStateTable
+from repro.streams.trace import StreamTrace
 
 #: Largest chunk one pre-scan evaluates.
 DEFAULT_BATCH_SIZE = 4096
@@ -40,10 +41,6 @@ DEFAULT_BATCH_SIZE = 4096
 #: Smallest chunk: below this, numpy call overhead beats the per-event
 #: loop anyway.  A dropped claim shrinks the adaptive stretch, never below it.
 DEFAULT_MIN_CHUNK = 32
-
-#: Most records one crossings pass of :func:`replay_columnar` reads: a
-#: whole-trace pass holds a few columns per record (DESIGN.md §9).
-CROSSINGS_BLOCK = 1 << 16
 
 #: ``"batch"`` proves quiescence columnarly; ``"auto"`` picks it exactly
 #: when it is both sound and useful; ``"event"`` is the reference.
@@ -353,25 +350,26 @@ def columnar_table(payloads, tables, sources, protocol):
 
 def replay_columnar(
     times, stream_ids, payloads, table, sources, ledger, host, engine,
-    batch_size, frontiers, previous=None,
+    batch_size, frontiers, crossings=None, previous=None,
 ) -> dict:
     """Apply whole spans — reports included — columnarly.
 
     A source believes the side of its last record, so a row on the
     :func:`live_interval` reports exactly at a *crossing*: a record
     whose containment differs from its stream's previous record's.
-    Crossings are the trace's alone: one :func:`~repro.state.runs.
-    flips_in_stream` pass per block of :data:`CROSSINGS_BLOCK` records
-    over *previous* (built when not supplied), where a stream with no
-    earlier record in the block starts on its source's value — not the
-    believed plane, which a silenced row holds at its silencer's side.
+    Crossings are the trace's alone: *crossings* ``(lower, upper)``
+    returns their sorted indices (none outside a span is read) — a
+    trace's memo (:meth:`~repro.streams.trace.StreamTrace.crossings`),
+    else the bare arrays' own, from the population's values as the call
+    begins (not the believed plane: a silenced row holds its silencer's
+    side) over *previous* (built when not supplied).
     A span keeps the crossings whose row still holds the interval;
     :meth:`~repro.protocols.base.FilterProtocol.absorb_reports` says how
     many are quiet, and those cost one ledger count and one time-ordered
     scatter per plane (``tests/state/test_scatter_order.py``).  The
     first reacting report ends the span and takes :func:`_apply`; if it
     wrote a constraint, rows moved whole to one new interval have the
-    crossings listed again, rows split across two replay the rest of
+    provider asked again, rows split across two replay the rest of
     the call per event (``dispatch_bailout_at``).  A span holds at most
     :data:`DEFAULT_BATCH_SIZE` crossings (twice the absorbed prefix, at
     least :data:`DEFAULT_MIN_CHUNK`, behind a reaction), *batch_size*
@@ -380,25 +378,22 @@ def replay_columnar(
     """
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if previous is None:
-        previous = previous_in_stream(stream_ids)
+    if crossings is None:
+        previous = previous_in_stream(stream_ids) if previous is None else previous
+        bare = StreamTrace(sources.values.copy(), times, stream_ids, payloads, math.inf)
+        bare.previous_record = previous
+        crossings = bare.crossings
     n, columns = len(times), (times, stream_ids, payloads)
     stats = replay_stats("batch", "columnar", n)
     lower, upper, held = live_interval(table)
-    epoch, scanned, i, take = table.constraint_epoch, 0, 0, DEFAULT_BATCH_SIZE
+    epoch, hits, i, take = table.constraint_epoch, None, 0, DEFAULT_BATCH_SIZE
     for frontier in frontiers:
         if frontier > n:
             raise ValueError("frontiers must ascend to exactly len(times)")
         while i < frontier and lower is not None:
-            if scanned <= i:
-                scanned, values = min(i + CROSSINGS_BLOCK, n), sources.values
-                block = payloads[i:scanned]
-                hits = i + np.flatnonzero(flips_in_stream(
-                    (lower <= block) & (block <= upper),
-                    (lower <= values) & (values <= upper),
-                    stream_ids[i:scanned], previous[i:scanned] - i,
-                ))
-            end = min(frontier, scanned, i + (batch_size or n))
+            if hits is None:
+                hits = crossings(lower, upper)
+            end = min(frontier, i + (batch_size or n))
             a, b = np.searchsorted(hits, (i, end))
             if b - a > take:
                 b, end = a + take, int(hits[a + take])
@@ -438,7 +433,7 @@ def replay_columnar(
                     epoch, interval = table.constraint_epoch, (lower, upper)
                     lower, upper, held = live_interval(table, interval)
                     if (lower, upper) != interval:
-                        scanned = i
+                        hits = None
                         stats["dispatch_bailout_at"] = i if lower is None else None
         if i < frontier:  # the rows hold two intervals: per event
             _apply(sources, engine, *(c[i:frontier].tolist() for c in columns))

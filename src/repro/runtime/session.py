@@ -243,6 +243,7 @@ class ExecutionSession:
         min_chunk: int = DEFAULT_MIN_CHUNK,
         frontiers=None,
         previous=None,
+        crossings=None,
     ) -> None:
         """Feed the record arrays through the assembled system.
 
@@ -279,10 +280,11 @@ class ExecutionSession:
             applied; scanning ahead only reads.  The durable runner's
             iterator journals a WAL segment before yielding its end
             (DESIGN.md §11); an exception it raises propagates.
-        previous:
+        previous, crossings:
             The arrays' :func:`~repro.state.runs.previous_in_stream`
-            index, or a callable returning it — called only if the
-            columnar kernel runs, which else builds one (DESIGN.md §9).
+            index (or a callable returning it), and a trace's crossings
+            memo valid from the population's values as they are now —
+            else the columnar kernel lists the arrays' own (DESIGN.md §9).
         """
         if horizon is not None:
             n = int(np.searchsorted(times, horizon, side="right"))
@@ -305,7 +307,7 @@ class ExecutionSession:
             stats = replay_columnar(
                 times, stream_ids, payloads, table, self.sources,
                 self.ledger, self.host, self.engine, batch_size, frontiers,
-                previous,
+                crossings, previous,
             )
         else:
             cursor = ReplayCursor(
@@ -341,11 +343,14 @@ class ExecutionSession:
     def replay_trace(self, trace, **kwargs) -> None:
         """Replay a trace object (its record payloads are the column the
         session's vocabulary names)."""
+        start = getattr(trace, "initial_values", None)  # where its memo holds
+        fresh = np.array_equal(self.sources.values, start)
         self.replay(
             trace.times,
             trace.stream_ids,
             getattr(trace, self.vocabulary.record_column),
             horizon=trace.horizon,
             previous=lambda: trace.previous_record,
+            crossings=trace.crossings if fresh else None,
             **kwargs,
         )

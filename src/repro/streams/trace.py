@@ -19,7 +19,10 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.state.runs import previous_in_stream
+from repro.state.runs import flips_in_stream, previous_in_stream
+
+#: :meth:`StreamTrace.crossings`' records per pass and intervals kept (DESIGN.md §9).
+CROSSINGS_BLOCK, CROSSINGS_KEPT = 1 << 16, 4
 
 
 @dataclass(frozen=True)
@@ -88,11 +91,36 @@ class StreamTrace:
     @cached_property
     def previous_record(self) -> np.ndarray:
         """The records' :func:`~repro.state.runs.previous_in_stream`
-        index, which the columnar replay kernel reads.  Built on first
-        use and shared by every run over this trace; not a field —
-        never compared, saved, or carried into a derived trace — and
-        stale if the record arrays are rewritten afterwards."""
+        index, which :meth:`crossings` reads.  Built on first use and
+        shared by every run over this trace; not a field — never
+        compared, saved, or carried into a derived trace — and stale if
+        the record arrays are rewritten afterwards."""
         return previous_in_stream(self.stream_ids)
+
+    def crossings(self, lower: float, upper: float) -> np.ndarray:
+        """The sorted indices of the records whose containment in the
+        closed ``[lower, upper]`` differs from their stream's previous
+        record's, or initial value's: blockwise :func:`~repro.state.runs.
+        flips_in_stream`, kept read-only for the last few intervals like
+        :attr:`previous_record`.  An empty interval lists nothing."""
+        if not lower <= upper:  # nan or inverted bounds: not kept
+            return np.empty(0, dtype=np.intp)
+        memo = self.__dict__.setdefault("_crossings", {})
+        if (lower, upper) not in memo:
+            side = (lower <= self.initial_values) & (self.initial_values <= upper)
+            hits = [np.empty(0, dtype=np.intp)]
+            for a in range(0, self.n_records, CROSSINGS_BLOCK):
+                b = a + CROSSINGS_BLOCK
+                block, ids = self.values[a:b], self.stream_ids[a:b]
+                after = (lower <= block) & (block <= upper)
+                back = self.previous_record[a:b] - a
+                hits.append(a + np.flatnonzero(flips_in_stream(after, side, ids, back)))
+                side[ids] = after  # each stream's last side (test_scatter_order.py)
+            if len(memo) == CROSSINGS_KEPT:
+                del memo[next(iter(memo))]
+            memo[lower, upper] = np.concatenate(hits)
+            memo[lower, upper].flags.writeable = False
+        return memo[lower, upper]
 
     def __iter__(self) -> Iterator[TraceRecord]:
         for time, stream_id, value in zip(

@@ -128,6 +128,20 @@ def test_workload_equality_survives_materialization():
     assert a != Workload.synthetic(n_streams=10, horizon=5.0, seed=2)
 
 
+def test_trace_workloads_compare_by_trace_identity():
+    # Equal parameters are not enough for a wrapped trace: a cache keyed
+    # on workload equality would reuse the wrong one.
+    small = Workload.synthetic(n_streams=10, horizon=5.0, seed=1)
+    large = Workload.synthetic(n_streams=20, horizon=5.0, seed=1)
+    a, b = small.materialize(), large.materialize()
+    assert Workload.from_trace(a) != Workload.from_trace(b)
+    assert Workload.from_trace(a) == Workload.from_trace(a)
+    twin = Workload.synthetic(n_streams=10, horizon=5.0, seed=1).materialize()
+    assert Workload.from_trace(a) != Workload.from_trace(twin)  # equal arrays
+    assert Workload.from_trace(a) != small
+    assert Workload.from_trace(a) != None  # noqa: E711
+
+
 def test_workload_from_trace_wraps_verbatim():
     trace = Workload.synthetic(n_streams=5, horizon=10.0, seed=0).materialize()
     assert Workload.from_trace(trace).materialize() is trace
