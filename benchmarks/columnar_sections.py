@@ -15,8 +15,11 @@ Times the sections of the columnar kernel's span loop on the end-to-end
 * **reports** — the ledger charge and the plane writes of the quiet
   reports;
 * **stage** — the value plane;
-* **react** — a reacting record's per-event step (its protocol
-  reaction included) and the row check behind it.
+* **react** — a reacting record's per-event step, its protocol
+  reaction included;
+* **logged** — the check behind a reaction that wrote constraints: the
+  rows its write log names (on a tree without a write log, the
+  whole-table ``live_interval`` pass, inside ``react``).
 
 The kernel is instrumented from outside: its source is re-compiled with
 a clock read around each section — the top-level statements of the
@@ -48,7 +51,7 @@ from benchmarks.e2e.workloads import BY_NAME  # noqa: E402
 from repro.api import Engine  # noqa: E402
 from repro.runtime import replay, session  # noqa: E402
 
-SECTIONS = ("crossings", "spans", "absorb", "reports", "stage", "react")
+SECTIONS = ("crossings", "spans", "absorb", "reports", "stage", "react", "logged")
 #: The branches that open a section, by their test (a per-chunk scan
 #: has none of its own: the statements before the first branch are that
 #: scan); any other branch stays in the section it is in.
@@ -57,6 +60,7 @@ BRANCHES = {
     "at.size": "absorb",
     "quiet": "reports",
     "reacting": "react",
+    "table.write_log": "logged",
 }
 #: The section of plain statements behind a branch's.
 FOLLOWS = {"crossings": "spans", "absorb": "stage", "reports": "stage"}

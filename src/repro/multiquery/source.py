@@ -106,11 +106,11 @@ class SlotPopulation(Population):
                 slot, table, self.first_id, lower="lower", upper="upper", inside="inside"
             )
 
-    @staticmethod
-    def _note_slot(slot: SlotPlane) -> None:
-        """:meth:`Population._note` for a slot's table."""
+    def _note_slot(self, slot: SlotPlane, rows) -> None:
+        """:meth:`Population._note` for a slot's table: *rows*, a row or
+        a column of them, were written."""
         if slot.table is not None:
-            slot.table._note_constraint()
+            slot.table._note_constraint(self.first_id + rows)
 
     def _report(self, row: int, value: float, time: float, queries) -> None:
         self._send(
@@ -135,7 +135,7 @@ class SlotPopulation(Population):
             inside = slot.lower.item(row) <= value <= slot.upper.item(row)
             if inside != slot.inside.item(row):
                 slot.inside[row] = inside
-                self._note_slot(slot)
+                self._note_slot(slot, row)
                 flipped.append((slot.rank.item(row), query_id))
         if flipped:
             flipped.sort()
@@ -172,7 +172,7 @@ class SlotPopulation(Population):
         slot = self.slots[query_id]
         inside = (slot.lower[rows] <= values) & (values <= slot.upper[rows])
         slot.inside[rows] = np.where(slot.rank[rows] >= 0, inside, slot.inside[rows])
-        self._note_slot(slot)
+        self._note_slot(slot, rows)
         return values
 
     def install(
@@ -206,6 +206,6 @@ class SlotPopulation(Population):
         slot.inside[row] = inside
         if slot.table is not None:
             slot.table.scannable[self.first_id + row] = True
-        self._note_slot(slot)
+        self._note_slot(slot, row)
         if armed and assumed_inside is not None and bool(assumed_inside) != inside:
             self._report(row, value, time, (query_id,))

@@ -65,6 +65,47 @@ if TYPE_CHECKING:
     from repro.state.table import StreamStateTable
 
 
+#: The longest span :meth:`~FractionToleranceRangeProtocol.absorb_reports`
+#: walks as Python scalars; a longer one takes the running sum, whose
+#: dozen numpy calls cost what walking about 64 reports does
+#: (``python -m benchmarks.absorb_cutoff``, DESIGN.md §9).
+ABSORB_WALK_MAX = 64
+
+
+def absorb_walked(entering, size, count, fitting, spend) -> tuple[int, int]:
+    """``(absorbed, count after)`` of time-ordered reports (*entering*:
+    ``True`` entered the bound) from an answer of *size* and slack
+    *count*, walked one report at a time: the first leave-report that
+    leaves the answer below *fitting*, or finds ``count == 0`` while
+    there is something to *spend*, stops the walk unabsorbed; else
+    ``count`` steps with the report, clamped at zero."""
+    for i, enters in enumerate(entering.tolist()):
+        if enters:
+            size += 1
+            count += 1
+        elif size - 1 < fitting or (spend and not count):
+            return i, count
+        else:
+            size -= 1
+            count = max(count - 1, 0)
+    return len(entering), count
+
+
+def absorb_summed(entering, size, count, fitting, spend) -> tuple[int, int]:
+    """:func:`absorb_walked` as one running sum over the reports: the
+    first stop is an ``argmax``, and the clamped slack is the raw sum
+    lifted by its lowest dip below zero."""
+    steps = np.cumsum(np.where(entering, 1, -1))
+    stop = ~entering & (size + steps < fitting)
+    if spend:
+        stop |= count + steps < 0
+    absorbed = int(stop.argmax()) if stop.any() else len(entering)
+    if absorbed:
+        slack = count + steps[:absorbed]
+        count = int(slack[-1]) - min(0, int(slack.min()))
+    return absorbed, count
+
+
 class FractionToleranceRangeProtocol(SilencingProtocol):
     """The FT-NRP algorithm of Figure 7.
 
@@ -183,9 +224,12 @@ class FractionToleranceRangeProtocol(SilencingProtocol):
         and neither falls below its value with every leave first.  When
         that floor fits and keeps the slack non-negative, nothing can
         stop: every report is absorbed and ``count`` moves by the net
-        steps, with no running sum.  Else ``count`` takes the absorbed
-        steps, clamped at zero where ``Fix_Error`` has nothing left to
-        spend.
+        steps, O(1).  Else the reports are walked in order — Figure 7's
+        ``count`` slack, clamped at zero where ``Fix_Error`` has nothing
+        left to spend — as Python scalars (:func:`absorb_walked`) up to
+        :data:`ABSORB_WALK_MAX` reports, where numpy's call overhead
+        outweighs a short span, and as one running sum past it
+        (:func:`absorb_summed`, DESIGN.md §9).
         """
         assert self._state is not None, "initialize() must run first"
         pools, size, n = self._pools, self._state.answer_size, len(entering)
@@ -196,14 +240,11 @@ class FractionToleranceRangeProtocol(SilencingProtocol):
         if size - leaves >= self._fitting[1] and self._count >= leaves:
             self._count += n - 2 * leaves
             return n
-        steps = np.cumsum(np.where(entering, 1, -1))
-        stop = ~entering & (size + steps < self._fitting[1])
-        if pools.fp or pools.fn or self.reinitialize_when_exhausted:
-            stop |= self._count + steps < 0
-        absorbed = int(stop.argmax()) if stop.any() else n
-        if absorbed:
-            slack = self._count + steps[:absorbed]
-            self._count = int(slack[-1]) - min(0, int(slack.min()))
+        spend = bool(pools.fp or pools.fn or self.reinitialize_when_exhausted)
+        absorb = absorb_walked if n <= ABSORB_WALK_MAX else absorb_summed
+        absorbed, self._count = absorb(
+            entering, size, self._count, self._fitting[1], spend
+        )
         return absorbed
 
     # ------------------------------------------------------------------

@@ -6,9 +6,10 @@ bulk-apply everything before it, run it through the per-event
 machinery.  :class:`ReplayCursor` does that job once (DESIGN.md §9),
 driven in-process by :meth:`~repro.runtime.session.ExecutionSession.
 replay` and under RPC by the shard transport's workers.  Its proofs read
-the live constraint columns of the state tables, and stand while their
-``constraint_epoch`` does; a record is staged only while provably unable
-to flip anything, and every dispatch takes the engine's one order
+the live constraint columns of the state tables, and are re-tested
+behind a constraint write for the rows the tables' write logs name; a
+record is staged only while provably unable to flip anything, and
+every dispatch takes the engine's one order
 (:func:`_apply`), so every strategy leaves the reference ledger.  The
 **event strategy** proves nothing and hands each frontier's rest to one
 per-event loop (:meth:`ReplayCursor.dispatch_to`).
@@ -31,7 +32,7 @@ import numpy as np
 from repro.network.channel import Channel
 from repro.network.latency import LatencyChannel
 from repro.network.messages import MessageKind
-from repro.state.runs import previous_in_stream
+from repro.state.runs import next_in_stream, previous_in_stream
 from repro.state.table import StreamStateTable
 from repro.streams.trace import StreamTrace
 
@@ -57,6 +58,10 @@ REPLAY_COUNTERS = (
     "columnar_reports",
     "chunk_scans",
 )
+
+#: Rows a replay reader re-checks one by one after a reaction; a write
+#: log naming more (or every row) sends it back to its whole-table proof.
+RECHECK_ROWS = 64
 
 # Switch to the event strategy when, after a fair sample, more than this
 # fraction of records dispatched: the workload is too lively for
@@ -134,8 +139,8 @@ class ReplayCursor:
     whose constraint columns guard a filter; a latency-modeled one of
     *channels* selects the event strategy.  Records before ``pos`` are
     committed and ``[pos, proven)`` is proven quiescent by the potential
-    crossings of the last scanned stretch, valid while no table's
-    ``constraint_epoch`` has moved.  The surface is :meth:`candidate`,
+    crossings of the last scanned stretch, kept exact across constraint
+    writes (:meth:`candidate`).  The surface is :meth:`candidate`,
     :meth:`advance`, :meth:`dispatch` / :meth:`dispatch_to` and the
     read-only ``pos`` / ``proven`` / ``mode`` / ``per_event`` (every
     record from ``pos`` is its own candidate) / ``stats``.
@@ -182,8 +187,16 @@ class ReplayCursor:
         self._seen = 0
         self._size = self._max_chunk
         self._prescan = _StatePrescan(self._tables)
+        #: The stretch's per-stream links (:meth:`_recheck`): ``None``
+        #: before its first re-test, ``()`` after it, then ``(start,
+        #: first, next)`` from ``start`` on — each row's first record
+        #: there not yet behind ``pos`` (``-1``: none) and each record's
+        #: next in its stream (``end``: none).
+        self._links: tuple | None = None
         if sources.first_id:
             raise ValueError("a replayed population's rows must be its ids")
+        if not self.per_event:
+            _open_write_logs(self._tables)
 
     # ------------------------------------------------------------------
     # The operations
@@ -195,11 +208,15 @@ class ReplayCursor:
         Never stages: ``[pos, proven)`` is proven against the columns
         as they are *now*, and only the driver moves ``pos`` (under RPC
         an idle shard's proof can reach back before its last stretch).
-        Any constraint write since the scan drops the claim past
-        ``pos``, and the next stretch re-proves from there, twice as
-        long as the dropped one was consumed; else the first stored
-        crossing at or past ``pos`` is the candidate, and with none left
-        the next stretch is scanned, each twice as long as the last.
+        A constraint write since the scan keeps the claim: the rows the
+        tables' write logs name have their records in ``[pos, end)``
+        re-tested (:meth:`_recheck`), the others' stand.  A log naming
+        every row or more than :data:`RECHECK_ROWS` (a broadcast), or a
+        vector payload, drops the claim past ``pos`` instead, and the
+        next stretch re-proves from there, twice as long as the dropped
+        one was consumed.  Then the first stored crossing at or past
+        ``pos`` is the candidate; with none left the next stretch is
+        scanned, each twice as long as the last.
         """
         n = self._n
         if self.per_event:
@@ -207,23 +224,18 @@ class ReplayCursor:
         pos = self.pos
         epoch = sum(table.constraint_epoch for table in self._tables)
         if self._end > pos and epoch != self._seen:
-            self._size = min(
-                self._max_chunk, max(self._min_chunk, 2 * (pos - self._base))
-            )
-            self._end, self._hits = pos, []
+            if not self._recheck(pos, epoch):
+                self._size = min(
+                    self._max_chunk, max(self._min_chunk, 2 * (pos - self._base))
+                )
+                self._end, self._hits = pos, []
+            elif self._bails(pos):
+                return self.candidate()
         hits = self._hits
         at = bisect_left(hits, pos)
         while at == len(hits):
             start = max(self._end, pos)
-            dispatches = self.stats["dispatches"]
-            if (
-                dispatches >= _BAILOUT_MIN_DISPATCHES
-                and dispatches > _BAILOUT_RATE * start
-            ):
-                # Too lively for pre-scanning: claim nothing from here
-                # on — every record from ``pos`` is its own candidate.
-                self.per_event, self.proven = True, pos
-                self.stats["dispatch_bailout_at"] = int(pos)
+            if self._bails(start):
                 return self.candidate()
             if start >= n:
                 self.proven = n
@@ -247,9 +259,20 @@ class ReplayCursor:
 
     def dispatch(self) -> None:
         """Run the record at ``pos`` through the per-event machinery:
-        :meth:`dispatch_to` of one record, the batch strategy's step and
-        the shard worker's RPC."""
-        self.dispatch_to(self.pos + 1)
+        :meth:`dispatch_to` of one record — read as scalars, not sliced:
+        the batch strategy's step behind every candidate, and the shard
+        worker's RPC."""
+        pos = self.pos
+        if pos >= self._n:
+            return
+        payloads = self.payloads
+        payload = payloads[pos : pos + 1] if payloads.ndim > 1 else (payloads.item(pos),)
+        _apply(
+            self.sources, self.engine, (self.times.item(pos),),
+            (self.ids.item(pos),), payload,
+        )
+        self.pos = self.proven = pos + 1
+        self.stats["dispatches"] += 1
 
     def dispatch_to(self, stop: int, before=None, after=None) -> None:
         """Run every record in ``[pos, stop)`` through the per-event
@@ -272,10 +295,24 @@ class ReplayCursor:
     # ------------------------------------------------------------------
     # The proof
     # ------------------------------------------------------------------
+    def _bails(self, start: int) -> bool:
+        """Switch to the event strategy when, proving from *start*, the
+        workload shows itself too lively for pre-scanning: from then on
+        the cursor claims nothing — every record from ``pos`` is its own
+        candidate — and reads no write log."""
+        dispatches = self.stats["dispatches"]
+        if dispatches < _BAILOUT_MIN_DISPATCHES or dispatches <= _BAILOUT_RATE * start:
+            return False
+        self.per_event, self.proven = True, self.pos
+        self.stats["dispatch_bailout_at"] = int(self.pos)
+        for table in self._tables:
+            table.write_log = None
+        return True
+
     def _scan(self, start: int, epoch: int) -> list[int]:
         """Evaluate the next stretch from *start* in one shot against
         the live columns at *epoch*; its potential crossings become the
-        claim."""
+        claim, and the write logs start over."""
         end = min(start + self._size, self._n)
         self.stats["chunk_scans"] += 1
         mask = self._prescan.crossing_mask(
@@ -284,7 +321,71 @@ class ReplayCursor:
         self._hits = hits = (np.flatnonzero(mask) + start).tolist()
         self._base, self._end, self._seen = start, end, epoch
         self._size = min(self._max_chunk, 2 * self._size)
+        self._links = None
+        _open_write_logs(self._tables)
         return hits
+
+    def _recheck(self, pos: int, epoch: int) -> bool:
+        """Re-test the records in ``[pos, end)`` of the rows the write
+        logs name against their rows' filters now, in Python scalars,
+        and keep the claim (``True``); ``False`` when the claim must
+        drop: every row or more than :data:`RECHECK_ROWS` rows named,
+        or records to re-test, or vector payloads.  The first re-test of
+        a stretch finds a row's records with one compare over the rest
+        of it; the second links the rest (:func:`~repro.state.runs.
+        next_in_stream`), so a stretch with one write pays no links and
+        one with many pays them once."""
+        rows = set()
+        for table in self._tables:
+            logged = logged_rows(table)
+            if logged is None:
+                return False  # the scan behind a dropped claim empties the rest
+            rows.update(logged)
+        if len(rows) > RECHECK_ROWS or self.payloads.ndim != 1:
+            return False
+        end, hits, links = self._end, self._hits, self._links
+        if links is None:  # the stretch's first write: no links yet
+            self._links = ()
+        elif not links:  # its second: link the rest of the stretch
+            rest = self.ids[pos:end]
+            first = np.full(len(self.sources), -1, dtype=np.int64)
+            # Written backwards, a row keeps its first record: the last
+            # write wins (tests/state/test_scatter_order.py).
+            first[rest[::-1]] = np.arange(end - 1, pos - 1, -1)
+            following = (next_in_stream(rest) + pos).tolist()
+            self._links = links = pos, first, following
+        ids, payloads = self.ids, self.payloads
+        budget = RECHECK_ROWS  # records: past it a re-scan is cheaper
+        for row in rows:
+            if links:
+                base, first, following = links
+                records, k = [], first.item(row)
+                if base <= k < end and ids.item(k) == row:
+                    while k < end:
+                        if k >= pos:
+                            records.append(k)
+                        k = following[k - base]
+                    first[row] = records[0] if records else end
+            else:
+                records = (np.flatnonzero(ids[pos:end] == row) + pos).tolist()
+            budget -= len(records)
+            if budget < 0:
+                return False
+            filters = self._prescan.bounds(row) if records else ()
+            for k in records:
+                value, crosses = payloads.item(k), filters is None
+                for lower, upper, inside in filters or ():
+                    if (lower <= value <= upper) != inside:
+                        crosses = True
+                        break
+                at = bisect_left(hits, k)
+                if at < len(hits) and hits[at] == k:
+                    if not crosses:
+                        del hits[at]
+                elif crosses:
+                    hits.insert(at, k)
+        self._seen = epoch
+        return True
 
 
 def _apply(sources, engine, times, ids, payloads, before=None, after=None):
@@ -323,8 +424,9 @@ def columnar_table(payloads, tables, sources, protocol):
     asked), one table holds every row known and filtered, no listeners
     watch per-row writes, the population is columnar over scalar
     payloads, and the rows that can report share one interval
-    (:func:`live_interval`).  Anything else goes to the cursor; a
-    latency model never gets here (:func:`resolve_mode`).
+    (:func:`live_interval`, the gate's one whole-table pass).  Anything
+    else goes to the cursor; a latency model never gets here
+    (:func:`resolve_mode`).
     """
     if not getattr(protocol, "columnar_maintenance", False):
         return None, None
@@ -368,13 +470,15 @@ def replay_columnar(
     many are quiet, and those cost one ledger count and one time-ordered
     scatter per plane (``tests/state/test_scatter_order.py``).  The
     first reacting report ends the span and takes :func:`_apply`; if it
-    wrote a constraint, rows moved whole to one new interval have the
-    provider asked again, rows split across two replay the rest of
-    the call per event (``dispatch_bailout_at``).  A span holds at most
-    :data:`DEFAULT_BATCH_SIZE` crossings (twice the absorbed prefix, at
-    least :data:`DEFAULT_MIN_CHUNK`, behind a reaction), *batch_size*
-    records when given, and nothing past the frontier last taken; a
-    frontier past the records raises.  ``chunk_scans`` counts spans.
+    wrote a constraint, only the rows the table's write log names are
+    re-checked (:func:`logged_interval`): rows moved whole to one new
+    interval have the provider asked again, rows split across two
+    replay the rest of the call per event (``dispatch_bailout_at``).
+    A span holds at most :data:`DEFAULT_BATCH_SIZE` crossings (twice
+    the absorbed prefix, at least :data:`DEFAULT_MIN_CHUNK`, behind a
+    reaction), *batch_size* records when given, and nothing past the
+    frontier last taken; a frontier past the records raises.
+    ``chunk_scans`` counts spans.
     """
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -386,7 +490,8 @@ def replay_columnar(
     n, columns = len(times), (times, stream_ids, payloads)
     stats = replay_stats("batch", "columnar", n)
     lower, upper, held = live_interval(table)
-    epoch, hits, i, take = table.constraint_epoch, None, 0, DEFAULT_BATCH_SIZE
+    hits, i, take = None, 0, DEFAULT_BATCH_SIZE
+    _open_write_logs((table,))
     for frontier in frontiers:
         if frontier > n:
             raise ValueError("frontiers must ascend to exactly len(times)")
@@ -429,17 +534,43 @@ def replay_columnar(
                 _apply(sources, engine, *(c[i:i + 1].tolist() for c in columns))
                 stats["dispatches"] += 1
                 i += 1
-                if table.constraint_epoch != epoch:
-                    epoch, interval = table.constraint_epoch, (lower, upper)
-                    lower, upper, held = live_interval(table, interval)
-                    if (lower, upper) != interval:
-                        hits = None
-                        stats["dispatch_bailout_at"] = i if lower is None else None
+            if table.write_log:  # the reaction wrote constraints
+                interval = (lower, upper)
+                lower, upper, held = logged_interval(table, interval, held)
+                if (lower, upper) != interval:
+                    hits = None
+                    stats["dispatch_bailout_at"] = i if lower is None else None
         if i < frontier:  # the rows hold two intervals: per event
             _apply(sources, engine, *(c[i:frontier].tolist() for c in columns))
             stats["dispatches"] += frontier - i
             i = frontier
+    table.write_log = None
     return stats
+
+
+def logged_interval(table, interval, held) -> tuple:
+    """:func:`live_interval` after a reaction, from *table*'s write log:
+    the *interval* and its *held* rows stand but for the rows the log
+    names, each now on the interval (held) or on a silencer (not);
+    a row on any other interval, or a log naming every row or more
+    than :data:`RECHECK_ROWS`, takes the whole-table pass."""
+    rows = logged_rows(table)
+    if rows is None:
+        return live_interval(table, interval)
+    lower, upper = interval
+    lows, highs = table.lower, table.upper
+    for row in rows:
+        low, high = lows.item(row), highs.item(row)
+        if low == lower and high == upper:
+            if held is not None:
+                held[row] = True
+        elif high == math.inf and math.isinf(low):  # a silencer
+            if held is None:
+                held = np.ones(len(lows), dtype=bool)
+            held[row] = False
+        else:
+            return live_interval(table, interval)
+    return lower, upper, held
 
 
 def live_interval(table, guess=(math.nan, math.nan)) -> tuple:
@@ -447,7 +578,9 @@ def live_interval(table, guess=(math.nan, math.nan)) -> tuple:
     (``[-inf, +inf]``, ``[+inf, +inf]``) holds and the rows that hold it
     (``None``: every row) — ``None`` bounds when such rows hold two, the
     *guess* when there are none (``nan``: containing nothing).  A few
-    element-wise passes over the rows."""
+    element-wise passes over every row: the gate's and the kernel's
+    first reading, then only behind a write the log cannot narrow
+    (:func:`logged_interval`)."""
     lower, upper = table.lower, table.upper
     held = (lower == guess[0]) & (upper == guess[1])
     live = ~held & ((upper != math.inf) | ~np.isinf(lower))
@@ -457,6 +590,33 @@ def live_interval(table, guess=(math.nan, math.nan)) -> tuple:
     if held.any() or (low != low[0]).any() or (high != high[0]).any():
         return None, None, None
     return float(low[0]), float(high[0]), None if live.all() else live
+
+
+def _open_write_logs(tables) -> None:
+    """Open — or empty — each table's write log: the reader's rows
+    start here."""
+    for table in tables:
+        table.write_log = []
+
+
+def logged_rows(table) -> list[int] | None:
+    """The rows *table*'s open write log names (repeats kept), emptying
+    it; ``None`` when an entry stands for every row or they number
+    more than :data:`RECHECK_ROWS`."""
+    log, table.write_log = table.write_log, []
+    rows: list[int] = []
+    for entry in log:
+        if type(entry) is int:
+            rows.append(entry)
+        elif entry is None:
+            return None
+        elif isinstance(entry, np.integer):
+            rows.append(int(entry))
+        elif len(entry) > RECHECK_ROWS:  # a column, or a range: never listed
+            return None
+        else:
+            rows.extend(entry.tolist() if isinstance(entry, np.ndarray) else entry)
+    return rows if len(rows) <= RECHECK_ROWS else None
 
 
 class _StatePrescan:
@@ -503,3 +663,16 @@ class _StatePrescan:
         # Filterless streams report every change.
         potential |= ~guarded
         return potential
+
+    def bounds(self, row: int) -> list[tuple] | None:
+        """:meth:`crossing_mask` for one row's scalar records, in Python
+        scalars: ``(lower, upper, inside)`` of each table whose filter
+        guards *row* — a record may flip iff its containment in one
+        differs from that ``inside`` — or ``None`` when none does (every
+        record may report)."""
+        filters = [
+            (table.lower.item(row), table.upper.item(row), table.inside.item(row))
+            for table in self._tables
+            if table.scannable.item(row)
+        ]
+        return filters or None

@@ -219,11 +219,13 @@ class ExecutionSession:
         the state tables their rank listeners, a sharded host its shards'
         back references.  Those are the assembly's reference cycles;
         without them its planes are freed the moment the caller lets
-        go, not at some later full collection."""
+        go, not at some later full collection.  A write log a replay
+        left open closes too: no reader is left."""
         for channel in self.channels:
             channel.unbind()
         for table in self.host.state_tables:
             table._listeners.clear()
+            table.write_log = None
         self.host.close()
 
     # ------------------------------------------------------------------

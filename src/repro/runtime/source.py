@@ -143,11 +143,11 @@ class Population:
         ``tests/state/test_scatter_order.py`` pins it)."""
         self.values[rows] = values
 
-    def _note(self) -> None:
-        """Tell the bound table that a row's filter or believed side was
-        just written."""
+    def _note(self, row: int) -> None:
+        """Tell the bound table that *row*'s filter or believed side was
+        just written (its write log names the table row)."""
         if self.table is not None:
-            self.table._note_constraint()
+            self.table._note_constraint(self.first_id + row)
 
     def _send(self, row: int, message: Message) -> None:
         """Send *message* up the channel of *row*'s id range."""

@@ -96,6 +96,21 @@ def previous_in_stream(stream_ids) -> np.ndarray:
     return prev
 
 
+def next_in_stream(stream_ids) -> np.ndarray:
+    """``nxt[i]``: the smallest ``j > i`` with ``stream_ids[j] ==
+    stream_ids[i]``, else ``len(stream_ids)`` — the dual of
+    :func:`previous_in_stream`: in grouped order a record's successor is
+    its right neighbour, except at a run's last."""
+    ids = np.asarray(stream_ids)
+    n = len(ids)
+    order = stable_id_order(ids)
+    nxt = np.full(n, n, dtype=np.int32 if n < 1 << 31 else np.int64)
+    grouped = ids[order]
+    same = grouped[1:] == grouped[:-1]
+    nxt[order[:-1][same]] = order[1:][same]
+    return nxt
+
+
 def flips_in_stream(after, start, stream_ids, previous) -> np.ndarray:
     """Which records flip their stream's side: ``after`` against the
     side of the stream's previous record (``previous``, a

@@ -199,10 +199,11 @@ class StateShardView(StreamStateTable):
     def _ensure_geometry(self, dimension: int) -> None:
         self.parent._ensure_geometry(dimension)
 
-    def _note_constraint(self) -> None:
-        # The columns are the parent's memory, and the replay cursor
-        # reads the parent's epoch.
-        self.parent._note_constraint()
+    def _note_constraint(self, rows=None) -> None:
+        # The columns are the parent's memory, and the replay readers
+        # read the parent's epoch and write log: rows in its coordinates.
+        lo = self.lo
+        self.parent._note_constraint(range(lo, self.hi) if rows is None else rows + lo)
 
     def __reduce__(self):
         """Pickle by re-aliasing, never by value.
@@ -284,7 +285,7 @@ def scatter_region_deploys(
             table.geo_outer_lower[idx] = outer_lo
             table.geo_outer_upper[idx] = outer_hi
             table.geo_scannable[idx] = True
-    table._note_constraint()
+    table._note_constraint(rows)
 
 
 def merge_pair_lists(

@@ -65,6 +65,9 @@ SILENCER_NONE = 0
 SILENCER_FP = 1  # silenced with [-inf, +inf]; believed inside
 SILENCER_FN = 2  # silenced with [+inf, +inf]; believed outside
 
+#: Entries a write log holds before it stands for every row.
+WRITE_LOG_CAP = 64
+
 #: Plane storage backings: ``"ram"`` allocates ordinary ndarrays;
 #: ``"mmap"`` allocates ``np.memmap`` columns as ``.npy`` files under a
 #: plane directory, so populations whose planes exceed RAM still fit.
@@ -105,6 +108,10 @@ class StreamStateTable:
     #: them): a view aliases its parent's arrays and never allocates planes.
     _storage: str = "ram"
     _plane_dir: str | None = None
+    #: The rows the constraint writes named since a replay reader last
+    #: emptied it; ``None`` while no reader holds it open
+    #: (:meth:`_note_constraint`).
+    write_log: list | None = None
 
     def __init__(
         self,
@@ -302,12 +309,21 @@ class StreamStateTable:
     # ------------------------------------------------------------------
     # Constraint plane
     # ------------------------------------------------------------------
-    def _note_constraint(self) -> None:
-        """Some row's deployed bounds or believed membership — scalar or
-        geometric — were just written (a bulk write notes once).  The
-        replay cursor (DESIGN.md §9) drops its claim past ``pos`` when
-        the epoch moved since its scan."""
+    def _note_constraint(self, rows=None) -> None:
+        """Some rows' deployed bounds or believed membership — scalar or
+        geometric — were just written: *rows* names them (a row, a
+        column or ``range`` of rows; ``None``: every row), and a bulk
+        write notes once.  Each note bumps ``constraint_epoch``; while a
+        replay reader holds the write log open (a list) the rows are
+        also appended to it.  The reader empties it as it reads, so it
+        only ever holds one reaction's writes; past
+        :data:`WRITE_LOG_CAP` entries, or at a ``None``, it ends in one
+        ``None`` that stands for every row and takes nothing more
+        (DESIGN.md §9).  Closed (``None``), nothing is kept."""
         self.constraint_epoch += 1
+        log = self.write_log
+        if log is not None and not (log and log[-1] is None):
+            log.append(None if len(log) >= WRITE_LOG_CAP else rows)
 
     def record_deploy(self, stream_id: int, lower: float, upper: float) -> None:
         """Record the scalar bounds of a deployed filter constraint."""
@@ -315,7 +331,7 @@ class StreamStateTable:
         self.lower[stream_id] = lower
         self.upper[stream_id] = upper
         self.scannable[stream_id] = True
-        self._note_constraint()
+        self._note_constraint(stream_id)
 
     def _ensure_containers(self) -> np.ndarray:
         if self.containers is None:
@@ -387,7 +403,7 @@ class StreamStateTable:
             math.inf if outer_hi is None else outer_hi
         )
         self.geo_scannable[row] = True
-        self._note_constraint()
+        self._note_constraint(row)
 
     def clear_region_filter(self, stream_id: int) -> None:
         """Drop a row's region filter from the geometric plane."""
@@ -399,7 +415,7 @@ class StreamStateTable:
             self.geo_upper[row] = -math.inf
             self.geo_outer_lower[row] = -math.inf
             self.geo_outer_upper[row] = math.inf
-        self._note_constraint()
+        self._note_constraint(row)
 
     def geometric_quiescence_mask(
         self, points: np.ndarray, stream_ids: np.ndarray | None = None

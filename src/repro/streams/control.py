@@ -17,7 +17,8 @@ one by one): the channel must hand the whole batch to one
 and the ids must be distinct — an O(1) test plus one pass over the
 batch, never over the population.  The kernels are then column
 operations on the population's planes, which are *table*'s columns
-(DESIGN.md §21), plus one ``constraint_epoch`` bump per batch.  That is
+(DESIGN.md §21), plus one ``constraint_epoch`` bump per batch, whose
+write-log entry is the batch's ids (a broadcast's one ``range``).  That is
 also how the hosts' shared ``deploy_columns`` / ``probe_columns`` serve
 the spatial stack with no branch: a point population never qualifies,
 so its batches are the ordered per-message loop (DESIGN.md §15) — as
@@ -204,7 +205,7 @@ def install_constraints(
     population.upper[rows] = upper
     population.filtered[rows] = True
     population.inside[rows] = inside
-    table._note_constraint()
+    table._note_constraint(ids)
     reporting = np.nonzero(must_report)[0]
     if reporting.size:
         times = np.broadcast_to(np.asarray(time, dtype=np.float64), len(ids))
@@ -275,5 +276,5 @@ def probe_sources(
         (population.lower[rows] <= values) & (values <= population.upper[rows])
     )[filtered]
     population.inside[rows[filtered]] = inside
-    table._note_constraint()
+    table._note_constraint(ids)
     return values

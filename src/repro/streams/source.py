@@ -136,7 +136,7 @@ class ScalarPopulation(Population):
             if inside == self.inside.item(row):
                 return
             self.inside[row] = inside
-            self._note()
+            self._note(row)
         self._report(row, value, time)
 
     def _report(self, row: int, value: float, time: float, message=UpdateMessage):
@@ -162,7 +162,7 @@ class ScalarPopulation(Population):
             if self.filtered.item(row):
                 inside = self.lower.item(row) <= value <= self.upper.item(row)
                 self.inside[row] = inside
-                self._note()
+                self._note(row)
             self._report(row, value, message.time, ProbeReplyMessage)
         elif kind is MessageKind.CONSTRAINT:
             self.install(
@@ -194,7 +194,7 @@ class ScalarPopulation(Population):
         self.upper[row] = upper
         self.filtered[row] = True
         self.inside[row] = inside
-        self._note()
+        self._note(row)
         if (
             assumed_inside is not None
             and bool(assumed_inside) != inside

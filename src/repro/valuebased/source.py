@@ -92,7 +92,7 @@ class WindowPopulation(ScalarPopulation):
         self.centers[row] = value
         self.lower[row], self.upper[row] = lower, upper
         self.inside[row] = True
-        self._note()
+        self._note(row)
         super()._report(row, value, time, message)
 
     def handle(self, message: Message) -> None:
