@@ -102,9 +102,10 @@ def test_bench_full_collection_recompute():
 
         table = StreamStateTable(n)
         rank = RankView(table, query.distance_array)
+        rows = np.arange(n)
         start = time.perf_counter()
         for vals in collections:
-            table.record_report_bulk(vals, 0.0)
+            table.record_report_rows(rows, vals, 0.0)
             engine_top, engine_thr = _engine_resolve(query, table, rank)
         t_engine = time.perf_counter() - start
 
@@ -139,7 +140,7 @@ def test_bench_point_update_order_maintenance():
         t_legacy = time.perf_counter() - start
 
         table = StreamStateTable(n)
-        table.record_report_bulk(initial, 0.0)
+        table.record_report_rows(np.arange(n), initial, 0.0)
         rank = RankView(table, query.distance_array)
         # In a live run the order exists from initialization; build it
         # outside the timer so rounds measure pure repair-and-read.

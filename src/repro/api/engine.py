@@ -269,6 +269,7 @@ def _execute_hosted(
                 0.0,
                 trace.stream_ids,
                 getattr(trace, session.vocabulary.record_column),
+                lambda: trace.previous_record,
             )
         session.replay_trace(
             trace,

@@ -343,11 +343,12 @@ class ToleranceChecker:
             label=label,
         )
 
-    def start(self, time: float, stream_ids, payloads) -> None:
+    def start(self, time: float, stream_ids, payloads, previous) -> None:
         """Before a replay of the records ``(stream_ids, payloads)``:
-        check the initialized answer, then :meth:`bind_records`."""
+        check the initialized answer, then :meth:`bind_records` over
+        *previous*, which returns the trace's predecessor index."""
         self.check_now(time)
-        self.bind_records(stream_ids, payloads)
+        self.bind_records(stream_ids, payloads, previous)
 
     def finish(self) -> None:
         """After the replay: :meth:`settle_records`."""
@@ -544,7 +545,7 @@ class RankQualityChecker:
             deployment.check_every,
         )
 
-    def start(self, time: float, stream_ids, payloads) -> None:
+    def start(self, time: float, stream_ids, payloads, previous) -> None:
         """Nothing is sampled before the first record."""
 
     def check(self, time: float) -> None:

@@ -13,7 +13,6 @@ MultiQueryCoordinator`) and its checker kind
 
 from __future__ import annotations
 
-from functools import cache, partial
 from typing import Mapping
 
 from repro.correctness.checker import (
@@ -24,7 +23,6 @@ from repro.correctness.checker import (
 from repro.correctness.staleness import tag_reason
 from repro.multiquery.coordinator import MultiQueryCoordinator
 from repro.multiquery.source import SlotPopulation
-from repro.state.runs import previous_in_stream
 
 
 class QueryGroupChecker:
@@ -59,10 +57,9 @@ class QueryGroupChecker:
             },
         )
 
-    def start(self, time: float, stream_ids, payloads) -> None:
+    def start(self, time: float, stream_ids, payloads, previous) -> None:
         """Check the initialized answers, then bind the records to every
-        checker — over one predecessor index, built at most once."""
-        previous = cache(partial(previous_in_stream, stream_ids))
+        checker — over *previous*, the trace's one predecessor index."""
         for checker in self.checkers.values():
             checker.check_now(time)
             checker.bind_records(stream_ids, payloads, previous)

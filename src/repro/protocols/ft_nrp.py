@@ -43,9 +43,10 @@ reclaiming (probing and unsilencing) silencers while either fails.  Both
 inequalities hold with equality at the paper's initialization sizing, so
 behaviour only diverges exactly where the paper's arithmetic breaks.
 
-Server-side state — answer mask and silencer flags — lives in the shared
+Server-side state — answer mask and deployed filters, a silenced row's
+being its silencer — lives in the shared
 :class:`~repro.state.table.StreamStateTable`; the FIFO pool order is a
-:class:`~repro.state.pools.SilencerPools` mirrored into its flag column.
+:class:`~repro.state.pools.SilencerPools`.
 """
 
 from __future__ import annotations
@@ -153,9 +154,7 @@ class FractionToleranceRangeProtocol(SilencingProtocol):
     # Initialization phase (Figure 7, top)
     # ------------------------------------------------------------------
     def initialize(self, server: "Server") -> None:
-        if self._state is not server.state:
-            self._state = server.state
-            self._pools.bind(self._state)
+        self._state = server.state
         self._install(server, server.probe_all())
 
     def _install(self, server: "Server", payloads: np.ndarray) -> None:

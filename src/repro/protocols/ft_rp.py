@@ -42,7 +42,8 @@ produced.
 The recompute path runs on the columnar state engine (shared
 :class:`~repro.state.table.StreamStateTable` + vectorized
 :class:`~repro.state.rank.RankView` partial selection); the FIFO
-silencer pools are mirrored into the table's flag column.
+silencer pools keep the spending order, and a silenced row's side is
+its deployed region (all of space, or the empty region).
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ class FractionToleranceKnnProtocol(SilencingProtocol):
         if self._state is not server.state:
             self._state = server.state
             self._rank = server.rank_view(self.query.rank_keys)
-            self._pools.bind(self._state)
         server.probe_all()
         self._resolve(server)
 

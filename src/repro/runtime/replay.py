@@ -178,13 +178,12 @@ class ReplayCursor:
         self.proven = 0
         self._max_chunk = int(batch_size)
         self._min_chunk = int(min_chunk)
-        #: The last scanned stretch ``[_base, _end)``, its potential
-        #: crossings (record indices, ascending) and the tables' summed
-        #: constraint epochs at the scan (each only grows, so the sum
-        #: moves iff a table took a write); ``_size`` is the next stretch's.
+        #: The last scanned stretch ``[_base, _end)`` and its potential
+        #: crossings (record indices, ascending); ``_size`` is the next
+        #: stretch's.  The tables' write logs, open from the scan on,
+        #: hold the constraint writes since.
         self._base = self._end = 0
         self._hits: list[int] = []
-        self._seen = 0
         self._size = self._max_chunk
         self._prescan = _StatePrescan(self._tables)
         #: The stretch's per-stream links (:meth:`_recheck`): ``None``
@@ -208,23 +207,23 @@ class ReplayCursor:
         Never stages: ``[pos, proven)`` is proven against the columns
         as they are *now*, and only the driver moves ``pos`` (under RPC
         an idle shard's proof can reach back before its last stretch).
-        A constraint write since the scan keeps the claim: the rows the
-        tables' write logs name have their records in ``[pos, end)``
-        re-tested (:meth:`_recheck`), the others' stand.  A log naming
-        every row or more than :data:`RECHECK_ROWS` (a broadcast), or a
-        vector payload, drops the claim past ``pos`` instead, and the
-        next stretch re-proves from there, twice as long as the dropped
-        one was consumed.  Then the first stored crossing at or past
-        ``pos`` is the candidate; with none left the next stretch is
-        scanned, each twice as long as the last.
+        A constraint write since the scan — some table's open write log
+        is not empty — keeps the claim: the rows the logs name have
+        their records in ``[pos, end)`` re-tested (:meth:`_recheck`),
+        the others' stand.  A log naming every row or more than
+        :data:`RECHECK_ROWS` (a broadcast), or a vector payload, drops
+        the claim past ``pos`` instead, and the next stretch re-proves
+        from there, twice as long as the dropped one was consumed.
+        Then the first stored crossing at or past ``pos`` is the
+        candidate; with none left the next stretch is scanned, each
+        twice as long as the last.
         """
         n = self._n
         if self.per_event:
             return self.proven if self.proven < n else None
         pos = self.pos
-        epoch = sum(table.constraint_epoch for table in self._tables)
-        if self._end > pos and epoch != self._seen:
-            if not self._recheck(pos, epoch):
+        if self._end > pos and any(table.write_log for table in self._tables):
+            if not self._recheck(pos):
                 self._size = min(
                     self._max_chunk, max(self._min_chunk, 2 * (pos - self._base))
                 )
@@ -240,7 +239,7 @@ class ReplayCursor:
             if start >= n:
                 self.proven = n
                 return None
-            hits, at = self._scan(start, epoch), 0
+            hits, at = self._scan(start), 0
         self.proven = k = hits[at]
         return k
 
@@ -309,23 +308,23 @@ class ReplayCursor:
             table.write_log = None
         return True
 
-    def _scan(self, start: int, epoch: int) -> list[int]:
+    def _scan(self, start: int) -> list[int]:
         """Evaluate the next stretch from *start* in one shot against
-        the live columns at *epoch*; its potential crossings become the
-        claim, and the write logs start over."""
+        the live columns; its potential crossings become the claim, and
+        the write logs start over."""
         end = min(start + self._size, self._n)
         self.stats["chunk_scans"] += 1
         mask = self._prescan.crossing_mask(
             self.ids[start:end], self.payloads[start:end]
         )
         self._hits = hits = (np.flatnonzero(mask) + start).tolist()
-        self._base, self._end, self._seen = start, end, epoch
+        self._base, self._end = start, end
         self._size = min(self._max_chunk, 2 * self._size)
         self._links = None
         _open_write_logs(self._tables)
         return hits
 
-    def _recheck(self, pos: int, epoch: int) -> bool:
+    def _recheck(self, pos: int) -> bool:
         """Re-test the records in ``[pos, end)`` of the rows the write
         logs name against their rows' filters now, in Python scalars,
         and keep the claim (``True``); ``False`` when the claim must
@@ -384,7 +383,6 @@ class ReplayCursor:
                         del hits[at]
                 elif crosses:
                     hits.insert(at, k)
-        self._seen = epoch
         return True
 
 
@@ -523,7 +521,6 @@ def replay_columnar(
                 stats["columnar_reports"] += quiet
                 host.now = max(host.now, float(times[at[-1]]))
                 table.values[rows] = reported
-                table.report_time[rows] = times[at]
                 table.inside[rows] = entering  # the sources' plane too
                 table.answer_take_reports(rows, entering)
             sources.stage(stream_ids[i:end], payloads[i:end])

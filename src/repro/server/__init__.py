@@ -8,8 +8,7 @@ broadcast) protocols use to resolve constraints.  The single topology's
 :class:`~repro.server.server.Server` is its one-shard instance.
 """
 
-from repro.server.answers import AnswerSet
 from repro.server.server import Server
 from repro.server.sharded import ShardedServer, ShardServer
 
-__all__ = ["AnswerSet", "Server", "ShardServer", "ShardedServer"]
+__all__ = ["Server", "ShardServer", "ShardedServer"]

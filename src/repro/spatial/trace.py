@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
+
+from repro.state.runs import previous_in_stream
 
 
 @dataclass
@@ -69,6 +72,14 @@ class SpatialTrace:
 
     def __len__(self) -> int:
         return self.n_records
+
+    @cached_property
+    def previous_record(self) -> np.ndarray:
+        """The records' :func:`~repro.state.runs.previous_in_stream`
+        index, built on first use and shared by every checked run over
+        this trace (as :attr:`~repro.streams.trace.StreamTrace.
+        previous_record`)."""
+        return previous_in_stream(self.stream_ids)
 
     def __iter__(self) -> Iterator[tuple[float, int, np.ndarray]]:
         for i in range(self.n_records):

@@ -8,15 +8,14 @@ recomputation.  This package is the one vectorized state layer they all
 share:
 
 * :class:`StreamStateTable` — a numpy-backed column store, one row per
-  stream: last-known payload, report time, deployed filter bounds,
-  believed membership, silencer flags, and the answer / tracked
+  stream: last-known payload, deployed filter bounds (a silenced row's
+  are its silencer), believed membership, and the answer / tracked
   membership masks.
 * :class:`RankView` — an incremental ``(distance, id)`` total order over
   a table, maintained with partial (heap-style) selection and
   dirty-region repair instead of full re-sorts.
 * :class:`SilencerPools` — the FIFO false-positive / false-negative
-  silencer pools of FT-NRP / FT-RP, mirrored into the table's silencer
-  flag column.
+  silencer pools of FT-NRP / FT-RP.
 
 The table is also the single source of truth for deployed constraints:
 the sources write their filter state through to it (a population's
@@ -33,18 +32,10 @@ from repro.state.sharding import (
     merge_pair_lists,
     shard_ranges,
 )
-from repro.state.table import (
-    SILENCER_FN,
-    SILENCER_FP,
-    SILENCER_NONE,
-    StreamStateTable,
-)
+from repro.state.table import StreamStateTable
 
 __all__ = [
     "RankView",
-    "SILENCER_FN",
-    "SILENCER_FP",
-    "SILENCER_NONE",
     "ShardedRankView",
     "SilencerPools",
     "StateShardView",

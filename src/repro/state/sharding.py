@@ -139,7 +139,6 @@ class StateShardView(StreamStateTable):
         self.n_streams = hi - lo
         # Value plane.
         self.values = parent.values[lo:hi]
-        self.report_time = parent.report_time[lo:hi]
         self.known = parent.known[lo:hi]
         # Constraint plane.
         self.lower = parent.lower[lo:hi]
@@ -150,7 +149,6 @@ class StateShardView(StreamStateTable):
         # Membership planes (owned by the parent; aliased for reads).
         self.answer_mask = parent.answer_mask[lo:hi]
         self.tracked_mask = parent.tracked_mask[lo:hi]
-        self.silencer = parent.silencer[lo:hi]
         self._answer_count = 0
         self._tracked_count = 0
         self._known_count = int(np.count_nonzero(self.known))
@@ -201,7 +199,7 @@ class StateShardView(StreamStateTable):
 
     def _note_constraint(self, rows=None) -> None:
         # The columns are the parent's memory, and the replay readers
-        # read the parent's epoch and write log: rows in its coordinates.
+        # read the parent's write log: rows in its coordinates.
         lo = self.lo
         self.parent._note_constraint(range(lo, self.hi) if rows is None else rows + lo)
 

@@ -7,7 +7,6 @@ server-side protocol knows about the stream population:
 column                     meaning
 =========================  ====================================================
 ``values`` / ``points``    last payload the server learned (update or probe)
-``report_time``            virtual time of that last refresh
 ``known``                  whether any payload has been learned yet
 ``lower`` / ``upper``      bounds of the deployed filter constraint
 ``inside``                 membership the server believes the source reported
@@ -17,12 +16,17 @@ column                     meaning
 ``geo_scannable``          a region filter with usable bboxes is installed
 ``answer_mask``            ``A(t)`` — the answer reported to the user
 ``tracked_mask``           ``X(t)`` — RTP's objects believed inside ``R``
-``silencer``               silencer flag (none / false-positive / -negative)
 =========================  ====================================================
 
-Ownership convention: the *value plane* (``values``, ``report_time``,
-``known``) is written by the server on probe replies and update
-deliveries; the *constraint plane* (``lower``/``upper``/``scannable``,
+Which way a row is silenced is its constraint: ``[-inf, +inf]`` (a
+false positive, believed inside) or ``[+inf, +inf]`` (a false negative,
+believed outside); the FIFO order of the silencers is the protocol's
+:class:`~repro.state.pools.SilencerPools`.  No plane stores either fact
+a second time.
+
+Ownership convention: the *value plane* (``values``, ``known``) is
+written by the server on probe replies and update deliveries; the
+*constraint plane* (``lower``/``upper``/``scannable``,
 ``containers``) and ``inside`` by the source side alone — a bound
 population's filter planes are views of these columns (DESIGN.md §21),
 so install is their only writer and a row whose constraint is still in
@@ -59,11 +63,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-
-#: ``silencer`` column codes.
-SILENCER_NONE = 0
-SILENCER_FP = 1  # silenced with [-inf, +inf]; believed inside
-SILENCER_FN = 2  # silenced with [+inf, +inf]; believed outside
 
 #: Entries a write log holds before it stands for every row.
 WRITE_LOG_CAP = 64
@@ -137,9 +136,6 @@ class StreamStateTable:
         self.n_streams = n
         # Value plane (server knowledge).
         self.values = self._alloc("values", (n,), np.float64)
-        self.report_time = self._alloc(
-            "report_time", (n,), np.float64, fill=-math.inf
-        )
         self.known = self._alloc("known", (n,), bool)
         self.points: np.ndarray | None = None  # (n, d), spatial stacks only
         # Constraint plane (installed filters; a bound population's views).
@@ -160,12 +156,9 @@ class StreamStateTable:
         # Membership planes.
         self.answer_mask = self._alloc("answer_mask", (n,), bool)
         self.tracked_mask = self._alloc("tracked_mask", (n,), bool)
-        self.silencer = self._alloc("silencer", (n,), np.int8)
         self._answer_count = 0
         #: Bumped by every answer write that may move ``answer_mask`` (§14).
         self.answer_epoch = 0
-        #: Bumped by every write of a row's filter or believed side (§9).
-        self.constraint_epoch = 0
         self._tracked_count = 0
         self._known_count = 0
         self._listeners: list = []
@@ -243,27 +236,11 @@ class StreamStateTable:
             points[stream_id] = payload
         else:
             self.values[stream_id] = payload
-        self.report_time[stream_id] = time
         if not self.known[stream_id]:
             self.known[stream_id] = True
             self._known_count += 1
         for listener in self._listeners:
             listener.note(stream_id)
-
-    def record_report_bulk(self, values: np.ndarray, time: float) -> None:
-        """Vectorized full-collection ingest (every stream probed at once).
-
-        Equivalent to ``record_report`` per stream but one C-level copy;
-        rank views are invalidated wholesale, which is exactly right — a
-        full collection dirties every key anyway.
-        """
-        self.values[:] = values
-        self.report_time[:] = time
-        if self._known_count != self.n_streams:
-            self.known[:] = True
-            self._known_count = self.n_streams
-        for listener in self._listeners:
-            listener.invalidate()
 
     def record_report_rows(self, rows: np.ndarray, payloads, time) -> None:
         """Vectorized :meth:`record_report` over distinct *rows* (a bulk
@@ -275,7 +252,6 @@ class StreamStateTable:
             self._ensure_points(np.shape(payloads)[1])[rows] = payloads
         else:
             self.values[rows] = payloads
-        self.report_time[rows] = time
         fresh = int(np.count_nonzero(~self.known[rows]))
         if fresh:
             self.known[rows] = True
@@ -313,14 +289,12 @@ class StreamStateTable:
         """Some rows' deployed bounds or believed membership — scalar or
         geometric — were just written: *rows* names them (a row, a
         column or ``range`` of rows; ``None``: every row), and a bulk
-        write notes once.  Each note bumps ``constraint_epoch``; while a
-        replay reader holds the write log open (a list) the rows are
-        also appended to it.  The reader empties it as it reads, so it
-        only ever holds one reaction's writes; past
+        write notes once.  While a replay reader holds the write log open
+        (a list) the rows are appended to it.  The reader empties it as
+        it reads, so it only ever holds one reaction's writes; past
         :data:`WRITE_LOG_CAP` entries, or at a ``None``, it ends in one
         ``None`` that stands for every row and takes nothing more
         (DESIGN.md §9).  Closed (``None``), nothing is kept."""
-        self.constraint_epoch += 1
         log = self.write_log
         if log is not None and not (log and log[-1] is None):
             log.append(None if len(log) >= WRITE_LOG_CAP else rows)
@@ -553,15 +527,6 @@ class StreamStateTable:
     def tracked_not_in_answer(self) -> np.ndarray:
         """Ids in ``X(t) - A(t)`` — RTP Case 2's replacement candidates."""
         return np.nonzero(self.tracked_mask & ~self.answer_mask)[0]
-
-    # ------------------------------------------------------------------
-    # Silencer flags
-    # ------------------------------------------------------------------
-    def set_silencer(self, stream_id: int, kind: int) -> None:
-        self.silencer[int(stream_id)] = kind
-
-    def clear_silencers(self) -> None:
-        self.silencer[:] = SILENCER_NONE
 
     # ------------------------------------------------------------------
     # Rank listeners

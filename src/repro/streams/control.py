@@ -17,7 +17,7 @@ one by one): the channel must hand the whole batch to one
 and the ids must be distinct — an O(1) test plus one pass over the
 batch, never over the population.  The kernels are then column
 operations on the population's planes, which are *table*'s columns
-(DESIGN.md §21), plus one ``constraint_epoch`` bump per batch, whose
+(DESIGN.md §21), plus one constraint note per batch, whose
 write-log entry is the batch's ids (a broadcast's one ``range``).  That is
 also how the hosts' shared ``deploy_columns`` / ``probe_columns`` serve
 the spatial stack with no branch: a point population never qualifies,

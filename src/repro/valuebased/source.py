@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.network.channel import Channel
 from repro.network.messages import Message, MessageKind, UpdateMessage
 from repro.runtime.source import ChannelFilteredSource
@@ -84,7 +86,7 @@ class WindowPopulation(ScalarPopulation):
         the centres: a window is installed around the value the server
         knows, and that knowledge costs no message."""
         super().bind_state(table)
-        table.record_report_bulk(self.centers, 0.0)
+        table.record_report_rows(np.arange(len(self.centers)), self.centers, 0.0)
 
     def _report(self, row: int, value: float, time: float, message=UpdateMessage):
         half = self.width / 2.0

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from repro.api import Deployment, Engine, QuerySpec, Workload
@@ -24,6 +25,9 @@ from repro.durability.recovery import _restore_from_snapshot
 from repro.durability.runner import execute_durable_streams
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
+from repro.state.pools import SilencerPools
+from repro.state.table import StreamStateTable
+from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 from replay_forcing import run_forced
 from trace_cuts import head
@@ -145,6 +149,67 @@ def test_a_manifest_that_names_a_replay_mode_still_resumes(
     assert result.ledger == baseline.ledger
     assert result.final_answer == baseline.final_answer
     assert result.extras["durability"]["recovered"] is True
+
+
+@pytest.mark.parametrize("deployment_kind", ["single", "sharded"])
+def test_a_snapshot_that_carries_the_retired_planes_still_resumes(
+    tmp_path, monkeypatch, deployment_kind
+):
+    """Run directories written while the state table kept a
+    ``report_time`` and a ``silencer`` plane (and ``constraint_epoch``),
+    and FT-NRP's silencer pools mirrored into it through ``_table``,
+    pickled all of them into every snapshot.  Such a cut still restores
+    — the retired attributes ride along inert — and resumes to the
+    uninterrupted run's ledger and answer."""
+    spec = QuerySpec(
+        "ft-nrp", RangeQuery(400.0, 600.0), FractionTolerance(0.2, 0.2)
+    )
+    trace = WORKLOAD.materialize()
+    baseline = Engine().run(spec, WORKLOAD, Deployment.single())
+    protocol = spec.build()
+    table_state = StreamStateTable.__getstate__
+
+    def with_retired_planes(self):
+        return {
+            **table_state(self),
+            "report_time": np.zeros(self.n_streams),
+            "silencer": np.zeros(self.n_streams, dtype=np.int8),
+            "constraint_epoch": 7,
+        }
+
+    monkeypatch.setattr(StreamStateTable, "__getstate__", with_retired_planes)
+    monkeypatch.setattr(
+        SilencerPools,
+        "__getstate__",
+        lambda self: {**vars(self), "_table": protocol._state},
+        raising=False,
+    )
+    policy = DurabilityPolicy(
+        run_dir=str(tmp_path / "run"), snapshot_every=400, segment_records=128
+    )
+    deployment = (
+        Deployment.single(durable=policy)
+        if deployment_kind == "single"
+        else Deployment.sharded(2, durable=policy)
+    )
+
+    def progress(position):
+        if position >= trace.n_records // 2:
+            raise SimulatedKill
+
+    with pytest.raises(SimulatedKill):
+        execute_durable_streams(trace, protocol, deployment, progress=progress)
+    monkeypatch.undo()
+
+    result = resume_run(policy.run_dir, trace)
+    snapshot = result.extras["durability"]["recovery"]["snapshot_file"]
+    assert snapshot is not None
+    session, _ = _restore_from_snapshot(os.path.join(policy.snapshot_dir, snapshot))
+    restored = session.host.protocol
+    assert restored._pools._table is restored._state
+    assert restored._state.silencer.dtype == np.int8
+    assert result.ledger == baseline.ledger
+    assert result.final_answer == baseline.final_answer
 
 
 def test_uninterrupted_durable_run_matches_plain(tmp_path):

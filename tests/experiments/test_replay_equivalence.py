@@ -117,4 +117,3 @@ def test_state_engine_final_state_identical_across_modes(
     assert (event_table.lower == batch_table.lower).all()
     assert (event_table.upper == batch_table.upper).all()
     assert (event_table.inside == batch_table.inside).all()
-    assert (event_table.silencer == batch_table.silencer).all()

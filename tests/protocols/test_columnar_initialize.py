@@ -33,7 +33,6 @@ from repro.runtime.session import ExecutionSession
 from repro.spatial.geometry import ALL_SPACE, BallRegion, BoxRegion
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
 from repro.state.pools import SilencerPools
-from repro.state.table import SILENCER_FN, SILENCER_FP
 from repro.streams.filters import (
     FALSE_NEGATIVE_FILTER,
     FALSE_POSITIVE_FILTER,
@@ -65,19 +64,9 @@ def _answer_replace(state, members) -> None:
 
 
 class LoopPools(SilencerPools):
-    def _sync_flags(self) -> None:
-        if self._table is None:
-            return
-        self._table.clear_silencers()
-        for stream_id in self.fp:
-            self._table.set_silencer(stream_id, SILENCER_FP)
-        for stream_id in self.fn:
-            self._table.set_silencer(stream_id, SILENCER_FN)
-
     def reset(self, fp_ids, fn_ids) -> None:
         self.fp = deque(int(i) for i in fp_ids)
         self.fn = deque(int(i) for i in fn_ids)
-        self._sync_flags()
 
 
 class SortedBoundaryNearest:
@@ -245,7 +234,6 @@ def _observe(session, protocol) -> dict:
         "tracked": state.tracked_mask.tolist(),
         "fp": list(pools.fp) if pools else None,
         "fn": list(pools.fn) if pools else None,
-        "silencer": state.silencer.tolist(),
         "bounds": (state.lower.tolist(), state.upper.tolist()),
         "count": getattr(protocol, "_count", None),
     }

@@ -221,7 +221,6 @@ def _mid_run(tolerance, answer_size, n_plus, n_minus, count, reinitialize):
         QUERY, tolerance, reinitialize_when_exhausted=reinitialize
     )
     protocol._state = table
-    protocol._pools.bind(table)
     table.answer_replace(range(answer_size))
     protocol._pools.reset(range(n_plus), range(answer_size, outside))
     protocol._count = count

@@ -7,14 +7,16 @@ property of the record arrays, so it may be supplied whole, supplied as
 the offset slice of a longer trace's (the durable runner's way), or left
 to the kernel to build: every way must leave the ledger, the answer and
 the stats of every other, and the ledger and answer of per-event replay.
-It is built once per trace, on the first run that needs it, and a run
-that never reaches the kernel never builds it.
+It is built once per trace, on the first run that needs it — the
+kernel's or a checked run's truth flips — and a cursor run never builds
+it.
 """
 
 import pytest
 
 import repro
 from repro.api import Deployment, Engine, QuerySpec, Workload
+from repro.correctness import checker as checker_module
 from repro.durability import DurabilityPolicy
 from repro.runtime import replay as replay_module
 from repro.runtime.session import ExecutionSession
@@ -104,6 +106,7 @@ def index_builds(monkeypatch):
 
     monkeypatch.setattr(trace_module, "previous_in_stream", spy)
     monkeypatch.setattr(replay_module, "previous_in_stream", spy)
+    monkeypatch.setattr(checker_module, "previous_in_stream", spy)
     return calls
 
 
@@ -130,13 +133,19 @@ def test_the_index_is_built_once_per_trace(index_builds, tmp_path):
     assert index_builds == [n, n]
 
 
-def test_a_run_that_never_reaches_the_kernel_never_builds_it(index_builds):
+def test_checked_runs_share_the_trace_index_and_the_cursor_builds_none(
+    index_builds,
+):
+    """A checked run binds its truth flips over the trace's cached index;
+    a cursor run reads no index at all."""
     engine, workload = Engine(), _fresh_workload()
-    checked = engine.run(
-        SPECS["ft-nrp"], workload, Deployment.single(check_every=1)
-    )
-    assert checked.extras["replay"]["mode"] == "event"
+    n = workload.materialize().n_records
+    for _ in range(2):
+        checked = engine.run(
+            SPECS["ft-nrp"], workload, Deployment.single(check_every=1)
+        )
+        assert checked.extras["replay"]["mode"] == "event"
     ranked = engine.run(RTP, workload)
     assert ranked.extras["replay"]["kernel"] == "run"
-    assert index_builds == []
+    assert index_builds == [n]
 

@@ -178,7 +178,7 @@ def _observable(session):
     """Ledger, final table columns, source values, reaction count."""
     table = session.host.state
     columns = (
-        "values", "report_time", "known", "points", "lower", "upper", "inside",
+        "values", "known", "points", "lower", "upper", "inside",
         "scannable", "geo_lower", "geo_upper", "geo_outer_lower",
         "geo_outer_upper", "geo_scannable",
     )

@@ -55,7 +55,6 @@ def _outcome(spec, trace, n_shards, **bounds):
             source.membership.reported_inside for source in session.sources
         ],
         "table.values": table.values.tolist(),
-        "table.report_time": table.report_time.tolist(),
         "table.inside": table.inside.tolist(),
     }
     assert table.answer_size == int(np.count_nonzero(table.answer_mask))

@@ -126,7 +126,6 @@ def _session_outcome(spec, trace, n_shards, mode, **bounds):
             source.membership.reported_inside for source in session.sources
         ],
         "table.values": table.values.tolist(),
-        "table.report_time": table.report_time.tolist(),
         "table.inside": table.inside.tolist(),
     }
     return outcome, session.last_replay_stats

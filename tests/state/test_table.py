@@ -4,12 +4,7 @@
 import numpy as np
 import pytest
 
-from repro.state.table import (
-    SILENCER_FN,
-    SILENCER_FP,
-    SILENCER_NONE,
-    StreamStateTable,
-)
+from repro.state.table import StreamStateTable
 
 
 class TestValuePlane:
@@ -18,7 +13,6 @@ class TestValuePlane:
         assert table.known_count == 0
         table.record_report(2, 7.5, 3.0)
         assert table.values[2] == 7.5
-        assert table.report_time[2] == 3.0
         assert table.known[2]
         assert table.known_count == 1
         assert list(table.known_ids()) == [2]
@@ -30,10 +24,9 @@ class TestValuePlane:
 
     def test_bulk_ingest_marks_all_known(self):
         table = StreamStateTable(3)
-        table.record_report_bulk(np.array([1.0, 2.0, 3.0]), 5.0)
+        table.record_report_rows(np.arange(3), np.array([1.0, 2.0, 3.0]), 5.0)
         assert table.known_count == 3
         assert list(table.values) == [1.0, 2.0, 3.0]
-        assert all(table.report_time == 5.0)
 
     def test_vector_payload_allocates_points(self):
         table = StreamStateTable(2)
@@ -101,15 +94,6 @@ class TestMembershipPlanes:
         table.tracked_discard(1)
         assert table.tracked_snapshot() == frozenset({0, 2})
 
-    def test_silencer_flags(self):
-        table = StreamStateTable(3)
-        table.set_silencer(0, SILENCER_FP)
-        table.set_silencer(1, SILENCER_FN)
-        assert table.silencer[0] == SILENCER_FP
-        assert table.silencer[1] == SILENCER_FN
-        table.clear_silencers()
-        assert table.silencer[0] == SILENCER_NONE
-
 
 class TestListeners:
     def test_listeners_notified_per_report(self):
@@ -127,7 +111,7 @@ class TestListeners:
         table.add_listener(spy)
         table.add_listener(spy)  # idempotent
         table.record_report(1, 5.0, 0.0)
-        table.record_report_bulk(np.zeros(3), 1.0)
+        table.record_report_rows(np.arange(3), np.zeros(3), 1.0)
         assert notes == [1, "all"]
 
     def test_negative_size_rejected(self):

@@ -265,8 +265,8 @@ def test_a_shard_view_logs_parent_rows(steps):
 
 def test_a_broadcast_is_one_entry_and_a_full_log_stands_for_every_row():
     table = StreamStateTable(5)
-    table._note_constraint(1)  # closed: counts, keeps nothing
-    assert table.write_log is None and table.constraint_epoch == 1
+    table._note_constraint(1)  # closed: keeps nothing
+    assert table.write_log is None
     table.write_log = []
     table._note_constraint(range(5))
     assert table.write_log == [range(5)]
