@@ -105,7 +105,7 @@ def test_bench_full_collection_recompute():
         rows = np.arange(n)
         start = time.perf_counter()
         for vals in collections:
-            table.record_report_rows(rows, vals, 0.0)
+            table.record_report_rows(rows, vals)
             engine_top, engine_thr = _engine_resolve(query, table, rank)
         t_engine = time.perf_counter() - start
 
@@ -140,7 +140,7 @@ def test_bench_point_update_order_maintenance():
         t_legacy = time.perf_counter() - start
 
         table = StreamStateTable(n)
-        table.record_report_rows(np.arange(n), initial, 0.0)
+        table.record_report_rows(np.arange(n), initial)
         rank = RankView(table, query.distance_array)
         # In a live run the order exists from initialization; build it
         # outside the timer so rounds measure pure repair-and-read.
@@ -148,7 +148,7 @@ def test_bench_point_update_order_maintenance():
         start = time.perf_counter()
         engine_orders = []
         for r in range(ROUNDS):
-            table.record_report(int(touched[r]), float(moved[r]), float(r))
+            table.record_report(int(touched[r]), float(moved[r]))
             engine_orders.append(rank.order())
         t_engine = time.perf_counter() - start
 

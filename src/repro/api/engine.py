@@ -148,12 +148,14 @@ def _refuse_unsupported(
                     f"{STACK_STREAMS!r} protocols; run it on its own "
                     "through Engine.run"
                 )
-    if hasattr(trace, "initial_points") != (stack == STACK_SPATIAL):
-        needs = "point" if stack == STACK_SPATIAL else "scalar"
+    if (trace.initial_values.ndim == 2) != (stack == STACK_SPATIAL):
+        needs, has = (
+            ("point", "scalar") if stack == STACK_SPATIAL else ("scalar", "point")
+        )
         raise ValueError(
             f"{subject} runs on the {stack!r} stack, which replays "
             f"{needs} traces, but the {workload.kind!r} workload is a "
-            f"{type(trace).__name__}; pair scalar protocols with scalar "
+            f"{has} trace; pair scalar protocols with scalar "
             "workloads and '-2d' protocols with Workload.moving_objects"
         )
     if deployment.durable is not None and stack in _NOT_DURABLE:
@@ -268,7 +270,7 @@ def _execute_hosted(
             checker.start(
                 0.0,
                 trace.stream_ids,
-                getattr(trace, session.vocabulary.record_column),
+                trace.values,
                 lambda: trace.previous_record,
             )
         session.replay_trace(

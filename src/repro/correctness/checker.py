@@ -218,10 +218,10 @@ class ToleranceChecker:
         differential suite plugs the set-based reference in here).
         With an override, ``oracle``/``query``/``tolerance``/
         ``answer_of`` are unused and may be ``None``.
-    error_cls, label:
-        The exception type strict mode raises — stacks keep their own
-        (e.g. ``SpatialToleranceViolationError``) — and what its message
-        names after the time (a query group's `` [query id]``).
+    label:
+        What a strict-mode :class:`ToleranceViolationError` names after
+        the time (a query group's `` [query id]``); every stack raises
+        that one error.
     answer_table:
         The table whose answer column *answer_of* returns.  Given it, a
         membership query registered with *oracle* is checked from
@@ -249,7 +249,6 @@ class ToleranceChecker:
         max_violations: int = 100,
         staleness: StalenessWindow | None = None,
         evaluate: Callable[[], str | None] | None = None,
-        error_cls: type[AssertionError] = ToleranceViolationError,
         check_offset: int = 0,
         answer_table: StreamStateTable | None = None,
         label: str = "",
@@ -276,7 +275,6 @@ class ToleranceChecker:
         self.strict = strict
         self.max_violations = max_violations
         self.staleness = staleness
-        self.error_cls = error_cls
         self.check_offset = check_offset
         self.label = label
         if evaluate is not None:
@@ -303,9 +301,9 @@ class ToleranceChecker:
         table=None, check_offset=None, label="",
     ) -> "ToleranceChecker":
         """The checker of *protocol* hosted by the assembled *session*:
-        the vocabulary's oracle over *trace*'s initial payloads, its
-        strict-mode error (tagged *label*) and check phase (or
-        *check_offset*), and — under a latency model — the staleness
+        the vocabulary's oracle over *trace*'s initial payloads and its
+        check phase (or *check_offset*), strict-mode errors tagged
+        *label*, and — under a latency model — the staleness
         classifier over the session's channels.  *query* defaults to the
         protocol's; *table* is the state table it answers from
         (default: the host's)."""
@@ -318,7 +316,7 @@ class ToleranceChecker:
         vocabulary = session.vocabulary
         if check_offset is None:
             check_offset = vocabulary.check_offset
-        oracle = vocabulary.oracle(getattr(trace, vocabulary.initial_column))
+        oracle = vocabulary.oracle(trace.initial_values)
         oracle.register_query(query)
         return cls(
             oracle=oracle,
@@ -334,7 +332,6 @@ class ToleranceChecker:
                 if deployment.latency is not None
                 else None
             ),
-            error_cls=vocabulary.violation_error,
             check_offset=check_offset % deployment.check_every,
             # Unless the answer is derived elsewhere (no-filter).
             answer_table=(table if table is not None else session.host.state)
@@ -410,7 +407,7 @@ class ToleranceChecker:
         if len(self.report.violations) < self.max_violations:
             self.report.violations.append(violation)
         if self.strict and strict_should_raise(classification):
-            raise self.error_cls(f"t={time}{self.label}: {reason}")
+            raise ToleranceViolationError(f"t={time}{self.label}: {reason}")
         return violation
 
     def bind_records(self, stream_ids, payloads, previous=None) -> None:
@@ -537,7 +534,7 @@ class RankQualityChecker:
         values are the host table's value column."""
         vocabulary = session.vocabulary
         return cls(
-            vocabulary.oracle(getattr(trace, vocabulary.initial_column)),
+            vocabulary.oracle(trace.initial_values),
             protocol.query,
             lambda: protocol.answer_mask,
             session.host.state.values,

@@ -76,7 +76,7 @@ class QueryContext:
             QueryProbeMessage(stream_id, coordinator.now, query=self.query_id)
         )
         reply, coordinator.probe_reply = coordinator.probe_reply, None
-        self.state.record_report(stream_id, reply.value, reply.time)
+        self.state.record_report(stream_id, reply.value)
         return reply.value
 
     def probe_all(self, stream_ids=None) -> np.ndarray:
@@ -91,7 +91,7 @@ class QueryContext:
             return np.array([self.probe(stream_id) for stream_id in ids.tolist()])
         channel.charge_bulk(ids, MessageKind.PROBE_REQUEST, MessageKind.PROBE_REPLY)
         values = population.resync(self.query_id, ids - population.first_id)
-        self.state.record_report_rows(ids, values, self._coordinator.now)
+        self.state.record_report_rows(ids, values)
         return values
 
     def deploy(

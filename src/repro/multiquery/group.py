@@ -194,5 +194,5 @@ class QueryGroup:
             # Refresh exactly the forwarded queries' value planes: each
             # protocol's knowledge stays identical to its solo run.
             context = coordinator.contexts[query_id]
-            context.state.record_report(stream_id, value, time)
+            context.state.record_report(stream_id, value)
             protocol.on_update(context, stream_id, value, time)

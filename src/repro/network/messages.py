@@ -78,7 +78,9 @@ class Message:
 
 @dataclass(frozen=True)
 class UpdateMessage(Message):
-    """Source-to-server value report triggered by a filter violation."""
+    """Source-to-server value report triggered by a filter violation.
+    The value is a float, or an ``(d,)`` point array on the spatial
+    stack (one message family for every dimension, DESIGN.md §15)."""
 
     value: float = 0.0
 
@@ -94,7 +96,8 @@ class ProbeRequestMessage(Message):
 
 @dataclass(frozen=True)
 class ProbeReplyMessage(Message):
-    """Source-to-server reply to a probe, carrying the current value."""
+    """Source-to-server reply to a probe, carrying the current value
+    (a float or a point, as in :class:`UpdateMessage`)."""
 
     value: float = 0.0
 

@@ -138,9 +138,8 @@ class ExecutionSession:
             make_channel(ledger, engine, latency, channel_index=index)
             for index in range(len(ranges))
         ]
-        initials = getattr(trace, vocabulary.initial_column)
         population = protocol.population or vocabulary.population
-        sources = population(initials, channels, ranges)
+        sources = population(trace.initial_values, channels, ranges)
         if protocol.host is not None:
             host = protocol.host(channels, ranges)
         elif n_shards is None:
@@ -343,14 +342,13 @@ class ExecutionSession:
             channel.drain_in_flight()
 
     def replay_trace(self, trace, **kwargs) -> None:
-        """Replay a trace object (its record payloads are the column the
-        session's vocabulary names)."""
-        start = getattr(trace, "initial_values", None)  # where its memo holds
-        fresh = np.array_equal(self.sources.values, start)
+        """Replay a trace object: its ``values`` column, ``(m,)`` or
+        ``(m, d)``."""
+        fresh = np.array_equal(self.sources.values, trace.initial_values)
         self.replay(
             trace.times,
             trace.stream_ids,
-            getattr(trace, self.vocabulary.record_column),
+            trace.values,
             horizon=trace.horizon,
             previous=lambda: trace.previous_record,
             crossings=trace.crossings if fresh else None,

@@ -70,8 +70,6 @@ class FilteredSource:
         """Install a new payload; report if the filter demands it."""
         self._population.apply(self._row, payload, time)
 
-    apply_value = apply
-
 
 class ChannelFilteredSource(FilteredSource):
     """A view of a channel-backed population's row."""

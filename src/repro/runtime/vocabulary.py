@@ -27,36 +27,32 @@ _BY_STACK: dict[str, "Vocabulary"] = {}
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Everything the scalar and spatial stacks differ in.
+    """Everything the scalar and spatial stacks differ in: the filter.
 
-    The four message classes take ``(stream_id, time, *payload)``
-    positionally; a constraint's payload is what ``deploy`` received —
-    ``lower, upper`` or ``region``, then the optional belief — so every
-    host's ``deploy`` builds the message first and works from it, and
-    ``deploy_many`` is ``deploy`` over the rows :attr:`constraint_columns`
-    lowers a bound value to.
+    A stream value is data whatever its dimension — a trace's value
+    columns are ``(n,)`` / ``(m,)`` or ``(n, d)`` / ``(m, d)``, and an
+    update, probe or probe reply is the one message class of its kind
+    with the value in its ``value`` field — so a vocabulary names only
+    what a filter *is*: the constraint message, the population that
+    evaluates it, how a bound lowers to constraint columns, how it
+    travels to a shard worker, and the oracle that checks it.
+
+    The constraint message takes ``(stream_id, time, *payload)``
+    positionally, its payload what ``deploy`` received — ``lower,
+    upper`` or ``region``, then the optional belief — so every host's
+    ``deploy`` builds the message first and works from it, and
+    ``deploy_many`` is ``deploy`` over the rows
+    :attr:`constraint_columns` lowers a bound value to.
     """
 
     #: Registry key; equals ``QuerySpec.stack`` of the protocols served.
     stack: str
-    # -- messages ------------------------------------------------------
-    probe_request: type
-    probe_reply: type
-    update: type
     constraint: type
-    #: Reads the payload off an update / probe-reply message.
-    payload_of: Callable
-    # -- population and trace ------------------------------------------
     #: ``(initial payloads, channels, id ranges) -> population``: the
     #: sources of ids ``ranges[0][0] .. ranges[-1][1]``, each range
     #: bound to its channel, as one population of planes (DESIGN.md
     #: §18, §20).
     population: Callable
-    #: Trace attributes holding the initial payloads and the record
-    #: payload column (``(n,)`` / ``(m,)`` scalars or ``(n, d)`` /
-    #: ``(m, d)`` points).
-    initial_column: str
-    record_column: str
     # -- bound lowering ------------------------------------------------
     #: ``deploy_many``'s lowering of a bound value to message payload
     #: columns: ``(stream_ids, bound, assumed_inside, silenced) -> (ids,
@@ -65,7 +61,6 @@ class Vocabulary:
     constraint_columns: Callable
     # -- checking ------------------------------------------------------
     oracle: type
-    violation_error: type
     #: Which tick of each ``check_every`` window fires, modulo the
     #: window: ``0`` checks ticks 1, 1+every, ...; ``-1`` checks ticks
     #: every, 2*every, ... (recorded results pin both phases).

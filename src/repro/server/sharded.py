@@ -64,7 +64,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.network.channel import Channel
-from repro.network.messages import Message
+from repro.network.messages import (
+    Message,
+    ProbeReplyMessage,
+    ProbeRequestMessage,
+    UpdateMessage,
+)
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
 from repro.runtime.vocabulary import VocabularyBound, vocabulary_of
@@ -97,7 +102,6 @@ class ShardServer:
         state: StateShardView,
     ) -> None:
         self._coordinator = coordinator
-        self.vocabulary = coordinator.vocabulary
         self.channel = channel
         self.state = state
         self.lo = state.lo
@@ -110,21 +114,18 @@ class ShardServer:
         """One probe round-trip to a source this shard owns."""
         self._awaiting_probe = True
         self._probe_reply = None
-        self.channel.send_to_source(
-            self.vocabulary.probe_request(stream_id, time)
-        )
+        self.channel.send_to_source(ProbeRequestMessage(stream_id, time))
         self._awaiting_probe = False
         if self._probe_reply is None:  # pragma: no cover - defensive
             raise RuntimeError(f"source {stream_id} did not reply to probe")
         reply = self._probe_reply
-        payload = self.vocabulary.payload_of(reply)
-        self.state.record_report(reply.stream_id - self.lo, payload, reply.time)
-        return payload
+        self.state.record_report(reply.stream_id - self.lo, reply.value)
+        return reply.value
 
     def _take_reply(self, message: Message) -> None:
         if not self._awaiting_probe:  # pragma: no cover - defensive
             raise RuntimeError("unsolicited probe reply")
-        assert isinstance(message, self.vocabulary.probe_reply)
+        assert isinstance(message, ProbeReplyMessage)
         self._probe_reply = message
 
 
@@ -312,7 +313,7 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         if message.is_probe:
             shard._take_reply(message)
             return
-        assert isinstance(message, self.vocabulary.update)
+        assert isinstance(message, UpdateMessage)
         if message.time > self._now:
             self._now = message.time
         if self._busy:
@@ -331,10 +332,9 @@ class ShardedServer(VocabularyBound, DeferredDeliveryMixin):
         # shard view (dirtying only that shard's rank listeners), then
         # the protocol sees the update exactly as on one shard.
         shard, message = item
-        stream_id, time = message.stream_id, message.time
-        payload = self.vocabulary.payload_of(message)
-        shard.state.record_report(stream_id - shard.lo, payload, time)
-        self.protocol.on_update(self, stream_id, payload, time)
+        stream_id, payload = message.stream_id, message.value
+        shard.state.record_report(stream_id - shard.lo, payload)
+        self.protocol.on_update(self, stream_id, payload, message.time)
 
 
 class ShardedSpatialServer(ShardedServer):

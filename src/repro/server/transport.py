@@ -55,8 +55,10 @@ Three pieces:
   deployments that preserve the sequential self-correction FIFO.
 
 Worker and coordinator are written once against the payload
-:class:`~repro.runtime.vocabulary.Vocabulary` (DESIGN.md §13): message
-classes, population constructor and trace columns are fields they read, and the
+:class:`~repro.runtime.vocabulary.Vocabulary` (DESIGN.md §13): the
+constraint message and the population constructor are fields they read
+(a payload is a float or a point in the one ``value`` field, and a trace
+slice is its ``initial_values`` / ``values`` rows), and the
 one part of the wire that is a different algorithm per vocabulary —
 how a deploy flush is framed (raw interval columns vs region frames)
 and installed — is a pair of functions the vocabulary points to.
@@ -80,7 +82,12 @@ import numpy as np
 
 from repro.network.accounting import MessageLedger, Phase
 from repro.network.channel import Channel
-from repro.network.messages import Message, MessageKind
+from repro.network.messages import (
+    Message,
+    MessageKind,
+    ProbeRequestMessage,
+    UpdateMessage,
+)
 from repro.protocols.base import FilterProtocol
 from repro.runtime.dispatch import DeferredDeliveryMixin
 from repro.runtime.replay import ReplayCursor
@@ -180,11 +187,7 @@ class ShardWorker:
             return
         if message.kind is MessageKind.UPDATE:
             self.outbox.append(
-                (
-                    int(message.stream_id),
-                    self.vocabulary.payload_of(message),
-                    float(message.time),
-                )
+                (int(message.stream_id), message.value, float(message.time))
             )
             return
         raise RuntimeError(  # pragma: no cover - defensive
@@ -235,37 +238,31 @@ class ShardWorker:
 
     # -- control plane --------------------------------------------------
     def probe(self, local_id: int, time: float):
-        """One probe round-trip against the local source: ``(payload,
-        reply time)``."""
+        """One probe round-trip against the local source: its payload."""
         self._probe_reply = None
-        self.channel.send_to_source(
-            self.vocabulary.probe_request(int(local_id), float(time))
-        )
+        self.channel.send_to_source(ProbeRequestMessage(int(local_id), float(time)))
         reply = self._probe_reply
         if reply is None:  # pragma: no cover - defensive
             raise TransportError(
                 f"worker {self.index}: source {local_id} did not reply"
             )
-        return self.vocabulary.payload_of(reply), float(reply.time)
+        return reply.value
 
-    def probe_batch(
-        self, local_ids, time: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Probe several local sources; replies as parallel arrays (the
-        payloads an ``(m,)`` column or an ``(m, d)`` matrix).
+    def probe_batch(self, local_ids, time: float) -> np.ndarray:
+        """Probe several local sources; their payloads as an ``(m,)``
+        column or an ``(m, d)`` matrix.
 
         One columnar operation when the batch qualifies (DESIGN.md §12);
         region filters keep the per-message round-trips.
         """
         local_ids = np.asarray(local_ids, dtype=np.int64)
-        times = np.full(len(local_ids), float(time))
         payloads = probe_sources(self.channel, self.table, local_ids)
         if payloads is None:
             payloads = np.array(
-                [self.probe(local_id, time)[0] for local_id in local_ids.tolist()],
+                [self.probe(local_id, time) for local_id in local_ids.tolist()],
                 dtype=np.float64,
             )
-        return payloads, times
+        return payloads
 
     def deploy_batch(self, local_ids, *wire):
         """Install one shipped constraint batch in order; return the
@@ -536,9 +533,6 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         if self.bus is not None:
             return self
         trace = self.trace
-        vocabulary = self.vocabulary
-        initials = getattr(trace, vocabulary.initial_column)
-        payloads = getattr(trace, vocabulary.record_column)
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
@@ -555,15 +549,17 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
             for index, (lo, hi) in enumerate(self.ranges):
                 keep = (trace.stream_ids >= lo) & (trace.stream_ids < hi)
                 spec = {
-                    "vocabulary": vocabulary,
+                    "vocabulary": self.vocabulary,
                     "index": index,
                     # Copied: the spec crosses a fork.
-                    "initial_values": np.array(initials[lo:hi], np.float64),
+                    "initial_values": np.array(
+                        trace.initial_values[lo:hi], np.float64
+                    ),
                     "times": trace.times[keep],
                     "local_ids": (trace.stream_ids[keep] - lo).astype(
                         np.int64
                     ),
-                    "values": payloads[keep],
+                    "values": trace.values[keep],
                     "gpos": np.nonzero(keep)[0].astype(np.int64),
                 }
                 parent_conn, child_conn = ctx.Pipe()
@@ -670,11 +666,9 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
         self._flush_deploys()
         index, view = self._view_for(stream_id)
         self.ledger.record_kind(MessageKind.PROBE_REQUEST)
-        payload, time = self._rpc(
-            index, ("probe", int(stream_id) - view.lo, self._now)
-        )
+        payload = self._rpc(index, ("probe", int(stream_id) - view.lo, self._now))
         self.ledger.record_kind(MessageKind.PROBE_REPLY)
-        view.record_report(int(stream_id) - view.lo, payload, time)
+        view.record_report(int(stream_id) - view.lo, payload)
         self._dirty.add(index)
         return payload
 
@@ -694,12 +688,10 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
             view = self.shard_views[index]
             rows = ids[a:b] - view.lo
             self.ledger.record_kind(MessageKind.PROBE_REQUEST, b - a)
-            payloads, times = self._rpc(
-                index, ("probe_batch", rows, self._now)
-            )
+            payloads = self._rpc(index, ("probe_batch", rows, self._now))
             self.ledger.record_kind(MessageKind.PROBE_REPLY, b - a)
             self._dirty.add(index)
-            view.record_report_rows(rows, payloads, times)
+            view.record_report_rows(rows, payloads)
             runs.append(payloads)
         return np.concatenate(runs) if runs else np.empty(0)
 
@@ -832,10 +824,9 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
 
     def _handle_delivery(self, message: Message) -> None:
         index, view = self._view_for(message.stream_id)
-        payload = self.vocabulary.payload_of(message)
-        view.record_report(message.stream_id - view.lo, payload, message.time)
+        view.record_report(message.stream_id - view.lo, message.value)
         self.protocol.on_update(
-            self, message.stream_id, payload, message.time
+            self, message.stream_id, message.value, message.time
         )
 
     # ------------------------------------------------------------------
@@ -844,7 +835,7 @@ class TransportShardedServer(VocabularyBound, DeferredDeliveryMixin):
     def _uplink_message(self, lo: int, item) -> Message:
         """Reconstitute one captured worker uplink as a global message."""
         local_id, payload, time = item
-        return self.vocabulary.update(int(local_id) + lo, float(time), payload)
+        return UpdateMessage(int(local_id) + lo, float(time), payload)
 
     def replay(self, horizon: float | None = None) -> list[dict]:
         """Drive the full trace; returns the per-worker replay stats."""

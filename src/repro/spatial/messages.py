@@ -1,11 +1,14 @@
-"""Vector-valued message types and their columnar wire frames.
+"""The region constraint message and the transport's columnar frames.
 
-Mirrors :mod:`repro.network.messages` with payloads generalized to
-points and regions; the same :class:`~repro.network.messages.MessageKind`
-taxonomy (and hence the same ledger accounting) applies.
+A spatial update, probe or probe reply is the scalar stack's message
+with a point in its ``value`` field (:mod:`repro.network.messages`); the
+one message the spatial stack adds is the constraint, whose payload is
+a :class:`~repro.spatial.geometry.Region` instead of an interval.  It
+takes the same :class:`~repro.network.messages.MessageKind` (and hence
+the same ledger accounting).
 
-The second half of this module is the spatial RPC *frame* codec used by
-the process shard transport (DESIGN.md §10).  A frame packs one epoch
+The rest of this module is the spatial RPC *frame* codec used by the
+process shard transport (DESIGN.md §10).  A frame packs one epoch
 batch of points or regions into contiguous little-endian numpy buffers
 — x/y columns for point batches, constraint-rect columns for region
 batches — so a worker epoch is one recv plus one vectorized scatter
@@ -17,7 +20,7 @@ escape row, so the frame vocabulary is total over the region algebra.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,31 +32,6 @@ from repro.spatial.geometry import (
     BoxRegion,
     Region,
 )
-
-
-@dataclass(frozen=True)
-class PointUpdateMessage(Message):
-    """Source-to-server report of a vector value."""
-
-    point: np.ndarray = field(default_factory=lambda: np.zeros(1))
-
-    kind = MessageKind.UPDATE
-
-
-@dataclass(frozen=True)
-class PointProbeRequestMessage(Message):
-    """Server-to-source request for the current point."""
-
-    kind = MessageKind.PROBE_REQUEST
-
-
-@dataclass(frozen=True)
-class PointProbeReplyMessage(Message):
-    """Source-to-server probe reply carrying the current point."""
-
-    point: np.ndarray = field(default_factory=lambda: np.zeros(1))
-
-    kind = MessageKind.PROBE_REPLY
 
 
 @dataclass(frozen=True)

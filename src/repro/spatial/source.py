@@ -2,12 +2,13 @@
 
 Identical semantics to :class:`repro.streams.source.ScalarPopulation` —
 report iff region membership flips, refresh on probe, self-correct on a
-stale deployment belief — over points and regions (DESIGN.md §20): an
-``(n, d)`` value plane, the installed regions as an object column, and
-``filtered`` / ``inside`` planes.  Once bound to a state table, the
-region column and ``inside`` are views of its ``containers`` and
-``inside`` columns (DESIGN.md §21), and its geometric plane takes each
-installed region's quiescence boxes.
+stale deployment belief, in the same update and probe-reply messages
+with a point as their ``value`` — over points and regions (DESIGN.md
+§20): an ``(n, d)`` value plane, the installed regions as an object
+column, and ``filtered`` / ``inside`` planes.  Once bound to a state
+table, the region column and ``inside`` are views of its
+``containers`` and ``inside`` columns (DESIGN.md §21), and its
+geometric plane takes each installed region's quiescence boxes.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from repro.network.channel import Channel
-from repro.network.messages import Message, MessageKind
+from repro.network.messages import (
+    Message,
+    MessageKind,
+    ProbeReplyMessage,
+    UpdateMessage,
+)
 from repro.runtime.membership import deployment_outcome
 from repro.runtime.source import ChannelFilteredSource, Population, alias_planes
 from repro.spatial.geometry import Region, as_point
-from repro.spatial.messages import PointProbeReplyMessage, PointUpdateMessage
 
 
 class SpatialStreamSource(ChannelFilteredSource):
@@ -36,17 +41,6 @@ class SpatialStreamSource(ChannelFilteredSource):
             [as_point(initial_point)], [channel], [(stream_id, stream_id + 1)]
         )
         self._row = 0
-
-    apply_point = ChannelFilteredSource.apply
-
-    @property
-    def point(self) -> np.ndarray:
-        """The source's current point (a copy)."""
-        return self.value
-
-    @point.setter
-    def point(self, value) -> None:
-        self.value = as_point(value)
 
     @property
     def region(self) -> Region | None:
@@ -125,7 +119,7 @@ class PointPopulation(Population):
                 return
             self.inside[row] = inside
             self._note(row)
-        self._send(row, PointUpdateMessage(self.first_id + row, time, point.copy()))
+        self._send(row, UpdateMessage(self.first_id + row, time, point.copy()))
 
     # ------------------------------------------------------------------
     # Control plane
@@ -142,8 +136,7 @@ class PointPopulation(Population):
                 self.inside[row] = inside
                 self._note(row)
             self._send(
-                row,
-                PointProbeReplyMessage(message.stream_id, message.time, point.copy()),
+                row, ProbeReplyMessage(message.stream_id, message.time, point.copy())
             )
         elif message.kind is MessageKind.CONSTRAINT:
             region = message.region
@@ -157,8 +150,7 @@ class PointPopulation(Population):
             self.inside[row] = inside  # after the boxes, which may reset it
             if must_report:
                 self._send(
-                    row,
-                    PointUpdateMessage(message.stream_id, message.time, point.copy()),
+                    row, UpdateMessage(message.stream_id, message.time, point.copy())
                 )
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"source received unexpected {message.kind}")

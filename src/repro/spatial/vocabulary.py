@@ -11,17 +11,12 @@ self-corrections back as a point-batch frame.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 import numpy as np
 
 from repro.runtime.membership import BELIEF_NONE, belief_codes, belief_column
 from repro.runtime.vocabulary import Vocabulary
 from repro.spatial.geometry import ALL_SPACE, EMPTY_REGION
 from repro.spatial.messages import (
-    PointProbeReplyMessage,
-    PointProbeRequestMessage,
-    PointUpdateMessage,
     RegionConstraintMessage,
     pack_points,
     pack_regions,
@@ -30,10 +25,6 @@ from repro.spatial.messages import (
 from repro.spatial.oracle import SpatialOracle
 from repro.spatial.source import PointPopulation
 from repro.state.sharding import id_column, scatter_region_deploys
-
-
-class SpatialToleranceViolationError(AssertionError):
-    """Raised in strict mode when a spatial protocol breaks tolerance."""
 
 
 def region_columns(stream_ids, bound, assumed_inside=None, silenced=None):
@@ -76,7 +67,7 @@ def flush_region_deploys(coordinator) -> None:
     """
     gids, regions, assumed, times = coordinator.take_deploys(_region_columns)
     regions = regions.tolist()
-    dimension = coordinator.trace.dimension
+    dimension = coordinator.trace.values.shape[1]
     scatter_region_deploys(coordinator.state, gids, regions, dimension)
     coordinator.ship_deploys(
         gids,
@@ -124,17 +115,10 @@ def install_region_batch(worker, local_ids, frame, assumed, times):
 
 SPATIAL = Vocabulary(
     stack="spatial",
-    probe_request=PointProbeRequestMessage,
-    probe_reply=PointProbeReplyMessage,
-    update=PointUpdateMessage,
     constraint=RegionConstraintMessage,
-    payload_of=attrgetter("point"),
     population=PointPopulation,
-    initial_column="initial_points",
-    record_column="points",
     constraint_columns=region_columns,
     oracle=SpatialOracle,
-    violation_error=SpatialToleranceViolationError,
     check_offset=-1,
     flush_deploys=flush_region_deploys,
     install_batch=install_region_batch,

@@ -4,7 +4,9 @@ The paper motivates k-NN queries with location monitoring of moving
 objects (Section 1, [21]).  This generator produces objects moving in a
 d-dimensional box as reflected Gaussian random walks with exponential
 report times — the natural multi-dimensional analogue of the Section 6.2
-synthetic model, drawn and sorted by the same ``walk_records``.
+synthetic model, drawn and sorted by the same ``walk_records`` into the
+same :class:`~repro.streams.trace.StreamTrace`, with ``(n, d)`` /
+``(m, d)`` value columns.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.rng import RandomStreams
-from repro.spatial.trace import SpatialTrace
 from repro.streams.generators import BoundedRandomWalk
 from repro.streams.synthetic import walk_records
+from repro.streams.trace import StreamTrace
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class MovingObjectsConfig:
 
 def generate_moving_objects_trace(
     config: MovingObjectsConfig | None = None, **overrides
-) -> SpatialTrace:
+) -> StreamTrace:
     """Materialize a moving-objects workload as a replayable trace."""
     if config is None:
         config = MovingObjectsConfig()
@@ -83,7 +85,7 @@ def generate_moving_objects_trace(
         BoundedRandomWalk(config.sigma, low=0.0, high=config.extent),
         initial, arrival_rng, step_rng, config.mean_interarrival, config.horizon,
     )
-    return SpatialTrace(
+    return StreamTrace(
         initial, times, ids, points,
         horizon=config.horizon,
         metadata={

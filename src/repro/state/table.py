@@ -228,7 +228,7 @@ class StreamStateTable:
     # ------------------------------------------------------------------
     # Value plane
     # ------------------------------------------------------------------
-    def record_report(self, stream_id: int, payload, time: float) -> None:
+    def record_report(self, stream_id: int, payload) -> None:
         """Install the payload the server just learned for one stream."""
         stream_id = int(stream_id)
         if isinstance(payload, np.ndarray) and payload.ndim > 0:
@@ -242,7 +242,7 @@ class StreamStateTable:
         for listener in self._listeners:
             listener.note(stream_id)
 
-    def record_report_rows(self, rows: np.ndarray, payloads, time) -> None:
+    def record_report_rows(self, rows: np.ndarray, payloads) -> None:
         """Vectorized :meth:`record_report` over distinct *rows* (a bulk
         probe's replies): a value column, or an ``(m, d)`` point matrix.
         Rank views are invalidated wholesale: that moves only their next

@@ -112,7 +112,7 @@ def probe_columns(host, channel, table, ids, reports, offset) -> np.ndarray:
     values = probe_sources(channel, table, ids)
     if values is None:
         return np.array([host.probe(stream_id) for stream_id in ids.tolist()])
-    reports.record_report_rows(ids - offset, values, host.now)
+    reports.record_report_rows(ids - offset, values)
     return values
 
 

@@ -2,8 +2,11 @@
 
 A :class:`StreamTrace` is the full input to a simulation run: one initial
 value per stream plus a time-ordered sequence of ``(time, stream_id,
-value)`` records.  Materializing workloads as traces (instead of sampling
-inside the run) guarantees that every protocol in a comparison processes
+value)`` records.  A value is a float or a d-dimensional point: the
+value columns are ``(n,)`` / ``(m,)`` or ``(n, d)`` / ``(m, d)``, and
+nothing else about the trace depends on which (DESIGN.md §15).
+Materializing workloads as traces (instead of sampling inside the run)
+guarantees that every protocol in a comparison processes
 *identical* data — the paper's figures compare protocols on the same trace.
 
 Traces serialize to ``.npz`` for caching expensive workloads between
@@ -27,11 +30,12 @@ CROSSINGS_BLOCK, CROSSINGS_KEPT = 1 << 16, 4
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """A single stream update: at *time*, stream *stream_id* takes *value*."""
+    """A single stream update: at *time*, stream *stream_id* takes *value*
+    (a float, or a point trace's row as a tuple, so records compare)."""
 
     time: float
     stream_id: int
-    value: float
+    value: float | tuple[float, ...]
 
 
 @dataclass
@@ -41,9 +45,11 @@ class StreamTrace:
     Attributes
     ----------
     initial_values:
-        ``initial_values[i]`` is stream ``i``'s value at virtual time 0.
+        ``initial_values[i]`` is stream ``i``'s value at virtual time 0:
+        an ``(n,)`` column, or an ``(n, d)`` matrix of points.
     times, stream_ids, values:
-        Parallel arrays of update records, sorted by time (FIFO-stable).
+        Parallel arrays of update records, sorted by time (FIFO-stable);
+        ``values`` is ``(m,)``, or ``(m, d)`` beside ``(n, d)`` initials.
     horizon:
         Virtual end time of the run (>= the last record's time).
     metadata:
@@ -62,6 +68,10 @@ class StreamTrace:
         self.times = np.asarray(self.times, dtype=np.float64)
         self.stream_ids = np.asarray(self.stream_ids, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
+        if self.initial_values.ndim not in (1, 2):
+            raise ValueError("initial values must be an (n,) column or (n, d) matrix")
+        if self.values.shape[1:] != self.initial_values.shape[1:]:
+            raise ValueError("record dimension differs from the initial values'")
         if not (len(self.times) == len(self.stream_ids) == len(self.values)):
             raise ValueError("record arrays must have equal length")
         if len(self.times) and np.any(np.diff(self.times) < 0):
@@ -102,7 +112,10 @@ class StreamTrace:
         closed ``[lower, upper]`` differs from their stream's previous
         record's, or initial value's: blockwise :func:`~repro.state.runs.
         flips_in_stream`, kept read-only for the last few intervals like
-        :attr:`previous_record`.  An empty interval lists nothing."""
+        :attr:`previous_record`.  An empty interval lists nothing; a
+        point trace has no interval to cross (``ValueError``)."""
+        if self.values.ndim != 1:
+            raise ValueError("a point trace has no crossings of an interval")
         if not lower <= upper:  # nan or inverted bounds: not kept
             return np.empty(0, dtype=np.intp)
         memo = self.__dict__.setdefault("_crossings", {})
@@ -126,7 +139,8 @@ class StreamTrace:
         for time, stream_id, value in zip(
             self.times, self.stream_ids, self.values
         ):
-            yield TraceRecord(float(time), int(stream_id), float(value))
+            value = tuple(value.tolist()) if value.ndim else float(value)
+            yield TraceRecord(float(time), int(stream_id), value)
 
     def restrict_streams(self, n_streams: int) -> "StreamTrace":
         """Project the trace onto the first *n_streams* streams.

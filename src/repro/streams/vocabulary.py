@@ -9,18 +9,10 @@ deploy path ships raw ``lower`` / ``upper`` columns.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 import numpy as np
 
-from repro.correctness.checker import ToleranceViolationError
 from repro.correctness.oracle import Oracle
-from repro.network.messages import (
-    ConstraintMessage,
-    ProbeReplyMessage,
-    ProbeRequestMessage,
-    UpdateMessage,
-)
+from repro.network.messages import ConstraintMessage
 from repro.runtime.membership import BELIEF_NONE, belief_codes
 from repro.runtime.vocabulary import Vocabulary
 from repro.streams.control import constraint_columns, install_constraints
@@ -94,17 +86,10 @@ def install_interval_batch(
 
 SCALAR = Vocabulary(
     stack="streams",
-    probe_request=ProbeRequestMessage,
-    probe_reply=ProbeReplyMessage,
-    update=UpdateMessage,
     constraint=ConstraintMessage,
-    payload_of=attrgetter("value"),
     population=ScalarPopulation,
-    initial_column="initial_values",
-    record_column="values",
     constraint_columns=constraint_columns,
     oracle=Oracle,
-    violation_error=ToleranceViolationError,
     check_offset=0,
     flush_deploys=flush_interval_deploys,
     install_batch=install_interval_batch,

@@ -86,7 +86,7 @@ class WindowPopulation(ScalarPopulation):
         the centres: a window is installed around the value the server
         knows, and that knowledge costs no message."""
         super().bind_state(table)
-        table.record_report_rows(np.arange(len(self.centers)), self.centers, 0.0)
+        table.record_report_rows(np.arange(len(self.centers)), self.centers)
 
     def _report(self, row: int, value: float, time: float, message=UpdateMessage):
         half = self.width / 2.0

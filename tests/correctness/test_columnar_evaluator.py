@@ -192,9 +192,9 @@ def test_point_truth_column_tracks_every_apply(case, updates):
     for stream_id, x, y in updates:
         oracle.apply(stream_id % oracle.n_streams, np.array([x, y]))
         assert np.array_equal(
-            oracle.truth_mask(query), query.box.contains_many(oracle.points)
+            oracle.truth_mask(query), query.box.contains_many(oracle.values)
         )
-    assert oracle.true_answer(query) == query.true_answer(oracle.points)
+    assert oracle.true_answer(query) == query.true_answer(oracle.values)
 
 
 # ----------------------------------------------------------------------

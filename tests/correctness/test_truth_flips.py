@@ -25,7 +25,6 @@ from repro.runtime.session import ExecutionSession
 from repro.spatial.geometry import BoxRegion
 from repro.spatial.oracle import SpatialOracle
 from repro.spatial.queries import SpatialRangeQuery
-from repro.spatial.trace import SpatialTrace
 from repro.state.runs import previous_in_stream
 from repro.state.table import StreamStateTable
 from repro.streams.trace import StreamTrace
@@ -95,17 +94,11 @@ def test_the_flip_column_is_the_per_record_oracle(oracle_cls, query, dims):
 # ----------------------------------------------------------------------
 # A bound checker inside a replay: frontiers, horizon, latency
 # ----------------------------------------------------------------------
-def _trace(dims, initial, ids, payloads):
+def _trace(initial, ids, payloads):
     times = np.arange(1.0, len(ids) + 1.0)
-    horizon = len(ids) + 1.0
-    if dims == 1:
-        return StreamTrace(
-            initial_values=initial, times=times, stream_ids=ids,
-            values=payloads, horizon=horizon,
-        )
-    return SpatialTrace(
-        initial_points=initial, times=times, stream_ids=ids,
-        points=payloads, horizon=horizon,
+    return StreamTrace(
+        initial_values=initial, times=times, stream_ids=ids,
+        values=payloads, horizon=len(ids) + 1.0,
     )
 
 
@@ -116,13 +109,13 @@ def _checked_replay(dims, trace, horizon, frontiers, bind, latency):
         "ft-nrp" if dims == 1 else "ft-nrp-2d", query, TOLERANCE
     ).build()
     session = ExecutionSession.assemble(stack, trace, protocol, latency=latency)
-    oracle = session.vocabulary.oracle(getattr(trace, session.vocabulary.initial_column))
+    oracle = session.vocabulary.oracle(trace.initial_values)
     oracle.register_query(query)
     checker = ToleranceChecker(
         oracle, query, TOLERANCE, lambda: protocol.answer_mask,
         answer_table=session.host.state,
     )
-    payloads = getattr(trace, session.vocabulary.record_column)
+    payloads = trace.values
     session.initialize()
     if bind:
         n = int(np.searchsorted(trace.times, horizon, side="right"))
@@ -154,7 +147,7 @@ def test_a_bound_checker_reports_what_per_record_applies_report(dims, latency):
         initial, ids, payloads = drawn
         # The last *past* records lie beyond the replay's horizon.
         kept = max(0, len(ids) - past)
-        trace = _trace(dims, initial, ids, payloads)
+        trace = _trace(initial, ids, payloads)
         frontiers = sorted({c for c in cuts if c < kept} | {kept})
         run = (dims, trace, kept + 0.5, frontiers)
         bound = _checked_replay(*run, True, latency)

@@ -15,18 +15,28 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from repro.api import Deployment, Engine, QuerySpec, Workload
+from repro.correctness.checker import ToleranceViolationError
 from repro.durability import DurabilityPolicy, recover_run, resume_run
 from repro.durability.recovery import _restore_from_snapshot
 from repro.durability.runner import execute_durable_streams
+from repro.network.messages import (
+    ProbeReplyMessage,
+    ProbeRequestMessage,
+    UpdateMessage,
+)
 from repro.queries.knn import TopKQuery
 from repro.queries.range_query import RangeQuery
+from repro.runtime.vocabulary import Vocabulary
+from repro.server.sharded import ShardServer
 from repro.state.pools import SilencerPools
 from repro.state.table import StreamStateTable
+from repro.streams.vocabulary import SCALAR
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 from replay_forcing import run_forced
@@ -208,6 +218,72 @@ def test_a_snapshot_that_carries_the_retired_planes_still_resumes(
     restored = session.host.protocol
     assert restored._pools._table is restored._state
     assert restored._state.silencer.dtype == np.int8
+    assert result.ledger == baseline.ledger
+    assert result.final_answer == baseline.final_answer
+
+
+@pytest.mark.parametrize("deployment_kind", ["single", "sharded"])
+def test_a_snapshot_whose_vocabulary_carries_the_retired_fields_still_resumes(
+    tmp_path, monkeypatch, deployment_kind
+):
+    """Run directories written while the payload vocabulary named the
+    update and probe message classes, the payload field, the trace
+    columns and the strict-mode error — and each shard server kept its
+    own reference to it — pickled all of them with the host.  Such a
+    cut still restores (the retired fields ride along inert) and
+    resumes to the uninterrupted run's ledger and answer."""
+    spec = QuerySpec(
+        "ft-nrp", RangeQuery(400.0, 600.0), FractionTolerance(0.2, 0.2)
+    )
+    trace = WORKLOAD.materialize()
+    baseline = Engine().run(spec, WORKLOAD, Deployment.single())
+    retired = {
+        "probe_request": ProbeRequestMessage,
+        "probe_reply": ProbeReplyMessage,
+        "update": UpdateMessage,
+        "payload_of": attrgetter("value"),
+        "initial_column": "initial_values",
+        "record_column": "values",
+        "violation_error": ToleranceViolationError,
+    }
+    monkeypatch.setattr(
+        Vocabulary,
+        "__getstate__",
+        lambda self: {**vars(self), **retired},
+        raising=False,
+    )
+    monkeypatch.setattr(
+        ShardServer,
+        "__getstate__",
+        lambda self: {**vars(self), "vocabulary": self._coordinator.vocabulary},
+        raising=False,
+    )
+    policy = DurabilityPolicy(
+        run_dir=str(tmp_path / "run"), snapshot_every=400, segment_records=128
+    )
+    deployment = (
+        Deployment.single(durable=policy)
+        if deployment_kind == "single"
+        else Deployment.sharded(2, durable=policy)
+    )
+
+    def progress(position):
+        if position >= trace.n_records // 2:
+            raise SimulatedKill
+
+    with pytest.raises(SimulatedKill):
+        execute_durable_streams(trace, spec.build(), deployment, progress=progress)
+    monkeypatch.undo()
+
+    result = resume_run(policy.run_dir, trace)
+    snapshot = result.extras["durability"]["recovery"]["snapshot_file"]
+    assert snapshot is not None
+    session, _ = _restore_from_snapshot(os.path.join(policy.snapshot_dir, snapshot))
+    host = session.host
+    assert vars(host.vocabulary)["record_column"] == "values"
+    assert host.vocabulary == SCALAR
+    assert all(shard.vocabulary == SCALAR for shard in host.shards)
+    assert len(host.shards) == (1 if deployment_kind == "single" else 2)
     assert result.ledger == baseline.ledger
     assert result.final_answer == baseline.final_answer
 

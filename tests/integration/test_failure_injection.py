@@ -62,7 +62,7 @@ def run_lossy_zt_nrp(trace, drop_every):
     server.initialize()
     for record in trace:
         oracle.apply(record.stream_id, record.value)
-        sources[record.stream_id].apply_value(record.value, record.time)
+        sources[record.stream_id].apply(record.value, record.time)
         checker.check(record.time)
     return channel, checker
 

@@ -212,6 +212,6 @@ class TestCoordinator:
         )
         session = ExecutionSession.assemble("streams", trace, group)
         session.initialize()
-        session.sources[0].apply_value(100.0, 1.0)
+        session.sources[0].apply(100.0, 1.0)
         assert seen == [("a", 0), ("b", 0)]
         assert session.snapshot().maintenance_total == 1

@@ -48,30 +48,30 @@ class TestSlots:
         install(channel, 0, "a", 0.0, 10.0)  # value 5.0
         install(channel, 0, "b", 7.0, 20.0)
         # 5 -> 8: enters b's range, stays in a's.
-        population[0].apply_value(8.0, 1.0)
+        population[0].apply(8.0, 1.0)
         assert updates(received) == [(0, 8.0, ("b",))]
         received.clear()
         # 8 -> 12: leaves a's range, stays in b's.
-        population[0].apply_value(12.0, 2.0)
+        population[0].apply(12.0, 2.0)
         assert updates(received) == [(0, 12.0, ("a",))]
 
     def test_single_physical_update_for_multi_flip(self, system):
         channel, population, received, ledger = system
         install(channel, 0, "a", 0.0, 10.0)
         install(channel, 0, "b", 0.0, 10.0)
-        population[0].apply_value(50.0, 1.0)  # leaves both at once
+        population[0].apply(50.0, 1.0)  # leaves both at once
         assert updates(received) == [(0, 50.0, ("a", "b"))]
         assert ledger.count(MessageKind.UPDATE) == 1
 
     def test_silenced_slot_never_flips(self, system):
         channel, population, received, _ = system
         install(channel, 0, "a", -math.inf, math.inf)
-        population[0].apply_value(1e9, 1.0)
+        population[0].apply(1e9, 1.0)
         assert updates(received) == []
 
     def test_no_slots_means_no_filter(self, system):
         _, population, received, _ = system
-        population[1].apply_value(99.0, 1.0)
+        population[1].apply(99.0, 1.0)
         assert updates(received) == [(1, 99.0, None)]
 
     def test_probe_resyncs_only_that_query(self, system):
@@ -145,7 +145,7 @@ def test_a_bad_interval_raises_and_leaves_the_slot(system, lower, upper):
 def test_a_point_interval_is_a_valid_slot_filter(system):
     channel, population, received, _ = system
     install(channel, 0, "a", 5.0, 5.0)  # the value sits on the point
-    population[0].apply_value(5.0, 1.0)
+    population[0].apply(5.0, 1.0)
     assert updates(received) == []
-    population[0].apply_value(5.5, 2.0)
+    population[0].apply(5.5, 2.0)
     assert updates(received) == [(0, 5.5, ("a",))]

@@ -9,6 +9,8 @@ a 1-box, ``[q - t, q + t]`` a 1-ball — must produce the same ledger and
 the same final answer, on one server and on two shards.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.api import Deployment, Engine, QuerySpec, Workload
@@ -17,7 +19,6 @@ from repro.queries.knn import KnnQuery
 from repro.queries.range_query import RangeQuery
 from repro.spatial.geometry import BoxRegion
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
-from repro.spatial.trace import SpatialTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.rank_tolerance import RankTolerance
 from replay_forcing import run_forced
@@ -42,14 +43,12 @@ FAMILY = {
 DEPLOYMENTS = {"single": Deployment.single(), "sharded": Deployment.sharded(2)}
 
 
-def _lift(trace) -> SpatialTrace:
+def _lift(trace):
     """The same records as ``(n, 1)`` / ``(m, 1)`` point matrices."""
-    return SpatialTrace(
-        initial_points=trace.initial_values[:, None],
-        times=trace.times,
-        stream_ids=trace.stream_ids,
-        points=trace.values[:, None],
-        horizon=trace.horizon,
+    return dataclasses.replace(
+        trace,
+        initial_values=trace.initial_values[:, None],
+        values=trace.values[:, None],
     )
 
 

@@ -316,7 +316,7 @@ def test_tracked_set_split_equals_the_full_order_split(data, n, query):
     table = StreamStateTable(n)
     values = data.draw(st.lists(SPLIT_VALUE, min_size=n, max_size=n))
     for row, value in enumerate(values):
-        table.record_report(row, value, 0.0)
+        table.record_report(row, value)
     protocol = RankToleranceProtocol(query, RankTolerance(k=2, r=1))
     protocol._state = table
     protocol._rank = RankView(table, query.rank_keys)
@@ -328,7 +328,7 @@ def test_tracked_set_split_equals_the_full_order_split(data, n, query):
     for row, value in data.draw(
         st.lists(st.tuples(st.integers(0, n - 1), SPLIT_VALUE), max_size=4)
     ):
-        table.record_report(row, value, 1.0)
+        table.record_report(row, value)
     members, d_inside, d_outside = protocol._split()
     want_members, want_inside, want_outside = full_order_split(protocol)
     assert sorted(members.tolist()) == sorted(want_members.tolist())
@@ -353,7 +353,7 @@ def test_tracked_set_split_clamp_and_tie_cases():
     query = KnnQuery(0.0, 2)
     table = StreamStateTable(6)
     for row, value in enumerate([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]):
-        table.record_report(row, value, 0.0)
+        table.record_report(row, value)
     protocol = RankToleranceProtocol(query, RankTolerance(k=2, r=1))
     protocol._state = table
     protocol._rank = RankView(table, query.rank_keys)
@@ -361,6 +361,6 @@ def test_tracked_set_split_clamp_and_tie_cases():
     # Clamp: untracked stream 0 (distance 1) is closer than tracked 3.
     assert protocol._split()[1:] == full_order_split(protocol)[1:] == (4.0, 1.0)
     # Ties: untracked 0 and 4 at tracked 3's distance, on both sides of it.
-    table.record_report(0, 4.0, 1.0)
-    table.record_report(4, -4.0, 1.0)
+    table.record_report(0, 4.0)
+    table.record_report(4, -4.0)
     assert protocol._split()[1:] == full_order_split(protocol)[1:] == (4.0, 4.0)

@@ -141,7 +141,7 @@ class _Window:
 
     def evaluate(self, value):
         before = len(self.reports)
-        self.source.apply_value(value, 1.0)
+        self.source.apply(value, 1.0)
         return REPORT if len(self.reports) > before else None
 
     def rows(self):

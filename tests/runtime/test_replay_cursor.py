@@ -39,7 +39,6 @@ from repro.runtime.session import ExecutionSession
 from repro.server.transport import ShardWorker, TransportError
 from repro.spatial.geometry import BoxRegion
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
-from repro.spatial.trace import SpatialTrace
 from repro.streams.source import ScalarPopulation
 from repro.streams.trace import StreamTrace
 from repro.streams.vocabulary import SCALAR
@@ -147,11 +146,11 @@ def _assemble(stack, initial, ids, points, latency):
         constraint = interval_around
         centre = lambda p: p[0]  # noqa: E731
     else:
-        trace = SpatialTrace(
-            initial_points=np.array(initial, dtype=np.float64),
+        trace = StreamTrace(
+            initial_values=np.array(initial, dtype=np.float64),
             times=times,
             stream_ids=stream_ids,
-            points=np.array(points, dtype=np.float64).reshape(-1, 2),
+            values=np.array(points, dtype=np.float64).reshape(-1, 2),
             horizon=horizon,
         )
         constraint = box_around
@@ -160,7 +159,7 @@ def _assemble(stack, initial, ids, points, latency):
         stack, trace, WindowProtocol(constraint), None, latency
     )
     session.initialize()
-    payloads = getattr(trace, session.vocabulary.record_column)
+    payloads = trace.values
 
     def rewrite(index, stream, at, width, belief):
         # Both runs have consumed every record before *index*; pin the

@@ -30,11 +30,7 @@ from repro.network.messages import (
 from repro.runtime.membership import BELIEF_NONE
 from repro.sim.engine import SimulationEngine
 from repro.spatial.geometry import BallRegion, BoxRegion, as_point
-from repro.spatial.messages import (
-    PointProbeRequestMessage,
-    PointUpdateMessage,
-    RegionConstraintMessage,
-)
+from repro.spatial.messages import RegionConstraintMessage
 from repro.spatial.source import SpatialStreamSource
 from repro.state.table import StreamStateTable
 from repro.streams.control import install_constraints, probe_sources
@@ -57,7 +53,7 @@ class LegacyStreamSource:
         self._reported_inside = False
         channel.bind_source(stream_id, self._handle_message)
 
-    def apply_value(self, value, time):
+    def apply(self, value, time):
         self.value = float(value)
         if self.constraint is None:
             self._report(time)
@@ -113,7 +109,7 @@ class LegacyWindowSource:
         self._center = float(initial_value)
         channel.bind_source(stream_id, self._handle_message)
 
-    def apply_value(self, value, time):
+    def apply(self, value, time):
         self.value = float(value)
         if abs(self.value - self._center) > self.width / 2.0:
             self._center = self.value
@@ -146,7 +142,7 @@ class LegacySpatialSource:
         self._reported_inside = False
         channel.bind_source(stream_id, self._handle_message)
 
-    def apply_point(self, point, time):
+    def apply(self, point, time):
         self.point = as_point(point)
         if self.region is None:
             self._report(time)
@@ -158,8 +154,8 @@ class LegacySpatialSource:
 
     def _report(self, time):
         self.channel.send_to_server(
-            PointUpdateMessage(
-                stream_id=self.stream_id, time=time, point=self.point.copy()
+            UpdateMessage(
+                stream_id=self.stream_id, time=time, value=self.point.copy()
             )
         )
 
@@ -167,13 +163,11 @@ class LegacySpatialSource:
         if message.kind is MessageKind.PROBE_REQUEST:
             if self.region is not None:
                 self._reported_inside = self.region.contains(self.point)
-            from repro.spatial.messages import PointProbeReplyMessage
-
             self.channel.send_to_server(
-                PointProbeReplyMessage(
+                ProbeReplyMessage(
                     stream_id=self.stream_id,
                     time=message.time,
-                    point=self.point.copy(),
+                    value=self.point.copy(),
                 )
             )
             return
@@ -208,9 +202,9 @@ def _messages_digest(received):
     """A comparable rendering of every server-bound message."""
     digest = []
     for message in received:
-        payload = getattr(message, "value", None)
-        if payload is None:
-            payload = tuple(message.point.tolist())
+        payload = message.value
+        if isinstance(payload, np.ndarray):
+            payload = tuple(payload.tolist())
         digest.append((message.kind, message.stream_id, message.time, payload))
     return digest
 
@@ -242,7 +236,7 @@ def test_stream_source_matches_legacy(seed):
         )
         for t, action in enumerate(script, start=1):
             if action[0] == "value":
-                source.apply_value(action[1], float(t))
+                source.apply(action[1], float(t))
             elif action[0] == "probe":
                 channel.send_to_source(ProbeRequestMessage(0, float(t)))
             else:
@@ -324,7 +318,7 @@ class _System:
             time = float(time)
             self.engine.run(until=time)
             if op == "apply":
-                self.sources[args[0]].apply_value(args[1], time)
+                self.sources[args[0]].apply(args[1], time)
             elif op == "probe":
                 self.probe(time, args[0])
             elif op == "constraint":
@@ -443,7 +437,7 @@ def test_window_source_matches_legacy(seed, width):
         )
         for t, action in enumerate(script, start=1):
             if action[0] == "value":
-                source.apply_value(action[1], float(t))
+                source.apply(action[1], float(t))
             else:
                 channel.send_to_source(ProbeRequestMessage(0, float(t)))
         return ledger.snapshot(), _messages_digest(received)
@@ -485,9 +479,9 @@ def test_spatial_source_matches_legacy(seed):
         )
         for t, action in enumerate(script, start=1):
             if action[0] == "point":
-                source.apply_point(action[1], float(t))
+                source.apply(action[1], float(t))
             elif action[0] == "probe":
-                channel.send_to_source(PointProbeRequestMessage(0, float(t)))
+                channel.send_to_source(ProbeRequestMessage(0, float(t)))
             else:
                 channel.send_to_source(
                     RegionConstraintMessage(
@@ -530,7 +524,7 @@ def test_multiquery_source_matches_legacy(seed):
                 SharedUpdateMessage(self.stream_id, time, self.value, flipped)
             )
 
-        def apply_value(self, value, time):
+        def apply(self, value, time):
             self.value = float(value)
             if not self._constraints:
                 self._update(time, None)
@@ -593,7 +587,7 @@ def test_multiquery_source_matches_legacy(seed):
         )
         for t, action in enumerate(script, start=1):
             if action[0] == "value":
-                source.apply_value(action[1], float(t))
+                source.apply(action[1], float(t))
             elif action[0] == "probe":
                 channel.send_to_source(QueryProbeMessage(0, float(t), query=action[1]))
             else:

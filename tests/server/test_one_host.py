@@ -97,7 +97,7 @@ def test_one_shard_rank_view_reads_like_the_merged_view(n, before, after, count)
     for reports in (before, after):
         for row, step in reports:
             if row < n:
-                shard.record_report(row, 500.0 + 10 * step, 1.0)
+                shard.record_report(row, 500.0 + 10 * step)
         np.testing.assert_array_equal(view.order_ids(), merged.order_ids())
         assert view.leaders(count) == merged.leaders(count)
         for row in np.flatnonzero(shard.known).tolist():

@@ -88,7 +88,7 @@ def test_broadcast_costs_n_messages():
 
 def test_update_dispatches_to_protocol():
     server, protocol, sources, _ = make_system()
-    sources[0].apply_value(99.0, time=4.0)  # no filter: reports
+    sources[0].apply(99.0, time=4.0)  # no filter: reports
     assert protocol.updates == [(0, 99.0, 4.0)]
     assert server.now == 4.0
 
@@ -110,7 +110,7 @@ def test_self_correction_during_deploy_is_deferred():
     server, protocol, sources, _ = make_system(
         protocol=RecordingProtocol(on_upd=on_upd)
     )
-    sources[0].apply_value(50.0, time=1.0)
+    sources[0].apply(50.0, time=1.0)
     assert [u[0] for u in protocol.updates] == [0, 1]
     assert depth["max"] == 1  # never nested
 
@@ -139,7 +139,7 @@ def test_update_arriving_mid_drain_is_queued_not_reentered():
     server, protocol, sources, _ = make_system(
         protocol=RecordingProtocol(on_upd=on_upd)
     )
-    sources[0].apply_value(50.0, time=1.0)
+    sources[0].apply(50.0, time=1.0)
     assert [u[0] for u in protocol.updates] == [0, 1, 2]
     assert depth["max"] == 1  # the drain never nested a handler
 
@@ -166,7 +166,7 @@ def test_probes_during_update_are_not_misrouted():
     server, protocol, sources, _ = make_system(
         protocol=RecordingProtocol(on_upd=on_upd)
     )
-    sources[0].apply_value(5.0, time=1.0)
+    sources[0].apply(5.0, time=1.0)
     assert [u[0] for u in protocol.updates] == [0]
 
 
@@ -188,6 +188,6 @@ def test_phase_accounting_split():
     server = Server(channel, ProbingProtocol())
     server.initialize()
     ledger.phase = Phase.MAINTENANCE
-    sources[0].apply_value(1.0, 1.0)
+    sources[0].apply(1.0, 1.0)
     assert ledger.initialization_total == 4  # 2 probes x 2 messages
     assert ledger.maintenance_total == 1

@@ -17,6 +17,7 @@ import pytest
 
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
+from repro.network.messages import ProbeRequestMessage
 from repro.spatial.geometry import (
     ALL_SPACE,
     EMPTY_REGION,
@@ -24,7 +25,7 @@ from repro.spatial.geometry import (
     BoxRegion,
     UnionRegion,
 )
-from repro.spatial.messages import PointProbeRequestMessage, RegionConstraintMessage
+from repro.spatial.messages import RegionConstraintMessage
 from repro.spatial.source import PointPopulation
 from repro.state.table import StreamStateTable
 
@@ -199,7 +200,7 @@ def test_point_population_writes_through_to_the_table():
     assert not table.inside[0]
     # Resync after a probe realigns the belief.
     population.values[0] = [5.0, 5.0]
-    channel.send_to_source(PointProbeRequestMessage(0, 2.0))
+    channel.send_to_source(ProbeRequestMessage(0, 2.0))
     assert table.inside[0]
     # A region with no boxes clears the row: its records dispatch.
     channel.send_to_source(

@@ -83,7 +83,7 @@ def reference_trace(config: MovingObjectsConfig):
 def test_block_walk_draws_the_object_loop(params):
     config = MovingObjectsConfig(**params)
     trace = generate_moving_objects_trace(config)
-    got = (trace.initial_points, trace.times, trace.stream_ids, trace.points)
+    got = (trace.initial_values, trace.times, trace.stream_ids, trace.values)
     for column, want in zip(got, reference_trace(config)):
         assert column.dtype == want.dtype
         assert column.shape == want.shape

@@ -1,54 +1,25 @@
-"""A spatial trace keeps its predecessor index as a stream trace does.
+"""A point trace keeps its predecessor index as a scalar trace does.
 
-``SpatialTrace.previous_record`` is the records'
+A moving-objects workload is a :class:`~repro.streams.trace.StreamTrace`
+of points, so its ``previous_record`` is the records'
 :func:`~repro.state.runs.previous_in_stream` index, built on first use
-and kept on the instance, so every checked run over one trace reads one
-index (DESIGN.md §9).
+and kept on the instance, and every checked run over one trace reads one
+index (DESIGN.md §9).  The index's own contract is tested on scalar
+and point traces alike in ``tests/streams/test_trace.py``.
 """
-
-import dataclasses
-
-import numpy as np
 
 from repro.api import Deployment, Engine, QuerySpec, Workload
 from repro.correctness import checker as checker_module
 from repro.runtime import replay as replay_module
-from repro.spatial import trace as spatial_trace_module
 from repro.spatial.geometry import BoxRegion
 from repro.spatial.queries import SpatialRangeQuery
-from repro.spatial.trace import SpatialTrace
 from repro.spatial.workloads import (
     MovingObjectsConfig,
     generate_moving_objects_trace,
 )
 from repro.state.runs import previous_in_stream
+from repro.streams import trace as trace_module
 from repro.tolerance.fraction_tolerance import FractionTolerance
-
-
-def _manual_trace():
-    return SpatialTrace(
-        initial_points=np.zeros((4, 2)),
-        times=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-        stream_ids=np.array([0, 1, 2, 0, 3]),
-        points=np.arange(10.0).reshape(5, 2),
-        horizon=6.0,
-    )
-
-
-def test_built_once_and_correct():
-    trace = _manual_trace()
-    index = trace.previous_record
-    assert index.tolist() == [-1, -1, -1, 0, -1]
-    assert trace.previous_record is index
-
-
-def test_not_a_field():
-    trace = _manual_trace()
-    trace.previous_record
-    names = {f.name for f in dataclasses.fields(trace)}
-    assert "previous_record" not in names
-    assert dataclasses.asdict(trace).keys() == names
-    assert "previous_record" not in vars(dataclasses.replace(trace))
 
 
 def test_two_checked_runs_build_one_index(monkeypatch):
@@ -60,7 +31,7 @@ def test_two_checked_runs_build_one_index(monkeypatch):
         calls.append(len(stream_ids))
         return previous_in_stream(stream_ids)
 
-    for module in (spatial_trace_module, checker_module, replay_module):
+    for module in (trace_module, checker_module, replay_module):
         monkeypatch.setattr(module, "previous_in_stream", spy)
     trace = generate_moving_objects_trace(
         MovingObjectsConfig(n_objects=40, horizon=60.0, seed=1)

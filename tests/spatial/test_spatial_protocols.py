@@ -7,11 +7,11 @@ import pytest
 from repro.api import Deployment, Engine, QuerySpec, Workload
 from repro.spatial.geometry import BoxRegion
 from repro.spatial.queries import SpatialKnnQuery, SpatialRangeQuery
-from repro.spatial.trace import SpatialTrace
 from repro.spatial.workloads import (
     MovingObjectsConfig,
     generate_moving_objects_trace,
 )
+from repro.streams.trace import StreamTrace
 from repro.tolerance.fraction_tolerance import FractionTolerance
 from repro.tolerance.knn_fraction import RhoPolicy
 from repro.tolerance.rank_tolerance import RankTolerance
@@ -68,7 +68,7 @@ class TestSpatialFtNrp:
         result = run_2d(
             head(trace, 0.0), "ft-nrp", SpatialRangeQuery(BOX), tolerance
         )
-        box_members = int(BOX.contains_many(trace.initial_points).sum())
+        box_members = int(BOX.contains_many(trace.initial_values).sum())
         assert result.extras["n_plus"] == min(
             tolerance.emax_plus(box_members), box_members
         )
@@ -141,13 +141,13 @@ class TestManySeeds:
 
 class TestDegenerateTraces:
     def test_static_objects_cost_nothing_after_init(self):
-        trace = SpatialTrace(
-            initial_points=np.random.default_rng(0).uniform(
+        trace = StreamTrace(
+            initial_values=np.random.default_rng(0).uniform(
                 0, 1000, size=(30, 2)
             ),
             times=np.array([]),
             stream_ids=np.array([]),
-            points=np.empty((0, 2)),
+            values=np.empty((0, 2)),
             horizon=10.0,
         )
         tolerance = FractionTolerance(0.2, 0.2)

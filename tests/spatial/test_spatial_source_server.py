@@ -5,13 +5,10 @@ import pytest
 
 from repro.network.accounting import MessageLedger
 from repro.network.channel import Channel
-from repro.network.messages import MessageKind
+from repro.network.messages import MessageKind, ProbeRequestMessage
 from repro.protocols.base import FilterProtocol
 from repro.spatial.geometry import ALL_SPACE, EMPTY_REGION, BoxRegion
-from repro.spatial.messages import (
-    PointProbeRequestMessage,
-    RegionConstraintMessage,
-)
+from repro.spatial.messages import RegionConstraintMessage
 from repro.spatial.server import SpatialServer
 from repro.spatial.source import SpatialStreamSource
 
@@ -34,8 +31,8 @@ def wired():
 class TestSpatialSource:
     def test_no_filter_reports_every_move(self, wired):
         channel, ledger, sources, received = wired
-        sources[0].apply_point([1.0, 1.0], 1.0)
-        sources[0].apply_point([2.0, 2.0], 2.0)
+        sources[0].apply([1.0, 1.0], 1.0)
+        sources[0].apply([2.0, 2.0], 2.0)
         assert len(received) == 2
 
     def test_region_filter_suppresses_interior_moves(self, wired):
@@ -44,12 +41,12 @@ class TestSpatialSource:
             RegionConstraintMessage(0, 0.0, region=BOX, assumed_inside=True)
         )
         received.clear()
-        sources[0].apply_point([3.0, 3.0], 1.0)
-        sources[0].apply_point([9.0, 9.0], 2.0)
+        sources[0].apply([3.0, 3.0], 1.0)
+        sources[0].apply([9.0, 9.0], 2.0)
         assert received == []
-        sources[0].apply_point([11.0, 9.0], 3.0)  # crosses a face
+        sources[0].apply([11.0, 9.0], 3.0)  # crosses a face
         assert len(received) == 1
-        np.testing.assert_array_equal(received[0].point, [11.0, 9.0])
+        np.testing.assert_array_equal(received[0].value, [11.0, 9.0])
 
     def test_silencing_regions(self, wired):
         channel, ledger, sources, received = wired
@@ -61,12 +58,12 @@ class TestSpatialSource:
         )
         received.clear()
         for source in sources[:2]:
-            source.apply_point([1e6, -1e6], 1.0)
+            source.apply([1e6, -1e6], 1.0)
         assert received == []
 
     def test_stale_belief_self_corrects(self, wired):
         channel, ledger, sources, received = wired
-        sources[2].point = np.array([50.0, 50.0])  # actually outside BOX
+        sources[2].value = np.array([50.0, 50.0])  # actually outside BOX
         channel.send_to_source(
             RegionConstraintMessage(2, 0.0, region=BOX, assumed_inside=True)
         )
@@ -79,9 +76,9 @@ class TestSpatialSource:
             RegionConstraintMessage(0, 0.0, region=BOX, assumed_inside=True)
         )
         received.clear()
-        channel.send_to_source(PointProbeRequestMessage(0, 1.0))
+        channel.send_to_source(ProbeRequestMessage(0, 1.0))
         assert received[0].kind is MessageKind.PROBE_REPLY
-        np.testing.assert_array_equal(received[0].point, [0.0, 0.0])
+        np.testing.assert_array_equal(received[0].value, [0.0, 0.0])
 
 
 class RecordingSpatialProtocol(FilterProtocol):
@@ -133,7 +130,7 @@ class TestSpatialServer:
 
     def test_updates_dispatch_to_protocol(self):
         server, protocol, sources, _ = self.make()
-        sources[0].apply_point([5.0, 5.0], 3.0)
+        sources[0].apply([5.0, 5.0], 3.0)
         assert protocol.updates == [(0, (5.0, 5.0), 3.0)]
         assert server.now == 3.0
 
@@ -154,5 +151,5 @@ class TestSpatialServer:
             SpatialStreamSource(i, [1.0, 1.0], channel) for i in range(2)
         ]
         SpatialServer(channel, DeployingProtocol())
-        sources[0].apply_point([2.0, 2.0], 1.0)
+        sources[0].apply([2.0, 2.0], 1.0)
         assert fired == [0, 1]

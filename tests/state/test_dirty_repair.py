@@ -73,13 +73,13 @@ def test_mark_repair_equals_isin_repair(n, known, batches, shard):
     table = StateShardView(parent, n // 4, n) if shard else parent
     rows = table.n_streams
     for row in range(min(known, rows)):
-        table.record_report(row, float(row % 7) * 15.0, 0.0)
+        table.record_report(row, float(row % 7) * 15.0)
     mark, isin = RankView(table, QUERY.distance_array), IsinRankView(
         table, QUERY.distance_array
     )
     for time, batch in enumerate(batches, start=1):
         for row, value, read in batch:
-            table.record_report(row % rows, value, float(time))
+            table.record_report(row % rows, value)
             if read:  # reads between writes repair small dirty sets
                 for view in (mark, isin):
                     view.order_arrays()
@@ -101,7 +101,7 @@ def test_batch_keys_tying_kept_keys_slide_past_smaller_ids():
     # 10-39 at 60-89.
     values = [50.0, 45.0, 40.0, 48.0, 35.0, 60.0, 30.0, 20.0, 40.0, 55.0]
     for row, value in enumerate(values + [110.0 + row for row in range(30)]):
-        table.record_report(row, value, 0.0)
+        table.record_report(row, value)
     mark = RankView(table, QUERY.distance_array)
     isin = IsinRankView(table, QUERY.distance_array)
     for view in (mark, isin):
@@ -109,7 +109,7 @@ def test_batch_keys_tying_kept_keys_slide_past_smaller_ids():
     # Rows 0, 6 and 9 move onto distance 10 (ids before, between and
     # after kept rows 2, 5, 8); row 3 moves past every kept key.
     for row, value in ((0, 60.0), (6, 40.0), (9, 60.0), (3, 150.0)):
-        table.record_report(row, value, 1.0)
+        table.record_report(row, value)
     assert mark._dirty == {0, 3, 6, 9}  # a repair, not a rebuild
     ids, keys = mark.order_arrays()
     want_ids, want_keys = isin.order_arrays()

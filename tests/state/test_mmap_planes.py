@@ -42,7 +42,7 @@ def test_planes_live_on_disk(tmp_path):
     on_disk = sorted(os.listdir(table.plane_dir))
     assert "values.npy" in on_disk and "lower.npy" in on_disk
 
-    table.record_report(3, 42.0, time=1.0)
+    table.record_report(3, 42.0)
     table.record_deploy(3, 40.0, 45.0)
     table.flush_planes()
     # The flushed file holds the mutation — readable by a fresh map.
@@ -57,11 +57,11 @@ def test_mutation_api_matches_ram_backing(tmp_path):
     disk = _mmap_table(tmp_path, 8)
     for table in (ram, disk):
         table.record_report_rows(
-            np.arange(8), np.arange(8, dtype=np.float64), time=0.0
+            np.arange(8), np.arange(8, dtype=np.float64)
         )
         table.record_deploy(2, 1.0, 3.0)
         table.answer_add(2)
-        table.record_report(5, -1.0, time=2.0)
+        table.record_report(5, -1.0)
     np.testing.assert_array_equal(ram.values, np.asarray(disk.values))
     np.testing.assert_array_equal(ram.lower, np.asarray(disk.lower))
     np.testing.assert_array_equal(
@@ -77,7 +77,7 @@ def test_shard_views_alias_mmap_parent(tmp_path):
         StateShardView(parent, lo, hi) for lo, hi in shard_ranges(10, 3)
     ]
     validate_shard_alignment(parent, shards)
-    shards[1].record_report(0, 7.0, time=1.0)  # local row 0 of shard 1
+    shards[1].record_report(0, 7.0)  # local row 0 of shard 1
     assert parent.values[shards[1].lo] == 7.0
 
 
@@ -92,7 +92,7 @@ def test_pickle_converts_planes_to_ram(tmp_path):
     files may be ahead of the journal, so pickling materializes RAM
     copies and the clone reports ``storage == "ram"``."""
     table = _mmap_table(tmp_path, 6)
-    table.record_report(4, 9.0, time=3.0)
+    table.record_report(4, 9.0)
     clone = pickle.loads(pickle.dumps(table))
     assert clone.storage == "ram"
     assert clone.plane_dir is None

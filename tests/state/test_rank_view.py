@@ -17,7 +17,7 @@ def legacy_order(query, values):
 def make_view(query, values):
     table = StreamStateTable(len(values))
     table.record_report_rows(
-        np.arange(len(values)), np.asarray(values, dtype=np.float64), 0.0
+        np.arange(len(values)), np.asarray(values, dtype=np.float64)
     )
     return table, RankView(table, query.distance_array)
 
@@ -65,7 +65,7 @@ def test_dirty_region_repair_matches_resort():
     for step in range(50):
         sid = int(rng.integers(0, len(values)))
         new = float(rng.normal(500.0, 150.0))
-        table.record_report(sid, new, float(step))
+        table.record_report(sid, new)
         known[sid] = new
         if step % 3 == 0:  # read at varying dirty-batch sizes
             assert view.order() == sorted(
@@ -82,9 +82,9 @@ def test_repair_with_duplicate_keys():
     values = [5.0, 5.0, 5.0, 1.0, 9.0]
     table, view = make_view(query, values)
     view.order()
-    table.record_report(4, 5.0, 1.0)  # now four streams tied at 5.0
+    table.record_report(4, 5.0)  # now four streams tied at 5.0
     assert view.order() == [3, 0, 1, 2, 4]
-    table.record_report(0, 5.0, 2.0)  # rewrite with the same key
+    table.record_report(0, 5.0)  # rewrite with the same key
     assert view.order() == [3, 0, 1, 2, 4]
 
 
@@ -97,7 +97,7 @@ def test_large_dirty_fraction_triggers_rebuild():
     known = {i: float(v) for i, v in enumerate(values)}
     for sid in range(20):  # half the population: exceeds the repair budget
         new = float(rng.normal(0.0, 10.0))
-        table.record_report(sid, new, 1.0)
+        table.record_report(sid, new)
         known[sid] = new
     assert view.order() == sorted(
         known, key=lambda i: (query.distance(known[i]), i)
@@ -108,11 +108,11 @@ def test_partial_known_population():
     query = KMinQuery(k=1)
     table = StreamStateTable(6)
     for sid, value in [(4, 3.0), (1, 7.0), (5, 1.0)]:
-        table.record_report(sid, value, 0.0)
+        table.record_report(sid, value)
     view = RankView(table, query.distance_array)
     assert view.order() == [5, 4, 1]
     assert view.leaders(2) == [5, 4]
-    table.record_report(0, 2.0, 1.0)  # newly known stream joins the order
+    table.record_report(0, 2.0)  # newly known stream joins the order
     assert view.order() == [5, 0, 4, 1]
 
 

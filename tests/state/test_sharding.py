@@ -27,7 +27,7 @@ from repro.state.table import StreamStateTable
 def build_single(query, values):
     table = StreamStateTable(len(values))
     table.record_report_rows(
-        np.arange(len(values)), np.asarray(values, dtype=np.float64), 0.0
+        np.arange(len(values)), np.asarray(values, dtype=np.float64)
     )
     return table, RankView(table, query.distance_array)
 
@@ -41,7 +41,6 @@ def build_sharded(query, values, ranges):
         shard.record_report_rows(
             np.arange(shard.n_streams),
             np.asarray(values[shard.lo : shard.hi], dtype=np.float64),
-            0.0,
         )
     return parent, shards, view
 
@@ -82,7 +81,7 @@ def test_shard_ranges_rejects_bad_counts():
 def test_shard_view_writes_alias_parent_columns():
     parent = StreamStateTable(10)
     shard = StateShardView(parent, 4, 8)
-    shard.record_report(1, 42.0, 3.0)  # global stream 5
+    shard.record_report(1, 42.0)  # global stream 5
     assert parent.values[5] == 42.0
     assert parent.known[5]
     shard.record_deploy(0, -1.0, 1.0)  # global stream 4
@@ -100,11 +99,11 @@ def test_shard_view_notifies_only_local_listeners():
     query = TopKQuery(k=2)
     left_view = RankView(left, query.distance_array)
     right_view = RankView(right, query.distance_array)
-    left.record_report_rows(np.arange(4), np.arange(4, dtype=np.float64), 0.0)
-    right.record_report_rows(np.arange(4), np.arange(4, 8, dtype=np.float64), 0.0)
+    left.record_report_rows(np.arange(4), np.arange(4, dtype=np.float64))
+    right.record_report_rows(np.arange(4), np.arange(4, 8, dtype=np.float64))
     left_view.order(), right_view.order()
     assert left_view.is_synced and right_view.is_synced
-    right.record_report(1, 99.0, 1.0)  # global stream 5
+    right.record_report(1, 99.0)  # global stream 5
     assert left_view.is_synced
     assert not right_view.is_synced
 
@@ -123,12 +122,12 @@ def test_shard_view_vector_payloads_alias_parent_points():
     left = StateShardView(parent, 0, 3)
     right = StateShardView(parent, 3, 6)
     # Points allocated through a view after the views were built.
-    right.record_report(1, np.array([1.0, 2.0]), 0.5)  # global stream 4
+    right.record_report(1, np.array([1.0, 2.0]))  # global stream 4
     assert parent.points is not None and parent.points.shape == (6, 2)
     assert np.array_equal(parent.points[4], [1.0, 2.0])
     assert right.known[1] and parent.known[4]
     # Points allocated on the parent are visible through every view.
-    parent.record_report(0, np.array([9.0, 9.0]), 1.0)
+    parent.record_report(0, np.array([9.0, 9.0]))
     assert np.array_equal(left.points[0], [9.0, 9.0])
     assert left.payload_array().shape == (3, 2)
 
@@ -246,7 +245,7 @@ def test_order_ids_merge_equals_the_lexsort_it_replaced(
     for stream, value in rewrites:
         stream %= n
         shard = next(s for s in shards if s.lo <= stream < s.hi)
-        shard.record_report(stream - shard.lo, float(value), 1.0)
+        shard.record_report(stream - shard.lo, float(value))
         assert sharded.order_ids().tolist() == lexsorted()
 
 
@@ -283,10 +282,10 @@ def test_point_updates_repair_only_dirty_shards_but_stay_exact():
     for _ in range(40):
         stream = int(rng.integers(0, n))
         value = float(rng.normal(0.0, 10.0))
-        table.record_report(stream, value, 1.0)
+        table.record_report(stream, value)
         for shard in shards:
             if shard.lo <= stream < shard.hi:
-                shard.record_report(stream - shard.lo, value, 1.0)
+                shard.record_report(stream - shard.lo, value)
         assert sharded.order() == single.order()
         assert sharded.leaders(4) == single.leaders(4)
 
@@ -315,9 +314,9 @@ def test_partial_known_population():
     shards = [StateShardView(parent, lo, hi) for lo, hi in shard_ranges(9, 3)]
     sharded = ShardedRankView(shards, query.distance_array)
     for stream, value in [(0, 5.0), (4, 9.0), (5, 9.0), (8, 1.0)]:
-        single_table.record_report(stream, value, 0.0)
+        single_table.record_report(stream, value)
         for shard in shards:
             if shard.lo <= stream < shard.hi:
-                shard.record_report(stream - shard.lo, value, 0.0)
+                shard.record_report(stream - shard.lo, value)
     assert sharded.order() == single.order() == [4, 5, 0, 8]
     assert sharded.leaders(2) == [4, 5]

@@ -11,7 +11,7 @@ class TestValuePlane:
     def test_record_report_updates_columns(self):
         table = StreamStateTable(4)
         assert table.known_count == 0
-        table.record_report(2, 7.5, 3.0)
+        table.record_report(2, 7.5)
         assert table.values[2] == 7.5
         assert table.known[2]
         assert table.known_count == 1
@@ -19,18 +19,18 @@ class TestValuePlane:
 
     def test_record_report_accepts_numpy_ids(self):
         table = StreamStateTable(3)
-        table.record_report(np.int64(1), 2.0, 0.0)
+        table.record_report(np.int64(1), 2.0)
         assert table.known[1]
 
     def test_bulk_ingest_marks_all_known(self):
         table = StreamStateTable(3)
-        table.record_report_rows(np.arange(3), np.array([1.0, 2.0, 3.0]), 5.0)
+        table.record_report_rows(np.arange(3), np.array([1.0, 2.0, 3.0]))
         assert table.known_count == 3
         assert list(table.values) == [1.0, 2.0, 3.0]
 
     def test_vector_payload_allocates_points(self):
         table = StreamStateTable(2)
-        table.record_report(0, np.array([1.0, 2.0]), 0.0)
+        table.record_report(0, np.array([1.0, 2.0]))
         assert table.points is not None
         assert table.points.shape == (2, 2)
         assert table.payload_array() is table.points
@@ -110,8 +110,8 @@ class TestListeners:
         spy = Spy()
         table.add_listener(spy)
         table.add_listener(spy)  # idempotent
-        table.record_report(1, 5.0, 0.0)
-        table.record_report_rows(np.arange(3), np.zeros(3), 1.0)
+        table.record_report(1, 5.0)
+        table.record_report_rows(np.arange(3), np.zeros(3))
         assert notes == [1, "all"]
 
     def test_negative_size_rejected(self):

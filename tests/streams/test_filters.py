@@ -30,7 +30,7 @@ def violated_by(constraint, last_reported, current) -> bool:
     channel.send_to_source(
         ConstraintMessage(0, 0.0, constraint.lower, constraint.upper)
     )
-    source.apply_value(current, 1.0)
+    source.apply(current, 1.0)
     return bool(received)
 
 

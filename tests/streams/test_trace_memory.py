@@ -87,7 +87,7 @@ def test_moving_objects_trace():
     trace, peak = traced_peak(
         lambda: generate_moving_objects_trace(n_objects=20_000, horizon=1000.0)
     )
-    columns = ("initial_points", "times", "stream_ids", "points")
+    columns = ("initial_values", "times", "stream_ids", "values")
     assert peak <= BOUND * array_bytes(trace, columns)
 
 

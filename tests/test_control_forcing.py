@@ -22,8 +22,8 @@ from repro.network.messages import (
 )
 from repro.queries.range_query import RangeQuery
 from repro.sim.engine import SimulationEngine
-from repro.spatial.trace import SpatialTrace
 from repro.streams.source import ScalarPopulation
+from repro.streams.trace import StreamTrace
 from control_forcing import per_message, record_deliveries, run_per_message
 from trace_cuts import head
 
@@ -133,16 +133,16 @@ def test_head_keeps_the_records_at_or_before_its_horizon(
     assert cut.metadata == manual_trace.metadata
 
 
-def test_head_cuts_a_spatial_trace_by_its_points():
-    trace = SpatialTrace(
-        initial_points=np.zeros((2, 2)),
+def test_head_cuts_a_point_trace_by_its_rows():
+    trace = StreamTrace(
+        initial_values=np.zeros((2, 2)),
         times=np.array([1.0, 2.0, 2.0, 4.0]),
         stream_ids=np.array([0, 1, 0, 1]),
-        points=np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]]),
+        values=np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]]),
         horizon=5.0,
     )
     cut = head(trace, 2.0)
     assert cut.horizon == 2.0
     assert cut.stream_ids.tolist() == [0, 1, 0]
-    assert cut.points.tolist() == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
-    assert np.array_equal(cut.initial_points, trace.initial_points)
+    assert cut.values.tolist() == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+    assert np.array_equal(cut.initial_values, trace.initial_values)

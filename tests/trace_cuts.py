@@ -14,13 +14,12 @@ import numpy as np
 
 def head(trace, horizon: float):
     """*trace*'s records at or before *horizon*, over the same streams,
-    ending at *horizon* (a scalar or a spatial trace)."""
+    ending at *horizon* (a scalar or a point trace)."""
     keep = int(np.searchsorted(trace.times, horizon, side="right"))
-    payloads = "points" if hasattr(trace, "points") else "values"
     return dataclasses.replace(
         trace,
         times=trace.times[:keep],
         stream_ids=trace.stream_ids[:keep],
+        values=trace.values[:keep],
         horizon=horizon,
-        **{payloads: getattr(trace, payloads)[:keep]},
     )

@@ -50,23 +50,23 @@ class TestWindowFilterSource:
 
     def test_reports_only_outside_window(self):
         source, received = self.make(width=10.0)
-        source.apply_value(14.0, 1.0)  # inside +-5
+        source.apply(14.0, 1.0)  # inside +-5
         assert received == []
-        source.apply_value(15.5, 2.0)  # escapes
+        source.apply(15.5, 2.0)  # escapes
         assert len(received) == 1
 
     def test_window_recenters_after_report(self):
         source, received = self.make(width=10.0)
-        source.apply_value(16.0, 1.0)  # report, recenter at 16
-        source.apply_value(20.0, 2.0)  # inside new window [11, 21]
+        source.apply(16.0, 1.0)  # report, recenter at 16
+        source.apply(20.0, 2.0)  # inside new window [11, 21]
         assert len(received) == 1
-        source.apply_value(22.0, 3.0)  # escapes new window
+        source.apply(22.0, 3.0)  # escapes new window
         assert len(received) == 2
 
     def test_zero_width_reports_every_change(self):
         source, received = self.make(width=0.0)
-        source.apply_value(10.0001, 1.0)
-        source.apply_value(10.0002, 2.0)
+        source.apply(10.0001, 1.0)
+        source.apply(10.0002, 2.0)
         assert len(received) == 2
 
     def test_negative_width_rejected(self):
